@@ -63,37 +63,36 @@ func BenchmarkGatewayFR(b *testing.B)  { benchGateway(b, workload.FR) }
 func BenchmarkGatewayCBR(b *testing.B) { benchGateway(b, workload.CBR) }
 func BenchmarkGatewaySV(b *testing.B)  { benchGateway(b, workload.SV) }
 
-// BenchmarkGatewayTracing guards the stage-trace overhead: the off/
-// sampled/every sub-benchmarks are the same CBR round trip with tracing
-// disabled, sampling 1-in-16 (the aonload sweep default), and stamping
-// every request. The sampled case is the acceptance bar — it must stay
-// within ~3% of off (compare ns/op across sub-benchmarks; the stamps are
-// a few time.Now calls plus lock-free histogram adds on 1/16 of
-// requests, invisible next to a socket round trip).
+// BenchmarkGatewayTracing is the tracing on/off pair on the CPU-heavy
+// round trip: the same CBR message with Config.Trace off and on. Compare
+// ns/op across the two sub-benchmarks; the traced side pays one clock
+// read per stage boundary, lock-free histogram adds and the tail
+// decision on every request.
 func BenchmarkGatewayTracing(b *testing.B) {
 	for _, c := range []struct {
 		name  string
-		every int
-	}{{"off", 0}, {"sampled16", 16}, {"every", 1}} {
+		trace bool
+	}{{"off", false}, {"on", true}} {
 		b.Run(c.name, func(b *testing.B) {
 			benchGatewayCfg(b, workload.CBR, gateway.Config{
-				UseCase:    workload.CBR,
-				TraceEvery: c.every,
+				UseCase: workload.CBR,
+				Trace:   c.trace,
 			})
 		})
 	}
 }
 
-// BenchmarkGatewayFRDTraced guards the distributed-tracing overhead:
-// the same FR round trip as BenchmarkGatewayFR with Config.Trace on, so
-// every request acquires a pooled recorder, stamps real spans around
-// every stage, and runs the tail-sampling decision (default 1-in-64
-// probabilistic keep). The acceptance bar is ns/op within ~3% of
-// BenchmarkGatewayFR — the recorder is pooled and span stamping is a
-// handful of time.Now calls, so the delta must stay in the noise of a
-// loopback round trip. BenchmarkGatewayFR itself must not move at all
-// (allocs/op 4, gated by cmd/benchguard): the untraced path costs two
-// nil checks and a pointer reset.
+// BenchmarkGatewayFRDTraced guards the tracing overhead: the same FR
+// round trip as BenchmarkGatewayFR with Config.Trace on, so every
+// request acquires a pooled recorder, stamps real spans around every
+// stage, folds them into the stage histograms, and runs the
+// tail-sampling decision (default 1-in-64 probabilistic keep). The
+// acceptance bar is ns/op within ~3% of BenchmarkGatewayFR — the
+// recorder is pooled and span stamping is a handful of time.Now calls,
+// so the delta must stay in the noise of a loopback round trip.
+// BenchmarkGatewayFR itself must not move at all (allocs/op 4, gated by
+// cmd/benchguard): the untraced path costs a nil check per stage
+// boundary.
 func BenchmarkGatewayFRDTraced(b *testing.B) {
 	benchGatewayCfg(b, workload.FR, gateway.Config{
 		UseCase: workload.FR,

@@ -47,7 +47,6 @@ func main() {
 	selfgate := flag.Bool("selfgate", false, "self-host an in-process gateway on loopback")
 	workers := flag.Int("workers", 2, "selfgate: worker-pool width")
 	idle := flag.Duration("idle-timeout", 2*time.Second, "selfgate: client idle timeout (slow-loris phases shed when their trickle interval exceeds this)")
-	traceEvery := flag.Int("trace-every", 4, "selfgate: stage-trace 1 in N requests (0 = off; stage and model report columns need it)")
 	selfback := flag.Int("selfback", 0, "self-host N loopback backends and point the spec's backends list at them")
 	respSize := flag.Int("resp-size", 128, "self-hosted backend response body bytes")
 	backDelay := flag.Duration("back-delay", 0, "self-hosted backend service delay per message")
@@ -110,7 +109,7 @@ func main() {
 		}
 		srv, err := gateway.New(gateway.Config{
 			Workers:     *workers,
-			TraceEvery:  *traceEvery,
+			Trace:       true, // the report's stage and model columns read the traced stage histograms
 			IdleTimeout: *idle,
 			Upstream:    up,
 		})

@@ -194,8 +194,8 @@ func replayTable(rows []session.CSVRow, d capacity.StageDemands, topo capacity.G
 		}
 		offered := r.OfferedPerSec()
 		p := m.Predict(offered)
-		tputErr := errPct(p.ThroughputPerSec, r.MsgsPerSec)
-		p99Err := errPct(p.P99US, float64(r.LatencyP99US))
+		tputErr := capacity.ErrPct(p.ThroughputPerSec, r.MsgsPerSec)
+		p99Err := capacity.ErrPct(p.P99US, float64(r.LatencyP99US))
 		fmt.Printf("%8d %10.0f %10.0f %10.0f %7.1f %10d %10.0f %7.1f\n",
 			r.TMS, offered, r.MsgsPerSec, p.ThroughputPerSec, tputErr,
 			r.LatencyP99US, p.P99US, p99Err)
@@ -233,15 +233,4 @@ func scalingTable(widths []int, d capacity.StageDemands, topo capacity.GatewayTo
 		}
 		fmt.Printf("%6d %12.0f %14.0f %10.0f %8.2f\n", w, sat, adm, p99, scaling)
 	}
-}
-
-func errPct(pred, meas float64) float64 {
-	if meas <= 0 {
-		return 0
-	}
-	e := 100 * (pred - meas) / meas
-	if e < 0 {
-		return -e
-	}
-	return e
 }

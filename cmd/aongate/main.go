@@ -36,10 +36,9 @@
 // appended incrementally each interval (header written once, exactly-once
 // rows), so a crash loses at most one interval and long sessions are not
 // bounded by the ring — SIGUSR1 then forces an immediate flush rather
-// than a whole-ring dump. -trace-every N samples one request in N through
-// per-stage monotonic stamps, served as the /stats "stages" section.
+// than a whole-ring dump.
 //
-// With -adaptive, an analytic M/M/c capacity controller
+// With -adaptive (implies -trace), an analytic M/M/c capacity controller
 // (internal/capacity) runs beside the pool: every -adapt-interval it
 // reads the traced stage demands and the last window's load, solves the
 // queueing model, and resizes the worker pool and the 503 admission
@@ -48,12 +47,14 @@
 // measurement. /stats gains a "capacity" section with the decision,
 // predicted-vs-observed error, and per-use-case model error.
 //
-// With -trace, the gateway runs the distributed tracing plane
-// (internal/dtrace): every request records real spans around
+// With -trace, the gateway runs the tracing plane (internal/dtrace),
+// its one request clock: every request records real spans around
 // read/queue/parse/process/forward/write, adopts the client's
 // X-AON-Trace ID when present (aonload -trace-client, aoncamp
-// trace_every), propagates context on upstream forwards so aonback
-// records a joined server-side span, and tail-samples completed traces
+// trace_every), and propagates context on upstream forwards so aonback
+// records a joined server-side span. Every finished request's span
+// durations are aggregated into per-use-case per-stage histograms, the
+// /stats "stages" section; completed traces are tail-sampled
 // into a ring served on GET /traces?last=N — shed/idle-reaped/5xx and
 // slow requests always kept, 1-in—trace-keep-every otherwise. Tail
 // outcomes additionally emit a rate-limited structured slow-request
@@ -111,16 +112,15 @@ func main() {
 	timeline := flag.Bool("timeline", false, "run a sampling session: fixed-interval samples on GET /timeline (implies -counters)")
 	sampleInterval := flag.Duration("sample-interval", 100*time.Millisecond, "timeline sampling period (must be positive)")
 	sampleCap := flag.Int("sample-cap", 0, "timeline ring capacity in samples (0 = 600)")
-	traceEvery := flag.Int("trace-every", 0, "trace request stages for 1 in every N requests (0 = off)")
 	timelineOut := flag.String("timeline-out", "aon-timeline.csv", "CSV path for timeline dumps (SIGUSR1 and shutdown)")
 	timelineFlush := flag.Duration("timeline-flush-interval", 0, "append new timeline samples to -timeline-out every interval (implies -timeline; crash-safe, header written once; 0 = whole-ring dumps on SIGUSR1/shutdown only)")
-	adaptive := flag.Bool("adaptive", false, "run the capacity controller: the M/M/c model resizes the worker pool and moves the 503 admission bound from live observations (implies -trace-every)")
+	adaptive := flag.Bool("adaptive", false, "run the capacity controller: the M/M/c model resizes the worker pool and moves the 503 admission bound from live observations (implies -trace)")
 	targetP99 := flag.Duration("target-p99", 0, "adaptive mode: p99 latency bound the controller sizes for (0 = default 100ms)")
 	adaptInterval := flag.Duration("adapt-interval", 0, "adaptive mode: control-loop period (0 = default 500ms)")
 	minWorkers := flag.Int("min-workers", 0, "adaptive mode: pool floor (0 = default 1)")
 	maxWorkers := flag.Int("max-workers", 0, "adaptive mode: pool ceiling (0 = default 4x -workers)")
 	maxInflight := flag.Int64("max-inflight", 0, "adaptive mode: admission-bound ceiling (0 = default 16x(workers+queue))")
-	trace := flag.Bool("trace", false, "run the distributed tracing plane: per-request spans, X-AON-Trace adoption/propagation, tail-sampled ring on GET /traces, slow-request log on stderr")
+	trace := flag.Bool("trace", false, "run the tracing plane: per-request stage spans aggregated into the /stats stages section, X-AON-Trace adoption/propagation, tail-sampled ring on GET /traces, slow-request log on stderr")
 	traceNode := flag.String("trace-node", "", "node name stamped on this gateway's spans (default gateway; aonfleet passes role/id)")
 	traceSlowOver := flag.Duration("trace-slow-over", 0, "tail sampling: always keep traces slower than this (0 = default 50ms, negative disables the slow rule)")
 	traceKeepEvery := flag.Int("trace-keep-every", 0, "tail sampling: keep 1 in N ordinary traces (0 = default 64)")
@@ -136,10 +136,6 @@ func main() {
 	}
 	if *sampleInterval <= 0 {
 		fmt.Fprintf(os.Stderr, "aongate: -sample-interval must be positive, got %v\n", *sampleInterval)
-		os.Exit(2)
-	}
-	if *traceEvery < 0 {
-		fmt.Fprintf(os.Stderr, "aongate: -trace-every must be >= 0, got %d\n", *traceEvery)
 		os.Exit(2)
 	}
 	if *timelineFlush < 0 {
@@ -213,7 +209,6 @@ func main() {
 		SampleCapacity:        *sampleCap,
 		TimelineFlush:         flushDst,
 		TimelineFlushInterval: *timelineFlush,
-		TraceEvery:            *traceEvery,
 		Adaptive:              *adaptive,
 		TargetP99:             *targetP99,
 		AdaptInterval:         *adaptInterval,

@@ -29,12 +29,12 @@
 // metrics-backed rows with model-predicted derived values and a one-line
 // notice.
 //
-// In sweep mode, -trace-every N (default 16) additionally samples one
-// request in N through per-stage monotonic stamps, and a per-stage
-// p50/p99 table (read/queue/parse/process/forward/write) prints after
-// the scaling table — the live analogue of the paper's per-phase
-// profile next to its scaling figures. -timeline runs a sampling
-// session inside each swept gateway.
+// The swept gateway traces every request (gateway Config.Trace), and a
+// per-stage p50/p99 table (read/queue/parse/process/forward/write)
+// prints after the scaling table — the live analogue of the paper's
+// per-phase profile next to its scaling figures — followed by the
+// capacity model seeded from those stage demands. -timeline runs a
+// sampling session inside each swept gateway.
 //
 // Against a tracing gateway (aongate -trace), -trace-client N originates
 // a distributed trace on every Nth request per connection: an
@@ -79,7 +79,6 @@ func main() {
 	hwCounters := flag.Bool("counters", false, "sweep mode: per-width CPI/BrMPR columns from perf_event_open (runtime-metrics fallback where denied)")
 	timeline := flag.Bool("timeline", false, "sweep mode: run a sampling session per width (implies -counters)")
 	sampleInterval := flag.Duration("sample-interval", 100*time.Millisecond, "sampling period for -timeline (must be positive)")
-	traceEvery := flag.Int("trace-every", 16, "sweep mode: trace 1 in every N requests through pipeline stages; per-stage table after the sweep (0 = off)")
 	targetP99 := flag.Duration("target-p99", 100*time.Millisecond, "sweep mode: p99 bound for the model table's admissible-load column")
 	traceClient := flag.Int("trace-client", 0, "originate a distributed trace every Nth request per connection via X-AON-Trace; traced requests land in the report's client_spans (0 = off)")
 	traceNode := flag.String("trace-node", "", "node name stamped on client spans (default client; aonfleet passes role/id)")
@@ -92,10 +91,6 @@ func main() {
 	}
 	if *sampleInterval <= 0 {
 		fmt.Fprintf(os.Stderr, "aonload: -sample-interval must be positive, got %v\n", *sampleInterval)
-		os.Exit(2)
-	}
-	if *traceEvery < 0 {
-		fmt.Fprintf(os.Stderr, "aonload: -trace-every must be >= 0, got %d\n", *traceEvery)
 		os.Exit(2)
 	}
 	if *traceClient < 0 {
@@ -150,7 +145,6 @@ func main() {
 			Counters:       *hwCounters,
 			Timeline:       *timeline,
 			SampleInterval: *sampleInterval,
-			TraceEvery:     *traceEvery,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "aonload:", err)
@@ -172,7 +166,7 @@ func main() {
 		}
 		fmt.Fprint(os.Stderr, gateway.FormatSweepTable(rows))
 		if st := gateway.FormatStageTable(rows); st != "" {
-			fmt.Fprintf(os.Stderr, "\nper-stage latency (sampled 1 in %d):\n%s", *traceEvery, st)
+			fmt.Fprintf(os.Stderr, "\nper-stage latency (every request traced):\n%s", st)
 		}
 		if mt := gateway.FormatModelTable(rows, *targetP99); mt != "" {
 			fmt.Fprintf(os.Stderr, "\ncapacity model vs measured (per load point):\n%s", mt)

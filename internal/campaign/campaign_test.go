@@ -106,7 +106,7 @@ func TestFaultPostUnreachable(t *testing.T) {
 func TestCampaignEndToEnd(t *testing.T) {
 	srv, err := gateway.New(gateway.Config{
 		Workers:     2,
-		TraceEvery:  1,
+		Trace:       true,
 		IdleTimeout: 120 * time.Millisecond,
 	})
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/capacity"
+	"repro/internal/dtrace"
 	"repro/internal/gateway"
 )
 
@@ -186,13 +187,11 @@ func modelError(rep *PhaseReport, workers int, spec *Spec) *ModelError {
 	if len(rep.Stages) == 0 || workers <= 0 || rep.OKPerSec <= 0 {
 		return nil
 	}
-	d := capacity.StageDemands{
-		Read:    rep.Stages["read"].MeanUS / 1e6,
-		Parse:   rep.Stages["parse"].MeanUS / 1e6,
-		Process: rep.Stages["process"].MeanUS / 1e6,
-		Forward: rep.Stages["forward"].MeanUS / 1e6,
-		Write:   rep.Stages["write"].MeanUS / 1e6,
+	row := map[string]gateway.HistSnapshot{}
+	for stage, w := range rep.Stages {
+		row[stage] = gateway.HistSnapshot{Count: w.Count, MeanUS: w.MeanUS}
 	}
+	d := gateway.StageSnapshot{rep.UseCase: row}.Demands()
 	if d.WorkerDemand() <= 0 {
 		return nil
 	}
@@ -205,20 +204,9 @@ func modelError(rep *PhaseReport, workers int, spec *Spec) *ModelError {
 		PredictedP99US:   pred.P99US,
 		AdmissiblePerSec: m.MaxLoadForP99(float64(spec.TargetP99MS) * 1000),
 	}
-	me.ThroughputErrPct = errPct(pred.ThroughputPerSec, rep.OKPerSec)
-	me.P99ErrPct = errPct(pred.P99US, float64(rep.LatencyP99US))
+	me.ThroughputErrPct = capacity.ErrPct(pred.ThroughputPerSec, rep.OKPerSec)
+	me.P99ErrPct = capacity.ErrPct(pred.P99US, float64(rep.LatencyP99US))
 	return me
-}
-
-func errPct(pred, meas float64) float64 {
-	if meas <= 0 {
-		return 0
-	}
-	e := 100 * (pred - meas) / meas
-	if e < 0 {
-		return -e
-	}
-	return e
 }
 
 // FormatReport renders the human-readable campaign report: the per-phase
@@ -268,7 +256,7 @@ func FormatReport(res *Result) string {
 			continue
 		}
 		fmt.Fprintf(&b, "\nphase %s stage window (mean us over %d+ traced):\n", p.Name, minStageCount(p.Stages))
-		for _, stage := range gateway.StageNames() {
+		for _, stage := range dtrace.StageNames() {
 			w, ok := p.Stages[stage]
 			if !ok {
 				continue

@@ -232,13 +232,10 @@ func (c *Controller) step(now time.Time, obs Observation) Decision {
 		Workers: obs.Workers, BackendConns: obs.BackendConns, Backends: obs.Backends,
 	})
 	atObserved := observedModel.Predict(obs.OfferedPerSec)
-	errPct := 0.0
-	if obs.GoodputPerSec > 0 {
-		errPct = 100 * math.Abs(atObserved.ThroughputPerSec-obs.GoodputPerSec) / obs.GoodputPerSec
-	}
+	errPct := ErrPct(atObserved.ThroughputPerSec, obs.GoodputPerSec)
 	p99ErrPct := 0.0
-	if obs.P99 > 0 && atObserved.P99US > 0 {
-		p99ErrPct = 100 * math.Abs(atObserved.P99US-float64(obs.P99.Microseconds())) / float64(obs.P99.Microseconds())
+	if atObserved.P99US > 0 {
+		p99ErrPct = ErrPct(atObserved.P99US, float64(obs.P99.Microseconds()))
 	}
 	if obs.GoodputPerSec > 0 && errPct > 100*cfg.DivergeFrac {
 		return Decision{

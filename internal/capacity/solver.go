@@ -285,9 +285,18 @@ func (m *Model) SweepLoads(loads []float64) []LoadPoint {
 	return out
 }
 
+// ErrPct is |pred−meas| as a percentage of meas (0 when unmeasured) —
+// the error column of every model-vs-measured table.
+func ErrPct(pred, meas float64) float64 {
+	if meas <= 0 {
+		return 0
+	}
+	return 100 * math.Abs(pred-meas) / meas
+}
+
 // StageDemands carries the measured per-stage mean service times
 // (seconds) that seed a gateway model — the live read/queue/parse/
-// process/forward/write breakdown from the PR-4 stage tracer. Queue is
+// process/forward/write breakdown from the traced stage histograms. Queue is
 // accepted but ignored: queueing delay is what the model *predicts*,
 // not a demand.
 type StageDemands struct {

@@ -1,14 +1,16 @@
-// Package dtrace is the gateway's distributed per-request tracing plane:
-// where the stage tracer (internal/gateway) aggregates sampled stamps
-// into histograms, dtrace keeps the *individual* request — a trace ID
-// minted at admission (or adopted from the client's X-AON-Trace header),
-// one span per pipeline stage, context propagated on upstream forwards,
-// and a server-side span recorded in the backend — so a p99 exemplar can
-// be followed across process boundaries and attributed to parse, queue,
-// or backend time. Completed traces land in a bounded ring behind
-// tail-based sampling: slow, shed, errored, and idle-reaped requests are
-// always kept, the ordinary fast majority probabilistically, so the ring
-// holds exactly the requests worth drilling into.
+// Package dtrace is the gateway's per-request tracing plane and its one
+// request clock: a trace ID minted at admission (or adopted from the
+// client's X-AON-Trace header), one span per pipeline Stage, context
+// propagated on upstream forwards, and a server-side span recorded in
+// the backend — so a p99 exemplar can be followed across process
+// boundaries and attributed to parse, queue, or backend time. The
+// gateway folds every finished request's stage spans into its /stats
+// stage histograms (the capacity model's demands), so the aggregate and
+// the per-request view are the same measurements. Completed traces land
+// in a bounded ring behind tail-based sampling: slow, shed, errored, and
+// idle-reaped requests are always kept, the ordinary fast majority
+// probabilistically, so the ring holds exactly the requests worth
+// drilling into.
 //
 // The paper's multi-level methodology stops at aggregate CPI and
 // cache-miss attribution; RZBENCH-style evaluation (PAPERS.md) needs the

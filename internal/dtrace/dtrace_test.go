@@ -60,9 +60,9 @@ func TestRecorderLifecycle(t *testing.T) {
 	defer PutRecorder(r)
 	t0 := time.Now()
 	r.Begin("gateway", t0)
-	r.Add("read", t0, 5*time.Microsecond)
+	r.Add(StageRead, t0, 5*time.Microsecond)
 	fid := NewID()
-	r.Child(fid, "forward", t0.Add(10*time.Microsecond), 100*time.Microsecond)
+	r.Child(fid, StageForward, t0.Add(10*time.Microsecond), 100*time.Microsecond)
 	r.Annotate("FR", "forwarded", 200)
 	r.Finish(t0.Add(150 * time.Microsecond))
 	spans := r.Spans()
@@ -81,6 +81,9 @@ func TestRecorderLifecycle(t *testing.T) {
 	if spans[2].SpanID != fid {
 		t.Fatalf("forward span ID not caller-chosen: %v != %v", spans[2].SpanID, fid)
 	}
+	if spans[1].Name != "read" || r.Stage(1) != StageRead || spans[2].Name != "forward" || r.Stage(2) != StageForward {
+		t.Fatalf("stage spans misnamed: %q/%v %q/%v", spans[1].Name, r.Stage(1), spans[2].Name, r.Stage(2))
+	}
 }
 
 func TestRecorderAdoptRewritesRecordedSpans(t *testing.T) {
@@ -88,7 +91,7 @@ func TestRecorderAdoptRewritesRecordedSpans(t *testing.T) {
 	defer PutRecorder(r)
 	t0 := time.Now()
 	r.Begin("gateway", t0)
-	r.Add("read", t0, time.Microsecond)
+	r.Add(StageRead, t0, time.Microsecond)
 	clientTrace, clientSpan := NewID(), NewID()
 	r.Adopt(clientTrace, clientSpan)
 	for _, sp := range r.Spans() {
@@ -109,7 +112,7 @@ func TestRecorderBounded(t *testing.T) {
 	defer PutRecorder(r)
 	r.Begin("root", time.Now())
 	for i := 0; i < 2*maxSpans; i++ {
-		r.Add("stage", time.Now(), time.Microsecond)
+		r.Add(StageParse, time.Now(), time.Microsecond)
 	}
 	if len(r.Spans()) != maxSpans {
 		t.Fatalf("recorder not bounded: %d spans", len(r.Spans()))

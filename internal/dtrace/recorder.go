@@ -23,8 +23,10 @@ type Recorder struct {
 	traceID ID
 	rootID  ID
 	node    string
+	start   time.Time // root start; its monotonic reading times the root like the stages
 	n       int
 	spans   [maxSpans]Span
+	stages  [maxSpans]Stage // stages[i] is the stage of spans[i], i >= 1
 }
 
 var recorderPool = sync.Pool{New: func() any { return new(Recorder) }}
@@ -50,13 +52,11 @@ func PutRecorder(r *Recorder) {
 // TraceID returns the trace this recorder belongs to.
 func (r *Recorder) TraceID() ID { return r.traceID }
 
-// RootID returns the root span's ID (zero before Begin).
-func (r *Recorder) RootID() ID { return r.rootID }
-
 // Begin opens the root span at start. Stage spans added later nest
 // under it; Finish closes it.
 func (r *Recorder) Begin(name string, start time.Time) {
 	r.rootID = NewID()
+	r.start = start
 	r.n = 1
 	r.spans[0] = Span{
 		TraceID: r.traceID,
@@ -86,14 +86,14 @@ func (r *Recorder) Adopt(traceID, parentID ID) {
 
 // Add records a completed stage span under the root. Over-capacity adds
 // are dropped (bounded by construction, not by the caller).
-func (r *Recorder) Add(name string, start time.Time, d time.Duration) {
-	r.Child(NewID(), name, start, d)
+func (r *Recorder) Add(st Stage, start time.Time, d time.Duration) {
+	r.Child(NewID(), st, start, d)
 }
 
 // Child records a completed span with a caller-chosen ID — the forward
 // stage mints its span ID *before* the upstream call so the propagated
 // header can name it as the backend span's parent.
-func (r *Recorder) Child(id ID, name string, start time.Time, d time.Duration) {
+func (r *Recorder) Child(id ID, st Stage, start time.Time, d time.Duration) {
 	if r.n >= maxSpans {
 		return
 	}
@@ -105,10 +105,11 @@ func (r *Recorder) Child(id ID, name string, start time.Time, d time.Duration) {
 		SpanID:   id,
 		ParentID: r.rootID,
 		Node:     r.node,
-		Name:     name,
+		Name:     st.String(),
 		StartUS:  start.UnixMicro(),
 		DurUS:    d.Microseconds(),
 	}
+	r.stages[r.n] = st
 	r.n++
 }
 
@@ -123,26 +124,25 @@ func (r *Recorder) Annotate(useCase, outcome string, status int) {
 	r.spans[0].Status = status
 }
 
-// Finish closes the root span at end.
+// Finish closes the root span at end. The duration is read off the same
+// monotonic clock as the stage spans, so non-overlapping stages can
+// never sum past their root.
 func (r *Recorder) Finish(end time.Time) {
 	if r.n == 0 {
 		return
 	}
-	d := end.UnixMicro() - r.spans[0].StartUS
+	d := end.Sub(r.start).Microseconds()
 	if d < 0 {
 		d = 0
 	}
 	r.spans[0].DurUS = d
 }
 
-// RootDur returns the closed root span's duration.
-func (r *Recorder) RootDur() time.Duration {
-	if r.n == 0 {
-		return 0
-	}
-	return time.Duration(r.spans[0].DurUS) * time.Microsecond
-}
-
 // Spans views the recorded spans. The view aliases the recorder's
 // array: invalid after PutRecorder.
 func (r *Recorder) Spans() []Span { return r.spans[:r.n] }
+
+// Stage returns the stage of stage span Spans()[i], 1 <= i < len(Spans())
+// — how the gateway folds span durations into its per-stage histograms
+// without matching names.
+func (r *Recorder) Stage(i int) Stage { return r.stages[i] }

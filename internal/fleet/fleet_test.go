@@ -230,7 +230,7 @@ func TestFleetScenarioCampaign(t *testing.T) {
 	srv, err := gateway.New(gateway.Config{
 		UseCase:    workload.FR,
 		Workers:    2,
-		TraceEvery: 1,
+		Trace:      true,
 		Upstream:   upstream.Config{Order: order.Addr().String()},
 	})
 	if err != nil {

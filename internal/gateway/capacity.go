@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/capacity"
+	"repro/internal/dtrace"
 	"repro/internal/lhist"
 	"repro/internal/workload"
 )
@@ -30,7 +31,7 @@ type capacityLoop struct {
 	prevShed   uint64
 	prevLat    lhist.Counts
 	prevUCLat  [numTraceUseCases]lhist.Counts
-	prevStages [numTraceSlots][numStages]lhist.Counts
+	prevStages stageCounts
 
 	mu       sync.Mutex
 	lastObs  observedWindow
@@ -135,28 +136,29 @@ func (cl *capacityLoop) run() {
 	}
 }
 
-// stageDemandSec reads one stage's windowed mean demand in seconds,
-// aggregated across the use-case tracer slots (the control-plane GET
-// slot is excluded — GETs never hold a worker). Falls back to the
-// cumulative mean while the window is empty, so a freshly started
-// gateway gets demands as soon as the first traced requests land.
-func stageDemandSec(cur, prev *[numTraceSlots][numStages]lhist.Counts, st Stage) float64 {
-	var winN, winSum, cumN, cumSum uint64
-	for slot := 0; slot < numTraceUseCases; slot++ {
-		c := cur[slot][st]
-		w := c.Sub(prev[slot][st])
-		winN += w.N
-		winSum += w.SumUS
-		cumN += c.N
-		cumSum += c.SumUS
-	}
-	if winN > 0 {
-		return float64(winSum) / float64(winN) / 1e6
-	}
-	if cumN > 0 {
-		return float64(cumSum) / float64(cumN) / 1e6
-	}
-	return 0
+// windowedDemands reads the mean stage demands of rows [lo, hi) over the
+// window cur − prev, rows aggregated by count. A stage whose window is
+// empty falls back to its cumulative mean, so a freshly started gateway
+// gets demands as soon as the first traced requests land.
+func windowedDemands(cur, prev *stageCounts, lo, hi int) capacity.StageDemands {
+	return stageDemands(func(st dtrace.Stage) float64 {
+		var winN, winSum, cumN, cumSum uint64
+		for slot := lo; slot < hi; slot++ {
+			c := cur[slot][st]
+			w := c.Sub(prev[slot][st])
+			winN += w.N
+			winSum += w.SumUS
+			cumN += c.N
+			cumSum += c.SumUS
+		}
+		if winN > 0 {
+			return float64(winSum) / float64(winN) / 1e6
+		}
+		if cumN > 0 {
+			return float64(cumSum) / float64(cumN) / 1e6
+		}
+		return 0
+	})
 }
 
 // tick runs one control step: window the counters, observe, decide,
@@ -171,25 +173,16 @@ func (cl *capacityLoop) tick(now time.Time) {
 	msgs := s.Metrics.Messages.Load()
 	shed := s.Metrics.Shed.Load()
 	lat := s.Metrics.Latency.Counts()
-	var stages [numTraceSlots][numStages]lhist.Counts
-	for slot := 0; slot < numTraceSlots; slot++ {
-		for st := Stage(0); st < numStages; st++ {
-			stages[slot][st] = s.tracer.stageCounts(slot, st)
-		}
-	}
+	stages := s.dtr.stages.counts()
 
 	goodput := float64(msgs-cl.prevMsgs) / window
 	offered := goodput + float64(shed-cl.prevShed)/window
 	latWin := lat.Sub(cl.prevLat)
 	p99 := time.Duration(latWin.Quantile(0.99)) * time.Microsecond
 
-	demands := capacity.StageDemands{
-		Read:    stageDemandSec(&stages, &cl.prevStages, StageRead),
-		Parse:   stageDemandSec(&stages, &cl.prevStages, StageParse),
-		Process: stageDemandSec(&stages, &cl.prevStages, StageProcess),
-		Forward: stageDemandSec(&stages, &cl.prevStages, StageForward),
-		Write:   stageDemandSec(&stages, &cl.prevStages, StageWrite),
-	}
+	// Every use-case row; the control-plane GET row is excluded — GETs
+	// never hold a worker.
+	demands := windowedDemands(&stages, &cl.prevStages, 0, numTraceUseCases)
 
 	workers := int(s.poolSize.Load())
 	backendConns, backends := 0, 0
@@ -256,7 +249,7 @@ func (cl *capacityLoop) tick(now time.Time) {
 // windowed stage demands and compares predicted throughput against that
 // use case's measured completion rate — the per-use-case model check the
 // /stats capacity section reports.
-func (cl *capacityLoop) perUseCaseErrors(stages *[numTraceSlots][numStages]lhist.Counts, window float64, workers, backendConns, backends int) map[string]UseCaseModelError {
+func (cl *capacityLoop) perUseCaseErrors(stages *stageCounts, window float64, workers, backendConns, backends int) map[string]UseCaseModelError {
 	s := cl.s
 	var out map[string]UseCaseModelError
 	for uc := 0; uc < numTraceUseCases; uc++ {
@@ -265,20 +258,7 @@ func (cl *capacityLoop) perUseCaseErrors(stages *[numTraceSlots][numStages]lhist
 		if done <= 0 {
 			continue
 		}
-		one := func(st Stage) float64 {
-			w := stages[uc][st].Sub(cl.prevStages[uc][st])
-			if w.N > 0 {
-				return w.MeanUS() / 1e6
-			}
-			if c := stages[uc][st]; c.N > 0 {
-				return c.MeanUS() / 1e6
-			}
-			return 0
-		}
-		d := capacity.StageDemands{
-			Read: one(StageRead), Parse: one(StageParse), Process: one(StageProcess),
-			Forward: one(StageForward), Write: one(StageWrite),
-		}
+		d := windowedDemands(stages, &cl.prevStages, uc, uc+1)
 		if d.WorkerDemand() <= 0 {
 			continue
 		}
@@ -286,27 +266,16 @@ func (cl *capacityLoop) perUseCaseErrors(stages *[numTraceSlots][numStages]lhist
 			Workers: workers, BackendConns: backendConns, Backends: backends,
 		})
 		p := m.Predict(done)
-		errPct := 0.0
-		if done > 0 {
-			errPct = 100 * abs(p.ThroughputPerSec-done) / done
-		}
 		if out == nil {
 			out = map[string]UseCaseModelError{}
 		}
 		out[workload.UseCase(uc).String()] = UseCaseModelError{
 			OfferedPerSec:   done,
 			PredictedPerSec: p.ThroughputPerSec,
-			ErrPct:          errPct,
+			ErrPct:          capacity.ErrPct(p.ThroughputPerSec, done),
 		}
 	}
 	return out
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // snapshot renders the /stats capacity section.

@@ -10,28 +10,35 @@ import (
 	"time"
 
 	"repro/internal/dtrace"
+	"repro/internal/workload"
 )
 
-// dtraceState is the gateway side of the distributed tracing plane
-// (internal/dtrace): the tail sampler holding kept traces for GET
-// /traces, plus the optional rate-limited slow-request log. Where the
-// stage tracer aggregates sampled stage latencies into histograms, this
-// keeps whole individual requests — every request records spans into a
-// pooled recorder, and the *outcome* decides whether the trace
-// survives (tail-based sampling: shed/idle-reaped/5xx and slow always,
-// 1-in-N otherwise).
+// dtraceState is the gateway side of the tracing plane (internal/dtrace)
+// and the gateway's only request clock: every request records stage
+// spans into a pooled recorder; when it finishes, the span durations
+// are folded into the stage histograms, and the *outcome* decides
+// whether the whole trace survives in the tail sampler behind GET
+// /traces (shed/idle-reaped/5xx and slow always, 1-in-N otherwise) and
+// whether the optional rate-limited slow-request log gets a line.
 type dtraceState struct {
-	node string
-	tail *dtrace.Tail
-	slow *slowLogger
+	node   string
+	defUC  int // stage row for requests that ended before a use case was selected
+	stages stageHists
+	tail   *dtrace.Tail
+	slow   *slowLogger
 }
 
 func newDtraceState(cfg Config) *dtraceState {
+	slowUS := cfg.TraceSlowOver.Microseconds()
+	if cfg.TraceSlowOver < 0 {
+		slowUS = -1 // any negative duration disables the slow rule, sub-microsecond ones included
+	}
 	d := &dtraceState{
-		node: cfg.TraceNode,
+		node:  cfg.TraceNode,
+		defUC: useCaseSlot(cfg.UseCase.String(), int(workload.FR)),
 		tail: dtrace.NewTail(dtrace.TailConfig{
 			Capacity:   cfg.TraceCapacity,
-			SlowOverUS: cfg.TraceSlowOver.Microseconds(),
+			SlowOverUS: slowUS,
 			KeepEvery:  cfg.TraceKeepEvery,
 		}),
 	}
@@ -50,25 +57,38 @@ func newDtraceState(cfg Config) *dtraceState {
 
 // finish closes a recorder the connection reader still owns — the
 // shed/draining/idle-timeout paths, which never reach a worker — and
-// hands it to offer.
+// hands it to offer. A nil rec (tracing off) is a no-op.
 func (d *dtraceState) finish(rec *dtrace.Recorder, uc, outcome string, status int) {
+	if rec == nil {
+		return
+	}
 	rec.Annotate(uc, outcome, status)
 	rec.Finish(time.Now())
 	d.offer(rec)
 }
 
-// offer runs the tail-sampling decision on a completed request's
-// recorder, emits the slow-request log line for tail outcomes, and
+// useCaseSlot maps a root span's use-case annotation back to its stage
+// row, def when the request ended before a use case was selected.
+func useCaseSlot(name string, def int) int {
+	for uc := 0; uc < numTraceUseCases; uc++ {
+		if workload.UseCase(uc).String() == name {
+			return uc
+		}
+	}
+	return def
+}
+
+// offer takes a completed request's recorder: folds its stage spans
+// into the stage histograms (before the tail's seen counter moves, so a
+// reader that waited on Tail.Seen finds them), runs the tail-sampling
+// decision, emits the slow-request log line for tail outcomes, and
 // recycles the recorder. The annotated root span carries everything the
-// decision needs.
+// decisions need.
 func (d *dtraceState) offer(rec *dtrace.Recorder) {
 	spans := rec.Spans()
-	var outcome string
-	var status int
-	if len(spans) > 0 {
-		outcome, status = spans[0].Outcome, spans[0].Status
-	}
-	isErr := status >= 500 || outcome == "shed" || outcome == "draining" || outcome == "idle-timeout"
+	root := &spans[0] // every offered recorder was begun
+	d.stages.observe(useCaseSlot(root.UseCase, d.defUC), rec)
+	isErr := root.Status >= 500 || root.Outcome == "shed" || root.Outcome == "draining" || root.Outcome == "idle-timeout"
 	d.tail.Offer(rec, isErr)
 	if isErr && d.slow != nil {
 		d.slow.log(spans)
@@ -151,15 +171,6 @@ func (s *Server) traceInfo() *TraceInfo {
 		return nil
 	}
 	return &TraceInfo{Node: s.dtr.node, Tail: s.dtr.tail.Stats()}
-}
-
-// Traces returns up to n kept traces, oldest first (n <= 0 means all);
-// nil when tracing is off.
-func (s *Server) Traces(n int) []dtrace.Trace {
-	if s.dtr == nil {
-		return nil
-	}
-	return s.dtr.tail.Last(n)
 }
 
 // TracesResponse is the GET /traces endpoint's JSON shape — the same

@@ -42,6 +42,27 @@ func getTraces(t *testing.T, addr, query string) TracesResponse {
 	return tr
 }
 
+// waitTraced blocks until the gateway has offered n finished requests to
+// the tail sampler. A request's trace is offered — and its stage spans
+// folded into the stage histograms — after the response write, off the
+// worker, so a client that just read its last response can be ahead of
+// the server's bookkeeping: every test that reads /traces or the stages
+// section right after a response waits here first.
+func waitTraced(t *testing.T, srv *Server, n uint64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		seen := srv.Snapshot().Traces.Tail.Seen
+		if seen >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("tail sampler saw %d finished requests, want %d", seen, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestDTraceForwardedEndToEnd is the tracing acceptance path: a traced
 // client drives FR through a tracing gateway that forwards to a real
 // order backend, and the three nodes' span sets must assemble into one
@@ -79,6 +100,7 @@ func TestDTraceForwardedEndToEnd(t *testing.T) {
 	}
 
 	// Gateway side: every request was traced and kept.
+	waitTraced(t, srv, 40)
 	gw := getTraces(t, srv.Addr().String(), "")
 	if gw.Node != "gateway" {
 		t.Fatalf("gateway node=%q", gw.Node)
@@ -197,6 +219,7 @@ func TestDTraceTailSampling(t *testing.T) {
 	if rep.OK != 64 {
 		t.Fatalf("ok=%d, want 64", rep.OK)
 	}
+	waitTraced(t, srv, 64)
 	tr := getTraces(t, srv.Addr().String(), "")
 	if tr.Tail.Seen != 64 {
 		t.Fatalf("tail seen=%d, want 64", tr.Tail.Seen)
@@ -295,15 +318,9 @@ func TestDTraceIdleTimeoutKept(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if srv.Metrics.IdleTimeouts.Load() > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("idle timeout never fired")
-		}
-		time.Sleep(10 * time.Millisecond)
+	waitTraced(t, srv, 1)
+	if srv.Metrics.IdleTimeouts.Load() != 1 {
+		t.Fatalf("idle timeouts = %d, want 1", srv.Metrics.IdleTimeouts.Load())
 	}
 	tr := getTraces(t, srv.Addr().String(), "")
 	if tr.Tail.Kept != 1 || tr.Tail.KeptErr != 1 {
@@ -405,6 +422,7 @@ func TestDTraceParseErrorAnnotated(t *testing.T) {
 	if resp.Status != 400 {
 		t.Fatalf("status %d, want 400", resp.Status)
 	}
+	waitTraced(t, srv, 1)
 	tr := getTraces(t, srv.Addr().String(), "")
 	if len(tr.Traces) != 1 {
 		t.Fatalf("kept %d traces, want 1", len(tr.Traces))
@@ -413,4 +431,198 @@ func TestDTraceParseErrorAnnotated(t *testing.T) {
 	if root.Outcome != "parse-error" || root.Status != 400 {
 		t.Fatalf("root %+v, want outcome=parse-error status=400", root)
 	}
+}
+
+// TestStagesAgreeWithTracesAndCounters is the cross-instrument check the
+// single request clock makes exact: the stage histograms are folded from
+// the same spans the tail ring keeps, so after N pipelined requests the
+// per-use-case stage counts equal the per-use-case message counters,
+// Tail.Seen equals N (control-plane GETs are timed but never offered),
+// and in every kept trace the stage spans fit inside their root. What
+// the stages do not cover — response formatting and the worker→reader
+// hand-off — is the residual, logged.
+func TestStagesAgreeWithTracesAndCounters(t *testing.T) {
+	const batches, depth = 12, 8 // per connection: 12 writes of 8 pipelined requests
+	const perUC = 2 * batches * depth / 2
+	for _, mode := range []string{"in-place", "forwarded"} {
+		t.Run(mode, func(t *testing.T) {
+			cfg := Config{Workers: 2, Trace: true, TraceKeepEvery: 1, TraceCapacity: 1024}
+			if mode == "forwarded" {
+				cfg.Upstream = upstream.Config{
+					Order: startBackend(t, upstream.BackendConfig{Name: "order"}).Addr().String(),
+					Error: startBackend(t, upstream.BackendConfig{Name: "error"}).Addr().String(),
+				}
+			}
+			srv := startServer(t, cfg)
+
+			var wg sync.WaitGroup
+			for c := 0; c < 2; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					cl, err := Dial(srv.Addr().String())
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					defer cl.Close()
+					for b := 0; b < batches; b++ {
+						var batch []byte
+						for i := 0; i < depth; i++ {
+							uc := []workload.UseCase{workload.FR, workload.CBR}[i%2]
+							batch = append(batch, workload.HTTPRequest(b*depth+i, uc)...)
+						}
+						if _, err := cl.c.Write(batch); err != nil {
+							t.Error(err)
+							return
+						}
+						for i := 0; i < depth; i++ {
+							if resp, err := readResponse(cl.br); err != nil || resp.Status != 200 {
+								t.Errorf("pipelined response: resp=%+v err=%v", resp, err)
+								return
+							}
+						}
+						// A scrape between batches: timed into the GET row, not offered.
+						if resp, err := cl.Do([]byte("GET /stats HTTP/1.1\r\nHost: x\r\n\r\n"), 5*time.Second); err != nil || resp.Status != 200 {
+							t.Errorf("GET /stats: resp=%+v err=%v", resp, err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+
+			waitTraced(t, srv, 2*perUC)
+			snap := srv.Snapshot()
+			if snap.Traces.Tail.Seen != 2*perUC || snap.Messages != 2*perUC {
+				t.Fatalf("tail seen %d, messages %d, want both %d", snap.Traces.Tail.Seen, snap.Messages, 2*perUC)
+			}
+			for _, uc := range []string{"FR", "CBR"} {
+				if got := snap.LatencyByUseCase[uc].Count; got != perUC {
+					t.Fatalf("%s messages = %d, want %d", uc, got, perUC)
+				}
+				for _, st := range dtrace.StageNames() {
+					want := uint64(perUC)
+					if st == "forward" && mode == "in-place" {
+						want = 0
+					}
+					if got := snap.Stages[uc][st].Count; got != want {
+						t.Fatalf("%s stage %q count = %d, want %d (%+v)", uc, st, got, want, snap.Stages[uc])
+					}
+				}
+			}
+			// Each connection's last scrape is folded after its response, so
+			// at least batches-1 per connection are visible — and only the
+			// three stages a GET has.
+			get := snap.Stages["GET"]
+			if len(get) != 3 || get["read"].Count < 2*(batches-1) || get["process"].Count != get["read"].Count {
+				t.Fatalf("GET row %+v, want read/process/write with >= %d each", get, 2*(batches-1))
+			}
+
+			traces := getTraces(t, srv.Addr().String(), "").Traces
+			if len(traces) != 2*perUC {
+				t.Fatalf("kept %d traces, want %d", len(traces), 2*perUC)
+			}
+			var residual, maxResidual, total int64
+			for _, tr := range traces {
+				root := tr.Spans[0]
+				var sum int64
+				for _, sp := range tr.Spans[1:] {
+					sum += sp.DurUS
+				}
+				if sum > root.DurUS {
+					t.Fatalf("trace %v: stage spans sum to %dus, past their root's %dus: %+v", tr.TraceID, sum, root.DurUS, tr.Spans)
+				}
+				residual += root.DurUS - sum
+				maxResidual = max(maxResidual, root.DurUS-sum)
+				total += root.DurUS
+			}
+			t.Logf("%s: unattributed residual %dus of %dus root time over %d traces (max %dus in one trace)",
+				mode, residual, total, len(traces), maxResidual)
+		})
+	}
+}
+
+// TestStagesOnlyWhereReached pins what an unfinished request contributes
+// to the stage histograms: exactly the stages it reached, in the default
+// use case's row when it ended before a use case was selected.
+func TestStagesOnlyWhereReached(t *testing.T) {
+	srv := startServer(t, Config{
+		Workers:        1,
+		UseCase:        workload.SV,
+		IdleTimeout:    100 * time.Millisecond,
+		Trace:          true,
+		TraceKeepEvery: 1,
+	})
+	counts := func() map[string]uint64 {
+		out := map[string]uint64{}
+		for uc, row := range srv.Snapshot().Stages {
+			for st, h := range row {
+				out[uc+"/"+st] = h.Count
+			}
+		}
+		return out
+	}
+	do := func(raw string, wantStatus int) {
+		t.Helper()
+		cl, err := Dial(srv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		resp, err := cl.Do([]byte(raw), 5*time.Second)
+		if err != nil || resp.Status != wantStatus {
+			t.Fatalf("resp=%+v err=%v, want status %d", resp, err, wantStatus)
+		}
+	}
+	expect := func(step string, want map[string]uint64) {
+		t.Helper()
+		if got := counts(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("after %s: stage counts %v, want %v", step, got, want)
+		}
+	}
+
+	// Malformed HTTP (no request target): framed and queued, fails the
+	// worker's parse, answered — never processed, no use case selected.
+	do("POST\r\nContent-Length: 0\r\n\r\n", 400)
+	waitTraced(t, srv, 1)
+	expect("http parse error", map[string]uint64{"SV/read": 1, "SV/queue": 1, "SV/parse": 1, "SV/write": 1})
+
+	// Malformed XML on the CBR path: reaches (and fails in) process.
+	do("POST /service/CBR HTTP/1.1\r\nContent-Length: 5\r\n\r\n<orde", 400)
+	waitTraced(t, srv, 2)
+	expect("xml parse error", map[string]uint64{
+		"SV/read": 1, "SV/queue": 1, "SV/parse": 1, "SV/write": 1,
+		"CBR/read": 1, "CBR/queue": 1, "CBR/parse": 1, "CBR/process": 1, "CBR/write": 1,
+	})
+
+	// Shed at the admission bound: read off the wire, nothing else.
+	srv.admitBound.Store(1)
+	srv.inflight.Add(1)
+	do(string(workload.HTTPRequest(0, workload.FR)), 503)
+	srv.inflight.Add(-1)
+	srv.admitBound.Store(0)
+	waitTraced(t, srv, 3)
+	expect("shed", map[string]uint64{
+		"SV/read": 2, "SV/queue": 1, "SV/parse": 1, "SV/write": 1,
+		"CBR/read": 1, "CBR/queue": 1, "CBR/parse": 1, "CBR/process": 1, "CBR/write": 1,
+	})
+
+	// Reaped mid-request: the read never completed, so no stage at all.
+	c, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Write([]byte("POST /order HTTP/1.1\r\nContent-Length: 100\r\n\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	waitTraced(t, srv, 4)
+	expect("idle timeout", map[string]uint64{
+		"SV/read": 2, "SV/queue": 1, "SV/parse": 1, "SV/write": 1,
+		"CBR/read": 1, "CBR/queue": 1, "CBR/parse": 1, "CBR/process": 1, "CBR/write": 1,
+	})
 }

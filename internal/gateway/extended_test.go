@@ -14,7 +14,7 @@ import (
 // answer the translated JSON document, and both must appear in the
 // per-use-case latency and stage surfaces.
 func TestExtendedUseCasesLive(t *testing.T) {
-	srv := startServer(t, Config{Workers: 2, TraceEvery: 1})
+	srv := startServer(t, Config{Workers: 2, Trace: true})
 	addr := srv.Addr().String()
 
 	// DPI: the pool has 64 distinct messages, DirtyEvery=5 of which are
@@ -65,6 +65,7 @@ func TestExtendedUseCasesLive(t *testing.T) {
 
 	// Both extensions surface in /stats: outcome counters, per-use-case
 	// latency histograms, and stage traces.
+	waitTraced(t, srv, 181)
 	snap := srv.Snapshot()
 	if snap.Translated != 61 {
 		t.Fatalf("snapshot translated=%d, want 61", snap.Translated)

@@ -53,6 +53,14 @@ func TestTimelineFlushRace(t *testing.T) {
 	if _, err := RunLoad(LoadConfig{Addr: addr, UseCase: workload.FR, Conns: 4, Messages: 50}); err != nil {
 		t.Fatal(err)
 	}
+	// 200 messages can finish inside one sampling interval: let the
+	// session record at least one sample before stopping it.
+	for deadline := time.Now().Add(5 * time.Second); srv.timeline.sampler.Total() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("session recorded no samples")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	close(stop)
 	wg.Wait()
 

@@ -102,21 +102,16 @@ type Config struct {
 	// flusher (the PR 4 dump-on-signal/shutdown behavior). Negative is
 	// rejected by New.
 	TimelineFlushInterval time.Duration
-	// TraceEvery enables per-request stage tracing, sampling one request
-	// in every TraceEvery through monotonic stamps around
-	// read→queue→parse→process→forward→write, aggregated into
-	// per-use-case per-stage histograms on /stats. 0 disables; negative
-	// is rejected by New.
-	TraceEvery int
-	// Trace enables distributed per-request tracing (internal/dtrace):
-	// every request records real spans around the
+	// Trace enables per-request tracing (internal/dtrace), the gateway's
+	// one request clock: every request records real spans around the
 	// read→queue→parse→process→forward→write stage points into a pooled
-	// recorder, adopts an inbound X-AON-Trace context (or mints one),
-	// propagates context on upstream forwards, and offers the finished
-	// trace to a tail-based sampler — shed/idle-reaped/5xx and slow
-	// requests are always kept, the fast majority 1-in-TraceKeepEvery —
-	// served on GET /traces. Orthogonal to TraceEvery's aggregate stage
-	// histograms.
+	// recorder, adopts an inbound X-AON-Trace context (or mints one), and
+	// propagates context on upstream forwards. Each finished request's
+	// span durations are aggregated into per-use-case per-stage
+	// histograms on /stats ("stages"), and the trace is offered to a
+	// tail-based sampler — shed/idle-reaped/5xx and slow requests are
+	// always kept, the fast majority 1-in-TraceKeepEvery — served on GET
+	// /traces.
 	Trace bool
 	// TraceNode names this process in recorded spans (default
 	// "gateway"); fleet mode passes the topology node key so assembled
@@ -146,9 +141,8 @@ type Config struct {
 	// worker pool and move the 503 admission bound at runtime — with
 	// hysteresis, floor/ceiling clamps, and a hard fallback to the
 	// static Workers/QueueDepth flags when observations go stale or the
-	// model diverges from measurement. Implies stage tracing (the
-	// model's service demands come from the stage tracer; TraceEvery
-	// defaults to 8 when unset).
+	// model diverges from measurement. Implies Trace (the model's
+	// service demands are the traced stage histograms).
 	Adaptive bool
 	// TargetP99 is the latency bound adaptive admission defends
 	// (default 100ms).
@@ -173,10 +167,7 @@ type job struct {
 	start time.Time
 	resp  chan response
 
-	traced  bool          // this request is in the stage-trace sample
-	readDur time.Duration // wire→memory framing time (traced requests only)
-
-	// rec is the request's distributed-trace recorder (nil with tracing
+	// rec is the request's trace recorder (nil with tracing
 	// off). Ownership rides with the job: the reader attaches it before
 	// enqueue, the worker records stage spans into it, and the reader
 	// takes it back on the resp receive — never shared.
@@ -191,13 +182,10 @@ type job struct {
 // after the write completes, which is the lifetime discipline that makes
 // the pooling safe.
 type response struct {
-	head   []byte
-	body   []byte
-	buf    *[]byte
-	close  bool // respond then close the connection
-	uc     workload.UseCase
-	traced bool // stamp the write stage on the way out
-	status int  // HTTP status (tail sampling's error rule reads it)
+	head  []byte
+	body  []byte
+	buf   *[]byte
+	close bool // respond then close the connection
 }
 
 // Hot-path pools. Frames and bufio readers are owned by one connection
@@ -237,8 +225,7 @@ type Server struct {
 	fwd       *upstream.Forwarder // nil: answer in place
 	counters  *counterSampler     // nil: measurement layer off
 	statsView *counterView        // the /stats scrape's own measurement windows
-	tracer    *stageTracer        // nil: stage tracing off
-	dtr       *dtraceState        // nil: distributed tracing off
+	dtr       *dtraceState        // nil: tracing off
 	timeline  *timelineState      // nil: no sampling session
 	capacity  *capacityLoop       // nil: adaptive admission off
 	Metrics   *Metrics
@@ -292,9 +279,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.SampleCapacity < 0 {
 		return nil, fmt.Errorf("gateway: sample capacity must be positive, got %d", cfg.SampleCapacity)
 	}
-	if cfg.TraceEvery < 0 {
-		return nil, fmt.Errorf("gateway: trace sampling ratio must be positive, got %d", cfg.TraceEvery)
-	}
 	if cfg.TraceKeepEvery < 0 {
 		return nil, fmt.Errorf("gateway: trace keep ratio must be positive, got %d", cfg.TraceKeepEvery)
 	}
@@ -328,10 +312,8 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("gateway: max inflight must be positive, got %d", cfg.MaxInflight)
 	}
 	if cfg.Adaptive {
-		// The model's service demands come from the stage tracer.
-		if cfg.TraceEvery == 0 {
-			cfg.TraceEvery = 8
-		}
+		// The model's service demands are the traced stage histograms.
+		cfg.Trace = true
 		if cfg.TargetP99 == 0 {
 			cfg.TargetP99 = 100 * time.Millisecond
 		}
@@ -385,9 +367,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Counters {
 		s.counters = newCounterSampler(cfg.UseCase)
 		s.statsView = newCounterView(s.counters)
-	}
-	if cfg.TraceEvery > 0 {
-		s.tracer = newStageTracer(cfg.TraceEvery)
 	}
 	if cfg.Trace {
 		s.dtr = newDtraceState(cfg)
@@ -527,66 +506,64 @@ func (s *Server) handleConn(c net.Conn) {
 		if s.cfg.IdleTimeout > 0 {
 			c.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 		}
-		// For traced requests the read stage runs first byte → complete
-		// body: Peek blocks until the next request's first byte arrives
-		// (consuming nothing), so keep-alive idle time never counts as
-		// read time. Peek errors fall through to readRequest, which
-		// reports them on its existing paths.
-		var traced bool
-		var tRead time.Time
-		if s.tracer != nil || s.dtr != nil {
-			if _, err := br.Peek(1); err == nil {
-				if s.tracer != nil {
-					traced = s.tracer.sample()
-				}
-				if traced || s.dtr != nil {
-					tRead = time.Now()
-				}
-			}
+		// A traced request's clock starts at its first byte: Peek blocks
+		// until the next request's first byte arrives (consuming nothing),
+		// so keep-alive idle time never counts as read time. Peek errors
+		// resurface in readRequest, which reports them on its existing
+		// paths. rec ownership rides with the job through the worker and
+		// returns with the resp receive; the tail sampler decides at
+		// completion whether the trace survives.
+		var rec *dtrace.Recorder
+		var t time.Time // start of the stage being timed (traced requests only)
+		if s.dtr != nil {
+			br.Peek(1)
+			t = time.Now()
+			rec = dtrace.GetRecorder(s.dtr.node)
+			rec.Begin("gateway", t)
 		}
 		raw, err := readRequest(br, s.cfg.MaxBodyBytes, *fp)
 		*fp = raw
 		if err != nil {
 			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
+			var fe *frameError
+			switch {
+			case errors.As(err, &ne) && ne.Timeout():
 				s.Metrics.IdleTimeouts.Add(1)
-				if s.dtr != nil && len(raw) > 0 && !tRead.IsZero() {
+				if len(raw) > 0 {
 					// Reaped mid-request: keep a synthetic trace so the
 					// idle-timeout is findable in the tail ring.
-					rec := dtrace.GetRecorder(s.dtr.node)
-					rec.Begin("gateway", tRead)
 					s.dtr.finish(rec, "", "idle-timeout", 0)
+					rec = nil
 				}
-				return
+			case errors.As(err, &fe):
+				s.Metrics.ParseErrors.Add(1)
+				s.write(c, formatError(fe.status, fe.msg, true))
 			}
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
-				var fe *frameError
-				if errors.As(err, &fe) {
-					s.Metrics.ParseErrors.Add(1)
-					s.write(c, formatError(400, fe.msg, true))
-				}
-			}
+			dtrace.PutRecorder(rec)
 			return
 		}
 		s.Metrics.BytesIn.Add(uint64(len(raw)))
+		// Admission time: the read stage ends and service latency starts.
+		start := time.Now()
+		if rec != nil {
+			rec.Add(dtrace.StageRead, t, start.Sub(t))
+		}
 
 		// GET requests (the /stats endpoint) bypass the worker pool so
 		// observability survives overload — the whole point of /stats.
 		if bytes.HasPrefix(raw, []byte("GET ")) {
-			var tProc time.Time
-			if traced {
-				tProc = time.Now()
-				s.tracer.observeControl(StageRead, tProc.Sub(tRead))
-			}
 			resp := s.handleGet(raw)
-			var tWrite time.Time
-			if traced {
-				tWrite = time.Now()
-				s.tracer.observeControl(StageProcess, tWrite.Sub(tProc))
+			if rec != nil {
+				t = lap(rec, dtrace.StageProcess, start)
 			}
 			ok := s.write(c, resp)
-			if traced {
-				s.tracer.observeControl(StageWrite, time.Since(tWrite))
+			if rec != nil {
+				lap(rec, dtrace.StageWrite, t)
+				// Timed into the "GET" row, never offered to the tail: a
+				// scrape is not worth a post-mortem, and Tail.Seen stays the
+				// count of data-plane requests.
+				s.dtr.stages.observe(traceSlotControl, rec)
+				dtrace.PutRecorder(rec)
 			}
 			if !ok {
 				return
@@ -594,22 +571,8 @@ func (s *Server) handleConn(c net.Conn) {
 			continue
 		}
 
-		// Distributed tracing records every request into a pooled
-		// recorder; the tail sampler decides at completion whether it
-		// survives. rec ownership rides with the job through the worker
-		// and returns with the resp receive.
-		var rec *dtrace.Recorder
-		if s.dtr != nil {
-			if tRead.IsZero() {
-				tRead = time.Now()
-			}
-			rec = dtrace.GetRecorder(s.dtr.node)
-			rec.Begin("gateway", tRead)
-		}
 		if s.stopping.Load() {
-			if rec != nil {
-				s.dtr.finish(rec, "", "draining", 503)
-			}
+			s.dtr.finish(rec, "", "draining", 503)
 			s.write(c, respDraining)
 			return
 		}
@@ -618,40 +581,26 @@ func (s *Server) handleConn(c net.Conn) {
 		// 503 happens here, at a bound the control loop moves at runtime.
 		if bound := s.admitBound.Load(); bound > 0 && s.inflight.Load() >= bound {
 			s.Metrics.Shed.Add(1)
-			if rec != nil {
-				s.dtr.finish(rec, "", "shed", 503)
-			}
+			s.dtr.finish(rec, "", "shed", 503)
 			if !s.write(c, respAdmitBound) {
 				return
 			}
 			continue
 		}
 		j := jobPool.Get().(*job)
-		j.raw, j.start, j.traced, j.readDur = raw, time.Now(), false, 0
-		if traced {
-			j.traced, j.readDur = true, j.start.Sub(tRead)
-		}
-		if rec != nil {
-			rec.Add("read", tRead, j.start.Sub(tRead))
-			j.rec = rec
-		}
+		j.raw, j.start, j.rec = raw, start, rec
 		s.inflight.Add(1)
 		select {
 		case s.jobs <- j:
 			r := <-j.resp
 			j.raw, j.rec = nil, nil
 			jobPool.Put(j)
-			var tWrite time.Time
-			if r.traced || rec != nil {
-				tWrite = time.Now()
+			if rec != nil {
+				t = time.Now()
 			}
 			ok := s.writeResp(c, &r, &nb)
-			if r.traced {
-				s.tracer.observe(r.uc, StageWrite, time.Since(tWrite))
-			}
 			if rec != nil {
-				rec.Add("write", tWrite, time.Since(tWrite))
-				rec.Finish(time.Now())
+				rec.Finish(lap(rec, dtrace.StageWrite, t))
 				s.dtr.offer(rec)
 			}
 			s.inflight.Add(-1)
@@ -663,14 +612,21 @@ func (s *Server) handleConn(c net.Conn) {
 			j.raw, j.rec = nil, nil
 			jobPool.Put(j)
 			s.Metrics.Shed.Add(1)
-			if rec != nil {
-				s.dtr.finish(rec, "", "shed", 503)
-			}
+			s.dtr.finish(rec, "", "shed", 503)
 			if !s.write(c, respQueueFull) {
 				return
 			}
 		}
 	}
+}
+
+// lap closes stage st of a traced request at the current time — the one
+// clock read for that boundary — and returns it as the next stage's
+// start.
+func lap(rec *dtrace.Recorder, st dtrace.Stage, from time.Time) time.Time {
+	now := time.Now()
+	rec.Add(st, from, now.Sub(from))
+	return now
 }
 
 // write sends a response and accounts the bytes; false means the
@@ -753,35 +709,27 @@ func (s *Server) worker(id int, quit chan struct{}) {
 // the reader never touches the frame again until it has received and
 // written this response.
 func (s *Server) process(j *job, sc *wscratch) response {
-	// Stage stamps bracket the worker's phases for traced requests; the
+	// Traced requests read the clock once per stage boundary; the
 	// ProcessDelay fault-injection stall runs inside the process stage,
 	// so an emulated slower device shows up as process demand — which is
 	// what the capacity model (and adaptive admission) must see.
 	rec := j.rec
-	stamp := j.traced || rec != nil
-	var tDeq time.Time
-	if stamp {
-		tDeq = time.Now()
-	}
-	var tWork time.Time
-	if stamp {
-		tWork = time.Now()
+	var t time.Time // start of the stage being timed (traced requests only)
+	if rec != nil {
+		t = lap(rec, dtrace.StageQueue, j.start)
 	}
 	req := &sc.req
-	if err := httpmsg.ParseRequestInto(j.raw, req); err != nil {
+	err := httpmsg.ParseRequestInto(j.raw, req)
+	if rec != nil {
+		t = lap(rec, dtrace.StageParse, t)
+	}
+	if err != nil {
 		uc := s.cfg.UseCase // malformed request: no path to select from
-		if j.traced {
-			s.tracer.observe(uc, StageRead, j.readDur)
-			s.tracer.observe(uc, StageQueue, tDeq.Sub(j.start))
-			s.tracer.observe(uc, StageParse, time.Since(tWork))
-		}
 		if rec != nil {
-			rec.Add("queue", j.start, tDeq.Sub(j.start))
-			rec.Add("parse", tWork, time.Since(tWork))
 			rec.Annotate(uc.String(), OutParseError.String(), 400)
 		}
 		s.Metrics.Done(OutParseError, uc, time.Since(j.start))
-		return response{head: formatError(400, err.Error(), true), close: true, uc: uc, traced: j.traced, status: 400}
+		return response{head: formatError(400, err.Error(), true), close: true}
 	}
 	if rec != nil {
 		// Adopt an inbound trace context (aonload/aoncamp originate
@@ -793,36 +741,20 @@ func (s *Server) process(j *job, sc *wscratch) response {
 			}
 		}
 	}
-	var tParsed time.Time
-	if stamp {
-		tParsed = time.Now()
-	}
 	uc := s.pipe.SelectUseCase(req.Target)
 	if s.cfg.ProcessDelay > 0 {
 		time.Sleep(s.cfg.ProcessDelay)
 	}
 	out := s.pipe.Process(uc, req)
-	var tProcessed time.Time
-	if stamp {
-		tProcessed = time.Now()
-	}
-	if j.traced {
-		s.tracer.observe(uc, StageRead, j.readDur)
-		s.tracer.observe(uc, StageQueue, tDeq.Sub(j.start))
-		s.tracer.observe(uc, StageParse, tParsed.Sub(tWork))
-		s.tracer.observe(uc, StageProcess, tProcessed.Sub(tParsed))
-	}
 	if rec != nil {
-		rec.Add("queue", j.start, tDeq.Sub(j.start))
-		rec.Add("parse", tWork, tParsed.Sub(tWork))
-		rec.Add("process", tParsed, tProcessed.Sub(tParsed))
+		lap(rec, dtrace.StageProcess, t)
 	}
 	if out == OutParseError {
 		if rec != nil {
 			rec.Annotate(uc.String(), out.String(), 400)
 		}
 		s.Metrics.Done(out, uc, time.Since(j.start))
-		return response{head: formatError(400, "unprocessable message", false), uc: uc, traced: j.traced, status: 400}
+		return response{head: formatError(400, "unprocessable message", false)}
 	}
 	connClose := false
 	if v, ok := req.Get("Connection"); ok && strings.EqualFold(v, "close") {
@@ -841,9 +773,6 @@ func (s *Server) process(j *job, sc *wscratch) response {
 		// Forwarding mode: the paper's device proxies onward — relay the
 		// backend's answer (or map its failure to 502/504, never hang).
 		vbody, inline = s.forward(resp, route, uc, out, req, sc, rec)
-		if j.traced {
-			s.tracer.observe(uc, StageForward, time.Since(tProcessed))
-		}
 	} else {
 		// In-place mode (no backend for this route): synthesize the
 		// routing verdict, the PR 1 behavior. XJ answers with its own
@@ -873,7 +802,7 @@ func (s *Server) process(j *job, sc *wscratch) response {
 	head := httpmsg.AppendResponseHeader((*buf)[:0], resp, len(vbody)+len(inline))
 	head = append(head, inline...)
 	sc.hdrs = resp.Headers[:0] // keep the grown header backing
-	return response{head: head, body: vbody, buf: buf, close: connClose, uc: uc, traced: j.traced, status: resp.Status}
+	return response{head: head, body: vbody, buf: buf, close: connClose}
 }
 
 // appendVerdict appends the in-place routing verdict JSON — the append
@@ -930,7 +859,7 @@ func (s *Server) forward(resp *httpmsg.Response, route string, uc workload.UseCa
 	sc.upHdrs = up.Headers[:0]
 	res, err := s.fwd.RoundTripBuffers(route, sc.upHead, req.Body)
 	if rec != nil {
-		rec.Child(fwdID, "forward", tFwd, time.Since(tFwd))
+		rec.Child(fwdID, dtrace.StageForward, tFwd, time.Since(tFwd))
 	}
 	if err != nil {
 		s.Metrics.UpstreamErrs.Add(1)
@@ -1025,7 +954,8 @@ func formatError(status int, msg string, connClose bool) []byte {
 // the measurement layer on, the hardware/runtime counters section (each
 // call closes one /stats measurement window — the timeline samples
 // through its own view, so the two never steal each other's deltas),
-// plus the stage-trace and sampling-session sections when enabled.
+// plus the stage-histogram, trace and sampling-session sections when
+// enabled.
 func (s *Server) Snapshot() Snapshot {
 	snap := s.Metrics.Snapshot()
 	snap.Workers = s.Workers()
@@ -1035,8 +965,8 @@ func (s *Server) Snapshot() Snapshot {
 	if s.statsView != nil {
 		snap.Counters = s.statsView.snapshot()
 	}
-	if s.tracer != nil {
-		snap.Stages = s.tracer.snapshot()
+	if s.dtr != nil {
+		snap.Stages = s.dtr.stages.snapshot()
 	}
 	snap.Timeline = s.timelineInfo()
 	snap.Traces = s.traceInfo()
@@ -1102,13 +1032,19 @@ func (s *Server) shutdown(ctx context.Context) error {
 	return drained
 }
 
-// frameError distinguishes malformed framing (answerable with a 400) from
-// plain connection teardown.
-type frameError struct{ msg string }
+// frameError distinguishes malformed or unsupported framing (answerable
+// with status, then Connection: close) from plain connection teardown.
+type frameError struct {
+	status int
+	msg    string
+}
 
 func (e *frameError) Error() string { return "gateway: " + e.msg }
 
-var clenName = []byte("Content-Length")
+var (
+	clenName = []byte("Content-Length")
+	tencName = []byte("Transfer-Encoding")
+)
 
 // readRequest frames one HTTP/1.1 message off the wire: header block to
 // the blank line, then exactly Content-Length body bytes — all appended
@@ -1117,9 +1053,14 @@ var clenName = []byte("Content-Length")
 // capacity. Lines come via ReadSlice (no per-line allocation; the
 // ErrBufferFull continuation keeps oversized lines working). io.EOF
 // between messages is a clean close.
+//
+// Framing is strict where leniency would let two parsers disagree on
+// where a message ends (request smuggling once forwarding is on): any
+// Transfer-Encoding is refused with 501 — the gateway frames by
+// Content-Length only — and repeated Content-Length headers must agree.
 func readRequest(br *bufio.Reader, maxBody int, buf []byte) ([]byte, error) {
 	buf = buf[:0]
-	clen := 0
+	clen, haveClen := 0, false
 	for {
 		lineStart := len(buf)
 		var err error
@@ -1136,12 +1077,12 @@ func readRequest(br *bufio.Reader, maxBody int, buf []byte) ([]byte, error) {
 				return buf, io.EOF
 			}
 			if err == io.EOF {
-				return buf, &frameError{"truncated request"}
+				return buf, &frameError{400, "truncated request"}
 			}
 			return buf, err
 		}
 		if len(buf) > 64<<10 {
-			return buf, &frameError{"header block too large"}
+			return buf, &frameError{400, "header block too large"}
 		}
 		trimmed := bytes.TrimRight(buf[lineStart:], "\r\n")
 		if len(trimmed) == 0 {
@@ -1152,17 +1093,23 @@ func readRequest(br *bufio.Reader, maxBody int, buf []byte) ([]byte, error) {
 			break // blank line after the header block
 		}
 		if i := bytes.IndexByte(trimmed, ':'); i > 0 {
-			if bytes.EqualFold(bytes.TrimSpace(trimmed[:i]), clenName) {
+			switch name := bytes.TrimSpace(trimmed[:i]); {
+			case bytes.EqualFold(name, clenName):
 				n, ok := parseClen(trimmed[i+1:])
 				if !ok {
-					return buf, &frameError{"bad Content-Length"}
+					return buf, &frameError{400, "bad Content-Length"}
 				}
-				clen = n
+				if haveClen && n != clen {
+					return buf, &frameError{400, "conflicting Content-Length"}
+				}
+				clen, haveClen = n, true
+			case bytes.EqualFold(name, tencName):
+				return buf, &frameError{501, "Transfer-Encoding not supported"}
 			}
 		}
 	}
 	if clen > maxBody {
-		return buf, &frameError{"body exceeds limit"}
+		return buf, &frameError{400, "body exceeds limit"}
 	}
 	if clen > 0 {
 		hlen := len(buf)
@@ -1170,7 +1117,7 @@ func readRequest(br *bufio.Reader, maxBody int, buf []byte) ([]byte, error) {
 		if _, err := io.ReadFull(br, buf[hlen:]); err != nil {
 			buf = buf[:hlen]
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return buf, &frameError{"truncated body"}
+				return buf, &frameError{400, "truncated body"}
 			}
 			return buf, err // e.g. a deadline expiry mid-body stays a net.Error
 		}

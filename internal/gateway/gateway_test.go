@@ -191,28 +191,55 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
-// TestMalformedRequest checks the 400 path counts a parse error and
-// closes the connection.
+// TestMalformedRequest pins the framing refusals: each malformed or
+// unsupported framing gets its own status and message, is counted under
+// ParseErrors, and closes the connection — strict where leniency would
+// let the gateway and a backend disagree on where a message ends.
 func TestMalformedRequest(t *testing.T) {
 	srv := startServer(t, Config{Workers: 1})
+	for i, tc := range []struct {
+		name, raw string
+		status    int
+		msg       string
+	}{
+		{"bad-content-length", "POST /service/CBR HTTP/1.1\r\nContent-Length: nope\r\n\r\n", 400, "bad Content-Length"},
+		{"conflicting-content-length", "POST /service/FR HTTP/1.1\r\nContent-Length: 2\r\ncontent-length: 3\r\n\r\nabc", 400, "conflicting Content-Length"},
+		{"transfer-encoding", "POST /service/FR HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nab\r\n0\r\n\r\n", 501, "Transfer-Encoding not supported"},
+		{"transfer-encoding-with-length", "POST /service/FR HTTP/1.1\r\nContent-Length: 2\r\ntransfer-encoding: identity\r\n\r\nab", 501, "Transfer-Encoding not supported"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl, err := Dial(srv.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			resp, err := cl.Do([]byte(tc.raw), 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Status != tc.status || !strings.Contains(string(resp.Body), tc.msg) {
+				t.Fatalf("status %d body %s, want %d %q", resp.Status, resp.Body, tc.status, tc.msg)
+			}
+			// Counted before the response was written.
+			if got := srv.Metrics.ParseErrors.Load(); got != uint64(i+1) {
+				t.Fatalf("parse errors = %d, want %d", got, i+1)
+			}
+			// Connection: close — the unread remainder is never served.
+			if _, err := cl.Do(workload.HTTPRequest(0, workload.FR), 5*time.Second); err == nil {
+				t.Fatal("connection stayed open after a framing refusal")
+			}
+		})
+	}
+
+	// Repeated Content-Length headers that agree are one length.
 	cl, err := Dial(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	resp, err := cl.Do([]byte("POST /service/CBR HTTP/1.1\r\nContent-Length: nope\r\n\r\n"), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Status != 400 {
-		t.Fatalf("malformed framing: status %d, want 400", resp.Status)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for srv.Metrics.Snapshot().ParseErrors == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("parse error not counted")
-		}
-		time.Sleep(time.Millisecond)
+	resp, err := cl.Do([]byte("POST /service/FR HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nab"), 5*time.Second)
+	if err != nil || resp.Status != 200 {
+		t.Fatalf("agreeing Content-Length pair: resp=%+v err=%v", resp, err)
 	}
 }
 

@@ -143,8 +143,9 @@ type Snapshot struct {
 	// mode, runtime metrics always, model-predicted derived metrics in
 	// the "runtime-only" fallback, plus the per-worker skew view.
 	Counters *CountersSnapshot `json:"counters,omitempty"`
-	// Stages is the sampled per-use-case stage trace (nil when tracing
-	// is off): read/queue/parse/process/forward/write percentiles.
+	// Stages is the per-use-case stage breakdown folded from every traced
+	// request's spans (nil when tracing is off):
+	// read/queue/parse/process/forward/write percentiles.
 	Stages StageSnapshot `json:"stages,omitempty"`
 	// Timeline summarizes the sampling session (nil when none runs); the
 	// full ring is served by GET /timeline.

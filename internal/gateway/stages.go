@@ -1,0 +1,110 @@
+package gateway
+
+import (
+	"repro/internal/capacity"
+	"repro/internal/dtrace"
+	"repro/internal/lhist"
+	"repro/internal/workload"
+)
+
+// numTraceUseCases covers FR/CBR/SV plus the DPI/AUTH/XJ extensions.
+const numTraceUseCases = 6
+
+// traceSlotControl is the extra stage-histogram row for control-plane
+// GETs (/stats, /timeline, /traces): they bypass the worker pool but
+// still cost read/process/write time on the connection readers, so they
+// get their own row ("GET") in the stage breakdown.
+const traceSlotControl = numTraceUseCases
+
+// numTraceSlots is every use case plus the control-plane slot.
+const numTraceSlots = numTraceUseCases + 1
+
+// traceSlotName labels a stage-histogram row for snapshots and tables.
+func traceSlotName(slot int) string {
+	if slot == traceSlotControl {
+		return "GET"
+	}
+	return workload.UseCase(slot).String()
+}
+
+// stageHists aggregates finished requests' stage spans into per-use-case,
+// per-stage latency histograms — the /stats "stages" section and the
+// capacity control loop's windowed service demands. There is no second
+// clock: every observation is a dtrace span's duration.
+type stageHists [numTraceSlots][dtrace.NumStages]lhist.Hist
+
+// stageCounts is one raw cumulative read of every histogram — the
+// capacity control loop's windowing primitive.
+type stageCounts [numTraceSlots][dtrace.NumStages]lhist.Counts
+
+func (h *stageHists) counts() (c stageCounts) {
+	for slot := range h {
+		for st := range h[slot] {
+			c[slot][st] = h[slot][st].Counts()
+		}
+	}
+	return c
+}
+
+// observe folds rec's stage spans into row slot.
+func (h *stageHists) observe(slot int, rec *dtrace.Recorder) {
+	spans := rec.Spans()
+	for i := 1; i < len(spans); i++ {
+		h[slot][rec.Stage(i)].Observe(spans[i].Dur())
+	}
+}
+
+// StageSnapshot is the /stats "stages" section: per use case (plus the
+// "GET" control-plane row), per stage percentile reads of the traced
+// request population.
+type StageSnapshot map[string]map[string]lhist.Snapshot
+
+// snapshot renders every row that traced at least one request.
+func (h *stageHists) snapshot() StageSnapshot {
+	out := StageSnapshot{}
+	for slot := range h {
+		stages := map[string]lhist.Snapshot{}
+		for st := range h[slot] {
+			if s := h[slot][st].Snapshot(); s.Count > 0 {
+				stages[dtrace.Stage(st).String()] = s
+			}
+		}
+		if len(stages) > 0 {
+			out[traceSlotName(slot)] = stages
+		}
+	}
+	return out
+}
+
+// stageDemands assembles the capacity model's service demands from a
+// per-stage mean in seconds (queue wait is the model's output, not an
+// input, so it is not read).
+func stageDemands(mean func(dtrace.Stage) float64) capacity.StageDemands {
+	return capacity.StageDemands{
+		Read:    mean(dtrace.StageRead),
+		Parse:   mean(dtrace.StageParse),
+		Process: mean(dtrace.StageProcess),
+		Forward: mean(dtrace.StageForward),
+		Write:   mean(dtrace.StageWrite),
+	}
+}
+
+// Demands rebuilds the capacity model's per-stage service demands from
+// the snapshot: per-stage means aggregated across the use-case rows
+// (the control-plane GET row excluded — GETs never hold a worker),
+// weighted by trace count.
+func (s StageSnapshot) Demands() capacity.StageDemands {
+	return stageDemands(func(st dtrace.Stage) float64 {
+		var n uint64
+		var sum float64
+		for slot := 0; slot < numTraceUseCases; slot++ {
+			h := s[traceSlotName(slot)][st.String()] // zero when the row or stage is absent
+			sum += h.MeanUS * float64(h.Count)
+			n += h.Count
+		}
+		if n == 0 {
+			return 0
+		}
+		return sum / float64(n) / 1e6
+	})
+}

@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/capacity"
+	"repro/internal/dtrace"
 )
 
 // SweepResult is one row of the scaling study: the gateway run with n
@@ -37,6 +39,7 @@ func RunSweep(procs []int, cfg LoadConfig, gw Config) ([]SweepResult, error) {
 		runtime.GOMAXPROCS(n)
 		g := gw
 		g.Workers = n
+		g.Trace = true // the stage and model tables read the traced stage histograms
 		srv, err := New(g)
 		if err != nil {
 			return out, err
@@ -150,17 +153,10 @@ func FormatSweepTable(rows []SweepResult) string {
 // added width went (queue wait collapsing, parse staying flat, ...).
 // Empty when no row carried stage traces.
 func FormatStageTable(rows []SweepResult) string {
-	any := false
-	for _, r := range rows {
-		if len(r.Server.Stages) > 0 {
-			any = true
-			break
-		}
-	}
-	if !any {
+	if !hasStages(rows) {
 		return ""
 	}
-	stages := StageNames()
+	stages := dtrace.StageNames()
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-10s %-7s", "GOMAXPROCS", "usecase")
 	for _, st := range stages {
@@ -168,10 +164,17 @@ func FormatStageTable(rows []SweepResult) string {
 	}
 	b.WriteString("  (us)\n")
 	for _, r := range rows {
-		for _, uc := range stageUseCaseOrder(r.Server.Stages) {
+		// Rows in pipeline-enum order (the control-plane GET row last) so
+		// the table is stable across runs.
+		for slot := 0; slot < numTraceSlots; slot++ {
+			uc := traceSlotName(slot)
+			row, ok := r.Server.Stages[uc]
+			if !ok {
+				continue
+			}
 			fmt.Fprintf(&b, "%-10d %-7s", r.Procs, uc)
 			for _, st := range stages {
-				s, ok := r.Server.Stages[uc][st]
+				s, ok := row[st]
 				if !ok || s.Count == 0 {
 					fmt.Fprintf(&b, " %13s", "-")
 					continue
@@ -184,47 +187,9 @@ func FormatStageTable(rows []SweepResult) string {
 	return b.String()
 }
 
-// stageUseCaseOrder lists the snapshot's slots in pipeline-enum order
-// (the control-plane GET row last) so the table is stable across runs.
-func stageUseCaseOrder(s StageSnapshot) []string {
-	var out []string
-	for slot := 0; slot < numTraceSlots; slot++ {
-		name := traceSlotName(slot)
-		if _, ok := s[name]; ok {
-			out = append(out, name)
-		}
-	}
-	return out
-}
-
-// sweepStageDemands rebuilds capacity.StageDemands from a sweep row's
-// stage snapshot: per-stage means aggregated across the use-case rows
-// (the control-plane GET row excluded), weighted by trace count.
-func sweepStageDemands(s StageSnapshot) capacity.StageDemands {
-	mean := func(stage string) float64 {
-		var n uint64
-		var sum float64
-		for uc, stages := range s {
-			if uc == "GET" {
-				continue
-			}
-			if h, ok := stages[stage]; ok {
-				sum += h.MeanUS * float64(h.Count)
-				n += h.Count
-			}
-		}
-		if n == 0 {
-			return 0
-		}
-		return sum / float64(n) / 1e6
-	}
-	return capacity.StageDemands{
-		Read:    mean("read"),
-		Parse:   mean("parse"),
-		Process: mean("process"),
-		Forward: mean("forward"),
-		Write:   mean("write"),
-	}
+// hasStages reports whether any sweep row carried stage traces.
+func hasStages(rows []SweepResult) bool {
+	return slices.ContainsFunc(rows, func(r SweepResult) bool { return len(r.Server.Stages) > 0 })
 }
 
 // FormatModelTable renders the analytic capacity model next to the
@@ -234,21 +199,14 @@ func sweepStageDemands(s StageSnapshot) capacity.StageDemands {
 // (the live half of the paper's Figures 5/6 against the analytic half).
 // Empty when no row carries stage traces.
 func FormatModelTable(rows []SweepResult, targetP99 time.Duration) string {
-	any := false
-	for _, r := range rows {
-		if len(r.Server.Stages) > 0 {
-			any = true
-			break
-		}
-	}
-	if !any {
+	if !hasStages(rows) {
 		return ""
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-10s %10s %10s %10s %7s %9s %9s %7s %12s\n",
 		"GOMAXPROCS", "offered/s", "meas/s", "pred/s", "err%", "meas-p99", "pred-p99", "err%", "admissible/s")
 	for _, r := range rows {
-		d := sweepStageDemands(r.Server.Stages)
+		d := r.Server.Stages.Demands()
 		if d.WorkerDemand() <= 0 {
 			fmt.Fprintf(&b, "%-10d %10s (no stage traces)\n", r.Procs, "-")
 			continue
@@ -259,8 +217,8 @@ func FormatModelTable(rows []SweepResult, targetP99 time.Duration) string {
 			offered = float64(r.Report.Sent) / r.Report.DurationSec
 		}
 		p := m.Predict(offered)
-		tputErr := pctErr(p.ThroughputPerSec, r.Report.MsgsPerSec)
-		p99Err := pctErr(p.P99US, float64(r.Report.Latency.P99US))
+		tputErr := capacity.ErrPct(p.ThroughputPerSec, r.Report.MsgsPerSec)
+		p99Err := capacity.ErrPct(p.P99US, float64(r.Report.Latency.P99US))
 		adm := m.MaxLoadForP99(float64(targetP99.Microseconds()))
 		fmt.Fprintf(&b, "%-10d %10.0f %10.0f %10.0f %7.1f %9d %9.0f %7.1f %12.0f\n",
 			r.Procs, offered, r.Report.MsgsPerSec, p.ThroughputPerSec, tputErr,
@@ -268,16 +226,4 @@ func FormatModelTable(rows []SweepResult, targetP99 time.Duration) string {
 	}
 	fmt.Fprintf(&b, "model seeded from each row's traced stage demands; admissible/s = highest load with predicted p99 <= %v\n", targetP99)
 	return b.String()
-}
-
-// pctErr is |pred-meas| as a percentage of meas (0 when unmeasured).
-func pctErr(pred, meas float64) float64 {
-	if meas <= 0 {
-		return 0
-	}
-	e := 100 * (pred - meas) / meas
-	if e < 0 {
-		return -e
-	}
-	return e
 }

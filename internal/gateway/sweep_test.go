@@ -49,10 +49,16 @@ func TestFormatModelTable(t *testing.T) {
 		t.Fatalf("expected predicted throughput 500 in table:\n%s", table)
 	}
 
-	d := sweepStageDemands(stages)
+	d := stages.Demands()
 	if d.WorkerDemand() != 1000.0/1e6 {
 		t.Fatalf("worker demand = %g, want 0.001 (GET row must be excluded)", d.WorkerDemand())
 	}
+	// Across use-case rows the means are count-weighted.
+	stages["SV"] = map[string]lhist.Snapshot{"process": {Count: 300, MeanUS: 2000}}
+	if got := stages.Demands().Process; got != 1750.0/1e6 {
+		t.Fatalf("process demand = %g, want 0.00175 (count-weighted over CBR and SV)", got)
+	}
+	delete(stages, "SV")
 
 	// A row without traces degrades to a marker line, not a bogus model.
 	rows = append(rows, SweepResult{Procs: 2, Server: Snapshot{Stages: StageSnapshot{}}})

@@ -264,12 +264,12 @@ func TestWorkerGroupFDsReleased(t *testing.T) {
 	}
 }
 
-// TestStageTracing exercises the per-request stage trace: with every
-// request sampled, the /stats stages section must carry per-use-case
+// TestStageTracing exercises the stage histograms fed from the traced
+// spans: the /stats stages section must carry per-use-case
 // read/queue/parse/process/write populations, and the per-use-case
 // latency histograms must split accordingly.
 func TestStageTracing(t *testing.T) {
-	srv := startServer(t, Config{Workers: 2, UseCase: workload.CBR, TraceEvery: 1})
+	srv := startServer(t, Config{Workers: 2, UseCase: workload.CBR, Trace: true})
 	addr := srv.Addr().String()
 	if _, err := RunLoad(LoadConfig{Addr: addr, UseCase: workload.CBR, Conns: 2, Messages: 40}); err != nil {
 		t.Fatal(err)
@@ -278,9 +278,10 @@ func TestStageTracing(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	waitTraced(t, srv, 70)
 	snap := srv.Snapshot()
 	if snap.Stages == nil {
-		t.Fatal("no stages section with TraceEvery=1")
+		t.Fatal("no stages section with Trace on")
 	}
 	for _, uc := range []string{"CBR", "SV"} {
 		st, ok := snap.Stages[uc]
@@ -313,14 +314,14 @@ func TestStageTracing(t *testing.T) {
 }
 
 // TestTracingOffByDefault keeps the trace opt-in and the sampler honest:
-// without TraceEvery there is no stages section.
+// without Trace there is no stages section.
 func TestTracingOffByDefault(t *testing.T) {
 	srv := startServer(t, Config{Workers: 1})
 	if _, err := RunLoad(LoadConfig{Addr: srv.Addr().String(), UseCase: workload.CBR, Conns: 1, Messages: 10}); err != nil {
 		t.Fatal(err)
 	}
 	if snap := srv.Snapshot(); snap.Stages != nil {
-		t.Fatalf("stages section present without TraceEvery: %+v", snap.Stages)
+		t.Fatalf("stages section present without Trace: %+v", snap.Stages)
 	}
 }
 
@@ -330,7 +331,7 @@ func TestObservabilityConfigValidation(t *testing.T) {
 	bad := []Config{
 		{SampleInterval: -time.Second},
 		{SampleCapacity: -1},
-		{TraceEvery: -2},
+		{TraceKeepEvery: -2},
 	}
 	for _, cfg := range bad {
 		if _, err := New(cfg); err == nil {

@@ -116,7 +116,7 @@ func TestFormatResponse(t *testing.T) {
 	if !strings.Contains(out, "Content-Length: 2") {
 		t.Fatal("missing content length")
 	}
-	for code, want := range map[int]string{400: "Bad Request", 404: "Not Found", 422: "Unprocessable Entity", 502: "Bad Gateway", 999: "Unknown"} {
+	for code, want := range map[int]string{400: "Bad Request", 404: "Not Found", 422: "Unprocessable Entity", 501: "Not Implemented", 502: "Bad Gateway", 999: "Unknown"} {
 		if StatusText(code) != want {
 			t.Errorf("StatusText(%d) = %q", code, StatusText(code))
 		}
