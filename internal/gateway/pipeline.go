@@ -128,10 +128,11 @@ func (p *Pipeline) SelectUseCase(target string) workload.UseCase {
 //
 // XML-processing cases parse through a pooled StreamParser: the tree is
 // views into req.Body (the connection's pooled frame) and pooled node
-// slabs, both valid for exactly the duration of this call — every
-// consumer (XPath evaluation, schema validation, XJ translation) copies
-// what it returns, and the deferred Release recycles the parser only
-// after those consumers ran.
+// slabs, both valid for exactly the duration of this call, and the
+// deferred Release recycles the parser only after every consumer ran.
+// Schema validation and XJ translation copy what they return; the CBR
+// value EvalString returns is a view into the frame (the matched text
+// node's Data) and is only compared here, never kept.
 func (p *Pipeline) Process(uc workload.UseCase, req *httpmsg.Request) Outcome {
 	switch uc {
 	case workload.FR:

@@ -56,7 +56,12 @@ type Attr struct {
 
 // Node is one tree node.
 type Node struct {
-	Kind     NodeKind
+	Kind NodeKind
+	// Ord is the node's pre-order index in its document (the document
+	// node is 0), stamped by the tree builders: a < b in document order
+	// iff a.Ord < b.Ord, which is how XPath orders node-sets without
+	// walking the tree. It sits in Kind's padding, so it costs no memory.
+	Ord      uint32
 	Name     string // element: full name as written (prefix:local)
 	Prefix   string // element: namespace prefix ("" if none)
 	Local    string // element: local part

@@ -14,6 +14,7 @@ import (
 type Parser struct {
 	src []byte
 	pos int
+	ord uint32 // nodes created so far: the next node's Ord
 
 	em    trace.Emitter
 	base  uint64       // synthetic address of src[0]
@@ -74,7 +75,8 @@ func (p *Parser) errf(format string, args ...any) error {
 }
 
 func (p *Parser) newNode(kind NodeKind, data string) *Node {
-	n := &Node{Kind: kind, Data: data}
+	n := &Node{Kind: kind, Ord: p.ord, Data: data}
+	p.ord++
 	if p.arena != nil {
 		n.SimAddr = p.arena.Alloc(nodeSimBytes + uint64(len(data)))
 		p.emitAlloc(n, len(data))

@@ -2,7 +2,9 @@ package xmldom_test
 
 import (
 	"testing"
+	"unsafe"
 
+	"repro/internal/perf/trace"
 	"repro/internal/workload"
 	"repro/internal/xmldom"
 )
@@ -80,6 +82,9 @@ func sameTree(t *testing.T, want, got *xmldom.Node, path string) {
 	if want.Kind != got.Kind {
 		t.Fatalf("%s: kind %v != %v", path, got.Kind, want.Kind)
 	}
+	if want.Ord != got.Ord {
+		t.Fatalf("%s: ord %d != %d", path, got.Ord, want.Ord)
+	}
 	if want.Name != got.Name || want.Prefix != got.Prefix || want.Local != got.Local || want.NS != got.NS {
 		t.Fatalf("%s: name %q/%q/%q/%q != %q/%q/%q/%q", path,
 			got.Name, got.Prefix, got.Local, got.NS, want.Name, want.Prefix, want.Local, want.NS)
@@ -132,6 +137,52 @@ func TestStreamVsDOMCorpus(t *testing.T) {
 	// state produces wrong trees only on reuse.
 	for _, doc := range corpus() {
 		checkDifferential(t, sp, doc)
+	}
+}
+
+// checkOrd asserts that Ord is the pre-order index: a document-order Walk
+// meets 0, 1, 2, ... with no gap and no repeat.
+func checkOrd(t *testing.T, doc *xmldom.Node, builder string, src []byte) {
+	t.Helper()
+	next := uint32(0)
+	doc.Walk(func(n *xmldom.Node) bool {
+		if n.Ord != next {
+			t.Fatalf("%s on %.40q: %v %q has Ord %d, want %d", builder, src, n.Kind, n.Name, n.Ord, next)
+		}
+		next++
+		return true
+	})
+}
+
+// TestOrdIsDocumentOrder checks the ordinal XPath sorts node-sets by, for
+// every builder over the corpus plus a document spanning several node
+// slabs. The StreamParser is reused throughout, so an ordinal carried over
+// from the previous document would show.
+func TestOrdIsDocumentOrder(t *testing.T) {
+	sp := xmldom.AcquireStreamParser()
+	defer sp.Release()
+	for _, src := range append(corpus(), workload.SOAPMessageSized(6, 32<<10)) {
+		doc, err := xmldom.Parse(src)
+		if err != nil {
+			continue
+		}
+		checkOrd(t, doc, "Parse", src)
+		if doc, err = xmldom.ParseInstrumented(src, &trace.Buffer{}, 1<<32, nil); err != nil {
+			t.Fatal(err)
+		}
+		checkOrd(t, doc, "ParseInstrumented", src)
+		if doc, err = sp.Parse(src); err != nil {
+			t.Fatal(err)
+		}
+		checkOrd(t, doc, "StreamParser.Parse", src)
+	}
+}
+
+// TestNodeSizeUnchanged pins the node slab's element size: Ord must stay
+// in the padding after Kind, or every pooled slab (and rss_mb) grows.
+func TestNodeSizeUnchanged(t *testing.T) {
+	if got := unsafe.Sizeof(xmldom.Node{}); got != 152 {
+		t.Fatalf("unsafe.Sizeof(xmldom.Node{}) = %d, want 152", got)
 	}
 }
 

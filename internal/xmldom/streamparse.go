@@ -52,19 +52,21 @@ func (p *StreamParser) Release() {
 }
 
 // alloc hands out the next slab node, reusing the node's previous Attrs
-// backing array.
+// backing array. Nodes are allocated in document order, so the slab index
+// is the node's Ord.
 func (p *StreamParser) alloc(kind NodeKind) *Node {
 	if p.ci == len(p.chunks) {
 		p.chunks = append(p.chunks, make([]Node, nodeChunk))
 	}
 	n := &p.chunks[p.ci][p.ni]
+	ord := uint32(p.ci*nodeChunk + p.ni)
 	p.ni++
 	if p.ni == nodeChunk {
 		p.ci++
 		p.ni = 0
 	}
 	attrs := n.Attrs[:0]
-	*n = Node{Kind: kind, Attrs: attrs}
+	*n = Node{Kind: kind, Ord: ord, Attrs: attrs}
 	return n
 }
 

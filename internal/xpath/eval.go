@@ -14,6 +14,10 @@ import (
 // pointer-chasing loads on the node's simulated address, every name test a
 // short compare with a data-dependent branch. This is the computation at
 // the heart of the paper's CBR use case.
+//
+// An Evaluator holds no per-evaluation state and may be shared by any
+// number of goroutines (given an emitter that may be); each call takes
+// its node-set working memory from a pool.
 type Evaluator struct {
 	em trace.Emitter
 }
@@ -37,27 +41,49 @@ func NewEvaluator(em trace.Emitter) *Evaluator {
 	return &Evaluator{em: em}
 }
 
-// Eval evaluates a compiled expression with ctx as the context node.
+// run evaluates e in a pooled scratch. A node-set result is a view into
+// the scratch: the caller converts or copies it, then calls s.release().
+func (ev *Evaluator) run(e *Expr, ctx *xmldom.Node) (v Value, s *scratch, err error) {
+	s = scratchPool.Get().(*scratch)
+	v, err = ev.eval(e.root, evalCtx{node: ctx, pos: 1, size: 1, s: s})
+	return v, s, err
+}
+
+// Eval evaluates a compiled expression with ctx as the context node. A
+// node-set result is copied out of the scratch: the caller owns
+// Value.Nodes.
 func (ev *Evaluator) Eval(e *Expr, ctx *xmldom.Node) (Value, error) {
-	return ev.eval(e.root, &evalCtx{node: ctx, pos: 1, size: 1})
+	v, s, err := ev.run(e, ctx)
+	if len(v.Nodes) == 0 {
+		v.Nodes = nil
+	} else {
+		v.Nodes = append([]*xmldom.Node(nil), v.Nodes...)
+	}
+	s.release()
+	return v, err
 }
 
-// EvalString evaluates and converts to string.
+// EvalString evaluates and converts to string. The conversion reads the
+// first node straight from scratch, so a path that selects a text or
+// attribute node allocates nothing: the result is that node's Data, which
+// lives as long as the tree does (see the package comment).
 func (ev *Evaluator) EvalString(e *Expr, ctx *xmldom.Node) (string, error) {
-	v, err := ev.Eval(e, ctx)
-	if err != nil {
-		return "", err
+	v, s, err := ev.run(e, ctx)
+	str := ""
+	if err == nil {
+		str = v.String()
 	}
-	return v.String(), nil
+	s.release()
+	return str, err
 }
 
-// EvalBool evaluates and converts to boolean.
+// EvalBool evaluates and converts to boolean, without copying a node-set
+// result.
 func (ev *Evaluator) EvalBool(e *Expr, ctx *xmldom.Node) (bool, error) {
-	v, err := ev.Eval(e, ctx)
-	if err != nil {
-		return false, err
-	}
-	return v.Boolean(), nil
+	v, s, err := ev.run(e, ctx)
+	b := err == nil && v.Boolean()
+	s.release()
+	return b, err
 }
 
 // Eval is a convenience one-shot uninstrumented evaluation.
@@ -65,19 +91,17 @@ func Eval(e *Expr, ctx *xmldom.Node) (Value, error) {
 	return NewEvaluator(nil).Eval(e, ctx)
 }
 
+// evalCtx is the XPath evaluation context plus the scratch every node-set
+// of this evaluation lives in. Node-set Values inside an evaluation are
+// views into s, valid until the buffer they sit in is released.
 type evalCtx struct {
 	node *xmldom.Node
 	pos  int // 1-based position()
 	size int // last()
+	s    *scratch
 }
 
-// attrNode materializes attributes as transient text-like nodes so they
-// can live in node-sets. Parent links identify the owner.
-func attrValueNode(owner *xmldom.Node, a xmldom.Attr) *xmldom.Node {
-	return &xmldom.Node{Kind: xmldom.Text, Name: a.Name, Data: a.Value, Parent: owner, SimAddr: owner.SimAddr}
-}
-
-func (ev *Evaluator) eval(n node, c *evalCtx) (Value, error) {
+func (ev *Evaluator) eval(n node, c evalCtx) (Value, error) {
 	switch x := n.(type) {
 	case *litExpr:
 		return StringValue(x.s), nil
@@ -93,6 +117,8 @@ func (ev *Evaluator) eval(n node, c *evalCtx) (Value, error) {
 	case *binExpr:
 		return ev.evalBin(x, c)
 	case *unionExpr:
+		out := c.s.take() // below the operands, so it outlives their release
+		mark := c.s.used
 		l, err := ev.eval(x.l, c)
 		if err != nil {
 			return Value{}, err
@@ -104,7 +130,12 @@ func (ev *Evaluator) eval(n node, c *evalCtx) (Value, error) {
 		if !l.IsNodeSet() || !r.IsNodeSet() {
 			return Value{}, fmt.Errorf("xpath: union of non-node-sets")
 		}
-		return NodeSetValue(unionDocOrder(l.Nodes, r.Nodes)), nil
+		out.ns = append(append(out.ns, l.Nodes...), r.Nodes...)
+		c.s.used = mark
+		if !runInOrder(out.ns, len(l.Nodes)) {
+			out.ns = sortDocOrder(out.ns)
+		}
+		return NodeSetValue(out.ns), nil
 	case *pathExpr:
 		ns, err := ev.evalPath(x, c)
 		if err != nil {
@@ -119,7 +150,7 @@ func (ev *Evaluator) eval(n node, c *evalCtx) (Value, error) {
 	return Value{}, fmt.Errorf("xpath: unknown AST node %T", n)
 }
 
-func (ev *Evaluator) evalBin(x *binExpr, c *evalCtx) (Value, error) {
+func (ev *Evaluator) evalBin(x *binExpr, c evalCtx) (Value, error) {
 	// Short-circuit booleans.
 	if x.op == tokAnd || x.op == tokOr {
 		l, err := ev.eval(x.l, c)
@@ -148,9 +179,14 @@ func (ev *Evaluator) evalBin(x *binExpr, c *evalCtx) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	switch x.op {
+	return ev.binOp(x.op, l, r)
+}
+
+// binOp applies a comparison or arithmetic operator to evaluated operands.
+func (ev *Evaluator) binOp(op tokKind, l, r Value) (Value, error) {
+	switch op {
 	case tokEq, tokNeq, tokLt, tokLte, tokGt, tokGte:
-		res := compare(x.op, l, r)
+		res := compare(op, l, r)
 		ev.em.ALU(4)
 		ev.em.Branch(pcCmpBranch, res)
 		return BoolValue(res), nil
@@ -173,76 +209,93 @@ func (ev *Evaluator) evalBin(x *binExpr, c *evalCtx) (Value, error) {
 	return Value{}, fmt.Errorf("xpath: unknown operator")
 }
 
-func (ev *Evaluator) evalFilter(x *filterExpr, c *evalCtx) (Value, error) {
+func (ev *Evaluator) evalFilter(x *filterExpr, c evalCtx) (Value, error) {
+	var out *nodeBuf
+	if x.trail != nil {
+		out = c.s.take() // below the primary, so it outlives its release
+	}
+	mark := c.s.used
 	v, err := ev.eval(x.primary, c)
 	if err != nil {
 		return Value{}, err
 	}
-	if len(x.preds) > 0 || x.trail != nil {
-		if !v.IsNodeSet() {
-			return Value{}, fmt.Errorf("xpath: predicate/path applied to non-node-set")
-		}
+	if !v.IsNodeSet() {
+		return Value{}, fmt.Errorf("xpath: predicate/path applied to non-node-set")
 	}
 	ns := v.Nodes
 	for _, pred := range x.preds {
-		ns, err = ev.filterPred(ns, pred)
+		ns, err = ev.filterPred(ns, pred, c.s)
 		if err != nil {
 			return Value{}, err
 		}
 	}
-	if x.trail != nil {
-		var out []*xmldom.Node
-		for _, n := range ns {
-			sub, err := ev.evalPath(x.trail, &evalCtx{node: n, pos: 1, size: 1})
-			if err != nil {
-				return Value{}, err
-			}
-			out = unionDocOrder(out, sub)
-		}
-		ns = out
+	if x.trail == nil {
+		return NodeSetValue(ns), nil
 	}
-	return NodeSetValue(ns), nil
+	sorted := true
+	inner := c.s.used
+	for _, n := range ns {
+		sub, err := ev.evalPath(x.trail, evalCtx{node: n, pos: 1, size: 1, s: c.s})
+		if err != nil {
+			return Value{}, err
+		}
+		run := len(out.ns)
+		out.ns = append(out.ns, sub...)
+		c.s.used = inner
+		sorted = sorted && runInOrder(out.ns, run)
+	}
+	c.s.used = mark
+	if !sorted {
+		out.ns = sortDocOrder(out.ns)
+	}
+	return NodeSetValue(out.ns), nil
 }
 
-// evalPath runs a location path from the context node.
-func (ev *Evaluator) evalPath(p *pathExpr, c *evalCtx) ([]*xmldom.Node, error) {
+// evalPath runs a location path from the context node. Each step walks
+// its axis from every context node in turn and appends the matches to the
+// next context set. A context's matches come out in document order on
+// every supported axis, so the step's result is in document order unless
+// one context's run starts at or before the previous run's last node; only
+// then is it sorted (and de-duplicated) by Node.Ord.
+func (ev *Evaluator) evalPath(p *pathExpr, c evalCtx) ([]*xmldom.Node, error) {
 	start := c.node
 	if p.absolute {
 		start = c.node.Root()
 	}
-	current := []*xmldom.Node{start}
+	cur, next := c.s.take(), c.s.take()
+	cur.ns = append(cur.ns, start)
 	for _, st := range p.steps {
-		var next []*xmldom.Node
-		for _, n := range current {
-			cands := ev.axisNodes(st, n)
-			matched := cands[:0:0]
-			size := 0
-			for _, cand := range cands {
-				if ev.nodeTest(st, cand) {
-					size++
-					matched = append(matched, cand)
-				}
-			}
+		next.ns = next.ns[:0]
+		sorted := true
+		for _, n := range cur.ns {
+			run := len(next.ns)
+			ev.stepFrom(st, n, next)
 			// Predicates with position semantics relative to this
 			// context node's matched candidates.
 			for _, pred := range st.preds {
-				var err error
-				matched, err = ev.filterPred(matched, pred)
+				kept, err := ev.filterPred(next.ns[run:], pred, c.s)
 				if err != nil {
 					return nil, err
 				}
+				next.ns = next.ns[:run+len(kept)]
 			}
-			next = unionDocOrder(next, matched)
+			sorted = sorted && runInOrder(next.ns, run)
 		}
-		current = next
+		if !sorted {
+			next.ns = sortDocOrder(next.ns)
+		}
+		cur, next = next, cur
 	}
-	return current, nil
+	return cur.ns, nil
 }
 
-func (ev *Evaluator) filterPred(ns []*xmldom.Node, pred node) ([]*xmldom.Node, error) {
-	var out []*xmldom.Node
+// filterPred keeps, in place, the nodes of ns the predicate holds for;
+// position() and last() are relative to ns as passed.
+func (ev *Evaluator) filterPred(ns []*xmldom.Node, pred node, s *scratch) ([]*xmldom.Node, error) {
+	kept := 0
+	mark := s.used
 	for i, n := range ns {
-		v, err := ev.eval(pred, &evalCtx{node: n, pos: i + 1, size: len(ns)})
+		v, err := ev.eval(pred, evalCtx{node: n, pos: i + 1, size: len(ns), s: s})
 		if err != nil {
 			return nil, err
 		}
@@ -252,48 +305,64 @@ func (ev *Evaluator) filterPred(ns []*xmldom.Node, pred node) ([]*xmldom.Node, e
 		} else {
 			keep = v.Boolean()
 		}
+		s.used = mark
 		ev.em.ALU(2)
 		ev.em.Branch(pcPredTest, keep)
 		if keep {
-			out = append(out, n)
+			ns[kept] = n
+			kept++
 		}
 	}
-	return out, nil
+	return ns[:kept], nil
 }
 
-// axisNodes collects the candidate nodes along a step's axis, emitting the
-// traversal's pointer-chasing loads.
-func (ev *Evaluator) axisNodes(st *step, n *xmldom.Node) []*xmldom.Node {
+// stepFrom walks step st's axis from n and appends the nodes passing its
+// node test to out, in document order, emitting the traversal's
+// pointer-chasing loads.
+func (ev *Evaluator) stepFrom(st *step, n *xmldom.Node, out *nodeBuf) {
+	if st.ax == axisDescendantOrSelf {
+		ev.descend(st, n, out)
+		return
+	}
+	ev.visit(n)
 	switch st.ax {
 	case axisSelf:
-		ev.visit(n)
-		return []*xmldom.Node{n}
+		if ev.nodeTest(st, n) {
+			out.ns = append(out.ns, n)
+		}
 	case axisParent:
-		ev.visit(n)
-		if n.Parent == nil {
-			return nil
+		if n.Parent != nil && ev.nodeTest(st, n.Parent) {
+			out.ns = append(out.ns, n.Parent)
 		}
-		return []*xmldom.Node{n.Parent}
 	case axisChild:
-		ev.visit(n)
-		return n.Children
-	case axisAttribute:
-		ev.visit(n)
-		out := make([]*xmldom.Node, 0, len(n.Attrs))
-		for _, a := range n.Attrs {
-			out = append(out, attrValueNode(n, a))
+		for _, c := range n.Children {
+			if ev.nodeTest(st, c) {
+				out.ns = append(out.ns, c)
+			}
 		}
-		return out
-	case axisDescendantOrSelf:
-		var out []*xmldom.Node
-		n.Walk(func(d *xmldom.Node) bool {
-			ev.visit(d)
-			out = append(out, d)
-			return true
-		})
-		return out
+	case axisAttribute:
+		for _, a := range n.Attrs {
+			// Attributes live in node-sets as transient text-like nodes
+			// (see isAttr); only a match is copied to the heap.
+			cand := xmldom.Node{Kind: xmldom.Text, Ord: n.Ord, Name: a.Name, Data: a.Value, Parent: n, SimAddr: n.SimAddr}
+			if ev.nodeTest(st, &cand) {
+				attr := cand
+				out.ns = append(out.ns, &attr)
+			}
+		}
 	}
-	return nil
+}
+
+// descend is stepFrom for descendant-or-self: n, then its subtree, in
+// document order.
+func (ev *Evaluator) descend(st *step, n *xmldom.Node, out *nodeBuf) {
+	ev.visit(n)
+	if ev.nodeTest(st, n) {
+		out.ns = append(out.ns, n)
+	}
+	for _, c := range n.Children {
+		ev.descend(st, c, out)
+	}
 }
 
 // visit charges the cost of touching one tree node: pointer-chasing loads
@@ -338,68 +407,32 @@ func (ev *Evaluator) nodeTest(st *step, n *xmldom.Node) bool {
 	return false
 }
 
-// unionDocOrder merges two node-sets preserving document order without
-// duplicates. Node identity is pointer identity.
-func unionDocOrder(a, b []*xmldom.Node) []*xmldom.Node {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	seen := make(map[*xmldom.Node]bool, len(a)+len(b))
-	var out []*xmldom.Node
-	for _, n := range a {
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
-	}
-	for _, n := range b {
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
-	}
-	// Document order: index nodes by a walk from the common root.
-	order := make(map[*xmldom.Node]int, len(out))
-	i := 0
-	out[0].Root().Walk(func(n *xmldom.Node) bool {
-		order[n] = i
-		i++
-		return true
-	})
-	sortByOrder(out, order)
-	return out
-}
-
-func sortByOrder(ns []*xmldom.Node, order map[*xmldom.Node]int) {
-	// Insertion sort: node-sets here are small and nearly ordered.
-	for i := 1; i < len(ns); i++ {
-		for j := i; j > 0 && order[ns[j]] < order[ns[j-1]]; j-- {
-			ns[j], ns[j-1] = ns[j-1], ns[j]
-		}
-	}
-}
-
 // evalCall dispatches the XPath core function library.
-func (ev *Evaluator) evalCall(x *callExpr, c *evalCtx) (Value, error) {
+func (ev *Evaluator) evalCall(x *callExpr, c evalCtx) (Value, error) {
 	ev.em.ALU(3)
 	ev.em.Branch(pcFuncDisp, true)
-	argVals := make([]Value, len(x.args))
-	for i, a := range x.args {
+	var argBuf [4]Value // enough for every core function but a long concat()
+	argVals := argBuf[:0]
+	for _, a := range x.args {
 		v, err := ev.eval(a, c)
 		if err != nil {
 			return Value{}, err
 		}
-		argVals[i] = v
+		argVals = append(argVals, v)
 	}
+	return ev.call(x, c, argVals)
+}
+
+// call applies core function x.name to its evaluated arguments.
+func (ev *Evaluator) call(x *callExpr, c evalCtx, argVals []Value) (Value, error) {
 	arg := func(i int) Value {
 		if i < len(argVals) {
 			return argVals[i]
 		}
 		// Default argument: the context node.
-		return NodeSetValue([]*xmldom.Node{c.node})
+		single := c.s.take()
+		single.ns = append(single.ns, c.node)
+		return NodeSetValue(single.ns)
 	}
 	switch x.name {
 	case "last":

@@ -8,6 +8,22 @@
 //
 // Like the XML parser, evaluation is dual-use: plain, or instrumented to
 // emit the micro-op stream of the equivalent compiled evaluator.
+//
+// Evaluation is linear in the nodes it visits and, for a path that selects
+// text or attribute nodes, allocation-free: each step walks its axis from
+// every context node and appends the matches to a buffer; document order
+// comes from xmldom.Node.Ord, stamped at parse time, so a step's result is
+// sorted (by Ord, O(k log k) on its k nodes) only when two contexts' runs
+// interleave, never by walking the document. The buffers belong to a pooled
+// scratch taken per top-level call, so one Evaluator serves any number of
+// goroutines.
+//
+// Result lifetime: nothing a call returns refers to the scratch, which is
+// never read after the call. Eval returns a caller-owned copy of a
+// node-set; the nodes themselves, and the string EvalString returns for a
+// text or attribute node (the node's Data, not a copy), live exactly as
+// long as the tree — for a StreamParser tree, until the parser's next Parse
+// or Release and only while the source buffer is unmodified.
 package xpath
 
 import "fmt"
