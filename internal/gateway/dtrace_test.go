@@ -477,7 +477,7 @@ func TestStagesAgreeWithTracesAndCounters(t *testing.T) {
 							return
 						}
 						for i := 0; i < depth; i++ {
-							if resp, err := readResponse(cl.br); err != nil || resp.Status != 200 {
+							if resp, err := cl.recv(); err != nil || resp.Status != 200 {
 								t.Errorf("pipelined response: resp=%+v err=%v", resp, err)
 								return
 							}

@@ -19,13 +19,11 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -490,7 +488,7 @@ func (s *Server) handleConn(c net.Conn) {
 		br.Reset(nil)
 		brPool.Put(br)
 	}()
-	// The connection owns one pooled frame for its whole life: readRequest
+	// The connection owns one pooled frame for its whole life: ReadRequest
 	// appends each message into it, the worker parses views out of it, and
 	// the reader only reuses it for the next message after the response
 	// write completed — receiving on j.resp is the happens-before edge.
@@ -509,7 +507,7 @@ func (s *Server) handleConn(c net.Conn) {
 		// A traced request's clock starts at its first byte: Peek blocks
 		// until the next request's first byte arrives (consuming nothing),
 		// so keep-alive idle time never counts as read time. Peek errors
-		// resurface in readRequest, which reports them on its existing
+		// resurface in ReadRequest, which reports them on its existing
 		// paths. rec ownership rides with the job through the worker and
 		// returns with the resp receive; the tail sampler decides at
 		// completion whether the trace survives.
@@ -521,11 +519,11 @@ func (s *Server) handleConn(c net.Conn) {
 			rec = dtrace.GetRecorder(s.dtr.node)
 			rec.Begin("gateway", t)
 		}
-		raw, err := readRequest(br, s.cfg.MaxBodyBytes, *fp)
+		raw, err := httpmsg.ReadRequest(br, s.cfg.MaxBodyBytes, *fp)
 		*fp = raw
 		if err != nil {
 			var ne net.Error
-			var fe *frameError
+			var fe *httpmsg.FrameError
 			switch {
 			case errors.As(err, &ne) && ne.Timeout():
 				s.Metrics.IdleTimeouts.Add(1)
@@ -537,7 +535,7 @@ func (s *Server) handleConn(c net.Conn) {
 				}
 			case errors.As(err, &fe):
 				s.Metrics.ParseErrors.Add(1)
-				s.write(c, formatError(fe.status, fe.msg, true))
+				s.write(c, fe.Response())
 			}
 			dtrace.PutRecorder(rec)
 			return
@@ -906,31 +904,21 @@ func (s *Server) handleGet(raw []byte) []byte {
 	path = strings.TrimSuffix(path, "/")
 	switch {
 	case strings.HasSuffix(path, "stats"):
-		return jsonResponse(s.Snapshot())
+		return httpmsg.JSONResponse(200, s.Snapshot())
 	case strings.HasSuffix(path, "timeline"):
 		tr, err := s.timelineResponse(query)
 		if err != nil {
 			return formatError(404, err.Error(), false)
 		}
-		return jsonResponse(tr)
+		return httpmsg.JSONResponse(200, tr)
 	case strings.HasSuffix(path, "traces"):
 		tr, err := s.tracesResponse(query)
 		if err != nil {
 			return formatError(404, err.Error(), false)
 		}
-		return jsonResponse(tr)
+		return httpmsg.JSONResponse(200, tr)
 	}
 	return formatError(404, "not found", false)
-}
-
-// jsonResponse builds a 200 with the value marshaled as indented JSON.
-func jsonResponse(v any) []byte {
-	b, _ := json.MarshalIndent(v, "", "  ")
-	return httpmsg.FormatResponse(&httpmsg.Response{
-		Status:  200,
-		Headers: []httpmsg.Header{{Name: "Content-Type", Value: "application/json"}},
-		Body:    b,
-	})
 }
 
 // formatError builds a small JSON error response.
@@ -1030,128 +1018,4 @@ func (s *Server) shutdown(ctx context.Context) error {
 	}
 	s.counters.close()
 	return drained
-}
-
-// frameError distinguishes malformed or unsupported framing (answerable
-// with status, then Connection: close) from plain connection teardown.
-type frameError struct {
-	status int
-	msg    string
-}
-
-func (e *frameError) Error() string { return "gateway: " + e.msg }
-
-var (
-	clenName = []byte("Content-Length")
-	tencName = []byte("Transfer-Encoding")
-)
-
-// readRequest frames one HTTP/1.1 message off the wire: header block to
-// the blank line, then exactly Content-Length body bytes — all appended
-// into buf (the connection's pooled frame), whose possibly-grown slice
-// is returned whether or not framing succeeded, so the caller keeps the
-// capacity. Lines come via ReadSlice (no per-line allocation; the
-// ErrBufferFull continuation keeps oversized lines working). io.EOF
-// between messages is a clean close.
-//
-// Framing is strict where leniency would let two parsers disagree on
-// where a message ends (request smuggling once forwarding is on): any
-// Transfer-Encoding is refused with 501 — the gateway frames by
-// Content-Length only — and repeated Content-Length headers must agree.
-func readRequest(br *bufio.Reader, maxBody int, buf []byte) ([]byte, error) {
-	buf = buf[:0]
-	clen, haveClen := 0, false
-	for {
-		lineStart := len(buf)
-		var err error
-		for {
-			var chunk []byte
-			chunk, err = br.ReadSlice('\n')
-			buf = append(buf, chunk...)
-			if err != bufio.ErrBufferFull {
-				break
-			}
-		}
-		if err != nil {
-			if err == io.EOF && len(buf) == 0 {
-				return buf, io.EOF
-			}
-			if err == io.EOF {
-				return buf, &frameError{400, "truncated request"}
-			}
-			return buf, err
-		}
-		if len(buf) > 64<<10 {
-			return buf, &frameError{400, "header block too large"}
-		}
-		trimmed := bytes.TrimRight(buf[lineStart:], "\r\n")
-		if len(trimmed) == 0 {
-			if lineStart == 0 {
-				buf = buf[:0] // tolerate blank lines before the request line
-				continue
-			}
-			break // blank line after the header block
-		}
-		if i := bytes.IndexByte(trimmed, ':'); i > 0 {
-			switch name := bytes.TrimSpace(trimmed[:i]); {
-			case bytes.EqualFold(name, clenName):
-				n, ok := parseClen(trimmed[i+1:])
-				if !ok {
-					return buf, &frameError{400, "bad Content-Length"}
-				}
-				if haveClen && n != clen {
-					return buf, &frameError{400, "conflicting Content-Length"}
-				}
-				clen, haveClen = n, true
-			case bytes.EqualFold(name, tencName):
-				return buf, &frameError{501, "Transfer-Encoding not supported"}
-			}
-		}
-	}
-	if clen > maxBody {
-		return buf, &frameError{400, "body exceeds limit"}
-	}
-	if clen > 0 {
-		hlen := len(buf)
-		buf = slices.Grow(buf, clen)[:hlen+clen]
-		if _, err := io.ReadFull(br, buf[hlen:]); err != nil {
-			buf = buf[:hlen]
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return buf, &frameError{400, "truncated body"}
-			}
-			return buf, err // e.g. a deadline expiry mid-body stays a net.Error
-		}
-	}
-	return buf, nil
-}
-
-// parseClen is the allocation-free strconv.Atoi of a Content-Length
-// value: optional sign, decimal digits; negatives and garbage are
-// rejected like the Atoi path was.
-func parseClen(b []byte) (int, bool) {
-	b = bytes.TrimSpace(b)
-	if len(b) == 0 {
-		return 0, false
-	}
-	neg := b[0] == '-'
-	if b[0] == '-' || b[0] == '+' {
-		b = b[1:]
-		if len(b) == 0 {
-			return 0, false
-		}
-	}
-	n := 0
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int(c-'0')
-		if n > 1<<50 {
-			return 0, false
-		}
-	}
-	if neg {
-		return 0, false
-	}
-	return n, true
 }

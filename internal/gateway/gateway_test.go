@@ -572,11 +572,11 @@ func TestPipelinedRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	br := bufio.NewReaderSize(c, 32<<10)
-	first, err := readResponse(br)
+	first, err := (&Client{br: br}).recv()
 	if err != nil || first.Status != 200 || first.Outcome != "forwarded" {
 		t.Fatalf("first pipelined response: %+v err=%v", first, err)
 	}
-	second, err := readResponse(br)
+	second, err := (&Client{br: br}).recv()
 	if err != nil || second.Status != 200 || second.Outcome != "match" {
 		t.Fatalf("second pipelined response: %+v err=%v", second, err)
 	}
@@ -585,12 +585,29 @@ func TestPipelinedRequests(t *testing.T) {
 	if _, err := c.Write(workload.HTTPRequest(2, workload.SV)); err != nil {
 		t.Fatal(err)
 	}
-	third, err := readResponse(br)
+	third, err := (&Client{br: br}).recv()
 	if err != nil || third.Status != 200 {
 		t.Fatalf("post-pipeline request: %+v err=%v", third, err)
 	}
 	if got := srv.Metrics.Messages.Load(); got != 3 {
 		t.Fatalf("server messages=%d, want 3", got)
+	}
+}
+
+// TestClientRecvAllocs pins the load client's response read at its two
+// necessary allocations — the ClientResp and the body.
+func TestClientRecvAllocs(t *testing.T) {
+	wire := "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nX-AON-Route: order\r\nX-AON-Outcome: match\r\nContent-Length: 64\r\n\r\n" + strings.Repeat("x", 64)
+	src := strings.NewReader(wire)
+	cl := &Client{br: bufio.NewReaderSize(src, 32<<10)}
+	if n := testing.AllocsPerRun(200, func() {
+		src.Reset(wire)
+		cl.br.Reset(src)
+		if resp, err := cl.recv(); err != nil || resp.Route != "order" || resp.Outcome != "match" || resp.Bytes != len(wire) {
+			t.Fatalf("resp=%+v err=%v", resp, err)
+		}
+	}); n > 2 {
+		t.Errorf("recv: %v allocs/op, want <= 2", n)
 	}
 }
 

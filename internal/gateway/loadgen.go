@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,63 +51,36 @@ func (cl *Client) Do(raw []byte, timeout time.Duration) (*ClientResp, error) {
 	if _, err := cl.c.Write(raw); err != nil {
 		return nil, err
 	}
-	return readResponse(cl.br)
+	return cl.recv()
 }
 
-// readResponse parses a status line, headers, and Content-Length body.
-// Header lines are scanned as ReadSlice views (no per-line allocation);
-// ClientResp and Body are fresh allocations because callers keep them
-// across requests.
-func readResponse(br *bufio.Reader) (*ClientResp, error) {
-	line, err := br.ReadSlice('\n')
+var (
+	routeName   = []byte(RouteHeader)
+	outcomeName = []byte("X-AON-Outcome")
+)
+
+// recv reads the next response off the connection. ClientResp and Body
+// are fresh allocations because callers keep them across requests; the
+// two header values it keeps are interned out of the reader's window.
+func (cl *Client) recv() (*ClientResp, error) {
+	resp := &ClientResp{}
+	h, err := httpmsg.ReadResponseHead(cl.br, func(name, val []byte) {
+		switch {
+		case bytes.EqualFold(name, routeName):
+			resp.Route = internToken(val)
+		case bytes.EqualFold(name, outcomeName):
+			resp.Outcome = internToken(val)
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	resp := &ClientResp{Bytes: len(line)}
-	sl := bytes.TrimRight(line, "\r\n")
-	sp1 := bytes.IndexByte(sl, ' ')
-	if sp1 < 0 || !bytes.HasPrefix(sl, []byte("HTTP/1.")) {
-		return nil, fmt.Errorf("gateway: malformed status line %q", line)
-	}
-	status := sl[sp1+1:]
-	if i := bytes.IndexByte(status, ' '); i >= 0 {
-		status = status[:i]
-	}
-	resp.Status, err = strconv.Atoi(string(status))
-	if err != nil {
-		return nil, fmt.Errorf("gateway: bad status %q", status)
-	}
-	clen := 0
-	for {
-		line, err := br.ReadSlice('\n')
-		if err != nil {
+	resp.Status, resp.Bytes = h.Status, h.Bytes+h.ContentLength
+	if h.ContentLength > 0 {
+		resp.Body = make([]byte, h.ContentLength)
+		if _, err := io.ReadFull(cl.br, resp.Body); err != nil {
 			return nil, err
 		}
-		resp.Bytes += len(line)
-		h := bytes.TrimRight(line, "\r\n")
-		if len(h) == 0 {
-			break
-		}
-		i := bytes.IndexByte(h, ':')
-		if i <= 0 {
-			continue
-		}
-		name, val := bytes.TrimSpace(h[:i]), bytes.TrimSpace(h[i+1:])
-		switch {
-		case bytes.EqualFold(name, []byte("Content-Length")):
-			clen, _ = strconv.Atoi(string(val))
-		case bytes.EqualFold(name, []byte(RouteHeader)):
-			resp.Route = internToken(val)
-		case bytes.EqualFold(name, []byte("X-AON-Outcome")):
-			resp.Outcome = internToken(val)
-		}
-	}
-	if clen > 0 {
-		resp.Body = make([]byte, clen)
-		if _, err := io.ReadFull(br, resp.Body); err != nil {
-			return nil, err
-		}
-		resp.Bytes += clen
 	}
 	return resp, nil
 }

@@ -98,7 +98,7 @@ func TestPooledReuseRaceSmoke(t *testing.T) {
 					return
 				}
 				for k := 0; k < depth; k++ {
-					resp, err := readResponse(br)
+					resp, err := (&Client{br: br}).recv()
 					if err != nil {
 						fail("xj conn %d round %d: %v", g, round, err)
 						return

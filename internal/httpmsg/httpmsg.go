@@ -9,6 +9,7 @@
 package httpmsg
 
 import (
+	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -188,6 +189,18 @@ type Response struct {
 // use FormatResponseTo with a pooled dst instead.
 func FormatResponse(r *Response) []byte {
 	return FormatResponseTo(nil, r)
+}
+
+// JSONResponse serializes a response whose body is v as indented JSON —
+// the control-plane answer (/stats, /traces, fault scripting, 404s) of
+// both the gateway and the backend.
+func JSONResponse(status int, v any) []byte {
+	body, _ := json.MarshalIndent(v, "", "  ") // the callers' own structs and maps: cannot fail
+	return FormatResponse(&Response{
+		Status:  status,
+		Headers: []Header{{Name: "Content-Type", Value: "application/json"}},
+		Body:    body,
+	})
 }
 
 // StatusText maps the status codes the proxy uses.

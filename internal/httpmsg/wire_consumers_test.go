@@ -1,0 +1,169 @@
+package httpmsg_test
+
+import (
+	"bufio"
+	"context"
+	"io"
+	"net"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/gateway"
+	"repro/internal/httpmsg"
+	"repro/internal/upstream"
+)
+
+// TestFrameTableEveryServer drives the framing table over loopback
+// through both servers that frame requests — the gateway and the backend
+// behind it. The property is the smuggling one: for the same bytes both
+// answer the same number of requests, then refuse with the same status
+// and close. (Only the refusal's wording may differ: the backend discards
+// bodies unbounded, so an over-limit body is "truncated" to it.)
+func TestFrameTableEveryServer(t *testing.T) {
+	gw, err := gateway.New(gateway.Config{Workers: 1, MaxBodyBytes: httpmsg.FrameMaxBody})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gw.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		gw.Shutdown(ctx)
+	}()
+	be, err := upstream.StartBackend("127.0.0.1:0", upstream.BackendConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer be.Close()
+
+	refused := uint64(0)
+	for _, tc := range httpmsg.FrameCases {
+		if tc.Stall {
+			continue
+		}
+		if tc.Status != 0 {
+			refused++
+		}
+		for server, addr := range map[string]string{"gateway": gw.Addr().String(), "backend": be.Addr().String()} {
+			statuses, closed := exchange(t, addr, tc.Wire)
+			want := make([]int, tc.Frames, tc.Frames+1)
+			for i := range want {
+				want[i] = 200
+			}
+			if tc.Status != 0 {
+				want = append(want, tc.Status)
+			}
+			if !slices.Equal(statuses, want) {
+				t.Errorf("%s/%s: statuses %v, want %v", tc.Name, server, statuses, want)
+			}
+			if tc.Status != 0 && !closed {
+				t.Errorf("%s/%s: refusal did not announce Connection: close", tc.Name, server)
+			}
+		}
+	}
+	// Every refusal is a gateway ParseError, the three new forms included.
+	if got := gw.Metrics.ParseErrors.Load(); got != refused {
+		t.Errorf("gateway parse errors = %d, want %d", got, refused)
+	}
+}
+
+// exchange sends wire, half-closes, and reads responses until the server
+// closes. It returns their statuses and whether the last one said
+// Connection: close.
+func exchange(t *testing.T, addr, wire string) (statuses []int, closed bool) {
+	t.Helper()
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := io.WriteString(c, wire); err != nil {
+		t.Fatal(err)
+	}
+	c.(*net.TCPConn).CloseWrite()
+	br := bufio.NewReader(c)
+	for {
+		h, err := httpmsg.ReadResponseHead(br, nil)
+		if err != nil {
+			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				t.Fatalf("server kept the connection open after %v", statuses)
+			}
+			return statuses, closed
+		}
+		if _, err := br.Discard(h.ContentLength); err != nil {
+			t.Fatal(err)
+		}
+		statuses, closed = append(statuses, h.Status), !h.KeepAlive
+	}
+}
+
+// TestResponseTableEveryClient serves each row of the response table from
+// a canned endpoint and reads it through both clients that frame
+// responses — the forwarder and the load client. A response either client
+// would misframe must be an error to both.
+func TestResponseTableEveryClient(t *testing.T) {
+	for _, tc := range httpmsg.ResponseCases {
+		addr := canned(t, tc.Wire)
+
+		fwd, err := upstream.New(upstream.Config{Order: addr, BackoffBase: time.Millisecond, TryTimeout: 2 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := fwd.RoundTrip("order", []byte("POST / HTTP/1.1\r\n\r\n"))
+		fwd.Close()
+		switch {
+		case tc.Err != "":
+			if err == nil || !strings.Contains(err.Error(), tc.Err) {
+				t.Errorf("%s/forwarder: err=%v, want %q", tc.Name, err, tc.Err)
+			}
+		case err != nil || res.Status != tc.Status || string(res.Body) != tc.Body:
+			t.Errorf("%s/forwarder: res=%+v err=%v", tc.Name, res, err)
+		}
+
+		cl, err := gateway.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := cl.Do([]byte("POST / HTTP/1.1\r\n\r\n"), 2*time.Second)
+		cl.Close()
+		switch {
+		case tc.Err != "":
+			if err == nil || !strings.Contains(err.Error(), tc.Err) {
+				t.Errorf("%s/client: err=%v, want %q", tc.Name, err, tc.Err)
+			}
+		case err != nil || resp.Status != tc.Status || string(resp.Body) != tc.Body || resp.Bytes != len(tc.Wire):
+			t.Errorf("%s/client: resp=%+v err=%v", tc.Name, resp, err)
+		}
+	}
+}
+
+// canned listens on loopback and answers every connection's first
+// request with wire, then closes.
+func canned(t *testing.T, wire string) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() { // the forwarder's prober may hold an idle conn open
+				defer c.Close()
+				if _, _, err := httpmsg.ReadHead(bufio.NewReader(c), nil); err == nil {
+					io.WriteString(c, wire)
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}

@@ -3,7 +3,6 @@ package upstream
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"io"
 	"net"
@@ -167,43 +166,62 @@ func (s *BackendServer) handle(c net.Conn) {
 	}()
 	br := bufio.NewReaderSize(c, 32<<10)
 	// Per-connection scratch, reused across the keep-alive stream: the
-	// request-line buffer frameRequest fills, the captured trace-header
-	// value, the write buffer the ack is serialized into, the ack body,
-	// and the Response header scratch.
+	// buffer the request head is framed into (the request line and the
+	// trace-header value are views into it, dead at the next ReadHead),
+	// the write buffer the ack is serialized into, the ack body, and the
+	// Response header scratch.
 	var (
-		lbuf, tbuf, wbuf, bbuf []byte
-		ackRes                 = httpmsg.Response{Status: 200, Headers: jsonCT}
+		hbuf, wbuf, bbuf []byte
+		ackRes           = httpmsg.Response{Status: 200, Headers: jsonCT}
 	)
 	for {
-		reqLine, body, traceVal, n, err := frameRequest(br, lbuf[:0], tbuf[:0], isControlPost)
+		head, clen, err := httpmsg.ReadHead(br, hbuf)
+		hbuf = head
 		if err != nil {
+			s.refuse(c, err)
 			return
 		}
-		lbuf, tbuf = reqLine, traceVal[:0]
-		s.BytesIn.Add(uint64(n))
+		reqLine, _, _ := bytes.Cut(head, []byte("\n"))
 		method, target, _ := bytes.Cut(reqLine, []byte(" "))
 		rawPath, _, _ := bytes.Cut(target, []byte(" "))
 		path, query, _ := bytes.Cut(bytes.TrimSpace(rawPath), []byte("?"))
 		path = bytes.TrimSuffix(path, []byte("/"))
-		if string(method) == "GET" || body != nil {
+		// The body is normally thrown away — the backend's job is to
+		// terminate the hop, not to re-process XML the gateway already
+		// handled — except for the POST /fault control spec, which is small
+		// by construction.
+		var body []byte
+		control := string(method) == "POST" && clen <= 8<<10 && bytes.HasSuffix(path, []byte("fault"))
+		if control {
+			body = make([]byte, clen)
+			_, err = io.ReadFull(br, body)
+		} else if clen > 0 {
+			_, err = io.CopyN(io.Discard, br, int64(clen))
+		}
+		if err != nil {
+			s.refuse(c, httpmsg.TruncatedBody(err))
+			return
+		}
+		s.BytesIn.Add(uint64(len(head) + clen))
+		if string(method) == "GET" || control {
 			// Control plane: /stats, /fault, and /traces bypass fault
 			// injection, delay, and the message counters, so observability
 			// and fault scripting survive a fault storm — mirroring the
 			// gateway's GET fast path.
 			var resp []byte
 			switch {
-			case string(method) == "GET" && bytes.HasSuffix(path, []byte("stats")):
-				s.StatsRequests.Add(1)
-				resp = jsonResponse(200, "OK", s.Stats())
-			case string(method) == "GET" && bytes.HasSuffix(path, []byte("fault")):
-				resp = jsonResponse(200, "OK", s.FaultState())
-			case string(method) == "GET" && bytes.HasSuffix(path, []byte("traces")):
-				resp = jsonResponse(200, "OK", s.tracesResponse(query))
-			case body != nil:
+			case control:
 				s.FaultPosts.Add(1)
 				resp = s.handleFault(body)
+			case bytes.HasSuffix(path, []byte("stats")):
+				s.StatsRequests.Add(1)
+				resp = httpmsg.JSONResponse(200, s.Stats())
+			case bytes.HasSuffix(path, []byte("fault")):
+				resp = httpmsg.JSONResponse(200, s.FaultState())
+			case bytes.HasSuffix(path, []byte("traces")):
+				resp = httpmsg.JSONResponse(200, s.tracesResponse(query))
 			default:
-				resp = jsonResponse(404, "Not Found", map[string]string{"error": "not found"})
+				resp = httpmsg.JSONResponse(404, map[string]string{"error": "not found"})
 			}
 			w, err := c.Write(resp)
 			s.BytesOut.Add(uint64(w))
@@ -212,6 +230,7 @@ func (s *BackendServer) handle(c net.Conn) {
 			}
 			continue
 		}
+		traceVal := httpmsg.HeadField(head, dtrace.Header)
 		t0 := time.Now()
 		seq := s.seq.Add(1)
 		if s.faultDrop(seq) {
@@ -232,7 +251,7 @@ func (s *BackendServer) handle(c net.Conn) {
 			// failure rather than an IO error.
 			s.Errored.Add(1)
 			status = 500
-			wbuf = append(wbuf[:0], jsonResponse(500, "Internal Server Error",
+			wbuf = append(wbuf[:0], httpmsg.JSONResponse(500,
 				map[string]any{"backend": s.cfg.Name, "seq": seq, "error": "injected"})...)
 		} else {
 			bbuf = s.appendAck(bbuf[:0], seq)
@@ -248,6 +267,16 @@ func (s *BackendServer) handle(c net.Conn) {
 		if err != nil {
 			return
 		}
+	}
+}
+
+// refuse answers a framing error the way the gateway does — its status,
+// then Connection: close — and says nothing to plain connection teardown.
+func (s *BackendServer) refuse(c net.Conn, err error) {
+	var fe *httpmsg.FrameError
+	if errors.As(err, &fe) {
+		w, _ := c.Write(fe.Response()) // the connection closes either way
+		s.BytesOut.Add(uint64(w))
 	}
 }
 
@@ -301,17 +330,6 @@ func (s *BackendServer) tracesResponse(query []byte) backendTracesResponse {
 		Tail:   s.traces.Stats(),
 		Traces: s.traces.Last(n),
 	}
-}
-
-// isControlPost marks the requests whose bodies frameRequest captures
-// rather than discards: the POST /fault control spec.
-func isControlPost(reqLine []byte, clen int) bool {
-	method, target, _ := bytes.Cut(reqLine, []byte(" "))
-	if string(method) != "POST" || clen > 8<<10 {
-		return false
-	}
-	path, _, _ := bytes.Cut(target, []byte(" "))
-	return bytes.HasSuffix(bytes.TrimSuffix(bytes.TrimSpace(path), []byte("/")), []byte("fault"))
 }
 
 // BackendStats is the GET /stats JSON shape — the backend's
@@ -376,19 +394,6 @@ func (s *BackendServer) Stats() BackendStats {
 // control plane share it.
 var jsonCT = []httpmsg.Header{{Name: "Content-Type", Value: "application/json"}}
 
-// jsonResponse wraps v as an HTTP/1.1 JSON response. Control-plane only
-// (stats scrapes, fault scripting) — the data path serializes acks into
-// per-connection buffers via appendAck instead.
-func jsonResponse(status int, phrase string, v any) []byte {
-	body, _ := json.MarshalIndent(v, "", "  ")
-	return httpmsg.FormatResponseTo(nil, &httpmsg.Response{
-		Status:  status,
-		Reason:  phrase,
-		Headers: jsonCT,
-		Body:    body,
-	})
-}
-
 // appendAck appends the padded JSON ack body to dst and returns the
 // extended slice — the append-to-dst twin of the old bytes.Buffer
 // builder, byte-identical including the pad arithmetic.
@@ -407,132 +412,4 @@ func (s *BackendServer) appendAck(dst []byte, seq uint64) []byte {
 		dst = append(dst, '"')
 	}
 	return append(dst, '}')
-}
-
-// clenKey is the header name the backend frames on; traceKey is the
-// distributed-trace context it additionally captures.
-var (
-	clenKey  = []byte("Content-Length")
-	traceKey = []byte(dtrace.Header)
-)
-
-// frameRequest frames one HTTP/1.1 request off the wire (header block to
-// the blank line, then Content-Length body bytes). Header lines are
-// scanned as buffered-reader views — no per-line allocation — and the
-// request line is copied into buf, whose grown backing the caller hands
-// back on the next call so the keep-alive stream settles into zero
-// framing allocations; an X-AON-Trace header value is likewise copied
-// into trbuf (empty when the request carried none). The body is
-// normally thrown away — the backend's job is to terminate the hop, not
-// to re-process XML the gateway already handled — except when the
-// capture predicate claims the request (the /fault control plane), in
-// which case the body is read into memory and returned non-nil. Returns
-// the request line (valid until the next call reuses buf), the captured
-// body (nil when discarded), the trace value, and the wire size.
-func frameRequest(br *bufio.Reader, buf, trbuf []byte, capture func(reqLine []byte, clen int) bool) (reqLineOut, bodyOut, traceOut []byte, size int, err error) {
-	total := 0
-	clen := 0
-	reqLine := buf[:0]
-	trv := trbuf[:0]
-	sawReqLine := false
-	for {
-		line, err := br.ReadSlice('\n')
-		if err == bufio.ErrBufferFull {
-			// A header line longer than the reader window: splice the
-			// pieces into buf past the saved request line so the view
-			// survives the next fill.
-			keep := len(reqLine)
-			reqLine = append(reqLine, line...)
-			for err == bufio.ErrBufferFull {
-				line, err = br.ReadSlice('\n')
-				reqLine = append(reqLine, line...)
-				if total+len(reqLine)-keep > 64<<10 {
-					return nil, nil, nil, 0, errors.New("backend: header block too large")
-				}
-			}
-			line = reqLine[keep:]
-			reqLine = reqLine[:keep]
-		}
-		if err != nil {
-			if err == io.EOF && total == 0 && len(line) == 0 {
-				return nil, nil, nil, 0, io.EOF
-			}
-			return nil, nil, nil, 0, err
-		}
-		total += len(line)
-		if total > 64<<10 {
-			return nil, nil, nil, 0, errors.New("backend: header block too large")
-		}
-		trimmed := bytes.TrimRight(line, "\r\n")
-		if len(trimmed) == 0 {
-			if sawReqLine {
-				break
-			}
-			total = 0 // tolerate blank lines before the request line
-			continue
-		}
-		if !sawReqLine {
-			sawReqLine = true
-			reqLine = append(reqLine[:0], trimmed...)
-		}
-		if i := bytes.IndexByte(trimmed, ':'); i > 0 {
-			name := bytes.TrimSpace(trimmed[:i])
-			if bytes.EqualFold(name, clenKey) {
-				n, ok := parseClen(bytes.TrimSpace(trimmed[i+1:]))
-				if !ok || n < 0 {
-					return nil, nil, nil, 0, errors.New("backend: bad Content-Length")
-				}
-				clen = n
-			} else if bytes.EqualFold(name, traceKey) {
-				// Copy the value out of the reader's window: the view dies
-				// on the next ReadSlice fill, the span outlives the frame.
-				trv = append(trv[:0], bytes.TrimSpace(trimmed[i+1:])...)
-			}
-		}
-	}
-	var body []byte
-	if capture != nil && capture(reqLine, clen) {
-		body = make([]byte, clen)
-		if _, err := io.ReadFull(br, body); err != nil {
-			return nil, nil, nil, 0, err
-		}
-		total += clen
-	} else if clen > 0 {
-		if _, err := io.CopyN(io.Discard, br, int64(clen)); err != nil {
-			return nil, nil, nil, 0, err
-		}
-		total += clen
-	}
-	return reqLine, body, trv, total, nil
-}
-
-// parseClen is an allocation-free strconv.Atoi over the small integers
-// Content-Length carries, accepting the same optional sign.
-func parseClen(b []byte) (int, bool) {
-	if len(b) == 0 {
-		return 0, false
-	}
-	neg := false
-	i := 0
-	if b[0] == '+' || b[0] == '-' {
-		neg = b[0] == '-'
-		if i++; i == len(b) {
-			return 0, false
-		}
-	}
-	n := 0
-	for ; i < len(b); i++ {
-		c := b[i]
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int(c-'0')
-		if n > 1<<50 {
-			return 0, false
-		}
-	}
-	if neg {
-		return -n, true
-	}
-	return n, true
 }

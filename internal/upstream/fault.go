@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"math"
 	"time"
+
+	"repro/internal/httpmsg"
 )
 
 // FaultSpec is the POST /fault request body: each non-nil field replaces
@@ -146,11 +148,11 @@ func splitmix64(x uint64) uint64 {
 func (s *BackendServer) handleFault(body []byte) []byte {
 	if len(body) == 0 {
 		// Empty POST: a state query, same as GET /fault.
-		return jsonResponse(200, "OK", s.FaultState())
+		return httpmsg.JSONResponse(200, s.FaultState())
 	}
 	var spec FaultSpec
 	if err := json.Unmarshal(body, &spec); err != nil {
-		return jsonResponse(400, "Bad Request", map[string]string{"error": "bad fault spec: " + err.Error()})
+		return httpmsg.JSONResponse(400, map[string]string{"error": "bad fault spec: " + err.Error()})
 	}
-	return jsonResponse(200, "OK", s.ApplyFault(spec))
+	return httpmsg.JSONResponse(200, s.ApplyFault(spec))
 }

@@ -19,15 +19,16 @@ package upstream
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand/v2"
 	"net"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/httpmsg"
 )
 
 // Config parameterizes the forwarder. Zero-valued knobs take the
@@ -316,7 +317,7 @@ func (b *Backend) try(head, body []byte) (*Result, error) {
 		b.pool.discard(pc)
 		return nil, err
 	}
-	res, keepAlive, err := readResponse(pc.br)
+	res, keepAlive, err := readResult(pc.br)
 	if err != nil {
 		b.pool.discard(pc)
 		return nil, err
@@ -331,59 +332,39 @@ func (b *Backend) try(head, body []byte) (*Result, error) {
 	return res, nil
 }
 
-// readResponse parses status line, headers (capturing Content-Type,
-// Content-Length, Connection), and the body. keepAlive reports whether
-// the socket may be pooled afterwards.
-func readResponse(br *bufio.Reader) (res *Result, keepAlive bool, err error) {
-	line, err := br.ReadString('\n')
+var ctypeName = []byte("Content-Type")
+
+// readResult reads one response into a fresh Result: the head through
+// the shared wire framer, the body into its own allocation — both
+// outlive the pooled connection's reader window. keepAlive reports
+// whether the socket may be pooled afterwards.
+func readResult(br *bufio.Reader) (res *Result, keepAlive bool, err error) {
+	res = &Result{}
+	h, err := httpmsg.ReadResponseHead(br, func(name, val []byte) {
+		if bytes.EqualFold(name, ctypeName) {
+			res.ContentType = internCType(val)
+		}
+	})
 	if err != nil {
 		return nil, false, err
 	}
-	parts := strings.SplitN(strings.TrimRight(line, "\r\n"), " ", 3)
-	if len(parts) < 2 || !strings.HasPrefix(parts[0], "HTTP/1.") {
-		return nil, false, fmt.Errorf("upstream: malformed status line %q", line)
-	}
-	status, err := strconv.Atoi(parts[1])
-	if err != nil {
-		return nil, false, fmt.Errorf("upstream: bad status %q", parts[1])
-	}
-	res = &Result{Status: status}
-	keepAlive = true
-	clen := 0
-	for {
-		line, err := br.ReadString('\n')
-		if err != nil {
-			return nil, false, err
-		}
-		h := strings.TrimRight(line, "\r\n")
-		if h == "" {
-			break
-		}
-		i := strings.IndexByte(h, ':')
-		if i <= 0 {
-			continue
-		}
-		name, val := strings.TrimSpace(h[:i]), strings.TrimSpace(h[i+1:])
-		switch {
-		case strings.EqualFold(name, "Content-Length"):
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 0 {
-				return nil, false, fmt.Errorf("upstream: bad Content-Length %q", val)
-			}
-			clen = n
-		case strings.EqualFold(name, "Content-Type"):
-			res.ContentType = val
-		case strings.EqualFold(name, "Connection"):
-			if strings.EqualFold(val, "close") {
-				keepAlive = false
-			}
-		}
-	}
-	if clen > 0 {
-		res.Body = make([]byte, clen)
+	res.Status = h.Status
+	if h.ContentLength > 0 {
+		res.Body = make([]byte, h.ContentLength)
 		if _, err := io.ReadFull(br, res.Body); err != nil {
 			return nil, false, err
 		}
 	}
-	return res, keepAlive, nil
+	return res, h.KeepAlive, nil
+}
+
+// internCType returns the static string for the one Content-Type the
+// AON backends answer with, so relaying it costs no allocation; any
+// other value gets a fresh copy.
+func internCType(b []byte) string {
+	const json = "application/json"
+	if string(b) == json { // compiled to an alloc-free comparison
+		return json
+	}
+	return string(b)
 }

@@ -390,18 +390,36 @@ func TestConfigValidation(t *testing.T) {
 // TestReadResponse pins the response parser: keep-alive detection and
 // malformed input.
 func TestReadResponse(t *testing.T) {
-	res, ka, err := readResponse(bufio.NewReader(strings.NewReader(
+	res, ka, err := readResult(bufio.NewReader(strings.NewReader(
 		"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 2\r\n\r\nhi")))
 	if err != nil || !ka || res.Status != 200 || string(res.Body) != "hi" {
 		t.Fatalf("res=%+v ka=%v err=%v", res, ka, err)
 	}
-	_, ka, err = readResponse(bufio.NewReader(strings.NewReader(
+	_, ka, err = readResult(bufio.NewReader(strings.NewReader(
 		"HTTP/1.1 502 Bad Gateway\r\nConnection: close\r\nContent-Length: 0\r\n\r\n")))
 	if err != nil || ka {
 		t.Fatalf("Connection: close not detected (ka=%v err=%v)", ka, err)
 	}
-	if _, _, err := readResponse(bufio.NewReader(strings.NewReader("garbage\r\n\r\n"))); err == nil {
+	if _, _, err := readResult(bufio.NewReader(strings.NewReader("garbage\r\n\r\n"))); err == nil {
 		t.Fatal("malformed status line should error")
+	}
+}
+
+// TestReadResultAllocs pins the forwarder's response read at its two
+// necessary allocations — the Result and the body, both of which outlive
+// the pooled connection's reader window.
+func TestReadResultAllocs(t *testing.T) {
+	wire := "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 128\r\n\r\n" + strings.Repeat("x", 128)
+	src := strings.NewReader(wire)
+	br := bufio.NewReaderSize(src, 32<<10)
+	if n := testing.AllocsPerRun(200, func() {
+		src.Reset(wire)
+		br.Reset(src)
+		if res, ka, err := readResult(br); err != nil || !ka || len(res.Body) != 128 || res.ContentType != "application/json" {
+			t.Fatalf("res=%+v ka=%v err=%v", res, ka, err)
+		}
+	}); n > 2 {
+		t.Errorf("readResult: %v allocs/op, want <= 2", n)
 	}
 }
 
@@ -423,7 +441,7 @@ func TestBackendKeepAlive(t *testing.T) {
 		if _, err := c.Write(testRequest(i)); err != nil {
 			t.Fatal(err)
 		}
-		res, ka, err := readResponse(br)
+		res, ka, err := readResult(br)
 		if err != nil || !ka || res.Status != 200 {
 			t.Fatalf("req %d: res=%+v ka=%v err=%v", i, res, ka, err)
 		}
@@ -454,7 +472,7 @@ func TestBackendStats(t *testing.T) {
 		if _, err := fmt.Fprintf(c, "GET %s HTTP/1.1\r\nHost: order\r\n\r\n", path); err != nil {
 			t.Fatal(err)
 		}
-		res, _, err := readResponse(br)
+		res, _, err := readResult(br)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -483,7 +501,7 @@ func TestBackendStats(t *testing.T) {
 	if _, err := c.Write(testRequest(0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := readResponse(br); err == nil {
+	if _, _, err := readResult(br); err == nil {
 		t.Fatal("injected fault did not drop the connection")
 	}
 	// ...the second, on a fresh socket, is served.
@@ -496,7 +514,7 @@ func TestBackendStats(t *testing.T) {
 	if _, err := c2.Write(testRequest(1)); err != nil {
 		t.Fatal(err)
 	}
-	if res, _, err := readResponse(br2); err != nil || res.Status != 200 {
+	if res, _, err := readResult(br2); err != nil || res.Status != 200 {
 		t.Fatalf("post-fault request: res=%+v err=%v", res, err)
 	}
 
@@ -524,7 +542,7 @@ func TestBackendStats(t *testing.T) {
 	if _, err := c2.Write(testRequest(2)); err != nil {
 		t.Fatal(err)
 	}
-	if res, _, err := readResponse(br2); err != nil || res.Status != 200 {
+	if res, _, err := readResult(br2); err != nil || res.Status != 200 {
 		t.Fatalf("request after 404: res=%+v err=%v", res, err)
 	}
 }
