@@ -28,8 +28,9 @@ func TestPooledReuseRaceSmoke(t *testing.T) {
 	srv := startServer(t, Config{Workers: 4, IdleTimeout: 2 * time.Second})
 	addr := srv.Addr().String()
 
-	// Expected XJ translations, computed with the plain DOM parser so the
-	// oracle shares no pooled state with the server under test.
+	// Expected XJ translations, computed with xmldom.Parse (a fresh,
+	// unpooled parser over a copy) so the oracle shares no pooled state
+	// with the server under test.
 	const pool = 8
 	expected := make([][]byte, pool)
 	for i := range expected {

@@ -177,6 +177,11 @@ func HeadField(head []byte, name string) []byte {
 	return nil
 }
 
+// maxResponseBody bounds the Content-Length ReadResponseHead accepts:
+// both of its callers allocate the body from that number, and it comes
+// from the peer. 8 MiB is the bound the /stats scrapers already read under.
+const maxResponseBody = 8 << 20
+
 // ResponseHead is what framing a response needs from its head.
 type ResponseHead struct {
 	Status        int
@@ -190,8 +195,8 @@ type ResponseHead struct {
 // into the reader's window, which die at the next read — copy what must
 // outlive the call. The body is the caller's to read: exactly
 // ContentLength bytes, into a buffer whose lifetime the caller picks.
-// Content-Length must be 1*DIGIT; a line longer than the reader's window
-// is an error, not a reason to buffer.
+// Content-Length must be 1*DIGIT and at most maxResponseBody; a line
+// longer than the reader's window is an error, not a reason to buffer.
 func ReadResponseHead(br *bufio.Reader, field func(name, value []byte)) (ResponseHead, error) {
 	h := ResponseHead{KeepAlive: true}
 	line, err := br.ReadSlice('\n')
@@ -228,6 +233,9 @@ func ReadResponseHead(br *bufio.Reader, field func(name, value []byte)) (Respons
 		case bytes.EqualFold(name, clenName):
 			if h.ContentLength, ok = parseClen(val); !ok {
 				return h, fmt.Errorf("httpmsg: bad Content-Length %q", val)
+			}
+			if h.ContentLength > maxResponseBody {
+				return h, fmt.Errorf("httpmsg: response body of %d bytes exceeds the %d-byte bound", h.ContentLength, maxResponseBody)
 			}
 		case bytes.EqualFold(name, tencName):
 			return h, errors.New("httpmsg: Transfer-Encoding response not supported")

@@ -13,6 +13,7 @@ import (
 	"repro/internal/gateway"
 	"repro/internal/httpmsg"
 	"repro/internal/upstream"
+	"repro/internal/workload"
 )
 
 // TestFrameTableEveryServer drives the framing table over loopback
@@ -139,6 +140,46 @@ func TestResponseTableEveryClient(t *testing.T) {
 		case err != nil || resp.Status != tc.Status || string(resp.Body) != tc.Body || resp.Bytes != len(tc.Wire):
 			t.Errorf("%s/client: resp=%+v err=%v", tc.Name, resp, err)
 		}
+	}
+}
+
+// TestHostileResponseLengthIs502: a backend declaring a body no machine
+// could hold is a bad upstream response like any other — the gateway
+// answers 502 on the connection it was asked on and stays up, rather than
+// handing the declared length to make.
+func TestHostileResponseLengthIs502(t *testing.T) {
+	addr := canned(t, "HTTP/1.1 200 OK\r\nContent-Length: 1125899906842624\r\n\r\n") // 1<<50
+	gw, err := gateway.New(gateway.Config{Workers: 1, Upstream: upstream.Config{
+		Order: addr, Error: addr, Retries: 1, BackoffBase: time.Millisecond, TryTimeout: 2 * time.Second,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gw.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		gw.Shutdown(ctx)
+	}()
+	cl, err := gateway.Dial(gw.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for i := 0; i < 2; i++ {
+		resp, err := cl.Do(workload.HTTPRequest(i, workload.FR), 5*time.Second)
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		// The second request may already meet the tripped circuit breaker.
+		if resp.Status != 502 || (i == 0 && !strings.Contains(string(resp.Body), "exceeds")) {
+			t.Fatalf("request %d: status %d body %q, want 502 (the first naming the bound)", i, resp.Status, resp.Body)
+		}
+	}
+	if got := gw.Metrics.UpstreamErrs.Load(); got != 2 {
+		t.Errorf("upstream errors = %d, want 2", got)
 	}
 }
 

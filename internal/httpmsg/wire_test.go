@@ -232,6 +232,8 @@ var ResponseCases = []ResponseCase{
 	{Name: "content-length-garbage", Wire: "HTTP/1.1 200 OK\r\nContent-Length: nope\r\n\r\n", Err: "bad Content-Length"},
 	{Name: "content-length-negative", Wire: "HTTP/1.1 200 OK\r\nContent-Length: -2\r\n\r\nhi", Err: "bad Content-Length"},
 	{Name: "content-length-signed", Wire: "HTTP/1.1 200 OK\r\nContent-Length: +2\r\n\r\nhi", Err: "bad Content-Length"},
+	{Name: "content-length-over-bound", Wire: "HTTP/1.1 200 OK\r\nContent-Length: 8388609\r\n\r\nhi", Err: "exceeds the 8388608-byte bound"},
+	{Name: "content-length-hostile", Wire: "HTTP/1.1 200 OK\r\nContent-Length: 1125899906842624\r\n\r\n", Err: "exceeds the 8388608-byte bound"}, // 1<<50: make() would panic
 	{Name: "transfer-encoding", Wire: "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nhi\r\n0\r\n\r\n", Err: "Transfer-Encoding"},
 	{Name: "header-line-too-long", Wire: "HTTP/1.1 200 OK\r\nX-Pad: " + strings.Repeat("a", 40<<10) + "\r\n\r\n", Err: "header line too long"},
 	{Name: "truncated-head", Wire: "HTTP/1.1 200 OK\r\nContent-Le", Err: "EOF"},

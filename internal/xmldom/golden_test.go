@@ -1,0 +1,95 @@
+package xmldom_test
+
+import (
+	"encoding/binary"
+	"hash"
+	"hash/fnv"
+	"testing"
+
+	"repro/internal/perf/trace"
+	"repro/internal/xmldom"
+)
+
+// hashEmitter folds the micro-op stream into an FNV-1a hash, one record per
+// Emitter call (zero-length bursts included). Branch PCs are hashed as the
+// index of their first appearance, so the hash follows the sequence of
+// sites, not where package init order placed the code region. It is the
+// emitter internal/xpath's TestEmittedStreamGolden uses.
+type hashEmitter struct {
+	h   hash.Hash64
+	n   int
+	pcs map[uint64]uint64
+}
+
+func newHashEmitter() *hashEmitter {
+	return &hashEmitter{h: fnv.New64a(), pcs: map[uint64]uint64{}}
+}
+
+func (e *hashEmitter) op(tag byte, a, b uint64) {
+	var buf [17]byte
+	buf[0] = tag
+	binary.LittleEndian.PutUint64(buf[1:], a)
+	binary.LittleEndian.PutUint64(buf[9:], b)
+	e.h.Write(buf[:])
+	e.n++
+}
+
+func (e *hashEmitter) ALU(n int)                { e.op('A', uint64(n), 0) }
+func (e *hashEmitter) Load(addr uint64, n int)  { e.op('L', addr, uint64(n)) }
+func (e *hashEmitter) Store(addr uint64, n int) { e.op('S', addr, uint64(n)) }
+func (e *hashEmitter) Branch(pc uint64, taken bool) {
+	site, ok := e.pcs[pc]
+	if !ok {
+		site = uint64(len(e.pcs))
+		e.pcs[pc] = site
+	}
+	t := uint64(0)
+	if taken {
+		t = 1
+	}
+	e.op('B', site, t)
+}
+
+var _ trace.Emitter = (*hashEmitter)(nil)
+
+// parseGolden pins the micro-op stream ParseInstrumented emits for the
+// accepted grammar corners the workload messages never reach. Counts and
+// hashes were recorded by running this file on commit 29d6aeb (the
+// recursive-descent scanner), before the scanner was replaced by a replay
+// over tokenizer tokens: the simulator must see the same program.
+var parseGolden = []struct {
+	src    string
+	events int
+	hash   uint64
+}{
+	// Prolog and epilog: declaration, comment, DOCTYPE with an internal
+	// subset, whitespace between every item, trailing comment.
+	{"<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n<!-- hdr -->\n<!DOCTYPE a [<!ELEMENT a ANY>]>\n  <a/>\n<!--tail-->\n ", 102, 0x7d4cb8231120a166},
+	{`<!DOCTYPE html><root/>`, 27, 0x6479973bacc96b06},
+	{`<?xmlfoo?><a/>`, 35, 0x80f8679584c7fbf}, // declaration prefix-match quirk
+	{"  \r\n\t<a> mixed <b>text</b> runs </a>\n ", 105, 0xd37ccd0969623d88},
+	// Content: comment, PI, CDATA holding markup characters, text after.
+	{`<a><!--c--><?pi data?><![CDATA[<raw&>]]>tail<!-- second comment, longer than a word --></a>`, 118, 0xae10f57ce7d31949},
+	// Entities in text and in attribute values, both quote styles.
+	{`<a>&lt;&gt;&amp;&quot;&apos;&#65;&#x41;</a>`, 70, 0xbf5120a10a4fe23d},
+	{`<a b="&lt;v&gt;" c='x&amp;y&#65;' d="">lead &amp; mid&#x42;&lt;tail</a>`, 139, 0xdc5f3bf467380871},
+	// Whitespace inside start and end tags, around '=', before '/>'.
+	{"<a  b = \"1\"\n\tc\t=\t'2' ><b \n/><c ></c\n></a >", 146, 0xe45977270574a247},
+	{`<a b="1"c="2"/>`, 56, 0x5c9f40436c4590c6}, // no space between attributes — accepted quirk
+	// Names long enough to cross word boundaries in the end-tag compare;
+	// enough siblings to cross the children-growth powers of two.
+	{`<ns:envelope-element xmlns:ns="urn:u"><ns:b/><ns:b/><ns:b/><ns:b/><ns:b/>x<ns:b/>y<ns:b/><ns:b/><ns:b/></ns:envelope-element>`, 260, 0xf3c9a4430af0e643},
+	{`<a xmlns="d"><b xmlns=""><c>deep</c></b></a>`, 140, 0x84880ffed31a84f7},
+}
+
+func TestParseStreamGolden(t *testing.T) {
+	for _, g := range parseGolden {
+		em := newHashEmitter()
+		if _, err := xmldom.ParseInstrumented([]byte(g.src), em, 1<<32, nil); err != nil {
+			t.Fatalf("%q: %v", g.src, err)
+		}
+		if em.n != g.events || em.h.Sum64() != g.hash {
+			t.Errorf("%q: emitted {%d, %#x}, golden {%d, %#x}", g.src, em.n, em.h.Sum64(), g.events, g.hash)
+		}
+	}
+}

@@ -1,6 +1,11 @@
 package xmldom
 
-import "repro/internal/perf/trace"
+import (
+	"fmt"
+	"strings"
+
+	"repro/internal/perf/trace"
+)
 
 // Instrumentation densities: how many micro-ops a compiled scanner retires
 // per byte of input for each scanning mode. These constants, together with
@@ -42,6 +47,183 @@ var (
 	pcCmpLoop   = scanCode.Site()
 )
 
+// Parser is the simulator's tree builder: a Tokenizer consumer that builds
+// a heap tree and charges, as a micro-op stream, for the scanning an
+// equivalent compiled parser does. It decides nothing about the grammar.
+type Parser struct {
+	tz  Tokenizer
+	ord uint32 // nodes created so far: the next node's Ord
+
+	em    trace.Emitter
+	base  uint64       // synthetic address of src[0]
+	arena *trace.Arena // synthetic heap for tree nodes
+}
+
+// ParseInstrumented parses a document while emitting the equivalent
+// micro-op stream to em. base is the synthetic address of src in the
+// simulated address space; arena provides node placement (nil allocates a
+// private scratch arena, which keeps concurrent parses from sharing
+// allocator state). The tree is heap nodes holding copies of src's bytes.
+// The stream is a replay: each token is charged after the tokenizer has
+// scanned it, in the order a one-pass scanner touches its bytes —
+// whitespace runs, literal matches, name runs, text runs split at entity
+// references, a decision branch per structural choice. A rejected document
+// is charged only for the tokens before the bad one.
+func ParseInstrumented(src []byte, em trace.Emitter, base uint64, arena *trace.Arena) (*Node, error) {
+	if arena == nil {
+		arena = trace.NewArena(1<<40, 1<<26)
+	}
+	p := &Parser{em: em, base: base, arena: arena}
+	p.tz.Reset(src)
+	doc := p.newNode(Document, "")
+	open := doc // innermost open element
+	for {
+		// Outside the document element the tokenizer skips whitespace
+		// before the token; inside, whitespace is text.
+		pos, lead := p.tz.pos, p.tz.phase != phContent
+		tok, err := p.tz.Next()
+		if err != nil {
+			return nil, err
+		}
+		end := p.tz.pos
+		if lead {
+			pos = p.spaceRun(pos)
+		}
+		switch tok.Kind {
+		case TokEOF:
+			return doc, nil
+		case TokDecl, TokProcInst:
+			p.emitTextRun(pos, end)
+			p.attach(open, p.newNode(ProcInst, string(tok.Raw)))
+		case TokDoctype:
+			p.emitTextRun(pos, end)
+		case TokComment:
+			p.emitMatch(pos, len("<!--"))
+			p.emitTextRun(pos, end)
+			p.attach(open, p.newNode(Comment, string(tok.Raw)))
+		case TokCDATA:
+			p.emitTextRun(pos, end)
+			if len(tok.Raw) > 0 {
+				p.attach(open, p.newNode(Text, string(tok.Raw)))
+			}
+		case TokText:
+			p.attach(open, p.newNode(Text, p.charData(tok.Raw, pos)))
+		case TokStart:
+			el, walked := p.startTag(tok, pos, open)
+			mustMeet(walked, end)
+			if !tok.SelfClose {
+				open = el
+			}
+		case TokEnd:
+			mustMeet(p.endTag(tok, pos), end)
+			open = open.Parent
+		}
+	}
+}
+
+// mustMeet panics unless a tag walk, which re-derives offsets from the
+// token's lengths, landed where the tokenizer did: the stream (and the
+// simulator's numbers) would otherwise be charged for the wrong bytes.
+func mustMeet(walked, end int) {
+	if walked != end {
+		panic(fmt.Sprintf("xmldom: tag replay walked to offset %d, tokenizer is at %d", walked, end))
+	}
+}
+
+func (p *Parser) newNode(kind NodeKind, data string) *Node {
+	n := &Node{Kind: kind, Ord: p.ord, Data: data}
+	p.ord++
+	n.SimAddr = p.arena.Alloc(nodeSimBytes + uint64(len(data)))
+	p.emitAlloc(n, len(data))
+	return n
+}
+
+func (p *Parser) attach(parent, child *Node) {
+	child.Parent = parent
+	parent.Children = append(parent.Children, child)
+	p.emitAttach(parent, child)
+}
+
+// startTag charges a start tag beginning at src[pos] ('<'), builds the
+// element under parent and returns it with the offset just past the tag.
+func (p *Parser) startTag(tok Token, pos int, parent *Node) (*Node, int) {
+	p.emitMatch(pos, 1)
+	pos = p.emitNameRun(pos+1, pos+1+len(tok.Name))
+	el := p.newNode(Element, "")
+	el.Name = string(tok.Name)
+	el.Prefix, el.Local = SplitName(el.Name)
+	p.attach(parent, el)
+	for _, a := range tok.Attrs {
+		pos = p.spaceRun(pos)
+		p.emitDecision(pcAttrMore, true)
+		pos = p.emitNameRun(pos, pos+len(a.Name))
+		pos = p.spaceRun(pos)
+		p.emitMatch(pos, 1) // '='
+		pos = p.spaceRun(pos+1) + 1
+		val := p.charData(a.RawValue, pos)
+		pos += len(a.RawValue) + 1
+		for range el.Attrs {
+			p.emitDecision(pcAttrDup, false)
+		}
+		name := string(a.Name)
+		el.Attrs = append(el.Attrs, Attr{Name: name, Value: val})
+		p.emitAttr(name, val)
+	}
+	pos = p.spaceRun(pos)
+	p.emitDecision(pcAttrMore, false)
+	el.NS = lookupNS(el, el.Prefix)
+	p.emitDecision(pcSelfClose, tok.SelfClose)
+	if tok.SelfClose {
+		return el, pos + len("/>")
+	}
+	p.emitMatch(pos, 1)
+	return el, pos + 1
+}
+
+// endTag charges an end tag beginning at src[pos] ("</") and returns the
+// offset just past it.
+func (p *Parser) endTag(tok Token, pos int) int {
+	pos = p.emitNameRun(pos+len("</"), pos+len("</")+len(tok.Name))
+	p.emitNameCompare(pos, len(tok.Name))
+	pos = p.spaceRun(pos)
+	p.emitMatch(pos, 1)
+	return pos + 1
+}
+
+// charData charges scanning raw — a text run or an attribute value body
+// at src[pos] — as text runs split by name runs over the entity
+// references, and returns it decoded.
+func (p *Parser) charData(raw []byte, pos int) string {
+	var b strings.Builder
+	run := 0
+	for i := 0; i < len(raw); {
+		if raw[i] != '&' {
+			i++
+			continue
+		}
+		p.emitTextRun(pos+run, pos+i)
+		b.Write(raw[run:i])
+		s, next, _ := decodeEntityAt(raw, i)
+		p.emitNameRun(pos+i, pos+next)
+		b.WriteString(s)
+		i, run = next, next
+	}
+	p.emitTextRun(pos+run, pos+len(raw))
+	b.Write(raw[run:])
+	return b.String()
+}
+
+// spaceRun charges skipping the whitespace run at src[pos] (same shape as
+// text scanning) and returns its end.
+func (p *Parser) spaceRun(pos int) int {
+	end := pos
+	for end < len(p.tz.src) && isSpace(p.tz.src[end]) {
+		end++
+	}
+	p.emitWordRun(pos, end, spaceALUPerWord, pcSpaceLoop)
+	return end
+}
+
 func (p *Parser) addr(pos int) uint64 { return p.base + uint64(pos) }
 
 // emitNameRun models table-driven name scanning over src[start:end]: a
@@ -50,47 +232,30 @@ func (p *Parser) addr(pos int) uint64 { return p.base + uint64(pos) }
 // delimiter). The branch-poor, arithmetic-rich mix is what pulls the XML
 // use cases' retired branch frequency below the forwarding path's, as in
 // the paper's Table 5 (27-28% for SV/CBR vs 35-36% for FR on Pentium M).
-func (p *Parser) emitNameRun(start, end int) {
-	n := end - start
-	if n <= 0 {
-		return
-	}
+// It returns end, where the caller scans on from.
+func (p *Parser) emitNameRun(start, end int) int {
+	n := end - start // never 0: names and entity references are not empty
 	p.em.Load(p.addr(start), (n+trace.WordBytes-1)/trace.WordBytes)
 	p.em.ALU(n * nameALUPerByte)
 	for i := 0; i < n; i += nameBranchEvery {
 		p.em.Branch(pcNameLoop, i+nameBranchEvery < n)
 	}
+	return end
 }
 
 // emitTextRun models word-at-a-time content scanning (searching for '<'
 // or '&'): a load, SWAR arithmetic and a loop branch per word.
 func (p *Parser) emitTextRun(start, end int) {
-	n := end - start
-	if n <= 0 {
-		return
-	}
-	words := (n + trace.WordBytes - 1) / trace.WordBytes
-	for w := 0; w < words; w++ {
-		p.em.Load(p.addr(start+w*trace.WordBytes), 1)
-		p.em.ALU(textALUPerWord)
-		if w%textBranchEvery == 0 {
-			p.em.Branch(pcTextLoop, w+textBranchEvery < words)
-		}
-	}
+	p.emitWordRun(start, end, textALUPerWord, pcTextLoop)
 }
 
-// emitSpaceRun models whitespace skipping, same shape as text scanning.
-func (p *Parser) emitSpaceRun(start, end int) {
-	n := end - start
-	if n <= 0 {
-		return
-	}
-	words := (n + trace.WordBytes - 1) / trace.WordBytes
+func (p *Parser) emitWordRun(start, end, aluPerWord int, pc uint64) {
+	words := (end - start + trace.WordBytes - 1) / trace.WordBytes
 	for w := 0; w < words; w++ {
 		p.em.Load(p.addr(start+w*trace.WordBytes), 1)
-		p.em.ALU(spaceALUPerWord)
+		p.em.ALU(aluPerWord)
 		if w%textBranchEvery == 0 {
-			p.em.Branch(pcSpaceLoop, w+textBranchEvery < words)
+			p.em.Branch(pc, w+textBranchEvery < words)
 		}
 	}
 }
@@ -108,17 +273,14 @@ func (p *Parser) emitDecision(pc uint64, taken bool) {
 	p.em.Branch(pc, taken)
 }
 
-// emitNameCompare models comparing an end-tag name against the open
-// element's name (a short string compare).
-func (p *Parser) emitNameCompare(a, b string, match bool) {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
+// emitNameCompare models comparing the n-byte end-tag name that ends at
+// src[pos] against the open element's name (a short string compare; the
+// tokenizer only hands over end tags that matched).
+func (p *Parser) emitNameCompare(pos, n int) {
 	words := n/trace.WordBytes + 1
-	p.em.Load(p.addr(p.pos), words)
+	p.em.Load(p.addr(pos), words)
 	p.em.ALU(2 * words)
-	p.em.Branch(pcEndMatch, match)
+	p.em.Branch(pcEndMatch, true)
 }
 
 // emitAlloc models allocating and initializing a tree node (and copying

@@ -3,10 +3,15 @@
 // application: XPath evaluation (content-based routing) and schema
 // validation both operate on the tree this package builds.
 //
-// The parser is dual-use: called through Parse it is a plain library;
-// called through ParseInstrumented it additionally emits the micro-op
+// One grammar, several consumers: Tokenizer alone decides what is
+// well-formed, and every tree builder pulls its tokens. StreamParser
+// (AcquireStreamParser) is the live hot path — pooled node slabs, strings
+// as views into the source. Parse is the convenience form: a fresh
+// StreamParser over a private copy of the input, so a copy and a 256-node
+// slab per call — schema loading, examples and tests, not per-message
+// work. ParseInstrumented builds heap nodes and also emits the micro-op
 // stream of an equivalent compiled parser — loads walking the input
-// buffer, stores building the tree, and branches with the scanner's actual
+// buffer, stores building the tree, branches with the scanner's actual
 // outcomes — which is what lets the simulator characterize XML parsing the
 // way the paper's VTune measurements do.
 package xmldom
@@ -171,21 +176,32 @@ func (n *Node) CountNodes() int {
 // xmlns declarations up the ancestor chain ("" resolves the default
 // namespace). The empty string return means unbound.
 func (n *Node) LookupNamespace(prefix string) string {
-	target := "xmlns"
-	if prefix != "" {
-		target = "xmlns:" + prefix
-	}
+	return lookupNS(n, prefix)
+}
+
+// lookupNS compares each attribute name against "xmlns" / "xmlns:"+prefix
+// in place (matchXmlns) rather than building the target string: the
+// builders call it once per element, so the allocation would matter.
+func lookupNS(n *Node, prefix string) string {
 	for cur := n; cur != nil; cur = cur.Parent {
 		if cur.Kind != Element && cur.Kind != Document {
 			continue
 		}
 		for _, a := range cur.Attrs {
-			if a.Name == target {
+			if matchXmlns(a.Name, prefix) {
 				return a.Value
 			}
 		}
 	}
 	return ""
+}
+
+func matchXmlns(name, prefix string) bool {
+	if prefix == "" {
+		return name == "xmlns"
+	}
+	return len(name) == len("xmlns:")+len(prefix) &&
+		name[:len("xmlns:")] == "xmlns:" && name[len("xmlns:"):] == prefix
 }
 
 // SplitName splits a qualified name into prefix and local part.

@@ -88,6 +88,35 @@ func TestParseCDATAAndComments(t *testing.T) {
 	}
 }
 
+// TestEmptyCDATAMakesNoTextNode: XPath has no empty text nodes, so no
+// builder may produce one from <![CDATA[]]>.
+func TestEmptyCDATAMakesNoTextNode(t *testing.T) {
+	for src, want := range map[string]int{
+		`<a><![CDATA[]]></a>`:       0,
+		`<a>x<![CDATA[]]>y</a>`:     2,
+		`<a><![CDATA[]]><b/>z</a>`:  2,
+		`<a><![CDATA[x]]></a>`:      1,
+		`<a>&#65;<![CDATA[]]>t</a>`: 2,
+	} {
+		plain := mustParse(t, src)
+		inst, err := ParseInstrumented([]byte(src), &trace.Counting{}, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, doc := range map[string]*Node{"Parse": plain, "ParseInstrumented": inst} {
+			a := doc.DocumentElement()
+			if len(a.Children) != want {
+				t.Errorf("%s(%q): %d children, want %d", name, src, len(a.Children), want)
+			}
+			for _, c := range a.Children {
+				if c.Kind == Text && c.Data == "" {
+					t.Errorf("%s(%q): empty text node", name, src)
+				}
+			}
+		}
+	}
+}
+
 func TestParseProlog(t *testing.T) {
 	doc := mustParse(t, "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n<!-- hdr -->\n<root/>")
 	if doc.DocumentElement().Name != "root" {

@@ -3,6 +3,7 @@ package xmldom
 import (
 	"bytes"
 	"fmt"
+	"strconv"
 )
 
 // TokKind classifies streaming tokens.
@@ -53,18 +54,19 @@ type Token struct {
 
 // Tokenizer phases.
 const (
-	phProlog = iota // before the document element
-	phContent       // inside the document element
-	phEpilog        // after the document element closed
+	phProlog  = iota // before the document element
+	phContent        // inside the document element
+	phEpilog         // after the document element closed
 )
 
-// Tokenizer is a streaming pull scanner over the same grammar the DOM
-// Parser accepts — the two are kept byte-for-byte compatible (shared
-// entity decoding, identical accept/reject decisions; a differential
-// fuzz test enforces it). The tokenizer makes no per-token copies: all
-// token contents are subslices of src. A zero Tokenizer is not ready;
-// call Reset first. Tokenizers are reusable across documents and are
-// not safe for concurrent use.
+// Tokenizer is a streaming pull scanner and the package's one XML
+// grammar: it alone decides what is well-formed. Every tree builder is a
+// consumer of its tokens — StreamParser (and Parse, through it) for the
+// live path, ParseInstrumented for the simulator — so they accept and
+// reject the same documents by construction. The tokenizer makes no
+// per-token copies: all token contents are subslices of src. A zero
+// Tokenizer is not ready; call Reset first. Tokenizers are reusable across
+// documents and are not safe for concurrent use.
 type Tokenizer struct {
 	src     []byte
 	pos     int
@@ -97,6 +99,16 @@ func (t *Tokenizer) peekIs(s string) bool {
 		return false
 	}
 	return string(t.src[t.pos:t.pos+len(s)]) == s
+}
+
+func isSpace(b byte) bool { return b == ' ' || b == '\t' || b == '\r' || b == '\n' }
+
+func isNameStart(b byte) bool {
+	return b == '_' || (b >= 'a' && b <= 'z') || (b >= 'A' && b <= 'Z') || b >= 0x80
+}
+
+func isNameChar(b byte) bool {
+	return isNameStart(b) || b == '-' || b == '.' || b == ':' || (b >= '0' && b <= '9')
 }
 
 func (t *Tokenizer) skipSpace() {
@@ -166,8 +178,7 @@ func (t *Tokenizer) nextProlog() (Token, error) {
 		}
 		return Token{Kind: TokDoctype}, nil
 	default:
-		// The document element. Anything else fails inside scanStartTag
-		// exactly the way the DOM parser's parseElement would.
+		// The document element. Anything else fails inside scanStartTag.
 		return t.scanStartTag()
 	}
 }
@@ -313,9 +324,8 @@ func (t *Tokenizer) scanStartTag() (Token, error) {
 }
 
 // scanAttrValue returns the raw bytes between the quotes. Entity
-// references are validated (so malformed ones are rejected here, with
-// the same decisions the DOM parser makes) but not decoded — decoding
-// happens in the consumer, off the copy-free path.
+// references are validated (so malformed ones are rejected here) but not
+// decoded — decoding happens in the consumer, off the copy-free path.
 func (t *Tokenizer) scanAttrValue() ([]byte, bool, error) {
 	if t.pos >= len(t.src) || (t.src[t.pos] != '"' && t.src[t.pos] != '\'') {
 		return nil, false, t.errf("expected quoted attribute value")
@@ -376,4 +386,60 @@ func (t *Tokenizer) scanText() (Token, error) {
 		t.pos++
 	}
 	return Token{Kind: TokText, Raw: t.src[start:t.pos], HasEntity: hasEnt}, nil
+}
+
+// errUnterminatedEntity is the decodeEntityAt message for a missing ';'.
+// It is reported at the '&'; the other entity errors are reported past
+// the ';' — the sentinel tells the two apart.
+const errUnterminatedEntity = "unterminated entity reference"
+
+// decodeEntityAt decodes one entity reference at src[pos] (which must
+// point at '&'). It returns the decoded text, the offset just past the
+// ';', and an empty msg — or a non-empty error message. The tokenizer
+// validates every reference through it and the tree builders decode
+// through it, so a reference the tokenizer let pass cannot fail later.
+func decodeEntityAt(src []byte, pos int) (s string, next int, msg string) {
+	semi := -1
+	limit := pos + 12
+	if limit > len(src) {
+		limit = len(src)
+	}
+	for i := pos + 1; i < limit; i++ {
+		if src[i] == ';' {
+			semi = i
+			break
+		}
+	}
+	if semi < 0 {
+		return "", pos, errUnterminatedEntity
+	}
+	name := src[pos+1 : semi]
+	next = semi + 1
+	switch {
+	case len(name) == 2 && name[0] == 'l' && name[1] == 't':
+		return "<", next, ""
+	case len(name) == 2 && name[0] == 'g' && name[1] == 't':
+		return ">", next, ""
+	case len(name) == 3 && name[0] == 'a' && name[1] == 'm' && name[2] == 'p':
+		return "&", next, ""
+	case len(name) == 4 && string(name) == "quot":
+		return `"`, next, ""
+	case len(name) == 4 && string(name) == "apos":
+		return "'", next, ""
+	}
+	if len(name) >= 2 && name[0] == '#' && (name[1] == 'x' || name[1] == 'X') {
+		v, err := strconv.ParseUint(string(name[2:]), 16, 32)
+		if err != nil {
+			return "", next, "bad character reference &" + string(name) + ";"
+		}
+		return string(rune(v)), next, ""
+	}
+	if len(name) >= 1 && name[0] == '#' {
+		v, err := strconv.ParseUint(string(name[1:]), 10, 32)
+		if err != nil {
+			return "", next, "bad character reference &" + string(name) + ";"
+		}
+		return string(rune(v)), next, ""
+	}
+	return "", next, "unknown entity &" + string(name) + ";"
 }

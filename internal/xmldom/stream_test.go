@@ -11,7 +11,7 @@ import (
 
 // corpus is the seeded differential corpus: workload-generator output
 // (the traffic the gateway actually parses) plus grammar edge cases
-// covering every accept/reject path the two parsers share.
+// covering every accept/reject path of the tokenizer.
 func corpus() [][]byte {
 	docs := [][]byte{
 		// Workload traffic at a few sizes and indices (i%2 flips the CBR
@@ -39,6 +39,8 @@ func corpus() [][]byte {
 		`<a b="1"c="2"/>`, // no space between attrs — accepted quirk
 		`<?xmlfoo?><a/>`,  // decl prefix-match quirk
 		`<a>x<b/>y<b/>z</a>`,
+		`<a><![CDATA[]]></a>`, // an empty CDATA section is no text node
+		`<a>x<![CDATA[]]>y</a>`,
 		// Rejections.
 		``,
 		`   `,
@@ -74,9 +76,8 @@ func corpus() [][]byte {
 	return docs
 }
 
-// sameTree asserts deep structural equality between a DOM-parser tree
-// and a streaming-parser tree (ignoring SimAddr, which only the
-// instrumented path populates).
+// sameTree asserts deep structural equality between two builders' trees
+// (ignoring SimAddr, which only the instrumented builder populates).
 func sameTree(t *testing.T, want, got *xmldom.Node, path string) {
 	t.Helper()
 	if want.Kind != got.Kind {
@@ -108,19 +109,25 @@ func sameTree(t *testing.T, want, got *xmldom.Node, path string) {
 	}
 }
 
-// checkDifferential runs both parsers on src and asserts they agree on
-// accept/reject and, when accepting, produce equivalent trees.
+// checkDifferential runs the tokenizer's two consumers on src — the
+// simulator's ParseInstrumented with a real emitter and the live
+// StreamParser — and asserts they agree on accept/reject (true by
+// construction: neither scans, both stop at the tokenizer's first error)
+// and, when accepting, build equivalent trees, Ord included. It is also
+// what drives the instrumented builder's replay over arbitrary accepted
+// input: ParseInstrumented panics if its walk of a start or end tag does
+// not end at the tokenizer's position, so no such input indexes past a tag.
 func checkDifferential(t *testing.T, sp *xmldom.StreamParser, src []byte) {
 	t.Helper()
-	domTree, domErr := xmldom.Parse(src)
-	streamTree, streamErr := sp.Parse(src)
-	if (domErr == nil) != (streamErr == nil) {
-		t.Fatalf("accept/reject mismatch on %q: dom err=%v, stream err=%v", src, domErr, streamErr)
+	simTree, simErr := xmldom.ParseInstrumented(src, &trace.Counting{}, 1<<32, nil)
+	liveTree, liveErr := sp.Parse(src)
+	if (simErr == nil) != (liveErr == nil) {
+		t.Fatalf("accept/reject mismatch on %q: instrumented err=%v, stream err=%v", src, simErr, liveErr)
 	}
-	if domErr != nil {
+	if simErr != nil {
 		return
 	}
-	sameTree(t, domTree, streamTree, "doc")
+	sameTree(t, simTree, liveTree, "doc")
 }
 
 // TestStreamVsDOMCorpus runs the seeded corpus deterministically (this
@@ -186,9 +193,9 @@ func TestNodeSizeUnchanged(t *testing.T) {
 	}
 }
 
-// FuzzStreamVsDOM is the differential fuzzer: any input where the
-// streaming tokenizer and the DOM parser disagree — on acceptance or on
-// tree shape — is a bug in one of them.
+// FuzzStreamVsDOM is the differential fuzzer over the two tree builders:
+// any input they build different trees from, or on which the instrumented
+// builder's replay panics, is a bug.
 func FuzzStreamVsDOM(f *testing.F) {
 	for _, doc := range corpus() {
 		f.Add(doc)

@@ -1,10 +1,20 @@
 package xmldom
 
 import (
+	"bytes"
 	"sync"
 
 	"repro/internal/zc"
 )
+
+// Parse parses a document into a tree nothing else refers to: a fresh,
+// unpooled StreamParser over a private copy of src, so the tree outlives
+// src, is never recycled, and is safe for concurrent readers. Each call
+// pays for the copy and a whole nodeChunk-node slab: fine for schema
+// loading, examples and tests; per-message work uses AcquireStreamParser.
+func Parse(src []byte) (*Node, error) {
+	return new(StreamParser).Parse(bytes.Clone(src))
+}
 
 // nodeChunk is the node-slab chunk size. Chunks are fixed-size so *Node
 // pointers handed out stay valid as the slab grows (a single growing
@@ -111,10 +121,11 @@ func (p *StreamParser) top(doc *Node) *Node {
 	return doc
 }
 
-// Parse builds a DOM tree from src without copying character data. It
-// accepts and rejects exactly the documents Parse does (enforced by a
-// differential fuzz test); node Data/Name/Attr strings are views into
-// src or the parser's scratch, subject to the lifetime contract above.
+// Parse builds a DOM tree from src without copying character data: node
+// Data/Name/Attr strings are views into src or the parser's scratch,
+// subject to the lifetime contract above. What it accepts is whatever the
+// Tokenizer accepts; an empty text or CDATA run makes no node (XPath has
+// no empty text nodes).
 func (p *StreamParser) Parse(src []byte) (*Node, error) {
 	p.ci, p.ni = 0, 0
 	p.kids = p.kids[:0]
@@ -195,29 +206,4 @@ func (p *StreamParser) Parse(src []byte) (*Node, error) {
 			// Skipped, matching the DOM parser (no node).
 		}
 	}
-}
-
-// lookupNS is LookupNamespace without the "xmlns:"+prefix concatenation —
-// the streaming builder calls it once per element, so the allocation
-// matters. Semantics are identical.
-func lookupNS(n *Node, prefix string) string {
-	for cur := n; cur != nil; cur = cur.Parent {
-		if cur.Kind != Element && cur.Kind != Document {
-			continue
-		}
-		for _, a := range cur.Attrs {
-			if matchXmlns(a.Name, prefix) {
-				return a.Value
-			}
-		}
-	}
-	return ""
-}
-
-func matchXmlns(name, prefix string) bool {
-	if prefix == "" {
-		return name == "xmlns"
-	}
-	return len(name) == len("xmlns:")+len(prefix) &&
-		name[:len("xmlns:")] == "xmlns:" && name[len("xmlns:"):] == prefix
 }
