@@ -1,6 +1,7 @@
-// Command aonload is the open-loop client driver for the live AON
+// Command aonload is the closed-loop client driver for the live AON
 // gateway: N concurrent keep-alive connections POSTing AONBench order
-// documents, reporting msgs/s, Mbps, latency percentiles, and routing
+// documents, each sending its next request when the previous reply is
+// in, reporting msgs/s, Mbps, latency percentiles, and routing
 // outcomes as a final JSON report — one command per side makes a run.
 //
 // Usage:

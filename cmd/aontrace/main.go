@@ -30,8 +30,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"strings"
 	"time"
@@ -76,9 +74,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "aontrace: %s: %d client spans\n", path, len(got))
 		spans = append(spans, got...)
 	}
-	client := &http.Client{Timeout: *timeout}
 	for _, addr := range splitList(*addrs) {
-		got, node, err := fetchTraces(client, addr)
+		got, node, err := fetchTraces(addr, *timeout)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "aontrace: %s: %v\n", addr, err)
 			failed++
@@ -146,26 +143,10 @@ func readLoadReport(path string) ([]dtrace.Span, error) {
 }
 
 // fetchTraces polls one node's GET /traces.
-func fetchTraces(client *http.Client, addr string) ([]dtrace.Span, string, error) {
-	resp, err := client.Get("http://" + addr + "/traces")
-	if err != nil {
+func fetchTraces(addr string, timeout time.Duration) ([]dtrace.Span, string, error) {
+	var tr dtrace.TracesResponse
+	if err := gateway.GetJSON(addr, "/traces", timeout, &tr); err != nil {
 		return nil, "", err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 32<<20))
-	if err != nil {
-		return nil, "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		msg := string(body)
-		if len(msg) > 200 {
-			msg = msg[:200]
-		}
-		return nil, "", fmt.Errorf("GET /traces: %s: %s", resp.Status, msg)
-	}
-	var tr gateway.TracesResponse
-	if err := json.Unmarshal(body, &tr); err != nil {
-		return nil, "", fmt.Errorf("GET /traces: %w", err)
 	}
 	var spans []dtrace.Span
 	for _, t := range tr.Traces {

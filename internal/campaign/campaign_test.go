@@ -189,6 +189,17 @@ func TestCampaignEndToEnd(t *testing.T) {
 		t.Fatalf("background senders starved during siege: %+v", siege)
 	}
 
+	// Conservation (see gateway.Counts): in a phase without slow-loris
+	// holds, every request the gateway answered is a response a sender
+	// counted. No request here is malformed, so the refusal term is zero:
+	// a refusal is answered, and the client would hold it as an HTTP error.
+	for _, p := range []*PhaseReport{warmup, surge} {
+		if p.Sent != p.GwMessages+p.GwShed || p.HTTPErrors != 0 {
+			t.Errorf("phase %s: client sent %d (%d HTTP errors), gateway answered %d messages + %d shed",
+				p.Name, p.Sent, p.HTTPErrors, p.GwMessages, p.GwShed)
+		}
+	}
+
 	if res.Samples == 0 {
 		t.Fatal("campaign recorded no timeline samples")
 	}

@@ -1,12 +1,11 @@
 package campaign
 
 import (
-	"encoding/json"
 	"fmt"
-	"net"
 	"strings"
 	"time"
 
+	"repro/internal/gateway"
 	"repro/internal/upstream"
 )
 
@@ -26,66 +25,20 @@ type FaultEvent struct {
 // PostFault sends one POST /fault to an aonback control plane and
 // returns the acknowledged fault state.
 func PostFault(addr string, spec upstream.FaultSpec, timeout time.Duration) (*upstream.FaultState, error) {
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: fault spec: %w", err)
-	}
-	return faultRoundTrip(addr, "POST", body, timeout)
-}
-
-// GetFault reads a backend's current fault state without changing it.
-func GetFault(addr string, timeout time.Duration) (*upstream.FaultState, error) {
-	return faultRoundTrip(addr, "GET", nil, timeout)
-}
-
-// faultRoundTrip speaks the backend's minimal HTTP/1.1 control plane
-// directly over a fresh connection — the campaign runner must not
-// depend on net/http for a two-line exchange the repo frames by hand
-// everywhere else.
-func faultRoundTrip(addr, method string, body []byte, timeout time.Duration) (*upstream.FaultState, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: fault %s: %w", addr, err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(timeout))
-	req := fmt.Sprintf("%s /fault HTTP/1.1\r\nHost: %s\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s",
-		method, addr, len(body), body)
-	if _, err := conn.Write([]byte(req)); err != nil {
-		return nil, fmt.Errorf("campaign: fault %s: %w", addr, err)
-	}
-	resp, err := readAll(conn)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: fault %s: %w", addr, err)
-	}
-	head, payload, ok := strings.Cut(resp, "\r\n\r\n")
-	if !ok {
-		return nil, fmt.Errorf("campaign: fault %s: malformed response %.80q", addr, resp)
-	}
-	if !strings.Contains(head, " 200 ") {
-		return nil, fmt.Errorf("campaign: fault %s: %s", addr, strings.SplitN(head, "\r\n", 2)[0])
-	}
 	var st upstream.FaultState
-	if err := json.Unmarshal([]byte(payload), &st); err != nil {
-		return nil, fmt.Errorf("campaign: fault %s: bad state payload: %w", addr, err)
+	if err := gateway.PostJSON(addr, "/fault", spec, timeout, &st); err != nil {
+		return nil, fmt.Errorf("campaign: fault %s: %w", addr, err)
 	}
 	return &st, nil
 }
 
-// readAll drains a Connection: close response.
-func readAll(conn net.Conn) (string, error) {
-	var sb strings.Builder
-	buf := make([]byte, 4096)
-	for {
-		n, err := conn.Read(buf)
-		sb.Write(buf[:n])
-		if err != nil {
-			if sb.Len() > 0 {
-				return sb.String(), nil
-			}
-			return "", err
-		}
+// GetFault reads a backend's current fault state without changing it.
+func GetFault(addr string, timeout time.Duration) (*upstream.FaultState, error) {
+	var st upstream.FaultState
+	if err := gateway.GetJSON(addr, "/fault", timeout, &st); err != nil {
+		return nil, fmt.Errorf("campaign: fault %s: %w", addr, err)
 	}
+	return &st, nil
 }
 
 // faultScript runs one phase's fault steps at their offsets, appending

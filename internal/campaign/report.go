@@ -9,6 +9,7 @@ import (
 	"repro/internal/capacity"
 	"repro/internal/dtrace"
 	"repro/internal/gateway"
+	"repro/internal/session"
 )
 
 // Result is the campaign's final accounting — aoncamp emits it as JSON
@@ -35,17 +36,7 @@ type PhaseReport struct {
 	PeakConns   int     `json:"peak_conns"`
 
 	// Client-side accounting.
-	Sent        uint64 `json:"sent"`
-	OK          uint64 `json:"ok_200"`
-	Shed        uint64 `json:"shed_503"`
-	HTTPErrors  uint64 `json:"http_errors"`
-	NetErrors   uint64 `json:"net_errors"`
-	Forwarded   uint64 `json:"forwarded"`
-	Match       uint64 `json:"routed_match"`
-	RoutedError uint64 `json:"routed_error"`
-	Valid       uint64 `json:"validation_ok"`
-	Translated  uint64 `json:"translated"`
-	ParseErrors uint64 `json:"parse_errors"`
+	gateway.Counts
 
 	OfferedPerSec float64 `json:"offered_per_sec"` // sent+shed+errors per second
 	OKPerSec      float64 `json:"ok_per_sec"`
@@ -105,7 +96,7 @@ type ModelError struct {
 
 // buildPhaseReport folds the phase's pools and gateway snapshots into
 // one report row.
-func buildPhaseReport(p *Phase, dur time.Duration, sp *senderPool, lp *lorisPool,
+func buildPhaseReport(p *Phase, dur time.Duration, client gateway.Report, lp *lorisPool,
 	snapStart, snapEnd *gateway.Snapshot, spec *Spec) *PhaseReport {
 	rep := &PhaseReport{
 		Name:        p.Name,
@@ -113,45 +104,27 @@ func buildPhaseReport(p *Phase, dur time.Duration, sp *senderPool, lp *lorisPool
 		UseCase:     p.UseCase,
 		DurationSec: dur.Seconds(),
 		PeakConns:   p.PeakWidth(),
-		Sent:        sp.sent.Load(),
-		OK:          sp.ok.Load(),
-		Shed:        sp.shed.Load(),
-		HTTPErrors:  sp.httpErr.Load(),
-		NetErrors:   sp.netErr.Load(),
-		Forwarded:   sp.forwarded.Load(),
-		Match:       sp.match.Load(),
-		RoutedError: sp.routedErr.Load(),
-		Valid:       sp.valid.Load(),
-		Translated:  sp.translated.Load(),
-		ParseErrors: sp.parseErr.Load(),
+		Counts:      client.Counts,
 		FaultSteps:  len(p.Faults),
 	}
 	if rep.DurationSec > 0 {
 		rep.OfferedPerSec = float64(rep.Sent) / rep.DurationSec
 		rep.OKPerSec = float64(rep.OK) / rep.DurationSec
 	}
-	h := sp.hist.Snapshot()
-	rep.LatencyP50US, rep.LatencyP99US = h.P50US, h.P99US
+	rep.LatencyP50US, rep.LatencyP99US = client.Latency.P50US, client.Latency.P99US
 	if lp != nil {
 		rep.LorisHeld = lp.held.Load()
 		rep.LorisReaped = lp.reaped.Load()
 		rep.LorisCompleted = lp.completed.Load()
 	}
-	rep.GwMessages = delta(snapEnd.Messages, snapStart.Messages)
-	rep.GwShed = delta(snapEnd.Shed, snapStart.Shed)
-	rep.GwIdleTimeouts = delta(snapEnd.IdleTimeouts, snapStart.IdleTimeouts)
-	rep.GwUpstreamErrs = delta(snapEnd.UpstreamErrs, snapStart.UpstreamErrs)
+	rep.GwMessages = session.Delta(snapEnd.Messages, snapStart.Messages)
+	rep.GwShed = session.Delta(snapEnd.Shed, snapStart.Shed)
+	rep.GwIdleTimeouts = session.Delta(snapEnd.IdleTimeouts, snapStart.IdleTimeouts)
+	rep.GwUpstreamErrs = session.Delta(snapEnd.UpstreamErrs, snapStart.UpstreamErrs)
 
 	rep.Stages = stageWindow(snapStart.Stages[p.UseCase], snapEnd.Stages[p.UseCase])
 	rep.Model = modelError(rep, snapEnd.Workers, spec)
 	return rep
-}
-
-func delta(end, start uint64) uint64 {
-	if end < start {
-		return 0
-	}
-	return end - start
 }
 
 // stageWindow differences two cumulative per-stage snapshot maps into

@@ -1,21 +1,15 @@
 package campaign
 
 import (
-	"encoding/csv"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net"
-	"net/http"
 	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/dtrace"
 	"repro/internal/gateway"
-	"repro/internal/lhist"
 	"repro/internal/session"
 	"repro/internal/workload"
 )
@@ -31,28 +25,28 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
+// scrapeTimeout bounds one GET /stats of the gateway under test.
+const scrapeTimeout = 2 * time.Second
+
 // runner carries one campaign's live state.
 type runner struct {
 	spec    *Spec
 	addr    string
 	timeout time.Duration
 	logf    func(string, ...any)
-	http    *http.Client
+
+	// Session artifacts (nil without Options.OutDir): the event log and
+	// the phase-tagged timeline.
+	jsonl *session.JSONL
+	csv   *session.Appender
+
+	window session.Windower // the gateway's previous cumulative /stats view
+
+	samples int // sampler goroutine only, until it is joined
 
 	mu       sync.Mutex
 	curPhase string
 	faultLog []FaultEvent
-	jsonl    io.Writer
-	csvw     *csv.Writer
-	samples  int
-
-	// previous cumulative /stats view for delta sampling (sampler
-	// goroutine only).
-	prevTMS      int64
-	prevMessages uint64
-	prevBytesIn  uint64
-	prevShed     uint64
-	primed       bool
 }
 
 // Run executes the spec against a live gateway and returns the result.
@@ -69,13 +63,11 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	scrapeTimeout := 2 * time.Second
 	r := &runner{
 		spec:    spec,
 		addr:    addr,
 		timeout: time.Duration(spec.TimeoutMS) * time.Millisecond,
 		logf:    logf,
-		http:    &http.Client{Timeout: scrapeTimeout},
 	}
 
 	var artifacts []string
@@ -83,31 +75,29 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 		if err := os.MkdirAll(opts.OutDir, 0o755); err != nil {
 			return nil, fmt.Errorf("campaign: %w", err)
 		}
-		jf, err := os.Create(filepath.Join(opts.OutDir, "session.jsonl"))
+		artifacts = []string{filepath.Join(opts.OutDir, "session.jsonl"), filepath.Join(opts.OutDir, "session.csv")}
+		jf, err := session.CreateJSONL(artifacts[0])
 		if err != nil {
 			return nil, fmt.Errorf("campaign: %w", err)
 		}
 		defer jf.Close()
-		cf, err := os.Create(filepath.Join(opts.OutDir, "session.csv"))
+		cf, err := os.Create(artifacts[1])
 		if err != nil {
 			return nil, fmt.Errorf("campaign: %w", err)
 		}
 		defer cf.Close()
 		r.jsonl = jf
-		cw := csv.NewWriter(cf)
 		// The campaign CSV is the stock session schema with a leading
 		// "phase" column — session.ReadCSV locates columns by name, so the
 		// stock readers still parse it.
-		if err := cw.Write(append([]string{"phase"}, session.CSVHeader()...)); err != nil {
+		r.csv = session.NewAppender(cf, true, "phase")
+		if err := r.csv.Append(nil); err != nil {
 			return nil, fmt.Errorf("campaign: %w", err)
 		}
-		cw.Flush()
-		r.csvw = cw
-		artifacts = append(artifacts, jf.Name(), cf.Name())
 	}
 
 	// Pre-flight: the gateway must answer /stats before the first phase.
-	if _, err := r.fetchStats(); err != nil {
+	if _, err := gateway.FetchStats(addr, scrapeTimeout); err != nil {
 		return nil, fmt.Errorf("campaign: gateway %s not answering /stats: %w", addr, err)
 	}
 
@@ -120,42 +110,22 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 
 	// One sampler spans the campaign so the timeline is continuous across
 	// phase boundaries; each sample is tagged with the phase it landed in.
-	stopSample := make(chan struct{})
-	var sampleWG sync.WaitGroup
-	sampleWG.Add(1)
-	go func() {
-		defer sampleWG.Done()
-		t := time.NewTicker(time.Duration(spec.SampleIntervalMS) * time.Millisecond)
-		defer t.Stop()
-		for {
-			select {
-			case <-stopSample:
-				return
-			case <-t.C:
-				r.sampleOnce()
-			}
-		}
-	}()
+	stopSample := session.Every(time.Duration(spec.SampleIntervalMS)*time.Millisecond, r.sampleOnce)
+	defer stopSample()
 
 	start := time.Now()
 	for i := range spec.Phases {
 		p := &spec.Phases[i]
 		rep, err := r.runPhase(p)
 		if err != nil {
-			close(stopSample)
-			sampleWG.Wait()
 			return nil, err
 		}
 		res.Phases = append(res.Phases, *rep)
 	}
-	close(stopSample)
-	sampleWG.Wait()
+	stopSample()
 
 	res.DurationSec = time.Since(start).Seconds()
-	r.mu.Lock()
-	res.Faults = r.faultLog
-	res.Samples = r.samples
-	r.mu.Unlock()
+	res.Faults, res.Samples = r.faultLog, r.samples // their writers are joined
 	return res, nil
 }
 
@@ -170,7 +140,7 @@ func (r *runner) runPhase(p *Phase) (*PhaseReport, error) {
 	})
 	r.logf("campaign: phase %s: %s %s for %v", p.Name, p.Shape, p.UseCase, p.Duration())
 
-	snapStart, err := r.fetchStats()
+	snapStart, err := gateway.FetchStats(r.addr, scrapeTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: phase %s: %w", p.Name, err)
 	}
@@ -179,7 +149,19 @@ func (r *runner) runPhase(p *Phase) (*PhaseReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaign: phase %s: %v", p.Name, err)
 	}
-	sp := newSenderPool(r.addr, r.timeout, requestPool(uc, p.InvalidEvery, r.spec.SizeBytes, r.spec.Seed), r.spec.TraceEvery)
+	// The one load driver, in redial mode: the envelope below sets its
+	// width tick by tick. Its client spans are not reported — the
+	// campaign's view of a request is the phase histogram; the trace
+	// plane's is the gateway + backend spans under the originated ID.
+	sp := gateway.NewSenders(gateway.LoadConfig{
+		Addr:         r.addr,
+		UseCase:      uc,
+		Size:         r.spec.SizeBytes,
+		InvalidEvery: p.InvalidEvery,
+		Timeout:      r.timeout,
+		Seed:         r.spec.Seed,
+		TraceEvery:   r.spec.TraceEvery,
+	}, true)
 
 	var lp *lorisPool
 	if p.Shape == ShapeSlowloris {
@@ -208,48 +190,32 @@ func (r *runner) runPhase(p *Phase) (*PhaseReport, error) {
 		}
 		if p.Shape == ShapeSlowloris {
 			lp.resize(p.WidthAt(elapsed))
-			sp.resize(p.BackgroundConns)
+			sp.Resize(p.BackgroundConns)
 		} else {
-			sp.resize(p.WidthAt(elapsed))
+			sp.Resize(p.WidthAt(elapsed))
 		}
 		<-tick.C
 	}
 	tick.Stop()
 
 	close(faultStop)
-	sp.stop()
+	client := sp.Stop()
 	if lp != nil {
 		lp.stop()
 	}
 	faultWG.Wait()
 	activeDur := time.Since(start)
 
-	snapEnd, err := r.fetchStats()
+	snapEnd, err := gateway.FetchStats(r.addr, scrapeTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: phase %s: %w", p.Name, err)
 	}
 
-	rep := buildPhaseReport(p, activeDur, sp, lp, snapStart, snapEnd, r.spec)
+	rep := buildPhaseReport(p, activeDur, client, lp, snapStart, snapEnd, r.spec)
 	r.writeEvent(map[string]any{"type": "phase-end", "phase": p.Name, "report": rep})
 	r.logf("campaign: phase %s done: offered %.0f/s ok %.0f/s p99 %dus shed %d",
 		p.Name, rep.OfferedPerSec, rep.OKPerSec, rep.LatencyP99US, rep.Shed)
 	return rep, nil
-}
-
-// requestPool pre-generates the cycled message pool, mirroring
-// gateway.RunLoad's indices so seeded campaign traffic matches seeded
-// aonload traffic byte for byte.
-func requestPool(uc workload.UseCase, invalidEvery, size int, seed uint64) [][]byte {
-	const n = 64
-	pool := make([][]byte, n)
-	for i := range pool {
-		if invalidEvery > 0 && i%invalidEvery == invalidEvery-1 {
-			pool[i] = gateway.RawPost(uc, workload.InvalidSOAPMessageSeeded(i, size, seed))
-		} else {
-			pool[i] = workload.HTTPRequestSeeded(i, uc, size, seed)
-		}
-	}
-	return pool
 }
 
 // setPhase updates the label the sampler tags rows with.
@@ -266,90 +232,28 @@ func (r *runner) phase() string {
 	return r.curPhase
 }
 
-// fetchStats pulls the gateway's cumulative /stats view.
-func (r *runner) fetchStats() (*gateway.Snapshot, error) {
-	resp, err := r.http.Get("http://" + r.addr + "/stats")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET /stats: %s", resp.Status)
-	}
-	var snap gateway.Snapshot
-	if err := json.Unmarshal(body, &snap); err != nil {
-		return nil, err
-	}
-	return &snap, nil
-}
-
 // sampleOnce scrapes /stats and lands one phase-tagged windowed sample
-// in the timeline — the same delta idiom the fleet scraper uses, with
-// the gateway's own uptime as the monotonic axis.
+// in the timeline.
 func (r *runner) sampleOnce() {
-	snap, err := r.fetchStats()
+	snap, err := gateway.FetchStats(r.addr, scrapeTimeout)
 	if err != nil {
 		return // a missed tick is not fatal; phase snapshots own liveness
 	}
-	tms := int64(snap.UptimeSec * 1000)
-	s := session.Sample{
-		TMS:          tms,
-		LatencyP50US: snap.Latency.P50US,
-		LatencyP99US: snap.Latency.P99US,
-	}
-	if c := snap.Counters; c != nil {
-		s.CPI = c.Derived.CPI
-		s.CacheMPI = c.Derived.CacheMPI
-		s.BrMPR = c.Derived.BrMPR
-		s.DerivedSource = c.DerivedSource
-		s.Goroutines = c.Runtime.Goroutines
-	}
-	if r.primed && tms > r.prevTMS {
-		s.WindowSec = float64(tms-r.prevTMS) / 1000
-		if snap.Messages >= r.prevMessages {
-			s.Messages = snap.Messages - r.prevMessages
-		}
-		if snap.BytesIn >= r.prevBytesIn {
-			s.BytesIn = snap.BytesIn - r.prevBytesIn
-		}
-		if snap.Shed >= r.prevShed {
-			s.Shed = snap.Shed - r.prevShed
-		}
-		if s.WindowSec > 0 {
-			s.MsgsPerSec = float64(s.Messages) / s.WindowSec
-		}
-	}
-	r.prevTMS, r.prevMessages, r.prevBytesIn, r.prevShed = tms, snap.Messages, snap.BytesIn, snap.Shed
-	r.primed = true
-
+	s := r.window.Window(r.addr, snap.Sample())
 	phase := r.phase()
 	r.writeEvent(map[string]any{"type": "sample", "phase": phase, "sample": s})
-	r.mu.Lock()
-	r.samples++
-	if r.csvw != nil {
-		r.csvw.Write(append([]string{phase}, session.CSVRecord(s)...))
-		r.csvw.Flush()
+	if r.csv != nil {
+		r.csv.AppendRow(s, phase) // best effort, like the event log
 	}
-	r.mu.Unlock()
+	r.samples++
 }
 
-// writeEvent appends one JSONL line, flushed through — the crash-safety
-// contract: every returned write is on disk.
+// writeEvent appends one line to the event log; a failed write loses
+// that line, not the campaign.
 func (r *runner) writeEvent(ev map[string]any) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.jsonl == nil {
-		return
+	if r.jsonl != nil {
+		r.jsonl.Write(ev)
 	}
-	b, err := json.Marshal(ev)
-	if err != nil {
-		return
-	}
-	r.jsonl.Write(append(b, '\n'))
 }
 
 // sleepOrStop sleeps d unless stop closes first; reports whether the
@@ -360,134 +264,6 @@ func sleepOrStop(stop <-chan struct{}, d time.Duration) bool {
 		return false
 	case <-time.After(d):
 		return true
-	}
-}
-
-// senderPool is the resizable open-loop sender set: the envelope
-// controller grows and shrinks it tick by tick, each sender owning one
-// keep-alive connection it redials on error.
-type senderPool struct {
-	addr    string
-	timeout time.Duration
-	pool    [][]byte
-	// traceEvery originates an X-AON-Trace header on every Nth request
-	// per sender (0 = never) — Spec.TraceEvery.
-	traceEvery int
-	next       atomic.Uint64
-	stops      []chan struct{} // controller goroutine only
-	wg         sync.WaitGroup
-
-	sent, ok, shed, httpErr, netErr         atomic.Uint64
-	forwarded, match, routedErr, valid      atomic.Uint64
-	translated, parseErr, bytesOut, bytesIn atomic.Uint64
-	hist                                    lhist.Hist
-}
-
-func newSenderPool(addr string, timeout time.Duration, pool [][]byte, traceEvery int) *senderPool {
-	return &senderPool{addr: addr, timeout: timeout, pool: pool, traceEvery: traceEvery}
-}
-
-// resize brings the live sender count to n. Called from the envelope
-// controller only.
-func (sp *senderPool) resize(n int) {
-	if n < 0 {
-		n = 0
-	}
-	for len(sp.stops) < n {
-		stop := make(chan struct{})
-		sp.stops = append(sp.stops, stop)
-		sp.wg.Add(1)
-		go sp.run(stop)
-	}
-	for len(sp.stops) > n {
-		close(sp.stops[len(sp.stops)-1])
-		sp.stops = sp.stops[:len(sp.stops)-1]
-	}
-}
-
-// stop winds the pool down and joins every sender.
-func (sp *senderPool) stop() {
-	sp.resize(0)
-	sp.wg.Wait()
-}
-
-// run is one sender: dial, cycle the shared request pool, count
-// outcomes, redial on error.
-func (sp *senderPool) run(stop chan struct{}) {
-	defer sp.wg.Done()
-	var cl *gateway.Client
-	defer func() {
-		if cl != nil {
-			cl.Close()
-		}
-	}()
-	var k uint64 // per-sender request counter for trace origination
-	var trbuf []byte
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		if cl == nil {
-			c, err := gateway.Dial(sp.addr)
-			if err != nil {
-				sp.netErr.Add(1)
-				if !sleepOrStop(stop, 50*time.Millisecond) {
-					return
-				}
-				continue
-			}
-			cl = c
-		}
-		raw := sp.pool[sp.next.Add(1)%uint64(len(sp.pool))]
-		if sp.traceEvery > 0 {
-			if k%uint64(sp.traceEvery) == 0 {
-				// Originate a trace: the gateway adopts this ID, so the
-				// campaign exemplar assembles across nodes. The client
-				// span itself is not recorded — the campaign's view of
-				// the request is the phase histogram; the trace plane's
-				// is the gateway + backend spans under this ID.
-				trbuf = dtrace.InjectHeader(trbuf[:0], raw, dtrace.NewID(), dtrace.NewID())
-				raw = trbuf
-			}
-			k++
-		}
-		t0 := time.Now()
-		resp, err := cl.Do(raw, sp.timeout)
-		if err != nil {
-			sp.netErr.Add(1)
-			cl.Close()
-			cl = nil
-			continue
-		}
-		sp.sent.Add(1)
-		sp.bytesOut.Add(uint64(len(raw)))
-		sp.bytesIn.Add(uint64(resp.Bytes))
-		switch {
-		case resp.Status == 200:
-			sp.ok.Add(1)
-			sp.hist.Observe(time.Since(t0))
-			switch resp.Outcome {
-			case "forwarded":
-				sp.forwarded.Add(1)
-			case "match":
-				sp.match.Add(1)
-			case "error":
-				sp.routedErr.Add(1)
-			case "valid":
-				sp.valid.Add(1)
-			case "translated":
-				sp.translated.Add(1)
-			}
-		case resp.Status == 503:
-			sp.shed.Add(1)
-		default:
-			sp.httpErr.Add(1)
-			if resp.Outcome == "parse-error" || resp.Status == 400 {
-				sp.parseErr.Add(1)
-			}
-		}
 	}
 }
 

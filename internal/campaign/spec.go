@@ -3,7 +3,8 @@
 // linear/diurnal ramps, flash crowds, slow-loris holds — each optionally
 // scripting backend fault storms (POST /fault against aonback) at
 // offsets within the phase. The runner drives a live gateway through the
-// phases open-loop, samples its /stats surface into a phase-tagged
+// phases with closed-loop senders whose number the shape's envelope
+// sets, samples its /stats surface into a phase-tagged
 // session timeline (crash-safe JSONL + CSV the stock readers parse), and
 // emits per-phase Figure-5/6-style report rows with stage-latency and
 // capacity model-error columns.

@@ -292,3 +292,39 @@ func TestReadSpansJSONLBothShapes(t *testing.T) {
 		t.Fatal("round-tripped spans did not assemble into one trace")
 	}
 }
+
+// FuzzParseHeaderValue: the two X-AON-Trace parsers (bytes off the
+// backend's framed head, string views out of the gateway's zero-copy
+// request) never panic and always agree, and an accepted value formats
+// back to IDs that parse to themselves.
+func FuzzParseHeaderValue(f *testing.F) {
+	f.Add(string(AppendHeaderValue(nil, 0xdeadbeef01020304, 7)))
+	for _, seed := range []string{
+		"",
+		"deadbeef",
+		"0000000000000000-1111111111111111",
+		"111111111111111g-2222222222222222",
+		"11111111111111112222222222222222",
+		"1111111111111111-22222222222222221",
+		"ABCDEF0123456789-abcdef0123456789",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		tr, sp, ok := ParseHeaderValue([]byte(in))
+		str, ssp, sok := ParseHeaderValueString(in)
+		if ok != sok || tr != str || sp != ssp {
+			t.Fatalf("parsers disagree on %q: bytes %v %v %v, string %v %v %v", in, tr, sp, ok, str, ssp, sok)
+		}
+		if !ok {
+			if tr != 0 || sp != 0 {
+				t.Fatalf("refused %q but returned IDs %v %v", in, tr, sp)
+			}
+			return
+		}
+		rtr, rsp, rok := ParseHeaderValue(AppendHeaderValue(nil, tr, sp))
+		if !rok || rtr != tr || rsp != sp {
+			t.Fatalf("%q → %v %v does not survive a format/parse round trip: %v %v %v", in, tr, sp, rtr, rsp, rok)
+		}
+	})
+}

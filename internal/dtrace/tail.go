@@ -158,6 +158,20 @@ func (t *Tail) Keep(traceID ID, spans []Span) {
 // Last returns up to n kept traces, oldest first.
 func (t *Tail) Last(n int) []Trace { return t.ring.Last(n) }
 
+// TracesResponse is the GET /traces JSON shape. aongate and aonback
+// serve it and the fleet scraper and aontrace decode it, so one type is
+// the whole contract.
+type TracesResponse struct {
+	Node   string    `json:"node"`
+	Tail   TailStats `json:"tail"`
+	Traces []Trace   `json:"traces"`
+}
+
+// Response is node's answer to GET /traces?last=N (n<=0 means all).
+func (t *Tail) Response(node string, last int) *TracesResponse {
+	return &TracesResponse{Node: node, Tail: t.Stats(), Traces: t.Last(last)}
+}
+
 // Stats snapshots the keep counters.
 func (t *Tail) Stats() TailStats {
 	return TailStats{

@@ -13,7 +13,9 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/dtrace"
 	"repro/internal/gateway"
+	"repro/internal/session"
 	"repro/internal/workload"
 )
 
@@ -25,16 +27,16 @@ type Coordinator struct {
 	nodes []*Node
 
 	merger  *Merger
-	writer  *SessionWriter
 	scraper *scraper
+	// persisters are the open JSONL artifacts: the merged session and,
+	// with the trace plane on, traces.jsonl.
+	persisters []*session.JSONL
 
-	// traces and traceWriter are the fleet trace plane (nil unless
-	// Config.Trace): cross-node span store + traces.jsonl sink.
-	traces      *TraceStore
-	traceWriter *TraceWriter
+	// traces is the fleet trace plane's cross-node span store (nil unless
+	// Config.Trace).
+	traces *TraceStore
 
-	scrapeStop chan struct{}
-	scrapeDone chan struct{}
+	stopScrape func() // joins the scrape loop; nil until Start
 
 	points []PointReport
 
@@ -111,20 +113,20 @@ func (c *Coordinator) Start() error {
 	if err := os.MkdirAll(c.cfg.OutDir, 0o755); err != nil {
 		return fmt.Errorf("fleet: out dir: %w", err)
 	}
-	writer, err := NewSessionWriter(c.cfg.OutDir)
+	writer, err := session.CreateJSONL(filepath.Join(c.cfg.OutDir, JSONLName))
 	if err != nil {
 		return err
 	}
-	c.writer = writer
-	c.merger = NewMerger(writer.Write)
+	c.persisters = append(c.persisters, writer)
+	c.merger = NewMerger(func(ns NodeSample) error { return writer.Write(ns) })
 	c.scraper = newScraper(c.merger, c.cfg.ScrapeInterval()*4)
 	if c.cfg.Trace {
-		tw, err := NewTraceWriter(c.cfg.OutDir)
+		tw, err := session.CreateJSONL(filepath.Join(c.cfg.OutDir, TracesJSONLName))
 		if err != nil {
 			return err
 		}
-		c.traceWriter = tw
-		c.traces = NewTraceStore(tw.Write)
+		c.persisters = append(c.persisters, tw)
+		c.traces = NewTraceStore(func(sp dtrace.Span) error { return tw.Write(sp) })
 		c.scraper.traces = c.traces
 	}
 
@@ -154,9 +156,7 @@ func (c *Coordinator) Start() error {
 		}
 	}
 
-	c.scrapeStop = make(chan struct{})
-	c.scrapeDone = make(chan struct{})
-	go c.scrapeLoop()
+	c.stopScrape = session.Every(c.cfg.ScrapeInterval(), c.scrapeOnce)
 	return nil
 }
 
@@ -199,7 +199,7 @@ func (c *Coordinator) waitReady(n *Node) error {
 				n.Key(), n.ExitErr, n.logTail(2048))
 		}
 		var probe json.RawMessage
-		if err := c.scraper.getJSON(addr, "/stats", &probe); err == nil {
+		if err := gateway.GetJSON(addr, "/stats", c.scraper.timeout, &probe); err == nil {
 			c.Logf("%s: ready", n.Key())
 			return nil
 		}
@@ -211,23 +211,7 @@ func (c *Coordinator) waitReady(n *Node) error {
 	}
 }
 
-// scrapeLoop samples every stats-bearing node on the configured
-// interval until stopped.
-func (c *Coordinator) scrapeLoop() {
-	defer close(c.scrapeDone)
-	t := time.NewTicker(c.cfg.ScrapeInterval())
-	defer t.Stop()
-	for {
-		select {
-		case <-c.scrapeStop:
-			return
-		case <-t.C:
-			c.scrapeOnce()
-		}
-	}
-}
-
-// scrapeOnce sweeps all nodes now — the loop's tick body, also called
+// scrapeOnce sweeps all nodes now — the scrape loop's tick body, also called
 // synchronously at sweep-point boundaries so windows close on fresh
 // data. Scrape errors are logged, not fatal (liveness is owned by the
 // readiness and exit checks).
@@ -259,7 +243,7 @@ func (c *Coordinator) RunSweep() error {
 		// samples (a gateway timeline samples on its own clock).
 		time.Sleep(c.cfg.ScrapeInterval())
 		c.scrapeOnce()
-		snap, err := c.scraper.gatewaySnapshot(gateways[0])
+		snap, err := gateway.FetchStats(gateways[0].Addr, c.scraper.timeout)
 		if err != nil {
 			c.Logf("sweep: gateway snapshot: %v", err)
 		}
@@ -369,10 +353,8 @@ func (c *Coordinator) Traces() *TraceStore { return c.traces }
 // artifact (per-node CSVs, the merged CSV, the combined report), and
 // returns the report text.
 func (c *Coordinator) Finish() (string, error) {
-	if c.scrapeStop != nil {
-		close(c.scrapeStop)
-		<-c.scrapeDone
-		c.scrapeStop = nil
+	if c.stopScrape != nil {
+		c.stopScrape()
 	}
 	c.scrapeOnce()
 	if err := c.merger.SinkErr(); err != nil {
@@ -410,26 +392,17 @@ func (c *Coordinator) Finish() (string, error) {
 // every non-clean exit as one error. Attached nodes are left running.
 // Safe to call on a partially started fleet and after Finish.
 func (c *Coordinator) Shutdown() error {
-	if c.scrapeStop != nil {
-		close(c.scrapeStop)
-		<-c.scrapeDone
-		c.scrapeStop = nil
+	if c.stopScrape != nil {
+		c.stopScrape()
 	}
 	order := append(c.byRole(RoleGateway), c.byRole(RoleBackend)...)
 	for _, n := range order {
 		n.stop(c.cfg.Grace())
 	}
-	if c.writer != nil {
-		if err := c.writer.Close(); err != nil {
-			c.Logf("session writer: %v", err)
+	for _, w := range c.persisters {
+		if err := w.Close(); err != nil {
+			c.Logf("%v", err)
 		}
-		c.writer = nil
-	}
-	if c.traceWriter != nil {
-		if err := c.traceWriter.Close(); err != nil {
-			c.Logf("trace writer: %v", err)
-		}
-		c.traceWriter = nil
 	}
 	var failed []string
 	for _, n := range order {

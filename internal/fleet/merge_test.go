@@ -113,11 +113,11 @@ func TestMergerDuplicateSuppression(t *testing.T) {
 // covers the interleaving).
 func TestJSONLRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	w, err := NewSessionWriter(dir)
+	w, err := session.CreateJSONL(filepath.Join(dir, JSONLName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewMerger(w.Write)
+	m := NewMerger(func(ns NodeSample) error { return w.Write(ns) })
 
 	const nodes, perNode = 4, 25
 	var wg sync.WaitGroup

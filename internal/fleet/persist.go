@@ -11,69 +11,15 @@ import (
 	"repro/internal/session"
 )
 
-// Artifact names inside Config.OutDir.
+// Artifact names inside Config.OutDir. The merged session is persisted
+// as it is collected — one NodeSample per line of JSONLName, through
+// session.JSONL — so a crashed campaign still leaves the session on disk
+// up to its last scrape.
 const (
 	JSONLName     = "merged-session.jsonl"
 	MergedCSVName = "merged-session.csv"
 	ReportName    = "fleet-report.txt"
 )
-
-// SessionWriter persists the merged session to disk as it is collected:
-// one JSON line per accepted NodeSample, flushed per sample, so a
-// crashed campaign still leaves the session on disk up to its last
-// scrape.
-type SessionWriter struct {
-	f    *os.File
-	w    *bufio.Writer
-	path string
-	rows int
-}
-
-// NewSessionWriter creates (truncating) <outDir>/merged-session.jsonl.
-func NewSessionWriter(outDir string) (*SessionWriter, error) {
-	path := filepath.Join(outDir, JSONLName)
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: session jsonl: %w", err)
-	}
-	return &SessionWriter{f: f, w: bufio.NewWriter(f), path: path}, nil
-}
-
-// Path is the JSONL file's location.
-func (sw *SessionWriter) Path() string { return sw.path }
-
-// Rows is the number of samples written so far.
-func (sw *SessionWriter) Rows() int { return sw.rows }
-
-// Write appends one sample as a JSON line and flushes it to the OS —
-// the crash-safety contract.
-func (sw *SessionWriter) Write(ns NodeSample) error {
-	b, err := json.Marshal(ns)
-	if err != nil {
-		return fmt.Errorf("fleet: session jsonl: %w", err)
-	}
-	if _, err := sw.w.Write(append(b, '\n')); err != nil {
-		return fmt.Errorf("fleet: session jsonl: %w", err)
-	}
-	if err := sw.w.Flush(); err != nil {
-		return fmt.Errorf("fleet: session jsonl: %w", err)
-	}
-	sw.rows++
-	return nil
-}
-
-// Close flushes and closes the JSONL file.
-func (sw *SessionWriter) Close() error {
-	if sw.f == nil {
-		return nil
-	}
-	err := sw.w.Flush()
-	if cerr := sw.f.Close(); err == nil {
-		err = cerr
-	}
-	sw.f = nil
-	return err
-}
 
 // ReadJSONL loads a persisted merged session back — the round-trip half
 // of the format, used by tests and by offline report tooling.
@@ -111,25 +57,34 @@ func ReadJSONL(path string) ([]NodeSample, error) {
 // header name, so the merged file stays readable by the same parser.
 func WriteCSVs(outDir string, m *Merger) error {
 	for node, samples := range m.PerNode() {
-		path := filepath.Join(outDir, "session-"+sanitize(node)+".csv")
-		f, err := os.Create(path)
+		err := writeFile(filepath.Join(outDir, "session-"+sanitize(node)+".csv"), func(f *os.File) error {
+			return session.WriteCSV(f, samples)
+		})
 		if err != nil {
-			return fmt.Errorf("fleet: %s: %w", path, err)
-		}
-		err = session.WriteCSV(f, samples)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("fleet: %s: %w", path, err)
+			return err
 		}
 	}
-	path := filepath.Join(outDir, MergedCSVName)
+	return writeFile(filepath.Join(outDir, MergedCSVName), func(f *os.File) error {
+		app := session.NewAppender(f, true, "node", "role", "rel_ms")
+		if err := app.Append(nil); err != nil { // the header, even for an empty session
+			return err
+		}
+		for _, ns := range m.Merged() {
+			if err := app.AppendRow(ns.Sample, ns.Node, ns.Role, strconv.FormatInt(ns.RelMS, 10)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// writeFile creates path, lets write fill it, and closes it.
+func writeFile(path string, write func(*os.File) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("fleet: %s: %w", path, err)
 	}
-	err = writeMergedCSV(f, m.Merged())
+	err = write(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -137,36 +92,4 @@ func WriteCSVs(outDir string, m *Merger) error {
 		return fmt.Errorf("fleet: %s: %w", path, err)
 	}
 	return nil
-}
-
-func writeMergedCSV(f *os.File, merged []NodeSample) error {
-	w := bufio.NewWriter(f)
-	header := append([]string{"node", "role", "rel_ms"}, session.CSVHeader()...)
-	if err := writeCSVRow(w, header); err != nil {
-		return err
-	}
-	for _, ns := range merged {
-		row := append([]string{ns.Node, ns.Role, strconv.FormatInt(ns.RelMS, 10)},
-			session.CSVRecord(ns.Sample)...)
-		if err := writeCSVRow(w, row); err != nil {
-			return err
-		}
-	}
-	return w.Flush()
-}
-
-// writeCSVRow emits one comma-joined line. Fields here are numbers,
-// role names, and sanitized node keys — never quoted material.
-func writeCSVRow(w *bufio.Writer, fields []string) error {
-	for i, fld := range fields {
-		if i > 0 {
-			if err := w.WriteByte(','); err != nil {
-				return err
-			}
-		}
-		if _, err := w.WriteString(fld); err != nil {
-			return err
-		}
-	}
-	return w.WriteByte('\n')
 }

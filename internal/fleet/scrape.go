@@ -1,97 +1,56 @@
 package fleet
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"sync"
 	"time"
 
+	"repro/internal/dtrace"
 	"repro/internal/gateway"
 	"repro/internal/session"
 	"repro/internal/upstream"
 )
 
-// scraper pulls each node's self-reported observability over HTTP and
-// feeds it into the merger. Gateways serve a full sampling session on
-// GET /timeline (preferred — native 100ms samples with counter views);
-// when a gateway runs without -timeline, or for backends (which only
-// expose cumulative /stats), the scraper synthesizes windowed samples
-// from consecutive snapshot deltas.
+// scraper pulls each node's self-reported observability over the one
+// control-plane client (gateway.GetJSON) and feeds it into the merger.
+// Gateways serve a full sampling session on GET /timeline (preferred —
+// native 100ms samples with counter views); when a gateway runs without
+// -timeline, or for backends (which only expose cumulative /stats), the
+// scraper synthesizes windowed samples from consecutive snapshot deltas.
 type scraper struct {
-	client *http.Client
-	merger *Merger
+	timeout time.Duration
+	merger  *Merger
+	windows session.Windower // node key → last cumulative /stats view
 
 	// traces receives every node's tail-sampled spans when the fleet's
 	// trace plane is on (nil otherwise).
-	traces *TraceStore
-
-	mu       sync.Mutex
-	prev     map[string]prevCounters // node key → last cumulative view
-	noTraces map[string]bool         // node key → /traces answered 404 (tracing off)
-}
-
-// prevCounters is the previous cumulative observation for delta-based
-// sample synthesis.
-type prevCounters struct {
-	tms      int64
-	messages uint64
-	bytesIn  uint64
-	shed     uint64
+	traces   *TraceStore
+	noTraces sync.Map // node key → /traces answered 404 (tracing off)
 }
 
 func newScraper(merger *Merger, timeout time.Duration) *scraper {
 	if timeout <= 0 {
 		timeout = 2 * time.Second
 	}
-	return &scraper{
-		client:   &http.Client{Timeout: timeout},
-		merger:   merger,
-		prev:     map[string]prevCounters{},
-		noTraces: map[string]bool{},
-	}
-}
-
-// getJSON fetches http://<addr><path> and decodes the body into v.
-// Non-200 statuses are errors carrying the body's first line.
-func (sc *scraper) getJSON(addr, path string, v any) error {
-	resp, err := sc.client.Get("http://" + addr + path)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		msg := string(body)
-		if len(msg) > 200 {
-			msg = msg[:200]
-		}
-		return fmt.Errorf("GET %s: %s: %s", path, resp.Status, msg)
-	}
-	return json.Unmarshal(body, v)
+	return &scraper{timeout: timeout, merger: merger}
 }
 
 // scrapeNode pulls one node's current view into the merger. Load nodes
 // have no stats surface and are skipped.
 func (sc *scraper) scrapeNode(n *Node) error {
+	var err error
 	switch n.Role {
 	case RoleGateway:
-		if err := sc.scrapeGateway(n); err != nil {
-			return err
-		}
-		return sc.scrapeTraces(n)
+		err = sc.scrapeGateway(n)
 	case RoleBackend:
-		if err := sc.scrapeBackend(n); err != nil {
-			return err
-		}
-		return sc.scrapeTraces(n)
+		err = sc.scrapeBackend(n)
 	default:
 		return nil
 	}
+	if err != nil {
+		return err
+	}
+	return sc.scrapeTraces(n)
 }
 
 // scrapeTraces pulls a node's tail-sampled traces into the fleet's
@@ -103,38 +62,17 @@ func (sc *scraper) scrapeTraces(n *Node) error {
 	if sc.traces == nil {
 		return nil
 	}
-	key := n.Key()
-	sc.mu.Lock()
-	skip := sc.noTraces[key]
-	sc.mu.Unlock()
-	if skip {
+	if _, skip := sc.noTraces.Load(n.Key()); skip {
 		return nil
 	}
-	resp, err := sc.client.Get("http://" + n.Addr + "/traces")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 32<<20))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode == http.StatusNotFound {
-		sc.mu.Lock()
-		sc.noTraces[key] = true
-		sc.mu.Unlock()
+	var tr dtrace.TracesResponse
+	err := gateway.GetJSON(n.Addr, "/traces", sc.timeout, &tr)
+	if gateway.IsNotFound(err) {
+		sc.noTraces.Store(n.Key(), true)
 		return nil
 	}
-	if resp.StatusCode != http.StatusOK {
-		msg := string(body)
-		if len(msg) > 200 {
-			msg = msg[:200]
-		}
-		return fmt.Errorf("GET /traces: %s: %s", resp.Status, msg)
-	}
-	var tr gateway.TracesResponse
-	if err := json.Unmarshal(body, &tr); err != nil {
-		return fmt.Errorf("GET /traces: %w", err)
+	if err != nil {
+		return err
 	}
 	for _, t := range tr.Traces {
 		sc.traces.AddSpans(t.Spans)
@@ -161,33 +99,18 @@ func (sc *scraper) scrapeAll(nodes []*Node) []error {
 // the ring. Without a timeline it falls back to /stats deltas.
 func (sc *scraper) scrapeGateway(n *Node) error {
 	var tr gateway.TimelineResponse
-	if err := sc.getJSON(n.Addr, "/timeline", &tr); err == nil {
+	if err := gateway.GetJSON(n.Addr, "/timeline", sc.timeout, &tr); err == nil {
 		for _, s := range tr.Samples {
 			sc.merger.Add(n.Key(), n.Role, s)
 		}
 		return nil
 	}
 	// No sampling session on this gateway — synthesize from /stats.
-	var snap gateway.Snapshot
-	if err := sc.getJSON(n.Addr, "/stats", &snap); err != nil {
+	snap, err := gateway.FetchStats(n.Addr, sc.timeout)
+	if err != nil {
 		return err
 	}
-	// Uptime is the gateway's own monotonic axis: immune to wall-clock
-	// skew and steps, which is exactly what cross-node alignment needs.
-	tms := int64(snap.UptimeSec * 1000)
-	s := session.Sample{
-		TMS:          tms,
-		LatencyP50US: snap.Latency.P50US,
-		LatencyP99US: snap.Latency.P99US,
-	}
-	if c := snap.Counters; c != nil {
-		s.CPI = c.Derived.CPI
-		s.CacheMPI = c.Derived.CacheMPI
-		s.BrMPR = c.Derived.BrMPR
-		s.DerivedSource = c.DerivedSource
-		s.Goroutines = c.Runtime.Goroutines
-	}
-	sc.addDelta(n, s, snap.Messages, snap.BytesIn, snap.Shed)
+	sc.merger.Add(n.Key(), n.Role, sc.windows.Window(n.Key(), snap.Sample()))
 	return nil
 }
 
@@ -196,52 +119,16 @@ func (sc *scraper) scrapeGateway(n *Node) error {
 // (cumulative, like the gateway's) supplies the percentiles.
 func (sc *scraper) scrapeBackend(n *Node) error {
 	var bs upstream.BackendStats
-	if err := sc.getJSON(n.Addr, "/stats", &bs); err != nil {
+	if err := gateway.GetJSON(n.Addr, "/stats", sc.timeout, &bs); err != nil {
 		return err
 	}
-	s := session.Sample{
+	sc.merger.Add(n.Key(), n.Role, sc.windows.Window(n.Key(), session.Sample{
 		TMS:          int64(bs.UptimeSec * 1000),
+		Messages:     bs.Requests,
+		BytesIn:      bs.BytesIn,
+		Shed:         bs.Dropped,
 		LatencyP50US: bs.Latency.P50US,
 		LatencyP99US: bs.Latency.P99US,
-	}
-	sc.addDelta(n, s, bs.Requests, bs.BytesIn, bs.Dropped)
+	}))
 	return nil
-}
-
-// addDelta completes a synthesized sample with windowed deltas against
-// the node's previous cumulative view and feeds it to the merger. The
-// first observation primes the window state and lands as a zero-window
-// sample — it pins the node's epoch in the merged session.
-func (sc *scraper) addDelta(n *Node, s session.Sample, messages, bytesIn, shed uint64) {
-	sc.mu.Lock()
-	key := n.Key()
-	if p, ok := sc.prev[key]; ok && s.TMS > p.tms {
-		s.WindowSec = float64(s.TMS-p.tms) / 1000
-		if messages >= p.messages {
-			s.Messages = messages - p.messages
-		}
-		if bytesIn >= p.bytesIn {
-			s.BytesIn = bytesIn - p.bytesIn
-		}
-		if shed >= p.shed {
-			s.Shed = shed - p.shed
-		}
-		if s.WindowSec > 0 {
-			s.MsgsPerSec = float64(s.Messages) / s.WindowSec
-		}
-	}
-	sc.prev[key] = prevCounters{tms: s.TMS, messages: messages, bytesIn: bytesIn, shed: shed}
-	sc.mu.Unlock()
-	sc.merger.Add(key, n.Role, s)
-}
-
-// gatewaySnapshot fetches a gateway's full /stats view — the report
-// builder reads throughput, latency, and the capacity model-error
-// section from it at each sweep point.
-func (sc *scraper) gatewaySnapshot(n *Node) (*gateway.Snapshot, error) {
-	var snap gateway.Snapshot
-	if err := sc.getJSON(n.Addr, "/stats", &snap); err != nil {
-		return nil, err
-	}
-	return &snap, nil
 }

@@ -1,11 +1,6 @@
 package fleet
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"repro/internal/dtrace"
@@ -84,58 +79,4 @@ func (ts *TraceStore) SinkErr() error {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	return ts.sinkErr
-}
-
-// TraceWriter persists spans to <outDir>/traces.jsonl, flushed per span
-// — same crash-safety contract as SessionWriter.
-type TraceWriter struct {
-	f    *os.File
-	w    *bufio.Writer
-	path string
-	rows int
-}
-
-// NewTraceWriter creates (truncating) <outDir>/traces.jsonl.
-func NewTraceWriter(outDir string) (*TraceWriter, error) {
-	path := filepath.Join(outDir, TracesJSONLName)
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: traces jsonl: %w", err)
-	}
-	return &TraceWriter{f: f, w: bufio.NewWriter(f), path: path}, nil
-}
-
-// Path is the JSONL file's location.
-func (tw *TraceWriter) Path() string { return tw.path }
-
-// Rows is the number of spans written so far.
-func (tw *TraceWriter) Rows() int { return tw.rows }
-
-// Write appends one span as a JSON line and flushes it.
-func (tw *TraceWriter) Write(sp dtrace.Span) error {
-	b, err := json.Marshal(sp)
-	if err != nil {
-		return fmt.Errorf("fleet: traces jsonl: %w", err)
-	}
-	if _, err := tw.w.Write(append(b, '\n')); err != nil {
-		return fmt.Errorf("fleet: traces jsonl: %w", err)
-	}
-	if err := tw.w.Flush(); err != nil {
-		return fmt.Errorf("fleet: traces jsonl: %w", err)
-	}
-	tw.rows++
-	return nil
-}
-
-// Close flushes and closes the JSONL file. Idempotent.
-func (tw *TraceWriter) Close() error {
-	if tw.f == nil {
-		return nil
-	}
-	err := tw.w.Flush()
-	if cerr := tw.f.Close(); err == nil {
-		err = cerr
-	}
-	tw.f = nil
-	return err
 }

@@ -3,13 +3,12 @@ package gateway
 import (
 	"fmt"
 	"io"
-	"net/url"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/dtrace"
+	"repro/internal/httpmsg"
 	"repro/internal/workload"
 )
 
@@ -173,37 +172,15 @@ func (s *Server) traceInfo() *TraceInfo {
 	return &TraceInfo{Node: s.dtr.node, Tail: s.dtr.tail.Stats()}
 }
 
-// TracesResponse is the GET /traces endpoint's JSON shape — the same
-// shape aonback serves, so the fleet scraper and aontrace read both
-// ends with one decoder.
-type TracesResponse struct {
-	Node   string           `json:"node"`
-	Tail   dtrace.TailStats `json:"tail"`
-	Traces []dtrace.Trace   `json:"traces"`
-}
-
 // tracesResponse serves GET /traces?last=N (all kept traces when last
 // is absent).
-func (s *Server) tracesResponse(query string) (*TracesResponse, error) {
+func (s *Server) tracesResponse(query string) (*dtrace.TracesResponse, error) {
 	if s.dtr == nil {
 		return nil, fmt.Errorf("tracing disabled (enable Config.Trace / -trace)")
 	}
-	n := 0
-	if query != "" {
-		vals, err := url.ParseQuery(query)
-		if err != nil {
-			return nil, fmt.Errorf("bad query: %v", err)
-		}
-		if raw := strings.TrimSpace(vals.Get("last")); raw != "" {
-			n, err = strconv.Atoi(raw)
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("bad last=%q, want a non-negative integer", raw)
-			}
-		}
+	n, err := httpmsg.LastParam(query)
+	if err != nil {
+		return nil, err
 	}
-	return &TracesResponse{
-		Node:   s.dtr.node,
-		Tail:   s.dtr.tail.Stats(),
-		Traces: s.dtr.tail.Last(n),
-	}, nil
+	return s.dtr.tail.Response(s.dtr.node, n), nil
 }

@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net"
 	"strings"
@@ -17,29 +16,52 @@ import (
 
 // getTraces issues GET /traces against a gateway or backend address and
 // decodes the shared response shape.
-func getTraces(t *testing.T, addr, query string) TracesResponse {
+func getTraces(t *testing.T, addr, query string) dtrace.TracesResponse {
 	t.Helper()
-	cl, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
 	path := "/traces"
 	if query != "" {
 		path += "?" + query
 	}
-	resp, err := cl.Do([]byte("GET "+path+" HTTP/1.1\r\nHost: x\r\n\r\n"), 5*time.Second)
-	if err != nil {
-		t.Fatalf("GET %s: %v", path, err)
-	}
-	if resp.Status != 200 {
-		t.Fatalf("GET %s status %d body %s", path, resp.Status, resp.Body)
-	}
-	var tr TracesResponse
-	if err := json.Unmarshal(resp.Body, &tr); err != nil {
-		t.Fatalf("GET %s: bad JSON: %v\n%s", path, err, resp.Body)
+	var tr dtrace.TracesResponse
+	if err := GetJSON(addr, path, 5*time.Second, &tr); err != nil {
+		t.Fatal(err)
 	}
 	return tr
+}
+
+// TestTracesLastParam: the gateway and the backend serve /traces through
+// one ?last=N parser, so both slice the ring the same way and both
+// refuse the same values with a 404 that says why.
+func TestTracesLastParam(t *testing.T) {
+	order := startBackend(t, upstream.BackendConfig{Name: "order"})
+	srv := startServer(t, Config{
+		Workers:        1,
+		Trace:          true,
+		TraceKeepEvery: 1,
+		Upstream:       upstream.Config{Order: order.Addr().String()},
+	})
+	if _, err := RunLoad(LoadConfig{Addr: srv.Addr().String(), UseCase: workload.FR, Messages: 5, TraceEvery: 1}); err != nil {
+		t.Fatal(err)
+	}
+	waitTraced(t, srv, 5)
+	for _, node := range []struct{ name, addr string }{
+		{"gateway", srv.Addr().String()},
+		{"backend", order.Addr().String()},
+	} {
+		if all := getTraces(t, node.addr, ""); len(all.Traces) != 5 {
+			t.Errorf("%s: %d traces kept, want 5", node.name, len(all.Traces))
+		}
+		if got := getTraces(t, node.addr, "last=2"); len(got.Traces) != 2 {
+			t.Errorf("%s: last=2 returned %d traces", node.name, len(got.Traces))
+		}
+		for _, bad := range []string{"last=abc", "last=-1"} {
+			var tr dtrace.TracesResponse
+			err := GetJSON(node.addr, "/traces?"+bad, 5*time.Second, &tr)
+			if !IsNotFound(err) || !strings.Contains(err.Error(), "bad last=") {
+				t.Errorf("%s: %s: err=%v, want a 404 naming the bad value", node.name, bad, err)
+			}
+		}
+	}
 }
 
 // waitTraced blocks until the gateway has offered n finished requests to

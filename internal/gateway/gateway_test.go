@@ -206,6 +206,7 @@ func TestMalformedRequest(t *testing.T) {
 		{"conflicting-content-length", "POST /service/FR HTTP/1.1\r\nContent-Length: 2\r\ncontent-length: 3\r\n\r\nabc", 400, "conflicting Content-Length"},
 		{"transfer-encoding", "POST /service/FR HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nab\r\n0\r\n\r\n", 501, "Transfer-Encoding not supported"},
 		{"transfer-encoding-with-length", "POST /service/FR HTTP/1.1\r\nContent-Length: 2\r\ntransfer-encoding: identity\r\n\r\nab", 501, "Transfer-Encoding not supported"},
+		{"too-many-header-fields", "POST /service/FR HTTP/1.1\r\n" + strings.Repeat("a:\r\n", 129) + "\r\n", 431, "too many header fields"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cl, err := Dial(srv.Addr().String())

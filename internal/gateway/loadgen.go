@@ -23,8 +23,11 @@ type Client struct {
 }
 
 // Dial opens one connection to a gateway.
-func Dial(addr string) (*Client, error) {
-	c, err := net.Dial("tcp", addr)
+func Dial(addr string) (*Client, error) { return dialTimeout(addr, 0) }
+
+// dialTimeout is Dial with a bound on connection set-up (0 = none).
+func dialTimeout(addr string, d time.Duration) (*Client, error) {
+	c, err := net.DialTimeout("tcp", addr, d)
 	if err != nil {
 		return nil, err
 	}
@@ -137,29 +140,86 @@ type LoadConfig struct {
 	TraceNode string
 }
 
+// Counts is the load client's outcome accounting, classified by record —
+// the only outcome switch outside bench/. Report and campaign.PhaseReport
+// embed it, so aonload, campaign and fleet rows count the same things
+// under the same JSON keys.
+//
+// Conservation against the gateway driven (TestCampaignEndToEnd checks it
+// per phase): client sent = accepted + refused — Sent equals the gateway's
+// delta of Messages + Shed + framing refusals. Metrics.Done counts a
+// pipeline parse error under both Messages and ParseErrors, a framing
+// refusal under ParseErrors only. A connection that dies unanswered is a
+// NetError, on neither side.
+type Counts struct {
+	Sent        uint64 `json:"sent"` // responses received, any status
+	OK          uint64 `json:"ok_200"`
+	Shed        uint64 `json:"shed_503"`
+	HTTPErrors  uint64 `json:"http_errors"`
+	NetErrors   uint64 `json:"net_errors"`
+	Forwarded   uint64 `json:"forwarded"`
+	Match       uint64 `json:"routed_match"`
+	RoutedError uint64 `json:"routed_error"`
+	Valid       uint64 `json:"validation_ok"`
+	Translated  uint64 `json:"translated"`
+	ParseErrors uint64 `json:"parse_errors"`
+}
+
+// record classifies one response.
+func (c *Counts) record(resp *ClientResp) {
+	c.Sent++
+	switch resp.Status {
+	case 200:
+		c.OK++
+		switch resp.Outcome {
+		case "forwarded":
+			c.Forwarded++
+		case "match":
+			c.Match++
+		case "error":
+			c.RoutedError++
+		case "valid":
+			c.Valid++
+		case "translated":
+			c.Translated++
+		}
+	case 503:
+		c.Shed++
+	default:
+		c.HTTPErrors++
+		if resp.Outcome == "parse-error" || resp.Status == 400 {
+			c.ParseErrors++
+		}
+	}
+}
+
+func (c *Counts) add(o *Counts) {
+	c.Sent += o.Sent
+	c.OK += o.OK
+	c.Shed += o.Shed
+	c.HTTPErrors += o.HTTPErrors
+	c.NetErrors += o.NetErrors
+	c.Forwarded += o.Forwarded
+	c.Match += o.Match
+	c.RoutedError += o.RoutedError
+	c.Valid += o.Valid
+	c.Translated += o.Translated
+	c.ParseErrors += o.ParseErrors
+}
+
 // Report is the load generator's final accounting, emitted as JSON by
 // cmd/aonload so one command per side yields a complete run record.
 type Report struct {
-	UseCase     string       `json:"usecase"`
-	Conns       int          `json:"conns"`
-	SizeBytes   int          `json:"size_bytes"`
-	DurationSec float64      `json:"duration_sec"`
-	Sent        uint64       `json:"sent"`
-	OK          uint64       `json:"ok_200"`
-	Shed        uint64       `json:"shed_503"`
-	HTTPErrors  uint64       `json:"http_errors"`
-	NetErrors   uint64       `json:"net_errors"`
-	Forwarded   uint64       `json:"forwarded"`
-	Match       uint64       `json:"routed_match"`
-	RoutedError uint64       `json:"routed_error"`
-	Valid       uint64       `json:"validation_ok"`
-	Translated  uint64       `json:"translated"`
-	ParseErrors uint64       `json:"parse_errors"`
-	BytesOut    uint64       `json:"bytes_out"`
-	BytesIn     uint64       `json:"bytes_in"`
-	MsgsPerSec  float64      `json:"msgs_per_sec"`
-	Mbps        float64      `json:"mbps"` // request payload bits per second
-	Latency     HistSnapshot `json:"latency"`
+	UseCase     string  `json:"usecase"`
+	Conns       int     `json:"conns"`
+	SizeBytes   int     `json:"size_bytes"`
+	DurationSec float64 `json:"duration_sec"`
+	Counts
+	BytesOut   uint64       `json:"bytes_out"`
+	BytesIn    uint64       `json:"bytes_in"`
+	MsgsPerSec float64      `json:"msgs_per_sec"`
+	Mbps       float64      `json:"mbps"` // request payload bits per second
+	Latency    HistSnapshot `json:"latency"`
 	// ClientSpans holds the client-side request spans of originated
 	// traces (TraceEvery > 0), bounded so a long run can't grow the
 	// report without limit. aontrace and the fleet coordinator join them
@@ -167,24 +227,58 @@ type Report struct {
 	ClientSpans []dtrace.Span `json:"client_spans,omitempty"`
 }
 
-// Client-span bounds: per connection and per merged report.
+// Client-span bounds: per sender and per merged report.
 const (
 	maxConnClientSpans   = 1024
 	maxReportClientSpans = 4096
 )
 
-// RunLoad drives a gateway with Conns concurrent connections posting
-// AONBench order documents, open-loop with keep-alive, and reports
-// throughput, latency percentiles, and outcome counts.
-func RunLoad(cfg LoadConfig) (Report, error) {
-	if cfg.Conns <= 0 {
-		cfg.Conns = 1
+// RequestPool pre-generates the cfg.Pool requests the senders cycle
+// through. Indices keep workload.SOAPMessage's deterministic i%2 CBR
+// split; InvalidEvery swaps in a schema-broken body at the same size.
+func RequestPool(cfg LoadConfig) [][]byte {
+	pool := make([][]byte, cfg.Pool)
+	for i := range pool {
+		if cfg.InvalidEvery > 0 && i%cfg.InvalidEvery == cfg.InvalidEvery-1 {
+			body := workload.InvalidSOAPMessageSeeded(i, cfg.Size, cfg.Seed)
+			pool[i] = RawPost(cfg.UseCase, body)
+		} else {
+			pool[i] = workload.HTTPRequestSeeded(i, cfg.UseCase, cfg.Size, cfg.Seed)
+		}
 	}
+	return pool
+}
+
+// Senders is the one load driver: a resizable set of closed-loop
+// senders, each owning one keep-alive connection on which it posts the
+// next pooled request as soon as the previous reply is in. RunLoad holds
+// the set at Conns until its budget or deadline runs out; the campaign's
+// envelope controller resizes it every tick and stops it at the phase
+// boundary. Resize, Wait and Stop belong to one controlling goroutine.
+type Senders struct {
+	cfg    LoadConfig
+	redial bool
+	pool   [][]byte
+	start  time.Time
+
+	next  atomic.Int64    // requests claimed so far: the budget and the pool cursor
+	stops []chan struct{} // one per live sender
+	wg    sync.WaitGroup
+	hist  Hist
+
+	mu    sync.Mutex
+	total Report // senders merge their local accounting in as they exit
+}
+
+// NewSenders prepares a sender set for cfg (Conns is not read: Resize
+// sets the width). With cfg.Messages and cfg.Duration both zero the set
+// sends until Stop. A sender whose connection dies retires — RunLoad's
+// fixed-width contract, where a dead connection is a finding — unless
+// redial is set, in which case it dials again, as a campaign's envelope
+// must keep its width through fault storms.
+func NewSenders(cfg LoadConfig, redial bool) *Senders {
 	if cfg.Size <= 0 {
 		cfg.Size = workload.MessageBytes
-	}
-	if cfg.Messages <= 0 && cfg.Duration <= 0 {
-		cfg.Messages = 1000
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 30 * time.Second
@@ -195,133 +289,166 @@ func RunLoad(cfg LoadConfig) (Report, error) {
 	if cfg.TraceNode == "" {
 		cfg.TraceNode = "client"
 	}
+	return &Senders{cfg: cfg, redial: redial, pool: RequestPool(cfg), start: time.Now()}
+}
 
-	// Pre-generate the request pool. Indices keep workload.SOAPMessage's
-	// deterministic i%2 CBR split; InvalidEvery swaps in a schema-broken
-	// body at the same size.
-	pool := make([][]byte, cfg.Pool)
-	for i := range pool {
-		if cfg.InvalidEvery > 0 && i%cfg.InvalidEvery == cfg.InvalidEvery-1 {
-			body := workload.InvalidSOAPMessageSeeded(i, cfg.Size, cfg.Seed)
-			pool[i] = RawPost(cfg.UseCase, body)
-		} else {
-			pool[i] = workload.HTTPRequestSeeded(i, cfg.UseCase, cfg.Size, cfg.Seed)
-		}
+// Resize brings the live sender count to n.
+func (s *Senders) Resize(n int) {
+	for len(s.stops) < n {
+		stop := make(chan struct{})
+		s.stops = append(s.stops, stop)
+		s.wg.Add(1)
+		go s.run(stop)
 	}
-
-	var (
-		budget   atomic.Int64
-		rep      Report
-		mu       sync.Mutex
-		hist     Hist
-		wg       sync.WaitGroup
-		deadline time.Time
-	)
-	budget.Store(int64(cfg.Messages))
-	if cfg.Duration > 0 {
-		deadline = time.Now().Add(cfg.Duration)
+	for len(s.stops) > max(n, 0) {
+		last := len(s.stops) - 1
+		close(s.stops[last])
+		s.stops = s.stops[:last]
 	}
-	rep.UseCase = cfg.UseCase.String()
-	rep.Conns = cfg.Conns
-	rep.SizeBytes = cfg.Size
+}
 
-	start := time.Now()
-	for c := 0; c < cfg.Conns; c++ {
-		wg.Add(1)
-		go func(connIdx int) {
-			defer wg.Done()
-			var local Report
-			defer func() {
-				mu.Lock()
-				mergeReport(&rep, &local)
-				mu.Unlock()
-			}()
-			cl, err := Dial(cfg.Addr)
-			if err != nil {
-				local.NetErrors++
-				return
-			}
-			defer cl.Close()
-			var trbuf []byte // trace-injected request scratch, reused
-			for k := 0; ; k++ {
-				if cfg.Messages > 0 && budget.Add(-1) < 0 {
-					return
-				}
-				if cfg.Duration > 0 && !time.Now().Before(deadline) {
-					return
-				}
-				raw := pool[(connIdx+k*cfg.Conns)%len(pool)]
-				// Every TraceEvery-th request originates a trace: inject the
-				// context header (into a reused scratch copy — the shared
-				// pool entry is never mutated) and keep the client span.
-				var traceID, spanID dtrace.ID
-				traced := cfg.TraceEvery > 0 && k%cfg.TraceEvery == 0 &&
-					len(local.ClientSpans) < maxConnClientSpans
-				if traced {
-					traceID, spanID = dtrace.NewID(), dtrace.NewID()
-					trbuf = dtrace.InjectHeader(trbuf[:0], raw, traceID, spanID)
-					raw = trbuf
-				}
-				t0 := time.Now()
-				resp, err := cl.Do(raw, cfg.Timeout)
-				if traced {
-					sp := dtrace.Span{
-						TraceID: traceID,
-						SpanID:  spanID,
-						Node:    cfg.TraceNode,
-						Name:    "request",
-						StartUS: t0.UnixMicro(),
-						DurUS:   time.Since(t0).Microseconds(),
-					}
-					if err == nil {
-						sp.Outcome, sp.Status = resp.Outcome, resp.Status
-					} else {
-						sp.Outcome = "net-error"
-					}
-					local.ClientSpans = append(local.ClientSpans, sp)
-				}
-				if err != nil {
-					local.NetErrors++
-					return
-				}
-				local.Sent++
-				local.BytesOut += uint64(len(raw))
-				local.BytesIn += uint64(resp.Bytes)
-				switch {
-				case resp.Status == 200:
-					local.OK++
-					hist.Observe(time.Since(t0))
-					switch resp.Outcome {
-					case "forwarded":
-						local.Forwarded++
-					case "match":
-						local.Match++
-					case "error":
-						local.RoutedError++
-					case "valid":
-						local.Valid++
-					case "translated":
-						local.Translated++
-					}
-				case resp.Status == 503:
-					local.Shed++
-				default:
-					local.HTTPErrors++
-					if resp.Outcome == "parse-error" || resp.Status == 400 {
-						local.ParseErrors++
-					}
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
+// Stop winds the set down to zero, joins every sender and returns the
+// merged accounting.
+func (s *Senders) Stop() Report {
+	s.Resize(0)
+	return s.Wait()
+}
 
-	rep.DurationSec = time.Since(start).Seconds()
+// Wait joins every sender — they leave on their own once the message
+// budget or the deadline is spent — and returns the merged accounting.
+func (s *Senders) Wait() Report {
+	s.wg.Wait()
+	rep := s.total
+	rep.UseCase = s.cfg.UseCase.String()
+	rep.SizeBytes = s.cfg.Size
+	rep.DurationSec = time.Since(s.start).Seconds()
 	if rep.DurationSec > 0 {
 		rep.MsgsPerSec = float64(rep.OK) / rep.DurationSec
 		rep.Mbps = float64(rep.BytesOut) * 8 / 1e6 / rep.DurationSec
 	}
-	rep.Latency = hist.Snapshot()
+	rep.Latency = s.hist.Snapshot()
+	return rep
+}
+
+// run is one sender: dial, claim the next pooled request, exchange,
+// account; on a dead connection redial or retire.
+func (s *Senders) run(stop chan struct{}) {
+	defer s.wg.Done()
+	var (
+		local Report
+		cl    *Client
+		trbuf []byte // trace-injected request scratch, reused
+	)
+	defer func() {
+		if cl != nil {
+			cl.Close()
+		}
+		s.mu.Lock()
+		s.total.merge(&local)
+		s.mu.Unlock()
+	}()
+	for k := 0; ; k++ {
+		select {
+		case <-stop:
+			return
+		default:
+		}
+		if s.cfg.Duration > 0 && time.Since(s.start) >= s.cfg.Duration {
+			return
+		}
+		if cl == nil {
+			c, err := Dial(s.cfg.Addr)
+			if err != nil {
+				local.NetErrors++
+				if !s.redial {
+					return
+				}
+				select {
+				case <-stop:
+					return
+				case <-time.After(50 * time.Millisecond):
+				}
+				continue
+			}
+			cl = c
+		}
+		i := s.next.Add(1) - 1
+		if s.cfg.Messages > 0 && i >= int64(s.cfg.Messages) {
+			return
+		}
+		raw := s.pool[i%int64(len(s.pool))]
+		// Every TraceEvery-th request originates a trace: inject the
+		// context header (into a reused scratch copy — the shared pool
+		// entry is never mutated) so the gateway adopts this ID, and keep
+		// the client span while there is room for it.
+		var traceID, spanID dtrace.ID
+		traced := s.cfg.TraceEvery > 0 && k%s.cfg.TraceEvery == 0
+		if traced {
+			traceID, spanID = dtrace.NewID(), dtrace.NewID()
+			trbuf = dtrace.InjectHeader(trbuf[:0], raw, traceID, spanID)
+			raw = trbuf
+		}
+		t0 := time.Now()
+		resp, err := cl.Do(raw, s.cfg.Timeout)
+		if traced && len(local.ClientSpans) < maxConnClientSpans {
+			sp := dtrace.Span{
+				TraceID: traceID,
+				SpanID:  spanID,
+				Node:    s.cfg.TraceNode,
+				Name:    "request",
+				StartUS: t0.UnixMicro(),
+				DurUS:   time.Since(t0).Microseconds(),
+			}
+			if err == nil {
+				sp.Outcome, sp.Status = resp.Outcome, resp.Status
+			} else {
+				sp.Outcome = "net-error"
+			}
+			local.ClientSpans = append(local.ClientSpans, sp)
+		}
+		if err != nil {
+			local.NetErrors++
+			cl.Close()
+			cl = nil
+			if !s.redial {
+				return
+			}
+			continue
+		}
+		local.BytesOut += uint64(len(raw))
+		local.BytesIn += uint64(resp.Bytes)
+		local.record(resp)
+		if resp.Status == 200 {
+			s.hist.Observe(time.Since(t0))
+		}
+	}
+}
+
+// merge folds one sender's accounting into the set's.
+func (dst *Report) merge(src *Report) {
+	dst.Counts.add(&src.Counts)
+	dst.BytesOut += src.BytesOut
+	dst.BytesIn += src.BytesIn
+	if room := maxReportClientSpans - len(dst.ClientSpans); room > 0 {
+		dst.ClientSpans = append(dst.ClientSpans, src.ClientSpans[:min(room, len(src.ClientSpans))]...)
+	}
+}
+
+// RunLoad drives a gateway with Conns concurrent keep-alive connections
+// posting AONBench order documents, closed-loop — each connection sends
+// its next request when the previous reply is in — and reports
+// throughput, latency percentiles, and outcome counts.
+func RunLoad(cfg LoadConfig) (Report, error) {
+	if cfg.Conns <= 0 {
+		cfg.Conns = 1
+	}
+	if cfg.Messages <= 0 && cfg.Duration <= 0 {
+		cfg.Messages = 1000
+	}
+	s := NewSenders(cfg, false)
+	s.Resize(cfg.Conns)
+	rep := s.Wait()
+	rep.Conns = cfg.Conns
 	if rep.Sent == 0 && rep.NetErrors > 0 {
 		return rep, fmt.Errorf("gateway: no messages delivered to %s", cfg.Addr)
 	}
@@ -344,27 +471,4 @@ func RawPost(uc workload.UseCase, body []byte) []byte {
 		},
 		Body: body,
 	})
-}
-
-func mergeReport(dst, src *Report) {
-	dst.Sent += src.Sent
-	dst.OK += src.OK
-	dst.Shed += src.Shed
-	dst.HTTPErrors += src.HTTPErrors
-	dst.NetErrors += src.NetErrors
-	dst.Forwarded += src.Forwarded
-	dst.Match += src.Match
-	dst.RoutedError += src.RoutedError
-	dst.Valid += src.Valid
-	dst.Translated += src.Translated
-	dst.ParseErrors += src.ParseErrors
-	dst.BytesOut += src.BytesOut
-	dst.BytesIn += src.BytesIn
-	if room := maxReportClientSpans - len(dst.ClientSpans); room > 0 {
-		spans := src.ClientSpans
-		if len(spans) > room {
-			spans = spans[:room]
-		}
-		dst.ClientSpans = append(dst.ClientSpans, spans...)
-	}
 }

@@ -58,8 +58,8 @@ func (o Outcome) String() string {
 	return "invalid"
 }
 
-// RouteHeader is the response header carrying the routing decision, so an
-// open-loop client can assert outcomes without a second channel.
+// RouteHeader is the response header carrying the routing decision, so a
+// load client can assert outcomes without a second channel.
 const RouteHeader = "X-AON-Route"
 
 // routeOf maps an outcome to the endpoint name the device would forward

@@ -30,9 +30,10 @@ func TestFormatModelTable(t *testing.T) {
 	rows := []SweepResult{{
 		Procs: 1,
 		Report: Report{
-			Sent: 500, OK: 480, DurationSec: 1,
-			MsgsPerSec: 480,
-			Latency:    HistSnapshot{P99US: 5000},
+			Counts:      Counts{Sent: 500, OK: 480},
+			DurationSec: 1,
+			MsgsPerSec:  480,
+			Latency:     HistSnapshot{P99US: 5000},
 		},
 		Server: Snapshot{Stages: stages},
 	}}

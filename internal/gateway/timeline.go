@@ -3,12 +3,10 @@ package gateway
 import (
 	"fmt"
 	"io"
-	"net/url"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/httpmsg"
 	"repro/internal/runstats"
 	"repro/internal/session"
 )
@@ -34,8 +32,7 @@ type timelineState struct {
 	flushMu   sync.Mutex
 	flushDst  *session.Appender
 	flushMark uint64
-	flushStop chan struct{}
-	flushDone chan struct{}
+	stopFlush func() // joins the periodic flusher; nil without one
 }
 
 // startTimeline brings the sampling session up; called from Start after
@@ -52,31 +49,14 @@ func (s *Server) startTimeline() error {
 	tl.sampler = sampler
 	s.timeline = tl
 	if s.cfg.TimelineFlush != nil && s.cfg.TimelineFlushInterval > 0 {
+		// The periodic flusher is the crash-safe persistence path: whatever
+		// the ring has seen is on disk within one flush interval, so a
+		// session survives its process (the fleet coordinator's requirement
+		// for nodes that restart mid-campaign).
 		tl.flushDst = s.cfg.TimelineFlush
-		tl.flushStop = make(chan struct{})
-		tl.flushDone = make(chan struct{})
-		go s.flushLoop(tl)
+		tl.stopFlush = session.Every(s.cfg.TimelineFlushInterval, func() { s.FlushTimeline() })
 	}
 	return nil
-}
-
-// flushLoop appends newly recorded samples to the flush target every
-// TimelineFlushInterval — the crash-safe persistence path: whatever the
-// ring has seen is on disk within one flush interval, so a session
-// survives its process (the fleet coordinator's requirement for nodes
-// that restart mid-campaign).
-func (s *Server) flushLoop(tl *timelineState) {
-	defer close(tl.flushDone)
-	t := time.NewTicker(s.cfg.TimelineFlushInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-tl.flushStop:
-			return
-		case <-t.C:
-			s.FlushTimeline()
-		}
-	}
 }
 
 // FlushTimeline appends every sample recorded since the previous flush
@@ -158,9 +138,8 @@ func (s *Server) closeTimeline() {
 	if tl == nil {
 		return
 	}
-	if tl.flushStop != nil {
-		close(tl.flushStop)
-		<-tl.flushDone
+	if tl.stopFlush != nil {
+		tl.stopFlush()
 	}
 	tl.sampler.Close()
 	if tl.flushDst != nil {
@@ -228,18 +207,9 @@ func (s *Server) timelineResponse(query string) (*TimelineResponse, error) {
 	if s.timeline == nil {
 		return nil, fmt.Errorf("no sampling session running (enable Config.Timeline / -timeline)")
 	}
-	n := 0
-	if query != "" {
-		vals, err := url.ParseQuery(query)
-		if err != nil {
-			return nil, fmt.Errorf("bad query: %v", err)
-		}
-		if raw := strings.TrimSpace(vals.Get("last")); raw != "" {
-			n, err = strconv.Atoi(raw)
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("bad last=%q, want a non-negative integer", raw)
-			}
-		}
+	n, err := httpmsg.LastParam(query)
+	if err != nil {
+		return nil, err
 	}
 	sp := s.timeline.sampler
 	samples := sp.Last(n)

@@ -11,6 +11,7 @@ package httpmsg
 import (
 	"encoding/json"
 	"fmt"
+	"net/url"
 	"strconv"
 	"strings"
 
@@ -214,6 +215,8 @@ func StatusText(code int) string {
 		return "Not Found"
 	case 422:
 		return "Unprocessable Entity"
+	case 431:
+		return "Request Header Fields Too Large"
 	case 500:
 		return "Internal Server Error"
 	case 501:
@@ -226,6 +229,26 @@ func StatusText(code int) string {
 		return "Gateway Timeout"
 	}
 	return "Unknown"
+}
+
+// LastParam reads the control planes' one query parameter, ?last=N — the
+// newest N entries of a ring, all of them when absent or 0 — off a raw
+// query string. /timeline and both ends' /traces parse it here, so a
+// value one node refuses is refused by all.
+func LastParam(query string) (int, error) {
+	vals, err := url.ParseQuery(query)
+	if err != nil {
+		return 0, fmt.Errorf("bad query: %v", err)
+	}
+	raw := strings.TrimSpace(vals.Get("last"))
+	if raw == "" {
+		return 0, nil
+	}
+	n, err := strconv.Atoi(raw)
+	if err != nil || n < 0 {
+		return 0, fmt.Errorf("bad last=%q, want a non-negative integer", raw)
+	}
+	return n, nil
 }
 
 // RewriteTarget adjusts the request target for proxy forwarding: the proxy

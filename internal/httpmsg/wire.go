@@ -19,6 +19,12 @@ import (
 // maxHead bounds a request's header block, request line included.
 const maxHead = 64 << 10
 
+// maxHeaderFields bounds the field lines of one request head. The byte
+// bound alone admits some 13 000 three-byte fields, and the parser's
+// pooled Header scratch keeps whatever capacity the largest head it ever
+// saw made it grow to.
+const maxHeaderFields = 128
+
 // FrameError is malformed or unsupported request framing: answerable with
 // Status, after which the connection must close — the stream position is
 // no longer trustworthy. Anything else a framer returns (io.EOF between
@@ -65,10 +71,11 @@ var (
 // Content-Length only — repeated Content-Length headers must agree, the
 // value must be 1*DIGIT, and the two spellings a lenient peer reads as a
 // different header (obs-fold continuation, whitespace before the colon:
-// RFC 9112 §5.1, §5.2) are refused outright.
+// RFC 9112 §5.1, §5.2) are refused outright. More than maxHeaderFields
+// field lines are refused with 431.
 func ReadHead(br *bufio.Reader, buf []byte) ([]byte, int, error) {
 	buf = buf[:0]
-	clen, haveClen := 0, false
+	clen, haveClen, fields := 0, false, 0
 	for {
 		lineStart := len(buf)
 		for {
@@ -100,6 +107,9 @@ func ReadHead(br *bufio.Reader, buf []byte) ([]byte, int, error) {
 		}
 		if len(line) == 0 {
 			return buf, clen, nil
+		}
+		if fields++; fields > maxHeaderFields {
+			return buf, 0, &FrameError{431, "too many header fields"}
 		}
 		if line[0] == ' ' || line[0] == '\t' {
 			return buf, 0, &FrameError{400, "obsolete line folding"}

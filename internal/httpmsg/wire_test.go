@@ -40,6 +40,8 @@ var FrameCases = []FrameCase{
 	{Name: "lf-only", Wire: "POST /service/FR HTTP/1.1\nContent-Length: 2\n\nab", Frames: 1},
 	{Name: "oversized-line", Wire: post + "X-Pad: " + strings.Repeat("a", maxHead), Status: 400, Msg: "header block too large"},
 	{Name: "oversized-block", Wire: post + strings.Repeat("X-Pad: "+strings.Repeat("a", 1000)+"\r\n", 70) + "\r\n", Status: 400, Msg: "header block too large"},
+	{Name: "header-fields-at-bound", Wire: post + strings.Repeat("a:\r\n", maxHeaderFields-1) + "\r\n", Frames: 1},
+	{Name: "header-fields-over-bound", Wire: post + strings.Repeat("a:\r\n", maxHeaderFields) + "\r\n", Status: 431, Msg: "too many header fields"},
 	{Name: "truncated-head", Wire: post, Status: 400, Msg: "truncated request"},
 	{Name: "truncated-body", Wire: post + "Content-Length: 10\r\n\r\nabc", Status: 400, Msg: "truncated body"},
 	{Name: "transfer-encoding", Wire: post + "Transfer-Encoding: chunked\r\n\r\n2\r\nab\r\n0\r\n\r\n", Status: 501, Msg: "Transfer-Encoding not supported"},
@@ -329,6 +331,9 @@ func FuzzReadRequest(f *testing.F) {
 			var req Request
 			if ParseRequestInto(frame, &req) != nil {
 				continue // the worker answers 400 and closes
+			}
+			if len(req.Headers) > maxHeaderFields {
+				t.Fatalf("frame %d: accepted head carries %d header fields", i, len(req.Headers))
 			}
 			if len(req.Body) != clen || (clen > 0 && &req.Body[0] != &frame[len(head)]) {
 				t.Fatalf("frame %d: parser body %d bytes, framer %d", i, len(req.Body), clen)

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 )
 
@@ -21,18 +22,8 @@ var csvHeader = []string{
 	"upstream_idle_conns", "upstream_healthy",
 }
 
-// CSVHeader returns a copy of the session artifact's column names, for
-// writers that extend the schema with leading columns (the fleet's
-// merged cross-node CSV prefixes node identity) while staying readable
-// by ReadCSV, which locates columns by name.
-func CSVHeader() []string {
-	out := make([]string, len(csvHeader))
-	copy(out, csvHeader)
-	return out
-}
-
-// CSVRecord flattens one sample into the csvHeader column order.
-func CSVRecord(s Sample) []string {
+// csvRecord flattens one sample into the csvHeader column order.
+func csvRecord(s Sample) []string {
 	f := func(v float64) string { return strconv.FormatFloat(v, 'g', 6, 64) }
 	u := func(v uint64) string { return strconv.FormatUint(v, 10) }
 	cpiMin, cpiMax := workerCPIBounds(s.Workers)
@@ -50,20 +41,7 @@ func CSVRecord(s Sample) []string {
 // WriteCSV dumps samples (chronological) in the fixed schema — the
 // session artifact aongate writes on SIGUSR1/shutdown and CI uploads.
 func WriteCSV(w io.Writer, samples []Sample) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
-		return err
-	}
-	for _, s := range samples {
-		if err := cw.Write(CSVRecord(s)); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return fmt.Errorf("session: csv flush: %w", err)
-	}
-	return nil
+	return NewAppender(w, true).Append(samples)
 }
 
 func workerCPIBounds(ws []WorkerSample) (min, max float64) {
@@ -85,34 +63,59 @@ func workerCPIBounds(ws []WorkerSample) (min, max float64) {
 // gateway's periodic timeline flush and the fleet coordinator rely on:
 // whatever Append has returned from is on disk, whatever comes later is
 // a clean appended row, never a torn rewrite.
+//
+// An appender made with leading column names writes them before the
+// schema's own, and each AppendRow brings their values: the campaign's
+// phase-tagged session and the fleet's node/role/rel_ms merged session
+// are this schema with a prefix, and ReadCSV, which locates columns by
+// name, reads all three.
 type Appender struct {
 	cw        *csv.Writer
+	lead      []string
 	headerDue bool
 	rows      int
 }
 
 // NewAppender wraps w. writeHeader=false resumes an existing artifact
 // (the file already carries a header from a previous run).
-func NewAppender(w io.Writer, writeHeader bool) *Appender {
-	return &Appender{cw: csv.NewWriter(w), headerDue: writeHeader}
+func NewAppender(w io.Writer, writeHeader bool, lead ...string) *Appender {
+	return &Appender{cw: csv.NewWriter(w), lead: lead, headerDue: writeHeader}
 }
 
 // Append writes the samples and flushes. Safe to call with no samples
 // (it still emits a due header, making even an idle session's artifact
 // well-formed).
 func (a *Appender) Append(samples []Sample) error {
+	for _, s := range samples {
+		a.row(s, nil)
+	}
+	return a.flush()
+}
+
+// AppendRow writes one sample behind its leading column values (one per
+// leading name the appender was made with) and flushes.
+func (a *Appender) AppendRow(s Sample, lead ...string) error {
+	a.row(s, lead)
+	return a.flush()
+}
+
+// row buffers one record behind a due header. csv.Writer keeps a write
+// error until flush reads it back.
+func (a *Appender) row(s Sample, lead []string) {
+	a.flushHeader()
+	a.cw.Write(slices.Concat(lead, csvRecord(s)))
+	a.rows++
+}
+
+func (a *Appender) flushHeader() {
 	if a.headerDue {
-		if err := a.cw.Write(csvHeader); err != nil {
-			return err
-		}
+		a.cw.Write(slices.Concat(a.lead, csvHeader))
 		a.headerDue = false
 	}
-	for _, s := range samples {
-		if err := a.cw.Write(CSVRecord(s)); err != nil {
-			return err
-		}
-		a.rows++
-	}
+}
+
+func (a *Appender) flush() error {
+	a.flushHeader()
 	a.cw.Flush()
 	if err := a.cw.Error(); err != nil {
 		return fmt.Errorf("session: csv append: %w", err)

@@ -173,16 +173,39 @@ const DefaultInterval = 100 * time.Millisecond
 // DefaultCapacity keeps one minute of samples at the default interval.
 const DefaultCapacity = 600
 
+// Every calls fn once per interval from a goroutine of its own until the
+// returned stop is called. stop joins that goroutine — after it returns,
+// fn will never be called again — and is idempotent. It is the one
+// polling loop: the sampling session below, the gateway's timeline
+// flusher, the campaign's /stats sampler and the fleet's scrape loop.
+func Every(interval time.Duration, fn func()) (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-t.C:
+				fn()
+			}
+		}
+	}()
+	var once sync.Once
+	return func() {
+		once.Do(func() { close(quit) })
+		<-done
+	}
+}
+
 // Sampler drives one sampling session: a background goroutine calls fn
 // every interval and records the result. Close stops and joins it.
 type Sampler struct {
 	ring     *Ring
 	interval time.Duration
-	fn       func() Sample
-
-	stop chan struct{}
-	done chan struct{}
-	once sync.Once
+	stop     func()
 }
 
 // Start begins a session. fn is called from the sampler goroutine only,
@@ -203,37 +226,14 @@ func Start(cfg Config, fn func() Sample) (*Sampler, error) {
 	if cfg.Capacity == 0 {
 		cfg.Capacity = DefaultCapacity
 	}
-	s := &Sampler{
-		ring:     NewRing(cfg.Capacity),
-		interval: cfg.Interval,
-		fn:       fn,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
-	go s.loop()
+	s := &Sampler{ring: NewRing(cfg.Capacity), interval: cfg.Interval}
+	s.stop = Every(cfg.Interval, func() { s.ring.Add(fn()) })
 	return s, nil
-}
-
-func (s *Sampler) loop() {
-	defer close(s.done)
-	t := time.NewTicker(s.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C:
-			s.ring.Add(s.fn())
-		}
-	}
 }
 
 // Close stops the session and joins the sampler goroutine; after Close
 // returns, fn will never be called again. Idempotent.
-func (s *Sampler) Close() {
-	s.once.Do(func() { close(s.stop) })
-	<-s.done
-}
+func (s *Sampler) Close() { s.stop() }
 
 // Interval reports the sampling period in effect.
 func (s *Sampler) Interval() time.Duration { return s.interval }
@@ -250,3 +250,50 @@ func (s *Sampler) Total() uint64 { return s.ring.Total() }
 
 // Kept is how many samples the ring currently holds.
 func (s *Sampler) Kept() int { return s.ring.Kept() }
+
+// Windower turns successive cumulative observations of a node into
+// windowed samples — the scrape-side counterpart of the in-process
+// sampler, shared by the campaign's /stats sampler and the fleet
+// scraper. Safe for concurrent use.
+type Windower struct {
+	mu   sync.Mutex
+	prev map[string]Sample // key → last cumulative observation
+}
+
+// Window takes a sample whose Messages, BytesIn and Shed hold key's
+// cumulative counters and returns it with those differenced against the
+// previous observation of key, WindowSec and MsgsPerSec filled from the
+// TMS step. The first observation of a key lands as a zero-window
+// sample that only primes the state (and pins the node's epoch in a
+// merged session); so does one whose clock did not advance — a restarted
+// node — which re-primes. A counter that went backwards yields 0, not a
+// wrap.
+func (w *Windower) Window(key string, cum Sample) Sample {
+	w.mu.Lock()
+	if w.prev == nil {
+		w.prev = map[string]Sample{}
+	}
+	p, ok := w.prev[key]
+	w.prev[key] = cum
+	w.mu.Unlock()
+
+	s := cum
+	s.Messages, s.BytesIn, s.Shed = 0, 0, 0
+	if ok && cum.TMS > p.TMS {
+		s.WindowSec = float64(cum.TMS-p.TMS) / 1000
+		s.Messages = Delta(cum.Messages, p.Messages)
+		s.BytesIn = Delta(cum.BytesIn, p.BytesIn)
+		s.Shed = Delta(cum.Shed, p.Shed)
+		s.MsgsPerSec = float64(s.Messages) / s.WindowSec
+	}
+	return s
+}
+
+// Delta is a cumulative counter's growth from prev to cur: 0, not a
+// wrap, when it went backwards (the node restarted in between).
+func Delta(cur, prev uint64) uint64 {
+	if cur < prev {
+		return 0
+	}
+	return cur - prev
+}

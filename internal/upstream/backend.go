@@ -6,10 +6,8 @@ import (
 	"errors"
 	"io"
 	"net"
-	"net/url"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -219,7 +217,11 @@ func (s *BackendServer) handle(c net.Conn) {
 			case bytes.HasSuffix(path, []byte("fault")):
 				resp = httpmsg.JSONResponse(200, s.FaultState())
 			case bytes.HasSuffix(path, []byte("traces")):
-				resp = httpmsg.JSONResponse(200, s.tracesResponse(query))
+				if n, err := httpmsg.LastParam(string(query)); err != nil {
+					resp = httpmsg.JSONResponse(404, map[string]string{"error": err.Error()})
+				} else {
+					resp = httpmsg.JSONResponse(200, s.traces.Response(s.cfg.TraceNode, n))
+				}
 			default:
 				resp = httpmsg.JSONResponse(404, map[string]string{"error": "not found"})
 			}
@@ -302,34 +304,6 @@ func (s *BackendServer) recordServe(traceVal []byte, start time.Time, d time.Dur
 		Outcome:  outcome,
 		Status:   status,
 	}})
-}
-
-// backendTracesResponse mirrors the gateway's GET /traces JSON shape,
-// so the fleet scraper and aontrace read both ends with one decoder.
-type backendTracesResponse struct {
-	Node   string           `json:"node"`
-	Tail   dtrace.TailStats `json:"tail"`
-	Traces []dtrace.Trace   `json:"traces"`
-}
-
-// tracesResponse serves GET /traces?last=N (all kept traces when last
-// is absent or invalid).
-func (s *BackendServer) tracesResponse(query []byte) backendTracesResponse {
-	n := 0
-	if len(query) > 0 {
-		if vals, err := url.ParseQuery(string(query)); err == nil {
-			if raw := strings.TrimSpace(vals.Get("last")); raw != "" {
-				if v, err := strconv.Atoi(raw); err == nil && v > 0 {
-					n = v
-				}
-			}
-		}
-	}
-	return backendTracesResponse{
-		Node:   s.cfg.TraceNode,
-		Tail:   s.traces.Stats(),
-		Traces: s.traces.Last(n),
-	}
 }
 
 // BackendStats is the GET /stats JSON shape — the backend's
