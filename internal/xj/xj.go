@@ -19,8 +19,9 @@
 package xj
 
 import (
+	"bytes"
 	"errors"
-	"strings"
+	"sync"
 
 	"repro/internal/xmldom"
 )
@@ -28,8 +29,15 @@ import (
 // ErrNoElement reports a document without a document element.
 var ErrNoElement = errors.New("xj: document has no element to translate")
 
+// scratch is one translation's working memory: the output under
+// construction and the text of the element being written.
+type scratch struct{ out, text []byte }
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
 // Translate renders the document (or element) rooted at n as compact
-// JSON: {"<rootName>": <value>}.
+// JSON: {"<rootName>": <value>}. The result is the caller's: it is copied
+// out of pooled scratch once, and holds no view into the tree.
 func Translate(n *xmldom.Node) ([]byte, error) {
 	root := n
 	if root.Kind == xmldom.Document {
@@ -41,142 +49,137 @@ func Translate(n *xmldom.Node) ([]byte, error) {
 	if root.Kind != xmldom.Element {
 		return nil, ErrNoElement
 	}
-	var b strings.Builder
-	b.Grow(256)
-	b.WriteByte('{')
-	writeString(&b, root.Name)
-	b.WriteByte(':')
-	writeElement(&b, root)
-	b.WriteByte('}')
-	return []byte(b.String()), nil
+	s := scratchPool.Get().(*scratch)
+	b := append(s.out[:0], '{')
+	b = appendString(b, root.Name)
+	b = append(b, ':')
+	b = s.appendElement(b, root)
+	b = append(b, '}')
+	out := bytes.Clone(b)
+	s.out = b
+	scratchPool.Put(s)
+	return out, nil
 }
 
-// writeElement emits the JSON value for one element.
-func writeElement(b *strings.Builder, n *xmldom.Node) {
-	text, elems := partition(n)
-	if len(n.Attrs) == 0 && len(elems) == 0 {
-		// Leaf: plain string, or null when fully empty.
-		if text == "" {
-			b.WriteString("null")
-			return
-		}
-		writeString(b, text)
-		return
-	}
-
-	b.WriteByte('{')
-	first := true
-	comma := func() {
-		if !first {
-			b.WriteByte(',')
-		}
-		first = false
-	}
-	for _, a := range n.Attrs {
-		comma()
-		writeString(b, "@"+a.Name)
-		b.WriteByte(':')
-		writeString(b, a.Value)
-	}
-	if text != "" {
-		comma()
-		writeString(b, "#text")
-		b.WriteByte(':')
-		writeString(b, text)
-	}
-	// Group same-named siblings into arrays, preserving first-occurrence
-	// order. Sibling counts are small (message trees), so the linear
-	// name scan beats allocating a map per element.
-	for i, c := range elems {
-		if indexOfName(elems[:i], c.Name) >= 0 {
-			continue // already emitted inside an earlier array
-		}
-		comma()
-		writeString(b, c.Name)
-		b.WriteByte(':')
-		group := sameNamed(elems[i:], c.Name)
-		if len(group) == 1 && indexOfName(elems[i+1:], c.Name) < 0 {
-			writeElement(b, c)
-			continue
-		}
-		b.WriteByte('[')
-		for k, g := range group {
-			if k > 0 {
-				b.WriteByte(',')
-			}
-			writeElement(b, g)
-		}
-		b.WriteByte(']')
-	}
-	b.WriteByte('}')
-}
-
-// partition splits an element's children into trimmed concatenated text
-// and the element children.
-func partition(n *xmldom.Node) (text string, elems []*xmldom.Node) {
-	var tb strings.Builder
+// appendElement appends the JSON value for one element.
+func (s *scratch) appendElement(b []byte, n *xmldom.Node) []byte {
+	// The element's text is its text children concatenated, then trimmed
+	// as one string: white space — a multi-byte rune even — may straddle
+	// the pieces. It sits in s.text until the first child is written.
+	s.text = s.text[:0]
+	elems := 0
 	for _, c := range n.Children {
 		switch c.Kind {
 		case xmldom.Text:
-			tb.WriteString(c.Data)
+			s.text = append(s.text, c.Data...)
 		case xmldom.Element:
-			elems = append(elems, c)
+			elems++
 		}
 	}
-	return strings.TrimSpace(tb.String()), elems
+	text := bytes.TrimSpace(s.text)
+
+	if len(n.Attrs) == 0 && elems == 0 {
+		// Leaf: plain string, or null when fully empty.
+		if len(text) == 0 {
+			return append(b, "null"...)
+		}
+		return appendString(b, text)
+	}
+
+	b = append(b, '{')
+	open := len(b)
+	for _, a := range n.Attrs {
+		if len(b) > open {
+			b = append(b, ',')
+		}
+		b = append(b, '"', '@')
+		b = appendEscaped(b, a.Name)
+		b = append(b, '"', ':')
+		b = appendString(b, a.Value)
+	}
+	if len(text) > 0 {
+		if len(b) > open {
+			b = append(b, ',')
+		}
+		b = append(b, `"#text":`...)
+		b = appendString(b, text)
+	}
+	// Group same-named siblings into arrays, preserving first-occurrence
+	// order. Sibling counts are small (message trees), so the linear
+	// name scans beat allocating a map or a slice per element.
+	kids := n.Children
+	for i, c := range kids {
+		if c.Kind != xmldom.Element || hasNamed(kids[:i], c.Name) {
+			continue // not a member, or already emitted inside an earlier array
+		}
+		if len(b) > open {
+			b = append(b, ',')
+		}
+		b = appendString(b, c.Name)
+		b = append(b, ':')
+		if !hasNamed(kids[i+1:], c.Name) {
+			b = s.appendElement(b, c)
+			continue
+		}
+		b = append(b, '[')
+		b = s.appendElement(b, c)
+		for _, g := range kids[i+1:] {
+			if g.Kind == xmldom.Element && g.Name == c.Name {
+				b = append(b, ',')
+				b = s.appendElement(b, g)
+			}
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}')
 }
 
-func indexOfName(elems []*xmldom.Node, name string) int {
-	for i, e := range elems {
-		if e.Name == name {
-			return i
+// hasNamed reports whether nodes holds an element called name.
+func hasNamed(nodes []*xmldom.Node, name string) bool {
+	for _, e := range nodes {
+		if e.Kind == xmldom.Element && e.Name == name {
+			return true
 		}
 	}
-	return -1
-}
-
-func sameNamed(elems []*xmldom.Node, name string) []*xmldom.Node {
-	var out []*xmldom.Node
-	for _, e := range elems {
-		if e.Name == name {
-			out = append(out, e)
-		}
-	}
-	return out
+	return false
 }
 
 const hexDigits = "0123456789abcdef"
 
-// writeString emits s as a JSON string without the HTML-safe escaping
+// appendString appends s as a JSON string without the HTML-safe escaping
 // json.Marshal applies (&, <, > stay literal — the translated body is
 // served as application/json, not embedded in HTML).
-func writeString(b *strings.Builder, s string) {
-	b.WriteByte('"')
+func appendString[T string | []byte](b []byte, s T) []byte {
+	b = append(b, '"')
+	b = appendEscaped(b, s)
+	return append(b, '"')
+}
+
+// appendEscaped appends the inside of s's JSON string.
+func appendEscaped[T string | []byte](b []byte, s T) []byte {
 	start := 0
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		if c >= 0x20 && c != '"' && c != '\\' {
 			continue
 		}
-		b.WriteString(s[start:i])
+		b = append(b, s[start:i]...)
 		switch c {
 		case '"':
-			b.WriteString(`\"`)
+			b = append(b, `\"`...)
 		case '\\':
-			b.WriteString(`\\`)
+			b = append(b, `\\`...)
 		case '\n':
-			b.WriteString(`\n`)
+			b = append(b, `\n`...)
 		case '\r':
-			b.WriteString(`\r`)
+			b = append(b, `\r`...)
 		case '\t':
-			b.WriteString(`\t`)
+			b = append(b, `\t`...)
 		default:
-			b.WriteString(`\u00`)
-			b.WriteByte(hexDigits[c>>4])
-			b.WriteByte(hexDigits[c&0xf])
+			b = append(b, `\u00`...)
+			b = append(b, hexDigits[c>>4], hexDigits[c&0xf])
 		}
 		start = i + 1
 	}
-	b.WriteString(s[start:])
-	b.WriteByte('"')
+	return append(b, s[start:]...)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/raceflag"
 	"repro/internal/workload"
 	"repro/internal/xmldom"
 )
@@ -100,5 +101,27 @@ func BenchmarkTranslate(b *testing.B) {
 		if _, err := Translate(doc); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestTranslateAllocs pins the allocation cost beside the code: output is
+// built in pooled scratch, so a translation allocates its result and
+// nothing else (one spare for a pool miss after a GC).
+func TestTranslateAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	sp := xmldom.AcquireStreamParser()
+	defer sp.Release()
+	doc, err := sp.Parse(workload.SOAPMessageSeeded(1, workload.MessageBytes, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if _, err := Translate(doc); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 2 {
+		t.Errorf("%v allocs per Translate, want <= 2", allocs)
 	}
 }

@@ -1,56 +1,11 @@
 package xmldom_test
 
 import (
-	"encoding/binary"
-	"hash"
-	"hash/fnv"
 	"testing"
 
-	"repro/internal/perf/trace"
+	"repro/internal/perf/trace/tracetest"
 	"repro/internal/xmldom"
 )
-
-// hashEmitter folds the micro-op stream into an FNV-1a hash, one record per
-// Emitter call (zero-length bursts included). Branch PCs are hashed as the
-// index of their first appearance, so the hash follows the sequence of
-// sites, not where package init order placed the code region. It is the
-// emitter internal/xpath's TestEmittedStreamGolden uses.
-type hashEmitter struct {
-	h   hash.Hash64
-	n   int
-	pcs map[uint64]uint64
-}
-
-func newHashEmitter() *hashEmitter {
-	return &hashEmitter{h: fnv.New64a(), pcs: map[uint64]uint64{}}
-}
-
-func (e *hashEmitter) op(tag byte, a, b uint64) {
-	var buf [17]byte
-	buf[0] = tag
-	binary.LittleEndian.PutUint64(buf[1:], a)
-	binary.LittleEndian.PutUint64(buf[9:], b)
-	e.h.Write(buf[:])
-	e.n++
-}
-
-func (e *hashEmitter) ALU(n int)                { e.op('A', uint64(n), 0) }
-func (e *hashEmitter) Load(addr uint64, n int)  { e.op('L', addr, uint64(n)) }
-func (e *hashEmitter) Store(addr uint64, n int) { e.op('S', addr, uint64(n)) }
-func (e *hashEmitter) Branch(pc uint64, taken bool) {
-	site, ok := e.pcs[pc]
-	if !ok {
-		site = uint64(len(e.pcs))
-		e.pcs[pc] = site
-	}
-	t := uint64(0)
-	if taken {
-		t = 1
-	}
-	e.op('B', site, t)
-}
-
-var _ trace.Emitter = (*hashEmitter)(nil)
 
 // parseGolden pins the micro-op stream ParseInstrumented emits for the
 // accepted grammar corners the workload messages never reach. Counts and
@@ -84,12 +39,12 @@ var parseGolden = []struct {
 
 func TestParseStreamGolden(t *testing.T) {
 	for _, g := range parseGolden {
-		em := newHashEmitter()
+		em := tracetest.NewHashEmitter()
 		if _, err := xmldom.ParseInstrumented([]byte(g.src), em, 1<<32, nil); err != nil {
 			t.Fatalf("%q: %v", g.src, err)
 		}
-		if em.n != g.events || em.h.Sum64() != g.hash {
-			t.Errorf("%q: emitted {%d, %#x}, golden {%d, %#x}", g.src, em.n, em.h.Sum64(), g.events, g.hash)
+		if em.Events() != g.events || em.Sum64() != g.hash {
+			t.Errorf("%q: emitted {%d, %#x}, golden {%d, %#x}", g.src, em.Events(), em.Sum64(), g.events, g.hash)
 		}
 	}
 }

@@ -134,8 +134,21 @@ func (n *Node) FirstChildElement(local string) *Node {
 }
 
 // TextContent concatenates all descendant text, the XPath string-value of
-// an element.
+// an element. A text node, and an element whose only child is one, return
+// that Data as is — in a StreamParser tree a view into the source, valid as
+// long as the tree — and only mixed content is concatenated into a copy.
 func (n *Node) TextContent() string {
+	if n.Kind == Text {
+		return n.Data
+	}
+	switch len(n.Children) {
+	case 0:
+		return ""
+	case 1:
+		if c := n.Children[0]; c.Kind == Text {
+			return c.Data
+		}
+	}
 	var b strings.Builder
 	n.appendText(&b)
 	return b.String()

@@ -44,6 +44,34 @@ func TestParseNested(t *testing.T) {
 	}
 }
 
+// TestTextContentShapes covers each shape TextContent distinguishes: the
+// leaf shapes return a string they already hold (no allocation), anything
+// else the concatenation.
+func TestTextContentShapes(t *testing.T) {
+	doc := mustParse(t, `<a><t>one</t><e/><c><!--x--></c><m>l<i>m</i>r</m><w><i>only</i></w></a>`)
+	a := doc.DocumentElement()
+	for _, c := range []struct {
+		name, want string
+		leaf       bool
+	}{
+		{"t", "one", true}, {"e", "", true}, {"c", "", false}, {"m", "lmr", false}, {"w", "only", false},
+	} {
+		el := a.FirstChildElement(c.name)
+		if got := el.TextContent(); got != c.want {
+			t.Errorf("<%s>: TextContent = %q, want %q", c.name, got, c.want)
+		}
+		if !c.leaf {
+			continue
+		}
+		if allocs := testing.AllocsPerRun(10, func() { _ = el.TextContent() }); allocs != 0 {
+			t.Errorf("<%s>: %v allocs per TextContent, want 0", c.name, allocs)
+		}
+	}
+	if text := a.FirstChildElement("t").Children[0]; text.TextContent() != "one" {
+		t.Errorf("text node: TextContent = %q", text.TextContent())
+	}
+}
+
 func TestParseAttributes(t *testing.T) {
 	doc := mustParse(t, `<a x="1" y='two' ns:z="a&amp;b"/>`)
 	el := doc.DocumentElement()

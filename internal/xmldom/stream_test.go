@@ -7,74 +7,8 @@ import (
 	"repro/internal/perf/trace"
 	"repro/internal/workload"
 	"repro/internal/xmldom"
+	"repro/internal/xmldom/xmltest"
 )
-
-// corpus is the seeded differential corpus: workload-generator output
-// (the traffic the gateway actually parses) plus grammar edge cases
-// covering every accept/reject path of the tokenizer.
-func corpus() [][]byte {
-	docs := [][]byte{
-		// Workload traffic at a few sizes and indices (i%2 flips the CBR
-		// routing branch; seeded variants perturb content).
-		workload.SOAPMessage(0),
-		workload.SOAPMessage(1),
-		workload.SOAPMessageSized(2, 512),
-		workload.SOAPMessageSeeded(3, 2048, 7),
-		workload.InvalidSOAPMessage(4),
-		workload.InvalidSOAPMessageSized(5, 1024),
-	}
-	edges := []string{
-		// Well-formed shapes.
-		`<a/>`,
-		`<a></a>`,
-		`<a b="1" c='2'>x</a>`,
-		`<?xml version="1.0"?><a/>`,
-		`<?xml version="1.0"?><!--c--><!DOCTYPE a [<!ELEMENT a EMPTY>]><a/><!--tail-->`,
-		`<a><!--c--><?pi data?><![CDATA[<raw&>]]></a>`,
-		`<a>&lt;&gt;&amp;&quot;&apos;&#65;&#x41;</a>`,
-		`<a b="&lt;v&gt;"/>`,
-		`<ns:a xmlns:ns="u"><ns:b/></ns:a>`,
-		`<a xmlns="d"><b xmlns=""/></a>`,
-		"  \r\n\t<a> mixed <b>text</b> runs </a>\n ",
-		`<a b="1"c="2"/>`, // no space between attrs — accepted quirk
-		`<?xmlfoo?><a/>`,  // decl prefix-match quirk
-		`<a>x<b/>y<b/>z</a>`,
-		`<a><![CDATA[]]></a>`, // an empty CDATA section is no text node
-		`<a>x<![CDATA[]]>y</a>`,
-		// Rejections.
-		``,
-		`   `,
-		`<a>`,
-		`<a></b>`,
-		`<a`,
-		`<a b/>`,
-		`<a b=>`,
-		`<a b="1" b="2"/>`,
-		`<a b="<"/>`,
-		`<a b="1/>`,
-		`<a>&unknown;</a>`,
-		`<a>&lt</a>`,
-		`<a>&#xZZ;</a>`,
-		`<a>&#;</a>`,
-		`<a/><b/>`,
-		`<a/>text`,
-		`<a/><?pi?>`,
-		`<!--only a comment-->`,
-		`<?foo?><a/>`,
-		`<!DOCTYPE a`,
-		`<?xml version="1.0"`,
-		`<a><!--unterminated</a>`,
-		`<a><![CDATA[unterminated</a>`,
-		`<a><?pi unterminated</a>`,
-		`<!a/>`,
-		`<a ="v"/>`,
-		`<a>&toolongentityname;</a>`,
-	}
-	for _, e := range edges {
-		docs = append(docs, []byte(e))
-	}
-	return docs
-}
 
 // sameTree asserts deep structural equality between two builders' trees
 // (ignoring SimAddr, which only the instrumented builder populates).
@@ -137,12 +71,12 @@ func checkDifferential(t *testing.T, sp *xmldom.StreamParser, src []byte) {
 func TestStreamVsDOMCorpus(t *testing.T) {
 	sp := xmldom.AcquireStreamParser()
 	defer sp.Release()
-	for _, doc := range corpus() {
+	for _, doc := range xmltest.Corpus() {
 		checkDifferential(t, sp, doc)
 	}
 	// Second pass over the same corpus: a parser that mis-resets pooled
 	// state produces wrong trees only on reuse.
-	for _, doc := range corpus() {
+	for _, doc := range xmltest.Corpus() {
 		checkDifferential(t, sp, doc)
 	}
 }
@@ -168,7 +102,7 @@ func checkOrd(t *testing.T, doc *xmldom.Node, builder string, src []byte) {
 func TestOrdIsDocumentOrder(t *testing.T) {
 	sp := xmldom.AcquireStreamParser()
 	defer sp.Release()
-	for _, src := range append(corpus(), workload.SOAPMessageSized(6, 32<<10)) {
+	for _, src := range append(xmltest.Corpus(), workload.SOAPMessageSized(6, 32<<10)) {
 		doc, err := xmldom.Parse(src)
 		if err != nil {
 			continue
@@ -197,7 +131,7 @@ func TestNodeSizeUnchanged(t *testing.T) {
 // any input they build different trees from, or on which the instrumented
 // builder's replay panics, is a bug.
 func FuzzStreamVsDOM(f *testing.F) {
-	for _, doc := range corpus() {
+	for _, doc := range xmltest.Corpus() {
 		f.Add(doc)
 	}
 	sp := xmldom.AcquireStreamParser()

@@ -10,6 +10,7 @@ import (
 	"repro/internal/httpmsg"
 	"repro/internal/wcrypto"
 	"repro/internal/workload"
+	"repro/internal/xmldom/xmltest"
 )
 
 // post wraps body in the POST the load generators send for uc (a correct
@@ -62,7 +63,7 @@ func TestLiveAndSimulatedVerdictsAgree(t *testing.T) {
 					post(uc, workload.InvalidSOAPMessageSeeded(i, workload.MessageBytes, seed)))
 			}
 		}
-		for _, doc := range corpus() {
+		for _, doc := range xmltest.Corpus() {
 			raws = append(raws, post(uc, doc))
 		}
 		for _, raw := range raws {

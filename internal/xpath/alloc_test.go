@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/raceflag"
 	"repro/internal/workload"
 	"repro/internal/xmldom"
 )
@@ -13,7 +14,7 @@ import (
 // scratch, the result a view of the text node's Data. Eval may allocate
 // once, for the caller-owned copy of the result.
 func TestEvalAllocations(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("sync.Pool drops items under the race detector")
 	}
 	sp := xmldom.AcquireStreamParser()

@@ -1,12 +1,9 @@
 package xpath
 
 import (
-	"encoding/binary"
-	"hash"
-	"hash/fnv"
 	"testing"
 
-	"repro/internal/perf/trace"
+	"repro/internal/perf/trace/tracetest"
 	"repro/internal/workload"
 	"repro/internal/xmldom"
 )
@@ -24,47 +21,6 @@ var exprTable = []string{
 	`//*[quantity=1]//text()`,
 	`//sku | //item/quantity | //customer`,
 }
-
-// hashEmitter folds the micro-op stream into an FNV-1a hash. Branch PCs
-// are hashed as the index of their first appearance, so the hash follows
-// the sequence of sites, not where package init order placed the code
-// regions.
-type hashEmitter struct {
-	h   hash.Hash64
-	n   int
-	pcs map[uint64]uint64
-}
-
-func newHashEmitter() *hashEmitter {
-	return &hashEmitter{h: fnv.New64a(), pcs: map[uint64]uint64{}}
-}
-
-func (e *hashEmitter) op(tag byte, a, b uint64) {
-	var buf [17]byte
-	buf[0] = tag
-	binary.LittleEndian.PutUint64(buf[1:], a)
-	binary.LittleEndian.PutUint64(buf[9:], b)
-	e.h.Write(buf[:])
-	e.n++
-}
-
-func (e *hashEmitter) ALU(n int)                { e.op('A', uint64(n), 0) }
-func (e *hashEmitter) Load(addr uint64, n int)  { e.op('L', addr, uint64(n)) }
-func (e *hashEmitter) Store(addr uint64, n int) { e.op('S', addr, uint64(n)) }
-func (e *hashEmitter) Branch(pc uint64, taken bool) {
-	site, ok := e.pcs[pc]
-	if !ok {
-		site = uint64(len(e.pcs))
-		e.pcs[pc] = site
-	}
-	t := uint64(0)
-	if taken {
-		t = 1
-	}
-	e.op('B', site, t)
-}
-
-var _ trace.Emitter = (*hashEmitter)(nil)
 
 type streamGolden struct {
 	events int
@@ -94,7 +50,7 @@ func TestEmittedStreamGolden(t *testing.T) {
 	for i, src := range exprTable {
 		e := MustCompile(src)
 		for seed := uint64(1); seed <= 3; seed++ {
-			em := newHashEmitter()
+			em := tracetest.NewHashEmitter()
 			msg := workload.SOAPMessageSeeded(int(seed), workload.MessageBytes, seed)
 			doc, err := xmldom.ParseInstrumented(msg, em, 1<<32, nil)
 			if err != nil {
@@ -107,7 +63,7 @@ func TestEmittedStreamGolden(t *testing.T) {
 			if _, err := ev.EvalString(e, doc); err != nil {
 				t.Fatalf("EvalString(%q): %v", src, err)
 			}
-			got := streamGolden{em.n, em.h.Sum64()}
+			got := streamGolden{em.Events(), em.Sum64()}
 			if i >= len(emittedGolden) {
 				t.Errorf("no golden for %q seed %d: got {%d, %#x}", src, seed, got.events, got.hash)
 				continue

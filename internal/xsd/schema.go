@@ -397,6 +397,11 @@ func (s *Schema) parseGroup(el *xmldom.Node) (*Particle, error) {
 				MinOccurs: d.MinOccurs, MaxOccurs: d.MaxOccurs,
 			})
 		case "sequence", "choice", "all":
+			if p.Kind == PAll {
+				// XSD 1.0: an all-group holds element particles only, and
+				// the validator's all-matching relies on it.
+				return nil, schemaErrf("all group may contain only elements, found %q", c.Local)
+			}
 			sub, err := s.parseGroup(c)
 			if err != nil {
 				return nil, err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"repro/internal/perf/trace"
 	"repro/internal/xmldom"
@@ -29,7 +30,12 @@ type Validator struct {
 	s  *Schema
 	em trace.Emitter
 
-	errs []*ValidationError
+	// root is the element Validate was called on: error paths start there.
+	root *xmldom.Node
+	// quiet is non-zero during lookahead (see probe): nothing is emitted,
+	// nothing reported and no matched element is descended into.
+	quiet int
+	errs  []*ValidationError
 }
 
 var (
@@ -56,7 +62,8 @@ func NewValidator(s *Schema, em trace.Emitter) *Validator {
 // global element declarations. It returns all violations found (nil means
 // valid).
 func Validate(s *Schema, doc *xmldom.Node) []*ValidationError {
-	return NewValidator(s, nil).Validate(doc)
+	v := Validator{s: s, em: trace.Nop{}} // stays on the stack
+	return v.Validate(doc)
 }
 
 // Validate checks an instance document, returning all violations.
@@ -67,16 +74,17 @@ func (v *Validator) Validate(doc *xmldom.Node) []*ValidationError {
 		root = doc.DocumentElement()
 	}
 	if root == nil {
-		v.fail("/", "empty document")
+		v.errs = append(v.errs, &ValidationError{Path: "/", Msg: "empty document"})
 		return v.errs
 	}
+	v.root = root
 	decl := v.s.Elements[root.Local]
 	v.emitNameLookup(root.Local, decl != nil)
 	if decl == nil {
-		v.fail("/"+root.Local, "no global declaration for element")
+		v.fail(root, "no global declaration for element")
 		return v.errs
 	}
-	v.validateElement(decl, root, "/"+root.Local)
+	v.validateElement(decl, root)
 	return v.errs
 }
 
@@ -85,49 +93,80 @@ func (v *Validator) Valid(doc *xmldom.Node) bool {
 	return len(v.Validate(doc)) == 0
 }
 
-func (v *Validator) fail(path, format string, args ...any) {
-	v.errs = append(v.errs, &ValidationError{Path: path, Msg: fmt.Sprintf(format, args...)})
+// fail records a violation at element el.
+func (v *Validator) fail(el *xmldom.Node, format string, args ...any) {
+	v.failAttr(el, "", format, args...)
 }
 
-// probe runs fn speculatively: errors recorded inside are discarded and no
-// micro-ops are emitted. Deterministic XSD content models make lookahead
-// cheap; the compiled validator's dispatch cost is modeled by the loud
-// branch the caller emits on the probe's verdict.
-func (v *Validator) probe(fn func() int) int {
-	savedEm := v.em
-	savedLen := len(v.errs)
+// failAttr records a violation at el's attribute attr, or at el itself
+// when attr is "". The path is only built here, from Parent links: a valid
+// document never pays for one.
+func (v *Validator) failAttr(el *xmldom.Node, attr, format string, args ...any) {
+	buf := make([]byte, 0, 96)
+	buf = v.appendPath(buf, el)
+	if attr != "" {
+		buf = append(append(buf, "/@"...), attr...)
+	}
+	v.errs = append(v.errs, &ValidationError{Path: string(buf), Msg: fmt.Sprintf(format, args...)})
+}
+
+// appendPath appends "/"+Local for el and each ancestor up to the
+// validation root, outermost first.
+func (v *Validator) appendPath(buf []byte, el *xmldom.Node) []byte {
+	if el != v.root && el.Parent != nil {
+		buf = v.appendPath(buf, el.Parent)
+	}
+	return append(append(buf, '/'), el.Local...)
+}
+
+// probe looks ahead: it matches p against el's children from cur (one
+// occurrence if once, else up to maxOccurs) and returns where the match
+// would end, or -1. Lookahead decides on names and occurrence counts only:
+// a matched element's own content is not visited, because its validity
+// never changes how far the match reaches — the loud pass that follows
+// validates it, once. Nothing is emitted or reported; the compiled
+// validator's dispatch cost is modeled by the loud branch the caller emits
+// on the probe's verdict.
+func (v *Validator) probe(p *Particle, el *xmldom.Node, cur int, once bool) int {
+	em := v.em
 	v.em = trace.Nop{}
-	n := fn()
-	v.em = savedEm
-	v.errs = v.errs[:savedLen]
-	return n
+	v.quiet++
+	if once {
+		cur = v.matchOnce(p, el, cur, false)
+	} else {
+		cur = v.matchParticle(p, el, cur)
+	}
+	v.quiet--
+	v.em = em
+	return cur
 }
 
-func (v *Validator) probeParticle(p *Particle, kids []*xmldom.Node, pos int, path string) int {
-	return v.probe(func() int { return v.matchParticle(p, kids, pos, path) })
+// nextElem returns the index of el's first element child at or after i,
+// len(el.Children) when there is none. Content-model positions are such
+// indices.
+func nextElem(el *xmldom.Node, i int) int {
+	for i < len(el.Children) && el.Children[i].Kind != xmldom.Element {
+		i++
+	}
+	return i
 }
 
-func (v *Validator) probeOnce(p *Particle, kids []*xmldom.Node, pos int, path string) int {
-	return v.probe(func() int { return v.matchOnce(p, kids, pos, path, false) })
-}
-
-func (v *Validator) validateElement(decl *ElementDecl, el *xmldom.Node, path string) {
+func (v *Validator) validateElement(decl *ElementDecl, el *xmldom.Node) {
 	v.em.Load(el.SimAddr, 3)
 	v.em.ALU(40) // declaration lookup, occurrence bookkeeping
 	switch {
 	case decl.Type != nil:
-		v.validateComplex(decl.Type, el, path)
+		v.validateComplex(decl.Type, el)
 	case decl.Simple != nil:
-		text := el.TextContent()
-		if kids := el.ChildElements(""); len(kids) > 0 {
-			v.fail(path, "element children not allowed in simple type %s", decl.Simple.Base)
+		if nextElem(el, 0) < len(el.Children) {
+			v.fail(el, "element children not allowed in simple type %s", decl.Simple.Base)
 			return
 		}
-		v.checkSimple(decl.Simple, text, path)
+		v.checkSimple(decl.Simple, el.TextContent(), el, "")
 	}
 }
 
-func (v *Validator) validateComplex(ct *ComplexType, el *xmldom.Node, path string) {
+func (v *Validator) validateComplex(ct *ComplexType, el *xmldom.Node) {
 	// Attributes.
 	for _, ad := range ct.Attrs {
 		val, present := el.Attr(ad.Name)
@@ -135,11 +174,11 @@ func (v *Validator) validateComplex(ct *ComplexType, el *xmldom.Node, path strin
 		v.em.Branch(pcAttrReq, present)
 		if !present {
 			if ad.Required {
-				v.fail(path, "missing required attribute %q", ad.Name)
+				v.fail(el, "missing required attribute %q", ad.Name)
 			}
 			continue
 		}
-		v.checkSimple(ad.Type, val, path+"/@"+ad.Name)
+		v.checkSimple(ad.Type, val, el, ad.Name)
 	}
 	// Unexpected attributes (xmlns declarations are tolerated).
 	for _, a := range el.Attrs {
@@ -155,11 +194,10 @@ func (v *Validator) validateComplex(ct *ComplexType, el *xmldom.Node, path strin
 		}
 		v.em.Branch(pcAttrReq, known)
 		if !known {
-			v.fail(path, "undeclared attribute %q", a.Name)
+			v.fail(el, "undeclared attribute %q", a.Name)
 		}
 	}
 
-	kids := el.ChildElements("")
 	// Non-whitespace text inside element-only content.
 	if !ct.Mixed {
 		for _, c := range el.Children {
@@ -168,34 +206,34 @@ func (v *Validator) validateComplex(ct *ComplexType, el *xmldom.Node, path strin
 				v.emitCharScan(c.Data)
 				v.em.Branch(pcMixed, ws)
 				if !ws {
-					v.fail(path, "character content not allowed in element-only type")
+					v.fail(el, "character content not allowed in element-only type")
 					break
 				}
 			}
 		}
 	}
 
+	first := nextElem(el, 0)
 	if ct.Content == nil {
-		if len(kids) > 0 && !ct.Mixed {
-			v.fail(path, "no children allowed, found <%s>", kids[0].Local)
+		if first < len(el.Children) && !ct.Mixed {
+			v.fail(el, "no children allowed, found <%s>", el.Children[first].Local)
 		}
 		return
 	}
 
-	pos := 0
-	n := v.matchParticle(ct.Content, kids, 0, path)
-	if n < 0 {
+	end := v.matchParticle(ct.Content, el, first)
+	if end < 0 {
 		return // error already recorded
 	}
-	pos = n
-	if pos < len(kids) {
-		v.fail(path, "unexpected element <%s>", kids[pos].Local)
+	if end < len(el.Children) {
+		v.fail(el, "unexpected element <%s>", el.Children[end].Local)
 	}
 }
 
-// matchParticle consumes children of kids starting at pos according to the
-// particle, returning the new position or -1 after recording an error.
-func (v *Validator) matchParticle(p *Particle, kids []*xmldom.Node, pos int, path string) int {
+// matchParticle consumes element children of el from position pos (see
+// nextElem) according to the particle, returning the new position or -1
+// after recording an error.
+func (v *Validator) matchParticle(p *Particle, el *xmldom.Node, pos int) int {
 	occurs := 0
 	for {
 		v.em.ALU(3)
@@ -203,27 +241,23 @@ func (v *Validator) matchParticle(p *Particle, kids []*xmldom.Node, pos int, pat
 		if !required {
 			// Optional occurrence: look ahead quietly so a non-match
 			// leaves no spurious errors.
-			if v.probeOnce(p, kids, pos, path) < 0 {
+			if v.probe(p, el, pos, true) < 0 {
 				v.em.Branch(pcOccurs, false)
 				return pos
 			}
 		}
-		next := v.matchOnce(p, kids, pos, path, required)
+		next := v.matchOnce(p, el, pos, required && v.quiet == 0)
 		progressed := next > pos
 		v.em.Branch(pcOccurs, progressed)
 		if next < 0 {
-			if occurs >= p.MinOccurs {
-				return pos // optional tail not present
+			if required {
+				return -1
 			}
-			return -1
+			return pos // optional tail not present
 		}
 		if !progressed && p.Kind != PElement {
 			// Group matched emptily (all-optional children): count one
 			// occurrence and stop to avoid spinning.
-			occurs++
-			if occurs >= p.MinOccurs {
-				return next
-			}
 			return next
 		}
 		pos = next
@@ -231,9 +265,11 @@ func (v *Validator) matchParticle(p *Particle, kids []*xmldom.Node, pos int, pat
 		if p.MaxOccurs >= 0 && occurs >= p.MaxOccurs {
 			return pos
 		}
-		if pos >= len(kids) {
+		if pos == len(el.Children) {
 			if occurs < p.MinOccurs {
-				v.fail(path, "%s requires at least %d occurrences, found %d", p.Kind, p.MinOccurs, occurs)
+				if v.quiet == 0 {
+					v.fail(el, "%s requires at least %d occurrences, found %d", p.Kind, p.MinOccurs, occurs)
+				}
 				return -1
 			}
 			return pos
@@ -241,78 +277,83 @@ func (v *Validator) matchParticle(p *Particle, kids []*xmldom.Node, pos int, pat
 	}
 }
 
-// matchOnce tries to match one occurrence of p at pos. Returns the new
-// position, or -1 if it does not match (recording an error only when
-// required is true).
-func (v *Validator) matchOnce(p *Particle, kids []*xmldom.Node, pos int, path string, required bool) int {
+// matchOnce tries to match one occurrence of p at pos. It returns the new
+// position, or -1 if p does not match, recording why only when report is
+// true. Outside lookahead a matched element is validated in turn.
+func (v *Validator) matchOnce(p *Particle, el *xmldom.Node, pos int, report bool) int {
+	kids := el.Children
 	switch p.Kind {
 	case PElement:
-		if pos >= len(kids) {
-			if required {
-				v.fail(path, "missing required element <%s>", p.Elem.Name)
+		if pos == len(kids) {
+			if report {
+				v.fail(el, "missing required element <%s>", p.Elem.Name)
 			}
 			return -1
 		}
 		match := kids[pos].Local == p.Elem.Name
 		v.emitNameCompare(kids[pos].Local, p.Elem.Name, match)
 		if !match {
-			if required {
-				v.fail(path, "expected <%s>, found <%s>", p.Elem.Name, kids[pos].Local)
+			if report {
+				v.fail(el, "expected <%s>, found <%s>", p.Elem.Name, kids[pos].Local)
 			}
 			return -1
 		}
-		v.validateElement(p.Elem, kids[pos], path+"/"+kids[pos].Local)
-		return pos + 1
+		if v.quiet == 0 {
+			v.validateElement(p.Elem, kids[pos])
+		}
+		return nextElem(el, pos+1)
 	case PSequence:
-		cur := pos
+		// A child that fails has recorded the error itself, whether the
+		// sequence matched nothing at all or only in part.
 		for _, c := range p.Children {
-			next := v.matchParticle(c, kids, cur, path)
-			if next < 0 {
-				if required {
-					return -1
-				}
-				// Distinguish "matched nothing at all" from a partial
-				// match: a partial match of a required sequence is an
-				// error either way; we already recorded it.
+			if pos = v.matchParticle(c, el, pos); pos < 0 {
 				return -1
 			}
-			cur = next
 		}
-		return cur
+		return pos
 	case PChoice:
 		for _, c := range p.Children {
-			n := v.probeParticle(c, kids, pos, path)
-			ok := n > pos
+			ok := v.probe(c, el, pos, false) > pos
 			v.em.Branch(pcChoice, ok)
 			if ok {
-				return v.matchParticle(c, kids, pos, path)
+				return v.matchParticle(c, el, pos)
 			}
 		}
 		// Allow an all-optional branch to satisfy the choice emptily.
 		for _, c := range p.Children {
-			if v.probeParticle(c, kids, pos, path) == pos {
+			if v.probe(c, el, pos, false) == pos {
 				return pos
 			}
 		}
-		if required {
-			v.fail(path, "no branch of choice matched at <%s>", kidName(kids, pos))
+		if report {
+			name := "(end)"
+			if pos < len(kids) {
+				name = kids[pos].Local
+			}
+			v.fail(el, "no branch of choice matched at <%s>", name)
 		}
 		return -1
 	case PAll:
-		used := make([]bool, len(p.Children))
-		cur := pos
-		for cur < len(kids) {
+		// Children are element particles only (parseGroup refuses groups).
+		var few [64]bool
+		used := few[:]
+		if len(p.Children) > len(few) {
+			used = make([]bool, len(p.Children))
+		}
+		for pos < len(kids) {
 			matched := false
 			for i, c := range p.Children {
-				if used[i] || c.Kind != PElement {
+				if used[i] {
 					continue
 				}
-				ok := kids[cur].Local == c.Elem.Name
-				v.emitNameCompare(kids[cur].Local, c.Elem.Name, ok)
+				ok := kids[pos].Local == c.Elem.Name
+				v.emitNameCompare(kids[pos].Local, c.Elem.Name, ok)
 				if ok {
-					v.validateElement(c.Elem, kids[cur], path+"/"+kids[cur].Local)
+					if v.quiet == 0 {
+						v.validateElement(c.Elem, kids[pos])
+					}
 					used[i] = true
-					cur++
+					pos = nextElem(el, pos+1)
 					matched = true
 					break
 				}
@@ -323,67 +364,58 @@ func (v *Validator) matchOnce(p *Particle, kids []*xmldom.Node, pos int, path st
 		}
 		for i, c := range p.Children {
 			if !used[i] && c.MinOccurs > 0 {
-				if required {
-					v.fail(path, "missing required element <%s> in all-group", c.Elem.Name)
-					return -1
+				if report {
+					v.fail(el, "missing required element <%s> in all-group", c.Elem.Name)
 				}
 				return -1
 			}
 		}
-		return cur
+		return pos
 	}
 	return -1
 }
 
-func minOccursOf(p *Particle) int { return p.MinOccurs }
-
-func kidName(kids []*xmldom.Node, pos int) string {
-	if pos < len(kids) {
-		return kids[pos].Local
-	}
-	return "(end)"
-}
-
-// checkSimple validates text against a simple type, scanning the
-// characters the way a compiled validator would.
-func (v *Validator) checkSimple(st *SimpleType, text, path string) {
+// checkSimple validates text — el's content, or its attribute attr when
+// that is not "" — against a simple type, scanning the characters the way
+// a compiled validator would.
+func (v *Validator) checkSimple(st *SimpleType, text string, el *xmldom.Node, attr string) {
 	v.emitCharScan(text)
 	val := strings.TrimSpace(text)
 	switch st.Base {
 	case TString:
 		// always lexically valid
 	case TToken:
-		if val != strings.Join(strings.Fields(val), " ") {
-			v.fail(path, "not a valid token: %q", text)
+		if !isToken(val) {
+			v.failAttr(el, attr, "not a valid token: %q", text)
 		}
 	case TInt:
 		if _, err := strconv.ParseInt(val, 10, 64); err != nil {
-			v.fail(path, "not a valid integer: %q", val)
+			v.failAttr(el, attr, "not a valid integer: %q", val)
 			v.em.Branch(pcFacet, false)
 			return
 		}
 	case TPositiveInt:
 		n, err := strconv.ParseInt(val, 10, 64)
 		if err != nil || n <= 0 {
-			v.fail(path, "not a positive integer: %q", val)
+			v.failAttr(el, attr, "not a positive integer: %q", val)
 			v.em.Branch(pcFacet, false)
 			return
 		}
 	case TDecimal:
 		if _, err := strconv.ParseFloat(val, 64); err != nil {
-			v.fail(path, "not a valid decimal: %q", val)
+			v.failAttr(el, attr, "not a valid decimal: %q", val)
 			v.em.Branch(pcFacet, false)
 			return
 		}
 	case TBoolean:
 		if val != "true" && val != "false" && val != "0" && val != "1" {
-			v.fail(path, "not a valid boolean: %q", val)
+			v.failAttr(el, attr, "not a valid boolean: %q", val)
 			v.em.Branch(pcFacet, false)
 			return
 		}
 	case TDate:
 		if !isDate(val) {
-			v.fail(path, "not a valid date: %q", val)
+			v.failAttr(el, attr, "not a valid date: %q", val)
 			v.em.Branch(pcFacet, false)
 			return
 		}
@@ -401,26 +433,40 @@ func (v *Validator) checkSimple(st *SimpleType, text, path string) {
 			}
 		}
 		if !found {
-			v.fail(path, "value %q not in enumeration", val)
+			v.failAttr(el, attr, "value %q not in enumeration", val)
 		}
 	}
 	if st.MinLength > 0 && len(val) < st.MinLength {
-		v.fail(path, "length %d below minLength %d", len(val), st.MinLength)
+		v.failAttr(el, attr, "length %d below minLength %d", len(val), st.MinLength)
 	}
 	if st.MaxLength > 0 && len(val) > st.MaxLength {
-		v.fail(path, "length %d above maxLength %d", len(val), st.MaxLength)
+		v.failAttr(el, attr, "length %d above maxLength %d", len(val), st.MaxLength)
 	}
 	if st.MinSet || st.MaxSet {
 		f, err := strconv.ParseFloat(val, 64)
 		if err == nil {
 			if st.MinSet && f < st.Min {
-				v.fail(path, "value %v below minInclusive %v", f, st.Min)
+				v.failAttr(el, attr, "value %v below minInclusive %v", f, st.Min)
 			}
 			if st.MaxSet && f > st.Max {
-				v.fail(path, "value %v above maxInclusive %v", f, st.Max)
+				v.failAttr(el, attr, "value %v above maxInclusive %v", f, st.Max)
 			}
 		}
 	}
+}
+
+// isToken reports whether trimmed text s is in token's lexical space: the
+// only white space is single ' ' between words.
+func isToken(s string) bool {
+	afterSpace := false
+	for _, r := range s {
+		space := unicode.IsSpace(r)
+		if space && (r != ' ' || afterSpace) {
+			return false
+		}
+		afterSpace = space
+	}
+	return true
 }
 
 func isDate(s string) bool {

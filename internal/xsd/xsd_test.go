@@ -1,4 +1,4 @@
-package xsd
+package xsd_test
 
 import (
 	"strings"
@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/perf/trace"
 	"repro/internal/xmldom"
+	"repro/internal/xsd"
 )
 
 const orderSchema = `<?xml version="1.0"?>
@@ -48,9 +49,9 @@ const validOrder = `<purchaseOrder id="po-1">
   <express>true</express>
 </purchaseOrder>`
 
-func compile(t *testing.T) *Schema {
+func compile(t *testing.T) *xsd.Schema {
 	t.Helper()
-	s, err := ParseSchema([]byte(orderSchema))
+	s, err := xsd.ParseSchema([]byte(orderSchema))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,36 +69,44 @@ func parseDoc(t *testing.T, src string) *xmldom.Node {
 
 func TestValidDocument(t *testing.T) {
 	s := compile(t)
-	errs := Validate(s, parseDoc(t, validOrder))
+	errs := xsd.Validate(s, parseDoc(t, validOrder))
 	if len(errs) != 0 {
 		t.Fatalf("valid document rejected: %v", errs[0])
 	}
 }
 
+// invalidOrders are schema-invalid instances of orderSchema, each with a
+// substring one of its errors must carry.
+var invalidOrders = []struct {
+	name, doc, wantSub string
+}{
+	{"unknown root", `<other/>`, "no global declaration"},
+	{"missing required attr", `<purchaseOrder><customer>c</customer><item sku="AB"><quantity>1</quantity><price>1</price></item></purchaseOrder>`, "missing required attribute"},
+	{"missing required child", `<purchaseOrder id="1"><item sku="AB"><quantity>1</quantity><price>1</price></item></purchaseOrder>`, "expected <customer>"},
+	{"bad integer", `<purchaseOrder id="1"><customer>c</customer><item sku="AB"><quantity>zero</quantity><price>1</price></item></purchaseOrder>`, "not a positive integer"},
+	{"negative quantity", `<purchaseOrder id="1"><customer>c</customer><item sku="AB"><quantity>-2</quantity><price>1</price></item></purchaseOrder>`, "not a positive integer"},
+	{"bad decimal", `<purchaseOrder id="1"><customer>c</customer><item sku="AB"><quantity>1</quantity><price>abc</price></item></purchaseOrder>`, "not a valid decimal"},
+	{"bad date", `<purchaseOrder id="1"><customer>c</customer><date>14-03-2007</date><item sku="AB"><quantity>1</quantity><price>1</price></item></purchaseOrder>`, "not a valid date"},
+	{"sku too short", `<purchaseOrder id="1"><customer>c</customer><item sku="A"><quantity>1</quantity><price>1</price></item></purchaseOrder>`, "minLength"},
+	{"sku too long", `<purchaseOrder id="1"><customer>c</customer><item sku="ABCDEFGHIJ"><quantity>1</quantity><price>1</price></item></purchaseOrder>`, "maxLength"},
+	{"wrong order", `<purchaseOrder id="1"><customer>c</customer><item sku="AB"><price>1</price><quantity>1</quantity></item></purchaseOrder>`, "expected <quantity>"},
+	{"unexpected element", `<purchaseOrder id="1"><customer>c</customer><item sku="AB"><quantity>1</quantity><price>1</price></item><bogus/></purchaseOrder>`, "unexpected element"},
+	{"no items", `<purchaseOrder id="1"><customer>c</customer></purchaseOrder>`, "missing required element <item>"},
+	{"bad boolean", `<purchaseOrder id="1"><customer>c</customer><item sku="AB"><quantity>1</quantity><price>1</price></item><express>yes</express></purchaseOrder>`, "not a valid boolean"},
+	{"undeclared attribute", `<purchaseOrder id="1" color="red"><customer>c</customer><item sku="AB"><quantity>1</quantity><price>1</price></item></purchaseOrder>`, "undeclared attribute"},
+	{"text in element-only", `<purchaseOrder id="1">stray<customer>c</customer><item sku="AB"><quantity>1</quantity><price>1</price></item></purchaseOrder>`, "character content"},
+}
+
+const (
+	carrierOrder  = `<purchaseOrder id="1"><customer>c</customer><item sku="AB"><quantity>1</quantity><price>1</price></item><carrier>UPS</carrier></purchaseOrder>`
+	noChoiceOrder = `<purchaseOrder id="1"><customer>c</customer><item sku="AB"><quantity>1</quantity><price>1</price></item></purchaseOrder>`
+)
+
 func TestInvalidDocuments(t *testing.T) {
 	s := compile(t)
-	cases := []struct {
-		name, doc, wantSub string
-	}{
-		{"unknown root", `<other/>`, "no global declaration"},
-		{"missing required attr", `<purchaseOrder><customer>c</customer><item sku="AB"><quantity>1</quantity><price>1</price></item></purchaseOrder>`, "missing required attribute"},
-		{"missing required child", `<purchaseOrder id="1"><item sku="AB"><quantity>1</quantity><price>1</price></item></purchaseOrder>`, "expected <customer>"},
-		{"bad integer", `<purchaseOrder id="1"><customer>c</customer><item sku="AB"><quantity>zero</quantity><price>1</price></item></purchaseOrder>`, "not a positive integer"},
-		{"negative quantity", `<purchaseOrder id="1"><customer>c</customer><item sku="AB"><quantity>-2</quantity><price>1</price></item></purchaseOrder>`, "not a positive integer"},
-		{"bad decimal", `<purchaseOrder id="1"><customer>c</customer><item sku="AB"><quantity>1</quantity><price>abc</price></item></purchaseOrder>`, "not a valid decimal"},
-		{"bad date", `<purchaseOrder id="1"><customer>c</customer><date>14-03-2007</date><item sku="AB"><quantity>1</quantity><price>1</price></item></purchaseOrder>`, "not a valid date"},
-		{"sku too short", `<purchaseOrder id="1"><customer>c</customer><item sku="A"><quantity>1</quantity><price>1</price></item></purchaseOrder>`, "minLength"},
-		{"sku too long", `<purchaseOrder id="1"><customer>c</customer><item sku="ABCDEFGHIJ"><quantity>1</quantity><price>1</price></item></purchaseOrder>`, "maxLength"},
-		{"wrong order", `<purchaseOrder id="1"><customer>c</customer><item sku="AB"><price>1</price><quantity>1</quantity></item></purchaseOrder>`, "expected <quantity>"},
-		{"unexpected element", `<purchaseOrder id="1"><customer>c</customer><item sku="AB"><quantity>1</quantity><price>1</price></item><bogus/></purchaseOrder>`, "unexpected element"},
-		{"no items", `<purchaseOrder id="1"><customer>c</customer></purchaseOrder>`, "missing required element <item>"},
-		{"bad boolean", `<purchaseOrder id="1"><customer>c</customer><item sku="AB"><quantity>1</quantity><price>1</price></item><express>yes</express></purchaseOrder>`, "not a valid boolean"},
-		{"undeclared attribute", `<purchaseOrder id="1" color="red"><customer>c</customer><item sku="AB"><quantity>1</quantity><price>1</price></item></purchaseOrder>`, "undeclared attribute"},
-		{"text in element-only", `<purchaseOrder id="1">stray<customer>c</customer><item sku="AB"><quantity>1</quantity><price>1</price></item></purchaseOrder>`, "character content"},
-	}
-	for _, c := range cases {
+	for _, c := range invalidOrders {
 		t.Run(c.name, func(t *testing.T) {
-			errs := Validate(s, parseDoc(t, c.doc))
+			errs := xsd.Validate(s, parseDoc(t, c.doc))
 			if len(errs) == 0 {
 				t.Fatalf("accepted invalid document")
 			}
@@ -116,12 +125,10 @@ func TestInvalidDocuments(t *testing.T) {
 
 func TestChoiceBranches(t *testing.T) {
 	s := compile(t)
-	carrier := `<purchaseOrder id="1"><customer>c</customer><item sku="AB"><quantity>1</quantity><price>1</price></item><carrier>UPS</carrier></purchaseOrder>`
-	if errs := Validate(s, parseDoc(t, carrier)); len(errs) != 0 {
+	if errs := xsd.Validate(s, parseDoc(t, carrierOrder)); len(errs) != 0 {
 		t.Fatalf("carrier branch rejected: %v", errs[0])
 	}
-	none := `<purchaseOrder id="1"><customer>c</customer><item sku="AB"><quantity>1</quantity><price>1</price></item></purchaseOrder>`
-	if errs := Validate(s, parseDoc(t, none)); len(errs) != 0 {
+	if errs := xsd.Validate(s, parseDoc(t, noChoiceOrder)); len(errs) != 0 {
 		t.Fatalf("optional choice omitted but rejected: %v", errs[0])
 	}
 }
@@ -134,77 +141,86 @@ func TestUnboundedOccurs(t *testing.T) {
 		b.WriteString(`<item sku="AB"><quantity>1</quantity><price>1</price></item>`)
 	}
 	b.WriteString(`</purchaseOrder>`)
-	if errs := Validate(s, parseDoc(t, b.String())); len(errs) != 0 {
+	if errs := xsd.Validate(s, parseDoc(t, b.String())); len(errs) != 0 {
 		t.Fatalf("unbounded occurrence rejected: %v", errs[0])
 	}
 }
 
-func TestAllGroup(t *testing.T) {
-	schema := MustParseSchema(`<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
-	  <xs:element name="cfg">
-	    <xs:complexType>
-	      <xs:all>
-	        <xs:element name="a" type="xs:string"/>
-	        <xs:element name="b" type="xs:int"/>
-	        <xs:element name="c" type="xs:string" minOccurs="0"/>
-	      </xs:all>
-	    </xs:complexType>
-	  </xs:element>
-	</xs:schema>`)
-	ok := []string{
+const allSchema = `<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+  <xs:element name="cfg">
+    <xs:complexType>
+      <xs:all>
+        <xs:element name="a" type="xs:string"/>
+        <xs:element name="b" type="xs:int"/>
+        <xs:element name="c" type="xs:string" minOccurs="0"/>
+      </xs:all>
+    </xs:complexType>
+  </xs:element>
+</xs:schema>`
+
+var (
+	allOK = []string{
 		`<cfg><a>x</a><b>1</b></cfg>`,
 		`<cfg><b>1</b><a>x</a></cfg>`,
 		`<cfg><c>y</c><a>x</a><b>1</b></cfg>`,
 	}
-	for _, doc := range ok {
-		if errs := Validate(schema, parseDoc(t, doc)); len(errs) != 0 {
-			t.Errorf("%s rejected: %v", doc, errs[0])
-		}
-	}
-	bad := []string{
+	allBad = []string{
 		`<cfg><a>x</a></cfg>`,                 // missing b
 		`<cfg><a>x</a><b>1</b><a>y</a></cfg>`, // a twice
 	}
-	for _, doc := range bad {
-		if errs := Validate(schema, parseDoc(t, doc)); len(errs) == 0 {
+)
+
+func TestAllGroup(t *testing.T) {
+	schema := xsd.MustParseSchema(allSchema)
+	for _, doc := range allOK {
+		if errs := xsd.Validate(schema, parseDoc(t, doc)); len(errs) != 0 {
+			t.Errorf("%s rejected: %v", doc, errs[0])
+		}
+	}
+	for _, doc := range allBad {
+		if errs := xsd.Validate(schema, parseDoc(t, doc)); len(errs) == 0 {
 			t.Errorf("%s accepted", doc)
 		}
 	}
 }
 
+const enumSchema = `<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+  <xs:simpleType name="color">
+    <xs:restriction base="xs:string">
+      <xs:enumeration value="red"/>
+      <xs:enumeration value="green"/>
+    </xs:restriction>
+  </xs:simpleType>
+  <xs:element name="paint" type="color"/>
+</xs:schema>`
+
 func TestEnumerationFacet(t *testing.T) {
-	schema := MustParseSchema(`<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
-	  <xs:simpleType name="color">
-	    <xs:restriction base="xs:string">
-	      <xs:enumeration value="red"/>
-	      <xs:enumeration value="green"/>
-	    </xs:restriction>
-	  </xs:simpleType>
-	  <xs:element name="paint" type="color"/>
-	</xs:schema>`)
-	if errs := Validate(schema, parseDoc(t, `<paint>red</paint>`)); len(errs) != 0 {
+	schema := xsd.MustParseSchema(enumSchema)
+	if errs := xsd.Validate(schema, parseDoc(t, `<paint>red</paint>`)); len(errs) != 0 {
 		t.Fatalf("enumerated value rejected: %v", errs[0])
 	}
-	if errs := Validate(schema, parseDoc(t, `<paint>blue</paint>`)); len(errs) == 0 {
+	if errs := xsd.Validate(schema, parseDoc(t, `<paint>blue</paint>`)); len(errs) == 0 {
 		t.Fatal("non-enumerated value accepted")
 	}
 }
 
+const rangeSchema = `<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+  <xs:simpleType name="pct">
+    <xs:restriction base="xs:int">
+      <xs:minInclusive value="0"/>
+      <xs:maxInclusive value="100"/>
+    </xs:restriction>
+  </xs:simpleType>
+  <xs:element name="p" type="pct"/>
+</xs:schema>`
+
 func TestRangeFacets(t *testing.T) {
-	schema := MustParseSchema(`<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
-	  <xs:simpleType name="pct">
-	    <xs:restriction base="xs:int">
-	      <xs:minInclusive value="0"/>
-	      <xs:maxInclusive value="100"/>
-	    </xs:restriction>
-	  </xs:simpleType>
-	  <xs:element name="p" type="pct"/>
-	</xs:schema>`)
-	if errs := Validate(schema, parseDoc(t, `<p>55</p>`)); len(errs) != 0 {
+	schema := xsd.MustParseSchema(rangeSchema)
+	if errs := xsd.Validate(schema, parseDoc(t, `<p>55</p>`)); len(errs) != 0 {
 		t.Fatalf("in-range rejected: %v", errs[0])
 	}
 	for _, doc := range []string{`<p>-1</p>`, `<p>101</p>`} {
-		if errs := Validate(schema, parseDoc(t, doc)); len(errs) == 0 {
+		if errs := xsd.Validate(schema, parseDoc(t, doc)); len(errs) == 0 {
 			t.Errorf("%s accepted", doc)
 		}
 	}
@@ -218,9 +234,12 @@ func TestSchemaErrors(t *testing.T) {
 		`<xs:schema xmlns:xs="x"><xs:complexType/></xs:schema>`,
 		`<xs:schema xmlns:xs="x"></xs:schema>`,
 		`<xs:schema xmlns:xs="x"><xs:simpleType name="s"/></xs:schema>`,
+		// A group inside xs:all: compiled, it made the validator
+		// dereference the group's nil Elem on <r><a>x</a></r>.
+		`<xs:schema xmlns:xs="x"><xs:element name="r"><xs:complexType><xs:all><xs:element name="a"/><xs:sequence><xs:element name="b"/></xs:sequence></xs:all></xs:complexType></xs:element></xs:schema>`,
 	}
 	for _, src := range bad {
-		if _, err := ParseSchema([]byte(src)); err == nil {
+		if _, err := xsd.ParseSchema([]byte(src)); err == nil {
 			t.Errorf("ParseSchema(%q) succeeded", src)
 		}
 	}
@@ -229,7 +248,7 @@ func TestSchemaErrors(t *testing.T) {
 func TestInstrumentedValidationEmitsOps(t *testing.T) {
 	s := compile(t)
 	var c trace.Counting
-	v := NewValidator(s, &c)
+	v := xsd.NewValidator(s, &c)
 	if !v.Valid(parseDoc(t, validOrder)) {
 		t.Fatal("valid doc rejected under instrumentation")
 	}
@@ -249,17 +268,10 @@ func TestInstrumentedMatchesPlain(t *testing.T) {
 		`<purchaseOrder id="1"><customer>c</customer></purchaseOrder>`,
 	}
 	for _, src := range docs {
-		plain := len(Validate(s, parseDoc(t, src)))
-		inst := len(NewValidator(s, &trace.Counting{}).Validate(parseDoc(t, src)))
+		plain := len(xsd.Validate(s, parseDoc(t, src)))
+		inst := len(xsd.NewValidator(s, &trace.Counting{}).Validate(parseDoc(t, src)))
 		if plain != inst {
 			t.Errorf("instrumented verdict differs for %q: %d vs %d", src, plain, inst)
 		}
-	}
-}
-
-func TestTypeNameHelper(t *testing.T) {
-	s := compile(t)
-	if s.Elements["purchaseOrder"].typeName() != "anonymous" {
-		t.Error("inline type should report anonymous")
 	}
 }
