@@ -97,12 +97,13 @@ func (id *ID) UnmarshalJSON(b []byte) error {
 }
 
 // parseHex parses 1..16 hex digits.
-func parseHex(b []byte) (ID, bool) {
+func parseHex[T string | []byte](b T) (ID, bool) {
 	if len(b) == 0 || len(b) > 16 {
 		return 0, false
 	}
 	var v uint64
-	for _, c := range b {
+	for i := 0; i < len(b); i++ {
+		c := b[i]
 		var d uint64
 		switch {
 		case c >= '0' && c <= '9':
@@ -129,35 +130,20 @@ func AppendHeaderValue(dst []byte, traceID, spanID ID) []byte {
 	return spanID.AppendHex(dst)
 }
 
-// ParseHeaderValue parses "<traceID>-<parentSpanID>". A missing or
-// malformed value returns ok=false; a trace ID of zero is rejected (it
-// would collide every orphan span into one trace).
-func ParseHeaderValue(b []byte) (traceID, parentID ID, ok bool) {
-	if len(b) != 33 || b[16] != '-' {
+// ParseHeaderValue parses "<traceID>-<parentSpanID>" from either view a
+// server holds it in: the gateway's zero-copy parse hands header values
+// out as strings aliasing the frame, the backend's framed head as bytes.
+// A missing or malformed value returns ok=false; a trace ID of zero is
+// rejected (it would collide every orphan span into one trace).
+func ParseHeaderValue[T string | []byte](v T) (traceID, parentID ID, ok bool) {
+	if len(v) != 33 || v[16] != '-' {
 		return 0, 0, false
 	}
-	traceID, ok = parseHex(b[:16])
+	traceID, ok = parseHex(v[:16])
 	if !ok || traceID.IsZero() {
 		return 0, 0, false
 	}
-	parentID, ok = parseHex(b[17:])
-	if !ok {
-		return 0, 0, false
-	}
-	return traceID, parentID, true
-}
-
-// ParseHeaderValueString is ParseHeaderValue over a string view — the
-// zero-copy parse hands header values out as strings aliasing the frame.
-func ParseHeaderValueString(s string) (traceID, parentID ID, ok bool) {
-	if len(s) != 33 || s[16] != '-' {
-		return 0, 0, false
-	}
-	traceID, ok = parseHex([]byte(s[:16])) // 16-byte conversion: stack-allocated
-	if !ok || traceID.IsZero() {
-		return 0, 0, false
-	}
-	parentID, ok = parseHex([]byte(s[17:]))
+	parentID, ok = parseHex(v[17:])
 	if !ok {
 		return 0, 0, false
 	}

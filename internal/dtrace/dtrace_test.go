@@ -19,9 +19,9 @@ func TestHeaderValueRoundTrip(t *testing.T) {
 	if !ok || gtr != tr || gsp != sp {
 		t.Fatalf("ParseHeaderValue(%q) = %v %v %v; want %v %v true", v, gtr, gsp, ok, tr, sp)
 	}
-	gtr, gsp, ok = ParseHeaderValueString(string(v))
+	gtr, gsp, ok = ParseHeaderValue(string(v))
 	if !ok || gtr != tr || gsp != sp {
-		t.Fatalf("ParseHeaderValueString(%q) = %v %v %v", v, gtr, gsp, ok)
+		t.Fatalf("ParseHeaderValue(string %q) = %v %v %v", v, gtr, gsp, ok)
 	}
 }
 
@@ -34,8 +34,8 @@ func TestParseHeaderValueRejectsMalformed(t *testing.T) {
 		"11111111111111112222222222222222",  // missing dash
 		"1111111111111111-22222222222222221",
 	} {
-		if _, _, ok := ParseHeaderValueString(in); ok {
-			t.Errorf("ParseHeaderValueString(%q) accepted", in)
+		if _, _, ok := ParseHeaderValue(in); ok {
+			t.Errorf("ParseHeaderValue(%q) accepted", in)
 		}
 	}
 }
@@ -293,10 +293,9 @@ func TestReadSpansJSONLBothShapes(t *testing.T) {
 	}
 }
 
-// FuzzParseHeaderValue: the two X-AON-Trace parsers (bytes off the
-// backend's framed head, string views out of the gateway's zero-copy
-// request) never panic and always agree, and an accepted value formats
-// back to IDs that parse to themselves.
+// FuzzParseHeaderValue: the X-AON-Trace parser never panics, a refused
+// value returns no IDs, and an accepted value formats back to IDs that
+// parse to themselves — the string view in, the byte view back.
 func FuzzParseHeaderValue(f *testing.F) {
 	f.Add(string(AppendHeaderValue(nil, 0xdeadbeef01020304, 7)))
 	for _, seed := range []string{
@@ -311,11 +310,7 @@ func FuzzParseHeaderValue(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, in string) {
-		tr, sp, ok := ParseHeaderValue([]byte(in))
-		str, ssp, sok := ParseHeaderValueString(in)
-		if ok != sok || tr != str || sp != ssp {
-			t.Fatalf("parsers disagree on %q: bytes %v %v %v, string %v %v %v", in, tr, sp, ok, str, ssp, sok)
-		}
+		tr, sp, ok := ParseHeaderValue(in)
 		if !ok {
 			if tr != 0 || sp != 0 {
 				t.Fatalf("refused %q but returned IDs %v %v", in, tr, sp)

@@ -44,6 +44,7 @@ func TestTracesLastParam(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitTraced(t, srv, 5)
+	waitBackendKept(t, order.Addr().String(), 5)
 	for _, node := range []struct{ name, addr string }{
 		{"gateway", srv.Addr().String()},
 		{"backend", order.Addr().String()},
@@ -80,6 +81,25 @@ func waitTraced(t *testing.T, srv *Server, n uint64) {
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("tail sampler saw %d finished requests, want %d", seen, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// waitBackendKept polls a backend's /traces until it has kept n serve
+// spans and returns that answer. The backend records a serve span after
+// its response write, so the gateway can have relayed the last answer —
+// and the client read it — before the span is in the ring.
+func waitBackendKept(t *testing.T, addr string, n uint64) dtrace.TracesResponse {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		tr := getTraces(t, addr, "")
+		if tr.Tail.Kept >= n {
+			return tr
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("backend kept %d serve spans, want %d", tr.Tail.Kept, n)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -131,7 +151,7 @@ func TestDTraceForwardedEndToEnd(t *testing.T) {
 		t.Fatalf("gateway tail seen=%d kept=%d, want 40/40", gw.Tail.Seen, gw.Tail.Kept)
 	}
 	// Backend side: every forwarded request carried the propagated header.
-	be := getTraces(t, order.Addr().String(), "")
+	be := waitBackendKept(t, order.Addr().String(), 40)
 	if be.Node != "order" {
 		t.Fatalf("backend node=%q", be.Node)
 	}

@@ -175,15 +175,17 @@ type job struct {
 // response carries a formatted answer from a worker back to the
 // connection reader. head holds the header block (plus any inlined small
 // body); body, when non-nil, is a separately-owned payload written
-// vectored after head (writev) instead of being copied. buf, when
-// non-nil, is the pooled buffer backing head — the reader recycles it
-// after the write completes, which is the lifetime discipline that makes
-// the pooling safe.
+// vectored after head (writev) instead of being copied. buf and bodyBuf,
+// when non-nil, are the pooled buffers backing head and body (the latter
+// holds a relayed upstream answer) — the reader recycles both after the
+// write completes, which is the lifetime discipline that makes the
+// pooling safe.
 type response struct {
-	head  []byte
-	body  []byte
-	buf   *[]byte
-	close bool // respond then close the connection
+	head    []byte
+	body    []byte
+	buf     *[]byte
+	bodyBuf *[]byte
+	close   bool // respond then close the connection
 }
 
 // Hot-path pools. Frames and bufio readers are owned by one connection
@@ -494,7 +496,7 @@ func (s *Server) handleConn(c net.Conn) {
 	// write completed — receiving on j.resp is the happens-before edge.
 	fp := framePool.Get().(*[]byte)
 	defer framePool.Put(fp)
-	var nb net.Buffers // reused writev scratch
+	var vec httpmsg.Writev // the connection's writev vector, one per life
 	for {
 		// The idle deadline covers one whole request read: a client that
 		// goes quiet between requests *or* stalls mid-request is reaped,
@@ -596,7 +598,7 @@ func (s *Server) handleConn(c net.Conn) {
 			if rec != nil {
 				t = time.Now()
 			}
-			ok := s.writeResp(c, &r, &nb)
+			ok := s.writeResp(c, &r, &vec)
 			if rec != nil {
 				rec.Finish(lap(rec, dtrace.StageWrite, t))
 				s.dtr.offer(rec)
@@ -635,35 +637,34 @@ func (s *Server) write(c net.Conn, b []byte) bool {
 	return err == nil
 }
 
-// writeResp sends a worker-built response — vectored (writev) when a
-// separately-owned body rides along — and recycles the pooled head
-// buffer once the write is done. nb is the connection's reused
-// net.Buffers scratch (WriteTo consumes its receiver, so a fresh literal
-// per call would escape).
-func (s *Server) writeResp(c net.Conn, r *response, nb *net.Buffers) bool {
-	var n int64
-	var err error
-	if len(r.body) > 0 {
-		*nb = append((*nb)[:0], r.head, r.body)
-		n, err = nb.WriteTo(c)
-	} else {
-		var m int
-		m, err = c.Write(r.head)
-		n = int64(m)
-	}
+// writeResp sends a worker-built response through the connection's
+// writev vector — vectored when a separately-owned body rides along —
+// and recycles the pooled head and body buffers once the write is done.
+func (s *Server) writeResp(c net.Conn, r *response, vec *httpmsg.Writev) bool {
+	n, err := vec.Write(c, r.head, r.body)
 	s.Metrics.BytesOut.Add(uint64(n))
-	if r.buf != nil {
-		*r.buf = r.head[:0] // keep capacity grown during formatting
-		respBufPool.Put(r.buf)
-	}
+	putRespBuf(r.buf, r.head)
+	putRespBuf(r.bodyBuf, r.body)
 	return err == nil
+}
+
+// putRespBuf returns a pooled response buffer p to respBufPool, keeping
+// the capacity b (the bytes built in it) grew to. A nil p is a buffer
+// the pool does not own.
+func putRespBuf(p *[]byte, b []byte) {
+	if p != nil {
+		*p = b[:0]
+		respBufPool.Put(p)
+	}
 }
 
 // wscratch is one worker's reusable parse/format state: the request and
 // response structs, their header backing arrays, the verdict-body
-// scratch, and the upstream request head. Everything in it is dead by
-// the time process returns except bytes already copied into the pooled
-// response buffer.
+// scratch, the upstream request head and round-trip result. Everything in
+// it is dead by the time process returns except bytes already copied into
+// the pooled response buffer; the relayed upstream body is never in it
+// (forward hands upRes a pooled buffer the response owns and takes it
+// back out).
 type wscratch struct {
 	req    httpmsg.Request
 	resp   httpmsg.Response
@@ -672,6 +673,7 @@ type wscratch struct {
 	upReq  httpmsg.Request
 	upHdrs []httpmsg.Header
 	upHead []byte // upstream request header block
+	upRes  upstream.Result
 	trval  []byte // propagated X-AON-Trace header value scratch
 }
 
@@ -734,7 +736,7 @@ func (s *Server) process(j *job, sc *wscratch) response {
 		// traces by injecting the header); the zero-copy Get hands out a
 		// view, parsed without allocating.
 		if v, ok := req.Get(dtrace.Header); ok {
-			if tid, pid, ok := dtrace.ParseHeaderValueString(v); ok {
+			if tid, pid, ok := dtrace.ParseHeaderValue(v); ok {
 				rec.Adopt(tid, pid)
 			}
 		}
@@ -762,15 +764,18 @@ func (s *Server) process(j *job, sc *wscratch) response {
 
 	resp := &sc.resp
 	*resp = httpmsg.Response{Status: 200, Headers: sc.hdrs[:0]}
-	// vbody rides as a separately-owned writev segment (fresh buffers
-	// only: the translated XJ payload or the upstream body); inline is
-	// worker-scratch and must be copied into the pooled head before the
-	// job is handed back.
+	// vbody rides as a separately-owned writev segment (the translated XJ
+	// payload, a fresh buffer, or the upstream body in the pooled vbuf the
+	// response owns); inline is worker-scratch and must be copied into the
+	// pooled head before the job is handed back.
 	var vbody, inline []byte
+	var vbuf *[]byte
 	if s.fwd != nil && s.fwd.Has(route) {
 		// Forwarding mode: the paper's device proxies onward — relay the
 		// backend's answer (or map its failure to 502/504, never hang).
-		vbody, inline = s.forward(resp, route, uc, out, req, sc, rec)
+		if vbuf, inline = s.forward(resp, route, uc, out, req, sc, rec); vbuf != nil {
+			vbody = *vbuf
+		}
 	} else {
 		// In-place mode (no backend for this route): synthesize the
 		// routing verdict, the PR 1 behavior. XJ answers with its own
@@ -800,7 +805,7 @@ func (s *Server) process(j *job, sc *wscratch) response {
 	head := httpmsg.AppendResponseHeader((*buf)[:0], resp, len(vbody)+len(inline))
 	head = append(head, inline...)
 	sc.hdrs = resp.Headers[:0] // keep the grown header backing
-	return response{head: head, body: vbody, buf: buf, close: connClose}
+	return response{head: head, body: vbody, buf: buf, bodyBuf: vbuf, close: connClose}
 }
 
 // appendVerdict appends the in-place routing verdict JSON — the append
@@ -824,9 +829,12 @@ func appendVerdict(dst []byte, uc, out, route string) []byte {
 // with the body view, so forwarding copies no payload bytes. With rec
 // set, the trace context propagates on an X-AON-Trace header whose
 // parent span ID is minted *before* the round trip — the backend's
-// serve span parents under the forward span it rode in on. Returns
-// (vectored body, inline body) for the caller's response formatting.
-func (s *Server) forward(resp *httpmsg.Response, route string, uc workload.UseCase, out Outcome, req *httpmsg.Request, sc *wscratch, rec *dtrace.Recorder) (vbody, inline []byte) {
+// serve span parents under the forward span it rode in on. The backend's
+// body is read into a respBufPool buffer that becomes the response's own
+// (writeResp recycles it after the write), so relaying copies and
+// allocates nothing per message. Returns (that buffer, nil) on success
+// and (nil, inline error body) on failure.
+func (s *Server) forward(resp *httpmsg.Response, route string, uc workload.UseCase, out Outcome, req *httpmsg.Request, sc *wscratch, rec *dtrace.Recorder) (relayed *[]byte, inline []byte) {
 	up := &sc.upReq
 	*up = httpmsg.Request{
 		Method:  "POST",
@@ -855,11 +863,16 @@ func (s *Server) forward(resp *httpmsg.Response, route string, uc workload.UseCa
 	}
 	sc.upHead = httpmsg.AppendRequestHeader(sc.upHead[:0], up, len(req.Body))
 	sc.upHdrs = up.Headers[:0]
-	res, err := s.fwd.RoundTripBuffers(route, sc.upHead, req.Body)
+	relayed = respBufPool.Get().(*[]byte)
+	res := &sc.upRes
+	res.Body = *relayed
+	err := s.fwd.RoundTripInto(route, sc.upHead, req.Body, res)
+	*relayed, res.Body = res.Body, nil // the response's from here on, not the worker's
 	if rec != nil {
 		rec.Child(fwdID, dtrace.StageForward, tFwd, time.Since(tFwd))
 	}
 	if err != nil {
+		putRespBuf(relayed, *relayed)
 		s.Metrics.UpstreamErrs.Add(1)
 		resp.Status = upstream.StatusFor(err)
 		resp.Headers = append(resp.Headers,
@@ -881,7 +894,7 @@ func (s *Server) forward(resp *httpmsg.Response, route string, uc workload.UseCa
 		httpmsg.Header{Name: "X-AON-Outcome", Value: out.String()},
 		httpmsg.Header{Name: "X-AON-Backend", Value: res.Addr},
 	)
-	return res.Body, nil
+	return relayed, nil
 }
 
 // contentTypeOf returns the request's Content-Type (default text/xml).

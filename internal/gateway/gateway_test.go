@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"net"
@@ -11,6 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/httpmsg"
+	"repro/internal/raceflag"
 	"repro/internal/upstream"
 	"repro/internal/workload"
 )
@@ -609,6 +612,56 @@ func TestClientRecvAllocs(t *testing.T) {
 		}
 	}); n > 2 {
 		t.Errorf("recv: %v allocs/op, want <= 2", n)
+	}
+}
+
+// TestWriteRespVectoredAllocs pins the response write at zero
+// allocations when a pooled body rides as its own writev segment — the
+// relayed-upstream shape: the connection's vector is reused and both
+// pooled buffers go back to respBufPool.
+func TestWriteRespVectoredAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("sync.Pool drops Puts under -race; allocation counts are not meaningful")
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	peer, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	c, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	go func() { // drain, so the writes never block
+		buf := make([]byte, 32<<10)
+		for {
+			if _, err := peer.Read(buf); err != nil {
+				return
+			}
+		}
+	}()
+
+	s := &Server{Metrics: NewMetrics()}
+	var vec httpmsg.Writev
+	head := []byte("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 300\r\n\r\n")
+	body := bytes.Repeat([]byte("x"), 300)
+	if n := testing.AllocsPerRun(200, func() {
+		hb, bb := respBufPool.Get().(*[]byte), respBufPool.Get().(*[]byte)
+		r := response{head: append((*hb)[:0], head...), buf: hb, body: append((*bb)[:0], body...), bodyBuf: bb}
+		if !s.writeResp(c, &r, &vec) {
+			t.Fatal("write failed")
+		}
+	}); n != 0 {
+		t.Errorf("vectored writeResp: %v allocs/op, want 0", n)
+	}
+	if want := uint64(201 * (len(head) + len(body))); s.Metrics.BytesOut.Load() != want {
+		t.Fatalf("bytes out %d, want %d", s.Metrics.BytesOut.Load(), want)
 	}
 }
 

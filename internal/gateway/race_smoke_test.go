@@ -3,12 +3,18 @@ package gateway
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/httpmsg"
+	"repro/internal/upstream"
 	"repro/internal/workload"
 	"repro/internal/xj"
 	"repro/internal/xmldom"
@@ -23,7 +29,8 @@ import (
 // bodies against an off-path DOM translation — a recycled frame or
 // response buffer overwritten while its response is still being written
 // shows up here as corrupt JSON even when the race detector's sampling
-// misses the unsynchronized access.
+// misses the unsynchronized access. The forwarded connections do the same
+// for relayed upstream bodies.
 func TestPooledReuseRaceSmoke(t *testing.T) {
 	srv := startServer(t, Config{Workers: 4, IdleTimeout: 2 * time.Second})
 	addr := srv.Addr().String()
@@ -118,6 +125,55 @@ func TestPooledReuseRaceSmoke(t *testing.T) {
 		}(g)
 	}
 
+	// Forwarded bursts: a second gateway relays pipelined CBR/SV/XJ to two
+	// in-process backends whose acks differ in size, so relayed bodies of
+	// both routes churn through respBufPool together and ride the
+	// connections' writev vectors. A body buffer recycled, or a vector
+	// reused, while its response is still being written shows up as a
+	// malformed ack, an ack from the other backend, or a wrong length.
+	respBytes := map[string]int{"order": 300, "error": 1500}
+	fwd := startServer(t, Config{Workers: 4, IdleTimeout: 2 * time.Second, Upstream: upstream.Config{
+		Order: startBackend(t, upstream.BackendConfig{Name: "order", RespBytes: respBytes["order"]}).Addr().String(),
+		Error: startBackend(t, upstream.BackendConfig{Name: "error", RespBytes: respBytes["error"]}).Addr().String(),
+	}}).Addr().String()
+	fwdUCs := [...]workload.UseCase{workload.CBR, workload.SV, workload.XJ}
+	var errorRouted atomic.Int64 // CBR's non-matches: the cross-route case must occur
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			c, err := net.Dial("tcp", fwd)
+			if err != nil {
+				fail("fwd dial: %v", err)
+				return
+			}
+			defer c.Close()
+			br := bufio.NewReaderSize(c, 32<<10)
+			var batch []byte
+			for round := 0; round < rounds; round++ {
+				batch = batch[:0]
+				for k := 0; k < depth; k++ {
+					i := g + round*depth + k
+					batch = append(batch, workload.HTTPRequest(i%pool, fwdUCs[i%len(fwdUCs)])...)
+				}
+				if _, err := c.Write(batch); err != nil {
+					fail("fwd conn %d write: %v", g, err)
+					return
+				}
+				for k := 0; k < depth; k++ {
+					route, err := checkRelayed(br, respBytes)
+					if err != nil {
+						fail("fwd conn %d round %d: %v", g, round, err)
+						return
+					}
+					if route == "error" {
+						errorRouted.Add(1)
+					}
+				}
+			}
+		}(g)
+	}
+
 	// Mixed-use-case churn across additional connections, so frames and
 	// response buffers of different sizes interleave in the same pools.
 	for _, uc := range []workload.UseCase{workload.FR, workload.CBR, workload.SV, workload.DPI} {
@@ -140,4 +196,46 @@ func TestPooledReuseRaceSmoke(t *testing.T) {
 	for err := range errCh {
 		t.Error(err)
 	}
+	if errorRouted.Load() == 0 {
+		t.Error("no forwarded message took the error route")
+	}
+}
+
+// checkRelayed reads one forwarded response and checks that the relayed
+// ack is whole and is the routed backend's own: well-formed JSON whose
+// "backend" is the X-AON-Route header, exactly Content-Length bytes, and
+// the size that backend pads its acks to (appendAck: RespBytes+1).
+func checkRelayed(br *bufio.Reader, respBytes map[string]int) (route string, err error) {
+	var clen string
+	h, err := httpmsg.ReadResponseHead(br, func(name, val []byte) {
+		switch {
+		case bytes.EqualFold(name, []byte(RouteHeader)):
+			route = string(val)
+		case bytes.EqualFold(name, []byte("Content-Length")):
+			clen = string(val)
+		}
+	})
+	if err != nil {
+		return route, err
+	}
+	body := make([]byte, h.ContentLength)
+	if _, err := io.ReadFull(br, body); err != nil {
+		return route, err
+	}
+	if h.Status != 200 {
+		return route, fmt.Errorf("status %d: %s", h.Status, body)
+	}
+	var ack struct {
+		Backend string `json:"backend"`
+	}
+	if err := json.Unmarshal(body, &ack); err != nil {
+		return route, fmt.Errorf("malformed ack on route %q: %v\n%s", route, err, body)
+	}
+	if ack.Backend != route {
+		return route, fmt.Errorf("ack from %q relayed on route %q", ack.Backend, route)
+	}
+	if strconv.Itoa(len(body)) != clen || len(body) != respBytes[route]+1 {
+		return route, fmt.Errorf("route %q: %d-byte ack, Content-Length %s, want %d", route, len(body), clen, respBytes[route]+1)
+	}
+	return route, nil
 }

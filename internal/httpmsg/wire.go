@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"slices"
 )
 
@@ -188,8 +189,9 @@ func HeadField(head []byte, name string) []byte {
 }
 
 // maxResponseBody bounds the Content-Length ReadResponseHead accepts:
-// both of its callers allocate the body from that number, and it comes
-// from the peer. 8 MiB is the bound the /stats scrapers already read under.
+// both of its callers size the body's buffer from that number, and it
+// comes from the peer. 8 MiB is the bound the /stats scrapers already
+// read under.
 const maxResponseBody = 8 << 20
 
 // ResponseHead is what framing a response needs from its head.
@@ -258,6 +260,31 @@ func ReadResponseHead(br *bufio.Reader, field func(name, value []byte)) (Respons
 			field(name, val)
 		}
 	}
+}
+
+// Writev sends a message kept as two separately-owned segments, head and
+// body, in one vectored write. Each connection that writes such messages
+// owns one Writev for its life: net.Buffers.WriteTo consumes its receiver
+// and both escape into the socket call, so a fresh pair per message costs
+// two allocations. Write clears the segments before returning, so an idle
+// connection never pins the buffers of the message it last wrote.
+type Writev struct {
+	seg [2][]byte
+	nb  net.Buffers
+}
+
+// Write writes head then body (a plain write when body is empty) and
+// returns the bytes written.
+func (v *Writev) Write(w io.Writer, head, body []byte) (int64, error) {
+	if len(body) == 0 {
+		n, err := w.Write(head)
+		return int64(n), err
+	}
+	v.seg = [2][]byte{head, body}
+	v.nb = v.seg[:]
+	n, err := v.nb.WriteTo(w)
+	v.seg = [2][]byte{} // nb aliases seg, so this drops every reference
+	return n, err
 }
 
 // responseLineErr names the one ReadSlice error that is about the

@@ -184,17 +184,17 @@ func (s *BackendServer) handle(c net.Conn) {
 		rawPath, _, _ := bytes.Cut(target, []byte(" "))
 		path, query, _ := bytes.Cut(bytes.TrimSpace(rawPath), []byte("?"))
 		path = bytes.TrimSuffix(path, []byte("/"))
-		// The body is normally thrown away — the backend's job is to
-		// terminate the hop, not to re-process XML the gateway already
-		// handled — except for the POST /fault control spec, which is small
-		// by construction.
+		// The body is normally thrown away, in place in the reader's
+		// window — the backend's job is to terminate the hop, not to
+		// re-process XML the gateway already handled — except for the
+		// POST /fault control spec, which is small by construction.
 		var body []byte
 		control := string(method) == "POST" && clen <= 8<<10 && bytes.HasSuffix(path, []byte("fault"))
 		if control {
 			body = make([]byte, clen)
 			_, err = io.ReadFull(br, body)
-		} else if clen > 0 {
-			_, err = io.CopyN(io.Discard, br, int64(clen))
+		} else {
+			_, err = br.Discard(clen)
 		}
 		if err != nil {
 			s.refuse(c, httpmsg.TruncatedBody(err))

@@ -18,7 +18,7 @@ func postFault(t *testing.T, c net.Conn, br *bufio.Reader, spec string) FaultSta
 	if _, err := fmt.Fprintf(c, "POST /fault HTTP/1.1\r\nHost: order\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", len(spec), spec); err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := readResult(br)
+	res, _, err := readFresh(br)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestFaultEndpoint(t *testing.T) {
 	if _, err := c.Write(testRequest(0)); err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := readResult(br)
+	res, _, err := readFresh(br)
 	if err != nil || res.Status != 500 {
 		t.Fatalf("under error_rate=1: res=%+v err=%v", res, err)
 	}
@@ -74,7 +74,7 @@ func TestFaultEndpoint(t *testing.T) {
 	if _, err := c.Write(testRequest(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := readResult(br); err == nil {
+	if _, _, err := readFresh(br); err == nil {
 		t.Fatal("fail_next did not drop the connection")
 	}
 
@@ -91,7 +91,7 @@ func TestFaultEndpoint(t *testing.T) {
 	if _, err := c2.Write(testRequest(2)); err != nil {
 		t.Fatal(err)
 	}
-	if res, _, err := readResult(br2); err != nil || res.Status != 200 {
+	if res, _, err := readFresh(br2); err != nil || res.Status != 200 {
 		t.Fatalf("post-budget request: res=%+v err=%v", res, err)
 	}
 	if d := time.Since(t0); d < 5*time.Millisecond {
@@ -102,7 +102,7 @@ func TestFaultEndpoint(t *testing.T) {
 	if _, err := fmt.Fprintf(c2, "GET /fault HTTP/1.1\r\nHost: order\r\n\r\n"); err != nil {
 		t.Fatal(err)
 	}
-	res, _, err = readResult(br2)
+	res, _, err = readFresh(br2)
 	if err != nil || res.Status != 200 {
 		t.Fatalf("GET /fault: res=%+v err=%v", res, err)
 	}
@@ -126,7 +126,7 @@ func TestFaultEndpoint(t *testing.T) {
 	if _, err := c3.Write(testRequest(3)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := readResult(br3); err == nil {
+	if _, _, err := readFresh(br3); err == nil {
 		t.Fatal("down window did not drop the message")
 	}
 	// Control plane survives the outage.
@@ -143,7 +143,7 @@ func TestFaultEndpoint(t *testing.T) {
 	if _, err := c4.Write(testRequest(4)); err != nil {
 		t.Fatal(err)
 	}
-	if res, _, err := readResult(br4); err != nil || res.Status != 200 {
+	if res, _, err := readFresh(br4); err != nil || res.Status != 200 {
 		t.Fatalf("post-outage request: res=%+v err=%v", res, err)
 	}
 

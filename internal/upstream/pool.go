@@ -6,14 +6,18 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/httpmsg"
 )
 
 // pconn is one pooled upstream connection: the socket plus its buffered
-// reader (response parsing state must travel with the socket) and its
-// birth time for max-lifetime eviction.
+// reader (response parsing state must travel with the socket), its
+// writev vector (kept for the socket's life so a request costs no
+// allocation to send) and its birth time for max-lifetime eviction.
 type pconn struct {
 	c      net.Conn
 	br     *bufio.Reader
+	vec    httpmsg.Writev
 	born   time.Time
 	reused bool // true once the conn has served at least one round trip
 }

@@ -25,6 +25,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -137,7 +138,7 @@ func StatusFor(err error) int {
 type Result struct {
 	Status      int
 	ContentType string
-	Body        []byte
+	Body        []byte // the response body, in memory the caller owns (see RoundTripInto)
 	Backend     string // backend name ("order"/"error")
 	Addr        string
 	Reused      bool // the winning try used a pooled connection
@@ -226,27 +227,42 @@ func (f *Forwarder) Close() {
 }
 
 // RoundTrip forwards one raw HTTP request to the route's backend and
-// returns the parsed response. It retries dial/IO failures with jittered
-// backoff, fast-fails while the circuit is open, and never blocks past
-// (Retries+1) × (TryTimeout + backoff).
+// returns the parsed response in a fresh Result. It is RoundTripInto for
+// callers that keep the Result.
 func (f *Forwarder) RoundTrip(route string, raw []byte) (*Result, error) {
 	return f.RoundTripBuffers(route, raw, nil)
 }
 
-// RoundTripBuffers is RoundTrip for callers that keep the request header
-// and body in separate buffers (the gateway's zero-copy forward path):
-// the two segments go out in one vectored write (writev), so the body —
-// typically a view into the pooled request frame — is never copied into
-// a combined buffer. Both slices must stay valid until the call returns.
+// RoundTripBuffers is RoundTrip with the request header and body in
+// separate buffers, answered in a fresh Result.
 func (f *Forwarder) RoundTripBuffers(route string, head, body []byte) (*Result, error) {
-	b, ok := f.backends[route]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoBackend, route)
+	res := &Result{}
+	if err := f.RoundTripInto(route, head, body, res); err != nil {
+		return nil, err
 	}
-	return b.roundTrip(head, body)
+	return res, nil
 }
 
-func (b *Backend) roundTrip(head, body []byte) (*Result, error) {
+// RoundTripInto is the one round trip: it forwards a request kept as a
+// header and a body buffer to the route's backend and fills res with the
+// answer. The two segments go out in one vectored write (writev), so the
+// body — typically a view into the pooled request frame — is never copied
+// into a combined buffer; both must stay valid until the call returns.
+// The response body is appended to res.Body[:0], so a caller that hands
+// in the same memory each time (the gateway's pooled response buffers)
+// forwards without allocating. It retries dial/IO failures with jittered
+// backoff, fast-fails while the circuit is open, and never blocks past
+// (Retries+1) × (TryTimeout + backoff). On error res's fields are
+// meaningless; its Body capacity is kept.
+func (f *Forwarder) RoundTripInto(route string, head, body []byte, res *Result) error {
+	b, ok := f.backends[route]
+	if !ok {
+		return fmt.Errorf("%w: %q", ErrNoBackend, route)
+	}
+	return b.roundTrip(head, body, res)
+}
+
+func (b *Backend) roundTrip(head, body []byte, res *Result) error {
 	var lastErr error
 	tries := b.cfg.Retries + 1
 	for try := 1; try <= tries; try++ {
@@ -258,16 +274,16 @@ func (b *Backend) roundTrip(head, body []byte) (*Result, error) {
 			// Circuit open: retrying locally is pointless, the caller sheds
 			// with 502 immediately. The background prober owns recovery.
 			b.m.FastFails.Add(1)
-			return nil, fmt.Errorf("%s %s: %w", b.name, b.addr, ErrDown)
+			return fmt.Errorf("%s %s: %w", b.name, b.addr, ErrDown)
 		}
 		t0 := time.Now()
-		res, err := b.try(head, body)
+		err := b.try(head, body, res)
 		if err == nil {
 			b.hp.onSuccess()
 			b.m.Forwarded.Add(1)
 			b.m.Latency.Observe(time.Since(t0))
 			res.Backend, res.Addr, res.Tries = b.name, b.addr, try
-			return res, nil
+			return nil
 		}
 		lastErr = err
 		b.m.Failures.Add(1)
@@ -279,7 +295,7 @@ func (b *Backend) roundTrip(head, body []byte) (*Result, error) {
 			b.m.Downs.Add(1)
 		}
 	}
-	return nil, fmt.Errorf("upstream %s %s: %w", b.name, b.addr, lastErr)
+	return fmt.Errorf("upstream %s %s: %w", b.name, b.addr, lastErr)
 }
 
 // backoff sleeps the jittered exponential delay before retry n (1-based).
@@ -290,16 +306,14 @@ func (b *Backend) backoff(n int) {
 }
 
 // try performs one attempt on one connection: checkout (pool hit or
-// fresh dial), per-try deadline, vectored write, read a full response.
-// Any IO error closes the socket — a keep-alive conn in unknown state
-// must not return to the pool. The net.Buffers is rebuilt per try:
-// WriteTo consumes its receiver, and a partially-written first try must
-// not leak its progress into the retry.
-func (b *Backend) try(head, body []byte) (*Result, error) {
+// fresh dial), per-try deadline, vectored write through the connection's
+// own writev vector, read a full response into res. Any IO error closes the socket — a
+// keep-alive conn in unknown state must not return to the pool.
+func (b *Backend) try(head, body []byte, res *Result) error {
 	pc, pooled, err := b.pool.get()
 	if err != nil {
 		b.m.Dials.Add(1) // the miss happened even though the dial failed
-		return nil, err
+		return err
 	}
 	if pooled {
 		b.m.PoolHits.Add(1)
@@ -307,20 +321,14 @@ func (b *Backend) try(head, body []byte) (*Result, error) {
 		b.m.Dials.Add(1)
 	}
 	pc.c.SetDeadline(time.Now().Add(b.cfg.TryTimeout))
-	if len(body) > 0 {
-		nb := net.Buffers{head, body}
-		if _, err := nb.WriteTo(pc.c); err != nil {
-			b.pool.discard(pc)
-			return nil, err
-		}
-	} else if _, err := pc.c.Write(head); err != nil {
+	if _, err := pc.vec.Write(pc.c, head, body); err != nil {
 		b.pool.discard(pc)
-		return nil, err
+		return err
 	}
-	res, keepAlive, err := readResult(pc.br)
+	keepAlive, err := readResult(pc.br, res)
 	if err != nil {
 		b.pool.discard(pc)
-		return nil, err
+		return err
 	}
 	pc.c.SetDeadline(time.Time{})
 	res.Reused = pc.reused
@@ -329,33 +337,31 @@ func (b *Backend) try(head, body []byte) (*Result, error) {
 	} else {
 		b.pool.discard(pc)
 	}
-	return res, nil
+	return nil
 }
 
 var ctypeName = []byte("Content-Type")
 
-// readResult reads one response into a fresh Result: the head through
-// the shared wire framer, the body into its own allocation — both
-// outlive the pooled connection's reader window. keepAlive reports
-// whether the socket may be pooled afterwards.
-func readResult(br *bufio.Reader) (res *Result, keepAlive bool, err error) {
-	res = &Result{}
+// readResult reads one response into res: the head through the shared
+// wire framer, the body appended to res.Body[:0] — memory the caller
+// owns, which outlives the pooled connection's reader window. keepAlive
+// reports whether the socket may be pooled afterwards.
+func readResult(br *bufio.Reader, res *Result) (keepAlive bool, err error) {
+	res.ContentType = ""
 	h, err := httpmsg.ReadResponseHead(br, func(name, val []byte) {
 		if bytes.EqualFold(name, ctypeName) {
 			res.ContentType = internCType(val)
 		}
 	})
 	if err != nil {
-		return nil, false, err
+		return false, err
 	}
 	res.Status = h.Status
-	if h.ContentLength > 0 {
-		res.Body = make([]byte, h.ContentLength)
-		if _, err := io.ReadFull(br, res.Body); err != nil {
-			return nil, false, err
-		}
+	res.Body = slices.Grow(res.Body[:0], h.ContentLength)[:h.ContentLength]
+	if _, err := io.ReadFull(br, res.Body); err != nil {
+		return false, err
 	}
-	return res, h.KeepAlive, nil
+	return h.KeepAlive, nil
 }
 
 // internCType returns the static string for the one Content-Type the

@@ -5,9 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/raceflag"
 )
 
 // testRequest is a minimal framed POST the backend can discard.
@@ -390,36 +394,86 @@ func TestConfigValidation(t *testing.T) {
 // TestReadResponse pins the response parser: keep-alive detection and
 // malformed input.
 func TestReadResponse(t *testing.T) {
-	res, ka, err := readResult(bufio.NewReader(strings.NewReader(
+	res, ka, err := readFresh(bufio.NewReader(strings.NewReader(
 		"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 2\r\n\r\nhi")))
 	if err != nil || !ka || res.Status != 200 || string(res.Body) != "hi" {
 		t.Fatalf("res=%+v ka=%v err=%v", res, ka, err)
 	}
-	_, ka, err = readResult(bufio.NewReader(strings.NewReader(
+	_, ka, err = readFresh(bufio.NewReader(strings.NewReader(
 		"HTTP/1.1 502 Bad Gateway\r\nConnection: close\r\nContent-Length: 0\r\n\r\n")))
 	if err != nil || ka {
 		t.Fatalf("Connection: close not detected (ka=%v err=%v)", ka, err)
 	}
-	if _, _, err := readResult(bufio.NewReader(strings.NewReader("garbage\r\n\r\n"))); err == nil {
+	if _, _, err := readFresh(bufio.NewReader(strings.NewReader("garbage\r\n\r\n"))); err == nil {
 		t.Fatal("malformed status line should error")
 	}
 }
 
-// TestReadResultAllocs pins the forwarder's response read at its two
-// necessary allocations — the Result and the body, both of which outlive
-// the pooled connection's reader window.
+// readFresh reads one response into a fresh Result — how the tests that
+// keep several answers around call readResult.
+func readFresh(br *bufio.Reader) (*Result, bool, error) {
+	res := &Result{}
+	ka, err := readResult(br, res)
+	return res, ka, err
+}
+
+// TestReadResultAllocs pins the forwarder's response read at zero
+// allocations: the body lands in the caller's reused Result.
 func TestReadResultAllocs(t *testing.T) {
-	wire := "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 128\r\n\r\n" + strings.Repeat("x", 128)
+	body := strings.Repeat("x", 128)
+	wire := "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 128\r\n\r\n" + body
 	src := strings.NewReader(wire)
 	br := bufio.NewReaderSize(src, 32<<10)
+	var res Result
 	if n := testing.AllocsPerRun(200, func() {
 		src.Reset(wire)
 		br.Reset(src)
-		if res, ka, err := readResult(br); err != nil || !ka || len(res.Body) != 128 || res.ContentType != "application/json" {
+		if ka, err := readResult(br, &res); err != nil || !ka || string(res.Body) != body || res.ContentType != "application/json" {
 			t.Fatalf("res=%+v ka=%v err=%v", res, ka, err)
 		}
-	}); n > 2 {
-		t.Errorf("readResult: %v allocs/op, want <= 2", n)
+	}); n != 0 {
+		t.Errorf("readResult: %v allocs/op, want 0", n)
+	}
+}
+
+// TestRoundTripIntoAllocs pins the whole forwarded hop at zero
+// allocations: a pooled connection's writev, the response read into a
+// reused Result, and the in-process backend's framing, body discard and
+// ack. testing.AllocsPerRun reads the process-wide Mallocs, so the
+// backend's connection goroutine is counted too.
+func TestRoundTripIntoAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	be, err := StartBackend("127.0.0.1:0", BackendConfig{Name: "order"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer be.Close()
+	cfg := fastCfg(be.Addr().String())
+	cfg.ProbeInterval = time.Hour // no prober pass inside the measurement
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	req := testRequest(1)
+	head, body, _ := strings.Cut(string(req), "\r\n\r\n")
+	hb, bb := []byte(head+"\r\n\r\n"), []byte(body)
+	var res Result
+	if err := f.RoundTripInto("order", hb, bb, &res); err != nil { // dial, grow both sides' buffers
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if err := f.RoundTripInto("order", hb, bb, &res); err != nil || res.Status != 200 || !res.Reused {
+			t.Fatalf("res=%+v err=%v", res, err)
+		}
+	}); n != 0 {
+		t.Errorf("forwarded round trip: %v allocs/op, want 0", n)
+	}
+	if !strings.Contains(string(res.Body), `"backend":"order"`) {
+		t.Fatalf("body not the backend's ack: %s", res.Body)
 	}
 }
 
@@ -441,7 +495,7 @@ func TestBackendKeepAlive(t *testing.T) {
 		if _, err := c.Write(testRequest(i)); err != nil {
 			t.Fatal(err)
 		}
-		res, ka, err := readResult(br)
+		res, ka, err := readFresh(br)
 		if err != nil || !ka || res.Status != 200 {
 			t.Fatalf("req %d: res=%+v ka=%v err=%v", i, res, ka, err)
 		}
@@ -472,7 +526,7 @@ func TestBackendStats(t *testing.T) {
 		if _, err := fmt.Fprintf(c, "GET %s HTTP/1.1\r\nHost: order\r\n\r\n", path); err != nil {
 			t.Fatal(err)
 		}
-		res, _, err := readResult(br)
+		res, _, err := readFresh(br)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -501,7 +555,7 @@ func TestBackendStats(t *testing.T) {
 	if _, err := c.Write(testRequest(0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := readResult(br); err == nil {
+	if _, _, err := readFresh(br); err == nil {
 		t.Fatal("injected fault did not drop the connection")
 	}
 	// ...the second, on a fresh socket, is served.
@@ -514,7 +568,7 @@ func TestBackendStats(t *testing.T) {
 	if _, err := c2.Write(testRequest(1)); err != nil {
 		t.Fatal(err)
 	}
-	if res, _, err := readResult(br2); err != nil || res.Status != 200 {
+	if res, _, err := readFresh(br2); err != nil || res.Status != 200 {
 		t.Fatalf("post-fault request: res=%+v err=%v", res, err)
 	}
 
@@ -542,7 +596,72 @@ func TestBackendStats(t *testing.T) {
 	if _, err := c2.Write(testRequest(2)); err != nil {
 		t.Fatal(err)
 	}
-	if res, _, err := readResult(br2); err != nil || res.Status != 200 {
+	if res, _, err := readFresh(br2); err != nil || res.Status != 200 {
 		t.Fatalf("request after 404: res=%+v err=%v", res, err)
+	}
+}
+
+// openFDs counts this process's open file descriptors (the directory
+// handle ReadDir holds is in every count alike).
+func openFDs(t *testing.T) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd: %v", err)
+	}
+	return len(ents)
+}
+
+// TestForwarderCloseLeavesNoGoroutineOrFD: after round trips down every
+// path that parks, drops or replaces a pooled socket — a pool hit, a
+// backend answer with Connection: close (the socket is discarded), an
+// injected drop (the retry dials afresh) — closing the forwarder and the
+// backend returns the goroutine and fd counts to where they started.
+func TestForwarderCloseLeavesNoGoroutineOrFD(t *testing.T) {
+	goroutines, fds := runtime.NumGoroutine(), openFDs(t)
+
+	be, err := StartBackend("127.0.0.1:0", BackendConfig{Name: "order", FailFirst: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := New(fastCfg(be.Addr().String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Injected drop: the first try's socket dies, the retry dials anew.
+	if res, err := f.RoundTrip("order", testRequest(0)); err != nil || res.Tries != 2 {
+		t.Fatalf("retry path: res=%+v err=%v", res, err)
+	}
+	// Pool hit on the retry's socket.
+	if res, err := f.RoundTrip("order", testRequest(1)); err != nil || !res.Reused {
+		t.Fatalf("pool-hit path: res=%+v err=%v", res, err)
+	}
+	// The backend refuses a Transfer-Encoding request with 501 and
+	// Connection: close, so the forwarder discards the socket.
+	te := []byte("POST /service/FR HTTP/1.1\r\nHost: order\r\nTransfer-Encoding: chunked\r\n\r\n")
+	if res, err := f.RoundTrip("order", te); err != nil || res.Status != 501 {
+		t.Fatalf("Connection: close path: res=%+v err=%v", res, err)
+	}
+	if res, err := f.RoundTrip("order", testRequest(2)); err != nil || res.Reused {
+		t.Fatalf("after a discard the next round trip dials: res=%+v err=%v", res, err)
+	}
+	if s := f.Snapshot()["order"]; s.Dials != 3 || s.PoolHits != 2 || s.OpenConns != 1 {
+		t.Fatalf("dials=%d hits=%d open=%d, want 3/2/1", s.Dials, s.PoolHits, s.OpenConns)
+	}
+
+	f.Close()
+	be.Close()
+	// Closed sockets' fds go at Close; goroutines parked on them may take
+	// a moment to observe it and return.
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		g, n := runtime.NumGoroutine(), openFDs(t)
+		if g <= goroutines && n <= fds {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after Close: %d goroutines (was %d), %d fds (was %d)", g, goroutines, n, fds)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

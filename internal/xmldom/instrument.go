@@ -47,10 +47,10 @@ var (
 	pcCmpLoop   = scanCode.Site()
 )
 
-// Parser is the simulator's tree builder: a Tokenizer consumer that builds
+// instrParser is the simulator's tree builder: a Tokenizer consumer that builds
 // a heap tree and charges, as a micro-op stream, for the scanning an
 // equivalent compiled parser does. It decides nothing about the grammar.
-type Parser struct {
+type instrParser struct {
 	tz  Tokenizer
 	ord uint32 // nodes created so far: the next node's Ord
 
@@ -73,7 +73,7 @@ func ParseInstrumented(src []byte, em trace.Emitter, base uint64, arena *trace.A
 	if arena == nil {
 		arena = trace.NewArena(1<<40, 1<<26)
 	}
-	p := &Parser{em: em, base: base, arena: arena}
+	p := &instrParser{em: em, base: base, arena: arena}
 	p.tz.Reset(src)
 	doc := p.newNode(Document, "")
 	open := doc // innermost open element
@@ -130,7 +130,7 @@ func mustMeet(walked, end int) {
 	}
 }
 
-func (p *Parser) newNode(kind NodeKind, data string) *Node {
+func (p *instrParser) newNode(kind NodeKind, data string) *Node {
 	n := &Node{Kind: kind, Ord: p.ord, Data: data}
 	p.ord++
 	n.SimAddr = p.arena.Alloc(nodeSimBytes + uint64(len(data)))
@@ -138,7 +138,7 @@ func (p *Parser) newNode(kind NodeKind, data string) *Node {
 	return n
 }
 
-func (p *Parser) attach(parent, child *Node) {
+func (p *instrParser) attach(parent, child *Node) {
 	child.Parent = parent
 	parent.Children = append(parent.Children, child)
 	p.emitAttach(parent, child)
@@ -146,7 +146,7 @@ func (p *Parser) attach(parent, child *Node) {
 
 // startTag charges a start tag beginning at src[pos] ('<'), builds the
 // element under parent and returns it with the offset just past the tag.
-func (p *Parser) startTag(tok Token, pos int, parent *Node) (*Node, int) {
+func (p *instrParser) startTag(tok Token, pos int, parent *Node) (*Node, int) {
 	p.emitMatch(pos, 1)
 	pos = p.emitNameRun(pos+1, pos+1+len(tok.Name))
 	el := p.newNode(Element, "")
@@ -182,7 +182,7 @@ func (p *Parser) startTag(tok Token, pos int, parent *Node) (*Node, int) {
 
 // endTag charges an end tag beginning at src[pos] ("</") and returns the
 // offset just past it.
-func (p *Parser) endTag(tok Token, pos int) int {
+func (p *instrParser) endTag(tok Token, pos int) int {
 	pos = p.emitNameRun(pos+len("</"), pos+len("</")+len(tok.Name))
 	p.emitNameCompare(pos, len(tok.Name))
 	pos = p.spaceRun(pos)
@@ -193,7 +193,7 @@ func (p *Parser) endTag(tok Token, pos int) int {
 // charData charges scanning raw — a text run or an attribute value body
 // at src[pos] — as text runs split by name runs over the entity
 // references, and returns it decoded.
-func (p *Parser) charData(raw []byte, pos int) string {
+func (p *instrParser) charData(raw []byte, pos int) string {
 	var b strings.Builder
 	run := 0
 	for i := 0; i < len(raw); {
@@ -215,7 +215,7 @@ func (p *Parser) charData(raw []byte, pos int) string {
 
 // spaceRun charges skipping the whitespace run at src[pos] (same shape as
 // text scanning) and returns its end.
-func (p *Parser) spaceRun(pos int) int {
+func (p *instrParser) spaceRun(pos int) int {
 	end := pos
 	for end < len(p.tz.src) && isSpace(p.tz.src[end]) {
 		end++
@@ -224,7 +224,7 @@ func (p *Parser) spaceRun(pos int) int {
 	return end
 }
 
-func (p *Parser) addr(pos int) uint64 { return p.base + uint64(pos) }
+func (p *instrParser) addr(pos int) uint64 { return p.base + uint64(pos) }
 
 // emitNameRun models table-driven name scanning over src[start:end]: a
 // load per word, class arithmetic per byte, and a loop branch per few
@@ -233,7 +233,7 @@ func (p *Parser) addr(pos int) uint64 { return p.base + uint64(pos) }
 // use cases' retired branch frequency below the forwarding path's, as in
 // the paper's Table 5 (27-28% for SV/CBR vs 35-36% for FR on Pentium M).
 // It returns end, where the caller scans on from.
-func (p *Parser) emitNameRun(start, end int) int {
+func (p *instrParser) emitNameRun(start, end int) int {
 	n := end - start // never 0: names and entity references are not empty
 	p.em.Load(p.addr(start), (n+trace.WordBytes-1)/trace.WordBytes)
 	p.em.ALU(n * nameALUPerByte)
@@ -245,11 +245,11 @@ func (p *Parser) emitNameRun(start, end int) int {
 
 // emitTextRun models word-at-a-time content scanning (searching for '<'
 // or '&'): a load, SWAR arithmetic and a loop branch per word.
-func (p *Parser) emitTextRun(start, end int) {
+func (p *instrParser) emitTextRun(start, end int) {
 	p.emitWordRun(start, end, textALUPerWord, pcTextLoop)
 }
 
-func (p *Parser) emitWordRun(start, end, aluPerWord int, pc uint64) {
+func (p *instrParser) emitWordRun(start, end, aluPerWord int, pc uint64) {
 	words := (end - start + trace.WordBytes - 1) / trace.WordBytes
 	for w := 0; w < words; w++ {
 		p.em.Load(p.addr(start+w*trace.WordBytes), 1)
@@ -261,14 +261,14 @@ func (p *Parser) emitWordRun(start, end, aluPerWord int, pc uint64) {
 }
 
 // emitMatch models a short literal comparison (expect).
-func (p *Parser) emitMatch(pos, n int) {
+func (p *instrParser) emitMatch(pos, n int) {
 	p.em.Load(p.addr(pos), 1)
 	p.em.ALU(2 + n/trace.WordBytes)
 	p.em.Branch(pcMatch, true)
 }
 
 // emitDecision models one data-dependent structural branch at a stable PC.
-func (p *Parser) emitDecision(pc uint64, taken bool) {
+func (p *instrParser) emitDecision(pc uint64, taken bool) {
 	p.em.ALU(1)
 	p.em.Branch(pc, taken)
 }
@@ -276,7 +276,7 @@ func (p *Parser) emitDecision(pc uint64, taken bool) {
 // emitNameCompare models comparing the n-byte end-tag name that ends at
 // src[pos] against the open element's name (a short string compare; the
 // tokenizer only hands over end tags that matched).
-func (p *Parser) emitNameCompare(pos, n int) {
+func (p *instrParser) emitNameCompare(pos, n int) {
 	words := n/trace.WordBytes + 1
 	p.em.Load(p.addr(pos), words)
 	p.em.ALU(2 * words)
@@ -285,7 +285,7 @@ func (p *Parser) emitNameCompare(pos, n int) {
 
 // emitAlloc models allocating and initializing a tree node (and copying
 // its character data into the simulated heap).
-func (p *Parser) emitAlloc(n *Node, dataLen int) {
+func (p *instrParser) emitAlloc(n *Node, dataLen int) {
 	p.em.ALU(30) // allocator fast path, node initialization
 	p.em.Store(n.SimAddr, 6)
 	if dataLen > 0 {
@@ -297,7 +297,7 @@ func (p *Parser) emitAlloc(n *Node, dataLen int) {
 
 // emitAttach models linking a child into its parent (pointer stores plus
 // the occasional slice growth).
-func (p *Parser) emitAttach(parent, child *Node) {
+func (p *instrParser) emitAttach(parent, child *Node) {
 	p.em.Load(parent.SimAddr, 2)
 	p.em.Store(parent.SimAddr+16, 1)
 	p.em.Store(child.SimAddr+8, 1)
@@ -308,7 +308,7 @@ func (p *Parser) emitAttach(parent, child *Node) {
 
 // emitAttr models interning one attribute (hashing the name, storing the
 // pair).
-func (p *Parser) emitAttr(name, value string) {
+func (p *instrParser) emitAttr(name, value string) {
 	p.em.ALU(len(name) + 4)
 	p.em.Store(0, 0) // placeholder keeps shape explicit; no-op (N=0)
 	p.em.ALU(len(value) / 2)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/perf/trace/tracetest"
+	"repro/internal/workload"
 	"repro/internal/xmldom"
 	"repro/internal/xmldom/xmltest"
 	"repro/internal/xsd"
@@ -92,5 +93,31 @@ func FuzzXSDValidate(f *testing.F) {
 			return
 		}
 		checkAgainstOracle(t, testSchemas[names[int(schema)%len(names)]], src)
+	})
+}
+
+// FuzzParseSchema feeds arbitrary bytes to the schema compiler. Whatever
+// it accepts must then validate every corpus document and a seeded SOAP
+// message without panicking: a schema that compiles and then panics in
+// Validate (PR 20 found one by reading) is a bug in the compiler's
+// refusals.
+func FuzzParseSchema(f *testing.F) {
+	for _, src := range []string{workload.OrderSchemaXSD, orderSchema, allSchema, enumSchema, rangeSchema, nestSchema} {
+		f.Add([]byte(src))
+	}
+	var docs []*xmldom.Node
+	for _, src := range append(xmltest.Corpus(), workload.SOAPMessageSeeded(1, workload.MessageBytes, 7)) {
+		if doc, err := xmldom.Parse(src); err == nil {
+			docs = append(docs, doc)
+		}
+	}
+	f.Fuzz(func(t *testing.T, src []byte) {
+		s, err := xsd.ParseSchema(src)
+		if err != nil {
+			return
+		}
+		for _, doc := range docs {
+			xsd.Validate(s, doc)
+		}
 	})
 }
