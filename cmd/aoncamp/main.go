@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"time"
 
 	"repro/internal/campaign"
@@ -45,7 +46,6 @@ func main() {
 	out := flag.String("out", "aon-campaign", "artifact directory (session JSONL/CSV, report, result JSON)")
 	seed := flag.Uint64("seed", 0, "override the spec's generator seed (0 = keep the spec's)")
 	selfgate := flag.Bool("selfgate", false, "self-host an in-process gateway on loopback")
-	workers := flag.Int("workers", 2, "selfgate: worker-pool width")
 	idle := flag.Duration("idle-timeout", 2*time.Second, "selfgate: client idle timeout (slow-loris phases shed when their trickle interval exceeds this)")
 	selfback := flag.Int("selfback", 0, "self-host N loopback backends and point the spec's backends list at them")
 	respSize := flag.Int("resp-size", 128, "self-hosted backend response body bytes")
@@ -108,7 +108,6 @@ func main() {
 			up.Error = spec.Backends[1]
 		}
 		srv, err := gateway.New(gateway.Config{
-			Workers:     *workers,
 			Trace:       true, // the report's stage and model columns read the traced stage histograms
 			IdleTimeout: *idle,
 			Upstream:    up,
@@ -131,8 +130,8 @@ func main() {
 		if up.Enabled() {
 			mode = fmt.Sprintf("forwarding (order=%s error=%s)", up.Order, up.Error)
 		}
-		fmt.Fprintf(os.Stderr, "aoncamp: gateway on %s, %d workers, idle timeout %v, %s\n",
-			target, *workers, *idle, mode)
+		fmt.Fprintf(os.Stderr, "aoncamp: gateway on %s, GOMAXPROCS %d, idle timeout %v, %s\n",
+			target, runtime.GOMAXPROCS(0), *idle, mode)
 	}
 
 	res, err := campaign.Run(spec, campaign.Options{

@@ -11,7 +11,7 @@
 //     point" view that says where the M/M/c abstraction tracks the live
 //     gateway and where it drifts.
 //
-//   - Scaling (-widths): the model re-solved at each worker-pool width —
+//   - Scaling (-widths): the model re-solved at each GOMAXPROCS width —
 //     predicted saturation throughput, the admissible load under the p99
 //     target, and the scaling factor relative to the first width. The
 //     analytic twin of the paper's Figures 5/6 one-unit→two-unit curves,
@@ -53,7 +53,7 @@ func main() {
 	ucName := flag.String("usecase", "CBR", "use case whose calibration entry seeds the demand (-calibration mode)")
 	demandUS := flag.Float64("demand-us", 0, "override the per-message worker demand in microseconds")
 	targetP99 := flag.Duration("target-p99", 100*time.Millisecond, "latency bound for admissible-load columns")
-	widths := flag.String("widths", "", "comma-separated pool widths for the predicted scaling table (e.g. 1,2,4,8)")
+	widths := flag.String("widths", "", "comma-separated GOMAXPROCS widths for the predicted scaling table (e.g. 1,2,4,8)")
 	replicas := flag.Int("replicas", 1, "backend replicas sharing the forward demand in the scaling table")
 	forwardUS := flag.Float64("forward-us", 0, "per-message forward (backend round-trip) demand in microseconds")
 	backendConns := flag.Int("backend-conns", 8, "modeled per-backend connection-pool bound (with -forward-us)")
@@ -135,13 +135,11 @@ func parseWidths(s string) ([]int, error) {
 }
 
 // seedDemand resolves the per-message worker demand (seconds) and the
-// pool width the replay should model.
+// width the replay should model (the GOMAXPROCS the session ran at).
 func seedDemand(rows []session.CSVRow, calPath, ucName string, overrideUS float64) (demand float64, width int, source string) {
 	width = 1
 	for _, r := range rows {
-		if r.Workers > width {
-			width = r.Workers
-		}
+		width = max(width, r.GOMAXPROCS)
 	}
 	if overrideUS > 0 {
 		return overrideUS / 1e6, width, "-demand-us override"

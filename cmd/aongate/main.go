@@ -1,12 +1,13 @@
 // Command aongate serves the live AON gateway: a real TCP/HTTP server
 // running the paper's FR/CBR/SV pipelines (plus the DPI/AUTH extensions)
-// on live bytes with a worker pool sized to GOMAXPROCS, 503 admission
-// control, and a /stats endpoint.
+// on live bytes — each connection's goroutine processes its own
+// messages, GOMAXPROCS at a time — with a 503 in-flight bound and a
+// /stats endpoint.
 //
 // Usage:
 //
 //	aongate -addr :8080                      # serve, default use case FR
-//	aongate -usecase SV -workers 2 -queue 8  # pin pool and queue depth
+//	aongate -usecase SV -max-inflight 10     # shed past 10 in-flight messages
 //	aongate -order host1:9081 -error host1:9082  # forward to real backends
 //	curl http://localhost:8080/stats         # live metrics JSON
 //
@@ -21,14 +22,13 @@
 //
 // With -counters, /stats gains a "counters" section: windowed
 // perf_event_open deltas and derived CPI/cache-MPI/BrMPR (the paper's
-// VTune metrics on live hardware) including a per-worker skew view (each
-// pool worker pins its OS thread and opens its own event group),
-// degrading to runtime-metrics-only with a startup notice where perf
-// events are denied.
+// VTune metrics on live hardware) including a per-CPU skew view (one
+// event group per logical CPU), degrading to runtime-metrics-only with a
+// startup notice where perf events are denied.
 //
 // With -timeline (implies -counters), the gateway runs a VTune-style
 // sampling session: every -sample-interval it snapshots counter windows,
-// throughput deltas, latency percentiles, runtime and pool gauges into a
+// throughput deltas, latency percentiles, runtime and upstream gauges into a
 // bounded ring served on GET /timeline?last=N. SIGUSR1 dumps the ring as
 // CSV to -timeline-out without stopping the server; shutdown writes the
 // final ring there too. With -timeline-flush-interval (implies -timeline),
@@ -39,17 +39,16 @@
 // than a whole-ring dump.
 //
 // With -adaptive (implies -trace), an analytic M/M/c capacity controller
-// (internal/capacity) runs beside the pool: every -adapt-interval it
+// (internal/capacity) runs beside the gateway: every -adapt-interval it
 // reads the traced stage demands and the last window's load, solves the
-// queueing model, and resizes the worker pool and the 503 admission
-// bound toward -target-p99 — falling back to the static -workers/-queue
-// settings when observations go stale or the model diverges from
-// measurement. /stats gains a "capacity" section with the decision,
+// queueing model, and moves the 503 admission bound toward -target-p99
+// within [GOMAXPROCS+1, -max-inflight] — falling back to -max-inflight
+// when observations go stale or the model diverges from measurement. /stats gains a "capacity" section with the decision,
 // predicted-vs-observed error, and per-use-case model error.
 //
 // With -trace, the gateway runs the tracing plane (internal/dtrace),
 // its one request clock: every request records real spans around
-// read/queue/parse/process/forward/write, adopts the client's
+// read/parse/process/forward/write, adopts the client's
 // X-AON-Trace ID when present (aonload -trace-client, aoncamp
 // trace_every), and propagates context on upstream forwards so aonback
 // records a joined server-side span. Every finished request's span
@@ -95,8 +94,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	ucName := flag.String("usecase", "FR", "default use case: FR, CBR, SV, DPI, AUTH")
-	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 0, "admission queue depth (0 = 4x workers)")
 	maxBody := flag.Int("max-body", 1<<20, "max POST body bytes")
 	expr := flag.String("expr", "", "CBR XPath override (default //quantity/text())")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown budget")
@@ -114,12 +111,10 @@ func main() {
 	sampleCap := flag.Int("sample-cap", 0, "timeline ring capacity in samples (0 = 600)")
 	timelineOut := flag.String("timeline-out", "aon-timeline.csv", "CSV path for timeline dumps (SIGUSR1 and shutdown)")
 	timelineFlush := flag.Duration("timeline-flush-interval", 0, "append new timeline samples to -timeline-out every interval (implies -timeline; crash-safe, header written once; 0 = whole-ring dumps on SIGUSR1/shutdown only)")
-	adaptive := flag.Bool("adaptive", false, "run the capacity controller: the M/M/c model resizes the worker pool and moves the 503 admission bound from live observations (implies -trace)")
+	adaptive := flag.Bool("adaptive", false, "run the capacity controller: the M/M/c model moves the 503 admission bound from live observations (implies -trace)")
 	targetP99 := flag.Duration("target-p99", 0, "adaptive mode: p99 latency bound the controller sizes for (0 = default 100ms)")
 	adaptInterval := flag.Duration("adapt-interval", 0, "adaptive mode: control-loop period (0 = default 500ms)")
-	minWorkers := flag.Int("min-workers", 0, "adaptive mode: pool floor (0 = default 1)")
-	maxWorkers := flag.Int("max-workers", 0, "adaptive mode: pool ceiling (0 = default 4x -workers)")
-	maxInflight := flag.Int64("max-inflight", 0, "adaptive mode: admission-bound ceiling (0 = default 16x(workers+queue))")
+	maxInflight := flag.Int64("max-inflight", 0, "admission bound: shed with 503 past this many in-flight messages; the adaptive ceiling (0 = 5x GOMAXPROCS)")
 	trace := flag.Bool("trace", false, "run the tracing plane: per-request stage spans aggregated into the /stats stages section, X-AON-Trace adoption/propagation, tail-sampled ring on GET /traces, slow-request log on stderr")
 	traceNode := flag.String("trace-node", "", "node name stamped on this gateway's spans (default gateway; aonfleet passes role/id)")
 	traceSlowOver := flag.Duration("trace-slow-over", 0, "tail sampling: always keep traces slower than this (0 = default 50ms, negative disables the slow rule)")
@@ -189,8 +184,6 @@ func main() {
 	}
 	srv, err := gateway.New(gateway.Config{
 		UseCase:      uc,
-		Workers:      *workers,
-		QueueDepth:   *queue,
 		MaxBodyBytes: *maxBody,
 		Expr:         *expr,
 		IdleTimeout:  *idle,
@@ -212,8 +205,6 @@ func main() {
 		Adaptive:              *adaptive,
 		TargetP99:             *targetP99,
 		AdaptInterval:         *adaptInterval,
-		MinWorkers:            *minWorkers,
-		MaxWorkers:            *maxWorkers,
 		MaxInflight:           *maxInflight,
 		Trace:                 *trace,
 		TraceNode:             *traceNode,
@@ -235,8 +226,8 @@ func main() {
 	if *order != "" || *errAddr != "" {
 		mode = fmt.Sprintf("forwarding (order=%s error=%s)", *order, *errAddr)
 	}
-	fmt.Fprintf(os.Stderr, "aongate: listening on %s (usecase=%s workers=%d GOMAXPROCS=%d mode=%s)\n",
-		srv.Addr(), uc, srv.Workers(), runtime.GOMAXPROCS(0), mode)
+	fmt.Fprintf(os.Stderr, "aongate: listening on %s (usecase=%s GOMAXPROCS=%d mode=%s)\n",
+		srv.Addr(), uc, runtime.GOMAXPROCS(0), mode)
 	if cmode, notice := srv.CountersMode(); cmode != "off" {
 		fmt.Fprintf(os.Stderr, "aongate: counters mode=%s", cmode)
 		if notice != "" {

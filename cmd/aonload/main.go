@@ -13,8 +13,8 @@
 //
 // -sweep replays the paper's 1-unit→2-unit scaling question (Figures 5/6)
 // on the live machine: for each width it sets GOMAXPROCS, starts an
-// in-process gateway on loopback with an equal-width worker pool, drives
-// it, and prints a scaling table. Like the paper's netperf loopback mode,
+// in-process gateway on loopback, drives it, and prints a scaling
+// table. Like the paper's netperf loopback mode,
 // client and server share the machine, so the curve shape — not the
 // absolute msgs/s — is the comparable result.
 //

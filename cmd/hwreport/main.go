@@ -35,6 +35,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -51,7 +52,7 @@ import (
 // metrics next to the live gateway's measured (or fallback) ones.
 type Row struct {
 	UseCase      string                    `json:"usecase"`
-	Width        int                       `json:"width,omitempty"` // -timeline -widths: live worker-pool width
+	Width        int                       `json:"width,omitempty"` // -timeline -widths: live GOMAXPROCS
 	SimConfig    string                    `json:"sim_config"`
 	SimMsgsPerS  float64                   `json:"sim_msgs_per_sec"`
 	Sim          counters.Metrics          `json:"sim"`
@@ -75,7 +76,7 @@ func main() {
 	liveDur := flag.Duration("live-duration", 2*time.Second, "-timeline: live load length per use case")
 	calOut := flag.String("calibration-out", "aon-calibration.json", "-timeline: where to write the calibration artifact")
 	calIn := flag.String("calibration", "", "apply a calibration artifact (written by -timeline) to the simulated predictions")
-	widths := flag.String("widths", "", "-timeline: comma-separated worker-pool widths to record per-width calibration entries at (e.g. 1,2,4); empty records one width-agnostic entry per use case")
+	widths := flag.String("widths", "", "-timeline: comma-separated GOMAXPROCS widths to record per-width calibration entries at (e.g. 1,2,4); empty records one width-agnostic entry per use case")
 	flag.Parse()
 
 	if *sampleInterval <= 0 {
@@ -219,7 +220,7 @@ func simulate(id machine.ConfigID, uc workload.UseCase, simMsgs int, cal *harnes
 }
 
 // runTimeline is the -timeline mode: one sampling session per use case
-// (and, with -widths, per pool width) replayed against the model,
+// (and, with -widths, per GOMAXPROCS width) replayed against the model,
 // producing both the comparison table and the calibration artifact.
 func runTimeline(id machine.ConfigID, simMsgs, conns, size int, interval, dur time.Duration, calOut string, cal *harness.Calibration, asJSON bool, widths []int) {
 	if len(widths) == 0 {
@@ -276,15 +277,18 @@ func runTimeline(id machine.ConfigID, simMsgs, conns, size int, interval, dur ti
 }
 
 // timelineCompare runs one use case's sampling session at the given
-// pool width (0: the gateway default) and averages the session's derived
-// metrics into a calibration entry.
+// GOMAXPROCS width (0: leave it as is) and averages the session's
+// derived metrics into a calibration entry.
 func timelineCompare(id machine.ConfigID, uc workload.UseCase, simMsgs, conns, size int, interval, dur time.Duration, cal *harness.Calibration, width int) (Row, harness.CalibrationEntry, error) {
 	sim, err := simulate(id, uc, simMsgs, cal)
 	if err != nil {
 		return Row{}, harness.CalibrationEntry{}, err
 	}
 
-	srv, err := gateway.New(gateway.Config{UseCase: uc, Workers: width, Timeline: true, SampleInterval: interval})
+	if width > 0 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(width))
+	}
+	srv, err := gateway.New(gateway.Config{UseCase: uc, Timeline: true, SampleInterval: interval})
 	if err != nil {
 		return Row{}, harness.CalibrationEntry{}, err
 	}

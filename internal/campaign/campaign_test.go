@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -105,7 +106,6 @@ func TestFaultPostUnreachable(t *testing.T) {
 // and the session artifacts.
 func TestCampaignEndToEnd(t *testing.T) {
 	srv, err := gateway.New(gateway.Config{
-		Workers:     2,
 		Trace:       true,
 		IdleTimeout: 120 * time.Millisecond,
 	})
@@ -159,7 +159,7 @@ func TestCampaignEndToEnd(t *testing.T) {
 	if len(warmup.Stages) == 0 || warmup.Stages["process"].Count == 0 {
 		t.Fatalf("warmup stage window missing: %+v", warmup.Stages)
 	}
-	if warmup.Model == nil || warmup.Model.DemandUS <= 0 || warmup.Model.Workers != 2 {
+	if warmup.Model == nil || warmup.Model.DemandUS <= 0 || warmup.Model.Workers != runtime.GOMAXPROCS(0) {
 		t.Fatalf("warmup model row missing: %+v", warmup.Model)
 	}
 

@@ -189,7 +189,7 @@ func (r *runner) runPhase(p *Phase) (*PhaseReport, error) {
 			break
 		}
 		if p.Shape == ShapeSlowloris {
-			lp.resize(p.WidthAt(elapsed))
+			lp.Resize(p.WidthAt(elapsed))
 			sp.Resize(p.BackgroundConns)
 		} else {
 			sp.Resize(p.WidthAt(elapsed))
@@ -201,7 +201,7 @@ func (r *runner) runPhase(p *Phase) (*PhaseReport, error) {
 	close(faultStop)
 	client := sp.Stop()
 	if lp != nil {
-		lp.stop()
+		lp.Stop()
 	}
 	faultWG.Wait()
 	activeDur := time.Since(start)
@@ -270,13 +270,13 @@ func sleepOrStop(stop <-chan struct{}, d time.Duration) bool {
 // lorisPool holds slow-loris connections: each trickles one valid
 // request in small chunks paced slower than the gateway's idle timeout,
 // so the gateway's read deadline reaps the connection mid-request. A
-// write or read error is counted as a reap and the loris redials.
+// write or read error is counted as a reap and the loris redials. The
+// envelope controller resizes and stops it like the senders.
 type lorisPool struct {
+	*gateway.LoopSet
 	addr     string
 	req      []byte
 	interval time.Duration
-	stops    []chan struct{} // controller goroutine only
-	wg       sync.WaitGroup
 
 	held, reaped, completed atomic.Uint64
 }
@@ -286,32 +286,12 @@ type lorisPool struct {
 const lorisChunk = 64
 
 func newLorisPool(addr string, req []byte, interval time.Duration) *lorisPool {
-	return &lorisPool{addr: addr, req: req, interval: interval}
+	lp := &lorisPool{addr: addr, req: req, interval: interval}
+	lp.LoopSet = gateway.NewLoopSet(lp.run)
+	return lp
 }
 
-func (lp *lorisPool) resize(n int) {
-	if n < 0 {
-		n = 0
-	}
-	for len(lp.stops) < n {
-		stop := make(chan struct{})
-		lp.stops = append(lp.stops, stop)
-		lp.wg.Add(1)
-		go lp.run(stop)
-	}
-	for len(lp.stops) > n {
-		close(lp.stops[len(lp.stops)-1])
-		lp.stops = lp.stops[:len(lp.stops)-1]
-	}
-}
-
-func (lp *lorisPool) stop() {
-	lp.resize(0)
-	lp.wg.Wait()
-}
-
-func (lp *lorisPool) run(stop chan struct{}) {
-	defer lp.wg.Done()
+func (lp *lorisPool) run(stop <-chan struct{}) {
 	for {
 		select {
 		case <-stop:

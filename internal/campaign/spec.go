@@ -45,7 +45,7 @@ const (
 	// ShapeSlowloris holds Conns trickling connections that drip request
 	// bytes slower than the gateway's idle timeout (exercising the
 	// read-deadline shed path), with BackgroundConns normal senders
-	// alongside to prove the worker pool is not starved.
+	// alongside to prove the held connections starve no one.
 	ShapeSlowloris Shape = "slowloris"
 )
 

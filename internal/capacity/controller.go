@@ -3,43 +3,36 @@ package capacity
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"time"
 )
 
 // ControllerConfig parameterizes the model-driven admission controller.
-// Zero values take the documented defaults; the Static* fields are the
-// operator's fixed flags, which every fallback path returns to.
+// Zero values take the documented defaults; MaxInflight is the
+// operator's bound, where the controller starts and where every
+// fallback returns.
 type ControllerConfig struct {
 	// TargetP99 is the latency bound adaptive admission defends: the
 	// admission bound is set so the model's predicted p99 at the
 	// admitted load stays at or under it.
 	TargetP99 time.Duration
-	// StaticWorkers and StaticBound are the fixed-flag settings the
-	// controller falls back to on stale observations or model
-	// divergence.
-	StaticWorkers int
-	StaticBound   int64
-	// MinWorkers/MaxWorkers clamp the pool width (defaults: 1 and
-	// StaticWorkers).
-	MinWorkers int
-	MaxWorkers int
-	// MinInflight/MaxInflight clamp the admission bound (defaults:
-	// MinWorkers+1 and 4x StaticBound).
-	MinInflight int64
+	// MaxInflight is the admission bound's ceiling, its initial value,
+	// and the setting the controller falls back to on stale observations
+	// or model divergence.
 	MaxInflight int64
-	// Hysteresis is the relative change a recomputed setting needs
-	// before the controller moves it (default 0.15) — the damping that
-	// keeps the pool and bound from thrashing on noisy windows.
+	// MinInflight is the admission bound's floor (default GOMAXPROCS+1:
+	// every P busy with one message waiting).
+	MinInflight int64
+	// Hysteresis is the relative change a recomputed bound needs before
+	// the controller moves it (default 0.15) — the damping that keeps
+	// the bound from thrashing on noisy windows.
 	Hysteresis float64
-	// Headroom is the utilization margin worker sizing keeps over the
-	// offered load (default 0.25: size for offered*1.25).
-	Headroom float64
 	// StaleAfter bounds observation age: anything older falls back to
-	// the static flags (default 5s).
+	// MaxInflight (default 5s).
 	StaleAfter time.Duration
 	// DivergeFrac is the model-vs-observed throughput error fraction
-	// beyond which the model is distrusted and the static flags rule
+	// beyond which the model is distrusted and MaxInflight rules
 	// (default 0.5).
 	DivergeFrac float64
 }
@@ -48,35 +41,17 @@ func (c ControllerConfig) withDefaults() (ControllerConfig, error) {
 	if c.TargetP99 <= 0 {
 		return c, fmt.Errorf("capacity: TargetP99 must be positive, got %v", c.TargetP99)
 	}
-	if c.StaticWorkers < 1 {
-		return c, fmt.Errorf("capacity: StaticWorkers must be >= 1, got %d", c.StaticWorkers)
-	}
-	if c.StaticBound < 1 {
-		return c, fmt.Errorf("capacity: StaticBound must be >= 1, got %d", c.StaticBound)
-	}
-	if c.MinWorkers <= 0 {
-		c.MinWorkers = 1
-	}
-	if c.MaxWorkers <= 0 {
-		c.MaxWorkers = c.StaticWorkers
-	}
-	if c.MaxWorkers < c.MinWorkers {
-		return c, fmt.Errorf("capacity: MaxWorkers %d < MinWorkers %d", c.MaxWorkers, c.MinWorkers)
+	if c.MaxInflight < 1 {
+		return c, fmt.Errorf("capacity: MaxInflight must be >= 1, got %d", c.MaxInflight)
 	}
 	if c.MinInflight <= 0 {
-		c.MinInflight = int64(c.MinWorkers) + 1
-	}
-	if c.MaxInflight <= 0 {
-		c.MaxInflight = 4 * c.StaticBound
+		c.MinInflight = int64(runtime.GOMAXPROCS(0)) + 1
 	}
 	if c.MaxInflight < c.MinInflight {
 		return c, fmt.Errorf("capacity: MaxInflight %d < MinInflight %d", c.MaxInflight, c.MinInflight)
 	}
 	if c.Hysteresis <= 0 {
 		c.Hysteresis = 0.15
-	}
-	if c.Headroom <= 0 {
-		c.Headroom = 0.25
 	}
 	if c.StaleAfter <= 0 {
 		c.StaleAfter = 5 * time.Second
@@ -102,27 +77,26 @@ type Observation struct {
 	// Demands are the measured per-stage service times seeding the
 	// model (zero WorkerDemand means no stage traces landed yet).
 	Demands StageDemands
-	// Workers is the pool width the window ran with; BackendConns and
-	// Backends size the overlapped backend station (0: in-place mode).
+	// Workers is the GOMAXPROCS the window ran with; BackendConns and
+	// Backends size the backend station (0: pool size unknown).
 	Workers      int
 	BackendConns int
 	Backends     int
 }
 
-// Decision is one control-loop output: the settings to apply plus the
-// model view that produced them.
+// Decision is one control-loop output: the bound to apply plus the model
+// view that produced it.
 type Decision struct {
 	At       time.Time `json:"-"`
-	Workers  int       `json:"workers"`
 	Bound    int64     `json:"admission_bound"`
 	Fallback bool      `json:"fallback"`
 	Reason   string    `json:"reason"`
 	// AdmissibleLoad is the model's λ*: the highest offered load whose
-	// predicted p99 meets the target at the decided width.
+	// predicted p99 meets the target.
 	AdmissibleLoad float64 `json:"admissible_per_sec"`
-	// Predicted is the model solved at the observed offered load with
-	// the decided width; ThroughputErrPct compares its throughput
-	// against the observed goodput.
+	// Predicted is the model solved at the observed offered load;
+	// ThroughputErrPct compares its throughput against the observed
+	// goodput.
 	Predicted        Prediction `json:"predicted"`
 	ThroughputErrPct float64    `json:"throughput_err_pct"`
 	P99ErrPct        float64    `json:"p99_err_pct"`
@@ -132,14 +106,13 @@ type Decision struct {
 type ControllerCounters struct {
 	Decisions    uint64 `json:"decisions"`
 	BoundChanges uint64 `json:"bound_changes"`
-	WidthChanges uint64 `json:"width_changes"`
 	Fallbacks    uint64 `json:"fallbacks"`
 	Holds        uint64 `json:"holds"`
 }
 
-// Controller turns observations into pool-width and admission-bound
-// decisions with hysteresis, clamps, and hard fallbacks. Safe for
-// concurrent Decide and Last.
+// Controller turns observations into admission-bound decisions with
+// hysteresis, clamps, and hard fallbacks. Safe for concurrent Decide and
+// Last.
 type Controller struct {
 	cfg ControllerConfig
 
@@ -148,8 +121,8 @@ type Controller struct {
 	counters ControllerCounters
 }
 
-// NewController validates the configuration and starts from the static
-// settings.
+// NewController validates the configuration and starts from
+// MaxInflight.
 func NewController(cfg ControllerConfig) (*Controller, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -158,9 +131,8 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	return &Controller{
 		cfg: cfg,
 		cur: Decision{
-			Workers: cfg.StaticWorkers,
-			Bound:   cfg.StaticBound,
-			Reason:  "initial static settings",
+			Bound:  cfg.MaxInflight,
+			Reason: "initial bound",
 		},
 	}, nil
 }
@@ -193,9 +165,6 @@ func (c *Controller) Decide(now time.Time, obs Observation) Decision {
 	if d.Bound != c.cur.Bound {
 		c.counters.BoundChanges++
 	}
-	if d.Workers != c.cur.Workers {
-		c.counters.WidthChanges++
-	}
 	if d.Fallback {
 		c.counters.Fallbacks++
 	}
@@ -208,9 +177,9 @@ func (c *Controller) step(now time.Time, obs Observation) Decision {
 	cfg := c.cfg
 	if obs.At.IsZero() || now.Sub(obs.At) > cfg.StaleAfter {
 		return Decision{
-			Workers: cfg.StaticWorkers, Bound: cfg.StaticBound,
+			Bound:    cfg.MaxInflight,
 			Fallback: true,
-			Reason:   fmt.Sprintf("observations stale (age %v > %v); static flags rule", now.Sub(obs.At).Round(time.Millisecond), cfg.StaleAfter),
+			Reason:   fmt.Sprintf("observations stale (age %v > %v); max inflight rules", now.Sub(obs.At).Round(time.Millisecond), cfg.StaleAfter),
 		}
 	}
 	if obs.Demands.WorkerDemand() <= 0 {
@@ -226,12 +195,12 @@ func (c *Controller) step(now time.Time, obs Observation) Decision {
 		return d
 	}
 
-	// Model check at the *observed* width: does the model track reality
-	// closely enough to be trusted with admission?
-	observedModel := GatewayModel(obs.Demands, GatewayTopology{
+	// Model check: does the model track reality closely enough to be
+	// trusted with admission?
+	m := GatewayModel(obs.Demands, GatewayTopology{
 		Workers: obs.Workers, BackendConns: obs.BackendConns, Backends: obs.Backends,
 	})
-	atObserved := observedModel.Predict(obs.OfferedPerSec)
+	atObserved := m.Predict(obs.OfferedPerSec)
 	errPct := ErrPct(atObserved.ThroughputPerSec, obs.GoodputPerSec)
 	p99ErrPct := 0.0
 	if atObserved.P99US > 0 {
@@ -239,42 +208,25 @@ func (c *Controller) step(now time.Time, obs Observation) Decision {
 	}
 	if obs.GoodputPerSec > 0 && errPct > 100*cfg.DivergeFrac {
 		return Decision{
-			Workers: cfg.StaticWorkers, Bound: cfg.StaticBound,
+			Bound:            cfg.MaxInflight,
 			Fallback:         true,
-			Reason:           fmt.Sprintf("model diverged from measurement (throughput err %.0f%% > %.0f%%); static flags rule", errPct, 100*cfg.DivergeFrac),
+			Reason:           fmt.Sprintf("model diverged from measurement (throughput err %.0f%% > %.0f%%); max inflight rules", errPct, 100*cfg.DivergeFrac),
 			Predicted:        atObserved,
 			ThroughputErrPct: errPct,
 			P99ErrPct:        p99ErrPct,
 		}
 	}
 
-	// Width: enough servers to carry the offered load with headroom.
-	workers := c.cur.Workers
-	if wd := obs.Demands.WorkerDemand(); wd > 0 {
-		needed := int(math.Ceil(obs.OfferedPerSec * (1 + cfg.Headroom) * wd))
-		needed = clampInt(needed, cfg.MinWorkers, cfg.MaxWorkers)
-		if relDiff(float64(needed), float64(workers)) >= cfg.Hysteresis {
-			workers = needed
-		}
-	}
-
-	// Bound: the model at the decided width answers "how many messages
-	// may be in the system before predicted p99 breaks the target" —
-	// Little's law population at λ*, clamped and damped.
-	decidedModel := GatewayModel(obs.Demands, GatewayTopology{
-		Workers: workers, BackendConns: obs.BackendConns, Backends: obs.Backends,
-	})
-	admissible := decidedModel.MaxLoadForP99(float64(cfg.TargetP99.Microseconds()))
+	// Bound: the model answers "how many messages may be in the system
+	// before predicted p99 breaks the target" — Little's law population
+	// at λ*, clamped and damped.
+	admissible := m.MaxLoadForP99(float64(cfg.TargetP99.Microseconds()))
 	bound := c.cur.Bound
 	switch {
 	case math.IsInf(admissible, 1):
 		bound = cfg.MaxInflight
 	case admissible > 0:
-		atStar := decidedModel.Predict(admissible)
-		want := int64(math.Ceil(atStar.InSystem))
-		if min := int64(workers) + 1; want < min {
-			want = min
-		}
+		want := int64(math.Ceil(m.Predict(admissible).InSystem))
 		want = clampInt64(want, cfg.MinInflight, cfg.MaxInflight)
 		if relDiff(float64(want), float64(bound)) >= cfg.Hysteresis {
 			bound = want
@@ -286,24 +238,13 @@ func (c *Controller) step(now time.Time, obs Observation) Decision {
 	}
 
 	return Decision{
-		Workers:          workers,
 		Bound:            bound,
-		Reason:           fmt.Sprintf("model: admissible %.0f/s at width %d for p99<=%v", admissible, workers, cfg.TargetP99),
+		Reason:           fmt.Sprintf("model: admissible %.0f/s on %d Ps for p99<=%v", admissible, obs.Workers, cfg.TargetP99),
 		AdmissibleLoad:   admissible,
-		Predicted:        decidedModel.Predict(obs.OfferedPerSec),
+		Predicted:        atObserved,
 		ThroughputErrPct: errPct,
 		P99ErrPct:        p99ErrPct,
 	}
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 func clampInt64(v, lo, hi int64) int64 {

@@ -1,6 +1,7 @@
 package capacity
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -9,21 +10,19 @@ import (
 
 func testConfig() ControllerConfig {
 	return ControllerConfig{
-		TargetP99:     100 * time.Millisecond,
-		StaticWorkers: 4,
-		StaticBound:   16,
-		MaxWorkers:    8,
-		MaxInflight:   256,
+		TargetP99:   100 * time.Millisecond,
+		MaxInflight: 256,
+		MinInflight: 5,
 	}
 }
 
-// obsAt builds a healthy observation at the given offered load: demands
-// make a 4-worker pool saturate at 4/0.004 = 1000/s, and the goodput is
-// whatever the model itself would predict (so divergence never trips by
+// obsAt builds a healthy observation at the given offered load on four
+// Ps whose process stage takes processSec: the goodput is whatever the
+// model itself would predict (so divergence never trips by
 // construction).
-func obsAt(now time.Time, offered float64, workers int) Observation {
-	d := StageDemands{Read: 0.0001, Parse: 0.001, Process: 0.003, Write: 0.0001}
-	m := GatewayModel(d, GatewayTopology{Workers: workers})
+func obsAt(now time.Time, offered, processSec float64) Observation {
+	d := StageDemands{Read: 0.0001, Parse: 0.001, Process: processSec, Write: 0.0001}
+	m := GatewayModel(d, GatewayTopology{Workers: 4})
 	p := m.Predict(offered)
 	return Observation{
 		At:            now,
@@ -31,7 +30,7 @@ func obsAt(now time.Time, offered float64, workers int) Observation {
 		GoodputPerSec: p.ThroughputPerSec,
 		P99:           time.Duration(p.P99US) * time.Microsecond,
 		Demands:       d,
-		Workers:       workers,
+		Workers:       4,
 	}
 }
 
@@ -40,17 +39,16 @@ func TestControllerValidation(t *testing.T) {
 		t.Fatal("zero config accepted")
 	}
 	bad := testConfig()
-	bad.MaxWorkers = 2
-	bad.MinWorkers = 4
+	bad.MaxInflight = 4
 	if _, err := NewController(bad); err == nil {
-		t.Fatal("MaxWorkers < MinWorkers accepted")
+		t.Fatal("MaxInflight < MinInflight accepted")
 	}
 	c, err := NewController(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := c.Last(); d.Workers != 4 || d.Bound != 16 {
-		t.Fatalf("initial decision not static: %+v", d)
+	if d := c.Last(); d.Bound != 256 {
+		t.Fatalf("initial decision not the ceiling: %+v", d)
 	}
 }
 
@@ -63,7 +61,7 @@ func TestControllerTracksLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := time.Now()
-	d := c.Decide(now, obsAt(now, 500, 4))
+	d := c.Decide(now, obsAt(now, 500, 0.003))
 	if d.Fallback {
 		t.Fatalf("healthy observation fell back: %+v", d)
 	}
@@ -76,38 +74,37 @@ func TestControllerTracksLoad(t *testing.T) {
 	if !strings.Contains(d.Reason, "model") {
 		t.Fatalf("reason %q", d.Reason)
 	}
-	if got := c.Counters(); got.Decisions != 1 || got.Fallbacks != 0 {
+	if got := c.Counters(); got.Decisions != 1 || got.Fallbacks != 0 || got.BoundChanges != 1 {
 		t.Fatalf("counters %+v", got)
 	}
 }
 
-// TestControllerHysteresis: tiny load changes hold the settings, big
-// ones move them.
+// TestControllerHysteresis: a small demand change holds the bound, a big
+// one moves it.
 func TestControllerHysteresis(t *testing.T) {
 	c, err := NewController(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	now := time.Now()
-	first := c.Decide(now, obsAt(now, 500, 4))
-	// A 2% load change stays under the 15% hysteresis: nothing moves.
-	second := c.Decide(now, obsAt(now, 510, first.Workers))
-	if second.Bound != first.Bound || second.Workers != first.Workers {
-		t.Fatalf("small change moved settings: %+v -> %+v", first, second)
+	first := c.Decide(now, obsAt(now, 500, 0.003))
+	// A 2% demand change stays under the 15% hysteresis: nothing moves.
+	second := c.Decide(now, obsAt(now, 500, 0.00308))
+	if second.Bound != first.Bound {
+		t.Fatalf("small change moved the bound: %+v -> %+v", first, second)
 	}
-	// Doubling the offered load must move the width.
-	third := c.Decide(now, obsAt(now, 1400, second.Workers))
-	if third.Workers <= second.Workers {
-		t.Fatalf("doubled load did not widen the pool: %+v -> %+v", second, third)
+	// Doubling the demand halves what the target admits.
+	third := c.Decide(now, obsAt(now, 200, 0.007))
+	if third.Bound >= second.Bound {
+		t.Fatalf("doubled demand did not lower the bound: %+v -> %+v", second, third)
 	}
-	cnt := c.Counters()
-	if cnt.WidthChanges == 0 {
-		t.Fatalf("width change not counted: %+v", cnt)
+	if cnt := c.Counters(); cnt.BoundChanges != 2 {
+		t.Fatalf("bound changes %d, want 2: %+v", cnt.BoundChanges, cnt)
 	}
 }
 
-// TestControllerClamps: overload pins the width at MaxWorkers and an
-// unmeetable latency target pins the bound at the floor.
+// TestControllerClamps: overload never lifts the bound past the ceiling
+// and an unmeetable latency target pins it at the floor.
 func TestControllerClamps(t *testing.T) {
 	cfg := testConfig()
 	c, err := NewController(cfg)
@@ -115,12 +112,9 @@ func TestControllerClamps(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := time.Now()
-	d := c.Decide(now, obsAt(now, 100000, 4))
-	if d.Workers != cfg.MaxWorkers {
-		t.Fatalf("overload width %d, want clamp %d", d.Workers, cfg.MaxWorkers)
-	}
-	if d.Bound > cfg.MaxInflight {
-		t.Fatalf("bound %d above ceiling %d", d.Bound, cfg.MaxInflight)
+	d := c.Decide(now, obsAt(now, 100000, 0.003))
+	if d.Bound > cfg.MaxInflight || d.Bound < cfg.MinInflight {
+		t.Fatalf("overload bound %d outside [%d, %d]", d.Bound, cfg.MinInflight, cfg.MaxInflight)
 	}
 
 	// Target tighter than the bare service time: bound floors.
@@ -130,25 +124,36 @@ func TestControllerClamps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2 := c2.Decide(now, obsAt(now, 100, 4))
+	d2 := c2.Decide(now, obsAt(now, 100, 0.003))
 	if d2.Bound != c2.Config().MinInflight {
 		t.Fatalf("unmeetable target bound %d, want floor %d", d2.Bound, c2.Config().MinInflight)
+	}
+
+	// The default floor is every P busy plus one waiting.
+	dflt := cfg
+	dflt.MinInflight = 0
+	c3, err := NewController(dflt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c3.Config().MinInflight, int64(runtime.GOMAXPROCS(0))+1; got != want {
+		t.Fatalf("default floor %d, want GOMAXPROCS+1 = %d", got, want)
 	}
 }
 
 // TestControllerStaleFallback: an observation older than StaleAfter
-// falls hard back to the static flags.
+// falls hard back to MaxInflight.
 func TestControllerStaleFallback(t *testing.T) {
 	c, err := NewController(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	now := time.Now()
-	c.Decide(now, obsAt(now, 900, 4)) // move off static first
-	stale := obsAt(now.Add(-10*time.Second), 900, 4)
+	c.Decide(now, obsAt(now, 900, 0.003)) // move off the ceiling first
+	stale := obsAt(now.Add(-10*time.Second), 900, 0.003)
 	d := c.Decide(now, stale)
-	if !d.Fallback || d.Workers != 4 || d.Bound != 16 {
-		t.Fatalf("stale observation not a static fallback: %+v", d)
+	if !d.Fallback || d.Bound != 256 {
+		t.Fatalf("stale observation did not fall back to the ceiling: %+v", d)
 	}
 	if !strings.Contains(d.Reason, "stale") {
 		t.Fatalf("reason %q", d.Reason)
@@ -159,21 +164,21 @@ func TestControllerStaleFallback(t *testing.T) {
 }
 
 // TestControllerDivergenceFallback: when measurement contradicts the
-// model by more than DivergeFrac, static flags rule.
+// model by more than DivergeFrac, MaxInflight rules.
 func TestControllerDivergenceFallback(t *testing.T) {
 	c, err := NewController(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	now := time.Now()
-	obs := obsAt(now, 500, 4)
+	obs := obsAt(now, 500, 0.003)
 	obs.GoodputPerSec = obs.GoodputPerSec / 10 // reality far below prediction
 	d := c.Decide(now, obs)
 	if !d.Fallback || !strings.Contains(d.Reason, "diverged") {
 		t.Fatalf("divergence not detected: %+v", d)
 	}
-	if d.Workers != 4 || d.Bound != 16 {
-		t.Fatalf("divergence fallback not static: %+v", d)
+	if d.Bound != 256 {
+		t.Fatalf("divergence fallback not the ceiling: %+v", d)
 	}
 	if d.ThroughputErrPct < 100*c.Config().DivergeFrac {
 		t.Fatalf("err pct %v under threshold yet fell back", d.ThroughputErrPct)
@@ -188,18 +193,18 @@ func TestControllerHoldsOnMissingSignal(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := time.Now()
-	moved := c.Decide(now, obsAt(now, 900, 4))
+	moved := c.Decide(now, obsAt(now, 900, 0.003))
 
-	noDemand := Observation{At: now, OfferedPerSec: 100, GoodputPerSec: 100, Workers: moved.Workers}
+	noDemand := Observation{At: now, OfferedPerSec: 100, GoodputPerSec: 100, Workers: 4}
 	d := c.Decide(now, noDemand)
-	if d.Workers != moved.Workers || d.Bound != moved.Bound || !strings.Contains(d.Reason, "holding") {
+	if d.Bound != moved.Bound || !strings.Contains(d.Reason, "holding") {
 		t.Fatalf("missing demands did not hold: %+v vs %+v", d, moved)
 	}
 
-	idle := obsAt(now, 0, moved.Workers)
+	idle := obsAt(now, 0, 0.003)
 	idle.GoodputPerSec = 0
 	d = c.Decide(now, idle)
-	if d.Workers != moved.Workers || d.Bound != moved.Bound {
+	if d.Bound != moved.Bound {
 		t.Fatalf("idle window did not hold: %+v vs %+v", d, moved)
 	}
 	if got := c.Counters(); got.Holds != 2 {
@@ -221,7 +226,7 @@ func TestControllerConcurrency(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
 			now := time.Now()
-			c.Decide(now, obsAt(now, float64(100+i*10), 4))
+			c.Decide(now, obsAt(now, float64(100+i*10), 0.003))
 		}
 		close(stop)
 	}()

@@ -2,19 +2,19 @@
 // adaptive admission control: an open M/M/c-style network over the
 // client→gateway→backend topology that predicts throughput, utilization,
 // queue length, and latency percentiles as a function of offered load,
-// worker-pool width, and backend replica count.
+// GOMAXPROCS, and backend replica count.
 //
 // The model is the live-system analogue of the layered-queueing models
 // the paper's methodology implies (and the lqns exemplars in SNIPPETS.md
 // spell out): each resource is a station with a per-message service
-// demand — the connection readers are a delay station (one server per
-// connection, no queueing), the worker pool is an M/M/c queueing station
-// whose demand covers the parse/process/forward stages, and each backend
-// pool is an overlapped station whose holding time is nested inside the
-// worker's forward stage (so it contributes utilization and a saturation
-// bound but no extra residence time). Service demands are seeded from
-// live calibration artifacts or measured stage traces; the solver is
-// pure arithmetic, so predictions are cheap enough to run on every
+// demand — the connection goroutines' socket work is a delay station
+// (one server per connection, no queueing), the Go scheduler's
+// GOMAXPROCS Ps are an M/M/c queueing station whose demand covers the
+// parse/process stages, and each backend pool is a queueing station
+// holding the forward stage (a goroutine waiting on its backend holds an
+// admission slot, not a P). Service demands are seeded from live
+// calibration artifacts or measured stage traces; the solver is pure
+// arithmetic, so predictions are cheap enough to run on every
 // control-loop tick.
 package capacity
 
@@ -30,16 +30,11 @@ type Kind int
 
 const (
 	// Queue is an M/M/c queueing station: jobs wait when all c servers
-	// are busy (the worker pool, a bounded backend pool).
+	// are busy (the GOMAXPROCS Ps, a bounded backend pool).
 	Queue Kind = iota
 	// Delay is an infinite-server station: jobs never wait (the
-	// connection readers — every connection brings its own server).
+	// connections' socket work — every connection brings its own server).
 	Delay
-	// Overlapped is a queueing station whose holding time is already
-	// counted inside another station's demand (a backend pool held
-	// across the worker's forward stage): it bounds saturation and
-	// reports utilization but adds no residence time of its own.
-	Overlapped
 )
 
 func (k Kind) String() string {
@@ -48,8 +43,6 @@ func (k Kind) String() string {
 		return "queue"
 	case Delay:
 		return "delay"
-	case Overlapped:
-		return "overlapped"
 	}
 	return "invalid"
 }
@@ -58,7 +51,7 @@ func (k Kind) String() string {
 type Station struct {
 	Name string
 	Kind Kind
-	// Servers is the multiprogramming level c (workers, pooled
+	// Servers is the multiprogramming level c (Ps, pooled
 	// connections). Ignored for Delay stations.
 	Servers int
 	// Demand is the mean service time one message holds a server for,
@@ -118,14 +111,13 @@ type Prediction struct {
 	ThroughputPerSec float64 `json:"throughput_per_sec"` // min(offered, bottleneck capacity)
 	Saturated        bool    `json:"saturated"`
 	Bottleneck       string  `json:"bottleneck,omitempty"` // station that binds at saturation
-	// Residence percentiles over the non-overlapped stations; the
-	// sojourn distribution is approximated as exponential around the
+	// Residence percentiles over the stations; the sojourn distribution is approximated as exponential around the
 	// mean (exact for M/M/1, a documented approximation for M/M/c).
 	MeanUS float64 `json:"mean_us"`
 	P50US  float64 `json:"p50_us"`
 	P99US  float64 `json:"p99_us"`
-	// InSystem is the mean population over non-overlapped stations
-	// (Little's law) — the model's admission-bound candidate.
+	// InSystem is the mean population over the stations (Little's
+	// law) — the model's admission-bound candidate.
 	InSystem float64         `json:"in_system"`
 	Stations []StationReport `json:"stations,omitempty"`
 }
@@ -218,7 +210,7 @@ func (m *Model) Predict(offered float64) Prediction {
 	for _, st := range m.Stations {
 		rep := solveStation(st, lambda)
 		p.Stations = append(p.Stations, rep)
-		if st.Kind != Overlapped && !math.IsInf(rep.ResidenceUS, 1) {
+		if !math.IsInf(rep.ResidenceUS, 1) {
 			meanSec += rep.ResidenceUS / 1e6
 		}
 	}
@@ -254,7 +246,7 @@ func (m *Model) MaxLoadForP99(targetUS float64) float64 {
 		}
 		return 0
 	}
-	if m.Predict(capacity * 1e-6).P99US > targetUS {
+	if m.Predict(capacity*1e-6).P99US > targetUS {
 		return 0
 	}
 	lo, hi := 0.0, capacity
@@ -295,25 +287,22 @@ func ErrPct(pred, meas float64) float64 {
 }
 
 // StageDemands carries the measured per-stage mean service times
-// (seconds) that seed a gateway model — the live read/queue/parse/
-// process/forward/write breakdown from the traced stage histograms. Queue is
-// accepted but ignored: queueing delay is what the model *predicts*,
-// not a demand.
+// (seconds) that seed a gateway model — the live read/parse/process/
+// forward/write breakdown from the traced stage histograms.
 type StageDemands struct {
 	Read    float64
-	Queue   float64
 	Parse   float64
 	Process float64
 	Forward float64
 	Write   float64
 }
 
-// WorkerDemand is the time one message holds a pool worker: parse +
-// process + forward (the forward round trip blocks the worker).
-func (d StageDemands) WorkerDemand() float64 { return d.Parse + d.Process + d.Forward }
+// WorkerDemand is the time one message holds a P: parse + process. The
+// forward round trip blocks the message's goroutine, not a P.
+func (d StageDemands) WorkerDemand() float64 { return d.Parse + d.Process }
 
-// FrontendDemand is the connection-reader time per message: framing the
-// request plus writing the response.
+// FrontendDemand is the connection goroutine's socket time per message:
+// framing the request plus writing the response.
 func (d StageDemands) FrontendDemand() float64 { return d.Read + d.Write }
 
 // Total is the full no-contention service time.
@@ -323,44 +312,37 @@ func (d StageDemands) Total() float64 {
 
 // GatewayTopology sizes the client→gateway→backend model.
 type GatewayTopology struct {
+	// Workers is the server count of the "workers" station: GOMAXPROCS,
+	// the Ps every message's parse and process run on.
 	Workers int
-	// BackendConns bounds each backend pool (0: no backend station —
-	// in-place mode or unknown pool size).
+	// BackendConns bounds each backend pool (0: pool size unknown — the
+	// forward stage is then a delay station).
 	BackendConns int
-	// Backends is the number of backend replicas sharing the forward
-	// demand (default 1 when BackendConns > 0).
+	// Backends is the number of backend replicas (default 1 when
+	// BackendConns > 0); each adds a pool.
 	Backends int
 }
 
 // GatewayModel builds the standard gateway network from measured stage
-// demands: a delay station for the connection readers, an M/M/c station
-// for the worker pool, and (in forwarding mode) an overlapped station
-// per backend-pool bound whose holding time nests inside the workers'
-// forward stage.
+// demands: a delay station for the connections' socket work, an M/M/c
+// station for the Ps, and (in forwarding mode) a station for the
+// backend round trip — M/M/c over every replica's pool when the pool
+// bound is known, a delay station otherwise.
 func GatewayModel(d StageDemands, topo GatewayTopology) *Model {
 	m := &Model{}
 	if fd := d.FrontendDemand(); fd > 0 {
 		m.Stations = append(m.Stations, Station{Name: "frontend", Kind: Delay, Demand: fd})
 	}
-	workers := topo.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	m.Stations = append(m.Stations, Station{
-		Name: "workers", Kind: Queue, Servers: workers, Demand: d.WorkerDemand(),
+		Name: "workers", Kind: Queue, Servers: max(topo.Workers, 1), Demand: d.WorkerDemand(),
 	})
-	if topo.BackendConns > 0 && d.Forward > 0 {
-		replicas := topo.Backends
-		if replicas < 1 {
-			replicas = 1
+	if d.Forward > 0 {
+		backends := Station{Name: "backends", Kind: Delay, Demand: d.Forward}
+		if topo.BackendConns > 0 {
+			backends.Kind = Queue
+			backends.Servers = topo.BackendConns * max(topo.Backends, 1)
 		}
-		m.Stations = append(m.Stations, Station{
-			Name:    "backends",
-			Kind:    Overlapped,
-			Servers: topo.BackendConns * replicas,
-			// The forward demand spreads across the replicas.
-			Demand: d.Forward / float64(replicas),
-		})
+		m.Stations = append(m.Stations, backends)
 	}
 	return m
 }

@@ -143,36 +143,6 @@ func TestDelayStationNeverQueues(t *testing.T) {
 	}
 }
 
-// TestOverlappedStation: an overlapped backend pool bounds saturation
-// and reports utilization, but adds no residence time (its holding time
-// is nested in the worker demand).
-func TestOverlappedStation(t *testing.T) {
-	m := &Model{Stations: []Station{
-		{Name: "workers", Kind: Queue, Servers: 8, Demand: msD},
-		{Name: "backends", Kind: Overlapped, Servers: 2, Demand: 0.008},
-	}}
-	// Backends saturate at 2/0.008 = 250/s, workers at 800/s.
-	p := m.Predict(1000)
-	if p.Bottleneck != "backends" || !closeTo(p.ThroughputPerSec, 250, tolF) {
-		t.Fatalf("overlapped bottleneck wrong: %+v", p)
-	}
-	// At a feasible load the overlapped station must not inflate the
-	// residence: mean = workers' residence only.
-	p = m.Predict(100)
-	var workersResidence float64
-	for _, st := range p.Stations {
-		if st.Name == "workers" {
-			workersResidence = st.ResidenceUS
-		}
-		if st.Name == "backends" && !closeTo(st.Utilization, 100*0.008/2, tolF) {
-			t.Fatalf("backend util %v, want %v", st.Utilization, 100*0.008/2)
-		}
-	}
-	if !closeTo(p.MeanUS, workersResidence, 1e-6) {
-		t.Fatalf("overlapped station added residence: mean %v vs workers %v", p.MeanUS, workersResidence)
-	}
-}
-
 // TestMaxLoadForP99 checks the bisection against the exact M/M/1
 // inversion: p99(lambda) = ln(100)/(mu-lambda) <= T gives
 // lambda* = mu - ln(100)/T.
@@ -201,7 +171,7 @@ func TestMaxLoadForP99(t *testing.T) {
 // TestGatewayModelShape: the standard topology builder folds stages into
 // the right stations and drops what it cannot model.
 func TestGatewayModelShape(t *testing.T) {
-	d := StageDemands{Read: 0.0001, Queue: 0.005, Parse: 0.001, Process: 0.002, Forward: 0.003, Write: 0.0002}
+	d := StageDemands{Read: 0.0001, Parse: 0.001, Process: 0.002, Forward: 0.003, Write: 0.0002}
 	m := GatewayModel(d, GatewayTopology{Workers: 4, BackendConns: 8, Backends: 2})
 	if len(m.Stations) != 3 {
 		t.Fatalf("stations = %d, want 3: %+v", len(m.Stations), m.Stations)
@@ -213,12 +183,23 @@ func TestGatewayModelShape(t *testing.T) {
 	if fe := byName["frontend"]; fe.Kind != Delay || !closeTo(fe.Demand, 0.0003, tolF) {
 		t.Fatalf("frontend wrong: %+v", fe)
 	}
-	// Queue-stage time is predicted, never a demand.
-	if w := byName["workers"]; w.Servers != 4 || !closeTo(w.Demand, 0.006, tolF) {
+	// The Ps run parse + process; the forward round trip holds no P.
+	if w := byName["workers"]; w.Servers != 4 || !closeTo(w.Demand, 0.003, tolF) {
 		t.Fatalf("workers wrong: %+v", w)
 	}
-	if b := byName["backends"]; b.Kind != Overlapped || b.Servers != 16 || !closeTo(b.Demand, 0.0015, tolF) {
+	// Each message holds one pooled connection for the round trip; the
+	// replicas add pools.
+	if b := byName["backends"]; b.Kind != Queue || b.Servers != 16 || !closeTo(b.Demand, 0.003, tolF) {
 		t.Fatalf("backends wrong: %+v", b)
+	}
+	// The round trip is residence time: the waiting goroutine holds an
+	// admission slot, so it counts toward the in-system population.
+	if p := m.Predict(100); p.MeanUS < (d.Total()-1e-9)*1e6 {
+		t.Fatalf("mean %vus below the no-contention total %vus", p.MeanUS, d.Total()*1e6)
+	}
+	// Pool bound unknown: the round trip is a delay station.
+	if b := GatewayModel(d, GatewayTopology{Workers: 4}).Stations[2]; b.Name != "backends" || b.Kind != Delay {
+		t.Fatalf("unbounded backends wrong: %+v", b)
 	}
 	// In-place mode: no backend station.
 	if m := GatewayModel(StageDemands{Parse: 0.001, Process: 0.001}, GatewayTopology{Workers: 2}); len(m.Stations) != 1 {

@@ -163,7 +163,7 @@ type Span struct {
 	// "backend/order", or the fleet node key).
 	Node string `json:"node"`
 	// Name is the span's role: "request" (client), "gateway" (root),
-	// "read"/"queue"/"parse"/"process"/"forward"/"write" (stages),
+	// "read"/"parse"/"process"/"forward"/"write" (stages),
 	// "serve" (backend).
 	Name    string `json:"name"`
 	StartUS int64  `json:"start_us"`

@@ -3,7 +3,7 @@ package dtrace
 import "slices"
 
 // Stage names one segment of a request's path through the gateway — the
-// live analogue of the paper's per-phase VTune breakdown. The six stages
+// live analogue of the paper's per-phase VTune breakdown. The five stages
 // are defined here once: Recorder.Add/Child take a Stage, its String is
 // the span name, and the gateway indexes its per-stage histograms (and
 // through them the capacity model's demands) by it.
@@ -13,10 +13,7 @@ const (
 	// StageRead: wire→memory — framing the request off the socket, first
 	// byte to complete body (keep-alive idle time excluded).
 	StageRead Stage = iota
-	// StageQueue: admission queue wait, enqueue to worker dequeue — the
-	// paper's thread-pool queueing delay made visible.
-	StageQueue
-	// StageParse: the full HTTP parse on the worker.
+	// StageParse: the full HTTP parse of the framed request.
 	StageParse
 	// StageProcess: the use-case pipeline — route/validate/inspect.
 	StageProcess
@@ -27,7 +24,7 @@ const (
 	NumStages
 )
 
-var stageNames = [NumStages]string{"read", "queue", "parse", "process", "forward", "write"}
+var stageNames = [NumStages]string{"read", "parse", "process", "forward", "write"}
 
 func (s Stage) String() string {
 	if s >= NumStages {

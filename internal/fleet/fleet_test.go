@@ -101,7 +101,6 @@ func TestFleetAttachCampaign(t *testing.T) {
 
 	srv, err := gateway.New(gateway.Config{
 		UseCase:        workload.FR,
-		Workers:        2,
 		Timeline:       true,
 		SampleInterval: 10 * time.Millisecond,
 		Upstream:       upstream.Config{Order: order.Addr().String(), Error: errBack.Addr().String()},
@@ -228,10 +227,9 @@ func TestFleetScenarioCampaign(t *testing.T) {
 	defer order.Close()
 
 	srv, err := gateway.New(gateway.Config{
-		UseCase:    workload.FR,
-		Workers:    2,
-		Trace:      true,
-		Upstream:   upstream.Config{Order: order.Addr().String()},
+		UseCase:  workload.FR,
+		Trace:    true,
+		Upstream: upstream.Config{Order: order.Addr().String()},
 	})
 	if err != nil {
 		t.Fatal(err)

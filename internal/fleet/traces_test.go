@@ -33,7 +33,6 @@ func TestFleetTracePlane(t *testing.T) {
 
 	srv, err := gateway.New(gateway.Config{
 		UseCase:        workload.FR,
-		Workers:        2,
 		Trace:          true,
 		TraceNode:      "gateway/gw0",
 		TraceKeepEvery: 1, // keep every trace: assembly assertions are deterministic

@@ -1,6 +1,8 @@
 package gateway
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -13,10 +15,9 @@ import (
 // capacityLoop is the adaptive-admission control loop: a periodic
 // goroutine that windows the gateway's live counters into a
 // capacity.Observation, runs the analytic model's controller, and
-// applies the decision — resizing the worker pool and moving the
-// admission bound. All windowing state (prev* fields) is touched only
-// from the loop goroutine; the published view behind mu is what /stats
-// reads.
+// applies the decision — moving the admission bound. All windowing
+// state (prev* fields) is touched only from the loop goroutine; the
+// published view behind mu is what /stats reads.
 type capacityLoop struct {
 	s        *Server
 	ctrl     *capacity.Controller
@@ -69,7 +70,7 @@ type CapacitySnapshot struct {
 	Enabled          bool    `json:"enabled"`
 	TargetP99US      int64   `json:"target_p99_us"`
 	AdaptIntervalMS  int64   `json:"adapt_interval_ms"`
-	Workers          int     `json:"workers"`
+	Workers          int     `json:"workers"` // GOMAXPROCS: the model's P station
 	AdmissionBound   int64   `json:"admission_bound"`
 	InitialBound     int64   `json:"initial_bound"`
 	Fallback         bool    `json:"fallback"`
@@ -85,29 +86,22 @@ type CapacitySnapshot struct {
 	Counters   capacity.ControllerCounters  `json:"counters"`
 }
 
-// newCapacityLoop wires the controller to the server's knobs. cfg is
-// already defaulted by New.
-func newCapacityLoop(s *Server) *capacityLoop {
+// newCapacityLoop builds the controller from cfg, already defaulted by
+// New; the loop is bound to its server before start.
+func newCapacityLoop(cfg Config) (*capacityLoop, error) {
 	ctrl, err := capacity.NewController(capacity.ControllerConfig{
-		TargetP99:     s.cfg.TargetP99,
-		StaticWorkers: s.cfg.Workers,
-		StaticBound:   int64(s.cfg.Workers + s.cfg.QueueDepth),
-		MinWorkers:    s.cfg.MinWorkers,
-		MaxWorkers:    s.cfg.MaxWorkers,
-		MaxInflight:   s.cfg.MaxInflight,
+		TargetP99:   cfg.TargetP99,
+		MaxInflight: cfg.MaxInflight,
 	})
 	if err != nil {
-		// Config was validated by New; a failure here is a programming
-		// error, surfaced loudly.
-		panic("gateway: capacity controller config: " + err.Error())
+		return nil, fmt.Errorf("gateway: %w", err)
 	}
 	return &capacityLoop{
-		s:        s,
 		ctrl:     ctrl,
-		interval: s.cfg.AdaptInterval,
+		interval: cfg.AdaptInterval,
 		stopCh:   make(chan struct{}),
 		doneCh:   make(chan struct{}),
-	}
+	}, nil
 }
 
 func (cl *capacityLoop) start() {
@@ -115,8 +109,8 @@ func (cl *capacityLoop) start() {
 	go cl.run()
 }
 
-// stop joins the loop goroutine; after it returns no resize or bound
-// store can happen, so shutdown may safely close the job queue.
+// stop joins the loop goroutine; after it returns no bound store can
+// happen.
 func (cl *capacityLoop) stop() {
 	close(cl.stopCh)
 	<-cl.doneCh
@@ -181,10 +175,10 @@ func (cl *capacityLoop) tick(now time.Time) {
 	p99 := time.Duration(latWin.Quantile(0.99)) * time.Microsecond
 
 	// Every use-case row; the control-plane GET row is excluded — GETs
-	// never hold a worker.
+	// bypass admission.
 	demands := windowedDemands(&stages, &cl.prevStages, 0, numTraceUseCases)
 
-	workers := int(s.poolSize.Load())
+	procs := runtime.GOMAXPROCS(0)
 	backendConns, backends := 0, 0
 	if s.fwd != nil && demands.Forward > 0 {
 		backendConns = s.cfg.Upstream.MaxIdlePerBackend
@@ -200,20 +194,16 @@ func (cl *capacityLoop) tick(now time.Time) {
 		GoodputPerSec: goodput,
 		P99:           p99,
 		Demands:       demands,
-		Workers:       workers,
+		Workers:       procs,
 		BackendConns:  backendConns,
 		Backends:      backends,
 	}
 	dec := cl.ctrl.Decide(now, obs)
 
-	// Apply: the admission bound is a single atomic store; the pool
-	// resize is serialized against shutdown by setPoolSize itself.
+	// Apply: the admission bound is a single atomic store.
 	s.admitBound.Store(dec.Bound)
-	if dec.Workers != workers {
-		s.setPoolSize(dec.Workers)
-	}
 
-	perUC := cl.perUseCaseErrors(&stages, window, workers, backendConns, backends)
+	perUC := cl.perUseCaseErrors(&stages, window, procs, backendConns, backends)
 
 	// Publish for /stats, then roll the window.
 	cl.mu.Lock()
@@ -249,7 +239,7 @@ func (cl *capacityLoop) tick(now time.Time) {
 // windowed stage demands and compares predicted throughput against that
 // use case's measured completion rate — the per-use-case model check the
 // /stats capacity section reports.
-func (cl *capacityLoop) perUseCaseErrors(stages *stageCounts, window float64, workers, backendConns, backends int) map[string]UseCaseModelError {
+func (cl *capacityLoop) perUseCaseErrors(stages *stageCounts, window float64, procs, backendConns, backends int) map[string]UseCaseModelError {
 	s := cl.s
 	var out map[string]UseCaseModelError
 	for uc := 0; uc < numTraceUseCases; uc++ {
@@ -263,7 +253,7 @@ func (cl *capacityLoop) perUseCaseErrors(stages *stageCounts, window float64, wo
 			continue
 		}
 		m := capacity.GatewayModel(d, capacity.GatewayTopology{
-			Workers: workers, BackendConns: backendConns, Backends: backends,
+			Workers: procs, BackendConns: backendConns, Backends: backends,
 		})
 		p := m.Predict(done)
 		if out == nil {
@@ -287,7 +277,7 @@ func (cl *capacityLoop) snapshot() *CapacitySnapshot {
 		Enabled:         true,
 		TargetP99US:     s.cfg.TargetP99.Microseconds(),
 		AdaptIntervalMS: cl.interval.Milliseconds(),
-		Workers:         int(s.poolSize.Load()),
+		Workers:         runtime.GOMAXPROCS(0),
 		AdmissionBound:  s.admitBound.Load(),
 		InitialBound:    s.cfg.MaxInflight,
 		Counters:        cl.ctrl.Counters(),

@@ -2,55 +2,39 @@ package gateway
 
 import (
 	"encoding/json"
+	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/upstream"
 	"repro/internal/workload"
 )
-
-// TestPoolResize exercises the resizable worker pool directly: grow and
-// shrink move the live width, retired workers exit cleanly, and the
-// gateway keeps serving across both transitions.
-func TestPoolResize(t *testing.T) {
-	srv := startServer(t, Config{Workers: 2})
-	addr := srv.Addr().String()
-
-	if got := srv.Workers(); got != 2 {
-		t.Fatalf("initial width %d, want 2", got)
-	}
-	srv.setPoolSize(6)
-	if got := srv.Workers(); got != 6 {
-		t.Fatalf("after grow width %d, want 6", got)
-	}
-	if rep, err := RunLoad(LoadConfig{Addr: addr, UseCase: workload.FR, Conns: 4, Messages: 80}); err != nil || rep.OK != 80 {
-		t.Fatalf("load after grow: rep=%+v err=%v", rep, err)
-	}
-	srv.setPoolSize(1)
-	if got := srv.Workers(); got != 1 {
-		t.Fatalf("after shrink width %d, want 1", got)
-	}
-	if rep, err := RunLoad(LoadConfig{Addr: addr, UseCase: workload.FR, Conns: 2, Messages: 40}); err != nil || rep.OK != 40 {
-		t.Fatalf("load after shrink: rep=%+v err=%v", rep, err)
-	}
-}
 
 // TestAdaptiveConfigValidation pins the knob validation New applies.
 func TestAdaptiveConfigValidation(t *testing.T) {
 	bad := []Config{
 		{TargetP99: -time.Second},
 		{AdaptInterval: -time.Second},
-		{MinWorkers: -1},
-		{MaxWorkers: -1},
 		{MaxInflight: -1},
-		{Adaptive: true, Workers: 2, MinWorkers: 4, MaxWorkers: 2},
+		// The adaptive floor is GOMAXPROCS+1; a ceiling below it is refused.
+		{Adaptive: true, MaxInflight: int64(runtime.GOMAXPROCS(0))},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
 	}
+	// Static default: the bound is 5x GOMAXPROCS.
+	srv, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := srv.admitBound.Load(), 5*int64(runtime.GOMAXPROCS(0)); got != want {
+		t.Fatalf("default admission bound %d, want 5x GOMAXPROCS = %d", got, want)
+	}
 	// Adaptive defaults: tracing implied, bound starts at the ceiling.
-	srv, err := New(Config{Adaptive: true, Workers: 2, QueueDepth: 4})
+	ceiling := 2*int64(runtime.GOMAXPROCS(0)) + 2
+	srv, err = New(Config{Adaptive: true, MaxInflight: ceiling})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,9 +44,8 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 	if srv.capacity == nil {
 		t.Fatal("adaptive mode must build the control loop")
 	}
-	want := int64(16 * (2 + 4))
-	if got := srv.admitBound.Load(); got != want {
-		t.Fatalf("initial admission bound %d, want ceiling %d", got, want)
+	if got := srv.admitBound.Load(); got != ceiling {
+		t.Fatalf("initial admission bound %d, want ceiling %d", got, ceiling)
 	}
 }
 
@@ -73,8 +56,6 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 // section on /stats with both observed and predicted sides filled.
 func TestAdaptiveAdmissionEndToEnd(t *testing.T) {
 	srv := startServer(t, Config{
-		Workers:       2,
-		QueueDepth:    4,
 		Adaptive:      true,
 		TargetP99:     5 * time.Millisecond,
 		AdaptInterval: 20 * time.Millisecond,
@@ -83,15 +64,15 @@ func TestAdaptiveAdmissionEndToEnd(t *testing.T) {
 	addr := srv.Addr().String()
 	initial := srv.cfg.MaxInflight
 
-	// Overload: 8 connections pushing as fast as they can against two
-	// workers that each spend >= 2ms per message.
+	// Overload: 8 connections pushing as fast as they can, each message
+	// holding a P for >= 2ms.
 	if _, err := RunLoad(LoadConfig{Addr: addr, UseCase: workload.FR, Conns: 8, Messages: 400}); err != nil {
 		t.Fatal(err)
 	}
 
 	// The loop is asynchronous: wait for it to both decide and move the
-	// bound off the ceiling (2ms demand vs a 5ms p99 target cannot
-	// admit anywhere near 16x the static bound).
+	// bound off the ceiling (2ms demand vs a 5ms p99 target admits no
+	// more than the floor).
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		snap := srv.capacity.snapshot()
@@ -130,8 +111,8 @@ func TestAdaptiveAdmissionEndToEnd(t *testing.T) {
 	if c.AdmissionBound <= 0 || c.AdmissionBound == c.InitialBound {
 		t.Fatalf("admission bound %d never left the initial %d", c.AdmissionBound, c.InitialBound)
 	}
-	if c.Workers <= 0 {
-		t.Fatalf("capacity section reports no workers: %+v", c)
+	if c.Workers != runtime.GOMAXPROCS(0) {
+		t.Fatalf("capacity section workers %d, want GOMAXPROCS: %+v", c.Workers, c)
 	}
 	if c.Counters.Decisions == 0 {
 		t.Fatalf("no decisions recorded: %+v", c.Counters)
@@ -151,15 +132,18 @@ func TestAdaptiveAdmissionEndToEnd(t *testing.T) {
 // TestAdaptiveShedsUnderOverload shows the moved bound doing its job:
 // once the model pulls admission down, sustained overload sheds with
 // 503s while goodput continues — the paper-style overload behavior the
-// EXPERIMENTS recipe sweeps.
+// EXPERIMENTS recipe sweeps. The overload is a slow backend: a goroutine
+// waiting on its round trip holds an admission slot but no P, so the
+// connections pile up in flight and the bound is what stops them (a
+// CPU-bound overload waits in the scheduler's run queue instead, before
+// admission).
 func TestAdaptiveShedsUnderOverload(t *testing.T) {
+	slow := startBackend(t, upstream.BackendConfig{Name: "order", Delay: 4 * time.Millisecond})
 	srv := startServer(t, Config{
-		Workers:       1,
-		QueueDepth:    2,
 		Adaptive:      true,
 		TargetP99:     2 * time.Millisecond,
 		AdaptInterval: 15 * time.Millisecond,
-		ProcessDelay:  4 * time.Millisecond,
+		Upstream:      upstream.Config{Order: slow.Addr().String()},
 	})
 	addr := srv.Addr().String()
 
@@ -175,7 +159,10 @@ func TestAdaptiveShedsUnderOverload(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	rep, err := RunLoad(LoadConfig{Addr: addr, UseCase: workload.FR, Conns: 8, Messages: 240})
+	// Each connection holds at most one message in flight, so the load
+	// must outnumber the adaptive floor (GOMAXPROCS+1) to overrun it.
+	conns := 2 * (runtime.GOMAXPROCS(0) + 1)
+	rep, err := RunLoad(LoadConfig{Addr: addr, UseCase: workload.FR, Conns: conns, Messages: 30 * conns})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,6 +171,6 @@ func TestAdaptiveShedsUnderOverload(t *testing.T) {
 	}
 	snap := srv.Metrics.Snapshot()
 	if snap.Shed == 0 {
-		t.Fatalf("overload against a 2ms target with 4ms demand must shed: %+v", rep)
+		t.Fatalf("overload against a 2ms target with a 4ms backend must shed: %+v", rep)
 	}
 }

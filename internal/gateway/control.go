@@ -102,6 +102,7 @@ func (snap *Snapshot) Sample() session.Sample {
 		Shed:         snap.Shed,
 		LatencyP50US: snap.Latency.P50US,
 		LatencyP99US: snap.Latency.P99US,
+		GOMAXPROCS:   snap.Workers,
 	}
 	if c := snap.Counters; c != nil {
 		s.CPI = c.Derived.CPI

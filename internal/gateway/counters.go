@@ -3,7 +3,6 @@ package gateway
 import (
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
@@ -20,13 +19,13 @@ import (
 // lever CI uses to exercise both modes on one machine.
 const ForceRuntimeOnlyEnv = "AON_NO_PERF"
 
-// WorkerCounters is one worker's derived counter window: the per-thread
-// event group the worker opened after pinning its goroutine, read as a
-// delta. In the fallback mode the derived block is the model prediction
-// and DerivedSource says so — the shape stays identical so dashboards
-// and the timeline never branch on mode.
-type WorkerCounters struct {
-	Worker        int             `json:"worker"`
+// CPUCounters is one logical CPU's derived counter window: the per-CPU
+// event group read as a delta — the paper's per-processor view. In the
+// fallback mode the derived block is the model prediction and
+// DerivedSource says so — the shape stays identical so dashboards and
+// the timeline never branch on mode.
+type CPUCounters struct {
+	CPU           int             `json:"cpu"`
 	Derived       hwcount.Derived `json:"derived"`
 	DerivedSource string          `json:"derived_source"` // "hw" or "model"
 	Multiplexed   bool            `json:"multiplexed,omitempty"`
@@ -40,8 +39,8 @@ type WorkerCounters struct {
 // unavailable; the runtime section still carries real observations and
 // the derived block falls back to the simulator's calibrated model
 // prediction so dashboards keep a reference value (DerivedSource says
-// which you got). Workers is the per-worker skew view — one entry per
-// pool worker, each backed by its own thread-scoped event group.
+// which you got). CPUs is the per-CPU skew view — one entry per logical
+// CPU, each backed by its own CPU-scoped event group.
 type CountersSnapshot struct {
 	Mode          string            `json:"mode"` // "hw" or "runtime-only"
 	Notice        string            `json:"notice,omitempty"`
@@ -50,43 +49,40 @@ type CountersSnapshot struct {
 	Events        map[string]uint64 `json:"events,omitempty"` // windowed scaled deltas
 	Derived       hwcount.Derived   `json:"derived"`
 	DerivedSource string            `json:"derived_source"` // "hw" or "model"
-	Workers       []WorkerCounters  `json:"workers,omitempty"`
+	CPUs          []CPUCounters     `json:"cpus,omitempty"`
 	Runtime       runstats.Snapshot `json:"runtime"`
 }
 
-// workerCounter is one registered pool worker: its thread-scoped event
-// group when the host granted one, or a model-backed placeholder.
-type workerCounter struct {
-	id  int
-	grp *hwcount.Group // nil: fallback, derived metrics come from the model
-}
-
 // counterSampler owns the gateway's measurement layer: the process-wide
-// perf event set when the host grants one, the per-worker thread groups
-// as workers register, and the runtime sampler always. Windowing state
-// lives in counterViews so independent consumers (the /stats scrape and
-// the 100ms timeline) each get honest windows instead of stealing each
-// other's deltas.
+// perf event set and one event group per logical CPU when the host
+// grants them, and the runtime sampler always. Every group is opened
+// here and closed by close. Windowing state lives in counterViews so
+// independent consumers (the /stats scrape and the 100ms timeline) each
+// get honest windows instead of stealing each other's deltas.
 type counterSampler struct {
 	uc     workload.UseCase
 	grp    *hwcount.Group // nil: runtime-only mode
+	cpus   []cpuGroup     // one per CPU of the process's affinity set
 	notice string
-
-	mu      sync.Mutex
-	workers map[int]*workerCounter
-	// Lifetime per-worker group accounting, the fd-leak test surface:
-	// after shutdown opened == closed must hold.
-	groupsOpened uint64
-	groupsClosed uint64
 }
 
-// newCounterSampler opens the perf event set; on failure (no PMU,
+// cpuGroup is one logical CPU's slot: its id and, when the host grants
+// it, the CPU-scoped event group (nil: model-backed).
+type cpuGroup struct {
+	id int
+	g  *hwcount.Group
+}
+
+// newCounterSampler opens the perf event sets; on failure (no PMU,
 // paranoid level, seccomp, non-Linux) it records the reason and the
 // sampler serves runtime-only snapshots — degradation, never an error.
 // In the fallback it also warms the model's cache-MPI prediction in the
 // background so the first snapshots don't block on a simulator run.
 func newCounterSampler(uc workload.UseCase) *counterSampler {
-	cs := &counterSampler{uc: uc, workers: map[int]*workerCounter{}}
+	cs := &counterSampler{uc: uc}
+	for _, id := range hwcount.CPUs() {
+		cs.cpus = append(cs.cpus, cpuGroup{id: id})
+	}
 	if os.Getenv(ForceRuntimeOnlyEnv) != "" {
 		cs.notice = fmt.Sprintf("perf events disabled by %s; runtime-metrics-only mode", ForceRuntimeOnlyEnv)
 		go warmModelDerived(uc)
@@ -101,6 +97,9 @@ func newCounterSampler(uc workload.UseCase) *counterSampler {
 	cs.grp = g
 	if g.UserOnly() {
 		cs.notice = "kernel-mode cycles excluded (perf_event_paranoid); user-space counts only"
+	}
+	for n := range cs.cpus {
+		cs.cpus[n].g, _ = hwcount.OpenCPU(cs.cpus[n].id) // a denied CPU publishes the model
 	}
 	return cs
 }
@@ -117,77 +116,41 @@ func (cs *counterSampler) mode() (mode, notice string) {
 	return "hw", cs.notice
 }
 
-// registerWorker gives pool worker id its own counter group. The caller
-// must have pinned its goroutine with runtime.LockOSThread first — the
-// group counts the calling OS thread only, which is exactly what makes
-// the per-worker skew meaningful. In fallback mode (no process group)
-// the worker is registered with a model-backed placeholder.
-func (cs *counterSampler) registerWorker(id int) *workerCounter {
-	wc := &workerCounter{id: id}
-	if cs.grp != nil {
-		if g, err := hwcount.OpenThread(); err == nil {
-			wc.grp = g
-		}
-	}
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	cs.workers[id] = wc
-	if wc.grp != nil {
-		cs.groupsOpened++
-	}
-	return wc
-}
-
-// unregisterWorker closes the worker's event group (releasing its fds)
-// and removes it from the skew view. Called from the worker's deferred
-// exit path, so shutting the pool down provably closes every group.
-func (cs *counterSampler) unregisterWorker(wc *workerCounter) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	delete(cs.workers, wc.id)
-	if wc.grp != nil {
-		wc.grp.Close()
-		cs.groupsClosed++
-	}
-}
-
-// workerGroupStats reports lifetime per-worker group open/close counts
-// and the live registration count — the worker-exit test's assertions.
-func (cs *counterSampler) workerGroupStats() (opened, closed uint64, live int) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return cs.groupsOpened, cs.groupsClosed, len(cs.workers)
-}
-
-// close releases the process-wide event set. Per-worker groups are
-// closed by their owning workers' exit paths, which the server joins
-// before calling this.
+// close releases every event group the sampler opened.
 func (cs *counterSampler) close() {
-	if cs != nil && cs.grp != nil {
+	if cs == nil {
+		return
+	}
+	if cs.grp != nil {
 		cs.grp.Close()
+	}
+	for _, c := range cs.cpus {
+		if c.g != nil {
+			c.g.Close()
+		}
 	}
 }
 
 // counterView is one consumer's windowing state over the shared sampler:
-// previous process-wide counts plus previous per-worker counts, so each
+// previous process-wide counts plus previous per-CPU counts, so each
 // consumer's deltas cover exactly the span since *its* last read.
 type counterView struct {
 	cs *counterSampler
 
-	mu          sync.Mutex
-	prevAt      time.Time
-	prev        hwcount.Counts
-	prevWorkers map[int]hwcount.Counts
+	mu       sync.Mutex
+	prevAt   time.Time
+	prev     hwcount.Counts
+	prevCPUs []hwcount.Counts
 }
 
 func newCounterView(cs *counterSampler) *counterView {
-	return &counterView{cs: cs, prevAt: time.Now(), prevWorkers: map[int]hwcount.Counts{}}
+	return &counterView{cs: cs, prevAt: time.Now(), prevCPUs: make([]hwcount.Counts, len(cs.cpus))}
 }
 
 // window closes one measurement window: the process-wide delta-derived
-// metrics plus the per-worker skew, each labeled with its source.
+// metrics plus the per-CPU skew, each labeled with its source.
 func (v *counterView) window() (windowSec float64, derived hwcount.Derived,
-	source string, events map[string]uint64, multiplexed bool, workers []WorkerCounters) {
+	source string, events map[string]uint64, multiplexed bool, cpus []CPUCounters) {
 	cs := v.cs
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -197,13 +160,13 @@ func (v *counterView) window() (windowSec float64, derived hwcount.Derived,
 
 	if cs.grp == nil {
 		derived, source = modelDerived(cs.uc), "model"
-		workers = v.fallbackWorkers(derived)
+		cpus = v.cpuWindows(derived, false)
 		return
 	}
 	r, err := cs.grp.Read()
 	if err != nil {
 		derived, source = modelDerived(cs.uc), "model"
-		workers = v.fallbackWorkers(derived)
+		cpus = v.cpuWindows(derived, false)
 		return
 	}
 	delta := r.Counts.Sub(v.prev)
@@ -217,57 +180,34 @@ func (v *counterView) window() (windowSec float64, derived hwcount.Derived,
 		delta = r.Counts
 	}
 	derived, source = hwcount.Derive(delta), "hw"
-	workers = v.workerWindows()
+	cpus = v.cpuWindows(modelDerived(cs.uc), true)
 	return
 }
 
-// workerWindows reads every registered worker's thread group as a delta
-// against this view's previous read. Workers whose group could not be
-// opened (or whose read fails) publish the model prediction instead.
-func (v *counterView) workerWindows() []WorkerCounters {
-	cs := v.cs
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	model := modelDerived(cs.uc)
-	out := make([]WorkerCounters, 0, len(cs.workers))
-	seen := make(map[int]bool, len(cs.workers))
-	for id, wc := range cs.workers {
-		seen[id] = true
-		w := WorkerCounters{Worker: id, Derived: model, DerivedSource: "model"}
-		if wc.grp != nil {
-			if r, err := wc.grp.Read(); err == nil {
-				delta := r.Counts.Sub(v.prevWorkers[id])
-				v.prevWorkers[id] = r.Counts
-				if delta.Get(hwcount.Instructions) == 0 {
-					delta = r.Counts
-				}
-				w.Derived, w.DerivedSource = hwcount.Derive(delta), "hw"
-				w.Multiplexed = r.Multiplexed
-			}
+// cpuWindows lists one entry per logical CPU. With read set, each CPU's
+// group is read as a delta against this view's previous read. A CPU
+// without a group, whose read fails or whose group has counted nothing
+// yet (only threads started before the open ran there), and every CPU
+// without read, publishes the model prediction instead.
+func (v *counterView) cpuWindows(model hwcount.Derived, read bool) []CPUCounters {
+	out := make([]CPUCounters, len(v.cs.cpus))
+	for n, c := range v.cs.cpus {
+		out[n] = CPUCounters{CPU: c.id, Derived: model, DerivedSource: "model"}
+		if !read || c.g == nil {
+			continue
 		}
-		out = append(out, w)
-	}
-	for id := range v.prevWorkers {
-		if !seen[id] {
-			delete(v.prevWorkers, id) // worker exited; drop its window state
+		r, err := c.g.Read()
+		if err != nil || r.Counts.Get(hwcount.Instructions) == 0 {
+			continue
 		}
+		delta := r.Counts.Sub(v.prevCPUs[n])
+		v.prevCPUs[n] = r.Counts
+		if delta.Get(hwcount.Instructions) == 0 {
+			delta = r.Counts
+		}
+		out[n].Derived, out[n].DerivedSource = hwcount.Derive(delta), "hw"
+		out[n].Multiplexed = r.Multiplexed
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Worker < out[j].Worker })
-	return out
-}
-
-// fallbackWorkers lists every registered worker with the model-predicted
-// derived block — the runtime-only mode's per-worker view, so the
-// timeline's shape is identical in both modes.
-func (v *counterView) fallbackWorkers(model hwcount.Derived) []WorkerCounters {
-	cs := v.cs
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	out := make([]WorkerCounters, 0, len(cs.workers))
-	for id := range cs.workers {
-		out = append(out, WorkerCounters{Worker: id, Derived: model, DerivedSource: "model"})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Worker < out[j].Worker })
 	return out
 }
 
@@ -277,7 +217,7 @@ func (v *counterView) snapshot() *CountersSnapshot {
 	out := &CountersSnapshot{Runtime: runstats.Read()}
 	mode, notice := v.cs.mode()
 	out.Mode, out.Notice = mode, notice
-	out.WindowSec, out.Derived, out.DerivedSource, out.Events, out.Multiplexed, out.Workers = v.window()
+	out.WindowSec, out.Derived, out.DerivedSource, out.Events, out.Multiplexed, out.CPUs = v.window()
 	if out.DerivedSource == "model" {
 		// A read failure on an opened group degrades this window only.
 		out.Mode = "runtime-only"

@@ -16,7 +16,7 @@ import (
 // fallback), and live runtime observations. The test passes identically
 // on perf-capable and perf-denied hosts; which mode ran is logged.
 func TestStatsCountersSection(t *testing.T) {
-	srv := startServer(t, Config{Workers: 2, UseCase: workload.CBR, Counters: true})
+	srv := startServer(t, Config{UseCase: workload.CBR, Counters: true})
 	addr := srv.Addr().String()
 	if _, err := RunLoad(LoadConfig{Addr: addr, UseCase: workload.CBR, Conns: 2, Messages: 60}); err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestStatsCountersSection(t *testing.T) {
 // TestCountersOffByDefault keeps the measurement layer opt-in: no
 // counters section unless Config.Counters asks for it.
 func TestCountersOffByDefault(t *testing.T) {
-	srv := startServer(t, Config{Workers: 1})
+	srv := startServer(t, Config{})
 	if snap := srv.Snapshot(); snap.Counters != nil {
 		t.Fatalf("counters section present without Config.Counters: %+v", snap.Counters)
 	}

@@ -54,9 +54,8 @@ func newDtraceState(cfg Config) *dtraceState {
 	return d
 }
 
-// finish closes a recorder the connection reader still owns — the
-// shed/draining/idle-timeout paths, which never reach a worker — and
-// hands it to offer. A nil rec (tracing off) is a no-op.
+// finish closes a recorder of a request that was never processed — the
+// shed/draining/idle-timeout paths — and hands it to offer. A nil rec (tracing off) is a no-op.
 func (d *dtraceState) finish(rec *dtrace.Recorder, uc, outcome string, status int) {
 	if rec == nil {
 		return
@@ -112,7 +111,7 @@ type slowLogger struct {
 
 // log formats the request's spans as one key=value line:
 //
-//	slow-request trace=… uc=… outcome=… status=… total=… read=… queue=…
+//	slow-request trace=… uc=… outcome=… status=… total=… read=… parse=…
 func (l *slowLogger) log(spans []dtrace.Span) {
 	if len(spans) == 0 {
 		return

@@ -35,7 +35,6 @@ func getTraces(t *testing.T, addr, query string) dtrace.TracesResponse {
 func TestTracesLastParam(t *testing.T) {
 	order := startBackend(t, upstream.BackendConfig{Name: "order"})
 	srv := startServer(t, Config{
-		Workers:        1,
 		Trace:          true,
 		TraceKeepEvery: 1,
 		Upstream:       upstream.Config{Order: order.Addr().String()},
@@ -67,8 +66,8 @@ func TestTracesLastParam(t *testing.T) {
 
 // waitTraced blocks until the gateway has offered n finished requests to
 // the tail sampler. A request's trace is offered — and its stage spans
-// folded into the stage histograms — after the response write, off the
-// worker, so a client that just read its last response can be ahead of
+// folded into the stage histograms — after the response write, so a
+// client that just read its last response can be ahead of
 // the server's bookkeeping: every test that reads /traces or the stages
 // section right after a response waits here first.
 func waitTraced(t *testing.T, srv *Server, n uint64) {
@@ -113,7 +112,6 @@ func waitBackendKept(t *testing.T, addr string, n uint64) dtrace.TracesResponse 
 func TestDTraceForwardedEndToEnd(t *testing.T) {
 	order := startBackend(t, upstream.BackendConfig{Name: "order"})
 	srv := startServer(t, Config{
-		Workers:        2,
 		Trace:          true,
 		TraceKeepEvery: 1, // keep every trace: the assertions are deterministic
 		Upstream:       upstream.Config{Order: order.Addr().String()},
@@ -173,7 +171,7 @@ func TestDTraceForwardedEndToEnd(t *testing.T) {
 		t.Fatalf("assembled %d traces, want 40", len(asm))
 	}
 
-	wantStages := []string{"read", "queue", "parse", "process", "forward", "write"}
+	wantStages := []string{"read", "parse", "process", "forward", "write"}
 	for _, at := range asm {
 		if got := strings.Join(at.Nodes, ","); got != "client,gateway,order" {
 			t.Fatalf("trace %v nodes=%q, want client,gateway,order", at.TraceID, got)
@@ -249,7 +247,6 @@ func TestDTraceForwardedEndToEnd(t *testing.T) {
 // survive the tail decision.
 func TestDTraceTailSampling(t *testing.T) {
 	srv := startServer(t, Config{
-		Workers:        2,
 		Trace:          true,
 		TraceKeepEvery: 8,
 		TraceSlowOver:  -1, // disable the slow rule: loopback jitter must not flip keeps
@@ -275,15 +272,13 @@ func TestDTraceTailSampling(t *testing.T) {
 	}
 }
 
-// TestDTraceShedKeptAndSlowLogged drives the queue-full path with
-// tracing on: shed requests must always survive tail sampling (they are
+// TestDTraceShedKeptAndSlowLogged drives the shed path with tracing on: shed requests must always survive tail sampling (they are
 // exactly the requests worth a post-mortem) and must emit structured
 // slow-request log lines.
 func TestDTraceShedKeptAndSlowLogged(t *testing.T) {
 	var slow syncBuffer
 	srv := startServer(t, Config{
-		Workers:        1,
-		QueueDepth:     1,
+		MaxInflight:    2,
 		ProcessDelay:   20 * time.Millisecond,
 		Trace:          true,
 		TraceKeepEvery: 1 << 30, // effectively kill the probabilistic rule: only tail outcomes survive
@@ -343,7 +338,6 @@ func TestDTraceShedKeptAndSlowLogged(t *testing.T) {
 func TestDTraceIdleTimeoutKept(t *testing.T) {
 	var slow syncBuffer
 	srv := startServer(t, Config{
-		Workers:        1,
 		IdleTimeout:    100 * time.Millisecond,
 		Trace:          true,
 		TraceKeepEvery: 1 << 30,
@@ -380,7 +374,7 @@ func TestDTraceIdleTimeoutKept(t *testing.T) {
 // TestDTraceDisabled404 checks /traces answers 404 when tracing is off
 // and that /stats omits the traces section.
 func TestDTraceDisabled404(t *testing.T) {
-	srv := startServer(t, Config{Workers: 1})
+	srv := startServer(t, Config{})
 	cl, err := Dial(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -446,7 +440,6 @@ func TestSlowLogRateLimit(t *testing.T) {
 // 4xx is the client's fault — unless probabilistically sampled).
 func TestDTraceParseErrorAnnotated(t *testing.T) {
 	srv := startServer(t, Config{
-		Workers:        1,
 		Trace:          true,
 		TraceKeepEvery: 1,
 	})
@@ -481,14 +474,14 @@ func TestDTraceParseErrorAnnotated(t *testing.T) {
 // per-use-case stage counts equal the per-use-case message counters,
 // Tail.Seen equals N (control-plane GETs are timed but never offered),
 // and in every kept trace the stage spans fit inside their root. What
-// the stages do not cover — response formatting and the worker→reader
-// hand-off — is the residual, logged.
+// the stages do not cover — response formatting and the admission
+// bookkeeping — is the residual, logged.
 func TestStagesAgreeWithTracesAndCounters(t *testing.T) {
 	const batches, depth = 12, 8 // per connection: 12 writes of 8 pipelined requests
 	const perUC = 2 * batches * depth / 2
 	for _, mode := range []string{"in-place", "forwarded"} {
 		t.Run(mode, func(t *testing.T) {
-			cfg := Config{Workers: 2, Trace: true, TraceKeepEvery: 1, TraceCapacity: 1024}
+			cfg := Config{Trace: true, TraceKeepEvery: 1, TraceCapacity: 1024}
 			if mode == "forwarded" {
 				cfg.Upstream = upstream.Config{
 					Order: startBackend(t, upstream.BackendConfig{Name: "order"}).Addr().String(),
@@ -593,7 +586,6 @@ func TestStagesAgreeWithTracesAndCounters(t *testing.T) {
 // use case's row when it ended before a use case was selected.
 func TestStagesOnlyWhereReached(t *testing.T) {
 	srv := startServer(t, Config{
-		Workers:        1,
 		UseCase:        workload.SV,
 		IdleTimeout:    100 * time.Millisecond,
 		Trace:          true,
@@ -627,30 +619,30 @@ func TestStagesOnlyWhereReached(t *testing.T) {
 		}
 	}
 
-	// Malformed HTTP (no request target): framed and queued, fails the
-	// worker's parse, answered — never processed, no use case selected.
+	// Malformed HTTP (no request target): framed and admitted, fails the
+	// parse, answered — never processed, no use case selected.
 	do("POST\r\nContent-Length: 0\r\n\r\n", 400)
 	waitTraced(t, srv, 1)
-	expect("http parse error", map[string]uint64{"SV/read": 1, "SV/queue": 1, "SV/parse": 1, "SV/write": 1})
+	expect("http parse error", map[string]uint64{"SV/read": 1, "SV/parse": 1, "SV/write": 1})
 
 	// Malformed XML on the CBR path: reaches (and fails in) process.
 	do("POST /service/CBR HTTP/1.1\r\nContent-Length: 5\r\n\r\n<orde", 400)
 	waitTraced(t, srv, 2)
 	expect("xml parse error", map[string]uint64{
-		"SV/read": 1, "SV/queue": 1, "SV/parse": 1, "SV/write": 1,
-		"CBR/read": 1, "CBR/queue": 1, "CBR/parse": 1, "CBR/process": 1, "CBR/write": 1,
+		"SV/read": 1, "SV/parse": 1, "SV/write": 1,
+		"CBR/read": 1, "CBR/parse": 1, "CBR/process": 1, "CBR/write": 1,
 	})
 
 	// Shed at the admission bound: read off the wire, nothing else.
-	srv.admitBound.Store(1)
+	bound := srv.admitBound.Swap(1)
 	srv.inflight.Add(1)
 	do(string(workload.HTTPRequest(0, workload.FR)), 503)
 	srv.inflight.Add(-1)
-	srv.admitBound.Store(0)
+	srv.admitBound.Store(bound)
 	waitTraced(t, srv, 3)
 	expect("shed", map[string]uint64{
-		"SV/read": 2, "SV/queue": 1, "SV/parse": 1, "SV/write": 1,
-		"CBR/read": 1, "CBR/queue": 1, "CBR/parse": 1, "CBR/process": 1, "CBR/write": 1,
+		"SV/read": 2, "SV/parse": 1, "SV/write": 1,
+		"CBR/read": 1, "CBR/parse": 1, "CBR/process": 1, "CBR/write": 1,
 	})
 
 	// Reaped mid-request: the read never completed, so no stage at all.
@@ -664,7 +656,7 @@ func TestStagesOnlyWhereReached(t *testing.T) {
 	}
 	waitTraced(t, srv, 4)
 	expect("idle timeout", map[string]uint64{
-		"SV/read": 2, "SV/queue": 1, "SV/parse": 1, "SV/write": 1,
-		"CBR/read": 1, "CBR/queue": 1, "CBR/parse": 1, "CBR/process": 1, "CBR/write": 1,
+		"SV/read": 2, "SV/parse": 1, "SV/write": 1,
+		"CBR/read": 1, "CBR/parse": 1, "CBR/process": 1, "CBR/write": 1,
 	})
 }

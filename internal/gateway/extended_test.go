@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"encoding/json"
+	"runtime"
 	"testing"
 	"time"
 
@@ -14,7 +15,7 @@ import (
 // answer the translated JSON document, and both must appear in the
 // per-use-case latency and stage surfaces.
 func TestExtendedUseCasesLive(t *testing.T) {
-	srv := startServer(t, Config{Workers: 2, Trace: true})
+	srv := startServer(t, Config{Trace: true})
 	addr := srv.Addr().String()
 
 	// DPI: the pool has 64 distinct messages, DirtyEvery=5 of which are
@@ -82,7 +83,7 @@ func TestExtendedUseCasesLive(t *testing.T) {
 			t.Fatalf("%s process stage untraced: %+v", uc, stages)
 		}
 	}
-	if snap.Workers != 2 {
-		t.Fatalf("snapshot workers=%d, want 2", snap.Workers)
+	if snap.Workers != runtime.GOMAXPROCS(0) {
+		t.Fatalf("snapshot workers=%d, want GOMAXPROCS %d", snap.Workers, runtime.GOMAXPROCS(0))
 	}
 }

@@ -20,7 +20,6 @@ func TestTimelineFlushRace(t *testing.T) {
 	t.Setenv(ForceRuntimeOnlyEnv, "1") // deterministic in either world
 	var buf syncBuffer
 	srv := startServer(t, Config{
-		Workers:               2,
 		UseCase:               workload.FR,
 		SampleInterval:        2 * time.Millisecond,
 		SampleCapacity:        4096, // never overrun during the test, so rows==total holds

@@ -4,15 +4,18 @@
 // (FR proxying, CBR XPath routing, SV schema validation, plus the DPI and
 // AUTH extensions) on live bytes using the repo's XML stack.
 //
-// The structure follows Section 3.2.1 of the paper: a bounded worker pool
-// with one worker per logical CPU services an accept queue; admission
-// control sheds load with 503s when the queue is full rather than letting
-// goroutines (the live analogue of the paper's thread pool) grow without
-// bound. A metrics layer mirrors the simulator's aon.Stats with atomics
-// and adds latency histograms and per-second throughput, served on GET
-// /stats and in the final report, so the GOMAXPROCS=1 vs N scaling curve
-// can be measured on real hardware and compared against the simulated
-// 1CPm vs 2CPm results.
+// The structure follows Section 3.2.1 of the paper: the device runs one
+// worker per logical CPU. In Go that policy is GOMAXPROCS — the
+// scheduler runs at most that many goroutines at once — so each
+// connection's goroutine frames, parses, processes and answers its own
+// messages, and no second pool sits on top. Admission control is one
+// atomic in-flight bound: a message that would exceed it is shed with a
+// 503 rather than letting goroutines (the live analogue of the paper's
+// thread pool) pile up without bound. A metrics layer mirrors the
+// simulator's aon.Stats with atomics and adds latency histograms and
+// per-second throughput, served on GET /stats and in the final report,
+// so the GOMAXPROCS=1 vs N scaling curve can be measured on real hardware
+// and compared against the simulated 1CPm vs 2CPm results.
 package gateway
 
 import (
@@ -44,26 +47,22 @@ type Config struct {
 	// UseCase is the default pipeline when the request path doesn't name
 	// one (/service/FR, /service/CBR, ... select per-request).
 	UseCase workload.UseCase
-	// Workers sizes the worker pool; 0 means one per logical CPU
-	// (GOMAXPROCS), the paper's Section 3.2.1 policy.
-	Workers int
-	// QueueDepth bounds the admission queue between connection readers
-	// and workers; 0 means 4x workers. A full queue sheds with 503.
-	QueueDepth int
 	// MaxBodyBytes rejects larger POSTs with 400; 0 means 1 MiB.
 	MaxBodyBytes int
 	// Expr overrides the CBR XPath (default //quantity/text()).
 	Expr string
 	// Schema overrides the SV schema (default the AONBench order schema).
 	Schema *xsd.Schema
-	// ProcessDelay adds a fixed per-message stall in the worker — a fault
-	// -injection knob for emulating a slower device and for testing the
-	// admission control deterministically.
+	// ProcessDelay adds a fixed per-message busy-wait to the process
+	// stage — a fault-injection knob for emulating a slower device and for
+	// testing the admission control deterministically. It spins rather
+	// than sleeps, so the stalled message holds its P the way slower
+	// processing would.
 	ProcessDelay time.Duration
 	// IdleTimeout is the per-read deadline on client connections: a
 	// connection that goes quiet (between requests or stalled mid-request)
 	// is reaped after this long, so dead clients can't pin connection
-	// readers forever. 0 means the 60s default; negative disables.
+	// goroutines forever. 0 means the 60s default; negative disables.
 	IdleTimeout time.Duration
 	// Upstream configures real backend forwarding. When a backend is set
 	// for a route, pipeline outcomes routed there are forwarded over
@@ -73,14 +72,14 @@ type Config struct {
 	// Counters enables the live measurement layer (the paper's VTune
 	// methodology on real hardware): a process-wide perf_event_open
 	// counter set read as windowed deltas in Snapshot and /stats, plus
-	// one thread-scoped event group per pool worker (each worker pins
-	// its goroutine) for the per-worker CPI/cache/branch skew view.
+	// one event group per logical CPU for the per-CPU CPI/cache/branch
+	// skew view.
 	// Degrades to runtime-metrics-only observability where perf is
 	// unavailable.
 	Counters bool
 	// Timeline starts a sampling session (the paper's VTune sampling
 	// sessions): a fixed-interval sampler snapshots counter windows,
-	// gateway metric deltas, and pool gauges into a bounded ring served
+	// gateway metric deltas, and runtime gauges into a bounded ring served
 	// on /timeline, summarized on /stats, and dumpable as CSV. Implies
 	// Counters.
 	Timeline bool
@@ -102,7 +101,7 @@ type Config struct {
 	TimelineFlushInterval time.Duration
 	// Trace enables per-request tracing (internal/dtrace), the gateway's
 	// one request clock: every request records real spans around the
-	// read→queue→parse→process→forward→write stage points into a pooled
+	// read→parse→process→forward→write stage points into a pooled
 	// recorder, adopts an inbound X-AON-Trace context (or mints one), and
 	// propagates context on upstream forwards. Each finished request's
 	// span durations are aggregated into per-use-case per-stage
@@ -135,51 +134,33 @@ type Config struct {
 	// Adaptive turns on model-driven admission control: a periodic
 	// control loop feeds the analytic capacity model
 	// (internal/capacity) with windowed arrival-rate, latency, and
-	// stage-demand observations, and the model's decisions resize the
-	// worker pool and move the 503 admission bound at runtime — with
-	// hysteresis, floor/ceiling clamps, and a hard fallback to the
-	// static Workers/QueueDepth flags when observations go stale or the
-	// model diverges from measurement. Implies Trace (the model's
-	// service demands are the traced stage histograms).
+	// stage-demand observations, and the model's decisions move the 503
+	// admission bound at runtime — with hysteresis, a floor of
+	// GOMAXPROCS+1, a ceiling of MaxInflight, and a hard fallback to
+	// MaxInflight when observations go stale or the model diverges from
+	// measurement. Implies Trace (the model's service demands are the
+	// traced stage histograms).
 	Adaptive bool
 	// TargetP99 is the latency bound adaptive admission defends
 	// (default 100ms).
 	TargetP99 time.Duration
 	// AdaptInterval is the control-loop period (default 500ms).
 	AdaptInterval time.Duration
-	// MinWorkers/MaxWorkers clamp the adaptive pool width (defaults 1
-	// and 4x Workers).
-	MinWorkers int
-	MaxWorkers int
-	// MaxInflight is the adaptive admission bound's ceiling and its
-	// initial value — the loop starts wide open and lets the model pull
-	// the bound down (default 16x the static bound).
+	// MaxInflight is the admission bound: a POST that would make more
+	// than this many messages in flight (admitted, not yet answered) is
+	// shed with 503. 0 means 5x GOMAXPROCS. Adaptive mode starts here
+	// and lets the model pull the bound down.
 	MaxInflight int64
 }
 
-// job is one framed request travelling from a connection reader to a
-// worker and back. Jobs are pooled; the resp channel is created once and
-// reused for the job's whole pooled lifetime.
-type job struct {
-	raw   []byte
-	start time.Time
-	resp  chan response
-
-	// rec is the request's trace recorder (nil with tracing
-	// off). Ownership rides with the job: the reader attaches it before
-	// enqueue, the worker records stage spans into it, and the reader
-	// takes it back on the resp receive — never shared.
-	rec *dtrace.Recorder
-}
-
-// response carries a formatted answer from a worker back to the
-// connection reader. head holds the header block (plus any inlined small
-// body); body, when non-nil, is a separately-owned payload written
-// vectored after head (writev) instead of being copied. buf and bodyBuf,
-// when non-nil, are the pooled buffers backing head and body (the latter
-// holds a relayed upstream answer) — the reader recycles both after the
-// write completes, which is the lifetime discipline that makes the
-// pooling safe.
+// response is a formatted answer on its way to the client. head holds
+// the header block (plus any inlined small body); body, when non-nil, is
+// a separately-owned payload written vectored after head (writev)
+// instead of being copied. buf and bodyBuf, when non-nil, are the pooled
+// buffers backing head and body (the latter holds a relayed upstream
+// answer) — the connection goroutine recycles both after the write
+// completes, which is the lifetime discipline that makes the pooling
+// safe.
 type response struct {
 	head    []byte
 	body    []byte
@@ -189,9 +170,8 @@ type response struct {
 }
 
 // Hot-path pools. Frames and bufio readers are owned by one connection
-// at a time; response buffers by one in-flight response; jobs by one
-// admission attempt. Every Get/Put pair is bracketed by a happens-before
-// edge (channel send/receive or write completion), so pooled memory is
+// at a time, response buffers by one in-flight response; every Get and
+// its Put run on the same connection goroutine, so pooled memory is
 // never shared between two owners.
 var (
 	framePool = sync.Pool{New: func() any {
@@ -205,17 +185,13 @@ var (
 		b := make([]byte, 0, 1<<10)
 		return &b
 	}}
-	jobPool = sync.Pool{New: func() any {
-		return &job{resp: make(chan response, 1)}
-	}}
 )
 
 // Prebuilt shed/drain responses: under overload these are the most
 // frequent writes, so they must not cost a format each.
 var (
-	respQueueFull  = formatError(503, "queue full", false)
-	respAdmitBound = formatError(503, "admission bound", false)
-	respDraining   = formatError(503, "draining", true)
+	respShed     = formatError(503, "admission bound", false)
+	respDraining = formatError(503, "draining", true)
 )
 
 // Server is one live gateway instance.
@@ -231,29 +207,19 @@ type Server struct {
 	Metrics   *Metrics
 
 	ln       net.Listener
-	jobs     chan *job
 	stopping atomic.Bool
-	inflight atomic.Int64 // jobs between admission and response write
+	inflight atomic.Int64 // messages between admission and response write
 
-	// admitBound is the live admission limit: a connection reader sheds
-	// with 503 when inflight >= admitBound (0 means unbounded, static
-	// mode's queue-full select is then the only brake). The capacity
-	// control loop moves it at runtime.
+	// admitBound is the live admission limit: a connection sheds with 503
+	// when admitting its message would take inflight past it. Static mode
+	// holds it at MaxInflight; the capacity control loop moves it.
 	admitBound atomic.Int64
-	poolSize   atomic.Int64 // live worker count (reads for gauges)
-
-	// poolMu serializes pool resizes; workerQuits holds one quit channel
-	// per live worker so shrink can retire exactly the newest ones.
-	poolMu      sync.Mutex
-	workerQuits []chan struct{}
-	nextWorker  int
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
 
 	acceptWG sync.WaitGroup
 	connWG   sync.WaitGroup
-	workerWG sync.WaitGroup
 
 	shutOnce sync.Once
 	shutErr  error
@@ -261,12 +227,6 @@ type Server struct {
 
 // New builds a server; Start or Serve brings it live.
 func New(cfg Config) (*Server, error) {
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 4 * cfg.Workers
-	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 1 << 20
 	}
@@ -305,12 +265,13 @@ func New(cfg Config) (*Server, error) {
 	if cfg.AdaptInterval < 0 {
 		return nil, fmt.Errorf("gateway: adapt interval must be positive, got %v", cfg.AdaptInterval)
 	}
-	if cfg.MinWorkers < 0 || cfg.MaxWorkers < 0 {
-		return nil, fmt.Errorf("gateway: worker clamps must be positive, got min=%d max=%d", cfg.MinWorkers, cfg.MaxWorkers)
-	}
 	if cfg.MaxInflight < 0 {
 		return nil, fmt.Errorf("gateway: max inflight must be positive, got %d", cfg.MaxInflight)
 	}
+	if cfg.MaxInflight == 0 {
+		cfg.MaxInflight = 5 * int64(runtime.GOMAXPROCS(0))
+	}
+	var cl *capacityLoop
 	if cfg.Adaptive {
 		// The model's service demands are the traced stage histograms.
 		cfg.Trace = true
@@ -320,17 +281,9 @@ func New(cfg Config) (*Server, error) {
 		if cfg.AdaptInterval == 0 {
 			cfg.AdaptInterval = 500 * time.Millisecond
 		}
-		if cfg.MinWorkers == 0 {
-			cfg.MinWorkers = 1
-		}
-		if cfg.MaxWorkers == 0 {
-			cfg.MaxWorkers = 4 * cfg.Workers
-		}
-		if cfg.MaxWorkers < cfg.MinWorkers {
-			return nil, fmt.Errorf("gateway: max workers %d below min %d", cfg.MaxWorkers, cfg.MinWorkers)
-		}
-		if cfg.MaxInflight == 0 {
-			cfg.MaxInflight = 16 * int64(cfg.Workers+cfg.QueueDepth)
+		var err error
+		if cl, err = newCapacityLoop(cfg); err != nil {
+			return nil, err
 		}
 	}
 	pipe, err := NewPipeline(cfg.UseCase, cfg.Expr, cfg.Schema)
@@ -344,25 +297,17 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	queueCap := cfg.QueueDepth
-	if cfg.Adaptive {
-		// Adaptive mode brakes on the admission bound, not the channel:
-		// size the queue so the select-default never sheds below the
-		// bound's ceiling (clamped — slots are one pointer each).
-		if c := int(cfg.MaxInflight); c > queueCap {
-			queueCap = c
-		}
-		if queueCap > 1<<16 {
-			queueCap = 1 << 16
-		}
-	}
 	s := &Server{
-		cfg:     cfg,
-		pipe:    pipe,
-		fwd:     fwd,
-		Metrics: NewMetrics(),
-		jobs:    make(chan *job, queueCap),
-		conns:   map[net.Conn]struct{}{},
+		cfg:      cfg,
+		pipe:     pipe,
+		fwd:      fwd,
+		capacity: cl,
+		Metrics:  NewMetrics(),
+		conns:    map[net.Conn]struct{}{},
+	}
+	s.admitBound.Store(cfg.MaxInflight)
+	if cl != nil {
+		cl.s = s
 	}
 	if cfg.Counters {
 		s.counters = newCounterSampler(cfg.UseCase)
@@ -370,12 +315,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Trace {
 		s.dtr = newDtraceState(cfg)
-	}
-	if cfg.Adaptive {
-		// Start wide open: the first model decision pulls the bound down
-		// to what the target p99 admits.
-		s.admitBound.Store(cfg.MaxInflight)
-		s.capacity = newCapacityLoop(s)
 	}
 	return s, nil
 }
@@ -385,44 +324,6 @@ func New(cfg Config) (*Server, error) {
 // banners and sweep headers.
 func (s *Server) CountersMode() (mode, notice string) { return s.counters.mode() }
 
-// Workers reports the pool size in effect (the live width once the
-// server started; the configured width before).
-func (s *Server) Workers() int {
-	if n := s.poolSize.Load(); n > 0 {
-		return int(n)
-	}
-	return s.cfg.Workers
-}
-
-// setPoolSize grows or shrinks the worker pool to n. Growth spawns
-// workers with monotonically increasing ids (so perf worker groups stay
-// distinct); shrink closes the newest quit channels — a retiring worker
-// finishes its current job first, so no message is dropped. No-op while
-// stopping: shutdown owns the pool from then on.
-func (s *Server) setPoolSize(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.poolMu.Lock()
-	defer s.poolMu.Unlock()
-	if s.stopping.Load() {
-		return
-	}
-	for len(s.workerQuits) < n {
-		quit := make(chan struct{})
-		s.workerQuits = append(s.workerQuits, quit)
-		s.workerWG.Add(1)
-		go s.worker(s.nextWorker, quit)
-		s.nextWorker++
-	}
-	for len(s.workerQuits) > n {
-		last := len(s.workerQuits) - 1
-		close(s.workerQuits[last])
-		s.workerQuits = s.workerQuits[:last]
-	}
-	s.poolSize.Store(int64(n))
-}
-
 // Start listens on addr (e.g. "127.0.0.1:0") and serves in background
 // goroutines until Shutdown.
 func (s *Server) Start(addr string) error {
@@ -431,7 +332,6 @@ func (s *Server) Start(addr string) error {
 		return err
 	}
 	s.ln = ln
-	s.setPoolSize(s.cfg.Workers)
 	s.acceptWG.Add(1)
 	go s.acceptLoop()
 	if s.cfg.Timeline {
@@ -478,10 +378,11 @@ func (s *Server) removeConn(c net.Conn) {
 	s.connWG.Done()
 }
 
-// handleConn frames keep-alive requests off one socket and runs each
-// through admission control. Framing is deliberately cheap (scan to the
-// blank line, then Content-Length bytes); the full HTTP parse happens on
-// a worker so the connection reader stays I/O-bound.
+// handleConn serves one keep-alive connection: it frames each request
+// off the socket, runs it through admission control, and processes and
+// answers it right here. Parallelism is the Go scheduler's: at most
+// GOMAXPROCS connection goroutines run at once — the paper's one worker
+// per logical CPU.
 func (s *Server) handleConn(c net.Conn) {
 	defer s.removeConn(c)
 	br := brPool.Get().(*bufio.Reader)
@@ -490,19 +391,20 @@ func (s *Server) handleConn(c net.Conn) {
 		br.Reset(nil)
 		brPool.Put(br)
 	}()
-	// The connection owns one pooled frame for its whole life: ReadRequest
-	// appends each message into it, the worker parses views out of it, and
-	// the reader only reuses it for the next message after the response
-	// write completed — receiving on j.resp is the happens-before edge.
+	// The connection owns one pooled frame, one writev vector and one
+	// parse/format scratch for its whole life: ReadRequest appends each
+	// message into the frame, process parses views out of it, and the
+	// next message reuses it only after this one's response is written.
 	fp := framePool.Get().(*[]byte)
 	defer framePool.Put(fp)
-	var vec httpmsg.Writev // the connection's writev vector, one per life
+	var vec httpmsg.Writev
+	var sc wscratch
 	for {
 		// The idle deadline covers one whole request read: a client that
 		// goes quiet between requests *or* stalls mid-request is reaped,
-		// so dead clients can't pin connection readers forever. Pipelined
-		// requests already buffered are served without touching the wire,
-		// so they never trip it.
+		// so dead clients can't pin connection goroutines forever.
+		// Pipelined requests already buffered are served without touching
+		// the wire, so they never trip it.
 		if s.cfg.IdleTimeout > 0 {
 			c.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 		}
@@ -510,9 +412,8 @@ func (s *Server) handleConn(c net.Conn) {
 		// until the next request's first byte arrives (consuming nothing),
 		// so keep-alive idle time never counts as read time. Peek errors
 		// resurface in ReadRequest, which reports them on its existing
-		// paths. rec ownership rides with the job through the worker and
-		// returns with the resp receive; the tail sampler decides at
-		// completion whether the trace survives.
+		// paths. The tail sampler decides at completion whether the trace
+		// survives.
 		var rec *dtrace.Recorder
 		var t time.Time // start of the stage being timed (traced requests only)
 		if s.dtr != nil {
@@ -549,7 +450,7 @@ func (s *Server) handleConn(c net.Conn) {
 			rec.Add(dtrace.StageRead, t, start.Sub(t))
 		}
 
-		// GET requests (the /stats endpoint) bypass the worker pool so
+		// GET requests (the /stats endpoint) bypass admission so
 		// observability survives overload — the whole point of /stats.
 		if bytes.HasPrefix(raw, []byte("GET ")) {
 			resp := s.handleGet(raw)
@@ -576,46 +477,30 @@ func (s *Server) handleConn(c net.Conn) {
 			s.write(c, respDraining)
 			return
 		}
-		// The adaptive admission bound sheds before the queue does: when
-		// the model says more concurrency would blow the p99 target, the
-		// 503 happens here, at a bound the control loop moves at runtime.
-		if bound := s.admitBound.Load(); bound > 0 && s.inflight.Load() >= bound {
+		// The one shed path: claim a slot, give it back if that overshot
+		// the bound. The control loop moves the bound at runtime when the
+		// model says more concurrency would blow the p99 target.
+		if s.inflight.Add(1) > s.admitBound.Load() {
+			s.inflight.Add(-1)
 			s.Metrics.Shed.Add(1)
 			s.dtr.finish(rec, "", "shed", 503)
-			if !s.write(c, respAdmitBound) {
+			if !s.write(c, respShed) {
 				return
 			}
 			continue
 		}
-		j := jobPool.Get().(*job)
-		j.raw, j.start, j.rec = raw, start, rec
-		s.inflight.Add(1)
-		select {
-		case s.jobs <- j:
-			r := <-j.resp
-			j.raw, j.rec = nil, nil
-			jobPool.Put(j)
-			if rec != nil {
-				t = time.Now()
-			}
-			ok := s.writeResp(c, &r, &vec)
-			if rec != nil {
-				rec.Finish(lap(rec, dtrace.StageWrite, t))
-				s.dtr.offer(rec)
-			}
-			s.inflight.Add(-1)
-			if !ok || r.close {
-				return
-			}
-		default:
-			s.inflight.Add(-1)
-			j.raw, j.rec = nil, nil
-			jobPool.Put(j)
-			s.Metrics.Shed.Add(1)
-			s.dtr.finish(rec, "", "shed", 503)
-			if !s.write(c, respQueueFull) {
-				return
-			}
+		r := s.process(raw, start, rec, &sc)
+		if rec != nil {
+			t = time.Now()
+		}
+		ok := s.writeResp(c, &r, &vec)
+		if rec != nil {
+			rec.Finish(lap(rec, dtrace.StageWrite, t))
+			s.dtr.offer(rec)
+		}
+		s.inflight.Add(-1)
+		if !ok || r.close {
+			return
 		}
 	}
 }
@@ -637,7 +522,7 @@ func (s *Server) write(c net.Conn, b []byte) bool {
 	return err == nil
 }
 
-// writeResp sends a worker-built response through the connection's
+// writeResp sends a processed response through the connection's
 // writev vector — vectored when a separately-owned body rides along —
 // and recycles the pooled head and body buffers once the write is done.
 func (s *Server) writeResp(c net.Conn, r *response, vec *httpmsg.Writev) bool {
@@ -658,7 +543,7 @@ func putRespBuf(p *[]byte, b []byte) {
 	}
 }
 
-// wscratch is one worker's reusable parse/format state: the request and
+// wscratch is one connection's reusable parse/format state: the request and
 // response structs, their header backing arrays, the verdict-body
 // scratch, the upstream request head and round-trip result. Everything in
 // it is dead by the time process returns except bytes already copied into
@@ -677,49 +562,20 @@ type wscratch struct {
 	trval  []byte // propagated X-AON-Trace header value scratch
 }
 
-func (s *Server) worker(id int, quit chan struct{}) {
-	defer s.workerWG.Done()
-	if s.counters != nil {
-		// Pin the goroutine to its OS thread so the thread-scoped event
-		// group opened by registerWorker counts exactly this worker's
-		// execution — the per-worker skew view depends on it.
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-		wc := s.counters.registerWorker(id)
-		defer s.counters.unregisterWorker(wc)
-	}
-	var sc wscratch
-	for {
-		select {
-		case <-quit:
-			return
-		case j, ok := <-s.jobs:
-			if !ok {
-				return
-			}
-			j.resp <- s.process(j, &sc)
-		}
-	}
-}
-
-// process is the worker-side pipeline: full HTTP parse, use-case
-// dispatch, response build. The parse is zero-copy (views into j.raw,
-// the connection's pooled frame) and the response is formatted into a
-// pooled buffer the reader recycles after the write — both safe because
-// the reader never touches the frame again until it has received and
-// written this response.
-func (s *Server) process(j *job, sc *wscratch) response {
+// process is the message pipeline: full HTTP parse, use-case dispatch,
+// response build. The parse is zero-copy (views into raw, the
+// connection's pooled frame) and the response is formatted into a pooled
+// buffer recycled after the write — both safe because the connection
+// reads its next message into the frame only after this response is
+// written.
+func (s *Server) process(raw []byte, start time.Time, rec *dtrace.Recorder, sc *wscratch) response {
 	// Traced requests read the clock once per stage boundary; the
-	// ProcessDelay fault-injection stall runs inside the process stage,
-	// so an emulated slower device shows up as process demand — which is
+	// ProcessDelay fault-injection spin runs inside the process stage, so
+	// an emulated slower device shows up as process demand — which is
 	// what the capacity model (and adaptive admission) must see.
-	rec := j.rec
-	var t time.Time // start of the stage being timed (traced requests only)
-	if rec != nil {
-		t = lap(rec, dtrace.StageQueue, j.start)
-	}
+	t := start // start of the stage being timed (traced requests only)
 	req := &sc.req
-	err := httpmsg.ParseRequestInto(j.raw, req)
+	err := httpmsg.ParseRequestInto(raw, req)
 	if rec != nil {
 		t = lap(rec, dtrace.StageParse, t)
 	}
@@ -728,7 +584,7 @@ func (s *Server) process(j *job, sc *wscratch) response {
 		if rec != nil {
 			rec.Annotate(uc.String(), OutParseError.String(), 400)
 		}
-		s.Metrics.Done(OutParseError, uc, time.Since(j.start))
+		s.Metrics.Done(OutParseError, uc, time.Since(start))
 		return response{head: formatError(400, err.Error(), true), close: true}
 	}
 	if rec != nil {
@@ -742,8 +598,9 @@ func (s *Server) process(j *job, sc *wscratch) response {
 		}
 	}
 	uc := s.pipe.SelectUseCase(req.Target)
-	if s.cfg.ProcessDelay > 0 {
-		time.Sleep(s.cfg.ProcessDelay)
+	if d := s.cfg.ProcessDelay; d > 0 {
+		for until := time.Now().Add(d); time.Now().Before(until); {
+		}
 	}
 	out := s.pipe.Process(uc, req)
 	if rec != nil {
@@ -753,7 +610,7 @@ func (s *Server) process(j *job, sc *wscratch) response {
 		if rec != nil {
 			rec.Annotate(uc.String(), out.String(), 400)
 		}
-		s.Metrics.Done(out, uc, time.Since(j.start))
+		s.Metrics.Done(out, uc, time.Since(start))
 		return response{head: formatError(400, "unprocessable message", false)}
 	}
 	connClose := false
@@ -766,8 +623,8 @@ func (s *Server) process(j *job, sc *wscratch) response {
 	*resp = httpmsg.Response{Status: 200, Headers: sc.hdrs[:0]}
 	// vbody rides as a separately-owned writev segment (the translated XJ
 	// payload, a fresh buffer, or the upstream body in the pooled vbuf the
-	// response owns); inline is worker-scratch and must be copied into the
-	// pooled head before the job is handed back.
+	// response owns); inline is connection scratch and must be copied into
+	// the pooled head before the next message reuses it.
 	var vbody, inline []byte
 	var vbuf *[]byte
 	if s.fwd != nil && s.fwd.Has(route) {
@@ -797,7 +654,7 @@ func (s *Server) process(j *job, sc *wscratch) response {
 	if rec != nil {
 		rec.Annotate(uc.String(), out.String(), resp.Status)
 	}
-	s.Metrics.Done(out, uc, time.Since(j.start))
+	s.Metrics.Done(out, uc, time.Since(start))
 	if connClose {
 		resp.Headers = append(resp.Headers, httpmsg.Header{Name: "Connection", Value: "close"})
 	}
@@ -825,7 +682,7 @@ func appendVerdict(dst []byte, uc, out, route string) []byte {
 // resp from the backend's answer. Forwarding failures map to 502
 // (unreachable/down) or 504 (timed out) — bounded by the upstream retry
 // budget, so the client never hangs on a dead backend. The upstream
-// request header is built in the worker's scratch and written vectored
+// request header is built in the connection's scratch and written vectored
 // with the body view, so forwarding copies no payload bytes. With rec
 // set, the trace context propagates on an X-AON-Trace header whose
 // parent span ID is minted *before* the round trip — the backend's
@@ -854,7 +711,7 @@ func (s *Server) forward(resp *httpmsg.Response, route string, uc workload.UseCa
 	if rec != nil {
 		fwdID = dtrace.NewID()
 		sc.trval = dtrace.AppendHeaderValue(sc.trval[:0], rec.TraceID(), fwdID)
-		// The zc view over the worker's scratch is safe: the serializer
+		// The zc view over the connection's scratch is safe: the serializer
 		// below copies header values into upHead before the scratch is
 		// touched again.
 		up.Headers = append(up.Headers,
@@ -867,7 +724,7 @@ func (s *Server) forward(resp *httpmsg.Response, route string, uc workload.UseCa
 	res := &sc.upRes
 	res.Body = *relayed
 	err := s.fwd.RoundTripInto(route, sc.upHead, req.Body, res)
-	*relayed, res.Body = res.Body, nil // the response's from here on, not the worker's
+	*relayed, res.Body = res.Body, nil // the response's from here on, not the scratch's
 	if rec != nil {
 		rec.Child(fwdID, dtrace.StageForward, tFwd, time.Since(tFwd))
 	}
@@ -959,7 +816,7 @@ func formatError(status int, msg string, connClose bool) []byte {
 // enabled.
 func (s *Server) Snapshot() Snapshot {
 	snap := s.Metrics.Snapshot()
-	snap.Workers = s.Workers()
+	snap.Workers = runtime.GOMAXPROCS(0)
 	if s.fwd != nil {
 		snap.Upstream = s.fwd.Snapshot()
 	}
@@ -977,9 +834,10 @@ func (s *Server) Snapshot() Snapshot {
 	return snap
 }
 
-// Shutdown drains gracefully: stop accepting, let queued and in-flight
-// messages finish (bounded by ctx), then close connections and stop the
-// workers. Idempotent; later calls return the first call's result.
+// Shutdown drains gracefully: stop accepting, let in-flight messages
+// finish (bounded by ctx), then close connections and stop the
+// background loops. Idempotent; later calls return the first call's
+// result.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.shutOnce.Do(func() { s.shutErr = s.shutdown(ctx) })
 	return s.shutErr
@@ -992,14 +850,11 @@ func (s *Server) shutdown(ctx context.Context) error {
 	}
 	s.acceptWG.Wait()
 
-	// Drain: admission is closed (readers see stopping), so once the
-	// queue is empty and nothing is between admission and response
-	// write, every accepted message has been answered.
+	// Drain: admission is closed (connections see stopping), so once
+	// nothing is between admission and response write, every accepted
+	// message has been answered.
 	drained := ctx.Err()
-	for {
-		if len(s.jobs) == 0 && s.inflight.Load() == 0 {
-			break
-		}
+	for s.inflight.Load() != 0 {
 		select {
 		case <-ctx.Done():
 			drained = ctx.Err()
@@ -1015,17 +870,12 @@ func (s *Server) shutdown(ctx context.Context) error {
 	}
 	s.mu.Unlock()
 	s.connWG.Wait()
-	// Stop the control loop before closing the queue: it is the only
-	// other pool resizer, and setPoolSize must never race close(s.jobs).
 	if s.capacity != nil {
 		s.capacity.stop()
 	}
-	// Stop the sampling session before the workers: its last sample then
-	// still sees the full pool, and no sampler tick runs against a
-	// half-torn-down measurement layer.
+	// The sampling session stops before the measurement layer closes, so
+	// no sampler tick runs against a half-torn-down counter set.
 	s.closeTimeline()
-	close(s.jobs)
-	s.workerWG.Wait() // workers close their per-thread groups on exit
 	if s.fwd != nil {
 		s.fwd.Close()
 	}

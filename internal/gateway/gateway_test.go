@@ -5,7 +5,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -40,7 +42,7 @@ func startServer(t *testing.T, cfg Config) *Server {
 // the cmd/aonload client code (RunLoad) for all three paper use cases,
 // asserting routing outcomes and non-zero throughput.
 func TestEndToEndUseCases(t *testing.T) {
-	srv := startServer(t, Config{Workers: 2})
+	srv := startServer(t, Config{})
 	addr := srv.Addr().String()
 
 	// FR: every message forwards to the order endpoint.
@@ -99,13 +101,12 @@ func TestEndToEndUseCases(t *testing.T) {
 	}
 }
 
-// TestAdmissionControlSheds shows the queue-full path: with one worker
-// stalled per message and a depth-1 queue, concurrent clients must see
-// 503s while accepted work still completes — shedding, not collapse.
+// TestAdmissionControlSheds shows the shed path: with every message
+// stalled and at most two in flight, concurrent clients must see 503s
+// while accepted work still completes — shedding, not collapse.
 func TestAdmissionControlSheds(t *testing.T) {
 	srv := startServer(t, Config{
-		Workers:      1,
-		QueueDepth:   1,
+		MaxInflight:  2,
 		ProcessDelay: 20 * time.Millisecond,
 	})
 
@@ -145,7 +146,7 @@ func TestAdmissionControlSheds(t *testing.T) {
 	wg.Wait()
 
 	if shed503 == 0 {
-		t.Fatalf("expected 503 shedding with a full queue (ok=%d shed=%d)", ok200, shed503)
+		t.Fatalf("expected 503 shedding past the bound (ok=%d shed=%d)", ok200, shed503)
 	}
 	if ok200 == 0 {
 		t.Fatalf("admission control starved all work (shed=%d)", shed503)
@@ -159,9 +160,145 @@ func TestAdmissionControlSheds(t *testing.T) {
 	}
 }
 
+// pipelineCounts is what pipelined load saw: one answer per request,
+// classified by status.
+type pipelineCounts struct {
+	sent, ok, shed, client4xx uint64
+}
+
+// pipelined opens conns connections; each writes rounds bursts of depth
+// requests back to back (use cases cycled through ucs) and reads one
+// response per request in order. After the last burst it half-closes
+// its side: the gateway must then close the connection with no bytes
+// left over, so every request got exactly one response.
+func pipelined(t *testing.T, addr string, conns, depth, rounds int, ucs []workload.UseCase) pipelineCounts {
+	t.Helper()
+	var mu sync.Mutex
+	var total pipelineCounts
+	var wg sync.WaitGroup
+	for g := 0; g < conns; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			c, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.Close()
+			c.SetDeadline(time.Now().Add(20 * time.Second))
+			br := bufio.NewReaderSize(c, 32<<10)
+			var got pipelineCounts
+			var batch []byte
+			for round := 0; round < rounds; round++ {
+				batch = batch[:0]
+				for k := 0; k < depth; k++ {
+					i := g*rounds*depth + round*depth + k
+					batch = append(batch, workload.HTTPRequest(i, ucs[i%len(ucs)])...)
+				}
+				if _, err := c.Write(batch); err != nil {
+					t.Errorf("conn %d write: %v", g, err)
+					return
+				}
+				got.sent += uint64(depth)
+				for k := 0; k < depth; k++ {
+					resp, err := (&Client{br: br}).recv()
+					if err != nil {
+						t.Errorf("conn %d round %d response %d: %v", g, round, k, err)
+						return
+					}
+					switch {
+					case resp.Status == 200:
+						got.ok++
+					case resp.Status == 503:
+						got.shed++
+					case resp.Status >= 400 && resp.Status < 500:
+						got.client4xx++
+					default:
+						t.Errorf("conn %d: status %d", g, resp.Status)
+					}
+				}
+			}
+			c.(*net.TCPConn).CloseWrite()
+			if extra, err := io.ReadAll(br); err != nil || len(extra) > 0 {
+				t.Errorf("conn %d: %d bytes after the last response (%v)", g, len(extra), err)
+			}
+			mu.Lock()
+			total.sent += got.sent
+			total.ok += got.ok
+			total.shed += got.shed
+			total.client4xx += got.client4xx
+			mu.Unlock()
+		}(g)
+	}
+	wg.Wait()
+	return total
+}
+
+// TestShedConservation holds the one shed path to account for every
+// request: sixteen pipelined connections against an in-flight bound of
+// two, with every message stalled, in place and forwarded. Each request
+// gets exactly one answer, client and server classify them alike, and
+// nothing is left in flight after the drain.
+func TestShedConservation(t *testing.T) {
+	// A message's spin holds its P, so in place no more messages are in
+	// flight than there are Ps: the bound of two is overrun only with
+	// more Ps than that (a single-P host would shed only when the
+	// scheduler preempts a spin).
+	if procs := runtime.GOMAXPROCS(0); procs < 4 {
+		runtime.GOMAXPROCS(4)
+		t.Cleanup(func() { runtime.GOMAXPROCS(procs) })
+	}
+	for _, tc := range []struct {
+		name    string
+		forward bool
+	}{{"in-place", false}, {"forwarded", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{MaxInflight: 2, ProcessDelay: time.Millisecond}
+			if tc.forward {
+				cfg.Upstream = upstream.Config{
+					Order: startBackend(t, upstream.BackendConfig{Name: "order"}).Addr().String(),
+					Error: startBackend(t, upstream.BackendConfig{Name: "error"}).Addr().String(),
+				}
+			}
+			srv, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.Start("127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+			got := pipelined(t, srv.Addr().String(), 16, 4, 5,
+				[]workload.UseCase{workload.FR, workload.CBR, workload.SV, workload.XJ})
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			if err := srv.Shutdown(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if got.sent != 16*4*5 || got.ok+got.shed+got.client4xx != got.sent {
+				t.Fatalf("client: 200 %d + 503 %d + 4xx %d != sent %d", got.ok, got.shed, got.client4xx, got.sent)
+			}
+			if got.shed == 0 || got.ok == 0 {
+				t.Fatalf("want both answers under the bound: 200 %d, 503 %d", got.ok, got.shed)
+			}
+			snap := srv.Metrics.Snapshot()
+			if snap.Messages+snap.Shed+snap.ParseErrors != got.sent {
+				t.Fatalf("server: messages %d + shed %d + parse errors %d != client sent %d",
+					snap.Messages, snap.Shed, snap.ParseErrors, got.sent)
+			}
+			if snap.Shed != got.shed || snap.Messages != got.ok {
+				t.Fatalf("server shed %d / messages %d, client 503 %d / 200 %d", snap.Shed, snap.Messages, got.shed, got.ok)
+			}
+			if n := srv.inflight.Load(); n != 0 {
+				t.Fatalf("inflight %d after the drain", n)
+			}
+		})
+	}
+}
+
 // TestStatsEndpoint exercises the observability surface over the wire.
 func TestStatsEndpoint(t *testing.T) {
-	srv := startServer(t, Config{Workers: 1})
+	srv := startServer(t, Config{})
 	addr := srv.Addr().String()
 	if _, err := RunLoad(LoadConfig{Addr: addr, UseCase: workload.CBR, Messages: 10}); err != nil {
 		t.Fatal(err)
@@ -199,7 +336,7 @@ func TestStatsEndpoint(t *testing.T) {
 // ParseErrors, and closes the connection — strict where leniency would
 // let the gateway and a backend disagree on where a message ends.
 func TestMalformedRequest(t *testing.T) {
-	srv := startServer(t, Config{Workers: 1})
+	srv := startServer(t, Config{})
 	for i, tc := range []struct {
 		name, raw string
 		status    int
@@ -250,7 +387,7 @@ func TestMalformedRequest(t *testing.T) {
 // TestPathDispatch confirms one gateway serves the whole grid via the
 // request path, with the configured use case as fallback.
 func TestPathDispatch(t *testing.T) {
-	srv := startServer(t, Config{Workers: 1, UseCase: workload.SV})
+	srv := startServer(t, Config{UseCase: workload.SV})
 	cl, err := Dial(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -275,7 +412,7 @@ func TestPathDispatch(t *testing.T) {
 // TestGracefulShutdown: in-flight work completes, then new connections
 // are refused.
 func TestGracefulShutdown(t *testing.T) {
-	srv, err := New(Config{Workers: 2, ProcessDelay: 30 * time.Millisecond})
+	srv, err := New(Config{ProcessDelay: 30 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +437,7 @@ func TestGracefulShutdown(t *testing.T) {
 		}
 		done <- resp
 	}()
-	time.Sleep(10 * time.Millisecond) // let it reach the worker
+	time.Sleep(10 * time.Millisecond) // let it be admitted
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -358,7 +495,7 @@ func startBackend(t *testing.T, cfg upstream.BackendConfig) *upstream.BackendSer
 func TestForwardingEndToEnd(t *testing.T) {
 	order := startBackend(t, upstream.BackendConfig{Name: "order"})
 	errBE := startBackend(t, upstream.BackendConfig{Name: "error"})
-	srv := startServer(t, Config{Workers: 2, Upstream: upstream.Config{
+	srv := startServer(t, Config{Upstream: upstream.Config{
 		Order: order.Addr().String(),
 		Error: errBE.Addr().String(),
 	}})
@@ -437,7 +574,7 @@ func TestForwardingBackendDown(t *testing.T) {
 	deadAddr := ln.Addr().String()
 	ln.Close()
 
-	srv := startServer(t, Config{Workers: 1, Upstream: upstream.Config{
+	srv := startServer(t, Config{Upstream: upstream.Config{
 		Order:         deadAddr,
 		Retries:       1,
 		BackoffBase:   time.Millisecond,
@@ -481,7 +618,7 @@ func TestForwardingBackendDown(t *testing.T) {
 // deadline turns into a client-facing 504.
 func TestForwardingTimeoutMapsTo504(t *testing.T) {
 	slow := startBackend(t, upstream.BackendConfig{Name: "order", Delay: 300 * time.Millisecond})
-	srv := startServer(t, Config{Workers: 1, Upstream: upstream.Config{
+	srv := startServer(t, Config{Upstream: upstream.Config{
 		Order:       slow.Addr().String(),
 		Retries:     -1, // no retries: one deadline expiry answers
 		TryTimeout:  40 * time.Millisecond,
@@ -508,7 +645,7 @@ func TestForwardingTimeoutMapsTo504(t *testing.T) {
 // one that never speaks) is disconnected by the read deadline instead of
 // pinning its reader goroutine forever.
 func TestIdleTimeoutReapsStalledConn(t *testing.T) {
-	srv := startServer(t, Config{Workers: 1, IdleTimeout: 80 * time.Millisecond})
+	srv := startServer(t, Config{IdleTimeout: 80 * time.Millisecond})
 	addr := srv.Addr().String()
 
 	// Stalls mid-request: headers promise a body that never arrives.
@@ -562,7 +699,7 @@ func TestIdleTimeoutReapsStalledConn(t *testing.T) {
 // in-order responses on the same connection — the buffered reader frames
 // them without another wire read, so the idle deadline can't misfire.
 func TestPipelinedRequests(t *testing.T) {
-	srv := startServer(t, Config{Workers: 2, IdleTimeout: 200 * time.Millisecond})
+	srv := startServer(t, Config{IdleTimeout: 200 * time.Millisecond})
 	c, err := net.Dial("tcp", srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)

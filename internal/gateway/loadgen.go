@@ -249,6 +249,47 @@ func RequestPool(cfg LoadConfig) [][]byte {
 	return pool
 }
 
+// LoopSet is a resizable set of goroutines that each run the same loop
+// until it returns or its own stop channel closes: Resize grows the set
+// by starting members and shrinks it by closing the newest members'
+// channels; Wait joins every member; Stop shrinks the set to zero and
+// joins. Resize, Wait and Stop belong to one controlling goroutine.
+type LoopSet struct {
+	loop  func(stop <-chan struct{})
+	stops []chan struct{} // one per live member
+	wg    sync.WaitGroup
+}
+
+// NewLoopSet returns an empty set whose members run loop.
+func NewLoopSet(loop func(stop <-chan struct{})) *LoopSet { return &LoopSet{loop: loop} }
+
+// Resize brings the live member count to n.
+func (ls *LoopSet) Resize(n int) {
+	for len(ls.stops) < n {
+		stop := make(chan struct{})
+		ls.stops = append(ls.stops, stop)
+		ls.wg.Add(1)
+		go func() {
+			defer ls.wg.Done()
+			ls.loop(stop)
+		}()
+	}
+	for len(ls.stops) > max(n, 0) {
+		last := len(ls.stops) - 1
+		close(ls.stops[last])
+		ls.stops = ls.stops[:last]
+	}
+}
+
+// Wait joins every member.
+func (ls *LoopSet) Wait() { ls.wg.Wait() }
+
+// Stop winds the set down to zero and joins every member.
+func (ls *LoopSet) Stop() {
+	ls.Resize(0)
+	ls.Wait()
+}
+
 // Senders is the one load driver: a resizable set of closed-loop
 // senders, each owning one keep-alive connection on which it posts the
 // next pooled request as soon as the previous reply is in. RunLoad holds
@@ -256,15 +297,14 @@ func RequestPool(cfg LoadConfig) [][]byte {
 // envelope controller resizes it every tick and stops it at the phase
 // boundary. Resize, Wait and Stop belong to one controlling goroutine.
 type Senders struct {
-	cfg    LoadConfig
-	redial bool
-	pool   [][]byte
-	start  time.Time
+	*LoopSet // Resize; Wait and Stop are shadowed to return the Report
+	cfg      LoadConfig
+	redial   bool
+	pool     [][]byte
+	start    time.Time
 
-	next  atomic.Int64    // requests claimed so far: the budget and the pool cursor
-	stops []chan struct{} // one per live sender
-	wg    sync.WaitGroup
-	hist  Hist
+	next atomic.Int64 // requests claimed so far: the budget and the pool cursor
+	hist Hist
 
 	mu    sync.Mutex
 	total Report // senders merge their local accounting in as they exit
@@ -289,22 +329,9 @@ func NewSenders(cfg LoadConfig, redial bool) *Senders {
 	if cfg.TraceNode == "" {
 		cfg.TraceNode = "client"
 	}
-	return &Senders{cfg: cfg, redial: redial, pool: RequestPool(cfg), start: time.Now()}
-}
-
-// Resize brings the live sender count to n.
-func (s *Senders) Resize(n int) {
-	for len(s.stops) < n {
-		stop := make(chan struct{})
-		s.stops = append(s.stops, stop)
-		s.wg.Add(1)
-		go s.run(stop)
-	}
-	for len(s.stops) > max(n, 0) {
-		last := len(s.stops) - 1
-		close(s.stops[last])
-		s.stops = s.stops[:last]
-	}
+	s := &Senders{cfg: cfg, redial: redial, pool: RequestPool(cfg), start: time.Now()}
+	s.LoopSet = NewLoopSet(s.run)
+	return s
 }
 
 // Stop winds the set down to zero, joins every sender and returns the
@@ -317,7 +344,7 @@ func (s *Senders) Stop() Report {
 // Wait joins every sender — they leave on their own once the message
 // budget or the deadline is spent — and returns the merged accounting.
 func (s *Senders) Wait() Report {
-	s.wg.Wait()
+	s.LoopSet.Wait()
 	rep := s.total
 	rep.UseCase = s.cfg.UseCase.String()
 	rep.SizeBytes = s.cfg.Size
@@ -332,8 +359,7 @@ func (s *Senders) Wait() Report {
 
 // run is one sender: dial, claim the next pooled request, exchange,
 // account; on a dead connection redial or retire.
-func (s *Senders) run(stop chan struct{}) {
-	defer s.wg.Done()
+func (s *Senders) run(stop <-chan struct{}) {
 	var (
 		local Report
 		cl    *Client

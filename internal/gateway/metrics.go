@@ -50,8 +50,8 @@ func (r *rateRing) lastSecond(now time.Time) uint64 {
 }
 
 // Metrics is the gateway's live counter set — the socket-world mirror of
-// the simulator's aon.Stats, plus the queue/shedding counters that only
-// exist when load is real.
+// the simulator's aon.Stats, plus the shedding counters that only exist
+// when load is real.
 type Metrics struct {
 	start time.Time
 
@@ -127,9 +127,9 @@ type Snapshot struct {
 	MsgsPerSec   float64 `json:"msgs_per_sec"`  // lifetime average
 	LastSecMsgs  uint64  `json:"last_sec_msgs"` // most recent full second
 	MbpsIn       float64 `json:"mbps_in"`       // lifetime average
-	// Workers is the current worker-pool width (filled by
-	// Server.Snapshot; adaptive mode resizes it at runtime). Campaign and
-	// fleet scrapers seed the capacity model's station width from it.
+	// Workers is GOMAXPROCS — how many messages the gateway processes at
+	// once (filled by Server.Snapshot). Campaign and fleet scrapers seed
+	// the capacity model's station width from it.
 	Workers int          `json:"workers"`
 	Latency HistSnapshot `json:"latency"`
 	// LatencyByUseCase carries one latency histogram per use case that
@@ -141,11 +141,11 @@ type Snapshot struct {
 	// Counters is the live measurement layer (nil when Config.Counters is
 	// off): windowed perf-counter deltas and derived CPI/BrMPR in "hw"
 	// mode, runtime metrics always, model-predicted derived metrics in
-	// the "runtime-only" fallback, plus the per-worker skew view.
+	// the "runtime-only" fallback, plus the per-CPU skew view.
 	Counters *CountersSnapshot `json:"counters,omitempty"`
 	// Stages is the per-use-case stage breakdown folded from every traced
 	// request's spans (nil when tracing is off):
-	// read/queue/parse/process/forward/write percentiles.
+	// read/parse/process/forward/write percentiles.
 	Stages StageSnapshot `json:"stages,omitempty"`
 	// Timeline summarizes the sampling session (nil when none runs); the
 	// full ring is served by GET /timeline.

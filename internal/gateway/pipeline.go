@@ -76,10 +76,10 @@ func routeOf(o Outcome) string {
 // Pipeline holds the pre-compiled artifacts for the use-case processing:
 // the CBR XPath, the SV schema, and the DPI automaton are built once at
 // server start (the paper's device pre-stores the lookup expression and
-// schema, Section 3.2.1) and shared read-only across workers.
+// schema, Section 3.2.1) and shared read-only across connections.
 type Pipeline struct {
 	expr    *xpath.Expr
-	eval    *xpath.Evaluator // stateless; shared read-only across workers
+	eval    *xpath.Evaluator // stateless; shared read-only across connections
 	schema  *xsd.Schema
 	matcher *dpi.Matcher
 	def     workload.UseCase

@@ -32,7 +32,7 @@ import (
 // misses the unsynchronized access. The forwarded connections do the same
 // for relayed upstream bodies.
 func TestPooledReuseRaceSmoke(t *testing.T) {
-	srv := startServer(t, Config{Workers: 4, IdleTimeout: 2 * time.Second})
+	srv := startServer(t, Config{MaxInflight: 20, IdleTimeout: 2 * time.Second})
 	addr := srv.Addr().String()
 
 	// Expected XJ translations, computed with xmldom.Parse (a fresh,
@@ -132,7 +132,7 @@ func TestPooledReuseRaceSmoke(t *testing.T) {
 	// reused, while its response is still being written shows up as a
 	// malformed ack, an ack from the other backend, or a wrong length.
 	respBytes := map[string]int{"order": 300, "error": 1500}
-	fwd := startServer(t, Config{Workers: 4, IdleTimeout: 2 * time.Second, Upstream: upstream.Config{
+	fwd := startServer(t, Config{MaxInflight: 20, IdleTimeout: 2 * time.Second, Upstream: upstream.Config{
 		Order: startBackend(t, upstream.BackendConfig{Name: "order", RespBytes: respBytes["order"]}).Addr().String(),
 		Error: startBackend(t, upstream.BackendConfig{Name: "error", RespBytes: respBytes["error"]}).Addr().String(),
 	}}).Addr().String()

@@ -24,11 +24,12 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // TestSendersResizeStopLeavesNoGoroutine: the sender set follows Resize
 // up and down, Stop joins every sender — nothing is sent after it
-// returns — and once the server is shut down too the process is back at
-// its goroutine baseline.
+// returns — and so does a slow-loris set, the other LoopSet the campaign
+// drives; once the server is shut down too the process is back at its
+// goroutine baseline.
 func TestSendersResizeStopLeavesNoGoroutine(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	srv, err := New(Config{Workers: 2})
+	srv, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,6 +52,37 @@ func TestSendersResizeStopLeavesNoGoroutine(t *testing.T) {
 	}
 	if got := srv.Metrics.Messages.Load(); got != rep.Sent {
 		t.Fatalf("gateway answered %d, senders counted %d", got, rep.Sent)
+	}
+
+	// The loris set: each member holds a connection with half a request
+	// head on it until its stop channel closes — Stop must reach members
+	// parked in that wait.
+	req := workload.HTTPRequest(0, workload.FR)
+	loris := NewLoopSet(func(stop <-chan struct{}) {
+		c, err := net.Dial("tcp", srv.Addr().String())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer c.Close()
+		if _, err := c.Write(req[:len(req)/8]); err != nil {
+			t.Error(err)
+			return
+		}
+		<-stop
+	})
+	for _, width := range []int{3, 1, 4, 0, 2} {
+		loris.Resize(width)
+		waitFor(t, "the gateway to see the loris width", func() bool {
+			return srv.Metrics.ActiveConns.Load() == int64(width)
+		})
+	}
+	loris.Stop()
+	waitFor(t, "the gateway to drop the loris connections", func() bool {
+		return srv.Metrics.ActiveConns.Load() == 0
+	})
+	if got := srv.Metrics.Messages.Load(); got != rep.Sent {
+		t.Fatalf("gateway answered %d after the loris set, want %d", got, rep.Sent)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

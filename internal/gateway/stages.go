@@ -11,8 +11,8 @@ import (
 const numTraceUseCases = 6
 
 // traceSlotControl is the extra stage-histogram row for control-plane
-// GETs (/stats, /timeline, /traces): they bypass the worker pool but
-// still cost read/process/write time on the connection readers, so they
+// GETs (/stats, /timeline, /traces): they bypass admission but still
+// cost read/process/write time on their connection goroutines, so they
 // get their own row ("GET") in the stage breakdown.
 const traceSlotControl = numTraceUseCases
 
@@ -77,8 +77,7 @@ func (h *stageHists) snapshot() StageSnapshot {
 }
 
 // stageDemands assembles the capacity model's service demands from a
-// per-stage mean in seconds (queue wait is the model's output, not an
-// input, so it is not read).
+// per-stage mean in seconds.
 func stageDemands(mean func(dtrace.Stage) float64) capacity.StageDemands {
 	return capacity.StageDemands{
 		Read:    mean(dtrace.StageRead),
@@ -91,7 +90,7 @@ func stageDemands(mean func(dtrace.Stage) float64) capacity.StageDemands {
 
 // Demands rebuilds the capacity model's per-stage service demands from
 // the snapshot: per-stage means aggregated across the use-case rows
-// (the control-plane GET row excluded — GETs never hold a worker),
+// (the control-plane GET row excluded — GETs bypass admission),
 // weighted by trace count.
 func (s StageSnapshot) Demands() capacity.StageDemands {
 	return stageDemands(func(st dtrace.Stage) float64 {

@@ -12,8 +12,8 @@ import (
 	"repro/internal/dtrace"
 )
 
-// SweepResult is one row of the scaling study: the gateway run with n
-// workers on GOMAXPROCS=n.
+// SweepResult is one row of the scaling study: the gateway run on
+// GOMAXPROCS=n.
 type SweepResult struct {
 	Procs  int      `json:"gomaxprocs"`
 	Report Report   `json:"report"`
@@ -22,8 +22,8 @@ type SweepResult struct {
 
 // RunSweep measures throughput scaling the way the paper's Figures 5/6
 // measure 1-unit→2-unit scaling, but on the live machine: for each entry
-// of procs it sets GOMAXPROCS, starts an in-process gateway on loopback
-// with a worker pool of the same width, drives it with cfg, and tears it
+// of procs it sets GOMAXPROCS — the gateway's parallelism — starts an
+// in-process gateway on loopback, drives it with cfg, and tears it
 // down. Like the paper's netperf loopback mode, client and server share
 // the machine, so absolute numbers are conservative; the *shape* of the
 // curve is the comparable result.
@@ -38,7 +38,6 @@ func RunSweep(procs []int, cfg LoadConfig, gw Config) ([]SweepResult, error) {
 		}
 		runtime.GOMAXPROCS(n)
 		g := gw
-		g.Workers = n
 		g.Trace = true // the stage and model tables read the traced stage histograms
 		srv, err := New(g)
 		if err != nil {
@@ -147,10 +146,10 @@ func FormatSweepTable(rows []SweepResult) string {
 
 // FormatStageTable renders the sweep's per-stage latency breakdown: for
 // each width and each use case that traced requests, the sampled
-// p50/p99 of every pipeline stage (read→queue→parse→process→forward→
-// write, microseconds). This is the live analogue of the paper's
-// per-phase profile next to its scaling figures — it shows *where* the
-// added width went (queue wait collapsing, parse staying flat, ...).
+// p50/p99 of every pipeline stage (read→parse→process→forward→write,
+// microseconds). This is the live analogue of the paper's per-phase
+// profile next to its scaling figures — it shows *where* the added width
+// went (process time falling under contention, parse staying flat, ...).
 // Empty when no row carried stage traces.
 func FormatStageTable(rows []SweepResult) string {
 	if !hasStages(rows) {

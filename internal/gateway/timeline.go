@@ -3,6 +3,7 @@ package gateway
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"time"
 
@@ -79,11 +80,11 @@ func (s *Server) FlushTimeline() (int, error) {
 }
 
 // takeSample flattens one fixed-interval observation: gateway metric
-// deltas, latency percentiles, the counter window with per-worker skew,
+// deltas, latency percentiles, the counter window with per-CPU skew,
 // runtime gauges, and upstream pool gauges.
 func (s *Server) takeSample(tl *timelineState) session.Sample {
 	now := time.Now()
-	smp := session.Sample{TMS: now.UnixMilli()}
+	smp := session.Sample{TMS: now.UnixMilli(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
 
 	msgs := s.Metrics.Messages.Load()
 	bytesIn := s.Metrics.BytesIn.Load()
@@ -96,21 +97,21 @@ func (s *Server) takeSample(tl *timelineState) session.Sample {
 	lat := s.Metrics.Latency.Snapshot()
 	smp.LatencyP50US, smp.LatencyP99US = lat.P50US, lat.P99US
 
-	windowSec, derived, source, _, _, workers := tl.view.window()
+	windowSec, derived, source, _, _, cpus := tl.view.window()
 	smp.WindowSec = windowSec
 	if windowSec > 0 {
 		smp.MsgsPerSec = float64(smp.Messages) / windowSec
 	}
 	smp.CPI, smp.CacheMPI, smp.BrMPR = derived.CPI, derived.CacheMPI, derived.BrMPR
 	smp.DerivedSource = source
-	smp.Workers = make([]session.WorkerSample, len(workers))
-	for i, w := range workers {
-		smp.Workers[i] = session.WorkerSample{
-			Worker:        w.Worker,
-			CPI:           w.Derived.CPI,
-			CacheMPI:      w.Derived.CacheMPI,
-			BrMPR:         w.Derived.BrMPR,
-			DerivedSource: w.DerivedSource,
+	smp.CPUs = make([]session.CPUSample, len(cpus))
+	for i, c := range cpus {
+		smp.CPUs[i] = session.CPUSample{
+			CPU:           c.CPU,
+			CPI:           c.Derived.CPI,
+			CacheMPI:      c.Derived.CacheMPI,
+			BrMPR:         c.Derived.BrMPR,
+			DerivedSource: c.DerivedSource,
 		}
 	}
 

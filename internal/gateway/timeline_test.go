@@ -12,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/hwcount"
 	"repro/internal/session"
+	"repro/internal/upstream"
 	"repro/internal/workload"
 )
 
@@ -39,8 +41,8 @@ func fetchJSON(t *testing.T, addr, target string, v any) int {
 // TestTimelineEndpoint is the sampling session's acceptance path, run in
 // both operating modes: whatever the host grants (hw where perf exists,
 // the runtime-only fallback elsewhere) and the env-forced fallback. In
-// either mode /timeline must return >= 2 samples whose per-worker
-// derived blocks are populated and labeled with their source.
+// either mode /timeline must return >= 2 samples whose per-CPU derived
+// blocks are populated and labeled with their source.
 func TestTimelineEndpoint(t *testing.T) {
 	modes := []struct {
 		name  string
@@ -54,7 +56,6 @@ func TestTimelineEndpoint(t *testing.T) {
 				t.Skipf("%s set in environment", ForceRuntimeOnlyEnv)
 			}
 			srv := startServer(t, Config{
-				Workers:        2,
 				UseCase:        workload.CBR,
 				Timeline:       true,
 				SampleInterval: 10 * time.Millisecond,
@@ -89,12 +90,15 @@ func TestTimelineEndpoint(t *testing.T) {
 				if m.force && s.DerivedSource != "model" {
 					t.Fatalf("forced fallback sample labeled %q, want model", s.DerivedSource)
 				}
-				if len(s.Workers) != 2 {
-					t.Fatalf("sample has %d worker entries, want 2: %+v", len(s.Workers), s)
+				if len(s.CPUs) != runtime.NumCPU() {
+					t.Fatalf("sample has %d CPU entries, want %d: %+v", len(s.CPUs), runtime.NumCPU(), s)
 				}
-				for _, w := range s.Workers {
-					if w.DerivedSource == "" || w.CPI <= 0 {
-						t.Fatalf("worker entry missing derived metrics: %+v", w)
+				if s.GOMAXPROCS != runtime.GOMAXPROCS(0) {
+					t.Fatalf("sample gomaxprocs %d, want %d", s.GOMAXPROCS, runtime.GOMAXPROCS(0))
+				}
+				for _, c := range s.CPUs {
+					if c.DerivedSource == "" || c.CPI <= 0 {
+						t.Fatalf("CPU entry missing derived metrics: %+v", c)
 					}
 				}
 				if s.Messages > 0 {
@@ -139,7 +143,7 @@ func TestTimelineEndpoint(t *testing.T) {
 // TestTimelineDisabled404 keeps the endpoint opt-in: without
 // Config.Timeline, /timeline is a 404 and /stats has no timeline section.
 func TestTimelineDisabled404(t *testing.T) {
-	srv := startServer(t, Config{Workers: 1})
+	srv := startServer(t, Config{})
 	var v struct{}
 	if st := fetchJSON(t, srv.Addr().String(), "/timeline", &v); st != 404 {
 		t.Fatalf("status=%d, want 404", st)
@@ -152,68 +156,58 @@ func TestTimelineDisabled404(t *testing.T) {
 	}
 }
 
-// TestWorkerGroupLifecycle proves the per-worker measurement teardown:
-// every registered worker unregisters on exit, every opened per-thread
-// event group is closed (no fd leak), and the worker goroutines join.
+// TestWorkerGroupLifecycle proves the per-CPU measurement teardown:
+// the sampler lists one group slot per logical CPU, and after shutdown
+// every group it opened is closed (no fd leak). On perf-denied hosts
+// every slot is the model-backed placeholder and there is nothing to
+// close.
 func TestWorkerGroupLifecycle(t *testing.T) {
-	before := runtime.NumGoroutine()
-	srv, err := New(Config{Workers: 3, UseCase: workload.CBR, Counters: true})
+	srv, err := New(Config{UseCase: workload.CBR, Counters: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	hwMode := false
-	if mode, _ := srv.CountersMode(); mode == "hw" {
-		hwMode = true
+	cpus := srv.counters.cpus
+	if len(cpus) != runtime.NumCPU() {
+		t.Fatalf("%d per-CPU slots, want %d", len(cpus), runtime.NumCPU())
 	}
-
-	// Workers register as their goroutines come up.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if _, _, live := srv.counters.workerGroupStats(); live == 3 {
-			break
+	// The slots carry the affinity set's ids, not 0..NumCPU-1.
+	for i, id := range hwcount.CPUs() {
+		if cpus[i].id != id {
+			t.Fatalf("slot %d is CPU %d, want %d from the affinity set", i, cpus[i].id, id)
 		}
-		if time.Now().After(deadline) {
-			_, _, live := srv.counters.workerGroupStats()
-			t.Fatalf("only %d/3 workers registered", live)
+	}
+	opened := 0
+	for _, c := range cpus {
+		if c.g != nil {
+			opened++
 		}
-		time.Sleep(time.Millisecond)
 	}
-	opened, _, _ := srv.counters.workerGroupStats()
-	if hwMode && opened != 3 {
-		t.Fatalf("hw mode opened %d per-thread groups, want 3", opened)
+	if mode, _ := srv.CountersMode(); mode != "hw" && opened != 0 {
+		t.Fatalf("%s mode opened %d per-CPU groups", mode, opened)
 	}
-	if fds, ok := countFDs(); ok && hwMode && fds == 0 {
-		t.Fatal("hw mode but no open fds counted") // sanity on the counter itself
-	}
+	t.Logf("opened %d of %d per-CPU groups", opened, len(cpus))
 
 	if _, err := RunLoad(LoadConfig{Addr: srv.Addr().String(), UseCase: workload.CBR, Conns: 2, Messages: 30}); err != nil {
 		t.Fatal(err)
 	}
-
+	if c := srv.Snapshot().Counters; len(c.CPUs) != len(cpus) {
+		t.Fatalf("snapshot lists %d CPUs, want %d", len(c.CPUs), len(cpus))
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	opened, closed, live := srv.counters.workerGroupStats()
-	if live != 0 {
-		t.Fatalf("%d workers still registered after shutdown", live)
-	}
-	if opened != closed {
-		t.Fatalf("per-thread groups leaked: opened=%d closed=%d", opened, closed)
-	}
-
-	// The pool goroutines joined (Shutdown waits on workerWG); allow the
-	// runtime a moment to retire them before comparing.
-	deadline = time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before+1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: before=%d after=%d", before, runtime.NumGoroutine())
+	for _, c := range cpus {
+		if c.g == nil {
+			continue
 		}
-		time.Sleep(5 * time.Millisecond)
+		if _, err := c.g.Read(); err == nil {
+			t.Fatalf("CPU %d group still open after shutdown", c.id)
+		}
 	}
 }
 
@@ -227,49 +221,77 @@ func countFDs() (int, bool) {
 	return len(ents), true
 }
 
-// TestWorkerGroupFDsReleased is the fd-leak test proper: across a full
-// start/load/shutdown cycle with the measurement layer on, the process's
-// descriptor count returns to its baseline. Only meaningful where /proc
-// exists; the group accounting in TestWorkerGroupLifecycle covers the
-// rest.
-func TestWorkerGroupFDsReleased(t *testing.T) {
-	if _, ok := countFDs(); !ok {
-		t.Skip("no /proc/self/fd on this platform")
-	}
-	// One warmup cycle so lazily-created runtime fds (epoll, etc.) exist
-	// before the baseline is taken.
-	cycle := func() {
-		srv, err := New(Config{Workers: 3, UseCase: workload.CBR, Counters: true})
+// TestServerShutdownLeavesNoGoroutineOrFD is the leak test proper: one
+// full cycle with every background subsystem on — counters, a sampling
+// session, tracing, the adaptive control loop, forwarding to two
+// in-process backends — driven by pipelined load that overruns the
+// admission bound, must leave the process at its goroutine and
+// descriptor baseline once the gateway is shut down and the backends
+// closed.
+func TestServerShutdownLeavesNoGoroutineOrFD(t *testing.T) {
+	_, haveFDs := countFDs()
+	cycle := func() (shed uint64) {
+		order := startBackend(t, upstream.BackendConfig{Name: "order"})
+		errBE := startBackend(t, upstream.BackendConfig{Name: "error"})
+		srv, err := New(Config{
+			Timeline:       true,
+			SampleInterval: 5 * time.Millisecond,
+			Trace:          true,
+			Adaptive:       true,
+			AdaptInterval:  10 * time.Millisecond,
+			MaxInflight:    int64(runtime.GOMAXPROCS(0)) + 1,
+			ProcessDelay:   time.Millisecond,
+			Upstream:       upstream.Config{Order: order.Addr().String(), Error: errBE.Addr().String()},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := srv.Start("127.0.0.1:0"); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := RunLoad(LoadConfig{Addr: srv.Addr().String(), UseCase: workload.CBR, Conns: 2, Messages: 20}); err != nil {
-			t.Fatal(err)
-		}
+		// Twice the bound in connections, each holding at most one
+		// message in flight, so the bound is overrun on any host.
+		conns := 2 * (runtime.GOMAXPROCS(0) + 1)
+		got := pipelined(t, srv.Addr().String(), conns, 4, 5, []workload.UseCase{workload.CBR, workload.FR})
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {
 			t.Fatal(err)
 		}
+		order.Close()
+		errBE.Close()
+		snap := srv.Metrics.Snapshot()
+		if snap.Messages+snap.Shed != got.sent {
+			t.Fatalf("answered %d + shed %d != sent %d", snap.Messages, snap.Shed, got.sent)
+		}
+		return snap.Shed
 	}
+	// One warm-up cycle so lazily created runtime state (the netpoller's
+	// fds, the model cache behind the counters fallback) exists before
+	// the baseline is taken.
 	cycle()
-	base, _ := countFDs()
-	cycle()
-	after, _ := countFDs()
-	if after > base {
-		t.Fatalf("fd count grew across a gateway cycle: %d -> %d", base, after)
+	baseGoroutines := runtime.NumGoroutine()
+	baseFDs, _ := countFDs()
+	if shed := cycle(); shed == 0 {
+		t.Fatal("no request was shed — the cycle must cover the shed path")
+	}
+	waitFor(t, "goroutines to return to the baseline", func() bool {
+		return runtime.NumGoroutine() <= baseGoroutines
+	})
+	if haveFDs {
+		waitFor(t, "descriptors to return to the baseline", func() bool {
+			n, _ := countFDs()
+			return n <= baseFDs
+		})
 	}
 }
 
 // TestStageTracing exercises the stage histograms fed from the traced
 // spans: the /stats stages section must carry per-use-case
-// read/queue/parse/process/write populations, and the per-use-case
+// read/parse/process/write populations, and the per-use-case
 // latency histograms must split accordingly.
 func TestStageTracing(t *testing.T) {
-	srv := startServer(t, Config{Workers: 2, UseCase: workload.CBR, Trace: true})
+	srv := startServer(t, Config{UseCase: workload.CBR, Trace: true})
 	addr := srv.Addr().String()
 	if _, err := RunLoad(LoadConfig{Addr: addr, UseCase: workload.CBR, Conns: 2, Messages: 40}); err != nil {
 		t.Fatal(err)
@@ -288,7 +310,7 @@ func TestStageTracing(t *testing.T) {
 		if !ok {
 			t.Fatalf("stages missing %s: %v", uc, snap.Stages)
 		}
-		for _, name := range []string{"read", "queue", "parse", "process", "write"} {
+		for _, name := range []string{"read", "parse", "process", "write"} {
 			h, ok := st[name]
 			if !ok || h.Count == 0 {
 				t.Fatalf("%s stage %q empty: %+v", uc, name, st)
@@ -316,7 +338,7 @@ func TestStageTracing(t *testing.T) {
 // TestTracingOffByDefault keeps the trace opt-in and the sampler honest:
 // without Trace there is no stages section.
 func TestTracingOffByDefault(t *testing.T) {
-	srv := startServer(t, Config{Workers: 1})
+	srv := startServer(t, Config{})
 	if _, err := RunLoad(LoadConfig{Addr: srv.Addr().String(), UseCase: workload.CBR, Conns: 1, Messages: 10}); err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +361,7 @@ func TestObservabilityConfigValidation(t *testing.T) {
 		}
 	}
 	// Timeline implies the measurement layer.
-	srv := startServer(t, Config{Workers: 1, Timeline: true, SampleInterval: 10 * time.Millisecond})
+	srv := startServer(t, Config{Timeline: true, SampleInterval: 10 * time.Millisecond})
 	if mode, _ := srv.CountersMode(); mode == "off" {
 		t.Fatal("Timeline did not imply Counters")
 	}
@@ -374,7 +396,6 @@ func TestTimelineFlush(t *testing.T) {
 	t.Setenv(ForceRuntimeOnlyEnv, "1") // deterministic in either world
 	var buf syncBuffer
 	srv := startServer(t, Config{
-		Workers:               2,
 		UseCase:               workload.CBR,
 		SampleInterval:        5 * time.Millisecond,
 		TimelineFlush:         session.NewAppender(&buf, true),

@@ -37,7 +37,7 @@ type CalibrationEntry struct {
 	SimBrMPR   float64 `json:"sim_br_mpr_pct"`
 	LiveBrMPR  float64 `json:"live_br_mpr_pct"`
 	BrMPRScale float64 `json:"br_mpr_scale"`
-	// Width is the worker-pool width the live session ran with (0:
+	// Width is the GOMAXPROCS the live session ran with (0:
 	// width-agnostic, the pre-width artifact format). Width-specific
 	// entries live under "UC@N" keys; EntryFor selects or interpolates
 	// among them.
@@ -84,7 +84,7 @@ func NewCalibrationEntry(sim counters.Metrics, liveCPI, liveMPI, liveBrMPR float
 }
 
 // EntryKey names a calibration entry: "UC" for width-agnostic entries,
-// "UC@N" for entries recorded at worker-pool width N.
+// "UC@N" for entries recorded at GOMAXPROCS N.
 func EntryKey(uc workload.UseCase, width int) string {
 	if width > 0 {
 		return fmt.Sprintf("%s@%d", uc, width)
@@ -92,7 +92,7 @@ func EntryKey(uc workload.UseCase, width int) string {
 	return uc.String()
 }
 
-// EntryFor selects the calibration entry for uc at the given pool width:
+// EntryFor selects the calibration entry for uc at the given width:
 // an exact "UC@width" entry wins; otherwise the two nearest recorded
 // widths interpolate linearly (clamping outside the recorded range);
 // otherwise the width-agnostic "UC" entry stands in. ok is false when
@@ -169,7 +169,7 @@ func (c *Calibration) Apply(uc workload.UseCase, m counters.Metrics) counters.Me
 }
 
 // ApplyWidth scales a model prediction by the ratios recorded for uc at
-// the given pool width (see EntryFor for the selection rules).
+// the given width (see EntryFor for the selection rules).
 func (c *Calibration) ApplyWidth(uc workload.UseCase, width int, m counters.Metrics) counters.Metrics {
 	e, ok := c.EntryFor(uc, width)
 	if !ok {

@@ -132,6 +132,9 @@ func ParseRequestInstrumented(src []byte, em trace.Emitter, base uint64) (*Reque
 			return nil, &ParseError{Offset: p.pos, Msg: "malformed header line"}
 		}
 		name := strings.TrimSpace(line[:colon])
+		if name == "" {
+			return nil, &ParseError{Offset: p.pos, Msg: "malformed header line"}
+		}
 		value := strings.TrimSpace(line[colon+1:])
 		req.Headers = append(req.Headers, Header{Name: name, Value: value})
 		isClen := strings.EqualFold(name, "Content-Length")

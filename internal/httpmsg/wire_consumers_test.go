@@ -23,7 +23,7 @@ import (
 // and close. (Only the refusal's wording may differ: the backend discards
 // bodies unbounded, so an over-limit body is "truncated" to it.)
 func TestFrameTableEveryServer(t *testing.T) {
-	gw, err := gateway.New(gateway.Config{Workers: 1, MaxBodyBytes: httpmsg.FrameMaxBody})
+	gw, err := gateway.New(gateway.Config{MaxBodyBytes: httpmsg.FrameMaxBody})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestResponseTableEveryClient(t *testing.T) {
 // handing the declared length to make.
 func TestHostileResponseLengthIs502(t *testing.T) {
 	addr := canned(t, "HTTP/1.1 200 OK\r\nContent-Length: 1125899906842624\r\n\r\n") // 1<<50
-	gw, err := gateway.New(gateway.Config{Workers: 1, Upstream: upstream.Config{
+	gw, err := gateway.New(gateway.Config{Upstream: upstream.Config{
 		Order: addr, Error: addr, Retries: 1, BackoffBase: time.Millisecond, TryTimeout: 2 * time.Second,
 	}})
 	if err != nil {

@@ -133,12 +133,15 @@ func ParseRequestInto(src []byte, req *Request) error {
 			break
 		}
 		colon := bytes.IndexByte(line, ':')
-		if colon <= 0 {
+		var name []byte
+		if colon > 0 {
+			name = bytes.TrimSpace(line[:colon])
+		}
+		if len(name) == 0 {
 			return &ParseError{Offset: pos, Msg: "malformed header line"}
 		}
-		name := zc.String(bytes.TrimSpace(line[:colon]))
 		value := zc.String(bytes.TrimSpace(line[colon+1:]))
-		req.Headers = append(req.Headers, Header{Name: name, Value: value})
+		req.Headers = append(req.Headers, Header{Name: zc.String(name), Value: value})
 	}
 
 	if clen := req.ContentLength(); clen >= 0 {

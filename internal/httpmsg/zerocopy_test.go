@@ -3,6 +3,7 @@ package httpmsg
 import (
 	"bytes"
 	"testing"
+	"unsafe"
 )
 
 func sampleRequest() *Request {
@@ -62,6 +63,7 @@ func TestParseRequestIntoMatchesClassic(t *testing.T) {
 		[]byte("BREW /s HTTP/1.1\r\n\r\n"),
 		[]byte("POST /s SPDY/3\r\n\r\n"),
 		[]byte("POST /s HTTP/1.1\r\nno-colon-here\r\n\r\n"),
+		[]byte("POST /s HTTP/1.1\r\n \t: blank name\r\n\r\n"),
 		[]byte("POST /s HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort"),
 		[]byte("POST /s HTTP/1.1\r\nnever-terminated"),
 	}
@@ -109,4 +111,70 @@ func TestParseRequestIntoReusesHeaders(t *testing.T) {
 	if backing != &req.Headers[0] {
 		t.Fatal("headers backing array was not reused")
 	}
+}
+
+// within reports whether the n bytes at p lie inside buf; an empty view
+// points nowhere and always passes.
+func within(buf []byte, p *byte, n int) bool {
+	if n == 0 {
+		return true
+	}
+	if len(buf) == 0 || p == nil {
+		return false
+	}
+	lo, at := uintptr(unsafe.Pointer(&buf[0])), uintptr(unsafe.Pointer(p))
+	return at >= lo && at+uintptr(n) <= lo+uintptr(len(buf))
+}
+
+// FuzzParseRequestInto: the zero-copy parser on its own, over arbitrary
+// bytes, must never panic; every accepted request's Target, header views
+// and Body must be views into the input, not copies or stray memory; and
+// re-serialising an accepted request and parsing that again must give
+// the same method, target, headers and body.
+func FuzzParseRequestInto(f *testing.F) {
+	f.Add(FormatRequest(sampleRequest()))
+	f.Add([]byte("GET /stats HTTP/1.1\r\nHost: x\r\n\r\n"))
+	f.Add([]byte("POST /s HTTP/1.1\nContent-Length: 3\n\nabc"))
+	f.Add([]byte("POST /s HTTP/1.1\r\nWeird:   padded value  \r\nContent-Length: 0\r\n\r\n"))
+	f.Add([]byte("POST /s HTTP/1.1\r\nno-colon-here\r\n\r\n"))
+	for _, tc := range FrameCases {
+		f.Add([]byte(tc.Wire))
+	}
+	f.Fuzz(func(t *testing.T, src []byte) {
+		var req Request
+		if ParseRequestInto(src, &req) != nil {
+			return
+		}
+		if !within(src, unsafe.StringData(req.Target), len(req.Target)) {
+			t.Fatalf("target %q is not a view into the input", req.Target)
+		}
+		for i, h := range req.Headers {
+			if !within(src, unsafe.StringData(h.Name), len(h.Name)) || !within(src, unsafe.StringData(h.Value), len(h.Value)) {
+				t.Fatalf("header %d %q: %q is not a view into the input", i, h.Name, h.Value)
+			}
+		}
+		if len(req.Body) > 0 && !within(src, &req.Body[0], len(req.Body)) {
+			t.Fatalf("body (%d bytes) is not a view into the input", len(req.Body))
+		}
+
+		wire := FormatRequestTo(nil, &req)
+		var again Request
+		if err := ParseRequestInto(wire, &again); err != nil {
+			t.Fatalf("re-serialised request refused: %v\n%q", err, wire)
+		}
+		if again.Method != req.Method || again.Target != req.Target || again.Proto != req.Proto {
+			t.Fatalf("request line %q %q %q came back as %q %q %q", req.Method, req.Target, req.Proto, again.Method, again.Target, again.Proto)
+		}
+		if len(again.Headers) != len(req.Headers) {
+			t.Fatalf("%d headers came back as %d", len(req.Headers), len(again.Headers))
+		}
+		for i := range req.Headers {
+			if again.Headers[i] != req.Headers[i] {
+				t.Fatalf("header %d %+v came back as %+v", i, req.Headers[i], again.Headers[i])
+			}
+		}
+		if !bytes.Equal(again.Body, req.Body) {
+			t.Fatalf("body %q came back as %q", req.Body, again.Body)
+		}
+	})
 }

@@ -18,7 +18,10 @@
 // serving — counters are observability, never a hard dependency.
 package hwcount
 
-import "errors"
+import (
+	"errors"
+	"runtime"
+)
 
 // Event identifies one hardware event in the fixed measurement set. The
 // set matches the paper's VTune event list, translated to the generalized
@@ -64,6 +67,16 @@ func (e Event) String() string {
 // ErrUnsupported means this platform cannot open perf events at all
 // (non-Linux build, or an architecture without a syscall number wired).
 var ErrUnsupported = errors.New("hwcount: perf events unsupported on this platform")
+
+// sequentialCPUs is the CPU list where the affinity set cannot be read:
+// ids 0..runtime.NumCPU()-1.
+func sequentialCPUs() []int {
+	ids := make([]int, runtime.NumCPU())
+	for i := range ids {
+		ids[i] = i
+	}
+	return ids
+}
 
 // Counts is one scaled reading of the full event set.
 type Counts [NumEvents]uint64

@@ -5,6 +5,7 @@ package hwcount
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"syscall"
 	"unsafe"
 )
@@ -29,8 +30,8 @@ const (
 	flagFDCloexec = 1 << 3
 
 	// ioctls.
-	iocEnable = 0x2400
-	iocReset  = 0x2403
+	iocEnable    = 0x2400
+	iocReset     = 0x2403
 	iocFlagGroup = 1
 )
 
@@ -98,7 +99,7 @@ func (g *Group) UserOnly() bool { return g.userOnly }
 
 // Supported reports that this platform can attempt perf_event_open at
 // all. True here; whether the host actually grants events is decided by
-// Open/OpenThread at runtime.
+// Open/OpenCPU at runtime.
 func Supported() bool { return true }
 
 // Open opens the fixed event set for this process (pid 0, any CPU, with
@@ -114,23 +115,53 @@ func Supported() bool { return true }
 // and each strategy retries with exclude_kernel when the paranoid level
 // denies kernel-mode counting. The first error of the last strategy is
 // returned when nothing works (no PMU, seccomp, paranoid >= 3).
-func Open() (*Group, error) { return openSet(true) }
+func Open() (*Group, error) { return openSet(-1) }
 
-// OpenThread opens the fixed event set scoped to the calling OS thread
-// only (pid 0, no inherit): the per-worker counter group behind the
-// gateway's per-worker CPI skew. The caller must pin its goroutine with
-// runtime.LockOSThread *before* calling, and keep it pinned for the
-// group's lifetime, or the readings attribute a thread the goroutine no
-// longer runs on. Without inherit most kernels accept PERF_FORMAT_GROUP,
-// so per-thread groups usually get the atomic grouped read that the
-// process-wide set is denied.
-func OpenThread() (*Group, error) { return openSet(false) }
+// OpenCPU opens the fixed event set for this process restricted to
+// logical CPU n, an id from CPUs (pid 0, cpu n, inherit): the per-CPU
+// counter group behind the gateway's per-processor CPI skew. It has
+// Open's inherit caveat — threads the runtime started before the call
+// are not counted, so a CPU only they run on reads zero — and the same
+// strategy order.
+func OpenCPU(n int) (*Group, error) { return openSet(n) }
 
-func openSet(inherit bool) (*Group, error) {
+// CPUs lists the logical CPU ids in the calling thread's scheduler
+// affinity set, ascending — the CPUs this process runs on, which is what
+// runtime.NumCPU counts but need not be 0..NumCPU-1 (a cpuset may grant
+// CPUs 4-7 only). Falls back to 0..runtime.NumCPU()-1 if the set cannot
+// be read.
+func CPUs() []int {
+	for words := 16; words <= 1<<12; words *= 2 {
+		mask := make([]uint64, words)
+		// The raw syscall returns the bytes of mask the kernel filled, a
+		// whole number of words; EINVAL means the mask is too small.
+		n, _, errno := syscall.RawSyscall(syscall.SYS_SCHED_GETAFFINITY,
+			0, uintptr(8*words), uintptr(unsafe.Pointer(&mask[0])))
+		if errno == syscall.EINVAL {
+			continue
+		}
+		if errno != 0 {
+			break
+		}
+		var ids []int
+		for w, bitsSet := range mask[:n/8] {
+			for ; bitsSet != 0; bitsSet &= bitsSet - 1 {
+				ids = append(ids, 64*w+bits.TrailingZeros64(bitsSet))
+			}
+		}
+		if len(ids) > 0 {
+			return ids
+		}
+		break
+	}
+	return sequentialCPUs()
+}
+
+func openSet(cpu int) (*Group, error) {
 	var lastErr error
 	for _, grouped := range []bool{true, false} {
 		for _, userOnly := range []bool{false, true} {
-			g, err := open(grouped, userOnly, inherit)
+			g, err := open(grouped, userOnly, cpu)
 			if err == nil {
 				return g, nil
 			}
@@ -140,7 +171,7 @@ func openSet(inherit bool) (*Group, error) {
 	return nil, lastErr
 }
 
-func open(grouped, userOnly, inherit bool) (*Group, error) {
+func open(grouped, userOnly bool, cpu int) (*Group, error) {
 	g := &Group{grouped: grouped, userOnly: userOnly}
 	for i := range g.fds {
 		g.fds[i] = -1
@@ -149,10 +180,7 @@ func open(grouped, userOnly, inherit bool) (*Group, error) {
 		attr := perfEventAttr{
 			Type:   perfTypeHardware,
 			Config: hwConfig[e],
-			Bits:   attrExcludeHV,
-		}
-		if inherit {
-			attr.Bits |= attrInherit
+			Bits:   attrExcludeHV | attrInherit,
 		}
 		attr.Size = uint32(unsafe.Sizeof(attr))
 		if userOnly {
@@ -171,7 +199,7 @@ func open(grouped, userOnly, inherit bool) (*Group, error) {
 		} else {
 			attr.ReadFormat = fmtTotalTimeEnabled | fmtTotalTimeRunning
 		}
-		fd, err := perfEventOpen(&attr, 0, -1, groupFD, flagFDCloexec)
+		fd, err := perfEventOpen(&attr, 0, cpu, groupFD, flagFDCloexec)
 		if err != nil {
 			g.Close()
 			return nil, fmt.Errorf("hwcount: open %s (grouped=%v user-only=%v): %w",

@@ -12,8 +12,12 @@ func Supported() bool { return false }
 // back to runtime-metrics-only observability.
 func Open() (*Group, error) { return nil, ErrUnsupported }
 
-// OpenThread always fails where perf_event_open is unavailable.
-func OpenThread() (*Group, error) { return nil, ErrUnsupported }
+// OpenCPU always fails where perf_event_open is unavailable.
+func OpenCPU(int) (*Group, error) { return nil, ErrUnsupported }
+
+// CPUs lists ids 0..runtime.NumCPU()-1 on platforms whose affinity set
+// is not read.
+func CPUs() []int { return sequentialCPUs() }
 
 // Grouped reports false on unsupported platforms.
 func (g *Group) Grouped() bool { return false }

@@ -2,7 +2,6 @@ package hwcount
 
 import (
 	"math"
-	"runtime"
 	"testing"
 )
 
@@ -130,40 +129,6 @@ func TestCountsSubAndMap(t *testing.T) {
 	}
 }
 
-// TestOpenThreadLive opportunistically opens a per-thread event set from
-// a pinned goroutine — the per-worker counter group path. On perf-denied
-// hosts it verifies the error fallback instead. A busy loop on the
-// pinned thread must show up in the thread-scoped counters.
-func TestOpenThreadLive(t *testing.T) {
-	runtime.LockOSThread()
-	defer runtime.UnlockOSThread()
-	g, err := OpenThread()
-	if err != nil {
-		t.Skipf("per-thread perf events unavailable here (fallback path is live): %v", err)
-	}
-	defer g.Close()
-	x := 0
-	for i := 0; i < 1_000_000; i++ {
-		x += i * i
-	}
-	_ = x
-	r, err := g.Read()
-	if err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	if r.Counts.Get(Cycles) == 0 || r.Counts.Get(Instructions) == 0 {
-		t.Fatalf("thread counters empty after busy loop on the pinned thread: %+v", r.Counts)
-	}
-	t.Logf("thread group: grouped=%v userOnly=%v cpi=%.2f",
-		g.Grouped(), g.UserOnly(), Derive(r.Counts).CPI)
-	if err := g.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	if err := g.Close(); err != nil {
-		t.Fatalf("second close not idempotent: %v", err)
-	}
-}
-
 // TestSupportedMatchesOpen keeps the platform predicate honest: on a
 // platform where Supported reports false, Open must fail with
 // ErrUnsupported; where it reports true, Open may succeed or fail with
@@ -175,8 +140,8 @@ func TestSupportedMatchesOpen(t *testing.T) {
 	if _, err := Open(); err != ErrUnsupported {
 		t.Fatalf("unsupported platform Open error = %v, want ErrUnsupported", err)
 	}
-	if _, err := OpenThread(); err != ErrUnsupported {
-		t.Fatalf("unsupported platform OpenThread error = %v, want ErrUnsupported", err)
+	if _, err := OpenCPU(0); err != ErrUnsupported {
+		t.Fatalf("unsupported platform OpenCPU error = %v, want ErrUnsupported", err)
 	}
 }
 

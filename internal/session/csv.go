@@ -8,16 +8,16 @@ import (
 	"strconv"
 )
 
-// csvHeader is the fixed dump schema. Per-worker metrics are flattened
-// to the skew extremes (min/max CPI across workers) so the row width
-// stays constant regardless of pool size; the full per-worker detail
-// lives in the JSON forms (/timeline and the /stats timeline section).
+// csvHeader is the fixed dump schema. Per-CPU metrics are flattened to
+// the skew extremes (min/max CPI across CPUs) so the row width stays
+// constant regardless of CPU count; the full per-CPU detail lives in the
+// JSON forms (/timeline and the /stats timeline section).
 var csvHeader = []string{
 	"t_ms", "window_sec",
 	"messages", "msgs_per_sec", "bytes_in", "shed",
 	"latency_p50_us", "latency_p99_us",
 	"cpi", "cache_mpi_pct", "br_mpr_pct", "derived_source",
-	"workers", "worker_cpi_min", "worker_cpi_max",
+	"cpus", "cpu_cpi_min", "cpu_cpi_max", "gomaxprocs",
 	"goroutines", "gc_cpu_pct", "sched_lat_p99_us",
 	"upstream_idle_conns", "upstream_healthy",
 }
@@ -26,13 +26,13 @@ var csvHeader = []string{
 func csvRecord(s Sample) []string {
 	f := func(v float64) string { return strconv.FormatFloat(v, 'g', 6, 64) }
 	u := func(v uint64) string { return strconv.FormatUint(v, 10) }
-	cpiMin, cpiMax := workerCPIBounds(s.Workers)
+	cpiMin, cpiMax := cpuCPIBounds(s.CPUs)
 	return []string{
 		strconv.FormatInt(s.TMS, 10), f(s.WindowSec),
 		u(s.Messages), f(s.MsgsPerSec), u(s.BytesIn), u(s.Shed),
 		u(s.LatencyP50US), u(s.LatencyP99US),
 		f(s.CPI), f(s.CacheMPI), f(s.BrMPR), s.DerivedSource,
-		strconv.Itoa(len(s.Workers)), f(cpiMin), f(cpiMax),
+		strconv.Itoa(len(s.CPUs)), f(cpiMin), f(cpiMax), strconv.Itoa(s.GOMAXPROCS),
 		strconv.Itoa(s.Goroutines), f(s.GCCPUPct), f(s.SchedLatP99US),
 		strconv.Itoa(s.UpstreamIdle), strconv.Itoa(s.UpstreamHealthy),
 	}
@@ -44,13 +44,13 @@ func WriteCSV(w io.Writer, samples []Sample) error {
 	return NewAppender(w, true).Append(samples)
 }
 
-func workerCPIBounds(ws []WorkerSample) (min, max float64) {
-	for i, w := range ws {
-		if i == 0 || w.CPI < min {
-			min = w.CPI
+func cpuCPIBounds(cs []CPUSample) (min, max float64) {
+	for i, c := range cs {
+		if i == 0 || c.CPI < min {
+			min = c.CPI
 		}
-		if i == 0 || w.CPI > max {
-			max = w.CPI
+		if i == 0 || c.CPI > max {
+			max = c.CPI
 		}
 	}
 	return min, max

@@ -8,7 +8,7 @@ import (
 )
 
 // CSVRow is one parsed line of a session artifact — the flattened schema
-// WriteCSV emits. Worker detail stays flattened (the CSV never carried
+// WriteCSV emits. Per-CPU detail stays flattened (the CSV never carried
 // it); the fields here are the ones replay consumers (cmd/aoncap's
 // predicted-vs-measured tables) need.
 type CSVRow struct {
@@ -24,7 +24,8 @@ type CSVRow struct {
 	CacheMPI     float64
 	BrMPR        float64
 	Source       string
-	Workers      int
+	CPUs         int
+	GOMAXPROCS   int
 	Goroutines   int
 	GCCPUPct     float64
 }
@@ -84,7 +85,8 @@ func ReadCSV(r io.Reader) ([]CSVRow, error) {
 			CacheMPI:     p.f("cache_mpi_pct"),
 			BrMPR:        p.f("br_mpr_pct"),
 			Source:       p.s("derived_source"),
-			Workers:      p.i("workers"),
+			CPUs:         p.i("cpus"),
+			GOMAXPROCS:   p.i("gomaxprocs"),
 			Goroutines:   p.i("goroutines"),
 			GCCPUPct:     p.f("gc_cpu_pct"),
 		}

@@ -3,7 +3,7 @@
 // paper's VTune sampling sessions ran at) snapshots the measurement
 // layer into a bounded ring-buffer timeline. Where PR 3's windowed
 // /stats reading shows *that* CPI differs across use cases, the timeline
-// shows *when* — counter and latency values over time, per worker — the
+// shows *when* — counter and latency values over time, per CPU — the
 // raw material for the paper's CPI-over-time figures.
 //
 // The package is deliberately generic: the sampler owns the clock, the
@@ -20,11 +20,11 @@ import (
 	"time"
 )
 
-// WorkerSample is one worker's derived counter window inside a Sample —
-// the per-thread view that exposes CPI/cache/branch skew across the pool
-// instead of one process-wide average.
-type WorkerSample struct {
-	Worker int `json:"worker"`
+// CPUSample is one logical CPU's derived counter window inside a Sample —
+// the paper's per-processor view, exposing CPI/cache/branch skew across
+// CPUs instead of one process-wide average.
+type CPUSample struct {
+	CPU int `json:"cpu"`
 	// CPI, CacheMPI, BrMPR follow the paper's Section 3.3 definitions
 	// (see internal/hwcount.Derived).
 	CPI           float64 `json:"cpi"`
@@ -35,7 +35,7 @@ type WorkerSample struct {
 
 // Sample is one fixed-interval observation: gateway throughput deltas
 // over the window, the latency view, the derived counter metrics
-// (process aggregate plus per-worker), runtime-health gauges, and the
+// (process aggregate plus per-CPU), runtime-health gauges, and the
 // upstream pool gauges when the gateway forwards.
 type Sample struct {
 	// TMS is the sample's wall-clock time in Unix milliseconds.
@@ -60,8 +60,11 @@ type Sample struct {
 	CacheMPI      float64 `json:"cache_mpi_pct"`
 	BrMPR         float64 `json:"br_mpr_pct"`
 	DerivedSource string  `json:"derived_source"` // "hw" or "model"
-	// ...and the per-worker skew.
-	Workers []WorkerSample `json:"workers,omitempty"`
+	// ...and the per-CPU skew.
+	CPUs []CPUSample `json:"cpus,omitempty"`
+	// GOMAXPROCS is the scheduler width the gateway ran at — its
+	// parallelism, and the server count a capacity model replays.
+	GOMAXPROCS int `json:"gomaxprocs"`
 
 	// Runtime gauges.
 	Goroutines    int     `json:"goroutines"`

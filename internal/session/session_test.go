@@ -154,13 +154,13 @@ func TestSamplerValidation(t *testing.T) {
 }
 
 // TestWriteCSV pins the dump shape: header plus one row per sample with
-// per-worker CPI flattened to min/max.
+// per-CPU CPI flattened to min/max.
 func TestWriteCSV(t *testing.T) {
 	samples := []Sample{
 		{TMS: 1000, WindowSec: 0.1, Messages: 42, MsgsPerSec: 420, CPI: 1.5,
 			DerivedSource: "hw",
-			Workers: []WorkerSample{
-				{Worker: 0, CPI: 1.2}, {Worker: 1, CPI: 1.9},
+			CPUs: []CPUSample{
+				{CPU: 0, CPI: 1.2}, {CPU: 1, CPI: 1.9},
 			}},
 		{TMS: 1100, WindowSec: 0.1, DerivedSource: "model"},
 	}
@@ -172,11 +172,11 @@ func TestWriteCSV(t *testing.T) {
 	if len(lines) != 3 {
 		t.Fatalf("csv has %d lines, want header + 2 rows:\n%s", len(lines), buf.String())
 	}
-	if !strings.HasPrefix(lines[0], "t_ms,window_sec,messages") {
+	if !strings.HasPrefix(lines[0], "t_ms,window_sec,messages") || !strings.Contains(lines[0], ",cpus,cpu_cpi_min,cpu_cpi_max,") {
 		t.Fatalf("unexpected header %q", lines[0])
 	}
 	if !strings.Contains(lines[1], ",2,1.2,1.9,") {
-		t.Fatalf("row 1 missing worker count and CPI bounds: %q", lines[1])
+		t.Fatalf("row 1 missing CPU count and CPI bounds: %q", lines[1])
 	}
 	if !strings.Contains(lines[2], "model") {
 		t.Fatalf("row 2 missing derived source: %q", lines[2])
@@ -190,8 +190,8 @@ func TestReadCSVRoundTrip(t *testing.T) {
 	samples := []Sample{
 		{TMS: 1000, WindowSec: 0.5, Messages: 100, MsgsPerSec: 200, Shed: 50,
 			LatencyP50US: 800, LatencyP99US: 4000, CPI: 1.5, DerivedSource: "hw",
-			Workers:    []WorkerSample{{Worker: 0, CPI: 1.2}, {Worker: 1, CPI: 1.9}},
-			Goroutines: 12, GCCPUPct: 0.5},
+			CPUs:       []CPUSample{{CPU: 0, CPI: 1.2}, {CPU: 1, CPI: 1.9}},
+			GOMAXPROCS: 1, Goroutines: 12, GCCPUPct: 0.5},
 		{TMS: 1500, WindowSec: 0.5, Messages: 120, MsgsPerSec: 240, DerivedSource: "model"},
 	}
 	var buf bytes.Buffer
@@ -212,7 +212,9 @@ func TestReadCSVRoundTrip(t *testing.T) {
 	if r.LatencyP50US != 800 || r.LatencyP99US != 4000 || r.CPI != 1.5 || r.Source != "hw" {
 		t.Fatalf("row 0 metrics: %+v", r)
 	}
-	if r.Workers != 2 || r.Goroutines != 12 {
+	// The scheduler width is recorded apart from the CPU count: a
+	// replay models GOMAXPROCS servers, not the CPUs listed.
+	if r.CPUs != 2 || r.GOMAXPROCS != 1 || r.Goroutines != 12 {
 		t.Fatalf("row 0 gauges: %+v", r)
 	}
 	// 200 completed/s + 50 shed over 0.5s = 300 offered/s.
