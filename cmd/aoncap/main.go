@@ -49,7 +49,7 @@ import (
 
 func main() {
 	csvPath := flag.String("csv", "", "session artifact (CSV written by aongate) to replay against the model")
-	calPath := flag.String("calibration", "", "calibration artifact (hwreport -timeline) to seed demands from")
+	calPath := flag.String("calibration", "", "calibration artifact (aonsim -exp live) to seed demands from")
 	ucName := flag.String("usecase", "CBR", "use case whose calibration entry seeds the demand (-calibration mode)")
 	demandUS := flag.Float64("demand-us", 0, "override the per-message worker demand in microseconds")
 	targetP99 := flag.Duration("target-p99", 100*time.Millisecond, "latency bound for admissible-load columns")
@@ -166,14 +166,11 @@ func seedDemand(rows []session.CSVRow, calPath, ucName string, overrideUS float6
 		if err != nil {
 			fatal(err.Error())
 		}
-		e, ok := cal.EntryFor(uc, width)
+		e, ok := cal.Entries[uc.String()]
 		if !ok || e.LiveP50US <= 0 {
-			fatal(fmt.Sprintf("calibration has no live p50 for %s (record with hwreport -timeline)", ucName))
+			fatal(fmt.Sprintf("calibration has no live p50 for %s (record with aonsim -exp live)", uc))
 		}
-		if e.Width > 0 {
-			width = e.Width
-		}
-		return e.LiveP50US / 1e6, width, fmt.Sprintf("calibration %s", harness.EntryKey(uc, e.Width))
+		return e.LiveP50US / 1e6, width, fmt.Sprintf("calibration %s", uc)
 	}
 	return 0, width, ""
 }

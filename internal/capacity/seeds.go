@@ -2,23 +2,24 @@ package capacity
 
 import "strings"
 
-// seedTable holds the built-in per-use-case stage-demand seeds: rough
-// loopback service times for the paper's 5 KB message, measured once on
-// the reference development box and rounded. They exist so offline
-// what-if modeling (aoncap, campaign pre-flight) has a starting point per
-// use case before any session or calibration artifact exists — a seed,
-// not a measurement; replace with -csv/-calibration data when available.
+// seedTable holds the built-in per-use-case stage-demand seeds: the
+// stage p50s of one traced loopback run per use case on the paper's 5 KB
+// message, `aonload -sweep 2 -usecase X -n 5000` on a 2-vCPU x86-64 guest,
+// 2026-10-15. The stage histograms are log2-bucketed, so each p50 is a
+// bucket's upper bound: within 2x above the true median. They exist so
+// offline what-if modeling (aoncap, campaign pre-flight) has a starting
+// point per use case before any session or calibration artifact exists;
+// -csv/-calibration data from the machine being modeled replaces them.
 //
-// The ordering tells the paper's story: FR touches no XML, DPI scans
-// bytes, AUTH hashes them, CBR parses + routes, XJ parses + re-emits,
-// SV parses + validates.
+// FR touches no XML and DPI only scans bytes; CBR, SV and XJ pay for one
+// tokenizer pass, and AUTH's HMAC over the body costs about as much.
 var seedTable = map[string]StageDemands{
-	"FR":   {Read: 40e-6, Parse: 25e-6, Process: 5e-6, Write: 15e-6},
-	"CBR":  {Read: 40e-6, Parse: 25e-6, Process: 350e-6, Write: 15e-6},
-	"SV":   {Read: 40e-6, Parse: 25e-6, Process: 700e-6, Write: 15e-6},
-	"DPI":  {Read: 40e-6, Parse: 25e-6, Process: 120e-6, Write: 15e-6},
-	"AUTH": {Read: 40e-6, Parse: 25e-6, Process: 90e-6, Write: 15e-6},
-	"XJ":   {Read: 40e-6, Parse: 25e-6, Process: 520e-6, Write: 20e-6},
+	"FR":   {Read: 1e-6, Parse: 1e-6, Process: 1e-6, Write: 4e-6},
+	"CBR":  {Read: 1e-6, Parse: 1e-6, Process: 64e-6, Write: 8e-6},
+	"SV":   {Read: 2e-6, Parse: 1e-6, Process: 64e-6, Write: 8e-6},
+	"DPI":  {Read: 1e-6, Parse: 1e-6, Process: 32e-6, Write: 4e-6},
+	"AUTH": {Read: 2e-6, Parse: 1e-6, Process: 64e-6, Write: 8e-6},
+	"XJ":   {Read: 1e-6, Parse: 1e-6, Process: 64e-6, Write: 8e-6},
 }
 
 // SeedDemands returns the built-in stage-demand seed for a use-case name

@@ -37,22 +37,17 @@ type CalibrationEntry struct {
 	SimBrMPR   float64 `json:"sim_br_mpr_pct"`
 	LiveBrMPR  float64 `json:"live_br_mpr_pct"`
 	BrMPRScale float64 `json:"br_mpr_scale"`
-	// Width is the GOMAXPROCS the live session ran with (0:
-	// width-agnostic, the pre-width artifact format). Width-specific
-	// entries live under "UC@N" keys; EntryFor selects or interpolates
-	// among them.
-	Width int `json:"width,omitempty"`
 	// LiveP50US is the live session's median end-to-end latency — the
 	// no-contention service-demand seed the capacity model can start
 	// from before stage traces land.
 	LiveP50US float64 `json:"live_p50_us,omitempty"`
-	// LiveMsgsPerSec is the session's measured throughput at this width,
-	// the measured side of a predicted-vs-measured capacity table.
+	// LiveMsgsPerSec is the session's measured throughput, the measured
+	// side of a predicted-vs-measured capacity table.
 	LiveMsgsPerSec float64 `json:"live_msgs_per_sec,omitempty"`
 }
 
 // Calibration is the on-disk artifact: one entry per use case measured
-// against one simulated configuration.
+// against one simulated configuration, keyed by the use case's name.
 type Calibration struct {
 	Config  string                      `json:"config"` // simulated machine, e.g. "2CPm"
 	Entries map[string]CalibrationEntry `json:"entries"`
@@ -83,95 +78,13 @@ func NewCalibrationEntry(sim counters.Metrics, liveCPI, liveMPI, liveBrMPR float
 	return e
 }
 
-// EntryKey names a calibration entry: "UC" for width-agnostic entries,
-// "UC@N" for entries recorded at GOMAXPROCS N.
-func EntryKey(uc workload.UseCase, width int) string {
-	if width > 0 {
-		return fmt.Sprintf("%s@%d", uc, width)
-	}
-	return uc.String()
-}
-
-// EntryFor selects the calibration entry for uc at the given width:
-// an exact "UC@width" entry wins; otherwise the two nearest recorded
-// widths interpolate linearly (clamping outside the recorded range);
-// otherwise the width-agnostic "UC" entry stands in. ok is false when
-// the artifact knows nothing about uc.
-func (c *Calibration) EntryFor(uc workload.UseCase, width int) (CalibrationEntry, bool) {
-	if c == nil {
-		return CalibrationEntry{}, false
-	}
-	if width > 0 {
-		if e, ok := c.Entries[EntryKey(uc, width)]; ok {
-			return e, true
-		}
-		// Collect this use case's width-specific entries and bracket.
-		var lo, hi *CalibrationEntry
-		for k := range c.Entries {
-			e := c.Entries[k]
-			if e.Width <= 0 || k != EntryKey(uc, e.Width) {
-				continue
-			}
-			if e.Width < width {
-				if lo == nil || e.Width > lo.Width {
-					e := e
-					lo = &e
-				}
-			} else {
-				if hi == nil || e.Width < hi.Width {
-					e := e
-					hi = &e
-				}
-			}
-		}
-		switch {
-		case lo != nil && hi != nil:
-			return interpolateEntries(*lo, *hi, width), true
-		case lo != nil:
-			return *lo, true
-		case hi != nil:
-			return *hi, true
-		}
-	}
-	e, ok := c.Entries[uc.String()]
-	return e, ok
-}
-
-// interpolateEntries blends two width-bracketing entries linearly at
-// width w. Source metadata comes from the nearer endpoint.
-func interpolateEntries(lo, hi CalibrationEntry, w int) CalibrationEntry {
-	span := float64(hi.Width - lo.Width)
-	if span <= 0 {
-		return lo
-	}
-	f := (float64(w) - float64(lo.Width)) / span
-	lerp := func(a, b float64) float64 { return a + f*(b-a) }
-	out := lo
-	if f > 0.5 {
-		out = hi
-	}
-	out.Width = w
-	out.CPIScale = lerp(lo.CPIScale, hi.CPIScale)
-	out.MPIScale = lerp(lo.MPIScale, hi.MPIScale)
-	out.BrMPRScale = lerp(lo.BrMPRScale, hi.BrMPRScale)
-	out.LiveCPI = lerp(lo.LiveCPI, hi.LiveCPI)
-	out.LiveMPI = lerp(lo.LiveMPI, hi.LiveMPI)
-	out.LiveBrMPR = lerp(lo.LiveBrMPR, hi.LiveBrMPR)
-	out.LiveP50US = lerp(lo.LiveP50US, hi.LiveP50US)
-	out.LiveMsgsPerSec = lerp(lo.LiveMsgsPerSec, hi.LiveMsgsPerSec)
-	return out
-}
-
 // Apply scales a model prediction by the stored live/sim ratios for uc.
 // Unknown use cases and identity entries pass m through unchanged.
 func (c *Calibration) Apply(uc workload.UseCase, m counters.Metrics) counters.Metrics {
-	return c.ApplyWidth(uc, 0, m)
-}
-
-// ApplyWidth scales a model prediction by the ratios recorded for uc at
-// the given width (see EntryFor for the selection rules).
-func (c *Calibration) ApplyWidth(uc workload.UseCase, width int, m counters.Metrics) counters.Metrics {
-	e, ok := c.EntryFor(uc, width)
+	if c == nil {
+		return m
+	}
+	e, ok := c.Entries[uc.String()]
 	if !ok {
 		return m
 	}
@@ -222,8 +135,10 @@ func (c *Calibration) WriteFile(path string) error {
 	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
-// LoadCalibration reads an artifact written by WriteFile (or by
-// hwreport -timeline).
+// LoadCalibration reads an artifact written by WriteFile (aonsim -exp
+// live writes one). Every entry key must be a use case's name exactly as
+// Apply looks it up, so an entry nothing would read is an error, not a
+// silent no-op.
 func LoadCalibration(path string) (*Calibration, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -235,6 +150,11 @@ func LoadCalibration(path string) (*Calibration, error) {
 	}
 	if len(c.Entries) == 0 {
 		return nil, fmt.Errorf("harness: calibration file %s has no entries", path)
+	}
+	for k := range c.Entries {
+		if uc, err := workload.ParseUseCase(k); err != nil || uc.String() != k {
+			return nil, fmt.Errorf("harness: calibration file %s: entry key %q is not a use case name", path, k)
+		}
 	}
 	return &c, nil
 }

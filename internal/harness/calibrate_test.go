@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"fmt"
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/perf/counters"
@@ -106,65 +108,20 @@ func TestPredictedMetricsCached(t *testing.T) {
 	}
 }
 
-// TestEntryForWidthSelection pins the per-width selection rules: exact
-// width wins, bracketing widths interpolate linearly, out-of-range
-// widths clamp to the nearest endpoint, and the width-agnostic entry is
-// the last resort.
-func TestEntryForWidthSelection(t *testing.T) {
-	mk := func(w int, scale, p50 float64) CalibrationEntry {
-		return CalibrationEntry{Width: w, LiveSource: "hw", CPIScale: scale, MPIScale: 1, BrMPRScale: 1, LiveP50US: p50}
-	}
-	c := &Calibration{
-		Config: "2CPm",
-		Entries: map[string]CalibrationEntry{
-			"CBR":   {LiveSource: "hw", CPIScale: 9, MPIScale: 1, BrMPRScale: 1},
-			"CBR@1": mk(1, 1.0, 100),
-			"CBR@4": mk(4, 2.0, 400),
-		},
-	}
-
-	// Exact hit.
-	e, ok := c.EntryFor(workload.CBR, 4)
-	if !ok || e.CPIScale != 2.0 {
-		t.Fatalf("exact width: ok=%v %+v", ok, e)
-	}
-	// Interpolation at width 2: 1/3 of the way from 1 to 4.
-	e, ok = c.EntryFor(workload.CBR, 2)
-	if !ok || math.Abs(e.CPIScale-(1.0+1.0/3)) > 1e-9 {
-		t.Fatalf("interpolated scale: ok=%v %+v", ok, e)
-	}
-	if math.Abs(e.LiveP50US-200) > 1e-9 {
-		t.Fatalf("interpolated p50: %+v", e)
-	}
-	if e.Width != 2 {
-		t.Fatalf("interpolated width: %+v", e)
-	}
-	// Clamp above the recorded range.
-	e, ok = c.EntryFor(workload.CBR, 8)
-	if !ok || e.CPIScale != 2.0 {
-		t.Fatalf("clamp-high: ok=%v %+v", ok, e)
-	}
-	// Clamp below.
-	if e, ok = c.EntryFor(workload.CBR, 1); !ok || e.CPIScale != 1.0 {
-		t.Fatalf("clamp-low/exact: ok=%v %+v", ok, e)
-	}
-	// Width 0 asks for the width-agnostic entry.
-	if e, ok = c.EntryFor(workload.CBR, 0); !ok || e.CPIScale != 9 {
-		t.Fatalf("width-agnostic: ok=%v %+v", ok, e)
-	}
-	// Unknown use case.
-	if _, ok = c.EntryFor(workload.SV, 2); ok {
-		t.Fatal("unknown use case must miss")
-	}
-	// A use case with only width entries still resolves when asked
-	// width-specifically, and ApplyWidth uses it.
-	delete(c.Entries, "CBR")
-	m := c.ApplyWidth(workload.CBR, 4, counters.Metrics{CPI: 2})
-	if math.Abs(m.CPI-4) > 1e-9 {
-		t.Fatalf("ApplyWidth: %+v", m)
-	}
-	// EntryKey round-trips both formats.
-	if EntryKey(workload.CBR, 0) != "CBR" || EntryKey(workload.CBR, 4) != "CBR@4" {
-		t.Fatalf("EntryKey: %q %q", EntryKey(workload.CBR, 0), EntryKey(workload.CBR, 4))
+// TestLoadCalibrationRejectsUnknownKeys refuses entries Apply would never
+// read: the retired per-width "UC@N" keys, names that are not use cases,
+// and use-case names not spelled as Apply looks them up.
+func TestLoadCalibrationRejectsUnknownKeys(t *testing.T) {
+	entry := NewCalibrationEntry(counters.Metrics{CPI: 2}, 3, 0, 0, 4, "hw")
+	for _, key := range []string{"CBR@1", "bogus", "cbr", ""} {
+		path := filepath.Join(t.TempDir(), "cal.json")
+		c := &Calibration{Config: "2CPm", Entries: map[string]CalibrationEntry{"FR": entry, key: entry}}
+		if err := c.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadCalibration(path)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", key)) {
+			t.Fatalf("key %q: err = %v, want a refusal naming the key", key, err)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/perf/counters"
 	"repro/internal/perf/machine"
 	"repro/internal/sim/sched"
+	"repro/internal/vtune"
 	"repro/internal/workload"
 )
 
@@ -88,7 +89,13 @@ type AONResult struct {
 	Metrics   counters.Metrics
 	Raw       counters.Set
 	Stats     aon.Stats
+	// Utilization is each logical CPU's mean busy fraction over the
+	// measurement window, from vtune sampling (the paper's Section 3.3).
+	Utilization []float64
 }
+
+// utilIntervalSec is the simulated sampling period of RunAON's profiler.
+const utilIntervalSec = 100e-6
 
 // RunAON measures one use case on one configuration.
 func RunAON(id machine.ConfigID, uc workload.UseCase, o AONOpts) (AONResult, error) {
@@ -111,9 +118,14 @@ func RunAON(id machine.ConfigID, uc workload.UseCase, o AONOpts) (AONResult, err
 
 	m.ResetWindow()
 	t0 := m.MaxNow()
+	// The profiler only reads counters, so its events leave the run as
+	// it would be without them.
+	prof := vtune.New(e, m.Cycles(utilIntervalSec))
+	prof.Start(t0)
 	msgs0, bytes0 := s.Stats.Messages, s.Stats.BytesIn
 	target := msgs0 + uint64(o.MeasureMsgs)
 	e.Run(func(*sched.Engine) bool { return s.Stats.Messages >= target })
+	prof.Stop()
 	t1 := m.MaxNow()
 	m.CloseWindow(t1)
 
@@ -125,13 +137,14 @@ func RunAON(id machine.ConfigID, uc workload.UseCase, o AONOpts) (AONResult, err
 	bytes := float64(s.Stats.BytesIn - bytes0)
 	raw := m.SystemCounters()
 	return AONResult{
-		Config:    id,
-		UseCase:   uc,
-		Mbps:      bytes * 8 / seconds / 1e6,
-		MsgPerSec: msgs / seconds,
-		Metrics:   counters.Derive(raw),
-		Raw:       raw,
-		Stats:     s.Stats,
+		Config:      id,
+		UseCase:     uc,
+		Mbps:        bytes * 8 / seconds / 1e6,
+		MsgPerSec:   msgs / seconds,
+		Metrics:     counters.Derive(raw),
+		Raw:         raw,
+		Stats:       s.Stats,
+		Utilization: prof.Utilization(),
 	}, nil
 }
 

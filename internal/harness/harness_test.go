@@ -40,6 +40,28 @@ func TestRunAONBasic(t *testing.T) {
 	}
 }
 
+// TestRunAONUtilization checks the profiler RunAON runs over its
+// measurement window: one busy fraction per logical CPU, each in (0, 1],
+// on a one-CPU and a two-logical-CPU configuration.
+func TestRunAONUtilization(t *testing.T) {
+	for _, id := range []machine.ConfigID{machine.OneCPm, machine.TwoLPx} {
+		for _, uc := range []workload.UseCase{workload.FR, workload.SV} {
+			r, err := RunAON(id, uc, AONOpts{WarmupMsgs: 20, MeasureMsgs: 60, Window: 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := len(machine.New(id, machine.Options{}).LCPUs); len(r.Utilization) != want {
+				t.Fatalf("%s %s: %d utilization entries, want %d", id, uc, len(r.Utilization), want)
+			}
+			for cpu, u := range r.Utilization {
+				if u <= 0 || u > 1 {
+					t.Errorf("%s %s cpu%d utilization %v, want (0, 1]", id, uc, cpu, u)
+				}
+			}
+		}
+	}
+}
+
 // TestNetperfShapes runs the full baseline grid once and asserts every
 // Figure 2 / Table 3 shape relation.
 func TestNetperfShapes(t *testing.T) {

@@ -409,3 +409,25 @@ func ThroughputTable(mx AONMatrix) Table {
 	}
 	return t
 }
+
+// UtilizationTable renders each logical CPU's busy share over the
+// measurement window (vtune sampling), one row per use case and CPU; a
+// configuration without that CPU shows "-".
+func UtilizationTable(mx AONMatrix) Table {
+	t := Table{Title: "Per-CPU utilization (% busy over the measurement window, vtune sampling)"}
+	for _, uc := range workload.AllUseCases {
+		for cpu := 0; ; cpu++ {
+			meas := map[machine.ConfigID]float64{}
+			for id, r := range mx[uc] {
+				if cpu < len(r.Utilization) {
+					meas[id] = 100 * r.Utilization[cpu]
+				}
+			}
+			if len(meas) == 0 {
+				break
+			}
+			t.Rows = append(t.Rows, TableRow{Label: fmt.Sprintf("%s cpu%d", uc, cpu), Values: meas})
+		}
+	}
+	return t
+}

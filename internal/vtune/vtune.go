@@ -5,14 +5,11 @@
 // both system and application level activities").
 //
 // The profiler rides the simulation's event queue: at every sampling
-// interval it records per-CPU counter deltas, from which reports derive
-// utilization timelines and interval metrics.
+// interval it records per-CPU counter deltas, from which utilization
+// and interval metrics derive.
 package vtune
 
 import (
-	"fmt"
-	"strings"
-
 	"repro/internal/perf/counters"
 	"repro/internal/sim/sched"
 )
@@ -80,36 +77,21 @@ func (p *Profiler) tick(now float64) {
 // Samples returns everything collected so far.
 func (p *Profiler) Samples() []Sample { return p.samples }
 
-// Report renders a utilization and CPI timeline per logical CPU.
-func (p *Profiler) Report() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "vtune-style sampling report (interval %.0f cycles)\n", p.Interval)
-	fmt.Fprintf(&b, "%10s %4s %8s %10s %8s %10s %10s\n",
-		"cycle", "cpu", "util%", "instr", "CPI", "l2miss", "busTxns")
+// Utilization is each logical CPU's mean busy fraction over all samples,
+// indexed by CPU (0 for a CPU with no samples yet). A logical CPU's clock
+// can lead the sampling clock by up to one scheduling step, so over a
+// short run the mean can read a little above 1; it is capped at 1.
+func (p *Profiler) Utilization() []float64 {
+	out := make([]float64, len(p.last))
+	n := make([]int, len(p.last))
 	for _, s := range p.samples {
-		instr := s.Delta.Get(counters.InstrRetired)
-		cpi := 0.0
-		if instr > 0 {
-			cpi = p.Interval / float64(instr)
-		}
-		fmt.Fprintf(&b, "%10.0f %4d %8.1f %10d %8.2f %10d %10d\n",
-			s.AtCycle, s.CPU, 100*s.Busy/p.Interval, instr, cpi,
-			s.Delta.Get(counters.L2Misses), s.Delta.Get(counters.BusTxns))
-	}
-	return b.String()
-}
-
-// Utilization aggregates mean busy fraction per CPU over all samples.
-func (p *Profiler) Utilization() map[int]float64 {
-	sum := map[int]float64{}
-	n := map[int]int{}
-	for _, s := range p.samples {
-		sum[s.CPU] += s.Busy / p.Interval
+		out[s.CPU] += s.Busy / p.Interval
 		n[s.CPU]++
 	}
-	out := map[int]float64{}
-	for cpu, total := range sum {
-		out[cpu] = total / float64(n[cpu])
+	for cpu := range out {
+		if n[cpu] > 0 {
+			out[cpu] = min(out[cpu]/float64(n[cpu]), 1)
+		}
 	}
 	return out
 }

@@ -1,7 +1,6 @@
 package vtune
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/perf/machine"
@@ -42,15 +41,11 @@ func TestSamplingCollectsDeltas(t *testing.T) {
 	if util[0] <= 0.5 {
 		t.Fatalf("busy CPU utilization %.2f", util[0])
 	}
-	if u, ok := util[1]; ok && u > 0.1 {
-		t.Fatalf("idle CPU utilization %.2f", u)
+	if len(util) != len(m.LCPUs) {
+		t.Fatalf("%d utilization entries for %d logical CPUs", len(util), len(m.LCPUs))
 	}
-
-	rep := p.Report()
-	for _, want := range []string{"cycle", "cpu", "util%", "CPI"} {
-		if !strings.Contains(rep, want) {
-			t.Fatalf("report missing %q", want)
-		}
+	if util[1] > 0.1 {
+		t.Fatalf("idle CPU utilization %.2f", util[1])
 	}
 }
 
