@@ -18,8 +18,11 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -260,16 +263,30 @@ func (s *Spec) TotalDuration() time.Duration {
 	return d
 }
 
-// DecodeSpec strictly decodes a campaign document without validating
-// it. Unknown fields are rejected — a typoed knob should fail loudly,
-// not silently run the default scenario. Callers that rewrite the spec
-// before running (aoncamp's -selfback swaps in self-hosted backend
-// addresses) decode first, rewrite, then Validate.
-func DecodeSpec(data []byte) (*Spec, error) {
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+// DecodeStrict decodes data, which must hold exactly one JSON document,
+// into v. Unknown fields — at any depth — and anything but white space
+// after the document are refused: a typoed knob, or a second document
+// pasted after the first, should fail loudly, not silently run defaults.
+// Campaign specs and fleet configs (which embed one) both decode here.
+func DecodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("data after the JSON document")
+	}
+	return nil
+}
+
+// DecodeSpec strictly decodes a campaign document (see DecodeStrict)
+// without validating it. Callers that rewrite the spec before running
+// (aoncamp's -selfback swaps in self-hosted backend addresses) decode
+// first, rewrite, then Validate.
+func DecodeSpec(data []byte) (*Spec, error) {
 	var s Spec
-	if err := dec.Decode(&s); err != nil {
+	if err := DecodeStrict(data, &s); err != nil {
 		return nil, fmt.Errorf("campaign: bad spec: %w", err)
 	}
 	return &s, nil

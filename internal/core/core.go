@@ -18,7 +18,6 @@
 package aon
 
 import (
-	"encoding/hex"
 	"fmt"
 
 	"repro/internal/dpi"
@@ -322,7 +321,6 @@ func (w *worker) inspect(ctx *sched.Ctx, body []byte, bodyAddr uint64) bool {
 // authenticate runs the AUTH pipeline (extension use case): HMAC-SHA1 the
 // payload with the device key and compare against the X-AON-MAC header.
 func (w *worker) authenticate(ctx *sched.Ctx, req *httpmsg.Request, bodyAddr uint64) bool {
-	s := w.s
 	claimed, ok := req.Get("X-AON-MAC")
 	if !ok {
 		return false
@@ -331,18 +329,7 @@ func (w *worker) authenticate(ctx *sched.Ctx, req *httpmsg.Request, bodyAddr uin
 	em.Reset()
 	mac := wcrypto.HMAC(workload.AuthKey, req.Body, em, bodyAddr)
 	ctx.ExecBuffer(em)
-	want, err := hex.DecodeString(claimed)
-	if err != nil || len(want) != len(mac) {
-		s.Stats.ParseErrors++
-		return false
-	}
-	equal := true
-	for i := range mac {
-		if mac[i] != want[i] {
-			equal = false
-		}
-	}
-	return equal
+	return wcrypto.EqualHex(mac, claimed)
 }
 
 // ProcessOne runs the full use-case pipeline on raw request bytes without
@@ -372,7 +359,7 @@ func ProcessOne(uc workload.UseCase, raw []byte) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		return len(xsd.Validate(workload.OrderSchema(), doc)) == 0, nil
+		return xsd.Valid(workload.OrderSchema(), doc), nil
 	case workload.DPI:
 		return !dpi.MustNewMatcher(dpi.DefaultSignatures).Contains(req.Body), nil
 	case workload.AUTH:
@@ -380,8 +367,7 @@ func ProcessOne(uc workload.UseCase, raw []byte) (bool, error) {
 		if !ok {
 			return false, fmt.Errorf("aon: missing X-AON-MAC header")
 		}
-		mac := wcrypto.HMAC(workload.AuthKey, req.Body, nil, 0)
-		return hex.EncodeToString(mac[:]) == claimed, nil
+		return wcrypto.EqualHex(wcrypto.HMAC(workload.AuthKey, req.Body, nil, 0), claimed), nil
 	}
 	return false, fmt.Errorf("aon: unknown use case %v", uc)
 }

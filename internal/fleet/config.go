@@ -16,7 +16,6 @@
 package fleet
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"os"
@@ -118,9 +117,20 @@ func LoadFile(path string) (*Config, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: config: %w", err)
 	}
+	cfg, err := ParseConfig(b)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return cfg, nil
+}
+
+// ParseConfig strictly decodes (campaign.DecodeStrict: no unknown field,
+// the embedded campaign's included, and nothing after the document) and
+// validates a fleet config.
+func ParseConfig(data []byte) (*Config, error) {
 	var cfg Config
-	if err := json.Unmarshal(b, &cfg); err != nil {
-		return nil, fmt.Errorf("fleet: config %s: %w", path, err)
+	if err := campaign.DecodeStrict(data, &cfg); err != nil {
+		return nil, fmt.Errorf("fleet: config: %w", err)
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -545,16 +545,19 @@ func putRespBuf(p *[]byte, b []byte) {
 
 // wscratch is one connection's reusable parse/format state: the request and
 // response structs, their header backing arrays, the verdict-body
-// scratch, the upstream request head and round-trip result. Everything in
-// it is dead by the time process returns except bytes already copied into
-// the pooled response buffer; the relayed upstream body is never in it
-// (forward hands upRes a pooled buffer the response owns and takes it
-// back out).
+// scratch, the XJ translation, the upstream request head and round-trip
+// result. Everything in it is dead by the time process returns except
+// bytes already copied into the pooled response buffer and the XJ
+// translation, which an in-place response writes as its body: that one is
+// dead once writeResp returns, before the connection reads its next
+// message. The relayed upstream body is never in it (forward hands upRes
+// a pooled buffer the response owns and takes it back out).
 type wscratch struct {
 	req    httpmsg.Request
 	resp   httpmsg.Response
 	hdrs   []httpmsg.Header
 	body   []byte // small JSON bodies; always inlined into head
+	xj     []byte // XJ: the translated body, then its Content-Length digits
 	upReq  httpmsg.Request
 	upHdrs []httpmsg.Header
 	upHead []byte // upstream request header block
@@ -602,7 +605,7 @@ func (s *Server) process(raw []byte, start time.Time, rec *dtrace.Recorder, sc *
 		for until := time.Now().Add(d); time.Now().Before(until); {
 		}
 	}
-	out := s.pipe.Process(uc, req)
+	out := s.pipe.process(uc, req, &sc.xj)
 	if rec != nil {
 		lap(rec, dtrace.StageProcess, t)
 	}
@@ -621,10 +624,9 @@ func (s *Server) process(raw []byte, start time.Time, rec *dtrace.Recorder, sc *
 
 	resp := &sc.resp
 	*resp = httpmsg.Response{Status: 200, Headers: sc.hdrs[:0]}
-	// vbody rides as a separately-owned writev segment (the translated XJ
-	// payload, a fresh buffer, or the upstream body in the pooled vbuf the
-	// response owns); inline is connection scratch and must be copied into
-	// the pooled head before the next message reuses it.
+	// vbody rides as a separate writev segment (the translated XJ payload
+	// in sc.xj, or the upstream body in the pooled vbuf the response owns);
+	// inline is verdict scratch, copied into the pooled head.
 	var vbody, inline []byte
 	var vbuf *[]byte
 	if s.fwd != nil && s.fwd.Has(route) {
@@ -637,8 +639,7 @@ func (s *Server) process(raw []byte, start time.Time, rec *dtrace.Recorder, sc *
 		// In-place mode (no backend for this route): synthesize the
 		// routing verdict, the PR 1 behavior. XJ answers with its own
 		// payload — the pipeline already rewrote req.Body to the
-		// translated JSON document (a fresh buffer, so it may ride
-		// vectored).
+		// translated JSON document in sc.xj, which outlives the write.
 		resp.Headers = append(resp.Headers,
 			httpmsg.Header{Name: "Content-Type", Value: "application/json"},
 			httpmsg.Header{Name: RouteHeader, Value: route},

@@ -802,6 +802,63 @@ func TestWriteRespVectoredAllocs(t *testing.T) {
 	}
 }
 
+// TestConnPipelineAllocs pins the connection path's message plane at zero
+// allocations: from the frame to the verdict — and for XJ the translated
+// body and its headers — every use case runs in memory the connection
+// owns (its wscratch) or borrows from a pool. SelectUseCase is left out:
+// its use-case parse is the floor left under every message. Each verdict
+// must be the one the public Process gives on the same bytes.
+func TestConnPipelineAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("sync.Pool drops Puts under -race; allocation counts are not meaningful")
+	}
+	pipe, err := NewPipeline(workload.FR, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sc wscratch
+	for _, c := range []struct {
+		name string
+		raw  []byte
+	}{
+		{"CBR match", workload.HTTPRequest(0, workload.CBR)},
+		{"CBR no match", workload.HTTPRequest(1, workload.CBR)},
+		{"SV valid", workload.HTTPRequest(0, workload.SV)},
+		{"SV invalid", RawPost(workload.SV, workload.InvalidSOAPMessage(0))},
+		{"XJ", workload.HTTPRequest(0, workload.XJ)},
+		{"DPI clean", workload.HTTPRequest(0, workload.DPI)},
+		{"DPI dirty", workload.HTTPRequest(workload.DirtyEvery-1, workload.DPI)},
+		{"AUTH", workload.HTTPRequest(0, workload.AUTH)},
+		{"AUTH tampered", workload.HTTPRequest(workload.TamperEvery-1, workload.AUTH)},
+	} {
+		var req httpmsg.Request
+		if err := httpmsg.ParseRequestInto(c.raw, &req); err != nil {
+			t.Fatal(err)
+		}
+		uc := pipe.SelectUseCase(req.Target)
+		want := pipe.Process(uc, &req)
+		if want == OutParseError {
+			t.Fatalf("%s: does not process", c.name)
+		}
+		if n := testing.AllocsPerRun(50, func() {
+			if err := httpmsg.ParseRequestInto(c.raw, &sc.req); err != nil {
+				t.Fatal(err)
+			}
+			if out := pipe.process(uc, &sc.req, &sc.xj); out != want {
+				t.Fatalf("%s: connection path %v, Process %v", c.name, out, want)
+			}
+		}); n != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", c.name, n)
+		}
+		if want == OutTranslated {
+			clen, _ := sc.req.Get("Content-Length")
+			if !bytes.Equal(sc.req.Body, req.Body) || clen != strconv.Itoa(len(req.Body)) {
+				t.Errorf("XJ: connection path body %.40q (Content-Length %s), Process %.40q", sc.req.Body, clen, req.Body)
+			}
+		}
+	}
+}
+
 // TestHistQuantiles pins the histogram math.
 func TestHistQuantiles(t *testing.T) {
 	var h Hist

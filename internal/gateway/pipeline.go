@@ -1,7 +1,6 @@
 package gateway
 
 import (
-	"encoding/hex"
 	"fmt"
 	"strconv"
 	"strings"
@@ -15,6 +14,7 @@ import (
 	"repro/internal/xmldom"
 	"repro/internal/xpath"
 	"repro/internal/xsd"
+	"repro/internal/zc"
 )
 
 // Outcome classifies what the gateway did with one message — the live
@@ -130,10 +130,24 @@ func (p *Pipeline) SelectUseCase(target string) workload.UseCase {
 // views into req.Body (the connection's pooled frame) and pooled node
 // slabs, both valid for exactly the duration of this call, and the
 // deferred Release recycles the parser only after every consumer ran.
-// Schema validation and XJ translation copy what they return; the CBR
-// value EvalString returns is a view into the frame (the matched text
-// node's Data) and is only compared here, never kept.
+// Schema validation returns a verdict and copies nothing; the CBR value
+// EvalString returns is a view into the frame (the matched text node's
+// Data) and is only compared here, never kept. XJ replaces req.Body with
+// the translation, a fresh buffer the caller owns.
 func (p *Pipeline) Process(uc workload.UseCase, req *httpmsg.Request) Outcome {
+	var xjBuf []byte
+	if uc == workload.XJ {
+		// The JSON runs to about three quarters of the XML: one allocation.
+		xjBuf = make([]byte, 0, len(req.Body))
+	}
+	return p.process(uc, req, &xjBuf)
+}
+
+// process is Process with the XJ translation rendered into *xjBuf, grown as
+// needed: the translated body and its Content-Length digits live there,
+// so req.Body and that header are valid until the caller reuses the
+// buffer. The connection path passes a buffer it owns for its whole life.
+func (p *Pipeline) process(uc workload.UseCase, req *httpmsg.Request, xjBuf *[]byte) Outcome {
 	switch uc {
 	case workload.FR:
 		// Forwarding only: the target rewrite is the whole content path.
@@ -161,7 +175,7 @@ func (p *Pipeline) Process(uc workload.UseCase, req *httpmsg.Request) Outcome {
 		if err != nil {
 			return OutParseError
 		}
-		if len(xsd.Validate(p.schema, doc)) == 0 {
+		if xsd.Valid(p.schema, doc) {
 			return OutValid
 		}
 		return OutNoMatch
@@ -175,8 +189,7 @@ func (p *Pipeline) Process(uc workload.UseCase, req *httpmsg.Request) Outcome {
 		if !ok {
 			return OutParseError
 		}
-		mac := wcrypto.HMAC(workload.AuthKey, req.Body, nil, 0)
-		if hex.EncodeToString(mac[:]) == claimed {
+		if wcrypto.EqualHex(wcrypto.HMAC(workload.AuthKey, req.Body, nil, 0), claimed) {
 			return OutForwarded
 		}
 		return OutNoMatch
@@ -187,17 +200,19 @@ func (p *Pipeline) Process(uc workload.UseCase, req *httpmsg.Request) Outcome {
 		if err != nil {
 			return OutParseError
 		}
-		translated, err := xj.Translate(doc)
+		b, err := xj.AppendTranslate((*xjBuf)[:0], doc)
 		if err != nil {
 			return OutParseError
 		}
 		// Protocol translation rewrites the message in place: the JSON
-		// body (a fresh buffer — it must outlive this call) and its
-		// headers ride onward through forwarding, or back to the client
-		// in in-place mode.
-		req.Body = translated
+		// body and its headers ride onward through forwarding, or back to
+		// the client in in-place mode.
+		n := len(b)
+		b = strconv.AppendInt(b, int64(n), 10)
+		*xjBuf = b
+		req.Body = b[:n:n]
 		setHeader(req, "Content-Type", "application/json")
-		setHeader(req, "Content-Length", strconv.Itoa(len(translated)))
+		setHeader(req, "Content-Length", zc.String(b[n:]))
 		return OutTranslated
 	}
 	return OutParseError

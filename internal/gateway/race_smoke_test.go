@@ -29,8 +29,12 @@ import (
 // bodies against an off-path DOM translation — a recycled frame or
 // response buffer overwritten while its response is still being written
 // shows up here as corrupt JSON even when the race detector's sampling
-// misses the unsynchronized access. The forwarded connections do the same
-// for relayed upstream bodies.
+// misses the unsynchronized access. Each pipelines different messages back
+// to back, in place and forwarded through an echoing backend, because
+// every translation on a connection is rendered into the same
+// connection-owned buffer: one overwritten before its response (or its
+// forward) is written shows up as the next message's JSON. The forwarded
+// connections do the same for relayed upstream bodies.
 func TestPooledReuseRaceSmoke(t *testing.T) {
 	srv := startServer(t, Config{MaxInflight: 20, IdleTimeout: 2 * time.Second})
 	addr := srv.Addr().String()
@@ -118,6 +122,46 @@ func TestPooledReuseRaceSmoke(t *testing.T) {
 					if !bytes.Equal(resp.Body, expected[idx[k]]) {
 						fail("xj conn %d round %d msg %d: corrupt body\n got %q\nwant %q",
 							g, round, idx[k], resp.Body, expected[idx[k]])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+
+	// Forwarded XJ pairs: two different messages pipelined per round to a
+	// gateway whose backend echoes what it was sent, so the body relayed
+	// back is the translation the gateway forwarded.
+	echo := startEchoBackend(t)
+	xjFwd := startServer(t, Config{MaxInflight: 20, IdleTimeout: 2 * time.Second,
+		Upstream: upstream.Config{Order: echo, Error: echo}}).Addr().String()
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			c, err := net.Dial("tcp", xjFwd)
+			if err != nil {
+				fail("xj fwd dial: %v", err)
+				return
+			}
+			defer c.Close()
+			br := bufio.NewReaderSize(c, 32<<10)
+			for round := 0; round < rounds; round++ {
+				idx := [2]int{(g + round) % pool, (g + round + 1) % pool}
+				batch := append(workload.HTTPRequest(idx[0], workload.XJ), workload.HTTPRequest(idx[1], workload.XJ)...)
+				if _, err := c.Write(batch); err != nil {
+					fail("xj fwd conn %d write: %v", g, err)
+					return
+				}
+				for _, i := range idx {
+					resp, err := (&Client{br: br}).recv()
+					if err != nil {
+						fail("xj fwd conn %d round %d: %v", g, round, err)
+						return
+					}
+					if resp.Status != 200 || resp.Outcome != "translated" || !bytes.Equal(resp.Body, expected[i]) {
+						fail("xj fwd conn %d round %d msg %d: status=%d outcome=%q\n got %q\nwant %q",
+							g, round, i, resp.Status, resp.Outcome, resp.Body, expected[i])
 						return
 					}
 				}
@@ -238,4 +282,45 @@ func checkRelayed(br *bufio.Reader, respBytes map[string]int) (route string, err
 		return route, fmt.Errorf("route %q: %d-byte ack, Content-Length %s, want %d", route, len(body), clen, respBytes[route]+1)
 	}
 	return route, nil
+}
+
+// startEchoBackend stands up a backend that answers every POST with 200
+// and the body it received, so a test can see exactly what the gateway
+// forwarded. It stops with the test.
+func startEchoBackend(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				br := bufio.NewReader(c)
+				var frame []byte
+				for {
+					raw, err := httpmsg.ReadRequest(br, 1<<20, frame[:0])
+					frame = raw
+					if err != nil {
+						return
+					}
+					req, err := httpmsg.ParseRequest(raw)
+					if err != nil {
+						return
+					}
+					if _, err := c.Write(httpmsg.FormatResponse(&httpmsg.Response{Status: 200,
+						Headers: []httpmsg.Header{{Name: "Content-Type", Value: "application/json"}}, Body: req.Body})); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
 }

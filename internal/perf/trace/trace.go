@@ -75,8 +75,8 @@ type Emitter interface {
 }
 
 // Nop is an Emitter that discards everything. It lets the XML, XPath, XSD
-// and HTTP packages be used as plain libraries with zero instrumentation
-// overhead beyond the interface calls.
+// and HTTP packages be used as plain libraries; a kernel that checks
+// IsNop once skips even the interface calls.
 type Nop struct{}
 
 func (Nop) ALU(int)             {}
@@ -85,6 +85,15 @@ func (Nop) Store(uint64, int)   {}
 func (Nop) Branch(uint64, bool) {}
 
 var _ Emitter = Nop{}
+
+// IsNop reports whether em discards everything (nil or Nop). A kernel
+// records this once, when it is handed its emitter, and skips its emit
+// calls on the strength of it: that is the only difference between the
+// live path and the simulator's metered one.
+func IsNop(em Emitter) bool {
+	_, nop := em.(Nop)
+	return em == nil || nop
+}
 
 // Buffer is an Emitter that accumulates Ops in memory. The simulation
 // engine hands a Buffer to a workload kernel, then feeds the accumulated

@@ -9,6 +9,7 @@
 package wcrypto
 
 import (
+	"crypto/subtle"
 	"encoding/binary"
 	"encoding/hex"
 
@@ -96,17 +97,17 @@ func (d *Digest) Sum(in []byte) []byte {
 func (d *Digest) pad() {
 	bits := d.len * 8
 	d.em.Branch(pcPadCheck, d.n >= 56)
-	var pad [BlockSize * 2]byte
-	pad[0] = 0x80
-	padLen := 56 - d.n
-	if padLen <= 0 {
-		padLen += BlockSize
+	// The last one or two blocks, built on the stack: the buffered tail,
+	// 0x80, zeros, and the message length in bits.
+	var msg [BlockSize * 2]byte
+	n := BlockSize
+	if d.n >= 56 {
+		n = 2 * BlockSize
 	}
-	msg := append(append([]byte{}, d.buf[:d.n]...), pad[:padLen]...)
-	var lenb [8]byte
-	binary.BigEndian.PutUint64(lenb[:], bits)
-	msg = append(msg, lenb[:]...)
-	for off := 0; off < len(msg); off += BlockSize {
+	copy(msg[:], d.buf[:d.n])
+	msg[d.n] = 0x80
+	binary.BigEndian.PutUint64(msg[n-8:], bits)
+	for off := 0; off < n; off += BlockSize {
 		d.block(msg[off:off+BlockSize], d.base)
 	}
 	d.n = 0
@@ -167,7 +168,7 @@ func Sum1(data []byte) [Size]byte {
 	d := New()
 	d.Write(data)
 	var out [Size]byte
-	copy(out[:], d.Sum(nil))
+	d.Sum(out[:0])
 	return out
 }
 
@@ -175,6 +176,24 @@ func Sum1(data []byte) [Size]byte {
 func HexSum1(data []byte) string {
 	s := Sum1(data)
 	return hex.EncodeToString(s[:])
+}
+
+// EqualHex reports whether claimed is mac written in hex, in either case
+// — the check of a MAC carried in a header. The claim is decoded into a
+// stack array and compared in constant time, so the check allocates
+// nothing and its timing says nothing about how much of a forgery was
+// right.
+func EqualHex(mac [Size]byte, claimed string) bool {
+	var src [2 * Size]byte
+	var want [Size]byte
+	if len(claimed) != len(src) {
+		return false
+	}
+	copy(src[:], claimed)
+	if _, err := hex.Decode(want[:], src[:]); err != nil {
+		return false
+	}
+	return subtle.ConstantTimeCompare(mac[:], want[:]) == 1
 }
 
 // HMAC computes HMAC-SHA1(key, data), optionally instrumented.
@@ -200,12 +219,13 @@ func HMAC(key, data []byte, em trace.Emitter, base uint64) [Size]byte {
 	inner := NewInstrumented(em, base)
 	inner.Write(ipad[:])
 	inner.Write(data)
-	innerSum := inner.Sum(nil)
+	var innerSum [Size]byte
+	inner.Sum(innerSum[:0])
 
 	outer := NewInstrumented(em, base)
 	outer.Write(opad[:])
-	outer.Write(innerSum)
+	outer.Write(innerSum[:])
 	var out [Size]byte
-	copy(out[:], outer.Sum(nil))
+	outer.Sum(out[:0])
 	return out
 }

@@ -29,8 +29,8 @@ import (
 // ErrNoElement reports a document without a document element.
 var ErrNoElement = errors.New("xj: document has no element to translate")
 
-// scratch is one translation's working memory: the output under
-// construction and the text of the element being written.
+// scratch is one translation's working memory: the text of the element
+// being written and, for Translate, the output under construction.
 type scratch struct{ out, text []byte }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -39,26 +39,40 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // JSON: {"<rootName>": <value>}. The result is the caller's: it is copied
 // out of pooled scratch once, and holds no view into the tree.
 func Translate(n *xmldom.Node) ([]byte, error) {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	var err error
+	if s.out, err = s.appendTranslate(s.out[:0], n); err != nil {
+		return nil, err
+	}
+	return bytes.Clone(s.out), nil
+}
+
+// AppendTranslate appends Translate's JSON for n to dst and returns the
+// extended buffer — for a caller that owns a buffer to render into. On
+// error dst is returned unchanged.
+func AppendTranslate(dst []byte, n *xmldom.Node) ([]byte, error) {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	return s.appendTranslate(dst, n)
+}
+
+func (s *scratch) appendTranslate(b []byte, n *xmldom.Node) ([]byte, error) {
 	root := n
 	if root.Kind == xmldom.Document {
 		root = root.DocumentElement()
 		if root == nil {
-			return nil, ErrNoElement
+			return b, ErrNoElement
 		}
 	}
 	if root.Kind != xmldom.Element {
-		return nil, ErrNoElement
+		return b, ErrNoElement
 	}
-	s := scratchPool.Get().(*scratch)
-	b := append(s.out[:0], '{')
+	b = append(b, '{')
 	b = appendString(b, root.Name)
 	b = append(b, ':')
 	b = s.appendElement(b, root)
-	b = append(b, '}')
-	out := bytes.Clone(b)
-	s.out = b
-	scratchPool.Put(s)
-	return out, nil
+	return append(b, '}'), nil
 }
 
 // appendElement appends the JSON value for one element.

@@ -125,3 +125,36 @@ func TestTranslateAllocs(t *testing.T) {
 		t.Errorf("%v allocs per Translate, want <= 2", allocs)
 	}
 }
+
+// TestAppendTranslate checks the append form against Translate: the same
+// bytes after whatever dst already held, nothing allocated once dst has
+// room, and dst untouched on error.
+func TestAppendTranslate(t *testing.T) {
+	sp := xmldom.AcquireStreamParser()
+	defer sp.Release()
+	doc, err := sp.Parse(workload.SOAPMessageSeeded(2, workload.MessageBytes, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Translate(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, err := AppendTranslate([]byte("prefix"), doc)
+	if err != nil || !bytes.Equal(buf, append([]byte("prefix"), want...)) {
+		t.Fatalf("AppendTranslate = %.40q, %v", buf, err)
+	}
+	if got, err := AppendTranslate(buf[:3], &xmldom.Node{Kind: xmldom.Document}); err != ErrNoElement || string(got) != "pre" {
+		t.Fatalf("no element: %q, %v", got, err)
+	}
+	if raceflag.Enabled {
+		return // sync.Pool drops items under the race detector
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if buf, err = AppendTranslate(buf[:0], doc); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("%v allocs per AppendTranslate into a grown buffer, want 0", allocs)
+	}
+}

@@ -3,6 +3,7 @@ package xmldom_test
 import (
 	"encoding/hex"
 	"fmt"
+	"strings"
 	"testing"
 
 	aon "repro/internal/core"
@@ -17,6 +18,12 @@ import (
 // X-AON-MAC included for AUTH), so any body — schema-invalid, malformed —
 // can be put through both pipelines.
 func post(uc workload.UseCase, body []byte) []byte {
+	mac := wcrypto.HMAC(workload.AuthKey, body, nil, 0)
+	return postMAC(uc, body, hex.EncodeToString(mac[:]))
+}
+
+// postMAC is post with the X-AON-MAC value given.
+func postMAC(uc workload.UseCase, body []byte, mac string) []byte {
 	req := &httpmsg.Request{
 		Method: "POST",
 		Target: fmt.Sprintf("http://aon-gw.example.com/service/%s", uc),
@@ -29,8 +36,7 @@ func post(uc workload.UseCase, body []byte) []byte {
 		Body: body,
 	}
 	if uc == workload.AUTH {
-		mac := wcrypto.HMAC(workload.AuthKey, body, nil, 0)
-		req.Headers = append(req.Headers, httpmsg.Header{Name: "X-AON-MAC", Value: hex.EncodeToString(mac[:])})
+		req.Headers = append(req.Headers, httpmsg.Header{Name: "X-AON-MAC", Value: mac})
 	}
 	return httpmsg.FormatRequest(req)
 }
@@ -47,7 +53,9 @@ func post(uc workload.UseCase, body []byte) []byte {
 // Inputs: the load generators' own requests under seeds 1–3 (enough
 // indices to hit both CBR routes, a DPI signature and a tampered MAC),
 // their schema-invalid variants, and every document of the differential
-// corpus — rejected and accepted — as a body.
+// corpus — rejected and accepted — as a body; for AUTH also correct MACs
+// written in upper-case hex, which both must accept (hex is
+// case-insensitive; the live pipeline once compared strings).
 func TestLiveAndSimulatedVerdictsAgree(t *testing.T) {
 	pipe, err := gateway.NewPipeline(workload.FR, "", nil)
 	if err != nil {
@@ -66,7 +74,16 @@ func TestLiveAndSimulatedVerdictsAgree(t *testing.T) {
 		for _, doc := range xmltest.Corpus() {
 			raws = append(raws, post(uc, doc))
 		}
-		for _, raw := range raws {
+		upper := map[int]bool{}
+		if uc == workload.AUTH {
+			for i := 0; i < 3; i++ {
+				body := workload.SOAPMessageSeeded(i, workload.MessageBytes, 1)
+				mac := wcrypto.HMAC(workload.AuthKey, body, nil, 0)
+				upper[len(raws)] = true
+				raws = append(raws, postMAC(uc, body, strings.ToUpper(hex.EncodeToString(mac[:]))))
+			}
+		}
+		for i, raw := range raws {
 			sim := "parse-error"
 			if ok, err := aon.ProcessOne(uc, raw); err == nil {
 				sim = map[bool]string{true: "intended", false: "error"}[ok]
@@ -84,6 +101,9 @@ func TestLiveAndSimulatedVerdictsAgree(t *testing.T) {
 			}
 			if live != sim {
 				t.Errorf("%v: live %s, simulated %s for body %.60q", uc, live, sim, req.Body)
+			}
+			if upper[i] && live != "intended" {
+				t.Errorf("AUTH: upper-case MAC refused (%s)", live)
 			}
 			seen[uc.String()+" "+live]++
 		}

@@ -20,6 +20,9 @@ import (
 // its node-set working memory from a pool.
 type Evaluator struct {
 	em trace.Emitter
+	// metered is false when em discards everything (trace.IsNop): the live
+	// path then pays no emit call per node visited or name tested.
+	metered bool
 }
 
 var (
@@ -32,13 +35,10 @@ var (
 	pcFuncDisp  = evalCode.Site()
 )
 
-// NewEvaluator returns an evaluator emitting to em (trace.Nop{} for plain
-// library use).
+// NewEvaluator returns an evaluator emitting to em (nil or trace.Nop{} for
+// plain library use).
 func NewEvaluator(em trace.Emitter) *Evaluator {
-	if em == nil {
-		em = trace.Nop{}
-	}
-	return &Evaluator{em: em}
+	return &Evaluator{em: em, metered: !trace.IsNop(em)}
 }
 
 // run evaluates e in a pooled scratch. A node-set result is a view into
@@ -112,7 +112,7 @@ func (ev *Evaluator) eval(n node, c evalCtx) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		ev.em.ALU(1)
+		ev.alu(1)
 		return NumberValue(-v.Number()), nil
 	case *binExpr:
 		return ev.evalBin(x, c)
@@ -158,7 +158,7 @@ func (ev *Evaluator) evalBin(x *binExpr, c evalCtx) (Value, error) {
 			return Value{}, err
 		}
 		lb := l.Boolean()
-		ev.em.Branch(pcCmpBranch, lb)
+		ev.branch(pcCmpBranch, lb)
 		if x.op == tokAnd && !lb {
 			return BoolValue(false), nil
 		}
@@ -187,23 +187,23 @@ func (ev *Evaluator) binOp(op tokKind, l, r Value) (Value, error) {
 	switch op {
 	case tokEq, tokNeq, tokLt, tokLte, tokGt, tokGte:
 		res := compare(op, l, r)
-		ev.em.ALU(4)
-		ev.em.Branch(pcCmpBranch, res)
+		ev.alu(4)
+		ev.branch(pcCmpBranch, res)
 		return BoolValue(res), nil
 	case tokPlus:
-		ev.em.ALU(1)
+		ev.alu(1)
 		return NumberValue(l.Number() + r.Number()), nil
 	case tokMinus:
-		ev.em.ALU(1)
+		ev.alu(1)
 		return NumberValue(l.Number() - r.Number()), nil
 	case tokStar:
-		ev.em.ALU(3)
+		ev.alu(3)
 		return NumberValue(l.Number() * r.Number()), nil
 	case tokDiv:
-		ev.em.ALU(20)
+		ev.alu(20)
 		return NumberValue(l.Number() / r.Number()), nil
 	case tokMod:
-		ev.em.ALU(20)
+		ev.alu(20)
 		return NumberValue(math.Mod(l.Number(), r.Number())), nil
 	}
 	return Value{}, fmt.Errorf("xpath: unknown operator")
@@ -306,8 +306,8 @@ func (ev *Evaluator) filterPred(ns []*xmldom.Node, pred node, s *scratch) ([]*xm
 			keep = v.Boolean()
 		}
 		s.used = mark
-		ev.em.ALU(2)
-		ev.em.Branch(pcPredTest, keep)
+		ev.alu(2)
+		ev.branch(pcPredTest, keep)
 		if keep {
 			ns[kept] = n
 			kept++
@@ -365,9 +365,25 @@ func (ev *Evaluator) descend(st *step, n *xmldom.Node, out *nodeBuf) {
 	}
 }
 
+// alu and branch emit one micro-op group when the evaluator is metered.
+func (ev *Evaluator) alu(n int) {
+	if ev.metered {
+		ev.em.ALU(n)
+	}
+}
+
+func (ev *Evaluator) branch(pc uint64, taken bool) {
+	if ev.metered {
+		ev.em.Branch(pc, taken)
+	}
+}
+
 // visit charges the cost of touching one tree node: pointer-chasing loads
 // on the node and its child vector plus kind dispatch.
 func (ev *Evaluator) visit(n *xmldom.Node) {
+	if !ev.metered {
+		return
+	}
 	ev.em.Load(n.SimAddr, 3)
 	ev.em.ALU(11)
 	ev.em.Branch(pcVisit, n.Kind == xmldom.Element)
@@ -378,15 +394,15 @@ func (ev *Evaluator) nodeTest(st *step, n *xmldom.Node) bool {
 	switch st.tk {
 	case testAny:
 		ok := st.ax == axisAttribute || n.Kind == xmldom.Element
-		ev.em.Branch(pcKindTest, ok)
+		ev.branch(pcKindTest, ok)
 		return ok
 	case testText:
 		ok := n.Kind == xmldom.Text
-		ev.em.Branch(pcKindTest, ok)
+		ev.branch(pcKindTest, ok)
 		return ok
 	case testComment:
 		ok := n.Kind == xmldom.Comment
-		ev.em.Branch(pcKindTest, ok)
+		ev.branch(pcKindTest, ok)
 		return ok
 	case testNode:
 		return true
@@ -399,9 +415,11 @@ func (ev *Evaluator) nodeTest(st *step, n *xmldom.Node) bool {
 			// the pragmatic prefix handling of an AON device.
 			ok = n.Name == st.name || n.Local == st.name
 		}
-		ev.em.Load(n.SimAddr+24, 1)
-		ev.em.ALU(2 + len(st.name)/trace.WordBytes)
-		ev.em.Branch(pcNameTest, ok)
+		if ev.metered {
+			ev.em.Load(n.SimAddr+24, 1)
+			ev.em.ALU(2 + len(st.name)/trace.WordBytes)
+			ev.em.Branch(pcNameTest, ok)
+		}
 		return ok
 	}
 	return false
@@ -409,8 +427,8 @@ func (ev *Evaluator) nodeTest(st *step, n *xmldom.Node) bool {
 
 // evalCall dispatches the XPath core function library.
 func (ev *Evaluator) evalCall(x *callExpr, c evalCtx) (Value, error) {
-	ev.em.ALU(3)
-	ev.em.Branch(pcFuncDisp, true)
+	ev.alu(3)
+	ev.branch(pcFuncDisp, true)
 	var argBuf [4]Value // enough for every core function but a long concat()
 	argVals := argBuf[:0]
 	for _, a := range x.args {
@@ -477,26 +495,26 @@ func (ev *Evaluator) call(x *callExpr, c evalCtx, argVals []Value) (Value, error
 		for _, v := range argVals {
 			b.WriteString(v.String())
 		}
-		ev.em.ALU(b.Len() / 2)
+		ev.alu(b.Len() / 2)
 		return StringValue(b.String()), nil
 	case "contains":
 		s, sub := arg(0).String(), arg(1).String()
 		ok := strings.Contains(s, sub)
-		ev.em.ALU(len(s))
-		ev.em.Branch(pcCmpBranch, ok)
+		ev.alu(len(s))
+		ev.branch(pcCmpBranch, ok)
 		return BoolValue(ok), nil
 	case "starts-with":
 		s, pre := arg(0).String(), arg(1).String()
 		ok := strings.HasPrefix(s, pre)
-		ev.em.ALU(len(pre))
-		ev.em.Branch(pcCmpBranch, ok)
+		ev.alu(len(pre))
+		ev.branch(pcCmpBranch, ok)
 		return BoolValue(ok), nil
 	case "string-length":
 		s := arg(0).String()
 		return NumberValue(float64(len(s))), nil
 	case "normalize-space":
 		s := strings.Join(strings.Fields(arg(0).String()), " ")
-		ev.em.ALU(len(s))
+		ev.alu(len(s))
 		return StringValue(s), nil
 	case "substring":
 		if len(argVals) < 2 {

@@ -29,10 +29,22 @@ func depth(n *xmldom.Node) int {
 // the reference it replaced, each behind its own instrumented parse, and
 // requires the same emitted stream and the same errors in the same order;
 // the uninstrumented entry point over a StreamParser tree must report the
-// same errors again.
+// same errors again. The verdict-only entry points must agree with the
+// report: xsd.Valid on the live tree, and the instrumented Valid the
+// simulator runs, which must also emit the report's stream.
 func checkAgainstOracle(t *testing.T, s *xsd.Schema, src []byte) {
 	t.Helper()
 	got := validateInstrumented(t, s, src)
+
+	vem := tracetest.NewHashEmitter()
+	vdoc, err := xmldom.ParseInstrumented(src, vem, 1<<32, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if valid := xsd.NewValidator(s, vem).Valid(vdoc); valid != (len(got.errs) == 0) || vem.Events() != got.events || vem.Sum64() != got.hash {
+		t.Fatalf("%q: instrumented Valid = %v emitting {%d, %#x}; Validate reports %q emitting {%d, %#x}",
+			src, valid, vem.Events(), vem.Sum64(), got.errs, got.events, got.hash)
+	}
 
 	sp := xmldom.AcquireStreamParser()
 	defer sp.Release()
@@ -46,6 +58,9 @@ func checkAgainstOracle(t *testing.T, s *xsd.Schema, src []byte) {
 	}
 	if !slices.Equal(plain, got.errs) {
 		t.Fatalf("%q: Validate reports %q, instrumented Validator %q", src, plain, got.errs)
+	}
+	if valid := xsd.Valid(s, live); valid != (len(plain) == 0) {
+		t.Fatalf("%q: Valid = %v, Validate reports %q", src, valid, plain)
 	}
 	if depth(live) > maxOracleDepth {
 		return

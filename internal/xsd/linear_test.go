@@ -93,6 +93,14 @@ func TestValidateAllocs(t *testing.T) {
 		}); allocs > 10 {
 			t.Errorf("seed %d invalid: %v allocs per Validate, want <= 10", seed, allocs)
 		}
+		// The verdict alone builds no report, so it costs nothing either way.
+		if allocs := testing.AllocsPerRun(20, func() {
+			if xsd.Valid(s, doc) {
+				t.Fatal("invalid message accepted")
+			}
+		}); allocs != 0 {
+			t.Errorf("seed %d invalid: %v allocs per Valid, want 0", seed, allocs)
+		}
 	}
 	// Lookahead that fails — each branch of a choice tried in turn — does
 	// not format the errors it would discard.
@@ -155,7 +163,8 @@ func TestTokenLexicalSpace(t *testing.T) {
 }
 
 // BenchmarkValidate is the SV kernel as the gateway runs it: the paper's
-// 5 KB message, a StreamParser tree, every 4th message schema-invalid.
+// 5 KB message, a StreamParser tree, every 4th message schema-invalid;
+// "report" is Validate, "verdict" the Valid the live pipeline calls.
 func BenchmarkValidate(b *testing.B) {
 	s := workload.OrderSchema()
 	var docs [4]*xmldom.Node
@@ -174,11 +183,20 @@ func BenchmarkValidate(b *testing.B) {
 		}
 		docs[i] = doc
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := len(xsd.Validate(s, docs[i%4])); (got != 0) != (i%4 == 3) {
-			b.Fatalf("message %d: %d errors", i%4, got)
-		}
+	for _, c := range []struct {
+		name  string
+		valid func(*xsd.Schema, *xmldom.Node) bool
+	}{
+		{"report", func(s *xsd.Schema, doc *xmldom.Node) bool { return len(xsd.Validate(s, doc)) == 0 }},
+		{"verdict", xsd.Valid},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if c.valid(s, docs[i%4]) != (i%4 != 3) {
+					b.Fatalf("message %d: wrong verdict", i%4)
+				}
+			}
+		})
 	}
 }

@@ -26,15 +26,26 @@ func (e *ValidationError) Error() string {
 // data-dependent outcomes — so validation is the branchiest, least
 // predictable kernel in the workload suite, matching the paper's
 // observation that SV shows the highest misprediction ratios (Table 6).
+//
+// One walk serves two consumers. Validate builds a report: each violation
+// becomes a ValidationError with its path and message. Valid wants the
+// verdict only: the walk is the same, every violation is still found, but
+// it is only counted, so an invalid document allocates nothing.
 type Validator struct {
 	s  *Schema
 	em trace.Emitter
+	// metered is false when em discards everything (trace.IsNop): the live
+	// path then pays no emit call per node or per word of text.
+	metered bool
+	// report is set by Validate and clear for Valid (see reject).
+	report bool
 
 	// root is the element Validate was called on: error paths start there.
 	root *xmldom.Node
 	// quiet is non-zero during lookahead (see probe): nothing is emitted,
 	// nothing reported and no matched element is descended into.
 	quiet int
+	bad   int // violations found
 	errs  []*ValidationError
 }
 
@@ -52,45 +63,73 @@ var (
 // NewValidator builds a validator for a schema; em may be nil for plain
 // library use.
 func NewValidator(s *Schema, em trace.Emitter) *Validator {
-	if em == nil {
-		em = trace.Nop{}
-	}
-	return &Validator{s: s, em: em}
+	return &Validator{s: s, em: em, metered: !trace.IsNop(em)}
 }
 
 // Validate checks an instance document (or element) against the schema's
 // global element declarations. It returns all violations found (nil means
 // valid).
 func Validate(s *Schema, doc *xmldom.Node) []*ValidationError {
-	v := Validator{s: s, em: trace.Nop{}} // stays on the stack
+	v := Validator{s: s} // unmetered; stays on the stack
 	return v.Validate(doc)
+}
+
+// Valid reports whether doc satisfies s: Validate's verdict without its
+// report.
+func Valid(s *Schema, doc *xmldom.Node) bool {
+	v := Validator{s: s}
+	return v.Valid(doc)
 }
 
 // Validate checks an instance document, returning all violations.
 func (v *Validator) Validate(doc *xmldom.Node) []*ValidationError {
-	v.errs = nil
+	v.report, v.errs = true, nil
+	v.walk(doc)
+	return v.errs
+}
+
+// Valid checks an instance document, returning only the verdict.
+func (v *Validator) Valid(doc *xmldom.Node) bool {
+	v.report = false
+	return v.walk(doc) == 0
+}
+
+// walk validates doc and returns how many violations it found.
+func (v *Validator) walk(doc *xmldom.Node) int {
+	v.bad = 0
 	root := doc
 	if doc.Kind == xmldom.Document {
 		root = doc.DocumentElement()
 	}
 	if root == nil {
-		v.errs = append(v.errs, &ValidationError{Path: "/", Msg: "empty document"})
-		return v.errs
+		if v.reject() {
+			v.errs = append(v.errs, &ValidationError{Path: "/", Msg: "empty document"})
+		}
+		return v.bad
 	}
 	v.root = root
 	decl := v.s.Elements[root.Local]
 	v.emitNameLookup(root.Local, decl != nil)
 	if decl == nil {
-		v.fail(root, "no global declaration for element")
-		return v.errs
+		if v.reject() {
+			v.fail(root, "no global declaration for element")
+		}
+		return v.bad
 	}
 	v.validateElement(decl, root)
-	return v.errs
+	return v.bad
 }
 
-// Valid is a convenience wrapper returning a single verdict.
-func (v *Validator) Valid(doc *xmldom.Node) bool {
-	return len(v.Validate(doc)) == 0
+// reject counts a violation and reports whether to describe it. Every
+// violation site reads
+//
+//	if v.reject() { v.fail(el, format, args...) }
+//
+// because the call to fail boxes its operands before fail could look at
+// v.report: Valid must not reach it at all.
+func (v *Validator) reject() bool {
+	v.bad++
+	return v.report
 }
 
 // fail records a violation at element el.
@@ -128,8 +167,8 @@ func (v *Validator) appendPath(buf []byte, el *xmldom.Node) []byte {
 // validator's dispatch cost is modeled by the loud branch the caller emits
 // on the probe's verdict.
 func (v *Validator) probe(p *Particle, el *xmldom.Node, cur int, once bool) int {
-	em := v.em
-	v.em = trace.Nop{}
+	metered := v.metered
+	v.metered = false
 	v.quiet++
 	if once {
 		cur = v.matchOnce(p, el, cur, false)
@@ -137,7 +176,7 @@ func (v *Validator) probe(p *Particle, el *xmldom.Node, cur int, once bool) int 
 		cur = v.matchParticle(p, el, cur)
 	}
 	v.quiet--
-	v.em = em
+	v.metered = metered
 	return cur
 }
 
@@ -152,14 +191,16 @@ func nextElem(el *xmldom.Node, i int) int {
 }
 
 func (v *Validator) validateElement(decl *ElementDecl, el *xmldom.Node) {
-	v.em.Load(el.SimAddr, 3)
-	v.em.ALU(40) // declaration lookup, occurrence bookkeeping
+	v.load(el.SimAddr, 3)
+	v.alu(40) // declaration lookup, occurrence bookkeeping
 	switch {
 	case decl.Type != nil:
 		v.validateComplex(decl.Type, el)
 	case decl.Simple != nil:
 		if nextElem(el, 0) < len(el.Children) {
-			v.fail(el, "element children not allowed in simple type %s", decl.Simple.Base)
+			if v.reject() {
+				v.fail(el, "element children not allowed in simple type %s", decl.Simple.Base)
+			}
 			return
 		}
 		v.checkSimple(decl.Simple, el.TextContent(), el, "")
@@ -170,10 +211,10 @@ func (v *Validator) validateComplex(ct *ComplexType, el *xmldom.Node) {
 	// Attributes.
 	for _, ad := range ct.Attrs {
 		val, present := el.Attr(ad.Name)
-		v.em.ALU(4 + len(ad.Name)/2)
-		v.em.Branch(pcAttrReq, present)
+		v.alu(4 + len(ad.Name)/2)
+		v.branch(pcAttrReq, present)
 		if !present {
-			if ad.Required {
+			if ad.Required && v.reject() {
 				v.fail(el, "missing required attribute %q", ad.Name)
 			}
 			continue
@@ -192,8 +233,8 @@ func (v *Validator) validateComplex(ct *ComplexType, el *xmldom.Node) {
 				break
 			}
 		}
-		v.em.Branch(pcAttrReq, known)
-		if !known {
+		v.branch(pcAttrReq, known)
+		if !known && v.reject() {
 			v.fail(el, "undeclared attribute %q", a.Name)
 		}
 	}
@@ -204,9 +245,11 @@ func (v *Validator) validateComplex(ct *ComplexType, el *xmldom.Node) {
 			if c.Kind == xmldom.Text {
 				ws := strings.TrimSpace(c.Data) == ""
 				v.emitCharScan(c.Data)
-				v.em.Branch(pcMixed, ws)
+				v.branch(pcMixed, ws)
 				if !ws {
-					v.fail(el, "character content not allowed in element-only type")
+					if v.reject() {
+						v.fail(el, "character content not allowed in element-only type")
+					}
 					break
 				}
 			}
@@ -215,7 +258,7 @@ func (v *Validator) validateComplex(ct *ComplexType, el *xmldom.Node) {
 
 	first := nextElem(el, 0)
 	if ct.Content == nil {
-		if first < len(el.Children) && !ct.Mixed {
+		if first < len(el.Children) && !ct.Mixed && v.reject() {
 			v.fail(el, "no children allowed, found <%s>", el.Children[first].Local)
 		}
 		return
@@ -225,7 +268,7 @@ func (v *Validator) validateComplex(ct *ComplexType, el *xmldom.Node) {
 	if end < 0 {
 		return // error already recorded
 	}
-	if end < len(el.Children) {
+	if end < len(el.Children) && v.reject() {
 		v.fail(el, "unexpected element <%s>", el.Children[end].Local)
 	}
 }
@@ -236,19 +279,19 @@ func (v *Validator) validateComplex(ct *ComplexType, el *xmldom.Node) {
 func (v *Validator) matchParticle(p *Particle, el *xmldom.Node, pos int) int {
 	occurs := 0
 	for {
-		v.em.ALU(3)
+		v.alu(3)
 		required := occurs < p.MinOccurs
 		if !required {
 			// Optional occurrence: look ahead quietly so a non-match
 			// leaves no spurious errors.
 			if v.probe(p, el, pos, true) < 0 {
-				v.em.Branch(pcOccurs, false)
+				v.branch(pcOccurs, false)
 				return pos
 			}
 		}
 		next := v.matchOnce(p, el, pos, required && v.quiet == 0)
 		progressed := next > pos
-		v.em.Branch(pcOccurs, progressed)
+		v.branch(pcOccurs, progressed)
 		if next < 0 {
 			if required {
 				return -1
@@ -267,7 +310,7 @@ func (v *Validator) matchParticle(p *Particle, el *xmldom.Node, pos int) int {
 		}
 		if pos == len(el.Children) {
 			if occurs < p.MinOccurs {
-				if v.quiet == 0 {
+				if v.quiet == 0 && v.reject() {
 					v.fail(el, "%s requires at least %d occurrences, found %d", p.Kind, p.MinOccurs, occurs)
 				}
 				return -1
@@ -285,7 +328,7 @@ func (v *Validator) matchOnce(p *Particle, el *xmldom.Node, pos int, report bool
 	switch p.Kind {
 	case PElement:
 		if pos == len(kids) {
-			if report {
+			if report && v.reject() {
 				v.fail(el, "missing required element <%s>", p.Elem.Name)
 			}
 			return -1
@@ -293,7 +336,7 @@ func (v *Validator) matchOnce(p *Particle, el *xmldom.Node, pos int, report bool
 		match := kids[pos].Local == p.Elem.Name
 		v.emitNameCompare(kids[pos].Local, p.Elem.Name, match)
 		if !match {
-			if report {
+			if report && v.reject() {
 				v.fail(el, "expected <%s>, found <%s>", p.Elem.Name, kids[pos].Local)
 			}
 			return -1
@@ -314,7 +357,7 @@ func (v *Validator) matchOnce(p *Particle, el *xmldom.Node, pos int, report bool
 	case PChoice:
 		for _, c := range p.Children {
 			ok := v.probe(c, el, pos, false) > pos
-			v.em.Branch(pcChoice, ok)
+			v.branch(pcChoice, ok)
 			if ok {
 				return v.matchParticle(c, el, pos)
 			}
@@ -325,7 +368,7 @@ func (v *Validator) matchOnce(p *Particle, el *xmldom.Node, pos int, report bool
 				return pos
 			}
 		}
-		if report {
+		if report && v.reject() {
 			name := "(end)"
 			if pos < len(kids) {
 				name = kids[pos].Local
@@ -364,7 +407,7 @@ func (v *Validator) matchOnce(p *Particle, el *xmldom.Node, pos int, report bool
 		}
 		for i, c := range p.Children {
 			if !used[i] && c.MinOccurs > 0 {
-				if report {
+				if report && v.reject() {
 					v.fail(el, "missing required element <%s> in all-group", c.Elem.Name)
 				}
 				return -1
@@ -381,46 +424,43 @@ func (v *Validator) matchOnce(p *Particle, el *xmldom.Node, pos int, report bool
 func (v *Validator) checkSimple(st *SimpleType, text string, el *xmldom.Node, attr string) {
 	v.emitCharScan(text)
 	val := strings.TrimSpace(text)
+	var refused string // why val is outside the base type's lexical space
 	switch st.Base {
 	case TString:
 		// always lexically valid
 	case TToken:
-		if !isToken(val) {
+		if !isToken(val) && v.reject() {
 			v.failAttr(el, attr, "not a valid token: %q", text)
 		}
 	case TInt:
-		if _, err := strconv.ParseInt(val, 10, 64); err != nil {
-			v.failAttr(el, attr, "not a valid integer: %q", val)
-			v.em.Branch(pcFacet, false)
-			return
+		if _, ok := parseInt(val); !ok {
+			refused = "not a valid integer"
 		}
 	case TPositiveInt:
-		n, err := strconv.ParseInt(val, 10, 64)
-		if err != nil || n <= 0 {
-			v.failAttr(el, attr, "not a positive integer: %q", val)
-			v.em.Branch(pcFacet, false)
-			return
+		if n, ok := parseInt(val); !ok || n <= 0 {
+			refused = "not a positive integer"
 		}
 	case TDecimal:
-		if _, err := strconv.ParseFloat(val, 64); err != nil {
-			v.failAttr(el, attr, "not a valid decimal: %q", val)
-			v.em.Branch(pcFacet, false)
-			return
+		if _, ok := parseFloat(val); !ok {
+			refused = "not a valid decimal"
 		}
 	case TBoolean:
 		if val != "true" && val != "false" && val != "0" && val != "1" {
-			v.failAttr(el, attr, "not a valid boolean: %q", val)
-			v.em.Branch(pcFacet, false)
-			return
+			refused = "not a valid boolean"
 		}
 	case TDate:
 		if !isDate(val) {
-			v.failAttr(el, attr, "not a valid date: %q", val)
-			v.em.Branch(pcFacet, false)
-			return
+			refused = "not a valid date"
 		}
 	}
-	v.em.Branch(pcFacet, true)
+	if refused != "" {
+		if v.reject() {
+			v.failAttr(el, attr, "%s: %q", refused, val)
+		}
+		v.branch(pcFacet, false)
+		return
+	}
+	v.branch(pcFacet, true)
 
 	if len(st.Enumeration) > 0 {
 		found := false
@@ -432,27 +472,69 @@ func (v *Validator) checkSimple(st *SimpleType, text string, el *xmldom.Node, at
 				break
 			}
 		}
-		if !found {
+		if !found && v.reject() {
 			v.failAttr(el, attr, "value %q not in enumeration", val)
 		}
 	}
-	if st.MinLength > 0 && len(val) < st.MinLength {
+	if st.MinLength > 0 && len(val) < st.MinLength && v.reject() {
 		v.failAttr(el, attr, "length %d below minLength %d", len(val), st.MinLength)
 	}
-	if st.MaxLength > 0 && len(val) > st.MaxLength {
+	if st.MaxLength > 0 && len(val) > st.MaxLength && v.reject() {
 		v.failAttr(el, attr, "length %d above maxLength %d", len(val), st.MaxLength)
 	}
 	if st.MinSet || st.MaxSet {
-		f, err := strconv.ParseFloat(val, 64)
-		if err == nil {
-			if st.MinSet && f < st.Min {
+		if f, ok := parseFloat(val); ok {
+			if st.MinSet && f < st.Min && v.reject() {
 				v.failAttr(el, attr, "value %v below minInclusive %v", f, st.Min)
 			}
-			if st.MaxSet && f > st.Max {
+			if st.MaxSet && f > st.Max && v.reject() {
 				v.failAttr(el, attr, "value %v above maxInclusive %v", f, st.Max)
 			}
 		}
 	}
+}
+
+// The strconv parsers build an error value for every refusal: an
+// allocation per invalid message. parseInt and parseFloat give strconv's
+// answer, but refuse a text holding a byte strconv could not accept there
+// before strconv sees it.
+const (
+	intBytes      = "0123456789"
+	decimalBytes  = "0123456789.eE_+-"
+	hexFloatBytes = "0123456789abcdefABCDEF.pPxX_+-"
+)
+
+// parseInt is strconv.ParseInt(s, 10, 64) as a verdict.
+func parseInt(s string) (int64, bool) {
+	digits := s
+	if s != "" && (s[0] == '+' || s[0] == '-') {
+		digits = s[1:]
+	}
+	if digits == "" || strings.Trim(digits, intBytes) != "" {
+		return 0, false
+	}
+	n, err := strconv.ParseInt(s, 10, 64)
+	return n, err == nil
+}
+
+// parseFloat is strconv.ParseFloat(s, 64) as a verdict.
+func parseFloat(s string) (float64, bool) {
+	body := strings.TrimLeft(s, "+-")
+	switch {
+	case s == "":
+		return 0, false
+	case strings.EqualFold(body, "inf"), strings.EqualFold(body, "infinity"), strings.EqualFold(body, "nan"):
+	case strings.HasPrefix(body, "0x"), strings.HasPrefix(body, "0X"):
+		if strings.Trim(s, hexFloatBytes) != "" {
+			return 0, false
+		}
+	default:
+		if strings.Trim(s, decimalBytes) != "" {
+			return 0, false
+		}
+	}
+	f, err := strconv.ParseFloat(s, 64)
+	return f, err == nil
 }
 
 // isToken reports whether trimmed text s is in token's lexical space: the
@@ -488,13 +570,39 @@ func isDate(s string) bool {
 }
 
 // ---- instrumentation helpers ----
+//
+// Each emits only when the validator is metered.
+
+func (v *Validator) alu(n int) {
+	if v.metered {
+		v.em.ALU(n)
+	}
+}
+
+func (v *Validator) load(addr uint64, n int) {
+	if v.metered {
+		v.em.Load(addr, n)
+	}
+}
+
+func (v *Validator) branch(pc uint64, taken bool) {
+	if v.metered {
+		v.em.Branch(pc, taken)
+	}
+}
 
 func (v *Validator) emitNameLookup(name string, hit bool) {
+	if !v.metered {
+		return
+	}
 	v.em.ALU(6 + len(name))
 	v.em.Branch(pcElemMatch, hit)
 }
 
 func (v *Validator) emitNameCompare(a, b string, match bool) {
+	if !v.metered {
+		return
+	}
 	n := len(a)
 	if len(b) < n {
 		n = len(b)
@@ -504,6 +612,9 @@ func (v *Validator) emitNameCompare(a, b string, match bool) {
 }
 
 func (v *Validator) emitCharScan(s string) {
+	if !v.metered {
+		return
+	}
 	words := (len(s) + trace.WordBytes - 1) / trace.WordBytes
 	for w := 0; w < words; w++ {
 		v.em.ALU(10) // lexical-space checks, whitespace facets
