@@ -45,10 +45,10 @@
 // Artifacts land in out_dir: per-node logs, merged-session.jsonl
 // (written as scraped — crash-safe), per-node session CSVs, a merged
 // CSV (node/role/rel_ms columns prefixed; still readable by the stock
-// session tooling and cmd/aoncap), load reports per sweep point, and
-// fleet-report.txt — the combined Figure-5/6-style view with per-node
-// and fleet-total throughput, p50/p99, CPI/cache-MPI where nodes carry
-// counters, and capacity model-error columns when a gateway runs
+// session tooling and aonsim -exp capacity), load reports per sweep
+// point, and fleet-report.txt — the combined Figure-5/6-style view with
+// per-node and fleet-total throughput, p50/p99, CPI/cache-MPI where nodes
+// carry counters, and capacity model-error columns when a gateway runs
 // -adaptive (add it via the gateway node's "flags").
 //
 // Exit status: 0 only when the campaign completed and every launched

@@ -254,15 +254,6 @@ func (p *Phase) Duration() time.Duration {
 	return time.Duration(p.DurationMS) * time.Millisecond
 }
 
-// TotalDuration sums the phase lengths.
-func (s *Spec) TotalDuration() time.Duration {
-	var d time.Duration
-	for i := range s.Phases {
-		d += s.Phases[i].Duration()
-	}
-	return d
-}
-
 // DecodeStrict decodes data, which must hold exactly one JSON document,
 // into v. Unknown fields — at any depth — and anything but white space
 // after the document are refused: a typoed knob, or a second document

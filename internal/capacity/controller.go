@@ -9,9 +9,8 @@ import (
 )
 
 // ControllerConfig parameterizes the model-driven admission controller.
-// Zero values take the documented defaults; MaxInflight is the
-// operator's bound, where the controller starts and where every
-// fallback returns.
+// MaxInflight is the operator's bound, where the controller starts and
+// where every fallback returns.
 type ControllerConfig struct {
 	// TargetP99 is the latency bound adaptive admission defends: the
 	// admission bound is set so the model's predicted p99 at the
@@ -21,52 +20,26 @@ type ControllerConfig struct {
 	// and the setting the controller falls back to on stale observations
 	// or model divergence.
 	MaxInflight int64
-	// MinInflight is the admission bound's floor (default GOMAXPROCS+1:
-	// every P busy with one message waiting).
-	MinInflight int64
-	// Hysteresis is the relative change a recomputed bound needs before
-	// the controller moves it (default 0.15) — the damping that keeps
-	// the bound from thrashing on noisy windows.
-	Hysteresis float64
-	// StaleAfter bounds observation age: anything older falls back to
-	// MaxInflight (default 5s).
-	StaleAfter time.Duration
-	// DivergeFrac is the model-vs-observed throughput error fraction
-	// beyond which the model is distrusted and MaxInflight rules
-	// (default 0.5).
-	DivergeFrac float64
 }
 
-func (c ControllerConfig) withDefaults() (ControllerConfig, error) {
-	if c.TargetP99 <= 0 {
-		return c, fmt.Errorf("capacity: TargetP99 must be positive, got %v", c.TargetP99)
-	}
-	if c.MaxInflight < 1 {
-		return c, fmt.Errorf("capacity: MaxInflight must be >= 1, got %d", c.MaxInflight)
-	}
-	if c.MinInflight <= 0 {
-		c.MinInflight = int64(runtime.GOMAXPROCS(0)) + 1
-	}
-	if c.MaxInflight < c.MinInflight {
-		return c, fmt.Errorf("capacity: MaxInflight %d < MinInflight %d", c.MaxInflight, c.MinInflight)
-	}
-	if c.Hysteresis <= 0 {
-		c.Hysteresis = 0.15
-	}
-	if c.StaleAfter <= 0 {
-		c.StaleAfter = 5 * time.Second
-	}
-	if c.DivergeFrac <= 0 {
-		c.DivergeFrac = 0.5
-	}
-	return c, nil
-}
+const (
+	// hysteresis is the relative change a recomputed bound needs before
+	// the controller moves it — the damping that keeps the bound from
+	// thrashing on noisy windows.
+	hysteresis = 0.15
+	// staleAfter bounds observation age: anything older falls back to
+	// MaxInflight.
+	staleAfter = 5 * time.Second
+	// divergeFrac is the model-vs-observed throughput error fraction
+	// beyond which the model is distrusted and MaxInflight rules.
+	divergeFrac = 0.5
+)
 
 // Observation is one control-loop input: what the gateway measured over
 // the last window, plus the demands that seed the model.
 type Observation struct {
 	// At stamps when the observation was taken; the controller treats
-	// observations older than StaleAfter as a sampling failure.
+	// observations older than staleAfter as a sampling failure.
 	At time.Time
 	// OfferedPerSec is the arrival rate including shed messages;
 	// GoodputPerSec counts only completed ones.
@@ -115,6 +88,9 @@ type ControllerCounters struct {
 // Last.
 type Controller struct {
 	cfg ControllerConfig
+	// minInflight is the admission bound's floor, GOMAXPROCS+1 at
+	// construction: every P busy with one message waiting.
+	minInflight int64
 
 	mu       sync.Mutex
 	cur      Decision
@@ -124,21 +100,22 @@ type Controller struct {
 // NewController validates the configuration and starts from
 // MaxInflight.
 func NewController(cfg ControllerConfig) (*Controller, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
+	if cfg.TargetP99 <= 0 {
+		return nil, fmt.Errorf("capacity: TargetP99 must be positive, got %v", cfg.TargetP99)
+	}
+	minInflight := int64(runtime.GOMAXPROCS(0)) + 1
+	if cfg.MaxInflight < minInflight {
+		return nil, fmt.Errorf("capacity: MaxInflight %d < GOMAXPROCS+1 = %d", cfg.MaxInflight, minInflight)
 	}
 	return &Controller{
-		cfg: cfg,
+		cfg:         cfg,
+		minInflight: minInflight,
 		cur: Decision{
 			Bound:  cfg.MaxInflight,
 			Reason: "initial bound",
 		},
 	}, nil
 }
-
-// Config reports the effective (defaulted) configuration.
-func (c *Controller) Config() ControllerConfig { return c.cfg }
 
 // Last returns the most recent decision.
 func (c *Controller) Last() Decision {
@@ -175,11 +152,11 @@ func (c *Controller) Decide(now time.Time, obs Observation) Decision {
 // step computes the next decision against the current one (mu held).
 func (c *Controller) step(now time.Time, obs Observation) Decision {
 	cfg := c.cfg
-	if obs.At.IsZero() || now.Sub(obs.At) > cfg.StaleAfter {
+	if obs.At.IsZero() || now.Sub(obs.At) > staleAfter {
 		return Decision{
 			Bound:    cfg.MaxInflight,
 			Fallback: true,
-			Reason:   fmt.Sprintf("observations stale (age %v > %v); max inflight rules", now.Sub(obs.At).Round(time.Millisecond), cfg.StaleAfter),
+			Reason:   fmt.Sprintf("observations stale (age %v > %v); max inflight rules", now.Sub(obs.At).Round(time.Millisecond), staleAfter),
 		}
 	}
 	if obs.Demands.WorkerDemand() <= 0 {
@@ -206,11 +183,11 @@ func (c *Controller) step(now time.Time, obs Observation) Decision {
 	if atObserved.P99US > 0 {
 		p99ErrPct = ErrPct(atObserved.P99US, float64(obs.P99.Microseconds()))
 	}
-	if obs.GoodputPerSec > 0 && errPct > 100*cfg.DivergeFrac {
+	if obs.GoodputPerSec > 0 && errPct > 100*divergeFrac {
 		return Decision{
 			Bound:            cfg.MaxInflight,
 			Fallback:         true,
-			Reason:           fmt.Sprintf("model diverged from measurement (throughput err %.0f%% > %.0f%%); max inflight rules", errPct, 100*cfg.DivergeFrac),
+			Reason:           fmt.Sprintf("model diverged from measurement (throughput err %.0f%% > %.0f%%); max inflight rules", errPct, 100*divergeFrac),
 			Predicted:        atObserved,
 			ThroughputErrPct: errPct,
 			P99ErrPct:        p99ErrPct,
@@ -227,14 +204,14 @@ func (c *Controller) step(now time.Time, obs Observation) Decision {
 		bound = cfg.MaxInflight
 	case admissible > 0:
 		want := int64(math.Ceil(m.Predict(admissible).InSystem))
-		want = clampInt64(want, cfg.MinInflight, cfg.MaxInflight)
-		if relDiff(float64(want), float64(bound)) >= cfg.Hysteresis {
+		want = clampInt64(want, c.minInflight, cfg.MaxInflight)
+		if relDiff(float64(want), float64(bound)) >= hysteresis {
 			bound = want
 		}
 	default:
 		// Even an idle system misses the target: admit as little as the
 		// floor allows.
-		bound = cfg.MinInflight
+		bound = c.minInflight
 	}
 
 	return Decision{

@@ -12,7 +12,6 @@ func testConfig() ControllerConfig {
 	return ControllerConfig{
 		TargetP99:   100 * time.Millisecond,
 		MaxInflight: 256,
-		MinInflight: 5,
 	}
 }
 
@@ -39,9 +38,9 @@ func TestControllerValidation(t *testing.T) {
 		t.Fatal("zero config accepted")
 	}
 	bad := testConfig()
-	bad.MaxInflight = 4
+	bad.MaxInflight = int64(runtime.GOMAXPROCS(0))
 	if _, err := NewController(bad); err == nil {
-		t.Fatal("MaxInflight < MinInflight accepted")
+		t.Fatal("MaxInflight under the GOMAXPROCS+1 floor accepted")
 	}
 	c, err := NewController(testConfig())
 	if err != nil {
@@ -68,7 +67,7 @@ func TestControllerTracksLoad(t *testing.T) {
 	if d.AdmissibleLoad <= 0 {
 		t.Fatalf("no admissible load computed: %+v", d)
 	}
-	if d.Bound < 5 || d.Bound > 256 {
+	if d.Bound < c.minInflight || d.Bound > 256 {
 		t.Fatalf("bound %d outside clamps", d.Bound)
 	}
 	if !strings.Contains(d.Reason, "model") {
@@ -113,8 +112,8 @@ func TestControllerClamps(t *testing.T) {
 	}
 	now := time.Now()
 	d := c.Decide(now, obsAt(now, 100000, 0.003))
-	if d.Bound > cfg.MaxInflight || d.Bound < cfg.MinInflight {
-		t.Fatalf("overload bound %d outside [%d, %d]", d.Bound, cfg.MinInflight, cfg.MaxInflight)
+	if d.Bound > cfg.MaxInflight || d.Bound < c.minInflight {
+		t.Fatalf("overload bound %d outside [%d, %d]", d.Bound, c.minInflight, cfg.MaxInflight)
 	}
 
 	// Target tighter than the bare service time: bound floors.
@@ -125,23 +124,13 @@ func TestControllerClamps(t *testing.T) {
 		t.Fatal(err)
 	}
 	d2 := c2.Decide(now, obsAt(now, 100, 0.003))
-	if d2.Bound != c2.Config().MinInflight {
-		t.Fatalf("unmeetable target bound %d, want floor %d", d2.Bound, c2.Config().MinInflight)
-	}
-
-	// The default floor is every P busy plus one waiting.
-	dflt := cfg
-	dflt.MinInflight = 0
-	c3, err := NewController(dflt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := c3.Config().MinInflight, int64(runtime.GOMAXPROCS(0))+1; got != want {
-		t.Fatalf("default floor %d, want GOMAXPROCS+1 = %d", got, want)
+	// The floor is every P busy plus one waiting.
+	if want := int64(runtime.GOMAXPROCS(0)) + 1; d2.Bound != want {
+		t.Fatalf("unmeetable target bound %d, want floor GOMAXPROCS+1 = %d", d2.Bound, want)
 	}
 }
 
-// TestControllerStaleFallback: an observation older than StaleAfter
+// TestControllerStaleFallback: an observation older than staleAfter
 // falls hard back to MaxInflight.
 func TestControllerStaleFallback(t *testing.T) {
 	c, err := NewController(testConfig())
@@ -164,7 +153,7 @@ func TestControllerStaleFallback(t *testing.T) {
 }
 
 // TestControllerDivergenceFallback: when measurement contradicts the
-// model by more than DivergeFrac, MaxInflight rules.
+// model by more than divergeFrac, MaxInflight rules.
 func TestControllerDivergenceFallback(t *testing.T) {
 	c, err := NewController(testConfig())
 	if err != nil {
@@ -180,7 +169,7 @@ func TestControllerDivergenceFallback(t *testing.T) {
 	if d.Bound != 256 {
 		t.Fatalf("divergence fallback not the ceiling: %+v", d)
 	}
-	if d.ThroughputErrPct < 100*c.Config().DivergeFrac {
+	if d.ThroughputErrPct < 100*divergeFrac {
 		t.Fatalf("err pct %v under threshold yet fell back", d.ThroughputErrPct)
 	}
 }

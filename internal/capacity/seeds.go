@@ -7,9 +7,10 @@ import "strings"
 // message, `aonload -sweep 2 -usecase X -n 5000` on a 2-vCPU x86-64 guest,
 // 2026-10-15. The stage histograms are log2-bucketed, so each p50 is a
 // bucket's upper bound: within 2x above the true median. They exist so
-// offline what-if modeling (aoncap, campaign pre-flight) has a starting
-// point per use case before any session or calibration artifact exists;
-// -csv/-calibration data from the machine being modeled replaces them.
+// offline what-if modeling (aonsim -exp capacity, campaign pre-flight)
+// has a starting point per use case before any session or calibration
+// artifact exists; -csv/-calibration data from the machine being modeled
+// replaces them.
 //
 // FR touches no XML and DPI only scans bytes; CBR, SV and XJ pay for one
 // tokenizer pass, and AUTH's HMAC over the body costs about as much.

@@ -18,12 +18,7 @@
 // control-loop tick.
 package capacity
 
-import (
-	"fmt"
-	"math"
-	"sort"
-	"strings"
-)
+import "math"
 
 // Kind classifies how a station queues.
 type Kind int
@@ -261,22 +256,6 @@ func (m *Model) MaxLoadForP99(targetUS float64) float64 {
 	return lo
 }
 
-// LoadPoint is one row of a predicted load sweep.
-type LoadPoint struct {
-	Offered    float64
-	Prediction Prediction
-}
-
-// SweepLoads predicts the model at each offered load, for
-// Figure-5/6-style predicted curves.
-func (m *Model) SweepLoads(loads []float64) []LoadPoint {
-	out := make([]LoadPoint, 0, len(loads))
-	for _, l := range loads {
-		out = append(out, LoadPoint{Offered: l, Prediction: m.Predict(l)})
-	}
-	return out
-}
-
 // ErrPct is |pred−meas| as a percentage of meas (0 when unmeasured) —
 // the error column of every model-vs-measured table.
 func ErrPct(pred, meas float64) float64 {
@@ -345,36 +324,4 @@ func GatewayModel(d StageDemands, topo GatewayTopology) *Model {
 		m.Stations = append(m.Stations, backends)
 	}
 	return m
-}
-
-// FormatTable renders a predicted load sweep as a fixed-width table —
-// the model-side twin of the live sweep table.
-func FormatTable(points []LoadPoint) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%12s %12s %8s %9s %9s %9s %8s  %s\n",
-		"offered/s", "predicted/s", "util", "p50(us)", "p99(us)", "in-sys", "sat", "bottleneck")
-	for _, pt := range points {
-		p := pt.Prediction
-		util := 0.0
-		for _, st := range p.Stations {
-			if st.Name == "workers" {
-				util = st.Utilization
-			}
-		}
-		sat := ""
-		if p.Saturated {
-			sat = "yes"
-		}
-		fmt.Fprintf(&b, "%12.0f %12.0f %8.2f %9.0f %9.0f %9.1f %8s  %s\n",
-			p.OfferedPerSec, p.ThroughputPerSec, util, p.P50US, p.P99US, p.InSystem, sat, p.Bottleneck)
-	}
-	return b.String()
-}
-
-// SortedStations returns the prediction's station reports ordered by
-// name, for stable rendering.
-func (p Prediction) SortedStations() []StationReport {
-	out := append([]StationReport(nil), p.Stations...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }

@@ -38,7 +38,6 @@ import (
 	"repro/internal/session"
 	"repro/internal/upstream"
 	"repro/internal/workload"
-	"repro/internal/xsd"
 	"repro/internal/zc"
 )
 
@@ -51,8 +50,6 @@ type Config struct {
 	MaxBodyBytes int
 	// Expr overrides the CBR XPath (default //quantity/text()).
 	Expr string
-	// Schema overrides the SV schema (default the AONBench order schema).
-	Schema *xsd.Schema
 	// ProcessDelay adds a fixed per-message busy-wait to the process
 	// stage — a fault-injection knob for emulating a slower device and for
 	// testing the admission control deterministically. It spins rather
@@ -286,7 +283,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	pipe, err := NewPipeline(cfg.UseCase, cfg.Expr, cfg.Schema)
+	pipe, err := NewPipeline(cfg.UseCase, cfg.Expr, nil)
 	if err != nil {
 		return nil, err
 	}

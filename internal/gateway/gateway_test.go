@@ -859,6 +859,72 @@ func TestConnPipelineAllocs(t *testing.T) {
 	}
 }
 
+// TestServeLoopAllocs pins the whole connection loop — read, frame,
+// process, write — over loopback at the SelectUseCase floor: at most 3
+// allocations per message for FR, CBR and SV (2 today). The client
+// writes prebuilt requests and skips each response body in the reader,
+// so every counted allocation is the server's. With Trace on, each
+// request also takes a pooled recorder, stamps its stages, folds them
+// into the histograms and meets the tail sampler at its default keep
+// ratio; that must stay within half an allocation of Trace off, which a
+// recorder allocated per request breaks.
+func TestServeLoopAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("sync.Pool drops Puts under -race; allocation counts are not meaningful")
+	}
+	const warm, n = 200, 2000
+	untraced := map[workload.UseCase]float64{}
+	for _, traced := range []bool{false, true} {
+		for _, uc := range []workload.UseCase{workload.FR, workload.CBR, workload.SV} {
+			name := uc.String() + "/trace=" + strconv.FormatBool(traced)
+			t.Run(name, func(t *testing.T) {
+				srv := startServer(t, Config{UseCase: uc, Trace: traced})
+				c, err := net.Dial("tcp", srv.Addr().String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				br := bufio.NewReaderSize(c, 32<<10)
+				reqs := make([][]byte, 16)
+				for i := range reqs {
+					reqs[i] = workload.HTTPRequest(i, uc)
+				}
+				roundTrip := func(i int) {
+					if _, err := c.Write(reqs[i%len(reqs)]); err != nil {
+						t.Fatal(err)
+					}
+					h, err := httpmsg.ReadResponseHead(br, nil)
+					if err != nil || h.Status != 200 {
+						t.Fatalf("message %d: status %d err=%v", i, h.Status, err)
+					}
+					if _, err := br.Discard(h.ContentLength); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i := 0; i < warm; i++ {
+					roundTrip(i)
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < n; i++ {
+					roundTrip(i)
+				}
+				runtime.ReadMemStats(&after)
+				per := float64(after.Mallocs-before.Mallocs) / n
+				t.Logf("%.3f allocs/msg", per)
+				if per > 3 {
+					t.Errorf("%.3f allocs/msg, want <= 3", per)
+				}
+				if !traced {
+					untraced[uc] = per
+				} else if base, ok := untraced[uc]; ok && per > base+0.5 {
+					t.Errorf("tracing adds %.3f allocs/msg (%.3f vs %.3f untraced), want < 0.5", per-base, per, base)
+				}
+			})
+		}
+	}
+}
+
 // TestHistQuantiles pins the histogram math.
 func TestHistQuantiles(t *testing.T) {
 	var h Hist

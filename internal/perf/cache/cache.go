@@ -130,11 +130,6 @@ func (c *Cache) Stats() Stats { return c.stats }
 // mirroring how performance-counter measurement windows work on hardware.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-// LineAddr returns the line-aligned address containing addr.
-func (c *Cache) LineAddr(addr uint64) uint64 {
-	return addr &^ (uint64(c.cfg.LineSize) - 1)
-}
-
 // LineSize returns the configured line size in bytes.
 func (c *Cache) LineSize() int { return c.cfg.LineSize }
 

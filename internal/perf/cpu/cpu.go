@@ -192,9 +192,6 @@ func (l *LCPU) Execute(ops []trace.Op) {
 	}
 }
 
-// ExecuteBuffer is a convenience wrapper over Execute for a trace.Buffer.
-func (l *LCPU) ExecuteBuffer(b *trace.Buffer) { l.Execute(b.Ops) }
-
 // ContextSwitchCost is the direct cost in cycles of an OS context switch
 // (register save/restore, scheduler path). Cache and TLB disturbance is
 // modeled structurally by the hierarchy, not folded in here.

@@ -9,8 +9,8 @@ import (
 
 // CSVRow is one parsed line of a session artifact — the flattened schema
 // WriteCSV emits. Per-CPU detail stays flattened (the CSV never carried
-// it); the fields here are the ones replay consumers (cmd/aoncap's
-// predicted-vs-measured tables) need.
+// it); the fields here are the ones replay consumers (aonsim -exp
+// capacity's predicted-vs-measured tables) need.
 type CSVRow struct {
 	TMS          int64
 	WindowSec    float64
