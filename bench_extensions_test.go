@@ -11,14 +11,14 @@ import (
 
 // BenchmarkExtensionUseCases runs the paper's future-work operations —
 // deep packet inspection and HMAC-SHA1 message authentication (Section 6)
-// — across the dual-processing transitions, extending Figure 3's spectrum
-// beyond SV.
+// — and XML→JSON translation across the dual-processing transitions,
+// extending Figure 3's spectrum beyond SV.
 func BenchmarkExtensionUseCases(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if i > 0 {
 			continue
 		}
-		fmt.Println("Extension: future-work use cases (DPI, AUTH) on the Figure 3 grid")
+		fmt.Println("Extension: future-work use cases (DPI, AUTH, XJ) on the Figure 3 grid")
 		for _, uc := range workload.ExtendedUseCases {
 			results := map[machine.ConfigID]harness.AONResult{}
 			for _, id := range machine.AllConfigs {

@@ -95,7 +95,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	ucName := flag.String("usecase", "FR", "default use case: FR, CBR, SV, DPI, AUTH")
 	maxBody := flag.Int("max-body", 1<<20, "max POST body bytes")
-	expr := flag.String("expr", "", "CBR XPath override (default //quantity/text())")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown budget")
 	idle := flag.Duration("idle-timeout", 0, "client connection read deadline (0 = 60s default, negative disables)")
 	order := flag.String("order", "", "order backend address (enables upstream forwarding)")
@@ -185,7 +184,6 @@ func main() {
 	srv, err := gateway.New(gateway.Config{
 		UseCase:      uc,
 		MaxBodyBytes: *maxBody,
-		Expr:         *expr,
 		IdleTimeout:  *idle,
 		Upstream: upstream.Config{
 			Order:             *order,

@@ -10,7 +10,7 @@
 //	aonsim -exp fig2|table3         # netperf baselines (-netperf-ms sizes them)
 //	aonsim -exp fig3|table4|fig4|fig5|table5|table6
 //	aonsim -exp specs               # Table 1 / Table 2
-//	aonsim -exp ext                 # DPI/AUTH and the four-core extension
+//	aonsim -exp ext                 # DPI/AUTH/XJ and the four-core extension
 //	aonsim -exp mix                 # per-kernel instruction mix over -msgs messages
 //	aonsim -exp util                # per-CPU utilization, every config x FR/CBR/SV
 //	aonsim -exp live -calibration-out cal.json   # simulated 2CPm vs live sessions
@@ -200,8 +200,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runExtensions reports the paper's future-work operations (DPI, AUTH)
-// and the multicore extension across the dual-processing transitions.
+// runExtensions reports the extension use cases (DPI and AUTH, the
+// paper's future-work operations, and XJ) and the multicore extension
+// across the dual-processing transitions.
 func runExtensions(w io.Writer, opts harness.AONOpts) error {
 	fmt.Fprintln(w, "Extensions (paper future work, Section 6)")
 	for _, uc := range workload.ExtendedUseCases {

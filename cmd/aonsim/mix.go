@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	aon "repro/internal/core"
 	"repro/internal/perf/trace"
+	"repro/internal/verdict"
 	"repro/internal/workload"
 	"repro/internal/xmldom"
 	"repro/internal/xpath"
@@ -17,7 +17,7 @@ import (
 // it prints the verdicts and the abstract instruction mix each kernel
 // emitted, the raw material behind Table 5's branch frequencies.
 func runMix(w io.Writer, n int) error {
-	route := xpath.MustCompile(aon.RouteExprSource)
+	route := xpath.MustCompile(verdict.RouteExprSource)
 	schema := workload.OrderSchema()
 	arena := trace.NewArena(1<<30, 1<<24)
 
@@ -32,7 +32,7 @@ func runMix(w io.Writer, n int) error {
 		if err != nil {
 			return fmt.Errorf("message %d: %w", i, err)
 		}
-		if val == aon.RouteMatchValue {
+		if val == verdict.RouteMatchValue {
 			matches++
 		}
 		if xsd.NewValidator(schema, &svMix).Valid(doc) {
@@ -41,7 +41,7 @@ func runMix(w io.Writer, n int) error {
 	}
 
 	fmt.Fprintf(w, "processed %d AONBench messages (%d bytes each)\n", n, workload.MessageBytes)
-	fmt.Fprintf(w, "  CBR %q matched: %d/%d\n", aon.RouteExprSource, matches, n)
+	fmt.Fprintf(w, "  CBR %q matched: %d/%d\n", verdict.RouteExprSource, matches, n)
 	fmt.Fprintf(w, "  SV schema-valid: %d/%d\n", valid, n)
 	report := func(name string, c trace.Counting) {
 		fmt.Fprintf(w, "  %-12s instr=%8d loads=%7d stores=%7d branches=%7d (%.1f%% branches, %.1f%% taken)\n",

@@ -8,8 +8,8 @@ import (
 	"fmt"
 	"log"
 
-	aon "repro/internal/core"
 	"repro/internal/httpmsg"
+	"repro/internal/verdict"
 	"repro/internal/workload"
 	"repro/internal/xmldom"
 	"repro/internal/xpath"
@@ -18,7 +18,7 @@ import (
 func main() {
 	// The paper's routing rule: forward to the order endpoint when
 	// //quantity/text() equals "1", else to the error handler.
-	route := xpath.MustCompile(aon.RouteExprSource)
+	route := xpath.MustCompile(verdict.RouteExprSource)
 	ev := xpath.NewEvaluator(nil)
 
 	endpoints := map[bool]string{
@@ -44,7 +44,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("message %d: %v", i, err)
 		}
-		matched := val == aon.RouteMatchValue
+		matched := val == verdict.RouteMatchValue
 		dest := endpoints[matched]
 		counts[dest]++
 

@@ -69,7 +69,7 @@ func TestFaultScript(t *testing.T) {
 	}
 
 	// The backend's own view agrees after the script.
-	st, err := GetFault(addr, 2*time.Second)
+	st, err := getFault(addr, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,9 +22,9 @@ type FaultEvent struct {
 	Err     string               `json:"err,omitempty"`
 }
 
-// PostFault sends one POST /fault to an aonback control plane and
+// postFault sends one POST /fault to an aonback control plane and
 // returns the acknowledged fault state.
-func PostFault(addr string, spec upstream.FaultSpec, timeout time.Duration) (*upstream.FaultState, error) {
+func postFault(addr string, spec upstream.FaultSpec, timeout time.Duration) (*upstream.FaultState, error) {
 	var st upstream.FaultState
 	if err := gateway.PostJSON(addr, "/fault", spec, timeout, &st); err != nil {
 		return nil, fmt.Errorf("campaign: fault %s: %w", addr, err)
@@ -32,8 +32,8 @@ func PostFault(addr string, spec upstream.FaultSpec, timeout time.Duration) (*up
 	return &st, nil
 }
 
-// GetFault reads a backend's current fault state without changing it.
-func GetFault(addr string, timeout time.Duration) (*upstream.FaultState, error) {
+// getFault reads a backend's current fault state without changing it.
+func getFault(addr string, timeout time.Duration) (*upstream.FaultState, error) {
 	var st upstream.FaultState
 	if err := gateway.GetJSON(addr, "/fault", timeout, &st); err != nil {
 		return nil, fmt.Errorf("campaign: fault %s: %w", addr, err)
@@ -65,7 +65,7 @@ func (r *runner) faultScript(phase *Phase, stop <-chan struct{}) {
 		}
 		addr := r.spec.Backends[step.Backend]
 		ev := FaultEvent{Phase: phase.Name, AtMS: step.AtMS, Backend: addr, Fault: step.Fault}
-		st, err := PostFault(addr, step.Fault, r.timeout)
+		st, err := postFault(addr, step.Fault, r.timeout)
 		if err != nil {
 			ev.Err = err.Error()
 		} else {

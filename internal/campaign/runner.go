@@ -50,7 +50,7 @@ type runner struct {
 }
 
 // Run executes the spec against a live gateway and returns the result.
-// The spec must already be validated (ParseSpec/LoadSpec do this).
+// The spec must already be validated (parseSpec/LoadSpec do this).
 func Run(spec *Spec, opts Options) (*Result, error) {
 	addr := opts.Addr
 	if addr == "" {

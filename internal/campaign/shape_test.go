@@ -105,7 +105,7 @@ func TestSpecValidate(t *testing.T) {
 			 "faults": [{"at_ms": 50, "backend": 0, "fault": {"error_rate": 0.5}}]}
 		]
 	}`
-	s, err := ParseSpec([]byte(good))
+	s, err := parseSpec([]byte(good))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestSpecValidate(t *testing.T) {
 			"typo_knob": true}`, // unknown field
 	}
 	for i, doc := range bad {
-		if _, err := ParseSpec([]byte(doc)); err == nil {
+		if _, err := parseSpec([]byte(doc)); err == nil {
 			t.Fatalf("bad spec %d accepted: %s", i, doc)
 		}
 	}

@@ -271,11 +271,11 @@ func DecodeStrict(data []byte, v any) error {
 	return nil
 }
 
-// DecodeSpec strictly decodes a campaign document (see DecodeStrict)
+// decodeSpec strictly decodes a campaign document (see DecodeStrict)
 // without validating it. Callers that rewrite the spec before running
 // (aoncamp's -selfback swaps in self-hosted backend addresses) decode
 // first, rewrite, then Validate.
-func DecodeSpec(data []byte) (*Spec, error) {
+func decodeSpec(data []byte) (*Spec, error) {
 	var s Spec
 	if err := DecodeStrict(data, &s); err != nil {
 		return nil, fmt.Errorf("campaign: bad spec: %w", err)
@@ -283,9 +283,9 @@ func DecodeSpec(data []byte) (*Spec, error) {
 	return &s, nil
 }
 
-// ParseSpec decodes and validates a campaign document.
-func ParseSpec(data []byte) (*Spec, error) {
-	s, err := DecodeSpec(data)
+// parseSpec decodes and validates a campaign document.
+func parseSpec(data []byte) (*Spec, error) {
+	s, err := decodeSpec(data)
 	if err != nil {
 		return nil, err
 	}
@@ -302,5 +302,5 @@ func LoadSpec(path string) (*Spec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
-	return DecodeSpec(data)
+	return decodeSpec(data)
 }

@@ -23,7 +23,7 @@ const goodSpec = `{
 // nothing after it but white space.
 func TestDecodeSpecIsStrict(t *testing.T) {
 	for _, doc := range []string{goodSpec, "{}", " {} \n\t"} {
-		if _, err := DecodeSpec([]byte(doc)); err != nil {
+		if _, err := decodeSpec([]byte(doc)); err != nil {
 			t.Errorf("%.40q refused: %v", doc, err)
 		}
 	}
@@ -36,13 +36,13 @@ func TestDecodeSpecIsStrict(t *testing.T) {
 		`{"phases":[{"bogus":1}]}`,
 		`{"phases":[{"faults":[{"fault":{"bogus":1}}]}]}`,
 	} {
-		if _, err := DecodeSpec([]byte(doc)); err == nil {
+		if _, err := decodeSpec([]byte(doc)); err == nil {
 			t.Errorf("%.60q accepted", doc)
 		}
 	}
 }
 
-// FuzzDecodeSpec: whatever DecodeSpec accepts is one document it can
+// FuzzDecodeSpec: whatever decodeSpec accepts is one document it can
 // read back — re-encoded, it decodes to the same spec — and it refuses
 // the same document with a second one after it. It never panics.
 func FuzzDecodeSpec(f *testing.F) {
@@ -50,7 +50,7 @@ func FuzzDecodeSpec(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := DecodeSpec(data)
+		s, err := decodeSpec(data)
 		if err != nil {
 			return
 		}
@@ -58,14 +58,14 @@ func FuzzDecodeSpec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%q: accepted spec does not encode: %v", data, err)
 		}
-		again, err := DecodeSpec(enc)
+		again, err := decodeSpec(enc)
 		if err != nil {
 			t.Fatalf("%q: re-encoded spec %s refused: %v", data, enc, err)
 		}
 		if enc2, _ := json.Marshal(again); !bytes.Equal(enc, enc2) {
 			t.Fatalf("%q: round trip %s -> %s", data, enc, enc2)
 		}
-		if _, err := DecodeSpec(append(slices.Clip(data), "{}"...)); err == nil {
+		if _, err := decodeSpec(append(slices.Clip(data), "{}"...)); err == nil {
 			t.Fatalf("%q: accepted with a second document after it", data)
 		}
 	})

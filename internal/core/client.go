@@ -23,9 +23,9 @@ type Client struct {
 	Sent uint64 // messages injected
 }
 
-// PoolSize is how many distinct request bodies circulate; large enough to
+// poolSize is how many distinct request bodies circulate; large enough to
 // defeat trivial content memoization, small enough to build quickly.
-const PoolSize = 48
+const poolSize = 48
 
 // NewClient builds a load generator for a server.
 func NewClient(s *Server, uc workload.UseCase, window int) *Client {
@@ -33,7 +33,7 @@ func NewClient(s *Server, uc workload.UseCase, window int) *Client {
 		window = 32
 	}
 	c := &Client{S: s, UC: uc, Window: window}
-	c.pool = make([][]byte, PoolSize)
+	c.pool = make([][]byte, poolSize)
 	for i := range c.pool {
 		c.pool[i] = workload.HTTPRequest(i, uc)
 	}

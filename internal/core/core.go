@@ -14,30 +14,21 @@
 //
 // Every processing stage is real code (HTTP parsing, DOM construction,
 // XPath evaluation, XSD validation) instrumented to emit the micro-op
-// stream that drives the simulated machine.
+// stream that drives the simulated machine. The use-case decision is
+// internal/verdict's, the same function the live gateway calls; a worker
+// passes it a meter.
 package aon
 
 import (
 	"fmt"
 
-	"repro/internal/dpi"
 	"repro/internal/httpmsg"
 	"repro/internal/netsim"
 	"repro/internal/perf/trace"
 	"repro/internal/sim/sched"
-	"repro/internal/wcrypto"
+	"repro/internal/verdict"
 	"repro/internal/workload"
-	"repro/internal/xmldom"
-	"repro/internal/xpath"
-	"repro/internal/xsd"
 )
-
-// RouteExprSource is the paper's CBR lookup expression.
-const RouteExprSource = "//quantity/text()"
-
-// RouteMatchValue is the routing condition: forward to the intended
-// endpoint when the expression's string-value equals this.
-const RouteMatchValue = "1"
 
 // Config parameterizes a server instance.
 type Config struct {
@@ -45,10 +36,6 @@ type Config struct {
 	// Workers is the number of worker threads; the paper keeps it equal
 	// to the number of logical CPUs (0 = auto).
 	Workers int
-	// Expr overrides the CBR XPath (default RouteExprSource).
-	Expr string
-	// Schema overrides the SV schema (default the AONBench order schema).
-	Schema *xsd.Schema
 }
 
 // Stats aggregates server-side outcomes.
@@ -57,8 +44,8 @@ type Stats struct {
 	BytesIn      uint64 // HTTP payload bytes received
 	BytesOut     uint64 // bytes forwarded
 	RoutedMatch  uint64 // CBR: matched the routing condition
-	RoutedError  uint64 // CBR/SV/DPI/AUTH: sent to the error endpoint
-	ParseErrors  uint64 // malformed HTTP/XML
+	RoutedError  uint64 // sent to the error endpoint (unprocessable included)
+	ParseErrors  uint64 // malformed HTTP, or verdict.OutParseError
 	ValidationOK uint64 // SV: schema-valid messages
 	CleanDPI     uint64 // DPI: messages with no signature hit
 	AuthOK       uint64 // AUTH: messages with a valid MAC
@@ -73,8 +60,10 @@ type Server struct {
 	Accept *netsim.SockBuf // assembled request queue feeding the workers
 	Stats  Stats
 
-	expr   *xpath.Expr
-	schema *xsd.Schema
+	// rules decide every message (internal/verdict); the DPI automaton
+	// in them lives in the simulated process space, so scans exercise
+	// the caches.
+	rules *verdict.Rules
 
 	// kernMeta is the kernel's socket/fd/epoll metadata region. It is one
 	// shared region — there is one kernel — sized at L2 scale: resident on
@@ -82,13 +71,8 @@ type Server struct {
 	// it from per-thread offsets.
 	kernMeta *trace.Arena
 
-	// matcher is the DPI signature automaton (extension use case); its
-	// transition table lives in the simulated process space so scans
-	// exercise the caches.
-	matcher *dpi.Matcher
-
 	// Per-message kernel cost knobs; see costs.go.
-	costs Costs
+	costs kernelCosts
 }
 
 // New builds a server wired to an engine and NIC. The caller spawns the
@@ -98,34 +82,20 @@ func New(e *sched.Engine, nic *netsim.NIC, cfg Config) (*Server, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = e.CPUs()
 	}
-	exprSrc := cfg.Expr
-	if exprSrc == "" {
-		exprSrc = RouteExprSource
-	}
-	expr, err := xpath.Compile(exprSrc)
+	rules, err := verdict.New("", nil)
 	if err != nil {
-		return nil, fmt.Errorf("aon: bad routing expression: %w", err)
+		return nil, fmt.Errorf("aon: %w", err)
 	}
-	schema := cfg.Schema
-	if schema == nil {
-		schema = workload.OrderSchema()
-	}
-	matcher := dpi.MustNewMatcher(dpi.DefaultSignatures)
 	return &Server{
 		E:        e,
 		NIC:      nic,
 		Cfg:      cfg,
 		Accept:   netsim.NewSockBuf(0),
-		expr:     expr,
-		schema:   schema,
+		rules:    rules,
 		kernMeta: trace.SubArena(nic.KernSpace, 1<<20),
-		matcher:  matcher,
-		costs:    DefaultCosts,
+		costs:    defaultCosts,
 	}, nil
 }
-
-// init placement for the DPI automaton happens lazily when the first
-// worker is built (the engine's address space assigns it a region).
 
 // Deliver is the NIC reassembly callback: a complete request enters the
 // accept queue.
@@ -159,8 +129,13 @@ type worker struct {
 	// txArena is this worker's per-CPU sk_buff slab for the transmit path.
 	txArena *trace.Arena
 	metaOff int
-	dpiBase uint64
 	buf     *trace.Buffer
+	// meter charges the verdict to buf, the body's address and domArena.
+	meter verdict.Meter
+	// xj holds the XJ translation, reused across messages.
+	xj []byte
+	// placedDPI records that this worker has placed the DPI table.
+	placedDPI bool
 }
 
 func (s *Server) newWorker(idx int) sched.Proc {
@@ -173,6 +148,7 @@ func (s *Server) newWorker(idx int) sched.Proc {
 		metaOff:   idx * 24683 * 7,
 		buf:       trace.NewBuffer(1 << 15),
 	}
+	w.meter = verdict.Meter{Em: w.buf, Arena: w.domArena}
 	return sched.ProcFunc(w.step)
 }
 
@@ -205,36 +181,35 @@ func (w *worker) step(ctx *sched.Ctx) sched.Status {
 	s.Stats.BytesIn += uint64(msg.Bytes)
 	bodyAddr := userAddr + uint64(msg.Bytes-len(req.Body))
 
-	// 3. Use-case processing.
-	routeOK := true
-	switch s.Cfg.UseCase {
-	case workload.FR:
-		// Forwarding only: target rewrite.
-		em.Reset()
-		httpmsg.RewriteTarget(req, em)
-		ctx.ExecBuffer(em)
-	case workload.CBR:
-		routeOK = w.contentRoute(ctx, req.Body, bodyAddr)
-	case workload.SV:
-		routeOK = w.validate(ctx, req.Body, bodyAddr)
-	case workload.DPI:
-		routeOK = w.inspect(ctx, req.Body, bodyAddr)
-	case workload.AUTH:
-		routeOK = w.authenticate(ctx, req, bodyAddr)
+	// 3. Use-case processing: the one verdict function, metered.
+	if !w.placedDPI {
+		// The DPI table aliases this worker's scratch heap. The rules are
+		// the server's, so each worker's first message moves it, and
+		// every scan after that loads from the latest placement.
+		s.rules.PlaceDPITable(w.domArena.Base())
+		w.placedDPI = true
 	}
-	if routeOK {
+	em.Reset()
+	w.meter.Body = bodyAddr
+	out := s.rules.Decide(s.Cfg.UseCase, req, &w.meter, &w.xj)
+	ctx.ExecBuffer(em)
+	if !out.Intended() {
+		s.Stats.RoutedError++
+	}
+	switch out {
+	case verdict.OutParseError:
+		s.Stats.ParseErrors++
+	case verdict.OutMatch:
+		s.Stats.RoutedMatch++
+	case verdict.OutValid:
+		s.Stats.ValidationOK++
+	case verdict.OutForwarded:
 		switch s.Cfg.UseCase {
-		case workload.SV:
-			s.Stats.ValidationOK++
-		case workload.CBR:
-			s.Stats.RoutedMatch++
 		case workload.DPI:
 			s.Stats.CleanDPI++
 		case workload.AUTH:
 			s.Stats.AuthOK++
 		}
-	} else {
-		s.Stats.RoutedError++
 	}
 
 	// 4. Forward to the selected endpoint: sendmsg syscall, then the
@@ -258,116 +233,4 @@ func nicKernSpace(s *Server) *trace.Arena { return s.NIC.KernSpace }
 func (w *worker) metaAddr() uint64 {
 	w.metaOff = (w.metaOff + 24683) % (1<<20 - 192*4096)
 	return w.s.kernMeta.Base() + uint64(w.metaOff)&^63
-}
-
-// contentRoute runs the CBR pipeline: parse the body, evaluate the XPath,
-// compare against the routing value.
-func (w *worker) contentRoute(ctx *sched.Ctx, body []byte, bodyAddr uint64) bool {
-	s := w.s
-	w.domArena.Reset()
-	em := w.buf
-	em.Reset()
-	doc, err := xmldom.ParseInstrumented(body, em, bodyAddr, w.domArena)
-	if err != nil {
-		ctx.ExecBuffer(em)
-		s.Stats.ParseErrors++
-		return false
-	}
-	ev := xpath.NewEvaluator(em)
-	val, err := ev.EvalString(s.expr, doc)
-	ctx.ExecBuffer(em)
-	if err != nil {
-		s.Stats.ParseErrors++
-		return false
-	}
-	return val == RouteMatchValue
-}
-
-// validate runs the SV pipeline: parse the body, validate against the
-// schema.
-func (w *worker) validate(ctx *sched.Ctx, body []byte, bodyAddr uint64) bool {
-	s := w.s
-	w.domArena.Reset()
-	em := w.buf
-	em.Reset()
-	doc, err := xmldom.ParseInstrumented(body, em, bodyAddr, w.domArena)
-	if err != nil {
-		ctx.ExecBuffer(em)
-		s.Stats.ParseErrors++
-		return false
-	}
-	v := xsd.NewValidator(s.schema, em)
-	ok := v.Valid(doc)
-	ctx.ExecBuffer(em)
-	return ok
-}
-
-// inspect runs the DPI pipeline (extension use case): scan the payload
-// against the signature automaton; a clean message routes forward, a hit
-// routes to the quarantine endpoint.
-func (w *worker) inspect(ctx *sched.Ctx, body []byte, bodyAddr uint64) bool {
-	s := w.s
-	if w.dpiBase == 0 {
-		w.dpiBase = w.domArena.Base() // table aliases the scratch heap region
-		s.matcher.SetSimBase(w.dpiBase)
-	}
-	em := w.buf
-	em.Reset()
-	matches := s.matcher.ScanInstrumented(body, em, bodyAddr)
-	ctx.ExecBuffer(em)
-	return len(matches) == 0
-}
-
-// authenticate runs the AUTH pipeline (extension use case): HMAC-SHA1 the
-// payload with the device key and compare against the X-AON-MAC header.
-func (w *worker) authenticate(ctx *sched.Ctx, req *httpmsg.Request, bodyAddr uint64) bool {
-	claimed, ok := req.Get("X-AON-MAC")
-	if !ok {
-		return false
-	}
-	em := w.buf
-	em.Reset()
-	mac := wcrypto.HMAC(workload.AuthKey, req.Body, em, bodyAddr)
-	ctx.ExecBuffer(em)
-	return wcrypto.EqualHex(mac, claimed)
-}
-
-// ProcessOne runs the full use-case pipeline on raw request bytes without
-// a simulation engine — the plain-library entry point used by examples and
-// functional tests. It returns whether the message was routed to the
-// intended endpoint.
-func ProcessOne(uc workload.UseCase, raw []byte) (bool, error) {
-	req, err := httpmsg.ParseRequest(raw)
-	if err != nil {
-		return false, err
-	}
-	switch uc {
-	case workload.FR:
-		return true, nil
-	case workload.CBR:
-		doc, err := xmldom.Parse(req.Body)
-		if err != nil {
-			return false, err
-		}
-		val, err := xpath.NewEvaluator(nil).EvalString(xpath.MustCompile(RouteExprSource), doc)
-		if err != nil {
-			return false, err
-		}
-		return val == RouteMatchValue, nil
-	case workload.SV:
-		doc, err := xmldom.Parse(req.Body)
-		if err != nil {
-			return false, err
-		}
-		return xsd.Valid(workload.OrderSchema(), doc), nil
-	case workload.DPI:
-		return !dpi.MustNewMatcher(dpi.DefaultSignatures).Contains(req.Body), nil
-	case workload.AUTH:
-		claimed, ok := req.Get("X-AON-MAC")
-		if !ok {
-			return false, fmt.Errorf("aon: missing X-AON-MAC header")
-		}
-		return wcrypto.EqualHex(wcrypto.HMAC(workload.AuthKey, req.Body, nil, 0), claimed), nil
-	}
-	return false, fmt.Errorf("aon: unknown use case %v", uc)
 }

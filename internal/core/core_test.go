@@ -10,45 +10,6 @@ import (
 	"repro/internal/workload"
 )
 
-func TestProcessOneFunctional(t *testing.T) {
-	// Even messages match the routing condition; odd do not.
-	for i := 0; i < 6; i++ {
-		ok, err := ProcessOne(workload.CBR, workload.HTTPRequest(i, workload.CBR))
-		if err != nil {
-			t.Fatalf("message %d: %v", i, err)
-		}
-		if ok != (i%2 == 0) {
-			t.Fatalf("message %d routed %v", i, ok)
-		}
-	}
-	ok, err := ProcessOne(workload.SV, workload.HTTPRequest(1, workload.SV))
-	if err != nil || !ok {
-		t.Fatalf("SV: %v %v", ok, err)
-	}
-	ok, err = ProcessOne(workload.FR, workload.HTTPRequest(1, workload.FR))
-	if err != nil || !ok {
-		t.Fatalf("FR: %v %v", ok, err)
-	}
-}
-
-func TestProcessOneErrors(t *testing.T) {
-	if _, err := ProcessOne(workload.CBR, []byte("not http")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := ProcessOne(workload.UseCase(9), workload.HTTPRequest(0, workload.FR)); err == nil {
-		t.Fatal("unknown use case accepted")
-	}
-}
-
-func TestNewRejectsBadExpression(t *testing.T) {
-	m := machine.New(machine.OneCPm, machine.Options{})
-	e := sched.NewEngine(m)
-	nic := netsim.NewNIC(e, e.Space.NewProcess(), netsim.NewLink(m, 1e9), netsim.NewLink(m, 1e9))
-	if _, err := New(e, nic, Config{UseCase: workload.CBR, Expr: "///"}); err == nil {
-		t.Fatal("bad XPath accepted")
-	}
-}
-
 // runServer spins up a full simulated server and processes n messages.
 func runServer(t *testing.T, id machine.ConfigID, uc workload.UseCase, n int) (*Server, *machine.Machine) {
 	t.Helper()

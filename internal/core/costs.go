@@ -1,11 +1,11 @@
 package aon
 
-// Costs are the per-message kernel-path costs in abstract instructions.
+// kernelCosts are the per-message kernel-path costs in abstract instructions.
 // They model the socket/syscall work a 2007-era Linux 2.6 network stack
 // performs around the application-visible processing, and they are the
 // main calibration surface for the absolute throughput of the FR use case
 // (which is nothing but this overhead plus two copies).
-type Costs struct {
+type kernelCosts struct {
 	// Connection is the per-request connection-handling path: accept or
 	// keep-alive dispatch, epoll bookkeeping, fd table, timers.
 	Connection int
@@ -16,12 +16,12 @@ type Costs struct {
 	SendSyscall int
 }
 
-// DefaultCosts reflect a 2007-era HTTP proxy on a 2.6 kernel: tens of
+// defaultCosts reflect a 2007-era HTTP proxy on a 2.6 kernel: tens of
 // thousands of instructions of socket, epoll and proxy bookkeeping per
 // proxied request. They are calibrated so the FR use case lands below the
 // gigabit ingress on one Pentium M core with roughly the headroom Figure 3
 // implies (2CPm FR saturates the wire at a 1.5x scaling).
-var DefaultCosts = Costs{
+var defaultCosts = kernelCosts{
 	Connection:  19000,
 	RecvSyscall: 16000,
 	SendSyscall: 14000,

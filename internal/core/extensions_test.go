@@ -10,27 +10,6 @@ import (
 
 // The extension use cases (the paper's future work: DPI and crypto).
 
-func TestProcessOneDPI(t *testing.T) {
-	// AONBench messages are clean: no signatures fire.
-	ok, err := ProcessOne(workload.DPI, workload.HTTPRequest(2, workload.DPI))
-	if err != nil || !ok {
-		t.Fatalf("clean message flagged: %v %v", ok, err)
-	}
-}
-
-func TestProcessOneAUTH(t *testing.T) {
-	for i := 0; i < workload.TamperEvery+2; i++ {
-		ok, err := ProcessOne(workload.AUTH, workload.HTTPRequest(i, workload.AUTH))
-		if err != nil {
-			t.Fatalf("message %d: %v", i, err)
-		}
-		tampered := i%workload.TamperEvery == workload.TamperEvery-1
-		if ok == tampered {
-			t.Fatalf("message %d: auth=%v tampered=%v", i, ok, tampered)
-		}
-	}
-}
-
 func TestServerEndToEndDPI(t *testing.T) {
 	s, _ := runServer(t, machine.TwoCPm, workload.DPI, 30)
 	if s.Stats.CleanDPI == 0 {

@@ -15,7 +15,6 @@ package dpi
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/perf/trace"
 )
@@ -40,9 +39,9 @@ type Matcher struct {
 	simBase uint64
 }
 
-// NewMatcher builds an automaton for the given patterns. Empty patterns
+// newMatcher builds an automaton for the given patterns. Empty patterns
 // are rejected; duplicates are allowed and report separately.
-func NewMatcher(patterns []string) (*Matcher, error) {
+func newMatcher(patterns []string) (*Matcher, error) {
 	for i, p := range patterns {
 		if p == "" {
 			return nil, fmt.Errorf("dpi: pattern %d is empty", i)
@@ -97,7 +96,7 @@ func NewMatcher(patterns []string) (*Matcher, error) {
 
 // MustNewMatcher panics on error, for init-time pattern sets.
 func MustNewMatcher(patterns []string) *Matcher {
-	m, err := NewMatcher(patterns)
+	m, err := newMatcher(patterns)
 	if err != nil {
 		panic(err)
 	}
@@ -171,20 +170,6 @@ func (m *Matcher) Contains(data []byte) bool {
 		}
 	}
 	return false
-}
-
-// UniquePatterns returns the sorted distinct pattern indices in matches.
-func UniquePatterns(matches []Match) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, m := range matches {
-		if !seen[m.Pattern] {
-			seen[m.Pattern] = true
-			out = append(out, m.Pattern)
-		}
-	}
-	sort.Ints(out)
-	return out
 }
 
 // DefaultSignatures is the inspection rule set the DPI use case ships

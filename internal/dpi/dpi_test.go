@@ -1,6 +1,7 @@
 package dpi
 
 import (
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -15,7 +16,7 @@ func TestBasicMatching(t *testing.T) {
 	if len(matches) != 3 {
 		t.Fatalf("matches = %+v", matches)
 	}
-	got := UniquePatterns(matches)
+	got := uniquePatterns(matches)
 	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 3 {
 		t.Fatalf("unique patterns = %v", got)
 	}
@@ -54,7 +55,7 @@ func TestNoMatch(t *testing.T) {
 }
 
 func TestEmptyPatternRejected(t *testing.T) {
-	if _, err := NewMatcher([]string{"ok", ""}); err == nil {
+	if _, err := newMatcher([]string{"ok", ""}); err == nil {
 		t.Fatal("empty pattern accepted")
 	}
 }
@@ -138,4 +139,18 @@ func TestDefaultSignaturesBuild(t *testing.T) {
 	if len(m.Patterns()) != len(DefaultSignatures) {
 		t.Fatal("patterns lost")
 	}
+}
+
+// uniquePatterns returns the sorted distinct pattern indices in matches.
+func uniquePatterns(matches []Match) []int {
+	seen := map[int]bool{}
+	var out []int
+	for _, m := range matches {
+		if !seen[m.Pattern] {
+			seen[m.Pattern] = true
+			out = append(out, m.Pattern)
+		}
+	}
+	sort.Ints(out)
+	return out
 }

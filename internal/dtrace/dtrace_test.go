@@ -150,7 +150,7 @@ func TestTailKeepRules(t *testing.T) {
 }
 
 func TestRingEvictionAndOrder(t *testing.T) {
-	r := NewRing(3)
+	r := newRing(3)
 	for i := 1; i <= 5; i++ {
 		r.Add(Trace{TraceID: ID(i)})
 	}

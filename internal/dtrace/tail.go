@@ -6,27 +6,27 @@ import (
 	"sync/atomic"
 )
 
-// Ring is a bounded, mutex-guarded store of kept traces. The mutex is
+// traceRing is a bounded, mutex-guarded store of kept traces. The mutex is
 // held only to copy a pre-built Trace in or slice the window out —
 // no allocation, parsing, or I/O under the lock — so contention stays
 // negligible next to the request work that produced the trace.
-type Ring struct {
+type traceRing struct {
 	mu    sync.Mutex
 	buf   []Trace
 	next  int
 	total uint64
 }
 
-// NewRing makes a ring keeping the last capacity traces (min 1).
-func NewRing(capacity int) *Ring {
+// newRing makes a ring keeping the last capacity traces (min 1).
+func newRing(capacity int) *traceRing {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Ring{buf: make([]Trace, 0, capacity)}
+	return &traceRing{buf: make([]Trace, 0, capacity)}
 }
 
 // Add keeps tr, evicting the oldest once full.
-func (r *Ring) Add(tr Trace) {
+func (r *traceRing) Add(tr Trace) {
 	r.mu.Lock()
 	if len(r.buf) < cap(r.buf) {
 		r.buf = append(r.buf, tr)
@@ -41,7 +41,7 @@ func (r *Ring) Add(tr Trace) {
 // Last returns up to n kept traces, oldest first (n<=0 means all).
 // The returned slice is fresh; the Trace span slices are shared with
 // the ring but never mutated after Add.
-func (r *Ring) Last(n int) []Trace {
+func (r *traceRing) Last(n int) []Trace {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]Trace, 0, len(r.buf))
@@ -59,7 +59,7 @@ func (r *Ring) Last(n int) []Trace {
 }
 
 // Kept returns how many traces were ever added (including evicted).
-func (r *Ring) Kept() uint64 {
+func (r *traceRing) Kept() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.total
@@ -112,13 +112,13 @@ type Tail struct {
 	keptErr  atomic.Uint64
 	keptSlow atomic.Uint64
 	keptProb atomic.Uint64
-	ring     *Ring
+	ring     *traceRing
 }
 
 // NewTail builds a tail sampler (zero-value cfg fields take defaults).
 func NewTail(cfg TailConfig) *Tail {
 	cfg = cfg.withDefaults()
-	return &Tail{cfg: cfg, ring: NewRing(cfg.Capacity)}
+	return &Tail{cfg: cfg, ring: newRing(cfg.Capacity)}
 }
 
 // Offer decides r's fate. isErr marks shed/errored/idle-reaped

@@ -10,13 +10,13 @@ import (
 )
 
 // Campaign artifact names under cfg.OutDir. The runner's own session
-// JSONL/CSV land in the CampaignDirName subdirectory, keeping the
+// JSONL/CSV land in the campaignDirName subdirectory, keeping the
 // campaign's phase-tagged timeline separate from the fleet's merged
 // cross-node session (both run concurrently).
 const (
-	CampaignDirName    = "campaign"
-	CampaignReportName = "campaign-report.txt"
-	CampaignResultName = "campaign-result.json"
+	campaignDirName    = "campaign"
+	campaignReportName = "campaign-report.txt"
+	campaignResultName = "campaign-result.json"
 )
 
 // RunCampaign drives the config's scenario campaign against the fleet's
@@ -31,9 +31,9 @@ func (c *Coordinator) RunCampaign() error {
 	if spec == nil {
 		return fmt.Errorf("fleet: config has no campaign")
 	}
-	gw := c.byRole(RoleGateway)[0]
+	gw := c.byRole(roleGateway)[0]
 	if len(spec.Backends) == 0 {
-		for _, b := range c.byRole(RoleBackend) {
+		for _, b := range c.byRole(roleBackend) {
 			spec.Backends = append(spec.Backends, dialable(b.Addr))
 		}
 	}
@@ -48,7 +48,7 @@ func (c *Coordinator) RunCampaign() error {
 
 	res, err := campaign.Run(spec, campaign.Options{
 		Addr:   dialable(gw.Addr),
-		OutDir: filepath.Join(c.cfg.OutDir, CampaignDirName),
+		OutDir: filepath.Join(c.cfg.OutDir, campaignDirName),
 		Logf:   c.Logf,
 	})
 	if err != nil {
@@ -57,19 +57,19 @@ func (c *Coordinator) RunCampaign() error {
 	c.campaignRes = res
 
 	report := campaign.FormatReport(res)
-	if err := os.WriteFile(filepath.Join(c.cfg.OutDir, CampaignReportName), []byte(report), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(c.cfg.OutDir, campaignReportName), []byte(report), 0o644); err != nil {
 		return fmt.Errorf("fleet: campaign report: %w", err)
 	}
 	resJSON, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
 		return fmt.Errorf("fleet: campaign result: %w", err)
 	}
-	if err := os.WriteFile(filepath.Join(c.cfg.OutDir, CampaignResultName), append(resJSON, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(c.cfg.OutDir, campaignResultName), append(resJSON, '\n'), 0o644); err != nil {
 		return fmt.Errorf("fleet: campaign result: %w", err)
 	}
 	c.Logf("campaign %s done: %d phases, %d fault steps, %d samples → %s",
 		res.Name, len(res.Phases), len(res.Faults), res.Samples,
-		filepath.Join(c.cfg.OutDir, CampaignReportName))
+		filepath.Join(c.cfg.OutDir, campaignReportName))
 	return nil
 }
 

@@ -28,9 +28,9 @@ import (
 // Node roles. Backends start first, then gateways, then load — the
 // dependency order of the paper's client → device → endpoint chain.
 const (
-	RoleBackend = "backend"
-	RoleGateway = "gateway"
-	RoleLoad    = "load"
+	roleBackend = "backend"
+	roleGateway = "gateway"
+	roleLoad    = "load"
 )
 
 // NodeConfig is one topology entry in the declarative fleet config.
@@ -117,17 +117,17 @@ func LoadFile(path string) (*Config, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: config: %w", err)
 	}
-	cfg, err := ParseConfig(b)
+	cfg, err := parseConfig(b)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return cfg, nil
 }
 
-// ParseConfig strictly decodes (campaign.DecodeStrict: no unknown field,
+// parseConfig strictly decodes (campaign.DecodeStrict: no unknown field,
 // the embedded campaign's included, and nothing after the document) and
 // validates a fleet config.
-func ParseConfig(data []byte) (*Config, error) {
+func parseConfig(data []byte) (*Config, error) {
 	var cfg Config
 	if err := campaign.DecodeStrict(data, &cfg); err != nil {
 		return nil, fmt.Errorf("fleet: config: %w", err)
@@ -174,26 +174,26 @@ func (c *Config) Validate() error {
 	for i := range c.Nodes {
 		n := &c.Nodes[i]
 		switch n.Role {
-		case RoleBackend:
+		case roleBackend:
 			if n.Endpoint == "" {
 				n.Endpoint = "order"
 			}
 			if n.Endpoint != "order" && n.Endpoint != "error" {
 				return fmt.Errorf("fleet: node %d: endpoint %q, want order or error", i, n.Endpoint)
 			}
-		case RoleGateway:
+		case roleGateway:
 			gateways++
-		case RoleLoad:
+		case roleLoad:
 		default:
 			return fmt.Errorf("fleet: node %d: role %q, want backend, gateway, or load", i, n.Role)
 		}
-		if n.Role != RoleLoad && n.Addr == "" {
+		if n.Role != roleLoad && n.Addr == "" {
 			return fmt.Errorf("fleet: node %d (%s): addr required", i, n.Role)
 		}
 		if n.Count < 0 {
 			return fmt.Errorf("fleet: node %d: count %d, want >= 0", i, n.Count)
 		}
-		if n.Count > 1 && n.Role != RoleLoad {
+		if n.Count > 1 && n.Role != roleLoad {
 			if _, _, err := net.SplitHostPort(n.Addr); err != nil {
 				return fmt.Errorf("fleet: node %d: count %d needs a host:port addr: %v", i, n.Count, err)
 			}

@@ -22,7 +22,7 @@ const goodConfig = `{
 // included — or a second document refuses the config instead of running
 // defaults.
 func TestParseConfigIsStrict(t *testing.T) {
-	if _, err := ParseConfig([]byte(goodConfig)); err != nil {
+	if _, err := parseConfig([]byte(goodConfig)); err != nil {
 		t.Fatalf("good config refused: %v", err)
 	}
 	nodes := `"nodes": [{"role": "gateway", "addr": "x:1"}]`
@@ -34,13 +34,13 @@ func TestParseConfigIsStrict(t *testing.T) {
 		`{` + nodes + `}{"bogus": 1}`,
 		`{` + nodes + `} junk`,
 	} {
-		if _, err := ParseConfig([]byte(doc)); err == nil {
+		if _, err := parseConfig([]byte(doc)); err == nil {
 			t.Errorf("%s accepted", doc)
 		}
 	}
 }
 
-// FuzzParseConfig: whatever ParseConfig accepts is one valid document it
+// FuzzParseConfig: whatever parseConfig accepts is one valid document it
 // reads back the same — re-encoded, it parses to the same config — and it
 // refuses the same document with a second one after it. It never panics.
 func FuzzParseConfig(f *testing.F) {
@@ -48,7 +48,7 @@ func FuzzParseConfig(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cfg, err := ParseConfig(data)
+		cfg, err := parseConfig(data)
 		if err != nil {
 			return
 		}
@@ -56,14 +56,14 @@ func FuzzParseConfig(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%q: accepted config does not encode: %v", data, err)
 		}
-		again, err := ParseConfig(enc)
+		again, err := parseConfig(enc)
 		if err != nil {
 			t.Fatalf("%q: re-encoded config %s refused: %v", data, enc, err)
 		}
 		if enc2, _ := json.Marshal(again); !bytes.Equal(enc, enc2) {
 			t.Fatalf("%q: round trip %s -> %s", data, enc, enc2)
 		}
-		if _, err := ParseConfig(append(slices.Clip(data), "{}"...)); err == nil {
+		if _, err := parseConfig(append(slices.Clip(data), "{}"...)); err == nil {
 			t.Fatalf("%q: accepted with a second document after it", data)
 		}
 	})

@@ -38,7 +38,7 @@ type Coordinator struct {
 
 	stopScrape func() // joins the scrape loop; nil until Start
 
-	points []PointReport
+	points []pointReport
 
 	campaignRes *campaign.Result
 
@@ -85,7 +85,7 @@ func (c *Coordinator) byRole(role string) []*Node {
 func (c *Coordinator) scrapable() []*Node {
 	var out []*Node
 	for _, n := range c.nodes {
-		if n.Role != RoleLoad {
+		if n.Role != roleLoad {
 			out = append(out, n)
 		}
 	}
@@ -113,24 +113,24 @@ func (c *Coordinator) Start() error {
 	if err := os.MkdirAll(c.cfg.OutDir, 0o755); err != nil {
 		return fmt.Errorf("fleet: out dir: %w", err)
 	}
-	writer, err := session.CreateJSONL(filepath.Join(c.cfg.OutDir, JSONLName))
+	writer, err := session.CreateJSONL(filepath.Join(c.cfg.OutDir, jsonlName))
 	if err != nil {
 		return err
 	}
 	c.persisters = append(c.persisters, writer)
-	c.merger = NewMerger(func(ns NodeSample) error { return writer.Write(ns) })
+	c.merger = newMerger(func(ns NodeSample) error { return writer.Write(ns) })
 	c.scraper = newScraper(c.merger, c.cfg.ScrapeInterval()*4)
 	if c.cfg.Trace {
-		tw, err := session.CreateJSONL(filepath.Join(c.cfg.OutDir, TracesJSONLName))
+		tw, err := session.CreateJSONL(filepath.Join(c.cfg.OutDir, tracesJSONLName))
 		if err != nil {
 			return err
 		}
 		c.persisters = append(c.persisters, tw)
-		c.traces = NewTraceStore(func(sp dtrace.Span) error { return tw.Write(sp) })
+		c.traces = newTraceStore(func(sp dtrace.Span) error { return tw.Write(sp) })
 		c.scraper.traces = c.traces
 	}
 
-	for _, n := range c.byRole(RoleBackend) {
+	for _, n := range c.byRole(roleBackend) {
 		args := []string{"-addr", n.Addr, "-name", n.Endpoint}
 		if c.cfg.Trace {
 			args = append(args, "-trace-node", n.Key())
@@ -140,7 +140,7 @@ func (c *Coordinator) Start() error {
 		}
 	}
 	orderAddr, errorAddr := c.backendAddrs()
-	for _, n := range c.byRole(RoleGateway) {
+	for _, n := range c.byRole(roleGateway) {
 		args := []string{"-addr", n.Addr, "-timeline"}
 		if c.cfg.Trace {
 			args = append(args, "-trace", "-trace-node", n.Key())
@@ -163,7 +163,7 @@ func (c *Coordinator) Start() error {
 // backendAddrs picks the first order and first error backend for the
 // gateways' forwarding flags.
 func (c *Coordinator) backendAddrs() (order, errAddr string) {
-	for _, n := range c.byRole(RoleBackend) {
+	for _, n := range c.byRole(roleBackend) {
 		switch {
 		case n.Endpoint == "order" && order == "":
 			order = dialable(n.Addr)
@@ -228,7 +228,7 @@ func (c *Coordinator) RunSweep() error {
 	if len(conns) == 0 {
 		conns = []int{1}
 	}
-	gateways := c.byRole(RoleGateway)
+	gateways := c.byRole(roleGateway)
 	target := dialable(gateways[0].Addr)
 	for _, cc := range conns {
 		c.scrapeOnce()
@@ -262,7 +262,7 @@ func (c *Coordinator) RunSweep() error {
 // binaries at all.
 func (c *Coordinator) runLoad(target string, conns int) (gateway.Report, error) {
 	var loadNode *Node
-	for _, n := range c.byRole(RoleLoad) {
+	for _, n := range c.byRole(roleLoad) {
 		if !n.Attach {
 			loadNode = n
 			break
@@ -372,18 +372,18 @@ func (c *Coordinator) Finish() (string, error) {
 			}
 		}
 		c.Logf("traces: %d spans, %d assembled traces (%d cross-node) → %s",
-			c.traces.Len(), len(asm), cross, filepath.Join(c.cfg.OutDir, TracesJSONLName))
+			c.traces.Len(), len(asm), cross, filepath.Join(c.cfg.OutDir, tracesJSONLName))
 	}
-	if err := WriteCSVs(c.cfg.OutDir, c.merger); err != nil {
+	if err := writeCSVs(c.cfg.OutDir, c.merger); err != nil {
 		return "", err
 	}
-	report := FormatFleetReport(c.points, c.merger)
-	path := filepath.Join(c.cfg.OutDir, ReportName)
+	report := formatFleetReport(c.points, c.merger)
+	path := filepath.Join(c.cfg.OutDir, reportName)
 	if err := os.WriteFile(path, []byte(report), 0o644); err != nil {
 		return "", fmt.Errorf("fleet: report: %w", err)
 	}
 	c.Logf("artifacts in %s: %s, %s, %s, per-node CSVs and logs",
-		c.cfg.OutDir, JSONLName, MergedCSVName, ReportName)
+		c.cfg.OutDir, jsonlName, mergedCSVName, reportName)
 	return report, nil
 }
 
@@ -395,7 +395,7 @@ func (c *Coordinator) Shutdown() error {
 	if c.stopScrape != nil {
 		c.stopScrape()
 	}
-	order := append(c.byRole(RoleGateway), c.byRole(RoleBackend)...)
+	order := append(c.byRole(roleGateway), c.byRole(roleBackend)...)
 	for _, n := range order {
 		n.stop(c.cfg.Grace())
 	}

@@ -119,9 +119,9 @@ func TestFleetAttachCampaign(t *testing.T) {
 		ScrapeIntervalMS: 20,
 		ReadyTimeoutMS:   5000,
 		Nodes: []NodeConfig{
-			{Role: RoleBackend, ID: "b-order", Addr: order.Addr().String(), Endpoint: "order", Attach: true},
-			{Role: RoleBackend, ID: "b-error", Addr: errBack.Addr().String(), Endpoint: "error", Attach: true},
-			{Role: RoleGateway, ID: "gw0", Addr: srv.Addr().String(), Attach: true},
+			{Role: roleBackend, ID: "b-order", Addr: order.Addr().String(), Endpoint: "order", Attach: true},
+			{Role: roleBackend, ID: "b-error", Addr: errBack.Addr().String(), Endpoint: "error", Attach: true},
+			{Role: roleGateway, ID: "gw0", Addr: srv.Addr().String(), Attach: true},
 		},
 		Sweep: SweepConfig{Conns: []int{1, 2}, Messages: 200},
 	}
@@ -153,7 +153,7 @@ func TestFleetAttachCampaign(t *testing.T) {
 	}
 
 	// The on-disk JSONL covers the same session.
-	back, err := ReadJSONL(filepath.Join(outDir, JSONLName))
+	back, err := readJSONL(filepath.Join(outDir, jsonlName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestFleetAttachCampaign(t *testing.T) {
 	}
 
 	// The merged CSV parses with the stock session reader.
-	f, err := os.Open(filepath.Join(outDir, MergedCSVName))
+	f, err := os.Open(filepath.Join(outDir, mergedCSVName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestFleetAttachCampaign(t *testing.T) {
 			t.Fatalf("point %d conns: no successful messages: %+v", p.Conns, p.Client)
 		}
 	}
-	if st, err := os.Stat(filepath.Join(outDir, ReportName)); err != nil || st.Size() == 0 {
+	if st, err := os.Stat(filepath.Join(outDir, reportName)); err != nil || st.Size() == 0 {
 		t.Fatalf("report file missing or empty (err=%v)", err)
 	}
 }
@@ -245,8 +245,8 @@ func TestFleetScenarioCampaign(t *testing.T) {
 		OutDir:           outDir,
 		ScrapeIntervalMS: 20,
 		Nodes: []NodeConfig{
-			{Role: RoleBackend, ID: "b-order", Addr: order.Addr().String(), Endpoint: "order", Attach: true},
-			{Role: RoleGateway, ID: "gw0", Addr: srv.Addr().String(), Attach: true},
+			{Role: roleBackend, ID: "b-order", Addr: order.Addr().String(), Endpoint: "order", Attach: true},
+			{Role: roleGateway, ID: "gw0", Addr: srv.Addr().String(), Attach: true},
 		},
 		Campaign: &campaign.Spec{
 			Name:             "fleet-e2e",
@@ -300,8 +300,8 @@ func TestFleetScenarioCampaign(t *testing.T) {
 
 	// Artifacts: campaign report + result beside the fleet session, and
 	// the runner's phase-tagged session under the campaign subdir.
-	for _, name := range []string{CampaignReportName, CampaignResultName,
-		filepath.Join(CampaignDirName, "session.csv"), filepath.Join(CampaignDirName, "session.jsonl")} {
+	for _, name := range []string{campaignReportName, campaignResultName,
+		filepath.Join(campaignDirName, "session.csv"), filepath.Join(campaignDirName, "session.jsonl")} {
 		p := filepath.Join(outDir, name)
 		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
 			t.Fatalf("campaign artifact %s missing or empty (err=%v)", p, err)

@@ -99,7 +99,7 @@ func TestReportKeySetsGolden(t *testing.T) {
 	}{
 		{"gateway.Report", &gateway.Report{}, goldenReportKeys},
 		{"campaign.PhaseReport", &campaign.PhaseReport{}, goldenPhaseReportKeys},
-		{"fleet.PointReport", &PointReport{}, goldenPointReportKeys},
+		{"fleet.pointReport", &pointReport{}, goldenPointReportKeys},
 		{"campaign.Result", &campaign.Result{}, goldenResultKeys},
 	} {
 		if got := jsonKeys(t, tc.ptr); got != tc.want {

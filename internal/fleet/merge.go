@@ -46,8 +46,8 @@ type Merger struct {
 	sinkE error
 }
 
-// NewMerger builds a merger; sink may be nil.
-func NewMerger(sink func(NodeSample) error) *Merger {
+// newMerger builds a merger; sink may be nil.
+func newMerger(sink func(NodeSample) error) *Merger {
 	return &Merger{
 		epoch: map[string]int64{},
 		seen:  map[string]map[int64]struct{}{},

@@ -23,12 +23,12 @@ func sample(tms int64, msgs uint64) session.Sample {
 // Two nodes whose wall clocks disagree by hours must still land on one
 // aligned axis: each node's RelMS counts from its own first sample.
 func TestMergerSkewedClocks(t *testing.T) {
-	m := NewMerger(nil)
+	m := newMerger(nil)
 	// Gateway clock: ~epoch 1_000_000. Backend clock: three hours ahead.
 	const gwEpoch, beEpoch = int64(1_000_000), int64(1_000_000 + 3*3600*1000)
 	for i := int64(0); i < 5; i++ {
-		m.Add("gateway/gw0", RoleGateway, sample(gwEpoch+i*100, 10))
-		m.Add("backend/b0", RoleBackend, sample(beEpoch+i*100, 10))
+		m.Add("gateway/gw0", roleGateway, sample(gwEpoch+i*100, 10))
+		m.Add("backend/b0", roleBackend, sample(beEpoch+i*100, 10))
 	}
 	merged := m.Merged()
 	if len(merged) != 10 {
@@ -53,13 +53,13 @@ func TestMergerSkewedClocks(t *testing.T) {
 // node that leaves early simply stops contributing — neither distorts
 // the other's timeline.
 func TestMergerLateJoinEarlyLeave(t *testing.T) {
-	m := NewMerger(nil)
+	m := newMerger(nil)
 	for i := int64(0); i < 10; i++ {
-		m.Add("backend/early", RoleBackend, sample(5000+i*100, 1))
+		m.Add("backend/early", roleBackend, sample(5000+i*100, 1))
 	}
 	// Late joiner: first sample long after the early node started.
 	for i := int64(0); i < 3; i++ {
-		m.Add("backend/late", RoleBackend, sample(90_000+i*100, 1))
+		m.Add("backend/late", roleBackend, sample(90_000+i*100, 1))
 	}
 	per := m.PerNode()
 	if n := len(per["backend/early"]); n != 10 {
@@ -86,21 +86,21 @@ func TestMergerLateJoinEarlyLeave(t *testing.T) {
 // merger must accept each (node, TMS) once and call the sink once.
 func TestMergerDuplicateSuppression(t *testing.T) {
 	var sunk []NodeSample
-	m := NewMerger(func(ns NodeSample) error {
+	m := newMerger(func(ns NodeSample) error {
 		sunk = append(sunk, ns)
 		return nil
 	})
 	s := sample(1000, 7)
-	if !m.Add("gateway/gw0", RoleGateway, s) {
+	if !m.Add("gateway/gw0", roleGateway, s) {
 		t.Fatal("first add rejected")
 	}
 	for i := 0; i < 3; i++ {
-		if m.Add("gateway/gw0", RoleGateway, s) {
+		if m.Add("gateway/gw0", roleGateway, s) {
 			t.Fatal("duplicate (node, TMS) accepted")
 		}
 	}
 	// Same TMS from a different node is a distinct sample.
-	if !m.Add("gateway/gw1", RoleGateway, s) {
+	if !m.Add("gateway/gw1", roleGateway, s) {
 		t.Fatal("same TMS on another node rejected")
 	}
 	if m.Len() != 2 || len(sunk) != 2 {
@@ -113,11 +113,11 @@ func TestMergerDuplicateSuppression(t *testing.T) {
 // covers the interleaving).
 func TestJSONLRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	w, err := session.CreateJSONL(filepath.Join(dir, JSONLName))
+	w, err := session.CreateJSONL(filepath.Join(dir, jsonlName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewMerger(func(ns NodeSample) error { return w.Write(ns) })
+	m := newMerger(func(ns NodeSample) error { return w.Write(ns) })
 
 	const nodes, perNode = 4, 25
 	var wg sync.WaitGroup
@@ -128,8 +128,8 @@ func TestJSONLRoundTrip(t *testing.T) {
 			key := fmt.Sprintf("backend/b%d", n)
 			for i := int64(0); i < perNode; i++ {
 				s := sample(int64(n)*1_000_000+i*100, uint64(n*100+int(i)))
-				m.Add(key, RoleBackend, s)
-				m.Add(key, RoleBackend, s) // concurrent duplicate, must be dropped
+				m.Add(key, roleBackend, s)
+				m.Add(key, roleBackend, s) // concurrent duplicate, must be dropped
 			}
 		}(n)
 	}
@@ -141,7 +141,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	back, err := ReadJSONL(filepath.Join(dir, JSONLName))
+	back, err := readJSONL(filepath.Join(dir, jsonlName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,15 +169,15 @@ func TestJSONLRoundTrip(t *testing.T) {
 // by the stock session.ReadCSV parser (header-name column resolution).
 func TestMergedCSVReadableBySessionReader(t *testing.T) {
 	dir := t.TempDir()
-	m := NewMerger(nil)
+	m := newMerger(nil)
 	for i := int64(0); i < 6; i++ {
-		m.Add("gateway/gw0", RoleGateway, sample(1000+i*100, 5))
-		m.Add("backend/b0", RoleBackend, sample(8_000_000+i*100, 5))
+		m.Add("gateway/gw0", roleGateway, sample(1000+i*100, 5))
+		m.Add("backend/b0", roleBackend, sample(8_000_000+i*100, 5))
 	}
-	if err := WriteCSVs(dir, m); err != nil {
+	if err := writeCSVs(dir, m); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(filepath.Join(dir, MergedCSVName))
+	f, err := os.Open(filepath.Join(dir, mergedCSVName))
 	if err != nil {
 		t.Fatal(err)
 	}

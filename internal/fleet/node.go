@@ -35,9 +35,9 @@ func (n *Node) Key() string { return n.Role + "/" + n.ID }
 
 // roleBinaries maps roles to the commands that implement them.
 var roleBinaries = map[string]string{
-	RoleBackend: "aonback",
-	RoleGateway: "aongate",
-	RoleLoad:    "aonload",
+	roleBackend: "aonback",
+	roleGateway: "aongate",
+	roleLoad:    "aonload",
 }
 
 // binary resolves the node's executable: an absolute/relative path under

@@ -12,18 +12,18 @@ import (
 )
 
 // Artifact names inside Config.OutDir. The merged session is persisted
-// as it is collected — one NodeSample per line of JSONLName, through
+// as it is collected — one NodeSample per line of jsonlName, through
 // session.JSONL — so a crashed campaign still leaves the session on disk
 // up to its last scrape.
 const (
-	JSONLName     = "merged-session.jsonl"
-	MergedCSVName = "merged-session.csv"
-	ReportName    = "fleet-report.txt"
+	jsonlName     = "merged-session.jsonl"
+	mergedCSVName = "merged-session.csv"
+	reportName    = "fleet-report.txt"
 )
 
-// ReadJSONL loads a persisted merged session back — the round-trip half
+// readJSONL loads a persisted merged session back — the round-trip half
 // of the format, used by tests and by offline report tooling.
-func ReadJSONL(path string) ([]NodeSample, error) {
+func readJSONL(path string) ([]NodeSample, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: session jsonl: %w", err)
@@ -50,12 +50,12 @@ func ReadJSONL(path string) ([]NodeSample, error) {
 	return out, nil
 }
 
-// WriteCSVs renders the merged session to CSV: one session-<role>-<id>.csv
+// writeCSVs renders the merged session to CSV: one session-<role>-<id>.csv
 // per node in the plain session schema (readable by session.ReadCSV and
 // every existing tool), plus merged-session.csv with node, role, and
 // aligned rel_ms columns prefixed — session.ReadCSV resolves columns by
 // header name, so the merged file stays readable by the same parser.
-func WriteCSVs(outDir string, m *Merger) error {
+func writeCSVs(outDir string, m *Merger) error {
 	for node, samples := range m.PerNode() {
 		err := writeFile(filepath.Join(outDir, "session-"+sanitize(node)+".csv"), func(f *os.File) error {
 			return session.WriteCSV(f, samples)
@@ -64,7 +64,7 @@ func WriteCSVs(outDir string, m *Merger) error {
 			return err
 		}
 	}
-	return writeFile(filepath.Join(outDir, MergedCSVName), func(f *os.File) error {
+	return writeFile(filepath.Join(outDir, mergedCSVName), func(f *os.File) error {
 		app := session.NewAppender(f, true, "node", "role", "rel_ms")
 		if err := app.Append(nil); err != nil { // the header, even for an empty session
 			return err

@@ -9,10 +9,10 @@ import (
 	"repro/internal/session"
 )
 
-// NodeWindow aggregates one node's samples over a sweep point's window:
+// nodeWindow aggregates one node's samples over a sweep point's window:
 // total messages, window-weighted throughput and counter metrics, and
 // the latency view at the window's close.
-type NodeWindow struct {
+type nodeWindow struct {
 	Node string `json:"node"`
 	Role string `json:"role"`
 	// Samples is how many merged-session samples fell in the window.
@@ -32,16 +32,16 @@ type NodeWindow struct {
 	Source   string  `json:"derived_source,omitempty"`
 }
 
-// PointReport is one sweep point: the client-side load report, the
+// pointReport is one sweep point: the client-side load report, the
 // per-node windows cut from the merged session, and the gateway's
 // capacity-model error view at the point's close.
-type PointReport struct {
+type pointReport struct {
 	Conns int `json:"conns"`
 	// Client is the load generator's accounting for this point.
 	Client gateway.Report `json:"client"`
 	// Nodes are the per-node observability windows, sorted gateway
 	// first, then backends, by key.
-	Nodes []NodeWindow `json:"nodes"`
+	Nodes []nodeWindow `json:"nodes"`
 	// FleetMsgsPerSec sums the gateway nodes' window throughput — the
 	// fleet-total forwarding rate the scaling column compares.
 	FleetMsgsPerSec float64 `json:"fleet_msgs_per_sec"`
@@ -52,9 +52,9 @@ type PointReport struct {
 
 // windowNodes cuts per-node aggregates from the slice of merged-session
 // samples that arrived during one sweep point.
-func windowNodes(samples []NodeSample) []NodeWindow {
+func windowNodes(samples []NodeSample) []nodeWindow {
 	type agg struct {
-		w      NodeWindow
+		w      nodeWindow
 		winSec float64
 		cpiW   float64 // Σ cpi·window
 		mpiW   float64
@@ -65,7 +65,7 @@ func windowNodes(samples []NodeSample) []NodeWindow {
 	for _, ns := range samples {
 		a, ok := byNode[ns.Node]
 		if !ok {
-			a = &agg{w: NodeWindow{Node: ns.Node, Role: ns.Role}}
+			a = &agg{w: nodeWindow{Node: ns.Node, Role: ns.Role}}
 			byNode[ns.Node] = a
 		}
 		s := ns.Sample
@@ -82,7 +82,7 @@ func windowNodes(samples []NodeSample) []NodeWindow {
 		}
 		a.last = s
 	}
-	out := make([]NodeWindow, 0, len(byNode))
+	out := make([]nodeWindow, 0, len(byNode))
 	for _, a := range byNode {
 		if a.winSec > 0 {
 			a.w.MsgsPerSec = float64(a.w.Messages) / a.winSec
@@ -106,9 +106,9 @@ func windowNodes(samples []NodeSample) []NodeWindow {
 
 func roleRank(role string) int {
 	switch role {
-	case RoleGateway:
+	case roleGateway:
 		return 0
-	case RoleBackend:
+	case roleBackend:
 		return 1
 	default:
 		return 2
@@ -116,10 +116,10 @@ func roleRank(role string) int {
 }
 
 // buildPoint assembles one sweep point's report.
-func buildPoint(conns int, client gateway.Report, window []NodeSample, snap *gateway.Snapshot) PointReport {
-	pr := PointReport{Conns: conns, Client: client, Nodes: windowNodes(window)}
+func buildPoint(conns int, client gateway.Report, window []NodeSample, snap *gateway.Snapshot) pointReport {
+	pr := pointReport{Conns: conns, Client: client, Nodes: windowNodes(window)}
 	for _, nw := range pr.Nodes {
-		if nw.Role == RoleGateway {
+		if nw.Role == roleGateway {
 			pr.FleetMsgsPerSec += nw.MsgsPerSec
 		}
 	}
@@ -129,12 +129,12 @@ func buildPoint(conns int, client gateway.Report, window []NodeSample, snap *gat
 	return pr
 }
 
-// FormatFleetReport renders the campaign as the combined Figure-5/6
+// formatFleetReport renders the campaign as the combined Figure-5/6
 // analogue: the client view (throughput, p50/p99, scaling factor vs the
 // first point), the per-node windows (per-node and fleet-total
 // throughput, CPI and cache MPI where a node carried counters), and the
 // capacity model-error columns when adaptive admission ran.
-func FormatFleetReport(points []PointReport, merger *Merger) string {
+func formatFleetReport(points []pointReport, merger *Merger) string {
 	var b strings.Builder
 	b.WriteString("Fleet sweep report (" + merger.Summary() + ")\n")
 	b.WriteString("\nClient view (per sweep point):\n")
@@ -190,7 +190,7 @@ func FormatFleetReport(points []PointReport, merger *Merger) string {
 	return b.String()
 }
 
-func hasCapacity(points []PointReport) bool {
+func hasCapacity(points []pointReport) bool {
 	for _, p := range points {
 		if p.Capacity != nil && p.Capacity.Enabled {
 			return true

@@ -40,9 +40,9 @@ func newScraper(merger *Merger, timeout time.Duration) *scraper {
 func (sc *scraper) scrapeNode(n *Node) error {
 	var err error
 	switch n.Role {
-	case RoleGateway:
+	case roleGateway:
 		err = sc.scrapeGateway(n)
-	case RoleBackend:
+	case roleBackend:
 		err = sc.scrapeBackend(n)
 	default:
 		return nil

@@ -86,10 +86,10 @@ func (f *fakeNode) hit(path string) int {
 // restart, and the /traces 404 memo (a 500 is an error every time).
 func TestScraperAgainstFakeControlPlane(t *testing.T) {
 	node := startFakeNode(t, 404)
-	n := &Node{Role: RoleGateway, ID: "gw0", Addr: node.addr}
-	m := NewMerger(nil)
+	n := &Node{Role: roleGateway, ID: "gw0", Addr: node.addr}
+	m := newMerger(nil)
 	sc := newScraper(m, 0)
-	sc.traces = NewTraceStore(nil)
+	sc.traces = newTraceStore(nil)
 
 	for _, step := range []struct {
 		uptime                float64
@@ -126,7 +126,7 @@ func TestScraperAgainstFakeControlPlane(t *testing.T) {
 	}
 
 	broken := startFakeNode(t, 500)
-	bn := &Node{Role: RoleGateway, ID: "gw1", Addr: broken.addr}
+	bn := &Node{Role: roleGateway, ID: "gw1", Addr: broken.addr}
 	for i := 1; i <= 2; i++ {
 		err := sc.scrapeNode(bn)
 		if err == nil || !strings.Contains(err.Error(), "500") || !strings.Contains(err.Error(), "scripted") {

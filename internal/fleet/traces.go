@@ -6,11 +6,11 @@ import (
 	"repro/internal/dtrace"
 )
 
-// TracesJSONLName is the per-span trace artifact inside Config.OutDir:
+// tracesJSONLName is the per-span trace artifact inside Config.OutDir:
 // one dtrace.Span JSON object per line, every node's spans interleaved
 // in scrape order. cmd/aontrace reads it back (-in) and joins spans into
 // cross-node traces purely by trace ID.
-const TracesJSONLName = "traces.jsonl"
+const tracesJSONLName = "traces.jsonl"
 
 // TraceStore is the fleet's cross-node span collector: every scrape of a
 // node's GET /traces lands here, deduplicated by (trace ID, span ID) —
@@ -26,9 +26,9 @@ type TraceStore struct {
 	sinkErr error
 }
 
-// NewTraceStore builds a store; sink (may be nil) receives each new span
+// newTraceStore builds a store; sink (may be nil) receives each new span
 // exactly once, in arrival order.
-func NewTraceStore(sink func(dtrace.Span) error) *TraceStore {
+func newTraceStore(sink func(dtrace.Span) error) *TraceStore {
 	return &TraceStore{seen: map[[2]dtrace.ID]struct{}{}, sink: sink}
 }
 

@@ -54,8 +54,8 @@ func TestFleetTracePlane(t *testing.T) {
 		Trace:            true,
 		TraceClientEvery: 1,
 		Nodes: []NodeConfig{
-			{Role: RoleBackend, ID: "b-order", Addr: order.Addr().String(), Endpoint: "order", Attach: true},
-			{Role: RoleGateway, ID: "gw0", Addr: srv.Addr().String(), Attach: true},
+			{Role: roleBackend, ID: "b-order", Addr: order.Addr().String(), Endpoint: "order", Attach: true},
+			{Role: roleGateway, ID: "gw0", Addr: srv.Addr().String(), Attach: true},
 		},
 		Sweep: SweepConfig{Conns: []int{2}, Messages: 100},
 	}
@@ -113,7 +113,7 @@ func TestFleetTracePlane(t *testing.T) {
 
 	// The on-disk artifact holds every span the store collected and
 	// reads back through the stock dtrace JSONL reader.
-	f, err := os.Open(filepath.Join(outDir, TracesJSONLName))
+	f, err := os.Open(filepath.Join(outDir, tracesJSONLName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestFleetTracePlane(t *testing.T) {
 // nothing and the sink sees each span exactly once.
 func TestTraceStoreDedup(t *testing.T) {
 	var sunk []dtrace.Span
-	ts := NewTraceStore(func(sp dtrace.Span) error {
+	ts := newTraceStore(func(sp dtrace.Span) error {
 		sunk = append(sunk, sp)
 		return nil
 	})

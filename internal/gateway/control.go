@@ -16,21 +16,21 @@ import (
 // through GetJSON/PostJSON, over the load driver's Client and so under
 // the one framer's bounds (httpmsg.ReadResponseHead: 8 MiB bodies).
 
-// StatusError is a control-plane answer other than 200.
-type StatusError struct {
+// statusError is a control-plane answer other than 200.
+type statusError struct {
 	Method, Path string
 	Status       int
 	Body         string // first 200 bytes
 }
 
-func (e *StatusError) Error() string {
+func (e *statusError) Error() string {
 	return fmt.Sprintf("%s %s: %d %s: %s", e.Method, e.Path, e.Status, httpmsg.StatusText(e.Status), e.Body)
 }
 
 // IsNotFound reports whether err is a control-plane 404 — how a node
 // says the plane asked about (timeline, tracing) is switched off.
 func IsNotFound(err error) bool {
-	var se *StatusError
+	var se *statusError
 	return errors.As(err, &se) && se.Status == 404
 }
 
@@ -70,7 +70,7 @@ func controlJSON(addr, method, path string, body []byte, timeout time.Duration, 
 		return fmt.Errorf("%s %s: %w", method, path, err)
 	}
 	if resp.Status != 200 {
-		return &StatusError{Method: method, Path: path, Status: resp.Status,
+		return &statusError{Method: method, Path: path, Status: resp.Status,
 			Body: string(resp.Body[:min(len(resp.Body), 200)])}
 	}
 	if err := json.Unmarshal(resp.Body, out); err != nil {

@@ -37,6 +37,7 @@ import (
 	"repro/internal/perf/trace"
 	"repro/internal/session"
 	"repro/internal/upstream"
+	"repro/internal/verdict"
 	"repro/internal/workload"
 	"repro/internal/zc"
 )
@@ -48,8 +49,6 @@ type Config struct {
 	UseCase workload.UseCase
 	// MaxBodyBytes rejects larger POSTs with 400; 0 means 1 MiB.
 	MaxBodyBytes int
-	// Expr overrides the CBR XPath (default //quantity/text()).
-	Expr string
 	// ProcessDelay adds a fixed per-message busy-wait to the process
 	// stage — a fault-injection knob for emulating a slower device and for
 	// testing the admission control deterministically. It spins rather
@@ -283,7 +282,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	pipe, err := NewPipeline(cfg.UseCase, cfg.Expr, nil)
+	pipe, err := NewPipeline(cfg.UseCase, "", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -299,7 +298,7 @@ func New(cfg Config) (*Server, error) {
 		pipe:     pipe,
 		fwd:      fwd,
 		capacity: cl,
-		Metrics:  NewMetrics(),
+		Metrics:  newMetrics(),
 		conns:    map[net.Conn]struct{}{},
 	}
 	s.admitBound.Store(cfg.MaxInflight)
@@ -582,9 +581,9 @@ func (s *Server) process(raw []byte, start time.Time, rec *dtrace.Recorder, sc *
 	if err != nil {
 		uc := s.cfg.UseCase // malformed request: no path to select from
 		if rec != nil {
-			rec.Annotate(uc.String(), OutParseError.String(), 400)
+			rec.Annotate(uc.String(), verdict.OutParseError.String(), 400)
 		}
-		s.Metrics.Done(OutParseError, uc, time.Since(start))
+		s.Metrics.Done(verdict.OutParseError, uc, time.Since(start))
 		return response{head: formatError(400, err.Error(), true), close: true}
 	}
 	if rec != nil {
@@ -606,7 +605,7 @@ func (s *Server) process(raw []byte, start time.Time, rec *dtrace.Recorder, sc *
 	if rec != nil {
 		lap(rec, dtrace.StageProcess, t)
 	}
-	if out == OutParseError {
+	if out == verdict.OutParseError {
 		if rec != nil {
 			rec.Annotate(uc.String(), out.String(), 400)
 		}
@@ -642,7 +641,7 @@ func (s *Server) process(raw []byte, start time.Time, rec *dtrace.Recorder, sc *
 			httpmsg.Header{Name: RouteHeader, Value: route},
 			httpmsg.Header{Name: "X-AON-Outcome", Value: out.String()},
 		)
-		if out == OutTranslated {
+		if out == verdict.OutTranslated {
 			vbody = req.Body
 		} else {
 			sc.body = appendVerdict(sc.body[:0], uc.String(), out.String(), route)
@@ -689,7 +688,7 @@ func appendVerdict(dst []byte, uc, out, route string) []byte {
 // (writeResp recycles it after the write), so relaying copies and
 // allocates nothing per message. Returns (that buffer, nil) on success
 // and (nil, inline error body) on failure.
-func (s *Server) forward(resp *httpmsg.Response, route string, uc workload.UseCase, out Outcome, req *httpmsg.Request, sc *wscratch, rec *dtrace.Recorder) (relayed *[]byte, inline []byte) {
+func (s *Server) forward(resp *httpmsg.Response, route string, uc workload.UseCase, out verdict.Outcome, req *httpmsg.Request, sc *wscratch, rec *dtrace.Recorder) (relayed *[]byte, inline []byte) {
 	up := &sc.upReq
 	*up = httpmsg.Request{
 		Method:  "POST",

@@ -784,7 +784,7 @@ func TestWriteRespVectoredAllocs(t *testing.T) {
 		}
 	}()
 
-	s := &Server{Metrics: NewMetrics()}
+	s := &Server{Metrics: newMetrics()}
 	var vec httpmsg.Writev
 	head := []byte("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 300\r\n\r\n")
 	body := bytes.Repeat([]byte("x"), 300)
@@ -799,6 +799,12 @@ func TestWriteRespVectoredAllocs(t *testing.T) {
 	}
 	if want := uint64(201 * (len(head) + len(body))); s.Metrics.BytesOut.Load() != want {
 		t.Fatalf("bytes out %d, want %d", s.Metrics.BytesOut.Load(), want)
+	}
+}
+
+func TestNewPipelineRejectsBadExpression(t *testing.T) {
+	if _, err := NewPipeline(workload.CBR, "///", nil); err == nil {
+		t.Fatal("bad XPath accepted")
 	}
 }
 

@@ -233,10 +233,10 @@ const (
 	maxReportClientSpans = 4096
 )
 
-// RequestPool pre-generates the cfg.Pool requests the senders cycle
+// requestPool pre-generates the cfg.Pool requests the senders cycle
 // through. Indices keep workload.SOAPMessage's deterministic i%2 CBR
 // split; InvalidEvery swaps in a schema-broken body at the same size.
-func RequestPool(cfg LoadConfig) [][]byte {
+func requestPool(cfg LoadConfig) [][]byte {
 	pool := make([][]byte, cfg.Pool)
 	for i := range pool {
 		if cfg.InvalidEvery > 0 && i%cfg.InvalidEvery == cfg.InvalidEvery-1 {
@@ -329,7 +329,7 @@ func NewSenders(cfg LoadConfig, redial bool) *Senders {
 	if cfg.TraceNode == "" {
 		cfg.TraceNode = "client"
 	}
-	s := &Senders{cfg: cfg, redial: redial, pool: RequestPool(cfg), start: time.Now()}
+	s := &Senders{cfg: cfg, redial: redial, pool: requestPool(cfg), start: time.Now()}
 	s.LoopSet = NewLoopSet(s.run)
 	return s
 }

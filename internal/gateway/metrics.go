@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/lhist"
 	"repro/internal/upstream"
+	"repro/internal/verdict"
 	"repro/internal/workload"
 )
 
@@ -79,12 +80,12 @@ type Metrics struct {
 	rate        rateRing
 }
 
-// NewMetrics starts the clock.
-func NewMetrics() *Metrics { return &Metrics{start: time.Now()} }
+// newMetrics starts the clock.
+func newMetrics() *Metrics { return &Metrics{start: time.Now()} }
 
 // Done records one completed message with its service latency,
 // attributed to the use case that processed it.
-func (m *Metrics) Done(outcome Outcome, uc workload.UseCase, d time.Duration) {
+func (m *Metrics) Done(outcome verdict.Outcome, uc workload.UseCase, d time.Duration) {
 	m.Messages.Add(1)
 	m.Latency.Observe(d)
 	if uc >= 0 && int(uc) < len(m.LatencyByUC) {
@@ -92,17 +93,17 @@ func (m *Metrics) Done(outcome Outcome, uc workload.UseCase, d time.Duration) {
 	}
 	m.rate.tick(time.Now())
 	switch outcome {
-	case OutForwarded:
+	case verdict.OutForwarded:
 		m.Forwarded.Add(1)
-	case OutMatch:
+	case verdict.OutMatch:
 		m.RoutedMatch.Add(1)
-	case OutNoMatch:
+	case verdict.OutNoMatch:
 		m.RoutedError.Add(1)
-	case OutValid:
+	case verdict.OutValid:
 		m.ValidationOK.Add(1)
-	case OutParseError:
+	case verdict.OutParseError:
 		m.ParseErrors.Add(1)
-	case OutTranslated:
+	case verdict.OutTranslated:
 		m.Translated.Add(1)
 	}
 }

@@ -13,8 +13,8 @@ import (
 	"repro/internal/workload"
 )
 
-// GigabitBps is the testbed link speed.
-const GigabitBps = 1e9
+// gigabitBps is the testbed link speed.
+const gigabitBps = 1e9
 
 // NetperfOpts sizes a netperf run.
 type NetperfOpts struct {
@@ -42,7 +42,7 @@ func RunNetperf(id machine.ConfigID, mode netperf.Mode, o NetperfOpts) NetperfRe
 	e := sched.NewEngine(m)
 	var tx *netsim.Link
 	if mode == netperf.EndToEnd {
-		tx = netsim.NewLink(m, GigabitBps)
+		tx = netsim.NewLink(m, gigabitBps)
 	}
 	b := netperf.New(e, mode, tx)
 	b.Spawn()
@@ -101,8 +101,8 @@ const utilIntervalSec = 100e-6
 func RunAON(id machine.ConfigID, uc workload.UseCase, o AONOpts) (AONResult, error) {
 	m := machine.New(id, o.Machine)
 	e := sched.NewEngine(m)
-	rx := netsim.NewLink(m, GigabitBps)
-	tx := netsim.NewLink(m, GigabitBps)
+	rx := netsim.NewLink(m, gigabitBps)
+	tx := netsim.NewLink(m, gigabitBps)
 	kern := e.Space.NewProcess()
 	nic := netsim.NewNIC(e, kern, rx, tx)
 	s, err := aon.New(e, nic, aon.Config{UseCase: uc})

@@ -144,7 +144,7 @@ func TestPaperDataComplete(t *testing.T) {
 	}
 	for _, p := range ScalingPairs {
 		for _, uc := range workload.AllUseCases {
-			if PaperScaling[p.Name][uc] == 0 {
+			if paperScaling[p.Name][uc] == 0 {
 				t.Errorf("missing Figure 3 value for %s/%v", p.Name, uc)
 			}
 		}

@@ -69,9 +69,9 @@ var ScalingPairs = []ScalingPair{
 	{"1LPx->2PPx", machine.OneLPx, machine.TwoPPx},
 }
 
-// PaperScaling is Figure 3: dual-processor throughput scaling per use case
+// paperScaling is Figure 3: dual-processor throughput scaling per use case
 // and transition.
-var PaperScaling = map[string]map[workload.UseCase]float64{
+var paperScaling = map[string]map[workload.UseCase]float64{
 	"1CPm->2CPm": {workload.FR: 1.51, workload.CBR: 1.84, workload.SV: 1.91},
 	"1LPx->2LPx": {workload.FR: 1.49, workload.CBR: 1.32, workload.SV: 1.12},
 	"1LPx->2PPx": {workload.FR: 1.97, workload.CBR: 1.98, workload.SV: 1.97},

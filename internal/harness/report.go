@@ -11,20 +11,20 @@ import (
 	"repro/internal/workload"
 )
 
-// Metric selects one derived metric from a counter set for table rendering
+// tableMetric selects one derived metric from a counter set for table rendering
 // and shape checks.
-type Metric struct {
+type tableMetric struct {
 	Name string
 	Get  func(counters.Metrics) float64
 }
 
 // The paper's microarchitectural metrics.
 var (
-	MetricCPI        = Metric{"CPI", func(m counters.Metrics) float64 { return m.CPI }}
-	MetricL2MPI      = Metric{"L2MPI (%)", func(m counters.Metrics) float64 { return m.L2MPI }}
-	MetricBTPI       = Metric{"BTPI (%)", func(m counters.Metrics) float64 { return m.BTPI }}
-	MetricBranchFreq = Metric{"Branch freq (%)", func(m counters.Metrics) float64 { return m.BranchFreq }}
-	MetricBrMPR      = Metric{"BrMPR (%)", func(m counters.Metrics) float64 { return m.BrMPR }}
+	metricCPI        = tableMetric{"CPI", func(m counters.Metrics) float64 { return m.CPI }}
+	metricL2MPI      = tableMetric{"L2MPI (%)", func(m counters.Metrics) float64 { return m.L2MPI }}
+	metricBTPI       = tableMetric{"BTPI (%)", func(m counters.Metrics) float64 { return m.BTPI }}
+	metricBranchFreq = tableMetric{"Branch freq (%)", func(m counters.Metrics) float64 { return m.BranchFreq }}
+	metricBrMPR      = tableMetric{"BrMPR (%)", func(m counters.Metrics) float64 { return m.BrMPR }}
 )
 
 // Table is a rendered paper-vs-measured comparison.
@@ -147,7 +147,7 @@ func Table3Tables(mx NetperfMatrix) []Table {
 			paper = PaperNetperfEndToEnd
 		}
 		t := Table{Title: fmt.Sprintf("Table 3 (%s): netperf performance metrics", mode)}
-		add := func(metric Metric, paperVals map[machine.ConfigID]float64) {
+		add := func(metric tableMetric, paperVals map[machine.ConfigID]float64) {
 			t.Rows = append(t.Rows, TableRow{Label: metric.Name + " (paper)", Values: paperVals})
 			meas := map[machine.ConfigID]float64{}
 			for id, r := range mx[mode] {
@@ -155,11 +155,11 @@ func Table3Tables(mx NetperfMatrix) []Table {
 			}
 			t.Rows = append(t.Rows, TableRow{Label: metric.Name + " (measured)", Values: meas})
 		}
-		add(MetricCPI, paper.CPI)
-		add(MetricL2MPI, paper.L2MPI)
-		add(MetricBTPI, paper.BTPI)
-		add(MetricBranchFreq, paper.BranchFreq)
-		add(MetricBrMPR, paper.BrMPR)
+		add(metricCPI, paper.CPI)
+		add(metricL2MPI, paper.L2MPI)
+		add(metricBTPI, paper.BTPI)
+		add(metricBranchFreq, paper.BranchFreq)
+		add(metricBrMPR, paper.BrMPR)
 		out = append(out, t)
 	}
 	return out
@@ -191,7 +191,7 @@ func Figure3Table(mx AONMatrix) Table {
 		for _, uc := range workload.AllUseCases {
 			t.Rows = append(t.Rows, TableRow{
 				Label:  fmt.Sprintf("%s %s (paper)", p.Name, uc),
-				Values: map[machine.ConfigID]float64{p.To: PaperScaling[p.Name][uc]},
+				Values: map[machine.ConfigID]float64{p.To: paperScaling[p.Name][uc]},
 			})
 			t.Rows = append(t.Rows, TableRow{
 				Label:  fmt.Sprintf("%s %s (measured)", p.Name, uc),
@@ -224,7 +224,7 @@ func Figure3Checks(mx AONMatrix) []ShapeCheck {
 
 // metricTable renders one use-case x configuration grid, paper vs
 // measured, for the given metric.
-func metricTable(title string, mx AONMatrix, metric Metric, paper map[workload.UseCase]map[machine.ConfigID]float64) Table {
+func metricTable(title string, mx AONMatrix, metric tableMetric, paper map[workload.UseCase]map[machine.ConfigID]float64) Table {
 	t := Table{Title: title}
 	for _, uc := range []workload.UseCase{workload.SV, workload.CBR, workload.FR} {
 		if paper != nil {
@@ -241,7 +241,7 @@ func metricTable(title string, mx AONMatrix, metric Metric, paper map[workload.U
 
 // Table4Table renders AON CPIs.
 func Table4Table(mx AONMatrix) Table {
-	return metricTable("Table 4: CPIs for the AON use cases", mx, MetricCPI, PaperCPI)
+	return metricTable("Table 4: CPIs for the AON use cases", mx, metricCPI, PaperCPI)
 }
 
 // Table4Checks verifies Section 5.2's CPI relations.
@@ -268,7 +268,7 @@ func Table4Checks(mx AONMatrix) []ShapeCheck {
 
 // Figure4Table renders AON L2MPI.
 func Figure4Table(mx AONMatrix) Table {
-	return metricTable("Figure 4: L2 cache misses per retired instruction (%)", mx, MetricL2MPI, nil)
+	return metricTable("Figure 4: L2 cache misses per retired instruction (%)", mx, metricL2MPI, nil)
 }
 
 // Figure4Checks verifies Section 5.3's relations.
@@ -293,7 +293,7 @@ func Figure4Checks(mx AONMatrix) []ShapeCheck {
 
 // Figure5Table renders AON BTPI.
 func Figure5Table(mx AONMatrix) Table {
-	return metricTable("Figure 5: Bus transactions per retired instruction (%)", mx, MetricBTPI, nil)
+	return metricTable("Figure 5: Bus transactions per retired instruction (%)", mx, metricBTPI, nil)
 }
 
 // Figure5Checks verifies Section 5.4's relations.
@@ -318,7 +318,7 @@ func Figure5Checks(mx AONMatrix) []ShapeCheck {
 
 // Table5Table renders branch frequencies.
 func Table5Table(mx AONMatrix) Table {
-	return metricTable("Table 5: Branch instructions retired per instruction retired (%)", mx, MetricBranchFreq, PaperBranchFreq)
+	return metricTable("Table 5: Branch instructions retired per instruction retired (%)", mx, metricBranchFreq, PaperBranchFreq)
 }
 
 // Table5Checks verifies Section 5.5's branch-frequency findings.
@@ -343,7 +343,7 @@ func Table5Checks(mx AONMatrix) []ShapeCheck {
 
 // Table6Table renders branch misprediction ratios.
 func Table6Table(mx AONMatrix) Table {
-	return metricTable("Table 6: Branch misprediction ratios (%)", mx, MetricBrMPR, PaperBrMPR)
+	return metricTable("Table 6: Branch misprediction ratios (%)", mx, metricBrMPR, PaperBrMPR)
 }
 
 // Table6Checks verifies Section 5.5's misprediction findings.

@@ -56,13 +56,13 @@ func (r *Request) ContentLength() int {
 	return n
 }
 
-// ParseError reports a malformed message.
-type ParseError struct {
+// parseError reports a malformed message.
+type parseError struct {
 	Offset int
 	Msg    string
 }
 
-func (e *ParseError) Error() string {
+func (e *parseError) Error() string {
 	return fmt.Sprintf("httpmsg: offset %d: %s", e.Offset, e.Msg)
 }
 
@@ -102,17 +102,17 @@ func ParseRequestInstrumented(src []byte, em trace.Emitter, base uint64) (*Reque
 	parts := strings.SplitN(line, " ", 3)
 	p.em.ALU(len(line))
 	if len(parts) != 3 {
-		return nil, &ParseError{Offset: p.pos, Msg: "malformed request line"}
+		return nil, &parseError{Offset: p.pos, Msg: "malformed request line"}
 	}
 	req.Method, req.Target, req.Proto = parts[0], parts[1], parts[2]
 	okMethod := req.Method == "POST" || req.Method == "GET" || req.Method == "PUT" ||
 		req.Method == "HEAD" || req.Method == "DELETE" || req.Method == "OPTIONS"
 	p.em.Branch(pcMethodOK, okMethod)
 	if !okMethod {
-		return nil, &ParseError{Offset: 0, Msg: "unknown method " + req.Method}
+		return nil, &parseError{Offset: 0, Msg: "unknown method " + req.Method}
 	}
 	if !strings.HasPrefix(req.Proto, "HTTP/1.") {
-		return nil, &ParseError{Offset: 0, Msg: "unsupported protocol " + req.Proto}
+		return nil, &parseError{Offset: 0, Msg: "unsupported protocol " + req.Proto}
 	}
 
 	for {
@@ -129,11 +129,11 @@ func ParseRequestInstrumented(src []byte, em trace.Emitter, base uint64) (*Reque
 		p.em.ALU(colon + 2)
 		p.em.Branch(pcHdrColon, colon > 0)
 		if colon <= 0 {
-			return nil, &ParseError{Offset: p.pos, Msg: "malformed header line"}
+			return nil, &parseError{Offset: p.pos, Msg: "malformed header line"}
 		}
 		name := strings.TrimSpace(line[:colon])
 		if name == "" {
-			return nil, &ParseError{Offset: p.pos, Msg: "malformed header line"}
+			return nil, &parseError{Offset: p.pos, Msg: "malformed header line"}
 		}
 		value := strings.TrimSpace(line[colon+1:])
 		req.Headers = append(req.Headers, Header{Name: name, Value: value})
@@ -144,7 +144,7 @@ func ParseRequestInstrumented(src []byte, em trace.Emitter, base uint64) (*Reque
 
 	if clen := req.ContentLength(); clen >= 0 {
 		if p.pos+clen > len(src) {
-			return nil, &ParseError{Offset: p.pos, Msg: "truncated body"}
+			return nil, &parseError{Offset: p.pos, Msg: "truncated body"}
 		}
 		req.Body = src[p.pos : p.pos+clen]
 		// Body bytes are touched by the copy kernels, not re-scanned
@@ -172,13 +172,13 @@ func (p *parser) readLine() (string, error) {
 		}
 		p.pos++
 	}
-	return "", &ParseError{Offset: start, Msg: "unterminated line"}
+	return "", &parseError{Offset: start, Msg: "unterminated line"}
 }
 
 // FormatRequest serializes a request into a fresh buffer. Hot paths use
-// FormatRequestTo with a pooled dst instead.
+// formatRequestTo with a pooled dst instead.
 func FormatRequest(r *Request) []byte {
-	return FormatRequestTo(nil, r)
+	return formatRequestTo(nil, r)
 }
 
 // Response is a minimal HTTP response.
@@ -190,9 +190,9 @@ type Response struct {
 }
 
 // FormatResponse serializes a response into a fresh buffer. Hot paths
-// use FormatResponseTo with a pooled dst instead.
+// use formatResponseTo with a pooled dst instead.
 func FormatResponse(r *Response) []byte {
-	return FormatResponseTo(nil, r)
+	return formatResponseTo(nil, r)
 }
 
 // JSONResponse serializes a response whose body is v as indented JSON —

@@ -60,7 +60,7 @@ func TestParseErrors(t *testing.T) {
 		}
 	}
 	_, err := ParseRequest([]byte("POST\r\n\r\n"))
-	if _, ok := err.(*ParseError); !ok {
+	if _, ok := err.(*parseError); !ok {
 		t.Fatalf("error type %T", err)
 	}
 	if !strings.Contains(err.Error(), "httpmsg") {

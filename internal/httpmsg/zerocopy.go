@@ -70,16 +70,16 @@ func AppendResponseHeader(dst []byte, r *Response, bodyLen int) []byte {
 	return append(dst, '\r', '\n', '\r', '\n')
 }
 
-// FormatRequestTo appends the full serialized request (header and body)
+// formatRequestTo appends the full serialized request (header and body)
 // to dst and returns the extended slice.
-func FormatRequestTo(dst []byte, r *Request) []byte {
+func formatRequestTo(dst []byte, r *Request) []byte {
 	dst = AppendRequestHeader(dst, r, len(r.Body))
 	return append(dst, r.Body...)
 }
 
-// FormatResponseTo appends the full serialized response (header and
+// formatResponseTo appends the full serialized response (header and
 // body) to dst and returns the extended slice.
-func FormatResponseTo(dst []byte, r *Response) []byte {
+func formatResponseTo(dst []byte, r *Response) []byte {
 	dst = AppendResponseHeader(dst, r, len(r.Body))
 	return append(dst, r.Body...)
 }
@@ -109,7 +109,7 @@ func ParseRequestInto(src []byte, req *Request) error {
 		}
 	}
 	if sp1 < 0 || sp2 < 0 {
-		return &ParseError{Offset: pos, Msg: "malformed request line"}
+		return &parseError{Offset: pos, Msg: "malformed request line"}
 	}
 	req.Method = zc.String(line[:sp1])
 	req.Target = zc.String(line[sp1+1 : sp2])
@@ -117,10 +117,10 @@ func ParseRequestInto(src []byte, req *Request) error {
 	okMethod := req.Method == "POST" || req.Method == "GET" || req.Method == "PUT" ||
 		req.Method == "HEAD" || req.Method == "DELETE" || req.Method == "OPTIONS"
 	if !okMethod {
-		return &ParseError{Offset: 0, Msg: "unknown method " + req.Method}
+		return &parseError{Offset: 0, Msg: "unknown method " + req.Method}
 	}
 	if !strings.HasPrefix(req.Proto, "HTTP/1.") {
-		return &ParseError{Offset: 0, Msg: "unsupported protocol " + req.Proto}
+		return &parseError{Offset: 0, Msg: "unsupported protocol " + req.Proto}
 	}
 
 	for {
@@ -138,7 +138,7 @@ func ParseRequestInto(src []byte, req *Request) error {
 			name = bytes.TrimSpace(line[:colon])
 		}
 		if len(name) == 0 {
-			return &ParseError{Offset: pos, Msg: "malformed header line"}
+			return &parseError{Offset: pos, Msg: "malformed header line"}
 		}
 		value := zc.String(bytes.TrimSpace(line[colon+1:]))
 		req.Headers = append(req.Headers, Header{Name: zc.String(name), Value: value})
@@ -146,7 +146,7 @@ func ParseRequestInto(src []byte, req *Request) error {
 
 	if clen := req.ContentLength(); clen >= 0 {
 		if pos+clen > len(src) {
-			return &ParseError{Offset: pos, Msg: "truncated body"}
+			return &parseError{Offset: pos, Msg: "truncated body"}
 		}
 		req.Body = src[pos : pos+clen]
 	}
@@ -158,7 +158,7 @@ func ParseRequestInto(src []byte, req *Request) error {
 func viewLine(src []byte, pos int) ([]byte, int, error) {
 	i := bytes.IndexByte(src[pos:], '\n')
 	if i < 0 {
-		return nil, pos, &ParseError{Offset: pos, Msg: "unterminated line"}
+		return nil, pos, &parseError{Offset: pos, Msg: "unterminated line"}
 	}
 	line := src[pos : pos+i]
 	if len(line) > 0 && line[len(line)-1] == '\r' {

@@ -21,13 +21,13 @@ func sampleRequest() *Request {
 
 func TestFormatToMatchesClassic(t *testing.T) {
 	req := sampleRequest()
-	if got, want := FormatRequestTo(nil, req), FormatRequest(req); !bytes.Equal(got, want) {
-		t.Fatalf("FormatRequestTo:\n%q\nwant\n%q", got, want)
+	if got, want := formatRequestTo(nil, req), FormatRequest(req); !bytes.Equal(got, want) {
+		t.Fatalf("formatRequestTo:\n%q\nwant\n%q", got, want)
 	}
 	// Pre-declared Content-Length must not be duplicated.
 	req.Headers = append(req.Headers, Header{Name: "content-length", Value: "11"})
-	if got, want := FormatRequestTo(nil, req), FormatRequest(req); !bytes.Equal(got, want) {
-		t.Fatalf("FormatRequestTo with clen:\n%q\nwant\n%q", got, want)
+	if got, want := formatRequestTo(nil, req), FormatRequest(req); !bytes.Equal(got, want) {
+		t.Fatalf("formatRequestTo with clen:\n%q\nwant\n%q", got, want)
 	}
 
 	for _, res := range []*Response{
@@ -35,15 +35,15 @@ func TestFormatToMatchesClassic(t *testing.T) {
 		{Status: 503, Reason: "Busy"},
 		{Status: 500},
 	} {
-		if got, want := FormatResponseTo(nil, res), FormatResponse(res); !bytes.Equal(got, want) {
-			t.Fatalf("FormatResponseTo(%d):\n%q\nwant\n%q", res.Status, got, want)
+		if got, want := formatResponseTo(nil, res), FormatResponse(res); !bytes.Equal(got, want) {
+			t.Fatalf("formatResponseTo(%d):\n%q\nwant\n%q", res.Status, got, want)
 		}
 	}
 }
 
 func TestFormatToAppendsToDst(t *testing.T) {
 	dst := []byte("prefix")
-	out := FormatResponseTo(dst, &Response{Status: 200, Body: []byte("x")})
+	out := formatResponseTo(dst, &Response{Status: 200, Body: []byte("x")})
 	if !bytes.HasPrefix(out, []byte("prefix")) {
 		t.Fatalf("dst prefix lost: %q", out)
 	}
@@ -157,7 +157,7 @@ func FuzzParseRequestInto(f *testing.F) {
 			t.Fatalf("body (%d bytes) is not a view into the input", len(req.Body))
 		}
 
-		wire := FormatRequestTo(nil, &req)
+		wire := formatRequestTo(nil, &req)
 		var again Request
 		if err := ParseRequestInto(wire, &again); err != nil {
 			t.Fatalf("re-serialised request refused: %v\n%q", err, wire)

@@ -64,9 +64,9 @@ func (e Event) String() string {
 	return eventNames[e]
 }
 
-// ErrUnsupported means this platform cannot open perf events at all
+// errUnsupported means this platform cannot open perf events at all
 // (non-Linux build, or an architecture without a syscall number wired).
-var ErrUnsupported = errors.New("hwcount: perf events unsupported on this platform")
+var errUnsupported = errors.New("hwcount: perf events unsupported on this platform")
 
 // sequentialCPUs is the CPU list where the affinity set cannot be read:
 // ids 0..runtime.NumCPU()-1.
@@ -107,12 +107,12 @@ type Reading struct {
 	Multiplexed bool
 }
 
-// ScaleValue extrapolates a raw counter value for multiplexing: when the
+// scaleValue extrapolates a raw counter value for multiplexing: when the
 // kernel time-shares hardware counters across event sets, an event only
 // counts while scheduled (time_running); scaling by enabled/running
 // estimates the full-window value, the same correction perf(1) applies.
 // A counter that never ran reads zero.
-func ScaleValue(raw, enabledNS, runningNS uint64) uint64 {
+func scaleValue(raw, enabledNS, runningNS uint64) uint64 {
 	if runningNS == 0 {
 		return 0
 	}

@@ -247,7 +247,7 @@ func (g *Group) readGrouped() (Reading, error) {
 	r := Reading{TimeEnabledNS: u64(1), TimeRunningNS: u64(2)}
 	r.Multiplexed = r.TimeRunningNS < r.TimeEnabledNS
 	for e := Event(0); e < NumEvents; e++ {
-		r.Counts[e] = ScaleValue(u64(3+int(e)), r.TimeEnabledNS, r.TimeRunningNS)
+		r.Counts[e] = scaleValue(u64(3+int(e)), r.TimeEnabledNS, r.TimeRunningNS)
 	}
 	return r, nil
 }
@@ -265,7 +265,7 @@ func (g *Group) readIndependent() (Reading, error) {
 		raw := binary.LittleEndian.Uint64(buf[0:])
 		enabled := binary.LittleEndian.Uint64(buf[8:])
 		running := binary.LittleEndian.Uint64(buf[16:])
-		r.Counts[e] = ScaleValue(raw, enabled, running)
+		r.Counts[e] = scaleValue(raw, enabled, running)
 		if enabled > r.TimeEnabledNS {
 			r.TimeEnabledNS = enabled
 		}

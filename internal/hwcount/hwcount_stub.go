@@ -10,10 +10,10 @@ func Supported() bool { return false }
 
 // Open always fails where perf_event_open is unavailable; callers fall
 // back to runtime-metrics-only observability.
-func Open() (*Group, error) { return nil, ErrUnsupported }
+func Open() (*Group, error) { return nil, errUnsupported }
 
 // OpenCPU always fails where perf_event_open is unavailable.
-func OpenCPU(int) (*Group, error) { return nil, ErrUnsupported }
+func OpenCPU(int) (*Group, error) { return nil, errUnsupported }
 
 // CPUs lists ids 0..runtime.NumCPU()-1 on platforms whose affinity set
 // is not read.
@@ -26,7 +26,7 @@ func (g *Group) Grouped() bool { return false }
 func (g *Group) UserOnly() bool { return false }
 
 // Read never succeeds on unsupported platforms.
-func (g *Group) Read() (Reading, error) { return Reading{}, ErrUnsupported }
+func (g *Group) Read() (Reading, error) { return Reading{}, errUnsupported }
 
 // Close is a no-op on unsupported platforms.
 func (g *Group) Close() error { return nil }

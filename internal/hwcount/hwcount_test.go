@@ -10,7 +10,7 @@ import (
 func inject(raw [NumEvents]uint64, enabledNS, runningNS uint64) Counts {
 	var c Counts
 	for e := Event(0); e < NumEvents; e++ {
-		c[e] = ScaleValue(raw[e], enabledNS, runningNS)
+		c[e] = scaleValue(raw[e], enabledNS, runningNS)
 	}
 	return c
 }
@@ -30,8 +30,8 @@ func TestScaleValue(t *testing.T) {
 		{1000, 50, 100, 1000},  // running > enabled (clock skew): clamp to raw
 	}
 	for _, c := range cases {
-		if got := ScaleValue(c.raw, c.enabled, c.running); got != c.want {
-			t.Errorf("ScaleValue(%d,%d,%d)=%d want %d", c.raw, c.enabled, c.running, got, c.want)
+		if got := scaleValue(c.raw, c.enabled, c.running); got != c.want {
+			t.Errorf("scaleValue(%d,%d,%d)=%d want %d", c.raw, c.enabled, c.running, got, c.want)
 		}
 	}
 }
@@ -131,17 +131,17 @@ func TestCountsSubAndMap(t *testing.T) {
 
 // TestSupportedMatchesOpen keeps the platform predicate honest: on a
 // platform where Supported reports false, Open must fail with
-// ErrUnsupported; where it reports true, Open may succeed or fail with
-// the host's runtime denial, never ErrUnsupported-by-construction.
+// errUnsupported; where it reports true, Open may succeed or fail with
+// the host's runtime denial, never errUnsupported-by-construction.
 func TestSupportedMatchesOpen(t *testing.T) {
 	if Supported() {
 		return // runtime outcome is host-dependent; nothing to pin
 	}
-	if _, err := Open(); err != ErrUnsupported {
-		t.Fatalf("unsupported platform Open error = %v, want ErrUnsupported", err)
+	if _, err := Open(); err != errUnsupported {
+		t.Fatalf("unsupported platform Open error = %v, want errUnsupported", err)
 	}
-	if _, err := OpenCPU(0); err != ErrUnsupported {
-		t.Fatalf("unsupported platform OpenCPU error = %v, want ErrUnsupported", err)
+	if _, err := OpenCPU(0); err != errUnsupported {
+		t.Fatalf("unsupported platform OpenCPU error = %v, want errUnsupported", err)
 	}
 }
 

@@ -19,16 +19,16 @@ import (
 	"repro/internal/sim/sched"
 )
 
-// SendSize is netperf's default send-buffer size for the TCP stream test.
-const SendSize = 16 << 10
+// sendSize is netperf's default send-buffer size for the TCP stream test.
+const sendSize = 16 << 10
 
-// LoopbackSockBytes is the loopback socket-buffer size (the Linux 2.6
+// loopbackSockBytes is the loopback socket-buffer size (the Linux 2.6
 // tcp_wmem default). It bounds the data in flight between the two
 // processes: the receiver consumes lines the sender wrote moments ago, so
 // on multi-core configurations they are still dirty in the sender's L1 —
 // the coherence traffic behind the paper's 2CPm and 2PPx loopback
 // degradation (Figure 2, Table 3).
-const LoopbackSockBytes = 16 << 10
+const loopbackSockBytes = 16 << 10
 
 // Mode selects the benchmark topology.
 type Mode int
@@ -68,7 +68,7 @@ type Bench struct {
 func New(e *sched.Engine, mode Mode, tx *netsim.Link) *Bench {
 	b := &Bench{E: e, Mode: mode, tx: tx}
 	if mode == Loopback {
-		b.sock = netsim.NewSockBuf(LoopbackSockBytes)
+		b.sock = netsim.NewSockBuf(loopbackSockBytes)
 	}
 	return b
 }
@@ -96,24 +96,24 @@ func (b *Bench) Spawn() {
 // copy out, plus per-MSS protocol processing) and block on flow control.
 func (b *Bench) senderLoopback() sched.Proc {
 	proc := b.E.Space.NewProcess()
-	userBuf := proc.Alloc(SendSize)
+	userBuf := proc.Alloc(sendSize)
 	// The loopback skb data cycles through the socket-buffer window: at
 	// most SockBufBytes are ever in flight, so the receiver pulls lines
 	// the sender wrote very recently — still dirty in the sender's L1 on
 	// a multi-core configuration. This recycling is what exposes the
 	// cross-core coherence cost the paper measures on 2CPm and 2PPx.
-	sockArena := trace.SubArena(proc, 2*LoopbackSockBytes)
+	sockArena := trace.SubArena(proc, 2*loopbackSockBytes)
 	metaArena := trace.SubArena(proc, 1<<20)
 	buf := trace.NewBuffer(1 << 14)
 	return sched.ProcFunc(func(ctx *sched.Ctx) sched.Status {
-		if !b.sock.HasSpace(SendSize) {
+		if !b.sock.HasSpace(sendSize) {
 			return sched.StatusWait(&b.sock.NotFull)
 		}
 		buf.Reset()
 		netsim.EmitSyscall(buf, metaArena.Base(), sendSyscallCost)
 		off := 0
 		first := uint64(0)
-		for _, seg := range netsim.Segments(SendSize) {
+		for _, seg := range netsim.Segments(sendSize) {
 			kaddr := sockArena.Alloc(uint64(seg))
 			if off == 0 {
 				first = kaddr
@@ -125,7 +125,7 @@ func (b *Bench) senderLoopback() sched.Proc {
 		ctx.ExecBuffer(buf)
 		// The chunk becomes visible to the receiver only after the copy
 		// work is done (push timestamped post-execution).
-		b.sock.Push(netsim.Chunk{Bytes: SendSize, Addr: first}, ctx.Now())
+		b.sock.Push(netsim.Chunk{Bytes: sendSize, Addr: first}, ctx.Now())
 		return sched.StatusYield()
 	})
 }
@@ -134,7 +134,7 @@ func (b *Bench) senderLoopback() sched.Proc {
 // processing, copy to user space.
 func (b *Bench) receiverLoopback() sched.Proc {
 	proc := b.E.Space.NewProcess()
-	userBuf := proc.Alloc(SendSize)
+	userBuf := proc.Alloc(sendSize)
 	metaArena := trace.SubArena(proc, 1<<20)
 	buf := trace.NewBuffer(1 << 14)
 	return sched.ProcFunc(func(ctx *sched.Ctx) sched.Status {
@@ -163,7 +163,7 @@ func (b *Bench) receiverLoopback() sched.Proc {
 // netserver is an infinite sink.
 func (b *Bench) senderWire() sched.Proc {
 	proc := b.E.Space.NewProcess()
-	userBuf := proc.Alloc(SendSize)
+	userBuf := proc.Alloc(sendSize)
 	sockArena := trace.SubArena(proc, 256<<10)
 	buf := trace.NewBuffer(1 << 14)
 	m := b.E.M
@@ -179,19 +179,19 @@ func (b *Bench) senderWire() sched.Proc {
 		buf.Reset()
 		netsim.EmitSyscall(buf, sockArena.Base(), sendSyscallCost)
 		off := 0
-		for i, seg := range netsim.Segments(SendSize) {
+		for i, seg := range netsim.Segments(sendSize) {
 			kaddr := sockArena.Alloc(uint64(seg))
 			netsim.EmitTxHeader(buf, kaddr, i)
 			netsim.EmitCopy(buf, kaddr, userBuf+uint64(off), seg)
 			off += seg
 		}
 		ctx.ExecBuffer(buf)
-		for _, seg := range netsim.Segments(SendSize) {
+		for _, seg := range netsim.Segments(sendSize) {
 			m.DMARead(ctx.Now(), sockArena.Base(), seg)
 			b.tx.Reserve(ctx.Now(), seg+netsim.WireOverhead)
 		}
-		b.tx.AddPayload(SendSize)
-		b.BytesReceived += SendSize
+		b.tx.AddPayload(sendSize)
+		b.BytesReceived += sendSize
 		return sched.StatusYield()
 	})
 }

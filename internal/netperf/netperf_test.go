@@ -42,7 +42,7 @@ func TestLoopbackMovesData(t *testing.T) {
 	if b.BytesReceived == 0 {
 		t.Fatal("no data moved")
 	}
-	if b.BytesReceived%SendSize != 0 {
+	if b.BytesReceived%sendSize != 0 {
 		t.Fatalf("partial chunks received: %d", b.BytesReceived)
 	}
 	sys := m.SystemCounters()

@@ -57,11 +57,11 @@ func EmitCopy(em trace.Emitter, dst, src uint64, n int) {
 	em.Branch(copyTailPC, n%trace.WordBytes != 0)
 }
 
-// EmitChecksum emits the stream of the Internet checksum over n bytes at
+// emitChecksum emits the stream of the Internet checksum over n bytes at
 // addr: one load and one add per word. The final compare branch depends
 // on the data (modelled via the low bits of the payload content sum when
 // available).
-func EmitChecksum(em trace.Emitter, addr uint64, n int, data []byte) {
+func emitChecksum(em trace.Emitter, addr uint64, n int, data []byte) {
 	words := memWords(n)
 	for w := 0; w < words; w += 2 {
 		k := 2
@@ -106,7 +106,7 @@ func EmitRxHeader(em trace.Emitter, hdrAddr uint64, segIndex int) {
 	em.Branch(hdrAckPC, seq%2 == 0)     // delayed ACK
 	em.Branch(hdrWndPC, seq%7 == 0)     // window update
 	em.Branch(hdrTimerPC, seq%13 == 0)  // timer/bookkeeping slow path
-	em.Store(hdrAddr+128, 6)              // TCB writeback
+	em.Store(hdrAddr+128, 6)            // TCB writeback
 	em.ALU(12)
 	em.Branch(hdrPushPC, true)
 }

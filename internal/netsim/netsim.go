@@ -145,16 +145,6 @@ func (l *Link) AddPayload(n int) { l.sent += uint64(n) }
 // Payload returns the goodput bytes carried so far.
 func (l *Link) Payload() uint64 { return l.sent }
 
-// WireBytes returns the wire footprint of a payload of n bytes after TCP
-// segmentation (per-segment protocol overhead included).
-func WireBytes(n int) int {
-	segs := (n + MSS - 1) / MSS
-	if segs == 0 {
-		segs = 1
-	}
-	return n + segs*WireOverhead
-}
-
 // Segments returns the segment payload sizes for an n-byte message.
 func Segments(n int) []int {
 	var out []int

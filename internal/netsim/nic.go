@@ -83,7 +83,7 @@ func (n *NIC) SoftirqProc() sched.Proc {
 
 		buf.Reset()
 		EmitRxHeader(buf, seg.Addr, fl.remaining)
-		EmitChecksum(buf, seg.Addr, seg.Bytes, fl.msg.Data)
+		emitChecksum(buf, seg.Addr, seg.Bytes, fl.msg.Data)
 		sockAddr := n.SockArena.Alloc(uint64(seg.Bytes))
 		EmitCopy(buf, sockAddr, seg.Addr, seg.Bytes)
 		ctx.ExecBuffer(buf)

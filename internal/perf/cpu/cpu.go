@@ -192,17 +192,17 @@ func (l *LCPU) Execute(ops []trace.Op) {
 	}
 }
 
-// ContextSwitchCost is the direct cost in cycles of an OS context switch
+// contextSwitchCost is the direct cost in cycles of an OS context switch
 // (register save/restore, scheduler path). Cache and TLB disturbance is
 // modeled structurally by the hierarchy, not folded in here.
-const ContextSwitchCost = 1500
+const contextSwitchCost = 1500
 
 // ContextSwitch charges a context switch to a new process on this CPU.
 // sameSpace indicates the incoming thread shares the outgoing thread's
 // address space (no TLB flush).
 func (l *LCPU) ContextSwitch(sameSpace bool) {
-	l.now += ContextSwitchCost
-	l.busy += ContextSwitchCost
+	l.now += contextSwitchCost
+	l.busy += contextSwitchCost
 	if !sameSpace && l.Mem != nil {
 		l.Mem.ContextSwitch()
 	}

@@ -158,7 +158,7 @@ func TestContextSwitch(t *testing.T) {
 	lc := core.LCPUs[0]
 	before := lc.NowF()
 	lc.ContextSwitch(true)
-	if lc.NowF()-before != ContextSwitchCost {
+	if lc.NowF()-before != contextSwitchCost {
 		t.Fatal("switch cost wrong")
 	}
 	if mem.flushes != 0 {

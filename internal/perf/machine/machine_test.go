@@ -84,7 +84,7 @@ func TestPrivateL2Ablation(t *testing.T) {
 	if c0.L2 == c1.L2 {
 		t.Fatal("ablation left the L2 shared")
 	}
-	want := PentiumM().L2.Size / 2
+	want := pentiumM().L2.Size / 2
 	if c0.L2.Config().Size != want {
 		t.Fatalf("ablated L2 size = %d, want %d", c0.L2.Config().Size, want)
 	}

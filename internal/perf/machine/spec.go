@@ -64,7 +64,7 @@ type PlatformSpec struct {
 // microarchitecture line the paper describes: wide dynamic execution,
 // a 12-stage pipeline, an advanced hybrid branch predictor, and the Smart
 // Memory Access prefetchers.
-func PentiumM() PlatformSpec {
+func pentiumM() PlatformSpec {
 	return PlatformSpec{
 		Name:     "Pentium M",
 		ClockHz:  1.83e9,
@@ -107,7 +107,7 @@ func PentiumM() PlatformSpec {
 // Xeon returns the Netburst Xeon platform specification (Table 1, right
 // column): higher clock, deeper pipeline with a large misprediction
 // penalty, smaller caches, a weaker predictor, and Hyperthreading.
-func Xeon() PlatformSpec {
+func xeon() PlatformSpec {
 	return PlatformSpec{
 		Name:     "Xeon",
 		ClockHz:  3.16e9,
@@ -199,9 +199,9 @@ func (id ConfigID) Explanation() string {
 func (id ConfigID) Platform() PlatformSpec {
 	switch id {
 	case OneCPm, TwoCPm, FourCPm:
-		return PentiumM()
+		return pentiumM()
 	case OneLPx, TwoLPx, TwoPPx:
-		return Xeon()
+		return xeon()
 	}
 	panic(fmt.Sprintf("machine: unknown config %q", id))
 }
@@ -241,7 +241,7 @@ func (id ConfigID) Topology() Topology {
 // SpecsTable renders the paper's Table 1 from the two platform specs; the
 // harness prints it for the Table 1 experiment.
 func SpecsTable() string {
-	pm, xe := PentiumM(), Xeon()
+	pm, xe := pentiumM(), xeon()
 	rows := [][3]string{
 		{"Attributes", pm.Name, xe.Name},
 		{"Number of CPUs", "1 core and 2 cores", "1 CPU and 2 CPUs"},

@@ -17,9 +17,9 @@ type Arena struct {
 	next  uint64
 }
 
-// AlignBytes is the allocation alignment; it matches a cache line so that
+// alignBytes is the allocation alignment; it matches a cache line so that
 // distinct buffers never produce false line sharing.
-const AlignBytes = 64
+const alignBytes = 64
 
 // NewArena carves an arena of size bytes starting at base.
 func NewArena(base, size uint64) *Arena {
@@ -40,7 +40,7 @@ func (a *Arena) Used() uint64 { return a.next - a.base }
 // allocator recycling freed virtual pages after the working set has left
 // the caches.
 func (a *Arena) Alloc(size uint64) uint64 {
-	size = (size + AlignBytes - 1) &^ (AlignBytes - 1)
+	size = (size + alignBytes - 1) &^ (alignBytes - 1)
 	if a.next+size > a.limit {
 		a.next = a.base
 	}
@@ -60,8 +60,8 @@ type AddressSpace struct {
 	nextSlot uint64
 }
 
-// SlotBytes is the size of one process address-space slot.
-const SlotBytes = 1 << 30
+// slotBytes is the size of one process address-space slot.
+const slotBytes = 1 << 30
 
 // NewAddressSpace returns an empty synthetic address space. The first slot
 // starts above the zero page so a zero address is never valid.
@@ -72,9 +72,9 @@ func NewAddressSpace() *AddressSpace {
 // NewProcess reserves the next process slot and returns an arena covering
 // it.
 func (s *AddressSpace) NewProcess() *Arena {
-	base := s.nextSlot * SlotBytes
+	base := s.nextSlot * slotBytes
 	s.nextSlot++
-	return NewArena(base, SlotBytes)
+	return NewArena(base, slotBytes)
 }
 
 // SubArena carves a child arena of the given size out of a parent arena.

@@ -123,7 +123,7 @@ func TestAddressSpaceDisjointProcesses(t *testing.T) {
 	}
 	if a.Base()+a.Size() > b.Base() && b.Base() >= a.Base() {
 		// b must start beyond a's slot
-		if b.Base() < a.Base()+SlotBytes {
+		if b.Base() < a.Base()+slotBytes {
 			t.Fatalf("slots overlap: %#x vs %#x", a.Base(), b.Base())
 		}
 	}
@@ -143,7 +143,7 @@ func TestArenaAlignmentProperty(t *testing.T) {
 	a := NewArena(1<<20, 1<<16)
 	check := func(sz uint16) bool {
 		p := a.Alloc(uint64(sz%2048) + 1)
-		return p%AlignBytes == 0
+		return p%alignBytes == 0
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -83,14 +83,14 @@ func Read() Snapshot {
 		case mSchedLat:
 			if smp.Value.Kind() == metrics.KindFloat64Histogram {
 				h := smp.Value.Float64Histogram()
-				s.SchedLatP50US = 1e6 * Quantile(h, 0.50)
-				s.SchedLatP99US = 1e6 * Quantile(h, 0.99)
+				s.SchedLatP50US = 1e6 * quantile(h, 0.50)
+				s.SchedLatP99US = 1e6 * quantile(h, 0.99)
 			}
 		case mGCPauses:
 			if smp.Value.Kind() == metrics.KindFloat64Histogram {
 				h := smp.Value.Float64Histogram()
-				s.GCPauseP50US = 1e6 * Quantile(h, 0.50)
-				s.GCPauseP99US = 1e6 * Quantile(h, 0.99)
+				s.GCPauseP50US = 1e6 * quantile(h, 0.50)
+				s.GCPauseP99US = 1e6 * quantile(h, 0.99)
 			}
 		}
 	}
@@ -100,12 +100,12 @@ func Read() Snapshot {
 	return s
 }
 
-// Quantile reads quantile q (0..1) from a runtime/metrics histogram,
+// quantile reads quantile q (0..1) from a runtime/metrics histogram,
 // returning the upper bound of the bucket where the cumulative count
 // crosses the target — the same upper-bound convention internal/lhist
 // uses. Unbounded edge buckets fall back to their finite side; an empty
 // histogram reads zero.
-func Quantile(h *metrics.Float64Histogram, q float64) float64 {
+func quantile(h *metrics.Float64Histogram, q float64) float64 {
 	var total uint64
 	for _, c := range h.Counts {
 		total += c

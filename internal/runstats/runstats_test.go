@@ -19,13 +19,13 @@ func TestQuantileHandComputed(t *testing.T) {
 		Counts:  []uint64{5, 3, 2},
 		Buckets: []float64{0, 1, 3, 4},
 	}
-	if got := Quantile(h, 0.50); got != 3 {
+	if got := quantile(h, 0.50); got != 3 {
 		t.Fatalf("p50=%v want 3", got)
 	}
-	if got := Quantile(h, 0.90); got != 4 {
+	if got := quantile(h, 0.90); got != 4 {
 		t.Fatalf("p90=%v want 4", got)
 	}
-	if got := Quantile(h, 0.10); got != 1 {
+	if got := quantile(h, 0.10); got != 1 {
 		t.Fatalf("p10=%v want 1", got)
 	}
 }
@@ -38,7 +38,7 @@ func TestQuantileInfEdges(t *testing.T) {
 		Counts:  []uint64{1, 1, 8},
 		Buckets: []float64{math.Inf(-1), 1, 2, math.Inf(1)},
 	}
-	got := Quantile(h, 0.99)
+	got := quantile(h, 0.99)
 	if math.IsInf(got, 0) || got != 2 {
 		t.Fatalf("p99=%v want the finite edge 2", got)
 	}
@@ -47,7 +47,7 @@ func TestQuantileInfEdges(t *testing.T) {
 // TestQuantileEmpty keeps the empty histogram at zero.
 func TestQuantileEmpty(t *testing.T) {
 	h := &metrics.Float64Histogram{Counts: []uint64{0, 0}, Buckets: []float64{0, 1, 2}}
-	if got := Quantile(h, 0.99); got != 0 {
+	if got := quantile(h, 0.99); got != 0 {
 		t.Fatalf("empty histogram quantile=%v want 0", got)
 	}
 }

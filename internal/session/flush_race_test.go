@@ -17,7 +17,7 @@ import (
 // a single CSV header. Run with -race.
 func TestFlushRace(t *testing.T) {
 	const total = 2000
-	r := NewRing(total) // roomy: no evictions, so exactly-once is checkable
+	r := newRing(total) // roomy: no evictions, so exactly-once is checkable
 	var buf bytes.Buffer
 	a := NewAppender(&buf, true)
 

@@ -76,24 +76,24 @@ type Sample struct {
 	UpstreamHealthy int `json:"upstream_healthy,omitempty"`
 }
 
-// Ring is the bounded sample buffer: the newest Capacity samples win,
+// sampleRing is the bounded sample buffer: the newest Capacity samples win,
 // older ones fall off. Safe for concurrent Add and Last.
-type Ring struct {
+type sampleRing struct {
 	mu    sync.Mutex
 	buf   []Sample
 	total uint64 // lifetime samples added
 }
 
-// NewRing sizes a ring; capacity <= 0 panics (the sampler validates).
-func NewRing(capacity int) *Ring {
+// newRing sizes a ring; capacity <= 0 panics (the sampler validates).
+func newRing(capacity int) *sampleRing {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("session: ring capacity %d, want > 0", capacity))
 	}
-	return &Ring{buf: make([]Sample, 0, capacity)}
+	return &sampleRing{buf: make([]Sample, 0, capacity)}
 }
 
 // Add appends one sample, evicting the oldest when full.
-func (r *Ring) Add(s Sample) {
+func (r *sampleRing) Add(s Sample) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.buf) < cap(r.buf) {
@@ -106,7 +106,7 @@ func (r *Ring) Add(s Sample) {
 
 // Last returns the most recent n samples in chronological order (all
 // kept samples when n <= 0 or n exceeds what the ring holds).
-func (r *Ring) Last(n int) []Sample {
+func (r *sampleRing) Last(n int) []Sample {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	kept := len(r.buf)
@@ -128,7 +128,7 @@ func (r *Ring) Last(n int) []Sample {
 // evicted are silently gone — the caller polled too slowly for the ring
 // capacity. This is the incremental-flush primitive: a persister tracks
 // the returned total as its watermark and never re-reads a sample.
-func (r *Ring) Since(afterTotal uint64) ([]Sample, uint64) {
+func (r *sampleRing) Since(afterTotal uint64) ([]Sample, uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if afterTotal > r.total {
@@ -147,14 +147,14 @@ func (r *Ring) Since(afterTotal uint64) ([]Sample, uint64) {
 }
 
 // Total is the lifetime sample count (including evicted ones).
-func (r *Ring) Total() uint64 {
+func (r *sampleRing) Total() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.total
 }
 
 // Kept is how many samples the ring currently holds.
-func (r *Ring) Kept() int {
+func (r *sampleRing) Kept() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.buf)
@@ -170,11 +170,11 @@ type Config struct {
 	Capacity int
 }
 
-// DefaultInterval is the paper-style sampling period.
-const DefaultInterval = 100 * time.Millisecond
+// defaultInterval is the paper-style sampling period.
+const defaultInterval = 100 * time.Millisecond
 
-// DefaultCapacity keeps one minute of samples at the default interval.
-const DefaultCapacity = 600
+// defaultCapacity keeps one minute of samples at the default interval.
+const defaultCapacity = 600
 
 // Every calls fn once per interval from a goroutine of its own until the
 // returned stop is called. stop joins that goroutine — after it returns,
@@ -206,7 +206,7 @@ func Every(interval time.Duration, fn func()) (stop func()) {
 // Sampler drives one sampling session: a background goroutine calls fn
 // every interval and records the result. Close stops and joins it.
 type Sampler struct {
-	ring     *Ring
+	ring     *sampleRing
 	interval time.Duration
 	stop     func()
 }
@@ -224,12 +224,12 @@ func Start(cfg Config, fn func() Sample) (*Sampler, error) {
 		return nil, fmt.Errorf("session: nil sample function")
 	}
 	if cfg.Interval == 0 {
-		cfg.Interval = DefaultInterval
+		cfg.Interval = defaultInterval
 	}
 	if cfg.Capacity == 0 {
-		cfg.Capacity = DefaultCapacity
+		cfg.Capacity = defaultCapacity
 	}
-	s := &Sampler{ring: NewRing(cfg.Capacity), interval: cfg.Interval}
+	s := &Sampler{ring: newRing(cfg.Capacity), interval: cfg.Interval}
 	s.stop = Every(cfg.Interval, func() { s.ring.Add(fn()) })
 	return s, nil
 }
@@ -245,7 +245,7 @@ func (s *Sampler) Interval() time.Duration { return s.interval }
 func (s *Sampler) Last(n int) []Sample { return s.ring.Last(n) }
 
 // Since returns the samples recorded after a previous Since call reported
-// newTotal == afterTotal, plus the new watermark. See Ring.Since.
+// newTotal == afterTotal, plus the new watermark. See sampleRing.Since.
 func (s *Sampler) Since(afterTotal uint64) ([]Sample, uint64) { return s.ring.Since(afterTotal) }
 
 // Total is the lifetime sample count.

@@ -14,7 +14,7 @@ import (
 // capacity 4 fed 10 samples keeps exactly the newest 4, in
 // chronological order, while Total still reports the lifetime count.
 func TestRingWraparound(t *testing.T) {
-	r := NewRing(4)
+	r := newRing(4)
 	for i := 0; i < 10; i++ {
 		r.Add(Sample{TMS: int64(i)})
 	}
@@ -47,7 +47,7 @@ func TestRingWraparound(t *testing.T) {
 
 // TestRingBeforeWrap covers the fill phase: fewer samples than capacity.
 func TestRingBeforeWrap(t *testing.T) {
-	r := NewRing(8)
+	r := newRing(8)
 	for i := 0; i < 3; i++ {
 		r.Add(Sample{TMS: int64(i)})
 	}
@@ -61,7 +61,7 @@ func TestRingBeforeWrap(t *testing.T) {
 // this is the timeline's concurrent sample/read safety proof. Every
 // reader must observe a chronologically ordered window.
 func TestRingConcurrent(t *testing.T) {
-	r := NewRing(16)
+	r := newRing(16)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)
@@ -148,8 +148,8 @@ func TestSamplerValidation(t *testing.T) {
 		t.Fatalf("defaults rejected: %v", err)
 	}
 	defer s.Close()
-	if s.Interval() != DefaultInterval {
-		t.Fatalf("interval=%v want default %v", s.Interval(), DefaultInterval)
+	if s.Interval() != defaultInterval {
+		t.Fatalf("interval=%v want default %v", s.Interval(), defaultInterval)
 	}
 }
 
@@ -284,7 +284,7 @@ func TestReadCSVCorruption(t *testing.T) {
 // calls hand out each sample exactly once, and a watermark that outran
 // the ring (slow poller) silently skips evicted samples.
 func TestRingSince(t *testing.T) {
-	r := NewRing(4)
+	r := newRing(4)
 	for i := 0; i < 3; i++ {
 		r.Add(Sample{TMS: int64(i)})
 	}

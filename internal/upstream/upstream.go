@@ -116,11 +116,11 @@ func (c Config) withDefaults() Config {
 // Sentinel errors; StatusFor maps them (and raw net errors) to the
 // gateway status code.
 var (
-	// ErrDown fast-fails a round trip while the backend circuit is open.
-	ErrDown = errors.New("upstream: backend down")
-	// ErrNoBackend means the route has no configured backend; the caller
+	// errDown fast-fails a round trip while the backend circuit is open.
+	errDown = errors.New("upstream: backend down")
+	// errNoBackend means the route has no configured backend; the caller
 	// answers in place.
-	ErrNoBackend = errors.New("upstream: no backend for route")
+	errNoBackend = errors.New("upstream: no backend for route")
 )
 
 // StatusFor maps a RoundTrip error to the client-facing status: 504 for
@@ -257,7 +257,7 @@ func (f *Forwarder) RoundTripBuffers(route string, head, body []byte) (*Result, 
 func (f *Forwarder) RoundTripInto(route string, head, body []byte, res *Result) error {
 	b, ok := f.backends[route]
 	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoBackend, route)
+		return fmt.Errorf("%w: %q", errNoBackend, route)
 	}
 	return b.roundTrip(head, body, res)
 }
@@ -274,7 +274,7 @@ func (b *Backend) roundTrip(head, body []byte, res *Result) error {
 			// Circuit open: retrying locally is pointless, the caller sheds
 			// with 502 immediately. The background prober owns recovery.
 			b.m.FastFails.Add(1)
-			return fmt.Errorf("%s %s: %w", b.name, b.addr, ErrDown)
+			return fmt.Errorf("%s %s: %w", b.name, b.addr, errDown)
 		}
 		t0 := time.Now()
 		err := b.try(head, body, res)

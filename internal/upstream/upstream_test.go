@@ -144,8 +144,8 @@ func TestDownFastFailAndRecovery(t *testing.T) {
 	// Circuit open: fast-fail without another request-path dial (probing
 	// is the background prober's job and never counts in Dials).
 	dialsBefore := s.Dials
-	if _, err := f.RoundTrip("order", testRequest(2)); !errors.Is(err, ErrDown) {
-		t.Fatalf("want ErrDown while circuit open, got %v", err)
+	if _, err := f.RoundTrip("order", testRequest(2)); !errors.Is(err, errDown) {
+		t.Fatalf("want errDown while circuit open, got %v", err)
 	}
 	s = f.Snapshot()["order"]
 	if s.Dials != dialsBefore || s.FastFails == 0 {
@@ -154,7 +154,7 @@ func TestDownFastFailAndRecovery(t *testing.T) {
 
 	// Backend comes back on the same port; the background prober notices
 	// within ProbeInterval and restores the circuit — requests only see
-	// ErrDown until then.
+	// errDown until then.
 	be, err := StartBackend(addr, BackendConfig{Name: "order"})
 	if err != nil {
 		t.Fatalf("restart backend on %s: %v", addr, err)
@@ -169,8 +169,8 @@ func TestDownFastFailAndRecovery(t *testing.T) {
 			}
 			break
 		}
-		if !errors.Is(err, ErrDown) {
-			t.Fatalf("while down, requests must fast-fail with ErrDown, got %v", err)
+		if !errors.Is(err, errDown) {
+			t.Fatalf("while down, requests must fast-fail with errDown, got %v", err)
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("backend never recovered: %v", err)
@@ -376,8 +376,8 @@ func TestNoBackendRoute(t *testing.T) {
 	if f.Has("error") {
 		t.Fatal("error route should be unconfigured")
 	}
-	if _, err := f.RoundTrip("error", testRequest(0)); !errors.Is(err, ErrNoBackend) {
-		t.Fatalf("want ErrNoBackend, got %v", err)
+	if _, err := f.RoundTrip("error", testRequest(0)); !errors.Is(err, errNoBackend) {
+		t.Fatalf("want errNoBackend, got %v", err)
 	}
 }
 

@@ -19,8 +19,8 @@ import (
 // Size is the SHA-1 digest length in bytes.
 const Size = 20
 
-// BlockSize is the SHA-1 block length in bytes.
-const BlockSize = 64
+// blockSize is the SHA-1 block length in bytes.
+const blockSize = 64
 
 var (
 	shaCode    = trace.NewCodeRegion(512)
@@ -30,37 +30,37 @@ var (
 	pcHMACKey  = shaCode.Site()
 )
 
-// Digest is a SHA-1 hash state.
-type Digest struct {
+// digest is a SHA-1 hash state.
+type digest struct {
 	h   [5]uint32
 	len uint64
-	buf [BlockSize]byte
+	buf [blockSize]byte
 	n   int
 
 	em   trace.Emitter
 	base uint64
 }
 
-// New returns an uninstrumented SHA-1 digest.
-func New() *Digest { return NewInstrumented(trace.Nop{}, 0) }
+// newDigest returns an uninstrumented SHA-1 digest.
+func newDigest() *digest { return newInstrumented(trace.Nop{}, 0) }
 
-// NewInstrumented returns a digest that emits the compression function's
+// newInstrumented returns a digest that emits the compression function's
 // micro-op stream to em; base is the synthetic address of the input data.
-func NewInstrumented(em trace.Emitter, base uint64) *Digest {
-	d := &Digest{em: em, base: base}
+func newInstrumented(em trace.Emitter, base uint64) *digest {
+	d := &digest{em: em, base: base}
 	d.Reset()
 	return d
 }
 
 // Reset reinitializes the hash state.
-func (d *Digest) Reset() {
+func (d *digest) Reset() {
 	d.h = [5]uint32{0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0}
 	d.len = 0
 	d.n = 0
 }
 
 // Write absorbs data (io.Writer-compatible signature).
-func (d *Digest) Write(p []byte) (int, error) {
+func (d *digest) Write(p []byte) (int, error) {
 	n := len(p)
 	d.len += uint64(n)
 	off := 0
@@ -68,14 +68,14 @@ func (d *Digest) Write(p []byte) (int, error) {
 		c := copy(d.buf[d.n:], p)
 		d.n += c
 		off += c
-		if d.n == BlockSize {
+		if d.n == blockSize {
 			d.block(d.buf[:], d.base)
 			d.n = 0
 		}
 	}
-	for off+BlockSize <= len(p) {
-		d.block(p[off:off+BlockSize], d.base+uint64(off))
-		off += BlockSize
+	for off+blockSize <= len(p) {
+		d.block(p[off:off+blockSize], d.base+uint64(off))
+		off += blockSize
 	}
 	if off < len(p) {
 		d.n = copy(d.buf[:], p[off:])
@@ -84,7 +84,7 @@ func (d *Digest) Write(p []byte) (int, error) {
 }
 
 // Sum finalizes a copy of the state and returns the digest appended to in.
-func (d *Digest) Sum(in []byte) []byte {
+func (d *digest) Sum(in []byte) []byte {
 	dd := *d
 	dd.pad()
 	var out [Size]byte
@@ -94,21 +94,21 @@ func (d *Digest) Sum(in []byte) []byte {
 	return append(in, out[:]...)
 }
 
-func (d *Digest) pad() {
+func (d *digest) pad() {
 	bits := d.len * 8
 	d.em.Branch(pcPadCheck, d.n >= 56)
 	// The last one or two blocks, built on the stack: the buffered tail,
 	// 0x80, zeros, and the message length in bits.
-	var msg [BlockSize * 2]byte
-	n := BlockSize
+	var msg [blockSize * 2]byte
+	n := blockSize
 	if d.n >= 56 {
-		n = 2 * BlockSize
+		n = 2 * blockSize
 	}
 	copy(msg[:], d.buf[:d.n])
 	msg[d.n] = 0x80
 	binary.BigEndian.PutUint64(msg[n-8:], bits)
-	for off := 0; off < n; off += BlockSize {
-		d.block(msg[off:off+BlockSize], d.base)
+	for off := 0; off < n; off += blockSize {
+		d.block(msg[off:off+blockSize], d.base)
 	}
 	d.n = 0
 }
@@ -117,7 +117,7 @@ func (d *Digest) pad() {
 // emitting its instruction stream: 16 word loads, the 64-entry message
 // schedule, and 80 rounds of ~10 ALU operations with the round-type
 // branches a compiled implementation retires.
-func (d *Digest) block(p []byte, simAddr uint64) {
+func (d *digest) block(p []byte, simAddr uint64) {
 	var w [80]uint32
 	for i := 0; i < 16; i++ {
 		w[i] = binary.BigEndian.Uint32(p[i*4:])
@@ -163,9 +163,9 @@ func (d *Digest) block(p []byte, simAddr uint64) {
 	d.em.Branch(pcBlock, true)
 }
 
-// Sum1 computes the SHA-1 of data in one call.
-func Sum1(data []byte) [Size]byte {
-	d := New()
+// sum1 computes the SHA-1 of data in one call.
+func sum1(data []byte) [Size]byte {
+	d := newDigest()
 	d.Write(data)
 	var out [Size]byte
 	d.Sum(out[:0])
@@ -174,7 +174,7 @@ func Sum1(data []byte) [Size]byte {
 
 // HexSum1 returns the hex-encoded SHA-1 of data.
 func HexSum1(data []byte) string {
-	s := Sum1(data)
+	s := sum1(data)
 	return hex.EncodeToString(s[:])
 }
 
@@ -201,28 +201,28 @@ func HMAC(key, data []byte, em trace.Emitter, base uint64) [Size]byte {
 	if em == nil {
 		em = trace.Nop{}
 	}
-	var k [BlockSize]byte
-	em.Branch(pcHMACKey, len(key) > BlockSize)
-	if len(key) > BlockSize {
-		sum := Sum1(key)
+	var k [blockSize]byte
+	em.Branch(pcHMACKey, len(key) > blockSize)
+	if len(key) > blockSize {
+		sum := sum1(key)
 		copy(k[:], sum[:])
 	} else {
 		copy(k[:], key)
 	}
-	var ipad, opad [BlockSize]byte
+	var ipad, opad [blockSize]byte
 	for i := range k {
 		ipad[i] = k[i] ^ 0x36
 		opad[i] = k[i] ^ 0x5c
 	}
-	em.ALU(BlockSize / 4)
+	em.ALU(blockSize / 4)
 
-	inner := NewInstrumented(em, base)
+	inner := newInstrumented(em, base)
 	inner.Write(ipad[:])
 	inner.Write(data)
 	var innerSum [Size]byte
 	inner.Sum(innerSum[:0])
 
-	outer := NewInstrumented(em, base)
+	outer := newInstrumented(em, base)
 	outer.Write(opad[:])
 	outer.Write(innerSum[:])
 	var out [Size]byte

@@ -31,7 +31,7 @@ func TestSHA1KnownAnswers(t *testing.T) {
 func TestAgainstStdlib(t *testing.T) {
 	check := func(data []byte) bool {
 		want := sha1.Sum(data)
-		got := Sum1(data)
+		got := sum1(data)
 		return bytes.Equal(got[:], want[:])
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 400}); err != nil {
@@ -42,8 +42,8 @@ func TestAgainstStdlib(t *testing.T) {
 // Property: incremental writes produce the same digest as one-shot.
 func TestIncrementalWrites(t *testing.T) {
 	check := func(a, b, c []byte) bool {
-		oneShot := Sum1(append(append(append([]byte{}, a...), b...), c...))
-		d := New()
+		oneShot := sum1(append(append(append([]byte{}, a...), b...), c...))
+		d := newDigest()
 		d.Write(a)
 		d.Write(b)
 		d.Write(c)
@@ -57,7 +57,7 @@ func TestIncrementalWrites(t *testing.T) {
 }
 
 func TestSumDoesNotMutateState(t *testing.T) {
-	d := New()
+	d := newDigest()
 	d.Write([]byte("hello"))
 	s1 := d.Sum(nil)
 	s2 := d.Sum(nil)
@@ -65,7 +65,7 @@ func TestSumDoesNotMutateState(t *testing.T) {
 		t.Fatal("Sum mutates state")
 	}
 	d.Write([]byte(" world"))
-	want := Sum1([]byte("hello world"))
+	want := sum1([]byte("hello world"))
 	if !bytes.Equal(d.Sum(nil), want[:]) {
 		t.Fatal("continued write broken after Sum")
 	}
@@ -85,7 +85,7 @@ func TestHMACAgainstStdlib(t *testing.T) {
 }
 
 func TestHMACLongKey(t *testing.T) {
-	key := bytes.Repeat([]byte("k"), 200) // beyond BlockSize: pre-hashed
+	key := bytes.Repeat([]byte("k"), 200) // beyond blockSize: pre-hashed
 	mac := hmac.New(sha1.New, key)
 	mac.Write([]byte("msg"))
 	want := mac.Sum(nil)
@@ -97,10 +97,10 @@ func TestHMACLongKey(t *testing.T) {
 
 func TestInstrumentationEmitsPerBlock(t *testing.T) {
 	var one, four trace.Counting
-	d1 := NewInstrumented(&one, 0x1000)
+	d1 := newInstrumented(&one, 0x1000)
 	d1.Write(make([]byte, 64))
 	d1.Sum(nil)
-	d4 := NewInstrumented(&four, 0x1000)
+	d4 := newInstrumented(&four, 0x1000)
 	d4.Write(make([]byte, 256))
 	d4.Sum(nil)
 	if one.Instr == 0 {
@@ -117,11 +117,11 @@ func TestInstrumentationEmitsPerBlock(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	d := New()
+	d := newDigest()
 	d.Write([]byte("garbage"))
 	d.Reset()
 	d.Write([]byte("abc"))
-	want := Sum1([]byte("abc"))
+	want := sum1([]byte("abc"))
 	if !bytes.Equal(d.Sum(nil), want[:]) {
 		t.Fatal("reset did not restore initial state")
 	}

@@ -240,10 +240,10 @@ const TamperEvery = 7
 // (clean → forwarded, dirty → blocked).
 const DirtyEvery = 5
 
-// DirtySignature returns the signature embedded in dirty DPI message i
+// dirtySignature returns the signature embedded in dirty DPI message i
 // ("" for clean messages). Signatures cycle through the matcher's
 // default rule set so every automaton terminal state gets traffic.
-func DirtySignature(i int, signatures []string) string {
+func dirtySignature(i int, signatures []string) string {
 	if len(signatures) == 0 || i%DirtyEvery != DirtyEvery-1 {
 		return ""
 	}
@@ -254,20 +254,16 @@ func DirtySignature(i int, signatures []string) string {
 // requests carry an X-AON-MAC header with the HMAC-SHA1 of the body
 // (corrupted for every TamperEvery-th message).
 func HTTPRequest(i int, uc UseCase) []byte {
-	return HTTPRequestSized(i, uc, MessageBytes)
+	return HTTPRequestSeeded(i, uc, MessageBytes, 0)
 }
 
-// HTTPRequestSized is HTTPRequest with an explicit approximate body size.
-func HTTPRequestSized(i int, uc UseCase, size int) []byte {
-	return HTTPRequestSeeded(i, uc, size, 0)
-}
-
-// HTTPRequestSeeded is HTTPRequestSized under an explicit campaign seed
-// (see SOAPMessageSeeded). Seed 0 reproduces the legacy byte stream.
+// HTTPRequestSeeded is HTTPRequest with an explicit approximate body size
+// and campaign seed (see SOAPMessageSeeded). Seed 0 reproduces the legacy
+// byte stream.
 func HTTPRequestSeeded(i int, uc UseCase, size int, seed uint64) []byte {
 	body := SOAPMessageSeeded(i, size, seed)
 	if uc == DPI {
-		if sig := DirtySignature(i, dpi.DefaultSignatures); sig != "" {
+		if sig := dirtySignature(i, dpi.DefaultSignatures); sig != "" {
 			// Splice the signature into the first filler element; DPI
 			// matches raw bytes and never parses, so signatures that are
 			// not XML-safe are fine here.
@@ -317,7 +313,7 @@ func InvalidSOAPMessageSeeded(i, size int, seed uint64) []byte {
 	return []byte(strings.Replace(msg, "<quantity>", "<quantity>x", 1))
 }
 
-// NetperfBuffer returns the netperf send buffer: netperf transmits an
+// netperfBuffer returns the netperf send buffer: netperf transmits an
 // uninitialized (zero) buffer repeatedly; size follows the benchmark's
 // default send size.
-func NetperfBuffer(size int) []byte { return make([]byte, size) }
+func netperfBuffer(size int) []byte { return make([]byte, size) }

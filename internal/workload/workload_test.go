@@ -133,7 +133,7 @@ func TestDirtySignature(t *testing.T) {
 	sigs := []string{"alpha", "beta"}
 	dirty := 0
 	for i := 0; i < 4*DirtyEvery; i++ {
-		sig := DirtySignature(i, sigs)
+		sig := dirtySignature(i, sigs)
 		if want := i%DirtyEvery == DirtyEvery-1; (sig != "") != want {
 			t.Fatalf("message %d: dirty=%v want %v", i, sig != "", want)
 		}
@@ -145,10 +145,10 @@ func TestDirtySignature(t *testing.T) {
 		t.Fatalf("dirty count %d, want 4", dirty)
 	}
 	// Signatures cycle through the set.
-	if DirtySignature(DirtyEvery-1, sigs) != "alpha" || DirtySignature(2*DirtyEvery-1, sigs) != "beta" {
+	if dirtySignature(DirtyEvery-1, sigs) != "alpha" || dirtySignature(2*DirtyEvery-1, sigs) != "beta" {
 		t.Fatal("signatures do not cycle in order")
 	}
-	if DirtySignature(DirtyEvery-1, nil) != "" {
+	if dirtySignature(DirtyEvery-1, nil) != "" {
 		t.Fatal("empty signature set must yield clean messages")
 	}
 }
@@ -157,19 +157,19 @@ func TestDPIDirtyRequestEmbedsSignature(t *testing.T) {
 	// Every DirtyEvery-th DPI request carries a default signature;
 	// clean ones carry none.
 	dirtyIdx := DirtyEvery - 1
-	raw := HTTPRequestSized(dirtyIdx, DPI, MessageBytes)
+	raw := HTTPRequest(dirtyIdx, DPI)
 	req, err := httpmsg.ParseRequest(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sig := DirtySignature(dirtyIdx, dpi.DefaultSignatures)
+	sig := dirtySignature(dirtyIdx, dpi.DefaultSignatures)
 	if sig == "" || !bytes.Contains(req.Body, []byte(sig)) {
 		t.Fatalf("dirty DPI request missing signature %q", sig)
 	}
 	if req.ContentLength() != len(req.Body) {
 		t.Fatal("dirty DPI request content length mismatch")
 	}
-	clean, err := httpmsg.ParseRequest(HTTPRequestSized(0, DPI, MessageBytes))
+	clean, err := httpmsg.ParseRequest(HTTPRequest(0, DPI))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestDPIDirtyRequestEmbedsSignature(t *testing.T) {
 }
 
 func TestNetperfBuffer(t *testing.T) {
-	b := NetperfBuffer(16 << 10)
+	b := netperfBuffer(16 << 10)
 	if len(b) != 16<<10 {
 		t.Fatalf("buffer size %d", len(b))
 	}

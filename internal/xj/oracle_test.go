@@ -15,11 +15,11 @@ func oracleTranslate(n *xmldom.Node) ([]byte, error) {
 	if root.Kind == xmldom.Document {
 		root = root.DocumentElement()
 		if root == nil {
-			return nil, ErrNoElement
+			return nil, errNoElement
 		}
 	}
 	if root.Kind != xmldom.Element {
-		return nil, ErrNoElement
+		return nil, errNoElement
 	}
 	var b strings.Builder
 	b.Grow(256)

@@ -26,8 +26,8 @@ import (
 	"repro/internal/xmldom"
 )
 
-// ErrNoElement reports a document without a document element.
-var ErrNoElement = errors.New("xj: document has no element to translate")
+// errNoElement reports a document without a document element.
+var errNoElement = errors.New("xj: document has no element to translate")
 
 // scratch is one translation's working memory: the text of the element
 // being written and, for Translate, the output under construction.
@@ -62,11 +62,11 @@ func (s *scratch) appendTranslate(b []byte, n *xmldom.Node) ([]byte, error) {
 	if root.Kind == xmldom.Document {
 		root = root.DocumentElement()
 		if root == nil {
-			return b, ErrNoElement
+			return b, errNoElement
 		}
 	}
 	if root.Kind != xmldom.Element {
-		return b, ErrNoElement
+		return b, errNoElement
 	}
 	b = append(b, '{')
 	b = appendString(b, root.Name)

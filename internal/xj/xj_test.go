@@ -54,12 +54,12 @@ func TestTranslateShapes(t *testing.T) {
 
 func TestTranslateNoElement(t *testing.T) {
 	// A bare text node is not translatable.
-	if _, err := Translate(&xmldom.Node{Kind: xmldom.Text, Data: "x"}); err != ErrNoElement {
-		t.Fatalf("text node: err = %v, want ErrNoElement", err)
+	if _, err := Translate(&xmldom.Node{Kind: xmldom.Text, Data: "x"}); err != errNoElement {
+		t.Fatalf("text node: err = %v, want errNoElement", err)
 	}
 	// Nor is a document with no document element.
-	if _, err := Translate(&xmldom.Node{Kind: xmldom.Document}); err != ErrNoElement {
-		t.Fatalf("empty document: err = %v, want ErrNoElement", err)
+	if _, err := Translate(&xmldom.Node{Kind: xmldom.Document}); err != errNoElement {
+		t.Fatalf("empty document: err = %v, want errNoElement", err)
 	}
 }
 
@@ -144,7 +144,7 @@ func TestAppendTranslate(t *testing.T) {
 	if err != nil || !bytes.Equal(buf, append([]byte("prefix"), want...)) {
 		t.Fatalf("AppendTranslate = %.40q, %v", buf, err)
 	}
-	if got, err := AppendTranslate(buf[:3], &xmldom.Node{Kind: xmldom.Document}); err != ErrNoElement || string(got) != "pre" {
+	if got, err := AppendTranslate(buf[:3], &xmldom.Node{Kind: xmldom.Document}); err != errNoElement || string(got) != "pre" {
 		t.Fatalf("no element: %q, %v", got, err)
 	}
 	if raceflag.Enabled {

@@ -225,12 +225,12 @@ func SplitName(name string) (prefix, local string) {
 	return "", name
 }
 
-// ParseError reports a malformed document with byte offset context.
-type ParseError struct {
+// parseError reports a malformed document with byte offset context.
+type parseError struct {
 	Offset int
 	Msg    string
 }
 
-func (e *ParseError) Error() string {
+func (e *parseError) Error() string {
 	return fmt.Sprintf("xmldom: offset %d: %s", e.Offset, e.Msg)
 }

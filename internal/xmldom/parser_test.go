@@ -192,15 +192,15 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("Parse(%q) succeeded, want error", src)
 		}
 	}
-	var pe *ParseError
+	var pe *parseError
 	_, err := Parse([]byte(`<a></b>`))
 	if err == nil {
 		t.Fatal("want error")
 	}
 	var ok bool
-	pe, ok = err.(*ParseError)
+	pe, ok = err.(*parseError)
 	if !ok || pe.Offset <= 0 {
-		t.Fatalf("error %v is not a positioned ParseError", err)
+		t.Fatalf("error %v is not a positioned parseError", err)
 	}
 }
 
@@ -224,9 +224,9 @@ func TestRoundTrip(t *testing.T) {
 	}
 	for _, src := range srcs {
 		doc := mustParse(t, src)
-		out := Serialize(doc)
+		out := serialize(doc)
 		doc2 := mustParse(t, out)
-		out2 := Serialize(doc2)
+		out2 := serialize(doc2)
 		if out != out2 {
 			t.Errorf("serialize not stable: %q -> %q -> %q", src, out, out2)
 		}
@@ -243,13 +243,13 @@ func TestRoundTripProperty(t *testing.T) {
 			t.Logf("generated doc failed to parse: %q: %v", src, err)
 			return false
 		}
-		out := Serialize(doc)
+		out := serialize(doc)
 		doc2, err := Parse([]byte(out))
 		if err != nil {
 			t.Logf("reparse failed: %q: %v", out, err)
 			return false
 		}
-		return Serialize(doc2) == out
+		return serialize(doc2) == out
 	}
 	if err := quick.Check(gen, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -275,7 +275,7 @@ func genDoc(seed int64) string {
 		b.WriteString(name)
 		if next(3) == 0 {
 			b.WriteString(` attr="`)
-			b.WriteString(EscapeAttr(texts[next(len(texts))]))
+			b.WriteString(escapeAttr(texts[next(len(texts))]))
 			b.WriteByte('"')
 		}
 		b.WriteByte('>')
@@ -287,7 +287,7 @@ func genDoc(seed int64) string {
 			if next(2) == 0 {
 				b.WriteString(build(depth + 1))
 			} else {
-				b.WriteString(EscapeText(texts[next(len(texts))]))
+				b.WriteString(escapeText(texts[next(len(texts))]))
 			}
 		}
 		b.WriteString("</")
@@ -333,8 +333,8 @@ func TestInstrumentedMatchesUninstrumented(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Serialize(plain) != Serialize(inst) {
-		t.Fatalf("instrumented parse differs:\n%s\n%s", Serialize(plain), Serialize(inst))
+	if serialize(plain) != serialize(inst) {
+		t.Fatalf("instrumented parse differs:\n%s\n%s", serialize(plain), serialize(inst))
 	}
 }
 

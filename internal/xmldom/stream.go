@@ -91,7 +91,7 @@ func (t *Tokenizer) Reset(src []byte) {
 }
 
 func (t *Tokenizer) errf(format string, args ...any) error {
-	return &ParseError{Offset: t.pos, Msg: fmt.Sprintf(format, args...)}
+	return &parseError{Offset: t.pos, Msg: fmt.Sprintf(format, args...)}
 }
 
 func (t *Tokenizer) peekIs(s string) bool {

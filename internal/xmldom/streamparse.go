@@ -145,7 +145,7 @@ func (p *StreamParser) Parse(src []byte) (*Node, error) {
 		case TokEOF:
 			doc.Children = p.claim(p.pending)
 			if doc.DocumentElement() == nil {
-				return nil, &ParseError{Offset: len(src), Msg: "no document element"}
+				return nil, &parseError{Offset: len(src), Msg: "no document element"}
 			}
 			return doc, nil
 

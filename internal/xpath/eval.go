@@ -86,11 +86,6 @@ func (ev *Evaluator) EvalBool(e *Expr, ctx *xmldom.Node) (bool, error) {
 	return b, err
 }
 
-// Eval is a convenience one-shot uninstrumented evaluation.
-func Eval(e *Expr, ctx *xmldom.Node) (Value, error) {
-	return NewEvaluator(nil).Eval(e, ctx)
-}
-
 // evalCtx is the XPath evaluation context plus the scratch every node-set
 // of this evaluation lives in. Node-set Values inside an evaluation are
 // views into s, valid until the buffer they sit in is released.
@@ -104,16 +99,16 @@ type evalCtx struct {
 func (ev *Evaluator) eval(n node, c evalCtx) (Value, error) {
 	switch x := n.(type) {
 	case *litExpr:
-		return StringValue(x.s), nil
+		return stringValue(x.s), nil
 	case *numExpr:
-		return NumberValue(x.v), nil
+		return numberValue(x.v), nil
 	case *negExpr:
 		v, err := ev.eval(x.x, c)
 		if err != nil {
 			return Value{}, err
 		}
 		ev.alu(1)
-		return NumberValue(-v.Number()), nil
+		return numberValue(-v.Number()), nil
 	case *binExpr:
 		return ev.evalBin(x, c)
 	case *unionExpr:
@@ -135,13 +130,13 @@ func (ev *Evaluator) eval(n node, c evalCtx) (Value, error) {
 		if !runInOrder(out.ns, len(l.Nodes)) {
 			out.ns = sortDocOrder(out.ns)
 		}
-		return NodeSetValue(out.ns), nil
+		return nodeSetValue(out.ns), nil
 	case *pathExpr:
 		ns, err := ev.evalPath(x, c)
 		if err != nil {
 			return Value{}, err
 		}
-		return NodeSetValue(ns), nil
+		return nodeSetValue(ns), nil
 	case *callExpr:
 		return ev.evalCall(x, c)
 	case *filterExpr:
@@ -160,16 +155,16 @@ func (ev *Evaluator) evalBin(x *binExpr, c evalCtx) (Value, error) {
 		lb := l.Boolean()
 		ev.branch(pcCmpBranch, lb)
 		if x.op == tokAnd && !lb {
-			return BoolValue(false), nil
+			return boolValue(false), nil
 		}
 		if x.op == tokOr && lb {
-			return BoolValue(true), nil
+			return boolValue(true), nil
 		}
 		r, err := ev.eval(x.r, c)
 		if err != nil {
 			return Value{}, err
 		}
-		return BoolValue(r.Boolean()), nil
+		return boolValue(r.Boolean()), nil
 	}
 	l, err := ev.eval(x.l, c)
 	if err != nil {
@@ -189,22 +184,22 @@ func (ev *Evaluator) binOp(op tokKind, l, r Value) (Value, error) {
 		res := compare(op, l, r)
 		ev.alu(4)
 		ev.branch(pcCmpBranch, res)
-		return BoolValue(res), nil
+		return boolValue(res), nil
 	case tokPlus:
 		ev.alu(1)
-		return NumberValue(l.Number() + r.Number()), nil
+		return numberValue(l.Number() + r.Number()), nil
 	case tokMinus:
 		ev.alu(1)
-		return NumberValue(l.Number() - r.Number()), nil
+		return numberValue(l.Number() - r.Number()), nil
 	case tokStar:
 		ev.alu(3)
-		return NumberValue(l.Number() * r.Number()), nil
+		return numberValue(l.Number() * r.Number()), nil
 	case tokDiv:
 		ev.alu(20)
-		return NumberValue(l.Number() / r.Number()), nil
+		return numberValue(l.Number() / r.Number()), nil
 	case tokMod:
 		ev.alu(20)
-		return NumberValue(math.Mod(l.Number(), r.Number())), nil
+		return numberValue(math.Mod(l.Number(), r.Number())), nil
 	}
 	return Value{}, fmt.Errorf("xpath: unknown operator")
 }
@@ -230,7 +225,7 @@ func (ev *Evaluator) evalFilter(x *filterExpr, c evalCtx) (Value, error) {
 		}
 	}
 	if x.trail == nil {
-		return NodeSetValue(ns), nil
+		return nodeSetValue(ns), nil
 	}
 	sorted := true
 	inner := c.s.used
@@ -248,7 +243,7 @@ func (ev *Evaluator) evalFilter(x *filterExpr, c evalCtx) (Value, error) {
 	if !sorted {
 		out.ns = sortDocOrder(out.ns)
 	}
-	return NodeSetValue(out.ns), nil
+	return nodeSetValue(out.ns), nil
 }
 
 // evalPath runs a location path from the context node. Each step walks
@@ -450,72 +445,72 @@ func (ev *Evaluator) call(x *callExpr, c evalCtx, argVals []Value) (Value, error
 		// Default argument: the context node.
 		single := c.s.take()
 		single.ns = append(single.ns, c.node)
-		return NodeSetValue(single.ns)
+		return nodeSetValue(single.ns)
 	}
 	switch x.name {
 	case "last":
-		return NumberValue(float64(c.size)), nil
+		return numberValue(float64(c.size)), nil
 	case "position":
-		return NumberValue(float64(c.pos)), nil
+		return numberValue(float64(c.pos)), nil
 	case "count":
 		if len(argVals) != 1 || !argVals[0].IsNodeSet() {
 			return Value{}, fmt.Errorf("xpath: count() wants one node-set")
 		}
-		return NumberValue(float64(len(argVals[0].Nodes))), nil
+		return numberValue(float64(len(argVals[0].Nodes))), nil
 	case "name", "local-name":
 		ns := arg(0)
 		if !ns.IsNodeSet() || len(ns.Nodes) == 0 {
-			return StringValue(""), nil
+			return stringValue(""), nil
 		}
 		n := ns.Nodes[0]
 		if x.name == "local-name" {
-			return StringValue(n.Local), nil
+			return stringValue(n.Local), nil
 		}
-		return StringValue(n.Name), nil
+		return stringValue(n.Name), nil
 	case "string":
-		return StringValue(arg(0).String()), nil
+		return stringValue(arg(0).String()), nil
 	case "number":
-		return NumberValue(arg(0).Number()), nil
+		return numberValue(arg(0).Number()), nil
 	case "boolean":
 		if len(argVals) != 1 {
 			return Value{}, fmt.Errorf("xpath: boolean() wants one argument")
 		}
-		return BoolValue(argVals[0].Boolean()), nil
+		return boolValue(argVals[0].Boolean()), nil
 	case "not":
 		if len(argVals) != 1 {
 			return Value{}, fmt.Errorf("xpath: not() wants one argument")
 		}
-		return BoolValue(!argVals[0].Boolean()), nil
+		return boolValue(!argVals[0].Boolean()), nil
 	case "true":
-		return BoolValue(true), nil
+		return boolValue(true), nil
 	case "false":
-		return BoolValue(false), nil
+		return boolValue(false), nil
 	case "concat":
 		var b strings.Builder
 		for _, v := range argVals {
 			b.WriteString(v.String())
 		}
 		ev.alu(b.Len() / 2)
-		return StringValue(b.String()), nil
+		return stringValue(b.String()), nil
 	case "contains":
 		s, sub := arg(0).String(), arg(1).String()
 		ok := strings.Contains(s, sub)
 		ev.alu(len(s))
 		ev.branch(pcCmpBranch, ok)
-		return BoolValue(ok), nil
+		return boolValue(ok), nil
 	case "starts-with":
 		s, pre := arg(0).String(), arg(1).String()
 		ok := strings.HasPrefix(s, pre)
 		ev.alu(len(pre))
 		ev.branch(pcCmpBranch, ok)
-		return BoolValue(ok), nil
+		return boolValue(ok), nil
 	case "string-length":
 		s := arg(0).String()
-		return NumberValue(float64(len(s))), nil
+		return numberValue(float64(len(s))), nil
 	case "normalize-space":
 		s := strings.Join(strings.Fields(arg(0).String()), " ")
 		ev.alu(len(s))
-		return StringValue(s), nil
+		return stringValue(s), nil
 	case "substring":
 		if len(argVals) < 2 {
 			return Value{}, fmt.Errorf("xpath: substring() wants 2 or 3 arguments")
@@ -533,24 +528,24 @@ func (ev *Evaluator) call(x *callExpr, c evalCtx, argVals []Value) (Value, error
 			end = len(s)
 		}
 		if start >= end {
-			return StringValue(""), nil
+			return stringValue(""), nil
 		}
-		return StringValue(s[start:end]), nil
+		return stringValue(s[start:end]), nil
 	case "sum":
 		if len(argVals) != 1 || !argVals[0].IsNodeSet() {
 			return Value{}, fmt.Errorf("xpath: sum() wants one node-set")
 		}
 		total := 0.0
 		for _, n := range argVals[0].Nodes {
-			total += StringValue(nodeStringValue(n)).Number()
+			total += stringValue(nodeStringValue(n)).Number()
 		}
-		return NumberValue(total), nil
+		return numberValue(total), nil
 	case "floor":
-		return NumberValue(math.Floor(arg(0).Number())), nil
+		return numberValue(math.Floor(arg(0).Number())), nil
 	case "ceiling":
-		return NumberValue(math.Ceil(arg(0).Number())), nil
+		return numberValue(math.Ceil(arg(0).Number())), nil
 	case "round":
-		return NumberValue(math.Round(arg(0).Number())), nil
+		return numberValue(math.Round(arg(0).Number())), nil
 	}
 	return Value{}, fmt.Errorf("xpath: unknown function %s()", x.name)
 }

@@ -67,14 +67,14 @@ type token struct {
 	pos  int
 }
 
-// SyntaxError reports a malformed expression.
-type SyntaxError struct {
+// syntaxError reports a malformed expression.
+type syntaxError struct {
 	Expr string
 	Pos  int
 	Msg  string
 }
 
-func (e *SyntaxError) Error() string {
+func (e *syntaxError) Error() string {
 	return fmt.Sprintf("xpath: %q at %d: %s", e.Expr, e.Pos, e.Msg)
 }
 
@@ -99,7 +99,7 @@ func lex(src string) ([]token, error) {
 }
 
 func (l *lexer) errf(format string, args ...any) error {
-	return &SyntaxError{Expr: l.src, Pos: l.pos, Msg: fmt.Sprintf(format, args...)}
+	return &syntaxError{Expr: l.src, Pos: l.pos, Msg: fmt.Sprintf(format, args...)}
 }
 
 func isXDigit(b byte) bool { return b >= '0' && b <= '9' }

@@ -22,21 +22,21 @@ func (o oracle) eval(n node, c evalCtx) (Value, error) {
 	switch x := n.(type) {
 	case *negExpr:
 		v, err := o.eval(x.x, c)
-		return NumberValue(-v.Number()), err
+		return numberValue(-v.Number()), err
 	case *binExpr:
 		l, err := o.eval(x.l, c)
 		if err != nil {
 			return Value{}, err
 		}
 		if (x.op == tokAnd && !l.Boolean()) || (x.op == tokOr && l.Boolean()) {
-			return BoolValue(l.Boolean()), nil
+			return boolValue(l.Boolean()), nil
 		}
 		r, err := o.eval(x.r, c)
 		if err != nil {
 			return Value{}, err
 		}
 		if x.op == tokAnd || x.op == tokOr {
-			return BoolValue(r.Boolean()), nil
+			return boolValue(r.Boolean()), nil
 		}
 		return o.ev.binOp(x.op, l, r)
 	case *unionExpr:
@@ -51,10 +51,10 @@ func (o oracle) eval(n node, c evalCtx) (Value, error) {
 		if !l.IsNodeSet() || !r.IsNodeSet() {
 			return Value{}, fmt.Errorf("union of non-node-sets")
 		}
-		return NodeSetValue(oracleUnion(l.Nodes, r.Nodes)), nil
+		return nodeSetValue(oracleUnion(l.Nodes, r.Nodes)), nil
 	case *pathExpr:
 		ns, err := o.path(x, c)
-		return NodeSetValue(ns), err
+		return nodeSetValue(ns), err
 	case *callExpr:
 		args := make([]Value, len(x.args))
 		for i, a := range x.args {
@@ -89,7 +89,7 @@ func (o oracle) eval(n node, c evalCtx) (Value, error) {
 			}
 			ns = out
 		}
-		return NodeSetValue(ns), nil
+		return nodeSetValue(ns), nil
 	}
 	return o.ev.eval(n, c) // literals
 }

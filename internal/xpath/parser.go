@@ -59,7 +59,7 @@ func (p *parser) expect(k tokKind, what string) error {
 }
 
 func (p *parser) errf(format string, args ...any) error {
-	return &SyntaxError{Expr: p.src, Pos: p.peek().pos, Msg: sprintf(format, args...)}
+	return &syntaxError{Expr: p.src, Pos: p.peek().pos, Msg: sprintf(format, args...)}
 }
 
 func sprintf(format string, args ...any) string {

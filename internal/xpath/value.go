@@ -29,17 +29,17 @@ const (
 	kindBool
 )
 
-// NodeSetValue wraps a node-set.
-func NodeSetValue(ns []*xmldom.Node) Value { return Value{Nodes: ns, kindOf: kindNodeSet} }
+// nodeSetValue wraps a node-set.
+func nodeSetValue(ns []*xmldom.Node) Value { return Value{Nodes: ns, kindOf: kindNodeSet} }
 
-// StringValue wraps a string.
-func StringValue(s string) Value { return Value{Str: s, kindOf: kindString} }
+// stringValue wraps a string.
+func stringValue(s string) Value { return Value{Str: s, kindOf: kindString} }
 
-// NumberValue wraps a number.
-func NumberValue(f float64) Value { return Value{Num: f, kindOf: kindNumber} }
+// numberValue wraps a number.
+func numberValue(f float64) Value { return Value{Num: f, kindOf: kindNumber} }
 
-// BoolValue wraps a boolean.
-func BoolValue(b bool) Value { return Value{Bool: b, kindOf: kindBool} }
+// boolValue wraps a boolean.
+func boolValue(b bool) Value { return Value{Bool: b, kindOf: kindBool} }
 
 // IsNodeSet reports whether the value is a node-set.
 func (v Value) IsNodeSet() bool { return v.kindOf == kindNodeSet }
@@ -132,7 +132,7 @@ func compare(op tokKind, a, b Value) bool {
 	if a.IsNodeSet() && b.IsNodeSet() {
 		for _, na := range a.Nodes {
 			for _, nb := range b.Nodes {
-				if cmpAtom(op, StringValue(nodeStringValue(na)), StringValue(nodeStringValue(nb))) {
+				if cmpAtom(op, stringValue(nodeStringValue(na)), stringValue(nodeStringValue(nb))) {
 					return true
 				}
 			}
@@ -141,7 +141,7 @@ func compare(op tokKind, a, b Value) bool {
 	}
 	if a.IsNodeSet() {
 		for _, na := range a.Nodes {
-			if cmpAtom(op, StringValue(nodeStringValue(na)), b) {
+			if cmpAtom(op, stringValue(nodeStringValue(na)), b) {
 				return true
 			}
 		}
@@ -149,7 +149,7 @@ func compare(op tokKind, a, b Value) bool {
 	}
 	if b.IsNodeSet() {
 		for _, nb := range b.Nodes {
-			if cmpAtom(op, a, StringValue(nodeStringValue(nb))) {
+			if cmpAtom(op, a, stringValue(nodeStringValue(nb))) {
 				return true
 			}
 		}

@@ -120,7 +120,7 @@ func TestCountMatchesConstruction(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		v, err := Eval(MustCompile(`count(//x)`), d)
+		v, err := NewEvaluator(nil).Eval(MustCompile(`count(//x)`), d)
 		if err != nil {
 			return false
 		}
@@ -149,7 +149,7 @@ func TestDescendantFindsAll(t *testing.T) {
 			return false
 		}
 		for i, n := range names {
-			v, err := Eval(MustCompile("//"+n), d)
+			v, err := NewEvaluator(nil).Eval(MustCompile("//"+n), d)
 			if err != nil {
 				return false
 			}
@@ -167,7 +167,7 @@ func TestDescendantFindsAll(t *testing.T) {
 
 func TestSyntaxErrorReporting(t *testing.T) {
 	_, err := Compile(`//a[`)
-	se, ok := err.(*SyntaxError)
+	se, ok := err.(*syntaxError)
 	if !ok {
 		t.Fatalf("error type %T", err)
 	}

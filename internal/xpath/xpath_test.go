@@ -49,7 +49,7 @@ func evalNodes(t *testing.T, d *xmldom.Node, expr string) []*xmldom.Node {
 	if err != nil {
 		t.Fatalf("Compile(%q): %v", expr, err)
 	}
-	v, err := Eval(e, d)
+	v, err := NewEvaluator(nil).Eval(e, d)
 	if err != nil {
 		t.Fatalf("Eval(%q): %v", expr, err)
 	}
@@ -64,7 +64,7 @@ func TestPaperExpression(t *testing.T) {
 	// routing condition "equals the string 1".
 	d := doc(t)
 	e := MustCompile(`//quantity/text()`)
-	v, err := Eval(e, d)
+	v, err := NewEvaluator(nil).Eval(e, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,19 +162,19 @@ func TestFunctions(t *testing.T) {
 }
 
 func TestNumberConversions(t *testing.T) {
-	if v := StringValue("  42 ").Number(); v != 42 {
+	if v := stringValue("  42 ").Number(); v != 42 {
 		t.Errorf("number(' 42 ') = %v", v)
 	}
-	if v := StringValue("x").Number(); !math.IsNaN(v) {
+	if v := stringValue("x").Number(); !math.IsNaN(v) {
 		t.Errorf("number('x') = %v, want NaN", v)
 	}
-	if BoolValue(true).Number() != 1 || BoolValue(false).Number() != 0 {
+	if boolValue(true).Number() != 1 || boolValue(false).Number() != 0 {
 		t.Error("boolean to number failed")
 	}
-	if NumberValue(2.5).String() != "2.5" || NumberValue(3).String() != "3" {
+	if numberValue(2.5).String() != "2.5" || numberValue(3).String() != "3" {
 		t.Error("number formatting failed")
 	}
-	if NumberValue(math.NaN()).String() != "NaN" {
+	if numberValue(math.NaN()).String() != "NaN" {
 		t.Error("NaN formatting failed")
 	}
 }
@@ -222,7 +222,7 @@ func TestEvalErrors(t *testing.T) {
 		if err != nil {
 			continue // compile-time rejection also acceptable
 		}
-		if _, err := Eval(e, d); err == nil {
+		if _, err := NewEvaluator(nil).Eval(e, d); err == nil {
 			t.Errorf("Eval(%q) succeeded, want error", src)
 		}
 	}
@@ -276,7 +276,7 @@ func TestLargerDocumentScaling(t *testing.T) {
 
 func mustNodes(t *testing.T, d *xmldom.Node, expr string) []*xmldom.Node {
 	t.Helper()
-	v, err := Eval(MustCompile(expr), d)
+	v, err := NewEvaluator(nil).Eval(MustCompile(expr), d)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,13 +155,13 @@ var builtins = map[string]BuiltinType{
 	"nonNegativeInteger": TPositiveInt,
 }
 
-// SchemaError reports a malformed schema document.
-type SchemaError struct{ Msg string }
+// schemaError reports a malformed schema document.
+type schemaError struct{ Msg string }
 
-func (e *SchemaError) Error() string { return "xsd: " + e.Msg }
+func (e *schemaError) Error() string { return "xsd: " + e.Msg }
 
 func schemaErrf(format string, args ...any) error {
-	return &SchemaError{Msg: fmt.Sprintf(format, args...)}
+	return &schemaError{Msg: fmt.Sprintf(format, args...)}
 }
 
 // ParseSchema compiles a schema from XSD source text.
