@@ -35,6 +35,7 @@ import (
 	"repro/internal/dtrace"
 	"repro/internal/httpmsg"
 	"repro/internal/perf/trace"
+	"repro/internal/poison"
 	"repro/internal/session"
 	"repro/internal/upstream"
 	"repro/internal/verdict"
@@ -490,6 +491,10 @@ func (s *Server) handleConn(c net.Conn) {
 			t = time.Now()
 		}
 		ok := s.writeResp(c, &r, &vec)
+		// The message's views die here: the next ReadRequest refills the
+		// frame, and an in-place XJ body was written from the scratch.
+		poison.Bytes(*fp)
+		poison.Bytes(sc.xj)
 		if rec != nil {
 			rec.Finish(lap(rec, dtrace.StageWrite, t))
 			s.dtr.offer(rec)
@@ -534,6 +539,7 @@ func (s *Server) writeResp(c net.Conn, r *response, vec *httpmsg.Writev) bool {
 // the pool does not own.
 func putRespBuf(p *[]byte, b []byte) {
 	if p != nil {
+		poison.Bytes(b)
 		*p = b[:0]
 		respBufPool.Put(p)
 	}

@@ -10,8 +10,10 @@
 package workload
 
 import (
+	"bytes"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/dpi"
@@ -178,19 +180,28 @@ func SOAPMessageSized(i, size int) []byte {
 // the seed perturbs the per-index generator state so two campaign runs
 // with the same seed replay byte-identical traffic while distinct seeds
 // produce distinct (still deterministic) message populations. Seed 0 is
-// the legacy stream — SOAPMessageSized output is unchanged.
+// the legacy stream — SOAPMessageSized output is unchanged. The message is
+// appended into one buffer sized for it up front: one allocation.
 func SOAPMessageSeeded(i, size int, seed uint64) []byte {
 	r := rng(uint64(i)*2654435761 + 88172645463325252 + seed*0x9E3779B97F4A7C15)
 	r.next()
 
-	var b strings.Builder
-	b.WriteString(`<?xml version="1.0" encoding="UTF-8"?>` + "\n")
-	b.WriteString(`<soap:Envelope xmlns:soap="http://schemas.xmlsoap.org/soap/envelope/">` + "\n")
-	fmt.Fprintf(&b, "<soap:Header><transactionID>txn-%08d</transactionID><timestamp>2007-03-%02d</timestamp></soap:Header>\n", i, 1+r.intn(28))
-	b.WriteString("<soap:Body>\n")
-	fmt.Fprintf(&b, `<purchaseOrder id="po-%06d">`+"\n", i)
-	fmt.Fprintf(&b, "<customer>%s</customer>\n", customers[r.intn(len(customers))])
-	fmt.Fprintf(&b, "<orderDate>2007-%02d-%02d</orderDate>\n", 1+r.intn(12), 1+r.intn(28))
+	b := make([]byte, 0, max(size, maxPreamble))
+	b = append(b, `<?xml version="1.0" encoding="UTF-8"?>`+"\n"...)
+	b = append(b, `<soap:Envelope xmlns:soap="http://schemas.xmlsoap.org/soap/envelope/">`+"\n"...)
+	b = append(b, "<soap:Header><transactionID>txn-"...)
+	b = appendPadded(b, i, 8)
+	b = append(b, "</transactionID><timestamp>2007-03-"...)
+	b = appendPadded(b, 1+r.intn(28), 2)
+	b = append(b, "</timestamp></soap:Header>\n<soap:Body>\n<purchaseOrder id=\"po-"...)
+	b = appendPadded(b, i, 6)
+	b = append(b, "\">\n<customer>"...)
+	b = append(b, customers[r.intn(len(customers))]...)
+	b = append(b, "</customer>\n<orderDate>2007-"...)
+	b = appendPadded(b, 1+r.intn(12), 2)
+	b = append(b, '-')
+	b = appendPadded(b, 1+r.intn(28), 2)
+	b = append(b, "</orderDate>\n"...)
 
 	items := 2 + r.intn(4)
 	for k := 0; k < items; k++ {
@@ -204,28 +215,60 @@ func SOAPMessageSeeded(i, size int, seed uint64) []byte {
 				qty = 2 + r.intn(4)
 			}
 		}
-		fmt.Fprintf(&b, "<item><sku>SKU-%04d</sku><quantity>%d</quantity><price>%d.%02d</price><description>%s %s</description></item>\n",
-			r.intn(10000), qty, 1+r.intn(500), r.intn(100),
-			fillerWords[r.intn(len(fillerWords))], fillerWords[r.intn(len(fillerWords))])
+		b = append(b, "<item><sku>SKU-"...)
+		b = appendPadded(b, r.intn(10000), 4)
+		b = append(b, "</sku><quantity>"...)
+		b = strconv.AppendInt(b, int64(qty), 10)
+		b = append(b, "</quantity><price>"...)
+		b = strconv.AppendInt(b, int64(1+r.intn(500)), 10)
+		b = append(b, '.')
+		b = appendPadded(b, r.intn(100), 2)
+		b = append(b, "</price><description>"...)
+		b = append(b, fillerWords[r.intn(len(fillerWords))]...)
+		b = append(b, ' ')
+		b = append(b, fillerWords[r.intn(len(fillerWords))]...)
+		b = append(b, "</description></item>\n"...)
 	}
 
 	// Filler elements to reach the target size (AONBench default 5 KB).
 	const close = "</purchaseOrder>\n</soap:Body>\n</soap:Envelope>\n"
 	first := true
-	for first || b.Len() < size-len(close)-40 {
+	for first || len(b) < size-len(close)-40 {
 		first = false
-		b.WriteString("<filler>")
-		for b.Len() < size-len(close)-60 {
-			b.WriteString(fillerWords[r.intn(len(fillerWords))])
-			b.WriteByte(' ')
+		b = append(b, "<filler>"...)
+		for len(b) < size-len(close)-60 {
+			b = append(b, fillerWords[r.intn(len(fillerWords))]...)
+			b = append(b, ' ')
 			if r.intn(6) == 0 {
 				break
 			}
 		}
-		b.WriteString("</filler>\n")
+		b = append(b, "</filler>\n"...)
 	}
-	b.WriteString(close)
-	return []byte(b.String())
+	return append(b, close...)
+}
+
+// maxPreamble bounds a message whose size target is below its fixed part:
+// the order preamble at its longest (five items, 20-digit indices) is
+// under 1 KB, and one empty filler and the closing tags follow it. Above
+// it, the filler loop stops at least 20 bytes short of the target.
+const maxPreamble = 1200
+
+// appendPadded appends v in decimal, zero-padded to width digits as fmt's
+// %0*d pads it: a minus sign comes first and counts toward the width.
+func appendPadded(b []byte, v, width int) []byte {
+	u := uint64(v)
+	if v < 0 {
+		b = append(b, '-')
+		u = -u
+		width--
+	}
+	var d [20]byte
+	digits := strconv.AppendUint(d[:0], u, 10)
+	for n := len(digits); n < width; n++ {
+		b = append(b, '0')
+	}
+	return append(b, digits...)
 }
 
 // AuthKey is the pre-shared device key for the AUTH use case.
@@ -267,32 +310,51 @@ func HTTPRequestSeeded(i int, uc UseCase, size int, seed uint64) []byte {
 			// Splice the signature into the first filler element; DPI
 			// matches raw bytes and never parses, so signatures that are
 			// not XML-safe are fine here.
-			body = []byte(strings.Replace(string(body), "<filler>", "<filler>"+sig+" ", 1))
+			body = bytes.Replace(body, []byte("<filler>"), []byte("<filler>"+sig+" "), 1)
 		}
 	}
-	req := &httpmsg.Request{
+	req := httpmsg.Request{
 		Method: "POST",
-		Target: fmt.Sprintf("http://aon-gw.example.com/service/%s", uc),
+		Target: serviceTargets[uc],
 		Proto:  "HTTP/1.1",
 		Headers: []httpmsg.Header{
 			{Name: "Host", Value: "aon-gw.example.com"},
 			{Name: "Content-Type", Value: "text/xml; charset=utf-8"},
 			{Name: "SOAPAction", Value: `"urn:purchaseOrder"`},
 			{Name: "Connection", Value: "keep-alive"},
-			{Name: "Content-Length", Value: fmt.Sprint(len(body))},
 		},
-		Body: body,
 	}
+	// Left out, Content-Length is written last by AppendRequestHeader, where
+	// it sits in every request but AUTH's, which carries its MAC after it.
 	if uc == AUTH {
 		mac := wcrypto.HMAC(AuthKey, body, nil, 0)
 		hexMAC := hex.EncodeToString(mac[:])
 		if i%TamperEvery == TamperEvery-1 {
 			hexMAC = "00" + hexMAC[2:]
 		}
-		req.Headers = append(req.Headers, httpmsg.Header{Name: "X-AON-MAC", Value: hexMAC})
+		req.Headers = append(req.Headers,
+			httpmsg.Header{Name: "Content-Length", Value: strconv.Itoa(len(body))},
+			httpmsg.Header{Name: "X-AON-MAC", Value: hexMAC})
 	}
-	return httpmsg.FormatRequest(req)
+	// The head is built on the stack, so the request is one allocation of
+	// exactly its size.
+	var buf [maxRequestHead]byte
+	head := httpmsg.AppendRequestHeader(buf[:0], &req, len(body))
+	return append(append(make([]byte, 0, len(head)+len(body)), head...), body...)
 }
+
+// maxRequestHead bounds the header block HTTPRequestSeeded writes (AUTH's,
+// with its MAC, is the longest).
+const maxRequestHead = 320
+
+// serviceTargets is the request target the clients post each use case to,
+// built once so that generating a request concatenates nothing.
+var serviceTargets = func() (t [XJ + 1]string) {
+	for uc := range t {
+		t[uc] = "http://aon-gw.example.com/service/" + UseCase(uc).String()
+	}
+	return t
+}()
 
 // InvalidSOAPMessage returns message i mutated so schema validation fails
 // (the paper notes "a modified input message can verify whether the XML
@@ -309,8 +371,7 @@ func InvalidSOAPMessageSized(i, size int) []byte {
 // InvalidSOAPMessageSeeded is InvalidSOAPMessageSized under an explicit
 // campaign seed (see SOAPMessageSeeded).
 func InvalidSOAPMessageSeeded(i, size int, seed uint64) []byte {
-	msg := string(SOAPMessageSeeded(i, size, seed))
-	return []byte(strings.Replace(msg, "<quantity>", "<quantity>x", 1))
+	return bytes.Replace(SOAPMessageSeeded(i, size, seed), []byte("<quantity>"), []byte("<quantity>x"), 1)
 }
 
 // netperfBuffer returns the netperf send buffer: netperf transmits an

@@ -146,7 +146,7 @@ func (p *instrParser) attach(parent, child *Node) {
 
 // startTag charges a start tag beginning at src[pos] ('<'), builds the
 // element under parent and returns it with the offset just past the tag.
-func (p *instrParser) startTag(tok Token, pos int, parent *Node) (*Node, int) {
+func (p *instrParser) startTag(tok *Token, pos int, parent *Node) (*Node, int) {
 	p.emitMatch(pos, 1)
 	pos = p.emitNameRun(pos+1, pos+1+len(tok.Name))
 	el := p.newNode(Element, "")
@@ -182,7 +182,7 @@ func (p *instrParser) startTag(tok Token, pos int, parent *Node) (*Node, int) {
 
 // endTag charges an end tag beginning at src[pos] ("</") and returns the
 // offset just past it.
-func (p *instrParser) endTag(tok Token, pos int) int {
+func (p *instrParser) endTag(tok *Token, pos int) int {
 	pos = p.emitNameRun(pos+len("</"), pos+len("</")+len(tok.Name))
 	p.emitNameCompare(pos, len(tok.Name))
 	pos = p.spaceRun(pos)

@@ -41,8 +41,9 @@ type TokAttr struct {
 }
 
 // Token is one pull-parser event. Every byte slice is a view into the
-// source buffer — no copies are made. A Token (and its Attrs) is only
-// valid until the next call to Next.
+// source buffer — no copies are made. Next hands out a pointer to the one
+// Token its Tokenizer owns and rewrites on every call, so a Token (and its
+// Attrs) is only valid until the next call to Next or Reset.
 type Token struct {
 	Kind      TokKind
 	Name      []byte    // start/end tag name
@@ -64,17 +65,20 @@ const (
 // consumer of its tokens — StreamParser (and Parse, through it) for the
 // live path, ParseInstrumented for the simulator — so they accept and
 // reject the same documents by construction. The tokenizer makes no
-// per-token copies: all token contents are subslices of src. A zero
-// Tokenizer is not ready; call Reset first. Tokenizers are reusable across
-// documents and are not safe for concurrent use.
+// per-token copies: all token contents are subslices of src, and runs of
+// character data are skipped with bytes.IndexByte rather than a byte at a
+// time. A zero Tokenizer is not ready; call Reset first. Tokenizers are
+// reusable across documents and are not safe for concurrent use.
 type Tokenizer struct {
 	src     []byte
 	pos     int
 	phase   int
 	sawDecl bool
 
-	// stack holds open element names (views into src) for end-tag
-	// matching; attrs is the reused attribute backing for start tags.
+	// tok is the token Next hands out. stack holds open element names
+	// (views into src) for end-tag matching; attrs is the reused
+	// attribute backing for start tags.
+	tok   Token
 	stack [][]byte
 	attrs []TokAttr
 }
@@ -86,6 +90,7 @@ func (t *Tokenizer) Reset(src []byte) {
 	t.pos = 0
 	t.phase = phProlog
 	t.sawDecl = false
+	t.tok = Token{}
 	t.stack = t.stack[:0]
 	t.attrs = t.attrs[:0]
 }
@@ -101,37 +106,82 @@ func (t *Tokenizer) peekIs(s string) bool {
 	return string(t.src[t.pos:t.pos+len(s)]) == s
 }
 
-func isSpace(b byte) bool { return b == ' ' || b == '\t' || b == '\r' || b == '\n' }
-
-func isNameStart(b byte) bool {
-	return b == '_' || (b >= 'a' && b <= 'z') || (b >= 'A' && b <= 'Z') || b >= 0x80
+// expect consumes the byte c or reports it missing.
+func (t *Tokenizer) expect(c byte) error {
+	if t.pos < len(t.src) && t.src[t.pos] == c {
+		t.pos++
+		return nil
+	}
+	return t.errf("expected %q", string(c))
 }
 
-func isNameChar(b byte) bool {
-	return isNameStart(b) || b == '-' || b == '.' || b == ':' || (b >= '0' && b <= '9')
+// emit makes the handed-out token a kind with a payload.
+func (t *Tokenizer) emit(kind TokKind, raw []byte) (*Token, error) {
+	return t.set(kind, nil, raw, nil, false, false), nil
 }
+
+// set rewrites the handed-out token field by field: assigning a Token
+// literal zeroes and block-copies the whole struct on every token.
+func (t *Tokenizer) set(kind TokKind, name, raw []byte, attrs []TokAttr, selfClose, hasEnt bool) *Token {
+	tok := &t.tok
+	tok.Kind = kind
+	tok.Name = name
+	tok.Raw = raw
+	tok.Attrs = attrs
+	tok.SelfClose = selfClose
+	tok.HasEntity = hasEnt
+	return tok
+}
+
+// Byte classes for the name and whitespace scans: one table load per
+// byte instead of a chain of comparisons.
+const (
+	clSpace     = 1 << iota // ' ', '\t', '\r', '\n'
+	clNameStart             // '_', an ASCII letter, or any byte >= 0x80
+	clName                  // a name start, '-', '.', ':' or a digit
+)
+
+var charClass = func() (c [256]uint8) {
+	for b := 0; b < len(c); b++ {
+		switch {
+		case b == ' ' || b == '\t' || b == '\r' || b == '\n':
+			c[b] = clSpace
+		case b == '_' || b >= 'a' && b <= 'z' || b >= 'A' && b <= 'Z' || b >= 0x80:
+			c[b] = clNameStart | clName
+		case b == '-' || b == '.' || b == ':' || b >= '0' && b <= '9':
+			c[b] = clName
+		}
+	}
+	return c
+}()
+
+func isSpace(b byte) bool { return charClass[b]&clSpace != 0 }
 
 func (t *Tokenizer) skipSpace() {
-	for t.pos < len(t.src) && isSpace(t.src[t.pos]) {
-		t.pos++
+	pos := t.pos
+	for pos < len(t.src) && isSpace(t.src[pos]) {
+		pos++
 	}
+	t.pos = pos
 }
 
 func (t *Tokenizer) scanName() ([]byte, error) {
-	start := t.pos
-	if t.pos >= len(t.src) || !isNameStart(t.src[t.pos]) {
+	src, start := t.src, t.pos
+	if start >= len(src) || charClass[src[start]]&clNameStart == 0 {
 		return nil, t.errf("expected name")
 	}
-	t.pos++
-	for t.pos < len(t.src) && isNameChar(t.src[t.pos]) {
-		t.pos++
+	pos := start + 1
+	for pos < len(src) && charClass[src[pos]]&clName != 0 {
+		pos++
 	}
-	return t.src[start:t.pos], nil
+	t.pos = pos
+	return src[start:pos], nil
 }
 
-// Next returns the next token. After TokEOF or an error the tokenizer
-// must be Reset before reuse.
-func (t *Tokenizer) Next() (Token, error) {
+// Next returns the next token, which stays valid until the following
+// Next or Reset. After TokEOF or an error the tokenizer must be Reset
+// before reuse.
+func (t *Tokenizer) Next() (*Token, error) {
 	switch t.phase {
 	case phProlog:
 		return t.nextProlog()
@@ -142,18 +192,18 @@ func (t *Tokenizer) Next() (Token, error) {
 	}
 }
 
-func (t *Tokenizer) nextProlog() (Token, error) {
+func (t *Tokenizer) nextProlog() (*Token, error) {
 	t.skipSpace()
 	if !t.sawDecl {
 		t.sawDecl = true
 		if t.peekIs("<?xml") {
 			end := bytes.Index(t.src[t.pos:], []byte("?>"))
 			if end < 0 {
-				return Token{}, t.errf("unterminated XML declaration")
+				return nil, t.errf("unterminated XML declaration")
 			}
 			raw := t.src[t.pos+2 : t.pos+end]
 			t.pos += end + 2
-			return Token{Kind: TokDecl, Raw: raw}, nil
+			return t.emit(TokDecl, raw)
 		}
 	}
 	switch {
@@ -174,113 +224,124 @@ func (t *Tokenizer) nextProlog() (Token, error) {
 			}
 		}
 		if depth != 0 {
-			return Token{}, t.errf("unterminated DOCTYPE")
+			return nil, t.errf("unterminated DOCTYPE")
 		}
-		return Token{Kind: TokDoctype}, nil
+		return t.emit(TokDoctype, nil)
 	default:
 		// The document element. Anything else fails inside scanStartTag.
 		return t.scanStartTag()
 	}
 }
 
-func (t *Tokenizer) nextContent() (Token, error) {
-	open := t.stack[len(t.stack)-1]
-	if t.pos >= len(t.src) {
-		return Token{}, t.errf("unterminated element <%s>", open)
+// nextContent dispatches on the byte at pos and, after a '<', the one
+// after it.
+func (t *Tokenizer) nextContent() (*Token, error) {
+	src, pos := t.src, t.pos
+	if pos >= len(src) {
+		return nil, t.errf("unterminated element <%s>", t.stack[len(t.stack)-1])
 	}
-	switch {
-	case t.peekIs("</"):
-		t.pos += 2
-		cname, err := t.scanName()
-		if err != nil {
-			return Token{}, err
-		}
-		if !bytes.Equal(cname, open) {
-			return Token{}, t.errf("mismatched end tag </%s>, open <%s>", cname, open)
-		}
-		t.skipSpace()
-		if err := t.expect(">"); err != nil {
-			return Token{}, err
-		}
-		t.stack = t.stack[:len(t.stack)-1]
-		if len(t.stack) == 0 {
-			t.phase = phEpilog
-		}
-		return Token{Kind: TokEnd, Name: cname}, nil
-	case t.peekIs("<!--"):
-		return t.scanComment()
-	case t.peekIs("<![CDATA["):
-		t.pos += len("<![CDATA[")
-		end := bytes.Index(t.src[t.pos:], []byte("]]>"))
-		if end < 0 {
-			return Token{}, t.errf("unterminated CDATA section")
-		}
-		raw := t.src[t.pos : t.pos+end]
-		t.pos += end + 3
-		return Token{Kind: TokCDATA, Raw: raw}, nil
-	case t.peekIs("<?"):
-		t.pos += 2
-		end := bytes.Index(t.src[t.pos:], []byte("?>"))
-		if end < 0 {
-			return Token{}, t.errf("unterminated processing instruction")
-		}
-		raw := t.src[t.pos : t.pos+end]
-		t.pos += end + 2
-		return Token{Kind: TokProcInst, Raw: raw}, nil
-	case t.src[t.pos] == '<':
-		return t.scanStartTag()
-	default:
+	if src[pos] != '<' {
 		return t.scanText()
 	}
+	if pos+1 < len(src) {
+		switch src[pos+1] {
+		case '/':
+			return t.scanEndTag()
+		case '!':
+			if t.peekIs("<!--") {
+				return t.scanComment()
+			}
+			if t.peekIs("<![CDATA[") {
+				t.pos += len("<![CDATA[")
+				end := bytes.Index(src[t.pos:], []byte("]]>"))
+				if end < 0 {
+					return nil, t.errf("unterminated CDATA section")
+				}
+				raw := src[t.pos : t.pos+end]
+				t.pos += end + 3
+				return t.emit(TokCDATA, raw)
+			}
+		case '?':
+			t.pos += 2
+			end := bytes.Index(src[t.pos:], []byte("?>"))
+			if end < 0 {
+				return nil, t.errf("unterminated processing instruction")
+			}
+			raw := src[t.pos : t.pos+end]
+			t.pos += end + 2
+			return t.emit(TokProcInst, raw)
+		}
+	}
+	// A start tag, or (after "<!" that opens neither a comment nor a
+	// CDATA section, or a lone '<' at the end) the error scanning one gives.
+	return t.scanStartTag()
 }
 
-func (t *Tokenizer) nextEpilog() (Token, error) {
+// scanEndTag scans "</name S? >". The name is matched against the open
+// element's by length and bytes, provided no name byte follows it;
+// otherwise it is scanned as a name, which then cannot equal the open
+// one, so the mismatch reads as the scanned name.
+func (t *Tokenizer) scanEndTag() (*Token, error) {
+	src, open := t.src, t.stack[len(t.stack)-1]
+	t.pos += len("</")
+	start, end := t.pos, t.pos+len(open)
+	if end > len(src) || !bytes.Equal(src[start:end], open) || end < len(src) && charClass[src[end]]&clName != 0 {
+		cname, err := t.scanName()
+		if err != nil {
+			return nil, err
+		}
+		return nil, t.errf("mismatched end tag </%s>, open <%s>", cname, open)
+	}
+	t.pos = end
+	t.skipSpace()
+	if err := t.expect('>'); err != nil {
+		return nil, err
+	}
+	t.stack = t.stack[:len(t.stack)-1]
+	if len(t.stack) == 0 {
+		t.phase = phEpilog
+	}
+	return t.set(TokEnd, src[start:end], nil, nil, false, false), nil
+}
+
+func (t *Tokenizer) nextEpilog() (*Token, error) {
 	t.skipSpace()
 	if t.pos >= len(t.src) {
-		return Token{Kind: TokEOF}, nil
+		return t.emit(TokEOF, nil)
 	}
 	if t.peekIs("<!--") {
 		return t.scanComment()
 	}
-	return Token{}, t.errf("content after document element")
+	return nil, t.errf("content after document element")
 }
 
-func (t *Tokenizer) expect(s string) error {
-	if !t.peekIs(s) {
-		return t.errf("expected %q", s)
-	}
-	t.pos += len(s)
-	return nil
-}
-
-func (t *Tokenizer) scanComment() (Token, error) {
-	if err := t.expect("<!--"); err != nil {
-		return Token{}, err
-	}
+// scanComment scans a comment whose "<!--" is at pos.
+func (t *Tokenizer) scanComment() (*Token, error) {
+	t.pos += len("<!--")
 	end := bytes.Index(t.src[t.pos:], []byte("-->"))
 	if end < 0 {
-		return Token{}, t.errf("unterminated comment")
+		return nil, t.errf("unterminated comment")
 	}
 	raw := t.src[t.pos : t.pos+end]
 	t.pos += end + 3
-	return Token{Kind: TokComment, Raw: raw}, nil
+	return t.emit(TokComment, raw)
 }
 
 // scanStartTag parses `<name attr="v"... >` or `.../>` and pushes the
 // element on the open stack unless self-closed.
-func (t *Tokenizer) scanStartTag() (Token, error) {
-	if err := t.expect("<"); err != nil {
-		return Token{}, err
+func (t *Tokenizer) scanStartTag() (*Token, error) {
+	if err := t.expect('<'); err != nil {
+		return nil, err
 	}
 	name, err := t.scanName()
 	if err != nil {
-		return Token{}, err
+		return nil, err
 	}
 	t.attrs = t.attrs[:0]
 	for {
 		t.skipSpace()
 		if t.pos >= len(t.src) {
-			return Token{}, t.errf("unterminated start tag <%s", name)
+			return nil, t.errf("unterminated start tag <%s", name)
 		}
 		c := t.src[t.pos]
 		if c == '/' || c == '>' {
@@ -288,104 +349,118 @@ func (t *Tokenizer) scanStartTag() (Token, error) {
 		}
 		aname, err := t.scanName()
 		if err != nil {
-			return Token{}, err
+			return nil, err
 		}
 		t.skipSpace()
-		if err := t.expect("="); err != nil {
-			return Token{}, err
+		if err := t.expect('='); err != nil {
+			return nil, err
 		}
 		t.skipSpace()
 		aval, hasEnt, err := t.scanAttrValue()
 		if err != nil {
-			return Token{}, err
+			return nil, err
 		}
-		for _, a := range t.attrs {
-			if bytes.Equal(a.Name, aname) {
-				return Token{}, t.errf("duplicate attribute %q", aname)
+		for i := range t.attrs {
+			if bytes.Equal(t.attrs[i].Name, aname) {
+				return nil, t.errf("duplicate attribute %q", aname)
 			}
 		}
 		t.attrs = append(t.attrs, TokAttr{Name: aname, RawValue: aval, HasEntity: hasEnt})
 	}
-	tok := Token{Kind: TokStart, Name: name, Attrs: t.attrs}
-	if t.peekIs("/>") {
+	if t.src[t.pos] == '/' {
+		if t.pos+1 == len(t.src) || t.src[t.pos+1] != '>' {
+			return nil, t.errf("expected %q", ">")
+		}
 		t.pos += 2
-		tok.SelfClose = true
 		if len(t.stack) == 0 {
 			t.phase = phEpilog
 		}
-		return tok, nil
+		return t.set(TokStart, name, nil, t.attrs, true, false), nil
 	}
-	if err := t.expect(">"); err != nil {
-		return Token{}, err
-	}
+	t.pos++ // '>'
 	t.stack = append(t.stack, name)
 	t.phase = phContent
-	return tok, nil
+	return t.set(TokStart, name, nil, t.attrs, false, false), nil
 }
 
 // scanAttrValue returns the raw bytes between the quotes. Entity
 // references are validated (so malformed ones are rejected here) but not
-// decoded — decoding happens in the consumer, off the copy-free path.
+// decoded — decoding happens in the consumer, off the copy-free path. The
+// value's end is the next quote and its first '<' is found once; entities
+// before that '<' are found by IndexByte, so the scan stays linear in the
+// value's length however many entities it holds.
 func (t *Tokenizer) scanAttrValue() ([]byte, bool, error) {
-	if t.pos >= len(t.src) || (t.src[t.pos] != '"' && t.src[t.pos] != '\'') {
+	src := t.src
+	if t.pos >= len(src) || (src[t.pos] != '"' && src[t.pos] != '\'') {
 		return nil, false, t.errf("expected quoted attribute value")
 	}
-	quote := t.src[t.pos]
-	t.pos++
-	start := t.pos
+	start := t.pos + 1
+	end := len(src) // no closing quote: the value runs to the end
+	if i := bytes.IndexByte(src[start:], src[t.pos]); i >= 0 {
+		end = start + i
+	}
+	lim := end // entities are searched for up to the first '<', if any
+	lt := bytes.IndexByte(src[start:end], '<')
+	if lt >= 0 {
+		lim = start + lt
+	}
 	hasEnt := false
-	for {
-		if t.pos >= len(t.src) {
-			return nil, false, t.errf("unterminated attribute value")
-		}
-		c := t.src[t.pos]
-		if c == quote {
+	for pos := start; ; pos = t.pos {
+		amp := bytes.IndexByte(src[pos:lim], '&')
+		if amp < 0 {
 			break
 		}
-		if c == '<' {
-			return nil, false, t.errf("'<' in attribute value")
+		if err := t.entity(pos + amp); err != nil {
+			return nil, false, err
 		}
-		if c == '&' {
-			_, next, msg := decodeEntityAt(t.src, t.pos)
-			if msg == errUnterminatedEntity {
-				return nil, false, t.errf("%s", msg)
-			}
-			t.pos = next
-			if msg != "" {
-				return nil, false, t.errf("%s", msg)
-			}
-			hasEnt = true
-			continue
-		}
-		t.pos++
+		hasEnt = true
 	}
-	raw := t.src[start:t.pos]
-	t.pos++ // closing quote
-	return raw, hasEnt, nil
+	if lt >= 0 {
+		t.pos = lim
+		return nil, false, t.errf("'<' in attribute value")
+	}
+	if end == len(src) {
+		t.pos = end
+		return nil, false, t.errf("unterminated attribute value")
+	}
+	t.pos = end + 1 // closing quote
+	return src[start:end], hasEnt, nil
 }
 
 // scanText returns the character-data run up to the next '<' (or EOF —
 // the following Next call reports the unterminated element). Entities
 // are validated in place; Raw keeps them undecoded.
-func (t *Tokenizer) scanText() (Token, error) {
-	start := t.pos
-	hasEnt := false
-	for t.pos < len(t.src) && t.src[t.pos] != '<' {
-		if t.src[t.pos] == '&' {
-			_, next, msg := decodeEntityAt(t.src, t.pos)
-			if msg == errUnterminatedEntity {
-				return Token{}, t.errf("%s", msg)
-			}
-			t.pos = next
-			if msg != "" {
-				return Token{}, t.errf("%s", msg)
-			}
-			hasEnt = true
-			continue
-		}
-		t.pos++
+func (t *Tokenizer) scanText() (*Token, error) {
+	src, start := t.src, t.pos
+	end := len(src)
+	if i := bytes.IndexByte(src[start:], '<'); i >= 0 {
+		end = start + i
 	}
-	return Token{Kind: TokText, Raw: t.src[start:t.pos], HasEntity: hasEnt}, nil
+	hasEnt := false
+	for pos := start; ; pos = t.pos {
+		amp := bytes.IndexByte(src[pos:end], '&')
+		if amp < 0 {
+			break
+		}
+		if err := t.entity(pos + amp); err != nil {
+			return nil, err
+		}
+		hasEnt = true
+	}
+	t.pos = end
+	return t.set(TokText, nil, src[start:end], nil, false, hasEnt), nil
+}
+
+// entity validates the reference at src[pos] ('&') and moves past it. A
+// reference that decodes has no '<' or quote in it, so it ends inside the
+// text run or attribute value it starts in.
+func (t *Tokenizer) entity(pos int) error {
+	_, next, msg := decodeEntityAt(t.src, pos)
+	t.pos = next // pos itself when unterminated: the error is reported at the '&'
+	if msg != "" {
+		return t.errf("%s", msg)
+	}
+	return nil
 }
 
 // errUnterminatedEntity is the decodeEntityAt message for a missing ';'.

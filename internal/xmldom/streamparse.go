@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"sync"
 
+	"repro/internal/poison"
 	"repro/internal/zc"
 )
 
@@ -56,9 +57,27 @@ func AcquireStreamParser() *StreamParser {
 }
 
 // Release returns the parser (and the tree memory of its last Parse) to
-// the pool. The last tree is invalid after this call.
+// the pool. The last tree is invalid after this call; in a race-detector
+// build its nodes read as zero and its decoded strings as 0xDB bytes.
 func (p *StreamParser) Release() {
+	if poison.Enabled {
+		p.poison()
+	}
 	streamPool.Put(p)
+}
+
+// poison clears every slab node, keeping its Attrs backing (with the
+// attributes cleared) so the pooled parser behaves as in a default build,
+// and scribbles over the entity-decode scratch.
+func (p *StreamParser) poison() {
+	for _, chunk := range p.chunks {
+		for i := range chunk {
+			attrs := chunk[i].Attrs
+			clear(attrs[:cap(attrs)])
+			chunk[i] = Node{Attrs: attrs[:0]}
+		}
+	}
+	poison.Bytes(p.scratch)
 }
 
 // alloc hands out the next slab node, reusing the node's previous Attrs
