@@ -238,3 +238,38 @@ func TestDecideRefuses(t *testing.T) {
 		t.Errorf("AUTH without X-AON-MAC: %v", got)
 	}
 }
+
+// BenchmarkDecide runs the live path (no meter) of the use cases that read
+// the body's tree over 64 seeded 5 KB requests, a different one each
+// call: pooled parse plus the use case's consumer. Each call decides a
+// copy of the request, since XJ rewrites its body and headers.
+func BenchmarkDecide(b *testing.B) {
+	rules, err := verdict.New("", nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, uc := range []workload.UseCase{workload.CBR, workload.SV, workload.XJ} {
+		b.Run(uc.String(), func(b *testing.B) {
+			var reqs []*httpmsg.Request
+			var total int
+			for i := 0; i < 64; i++ {
+				req := parse(b, workload.HTTPRequestSeeded(i, uc, workload.MessageBytes, 1))
+				reqs, total = append(reqs, req), total+len(req.Body)
+			}
+			b.SetBytes(int64(total / len(reqs)))
+			b.ReportAllocs()
+			var xjBuf []byte
+			var headers []httpmsg.Header
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				src := reqs[n%len(reqs)]
+				req := *src
+				req.Headers = append(headers[:0], src.Headers...)
+				headers = req.Headers
+				if out := rules.Decide(uc, &req, nil, &xjBuf); out == verdict.OutParseError {
+					b.Fatalf("%v: %v", uc, out)
+				}
+			}
+		})
+	}
+}

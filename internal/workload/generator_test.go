@@ -116,16 +116,22 @@ func TestGeneratorMatchesOracle(t *testing.T) {
 }
 
 // TestGeneratorAllocs pins the generator's allocations: one buffer per
-// message, and for the request of every use case the gateway's workloads
-// and the benchmark send, that buffer plus the request's own.
+// message, invalid or not, and one per request of every use case but
+// AUTH (whose MAC is hex-encoded), a DPI request carrying a signature
+// (index 4) included.
 func TestGeneratorAllocs(t *testing.T) {
 	for _, size := range gridSizes {
 		if n := testing.AllocsPerRun(20, func() { SOAPMessageSeeded(7, size, 3) }); n != 1 {
 			t.Errorf("SOAPMessageSeeded at %d bytes: %v allocs, want 1", size, n)
 		}
-		for _, uc := range []UseCase{FR, CBR, SV, XJ} {
-			if n := testing.AllocsPerRun(20, func() { HTTPRequestSeeded(7, uc, size, 3) }); n > 2 {
-				t.Errorf("HTTPRequestSeeded(%v) at %d bytes: %v allocs, want <= 2", uc, size, n)
+		if n := testing.AllocsPerRun(20, func() { InvalidSOAPMessageSeeded(7, size, 3) }); n != 1 {
+			t.Errorf("InvalidSOAPMessageSeeded at %d bytes: %v allocs, want 1", size, n)
+		}
+		for _, uc := range []UseCase{FR, CBR, SV, XJ, DPI} {
+			for _, i := range []int{DirtyEvery - 1, DirtyEvery} {
+				if n := testing.AllocsPerRun(20, func() { HTTPRequestSeeded(i, uc, size, 3) }); n != 1 {
+					t.Errorf("HTTPRequestSeeded(%d, %v) at %d bytes: %v allocs, want 1", i, uc, size, n)
+				}
 			}
 		}
 	}

@@ -151,13 +151,24 @@ func (r *rng) next() uint64 {
 
 func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 
-var fillerWords = []string{
+// fillerWords and customers are arrays so that each r.intn(len(...)) has
+// a constant modulus the compiler turns into a mask or a multiply.
+var fillerWords = [...]string{
 	"transit", "warehouse", "pallet", "invoice", "manifest", "customs",
 	"expedite", "fragile", "insured", "logistics", "consignment", "carrier",
 	"routing", "dispatch", "terminal", "handling",
 }
 
-var customers = []string{
+// spacedFillerWords is fillerWords with the space that follows a filler
+// word, so each is one append.
+var spacedFillerWords = func() (t [len(fillerWords)]string) {
+	for k, w := range fillerWords {
+		t[k] = w + " "
+	}
+	return t
+}()
+
+var customers = [...]string{
 	"ACME Networks", "Globex Manufacturing", "Initech Services",
 	"Umbrella Logistics", "Stark Industrial", "Wayne Enterprises",
 }
@@ -183,10 +194,17 @@ func SOAPMessageSized(i, size int) []byte {
 // the legacy stream — SOAPMessageSized output is unchanged. The message is
 // appended into one buffer sized for it up front: one allocation.
 func SOAPMessageSeeded(i, size int, seed uint64) []byte {
+	return appendSOAPMessage(make([]byte, 0, max(size, maxPreamble)), i, size, seed)
+}
+
+// appendSOAPMessage appends SOAPMessageSeeded's message to b; it
+// reallocates only if b has less than max(size, maxPreamble) bytes to
+// spare.
+func appendSOAPMessage(b []byte, i, size int, seed uint64) []byte {
 	r := rng(uint64(i)*2654435761 + 88172645463325252 + seed*0x9E3779B97F4A7C15)
 	r.next()
 
-	b := make([]byte, 0, max(size, maxPreamble))
+	start := len(b)
 	b = append(b, `<?xml version="1.0" encoding="UTF-8"?>`+"\n"...)
 	b = append(b, `<soap:Envelope xmlns:soap="http://schemas.xmlsoap.org/soap/envelope/">`+"\n"...)
 	b = append(b, "<soap:Header><transactionID>txn-"...)
@@ -224,8 +242,7 @@ func SOAPMessageSeeded(i, size int, seed uint64) []byte {
 		b = append(b, '.')
 		b = appendPadded(b, r.intn(100), 2)
 		b = append(b, "</price><description>"...)
-		b = append(b, fillerWords[r.intn(len(fillerWords))]...)
-		b = append(b, ' ')
+		b = append(b, spacedFillerWords[r.intn(len(fillerWords))]...)
 		b = append(b, fillerWords[r.intn(len(fillerWords))]...)
 		b = append(b, "</description></item>\n"...)
 	}
@@ -233,12 +250,11 @@ func SOAPMessageSeeded(i, size int, seed uint64) []byte {
 	// Filler elements to reach the target size (AONBench default 5 KB).
 	const close = "</purchaseOrder>\n</soap:Body>\n</soap:Envelope>\n"
 	first := true
-	for first || len(b) < size-len(close)-40 {
+	for first || len(b)-start < size-len(close)-40 {
 		first = false
 		b = append(b, "<filler>"...)
-		for len(b) < size-len(close)-60 {
-			b = append(b, fillerWords[r.intn(len(fillerWords))]...)
-			b = append(b, ' ')
+		for len(b)-start < size-len(close)-60 {
+			b = append(b, spacedFillerWords[r.intn(len(fillerWords))]...)
 			if r.intn(6) == 0 {
 				break
 			}
@@ -303,16 +319,54 @@ func HTTPRequest(i int, uc UseCase) []byte {
 // HTTPRequestSeeded is HTTPRequest with an explicit approximate body size
 // and campaign seed (see SOAPMessageSeeded). Seed 0 reproduces the legacy
 // byte stream.
+//
+// The request is one allocation: the body is generated in place behind
+// room for the head. The head depends on the body only through its
+// Content-Length digits and AUTH's MAC, which is always as long, so the
+// room is the head of the longest body the buffer holds. The real head,
+// at most a few bytes shorter, is written to end where the body starts.
 func HTTPRequestSeeded(i int, uc UseCase, size int, seed uint64) []byte {
-	body := SOAPMessageSeeded(i, size, seed)
+	sig := ""
 	if uc == DPI {
-		if sig := dirtySignature(i, dpi.DefaultSignatures); sig != "" {
-			// Splice the signature into the first filler element; DPI
-			// matches raw bytes and never parses, so signatures that are
-			// not XML-safe are fine here.
-			body = bytes.Replace(body, []byte("<filler>"), []byte("<filler>"+sig+" "), 1)
+		sig = dirtySignature(i, dpi.DefaultSignatures)
+	}
+	bodyCap := max(size, maxPreamble)
+	if sig != "" {
+		bodyCap += len(sig) + len(" ")
+	}
+	mac := ""
+	if uc == AUTH {
+		mac = zeroMAC
+	}
+	var hb [maxRequestHead]byte
+	room := len(appendRequestHead(hb[:0], uc, bodyCap, mac))
+	buf := appendSOAPMessage(make([]byte, room, room+bodyCap), i, size, seed)
+	body := buf[room:]
+	if sig != "" {
+		// Splice the signature into the first filler element; DPI matches
+		// raw bytes and never parses, so signatures that are not XML-safe
+		// are fine here.
+		body = insertAfter(body, "<filler>", sig, " ")
+	}
+	if uc == AUTH {
+		sum := wcrypto.HMAC(AuthKey, body, nil, 0)
+		mac = hex.EncodeToString(sum[:])
+		if i%TamperEvery == TamperEvery-1 {
+			mac = "00" + mac[2:]
 		}
 	}
+	head := appendRequestHead(hb[:0], uc, len(body), mac)
+	start := room - len(head)
+	copy(buf[start:], head)
+	return buf[start : room+len(body)]
+}
+
+// zeroMAC stands in for AUTH's hex MAC while sizing the head.
+var zeroMAC = strings.Repeat("0", 2*wcrypto.Size)
+
+// appendRequestHead appends the head of uc's request for a body of n
+// bytes; mac is AUTH's X-AON-MAC value.
+func appendRequestHead(dst []byte, uc UseCase, n int, mac string) []byte {
 	req := httpmsg.Request{
 		Method: "POST",
 		Target: serviceTargets[uc],
@@ -327,20 +381,30 @@ func HTTPRequestSeeded(i int, uc UseCase, size int, seed uint64) []byte {
 	// Left out, Content-Length is written last by AppendRequestHeader, where
 	// it sits in every request but AUTH's, which carries its MAC after it.
 	if uc == AUTH {
-		mac := wcrypto.HMAC(AuthKey, body, nil, 0)
-		hexMAC := hex.EncodeToString(mac[:])
-		if i%TamperEvery == TamperEvery-1 {
-			hexMAC = "00" + hexMAC[2:]
-		}
 		req.Headers = append(req.Headers,
-			httpmsg.Header{Name: "Content-Length", Value: strconv.Itoa(len(body))},
-			httpmsg.Header{Name: "X-AON-MAC", Value: hexMAC})
+			httpmsg.Header{Name: "Content-Length", Value: strconv.Itoa(n)},
+			httpmsg.Header{Name: "X-AON-MAC", Value: mac})
 	}
-	// The head is built on the stack, so the request is one allocation of
-	// exactly its size.
-	var buf [maxRequestHead]byte
-	head := httpmsg.AppendRequestHeader(buf[:0], &req, len(body))
-	return append(append(make([]byte, 0, len(head)+len(body)), head...), body...)
+	return httpmsg.AppendRequestHeader(dst, &req, n)
+}
+
+// insertAfter inserts parts after the first tag in b, moving the rest of
+// b up: in place when b has the capacity, as the generators size it.
+func insertAfter(b []byte, tag string, parts ...string) []byte {
+	at := bytes.Index(b, []byte(tag))
+	if at < 0 {
+		return b
+	}
+	at += len(tag)
+	n := len(b)
+	for _, p := range parts {
+		b = append(b, p...)
+	}
+	copy(b[at+len(b)-n:], b[at:n])
+	for _, p := range parts {
+		at += copy(b[at:], p)
+	}
+	return b
 }
 
 // maxRequestHead bounds the header block HTTPRequestSeeded writes (AUTH's,
@@ -371,7 +435,8 @@ func InvalidSOAPMessageSized(i, size int) []byte {
 // InvalidSOAPMessageSeeded is InvalidSOAPMessageSized under an explicit
 // campaign seed (see SOAPMessageSeeded).
 func InvalidSOAPMessageSeeded(i, size int, seed uint64) []byte {
-	return bytes.Replace(SOAPMessageSeeded(i, size, seed), []byte("<quantity>"), []byte("<quantity>x"), 1)
+	b := appendSOAPMessage(make([]byte, 0, max(size, maxPreamble)+1), i, size, seed)
+	return insertAfter(b, "<quantity>", "x")
 }
 
 // netperfBuffer returns the netperf send buffer: netperf transmits an

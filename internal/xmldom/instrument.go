@@ -151,7 +151,7 @@ func (p *instrParser) startTag(tok *Token, pos int, parent *Node) (*Node, int) {
 	pos = p.emitNameRun(pos+1, pos+1+len(tok.Name))
 	el := p.newNode(Element, "")
 	el.Name = string(tok.Name)
-	el.Prefix, el.Local = SplitName(el.Name)
+	_, el.Local = SplitName(el.Name)
 	p.attach(parent, el)
 	for _, a := range tok.Attrs {
 		pos = p.spaceRun(pos)
@@ -171,7 +171,6 @@ func (p *instrParser) startTag(tok *Token, pos int, parent *Node) (*Node, int) {
 	}
 	pos = p.spaceRun(pos)
 	p.emitDecision(pcAttrMore, false)
-	el.NS = lookupNS(el, el.Prefix)
 	p.emitDecision(pcSelfClose, tok.SelfClose)
 	if tok.SelfClose {
 		return el, pos + len("/>")

@@ -68,9 +68,7 @@ type Node struct {
 	// walking the tree. It sits in Kind's padding, so it costs no memory.
 	Ord      uint32
 	Name     string // element: full name as written (prefix:local)
-	Prefix   string // element: namespace prefix ("" if none)
 	Local    string // element: local part
-	NS       string // element: resolved namespace URI ("" if none)
 	Attrs    []Attr
 	Children []*Node
 	Parent   *Node
@@ -79,6 +77,26 @@ type Node struct {
 	// SimAddr is the node's synthetic address in the simulated heap;
 	// zero when the tree was built without instrumentation.
 	SimAddr uint64
+}
+
+// Prefix returns an element's namespace prefix ("" if none or not an
+// element), split off Name on each call.
+func (n *Node) Prefix() string {
+	if n.Kind != Element {
+		return ""
+	}
+	prefix, _ := SplitName(n.Name)
+	return prefix
+}
+
+// Namespace resolves an element's namespace URI ("" if none or not an
+// element) on each call, by walking the xmlns declarations in scope: no
+// consumer of the live path needs it, so the builders do not store it.
+func (n *Node) Namespace() string {
+	if n.Kind != Element {
+		return ""
+	}
+	return lookupNS(n, n.Prefix())
 }
 
 // Root walks up to the document node.
@@ -193,8 +211,8 @@ func (n *Node) LookupNamespace(prefix string) string {
 }
 
 // lookupNS compares each attribute name against "xmlns" / "xmlns:"+prefix
-// in place (matchXmlns) rather than building the target string: the
-// builders call it once per element, so the allocation would matter.
+// in place (matchXmlns) rather than building the target string, so a
+// lookup allocates nothing.
 func lookupNS(n *Node, prefix string) string {
 	for cur := n; cur != nil; cur = cur.Parent {
 		if cur.Kind != Element && cur.Kind != Document {

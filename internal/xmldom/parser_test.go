@@ -162,8 +162,8 @@ func TestParseDoctypeSkipped(t *testing.T) {
 func TestParseNamespacePrefix(t *testing.T) {
 	doc := mustParse(t, `<soap:Envelope xmlns:soap="http://schemas.xmlsoap.org/soap/envelope/"><soap:Body/></soap:Envelope>`)
 	env := doc.DocumentElement()
-	if env.Prefix != "soap" || env.Local != "Envelope" {
-		t.Fatalf("prefix/local = %q/%q", env.Prefix, env.Local)
+	if env.Prefix() != "soap" || env.Local != "Envelope" {
+		t.Fatalf("prefix/local = %q/%q", env.Prefix(), env.Local)
 	}
 	if env.FirstChildElement("Body") == nil {
 		t.Fatal("Body not found by local name")
@@ -366,26 +366,26 @@ func TestNamespaceResolution(t *testing.T) {
 	  </soap:Body>
 	</soap:Envelope>`)
 	env := doc.DocumentElement()
-	if env.NS != "http://schemas.xmlsoap.org/soap/envelope/" {
-		t.Fatalf("envelope NS = %q", env.NS)
+	if env.Namespace() != "http://schemas.xmlsoap.org/soap/envelope/" {
+		t.Fatalf("envelope NS = %q", env.Namespace())
 	}
 	body := env.FirstChildElement("Body")
-	if body.NS != env.NS {
-		t.Fatalf("body NS = %q", body.NS)
+	if body.Namespace() != env.Namespace() {
+		t.Fatalf("body NS = %q", body.Namespace())
 	}
 	order := body.FirstChildElement("order")
-	if order.NS != "urn:orders" {
-		t.Fatalf("order NS = %q (default override)", order.NS)
+	if order.Namespace() != "urn:orders" {
+		t.Fatalf("order NS = %q (default override)", order.Namespace())
 	}
 	qty := order.FirstChildElement("qty")
-	if qty.NS != "urn:orders" {
-		t.Fatalf("qty NS = %q (inherits overridden default)", qty.NS)
+	if qty.Namespace() != "urn:orders" {
+		t.Fatalf("qty NS = %q (inherits overridden default)", qty.Namespace())
 	}
 	plain := body.FirstChildElement("plain")
-	if plain.NS != "urn:default" {
-		t.Fatalf("plain NS = %q (outer default in scope)", plain.NS)
+	if plain.Namespace() != "urn:default" {
+		t.Fatalf("plain NS = %q (outer default in scope)", plain.Namespace())
 	}
-	if got := plain.LookupNamespace("soap"); got != env.NS {
+	if got := plain.LookupNamespace("soap"); got != env.Namespace() {
 		t.Fatalf("prefix lookup from leaf = %q", got)
 	}
 	if got := plain.LookupNamespace("nosuch"); got != "" {
@@ -395,7 +395,7 @@ func TestNamespaceResolution(t *testing.T) {
 
 func TestNamespaceUnboundPrefix(t *testing.T) {
 	doc := mustParse(t, `<a:root/>`)
-	if doc.DocumentElement().NS != "" {
+	if doc.DocumentElement().Namespace() != "" {
 		t.Fatal("unbound prefix got a namespace")
 	}
 }

@@ -13,11 +13,11 @@ func treeEqual(t *testing.T, path string, a, b *Node) {
 	if a.Kind != b.Kind {
 		t.Fatalf("%s: kind %v != %v", path, a.Kind, b.Kind)
 	}
-	if a.Name != b.Name || a.Prefix != b.Prefix || a.Local != b.Local {
-		t.Fatalf("%s: name %q/%q/%q != %q/%q/%q", path, a.Name, a.Prefix, a.Local, b.Name, b.Prefix, b.Local)
+	if a.Name != b.Name || a.Prefix() != b.Prefix() || a.Local != b.Local {
+		t.Fatalf("%s: name %q/%q/%q != %q/%q/%q", path, a.Name, a.Prefix(), a.Local, b.Name, b.Prefix(), b.Local)
 	}
-	if a.NS != b.NS {
-		t.Fatalf("%s: ns %q != %q", path, a.NS, b.NS)
+	if a.Namespace() != b.Namespace() {
+		t.Fatalf("%s: ns %q != %q", path, a.Namespace(), b.Namespace())
 	}
 	if a.Data != b.Data {
 		t.Fatalf("%s: data %q != %q", path, a.Data, b.Data)
@@ -93,15 +93,15 @@ func TestRoundTripNamespacePrefixes(t *testing.T) {
 		`<soap:Body><order xmlns:x="urn:x"><x:ref/><plain/></order></soap:Body></soap:Envelope>`
 	doc := roundTrip(t, src)
 	env := doc.DocumentElement()
-	if env.Prefix != "soap" || env.Local != "Envelope" || env.NS != "http://schemas.xmlsoap.org/soap/envelope/" {
+	if env.Prefix() != "soap" || env.Local != "Envelope" || env.Namespace() != "http://schemas.xmlsoap.org/soap/envelope/" {
 		t.Fatalf("envelope: %+v", env)
 	}
 	order := env.FirstChildElement("Body").FirstChildElement("order")
-	if order.NS != "urn:default" {
-		t.Fatalf("default ns not inherited: %q", order.NS)
+	if order.Namespace() != "urn:default" {
+		t.Fatalf("default ns not inherited: %q", order.Namespace())
 	}
 	ref := order.FirstChildElement("ref")
-	if ref.Prefix != "x" || ref.NS != "urn:x" {
+	if ref.Prefix() != "x" || ref.Namespace() != "urn:x" {
 		t.Fatalf("prefixed child: %+v", ref)
 	}
 }

@@ -20,9 +20,9 @@ func sameTree(t *testing.T, want, got *xmldom.Node, path string) {
 	if want.Ord != got.Ord {
 		t.Fatalf("%s: ord %d != %d", path, got.Ord, want.Ord)
 	}
-	if want.Name != got.Name || want.Prefix != got.Prefix || want.Local != got.Local || want.NS != got.NS {
+	if want.Name != got.Name || want.Prefix() != got.Prefix() || want.Local != got.Local || want.Namespace() != got.Namespace() {
 		t.Fatalf("%s: name %q/%q/%q/%q != %q/%q/%q/%q", path,
-			got.Name, got.Prefix, got.Local, got.NS, want.Name, want.Prefix, want.Local, want.NS)
+			got.Name, got.Prefix(), got.Local, got.Namespace(), want.Name, want.Prefix(), want.Local, want.Namespace())
 	}
 	if want.Data != got.Data {
 		t.Fatalf("%s: data %q != %q", path, got.Data, want.Data)
@@ -120,10 +120,11 @@ func TestOrdIsDocumentOrder(t *testing.T) {
 }
 
 // TestNodeSizeUnchanged pins the node slab's element size: Ord must stay
-// in the padding after Kind, or every pooled slab (and rss_mb) grows.
+// in the padding after Kind, or every pooled slab (and rss_mb) grows. The
+// prefix and namespace URI are methods, not fields, for the same reason.
 func TestNodeSizeUnchanged(t *testing.T) {
-	if got := unsafe.Sizeof(xmldom.Node{}); got != 152 {
-		t.Fatalf("unsafe.Sizeof(xmldom.Node{}) = %d, want 152", got)
+	if got := unsafe.Sizeof(xmldom.Node{}); got != 120 {
+		t.Fatalf("unsafe.Sizeof(xmldom.Node{}) = %d, want 120", got)
 	}
 }
 

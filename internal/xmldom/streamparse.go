@@ -171,7 +171,7 @@ func (p *StreamParser) Parse(src []byte) (*Node, error) {
 		case TokStart:
 			n := p.alloc(Element)
 			n.Name = zc.String(tok.Name)
-			n.Prefix, n.Local = SplitName(n.Name)
+			_, n.Local = SplitName(n.Name)
 			n.Parent = p.top(doc)
 			for _, a := range tok.Attrs {
 				val := zc.String(a.RawValue)
@@ -180,7 +180,6 @@ func (p *StreamParser) Parse(src []byte) (*Node, error) {
 				}
 				n.Attrs = append(n.Attrs, Attr{Name: zc.String(a.Name), Value: val})
 			}
-			n.NS = lookupNS(n, n.Prefix)
 			if tok.SelfClose {
 				p.pending = append(p.pending, n)
 			} else {

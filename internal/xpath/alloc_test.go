@@ -1,9 +1,11 @@
 package xpath
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/poison"
 	"repro/internal/raceflag"
 	"repro/internal/workload"
 	"repro/internal/xmldom"
@@ -83,4 +85,45 @@ func TestSharedEvaluatorConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestReleasePoisonsNodeSets keeps a node-set view past its scratch's
+// release, as a caller that forgot to copy would. The race build clears
+// the pooled buffers on release, so the view reads nil nodes and any use
+// of them panics; a default build leaves the stale pointers in place.
+func TestReleasePoisonsNodeSets(t *testing.T) {
+	d := mustParse(t, workload.SOAPMessage(0))
+	v, s, err := NewEvaluator(nil).run(MustCompile(`//quantity`), d)
+	if err != nil || len(v.Nodes) < 2 {
+		t.Fatalf("//quantity: %d nodes, %v", len(v.Nodes), err)
+	}
+	view, kept := v.Nodes, slices.Clone(v.Nodes)
+	s.release()
+	for i, n := range view {
+		switch {
+		case poison.Enabled && n != nil:
+			t.Fatalf("race build: node %d of a released node-set still reads %s %q", i, n.Kind, n.Name)
+		case !poison.Enabled && n != kept[i]:
+			t.Fatalf("default build: node %d of a released node-set changed", i)
+		}
+	}
+}
+
+// BenchmarkEvalString is the gateway's CBR lookup alone: the routing
+// expression, unmetered, over the trees of 64 seeded 5 KB messages built
+// as the live path builds them (slab nodes), a different tree each call.
+func BenchmarkEvalString(b *testing.B) {
+	var docs []*xmldom.Node
+	for i := 0; i < 64; i++ {
+		docs = append(docs, mustParse(b, workload.SOAPMessageSeeded(i, workload.MessageBytes, 1)))
+	}
+	ev := NewEvaluator(nil)
+	e := MustCompile(`//quantity/text()`)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		if s, err := ev.EvalString(e, docs[n%len(docs)]); err != nil || s == "" {
+			b.Fatalf("EvalString = %q, %v", s, err)
+		}
+	}
 }

@@ -6,6 +6,10 @@ import "fmt"
 type Expr struct {
 	Source string
 	root   node
+	// forward is root, rewritten for the first-match walk, when it is a
+	// path the unmetered EvalString and EvalBool answer with that walk
+	// (forwardPath); else nil.
+	forward *pathExpr
 }
 
 // node is an AST node.
@@ -20,6 +24,10 @@ const (
 	axisAttribute
 	axisSelf
 	axisParent
+	// axisDescendant is never parsed: forwardPath fuses a //-step and the
+	// child step after it into one (descendant::t is
+	// descendant-or-self::node()/child::t) for the first-match walk.
+	axisDescendant
 )
 
 func (a axis) String() string {
@@ -34,6 +42,8 @@ func (a axis) String() string {
 		return "self"
 	case axisParent:
 		return "parent"
+	case axisDescendant:
+		return "descendant"
 	}
 	return "?"
 }

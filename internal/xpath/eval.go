@@ -66,8 +66,13 @@ func (ev *Evaluator) Eval(e *Expr, ctx *xmldom.Node) (Value, error) {
 // EvalString evaluates and converts to string. The conversion reads the
 // first node straight from scratch, so a path that selects a text or
 // attribute node allocates nothing: the result is that node's Data, which
-// lives as long as the tree does (see the package comment).
+// lives as long as the tree does (see the package comment). Unmetered, a
+// predicate-free forward path stops at its first match (firstWalk).
 func (ev *Evaluator) EvalString(e *Expr, ctx *xmldom.Node) (string, error) {
+	if e.forward != nil && !ev.metered {
+		f := ev.firstMatch(e.forward, ctx, false)
+		return f.value(), nil
+	}
 	v, s, err := ev.run(e, ctx)
 	str := ""
 	if err == nil {
@@ -78,8 +83,12 @@ func (ev *Evaluator) EvalString(e *Expr, ctx *xmldom.Node) (string, error) {
 }
 
 // EvalBool evaluates and converts to boolean, without copying a node-set
-// result.
+// result. Unmetered, a predicate-free forward path stops at any match.
 func (ev *Evaluator) EvalBool(e *Expr, ctx *xmldom.Node) (bool, error) {
+	if e.forward != nil && !ev.metered {
+		f := ev.firstMatch(e.forward, ctx, true)
+		return f.found, nil
+	}
 	v, s, err := ev.run(e, ctx)
 	b := err == nil && v.Boolean()
 	s.release()

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/poison"
 	"repro/internal/xmldom"
 )
 
@@ -39,8 +40,14 @@ func (s *scratch) take() *nodeBuf {
 // take may be read afterwards. The buffers keep their stale node pointers
 // (clearing them would cost a pass per evaluation); the pool drops idle
 // scratches at the next collections, so a tree is pinned no longer than
-// that.
+// that. The race build does clear them (internal/poison), so a node-set
+// view read after its release dereferences nil instead of a stale node.
 func (s *scratch) release() {
+	if poison.Enabled {
+		for _, b := range s.bufs {
+			clear(b.ns[:cap(b.ns)])
+		}
+	}
 	s.used = 0
 	scratchPool.Put(s)
 }

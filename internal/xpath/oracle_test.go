@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/perf/trace"
 	"repro/internal/workload"
 	"repro/internal/xmldom"
 )
@@ -198,7 +199,8 @@ func oracleUnion(a, b []*xmldom.Node) []*xmldom.Node {
 
 // checkAgainstOracle evaluates e on ctx both ways and fails on any
 // difference: error-ness, value kind, node-set (identity and order),
-// string, number, boolean, and what EvalString/EvalBool return.
+// string, number, boolean, and what EvalString/EvalBool return, unmetered
+// (a forward path's first-match walk) and metered (the full walk).
 func checkAgainstOracle(t *testing.T, e *Expr, ctx *xmldom.Node) {
 	t.Helper()
 	ev := NewEvaluator(nil)
@@ -222,22 +224,30 @@ func checkAgainstOracle(t *testing.T, e *Expr, ctx *xmldom.Node) {
 	if got.String() != want.String() || got.Boolean() != want.Boolean() || !sameNum(got.Number(), want.Number()) {
 		t.Fatalf("%q: %q/%v/%v, oracle %q/%v/%v", e.Source, got.String(), got.Boolean(), got.Number(), want.String(), want.Boolean(), want.Number())
 	}
-	if s, err := ev.EvalString(e, ctx); err != nil || s != want.String() {
-		t.Fatalf("%q: EvalString %q, %v; oracle %q", e.Source, s, err, want.String())
-	}
-	if b, err := ev.EvalBool(e, ctx); err != nil || b != want.Boolean() {
-		t.Fatalf("%q: EvalBool %v, %v; oracle %v", e.Source, b, err, want.Boolean())
+	// For a node-set, want.String() is the string-value of the oracle's
+	// first node in document order and want.Boolean() whether it has one.
+	for _, ev := range []*Evaluator{ev, NewEvaluator(&trace.Counting{})} {
+		if s, err := ev.EvalString(e, ctx); err != nil || s != want.String() {
+			t.Fatalf("%q (metered %v): EvalString %q, %v; oracle %q", e.Source, ev.metered, s, err, want.String())
+		}
+		if b, err := ev.EvalBool(e, ctx); err != nil || b != want.Boolean() {
+			t.Fatalf("%q (metered %v): EvalBool %v, %v; oracle %v", e.Source, ev.metered, b, err, want.Boolean())
+		}
 	}
 }
 
 // nestingDocs are the shapes where one context's matches interleave with
 // another's: same-name elements nested, parents reached from several
-// siblings, descendants reached from nested ancestors, attributes.
+// siblings, descendants reached from nested ancestors, attributes. In the
+// last two a depth-first walk meets a later node first: //*/c reaches
+// a's own c before b's, //*/y/@k r's y before x's.
 var nestingDocs = []string{
 	`<a><x><a><b/></a></x><b/></a>`,
 	`<a><a><a><b>1</b></a><b>2</b></a><b>3</b></a>`,
 	`<r><p><c>1</c><c>2</c></p><p><c>3</c><!--k--></p>t</r>`,
 	`<r><a id="1"><q>x</q></a><a id="2" k="v"><q>y</q></a></r>`,
+	`<a><b><c>1</c></b><c>2</c></a>`,
+	`<r><x k="1" j="0"><y k="2"/></x><y k="3">t</y></r>`,
 }
 
 var nestingExprs = []string{
@@ -246,6 +256,59 @@ var nestingExprs = []string{
 	`//@id`, `//q | //a/@id`, `//a/@id | //a/@id`, `//a/@*/..`, `//a[@id=2]/q`, `//@*/../@k | //q/..`,
 	`count(//a//b)`, `string(//p[2]/c)`, `//p[c=3]/c | //p[1]/c[last()]`, `//node()[position() mod 2 = 0]`,
 	`sum(//c)`, `//c[. > 1]/..`, `//p[count(c) > 1]//text()`, `name(//*[b][last()])`, `//comment()/..`,
+	// Forward paths, which the unmetered EvalString/EvalBool walk to the
+	// first match: relative, absolute, attribute steps, empty results.
+	`//*/c/text()`, `//*/c`, `*/c`, `c`, `.//c`, `./c/text()`, `*//text()`, `//*/y/@k`, `//y/@*`, `@k`,
+	`*/@*`, `//@k/.`, `//y/@k//.`, `//y/@k//node()`, `//*/@j`, `//nosuch`, `//@nosuch`, `/r/y/@k`, `/`, `.`,
+	`//comment()`, `//*//*//text()`, `(//c)`, `//c/text()/.`,
+}
+
+// TestFirstMatchWalk pins the first-match walk on the cases where
+// depth-first order is not document order, from the root and from an
+// inner context, and which expressions take it at all.
+func TestFirstMatchWalk(t *testing.T) {
+	ev := NewEvaluator(nil)
+	for _, c := range []struct {
+		doc, expr string
+		inner     bool // context: the document element's first element child
+		want      string
+		found     bool
+	}{
+		{`<a><b><c>1</c></b><c>2</c></a>`, `//*/c/text()`, false, "1", true},
+		{`<a><b><c>1</c></b><c>2</c></a>`, `//*/c`, false, "1", true},
+		{`<a><b><c>1</c></b><c>2</c></a>`, `c`, false, "", false},
+		{`<a><b><c>1</c></b><c>2</c></a>`, `/a/c`, true, "2", true},
+		{`<a><b><c>1</c></b><c>2</c></a>`, `.//c`, true, "1", true},
+		{`<r><x k="1"><y k="2"/></x><y k="3"/></r>`, `//*/y/@k`, false, "2", true},
+		{`<r><x k="1"><y k="2"/></x><y k="3"/></r>`, `//@k`, false, "1", true},
+		{`<r><x k="1"><y k="2"/></x><y k="3"/></r>`, `y/@k`, true, "2", true},
+		{`<r><x k="1"><y k="2"/></x><y k="3"/></r>`, `//y/@k/.`, false, "2", true},
+		{`<r><x k="1"><y k="2"/></x><y k="3"/></r>`, `//y/@k/node()`, false, "", false},
+		{`<r><x k="1"><y k="2"/></x><y k="3"/></r>`, `//@nosuch`, false, "", false},
+		{`<r><x>a</x>b</r>`, `//text()`, false, "a", true},
+	} {
+		d := mustParse(t, []byte(c.doc))
+		ctx := d
+		if c.inner {
+			ctx = d.DocumentElement().FirstChildElement("")
+		}
+		e := MustCompile(c.expr)
+		if e.forward == nil {
+			t.Fatalf("%q does not take the first-match walk", c.expr)
+		}
+		checkAgainstOracle(t, e, ctx)
+		if s, _ := ev.EvalString(e, ctx); s != c.want {
+			t.Errorf("%s on %s: EvalString %q, want %q", c.expr, c.doc, s, c.want)
+		}
+		if b, _ := ev.EvalBool(e, ctx); b != c.found {
+			t.Errorf("%s on %s: EvalBool %v, want %v", c.expr, c.doc, b, c.found)
+		}
+	}
+	for _, src := range []string{`//a[1]`, `//b/..`, `//a/b[2]/c`, `//a | //b`, `count(//a)`, `(//a)[1]`, `//a = "1"`} {
+		if MustCompile(src).forward != nil {
+			t.Errorf("%q takes the first-match walk; it needs the full one", src)
+		}
+	}
 }
 
 func mustParse(t testing.TB, src []byte) *xmldom.Node {

@@ -16,7 +16,7 @@ func Compile(src string) (*Expr, error) {
 	if p.peek().kind != tokEOF {
 		return nil, p.errf("unexpected %q", p.peek().text)
 	}
-	return &Expr{Source: src, root: root}, nil
+	return &Expr{Source: src, root: root, forward: forwardPath(root)}, nil
 }
 
 // MustCompile is Compile that panics on error, for init-time expressions.
