@@ -47,9 +47,8 @@
 // CSV (node/role/rel_ms columns prefixed; still readable by the stock
 // session tooling and aonsim -exp capacity), load reports per sweep
 // point, and fleet-report.txt — the combined Figure-5/6-style view with
-// per-node and fleet-total throughput, p50/p99, CPI/cache-MPI where nodes
-// carry counters, and capacity model-error columns when a gateway runs
-// -adaptive (add it via the gateway node's "flags").
+// per-node and fleet-total throughput, p50/p99, and CPI/cache-MPI where
+// nodes carry counters.
 //
 // Exit status: 0 only when the campaign completed and every launched
 // node exited cleanly; any node failure, readiness timeout, or sweep

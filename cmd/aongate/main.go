@@ -38,14 +38,6 @@
 // bounded by the ring — SIGUSR1 then forces an immediate flush rather
 // than a whole-ring dump.
 //
-// With -adaptive (implies -trace), an analytic M/M/c capacity controller
-// (internal/capacity) runs beside the gateway: every -adapt-interval it
-// reads the traced stage demands and the last window's load, solves the
-// queueing model, and moves the 503 admission bound toward -target-p99
-// within [GOMAXPROCS+1, -max-inflight] — falling back to -max-inflight
-// when observations go stale or the model diverges from measurement. /stats gains a "capacity" section with the decision,
-// predicted-vs-observed error, and per-use-case model error.
-//
 // With -trace, the gateway runs the tracing plane (internal/dtrace),
 // its one request clock: every request records real spans around
 // read/parse/process/forward/write, adopts the client's
@@ -110,10 +102,7 @@ func main() {
 	sampleCap := flag.Int("sample-cap", 0, "timeline ring capacity in samples (0 = 600)")
 	timelineOut := flag.String("timeline-out", "aon-timeline.csv", "CSV path for timeline dumps (SIGUSR1 and shutdown)")
 	timelineFlush := flag.Duration("timeline-flush-interval", 0, "append new timeline samples to -timeline-out every interval (implies -timeline; crash-safe, header written once; 0 = whole-ring dumps on SIGUSR1/shutdown only)")
-	adaptive := flag.Bool("adaptive", false, "run the capacity controller: the M/M/c model moves the 503 admission bound from live observations (implies -trace)")
-	targetP99 := flag.Duration("target-p99", 0, "adaptive mode: p99 latency bound the controller sizes for (0 = default 100ms)")
-	adaptInterval := flag.Duration("adapt-interval", 0, "adaptive mode: control-loop period (0 = default 500ms)")
-	maxInflight := flag.Int64("max-inflight", 0, "admission bound: shed with 503 past this many in-flight messages; the adaptive ceiling (0 = 5x GOMAXPROCS)")
+	maxInflight := flag.Int64("max-inflight", 0, "admission bound: shed with 503 past this many in-flight messages (0 = 5x GOMAXPROCS)")
 	trace := flag.Bool("trace", false, "run the tracing plane: per-request stage spans aggregated into the /stats stages section, X-AON-Trace adoption/propagation, tail-sampled ring on GET /traces, slow-request log on stderr")
 	traceNode := flag.String("trace-node", "", "node name stamped on this gateway's spans (default gateway; aonfleet passes role/id)")
 	traceSlowOver := flag.Duration("trace-slow-over", 0, "tail sampling: always keep traces slower than this (0 = default 50ms, negative disables the slow rule)")
@@ -200,9 +189,6 @@ func main() {
 		SampleCapacity:        *sampleCap,
 		TimelineFlush:         flushDst,
 		TimelineFlushInterval: *timelineFlush,
-		Adaptive:              *adaptive,
-		TargetP99:             *targetP99,
-		AdaptInterval:         *adaptInterval,
 		MaxInflight:           *maxInflight,
 		Trace:                 *trace,
 		TraceNode:             *traceNode,
@@ -241,9 +227,6 @@ func main() {
 	case *timeline:
 		fmt.Fprintf(os.Stderr, "aongate: sampling session every %v (GET /timeline, SIGUSR1 dumps CSV to %s)\n",
 			*sampleInterval, *timelineOut)
-	}
-	if *adaptive {
-		fmt.Fprintln(os.Stderr, "aongate: adaptive capacity control on (/stats carries the capacity section)")
 	}
 	if *trace {
 		fmt.Fprintln(os.Stderr, "aongate: distributed tracing on (GET /traces, slow-request log on stderr)")

@@ -1,8 +1,8 @@
-// Package capacity is the analytic queueing model behind the gateway's
-// adaptive admission control: an open M/M/c-style network over the
-// client→gateway→backend topology that predicts throughput, utilization,
-// queue length, and latency percentiles as a function of offered load,
-// GOMAXPROCS, and backend replica count.
+// Package capacity is the analytic queueing model of the gateway: an
+// open M/M/c-style network over the client→gateway→backend topology
+// that predicts throughput, utilization, queue length, and latency
+// percentiles as a function of offered load, GOMAXPROCS, and backend
+// replica count.
 //
 // The model is the live-system analogue of the layered-queueing models
 // the paper's methodology implies (and the lqns exemplars in SNIPPETS.md
@@ -14,8 +14,9 @@
 // holding the forward stage (a goroutine waiting on its backend holds an
 // admission slot, not a P). Service demands are seeded from live
 // calibration artifacts or measured stage traces; the solver is pure
-// arithmetic, so predictions are cheap enough to run on every
-// control-loop tick.
+// arithmetic. aonsim -exp capacity prints its tables offline, and the
+// campaign report and aonload -sweep set it beside each measured load
+// point.
 package capacity
 
 import "math"
@@ -112,7 +113,7 @@ type Prediction struct {
 	P50US  float64 `json:"p50_us"`
 	P99US  float64 `json:"p99_us"`
 	// InSystem is the mean population over the stations (Little's
-	// law) — the model's admission-bound candidate.
+	// law).
 	InSystem float64         `json:"in_system"`
 	Stations []StationReport `json:"stations,omitempty"`
 }
@@ -194,8 +195,7 @@ func (m *Model) Predict(offered float64) Prediction {
 	if !math.IsInf(capacity, 1) && offered >= capacity {
 		// Saturated: the carried flow is the bottleneck's capacity;
 		// residence times are evaluated just under it so the reports
-		// stay finite ("effectively infinite" queue shows up as the
-		// admission controller's job, not as Inf in a JSON field).
+		// stay finite (no Inf in a JSON field).
 		p.Saturated = true
 		lambda = capacity * 0.999
 	}

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/poison"
 )
 
 func TestHeaderValueRoundTrip(t *testing.T) {
@@ -116,6 +118,29 @@ func TestRecorderBounded(t *testing.T) {
 	}
 	if len(r.Spans()) != maxSpans {
 		t.Fatalf("recorder not bounded: %d spans", len(r.Spans()))
+	}
+}
+
+// TestPutRecorderPoisonsSpans keeps a Spans() view past PutRecorder, as
+// a caller that forgot to copy would. The race build clears the pooled
+// recorder, so the view reads zero spans; a default build leaves them.
+func TestPutRecorderPoisonsSpans(t *testing.T) {
+	r := GetRecorder("gw")
+	t0 := time.Now()
+	r.Begin("gateway", t0)
+	r.Add(StageRead, t0, time.Microsecond)
+	r.Annotate("FR", "forwarded", 200)
+	r.Finish(t0.Add(2 * time.Microsecond))
+	view := r.Spans()
+	kept := append([]Span(nil), view...)
+	PutRecorder(r)
+	for i, sp := range view {
+		switch {
+		case poison.Enabled && sp != (Span{}):
+			t.Fatalf("race build: span %d of a put recorder still reads %+v", i, sp)
+		case !poison.Enabled && sp != kept[i]:
+			t.Fatalf("default build: span %d of a put recorder changed to %+v", i, sp)
+		}
 	}
 }
 

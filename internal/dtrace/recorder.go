@@ -3,6 +3,8 @@ package dtrace
 import (
 	"sync"
 	"time"
+
+	"repro/internal/poison"
 )
 
 // maxSpans bounds the spans one node records for one request. The
@@ -17,8 +19,8 @@ const maxSpans = 8
 // copies the spans out on Offer, and only for keepers.
 //
 // Span 0 is the root (created by Begin); Add/Child attach stage spans
-// under it. A Recorder is owned by one goroutine at a time; ownership
-// transfers with the job (reader → worker → reader), never shared.
+// under it. A Recorder is owned by the one goroutine that serves its
+// request, from GetRecorder to PutRecorder, and is never shared.
 type Recorder struct {
 	traceID ID
 	rootID  ID
@@ -42,11 +44,16 @@ func GetRecorder(node string) *Recorder {
 }
 
 // PutRecorder recycles r. The caller must not touch r (or any Spans()
-// view of it) afterwards.
+// view of it) afterwards; the race build clears its spans, so a view
+// kept past this call reads zero spans.
 func PutRecorder(r *Recorder) {
-	if r != nil {
-		recorderPool.Put(r)
+	if r == nil {
+		return
 	}
+	if poison.Enabled {
+		r.spans, r.stages, r.n = [maxSpans]Span{}, [maxSpans]Stage{}, 0
+	}
+	recorderPool.Put(r)
 }
 
 // TraceID returns the trace this recorder belongs to.

@@ -243,12 +243,8 @@ func (c *Coordinator) RunSweep() error {
 		// samples (a gateway timeline samples on its own clock).
 		time.Sleep(c.cfg.ScrapeInterval())
 		c.scrapeOnce()
-		snap, err := gateway.FetchStats(gateways[0].Addr, c.scraper.timeout)
-		if err != nil {
-			c.Logf("sweep: gateway snapshot: %v", err)
-		}
 		window := c.merger.Slice(mark, c.merger.Len())
-		c.points = append(c.points, buildPoint(cc, rep, window, snap))
+		c.points = append(c.points, buildPoint(cc, rep, window))
 		if err := c.merger.SinkErr(); err != nil {
 			return err
 		}

@@ -32,9 +32,8 @@ type nodeWindow struct {
 	Source   string  `json:"derived_source,omitempty"`
 }
 
-// pointReport is one sweep point: the client-side load report, the
-// per-node windows cut from the merged session, and the gateway's
-// capacity-model error view at the point's close.
+// pointReport is one sweep point: the client-side load report and the
+// per-node windows cut from the merged session.
 type pointReport struct {
 	Conns int `json:"conns"`
 	// Client is the load generator's accounting for this point.
@@ -45,9 +44,6 @@ type pointReport struct {
 	// FleetMsgsPerSec sums the gateway nodes' window throughput — the
 	// fleet-total forwarding rate the scaling column compares.
 	FleetMsgsPerSec float64 `json:"fleet_msgs_per_sec"`
-	// Capacity carries the first gateway's model-error section when
-	// adaptive admission runs (nil otherwise).
-	Capacity *gateway.CapacitySnapshot `json:"capacity,omitempty"`
 }
 
 // windowNodes cuts per-node aggregates from the slice of merged-session
@@ -116,24 +112,20 @@ func roleRank(role string) int {
 }
 
 // buildPoint assembles one sweep point's report.
-func buildPoint(conns int, client gateway.Report, window []NodeSample, snap *gateway.Snapshot) pointReport {
+func buildPoint(conns int, client gateway.Report, window []NodeSample) pointReport {
 	pr := pointReport{Conns: conns, Client: client, Nodes: windowNodes(window)}
 	for _, nw := range pr.Nodes {
 		if nw.Role == roleGateway {
 			pr.FleetMsgsPerSec += nw.MsgsPerSec
 		}
 	}
-	if snap != nil {
-		pr.Capacity = snap.Capacity
-	}
 	return pr
 }
 
 // formatFleetReport renders the campaign as the combined Figure-5/6
 // analogue: the client view (throughput, p50/p99, scaling factor vs the
-// first point), the per-node windows (per-node and fleet-total
-// throughput, CPI and cache MPI where a node carried counters), and the
-// capacity model-error columns when adaptive admission ran.
+// first point) and the per-node windows (per-node and fleet-total
+// throughput, CPI and cache MPI where a node carried counters).
 func formatFleetReport(points []pointReport, merger *Merger) string {
 	var b strings.Builder
 	b.WriteString("Fleet sweep report (" + merger.Summary() + ")\n")
@@ -173,28 +165,5 @@ func formatFleetReport(points []pointReport, merger *Merger) string {
 		b.WriteString(fmt.Sprintf("%-6d %-24s %8s %10s %12.1f\n",
 			p.Conns, "fleet-total(gateways)", "", "", p.FleetMsgsPerSec))
 	}
-	if hasCapacity(points) {
-		b.WriteString("\nCapacity model error (gateway adaptive admission):\n")
-		b.WriteString(fmt.Sprintf("%-6s %10s %10s %10s %14s\n",
-			"conns", "bound", "thr_err%", "p99_err%", "admissible/s"))
-		for _, p := range points {
-			c := p.Capacity
-			if c == nil || !c.Enabled {
-				continue
-			}
-			b.WriteString(fmt.Sprintf("%-6d %10d %10.1f %10.1f %14.1f\n",
-				p.Conns, c.AdmissionBound, c.ThroughputErrPct, c.P99ErrPct,
-				c.AdmissiblePerSec))
-		}
-	}
 	return b.String()
-}
-
-func hasCapacity(points []pointReport) bool {
-	for _, p := range points {
-		if p.Capacity != nil && p.Capacity.Enabled {
-			return true
-		}
-	}
-	return false
 }

@@ -634,11 +634,9 @@ func TestStagesOnlyWhereReached(t *testing.T) {
 	})
 
 	// Shed at the admission bound: read off the wire, nothing else.
-	bound := srv.admitBound.Swap(1)
-	srv.inflight.Add(1)
+	srv.inflight.Add(srv.cfg.MaxInflight)
 	do(string(workload.HTTPRequest(0, workload.FR)), 503)
-	srv.inflight.Add(-1)
-	srv.admitBound.Store(bound)
+	srv.inflight.Add(-srv.cfg.MaxInflight)
 	waitTraced(t, srv, 3)
 	expect("shed", map[string]uint64{
 		"SV/read": 2, "SV/parse": 1, "SV/write": 1,

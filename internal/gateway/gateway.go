@@ -128,25 +128,9 @@ type Config struct {
 	// SlowLogPerSec caps slow-request log lines per wall-clock second
 	// (default 10). Negative is rejected by New.
 	SlowLogPerSec int
-	// Adaptive turns on model-driven admission control: a periodic
-	// control loop feeds the analytic capacity model
-	// (internal/capacity) with windowed arrival-rate, latency, and
-	// stage-demand observations, and the model's decisions move the 503
-	// admission bound at runtime — with hysteresis, a floor of
-	// GOMAXPROCS+1, a ceiling of MaxInflight, and a hard fallback to
-	// MaxInflight when observations go stale or the model diverges from
-	// measurement. Implies Trace (the model's service demands are the
-	// traced stage histograms).
-	Adaptive bool
-	// TargetP99 is the latency bound adaptive admission defends
-	// (default 100ms).
-	TargetP99 time.Duration
-	// AdaptInterval is the control-loop period (default 500ms).
-	AdaptInterval time.Duration
 	// MaxInflight is the admission bound: a POST that would make more
 	// than this many messages in flight (admitted, not yet answered) is
-	// shed with 503. 0 means 5x GOMAXPROCS. Adaptive mode starts here
-	// and lets the model pull the bound down.
+	// shed with 503. 0 means 5x GOMAXPROCS.
 	MaxInflight int64
 }
 
@@ -200,17 +184,11 @@ type Server struct {
 	statsView *counterView        // the /stats scrape's own measurement windows
 	dtr       *dtraceState        // nil: tracing off
 	timeline  *timelineState      // nil: no sampling session
-	capacity  *capacityLoop       // nil: adaptive admission off
 	Metrics   *Metrics
 
 	ln       net.Listener
 	stopping atomic.Bool
 	inflight atomic.Int64 // messages between admission and response write
-
-	// admitBound is the live admission limit: a connection sheds with 503
-	// when admitting its message would take inflight past it. Static mode
-	// holds it at MaxInflight; the capacity control loop moves it.
-	admitBound atomic.Int64
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
@@ -256,32 +234,11 @@ func New(cfg Config) (*Server, error) {
 		// A sampling session is a consumer of the measurement layer.
 		cfg.Counters = true
 	}
-	if cfg.TargetP99 < 0 {
-		return nil, fmt.Errorf("gateway: target p99 must be positive, got %v", cfg.TargetP99)
-	}
-	if cfg.AdaptInterval < 0 {
-		return nil, fmt.Errorf("gateway: adapt interval must be positive, got %v", cfg.AdaptInterval)
-	}
 	if cfg.MaxInflight < 0 {
 		return nil, fmt.Errorf("gateway: max inflight must be positive, got %d", cfg.MaxInflight)
 	}
 	if cfg.MaxInflight == 0 {
 		cfg.MaxInflight = 5 * int64(runtime.GOMAXPROCS(0))
-	}
-	var cl *capacityLoop
-	if cfg.Adaptive {
-		// The model's service demands are the traced stage histograms.
-		cfg.Trace = true
-		if cfg.TargetP99 == 0 {
-			cfg.TargetP99 = 100 * time.Millisecond
-		}
-		if cfg.AdaptInterval == 0 {
-			cfg.AdaptInterval = 500 * time.Millisecond
-		}
-		var err error
-		if cl, err = newCapacityLoop(cfg); err != nil {
-			return nil, err
-		}
 	}
 	pipe, err := NewPipeline(cfg.UseCase, "", nil)
 	if err != nil {
@@ -295,16 +252,11 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	s := &Server{
-		cfg:      cfg,
-		pipe:     pipe,
-		fwd:      fwd,
-		capacity: cl,
-		Metrics:  newMetrics(),
-		conns:    map[net.Conn]struct{}{},
-	}
-	s.admitBound.Store(cfg.MaxInflight)
-	if cl != nil {
-		cl.s = s
+		cfg:     cfg,
+		pipe:    pipe,
+		fwd:     fwd,
+		Metrics: newMetrics(),
+		conns:   map[net.Conn]struct{}{},
 	}
 	if cfg.Counters {
 		s.counters = newCounterSampler(cfg.UseCase)
@@ -336,9 +288,6 @@ func (s *Server) Start(addr string) error {
 			s.Shutdown(context.Background())
 			return err
 		}
-	}
-	if s.capacity != nil {
-		s.capacity.start()
 	}
 	return nil
 }
@@ -475,9 +424,8 @@ func (s *Server) handleConn(c net.Conn) {
 			return
 		}
 		// The one shed path: claim a slot, give it back if that overshot
-		// the bound. The control loop moves the bound at runtime when the
-		// model says more concurrency would blow the p99 target.
-		if s.inflight.Add(1) > s.admitBound.Load() {
+		// the bound.
+		if s.inflight.Add(1) > s.cfg.MaxInflight {
 			s.inflight.Add(-1)
 			s.Metrics.Shed.Add(1)
 			s.dtr.finish(rec, "", "shed", 503)
@@ -577,7 +525,7 @@ func (s *Server) process(raw []byte, start time.Time, rec *dtrace.Recorder, sc *
 	// Traced requests read the clock once per stage boundary; the
 	// ProcessDelay fault-injection spin runs inside the process stage, so
 	// an emulated slower device shows up as process demand — which is
-	// what the capacity model (and adaptive admission) must see.
+	// what the capacity model must see.
 	t := start // start of the stage being timed (traced requests only)
 	req := &sc.req
 	err := httpmsg.ParseRequestInto(raw, req)
@@ -831,9 +779,6 @@ func (s *Server) Snapshot() Snapshot {
 	}
 	snap.Timeline = s.timelineInfo()
 	snap.Traces = s.traceInfo()
-	if s.capacity != nil {
-		snap.Capacity = s.capacity.snapshot()
-	}
 	return snap
 }
 
@@ -873,9 +818,6 @@ func (s *Server) shutdown(ctx context.Context) error {
 	}
 	s.mu.Unlock()
 	s.connWG.Wait()
-	if s.capacity != nil {
-		s.capacity.stop()
-	}
 	// The sampling session stops before the measurement layer closes, so
 	// no sampler tick runs against a half-torn-down counter set.
 	s.closeTimeline()

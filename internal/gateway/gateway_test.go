@@ -235,11 +235,27 @@ func pipelined(t *testing.T, addr string, conns, depth, rounds int, ucs []worklo
 	return total
 }
 
+// TestAdmissionBoundConfig pins the admission bound New applies: a
+// negative bound is refused, and 0 means 5x GOMAXPROCS.
+func TestAdmissionBoundConfig(t *testing.T) {
+	if _, err := New(Config{MaxInflight: -1}); err == nil {
+		t.Error("MaxInflight -1 accepted")
+	}
+	srv, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := srv.cfg.MaxInflight, 5*int64(runtime.GOMAXPROCS(0)); got != want {
+		t.Fatalf("default admission bound %d, want 5x GOMAXPROCS = %d", got, want)
+	}
+}
+
 // TestShedConservation holds the one shed path to account for every
 // request: sixteen pipelined connections against an in-flight bound of
-// two, with every message stalled, in place and forwarded. Each request
-// gets exactly one answer, client and server classify them alike, and
-// nothing is left in flight after the drain.
+// two, with every message stalled, in place, forwarded, and forwarded to
+// a slow backend. Each request gets exactly one answer, client and
+// server classify them alike, and nothing is left in flight after the
+// drain.
 func TestShedConservation(t *testing.T) {
 	// A message's spin holds its P, so in place no more messages are in
 	// flight than there are Ps: the bound of two is overrun only with
@@ -249,15 +265,19 @@ func TestShedConservation(t *testing.T) {
 		runtime.GOMAXPROCS(4)
 		t.Cleanup(func() { runtime.GOMAXPROCS(procs) })
 	}
+	// The slow-backend row parks admitted messages on the upstream hop:
+	// a goroutine waiting on its round trip holds an admission slot but no
+	// P, which is the overload the static bound exists to stop.
 	for _, tc := range []struct {
-		name    string
-		forward bool
-	}{{"in-place", false}, {"forwarded", true}} {
+		name      string
+		forward   bool
+		backDelay time.Duration
+	}{{"in-place", false, 0}, {"forwarded", true, 0}, {"forwarded-slow-backend", true, 8 * time.Millisecond}} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{MaxInflight: 2, ProcessDelay: time.Millisecond}
 			if tc.forward {
 				cfg.Upstream = upstream.Config{
-					Order: startBackend(t, upstream.BackendConfig{Name: "order"}).Addr().String(),
+					Order: startBackend(t, upstream.BackendConfig{Name: "order", Delay: tc.backDelay}).Addr().String(),
 					Error: startBackend(t, upstream.BackendConfig{Name: "error"}).Addr().String(),
 				}
 			}
@@ -280,6 +300,9 @@ func TestShedConservation(t *testing.T) {
 			}
 			if got.shed == 0 || got.ok == 0 {
 				t.Fatalf("want both answers under the bound: 200 %d, 503 %d", got.ok, got.shed)
+			}
+			if tc.backDelay > 0 && got.ok+got.shed != got.sent {
+				t.Fatalf("slow backend: 200 %d + 503 %d != sent %d", got.ok, got.shed, got.sent)
 			}
 			snap := srv.Metrics.Snapshot()
 			if snap.Messages+snap.Shed+snap.ParseErrors != got.sent {

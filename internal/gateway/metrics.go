@@ -154,10 +154,6 @@ type Snapshot struct {
 	// Traces summarizes the distributed-trace tail sampler (nil when
 	// Config.Trace is off); the kept traces are served by GET /traces.
 	Traces *TraceInfo `json:"traces,omitempty"`
-	// Capacity is the adaptive-admission control view (nil when
-	// Config.Adaptive is off): the model's latest observation, prediction,
-	// decision, and model-vs-measured error.
-	Capacity *CapacitySnapshot `json:"capacity,omitempty"`
 }
 
 // Snapshot reads every counter.

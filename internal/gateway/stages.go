@@ -28,23 +28,9 @@ func traceSlotName(slot int) string {
 }
 
 // stageHists aggregates finished requests' stage spans into per-use-case,
-// per-stage latency histograms — the /stats "stages" section and the
-// capacity control loop's windowed service demands. There is no second
-// clock: every observation is a dtrace span's duration.
+// per-stage latency histograms — the /stats "stages" section. There is
+// no second clock: every observation is a dtrace span's duration.
 type stageHists [numTraceSlots][dtrace.NumStages]lhist.Hist
-
-// stageCounts is one raw cumulative read of every histogram — the
-// capacity control loop's windowing primitive.
-type stageCounts [numTraceSlots][dtrace.NumStages]lhist.Counts
-
-func (h *stageHists) counts() (c stageCounts) {
-	for slot := range h {
-		for st := range h[slot] {
-			c[slot][st] = h[slot][st].Counts()
-		}
-	}
-	return c
-}
 
 // observe folds rec's stage spans into row slot.
 func (h *stageHists) observe(slot int, rec *dtrace.Recorder) {
@@ -76,24 +62,12 @@ func (h *stageHists) snapshot() StageSnapshot {
 	return out
 }
 
-// stageDemands assembles the capacity model's service demands from a
-// per-stage mean in seconds.
-func stageDemands(mean func(dtrace.Stage) float64) capacity.StageDemands {
-	return capacity.StageDemands{
-		Read:    mean(dtrace.StageRead),
-		Parse:   mean(dtrace.StageParse),
-		Process: mean(dtrace.StageProcess),
-		Forward: mean(dtrace.StageForward),
-		Write:   mean(dtrace.StageWrite),
-	}
-}
-
 // Demands rebuilds the capacity model's per-stage service demands from
 // the snapshot: per-stage means aggregated across the use-case rows
 // (the control-plane GET row excluded — GETs bypass admission),
 // weighted by trace count.
 func (s StageSnapshot) Demands() capacity.StageDemands {
-	return stageDemands(func(st dtrace.Stage) float64 {
+	mean := func(st dtrace.Stage) float64 {
 		var n uint64
 		var sum float64
 		for slot := 0; slot < numTraceUseCases; slot++ {
@@ -105,5 +79,12 @@ func (s StageSnapshot) Demands() capacity.StageDemands {
 			return 0
 		}
 		return sum / float64(n) / 1e6
-	})
+	}
+	return capacity.StageDemands{
+		Read:    mean(dtrace.StageRead),
+		Parse:   mean(dtrace.StageParse),
+		Process: mean(dtrace.StageProcess),
+		Forward: mean(dtrace.StageForward),
+		Write:   mean(dtrace.StageWrite),
+	}
 }

@@ -223,11 +223,10 @@ func countFDs() (int, bool) {
 
 // TestServerShutdownLeavesNoGoroutineOrFD is the leak test proper: one
 // full cycle with every background subsystem on — counters, a sampling
-// session, tracing, the adaptive control loop, forwarding to two
-// in-process backends — driven by pipelined load that overruns the
-// admission bound, must leave the process at its goroutine and
-// descriptor baseline once the gateway is shut down and the backends
-// closed.
+// session, tracing, forwarding to two in-process backends — driven by
+// pipelined load that overruns the admission bound, must leave the
+// process at its goroutine and descriptor baseline once the gateway is
+// shut down and the backends closed.
 func TestServerShutdownLeavesNoGoroutineOrFD(t *testing.T) {
 	_, haveFDs := countFDs()
 	cycle := func() (shed uint64) {
@@ -237,8 +236,6 @@ func TestServerShutdownLeavesNoGoroutineOrFD(t *testing.T) {
 			Timeline:       true,
 			SampleInterval: 5 * time.Millisecond,
 			Trace:          true,
-			Adaptive:       true,
-			AdaptInterval:  10 * time.Millisecond,
 			MaxInflight:    int64(runtime.GOMAXPROCS(0)) + 1,
 			ProcessDelay:   time.Millisecond,
 			Upstream:       upstream.Config{Order: order.Addr().String(), Error: errBE.Addr().String()},

@@ -60,9 +60,8 @@ func (h *Hist) Merge(other *Hist) {
 
 // Counts is a raw cumulative read of the histogram, the windowing
 // primitive: two Counts taken at different times Sub into a windowed
-// view whose quantiles and mean cover exactly that span — what the
-// capacity control loop reads, where the cumulative Snapshot would lag
-// minutes behind a load shift.
+// view whose quantiles and mean cover exactly that span, where the
+// cumulative Snapshot would lag minutes behind a load shift.
 type Counts struct {
 	Buckets [40]uint64
 	N       uint64

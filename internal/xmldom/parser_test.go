@@ -95,6 +95,41 @@ func TestParseEntities(t *testing.T) {
 	}
 }
 
+// TestCharRefs holds character references to XML 1.0 §4.1: any number
+// of digits, and a value that is a Char. Each reference is tried in text
+// and in an attribute value.
+func TestCharRefs(t *testing.T) {
+	for _, tc := range []struct{ ref, want string }{
+		{`&#0000000065;`, "A"},
+		{`&#x0000000000042;`, "B"},
+		{`&#9;&#xA;&#13;`, "\t\n\r"},
+		{`&#x20;`, " "},
+		{`&#xD7FF;`, "\uD7FF"},
+		{`&#xE000;`, "\uE000"},
+		{`&#xFFFD;`, "\uFFFD"},
+		{`&#x10000;`, "\U00010000"},
+		{`&#1114111;`, "\U0010FFFF"},
+	} {
+		if got := mustParse(t, `<a>`+tc.ref+`</a>`).DocumentElement().TextContent(); got != tc.want {
+			t.Errorf("text %s = %q, want %q", tc.ref, got, tc.want)
+		}
+		if got, _ := mustParse(t, `<a b="`+tc.ref+`"/>`).DocumentElement().Attr("b"); got != tc.want {
+			t.Errorf("attribute %s = %q, want %q", tc.ref, got, tc.want)
+		}
+	}
+	for _, ref := range []string{
+		`&#0;`, `&#1;`, `&#x1F;`, `&#xD800;`, `&#xDFFF;`, `&#xFFFE;`, `&#xFFFF;`,
+		`&#x110000;`, `&#4294967296;`, `&#;`, `&#x;`, `&#X41;`, `&#-65;`, `&#+65;`,
+	} {
+		for _, src := range []string{`<a>` + ref + `</a>`, `<a b="` + ref + `"/>`} {
+			_, err := Parse([]byte(src))
+			if err == nil || !strings.Contains(err.Error(), "bad character reference") {
+				t.Errorf("Parse(%q) = %v, want a bad character reference", src, err)
+			}
+		}
+	}
+}
+
 func TestParseCDATAAndComments(t *testing.T) {
 	doc := mustParse(t, `<a><!-- note --><![CDATA[<raw>&amp;]]>tail</a>`)
 	el := doc.DocumentElement()
@@ -180,6 +215,8 @@ func TestParseErrors(t *testing.T) {
 		`<a x="1" x="2"/>`,
 		`<a>&unknown;</a>`,
 		`<a>&#zz;</a>`,
+		`<a>&#0;</a>`,
+		`<a b="&#xD800;"/>`,
 		`<a><b></a></b>`,
 		`<a/><b/>`,
 		`text only`,

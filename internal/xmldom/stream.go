@@ -475,13 +475,15 @@ const errUnterminatedEntity = "unterminated entity reference"
 // through it, so a reference the tokenizer let pass cannot fail later.
 func decodeEntityAt(src []byte, pos int) (s string, next int, msg string) {
 	semi := -1
-	limit := pos + 12
-	if limit > len(src) {
-		limit = len(src)
-	}
-	for i := pos + 1; i < limit; i++ {
-		if src[i] == ';' {
+	for i := pos + 1; i < len(src); i++ {
+		c := src[i]
+		if c == ';' {
 			semi = i
+			break
+		}
+		// A character reference may carry any number of digits; any other
+		// name is at most ten bytes long.
+		if i >= pos+11 && (src[pos+1] != '#' || !isHexDigit(c)) {
 			break
 		}
 	}
@@ -502,19 +504,29 @@ func decodeEntityAt(src []byte, pos int) (s string, next int, msg string) {
 	case len(name) == 4 && string(name) == "apos":
 		return "'", next, ""
 	}
-	if len(name) >= 2 && name[0] == '#' && (name[1] == 'x' || name[1] == 'X') {
-		v, err := strconv.ParseUint(string(name[2:]), 16, 32)
-		if err != nil {
-			return "", next, "bad character reference &" + string(name) + ";"
-		}
-		return string(rune(v)), next, ""
-	}
 	if len(name) >= 1 && name[0] == '#' {
-		v, err := strconv.ParseUint(string(name[1:]), 10, 32)
-		if err != nil {
+		// XML 1.0 §4.1: '&#' [0-9]+ ';' or '&#x' [0-9a-fA-F]+ ';', naming
+		// a Char.
+		digits, base := name[1:], 10
+		if len(digits) > 0 && digits[0] == 'x' {
+			digits, base = digits[1:], 16
+		}
+		v, err := strconv.ParseUint(string(digits), base, 32)
+		if err != nil || !isChar(v) {
 			return "", next, "bad character reference &" + string(name) + ";"
 		}
 		return string(rune(v)), next, ""
 	}
 	return "", next, "unknown entity &" + string(name) + ";"
+}
+
+func isHexDigit(c byte) bool {
+	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
+}
+
+// isChar reports whether v is an XML 1.0 Char: #x9 | #xA | #xD |
+// [#x20-#xD7FF] | [#xE000-#xFFFD] | [#x10000-#x10FFFF].
+func isChar(v uint64) bool {
+	return v == 0x9 || v == 0xA || v == 0xD || 0x20 <= v && v <= 0xD7FF ||
+		0xE000 <= v && v <= 0xFFFD || 0x10000 <= v && v <= 0x10FFFF
 }

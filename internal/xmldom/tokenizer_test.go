@@ -32,6 +32,14 @@ var hostileDocs = []string{
 	`<a>x&</a>`,
 	`<a>&a<b;</a>`,
 	`<a>x&amp;&lt;&#65;y&gt;</a>`,
+	`<a>&#0;&#1;</a>`,
+	`<a>&#xD800;</a>`,
+	`<a>&#X41;</a>`,
+	`<a>&#0000000065;&#x00000000000000042;</a>`,
+	`<a>&#00000000000000000000000000000065</a>`,
+	`<a b="&#x110000;"/>`,
+	`<a b="&#0000000000000000000065;"/>`,
+	`<a b="&#000000000000000000000<"/>`,
 	"<\xc3\xa9 \xc3\xa8=\"v\">t\xff</\xc3\xa9>",
 	"<a\x80b></a\x80b>",
 	"<\x80></\x81>",
