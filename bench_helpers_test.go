@@ -5,10 +5,13 @@ import (
 	"repro/internal/xmldom"
 )
 
-// parseForBench parses with instrumentation attached, as the simulated
+// parseForBench parses metered on a pooled parser, as the simulated
 // workers do, so BenchmarkXMLParse measures the real per-message host cost.
-func parseForBench(msg []byte) (*xmldom.Node, error) {
+func parseForBench(msg []byte) error {
+	sp := xmldom.AcquireStreamParser()
+	defer sp.Release()
 	var c trace.Counting
 	arena := trace.NewArena(1<<32, 1<<20)
-	return xmldom.ParseInstrumented(msg, &c, 0x1000, arena)
+	_, err := sp.ParseMetered(msg, &c, 0x1000, arena)
+	return err
 }

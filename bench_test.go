@@ -266,7 +266,7 @@ func BenchmarkXMLParse(b *testing.B) {
 	b.SetBytes(int64(len(msg)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := parseForBench(msg); err != nil {
+		if err := parseForBench(msg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	aonsim -exp all                 # every table and figure (default)
+//	aonsim -exp all                 # every table and figure (default); exits 1 if a shape check fails
 //	aonsim -exp fig2|table3         # netperf baselines (-netperf-ms sizes them)
 //	aonsim -exp fig3|table4|fig4|fig5|table5|table6
 //	aonsim -exp specs               # Table 1 / Table 2
@@ -195,6 +195,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "shape checks failed: %d\n", len(failed))
 		if len(failed) > 0 {
 			fmt.Fprintln(stdout, harness.FormatChecks(failed))
+			return 1
 		}
 	}
 	return 0

@@ -31,6 +31,20 @@ func TestUnknownExperimentRefused(t *testing.T) {
 	}
 }
 
+// TestFailedShapeChecksExitOne: -exp all exits 1 when a shape check
+// fails. Four measured messages are far too few for the paper's shapes
+// to hold, so some checks fail.
+func TestFailedShapeChecksExitOne(t *testing.T) {
+	var out, errb bytes.Buffer
+	code := run([]string{"-exp", "all", "-msgs", "4", "-warmup", "1", "-netperf-ms", "0.2"}, &out, &errb)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1; stderr %q", code, errb.String())
+	}
+	if !strings.Contains(out.String(), "shape checks failed: ") || strings.Contains(out.String(), "shape checks failed: 0\n") {
+		t.Fatalf("no failed shape checks reported:\n%s", out.String())
+	}
+}
+
 // mixGolden is what the standalone XML kernel driver printed for 8
 // messages before -exp mix replaced it; the instrumented kernels' counts
 // and verdicts must not move.

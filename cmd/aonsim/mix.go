@@ -20,11 +20,13 @@ func runMix(w io.Writer, n int) error {
 	route := xpath.MustCompile(verdict.RouteExprSource)
 	schema := workload.OrderSchema()
 	arena := trace.NewArena(1<<30, 1<<24)
+	sp := xmldom.AcquireStreamParser()
+	defer sp.Release()
 
 	var parseMix, xpathMix, svMix trace.Counting
 	matches, valid := 0, 0
 	for i := 0; i < n; i++ {
-		doc, err := xmldom.ParseInstrumented(workload.SOAPMessage(i), &parseMix, 0x10000, arena)
+		doc, err := sp.ParseMetered(workload.SOAPMessage(i), &parseMix, 0x10000, arena)
 		if err != nil {
 			return fmt.Errorf("message %d: %w", i, err)
 		}

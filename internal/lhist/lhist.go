@@ -58,62 +58,6 @@ func (h *Hist) Merge(other *Hist) {
 	}
 }
 
-// Counts is a raw cumulative read of the histogram, the windowing
-// primitive: two Counts taken at different times Sub into a windowed
-// view whose quantiles and mean cover exactly that span, where the
-// cumulative Snapshot would lag minutes behind a load shift.
-type Counts struct {
-	Buckets [40]uint64
-	N       uint64
-	SumUS   uint64
-}
-
-// Counts reads the histogram's raw totals.
-func (h *Hist) Counts() Counts {
-	var c Counts
-	for i := range h.buckets {
-		c.Buckets[i] = h.buckets[i].Load()
-	}
-	c.N = h.count.Load()
-	c.SumUS = h.sumUS.Load()
-	return c
-}
-
-// Sub returns the window c − prev (counts observed since prev was
-// taken). prev must be an earlier read of the same histogram.
-func (c Counts) Sub(prev Counts) Counts {
-	out := Counts{N: c.N - prev.N, SumUS: c.SumUS - prev.SumUS}
-	for i := range c.Buckets {
-		out.Buckets[i] = c.Buckets[i] - prev.Buckets[i]
-	}
-	return out
-}
-
-// Quantile reads percentile q from the counts with the same
-// upper-bucket-bound convention as Snapshot. Zero when empty.
-func (c Counts) Quantile(q float64) uint64 {
-	if c.N == 0 {
-		return 0
-	}
-	target := uint64(q * float64(c.N))
-	var seen uint64
-	for i, n := range c.Buckets {
-		seen += n
-		if seen > target {
-			return uint64(1) << uint(i)
-		}
-	}
-	return uint64(1) << uint(len(c.Buckets)-1)
-}
-
-// MeanUS is the mean over the counted window (0 when empty).
-func (c Counts) MeanUS() float64 {
-	if c.N == 0 {
-		return 0
-	}
-	return float64(c.SumUS) / float64(c.N)
-}
-
 // Snapshot is a point-in-time percentile read.
 type Snapshot struct {
 	Count  uint64  `json:"count"`

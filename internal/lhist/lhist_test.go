@@ -130,43 +130,6 @@ func TestConcurrentObserveAndMerge(t *testing.T) {
 	}
 }
 
-// TestCountsWindowing pins the windowing primitive: Sub isolates the
-// observations between two reads, and the windowed quantile/mean see
-// only that population — a fast first window must not drag down a slow
-// second one.
-func TestCountsWindowing(t *testing.T) {
-	var h Hist
-	for i := 0; i < 120; i++ {
-		h.Observe(time.Duration(i%100+1) * time.Microsecond) // fast window
-	}
-	first := h.Counts()
-	if first.N != 120 || first.Quantile(0.5) > 128 {
-		t.Fatalf("first window: %+v", first)
-	}
-	for i := 0; i < 100; i++ {
-		h.Observe(time.Duration(10000+i) * time.Microsecond) // slow window
-	}
-	window := h.Counts().Sub(first)
-	if window.N != 100 {
-		t.Fatalf("window count %d, want 100", window.N)
-	}
-	if q := window.Quantile(0.5); q < 10000 {
-		t.Fatalf("windowed p50 %d polluted by the first window", q)
-	}
-	if m := window.MeanUS(); m < 10000 || m > 10100 {
-		t.Fatalf("windowed mean %v", m)
-	}
-	// Cumulative quantile still straddles both populations.
-	if q := h.Counts().Quantile(0.5); q > 256 {
-		t.Fatalf("cumulative p50 %d", q)
-	}
-	// Empty windows answer zeros, not garbage.
-	var empty Counts
-	if empty.Quantile(0.99) != 0 || empty.MeanUS() != 0 {
-		t.Fatalf("empty counts: q=%d mean=%v", empty.Quantile(0.99), empty.MeanUS())
-	}
-}
-
 // TestConcurrentObserve exercises the atomics under -race.
 func TestConcurrentObserve(t *testing.T) {
 	var h Hist

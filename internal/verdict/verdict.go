@@ -7,7 +7,7 @@
 // gateway and the simulated server call it, so the two cannot disagree.
 // They differ only in the Meter they pass: none on the live path (pooled
 // zero-copy tree, early-exit scan, nothing emitted), or a simulator's
-// emitter, body address and DOM arena (instrumented tree, full scan,
+// emitter, body address and node arena (metered parse, full scan,
 // every metered kernel charged).
 package verdict
 
@@ -120,17 +120,17 @@ func (r *Rules) PlaceDPITable(base uint64) { r.matcher.SetSimBase(base) }
 type Meter struct {
 	Em    trace.Emitter // receives every metered kernel's micro-ops
 	Body  uint64        // simulated address of the request body's first byte
-	Arena *trace.Arena  // DOM heap of the instrumented tree; reset per message
+	Arena *trace.Arena  // simulated heap the parse places tree nodes in; reset per message
 }
 
 // Decide runs use case uc on req and returns the outcome.
 //
 // FR rewrites the target; DPI and AUTH read the body as bytes; CBR, SV
-// and XJ read its tree. Live, the tree comes from a pooled StreamParser:
-// views into req.Body and pooled node slabs, valid only until Decide
-// returns (the CBR value is compared here, never kept). Metered, it comes
-// from ParseInstrumented into m.Arena, and the evaluator, validator, scan
-// and HMAC report to m.Em; the XJ translation is not metered.
+// and XJ read its tree, which comes from a pooled StreamParser: views
+// into req.Body and pooled node slabs, valid only until Decide returns
+// (the CBR value is compared here, never kept). Metered, the parse places
+// the tree's nodes in m.Arena, and it, the evaluator, validator, scan and
+// HMAC report to m.Em; the XJ translation is not metered.
 //
 // XJ renders the translation into *xjBuf, grown as needed, and points
 // req.Body and its Content-Type and Content-Length headers at it: they
@@ -171,15 +171,15 @@ func (r *Rules) Decide(uc workload.UseCase, req *httpmsg.Request, m *Meter, xjBu
 		return OutParseError
 	}
 
+	sp := xmldom.AcquireStreamParser()
+	defer sp.Release()
 	var doc *xmldom.Node
 	var err error
 	if m == nil {
-		sp := xmldom.AcquireStreamParser()
-		defer sp.Release()
 		doc, err = sp.Parse(req.Body)
 	} else {
 		m.Arena.Reset()
-		doc, err = xmldom.ParseInstrumented(req.Body, em, body, m.Arena)
+		doc, err = sp.ParseMetered(req.Body, em, body, m.Arena)
 	}
 	if err != nil {
 		return OutParseError

@@ -103,8 +103,8 @@ func parse(t testing.TB, raw []byte) *httpmsg.Request {
 // and the metered path a simulated worker runs send the message to the
 // same place — intended endpoint, error endpoint, or refused as
 // unprocessable — and XJ writes the same JSON. The two share Decide, so
-// what differs is everything under it: a pooled zero-copy tree against
-// ParseInstrumented's copies in a simulated arena, an early-exit scan
+// what differs is everything under it: an unmetered parse against a
+// metered one that places its nodes in a simulated arena, an early-exit scan
 // against the full instrumented one, unmetered against metered xpath,
 // xsd and HMAC, and separately built rules. Inputs: the load generators'
 // own requests under seeds 1–3 (enough indices to hit both CBR routes, a

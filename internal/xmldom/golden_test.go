@@ -3,11 +3,12 @@ package xmldom_test
 import (
 	"testing"
 
+	"repro/internal/perf/trace"
 	"repro/internal/perf/trace/tracetest"
 	"repro/internal/xmldom"
 )
 
-// parseGolden pins the micro-op stream ParseInstrumented emits for the
+// parseGolden pins the micro-op stream ParseMetered emits for the
 // accepted grammar corners the workload messages never reach. Counts and
 // hashes were recorded by running this file on commit 29d6aeb (the
 // recursive-descent scanner), before the scanner was replaced by a replay
@@ -37,14 +38,34 @@ var parseGolden = []struct {
 	{`<a xmlns="d"><b xmlns=""><c>deep</c></b></a>`, 140, 0x84880ffed31a84f7},
 }
 
+// TestParseStreamGolden checks each golden on a fresh parser, then again
+// on one reused parser that parses each document unmetered first: the
+// metered stream must not change, and no unmetered tree may carry a
+// SimAddr, whichever parse came before.
 func TestParseStreamGolden(t *testing.T) {
-	for _, g := range parseGolden {
-		em := tracetest.NewHashEmitter()
-		if _, err := xmldom.ParseInstrumented([]byte(g.src), em, 1<<32, nil); err != nil {
-			t.Fatalf("%q: %v", g.src, err)
-		}
-		if em.Events() != g.events || em.Sum64() != g.hash {
-			t.Errorf("%q: emitted {%d, %#x}, golden {%d, %#x}", g.src, em.Events(), em.Sum64(), g.events, g.hash)
+	reused := xmldom.AcquireStreamParser()
+	defer reused.Release()
+	for _, interleave := range []bool{false, true} {
+		for _, g := range parseGolden {
+			src := []byte(g.src)
+			sp := new(xmldom.StreamParser)
+			if interleave {
+				sp = reused
+				doc, err := sp.Parse(src)
+				if err != nil {
+					t.Fatalf("%q: %v", g.src, err)
+				}
+				checkSimAddrs(t, doc, nil)
+			}
+			em := tracetest.NewHashEmitter()
+			// The node heap the goldens were recorded with.
+			arena := trace.NewArena(1<<40, 1<<26)
+			if _, err := sp.ParseMetered(src, em, 1<<32, arena); err != nil {
+				t.Fatalf("%q: %v", g.src, err)
+			}
+			if em.Events() != g.events || em.Sum64() != g.hash {
+				t.Errorf("%q (interleaved %v): emitted {%d, %#x}, golden {%d, %#x}", g.src, interleave, em.Events(), em.Sum64(), g.events, g.hash)
+			}
 		}
 	}
 }

@@ -3,17 +3,16 @@
 // application: XPath evaluation (content-based routing) and schema
 // validation both operate on the tree this package builds.
 //
-// One grammar, several consumers: Tokenizer alone decides what is
-// well-formed, and every tree builder pulls its tokens. StreamParser
-// (AcquireStreamParser) is the live hot path — pooled node slabs, strings
-// as views into the source. Parse is the convenience form: a fresh
-// StreamParser over a private copy of the input, so a copy and a 256-node
-// slab per call — schema loading, examples and tests, not per-message
-// work. ParseInstrumented builds heap nodes and also emits the micro-op
-// stream of an equivalent compiled parser — loads walking the input
-// buffer, stores building the tree, branches with the scanner's actual
-// outcomes — which is what lets the simulator characterize XML parsing the
-// way the paper's VTune measurements do.
+// One grammar, one tree builder: Tokenizer alone decides what is
+// well-formed, and StreamParser (AcquireStreamParser) alone turns its
+// tokens into nodes — pooled node slabs, strings as views into the source.
+// Parse is the convenience form: a fresh StreamParser over a private copy
+// of the input — schema loading, examples and tests, not per-message work.
+// ParseMetered is the simulator's form: the same parse, also emitting the
+// micro-op stream of an equivalent compiled parser — loads walking the
+// input buffer, stores building the tree, branches with the scanner's
+// actual outcomes — which is what lets the simulator characterize XML
+// parsing the way the paper's VTune measurements do.
 package xmldom
 
 import (
@@ -63,7 +62,7 @@ type Attr struct {
 type Node struct {
 	Kind NodeKind
 	// Ord is the node's pre-order index in its document (the document
-	// node is 0), stamped by the tree builders: a < b in document order
+	// node is 0), stamped by the tree builder: a < b in document order
 	// iff a.Ord < b.Ord, which is how XPath orders node-sets without
 	// walking the tree. It sits in Kind's padding, so it costs no memory.
 	Ord      uint32
@@ -75,7 +74,7 @@ type Node struct {
 	Data     string // text/comment/PI content
 
 	// SimAddr is the node's synthetic address in the simulated heap;
-	// zero when the tree was built without instrumentation.
+	// zero when the tree was not built by ParseMetered.
 	SimAddr uint64
 }
 

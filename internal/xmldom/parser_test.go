@@ -151,8 +151,8 @@ func TestParseCDATAAndComments(t *testing.T) {
 	}
 }
 
-// TestEmptyCDATAMakesNoTextNode: XPath has no empty text nodes, so no
-// builder may produce one from <![CDATA[]]>.
+// TestEmptyCDATAMakesNoTextNode: XPath has no empty text nodes, so
+// neither a plain nor a metered parse may produce one from <![CDATA[]]>.
 func TestEmptyCDATAMakesNoTextNode(t *testing.T) {
 	for src, want := range map[string]int{
 		`<a><![CDATA[]]></a>`:       0,
@@ -162,11 +162,11 @@ func TestEmptyCDATAMakesNoTextNode(t *testing.T) {
 		`<a>&#65;<![CDATA[]]>t</a>`: 2,
 	} {
 		plain := mustParse(t, src)
-		inst, err := ParseInstrumented([]byte(src), &trace.Counting{}, 0, nil)
+		inst, err := new(StreamParser).ParseMetered([]byte(src), &trace.Counting{}, 0, trace.NewArena(1<<30, 1<<20))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, doc := range map[string]*Node{"Parse": plain, "ParseInstrumented": inst} {
+		for name, doc := range map[string]*Node{"Parse": plain, "ParseMetered": inst} {
 			a := doc.DocumentElement()
 			if len(a.Children) != want {
 				t.Errorf("%s(%q): %d children, want %d", name, src, len(a.Children), want)
@@ -339,7 +339,7 @@ func TestInstrumentedParseEmitsOps(t *testing.T) {
 	src := []byte(`<a x="1"><b>some text content here</b><c/></a>`)
 	var c trace.Counting
 	arena := trace.NewArena(1<<30, 1<<20)
-	doc, err := ParseInstrumented(src, &c, 0x1000, arena)
+	doc, err := new(StreamParser).ParseMetered(src, &c, 0x1000, arena)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestInstrumentedParseEmitsOps(t *testing.T) {
 	// The op stream should scale with input size.
 	var c2 trace.Counting
 	big := []byte(`<a>` + strings.Repeat(`<b>payload text</b>`, 50) + `</a>`)
-	if _, err := ParseInstrumented(big, &c2, 0x1000, arena); err != nil {
+	if _, err := new(StreamParser).ParseMetered(big, &c2, 0x1000, arena); err != nil {
 		t.Fatal(err)
 	}
 	if c2.Instr < 2*c.Instr {
@@ -366,12 +366,12 @@ func TestInstrumentedMatchesUninstrumented(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := ParseInstrumented(src, &trace.Counting{}, 0, trace.NewArena(1<<30, 1<<20))
+	inst, err := new(StreamParser).ParseMetered(src, &trace.Counting{}, 0, trace.NewArena(1<<30, 1<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if serialize(plain) != serialize(inst) {
-		t.Fatalf("instrumented parse differs:\n%s\n%s", serialize(plain), serialize(inst))
+		t.Fatalf("metered parse differs:\n%s\n%s", serialize(plain), serialize(inst))
 	}
 }
 

@@ -61,10 +61,10 @@ const (
 )
 
 // Tokenizer is a streaming pull scanner and the package's one XML
-// grammar: it alone decides what is well-formed. Every tree builder is a
-// consumer of its tokens — StreamParser (and Parse, through it) for the
-// live path, ParseInstrumented for the simulator — so they accept and
-// reject the same documents by construction. The tokenizer makes no
+// grammar: it alone decides what is well-formed. StreamParser, the one
+// tree builder, consumes its tokens — for the live path (and Parse,
+// through it) and, metered, for the simulator — so every parse accepts
+// and rejects the same documents by construction. The tokenizer makes no
 // per-token copies: all token contents are subslices of src, and runs of
 // character data are skipped with bytes.IndexByte rather than a byte at a
 // time. A zero Tokenizer is not ready; call Reset first. Tokenizers are
@@ -471,8 +471,9 @@ const errUnterminatedEntity = "unterminated entity reference"
 // decodeEntityAt decodes one entity reference at src[pos] (which must
 // point at '&'). It returns the decoded text, the offset just past the
 // ';', and an empty msg — or a non-empty error message. The tokenizer
-// validates every reference through it and the tree builders decode
-// through it, so a reference the tokenizer let pass cannot fail later.
+// validates every reference through it, and StreamParser and the meter
+// decode through it, so a reference the tokenizer let pass cannot fail
+// later.
 func decodeEntityAt(src []byte, pos int) (s string, next int, msg string) {
 	semi := -1
 	for i := pos + 1; i < len(src); i++ {

@@ -10,8 +10,8 @@ import (
 	"repro/internal/xmldom/xmltest"
 )
 
-// sameTree asserts deep structural equality between two builders' trees
-// (ignoring SimAddr, which only the instrumented builder populates).
+// sameTree asserts deep structural equality between two trees, Ord
+// included (ignoring SimAddr, which only a metered parse sets).
 func sameTree(t *testing.T, want, got *xmldom.Node, path string) {
 	t.Helper()
 	if want.Kind != got.Kind {
@@ -43,41 +43,59 @@ func sameTree(t *testing.T, want, got *xmldom.Node, path string) {
 	}
 }
 
-// checkDifferential runs the tokenizer's two consumers on src — the
-// simulator's ParseInstrumented with a real emitter and the live
-// StreamParser — and asserts they agree on accept/reject (true by
-// construction: neither scans, both stop at the tokenizer's first error)
-// and, when accepting, build equivalent trees, Ord included. It is also
-// what drives the instrumented builder's replay over arbitrary accepted
-// input: ParseInstrumented panics if its walk of a start or end tag does
-// not end at the tokenizer's position, so no such input indexes past a tag.
-func checkDifferential(t *testing.T, sp *xmldom.StreamParser, src []byte) {
+// checkMetered parses src with two parsers of the one builder — metered
+// into a trace.Counting, and unmetered — and asserts they agree on
+// accept/reject and the error text and, when accepting, build equal
+// trees, Ord included, with SimAddr 0 on every unmetered node and inside
+// the arena on every metered one. It is also what drives the meter's
+// replay over arbitrary accepted input: ParseMetered panics if its walk of
+// a start or end tag does not end at the tokenizer's position, so no such
+// input indexes past a tag.
+func checkMetered(t *testing.T, metered, plain *xmldom.StreamParser, src []byte) {
 	t.Helper()
-	simTree, simErr := xmldom.ParseInstrumented(src, &trace.Counting{}, 1<<32, nil)
-	liveTree, liveErr := sp.Parse(src)
-	if (simErr == nil) != (liveErr == nil) {
-		t.Fatalf("accept/reject mismatch on %q: instrumented err=%v, stream err=%v", src, simErr, liveErr)
+	arena := trace.NewArena(1<<40, 1<<26)
+	mTree, mErr := metered.ParseMetered(src, &trace.Counting{}, 1<<32, arena)
+	pTree, pErr := plain.Parse(src)
+	if (mErr == nil) != (pErr == nil) || mErr != nil && mErr.Error() != pErr.Error() {
+		t.Fatalf("metered and unmetered parses disagree on %q: metered err=%v, unmetered err=%v", src, mErr, pErr)
 	}
-	if simErr != nil {
+	if mErr != nil {
 		return
 	}
-	sameTree(t, simTree, liveTree, "doc")
+	sameTree(t, pTree, mTree, "doc")
+	checkSimAddrs(t, pTree, nil)
+	checkSimAddrs(t, mTree, arena)
 }
 
-// TestStreamVsDOMCorpus runs the seeded corpus deterministically (this
-// is what CI exercises; `go test -fuzz=FuzzStreamVsDOM` explores
-// further). The single reused StreamParser also exercises slab/arena
-// reset across documents.
+// checkSimAddrs asserts every node of doc has its SimAddr inside arena, or
+// is 0 when arena is nil (an unmetered tree).
+func checkSimAddrs(t *testing.T, doc *xmldom.Node, arena *trace.Arena) {
+	t.Helper()
+	doc.Walk(func(n *xmldom.Node) bool {
+		if arena == nil && n.SimAddr != 0 ||
+			arena != nil && (n.SimAddr < arena.Base() || n.SimAddr >= arena.Base()+arena.Size()) {
+			t.Fatalf("%v node %d: SimAddr %#x (metered: %v)", n.Kind, n.Ord, n.SimAddr, arena != nil)
+		}
+		return true
+	})
+}
+
+// TestStreamVsDOMCorpus runs the seeded corpus through checkMetered
+// deterministically (this is what CI exercises; `go test
+// -fuzz=FuzzStreamVsDOM` explores further). Both parsers are reused across
+// documents, so a pooled slab node that kept a SimAddr or an Ord from the
+// previous document would show.
 func TestStreamVsDOMCorpus(t *testing.T) {
-	sp := xmldom.AcquireStreamParser()
-	defer sp.Release()
-	for _, doc := range xmltest.Corpus() {
-		checkDifferential(t, sp, doc)
-	}
-	// Second pass over the same corpus: a parser that mis-resets pooled
-	// state produces wrong trees only on reuse.
-	for _, doc := range xmltest.Corpus() {
-		checkDifferential(t, sp, doc)
+	metered, plain := xmldom.AcquireStreamParser(), xmldom.AcquireStreamParser()
+	defer metered.Release()
+	defer plain.Release()
+	for pass := 0; pass < 2; pass++ {
+		for _, doc := range xmltest.Corpus() {
+			checkMetered(t, metered, plain, doc)
+		}
+		// Swap roles for the second pass: a node slab metered before must
+		// read unmetered now.
+		metered, plain = plain, metered
 	}
 }
 
@@ -96,9 +114,9 @@ func checkOrd(t *testing.T, doc *xmldom.Node, builder string, src []byte) {
 }
 
 // TestOrdIsDocumentOrder checks the ordinal XPath sorts node-sets by, for
-// every builder over the corpus plus a document spanning several node
-// slabs. The StreamParser is reused throughout, so an ordinal carried over
-// from the previous document would show.
+// Parse, a reused StreamParser and a metered parse over the corpus plus a
+// document spanning several node slabs. An ordinal carried over from the
+// previous document would show.
 func TestOrdIsDocumentOrder(t *testing.T) {
 	sp := xmldom.AcquireStreamParser()
 	defer sp.Release()
@@ -108,10 +126,10 @@ func TestOrdIsDocumentOrder(t *testing.T) {
 			continue
 		}
 		checkOrd(t, doc, "Parse", src)
-		if doc, err = xmldom.ParseInstrumented(src, &trace.Buffer{}, 1<<32, nil); err != nil {
+		if doc, err = new(xmldom.StreamParser).ParseMetered(src, &trace.Buffer{}, 1<<32, trace.NewArena(1<<40, 1<<26)); err != nil {
 			t.Fatal(err)
 		}
-		checkOrd(t, doc, "ParseInstrumented", src)
+		checkOrd(t, doc, "ParseMetered", src)
 		if doc, err = sp.Parse(src); err != nil {
 			t.Fatal(err)
 		}
@@ -128,16 +146,18 @@ func TestNodeSizeUnchanged(t *testing.T) {
 	}
 }
 
-// FuzzStreamVsDOM is the differential fuzzer over the two tree builders:
-// any input they build different trees from, or on which the instrumented
-// builder's replay panics, is a bug.
+// FuzzStreamVsDOM is the differential fuzzer over metered and unmetered
+// parses (named for the two builders it compared before the simulator's
+// was folded into StreamParser): any input on which they differ, or on
+// which the meter's replay panics, is a bug.
 func FuzzStreamVsDOM(f *testing.F) {
 	for _, doc := range xmltest.Corpus() {
 		f.Add(doc)
 	}
-	sp := xmldom.AcquireStreamParser()
-	defer sp.Release()
+	metered, plain := xmldom.AcquireStreamParser(), xmldom.AcquireStreamParser()
+	defer metered.Release()
+	defer plain.Release()
 	f.Fuzz(func(t *testing.T, src []byte) {
-		checkDifferential(t, sp, src)
+		checkMetered(t, metered, plain, src)
 	})
 }

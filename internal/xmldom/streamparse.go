@@ -146,6 +146,11 @@ func (p *StreamParser) top(doc *Node) *Node {
 // Tokenizer accepts; an empty text or CDATA run makes no node (XPath has
 // no empty text nodes).
 func (p *StreamParser) Parse(src []byte) (*Node, error) {
+	return p.parse(src, nil)
+}
+
+// parse is the one tree builder; a nil m is the live path.
+func (p *StreamParser) parse(src []byte, m *meter) (*Node, error) {
 	p.ci, p.ni = 0, 0
 	p.kids = p.kids[:0]
 	p.pending = p.pending[:0]
@@ -155,10 +160,19 @@ func (p *StreamParser) Parse(src []byte) (*Node, error) {
 	p.tz.Reset(src)
 
 	doc := p.alloc(Document)
+	if m != nil {
+		m.node(doc, 0, 0)
+	}
 	for {
+		if m != nil {
+			m.pos, m.lead = p.tz.pos, p.tz.phase != phContent
+		}
 		tok, err := p.tz.Next()
 		if err != nil {
 			return nil, err
+		}
+		if m != nil {
+			m.scan(tok, p.tz.pos)
 		}
 		switch tok.Kind {
 		case TokEOF:
@@ -173,12 +187,18 @@ func (p *StreamParser) Parse(src []byte) (*Node, error) {
 			n.Name = zc.String(tok.Name)
 			_, n.Local = SplitName(n.Name)
 			n.Parent = p.top(doc)
+			if m != nil {
+				m.node(n, 0, p.nth())
+			}
 			for _, a := range tok.Attrs {
 				val := zc.String(a.RawValue)
 				if a.HasEntity {
 					val = p.decode(a.RawValue)
 				}
 				n.Attrs = append(n.Attrs, Attr{Name: zc.String(a.Name), Value: val})
+			}
+			if m != nil {
+				m.startTag(tok, n, p.tz.pos)
 			}
 			if tok.SelfClose {
 				p.pending = append(p.pending, n)
@@ -206,22 +226,26 @@ func (p *StreamParser) Parse(src []byte) (*Node, error) {
 				n.Data = zc.String(tok.Raw)
 			}
 			n.Parent = p.top(doc)
+			if m != nil {
+				m.node(n, len(n.Data), p.nth())
+			}
 			p.pending = append(p.pending, n)
 
-		case TokComment:
-			n := p.alloc(Comment)
+		case TokComment, TokProcInst, TokDecl:
+			kind := Comment
+			if tok.Kind != TokComment {
+				kind = ProcInst
+			}
+			n := p.alloc(kind)
 			n.Data = zc.String(tok.Raw)
 			n.Parent = p.top(doc)
-			p.pending = append(p.pending, n)
-
-		case TokProcInst, TokDecl:
-			n := p.alloc(ProcInst)
-			n.Data = zc.String(tok.Raw)
-			n.Parent = p.top(doc)
+			if m != nil {
+				m.node(n, len(n.Data), p.nth())
+			}
 			p.pending = append(p.pending, n)
 
 		case TokDoctype:
-			// Skipped, matching the DOM parser (no node).
+			// Skipped: no node.
 		}
 	}
 }

@@ -179,7 +179,7 @@ func TestAttrEntitiesLinear(t *testing.T) {
 
 // FuzzTokenizerVsOracle is the differential fuzzer between the Tokenizer
 // and the scanner it replaced. FuzzStreamVsDOM cannot stand in for it:
-// both of its tree builders sit on the same tokenizer.
+// both of its parses sit on the same tokenizer.
 func FuzzTokenizerVsOracle(f *testing.F) {
 	for _, src := range oracleSeeds() {
 		f.Add(src)

@@ -39,7 +39,7 @@ func forwardPath(root node) *pathExpr {
 // keeps the best match so far and skips every candidate at or after it:
 // whatever a forward path reaches from a node is at or after that node,
 // and an axis hands out its candidates in document order, so the first
-// one skipped ends its axis. Slab and heap nodes carry Ord, so the test is
+// one skipped ends its axis. Every tree node carries Ord, so the test is
 // one comparison. With exists set (EvalBool) the first match ends the walk.
 //
 // The result is held as its Ord plus the node, or for an attribute its

@@ -3,6 +3,7 @@ package xpath
 import (
 	"testing"
 
+	"repro/internal/perf/trace"
 	"repro/internal/perf/trace/tracetest"
 	"repro/internal/workload"
 	"repro/internal/xmldom"
@@ -44,15 +45,17 @@ var emittedGolden = [][3]streamGolden{
 }
 
 // TestEmittedStreamGolden checks that the simulator sees the same
-// program: instrumented parse + Eval + EvalString emit exactly the
+// program: metered parse + Eval + EvalString emit exactly the
 // micro-op sequence the previous evaluator emitted.
 func TestEmittedStreamGolden(t *testing.T) {
+	sp := xmldom.AcquireStreamParser()
+	defer sp.Release()
 	for i, src := range exprTable {
 		e := MustCompile(src)
 		for seed := uint64(1); seed <= 3; seed++ {
 			em := tracetest.NewHashEmitter()
 			msg := workload.SOAPMessageSeeded(int(seed), workload.MessageBytes, seed)
-			doc, err := xmldom.ParseInstrumented(msg, em, 1<<32, nil)
+			doc, err := sp.ParseMetered(msg, em, 1<<32, trace.NewArena(1<<40, 1<<26))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -322,7 +322,8 @@ func mustParse(t testing.TB, src []byte) *xmldom.Node {
 
 // TestSameAnswersAsOracle compares the evaluator with the oracle over both
 // expression tables, on seeded valid and invalid workload messages built
-// by both tree builders and on the hand-written nesting documents.
+// by Parse and by a pooled StreamParser and on the hand-written nesting
+// documents.
 func TestSameAnswersAsOracle(t *testing.T) {
 	var exprs []*Expr
 	for _, src := range append(append([]string{}, exprTable...), nestingExprs...) {

@@ -26,7 +26,7 @@ func depth(n *xmldom.Node) int {
 }
 
 // checkAgainstOracle validates src against s with the validator and with
-// the reference it replaced, each behind its own instrumented parse, and
+// the reference it replaced, each behind its own metered parse, and
 // requires the same emitted stream and the same errors in the same order;
 // the uninstrumented entry point over a StreamParser tree must report the
 // same errors again. The verdict-only entry points must agree with the
@@ -36,8 +36,10 @@ func checkAgainstOracle(t *testing.T, s *xsd.Schema, src []byte) {
 	t.Helper()
 	got := validateInstrumented(t, s, src)
 
+	mp := xmldom.AcquireStreamParser()
+	defer mp.Release()
 	vem := tracetest.NewHashEmitter()
-	vdoc, err := xmldom.ParseInstrumented(src, vem, 1<<32, nil)
+	vdoc, err := parseMetered(mp, src, vem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +52,7 @@ func checkAgainstOracle(t *testing.T, s *xsd.Schema, src []byte) {
 	defer sp.Release()
 	live, err := sp.Parse(src)
 	if err != nil {
-		t.Fatalf("StreamParser rejects what ParseInstrumented accepted: %v", err)
+		t.Fatalf("Parse rejects what ParseMetered accepted: %v", err)
 	}
 	var plain []string
 	for _, e := range xsd.Validate(s, live) {
@@ -67,7 +69,7 @@ func checkAgainstOracle(t *testing.T, s *xsd.Schema, src []byte) {
 	}
 
 	em := tracetest.NewHashEmitter()
-	doc, err := xmldom.ParseInstrumented(src, em, 1<<32, nil)
+	doc, err := parseMetered(mp, src, em)
 	if err != nil {
 		t.Fatal(err)
 	}

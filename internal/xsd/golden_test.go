@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/perf/trace"
 	"repro/internal/perf/trace/tracetest"
 	"repro/internal/workload"
 	"repro/internal/xmldom"
@@ -63,11 +64,19 @@ type validateGolden struct {
 	errs   []string
 }
 
-// validateInstrumented is what the simulator runs for SV: instrumented
-// parse, then the instrumented validator, one emitter across both.
+// parseMetered parses src on sp as the simulator does, into a fresh node
+// arena placed where the goldens were recorded.
+func parseMetered(sp *xmldom.StreamParser, src []byte, em trace.Emitter) (*xmldom.Node, error) {
+	return sp.ParseMetered(src, em, 1<<32, trace.NewArena(1<<40, 1<<26))
+}
+
+// validateInstrumented is what the simulator runs for SV: metered parse,
+// then the instrumented validator, one emitter across both.
 func validateInstrumented(t testing.TB, s *xsd.Schema, src []byte) validateGolden {
+	sp := xmldom.AcquireStreamParser()
+	defer sp.Release()
 	em := tracetest.NewHashEmitter()
-	doc, err := xmldom.ParseInstrumented(src, em, 1<<32, nil)
+	doc, err := parseMetered(sp, src, em)
 	if err != nil {
 		t.Fatalf("%.60q: %v", src, err)
 	}
