@@ -18,8 +18,8 @@
 //
 // -resp-size pads the JSON ack (reverse-path wire cost); -delay emulates
 // backend service time; -fail-first N drops the first N requests without
-// responding (connection closed — exercises the gateway's retry and
-// health-probe paths). POST /fault scripts runtime fault storms —
+// responding (connection closed — exercises the gateway's 502 path).
+// POST /fault scripts runtime fault storms —
 // fail-next-N, error-rate, latency-inflation, down-for-duration — which
 // is how cmd/aoncamp drives scripted fault campaigns; -seed keys the
 // deterministic error-rate draw. GET /stats serves the live counters as

@@ -16,9 +16,10 @@
 //
 // With -order/-error set (cmd/aonback instances, local or remote), the
 // gateway is the paper's true forwarding proxy: pipeline outcomes are
-// relayed to the routed backend over pooled keep-alive connections with
-// retries, background health probing, and 502/504 mapping; /stats gains
-// a per-backend "upstream" section. Without them it answers in place.
+// relayed to the routed backend over pooled keep-alive connections, one
+// try per request: a dial or IO failure answers 502, a deadline expiry
+// (-up-timeout) 504. /stats gains a per-backend "upstream" section.
+// Without them it answers in place.
 //
 // With -counters, /stats gains a "counters" section: windowed
 // perf_event_open deltas and derived CPI/cache-MPI/BrMPR (the paper's
@@ -91,11 +92,8 @@ func main() {
 	idle := flag.Duration("idle-timeout", 0, "client connection read deadline (0 = 60s default, negative disables)")
 	order := flag.String("order", "", "order backend address (enables upstream forwarding)")
 	errAddr := flag.String("error", "", "error backend address (enables upstream forwarding)")
-	upRetries := flag.Int("up-retries", 0, "extra upstream tries on dial/IO failure (0 = default 2)")
-	upTimeout := flag.Duration("up-timeout", 0, "per-try upstream deadline (0 = default 5s)")
+	upTimeout := flag.Duration("up-timeout", 0, "upstream round-trip deadline; past it the client gets 504 (0 = default 5s)")
 	upIdle := flag.Int("up-idle", 0, "max idle keep-alive conns per backend (0 = default 8)")
-	upMinIdle := flag.Int("up-min-idle", 0, "pre-warm each backend pool to this many idle conns (0 = off)")
-	upLifetime := flag.Duration("up-max-lifetime", 0, "evict pooled backend conns older than this (0 = no limit)")
 	hwCounters := flag.Bool("counters", false, "enable the live measurement layer: perf_event_open counters on /stats (falls back to runtime metrics where perf is denied)")
 	timeline := flag.Bool("timeline", false, "run a sampling session: fixed-interval samples on GET /timeline (implies -counters)")
 	sampleInterval := flag.Duration("sample-interval", 100*time.Millisecond, "timeline sampling period (must be positive)")
@@ -177,11 +175,8 @@ func main() {
 		Upstream: upstream.Config{
 			Order:             *order,
 			Error:             *errAddr,
-			Retries:           *upRetries,
 			TryTimeout:        *upTimeout,
 			MaxIdlePerBackend: *upIdle,
-			MinIdlePerBackend: *upMinIdle,
-			MaxConnLifetime:   *upLifetime,
 		},
 		Counters:              *hwCounters,
 		Timeline:              *timeline,

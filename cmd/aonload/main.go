@@ -21,7 +21,7 @@
 // In sweep mode, -selfback stands up in-process order/error backends on
 // loopback (or -order/-error point at running cmd/aonback instances), so
 // the swept gateway forwards for real: the table gains the order
-// backend's p50 round-trip latency and the upstream retry count.
+// backend's p50 round-trip latency.
 //
 // -counters adds the paper's counter columns to the sweep table: per-
 // GOMAXPROCS CPI and BrMPR measured with perf_event_open (Tables 4/6

@@ -631,8 +631,9 @@ func appendVerdict(dst []byte, uc, out, route string) []byte {
 
 // forward relays one processed message to the route's backend and fills
 // resp from the backend's answer. Forwarding failures map to 502
-// (unreachable/down) or 504 (timed out) — bounded by the upstream retry
-// budget, so the client never hangs on a dead backend. The upstream
+// (unreachable, dropped) or 504 (timed out) — bounded by the upstream
+// dial and round-trip deadlines, so the client never hangs on a dead
+// backend. The upstream
 // request header is built in the connection's scratch and written vectored
 // with the body view, so forwarding copies no payload bytes. With rec
 // set, the trace context propagates on an X-AON-Trace header whose

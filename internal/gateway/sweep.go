@@ -67,10 +67,9 @@ func RunSweep(procs []int, cfg LoadConfig, gw Config) ([]SweepResult, error) {
 // FormatSweepTable renders the paper-style scaling table: absolute
 // throughput per width plus the scaling factor relative to the first row
 // (the paper's "performance scalability from one processing unit to two",
-// Section 4.2). When the gateway ran in forwarding mode, two upstream
-// columns appear: the order backend's p50 round-trip latency (the
-// device→endpoint hop the end-to-end FR topology adds) and total retries
-// across backends. When the measurement layer was on, three counter
+// Section 4.2). When the gateway ran in forwarding mode, an upstream
+// column appears: the order backend's p50 round-trip latency (the
+// device→endpoint hop the end-to-end FR topology adds). When the measurement layer was on, three counter
 // columns follow — CPI and BrMPR per width (the paper's Tables 4/6 next
 // to its Figures 5/6 throughput) and the GC CPU share; in the
 // runtime-only fallback the derived values are model predictions, marked
@@ -89,7 +88,7 @@ func FormatSweepTable(rows []SweepResult) string {
 	fmt.Fprintf(&b, "%-10s %10s %9s %9s %9s %9s %8s",
 		"GOMAXPROCS", "msgs/s", "Mbps", "p50(us)", "p99(us)", "shed", "scaling")
 	if forwarding {
-		fmt.Fprintf(&b, " %10s %8s", "up-p50(us)", "retries")
+		fmt.Fprintf(&b, " %10s", "up-p50(us)")
 	}
 	if counters {
 		fmt.Fprintf(&b, " %8s %8s %6s", "cpi", "brmpr%", "gc%")
@@ -110,14 +109,11 @@ func FormatSweepTable(rows []SweepResult) string {
 			r.Report.Latency.P50US, r.Report.Latency.P99US,
 			r.Report.Shed, scaling)
 		if forwarding {
-			var upP50, retries uint64
+			var upP50 uint64
 			if o, ok := r.Server.Upstream["order"]; ok {
 				upP50 = o.Latency.P50US
 			}
-			for _, s := range r.Server.Upstream {
-				retries += s.Retries
-			}
-			fmt.Fprintf(&b, " %10d %8d", upP50, retries)
+			fmt.Fprintf(&b, " %10d", upP50)
 		}
 		if counters {
 			if c := r.Server.Counters; c != nil {

@@ -123,9 +123,6 @@ func (s *Server) takeSample(tl *timelineState) session.Sample {
 	if s.fwd != nil {
 		for _, b := range s.fwd.Snapshot() {
 			smp.UpstreamIdle += b.IdleConns
-			if b.Healthy {
-				smp.UpstreamHealthy++
-			}
 		}
 	}
 	return smp

@@ -111,7 +111,7 @@ func TestResponseTableEveryClient(t *testing.T) {
 	for _, tc := range httpmsg.ResponseCases {
 		addr := canned(t, tc.Wire)
 
-		fwd, err := upstream.New(upstream.Config{Order: addr, BackoffBase: time.Millisecond, TryTimeout: 2 * time.Second})
+		fwd, err := upstream.New(upstream.Config{Order: addr, TryTimeout: 2 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func TestResponseTableEveryClient(t *testing.T) {
 func TestHostileResponseLengthIs502(t *testing.T) {
 	addr := canned(t, "HTTP/1.1 200 OK\r\nContent-Length: 1125899906842624\r\n\r\n") // 1<<50
 	gw, err := gateway.New(gateway.Config{Upstream: upstream.Config{
-		Order: addr, Error: addr, Retries: 1, BackoffBase: time.Millisecond, TryTimeout: 2 * time.Second,
+		Order: addr, Error: addr, TryTimeout: 2 * time.Second,
 	}})
 	if err != nil {
 		t.Fatal(err)

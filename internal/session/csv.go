@@ -19,7 +19,7 @@ var csvHeader = []string{
 	"cpi", "cache_mpi_pct", "br_mpr_pct", "derived_source",
 	"cpus", "cpu_cpi_min", "cpu_cpi_max", "gomaxprocs",
 	"goroutines", "gc_cpu_pct", "sched_lat_p99_us",
-	"upstream_idle_conns", "upstream_healthy",
+	"upstream_idle_conns",
 }
 
 // csvRecord flattens one sample into the csvHeader column order.
@@ -34,7 +34,7 @@ func csvRecord(s Sample) []string {
 		f(s.CPI), f(s.CacheMPI), f(s.BrMPR), s.DerivedSource,
 		strconv.Itoa(len(s.CPUs)), f(cpiMin), f(cpiMax), strconv.Itoa(s.GOMAXPROCS),
 		strconv.Itoa(s.Goroutines), f(s.GCCPUPct), f(s.SchedLatP99US),
-		strconv.Itoa(s.UpstreamIdle), strconv.Itoa(s.UpstreamHealthy),
+		strconv.Itoa(s.UpstreamIdle),
 	}
 }
 

@@ -36,7 +36,7 @@ type CPUSample struct {
 // Sample is one fixed-interval observation: gateway throughput deltas
 // over the window, the latency view, the derived counter metrics
 // (process aggregate plus per-CPU), runtime-health gauges, and the
-// upstream pool gauges when the gateway forwards.
+// upstream pool gauge when the gateway forwards.
 type Sample struct {
 	// TMS is the sample's wall-clock time in Unix milliseconds.
 	TMS int64 `json:"t_ms"`
@@ -71,9 +71,9 @@ type Sample struct {
 	GCCPUPct      float64 `json:"gc_cpu_pct"`
 	SchedLatP99US float64 `json:"sched_lat_p99_us"`
 
-	// Upstream pool gauges (zero when the gateway answers in place).
-	UpstreamIdle    int `json:"upstream_idle_conns,omitempty"`
-	UpstreamHealthy int `json:"upstream_healthy,omitempty"`
+	// UpstreamIdle is the upstream pools' idle-connection gauge (zero
+	// when the gateway answers in place).
+	UpstreamIdle int `json:"upstream_idle_conns,omitempty"`
 }
 
 // sampleRing is the bounded sample buffer: the newest Capacity samples win,

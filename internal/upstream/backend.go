@@ -31,7 +31,7 @@ type BackendConfig struct {
 	Delay time.Duration
 	// FailFirst makes the server close the connection without responding
 	// for the first N requests — a fault-injection knob for the
-	// retry-then-success path. It seeds the runtime fail-next budget,
+	// forwarder's failure path. It seeds the runtime fail-next budget,
 	// which POST /fault can replenish later.
 	FailFirst int
 	// Seed keys the deterministic error-rate draw (see FaultSpec), so a

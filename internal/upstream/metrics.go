@@ -11,15 +11,10 @@ import (
 // next to the gateway's own service times.
 type metrics struct {
 	Forwarded atomic.Uint64 // successful round trips
-	Retries   atomic.Uint64 // extra tries beyond the first
-	Failures  atomic.Uint64 // failed tries (dial or IO)
-	Timeouts  atomic.Uint64 // failed tries that were deadline expiries
-	FastFails atomic.Uint64 // shed without dialing: circuit open
+	Failures  atomic.Uint64 // failed round trips (dial or IO)
+	Timeouts  atomic.Uint64 // failed round trips that were deadline expiries
 	Dials     atomic.Uint64 // pool misses (new sockets)
 	PoolHits  atomic.Uint64 // pool hits (reused sockets)
-	Downs     atomic.Uint64 // transitions to down
-	Probes    atomic.Uint64 // background recovery probes attempted
-	Prewarmed atomic.Uint64 // conns pre-dialed by the prober to the MinIdle floor
 	Latency   lhist.Hist    // successful round-trip latency
 }
 
@@ -27,40 +22,29 @@ type metrics struct {
 // gateway's /stats "upstream" section.
 type Snapshot struct {
 	Addr      string         `json:"addr"`
-	Healthy   bool           `json:"healthy"`
 	Forwarded uint64         `json:"forwarded"`
-	Retries   uint64         `json:"retries"`
 	Failures  uint64         `json:"failures"`
 	Timeouts  uint64         `json:"timeouts"`
-	FastFails uint64         `json:"fastfail_down"`
 	Dials     uint64         `json:"dials_pool_miss"`
 	PoolHits  uint64         `json:"pool_hits"`
 	OpenConns int64          `json:"open_conns"`
 	IdleConns int            `json:"idle_conns"`
-	Downs     uint64         `json:"marked_down"`
-	Probes    uint64         `json:"probes"`
-	Prewarmed uint64         `json:"prewarmed_conns"`
-	Expired   uint64         `json:"expired_conns"`
 	Latency   lhist.Snapshot `json:"latency"`
+	// Retries is always 0: a request gets one try. The field stays only
+	// because bench's upstream.retries row sums it; /stats omits it.
+	Retries uint64 `json:"-"`
 }
 
-func (b *Backend) snapshot() Snapshot {
+func (b *backend) snapshot() Snapshot {
 	return Snapshot{
 		Addr:      b.addr,
-		Healthy:   b.hp.healthy(),
 		Forwarded: b.m.Forwarded.Load(),
-		Retries:   b.m.Retries.Load(),
 		Failures:  b.m.Failures.Load(),
 		Timeouts:  b.m.Timeouts.Load(),
-		FastFails: b.m.FastFails.Load(),
 		Dials:     b.m.Dials.Load(),
 		PoolHits:  b.m.PoolHits.Load(),
 		OpenConns: b.pool.open.Load(),
 		IdleConns: b.pool.idleCount(),
-		Downs:     b.m.Downs.Load(),
-		Probes:    b.m.Probes.Load(),
-		Prewarmed: b.m.Prewarmed.Load(),
-		Expired:   b.pool.expired.Load(),
 		Latency:   b.m.Latency.Snapshot(),
 	}
 }

@@ -22,14 +22,12 @@ func testRequest(n int) []byte {
 		len(body), body))
 }
 
-// fastCfg keeps retry/backoff/probe delays test-sized.
+// fastCfg keeps the deadlines test-sized.
 func fastCfg(order string) Config {
 	return Config{
-		Order:         order,
-		DialTimeout:   500 * time.Millisecond,
-		TryTimeout:    2 * time.Second,
-		BackoffBase:   time.Millisecond,
-		ProbeInterval: 25 * time.Millisecond,
+		Order:       order,
+		DialTimeout: 500 * time.Millisecond,
+		TryTimeout:  2 * time.Second,
 	}
 }
 
@@ -75,43 +73,42 @@ func TestPoolReuse(t *testing.T) {
 	}
 }
 
-// TestRetryThenSuccess: the backend drops the first two exchanges
-// mid-flight; the forwarder re-dials and the third try wins.
-func TestRetryThenSuccess(t *testing.T) {
-	be, err := StartBackend("127.0.0.1:0", BackendConfig{Name: "order", FailFirst: 2})
+// TestDroppedExchangeAnswersOnce: a backend that drops an exchange
+// mid-flight fails that round trip at once — one failed try, a 502, no
+// second try — and its socket never returns to the pool, so the next
+// round trip dials anew and succeeds.
+func TestDroppedExchangeAnswersOnce(t *testing.T) {
+	be, err := StartBackend("127.0.0.1:0", BackendConfig{Name: "order", FailFirst: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer be.Close()
-	cfg := fastCfg(be.Addr().String())
-	cfg.Retries = 2
-	f, err := New(cfg)
+	f, err := New(fastCfg(be.Addr().String()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
 
-	res, err := f.RoundTrip("order", testRequest(0))
-	if err != nil {
-		t.Fatalf("round trip should survive two injected failures: %v", err)
+	if _, err := f.RoundTrip("order", testRequest(0)); err == nil || StatusFor(err) != 502 {
+		t.Fatalf("dropped exchange: err=%v, want a 502 error", err)
 	}
-	if res.Tries != 3 {
-		t.Fatalf("tries=%d, want 3", res.Tries)
+	res, err := f.RoundTrip("order", testRequest(1))
+	if err != nil || res.Status != 200 || res.Reused {
+		t.Fatalf("round trip after the drop: res=%+v err=%v, want 200 on a fresh dial", res, err)
 	}
 	s := f.Snapshot()["order"]
-	if s.Retries != 2 || s.Failures != 2 || s.Forwarded != 1 {
-		t.Fatalf("retries=%d failures=%d forwarded=%d, want 2/2/1", s.Retries, s.Failures, s.Forwarded)
+	if s.Failures != 1 || s.Forwarded != 1 || s.Dials != 2 || s.OpenConns != 1 {
+		t.Fatalf("failures=%d forwarded=%d dials=%d open=%d, want 1/1/2/1", s.Failures, s.Forwarded, s.Dials, s.OpenConns)
 	}
-	if !s.Healthy {
-		t.Fatal("two failures under threshold 3 must not mark down")
+	if be.Requests.Load() != 1 {
+		t.Fatalf("backend answered %d requests, want 1", be.Requests.Load())
 	}
 }
 
-// TestDownFastFailAndRecovery is the circuit's life cycle: consecutive
-// dial failures mark the backend down, traffic then sheds 502 without
-// dialing, and once the backend returns, the background prober restores
-// it and traffic flows again.
-func TestDownFastFailAndRecovery(t *testing.T) {
+// TestRefusedBackendRecovers: while the backend's port refuses
+// connections every round trip is a prompt 502, and the first round trip
+// after it comes back succeeds — no state outlives the outage.
+func TestRefusedBackendRecovers(t *testing.T) {
 	// Reserve a port, then close it so dials are refused.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -120,95 +117,21 @@ func TestDownFastFailAndRecovery(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 
-	cfg := fastCfg(addr)
-	cfg.Retries = 0
-	cfg.FailThreshold = 2
-	f, err := New(cfg)
+	f, err := New(fastCfg(addr))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
 
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		if _, err := f.RoundTrip("order", testRequest(i)); err == nil {
 			t.Fatalf("round trip %d should fail against a closed port", i)
 		} else if StatusFor(err) != 502 {
 			t.Fatalf("round trip %d: status %d, want 502", i, StatusFor(err))
 		}
 	}
-	s := f.Snapshot()["order"]
-	if s.Healthy || s.Downs != 1 {
-		t.Fatalf("after threshold failures: healthy=%v downs=%d", s.Healthy, s.Downs)
-	}
-
-	// Circuit open: fast-fail without another request-path dial (probing
-	// is the background prober's job and never counts in Dials).
-	dialsBefore := s.Dials
-	if _, err := f.RoundTrip("order", testRequest(2)); !errors.Is(err, errDown) {
-		t.Fatalf("want errDown while circuit open, got %v", err)
-	}
-	s = f.Snapshot()["order"]
-	if s.Dials != dialsBefore || s.FastFails == 0 {
-		t.Fatalf("fast-fail dialed: dials %d→%d fastfails=%d", dialsBefore, s.Dials, s.FastFails)
-	}
-
-	// Backend comes back on the same port; the background prober notices
-	// within ProbeInterval and restores the circuit — requests only see
-	// errDown until then.
-	be, err := StartBackend(addr, BackendConfig{Name: "order"})
-	if err != nil {
-		t.Fatalf("restart backend on %s: %v", addr, err)
-	}
-	defer be.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		res, err := f.RoundTrip("order", testRequest(3))
-		if err == nil {
-			if res.Status != 200 {
-				t.Fatalf("recovered round trip: %+v", res)
-			}
-			break
-		}
-		if !errors.Is(err, errDown) {
-			t.Fatalf("while down, requests must fast-fail with errDown, got %v", err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("backend never recovered: %v", err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	s = f.Snapshot()["order"]
-	if !s.Healthy || s.Probes == 0 {
-		t.Fatalf("after recovery: healthy=%v probes=%d", s.Healthy, s.Probes)
-	}
-}
-
-// TestProberRestoresWithoutTraffic: recovery must not depend on request
-// traffic at all — the background prober alone flips the circuit closed
-// once the backend is back, and its probe socket is adopted into the
-// pool so the first post-recovery request skips the dial.
-func TestProberRestoresWithoutTraffic(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-
-	cfg := fastCfg(addr)
-	cfg.Retries = 0
-	cfg.FailThreshold = 1
-	f, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-
-	if _, err := f.RoundTrip("order", testRequest(0)); err == nil {
-		t.Fatal("round trip should fail against a closed port")
-	}
-	if s := f.Snapshot()["order"]; s.Healthy {
-		t.Fatal("one failure at threshold 1 must mark down")
+	if s := f.Snapshot()["order"]; s.Failures != 3 || s.Dials != 3 {
+		t.Fatalf("failures=%d dials=%d, want 3/3", s.Failures, s.Dials)
 	}
 
 	be, err := StartBackend(addr, BackendConfig{Name: "order"})
@@ -216,114 +139,9 @@ func TestProberRestoresWithoutTraffic(t *testing.T) {
 		t.Fatalf("restart backend on %s: %v", addr, err)
 	}
 	defer be.Close()
-
-	// No traffic from here on: only the prober can restore the circuit.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s := f.Snapshot()["order"]
-		if s.Healthy {
-			if s.Probes == 0 {
-				t.Fatalf("restored without a probe? %+v", s)
-			}
-			if s.IdleConns == 0 {
-				t.Fatalf("probe socket not adopted into the pool: %+v", s)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("prober never restored the backend: %+v", s)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	res, err := f.RoundTrip("order", testRequest(1))
+	res, err := f.RoundTrip("order", testRequest(3))
 	if err != nil || res.Status != 200 {
-		t.Fatalf("post-recovery round trip: res=%+v err=%v", res, err)
-	}
-	if s := f.Snapshot()["order"]; s.PoolHits == 0 {
-		t.Fatalf("post-recovery request should ride the adopted socket: %+v", s)
-	}
-}
-
-// TestPrewarmMinIdle: with a MinIdle floor the prober fills the pool
-// before any traffic, and the first requests are pool hits — zero
-// request-path dials.
-func TestPrewarmMinIdle(t *testing.T) {
-	be, err := StartBackend("127.0.0.1:0", BackendConfig{Name: "order"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer be.Close()
-	cfg := fastCfg(be.Addr().String())
-	cfg.MinIdlePerBackend = 4
-	f, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s := f.Snapshot()["order"]
-		if s.IdleConns >= 4 {
-			if s.Prewarmed < 4 {
-				t.Fatalf("idle floor reached with prewarmed=%d", s.Prewarmed)
-			}
-			if s.Dials != 0 {
-				t.Fatalf("pre-warming must not count as request dials: %+v", s)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("pool never pre-warmed to 4: %+v", s)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	res, err := f.RoundTrip("order", testRequest(0))
-	if err != nil || res.Status != 200 {
-		t.Fatalf("round trip: res=%+v err=%v", res, err)
-	}
-	if s := f.Snapshot()["order"]; s.Dials != 0 || s.PoolHits != 1 {
-		t.Fatalf("first request should be a pool hit on a pre-warmed conn: dials=%d hits=%d",
-			s.Dials, s.PoolHits)
-	}
-}
-
-// TestMaxLifetimeEviction: a pooled conn older than MaxConnLifetime is
-// evicted at checkout and replaced with a fresh dial, and the eviction
-// is counted.
-func TestMaxLifetimeEviction(t *testing.T) {
-	be, err := StartBackend("127.0.0.1:0", BackendConfig{Name: "order"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer be.Close()
-	cfg := fastCfg(be.Addr().String())
-	cfg.MaxConnLifetime = 30 * time.Millisecond
-	f, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-
-	if _, err := f.RoundTrip("order", testRequest(0)); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(60 * time.Millisecond) // pooled conn outlives its lifetime
-
-	res, err := f.RoundTrip("order", testRequest(1))
-	if err != nil || res.Status != 200 {
-		t.Fatalf("round trip after expiry: res=%+v err=%v", res, err)
-	}
-	if res.Reused {
-		t.Fatal("expired conn must not be reused")
-	}
-	s := f.Snapshot()["order"]
-	if s.Dials != 2 || s.Expired == 0 {
-		t.Fatalf("dials=%d expired=%d, want 2 dials and >0 evictions", s.Dials, s.Expired)
-	}
-	if s.Forwarded != 2 {
-		t.Fatalf("forwarded=%d, want 2", s.Forwarded)
+		t.Fatalf("first round trip after recovery: res=%+v err=%v", res, err)
 	}
 }
 
@@ -337,7 +155,6 @@ func TestTryTimeoutMapsTo504(t *testing.T) {
 	defer be.Close()
 	cfg := fastCfg(be.Addr().String())
 	cfg.TryTimeout = 30 * time.Millisecond
-	cfg.Retries = 1
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -353,7 +170,7 @@ func TestTryTimeoutMapsTo504(t *testing.T) {
 		t.Fatalf("status %d, want 504 (%v)", StatusFor(err), err)
 	}
 	if el := time.Since(t0); el > 2*time.Second {
-		t.Fatalf("timed-out round trip took %v — per-try deadline not enforced", el)
+		t.Fatalf("timed-out round trip took %v — the deadline was not enforced", el)
 	}
 	if s := f.Snapshot()["order"]; s.Timeouts == 0 {
 		t.Fatalf("timeouts=%d, want >0", s.Timeouts)
@@ -450,9 +267,7 @@ func TestRoundTripIntoAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer be.Close()
-	cfg := fastCfg(be.Addr().String())
-	cfg.ProbeInterval = time.Hour // no prober pass inside the measurement
-	f, err := New(cfg)
+	f, err := New(fastCfg(be.Addr().String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -615,7 +430,7 @@ func openFDs(t *testing.T) int {
 // TestForwarderCloseLeavesNoGoroutineOrFD: after round trips down every
 // path that parks, drops or replaces a pooled socket — a pool hit, a
 // backend answer with Connection: close (the socket is discarded), an
-// injected drop (the retry dials afresh) — closing the forwarder and the
+// injected drop (the next round trip dials afresh) — closing the forwarder and the
 // backend returns the goroutine and fd counts to where they started.
 func TestForwarderCloseLeavesNoGoroutineOrFD(t *testing.T) {
 	goroutines, fds := runtime.NumGoroutine(), openFDs(t)
@@ -628,11 +443,14 @@ func TestForwarderCloseLeavesNoGoroutineOrFD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Injected drop: the first try's socket dies, the retry dials anew.
-	if res, err := f.RoundTrip("order", testRequest(0)); err != nil || res.Tries != 2 {
-		t.Fatalf("retry path: res=%+v err=%v", res, err)
+	// Injected drop: the round trip fails and its socket is discarded.
+	if _, err := f.RoundTrip("order", testRequest(0)); err == nil {
+		t.Fatal("drop path: want an error")
 	}
-	// Pool hit on the retry's socket.
+	if res, err := f.RoundTrip("order", testRequest(1)); err != nil || res.Reused {
+		t.Fatalf("after the drop the next round trip dials: res=%+v err=%v", res, err)
+	}
+	// Pool hit on that socket.
 	if res, err := f.RoundTrip("order", testRequest(1)); err != nil || !res.Reused {
 		t.Fatalf("pool-hit path: res=%+v err=%v", res, err)
 	}
