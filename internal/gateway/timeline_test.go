@@ -90,6 +90,10 @@ func TestTimelineEndpoint(t *testing.T) {
 				if m.force && s.DerivedSource != "model" {
 					t.Fatalf("forced fallback sample labeled %q, want model", s.DerivedSource)
 				}
+				// The model is a constant: even the first window carries it.
+				if m.force && s.CacheMPI <= 0 {
+					t.Fatalf("forced fallback sample with no model cache-MPI: %+v", s)
+				}
 				if len(s.CPUs) != runtime.NumCPU() {
 					t.Fatalf("sample has %d CPU entries, want %d: %+v", len(s.CPUs), runtime.NumCPU(), s)
 				}
@@ -99,6 +103,9 @@ func TestTimelineEndpoint(t *testing.T) {
 				for _, c := range s.CPUs {
 					if c.DerivedSource == "" || c.CPI <= 0 {
 						t.Fatalf("CPU entry missing derived metrics: %+v", c)
+					}
+					if c.DerivedSource == "model" && c.CacheMPI <= 0 {
+						t.Fatalf("model-sourced CPU entry with no cache-MPI: %+v", c)
 					}
 				}
 				if s.Messages > 0 {
@@ -264,8 +271,7 @@ func TestServerShutdownLeavesNoGoroutineOrFD(t *testing.T) {
 		return snap.Shed
 	}
 	// One warm-up cycle so lazily created runtime state (the netpoller's
-	// fds, the model cache behind the counters fallback) exists before
-	// the baseline is taken.
+	// fds) exists before the baseline is taken.
 	cycle()
 	baseGoroutines := runtime.NumGoroutine()
 	baseFDs, _ := countFDs()

@@ -5,18 +5,14 @@ package harness
 // perf-counter measurement layer) is replayed against the simulated
 // machine's model, and the per-use-case deltas are written as a
 // calibration artifact the simulator side can ingest — live CPI feeding
-// back into the model. It also hosts the cached model predictions the
-// gateway's runtime-only fallback publishes.
+// back into the model.
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/perf/counters"
-	"repro/internal/perf/machine"
 	"repro/internal/workload"
 )
 
@@ -157,69 +153,4 @@ func LoadCalibration(path string) (*Calibration, error) {
 		}
 	}
 	return &c, nil
-}
-
-// predictedOpts sizes the cached model runs below: long enough for a
-// steady window, short enough that a lazy first computation stays
-// sub-second.
-var predictedOpts = AONOpts{WarmupMsgs: 20, MeasureMsgs: 60, Window: 32}
-
-type predictedKey struct {
-	id machine.ConfigID
-	uc workload.UseCase
-}
-
-type predictedEntry struct {
-	once sync.Once
-	done atomic.Bool // set when once's body has finished
-	m    counters.Metrics
-	err  error
-}
-
-var (
-	predictedMu    sync.Mutex
-	predictedCache = map[predictedKey]*predictedEntry{}
-)
-
-// PredictedMetrics runs (once per process, then caches) a short
-// simulated measurement of uc on configuration id and returns the
-// model's predicted counter metrics. It is the source of the per-use-
-// case cache-MPI the runtime-only fallback publishes on /stats — the
-// paper's tables publish no per-use-case L2MPI, so the calibrated model
-// is the best available reference. The first call per key costs a model
-// run (~0.5s); callers on a sampling path should use
-// TryPredictedMetrics and warm this in the background.
-func PredictedMetrics(id machine.ConfigID, uc workload.UseCase) (counters.Metrics, error) {
-	key := predictedKey{id, uc}
-	predictedMu.Lock()
-	e, ok := predictedCache[key]
-	if !ok {
-		e = &predictedEntry{}
-		predictedCache[key] = e
-	}
-	predictedMu.Unlock()
-	e.once.Do(func() {
-		defer e.done.Store(true)
-		r, err := RunAON(id, uc, predictedOpts)
-		if err != nil {
-			e.err = err
-			return
-		}
-		e.m = r.Metrics
-	})
-	return e.m, e.err
-}
-
-// TryPredictedMetrics returns the cached prediction without computing:
-// ok is false until some PredictedMetrics call for the key has finished
-// (successfully). Sampling paths call this so a model run never blocks a
-// 100ms sampling tick.
-func TryPredictedMetrics(id machine.ConfigID, uc workload.UseCase) (counters.Metrics, bool) {
-	predictedMu.Lock()
-	e, ok := predictedCache[predictedKey{id, uc}]
-	predictedMu.Unlock()
-	if !ok || !e.done.Load() || e.err != nil {
-		return counters.Metrics{}, false
-	}
-	return e.m, true
 }

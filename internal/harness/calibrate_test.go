@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/perf/counters"
-	"repro/internal/perf/machine"
 	"repro/internal/workload"
 )
 
@@ -81,30 +80,6 @@ func TestLoadCalibrationRejectsEmpty(t *testing.T) {
 	}
 	if _, err := LoadCalibration(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("missing file accepted")
-	}
-}
-
-// TestPredictedMetricsCached runs the short model once and then serves
-// from cache: the second call must be effectively free and Try must see
-// the value. This is the source of the fallback path's cache-MPI.
-func TestPredictedMetricsCached(t *testing.T) {
-	if _, ok := TryPredictedMetrics(machine.TwoCPm, workload.SV); ok {
-		t.Log("prediction already cached by an earlier test; continuing")
-	}
-	m, err := PredictedMetrics(machine.TwoCPm, workload.SV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.CPI <= 0 {
-		t.Fatalf("predicted CPI=%v, want > 0", m.CPI)
-	}
-	got, ok := TryPredictedMetrics(machine.TwoCPm, workload.SV)
-	if !ok || got != m {
-		t.Fatalf("Try after compute: ok=%v got=%+v want %+v", ok, got, m)
-	}
-	m2, err := PredictedMetrics(machine.TwoCPm, workload.SV)
-	if err != nil || m2 != m {
-		t.Fatalf("second call not served from cache: %+v vs %+v (err %v)", m2, m, err)
 	}
 }
 
