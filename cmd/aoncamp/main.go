@@ -4,21 +4,32 @@
 // executed phase by phase while the gateway's /stats surface is sampled
 // into a phase-tagged session timeline. The output is a per-phase
 // Figure-5/6-style report — offered vs delivered load, latency
-// percentiles, stage windows, capacity model-error columns — plus
-// crash-safe JSONL/CSV artifacts the stock session readers parse.
+// percentiles, scaling against the first phase, stage windows, capacity
+// model-error columns — plus crash-safe JSONL/CSV artifacts the stock
+// session readers parse.
 //
 // Usage:
 //
 //	aoncamp -spec campaign.json -addr localhost:8080
 //	aoncamp -spec campaign.json -selfgate -selfback 2 -out artifacts/
 //	aoncamp -spec campaign.json -selfgate -idle-timeout 150ms   # slow-loris demo
+//	aoncamp -spec scaling.json -selfgate -counters              # 1→2 scaling with CPI
 //
-// -selfgate stands the gateway up in-process on loopback (like
-// `aonload -sweep` does), so one command runs a whole campaign; with
-// -selfback N it also self-hosts N fault-injectable backends, rewiring
-// the spec's backends list to them (first = order route, second = error
-// route). Fault steps in the spec then land on live POST /fault
-// endpoints.
+// -selfgate stands the gateway up in-process on loopback, so one command
+// runs a whole campaign; with -selfback N it also self-hosts N
+// fault-injectable backends, rewiring the spec's backends list to them
+// (first = order route, second = error route). Fault steps in the spec
+// then land on live POST /fault endpoints.
+//
+// The paper's scaling question is a spec of constant phases that differ
+// in "gomaxprocs" (EXPERIMENTS.md "Live gateway scaling sweep"). The
+// runner sets that width in this process, so such phases need -selfgate:
+// against any other gateway they fail. -counters turns on the
+// self-hosted gateway's measurement layer, and the report gains per-phase
+// CPI and BrMPR (the paper's Tables 4/6 beside its Figures 5/6) and the
+// GC CPU share. Where perf events are denied the campaign still
+// completes: the derived values are then model predictions, marked * in
+// the report, and the notice prints on stderr.
 //
 // Artifacts land in -out: session.jsonl + session.csv (written by the
 // runner, flushed per row), campaign-report.txt (the formatted report),
@@ -28,8 +39,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -37,30 +50,51 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/gateway"
+	"repro/internal/hwcount"
 	"repro/internal/upstream"
 )
 
-func main() {
-	specPath := flag.String("spec", "", "campaign spec JSON file (required)")
-	addr := flag.String("addr", "", "gateway address (overrides the spec's addr)")
-	out := flag.String("out", "aon-campaign", "artifact directory (session JSONL/CSV, report, result JSON)")
-	seed := flag.Uint64("seed", 0, "override the spec's generator seed (0 = keep the spec's)")
-	selfgate := flag.Bool("selfgate", false, "self-host an in-process gateway on loopback")
-	idle := flag.Duration("idle-timeout", 2*time.Second, "selfgate: client idle timeout (slow-loris phases shed when their trickle interval exceeds this)")
-	selfback := flag.Int("selfback", 0, "self-host N loopback backends and point the spec's backends list at them")
-	respSize := flag.Int("resp-size", 128, "self-hosted backend response body bytes")
-	backDelay := flag.Duration("back-delay", 0, "self-hosted backend service delay per message")
-	printReport := flag.Bool("print-report", true, "print the formatted report to stderr")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it parses args, prints the result JSON on stdout
+// and progress and the report on stderr, and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("aoncamp", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	specPath := fs.String("spec", "", "campaign spec JSON file (required)")
+	addr := fs.String("addr", "", "gateway address (overrides the spec's addr)")
+	out := fs.String("out", "aon-campaign", "artifact directory (session JSONL/CSV, report, result JSON)")
+	seed := fs.Uint64("seed", 0, "override the spec's generator seed (0 = keep the spec's)")
+	selfgate := fs.Bool("selfgate", false, "self-host an in-process gateway on loopback")
+	idle := fs.Duration("idle-timeout", 2*time.Second, "selfgate: client idle timeout (slow-loris phases shed when their trickle interval exceeds this)")
+	hwCounters := fs.Bool("counters", false, "selfgate: per-phase CPI/BrMPR/GC columns from perf_event_open (model-predicted where perf events are denied)")
+	selfback := fs.Int("selfback", 0, "self-host N loopback backends and point the spec's backends list at them")
+	respSize := fs.Int("resp-size", 128, "self-hosted backend response body bytes")
+	backDelay := fs.Duration("back-delay", 0, "self-hosted backend service delay per message")
+	printReport := fs.Bool("print-report", true, "print the formatted report to stderr")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "aoncamp:", err)
+		return code
+	}
 
 	if *specPath == "" {
-		fmt.Fprintln(os.Stderr, "aoncamp: -spec is required")
-		os.Exit(2)
+		return fail(2, errors.New("-spec is required"))
+	}
+	if *hwCounters && !*selfgate {
+		return fail(2, errors.New("-counters configures the -selfgate gateway; start an external one with aongate -counters"))
+	}
+	if *hwCounters && !hwcount.Supported() {
+		return fail(2, errors.New("-counters needs perf events, which this OS does not support"))
 	}
 	spec, err := campaign.LoadSpec(*specPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "aoncamp:", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 	if *seed != 0 {
 		spec.Seed = *seed
@@ -82,20 +116,18 @@ func main() {
 				Name: name, RespBytes: *respSize, Delay: *backDelay, Seed: spec.Seed + uint64(i),
 			})
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "aoncamp: backend:", err)
-				os.Exit(1)
+				return fail(1, fmt.Errorf("backend: %w", err))
 			}
 			defer b.Close()
 			addrs = append(addrs, b.Addr().String())
-			fmt.Fprintf(os.Stderr, "aoncamp: backend %s on %s (POST /fault live)\n", name, b.Addr())
+			fmt.Fprintf(stderr, "aoncamp: backend %s on %s (POST /fault live)\n", name, b.Addr())
 		}
 		spec.Backends = addrs
 	}
 	// Validation runs after the -selfback rewiring so fault steps are
 	// checked against the backends that will actually serve them.
 	if err := spec.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "aoncamp:", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 
 	target := *addr
@@ -111,14 +143,13 @@ func main() {
 			Trace:       true, // the report's stage and model columns read the traced stage histograms
 			IdleTimeout: *idle,
 			Upstream:    up,
+			Counters:    *hwCounters,
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "aoncamp: gateway:", err)
-			os.Exit(1)
+			return fail(1, fmt.Errorf("gateway: %w", err))
 		}
 		if err := srv.Start("127.0.0.1:0"); err != nil {
-			fmt.Fprintln(os.Stderr, "aoncamp: gateway:", err)
-			os.Exit(1)
+			return fail(1, fmt.Errorf("gateway: %w", err))
 		}
 		defer func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -130,37 +161,43 @@ func main() {
 		if up.Enabled() {
 			mode = fmt.Sprintf("forwarding (order=%s error=%s)", up.Order, up.Error)
 		}
-		fmt.Fprintf(os.Stderr, "aoncamp: gateway on %s, GOMAXPROCS %d, idle timeout %v, %s\n",
+		fmt.Fprintf(stderr, "aoncamp: gateway on %s, GOMAXPROCS %d, idle timeout %v, %s\n",
 			target, runtime.GOMAXPROCS(0), *idle, mode)
+		if *hwCounters {
+			if m, notice := srv.CountersMode(); m == "runtime-only" {
+				fmt.Fprintf(stderr, "aoncamp: counters: runtime-only mode: %s\n", notice)
+			} else {
+				fmt.Fprintf(stderr, "aoncamp: counters: %s mode (perf_event_open)\n", m)
+			}
+		}
 	}
 
 	res, err := campaign.Run(spec, campaign.Options{
 		Addr:   target,
 		OutDir: *out,
 		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
+			fmt.Fprintf(stderr, format+"\n", args...)
 		},
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "aoncamp:", err)
-		os.Exit(1)
+		return fail(1, err)
 	}
 
 	report := campaign.FormatReport(res)
 	resultJSON, _ := json.MarshalIndent(res, "", "  ")
 	if *out != "" {
-		writeArtifact(filepath.Join(*out, "campaign-report.txt"), []byte(report))
-		writeArtifact(filepath.Join(*out, "campaign-result.json"), append(resultJSON, '\n'))
+		for name, b := range map[string][]byte{
+			"campaign-report.txt":  []byte(report),
+			"campaign-result.json": append(resultJSON, '\n'),
+		} {
+			if err := os.WriteFile(filepath.Join(*out, name), b, 0o644); err != nil {
+				return fail(1, err)
+			}
+		}
 	}
 	if *printReport {
-		fmt.Fprint(os.Stderr, report)
+		fmt.Fprint(stderr, report)
 	}
-	fmt.Println(string(resultJSON))
-}
-
-func writeArtifact(path string, b []byte) {
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "aoncamp:", err)
-		os.Exit(1)
-	}
+	fmt.Fprintln(stdout, string(resultJSON))
+	return 0
 }

@@ -5,22 +5,20 @@
 // starts — or attaches to already-running instances by address (no SSH,
 // no agent: any node reachable over HTTP can join), keeps a cross-node
 // sampling session running by scraping every node's /stats and
-// /timeline on a fixed interval, and, with -sweep, drives one load
-// point per configured connection count.
+// /timeline on a fixed interval, and runs the config's campaign against
+// the first gateway.
 //
 // Usage:
 //
-//	aonfleet -config fleet.json -sweep      # launch, sweep, report, stop
-//	aonfleet -config fleet.json             # launch + observe until ^C
-//	aonfleet -config fleet.json -print-report
+//	aonfleet -config fleet.json                # launch, run the campaign, report, stop
+//	aonfleet -config fleet.json -print-report=false
 //
-// A config with a "campaign" block (a full internal/campaign scenario
-// spec: phased traffic shapes plus scripted fault storms) replaces the
-// sweep: the fleet launches, the campaign runs against the first
-// gateway — with empty "backends" filled from the topology's backend
-// nodes so fault steps hit their live POST /fault endpoints — and the
-// per-phase report lands next to the fleet report. "sweep.conns" and
-// "campaign" are mutually exclusive.
+// The "campaign" block is a full internal/campaign spec (see cmd/aoncamp):
+// a connection sweep is one constant phase per connection count, and
+// shaped phases and scripted fault storms work as they do there. Empty
+// "backends" are filled from the topology's backend nodes so fault steps
+// hit their live POST /fault endpoints. Without a campaign block the
+// fleet comes up and is observed until ^C.
 //
 // Topology config (see EXPERIMENTS.md for the full walkthrough):
 //
@@ -30,10 +28,12 @@
 //	  "nodes": [
 //	    {"role": "backend", "endpoint": "order", "addr": "127.0.0.1:9081", "count": 2},
 //	    {"role": "backend", "endpoint": "error", "addr": "127.0.0.1:9091"},
-//	    {"role": "gateway", "addr": "127.0.0.1:8080"},
-//	    {"role": "load"}
+//	    {"role": "gateway", "addr": "127.0.0.1:8080"}
 //	  ],
-//	  "sweep": {"conns": [1, 2, 4, 8], "messages": 2000, "usecase": "FR"}
+//	  "campaign": {"phases": [
+//	    {"name": "c1", "usecase": "FR", "duration_ms": 2000, "conns": 1},
+//	    {"name": "c2", "usecase": "FR", "duration_ms": 2000, "conns": 2}
+//	  ]}
 //	}
 //
 // Remote machines join via "attach": true plus their address — start
@@ -45,13 +45,13 @@
 // Artifacts land in out_dir: per-node logs, merged-session.jsonl
 // (written as scraped — crash-safe), per-node session CSVs, a merged
 // CSV (node/role/rel_ms columns prefixed; still readable by the stock
-// session tooling and aonsim -exp capacity), load reports per sweep
-// point, and fleet-report.txt — the combined Figure-5/6-style view with
-// per-node and fleet-total throughput, p50/p99, and CPI/cache-MPI where
-// nodes carry counters.
+// session tooling and aonsim -exp capacity), the campaign's report,
+// result and phase-tagged session, and fleet-report.txt — per campaign
+// phase, every node's throughput, p50/p99 and CPI/cache-MPI where it
+// carries counters, and the fleet-total gateway throughput.
 //
 // Exit status: 0 only when the campaign completed and every launched
-// node exited cleanly; any node failure, readiness timeout, or sweep
+// node exited cleanly; any node failure, readiness timeout, or campaign
 // error is non-zero.
 package main
 
@@ -67,7 +67,6 @@ import (
 
 func main() {
 	cfgPath := flag.String("config", "fleet.json", "fleet topology JSON")
-	sweep := flag.Bool("sweep", false, "drive the configured sweep campaign, then shut the fleet down")
 	printReport := flag.Bool("print-report", true, "print the combined fleet report to stdout")
 	flag.Parse()
 
@@ -91,7 +90,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	campaignErr := runCampaign(co, cfg, *sweep, sig)
+	campaignErr := runCampaign(co, cfg, sig)
 
 	report, finishErr := co.Finish()
 	if finishErr != nil {
@@ -111,27 +110,18 @@ func main() {
 	}
 }
 
-// runCampaign drives the configured load: a scenario campaign when the
-// config carries one (its presence is the opt-in — no flag needed), the
-// connection sweep under -sweep, or an observe-only hold until a signal
-// arrives. Both drivers are interruptible via the process signal.
-func runCampaign(co *fleet.Coordinator, cfg *fleet.Config, sweep bool, sig chan os.Signal) error {
-	if cfg.Campaign != nil {
-		return interruptible(co.RunCampaign, "campaign", sig)
+// runCampaign drives the config's campaign when it carries one (its
+// presence is the opt-in — no flag needed), or holds the fleet up for
+// observation until a signal arrives. The campaign runs in a goroutine
+// so a signal can abandon it (the fleet teardown still runs).
+func runCampaign(co *fleet.Coordinator, cfg *fleet.Config, sig chan os.Signal) error {
+	if cfg.Campaign == nil {
+		fmt.Fprintln(os.Stderr, "aonfleet: fleet up, scraping; ^C to stop")
+		<-sig
+		return nil
 	}
-	if sweep {
-		return interruptible(co.RunSweep, "sweep", sig)
-	}
-	fmt.Fprintln(os.Stderr, "aonfleet: fleet up, scraping; ^C to stop")
-	<-sig
-	return nil
-}
-
-// interruptible runs the driver in a goroutine so a signal can abandon
-// it (the fleet teardown still runs).
-func interruptible(run func() error, what string, sig chan os.Signal) error {
 	done := make(chan error, 1)
-	go func() { done <- run() }()
+	go func() { done <- co.RunCampaign() }()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -139,6 +129,6 @@ func interruptible(run func() error, what string, sig chan os.Signal) error {
 		}
 		return err
 	case s := <-sig:
-		return fmt.Errorf("aonfleet: %s interrupted by %v", what, s)
+		return fmt.Errorf("aonfleet: campaign interrupted by %v", s)
 	}
 }

@@ -34,8 +34,8 @@ type capacityArgs struct {
 //   - Scaling (-widths): the model re-solved at each width — saturation
 //     throughput, the admissible load under -target-p99 and the scaling
 //     factor over the first width: the analytic twin of Figure 3's one- to
-//     two-unit curves and of `aonload -sweep`'s measured table. With
-//     neither table asked for, widths 1,2,4,8.
+//     two-unit curves and of a gomaxprocs campaign's measured scale
+//     column. With neither table asked for, widths 1,2,4,8.
 //
 // The worker demand seeds from, highest precedence first: -demand-us, the
 // session's smallest positive p50 (the closest it came to a no-contention

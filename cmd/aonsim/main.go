@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	aonsim -exp all                 # every table and figure (default); exits 1 if a shape check fails
+//	aonsim -exp all                 # every table and figure (default)
 //	aonsim -exp fig2|table3         # netperf baselines (-netperf-ms sizes them)
 //	aonsim -exp fig3|table4|fig4|fig5|table5|table6
 //	aonsim -exp specs               # Table 1 / Table 2
@@ -19,6 +19,9 @@
 //	aonsim -exp capacity -calibration cal.json -usecase CBR
 //	aonsim -exp capacity -usecase XJ -widths 1,2,4   # built-in use-case seed
 //	aonsim -msgs 1200 -warmup 200   # measurement sizing
+//
+// Any experiment that prints shape checks exits 1 when one of them fails
+// (-checks=false prints none and exits 0).
 package main
 
 import (
@@ -147,14 +150,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cal.ApplyMatrix(amx)
 	}
 
+	// failed counts the failed shape checks a single experiment printed;
+	// -exp all counts its own below.
+	failed := 0
+	printChecks := func(cs []harness.ShapeCheck) {
+		if *checks && cs != nil {
+			fmt.Fprintln(stdout, harness.FormatChecks(cs))
+			failed += len(harness.FailedChecks(cs))
+		}
+	}
 	show := func(name string, t harness.Table, cs []harness.ShapeCheck) {
 		if *exp != "all" && *exp != name {
 			return
 		}
 		fmt.Fprintln(stdout, t.Render())
-		if *checks && cs != nil {
-			fmt.Fprintln(stdout, harness.FormatChecks(cs))
-		}
+		printChecks(cs)
 	}
 
 	if nmx != nil {
@@ -163,9 +173,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			for _, t := range harness.Table3Tables(nmx) {
 				fmt.Fprintln(stdout, t.Render())
 			}
-			if *checks {
-				fmt.Fprintln(stdout, harness.FormatChecks(harness.Table3Checks(nmx)))
-			}
+			printChecks(harness.Table3Checks(nmx))
 		}
 	}
 	if *exp == "util" {
@@ -197,6 +205,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, harness.FormatChecks(failed))
 			return 1
 		}
+		return 0
+	}
+	if failed > 0 {
+		return 1
 	}
 	return 0
 }

@@ -31,17 +31,31 @@ func TestUnknownExperimentRefused(t *testing.T) {
 	}
 }
 
-// TestFailedShapeChecksExitOne: -exp all exits 1 when a shape check
-// fails. Four measured messages are far too few for the paper's shapes
-// to hold, so some checks fail.
+// TestFailedShapeChecksExitOne: an experiment that prints shape checks
+// exits 1 when one fails, -exp all and the single experiments alike;
+// with -checks=false nothing is checked and the exit is 0. Four measured
+// messages are far too few for the paper's shapes to hold, so some
+// checks fail in each.
 func TestFailedShapeChecksExitOne(t *testing.T) {
-	var out, errb bytes.Buffer
-	code := run([]string{"-exp", "all", "-msgs", "4", "-warmup", "1", "-netperf-ms", "0.2"}, &out, &errb)
-	if code != 1 {
-		t.Fatalf("exit %d, want 1; stderr %q", code, errb.String())
+	small := []string{"-msgs", "4", "-warmup", "1", "-netperf-ms", "0.2"}
+	for _, exp := range []string{"all", "fig3", "table6", "fig2"} {
+		t.Run(exp, func(t *testing.T) {
+			var out, errb bytes.Buffer
+			code := run(append([]string{"-exp", exp}, small...), &out, &errb)
+			if code != 1 {
+				t.Fatalf("exit %d, want 1; stderr %q", code, errb.String())
+			}
+			if !strings.Contains(out.String(), "[FAIL]") {
+				t.Fatalf("no failed shape check printed:\n%s", out.String())
+			}
+			if exp == "all" && (!strings.Contains(out.String(), "shape checks failed: ") || strings.Contains(out.String(), "shape checks failed: 0\n")) {
+				t.Fatalf("no failed shape checks reported:\n%s", out.String())
+			}
+		})
 	}
-	if !strings.Contains(out.String(), "shape checks failed: ") || strings.Contains(out.String(), "shape checks failed: 0\n") {
-		t.Fatalf("no failed shape checks reported:\n%s", out.String())
+	var out, errb bytes.Buffer
+	if code := run(append([]string{"-exp", "fig2", "-checks=false"}, small...), &out, &errb); code != 0 {
+		t.Fatalf("-checks=false: exit %d, want 0", code)
 	}
 }
 

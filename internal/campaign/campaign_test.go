@@ -250,9 +250,11 @@ func TestCampaignEndToEnd(t *testing.T) {
 		t.Fatalf("JSONL missing phase boundaries: %v", starts)
 	}
 
-	// The formatted report renders a row per phase plus the fault log.
+	// The formatted report renders a row per phase, the traced phases'
+	// stage windows, and the fault log.
 	text := FormatReport(res)
-	for _, want := range []string{"warmup", "surge", "siege", "fault log", "loris"} {
+	for _, want := range []string{"warmup", "surge", "siege", "fault log", "loris",
+		"phase warmup stage window", "\n  read ", "\n  process "} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("report missing %q:\n%s", want, text)
 		}

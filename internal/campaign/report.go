@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -23,6 +24,11 @@ type Result struct {
 	Faults      []FaultEvent  `json:"faults,omitempty"`
 	Samples     int           `json:"samples"`
 	Artifacts   []string      `json:"artifacts,omitempty"`
+
+	// ClientSpans are the senders' request spans of originated traces
+	// (Spec.TraceEvery > 0), every phase's, for a trace plane to join with
+	// the gateway and backend spans. Not part of the JSON result.
+	ClientSpans []dtrace.Span `json:"-"`
 }
 
 // PhaseReport is one phase's Figure-5/6-style row: client-side outcome
@@ -67,6 +73,58 @@ type PhaseReport struct {
 
 	// FaultSteps counts the scripted fault posts that fired this phase.
 	FaultSteps int `json:"fault_steps,omitempty"`
+
+	// Procs is the gateway's width (/stats workers) at phase start, and
+	// Counters the mean of the counter views the phase's timeline samples
+	// carried (nil when none did). Both feed FormatReport only; the
+	// samples themselves are in the session artifacts.
+	Procs    int           `json:"-"`
+	Counters *CounterMeans `json:"-"`
+}
+
+// CounterMeans is one phase's mean counter view over its timeline
+// samples: the paper's CPI and BrMPR (Tables 4/6) and the GC CPU share.
+type CounterMeans struct {
+	CPI      float64
+	BrMPR    float64
+	GCCPUPct float64
+	// Source is "hw" when any sample was hardware-derived, else "model"
+	// (CPI and BrMPR are then the pinned model's predictions).
+	Source string
+	// Notice is the gateway's explanation of a model fallback.
+	Notice string
+}
+
+// counterSum accumulates a phase's counter-bearing samples.
+type counterSum struct {
+	n              int
+	cpi, brmpr, gc float64
+	hw             bool
+}
+
+func (c *counterSum) add(s session.Sample) {
+	c.n++
+	c.cpi += s.CPI
+	c.brmpr += s.BrMPR
+	c.gc += s.GCCPUPct
+	c.hw = c.hw || s.DerivedSource == "hw"
+}
+
+// means closes the sum (nil-safe: no samples, no means); end supplies
+// the gateway's fallback notice.
+func (c *counterSum) means(end *gateway.Snapshot) *CounterMeans {
+	if c == nil || c.n == 0 {
+		return nil
+	}
+	n := float64(c.n)
+	m := &CounterMeans{CPI: c.cpi / n, BrMPR: c.brmpr / n, GCCPUPct: c.gc / n, Source: "model"}
+	if c.hw {
+		m.Source = "hw"
+	}
+	if end.Counters != nil {
+		m.Notice = end.Counters.Notice
+	}
+	return m
 }
 
 // StageWindow is one pipeline stage's share of the phase: how many
@@ -106,6 +164,7 @@ func buildPhaseReport(p *Phase, dur time.Duration, client gateway.Report, lp *lo
 		PeakConns:   p.PeakWidth(),
 		Counts:      client.Counts,
 		FaultSteps:  len(p.Faults),
+		Procs:       snapStart.Workers,
 	}
 	if rep.DurationSec > 0 {
 		rep.OfferedPerSec = float64(rep.Sent) / rep.DurationSec
@@ -183,7 +242,10 @@ func modelError(rep *PhaseReport, workers int, spec *Spec) *ModelError {
 }
 
 // FormatReport renders the human-readable campaign report: the per-phase
-// scaling table, the model-error columns, the per-phase stage tables,
+// scaling table (scale is ok/s over the first phase's — the paper's
+// "performance scalability from one processing unit to two" when the
+// phases differ in gomaxprocs — with the counter columns when samples
+// carried them), the model-error columns, the per-phase stage tables,
 // and the fault log.
 func FormatReport(res *Result) string {
 	var b strings.Builder
@@ -194,16 +256,43 @@ func FormatReport(res *Result) string {
 	}
 	b.WriteString("\n\n")
 
-	fmt.Fprintf(&b, "%-14s %-9s %-5s %6s %6s %10s %8s %8s %8s %6s %6s %6s\n",
-		"phase", "shape", "uc", "dur(s)", "peak", "offered/s", "ok/s",
+	counters := slices.ContainsFunc(res.Phases, func(p PhaseReport) bool { return p.Counters != nil })
+	fmt.Fprintf(&b, "%-14s %-9s %-5s %5s %6s %6s %10s %8s %6s %8s %8s %6s %6s %6s",
+		"phase", "shape", "uc", "procs", "dur(s)", "peak", "offered/s", "ok/s", "scale",
 		"p50us", "p99us", "shed", "idle", "flt")
+	if counters {
+		fmt.Fprintf(&b, " %8s %8s %6s", "cpi", "brmpr%", "gc%")
+	}
+	b.WriteByte('\n')
+	marked, notice := false, ""
 	for i := range res.Phases {
 		p := &res.Phases[i]
-		fmt.Fprintf(&b, "%-14s %-9s %-5s %6.1f %6d %10.0f %8.0f %8d %8d %6d %6d %6d\n",
-			p.Name, p.Shape, p.UseCase, p.DurationSec, p.PeakConns,
-			p.OfferedPerSec, p.OKPerSec, p.LatencyP50US, p.LatencyP99US,
-			max64(p.Shed, p.GwShed), // client and gateway shed views can differ under overlap
+		scale := 0.0
+		if base := res.Phases[0].OKPerSec; base > 0 {
+			scale = p.OKPerSec / base
+		}
+		fmt.Fprintf(&b, "%-14s %-9s %-5s %5d %6.1f %6d %10.0f %8.0f %6.2f %8d %8d %6d %6d %6d",
+			p.Name, p.Shape, p.UseCase, p.Procs, p.DurationSec, p.PeakConns,
+			p.OfferedPerSec, p.OKPerSec, scale, p.LatencyP50US, p.LatencyP99US,
+			max(p.Shed, p.GwShed), // client and gateway shed views can differ under overlap
 			p.GwIdleTimeouts, p.FaultSteps)
+		if c := p.Counters; c != nil {
+			mark := ""
+			if c.Source == "model" {
+				mark, marked = "*", true
+				if notice == "" {
+					notice = c.Notice
+				}
+			}
+			fmt.Fprintf(&b, " %8s %8s %6.1f",
+				fmt.Sprintf("%.2f%s", c.CPI, mark), fmt.Sprintf("%.2f%s", c.BrMPR, mark), c.GCCPUPct)
+		} else if counters {
+			fmt.Fprintf(&b, " %8s %8s %6s", "-", "-", "-")
+		}
+		b.WriteByte('\n')
+	}
+	if marked {
+		fmt.Fprintf(&b, "* model prediction — %s\n", notice)
 	}
 
 	if anyModel(res.Phases) {
@@ -277,11 +366,4 @@ func minStageCount(stages map[string]StageWindow) uint64 {
 		return 0
 	}
 	return counts[0]
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

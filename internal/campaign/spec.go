@@ -9,12 +9,13 @@
 // emits per-phase Figure-5/6-style report rows with stage-latency and
 // capacity model-error columns.
 //
-// Where `aonload` answers "what does the gateway do at constant offered
-// load N", a campaign answers "what does it do through a day": warmup,
+// A campaign is the one run engine: the paper's scaling question ("how
+// does throughput move from one processing unit to two") is a spec of
+// constant phases that differ only in gomaxprocs, and a day — warmup,
 // diurnal swell, a flash crowd landing while a backend degrades, a
-// slow-loris siege against the read path. RZBENCH's structured workload
-// suites and the stability-campaign literature motivate treating these
-// as first-class measurements rather than one-off smokes.
+// slow-loris siege against the read path — is a spec of shaped phases.
+// RZBENCH's single suite and the stability-campaign literature motivate
+// treating both as first-class measurements rather than one-off smokes.
 package campaign
 
 import (
@@ -112,6 +113,12 @@ type Phase struct {
 	TrickleIntervalMS int `json:"trickle_interval_ms,omitempty"`
 	// InvalidEvery makes every Nth message schema-invalid (0 = never).
 	InvalidEvery int `json:"invalid_every,omitempty"`
+	// GOMAXPROCS runs the phase at this scheduler width — the paper's
+	// one-unit vs two-unit axis (0 = the width the process started the
+	// campaign with). The runner sets it in its own process, so it is
+	// meaningful only for an in-process gateway (aoncamp -selfgate): the
+	// phase is refused unless the gateway's /stats workers reads it.
+	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
 	// Faults fire against Spec.Backends at offsets within the phase.
 	Faults []FaultStep `json:"faults,omitempty"`
 }
@@ -237,6 +244,9 @@ func (p *Phase) validate(idx, numBackends int) error {
 	}
 	if p.InvalidEvery < 0 {
 		return fmt.Errorf("%s: invalid_every must be >= 0, got %d", where, p.InvalidEvery)
+	}
+	if p.GOMAXPROCS < 0 {
+		return fmt.Errorf("%s: gomaxprocs must be >= 0, got %d", where, p.GOMAXPROCS)
 	}
 	for j, f := range p.Faults {
 		if f.AtMS < 0 || f.AtMS > p.DurationMS {

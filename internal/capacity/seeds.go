@@ -4,8 +4,8 @@ import "strings"
 
 // seedTable holds the built-in per-use-case stage-demand seeds: the
 // stage p50s of one traced loopback run per use case on the paper's 5 KB
-// message, `aonload -sweep 2 -usecase X -n 5000` on a 2-vCPU x86-64 guest,
-// 2026-10-15. The stage histograms are log2-bucketed, so each p50 is a
+// message at GOMAXPROCS 2, 5000 messages per use case, on a 2-vCPU
+// x86-64 guest, 2026-10-15. The stage histograms are log2-bucketed, so each p50 is a
 // bucket's upper bound: within 2x above the true median. They exist so
 // offline what-if modeling (aonsim -exp capacity, campaign pre-flight)
 // has a starting point per use case before any session or calibration

@@ -15,8 +15,7 @@
 // admission slot, not a P). Service demands are seeded from live
 // calibration artifacts or measured stage traces; the solver is pure
 // arithmetic. aonsim -exp capacity prints its tables offline, and the
-// campaign report and aonload -sweep set it beside each measured load
-// point.
+// campaign report sets it beside each measured phase.
 package capacity
 
 import "math"

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"time"
 
 	"repro/internal/campaign"
 )
@@ -19,13 +20,15 @@ const (
 	campaignResultName = "campaign-result.json"
 )
 
-// RunCampaign drives the config's scenario campaign against the fleet's
-// first gateway: the spec's addr is the launched (or attached) gateway,
-// and an empty backends list is filled with the topology's backend
-// addresses so fault steps land on their live POST /fault endpoints.
-// The cross-node scrape keeps running throughout, so the merged fleet
-// session records every node's view of the same phases the campaign
-// tags in its own timeline.
+// RunCampaign drives the config's campaign against the fleet's first
+// gateway: the spec's addr is the launched (or attached) gateway, and an
+// empty backends list is filled with the topology's backend addresses so
+// fault steps land on their live POST /fault endpoints. The cross-node
+// scrape keeps running throughout, so the merged fleet session records
+// every node's view of the same phases the campaign tags in its own
+// timeline; at each phase boundary the coordinator scrapes once more and
+// cuts the phase's per-node windows from it. With the trace plane on,
+// the campaign's client spans join the trace store as load/client.
 func (c *Coordinator) RunCampaign() error {
 	spec := c.cfg.Campaign
 	if spec == nil {
@@ -46,15 +49,39 @@ func (c *Coordinator) RunCampaign() error {
 		return err
 	}
 
+	mark := 0
 	res, err := campaign.Run(spec, campaign.Options{
 		Addr:   dialable(gw.Addr),
 		OutDir: filepath.Join(c.cfg.OutDir, campaignDirName),
 		Logf:   c.Logf,
+		OnPhase: func(p *campaign.Phase, rep *campaign.PhaseReport) {
+			if rep == nil {
+				c.scrapeOnce()
+				mark = c.merger.Len()
+				return
+			}
+			// Let each node's own sampler tick past the load before the
+			// window closes, so a short phase still carries its trailing
+			// samples (a gateway timeline samples on its own clock).
+			time.Sleep(c.cfg.ScrapeInterval())
+			c.scrapeOnce()
+			c.windows = append(c.windows, cutPhase(p.Name, c.merger.Slice(mark, c.merger.Len())))
+		},
 	})
 	if err != nil {
 		return err
 	}
+	if err := c.merger.SinkErr(); err != nil {
+		return err
+	}
 	c.campaignRes = res
+	if c.traces != nil {
+		spans := res.ClientSpans
+		for i := range spans {
+			spans[i].Node = "load/client"
+		}
+		c.traces.AddSpans(spans)
+	}
 
 	report := campaign.FormatReport(res)
 	if err := os.WriteFile(filepath.Join(c.cfg.OutDir, campaignReportName), []byte(report), 0o644); err != nil {

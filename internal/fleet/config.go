@@ -1,7 +1,7 @@
 // Package fleet is the coordinator behind cmd/aonfleet: it launches a
-// topology of aongate/aonback/aonload processes (or attaches to already
-// -running instances by their listen/stats addresses — no SSH, no agent),
-// drives a sweep campaign against the gateway, and merges every node's
+// topology of aongate/aonback processes (or attaches to already-running
+// instances by their listen/stats addresses — no SSH, no agent), drives
+// the config's campaign against the gateway, and merges every node's
 // self-reported observability (/stats, /timeline) into one cross-node
 // sampling session persisted to disk as it is collected.
 //
@@ -9,10 +9,10 @@
 // inside a single chassis; the ROADMAP pushes that question to fleet
 // size. This package makes the multi-process half of that repeatable:
 // the EXPERIMENTS.md two-machine recipe becomes one declarative config
-// and one command, with ordered start (backends → gateway → load),
-// readiness probes, per-node log capture, graceful fan-out shutdown with
-// exit-status collection, and a merged Figure-5/6-style report at the
-// end.
+// and one command, with ordered start (backends → gateways), readiness
+// probes, per-node log capture, graceful fan-out shutdown with
+// exit-status collection, and a merged per-phase, per-node report at the
+// end. The load itself is the one run engine's (internal/campaign).
 package fleet
 
 import (
@@ -25,23 +25,23 @@ import (
 	"repro/internal/campaign"
 )
 
-// Node roles. Backends start first, then gateways, then load — the
-// dependency order of the paper's client → device → endpoint chain.
+// Node roles. Backends start first, then gateways — the dependency
+// order of the paper's device → endpoint chain; the campaign is the
+// client.
 const (
 	roleBackend = "backend"
 	roleGateway = "gateway"
-	roleLoad    = "load"
 )
 
 // NodeConfig is one topology entry in the declarative fleet config.
 type NodeConfig struct {
-	// Role is backend, gateway, or load.
+	// Role is backend or gateway.
 	Role string `json:"role"`
 	// ID names the node in logs, session keys, and reports. Default
 	// role<index>; with Count > 1 each replica gets "-<i>" appended.
 	ID string `json:"id,omitempty"`
-	// Addr is the node's listen (and stats) address, host:port. Required
-	// for backend and gateway nodes; load nodes have none.
+	// Addr is the node's listen (and stats) address, host:port.
+	// Required.
 	Addr string `json:"addr,omitempty"`
 	// Endpoint is a backend's role in the gateway topology: "order" or
 	// "error". The coordinator wires the gateway's -order/-error flags
@@ -59,28 +59,15 @@ type NodeConfig struct {
 	Flags []string `json:"flags,omitempty"`
 }
 
-// SweepConfig drives the load campaign: one load point per connection
-// count, each sending Messages messages.
-type SweepConfig struct {
-	// Conns lists the concurrency steps (e.g. [1, 2, 4, 8]) — the fleet
-	// analogue of the paper's 1-unit→2-unit x axis.
-	Conns []int `json:"conns"`
-	// Messages per load point (default 1000).
-	Messages int `json:"messages,omitempty"`
-	// UseCase selects the pipeline (default FR).
-	UseCase string `json:"usecase,omitempty"`
-	// SizeBytes is the approximate POST body size (0 = the paper's 5 KB).
-	SizeBytes int `json:"size_bytes,omitempty"`
-}
-
 // Config is the declarative fleet topology, loaded from JSON.
 type Config struct {
 	// OutDir receives every artifact: per-node logs, the merged JSONL
-	// session, per-node and merged CSVs, and the campaign report.
+	// session, per-node and merged CSVs, the fleet report and the
+	// campaign's report, result and session.
 	// Default "fleet-out".
 	OutDir string `json:"out_dir,omitempty"`
-	// BinDir holds the aonback/aongate/aonload binaries. Empty means
-	// resolve from PATH.
+	// BinDir holds the aonback/aongate binaries. Empty means resolve
+	// from PATH.
 	BinDir string `json:"bin_dir,omitempty"`
 	// ScrapeIntervalMS is the cross-node sampling period (default 200).
 	ScrapeIntervalMS int `json:"scrape_interval_ms,omitempty"`
@@ -92,7 +79,7 @@ type Config struct {
 	// Trace turns on the fleet's distributed-trace plane: launched
 	// gateways get -trace (tail-based sampling + GET /traces), every
 	// launched node gets -trace-node <role/id> so spans carry fleet
-	// identities, the load driver originates a trace every
+	// identities, the campaign originates a trace every
 	// TraceClientEvery requests, and the scrape loop joins every node's
 	// kept spans into <out_dir>/traces.jsonl for cmd/aontrace. Off by
 	// default — the trace plane is opt-in per campaign.
@@ -102,12 +89,11 @@ type Config struct {
 	TraceClientEvery int `json:"trace_client_every,omitempty"`
 
 	Nodes []NodeConfig `json:"nodes"`
-	Sweep SweepConfig  `json:"sweep"`
-	// Campaign embeds a scenario campaign spec (internal/campaign): the
-	// fleet launches the topology, then drives the phased scenario
-	// against its first gateway instead of the connection sweep. The
+	// Campaign embeds a campaign spec (internal/campaign): the fleet
+	// launches the topology, then drives the phases against its first
+	// gateway — a connection sweep is one constant phase per count. The
 	// spec's addr and (when empty) backends list are filled from the
-	// topology at run time. Mutually exclusive with sweep.conns.
+	// topology at run time. Without one the fleet only observes.
 	Campaign *campaign.Spec `json:"campaign,omitempty"`
 }
 
@@ -161,12 +147,6 @@ func (c *Config) Validate() error {
 	if c.Trace && c.TraceClientEvery == 0 {
 		c.TraceClientEvery = 16
 	}
-	if c.Sweep.Messages <= 0 {
-		c.Sweep.Messages = 1000
-	}
-	if c.Sweep.UseCase == "" {
-		c.Sweep.UseCase = "FR"
-	}
 	if len(c.Nodes) == 0 {
 		return fmt.Errorf("fleet: config has no nodes")
 	}
@@ -183,17 +163,16 @@ func (c *Config) Validate() error {
 			}
 		case roleGateway:
 			gateways++
-		case roleLoad:
 		default:
-			return fmt.Errorf("fleet: node %d: role %q, want backend, gateway, or load", i, n.Role)
+			return fmt.Errorf("fleet: node %d: role %q, want backend or gateway", i, n.Role)
 		}
-		if n.Role != roleLoad && n.Addr == "" {
+		if n.Addr == "" {
 			return fmt.Errorf("fleet: node %d (%s): addr required", i, n.Role)
 		}
 		if n.Count < 0 {
 			return fmt.Errorf("fleet: node %d: count %d, want >= 0", i, n.Count)
 		}
-		if n.Count > 1 && n.Role != roleLoad {
+		if n.Count > 1 {
 			if _, _, err := net.SplitHostPort(n.Addr); err != nil {
 				return fmt.Errorf("fleet: node %d: count %d needs a host:port addr: %v", i, n.Count, err)
 			}
@@ -204,9 +183,6 @@ func (c *Config) Validate() error {
 	}
 	if gateways == 0 {
 		return fmt.Errorf("fleet: topology has no gateway node")
-	}
-	if c.Campaign != nil && len(c.Sweep.Conns) > 0 {
-		return fmt.Errorf("fleet: config sets both sweep.conns and campaign — pick one load driver")
 	}
 	// The campaign spec itself is validated in RunCampaign, after the
 	// coordinator has injected the topology's gateway and backend
@@ -251,17 +227,15 @@ func (c *Config) expand() ([]*Node, error) {
 			}
 			if count > 1 {
 				n.ID = fmt.Sprintf("%s-%d", nc.ID, r)
-				if nc.Addr != "" {
-					host, portStr, err := net.SplitHostPort(nc.Addr)
-					if err != nil {
-						return nil, fmt.Errorf("fleet: node %s: %v", nc.ID, err)
-					}
-					port, err := strconv.Atoi(portStr)
-					if err != nil {
-						return nil, fmt.Errorf("fleet: node %s: bad port %q", nc.ID, portStr)
-					}
-					n.Addr = net.JoinHostPort(host, strconv.Itoa(port+r))
+				host, portStr, err := net.SplitHostPort(nc.Addr)
+				if err != nil {
+					return nil, fmt.Errorf("fleet: node %s: %v", nc.ID, err)
 				}
+				port, err := strconv.Atoi(portStr)
+				if err != nil {
+					return nil, fmt.Errorf("fleet: node %s: bad port %q", nc.ID, portStr)
+				}
+				n.Addr = net.JoinHostPort(host, strconv.Itoa(port+r))
 			}
 			out = append(out, n)
 		}

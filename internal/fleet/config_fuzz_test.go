@@ -28,7 +28,8 @@ func TestParseConfigIsStrict(t *testing.T) {
 	nodes := `"nodes": [{"role": "gateway", "addr": "x:1"}]`
 	for _, doc := range []string{
 		`{` + nodes + `, "bogus": 1}`,
-		`{` + nodes + `, "sweep": {"conns": [1], "bogus": 1}}`,
+		`{` + nodes + `, "sweep": {"conns": [1]}}`,
+		`{"nodes": [{"role": "gateway", "addr": "x:1"}, {"role": "load"}]}`,
 		`{` + nodes + `, "campaign": {"phases": [{"duration_ms": 1, "conns": 1, "bogus": 1}]}}`,
 		`{` + nodes + `, "campaign": {"phases": [{"faults": [{"fault": {"bogus": 1}}]}]}}`,
 		`{` + nodes + `}{"bogus": 1}`,

@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -16,12 +14,11 @@ import (
 	"repro/internal/dtrace"
 	"repro/internal/gateway"
 	"repro/internal/session"
-	"repro/internal/workload"
 )
 
-// Coordinator owns one fleet campaign: launch (or attach to) the
-// topology, keep a cross-node sampling session running, drive the sweep,
-// and tear everything down with exit-status collection.
+// Coordinator owns one fleet run: launch (or attach to) the topology,
+// keep a cross-node sampling session running, drive the campaign, and
+// tear everything down with exit-status collection.
 type Coordinator struct {
 	cfg   *Config
 	nodes []*Node
@@ -38,7 +35,9 @@ type Coordinator struct {
 
 	stopScrape func() // joins the scrape loop; nil until Start
 
-	points []pointReport
+	// windows are the per-node windows cut from the merged session, one
+	// per campaign phase.
+	windows []phaseWindow
 
 	campaignRes *campaign.Result
 
@@ -64,7 +63,7 @@ func New(cfg *Config) (*Coordinator, error) {
 	}, nil
 }
 
-// Nodes exposes the expanded topology (ordered backends, gateways, load).
+// Nodes exposes the expanded topology in config order.
 func (c *Coordinator) Nodes() []*Node { return c.nodes }
 
 // Merger exposes the live merged session (nil before Start).
@@ -75,17 +74,6 @@ func (c *Coordinator) byRole(role string) []*Node {
 	var out []*Node
 	for _, n := range c.nodes {
 		if n.Role == role {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// scrapable lists the nodes with a stats surface.
-func (c *Coordinator) scrapable() []*Node {
-	var out []*Node
-	for _, n := range c.nodes {
-		if n.Role != roleLoad {
 			out = append(out, n)
 		}
 	}
@@ -211,134 +199,14 @@ func (c *Coordinator) waitReady(n *Node) error {
 	}
 }
 
-// scrapeOnce sweeps all nodes now — the scrape loop's tick body, also called
-// synchronously at sweep-point boundaries so windows close on fresh
+// scrapeOnce scrapes all nodes now — the scrape loop's tick body, also
+// called synchronously at phase boundaries so windows close on fresh
 // data. Scrape errors are logged, not fatal (liveness is owned by the
 // readiness and exit checks).
 func (c *Coordinator) scrapeOnce() {
-	for _, err := range c.scraper.scrapeAll(c.scrapable()) {
+	for _, err := range c.scraper.scrapeAll(c.nodes) {
 		c.Logf("scrape: %v", err)
 	}
-}
-
-// RunSweep drives one load point per configured connection count and
-// cuts a per-node window from the merged session around each.
-func (c *Coordinator) RunSweep() error {
-	conns := c.cfg.Sweep.Conns
-	if len(conns) == 0 {
-		conns = []int{1}
-	}
-	gateways := c.byRole(roleGateway)
-	target := dialable(gateways[0].Addr)
-	for _, cc := range conns {
-		c.scrapeOnce()
-		mark := c.merger.Len()
-		c.Logf("sweep: %d conns, %d messages against %s", cc, c.cfg.Sweep.Messages, target)
-		rep, err := c.runLoad(target, cc)
-		if err != nil {
-			return fmt.Errorf("fleet: load point %d conns: %w", cc, err)
-		}
-		// Let each node's own sampler tick past the load before the
-		// window closes, so a short point still carries its trailing
-		// samples (a gateway timeline samples on its own clock).
-		time.Sleep(c.cfg.ScrapeInterval())
-		c.scrapeOnce()
-		window := c.merger.Slice(mark, c.merger.Len())
-		c.points = append(c.points, buildPoint(cc, rep, window))
-		if err := c.merger.SinkErr(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runLoad executes one load point: through a launched aonload process
-// when the topology declares a load node (its -out report file is read
-// back), in-process otherwise — attach-mode fleets need no local
-// binaries at all.
-func (c *Coordinator) runLoad(target string, conns int) (gateway.Report, error) {
-	var loadNode *Node
-	for _, n := range c.byRole(roleLoad) {
-		if !n.Attach {
-			loadNode = n
-			break
-		}
-	}
-	sw := c.cfg.Sweep
-	if loadNode == nil {
-		uc, err := workload.ParseUseCase(sw.UseCase)
-		if err != nil {
-			return gateway.Report{}, err
-		}
-		lc := gateway.LoadConfig{
-			Addr:     target,
-			UseCase:  uc,
-			Conns:    conns,
-			Messages: sw.Messages,
-			Size:     sw.SizeBytes,
-		}
-		if c.cfg.Trace {
-			lc.TraceEvery = c.cfg.TraceClientEvery
-			lc.TraceNode = "load/client"
-		}
-		rep, err := gateway.RunLoad(lc)
-		if err == nil {
-			c.foldClientSpans(rep)
-		}
-		return rep, err
-	}
-	outPath := filepath.Join(c.cfg.OutDir,
-		fmt.Sprintf("load-%s-c%d.json", sanitize(loadNode.ID), conns))
-	args := []string{
-		"-addr", target,
-		"-usecase", sw.UseCase,
-		"-conns", strconv.Itoa(conns),
-		"-n", strconv.Itoa(sw.Messages),
-		"-out", outPath,
-	}
-	if sw.SizeBytes > 0 {
-		args = append(args, "-size", strconv.Itoa(sw.SizeBytes))
-	}
-	if c.cfg.Trace {
-		args = append(args, "-trace-client", strconv.Itoa(c.cfg.TraceClientEvery),
-			"-trace-node", loadNode.Key())
-	}
-	args = append(args, loadNode.Flags...)
-	logPath := filepath.Join(c.cfg.OutDir, sanitize(loadNode.Role+"-"+loadNode.ID)+".log")
-	lf, err := os.OpenFile(logPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return gateway.Report{}, err
-	}
-	defer lf.Close()
-	loadNode.logPath = logPath
-	cmd := exec.Command(loadNode.binary(c.cfg.BinDir), args...)
-	cmd.Stdout = lf
-	cmd.Stderr = lf
-	if err := cmd.Run(); err != nil {
-		return gateway.Report{}, fmt.Errorf("%s: %v\n--- log tail ---\n%s",
-			loadNode.Key(), err, loadNode.logTail(2048))
-	}
-	b, err := os.ReadFile(outPath)
-	if err != nil {
-		return gateway.Report{}, fmt.Errorf("%s: report: %w", loadNode.Key(), err)
-	}
-	var rep gateway.Report
-	if err := json.Unmarshal(b, &rep); err != nil {
-		return gateway.Report{}, fmt.Errorf("%s: report %s: %w", loadNode.Key(), outPath, err)
-	}
-	c.foldClientSpans(rep)
-	return rep, nil
-}
-
-// foldClientSpans joins a load report's client-side spans into the
-// fleet's trace store — the client vantage point completes the
-// cross-node trace (the gateway and backend contribute theirs via the
-// /traces scrape).
-func (c *Coordinator) foldClientSpans(rep gateway.Report) {
-	if c.traces == nil || len(rep.ClientSpans) == 0 {
-		return
-	}
-	c.traces.AddSpans(rep.ClientSpans)
 }
 
 // Traces exposes the fleet's cross-node span store (nil unless
@@ -373,7 +241,7 @@ func (c *Coordinator) Finish() (string, error) {
 	if err := writeCSVs(c.cfg.OutDir, c.merger); err != nil {
 		return "", err
 	}
-	report := formatFleetReport(c.points, c.merger)
+	report := formatFleetReport(c.windows, c.merger)
 	path := filepath.Join(c.cfg.OutDir, reportName)
 	if err := os.WriteFile(path, []byte(report), 0o644); err != nil {
 		return "", fmt.Errorf("fleet: report: %w", err)

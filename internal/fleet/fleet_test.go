@@ -23,7 +23,7 @@ func TestConfigValidateDefaults(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.OutDir != "fleet-out" || cfg.ScrapeIntervalMS != 200 || cfg.Sweep.Messages != 1000 || cfg.Sweep.UseCase != "FR" {
+	if cfg.OutDir != "fleet-out" || cfg.ScrapeIntervalMS != 200 {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
 	if cfg.Nodes[0].Endpoint != "order" || cfg.Nodes[0].ID != "backend0" {
@@ -36,18 +36,16 @@ func TestConfigValidateDefaults(t *testing.T) {
 		{Nodes: []NodeConfig{{Role: "gateway"}}},                                                                 // no addr
 		{Nodes: []NodeConfig{{Role: "widget", Addr: "x:1"}}},                                                     // bad role
 		{Nodes: []NodeConfig{{Role: "backend", Addr: "x:1", Endpoint: "cache"}, {Role: "gateway", Addr: "x:2"}}}, // bad endpoint
-		{Nodes: []NodeConfig{{Role: "gateway", Addr: "x:1"}}, // sweep and campaign both set
-			Sweep:    SweepConfig{Conns: []int{1}},
-			Campaign: &campaign.Spec{Phases: []campaign.Phase{{DurationMS: 100, Conns: 1}}}},
+		{Nodes: []NodeConfig{{Role: "gateway", Addr: "x:1"}, {Role: "load"}}},                                    // the campaign is the load
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Fatalf("config %+v validated, want error", bad)
 		}
 	}
 
-	// A campaign without a sweep validates; the embedded spec is only
-	// checked at RunCampaign time (after backend injection), so even a
-	// deliberately broken one passes here.
+	// The embedded campaign spec is only checked at RunCampaign time
+	// (after backend injection), so even a deliberately broken one
+	// passes here.
 	withCampaign := Config{
 		Nodes:    []NodeConfig{{Role: "gateway", Addr: "x:1"}},
 		Campaign: &campaign.Spec{Phases: []campaign.Phase{{Shape: "sawtooth"}}},
@@ -84,7 +82,8 @@ func TestConfigExpandReplicas(t *testing.T) {
 // End-to-end attach-mode campaign on loopback: a real gateway (with a
 // live sampling session) forwarding to two real backends, all running
 // in-process, joined by the coordinator purely through their HTTP stats
-// surfaces — then a sweep, and every artifact checked on disk.
+// surfaces — then a two-phase campaign, one constant phase per
+// connection count, and every artifact checked on disk.
 func TestFleetAttachCampaign(t *testing.T) {
 	t.Setenv(gateway.ForceRuntimeOnlyEnv, "1")
 
@@ -123,7 +122,13 @@ func TestFleetAttachCampaign(t *testing.T) {
 			{Role: roleBackend, ID: "b-error", Addr: errBack.Addr().String(), Endpoint: "error", Attach: true},
 			{Role: roleGateway, ID: "gw0", Addr: srv.Addr().String(), Attach: true},
 		},
-		Sweep: SweepConfig{Conns: []int{1, 2}, Messages: 200},
+		Campaign: &campaign.Spec{
+			SampleIntervalMS: 50,
+			Phases: []campaign.Phase{
+				{Name: "c1", DurationMS: 200, Conns: 1},
+				{Name: "c2", DurationMS: 200, Conns: 2},
+			},
+		},
 	}
 	co, err := New(cfg)
 	if err != nil {
@@ -135,7 +140,7 @@ func TestFleetAttachCampaign(t *testing.T) {
 	}
 	defer co.Shutdown()
 
-	if err := co.RunSweep(); err != nil {
+	if err := co.RunCampaign(); err != nil {
 		t.Fatal(err)
 	}
 	report, err := co.Finish()
@@ -192,19 +197,19 @@ func TestFleetAttachCampaign(t *testing.T) {
 		}
 	}
 
-	// The combined report carries both sweep points, the per-node view,
-	// and the fleet total; gateway throughput reached the client.
-	for _, want := range []string{"conns", "gateway/gw0", "backend/b-order", "fleet-total(gateways)"} {
+	// The fleet report carries both phases' per-node windows and the
+	// fleet total; gateway throughput reached the client.
+	for _, want := range []string{"phase", "gateway/gw0", "backend/b-order", "fleet-total(gateways)", "\nc1 ", "\nc2 "} {
 		if !strings.Contains(report, want) {
 			t.Fatalf("report missing %q:\n%s", want, report)
 		}
 	}
-	if len(co.points) != 2 {
-		t.Fatalf("%d sweep points, want 2", len(co.points))
+	if len(co.windows) != 2 {
+		t.Fatalf("%d phase windows, want 2", len(co.windows))
 	}
-	for _, p := range co.points {
-		if p.Client.OK == 0 {
-			t.Fatalf("point %d conns: no successful messages: %+v", p.Conns, p.Client)
+	for _, p := range co.CampaignResult().Phases {
+		if p.OK == 0 {
+			t.Fatalf("phase %s: no successful messages: %+v", p.Name, p)
 		}
 	}
 	if st, err := os.Stat(filepath.Join(outDir, reportName)); err != nil || st.Size() == 0 {
@@ -213,7 +218,7 @@ func TestFleetAttachCampaign(t *testing.T) {
 }
 
 // TestFleetScenarioCampaign runs a topology whose config carries a
-// scenario campaign instead of a sweep: the coordinator injects the
+// shaped campaign with a fault storm: the coordinator injects the
 // attached gateway and backend addresses into the spec, the fault step
 // lands on the live backend's /fault endpoint, and the per-phase report
 // artifacts land next to the fleet session.

@@ -37,7 +37,6 @@ func (n *Node) Key() string { return n.Role + "/" + n.ID }
 var roleBinaries = map[string]string{
 	roleBackend: "aonback",
 	roleGateway: "aongate",
-	roleLoad:    "aonload",
 }
 
 // binary resolves the node's executable: an absolute/relative path under
@@ -100,9 +99,9 @@ func (n *Node) exited() bool {
 	}
 }
 
-// stop terminates a launched node: SIGTERM (the graceful path every
-// command handles — aongate drains, aonback/aonload print their final
-// report), escalating to SIGKILL after grace, and collects the exit
+// stop terminates a launched node: SIGTERM (the graceful path both
+// commands handle — aongate drains, aonback prints its final report),
+// escalating to SIGKILL after grace, and collects the exit
 // status into ExitErr. Attached nodes are left running — the coordinator
 // only ever joins them. Idempotent.
 func (n *Node) stop(grace time.Duration) {

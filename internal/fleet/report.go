@@ -5,11 +5,10 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/gateway"
 	"repro/internal/session"
 )
 
-// nodeWindow aggregates one node's samples over a sweep point's window:
+// nodeWindow aggregates one node's samples over a campaign phase:
 // total messages, window-weighted throughput and counter metrics, and
 // the latency view at the window's close.
 type nodeWindow struct {
@@ -32,22 +31,19 @@ type nodeWindow struct {
 	Source   string  `json:"derived_source,omitempty"`
 }
 
-// pointReport is one sweep point: the client-side load report and the
-// per-node windows cut from the merged session.
-type pointReport struct {
-	Conns int `json:"conns"`
-	// Client is the load generator's accounting for this point.
-	Client gateway.Report `json:"client"`
-	// Nodes are the per-node observability windows, sorted gateway
-	// first, then backends, by key.
-	Nodes []nodeWindow `json:"nodes"`
+// phaseWindow is one campaign phase's per-node windows cut from the
+// merged session.
+type phaseWindow struct {
+	Phase string
+	// Nodes are sorted gateway first, then backends, by key.
+	Nodes []nodeWindow
 	// FleetMsgsPerSec sums the gateway nodes' window throughput — the
-	// fleet-total forwarding rate the scaling column compares.
-	FleetMsgsPerSec float64 `json:"fleet_msgs_per_sec"`
+	// fleet-total forwarding rate.
+	FleetMsgsPerSec float64
 }
 
 // windowNodes cuts per-node aggregates from the slice of merged-session
-// samples that arrived during one sweep point.
+// samples that arrived during one phase.
 func windowNodes(samples []NodeSample) []nodeWindow {
 	type agg struct {
 		w      nodeWindow
@@ -111,46 +107,29 @@ func roleRank(role string) int {
 	}
 }
 
-// buildPoint assembles one sweep point's report.
-func buildPoint(conns int, client gateway.Report, window []NodeSample) pointReport {
-	pr := pointReport{Conns: conns, Client: client, Nodes: windowNodes(window)}
-	for _, nw := range pr.Nodes {
+// cutPhase assembles one phase's window.
+func cutPhase(phase string, samples []NodeSample) phaseWindow {
+	pw := phaseWindow{Phase: phase, Nodes: windowNodes(samples)}
+	for _, nw := range pw.Nodes {
 		if nw.Role == roleGateway {
-			pr.FleetMsgsPerSec += nw.MsgsPerSec
+			pw.FleetMsgsPerSec += nw.MsgsPerSec
 		}
 	}
-	return pr
+	return pw
 }
 
-// formatFleetReport renders the campaign as the combined Figure-5/6
-// analogue: the client view (throughput, p50/p99, scaling factor vs the
-// first point) and the per-node windows (per-node and fleet-total
-// throughput, CPI and cache MPI where a node carried counters).
-func formatFleetReport(points []pointReport, merger *Merger) string {
+// formatFleetReport renders the per-node view of the campaign: for each
+// phase, every node's throughput, p50/p99 and CPI/cache MPI where it
+// carried counters, and the fleet-total gateway throughput. The client
+// view of the same phases is the campaign's own report.
+func formatFleetReport(windows []phaseWindow, merger *Merger) string {
 	var b strings.Builder
-	b.WriteString("Fleet sweep report (" + merger.Summary() + ")\n")
-	b.WriteString("\nClient view (per sweep point):\n")
-	b.WriteString(fmt.Sprintf("%-6s %12s %10s %10s %10s %8s\n",
-		"conns", "msgs/s", "p50(us)", "p99(us)", "errors", "scale"))
-	base := 0.0
-	for i, p := range points {
-		if i == 0 {
-			base = p.Client.MsgsPerSec
-		}
-		scale := 0.0
-		if base > 0 {
-			scale = p.Client.MsgsPerSec / base
-		}
-		errs := p.Client.HTTPErrors + p.Client.NetErrors + p.Client.Shed
-		b.WriteString(fmt.Sprintf("%-6d %12.1f %10d %10d %10d %7.2fx\n",
-			p.Conns, p.Client.MsgsPerSec, p.Client.Latency.P50US,
-			p.Client.Latency.P99US, errs, scale))
-	}
-	b.WriteString("\nPer-node view (merged session windows):\n")
-	b.WriteString(fmt.Sprintf("%-6s %-24s %8s %10s %12s %10s %10s %8s %10s %6s\n",
-		"conns", "node", "samples", "msgs", "msgs/s", "p50(us)", "p99(us)", "cpi", "cacheMPI%", "src"))
-	for _, p := range points {
-		for _, nw := range p.Nodes {
+	b.WriteString("Fleet report (" + merger.Summary() + ")\n")
+	b.WriteString("\nPer-node view (merged session windows, per campaign phase):\n")
+	fmt.Fprintf(&b, "%-14s %-24s %8s %10s %12s %10s %10s %8s %10s %6s\n",
+		"phase", "node", "samples", "msgs", "msgs/s", "p50(us)", "p99(us)", "cpi", "cacheMPI%", "src")
+	for _, w := range windows {
+		for _, nw := range w.Nodes {
 			cpi, mpi, src := "-", "-", nw.Source
 			if src == "" {
 				src = "-"
@@ -158,12 +137,12 @@ func formatFleetReport(points []pointReport, merger *Merger) string {
 				cpi = fmt.Sprintf("%.3f", nw.CPI)
 				mpi = fmt.Sprintf("%.4f", nw.CacheMPI)
 			}
-			b.WriteString(fmt.Sprintf("%-6d %-24s %8d %10d %12.1f %10d %10d %8s %10s %6s\n",
-				p.Conns, nw.Node, nw.Samples, nw.Messages, nw.MsgsPerSec,
-				nw.LatencyP50US, nw.LatencyP99US, cpi, mpi, src))
+			fmt.Fprintf(&b, "%-14s %-24s %8d %10d %12.1f %10d %10d %8s %10s %6s\n",
+				w.Phase, nw.Node, nw.Samples, nw.Messages, nw.MsgsPerSec,
+				nw.LatencyP50US, nw.LatencyP99US, cpi, mpi, src)
 		}
-		b.WriteString(fmt.Sprintf("%-6d %-24s %8s %10s %12.1f\n",
-			p.Conns, "fleet-total(gateways)", "", "", p.FleetMsgsPerSec))
+		fmt.Fprintf(&b, "%-14s %-24s %8s %10s %12.1f\n",
+			w.Phase, "fleet-total(gateways)", "", "", w.FleetMsgsPerSec)
 	}
 	return b.String()
 }

@@ -35,19 +35,13 @@ func newScraper(merger *Merger, timeout time.Duration) *scraper {
 	return &scraper{timeout: timeout, merger: merger}
 }
 
-// scrapeNode pulls one node's current view into the merger. Load nodes
-// have no stats surface and are skipped.
+// scrapeNode pulls one node's current view into the merger.
 func (sc *scraper) scrapeNode(n *Node) error {
-	var err error
-	switch n.Role {
-	case roleGateway:
-		err = sc.scrapeGateway(n)
-	case roleBackend:
-		err = sc.scrapeBackend(n)
-	default:
-		return nil
+	scrape := sc.scrapeBackend
+	if n.Role == roleGateway {
+		scrape = sc.scrapeGateway
 	}
-	if err != nil {
+	if err := scrape(n); err != nil {
 		return err
 	}
 	return sc.scrapeTraces(n)
@@ -80,7 +74,7 @@ func (sc *scraper) scrapeTraces(n *Node) error {
 	return nil
 }
 
-// scrapeAll sweeps every node once, collecting per-node errors keyed for
+// scrapeAll scrapes every node once, collecting per-node errors keyed for
 // diagnostics. A node that fails to answer one tick is not fatal — it
 // may be mid-start or mid-stop; the campaign-level readiness and exit
 // checks own liveness.

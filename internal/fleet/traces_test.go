@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/dtrace"
 	"repro/internal/gateway"
 	"repro/internal/upstream"
@@ -15,7 +16,7 @@ import (
 
 // TestFleetTracePlane is the cross-node assembly acceptance path: an
 // attach-mode fleet over an in-process tracing gateway and backend, the
-// sweep originating a trace on every request. The scrape loop must join
+// campaign originating a trace on every request. The scrape loop must join
 // the client, gateway, and backend spans by trace ID into assembled
 // cross-node traces, and the traces.jsonl artifact must round-trip
 // through the dtrace reader. Runs under -race in CI.
@@ -57,7 +58,7 @@ func TestFleetTracePlane(t *testing.T) {
 			{Role: roleBackend, ID: "b-order", Addr: order.Addr().String(), Endpoint: "order", Attach: true},
 			{Role: roleGateway, ID: "gw0", Addr: srv.Addr().String(), Attach: true},
 		},
-		Sweep: SweepConfig{Conns: []int{2}, Messages: 100},
+		Campaign: &campaign.Spec{Phases: []campaign.Phase{{DurationMS: 100, Conns: 2}}},
 	}
 	co, err := New(cfg)
 	if err != nil {
@@ -69,7 +70,7 @@ func TestFleetTracePlane(t *testing.T) {
 	}
 	defer co.Shutdown()
 
-	if err := co.RunSweep(); err != nil {
+	if err := co.RunCampaign(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := co.Finish(); err != nil {

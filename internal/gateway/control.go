@@ -110,6 +110,7 @@ func (snap *Snapshot) Sample() session.Sample {
 		s.BrMPR = c.Derived.BrMPR
 		s.DerivedSource = c.DerivedSource
 		s.Goroutines = c.Runtime.Goroutines
+		s.GCCPUPct = 100 * c.Runtime.GCCPUFraction
 	}
 	return s
 }

@@ -146,33 +146,3 @@ func TestCountersOffByDefault(t *testing.T) {
 		t.Fatalf("mode=%q want off", mode)
 	}
 }
-
-// TestSweepCountersColumns runs the scaling harness with the measurement
-// layer on: every row carries a counters snapshot and the rendered table
-// gains the CPI/BrMPR columns next to throughput — the paper's Tables
-// 4/6 beside its Figures 5/6.
-func TestSweepCountersColumns(t *testing.T) {
-	rows, err := RunSweep([]int{1, 2},
-		LoadConfig{UseCase: workload.CBR, Conns: 2, Messages: 40, Size: 2048},
-		Config{Counters: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		c := r.Server.Counters
-		if c == nil {
-			t.Fatalf("GOMAXPROCS=%d row missing counters", r.Procs)
-		}
-		if c.Derived.CPI <= 0 {
-			t.Fatalf("GOMAXPROCS=%d CPI=%v, want > 0", r.Procs, c.Derived.CPI)
-		}
-	}
-	table := FormatSweepTable(rows)
-	if !strings.Contains(table, "cpi") || !strings.Contains(table, "brmpr%") {
-		t.Fatalf("table missing counter columns:\n%s", table)
-	}
-	if rows[0].Server.Counters.Mode == "runtime-only" &&
-		!strings.Contains(table, "* model prediction") {
-		t.Fatalf("fallback sweep table missing the model-prediction footer:\n%s", table)
-	}
-}

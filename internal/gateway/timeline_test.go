@@ -330,12 +330,6 @@ func TestStageTracing(t *testing.T) {
 	if snap.LatencyByUseCase["CBR"].Count != 40 || snap.LatencyByUseCase["SV"].Count != 30 {
 		t.Fatalf("per-use-case latency counts: %+v", snap.LatencyByUseCase)
 	}
-
-	// The stage table renderer picks the traces up from sweep rows.
-	table := FormatStageTable([]SweepResult{{Procs: 2, Server: snap}})
-	if !strings.Contains(table, "CBR") || !strings.Contains(table, "read p50/p99") {
-		t.Fatalf("stage table missing traced rows:\n%s", table)
-	}
 }
 
 // TestTracingOffByDefault keeps the trace opt-in and the sampler honest:
