@@ -634,9 +634,9 @@ func TestStagesOnlyWhereReached(t *testing.T) {
 	})
 
 	// Shed at the admission bound: read off the wire, nothing else.
-	srv.inflight.Add(srv.cfg.MaxInflight)
+	srv.inflight.Add(srv.maxInflight.Load())
 	do(string(workload.HTTPRequest(0, workload.FR)), 503)
-	srv.inflight.Add(-srv.cfg.MaxInflight)
+	srv.inflight.Add(-srv.maxInflight.Load())
 	waitTraced(t, srv, 3)
 	expect("shed", map[string]uint64{
 		"SV/read": 2, "SV/parse": 1, "SV/write": 1,
