@@ -30,7 +30,9 @@ const scalingSpec = `{
 // two-width spec in-process and checks the run in whichever counters
 // mode the host grants (CI runs it plain and with AON_NO_PERF=1): two
 // phases at their widths, every timeline sample tagged with its phase's
-// width, CPI per phase, and the report's scaling and counter columns.
+// width and carrying the per-CPU view, CPI per phase, throughput in the
+// timeline, the session CSV, and the report's scaling and counter
+// columns.
 func TestSelfgateCountersScaling(t *testing.T) {
 	if !hwcount.Supported() {
 		t.Skip("aoncamp -counters is refused where the OS has no perf events")
@@ -79,10 +81,13 @@ func TestSelfgateCountersScaling(t *testing.T) {
 	}
 	t.Logf("counters mode: %s", mode)
 
-	// Every timeline sample carries its phase's width and a counter view;
-	// each phase's mean CPI is positive.
+	// Every timeline sample carries its phase's width, a counter view and
+	// the per-CPU view; each phase's mean CPI is positive, and some
+	// window saw the load.
 	want := map[string]int{"p1": 1, "p2": 2}
 	cpi, n := map[string]float64{}, map[string]int{}
+	var samples int
+	var sawMsgs bool
 	f, err := os.Open(filepath.Join(out, "session.jsonl"))
 	if err != nil {
 		t.Fatal(err)
@@ -112,11 +117,47 @@ func TestSelfgateCountersScaling(t *testing.T) {
 		if mode == "runtime-only" && s.DerivedSource != "model" {
 			t.Errorf("runtime-only sample with derived_source %q", s.DerivedSource)
 		}
+		if len(s.CPUs) == 0 {
+			t.Errorf("phase %s sample without per-CPU entries: %+v", ev.Phase, s)
+		}
+		for _, c := range s.CPUs {
+			if c.CPI <= 0 || (c.DerivedSource != "hw" && c.DerivedSource != "model") {
+				t.Errorf("phase %s CPU entry without a counter view: %+v", ev.Phase, c)
+			}
+			if mode == "runtime-only" && c.DerivedSource != "model" {
+				t.Errorf("runtime-only CPU entry with derived_source %q", c.DerivedSource)
+			}
+		}
 		cpi[ev.Phase] += s.CPI
 		n[ev.Phase]++
+		samples++
+		sawMsgs = sawMsgs || s.Messages > 0
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
+	}
+	if samples < 2 || !sawMsgs {
+		t.Errorf("%d timeline samples (want >= 2), throughput seen: %v", samples, sawMsgs)
+	}
+
+	// The session CSV: a row per sample, each with its time (ReadCSV
+	// refuses an empty t_ms) and the gateway's width.
+	cf, err := os.Open(filepath.Join(out, "session.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cf.Close()
+	rows, err := session.ReadCSV(cf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) < 2 {
+		t.Errorf("session.csv has %d rows, want >= 2", len(rows))
+	}
+	for i, r := range rows {
+		if r.TMS <= 0 || r.GOMAXPROCS < 1 {
+			t.Errorf("session.csv row %d: t_ms %d, gomaxprocs %d", i, r.TMS, r.GOMAXPROCS)
+		}
 	}
 	for phase := range want {
 		if n[phase] == 0 || cpi[phase] <= 0 {

@@ -4,9 +4,11 @@
 // then gateways, each readiness-probed on /stats before the next tier
 // starts — or attaches to already-running instances by address (no SSH,
 // no agent: any node reachable over HTTP can join), keeps a cross-node
-// sampling session running by scraping every node's /stats and
-// /timeline on a fixed interval, and runs the config's campaign against
-// the first gateway.
+// sampling session running by scraping every node's cumulative /stats
+// on a fixed interval and windowing it (launched gateways run with
+// -counters, so each window carries its CPI), and runs the config's
+// campaign against the first gateway. Without a campaign, one attached
+// gateway makes a passive recording of that gateway's timeline.
 //
 // Usage:
 //

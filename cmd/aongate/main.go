@@ -21,23 +21,15 @@
 // (-up-timeout) 504. /stats gains a per-backend "upstream" section.
 // Without them it answers in place.
 //
-// With -counters, /stats gains a "counters" section: windowed
-// perf_event_open deltas and derived CPI/cache-MPI/BrMPR (the paper's
+// With -counters, /stats gains a "counters" section: cumulative
+// perf_event_open counts and derived CPI/cache-MPI/BrMPR (the paper's
 // VTune metrics on live hardware) including a per-CPU skew view (one
 // event group per logical CPU), degrading to runtime-metrics-only with a
-// startup notice where perf events are denied.
-//
-// With -timeline (implies -counters), the gateway runs a VTune-style
-// sampling session: every -sample-interval it snapshots counter windows,
-// throughput deltas, latency percentiles, runtime and upstream gauges into a
-// bounded ring served on GET /timeline?last=N. SIGUSR1 dumps the ring as
-// CSV to -timeline-out without stopping the server; shutdown writes the
-// final ring there too. With -timeline-flush-interval (implies -timeline),
-// -timeline-out becomes an append-only CSV instead: new samples are
-// appended incrementally each interval (header written once, exactly-once
-// rows), so a crash loses at most one interval and long sessions are not
-// bounded by the ring — SIGUSR1 then forces an immediate flush rather
-// than a whole-ring dump.
+// startup notice where perf events are denied. /stats is a pure read:
+// a sampling session is cut by its reader from successive reads —
+// aoncamp's sample_interval_ms, aonfleet's scrape_interval_ms (attach
+// aonfleet to a running gateway with no campaign for a passive
+// recording).
 //
 // With -trace, the gateway runs the tracing plane (internal/dtrace),
 // its one request clock: every request records real spans around
@@ -79,7 +71,6 @@ import (
 
 	"repro/internal/gateway"
 	"repro/internal/hwcount"
-	"repro/internal/session"
 	"repro/internal/upstream"
 	"repro/internal/workload"
 )
@@ -94,12 +85,7 @@ func main() {
 	errAddr := flag.String("error", "", "error backend address (enables upstream forwarding)")
 	upTimeout := flag.Duration("up-timeout", 0, "upstream round-trip deadline; past it the client gets 504 (0 = default 5s)")
 	upIdle := flag.Int("up-idle", 0, "max idle keep-alive conns per backend (0 = default 8)")
-	hwCounters := flag.Bool("counters", false, "enable the live measurement layer: perf_event_open counters on /stats (falls back to runtime metrics where perf is denied)")
-	timeline := flag.Bool("timeline", false, "run a sampling session: fixed-interval samples on GET /timeline (implies -counters)")
-	sampleInterval := flag.Duration("sample-interval", 100*time.Millisecond, "timeline sampling period (must be positive)")
-	sampleCap := flag.Int("sample-cap", 0, "timeline ring capacity in samples (0 = 600)")
-	timelineOut := flag.String("timeline-out", "aon-timeline.csv", "CSV path for timeline dumps (SIGUSR1 and shutdown)")
-	timelineFlush := flag.Duration("timeline-flush-interval", 0, "append new timeline samples to -timeline-out every interval (implies -timeline; crash-safe, header written once; 0 = whole-ring dumps on SIGUSR1/shutdown only)")
+	hwCounters := flag.Bool("counters", false, "enable the live measurement layer: cumulative perf_event_open counters on /stats (falls back to runtime metrics where perf is denied)")
 	maxInflight := flag.Int64("max-inflight", 0, "admission bound: shed with 503 past this many in-flight messages (0 = 5x GOMAXPROCS)")
 	trace := flag.Bool("trace", false, "run the tracing plane: per-request stage spans aggregated into the /stats stages section, X-AON-Trace adoption/propagation, tail-sampled ring on GET /traces, slow-request log on stderr")
 	traceNode := flag.String("trace-node", "", "node name stamped on this gateway's spans (default gateway; aonfleet passes role/id)")
@@ -115,39 +101,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "aongate:", err)
 		os.Exit(2)
 	}
-	if *sampleInterval <= 0 {
-		fmt.Fprintf(os.Stderr, "aongate: -sample-interval must be positive, got %v\n", *sampleInterval)
+	if *hwCounters && !hwcount.Supported() {
+		fmt.Fprintln(os.Stderr, "aongate: -counters needs perf events, which this OS does not support")
 		os.Exit(2)
-	}
-	if *timelineFlush < 0 {
-		fmt.Fprintf(os.Stderr, "aongate: -timeline-flush-interval must be >= 0, got %v\n", *timelineFlush)
-		os.Exit(2)
-	}
-	if (*hwCounters || *timeline || *timelineFlush > 0) && !hwcount.Supported() {
-		fmt.Fprintln(os.Stderr, "aongate: -counters/-timeline need perf events, which this OS does not support")
-		os.Exit(2)
-	}
-
-	// Incremental flush mode: -timeline-out becomes an append-only CSV
-	// that survives a crash — each interval writes only the samples the
-	// ring gained since the last flush, and the header is written once
-	// (only when the file starts empty, so restarts keep appending).
-	var flushFile *os.File
-	var flushDst *session.Appender
-	if *timelineFlush > 0 {
-		f, err := os.OpenFile(*timelineOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "aongate: -timeline-out:", err)
-			os.Exit(1)
-		}
-		st, err := f.Stat()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "aongate: -timeline-out:", err)
-			os.Exit(1)
-		}
-		flushFile = f
-		flushDst = session.NewAppender(f, st.Size() == 0)
-		defer flushFile.Close()
 	}
 
 	if *pprofAddr != "" {
@@ -178,20 +134,15 @@ func main() {
 			TryTimeout:        *upTimeout,
 			MaxIdlePerBackend: *upIdle,
 		},
-		Counters:              *hwCounters,
-		Timeline:              *timeline,
-		SampleInterval:        *sampleInterval,
-		SampleCapacity:        *sampleCap,
-		TimelineFlush:         flushDst,
-		TimelineFlushInterval: *timelineFlush,
-		MaxInflight:           *maxInflight,
-		Trace:                 *trace,
-		TraceNode:             *traceNode,
-		TraceSlowOver:         *traceSlowOver,
-		TraceKeepEvery:        *traceKeepEvery,
-		TraceCapacity:         *traceCap,
-		SlowLog:               slowLog,
-		SlowLogPerSec:         *slowLogPerSec,
+		Counters:       *hwCounters,
+		MaxInflight:    *maxInflight,
+		Trace:          *trace,
+		TraceNode:      *traceNode,
+		TraceSlowOver:  *traceSlowOver,
+		TraceKeepEvery: *traceKeepEvery,
+		TraceCapacity:  *traceCap,
+		SlowLog:        slowLog,
+		SlowLogPerSec:  *slowLogPerSec,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "aongate:", err)
@@ -215,41 +166,13 @@ func main() {
 		fmt.Fprintln(os.Stderr)
 	}
 
-	switch {
-	case flushDst != nil:
-		fmt.Fprintf(os.Stderr, "aongate: sampling session every %v (GET /timeline), appending to %s every %v\n",
-			*sampleInterval, *timelineOut, *timelineFlush)
-	case *timeline:
-		fmt.Fprintf(os.Stderr, "aongate: sampling session every %v (GET /timeline, SIGUSR1 dumps CSV to %s)\n",
-			*sampleInterval, *timelineOut)
-	}
 	if *trace {
 		fmt.Fprintln(os.Stderr, "aongate: distributed tracing on (GET /traces, slow-request log on stderr)")
 	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	usr1 := make(chan os.Signal, 1)
-	notifyUsr1(usr1)
-	for running := true; running; {
-		select {
-		case <-usr1:
-			if flushDst != nil {
-				// Flush mode: push pending samples to the append file now
-				// instead of re-dumping the whole ring over it.
-				if n, err := srv.FlushTimeline(); err != nil {
-					fmt.Fprintln(os.Stderr, "aongate: timeline flush:", err)
-				} else {
-					fmt.Fprintf(os.Stderr, "aongate: flushed %d timeline samples to %s\n", n, *timelineOut)
-				}
-			} else {
-				// On-demand dump: snapshot the ring to CSV, keep serving.
-				dumpTimeline(srv, *timelineOut)
-			}
-		case <-sig:
-			running = false
-		}
-	}
+	<-sig
 	fmt.Fprintln(os.Stderr, "aongate: draining...")
 
 	ctx, cancel := context.WithTimeout(context.Background(), *drain)
@@ -257,30 +180,6 @@ func main() {
 	if err := srv.Shutdown(ctx); err != nil {
 		fmt.Fprintln(os.Stderr, "aongate: drain incomplete:", err)
 	}
-	if *timeline && flushDst == nil {
-		// The ring outlives the stopped sampler, so the shutdown dump
-		// includes the session's final samples. In flush mode the final
-		// samples were already appended by the shutdown-path flush.
-		dumpTimeline(srv, *timelineOut)
-	}
 	b, _ := json.MarshalIndent(srv.Snapshot(), "", "  ")
 	fmt.Println(string(b))
-}
-
-// dumpTimeline writes the sampling session's kept ring as CSV.
-func dumpTimeline(srv *gateway.Server, path string) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "aongate: timeline dump:", err)
-		return
-	}
-	n, werr := srv.WriteTimelineCSV(f)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		fmt.Fprintln(os.Stderr, "aongate: timeline dump:", werr)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "aongate: wrote %d timeline samples to %s\n", n, path)
 }

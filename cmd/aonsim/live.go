@@ -10,12 +10,13 @@ import (
 	"repro/internal/gateway"
 	"repro/internal/harness"
 	"repro/internal/perf/machine"
+	"repro/internal/session"
 	"repro/internal/workload"
 )
 
 // The live side of -exp live: an in-process gateway on loopback, driven
-// closed-loop by liveConns connections, its measurement layer sampled
-// every liveInterval.
+// closed-loop by liveConns connections, its cumulative /stats view
+// windowed every liveInterval.
 const (
 	liveConfig   = machine.TwoCPm // the 2-core analogue of a 2-CPU host
 	liveConns    = 8
@@ -65,17 +66,29 @@ func liveEntry(uc workload.UseCase, opts harness.AONOpts, cal *harness.Calibrati
 		return harness.CalibrationEntry{}, fmt.Errorf("simulate %s: %w", uc, err)
 	}
 
-	srv, err := gateway.New(gateway.Config{UseCase: uc, Timeline: true, SampleInterval: liveInterval})
+	srv, err := gateway.New(gateway.Config{UseCase: uc, Counters: true})
 	if err != nil {
 		return harness.CalibrationEntry{}, err
 	}
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		return harness.CalibrationEntry{}, err
 	}
+	// The session: a priming read, one window per liveInterval under
+	// load, and a last window closing at the load's end. stop joins the
+	// ticker goroutine, so the three never run at once.
+	var win session.Windower
+	var samples []session.Sample
+	sample := func() {
+		snap := srv.Snapshot()
+		samples = append(samples, win.Window("live", snap.Sample()))
+	}
+	sample()
+	stop := session.Every(liveInterval, sample)
 	rep, loadErr := gateway.RunLoad(gateway.LoadConfig{
 		Addr: srv.Addr().String(), UseCase: uc, Conns: liveConns, Duration: dur,
 	})
-	samples := srv.TimelineSamples(0)
+	stop()
+	sample()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	shutErr := srv.Shutdown(ctx)
 	cancel()
@@ -97,8 +110,8 @@ func liveEntry(uc workload.UseCase, opts harness.AONOpts, cal *harness.Calibrati
 	var n int
 	var cpi, mpi, brmpr float64
 	for _, s := range samples {
-		if s.DerivedSource != source || s.CPI <= 0 {
-			continue
+		if s.WindowSec == 0 || s.DerivedSource != source || s.CPI <= 0 {
+			continue // the priming read closes no window
 		}
 		cpi += s.CPI
 		mpi += s.CacheMPI

@@ -234,37 +234,60 @@ func TestCapacityRefusals(t *testing.T) {
 	}
 }
 
-// TestLiveWritesLoadableCalibration runs -exp live in the runtime-only
-// fallback: the artifact holds FR/CBR/SV entries with identity scales
-// from model-sourced sessions, and loads back.
+// TestLiveWritesLoadableCalibration runs -exp live in whatever counters
+// mode the host grants and in the forced runtime-only fallback: the
+// artifact holds FR/CBR/SV entries, each averaged over >= 2 windows (the
+// zero-window priming read does not count) with a positive CPI scale,
+// and loads back into -exp fig3 -calibration. Model-sourced sessions
+// record identity scales.
 func TestLiveWritesLoadableCalibration(t *testing.T) {
-	t.Setenv(gateway.ForceRuntimeOnlyEnv, "1")
-	path := filepath.Join(t.TempDir(), "cal.json")
-	var out, errb bytes.Buffer
-	args := []string{"-exp", "live", "-msgs", "20", "-warmup", "10", "-live-duration", "300ms", "-calibration-out", path}
-	if code := run(args, &out, &errb); code != 0 {
-		t.Fatalf("exit %d: %s", code, errb.String())
-	}
-	cal, err := harness.LoadCalibration(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cal.Config != string(machine.TwoCPm) || len(cal.Entries) != len(workload.AllUseCases) {
-		t.Fatalf("artifact = %+v", cal)
-	}
-	for _, uc := range workload.AllUseCases {
-		e, ok := cal.Entries[uc.String()]
-		if !ok {
-			t.Fatalf("no %s entry", uc)
-		}
-		if e.LiveSource != "model" || e.CPIScale != 1 || e.MPIScale != 1 || e.BrMPRScale != 1 {
-			t.Errorf("%s: fallback entry not identity: %+v", uc, e)
-		}
-		if e.SimCPI <= 0 || e.LiveMsgsPerSec <= 0 {
-			t.Errorf("%s: entry lacks a prediction or a live rate: %+v", uc, e)
-		}
-	}
-	if !strings.Contains(out.String(), "live source") {
-		t.Errorf("live table missing:\n%s", out.String())
+	for _, tc := range []struct {
+		name  string
+		force bool
+	}{{"host-mode", false}, {"forced-runtime-only", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.force {
+				t.Setenv(gateway.ForceRuntimeOnlyEnv, "1")
+			}
+			path := filepath.Join(t.TempDir(), "cal.json")
+			var out, errb bytes.Buffer
+			args := []string{"-exp", "live", "-msgs", "20", "-warmup", "10", "-live-duration", "500ms", "-calibration-out", path}
+			if code := run(args, &out, &errb); code != 0 {
+				t.Fatalf("exit %d: %s", code, errb.String())
+			}
+			cal, err := harness.LoadCalibration(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cal.Config != string(machine.TwoCPm) || len(cal.Entries) != len(workload.AllUseCases) {
+				t.Fatalf("artifact = %+v", cal)
+			}
+			for _, uc := range workload.AllUseCases {
+				e, ok := cal.Entries[uc.String()]
+				if !ok {
+					t.Fatalf("no %s entry", uc)
+				}
+				if e.Samples < 2 || e.CPIScale <= 0 {
+					t.Errorf("%s: %d windows, cpi scale %v; want >= 2 and > 0", uc, e.Samples, e.CPIScale)
+				}
+				if e.SimCPI <= 0 || e.LiveMsgsPerSec <= 0 {
+					t.Errorf("%s: entry lacks a prediction or a live rate: %+v", uc, e)
+				}
+				if e.LiveSource == "model" && (e.CPIScale != 1 || e.MPIScale != 1 || e.BrMPRScale != 1) {
+					t.Errorf("%s: model-sourced entry not identity: %+v", uc, e)
+				}
+				if tc.force && e.LiveSource != "model" {
+					t.Errorf("%s: forced fallback entry sourced %q, want model", uc, e.LiveSource)
+				}
+			}
+			if !strings.Contains(out.String(), "live source") {
+				t.Errorf("live table missing:\n%s", out.String())
+			}
+			out.Reset()
+			errb.Reset()
+			if code := run([]string{"-exp", "fig3", "-msgs", "60", "-warmup", "20", "-calibration", path}, &out, &errb); code != 0 {
+				t.Fatalf("fig3 with the artifact: exit %d: %s\n%s", code, errb.String(), out.String())
+			}
+		})
 	}
 }

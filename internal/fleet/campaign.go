@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"repro/internal/campaign"
 )
@@ -60,10 +59,6 @@ func (c *Coordinator) RunCampaign() error {
 				mark = c.merger.Len()
 				return
 			}
-			// Let each node's own sampler tick past the load before the
-			// window closes, so a short phase still carries its trailing
-			// samples (a gateway timeline samples on its own clock).
-			time.Sleep(c.cfg.ScrapeInterval())
 			c.scrapeOnce()
 			c.windows = append(c.windows, cutPhase(p.Name, c.merger.Slice(mark, c.merger.Len())))
 		},

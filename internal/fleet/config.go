@@ -2,8 +2,8 @@
 // topology of aongate/aonback processes (or attaches to already-running
 // instances by their listen/stats addresses — no SSH, no agent), drives
 // the config's campaign against the gateway, and merges every node's
-// self-reported observability (/stats, /timeline) into one cross-node
-// sampling session persisted to disk as it is collected.
+// self-reported observability (/stats, windowed by the scraper) into one
+// cross-node sampling session persisted to disk as it is collected.
 //
 // The paper's scaling study compares one processing unit against two
 // inside a single chassis; the ROADMAP pushes that question to fleet

@@ -129,7 +129,7 @@ func (c *Coordinator) Start() error {
 	}
 	orderAddr, errorAddr := c.backendAddrs()
 	for _, n := range c.byRole(roleGateway) {
-		args := []string{"-addr", n.Addr, "-timeline"}
+		args := []string{"-addr", n.Addr, "-counters"}
 		if c.cfg.Trace {
 			args = append(args, "-trace", "-trace-node", n.Key())
 		}

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/gateway"
@@ -99,10 +98,9 @@ func TestFleetAttachCampaign(t *testing.T) {
 	defer errBack.Close()
 
 	srv, err := gateway.New(gateway.Config{
-		UseCase:        workload.FR,
-		Timeline:       true,
-		SampleInterval: 10 * time.Millisecond,
-		Upstream:       upstream.Config{Order: order.Addr().String(), Error: errBack.Addr().String()},
+		UseCase:  workload.FR,
+		Counters: true,
+		Upstream: upstream.Config{Order: order.Addr().String(), Error: errBack.Addr().String()},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -16,11 +16,9 @@ type NodeSample struct {
 	Node string `json:"node"`
 	// Role is the origin's role, denormalized for filtering.
 	Role string `json:"role"`
-	// TMS is the node's own clock at sample time, in milliseconds. For
-	// timeline samples it is the node's wall clock; for samples
-	// synthesized from /stats deltas it may be an uptime-derived
-	// monotonic value. Either way it is NODE-LOCAL: comparing TMS across
-	// nodes compares clocks, not events.
+	// TMS is the node's own clock at sample time, in milliseconds: its
+	// /stats uptime, a monotonic value. It is NODE-LOCAL: comparing TMS
+	// across nodes compares clocks, not events.
 	TMS int64 `json:"t_ms"`
 	// RelMS is the skew-aligned timeline position: TMS minus the node's
 	// epoch (its first sample's TMS). Each node's RelMS advances with its
@@ -56,10 +54,11 @@ func newMerger(sink func(NodeSample) error) *Merger {
 }
 
 // Add records one sample for node (key "role/id"). Duplicate (node, TMS)
-// pairs — the same ring sample scraped twice — are suppressed; added
-// reports whether the sample was new. The first sample a node ever
-// contributes pins that node's epoch; a node joining the session late
-// simply starts its RelMS axis at its own first observation.
+// pairs — two scrapes that read the same uptime millisecond — are
+// suppressed; added reports whether the sample was new. The first sample
+// a node ever contributes pins that node's epoch; a node joining the
+// session late simply starts its RelMS axis at its own first
+// observation.
 func (m *Merger) Add(node, role string, s session.Sample) (added bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -13,10 +13,9 @@ import (
 
 // scraper pulls each node's self-reported observability over the one
 // control-plane client (gateway.GetJSON) and feeds it into the merger.
-// Gateways serve a full sampling session on GET /timeline (preferred —
-// native 100ms samples with counter views); when a gateway runs without
-// -timeline, or for backends (which only expose cumulative /stats), the
-// scraper synthesizes windowed samples from consecutive snapshot deltas.
+// Every node, gateway or backend, publishes cumulative /stats; the
+// scraper cuts each node's windows from consecutive reads with its own
+// Windower, at the fleet's scrape interval.
 type scraper struct {
 	timeout time.Duration
 	merger  *Merger
@@ -88,18 +87,9 @@ func (sc *scraper) scrapeAll(nodes []*Node) []error {
 	return errs
 }
 
-// scrapeGateway prefers the gateway's own sampling session: every kept
-// /timeline sample lands in the merger, dedup suppressing re-reads of
-// the ring. Without a timeline it falls back to /stats deltas.
+// scrapeGateway windows the gateway's cumulative /stats: throughput
+// deltas, and with -counters the window's CPI per process and per CPU.
 func (sc *scraper) scrapeGateway(n *Node) error {
-	var tr gateway.TimelineResponse
-	if err := gateway.GetJSON(n.Addr, "/timeline", sc.timeout, &tr); err == nil {
-		for _, s := range tr.Samples {
-			sc.merger.Add(n.Key(), n.Role, s)
-		}
-		return nil
-	}
-	// No sampling session on this gateway — synthesize from /stats.
 	snap, err := gateway.FetchStats(n.Addr, sc.timeout)
 	if err != nil {
 		return err

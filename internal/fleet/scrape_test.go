@@ -12,8 +12,8 @@ import (
 )
 
 // fakeNode is a control plane the test scripts: GET /stats answers the
-// current snapshot, /timeline 404 (no sampling session), /traces
-// whatever tracesStatus says. Hits are counted per path.
+// current snapshot, /traces whatever tracesStatus says, anything else
+// 404. Hits are counted per path.
 type fakeNode struct {
 	addr string
 
@@ -81,8 +81,8 @@ func (f *fakeNode) hit(path string) int {
 }
 
 // TestScraperAgainstFakeControlPlane walks the one scrape path through
-// everything only the e2e runs used to touch: the /timeline 404 → /stats
-// fallback, the zero-window priming sample, windowed deltas, a node
+// everything only the e2e runs used to touch: gateways read on /stats
+// alone, the zero-window priming sample, windowed deltas, a node
 // restart, and the /traces 404 memo (a 500 is an error every time).
 func TestScraperAgainstFakeControlPlane(t *testing.T) {
 	node := startFakeNode(t, 404)
@@ -118,8 +118,11 @@ func TestScraperAgainstFakeControlPlane(t *testing.T) {
 	if m.Len() != 5 {
 		t.Fatalf("merger holds %d samples, want 5", m.Len())
 	}
-	if got := node.hit("/timeline"); got != 5 {
-		t.Errorf("/timeline probed %d times, want once per scrape (5)", got)
+	if got := node.hit("/stats"); got != 5 {
+		t.Errorf("/stats read %d times, want once per scrape (5)", got)
+	}
+	if got := node.hit("/timeline"); got != 0 {
+		t.Errorf("/timeline probed %d times, want never: gateways are read on /stats alone", got)
 	}
 	if got := node.hit("/traces"); got != 1 {
 		t.Errorf("/traces asked %d times after a 404, want 1 (memoised)", got)

@@ -8,11 +8,12 @@ import (
 	"time"
 
 	"repro/internal/httpmsg"
+	"repro/internal/hwcount"
 	"repro/internal/session"
 )
 
 // This file is the one control-plane client: the campaign runner, the
-// fleet scraper and aontrace read /stats, /timeline, /traces and /fault
+// fleet scraper and aontrace read /stats, /traces and /fault
 // through GetJSON/PostJSON, over the load driver's Client and so under
 // the one framer's bounds (httpmsg.ReadResponseHead: 8 MiB bodies).
 
@@ -28,7 +29,7 @@ func (e *statusError) Error() string {
 }
 
 // IsNotFound reports whether err is a control-plane 404 — how a node
-// says the plane asked about (timeline, tracing) is switched off.
+// says the plane asked about (tracing) is switched off.
 func IsNotFound(err error) bool {
 	var se *statusError
 	return errors.As(err, &se) && se.Status == 404
@@ -88,12 +89,13 @@ func FetchStats(addr string, timeout time.Duration) (*Snapshot, error) {
 	return &snap, nil
 }
 
-// Sample flattens a scraped /stats view into a timeline sample whose
-// Messages, BytesIn and Shed still hold the gateway's cumulative
-// counters: session.Windower differences them against the previous
-// scrape. The time axis is the gateway's own uptime — monotonic, immune
-// to wall-clock skew and steps, which is what cross-node alignment
-// needs.
+// Sample flattens a /stats view into a cumulative timeline sample:
+// Messages, BytesIn, Shed and the hidden event Counts (process and per
+// CPU) still hold the gateway's running totals, and session.Windower
+// cuts the window — differencing them against the reader's previous
+// sample and deriving the window's CPI, cache-MPI and BrMPR. The time
+// axis is the gateway's own uptime — monotonic, immune to wall-clock
+// skew and steps, which is what cross-node alignment needs.
 func (snap *Snapshot) Sample() session.Sample {
 	s := session.Sample{
 		TMS:          int64(snap.UptimeSec * 1000),
@@ -104,13 +106,41 @@ func (snap *Snapshot) Sample() session.Sample {
 		LatencyP99US: snap.Latency.P99US,
 		GOMAXPROCS:   snap.Workers,
 	}
-	if c := snap.Counters; c != nil {
-		s.CPI = c.Derived.CPI
-		s.CacheMPI = c.Derived.CacheMPI
-		s.BrMPR = c.Derived.BrMPR
-		s.DerivedSource = c.DerivedSource
-		s.Goroutines = c.Runtime.Goroutines
-		s.GCCPUPct = 100 * c.Runtime.GCCPUFraction
+	for _, b := range snap.Upstream {
+		s.UpstreamIdle += b.IdleConns
+	}
+	c := snap.Counters
+	if c == nil {
+		return s
+	}
+	s.CPI = c.Derived.CPI
+	s.CacheMPI = c.Derived.CacheMPI
+	s.BrMPR = c.Derived.BrMPR
+	s.DerivedSource = c.DerivedSource
+	s.Counts = countsOf(c.Events)
+	s.Goroutines = c.Runtime.Goroutines
+	s.GCCPUPct = 100 * c.Runtime.GCCPUFraction
+	s.SchedLatP99US = c.Runtime.SchedLatP99US
+	s.CPUs = make([]session.CPUSample, len(c.CPUs))
+	for i, cc := range c.CPUs {
+		s.CPUs[i] = session.CPUSample{
+			CPU:           cc.CPU,
+			CPI:           cc.Derived.CPI,
+			CacheMPI:      cc.Derived.CacheMPI,
+			BrMPR:         cc.Derived.BrMPR,
+			DerivedSource: cc.DerivedSource,
+			Counts:        countsOf(cc.Events),
+		}
 	}
 	return s
+}
+
+// countsOf reads an event-name-keyed counts map (the JSON shape of
+// hwcount.Counts.EventsMap) back into Counts; absent events read zero.
+func countsOf(events map[string]uint64) hwcount.Counts {
+	var c hwcount.Counts
+	for e := range c {
+		c[e] = events[hwcount.Event(e).String()]
+	}
+	return c
 }

@@ -3,7 +3,6 @@ package gateway
 import (
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	"repro/internal/hwcount"
@@ -17,34 +16,37 @@ import (
 // lever CI uses to exercise both modes on one machine.
 const ForceRuntimeOnlyEnv = "AON_NO_PERF"
 
-// CPUCounters is one logical CPU's derived counter window: the per-CPU
-// event group read as a delta — the paper's per-processor view. In the
-// fallback mode the derived block is the model prediction and
-// DerivedSource says so — the shape stays identical so dashboards and
-// the timeline never branch on mode.
+// CPUCounters is one logical CPU's counter view: the per-CPU event group
+// read cumulatively — the paper's per-processor view. In the fallback
+// mode the derived block is the model prediction and DerivedSource says
+// so — the shape stays identical so dashboards and readers never branch
+// on mode.
 type CPUCounters struct {
-	CPU           int             `json:"cpu"`
-	Derived       hwcount.Derived `json:"derived"`
-	DerivedSource string          `json:"derived_source"` // "hw" or "model"
-	Multiplexed   bool            `json:"multiplexed,omitempty"`
+	CPU           int               `json:"cpu"`
+	Events        map[string]uint64 `json:"events,omitempty"` // cumulative scaled counts (hw only)
+	Derived       hwcount.Derived   `json:"derived"`
+	DerivedSource string            `json:"derived_source"` // "hw" or "model"
+	Multiplexed   bool              `json:"multiplexed,omitempty"`
 }
 
-// CountersSnapshot is the /stats "counters" section: the live
-// measurement layer's windowed view. In "hw" mode the events and derived
-// metrics come from real perf counters (deltas since the previous
-// snapshot — scrape /stats periodically and each response is one
-// measurement window). In "runtime-only" mode perf events were
-// unavailable; the runtime section still carries real observations and
-// the derived block falls back to the simulator's calibrated model
-// prediction so dashboards keep a reference value (DerivedSource says
-// which you got). CPUs is the per-CPU skew view — one entry per logical
-// CPU, each backed by its own CPU-scoped event group.
+// CountersSnapshot is the /stats "counters" section: a pure read of the
+// live measurement layer. In "hw" mode Events are the scaled counts
+// since the groups opened and Derived is taken from those totals;
+// WindowSec is the span they cover. Readers cut their own windows by
+// differencing successive reads (session.Windower), so any number of
+// them can scrape without taking each other's deltas. In "runtime-only"
+// mode perf events were unavailable; the runtime section still carries
+// real observations and the derived block falls back to the simulator's
+// calibrated model prediction so dashboards keep a reference value
+// (DerivedSource says which you got). CPUs is the per-CPU skew view —
+// one entry per logical CPU, each backed by its own CPU-scoped event
+// group.
 type CountersSnapshot struct {
 	Mode          string            `json:"mode"` // "hw" or "runtime-only"
 	Notice        string            `json:"notice,omitempty"`
 	WindowSec     float64           `json:"window_sec"`
 	Multiplexed   bool              `json:"multiplexed,omitempty"`
-	Events        map[string]uint64 `json:"events,omitempty"` // windowed scaled deltas
+	Events        map[string]uint64 `json:"events,omitempty"` // cumulative scaled counts
 	Derived       hwcount.Derived   `json:"derived"`
 	DerivedSource string            `json:"derived_source"` // "hw" or "model"
 	CPUs          []CPUCounters     `json:"cpus,omitempty"`
@@ -54,11 +56,11 @@ type CountersSnapshot struct {
 // counterSampler owns the gateway's measurement layer: the process-wide
 // perf event set and one event group per logical CPU when the host
 // grants them, and the runtime sampler always. Every group is opened
-// here and closed by close. Windowing state lives in counterViews so
-// independent consumers (the /stats scrape and the 100ms timeline) each
-// get honest windows instead of stealing each other's deltas.
+// here and closed by close. It keeps no per-reader state: every read is
+// cumulative.
 type counterSampler struct {
 	uc     workload.UseCase
+	opened time.Time
 	grp    *hwcount.Group // nil: runtime-only mode
 	cpus   []cpuGroup     // one per CPU of the process's affinity set
 	notice string
@@ -75,7 +77,7 @@ type cpuGroup struct {
 // paranoid level, seccomp, non-Linux) it records the reason and the
 // sampler serves runtime-only snapshots — degradation, never an error.
 func newCounterSampler(uc workload.UseCase) *counterSampler {
-	cs := &counterSampler{uc: uc}
+	cs := &counterSampler{uc: uc, opened: time.Now()}
 	for _, id := range hwcount.CPUs() {
 		cs.cpus = append(cs.cpus, cpuGroup{id: id})
 	}
@@ -125,99 +127,43 @@ func (cs *counterSampler) close() {
 	}
 }
 
-// counterView is one consumer's windowing state over the shared sampler:
-// previous process-wide counts plus previous per-CPU counts, so each
-// consumer's deltas cover exactly the span since *its* last read.
-type counterView struct {
-	cs *counterSampler
-
-	mu       sync.Mutex
-	prevAt   time.Time
-	prev     hwcount.Counts
-	prevCPUs []hwcount.Counts
-}
-
-func newCounterView(cs *counterSampler) *counterView {
-	return &counterView{cs: cs, prevAt: time.Now(), prevCPUs: make([]hwcount.Counts, len(cs.cpus))}
-}
-
-// window closes one measurement window: the process-wide delta-derived
-// metrics plus the per-CPU skew, each labeled with its source.
-func (v *counterView) window() (windowSec float64, derived hwcount.Derived,
-	source string, events map[string]uint64, multiplexed bool, cpus []CPUCounters) {
-	cs := v.cs
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	now := time.Now()
-	windowSec = now.Sub(v.prevAt).Seconds()
-	v.prevAt = now
-
-	if cs.grp == nil {
-		derived, source = modelDerived(cs.uc), "model"
-		cpus = v.cpuWindows(derived, false)
-		return
+// snapshot reads the measurement layer for /stats: the cumulative
+// counts and their derived metrics, process-wide and per CPU, each
+// labeled with its source, plus a fresh runtime reading. A CPU without a
+// group, whose read fails or whose group has counted nothing yet (only
+// threads started before the open ran there) publishes the model
+// prediction, as does every CPU when the process-wide read fails.
+func (cs *counterSampler) snapshot() *CountersSnapshot {
+	out := &CountersSnapshot{WindowSec: time.Since(cs.opened).Seconds(), Runtime: runstats.Read()}
+	out.Mode, out.Notice = cs.mode()
+	model := modelDerived(cs.uc)
+	out.Derived, out.DerivedSource = model, "model"
+	hw := false
+	if cs.grp != nil {
+		if r, err := cs.grp.Read(); err == nil {
+			hw = true
+			out.Events, out.Multiplexed = r.Counts.EventsMap(), r.Multiplexed
+			out.Derived, out.DerivedSource = hwcount.Derive(r.Counts), "hw"
+		} else {
+			// A read failure on an opened group degrades this read only.
+			out.Mode = "runtime-only"
+			if out.Notice == "" {
+				out.Notice = "perf read failed; runtime-metrics-only window"
+			}
+		}
 	}
-	r, err := cs.grp.Read()
-	if err != nil {
-		derived, source = modelDerived(cs.uc), "model"
-		cpus = v.cpuWindows(derived, false)
-		return
-	}
-	delta := r.Counts.Sub(v.prev)
-	v.prev = r.Counts
-	multiplexed = r.Multiplexed
-	events = delta.EventsMap()
-	// An idle window (no instructions retired since the last read)
-	// derives from the cumulative totals instead, so ratios never read
-	// zero just because the reader raced the load.
-	if delta.Get(hwcount.Instructions) == 0 {
-		delta = r.Counts
-	}
-	derived, source = hwcount.Derive(delta), "hw"
-	cpus = v.cpuWindows(modelDerived(cs.uc), true)
-	return
-}
-
-// cpuWindows lists one entry per logical CPU. With read set, each CPU's
-// group is read as a delta against this view's previous read. A CPU
-// without a group, whose read fails or whose group has counted nothing
-// yet (only threads started before the open ran there), and every CPU
-// without read, publishes the model prediction instead.
-func (v *counterView) cpuWindows(model hwcount.Derived, read bool) []CPUCounters {
-	out := make([]CPUCounters, len(v.cs.cpus))
-	for n, c := range v.cs.cpus {
-		out[n] = CPUCounters{CPU: c.id, Derived: model, DerivedSource: "model"}
-		if !read || c.g == nil {
+	out.CPUs = make([]CPUCounters, len(cs.cpus))
+	for n, c := range cs.cpus {
+		out.CPUs[n] = CPUCounters{CPU: c.id, Derived: model, DerivedSource: "model"}
+		if !hw || c.g == nil {
 			continue
 		}
 		r, err := c.g.Read()
 		if err != nil || r.Counts.Get(hwcount.Instructions) == 0 {
 			continue
 		}
-		delta := r.Counts.Sub(v.prevCPUs[n])
-		v.prevCPUs[n] = r.Counts
-		if delta.Get(hwcount.Instructions) == 0 {
-			delta = r.Counts
-		}
-		out[n].Derived, out[n].DerivedSource = hwcount.Derive(delta), "hw"
-		out[n].Multiplexed = r.Multiplexed
-	}
-	return out
-}
-
-// snapshot takes one full measurement window shaped for /stats: counter
-// deltas since this view's last call plus a fresh runtime reading.
-func (v *counterView) snapshot() *CountersSnapshot {
-	out := &CountersSnapshot{Runtime: runstats.Read()}
-	mode, notice := v.cs.mode()
-	out.Mode, out.Notice = mode, notice
-	out.WindowSec, out.Derived, out.DerivedSource, out.Events, out.Multiplexed, out.CPUs = v.window()
-	if out.DerivedSource == "model" {
-		// A read failure on an opened group degrades this window only.
-		out.Mode = "runtime-only"
-		if out.Notice == "" {
-			out.Notice = "perf read failed; runtime-metrics-only window"
-		}
+		out.CPUs[n] = CPUCounters{CPU: c.id, Events: r.Counts.EventsMap(),
+			Derived: hwcount.Derive(r.Counts), DerivedSource: "hw", Multiplexed: r.Multiplexed}
 	}
 	return out
 }

@@ -1,10 +1,13 @@
 package gateway
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"os/exec"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -120,7 +123,9 @@ func TestStatsCountersSection(t *testing.T) {
 		t.Fatalf("runtime section not populated: %+v", c.Runtime)
 	}
 
-	// A second scrape is a fresh (shorter) window, not a repeat.
+	// /stats is a pure read: a second scrape is cumulative — its span and
+	// every event count, process-wide and per CPU, are non-decreasing —
+	// not a fresh window that the first read closed.
 	resp, err = cl.Do([]byte("GET /stats HTTP/1.1\r\nHost: x\r\n\r\n"), 5*time.Second)
 	if err != nil || resp.Status != 200 {
 		t.Fatalf("second /stats: resp=%+v err=%v", resp, err)
@@ -129,9 +134,24 @@ func TestStatsCountersSection(t *testing.T) {
 	if err := json.Unmarshal(resp.Body, &snap2); err != nil {
 		t.Fatal(err)
 	}
-	if snap2.Counters == nil || snap2.Counters.WindowSec >= c.WindowSec {
-		t.Fatalf("second window %v not shorter than first %v",
-			snap2.Counters.WindowSec, c.WindowSec)
+	c2 := snap2.Counters
+	if c2 == nil || c2.WindowSec < c.WindowSec {
+		t.Fatalf("second read spans %v s, less than the first's %v: a read closed a window", c2.WindowSec, c.WindowSec)
+	}
+	for name, n := range c.Events {
+		if c2.Events[name] < n {
+			t.Fatalf("event %s fell from %d to %d between reads", name, n, c2.Events[name])
+		}
+	}
+	if len(c2.CPUs) != len(c.CPUs) {
+		t.Fatalf("CPU entries %d then %d", len(c.CPUs), len(c2.CPUs))
+	}
+	for i, cpu := range c.CPUs {
+		for name, n := range cpu.Events {
+			if c2.CPUs[i].Events[name] < n {
+				t.Fatalf("CPU %d event %s fell from %d to %d between reads", cpu.CPU, name, n, c2.CPUs[i].Events[name])
+			}
+		}
 	}
 }
 
@@ -145,4 +165,98 @@ func TestCountersOffByDefault(t *testing.T) {
 	if mode, _ := srv.CountersMode(); mode != "off" {
 		t.Fatalf("mode=%q want off", mode)
 	}
+}
+
+// TestWorkerGroupLifecycle proves the per-CPU measurement teardown:
+// the sampler lists one group slot per logical CPU, and after shutdown
+// every group it opened is closed (no fd leak). On perf-denied hosts
+// every slot is the model-backed placeholder and there is nothing to
+// close.
+func TestWorkerGroupLifecycle(t *testing.T) {
+	srv, err := New(Config{UseCase: workload.CBR, Counters: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	cpus := srv.counters.cpus
+	if len(cpus) != runtime.NumCPU() {
+		t.Fatalf("%d per-CPU slots, want %d", len(cpus), runtime.NumCPU())
+	}
+	// The slots carry the affinity set's ids, not 0..NumCPU-1.
+	for i, id := range hwcount.CPUs() {
+		if cpus[i].id != id {
+			t.Fatalf("slot %d is CPU %d, want %d from the affinity set", i, cpus[i].id, id)
+		}
+	}
+	opened := 0
+	for _, c := range cpus {
+		if c.g != nil {
+			opened++
+		}
+	}
+	if mode, _ := srv.CountersMode(); mode != "hw" && opened != 0 {
+		t.Fatalf("%s mode opened %d per-CPU groups", mode, opened)
+	}
+	t.Logf("opened %d of %d per-CPU groups", opened, len(cpus))
+
+	if _, err := RunLoad(LoadConfig{Addr: srv.Addr().String(), UseCase: workload.CBR, Conns: 2, Messages: 30}); err != nil {
+		t.Fatal(err)
+	}
+	if c := srv.Snapshot().Counters; len(c.CPUs) != len(cpus) {
+		t.Fatalf("snapshot lists %d CPUs, want %d", len(c.CPUs), len(cpus))
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cpus {
+		if c.g == nil {
+			continue
+		}
+		if _, err := c.g.Read(); err == nil {
+			t.Fatalf("CPU %d group still open after shutdown", c.id)
+		}
+	}
+}
+
+// TestConcurrentStatsReaders: with no per-reader state left, any number
+// of readers may read the counters section at once; each sees its span
+// and every event count non-decreasing, however the reads interleave.
+// Run with -race.
+func TestConcurrentStatsReaders(t *testing.T) {
+	srv := startServer(t, Config{UseCase: workload.CBR, Counters: true})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		RunLoad(LoadConfig{Addr: srv.Addr().String(), UseCase: workload.CBR, Conns: 2, Messages: 200})
+	}()
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var prev *CountersSnapshot
+			for i := 0; i < 50; i++ {
+				c := srv.Snapshot().Counters
+				if prev != nil {
+					if c.WindowSec < prev.WindowSec {
+						t.Errorf("span fell from %v to %v between one reader's reads", prev.WindowSec, c.WindowSec)
+						return
+					}
+					for name, n := range prev.Events {
+						if c.Events[name] < n {
+							t.Errorf("event %s fell from %d to %d between one reader's reads", name, n, c.Events[name])
+							return
+						}
+					}
+				}
+				prev = c
+			}
+		}()
+	}
+	wg.Wait()
+	<-done
 }

@@ -658,3 +658,22 @@ func TestStagesOnlyWhereReached(t *testing.T) {
 		"CBR/read": 1, "CBR/parse": 1, "CBR/process": 1, "CBR/write": 1,
 	})
 }
+
+// syncBuffer is a mutex-guarded bytes.Buffer: the flush goroutine writes
+// while the test reads progress.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}

@@ -36,7 +36,6 @@ import (
 	"repro/internal/httpmsg"
 	"repro/internal/perf/trace"
 	"repro/internal/poison"
-	"repro/internal/session"
 	"repro/internal/upstream"
 	"repro/internal/verdict"
 	"repro/internal/workload"
@@ -68,34 +67,12 @@ type Config struct {
 	Upstream upstream.Config
 	// Counters enables the live measurement layer (the paper's VTune
 	// methodology on real hardware): a process-wide perf_event_open
-	// counter set read as windowed deltas in Snapshot and /stats, plus
-	// one event group per logical CPU for the per-CPU CPI/cache/branch
-	// skew view.
-	// Degrades to runtime-metrics-only observability where perf is
-	// unavailable.
+	// counter set read cumulatively in Snapshot and /stats, plus one
+	// event group per logical CPU for the per-CPU CPI/cache/branch skew
+	// view. Readers cut their own windows from successive reads
+	// (session.Windower). Degrades to runtime-metrics-only observability
+	// where perf is unavailable.
 	Counters bool
-	// Timeline starts a sampling session (the paper's VTune sampling
-	// sessions): a fixed-interval sampler snapshots counter windows,
-	// gateway metric deltas, and runtime gauges into a bounded ring served
-	// on /timeline, summarized on /stats, and dumpable as CSV. Implies
-	// Counters.
-	Timeline bool
-	// SampleInterval is the sampling period; 0 means 100ms. Negative is
-	// rejected by New.
-	SampleInterval time.Duration
-	// SampleCapacity bounds the timeline ring; 0 means 600 samples (one
-	// minute at the default interval). Negative is rejected by New.
-	SampleCapacity int
-	// TimelineFlush, with TimelineFlushInterval > 0, persists the
-	// sampling session continuously: a background flusher appends every
-	// newly recorded sample to the appender each interval, so the
-	// timeline survives a crash or restart instead of living only in the
-	// in-memory ring. Implies Timeline.
-	TimelineFlush *session.Appender
-	// TimelineFlushInterval is the persistence period; 0 disables the
-	// flusher (the PR 4 dump-on-signal/shutdown behavior). Negative is
-	// rejected by New.
-	TimelineFlushInterval time.Duration
 	// Trace enables per-request tracing (internal/dtrace), the gateway's
 	// one request clock: every request records real spans around the
 	// read→parse→process→forward→write stage points into a pooled
@@ -178,14 +155,12 @@ var (
 
 // Server is one live gateway instance.
 type Server struct {
-	cfg       Config
-	pipe      *Pipeline
-	fwd       *upstream.Forwarder // nil: answer in place
-	counters  *counterSampler     // nil: measurement layer off
-	statsView *counterView        // the /stats scrape's own measurement windows
-	dtr       *dtraceState        // nil: tracing off
-	timeline  *timelineState      // nil: no sampling session
-	Metrics   *Metrics
+	cfg      Config
+	pipe     *Pipeline
+	fwd      *upstream.Forwarder // nil: answer in place
+	counters *counterSampler     // nil: measurement layer off
+	dtr      *dtraceState        // nil: tracing off
+	Metrics  *Metrics
 
 	ln          net.Listener
 	stopping    atomic.Bool
@@ -210,12 +185,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.IdleTimeout == 0 {
 		cfg.IdleTimeout = 60 * time.Second
 	}
-	if cfg.SampleInterval < 0 {
-		return nil, fmt.Errorf("gateway: sampling interval must be positive, got %v", cfg.SampleInterval)
-	}
-	if cfg.SampleCapacity < 0 {
-		return nil, fmt.Errorf("gateway: sample capacity must be positive, got %d", cfg.SampleCapacity)
-	}
 	if cfg.TraceKeepEvery < 0 {
 		return nil, fmt.Errorf("gateway: trace keep ratio must be positive, got %d", cfg.TraceKeepEvery)
 	}
@@ -224,17 +193,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.SlowLogPerSec < 0 {
 		return nil, fmt.Errorf("gateway: slow-log rate must be positive, got %d", cfg.SlowLogPerSec)
-	}
-	if cfg.TimelineFlushInterval < 0 {
-		return nil, fmt.Errorf("gateway: timeline flush interval must be positive, got %v", cfg.TimelineFlushInterval)
-	}
-	if cfg.TimelineFlush != nil && cfg.TimelineFlushInterval > 0 {
-		// Continuous persistence needs a session to persist.
-		cfg.Timeline = true
-	}
-	if cfg.Timeline {
-		// A sampling session is a consumer of the measurement layer.
-		cfg.Counters = true
 	}
 	if cfg.MaxInflight < 0 {
 		return nil, fmt.Errorf("gateway: max inflight must be positive, got %d", cfg.MaxInflight)
@@ -260,7 +218,6 @@ func New(cfg Config) (*Server, error) {
 	s.resolveBound(runtime.GOMAXPROCS(0))
 	if cfg.Counters {
 		s.counters = newCounterSampler(cfg.UseCase)
-		s.statsView = newCounterView(s.counters)
 	}
 	if cfg.Trace {
 		s.dtr = newDtraceState(cfg)
@@ -283,12 +240,6 @@ func (s *Server) Start(addr string) error {
 	s.ln = ln
 	s.acceptWG.Add(1)
 	go s.acceptLoop()
-	if s.cfg.Timeline {
-		if err := s.startTimeline(); err != nil {
-			s.Shutdown(context.Background())
-			return err
-		}
-	}
 	return nil
 }
 
@@ -715,8 +666,8 @@ func contentTypeOf(req *httpmsg.Request) string {
 }
 
 // handleGet serves the observability surface: GET /stats returns the
-// metrics snapshot, GET /timeline?last=N the sampling session's ring;
-// anything else is 404.
+// metrics snapshot, GET /traces?last=N the kept traces; anything else is
+// 404.
 func (s *Server) handleGet(raw []byte) []byte {
 	req, err := httpmsg.ParseRequest(raw)
 	if err != nil {
@@ -727,12 +678,6 @@ func (s *Server) handleGet(raw []byte) []byte {
 	switch {
 	case strings.HasSuffix(path, "stats"):
 		return httpmsg.JSONResponse(200, s.Snapshot())
-	case strings.HasSuffix(path, "timeline"):
-		tr, err := s.timelineResponse(query)
-		if err != nil {
-			return formatError(404, err.Error(), false)
-		}
-		return httpmsg.JSONResponse(200, tr)
 	case strings.HasSuffix(path, "traces"):
 		tr, err := s.tracesResponse(query)
 		if err != nil {
@@ -761,11 +706,10 @@ func formatError(status int, msg string, connClose bool) []byte {
 
 // Snapshot reads the full observability surface: the gateway counters
 // plus, in forwarding mode, the per-backend upstream section, plus, with
-// the measurement layer on, the hardware/runtime counters section (each
-// call closes one /stats measurement window — the timeline samples
-// through its own view, so the two never steal each other's deltas),
-// plus the stage-histogram, trace and sampling-session sections when
-// enabled.
+// the measurement layer on, the hardware/runtime counters section, plus
+// the stage-histogram and trace sections when enabled. Every section is
+// cumulative: a read changes nothing, so readers never take each
+// other's windows.
 func (s *Server) Snapshot() Snapshot {
 	snap := s.Metrics.Snapshot()
 	snap.Workers = runtime.GOMAXPROCS(0)
@@ -773,13 +717,12 @@ func (s *Server) Snapshot() Snapshot {
 	if s.fwd != nil {
 		snap.Upstream = s.fwd.Snapshot()
 	}
-	if s.statsView != nil {
-		snap.Counters = s.statsView.snapshot()
+	if s.counters != nil {
+		snap.Counters = s.counters.snapshot()
 	}
 	if s.dtr != nil {
 		snap.Stages = s.dtr.stages.snapshot()
 	}
-	snap.Timeline = s.timelineInfo()
 	snap.Traces = s.traceInfo()
 	return snap
 }
@@ -833,9 +776,6 @@ func (s *Server) shutdown(ctx context.Context) error {
 	}
 	s.mu.Unlock()
 	s.connWG.Wait()
-	// The sampling session stops before the measurement layer closes, so
-	// no sampler tick runs against a half-torn-down counter set.
-	s.closeTimeline()
 	if s.fwd != nil {
 		s.fwd.Close()
 	}

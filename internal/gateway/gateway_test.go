@@ -535,6 +535,89 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
+// countFDs reports the process's open descriptor count where /proc
+// exposes it.
+func countFDs() (int, bool) {
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return 0, false
+	}
+	return len(ents), true
+}
+
+// TestServerShutdownLeavesNoGoroutineOrFD is the leak test proper: one
+// full cycle with every background subsystem on — counters, tracing,
+// forwarding to two in-process backends — driven by
+// pipelined load that overruns the admission bound, must leave the
+// process at its goroutine and descriptor baseline once the gateway is
+// shut down and the backends closed.
+func TestServerShutdownLeavesNoGoroutineOrFD(t *testing.T) {
+	_, haveFDs := countFDs()
+	cycle := func() (shed uint64) {
+		order := startBackend(t, upstream.BackendConfig{Name: "order"})
+		errBE := startBackend(t, upstream.BackendConfig{Name: "error"})
+		srv, err := New(Config{
+			Counters:     true,
+			Trace:        true,
+			MaxInflight:  int64(runtime.GOMAXPROCS(0)) + 1,
+			ProcessDelay: time.Millisecond,
+			Upstream:     upstream.Config{Order: order.Addr().String(), Error: errBE.Addr().String()},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Start("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		// Twice the bound in connections, each holding at most one
+		// message in flight, so the bound is overrun on any host.
+		conns := 2 * (runtime.GOMAXPROCS(0) + 1)
+		got := pipelined(t, srv.Addr().String(), conns, 4, 5, []workload.UseCase{workload.CBR, workload.FR})
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+		order.Close()
+		errBE.Close()
+		snap := srv.Metrics.Snapshot()
+		if snap.Messages+snap.Shed != got.sent {
+			t.Fatalf("answered %d + shed %d != sent %d", snap.Messages, snap.Shed, got.sent)
+		}
+		return snap.Shed
+	}
+	// One warm-up cycle so lazily created runtime state (the netpoller's
+	// fds) exists before the baseline is taken.
+	cycle()
+	baseGoroutines := runtime.NumGoroutine()
+	baseFDs, _ := countFDs()
+	if shed := cycle(); shed == 0 {
+		t.Fatal("no request was shed — the cycle must cover the shed path")
+	}
+	waitFor(t, "goroutines to return to the baseline", func() bool {
+		return runtime.NumGoroutine() <= baseGoroutines
+	})
+	if haveFDs {
+		waitFor(t, "descriptors to return to the baseline", func() bool {
+			n, _ := countFDs()
+			return n <= baseFDs
+		})
+	}
+}
+
+// TestObservabilityConfigValidation rejects nonsensical observability
+// knobs with errors instead of silently running a broken plane.
+func TestObservabilityConfigValidation(t *testing.T) {
+	bad := []Config{
+		{TraceKeepEvery: -2},
+	}
+	for _, cfg := range bad {
+		if _, err := New(cfg); err == nil {
+			t.Fatalf("New(%+v) accepted invalid config", cfg)
+		}
+	}
+}
+
 // startBackend brings up one order/error endpoint with teardown.
 func startBackend(t *testing.T, cfg upstream.BackendConfig) *upstream.BackendServer {
 	t.Helper()

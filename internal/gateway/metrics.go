@@ -140,7 +140,7 @@ type Snapshot struct {
 	// answers in place — no backends configured).
 	Upstream map[string]upstream.Snapshot `json:"upstream,omitempty"`
 	// Counters is the live measurement layer (nil when Config.Counters is
-	// off): windowed perf-counter deltas and derived CPI/BrMPR in "hw"
+	// off): cumulative perf-counter counts and derived CPI/BrMPR in "hw"
 	// mode, runtime metrics always, model-predicted derived metrics in
 	// the "runtime-only" fallback, plus the per-CPU skew view.
 	Counters *CountersSnapshot `json:"counters,omitempty"`
@@ -148,9 +148,6 @@ type Snapshot struct {
 	// request's spans (nil when tracing is off):
 	// read/parse/process/forward/write percentiles.
 	Stages StageSnapshot `json:"stages,omitempty"`
-	// Timeline summarizes the sampling session (nil when none runs); the
-	// full ring is served by GET /timeline.
-	Timeline *TimelineInfo `json:"timeline,omitempty"`
 	// Traces summarizes the distributed-trace tail sampler (nil when
 	// Config.Trace is off); the kept traces are served by GET /traces.
 	Traces *TraceInfo `json:"traces,omitempty"`

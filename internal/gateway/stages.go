@@ -11,7 +11,7 @@ import (
 const numTraceUseCases = 6
 
 // traceSlotControl is the extra stage-histogram row for control-plane
-// GETs (/stats, /timeline, /traces): they bypass admission but still
+// GETs (/stats, /traces): they bypass admission but still
 // cost read/process/write time on their connection goroutines, so they
 // get their own row ("GET") in the stage breakdown.
 const traceSlotControl = numTraceUseCases

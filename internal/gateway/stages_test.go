@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/lhist"
+	"repro/internal/workload"
 )
 
 // TestStageDemands pins how a stage snapshot seeds the capacity model:
@@ -21,5 +22,60 @@ func TestStageDemands(t *testing.T) {
 	stages["SV"] = map[string]lhist.Snapshot{"process": {Count: 300, MeanUS: 2000}}
 	if got := stages.Demands().Process; got != 1750.0/1e6 {
 		t.Fatalf("process demand = %g, want 0.00175 (count-weighted over CBR and SV)", got)
+	}
+}
+
+// TestStageTracing exercises the stage histograms fed from the traced
+// spans: the /stats stages section must carry per-use-case
+// read/parse/process/write populations, and the per-use-case
+// latency histograms must split accordingly.
+func TestStageTracing(t *testing.T) {
+	srv := startServer(t, Config{UseCase: workload.CBR, Trace: true})
+	addr := srv.Addr().String()
+	if _, err := RunLoad(LoadConfig{Addr: addr, UseCase: workload.CBR, Conns: 2, Messages: 40}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunLoad(LoadConfig{Addr: addr, UseCase: workload.SV, Conns: 2, Messages: 30}); err != nil {
+		t.Fatal(err)
+	}
+
+	waitTraced(t, srv, 70)
+	snap := srv.Snapshot()
+	if snap.Stages == nil {
+		t.Fatal("no stages section with Trace on")
+	}
+	for _, uc := range []string{"CBR", "SV"} {
+		st, ok := snap.Stages[uc]
+		if !ok {
+			t.Fatalf("stages missing %s: %v", uc, snap.Stages)
+		}
+		for _, name := range []string{"read", "parse", "process", "write"} {
+			h, ok := st[name]
+			if !ok || h.Count == 0 {
+				t.Fatalf("%s stage %q empty: %+v", uc, name, st)
+			}
+		}
+		if _, ok := st["forward"]; ok {
+			t.Fatalf("%s traced a forward stage with no backends", uc)
+		}
+		lh, ok := snap.LatencyByUseCase[uc]
+		if !ok || lh.Count == 0 {
+			t.Fatalf("latency_by_usecase missing %s: %+v", uc, snap.LatencyByUseCase)
+		}
+	}
+	if snap.LatencyByUseCase["CBR"].Count != 40 || snap.LatencyByUseCase["SV"].Count != 30 {
+		t.Fatalf("per-use-case latency counts: %+v", snap.LatencyByUseCase)
+	}
+}
+
+// TestTracingOffByDefault keeps the trace opt-in and the sampler honest:
+// without Trace there is no stages section.
+func TestTracingOffByDefault(t *testing.T) {
+	srv := startServer(t, Config{})
+	if _, err := RunLoad(LoadConfig{Addr: srv.Addr().String(), UseCase: workload.CBR, Conns: 1, Messages: 10}); err != nil {
+		t.Fatal(err)
+	}
+	if snap := srv.Snapshot(); snap.Stages != nil {
+		t.Fatalf("stages section present without Trace: %+v", snap.Stages)
 	}
 }

@@ -236,7 +236,7 @@ func StatusText(code int) string {
 
 // LastParam reads the control planes' one query parameter, ?last=N — the
 // newest N entries of a ring, all of them when absent or 0 — off a raw
-// query string. /timeline and both ends' /traces parse it here, so a
+// query string. Both ends' /traces parse it here, so a
 // value one node refuses is refused by all.
 func LastParam(query string) (int, error) {
 	vals, err := url.ParseQuery(query)

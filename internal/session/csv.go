@@ -11,7 +11,7 @@ import (
 // csvHeader is the fixed dump schema. Per-CPU metrics are flattened to
 // the skew extremes (min/max CPI across CPUs) so the row width stays
 // constant regardless of CPU count; the full per-CPU detail lives in the
-// JSON forms (/timeline and the /stats timeline section).
+// JSON forms (the campaign's and the fleet's session JSONL).
 var csvHeader = []string{
 	"t_ms", "window_sec",
 	"messages", "msgs_per_sec", "bytes_in", "shed",
@@ -39,7 +39,7 @@ func csvRecord(s Sample) []string {
 }
 
 // WriteCSV dumps samples (chronological) in the fixed schema — the
-// session artifact aongate writes on SIGUSR1/shutdown and CI uploads.
+// fleet's per-node session artifacts.
 func WriteCSV(w io.Writer, samples []Sample) error {
 	return NewAppender(w, true).Append(samples)
 }
@@ -60,7 +60,7 @@ func cpuCPIBounds(cs []CPUSample) (min, max float64) {
 // out exactly once (suppressed when the writer was handed an already-
 // populated file), then each Append flushes its rows through to the
 // underlying writer before returning — the crash-safety contract the
-// gateway's periodic timeline flush and the fleet coordinator rely on:
+// campaign runner and the fleet coordinator rely on:
 // whatever Append has returned from is on disk, whatever comes later is
 // a clean appended row, never a torn rewrite.
 //

@@ -1,23 +1,25 @@
 // Package session records VTune-style sampling sessions for the live
-// gateway: a fixed-interval sampler (default 100ms, the granularity the
-// paper's VTune sampling sessions ran at) snapshots the measurement
-// layer into a bounded ring-buffer timeline. Where PR 3's windowed
-// /stats reading shows *that* CPI differs across use cases, the timeline
-// shows *when* — counter and latency values over time, per CPU — the
-// raw material for the paper's CPI-over-time figures.
+// gateway. The gateway publishes cumulative state on GET /stats —
+// message and byte counters, latency histograms and, with -counters,
+// scaled event counts since its counter groups opened — and every reader
+// cuts its own timeline from that one source with a Windower, at its own
+// interval: the campaign runner, the fleet scraper and aonsim -exp live.
+// Where one /stats read shows *that* CPI differs across use cases, the
+// timeline shows *when* — counter and latency values over time, per CPU —
+// the raw material for the paper's CPI-over-time figures.
 //
-// The package is deliberately generic: the sampler owns the clock, the
-// ring, and the lifecycle; the caller (the gateway) supplies a sample
-// function that flattens whatever it observes — counter windows,
-// throughput deltas, pool gauges — into a Sample. That keeps session
-// free of any dependency on the measurement packages and reusable by
-// other subsystems.
+// The package owns the sample schema, the one polling loop (Every), the
+// windowing rule (Windower) and the artifacts (CSV, JSONL); the caller
+// flattens whatever it observes into a cumulative Sample, which keeps
+// session free of any dependency on the gateway.
 package session
 
 import (
-	"fmt"
+	"slices"
 	"sync"
 	"time"
+
+	"repro/internal/hwcount"
 )
 
 // CPUSample is one logical CPU's derived counter window inside a Sample —
@@ -31,6 +33,10 @@ type CPUSample struct {
 	CacheMPI      float64 `json:"cache_mpi_pct"`
 	BrMPR         float64 `json:"br_mpr_pct"`
 	DerivedSource string  `json:"derived_source"` // "hw" or "model"
+	// Counts are the CPU's cumulative scaled events behind a
+	// hardware-sourced view, for Windower to difference; never
+	// serialized.
+	Counts hwcount.Counts `json:"-"`
 }
 
 // Sample is one fixed-interval observation: gateway throughput deltas
@@ -38,7 +44,7 @@ type CPUSample struct {
 // (process aggregate plus per-CPU), runtime-health gauges, and the
 // upstream pool gauge when the gateway forwards.
 type Sample struct {
-	// TMS is the sample's wall-clock time in Unix milliseconds.
+	// TMS is the sample's time in milliseconds on the node's own clock.
 	TMS int64 `json:"t_ms"`
 	// WindowSec is the measurement window this sample closed.
 	WindowSec float64 `json:"window_sec"`
@@ -60,6 +66,10 @@ type Sample struct {
 	CacheMPI      float64 `json:"cache_mpi_pct"`
 	BrMPR         float64 `json:"br_mpr_pct"`
 	DerivedSource string  `json:"derived_source"` // "hw" or "model"
+	// Counts are the process's cumulative scaled events behind a
+	// hardware-sourced view, for Windower to difference; never
+	// serialized.
+	Counts hwcount.Counts `json:"-"`
 	// ...and the per-CPU skew.
 	CPUs []CPUSample `json:"cpus,omitempty"`
 	// GOMAXPROCS is the scheduler width the gateway ran at — its
@@ -76,111 +86,11 @@ type Sample struct {
 	UpstreamIdle int `json:"upstream_idle_conns,omitempty"`
 }
 
-// sampleRing is the bounded sample buffer: the newest Capacity samples win,
-// older ones fall off. Safe for concurrent Add and Last.
-type sampleRing struct {
-	mu    sync.Mutex
-	buf   []Sample
-	total uint64 // lifetime samples added
-}
-
-// newRing sizes a ring; capacity <= 0 panics (the sampler validates).
-func newRing(capacity int) *sampleRing {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("session: ring capacity %d, want > 0", capacity))
-	}
-	return &sampleRing{buf: make([]Sample, 0, capacity)}
-}
-
-// Add appends one sample, evicting the oldest when full.
-func (r *sampleRing) Add(s Sample) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, s)
-	} else {
-		r.buf[r.total%uint64(cap(r.buf))] = s
-	}
-	r.total++
-}
-
-// Last returns the most recent n samples in chronological order (all
-// kept samples when n <= 0 or n exceeds what the ring holds).
-func (r *sampleRing) Last(n int) []Sample {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	kept := len(r.buf)
-	if n <= 0 || n > kept {
-		n = kept
-	}
-	out := make([]Sample, 0, n)
-	// Oldest kept sample is at total-kept; we want the last n of the
-	// kept window, i.e. indices [total-n, total).
-	for i := r.total - uint64(n); i < r.total; i++ {
-		out = append(out, r.buf[i%uint64(cap(r.buf))])
-	}
-	return out
-}
-
-// Since returns the samples whose lifetime index is >= afterTotal (i.e.
-// everything added after a previous call reported newTotal == afterTotal)
-// plus the ring's current lifetime total. Samples that have already been
-// evicted are silently gone — the caller polled too slowly for the ring
-// capacity. This is the incremental-flush primitive: a persister tracks
-// the returned total as its watermark and never re-reads a sample.
-func (r *sampleRing) Since(afterTotal uint64) ([]Sample, uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if afterTotal > r.total {
-		// Watermark from a different (restarted) ring: start over.
-		afterTotal = 0
-	}
-	n := r.total - afterTotal
-	if kept := uint64(len(r.buf)); n > kept {
-		n = kept
-	}
-	out := make([]Sample, 0, n)
-	for i := r.total - n; i < r.total; i++ {
-		out = append(out, r.buf[i%uint64(cap(r.buf))])
-	}
-	return out, r.total
-}
-
-// Total is the lifetime sample count (including evicted ones).
-func (r *sampleRing) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
-// Kept is how many samples the ring currently holds.
-func (r *sampleRing) Kept() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.buf)
-}
-
-// Config parameterizes a sampling session.
-type Config struct {
-	// Interval is the sampling period; 0 means the 100ms default (the
-	// VTune sampling-session granularity). Negative is rejected.
-	Interval time.Duration
-	// Capacity bounds the ring; 0 means 600 samples (one minute at the
-	// default interval). Negative is rejected.
-	Capacity int
-}
-
-// defaultInterval is the paper-style sampling period.
-const defaultInterval = 100 * time.Millisecond
-
-// defaultCapacity keeps one minute of samples at the default interval.
-const defaultCapacity = 600
-
 // Every calls fn once per interval from a goroutine of its own until the
 // returned stop is called. stop joins that goroutine — after it returns,
 // fn will never be called again — and is idempotent. It is the one
-// polling loop: the sampling session below, the gateway's timeline
-// flusher, the campaign's /stats sampler and the fleet's scrape loop.
+// polling loop: the campaign's /stats sampler, the fleet's scrape loop
+// and aonsim -exp live's in-process sampler.
 func Every(interval time.Duration, fn func()) (stop func()) {
 	quit, done := make(chan struct{}), make(chan struct{})
 	go func() {
@@ -203,74 +113,30 @@ func Every(interval time.Duration, fn func()) (stop func()) {
 	}
 }
 
-// Sampler drives one sampling session: a background goroutine calls fn
-// every interval and records the result. Close stops and joins it.
-type Sampler struct {
-	ring     *sampleRing
-	interval time.Duration
-	stop     func()
-}
-
-// Start begins a session. fn is called from the sampler goroutine only,
-// so it may keep unsynchronized previous-window state of its own.
-func Start(cfg Config, fn func() Sample) (*Sampler, error) {
-	if cfg.Interval < 0 {
-		return nil, fmt.Errorf("session: sampling interval %v, want > 0", cfg.Interval)
-	}
-	if cfg.Capacity < 0 {
-		return nil, fmt.Errorf("session: ring capacity %d, want > 0", cfg.Capacity)
-	}
-	if fn == nil {
-		return nil, fmt.Errorf("session: nil sample function")
-	}
-	if cfg.Interval == 0 {
-		cfg.Interval = defaultInterval
-	}
-	if cfg.Capacity == 0 {
-		cfg.Capacity = defaultCapacity
-	}
-	s := &Sampler{ring: newRing(cfg.Capacity), interval: cfg.Interval}
-	s.stop = Every(cfg.Interval, func() { s.ring.Add(fn()) })
-	return s, nil
-}
-
-// Close stops the session and joins the sampler goroutine; after Close
-// returns, fn will never be called again. Idempotent.
-func (s *Sampler) Close() { s.stop() }
-
-// Interval reports the sampling period in effect.
-func (s *Sampler) Interval() time.Duration { return s.interval }
-
-// Last returns the most recent n samples in chronological order.
-func (s *Sampler) Last(n int) []Sample { return s.ring.Last(n) }
-
-// Since returns the samples recorded after a previous Since call reported
-// newTotal == afterTotal, plus the new watermark. See sampleRing.Since.
-func (s *Sampler) Since(afterTotal uint64) ([]Sample, uint64) { return s.ring.Since(afterTotal) }
-
-// Total is the lifetime sample count.
-func (s *Sampler) Total() uint64 { return s.ring.Total() }
-
-// Kept is how many samples the ring currently holds.
-func (s *Sampler) Kept() int { return s.ring.Kept() }
-
 // Windower turns successive cumulative observations of a node into
-// windowed samples — the scrape-side counterpart of the in-process
-// sampler, shared by the campaign's /stats sampler and the fleet
-// scraper. Safe for concurrent use.
+// windowed samples — the one place a measurement window is cut. Each
+// reader keeps its own, so readers at different cadences each get
+// exactly their own spans from the same cumulative source. Safe for
+// concurrent use.
 type Windower struct {
 	mu   sync.Mutex
 	prev map[string]Sample // key → last cumulative observation
 }
 
-// Window takes a sample whose Messages, BytesIn and Shed hold key's
-// cumulative counters and returns it with those differenced against the
-// previous observation of key, WindowSec and MsgsPerSec filled from the
-// TMS step. The first observation of a key lands as a zero-window
-// sample that only primes the state (and pins the node's epoch in a
-// merged session); so does one whose clock did not advance — a restarted
-// node — which re-primes. A counter that went backwards yields 0, not a
-// wrap.
+// Window takes a sample whose Messages, BytesIn, Shed and Counts hold
+// key's cumulative counters and returns it with those differenced
+// against the previous observation of key: WindowSec and MsgsPerSec
+// come from the TMS step, and a hardware-sourced CPI, cache-MPI and
+// BrMPR (process and per CPU) are derived from the counts' delta. A
+// window that retired no instructions keeps the view derived from the
+// totals, so ratios never read zero just because the reader raced the
+// load; model-sourced views pass through unchanged.
+//
+// The first observation of a key lands as a zero-window sample that only
+// primes the state (and pins the node's epoch in a merged session); so
+// does one whose clock did not advance or whose hardware-sourced process
+// counts went backwards — a restarted node — which re-primes. A message
+// counter that went backwards yields 0, not a wrap.
 func (w *Windower) Window(key string, cum Sample) Sample {
 	w.mu.Lock()
 	if w.prev == nil {
@@ -282,14 +148,57 @@ func (w *Windower) Window(key string, cum Sample) Sample {
 
 	s := cum
 	s.Messages, s.BytesIn, s.Shed = 0, 0, 0
-	if ok && cum.TMS > p.TMS {
-		s.WindowSec = float64(cum.TMS-p.TMS) / 1000
-		s.Messages = Delta(cum.Messages, p.Messages)
-		s.BytesIn = Delta(cum.BytesIn, p.BytesIn)
-		s.Shed = Delta(cum.Shed, p.Shed)
-		s.MsgsPerSec = float64(s.Messages) / s.WindowSec
+	restarted := cum.DerivedSource == "hw" && p.DerivedSource == "hw" && backwards(cum.Counts, p.Counts)
+	if !ok || cum.TMS <= p.TMS || restarted {
+		return s
+	}
+	s.WindowSec = float64(cum.TMS-p.TMS) / 1000
+	s.Messages = Delta(cum.Messages, p.Messages)
+	s.BytesIn = Delta(cum.BytesIn, p.BytesIn)
+	s.Shed = Delta(cum.Shed, p.Shed)
+	s.MsgsPerSec = float64(s.Messages) / s.WindowSec
+	if d, ok := windowOf(cum.DerivedSource, cum.Counts, p.DerivedSource, p.Counts); ok {
+		s.CPI, s.CacheMPI, s.BrMPR = d.CPI, d.CacheMPI, d.BrMPR
+	}
+	if len(cum.CPUs) == len(p.CPUs) {
+		s.CPUs = slices.Clone(cum.CPUs)
+		for i := range s.CPUs {
+			c, pc := &s.CPUs[i], p.CPUs[i]
+			if c.CPU != pc.CPU {
+				continue
+			}
+			if d, ok := windowOf(c.DerivedSource, c.Counts, pc.DerivedSource, pc.Counts); ok {
+				c.CPI, c.CacheMPI, c.BrMPR = d.CPI, d.CacheMPI, d.BrMPR
+			}
+		}
 	}
 	return s
+}
+
+// windowOf derives a window from two hardware-sourced cumulative
+// readings; false leaves the caller's totals-derived (or model) view:
+// either side not hardware-sourced, counts that went backwards, or no
+// instructions retired in between.
+func windowOf(src string, cur hwcount.Counts, prevSrc string, prev hwcount.Counts) (hwcount.Derived, bool) {
+	if src != "hw" || prevSrc != "hw" || backwards(cur, prev) {
+		return hwcount.Derived{}, false
+	}
+	d := cur.Sub(prev)
+	if d.Get(hwcount.Instructions) == 0 {
+		return hwcount.Derived{}, false
+	}
+	return hwcount.Derive(d), true
+}
+
+// backwards reports whether any event count fell from prev to cur —
+// counter groups reopened, so the two readings share no epoch.
+func backwards(cur, prev hwcount.Counts) bool {
+	for e := range cur {
+		if cur[e] < prev[e] {
+			return true
+		}
+	}
+	return false
 }
 
 // Delta is a cumulative counter's growth from prev to cur: 0, not a

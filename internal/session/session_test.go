@@ -2,156 +2,9 @@ package session
 
 import (
 	"bytes"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 )
-
-// TestRingWraparound pins the bounded-timeline contract: a ring of
-// capacity 4 fed 10 samples keeps exactly the newest 4, in
-// chronological order, while Total still reports the lifetime count.
-func TestRingWraparound(t *testing.T) {
-	r := newRing(4)
-	for i := 0; i < 10; i++ {
-		r.Add(Sample{TMS: int64(i)})
-	}
-	if got := r.Total(); got != 10 {
-		t.Fatalf("total=%d want 10", got)
-	}
-	if got := r.Kept(); got != 4 {
-		t.Fatalf("kept=%d want 4", got)
-	}
-	got := r.Last(0)
-	want := []int64{6, 7, 8, 9}
-	if len(got) != len(want) {
-		t.Fatalf("Last(0) returned %d samples, want %d", len(got), len(want))
-	}
-	for i, s := range got {
-		if s.TMS != want[i] {
-			t.Fatalf("Last(0)[%d].TMS=%d want %d (full: %+v)", i, s.TMS, want[i], got)
-		}
-	}
-	// A partial read returns the newest n, still chronological.
-	got = r.Last(2)
-	if len(got) != 2 || got[0].TMS != 8 || got[1].TMS != 9 {
-		t.Fatalf("Last(2)=%+v want [8 9]", got)
-	}
-	// Asking for more than kept caps at kept.
-	if got := r.Last(100); len(got) != 4 {
-		t.Fatalf("Last(100) returned %d samples, want 4", len(got))
-	}
-}
-
-// TestRingBeforeWrap covers the fill phase: fewer samples than capacity.
-func TestRingBeforeWrap(t *testing.T) {
-	r := newRing(8)
-	for i := 0; i < 3; i++ {
-		r.Add(Sample{TMS: int64(i)})
-	}
-	got := r.Last(0)
-	if len(got) != 3 || got[0].TMS != 0 || got[2].TMS != 2 {
-		t.Fatalf("Last(0)=%+v want [0 1 2]", got)
-	}
-}
-
-// TestRingConcurrent hammers Add and Last concurrently; run under -race
-// this is the timeline's concurrent sample/read safety proof. Every
-// reader must observe a chronologically ordered window.
-func TestRingConcurrent(t *testing.T) {
-	r := newRing(16)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-				r.Add(Sample{TMS: int64(i)})
-			}
-		}
-	}()
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				got := r.Last(0)
-				for j := 1; j < len(got); j++ {
-					if got[j].TMS != got[j-1].TMS+1 {
-						t.Errorf("non-contiguous window: %d then %d", got[j-1].TMS, got[j].TMS)
-						return
-					}
-				}
-			}
-		}()
-	}
-	time.Sleep(20 * time.Millisecond)
-	close(stop)
-	wg.Wait()
-}
-
-// TestSamplerLifecycle runs a real session: samples accumulate at the
-// interval, Close joins the goroutine (no leak), and fn is never called
-// after Close returns.
-func TestSamplerLifecycle(t *testing.T) {
-	before := runtime.NumGoroutine()
-	var calls atomic.Int64
-	s, err := Start(Config{Interval: time.Millisecond, Capacity: 8}, func() Sample {
-		return Sample{TMS: calls.Add(1)}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Total() < 3 {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d samples after 5s", s.Total())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	s.Close()
-	after := calls.Load()
-	time.Sleep(10 * time.Millisecond)
-	if got := calls.Load(); got != after {
-		t.Fatalf("fn called after Close: %d -> %d", after, got)
-	}
-	s.Close() // idempotent
-	// The sampler goroutine must be gone; allow scheduler settle time.
-	for i := 0; i < 100; i++ {
-		if runtime.NumGoroutine() <= before {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("goroutines %d > %d before Start — sampler leaked", runtime.NumGoroutine(), before)
-}
-
-// TestSamplerValidation rejects broken configs up front.
-func TestSamplerValidation(t *testing.T) {
-	if _, err := Start(Config{Interval: -time.Second}, func() Sample { return Sample{} }); err == nil {
-		t.Fatal("negative interval accepted")
-	}
-	if _, err := Start(Config{Capacity: -1}, func() Sample { return Sample{} }); err == nil {
-		t.Fatal("negative capacity accepted")
-	}
-	if _, err := Start(Config{}, nil); err == nil {
-		t.Fatal("nil fn accepted")
-	}
-	s, err := Start(Config{}, func() Sample { return Sample{} })
-	if err != nil {
-		t.Fatalf("defaults rejected: %v", err)
-	}
-	defer s.Close()
-	if s.Interval() != defaultInterval {
-		t.Fatalf("interval=%v want default %v", s.Interval(), defaultInterval)
-	}
-}
 
 // TestWriteCSV pins the dump shape: header plus one row per sample with
 // per-CPU CPI flattened to min/max.
@@ -277,36 +130,6 @@ func TestReadCSVCorruption(t *testing.T) {
 	}
 	if rows[0].TMS != 1000 || rows[0].CPI != 1.5 {
 		t.Fatalf("merged row: %+v", rows[0])
-	}
-}
-
-// TestRingSince pins the incremental-flush primitive: successive Since
-// calls hand out each sample exactly once, and a watermark that outran
-// the ring (slow poller) silently skips evicted samples.
-func TestRingSince(t *testing.T) {
-	r := newRing(4)
-	for i := 0; i < 3; i++ {
-		r.Add(Sample{TMS: int64(i)})
-	}
-	got, wm := r.Since(0)
-	if len(got) != 3 || wm != 3 || got[0].TMS != 0 || got[2].TMS != 2 {
-		t.Fatalf("Since(0)=%+v wm=%d", got, wm)
-	}
-	if got, wm = r.Since(wm); len(got) != 0 || wm != 3 {
-		t.Fatalf("idle Since=%+v wm=%d want empty,3", got, wm)
-	}
-	// Overrun: 6 more samples into a capacity-4 ring — only the kept 4
-	// come back, oldest two are gone.
-	for i := 3; i < 9; i++ {
-		r.Add(Sample{TMS: int64(i)})
-	}
-	got, wm = r.Since(wm)
-	if len(got) != 4 || wm != 9 || got[0].TMS != 5 || got[3].TMS != 8 {
-		t.Fatalf("overrun Since=%+v wm=%d", got, wm)
-	}
-	// A stale watermark from a restarted ring restarts from scratch.
-	if got, _ = r.Since(1 << 40); len(got) != 4 {
-		t.Fatalf("stale watermark returned %d samples, want 4", len(got))
 	}
 }
 
