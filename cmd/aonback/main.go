@@ -24,8 +24,8 @@
 // is how cmd/aoncamp drives scripted fault campaigns; -seed keys the
 // deterministic error-rate draw. GET /stats serves the live counters as
 // JSON — request/drop/byte totals, the fault-injection state, and the
-// service latency histogram — which is how cmd/aonfleet scrapes backends
-// into the merged cross-node session. SIGINT/SIGTERM prints the same
+// service latency histogram — which is how cmd/aonfleet records backends
+// in the fleet's one cross-node session. SIGINT/SIGTERM prints the same
 // snapshot on stdout.
 package main
 

@@ -1,10 +1,12 @@
 // Command aoncamp runs a scenario campaign against a live AON gateway:
 // a JSON spec describing time-phased traffic shapes (constant, ramp,
 // diurnal, flash crowd, slow-loris) and scripted backend fault storms,
-// executed phase by phase while the gateway's /stats surface is sampled
-// into a phase-tagged session timeline. The output is a per-phase
-// Figure-5/6-style report — offered vs delivered load, latency
-// percentiles, scaling against the first phase, stage windows, capacity
+// executed phase by phase while the campaign's recorder reads the
+// gateway's cumulative /stats every sample_interval_ms and at every phase
+// boundary into a phase-tagged session timeline. The output is a
+// per-phase Figure-5/6-style report — offered vs delivered load, latency
+// percentiles, scaling against the first phase, the gateway's window cut
+// from the phase's start and end reads, stage windows, capacity
 // model-error columns — plus crash-safe JSONL/CSV artifacts the stock
 // session readers parse.
 //
@@ -32,8 +34,10 @@
 // the report, and the notice prints on stderr.
 //
 // Artifacts land in -out: session.jsonl + session.csv (written by the
-// runner, flushed per row), campaign-report.txt (the formatted report),
-// campaign-result.json (the full machine-readable result).
+// recorder, flushed per row; the gateway is node gateway/gw0, the schema
+// aonfleet writes for a whole topology), campaign-report.txt (the
+// formatted report), campaign-result.json (the full machine-readable
+// result).
 package main
 
 import (
@@ -172,14 +176,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	res, err := campaign.Run(spec, campaign.Options{
-		Addr:   target,
-		OutDir: *out,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(stderr, format+"\n", args...)
-		},
-	})
+	logf := func(format string, args ...any) {
+		fmt.Fprintf(stderr, format+"\n", args...)
+	}
+	rec, err := campaign.NewRecorder(*out, []campaign.RecordNode{
+		{Key: campaign.RoleGateway + "/gw0", Role: campaign.RoleGateway, Addr: target},
+	}, logf)
 	if err != nil {
+		return fail(1, err)
+	}
+	res, err := campaign.Run(spec, campaign.Options{Addr: target, Recorder: rec, Logf: logf})
+	if err := errors.Join(err, rec.Close()); err != nil {
 		return fail(1, err)
 	}
 

@@ -141,7 +141,10 @@ func TestSelfgateCountersScaling(t *testing.T) {
 	}
 
 	// The session CSV: a row per sample, each with its time (ReadCSV
-	// refuses an empty t_ms) and the gateway's width.
+	// refuses an empty t_ms; the rows are one gateway's reads, so each is
+	// later than the one before — the first, the phase-start read, can
+	// land in the in-process gateway's first millisecond, t_ms 0) and the
+	// gateway's width.
 	cf, err := os.Open(filepath.Join(out, "session.csv"))
 	if err != nil {
 		t.Fatal(err)
@@ -154,8 +157,11 @@ func TestSelfgateCountersScaling(t *testing.T) {
 	if len(rows) < 2 {
 		t.Errorf("session.csv has %d rows, want >= 2", len(rows))
 	}
+	if len(rows) != samples {
+		t.Errorf("session.csv has %d rows, session.jsonl %d samples", len(rows), samples)
+	}
 	for i, r := range rows {
-		if r.TMS <= 0 || r.GOMAXPROCS < 1 {
+		if r.TMS < 0 || (i > 0 && r.TMS <= rows[i-1].TMS) || r.GOMAXPROCS < 1 {
 			t.Errorf("session.csv row %d: t_ms %d, gomaxprocs %d", i, r.TMS, r.GOMAXPROCS)
 		}
 	}

@@ -3,12 +3,13 @@
 // launches the aonback/aongate fleet in dependency order — backends,
 // then gateways, each readiness-probed on /stats before the next tier
 // starts — or attaches to already-running instances by address (no SSH,
-// no agent: any node reachable over HTTP can join), keeps a cross-node
-// sampling session running by scraping every node's cumulative /stats
-// on a fixed interval and windowing it (launched gateways run with
-// -counters, so each window carries its CPI), and runs the config's
-// campaign against the first gateway. Without a campaign, one attached
-// gateway makes a passive recording of that gateway's timeline.
+// no agent: any node reachable over HTTP can join), records every node
+// with the campaign's one recorder — each node's cumulative /stats read
+// once per scrape_interval_ms and windowed (launched gateways run with
+// -counters, so each window carries its CPI) — and runs the config's
+// campaign against the first gateway with that recorder. Without a
+// campaign the recording is passive: one attached gateway makes a
+// timeline of that gateway, until ^C.
 //
 // Usage:
 //
@@ -19,8 +20,8 @@
 // a connection sweep is one constant phase per connection count, and
 // shaped phases and scripted fault storms work as they do there. Empty
 // "backends" are filled from the topology's backend nodes so fault steps
-// hit their live POST /fault endpoints. Without a campaign block the
-// fleet comes up and is observed until ^C.
+// hit their live POST /fault endpoints. Its "sample_interval_ms" is
+// refused: the fleet reads every node at "scrape_interval_ms".
 //
 // Topology config (see EXPERIMENTS.md for the full walkthrough):
 //
@@ -39,18 +40,20 @@
 //	}
 //
 // Remote machines join via "attach": true plus their address — start
-// aonback/aongate there by hand (or under systemd), and aonfleet merges
-// their samples into the same session. Cross-node alignment is by each
-// node's own monotonic sample clock (rel_ms = t_ms - the node's first
-// sample), never by comparing wall clocks across machines.
+// aonback/aongate there by hand (or under systemd), and aonfleet records
+// them in the same session. Cross-node alignment is by each node's own
+// monotonic clock (rel_ms = t_ms - the node's first t_ms), never by
+// comparing wall clocks across machines.
 //
-// Artifacts land in out_dir: per-node logs, merged-session.jsonl
-// (written as scraped — crash-safe), per-node session CSVs, a merged
-// CSV (node/role/rel_ms columns prefixed; still readable by the stock
-// session tooling and aonsim -exp capacity), the campaign's report,
-// result and phase-tagged session, and fleet-report.txt — per campaign
-// phase, every node's throughput, p50/p99 and CPI/cache-MPI where it
-// carries counters, and the fleet-total gateway throughput.
+// Artifacts land in out_dir: per-node logs; session.jsonl, the phase
+// events and one row per node read, written as read (crash-safe);
+// session.csv, the same rows in the stock session schema behind phase,
+// node, role and rel_ms (readable by the stock session tooling and
+// aonsim -exp capacity); with a campaign, campaign-report.txt and
+// campaign-result.json — per phase, the client view, the gateway's CPI,
+// and every node's window (throughput, p50/p99, CPI/cache-MPI where it
+// carries counters) cut from the phase's start and end reads, with the
+// fleet-total gateway throughput; and with "trace" on, traces.jsonl.
 //
 // Exit status: 0 only when the campaign completed and every launched
 // node exited cleanly; any node failure, readiness timeout, or campaign
@@ -58,8 +61,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -67,58 +72,72 @@ import (
 	"repro/internal/fleet"
 )
 
-func main() {
-	cfgPath := flag.String("config", "fleet.json", "fleet topology JSON")
-	printReport := flag.Bool("print-report", true, "print the combined fleet report to stdout")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it parses args, prints the campaign report on
+// stdout and progress on stderr, and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("aonfleet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	cfgPath := fs.String("config", "fleet.json", "fleet topology JSON")
+	printReport := fs.Bool("print-report", true, "print the campaign report to stdout")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "aonfleet:", err)
+		return code
+	}
 
 	cfg, err := fleet.LoadFile(*cfgPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "aonfleet:", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 	co, err := fleet.New(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "aonfleet:", err)
-		os.Exit(2)
+		return fail(2, err)
+	}
+	co.Logf = func(format string, args ...any) {
+		fmt.Fprintf(stderr, "aonfleet: "+format+"\n", args...)
 	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
 
 	if err := co.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, "aonfleet:", err)
 		co.Shutdown()
-		os.Exit(1)
+		return fail(1, err)
 	}
 
-	campaignErr := runCampaign(co, cfg, sig)
+	campaignErr := runCampaign(co, cfg, sig, stderr)
 
-	report, finishErr := co.Finish()
+	finishErr := co.Finish()
 	if finishErr != nil {
-		fmt.Fprintln(os.Stderr, "aonfleet:", finishErr)
+		fmt.Fprintln(stderr, "aonfleet:", finishErr)
 	} else if *printReport {
-		fmt.Print(report)
-		if cr := co.CampaignReport(); cr != "" {
-			fmt.Print(cr)
-		}
+		fmt.Fprint(stdout, co.CampaignReport())
 	}
 	shutdownErr := co.Shutdown()
 	if shutdownErr != nil {
-		fmt.Fprintln(os.Stderr, "aonfleet:", shutdownErr)
+		fmt.Fprintln(stderr, "aonfleet:", shutdownErr)
 	}
 	if campaignErr != nil || finishErr != nil || shutdownErr != nil {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // runCampaign drives the config's campaign when it carries one (its
 // presence is the opt-in — no flag needed), or holds the fleet up for
 // observation until a signal arrives. The campaign runs in a goroutine
 // so a signal can abandon it (the fleet teardown still runs).
-func runCampaign(co *fleet.Coordinator, cfg *fleet.Config, sig chan os.Signal) error {
+func runCampaign(co *fleet.Coordinator, cfg *fleet.Config, sig chan os.Signal, stderr io.Writer) error {
 	if cfg.Campaign == nil {
-		fmt.Fprintln(os.Stderr, "aonfleet: fleet up, scraping; ^C to stop")
+		fmt.Fprintln(stderr, "aonfleet: fleet up, recording; ^C to stop")
 		<-sig
 		return nil
 	}
@@ -127,7 +146,7 @@ func runCampaign(co *fleet.Coordinator, cfg *fleet.Config, sig chan os.Signal) e
 	select {
 	case err := <-done:
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "aonfleet:", err)
+			fmt.Fprintln(stderr, "aonfleet:", err)
 		}
 		return err
 	case s := <-sig:

@@ -26,10 +26,10 @@
 // VTune metrics on live hardware) including a per-CPU skew view (one
 // event group per logical CPU), degrading to runtime-metrics-only with a
 // startup notice where perf events are denied. /stats is a pure read:
-// a sampling session is cut by its reader from successive reads —
-// aoncamp's sample_interval_ms, aonfleet's scrape_interval_ms (attach
-// aonfleet to a running gateway with no campaign for a passive
-// recording).
+// a sampling session is cut by its reader from successive reads — the
+// campaign recorder reads it every aoncamp sample_interval_ms or aonfleet
+// scrape_interval_ms and at every phase boundary (attach aonfleet to a
+// running gateway with no campaign for a passive recording).
 //
 // With -trace, the gateway runs the tracing plane (internal/dtrace),
 // its one request clock: every request records real spans around

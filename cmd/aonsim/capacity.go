@@ -27,8 +27,9 @@ type capacityArgs struct {
 // runCapacity is -exp capacity: the analytic capacity model
 // (internal/capacity) offline, in two tables.
 //
-//   - Replay (-csv): every loaded sample of a session artifact (the CSV
-//     aongate dumps) becomes one row — the load it observed, what the model
+//   - Replay (-csv): every loaded gateway sample of a session artifact
+//     (the session.csv aoncamp or aonfleet records; a fleet's backend rows
+//     are skipped) becomes one row — the load it observed, what the model
 //     predicts at that load, and the throughput/p99 error — at the widest
 //     GOMAXPROCS the session ran at.
 //   - Scaling (-widths): the model re-solved at each width — saturation
@@ -55,10 +56,17 @@ func runCapacity(w io.Writer, a capacityArgs, cal *harness.Calibration) error {
 		if err != nil {
 			return err
 		}
-		rows, err = session.ReadCSV(f)
+		all, err := session.ReadCSV(f)
 		f.Close()
 		if err != nil {
 			return err
+		}
+		// The model is the gateway's: a backend's rows would seed it with
+		// the backend's service time.
+		for _, r := range all {
+			if r.Role == "" || r.Role == "gateway" {
+				rows = append(rows, r)
+			}
 		}
 	}
 	demands, width, source, err := seedDemands(rows, cal, a.usecase, a.demandUS)

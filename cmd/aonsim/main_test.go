@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -174,7 +175,7 @@ func capacityArtifacts(t *testing.T) (csvPath, calPath string) {
 		{TMS: 1300, WindowSec: 0.1, Messages: 1400, MsgsPerSec: 14000, Shed: 60, LatencyP50US: 140, LatencyP99US: 9000, GOMAXPROCS: 2, DerivedSource: "model"},
 	}
 	var buf bytes.Buffer
-	if err := session.WriteCSV(&buf, samples); err != nil {
+	if err := session.NewAppender(&buf, true).Append(samples); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(csvPath, buf.Bytes(), 0o644); err != nil {
@@ -205,6 +206,42 @@ func TestCapacityGolden(t *testing.T) {
 		if out.String() != capacityGolden[name] {
 			t.Errorf("%s: output moved:\n got:\n%s\nwant:\n%s", name, out.String(), capacityGolden[name])
 		}
+	}
+}
+
+// TestCapacityReplaysGatewayRowsOnly: a recorder's session.csv carries
+// every node's rows behind a role column; the replay models the gateway,
+// so a backend row — here the one with the lowest p50 — neither seeds
+// the demand nor becomes a replay row, and the tables are the gateway-only
+// session's.
+func TestCapacityReplaysGatewayRowsOnly(t *testing.T) {
+	samples := []session.Sample{
+		{TMS: 1000, WindowSec: 0.1, GOMAXPROCS: 2, DerivedSource: "model"},
+		{TMS: 1100, WindowSec: 0.1, Messages: 120, MsgsPerSec: 1200, LatencyP50US: 180, LatencyP99US: 900, GOMAXPROCS: 2, DerivedSource: "model"},
+		{TMS: 1200, WindowSec: 0.1, Messages: 800, MsgsPerSec: 8000, LatencyP50US: 150, LatencyP99US: 2400, GOMAXPROCS: 2, DerivedSource: "model"},
+		{TMS: 1300, WindowSec: 0.1, Messages: 1400, MsgsPerSec: 14000, Shed: 60, LatencyP50US: 140, LatencyP99US: 9000, GOMAXPROCS: 2, DerivedSource: "model"},
+	}
+	var buf bytes.Buffer
+	app := session.NewAppender(&buf, true, "phase", "node", "role", "rel_ms")
+	for i, s := range samples {
+		if err := app.AppendRow(s, "p1", "gateway/gw0", "gateway", strconv.Itoa(100*i)); err != nil {
+			t.Fatal(err)
+		}
+		backend := session.Sample{TMS: 5000 + s.TMS, WindowSec: 0.1, Messages: 500, MsgsPerSec: 5000, LatencyP50US: 20, LatencyP99US: 60}
+		if err := app.AppendRow(backend, "p1", "backend/b0", "backend", strconv.Itoa(100*i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "session.csv")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{"-exp", "capacity", "-csv", path, "-widths", "1,2"}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d: %s", code, errb.String())
+	}
+	if out.String() != capacityGolden["replay"] {
+		t.Errorf("fleet session replay differs from the gateway-only one:\n got:\n%s\nwant:\n%s", out.String(), capacityGolden["replay"])
 	}
 }
 

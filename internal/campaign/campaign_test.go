@@ -3,6 +3,7 @@ package campaign
 import (
 	"bufio"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -144,8 +145,12 @@ func TestCampaignEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	outDir := t.TempDir()
-	res, err := Run(spec, Options{Addr: srv.Addr().String(), OutDir: outDir, Logf: t.Logf})
+	rec, err := NewRecorder(outDir, []RecordNode{{Key: "gateway/gw0", Role: RoleGateway, Addr: srv.Addr().String()}}, t.Logf)
 	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(spec, Options{Addr: srv.Addr().String(), Recorder: rec, Logf: t.Logf})
+	if err := errors.Join(err, rec.Close()); err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Phases) != 3 {
@@ -205,7 +210,8 @@ func TestCampaignEndToEnd(t *testing.T) {
 	}
 
 	// Artifacts: the CSV parses through the stock session reader despite
-	// the leading phase column, and the JSONL carries every boundary.
+	// the leading phase, node, role and rel_ms columns, and the JSONL
+	// carries every boundary.
 	cf, err := os.Open(filepath.Join(outDir, "session.csv"))
 	if err != nil {
 		t.Fatal(err)

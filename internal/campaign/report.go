@@ -22,7 +22,7 @@ type Result struct {
 	DurationSec float64       `json:"duration_sec"`
 	Phases      []PhaseReport `json:"phases"`
 	Faults      []FaultEvent  `json:"faults,omitempty"`
-	Samples     int           `json:"samples"`
+	Samples     int           `json:"samples"` // rows the recorder landed during the run, every node's
 	Artifacts   []string      `json:"artifacts,omitempty"`
 
 	// ClientSpans are the senders' request spans of originated traces
@@ -74,57 +74,48 @@ type PhaseReport struct {
 	// FaultSteps counts the scripted fault posts that fired this phase.
 	FaultSteps int `json:"fault_steps,omitempty"`
 
-	// Procs is the gateway's width (/stats workers) at phase start, and
-	// Counters the mean of the counter views the phase's timeline samples
-	// carried (nil when none did). Both feed FormatReport only; the
-	// samples themselves are in the session artifacts.
-	Procs    int           `json:"-"`
-	Counters *CounterMeans `json:"-"`
+	// Procs is the gateway's width (/stats workers) at phase start,
+	// Counters the gateway's counter view over the phase (nil without a
+	// counters section), and Nodes every recorded node's phase window.
+	// Each window is cut from the phase's start and end reads, so the
+	// gateway's row in Nodes and Counters agree. They feed FormatReport
+	// only; the rows themselves are in the session artifacts.
+	Procs    int            `json:"-"`
+	Counters *CounterWindow `json:"-"`
+	Nodes    []NodeWindow   `json:"-"`
 }
 
-// CounterMeans is one phase's mean counter view over its timeline
-// samples: the paper's CPI and BrMPR (Tables 4/6) and the GC CPU share.
-type CounterMeans struct {
+// NodeWindow is one node's window over a phase: messages, msgs/s, CPI
+// and cache-MPI between the phase's start and end reads, and p50/p99 at
+// the end read (cumulative histograms: the freshest read wins).
+type NodeWindow struct {
+	Node string
+	Role string
+	session.Sample
+}
+
+// CounterWindow is the gateway's counter view over one phase: the
+// paper's CPI and BrMPR (Tables 4/6) and the GC CPU share.
+type CounterWindow struct {
 	CPI      float64
 	BrMPR    float64
 	GCCPUPct float64
-	// Source is "hw" when any sample was hardware-derived, else "model"
-	// (CPI and BrMPR are then the pinned model's predictions).
+	// Source is "hw" or "model" (CPI and BrMPR are then the pinned
+	// model's predictions).
 	Source string
 	// Notice is the gateway's explanation of a model fallback.
 	Notice string
 }
 
-// counterSum accumulates a phase's counter-bearing samples.
-type counterSum struct {
-	n              int
-	cpi, brmpr, gc float64
-	hw             bool
-}
-
-func (c *counterSum) add(s session.Sample) {
-	c.n++
-	c.cpi += s.CPI
-	c.brmpr += s.BrMPR
-	c.gc += s.GCCPUPct
-	c.hw = c.hw || s.DerivedSource == "hw"
-}
-
-// means closes the sum (nil-safe: no samples, no means); end supplies
-// the gateway's fallback notice.
-func (c *counterSum) means(end *gateway.Snapshot) *CounterMeans {
-	if c == nil || c.n == 0 {
+// counterWindow cuts the gateway's counter view from a phase's start
+// and end reads (nil when the gateway publishes no counters section).
+func counterWindow(start, end *gateway.Snapshot) *CounterWindow {
+	if end.Counters == nil {
 		return nil
 	}
-	n := float64(c.n)
-	m := &CounterMeans{CPI: c.cpi / n, BrMPR: c.brmpr / n, GCCPUPct: c.gc / n, Source: "model"}
-	if c.hw {
-		m.Source = "hw"
-	}
-	if end.Counters != nil {
-		m.Notice = end.Counters.Notice
-	}
-	return m
+	w := span(start.Sample(), end.Sample())
+	return &CounterWindow{CPI: w.CPI, BrMPR: w.BrMPR, GCCPUPct: w.GCCPUPct,
+		Source: w.DerivedSource, Notice: end.Counters.Notice}
 }
 
 // StageWindow is one pipeline stage's share of the phase: how many
@@ -244,9 +235,10 @@ func modelError(rep *PhaseReport, workers int, spec *Spec) *ModelError {
 // FormatReport renders the human-readable campaign report: the per-phase
 // scaling table (scale is ok/s over the first phase's — the paper's
 // "performance scalability from one processing unit to two" when the
-// phases differ in gomaxprocs — with the counter columns when samples
-// carried them), the model-error columns, the per-phase stage tables,
-// and the fault log.
+// phases differ in gomaxprocs — with the counter columns when the
+// gateway publishes counters), the per-node phase windows with the
+// fleet-total gateway throughput, the model-error columns, the per-phase
+// stage tables, and the fault log.
 func FormatReport(res *Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "campaign %s against %s: %d phases, %.1fs, %d samples",
@@ -294,6 +286,7 @@ func FormatReport(res *Result) string {
 	if marked {
 		fmt.Fprintf(&b, "* model prediction — %s\n", notice)
 	}
+	formatNodes(&b, res.Phases)
 
 	if anyModel(res.Phases) {
 		fmt.Fprintf(&b, "\ncapacity model vs measured (per phase):\n")
@@ -345,6 +338,36 @@ func FormatReport(res *Result) string {
 		}
 	}
 	return b.String()
+}
+
+// formatNodes renders every phase's per-node windows, gateways first,
+// and the fleet-total gateway throughput under each phase.
+func formatNodes(b *strings.Builder, phases []PhaseReport) {
+	if !slices.ContainsFunc(phases, func(p PhaseReport) bool { return len(p.Nodes) > 0 }) {
+		return
+	}
+	b.WriteString("\nper-node phase windows (start to end reads):\n")
+	fmt.Fprintf(b, "%-14s %-24s %10s %12s %10s %10s %8s %10s %6s\n",
+		"phase", "node", "msgs", "msgs/s", "p50(us)", "p99(us)", "cpi", "cacheMPI%", "src")
+	for i := range phases {
+		p := &phases[i]
+		var total float64
+		for _, n := range p.Nodes {
+			cpi, mpi, src := "-", "-", n.DerivedSource
+			if src == "" {
+				src = "-"
+			} else {
+				cpi = fmt.Sprintf("%.3f", n.CPI)
+				mpi = fmt.Sprintf("%.4f", n.CacheMPI)
+			}
+			fmt.Fprintf(b, "%-14s %-24s %10d %12.1f %10d %10d %8s %10s %6s\n",
+				p.Name, n.Node, n.Messages, n.MsgsPerSec, n.LatencyP50US, n.LatencyP99US, cpi, mpi, src)
+			if n.Role == RoleGateway {
+				total += n.MsgsPerSec
+			}
+		}
+		fmt.Fprintf(b, "%-14s %-24s %10s %12.1f\n", p.Name, "fleet-total(gateways)", "", total)
+	}
 }
 
 func anyModel(phases []PhaseReport) bool {

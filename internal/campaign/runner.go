@@ -3,8 +3,6 @@ package campaign
 import (
 	"fmt"
 	"net"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -20,19 +18,17 @@ import (
 type Options struct {
 	// Addr overrides Spec.Addr (aonfleet injects the launched gateway).
 	Addr string
-	// OutDir receives the session artifacts (JSONL + CSV); empty means
-	// no artifacts, report only.
-	OutDir string
+	// Recorder records the run's nodes and writes the session artifacts;
+	// its node at Addr is the campaign's gateway. Nil records the gateway
+	// alone, with no artifacts. Run starts an unstarted recorder at the
+	// spec's sample_interval_ms and stops it at the end; one already
+	// ticking (aonfleet's) keeps its own interval and keeps running.
+	Recorder *Recorder
 	// Logf receives progress lines (nil = silent).
 	Logf func(format string, args ...any)
-	// OnPhase, when set, is called on the campaign's goroutine at every
-	// phase boundary: at the start of p with rep nil (width and label
-	// already switched), and at its end with the phase's report row.
-	// aonfleet cuts its per-node windows here.
-	OnPhase func(p *Phase, rep *PhaseReport)
 }
 
-// scrapeTimeout bounds one GET /stats of the gateway under test.
+// scrapeTimeout bounds one GET /stats of a recorded node.
 const scrapeTimeout = 2 * time.Second
 
 // runner carries one campaign's live state.
@@ -41,25 +37,11 @@ type runner struct {
 	addr    string
 	timeout time.Duration
 	logf    func(string, ...any)
-
-	// Session artifacts (nil without Options.OutDir): the event log and
-	// the phase-tagged timeline.
-	jsonl *session.JSONL
-	csv   *session.Appender
-
-	window session.Windower // the gateway's previous cumulative /stats view
-
-	samples int // sampler goroutine only, until it is joined
+	rec     *Recorder
 
 	// origProcs is GOMAXPROCS when Run began: the width of a phase that
 	// sets none, and the width Run restores.
 	origProcs int
-
-	// phaseMu is held across a whole sample — scrape and tag — and across
-	// a phase switch, so a sample's phase tag and gomaxprocs agree.
-	phaseMu  sync.Mutex
-	curPhase string
-	counters *counterSum // the current phase's samples' counter views
 
 	mu       sync.Mutex
 	faultLog []FaultEvent
@@ -79,39 +61,17 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
+	rec := opts.Recorder
+	if rec == nil {
+		rec, _ = NewRecorder("", []RecordNode{{Key: RoleGateway + "/gw0", Role: RoleGateway, Addr: addr}}, nil)
+	}
 	r := &runner{
 		spec:      spec,
 		addr:      addr,
 		timeout:   time.Duration(spec.TimeoutMS) * time.Millisecond,
 		logf:      logf,
+		rec:       rec,
 		origProcs: runtime.GOMAXPROCS(0),
-	}
-	defer runtime.GOMAXPROCS(r.origProcs)
-
-	var artifacts []string
-	if opts.OutDir != "" {
-		if err := os.MkdirAll(opts.OutDir, 0o755); err != nil {
-			return nil, fmt.Errorf("campaign: %w", err)
-		}
-		artifacts = []string{filepath.Join(opts.OutDir, "session.jsonl"), filepath.Join(opts.OutDir, "session.csv")}
-		jf, err := session.CreateJSONL(artifacts[0])
-		if err != nil {
-			return nil, fmt.Errorf("campaign: %w", err)
-		}
-		defer jf.Close()
-		cf, err := os.Create(artifacts[1])
-		if err != nil {
-			return nil, fmt.Errorf("campaign: %w", err)
-		}
-		defer cf.Close()
-		r.jsonl = jf
-		// The campaign CSV is the stock session schema with a leading
-		// "phase" column — session.ReadCSV locates columns by name, so the
-		// stock readers still parse it.
-		r.csv = session.NewAppender(cf, true, "phase")
-		if err := r.csv.Append(nil); err != nil {
-			return nil, fmt.Errorf("campaign: %w", err)
-		}
 	}
 
 	// Pre-flight: the gateway must answer /stats before the first phase.
@@ -123,57 +83,69 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 		Name:      spec.Name,
 		Addr:      addr,
 		Seed:      spec.Seed,
-		Artifacts: artifacts,
+		Artifacts: rec.artifacts,
 	}
 
-	// One sampler spans the campaign so the timeline is continuous across
-	// phase boundaries; each sample is tagged with the phase it landed in.
-	stopSample := session.Every(time.Duration(spec.SampleIntervalMS)*time.Millisecond, r.sampleOnce)
-	defer stopSample()
+	// The recorder's ticks span the campaign, so the timeline is
+	// continuous across phase boundaries. Leaving, the width is restored
+	// and later rows carry no phase.
+	rows := rec.rowCount()
+	defer rec.switchPhase("", r.origProcs)
+	if rec.stopTicks == nil {
+		rec.Start(time.Duration(spec.SampleIntervalMS) * time.Millisecond)
+		defer rec.stopTicks()
+	}
 
 	start := time.Now()
 	for i := range spec.Phases {
 		p := &spec.Phases[i]
-		rep, spans, err := r.runPhase(p, opts.OnPhase)
+		rep, spans, err := r.runPhase(p)
 		if err != nil {
 			return nil, err
 		}
 		res.Phases = append(res.Phases, *rep)
 		res.ClientSpans = append(res.ClientSpans, spans...)
 	}
-	stopSample()
 
 	res.DurationSec = time.Since(start).Seconds()
-	res.Faults, res.Samples = r.faultLog, r.samples // their writers are joined
+	res.Samples = rec.rowCount() - rows
+	res.Faults = r.faultLog // its writers are joined
 	return res, nil
 }
 
+// gatewayRead returns a boundary read of the campaign's gateway for
+// Recorder.boundary: one GET /stats, kept in *snap for the report row.
+func (r *runner) gatewayRead(snap **gateway.Snapshot) func() (session.Sample, error) {
+	return func() (session.Sample, error) {
+		s, err := gateway.FetchStats(r.addr, scrapeTimeout)
+		if err != nil {
+			return session.Sample{}, err
+		}
+		*snap = s
+		return s.Sample(), nil
+	}
+}
+
 // runPhase drives one phase: envelope-controlled senders (plus trickling
-// holds for slowloris), the fault script, and start/end gateway
-// snapshots that become the report row. It also returns the senders'
-// client spans.
-func (r *runner) runPhase(p *Phase, onPhase func(*Phase, *PhaseReport)) (*PhaseReport, []dtrace.Span, error) {
+// holds for slowloris), the fault script, and the boundary reads of
+// every recorded node at its start and end, which become the report row
+// and its per-node windows. It also returns the senders' client spans.
+func (r *runner) runPhase(p *Phase) (*PhaseReport, []dtrace.Span, error) {
 	procs := p.GOMAXPROCS
 	if procs == 0 {
 		procs = r.origProcs
 	}
-	sums := &counterSum{}
-	r.phaseMu.Lock()
-	runtime.GOMAXPROCS(procs)
-	r.curPhase, r.counters = p.Name, sums
-	r.phaseMu.Unlock()
-	r.writeEvent(map[string]any{
+	r.rec.switchPhase(p.Name, procs)
+	r.rec.event(map[string]any{
 		"type": "phase-start", "phase": p.Name, "shape": string(p.Shape),
 		"usecase": p.UseCase, "duration_ms": p.DurationMS,
 	})
 	r.logf("campaign: phase %s: %s %s for %v at GOMAXPROCS %d", p.Name, p.Shape, p.UseCase, p.Duration(), procs)
-	if onPhase != nil {
-		onPhase(p, nil)
-	}
 
-	// This scrape also settles an in-process gateway's default admission
-	// bound at the new width (gateway.Config.MaxInflight).
-	snapStart, err := gateway.FetchStats(r.addr, scrapeTimeout)
+	// The gateway's start read also settles an in-process gateway's
+	// default admission bound at the new width (gateway.Config.MaxInflight).
+	var snapStart, snapEnd *gateway.Snapshot
+	starts, err := r.rec.boundary(r.addr, r.gatewayRead(&snapStart))
 	if err != nil {
 		return nil, nil, fmt.Errorf("campaign: phase %s: %w", p.Name, err)
 	}
@@ -182,7 +154,6 @@ func (r *runner) runPhase(p *Phase, onPhase func(*Phase, *PhaseReport)) (*PhaseR
 			"(gomaxprocs sets this process's width, so it needs an in-process gateway: aoncamp -selfgate)",
 			p.Name, p.GOMAXPROCS, r.addr, snapStart.Workers)
 	}
-
 	uc, err := workload.ParseUseCase(p.UseCase)
 	if err != nil {
 		return nil, nil, fmt.Errorf("campaign: phase %s: %v", p.Name, err)
@@ -242,51 +213,18 @@ func (r *runner) runPhase(p *Phase, onPhase func(*Phase, *PhaseReport)) (*PhaseR
 	faultWG.Wait()
 	activeDur := time.Since(start)
 
-	snapEnd, err := gateway.FetchStats(r.addr, scrapeTimeout)
+	ends, err := r.rec.boundary(r.addr, r.gatewayRead(&snapEnd))
 	if err != nil {
 		return nil, nil, fmt.Errorf("campaign: phase %s: %w", p.Name, err)
 	}
 
 	rep := buildPhaseReport(p, activeDur, client, lp, snapStart, snapEnd, r.spec)
-	r.phaseMu.Lock()
-	rep.Counters = sums.means(snapEnd)
-	r.phaseMu.Unlock()
-	r.writeEvent(map[string]any{"type": "phase-end", "phase": p.Name, "report": rep})
+	rep.Nodes = r.rec.windows(starts, ends)
+	rep.Counters = counterWindow(snapStart, snapEnd)
+	r.rec.event(map[string]any{"type": "phase-end", "phase": p.Name, "report": rep})
 	r.logf("campaign: phase %s done: offered %.0f/s ok %.0f/s p99 %dus shed %d",
 		p.Name, rep.OfferedPerSec, rep.OKPerSec, rep.LatencyP99US, rep.Shed)
-	if onPhase != nil {
-		onPhase(p, rep)
-	}
 	return rep, client.ClientSpans, nil
-}
-
-// sampleOnce scrapes /stats and lands one phase-tagged windowed sample
-// in the timeline.
-func (r *runner) sampleOnce() {
-	r.phaseMu.Lock()
-	defer r.phaseMu.Unlock()
-	snap, err := gateway.FetchStats(r.addr, scrapeTimeout)
-	if err != nil {
-		return // a missed tick is not fatal; phase snapshots own liveness
-	}
-	s := r.window.Window(r.addr, snap.Sample())
-	phase := r.curPhase
-	r.writeEvent(map[string]any{"type": "sample", "phase": phase, "sample": s})
-	if r.csv != nil {
-		r.csv.AppendRow(s, phase) // best effort, like the event log
-	}
-	if s.DerivedSource != "" && r.counters != nil {
-		r.counters.add(s)
-	}
-	r.samples++
-}
-
-// writeEvent appends one line to the event log; a failed write loses
-// that line, not the campaign.
-func (r *runner) writeEvent(ev map[string]any) {
-	if r.jsonl != nil {
-		r.jsonl.Write(ev)
-	}
 }
 
 // sleepOrStop sleeps d unless stop closes first; reports whether the

@@ -1,10 +1,10 @@
 package campaign
 
 import (
-	"bufio"
 	"context"
+	"errors"
 	"fmt"
-	"net"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -32,14 +32,19 @@ func startGateway(t *testing.T, cfg gateway.Config) string {
 }
 
 // TestPhaseGOMAXPROCS: a gomaxprocs phase runs at that width against an
-// in-process gateway, its report row carries the width, a phase without
-// one runs at the width Run began with, and Run restores that width.
+// in-process gateway, its report row and every row the recorder tagged
+// with it carry the width, a phase without one runs at the width Run
+// began with, and Run restores that width.
 func TestPhaseGOMAXPROCS(t *testing.T) {
 	prev := runtime.GOMAXPROCS(2)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	addr := startGateway(t, gateway.Config{})
 
-	var seen []int
+	dir := t.TempDir()
+	rec, err := NewRecorder(dir, []RecordNode{{Key: "gateway/gw0", Role: RoleGateway, Addr: addr}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	spec := &Spec{
 		SampleIntervalMS: 40,
 		Phases: []Phase{
@@ -50,19 +55,26 @@ func TestPhaseGOMAXPROCS(t *testing.T) {
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(spec, Options{Addr: addr, OnPhase: func(p *Phase, rep *PhaseReport) {
-		if rep == nil {
-			seen = append(seen, runtime.GOMAXPROCS(0))
-		}
-	}})
-	if err != nil {
+	res, err := Run(spec, Options{Addr: addr, Recorder: rec})
+	if err := errors.Join(err, rec.Close()); err != nil {
 		t.Fatal(err)
 	}
 	if got := runtime.GOMAXPROCS(0); got != 2 {
 		t.Fatalf("GOMAXPROCS %d after Run, want 2 restored", got)
 	}
+	// Each phase's first row is its start read: the width it began at.
+	var seen []int
+	widths := map[string]int{"one": 1, "default": 2}
+	for _, row := range readRows(t, filepath.Join(dir, "session.jsonl")) {
+		if row.Sample.GOMAXPROCS != widths[row.Phase] {
+			t.Errorf("row in phase %q at width %d, want %d", row.Phase, row.Sample.GOMAXPROCS, widths[row.Phase])
+		}
+		if n := len(seen); n == 0 || seen[n-1] != row.Sample.GOMAXPROCS {
+			seen = append(seen, row.Sample.GOMAXPROCS)
+		}
+	}
 	if fmt.Sprint(seen) != "[1 2]" {
-		t.Fatalf("phase-start widths %v, want [1 2]", seen)
+		t.Fatalf("phase widths %v, want [1 2]", seen)
 	}
 	if res.Phases[0].Procs != 1 || res.Phases[1].Procs != 2 {
 		t.Fatalf("report procs %d, %d, want 1, 2", res.Phases[0].Procs, res.Phases[1].Procs)
@@ -104,33 +116,7 @@ func TestPhaseGOMAXPROCSAdmissionBound(t *testing.T) {
 // fakeStats serves a /stats body reporting the given width to every
 // request: a gateway running in another process.
 func fakeStats(t *testing.T, workers int) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	body := fmt.Sprintf(`{"workers": %d}`, workers)
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer c.Close()
-				br := bufio.NewReader(c)
-				for {
-					line, err := br.ReadString('\n')
-					if err != nil || line == "\r\n" {
-						break
-					}
-				}
-				fmt.Fprintf(c, "HTTP/1.1 200 OK\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s", len(body), body)
-			}()
-		}
-	}()
-	return ln.Addr().String()
+	return startFakePlane(t, func() any { return map[string]int{"workers": workers} }).addr
 }
 
 // TestPhaseGOMAXPROCSRefusedElsewhere: against a gateway whose /stats

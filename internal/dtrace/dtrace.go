@@ -153,8 +153,8 @@ func ParseHeaderValue[T string | []byte](v T) (traceID, parentID ID, ok bool) {
 // Span is one timed segment of a request on one node. StartUS is the
 // recording node's own wall clock in microseconds: spans are joined
 // across nodes by trace ID only — never by comparing start times across
-// machines (the same no-cross-clock rule the fleet merger applies to
-// samples).
+// machines (the same no-cross-clock rule the campaign recorder applies
+// to sample rows).
 type Span struct {
 	TraceID  ID `json:"trace_id"`
 	SpanID   ID `json:"span_id"`

@@ -159,7 +159,7 @@ func (t *Tail) Keep(traceID ID, spans []Span) {
 func (t *Tail) Last(n int) []Trace { return t.ring.Last(n) }
 
 // TracesResponse is the GET /traces JSON shape. aongate and aonback
-// serve it and the fleet scraper and aontrace decode it, so one type is
+// serve it and the fleet's trace pull and aontrace decode it, so one type is
 // the whole contract.
 type TracesResponse struct {
 	Node   string    `json:"node"`

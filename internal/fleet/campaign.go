@@ -9,12 +9,9 @@ import (
 	"repro/internal/campaign"
 )
 
-// Campaign artifact names under cfg.OutDir. The runner's own session
-// JSONL/CSV land in the campaignDirName subdirectory, keeping the
-// campaign's phase-tagged timeline separate from the fleet's merged
-// cross-node session (both run concurrently).
+// Campaign artifact names under cfg.OutDir, beside the recorder's
+// session.jsonl and session.csv.
 const (
-	campaignDirName    = "campaign"
 	campaignReportName = "campaign-report.txt"
 	campaignResultName = "campaign-result.json"
 )
@@ -22,12 +19,12 @@ const (
 // RunCampaign drives the config's campaign against the fleet's first
 // gateway: the spec's addr is the launched (or attached) gateway, and an
 // empty backends list is filled with the topology's backend addresses so
-// fault steps land on their live POST /fault endpoints. The cross-node
-// scrape keeps running throughout, so the merged fleet session records
-// every node's view of the same phases the campaign tags in its own
-// timeline; at each phase boundary the coordinator scrapes once more and
-// cuts the phase's per-node windows from it. With the trace plane on,
-// the campaign's client spans join the trace store as load/client.
+// fault steps land on their live POST /fault endpoints. The fleet's
+// recorder goes with it: it keeps ticking at the scrape interval, the
+// campaign tags its rows with the phase and adds every node's phase
+// boundary reads, and the report's per-node windows are cut from those.
+// With the trace plane on, the campaign's client spans join the trace
+// store as load/client.
 func (c *Coordinator) RunCampaign() error {
 	spec := c.cfg.Campaign
 	if spec == nil {
@@ -48,25 +45,12 @@ func (c *Coordinator) RunCampaign() error {
 		return err
 	}
 
-	mark := 0
 	res, err := campaign.Run(spec, campaign.Options{
-		Addr:   dialable(gw.Addr),
-		OutDir: filepath.Join(c.cfg.OutDir, campaignDirName),
-		Logf:   c.Logf,
-		OnPhase: func(p *campaign.Phase, rep *campaign.PhaseReport) {
-			if rep == nil {
-				c.scrapeOnce()
-				mark = c.merger.Len()
-				return
-			}
-			c.scrapeOnce()
-			c.windows = append(c.windows, cutPhase(p.Name, c.merger.Slice(mark, c.merger.Len())))
-		},
+		Addr:     dialable(gw.Addr),
+		Recorder: c.rec,
+		Logf:     c.Logf,
 	})
 	if err != nil {
-		return err
-	}
-	if err := c.merger.SinkErr(); err != nil {
 		return err
 	}
 	c.campaignRes = res

@@ -1,9 +1,9 @@
 // Package fleet is the coordinator behind cmd/aonfleet: it launches a
 // topology of aongate/aonback processes (or attaches to already-running
-// instances by their listen/stats addresses — no SSH, no agent), drives
-// the config's campaign against the gateway, and merges every node's
-// self-reported observability (/stats, windowed by the scraper) into one
-// cross-node sampling session persisted to disk as it is collected.
+// instances by their listen/stats addresses — no SSH, no agent), records
+// every node's cumulative /stats with the one campaign.Recorder into one
+// cross-node session persisted to disk as it is read, and drives the
+// config's campaign against the gateway with that recorder.
 //
 // The paper's scaling study compares one processing unit against two
 // inside a single chassis; the ROADMAP pushes that question to fleet
@@ -11,8 +11,9 @@
 // the EXPERIMENTS.md two-machine recipe becomes one declarative config
 // and one command, with ordered start (backends → gateways), readiness
 // probes, per-node log capture, graceful fan-out shutdown with
-// exit-status collection, and a merged per-phase, per-node report at the
-// end. The load itself is the one run engine's (internal/campaign).
+// exit-status collection, and per-phase, per-node windows in the
+// campaign's report. The load and the recording are the one run engine's
+// (internal/campaign).
 package fleet
 
 import (
@@ -29,8 +30,8 @@ import (
 // order of the paper's device → endpoint chain; the campaign is the
 // client.
 const (
-	roleBackend = "backend"
-	roleGateway = "gateway"
+	roleBackend = campaign.RoleBackend
+	roleGateway = campaign.RoleGateway
 )
 
 // NodeConfig is one topology entry in the declarative fleet config.
@@ -61,15 +62,17 @@ type NodeConfig struct {
 
 // Config is the declarative fleet topology, loaded from JSON.
 type Config struct {
-	// OutDir receives every artifact: per-node logs, the merged JSONL
-	// session, per-node and merged CSVs, the fleet report and the
-	// campaign's report, result and session.
+	// OutDir receives every artifact: per-node logs, the recorder's
+	// session.jsonl and session.csv (every node, phase-tagged), the
+	// campaign's report and result, and with Trace traces.jsonl.
 	// Default "fleet-out".
 	OutDir string `json:"out_dir,omitempty"`
 	// BinDir holds the aonback/aongate binaries. Empty means resolve
 	// from PATH.
 	BinDir string `json:"bin_dir,omitempty"`
-	// ScrapeIntervalMS is the cross-node sampling period (default 200).
+	// ScrapeIntervalMS is the recorder's period: every node is read once
+	// per interval, and the trace plane pulls at the same pace (default
+	// 200). An embedded campaign's own sample_interval_ms is refused.
 	ScrapeIntervalMS int `json:"scrape_interval_ms,omitempty"`
 	// ReadyTimeoutMS bounds each node's readiness probe (default 10000).
 	ReadyTimeoutMS int `json:"ready_timeout_ms,omitempty"`
@@ -183,6 +186,12 @@ func (c *Config) Validate() error {
 	}
 	if gateways == 0 {
 		return fmt.Errorf("fleet: topology has no gateway node")
+	}
+	// The fleet records every node at scrape_interval_ms, so a campaign
+	// sampling period would be ignored: refuse it instead.
+	if c.Campaign != nil && c.Campaign.SampleIntervalMS != 0 {
+		return fmt.Errorf("fleet: campaign sample_interval_ms %d: a fleet records every node at scrape_interval_ms; set that instead",
+			c.Campaign.SampleIntervalMS)
 	}
 	// The campaign spec itself is validated in RunCampaign, after the
 	// coordinator has injected the topology's gateway and backend

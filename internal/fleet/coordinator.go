@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/campaign"
@@ -17,33 +18,34 @@ import (
 )
 
 // Coordinator owns one fleet run: launch (or attach to) the topology,
-// keep a cross-node sampling session running, drive the campaign, and
+// record every node with one campaign.Recorder, drive the campaign, and
 // tear everything down with exit-status collection.
 type Coordinator struct {
 	cfg   *Config
 	nodes []*Node
 
-	merger  *Merger
-	scraper *scraper
-	// persisters are the open JSONL artifacts: the merged session and,
-	// with the trace plane on, traces.jsonl.
-	persisters []*session.JSONL
+	// rec records every node from Start to Finish; RunCampaign hands it
+	// to the campaign, which adds the phase boundary reads.
+	rec      *campaign.Recorder
+	stopOnce sync.Once
+	recErr   error
 
-	// traces is the fleet trace plane's cross-node span store (nil unless
+	// traces is the fleet trace plane's cross-node span store, fed by
+	// puller each tick and written to tracesOut (all nil unless
 	// Config.Trace).
-	traces *TraceStore
-
-	stopScrape func() // joins the scrape loop; nil until Start
-
-	// windows are the per-node windows cut from the merged session, one
-	// per campaign phase.
-	windows []phaseWindow
+	traces     *TraceStore
+	tracesOut  *session.JSONL
+	puller     *tracePuller
+	stopTraces func()
 
 	campaignRes *campaign.Result
 
 	// Logf receives progress lines (default os.Stderr).
 	Logf func(format string, args ...any)
 }
+
+// probeTimeout bounds one readiness probe or /traces pull.
+const probeTimeout = 2 * time.Second
 
 // New validates and expands the topology. Nothing is launched yet.
 func New(cfg *Config) (*Coordinator, error) {
@@ -65,9 +67,6 @@ func New(cfg *Config) (*Coordinator, error) {
 
 // Nodes exposes the expanded topology in config order.
 func (c *Coordinator) Nodes() []*Node { return c.nodes }
-
-// Merger exposes the live merged session (nil before Start).
-func (c *Coordinator) Merger() *Merger { return c.merger }
 
 // byRole returns the expanded nodes with the given role, in config order.
 func (c *Coordinator) byRole(role string) []*Node {
@@ -95,29 +94,12 @@ func dialable(addr string) string {
 
 // Start brings the fleet up in dependency order — backends, then
 // gateways — with a readiness probe against each node's /stats before
-// the next tier launches, and starts the cross-node scrape loop feeding
-// the merged on-disk session.
+// the next tier launches, and starts recording every node into
+// out_dir/session.{jsonl,csv} at the scrape interval.
 func (c *Coordinator) Start() error {
 	if err := os.MkdirAll(c.cfg.OutDir, 0o755); err != nil {
 		return fmt.Errorf("fleet: out dir: %w", err)
 	}
-	writer, err := session.CreateJSONL(filepath.Join(c.cfg.OutDir, jsonlName))
-	if err != nil {
-		return err
-	}
-	c.persisters = append(c.persisters, writer)
-	c.merger = newMerger(func(ns NodeSample) error { return writer.Write(ns) })
-	c.scraper = newScraper(c.merger, c.cfg.ScrapeInterval()*4)
-	if c.cfg.Trace {
-		tw, err := session.CreateJSONL(filepath.Join(c.cfg.OutDir, tracesJSONLName))
-		if err != nil {
-			return err
-		}
-		c.persisters = append(c.persisters, tw)
-		c.traces = newTraceStore(func(sp dtrace.Span) error { return tw.Write(sp) })
-		c.scraper.traces = c.traces
-	}
-
 	for _, n := range c.byRole(roleBackend) {
 		args := []string{"-addr", n.Addr, "-name", n.Endpoint}
 		if c.cfg.Trace {
@@ -144,7 +126,26 @@ func (c *Coordinator) Start() error {
 		}
 	}
 
-	c.stopScrape = session.Every(c.cfg.ScrapeInterval(), c.scrapeOnce)
+	var nodes []campaign.RecordNode
+	for _, n := range c.nodes {
+		nodes = append(nodes, campaign.RecordNode{Key: n.Key(), Role: n.Role, Addr: dialable(n.Addr)})
+	}
+	rec, err := campaign.NewRecorder(c.cfg.OutDir, nodes, c.Logf)
+	if err != nil {
+		return err
+	}
+	c.rec = rec
+	rec.Start(c.cfg.ScrapeInterval())
+	if c.cfg.Trace {
+		tw, err := session.CreateJSONL(filepath.Join(c.cfg.OutDir, tracesJSONLName))
+		if err != nil {
+			return err
+		}
+		c.tracesOut = tw
+		c.traces = newTraceStore(func(sp dtrace.Span) error { return tw.Write(sp) })
+		c.puller = &tracePuller{traces: c.traces}
+		c.stopTraces = session.Every(c.cfg.ScrapeInterval(), c.pullTraces)
+	}
 	return nil
 }
 
@@ -187,7 +188,7 @@ func (c *Coordinator) waitReady(n *Node) error {
 				n.Key(), n.ExitErr, n.logTail(2048))
 		}
 		var probe json.RawMessage
-		if err := gateway.GetJSON(addr, "/stats", c.scraper.timeout, &probe); err == nil {
+		if err := gateway.GetJSON(addr, "/stats", probeTimeout, &probe); err == nil {
 			c.Logf("%s: ready", n.Key())
 			return nil
 		}
@@ -199,13 +200,13 @@ func (c *Coordinator) waitReady(n *Node) error {
 	}
 }
 
-// scrapeOnce scrapes all nodes now — the scrape loop's tick body, also
-// called synchronously at phase boundaries so windows close on fresh
-// data. Scrape errors are logged, not fatal (liveness is owned by the
-// readiness and exit checks).
-func (c *Coordinator) scrapeOnce() {
-	for _, err := range c.scraper.scrapeAll(c.nodes) {
-		c.Logf("scrape: %v", err)
+// pullTraces pulls every node's kept spans once — the trace plane's tick
+// body, and its final pull in Finish. A failed pull is logged, not fatal.
+func (c *Coordinator) pullTraces() {
+	for _, n := range c.nodes {
+		if err := c.puller.pull(n); err != nil {
+			c.Logf("traces: %s: %v", n.Key(), err)
+		}
 	}
 }
 
@@ -213,20 +214,16 @@ func (c *Coordinator) scrapeOnce() {
 // Config.Trace).
 func (c *Coordinator) Traces() *TraceStore { return c.traces }
 
-// Finish stops the scrape loop, takes a final sample, renders every
-// artifact (per-node CSVs, the merged CSV, the combined report), and
-// returns the report text.
-func (c *Coordinator) Finish() (string, error) {
-	if c.stopScrape != nil {
-		c.stopScrape()
-	}
-	c.scrapeOnce()
-	if err := c.merger.SinkErr(); err != nil {
-		return "", err
+// Finish stops the recording and the trace pulls, takes the final trace
+// pull, and reports the first artifact write failure.
+func (c *Coordinator) Finish() error {
+	if err := c.stop(); err != nil {
+		return err
 	}
 	if c.traces != nil {
+		c.pullTraces()
 		if err := c.traces.SinkErr(); err != nil {
-			return "", err
+			return err
 		}
 		asm := c.traces.Assemble()
 		cross := 0
@@ -238,17 +235,22 @@ func (c *Coordinator) Finish() (string, error) {
 		c.Logf("traces: %d spans, %d assembled traces (%d cross-node) → %s",
 			c.traces.Len(), len(asm), cross, filepath.Join(c.cfg.OutDir, tracesJSONLName))
 	}
-	if err := writeCSVs(c.cfg.OutDir, c.merger); err != nil {
-		return "", err
-	}
-	report := formatFleetReport(c.windows, c.merger)
-	path := filepath.Join(c.cfg.OutDir, reportName)
-	if err := os.WriteFile(path, []byte(report), 0o644); err != nil {
-		return "", fmt.Errorf("fleet: report: %w", err)
-	}
-	c.Logf("artifacts in %s: %s, %s, %s, per-node CSVs and logs",
-		c.cfg.OutDir, jsonlName, mergedCSVName, reportName)
-	return report, nil
+	c.Logf("artifacts in %s: session.jsonl, session.csv and logs", c.cfg.OutDir)
+	return nil
+}
+
+// stop ends the recording and the trace loop and closes the session
+// artifacts, once; every call returns the recorder's write failure.
+func (c *Coordinator) stop() error {
+	c.stopOnce.Do(func() {
+		if c.stopTraces != nil {
+			c.stopTraces()
+		}
+		if c.rec != nil {
+			c.recErr = c.rec.Close()
+		}
+	})
+	return c.recErr
 }
 
 // Shutdown fans out the stop in reverse dependency order — gateways
@@ -256,15 +258,13 @@ func (c *Coordinator) Finish() (string, error) {
 // every non-clean exit as one error. Attached nodes are left running.
 // Safe to call on a partially started fleet and after Finish.
 func (c *Coordinator) Shutdown() error {
-	if c.stopScrape != nil {
-		c.stopScrape()
-	}
+	_ = c.stop() // Finish reports a write failure; here the loops only need to end
 	order := append(c.byRole(roleGateway), c.byRole(roleBackend)...)
 	for _, n := range order {
 		n.stop(c.cfg.Grace())
 	}
-	for _, w := range c.persisters {
-		if err := w.Close(); err != nil {
+	if c.tracesOut != nil {
+		if err := c.tracesOut.Close(); err != nil {
 			c.Logf("%v", err)
 		}
 	}

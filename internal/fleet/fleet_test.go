@@ -1,9 +1,14 @@
 package fleet
 
 import (
+	"bufio"
 	"context"
+	"encoding/csv"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -52,6 +57,77 @@ func TestConfigValidateDefaults(t *testing.T) {
 	if err := withCampaign.Validate(); err != nil {
 		t.Fatalf("campaign-only config rejected: %v", err)
 	}
+
+	// A campaign sampling period would be ignored — the fleet records at
+	// scrape_interval_ms — so it is refused, naming the field to set.
+	sampled := Config{
+		Nodes:    []NodeConfig{{Role: "gateway", Addr: "x:1"}},
+		Campaign: &campaign.Spec{SampleIntervalMS: 50},
+	}
+	if err := sampled.Validate(); err == nil || !strings.Contains(err.Error(), "scrape_interval_ms") {
+		t.Fatalf("campaign sample_interval_ms: err = %v, want a refusal naming scrape_interval_ms", err)
+	}
+}
+
+// readJSONL loads a recorder's session.jsonl back: the sample rows, and
+// the phase events as rows of their own type.
+func readJSONL(path string) ([]campaign.Row, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	var out []campaign.Row
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 0, 64*1024), 8<<20)
+	for sc.Scan() {
+		var row campaign.Row
+		if err := json.Unmarshal(sc.Bytes(), &row); err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+		out = append(out, row)
+	}
+	return out, sc.Err()
+}
+
+// sampleRows keeps the sample rows of a session.
+func sampleRows(t *testing.T, path string) []campaign.Row {
+	t.Helper()
+	all, err := readJSONL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []campaign.Row
+	for _, r := range all {
+		if r.Type == "sample" {
+			rows = append(rows, r)
+		}
+	}
+	return rows
+}
+
+// csvNodes reads a session.csv and returns its row count and the node
+// column's values.
+func csvNodes(t *testing.T, path string) (int, map[string]bool) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	recs, err := csv.NewReader(f).ReadAll()
+	if err != nil || len(recs) == 0 {
+		t.Fatalf("%s: %d records, err %v", path, len(recs), err)
+	}
+	col := slices.Index(recs[0], "node")
+	if col < 0 {
+		t.Fatalf("%s: no node column in %v", path, recs[0])
+	}
+	nodes := map[string]bool{}
+	for _, r := range recs[1:] {
+		nodes[r[col]] = true
+	}
+	return len(recs) - 1, nodes
 }
 
 func TestConfigExpandReplicas(t *testing.T) {
@@ -78,11 +154,11 @@ func TestConfigExpandReplicas(t *testing.T) {
 	}
 }
 
-// End-to-end attach-mode campaign on loopback: a real gateway (with a
-// live sampling session) forwarding to two real backends, all running
-// in-process, joined by the coordinator purely through their HTTP stats
-// surfaces — then a two-phase campaign, one constant phase per
-// connection count, and every artifact checked on disk.
+// End-to-end attach-mode campaign on loopback: a real counters-enabled
+// gateway forwarding to two real backends, all running in-process,
+// joined by the coordinator purely through their HTTP stats surfaces —
+// then a two-phase campaign, one constant phase per connection count,
+// and every artifact checked on disk.
 func TestFleetAttachCampaign(t *testing.T) {
 	t.Setenv(gateway.ForceRuntimeOnlyEnv, "1")
 
@@ -121,7 +197,6 @@ func TestFleetAttachCampaign(t *testing.T) {
 			{Role: roleGateway, ID: "gw0", Addr: srv.Addr().String(), Attach: true},
 		},
 		Campaign: &campaign.Spec{
-			SampleIntervalMS: 50,
 			Phases: []campaign.Phase{
 				{Name: "c1", DurationMS: 200, Conns: 1},
 				{Name: "c2", DurationMS: 200, Conns: 2},
@@ -141,31 +216,34 @@ func TestFleetAttachCampaign(t *testing.T) {
 	if err := co.RunCampaign(); err != nil {
 		t.Fatal(err)
 	}
-	report, err := co.Finish()
-	if err != nil {
+	if err := co.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	if err := co.Shutdown(); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
 
-	// Every node contributed to the merged session.
-	wantNodes := []string{"backend/b-error", "backend/b-order", "gateway/gw0"}
-	if got := co.Merger().Nodes(); strings.Join(got, ",") != strings.Join(wantNodes, ",") {
-		t.Fatalf("session nodes %v, want %v", got, wantNodes)
-	}
-
-	// The on-disk JSONL covers the same session.
-	back, err := readJSONL(filepath.Join(outDir, jsonlName))
+	// One recording: out_dir holds one session.jsonl and one session.csv
+	// beside the campaign's report and result (attached nodes leave no
+	// logs).
+	entries, err := os.ReadDir(outDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != co.Merger().Len() {
-		t.Fatalf("jsonl has %d samples, merger has %d", len(back), co.Merger().Len())
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
 	}
+	if got, want := strings.Join(names, ","), "campaign-report.txt,campaign-result.json,session.csv,session.jsonl"; got != want {
+		t.Fatalf("out_dir holds %s, want %s", got, want)
+	}
+
+	// Every node contributed to the session.
+	wantNodes := []string{"backend/b-error", "backend/b-order", "gateway/gw0"}
+	rows := sampleRows(t, filepath.Join(outDir, "session.jsonl"))
 	seen := map[string]bool{}
-	for _, ns := range back {
-		seen[ns.Node] = true
+	for _, row := range rows {
+		seen[row.Node] = true
 	}
 	for _, n := range wantNodes {
 		if !seen[n] {
@@ -173,45 +251,48 @@ func TestFleetAttachCampaign(t *testing.T) {
 		}
 	}
 
-	// The merged CSV parses with the stock session reader.
-	f, err := os.Open(filepath.Join(outDir, mergedCSVName))
+	// The CSV carries the same rows, for all three nodes, and parses with
+	// the stock session reader.
+	csvRows, csvSeen := csvNodes(t, filepath.Join(outDir, "session.csv"))
+	if csvRows != len(rows) {
+		t.Fatalf("csv has %d rows, jsonl %d", csvRows, len(rows))
+	}
+	for _, n := range wantNodes {
+		if !csvSeen[n] {
+			t.Fatalf("csv missing node %s", n)
+		}
+	}
+	f, err := os.Open(filepath.Join(outDir, "session.csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := session.ReadCSV(f)
+	parsed, err := session.ReadCSV(f)
 	f.Close()
 	if err != nil {
-		t.Fatalf("merged csv: %v", err)
+		t.Fatalf("session csv: %v", err)
 	}
-	if len(rows) == 0 {
-		t.Fatal("merged csv is empty")
-	}
-
-	// Per-node CSVs exist for all three nodes.
-	for _, n := range wantNodes {
-		p := filepath.Join(outDir, "session-"+sanitize(n)+".csv")
-		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
-			t.Fatalf("per-node csv %s missing or empty (err=%v)", p, err)
-		}
+	if len(parsed) == 0 {
+		t.Fatal("session csv is empty")
 	}
 
-	// The fleet report carries both phases' per-node windows and the
+	// The campaign report carries both phases' per-node windows and the
 	// fleet total; gateway throughput reached the client.
+	report, err := os.ReadFile(filepath.Join(outDir, campaignReportName))
+	if err != nil || len(report) == 0 {
+		t.Fatalf("report file missing or empty (err=%v)", err)
+	}
 	for _, want := range []string{"phase", "gateway/gw0", "backend/b-order", "fleet-total(gateways)", "\nc1 ", "\nc2 "} {
-		if !strings.Contains(report, want) {
+		if !strings.Contains(string(report), want) {
 			t.Fatalf("report missing %q:\n%s", want, report)
 		}
-	}
-	if len(co.windows) != 2 {
-		t.Fatalf("%d phase windows, want 2", len(co.windows))
 	}
 	for _, p := range co.CampaignResult().Phases {
 		if p.OK == 0 {
 			t.Fatalf("phase %s: no successful messages: %+v", p.Name, p)
 		}
-	}
-	if st, err := os.Stat(filepath.Join(outDir, reportName)); err != nil || st.Size() == 0 {
-		t.Fatalf("report file missing or empty (err=%v)", err)
+		if len(p.Nodes) != 3 {
+			t.Fatalf("phase %s: %d node windows, want 3", p.Name, len(p.Nodes))
+		}
 	}
 }
 
@@ -252,9 +333,8 @@ func TestFleetScenarioCampaign(t *testing.T) {
 			{Role: roleGateway, ID: "gw0", Addr: srv.Addr().String(), Attach: true},
 		},
 		Campaign: &campaign.Spec{
-			Name:             "fleet-e2e",
-			SampleIntervalMS: 50,
-			TimeoutMS:        3000,
+			Name:      "fleet-e2e",
+			TimeoutMS: 3000,
 			Phases: []campaign.Phase{
 				{Name: "steady", Shape: campaign.ShapeConstant, DurationMS: 300, Conns: 2},
 				{Name: "storm", Shape: campaign.ShapeRamp, DurationMS: 400, Conns: 1, ConnsTo: 3,
@@ -278,7 +358,7 @@ func TestFleetScenarioCampaign(t *testing.T) {
 	if err := co.RunCampaign(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := co.Finish(); err != nil {
+	if err := co.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	if err := co.Shutdown(); err != nil {
@@ -301,10 +381,8 @@ func TestFleetScenarioCampaign(t *testing.T) {
 		t.Fatalf("steady phase did no work: %+v", res.Phases[0])
 	}
 
-	// Artifacts: campaign report + result beside the fleet session, and
-	// the runner's phase-tagged session under the campaign subdir.
-	for _, name := range []string{campaignReportName, campaignResultName,
-		filepath.Join(campaignDirName, "session.csv"), filepath.Join(campaignDirName, "session.jsonl")} {
+	// Artifacts: campaign report + result beside the fleet's one session.
+	for _, name := range []string{campaignReportName, campaignResultName, "session.csv", "session.jsonl"} {
 		p := filepath.Join(outDir, name)
 		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
 			t.Fatalf("campaign artifact %s missing or empty (err=%v)", p, err)
@@ -316,8 +394,13 @@ func TestFleetScenarioCampaign(t *testing.T) {
 			t.Fatalf("campaign report missing %q:\n%s", want, report)
 		}
 	}
-	// The fleet's own cross-node session ran alongside the campaign.
-	if co.Merger().Len() == 0 {
-		t.Fatal("fleet session recorded no samples during the campaign")
+	// The fleet's cross-node recording ran alongside the campaign, and the
+	// campaign tagged its rows.
+	phases := map[string]bool{}
+	for _, row := range sampleRows(t, filepath.Join(outDir, "session.jsonl")) {
+		phases[row.Phase] = true
+	}
+	if !phases["steady"] || !phases["storm"] {
+		t.Fatalf("fleet session rows tagged %v, want both phases", phases)
 	}
 }

@@ -89,7 +89,8 @@ func jsonKeys(t *testing.T, ptr any) string {
 
 // TestReportKeySetsGolden pins the JSON key sets of the report shapes
 // the CI smokes and offline tooling read, and of the session sample
-// every timeline artifact carries. The report goldens were recorded on
+// every timeline artifact carries, and of the recorder's session.jsonl
+// sample row around it. The report goldens were recorded on
 // the commit before Counts was factored out of Report and PhaseReport;
 // embedding must keep both shapes flat and key-for-key identical. The
 // sample's was recorded before the gateway's own sampling session was
@@ -105,6 +106,7 @@ func TestReportKeySetsGolden(t *testing.T) {
 		{"campaign.PhaseReport", &campaign.PhaseReport{}, goldenPhaseReportKeys},
 		{"campaign.Result", &campaign.Result{}, goldenResultKeys},
 		{"session.Sample", &session.Sample{}, goldenSampleKeys},
+		{"campaign.Row", &campaign.Row{}, goldenRowKeys},
 	} {
 		if got := jsonKeys(t, tc.ptr); got != tc.want {
 			t.Errorf("%s key set changed:\n got %s\nwant %s", tc.name, got, tc.want)
@@ -119,3 +121,7 @@ const goldenResultKeys = "addr artifacts duration_sec faults faults.at_ms faults
 
 // Recorded on the parent commit (77f70c7) with the helpers above.
 const goldenSampleKeys = "br_mpr_pct bytes_in cache_mpi_pct cpi cpus cpus.br_mpr_pct cpus.cache_mpi_pct cpus.cpi cpus.cpu cpus.derived_source derived_source gc_cpu_pct gomaxprocs goroutines latency_p50_us latency_p99_us messages msgs_per_sec sched_lat_p99_us shed t_ms upstream_idle_conns window_sec"
+
+// The recorder's sample row: the campaign's phase tag, the fleet's node,
+// role and skew-aligned rel_ms, and the sample above.
+const goldenRowKeys = "node phase rel_ms role sample sample.br_mpr_pct sample.bytes_in sample.cache_mpi_pct sample.cpi sample.cpus sample.cpus.br_mpr_pct sample.cpus.cache_mpi_pct sample.cpus.cpi sample.cpus.cpu sample.cpus.derived_source sample.derived_source sample.gc_cpu_pct sample.gomaxprocs sample.goroutines sample.latency_p50_us sample.latency_p99_us sample.messages sample.msgs_per_sec sample.sched_lat_p99_us sample.shed sample.t_ms sample.upstream_idle_conns sample.window_sec t_ms type"

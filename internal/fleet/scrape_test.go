@@ -3,21 +3,26 @@ package fleet
 import (
 	"bufio"
 	"net"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/gateway"
 	"repro/internal/httpmsg"
 )
 
 // fakeNode is a control plane the test scripts: GET /stats answers the
-// current snapshot, /traces whatever tracesStatus says, anything else
-// 404. Hits are counted per path.
+// current snapshot — a backend's stats when backend is set — and advances
+// the node's clock by 1/128 s (exact in binary, so every read's t_ms is
+// distinct), /traces whatever tracesStatus says,
+// anything else 404. Hits are counted per path.
 type fakeNode struct {
 	addr string
 
 	mu           sync.Mutex
+	backend      bool
 	snap         gateway.Snapshot
 	tracesStatus int
 	hits         map[string]int
@@ -58,20 +63,17 @@ func (f *fakeNode) serve(c net.Conn) {
 	f.hits[req.Target]++
 	switch req.Target {
 	case "/stats":
-		c.Write(httpmsg.JSONResponse(200, f.snap))
+		f.snap.UptimeSec += 1.0 / 128
+		if f.backend {
+			c.Write(httpmsg.JSONResponse(200, map[string]any{"uptime_seconds": f.snap.UptimeSec, "requests": f.snap.Messages}))
+		} else {
+			c.Write(httpmsg.JSONResponse(200, f.snap))
+		}
 	case "/traces":
 		c.Write(httpmsg.JSONResponse(f.tracesStatus, map[string]string{"error": "scripted"}))
 	default:
 		c.Write(httpmsg.JSONResponse(404, map[string]string{"error": "not found"}))
 	}
-}
-
-// observe sets what the node's next /stats reports.
-func (f *fakeNode) observe(uptimeSec float64, messages, bytesIn, shed uint64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.snap.UptimeSec, f.snap.Messages, f.snap.BytesIn, f.snap.Shed = uptimeSec, messages, bytesIn, shed
-	f.snap.Latency.P99US = 900
 }
 
 func (f *fakeNode) hit(path string) int {
@@ -80,63 +82,91 @@ func (f *fakeNode) hit(path string) int {
 	return f.hits[path]
 }
 
-// TestScraperAgainstFakeControlPlane walks the one scrape path through
-// everything only the e2e runs used to touch: gateways read on /stats
-// alone, the zero-window priming sample, windowed deltas, a node
-// restart, and the /traces 404 memo (a 500 is an error every time).
+// TestScraperAgainstFakeControlPlane walks the trace plane's pull
+// against scripted nodes: the /traces 404 memo (a node without tracing
+// is asked once), and a 500 that is an error, with its body, every time.
 func TestScraperAgainstFakeControlPlane(t *testing.T) {
 	node := startFakeNode(t, 404)
 	n := &Node{Role: roleGateway, ID: "gw0", Addr: node.addr}
-	m := newMerger(nil)
-	sc := newScraper(m, 0)
-	sc.traces = newTraceStore(nil)
-
-	for _, step := range []struct {
-		uptime                float64
-		messages, bytes, shed uint64
-		window, rate          float64
-		dMsgs, dBytes, dShed  uint64
-	}{
-		{uptime: 10, messages: 1000, bytes: 5000, shed: 7},                                                               // primes: zero window
-		{uptime: 10.5, messages: 1200, bytes: 6000, shed: 8, window: 0.5, rate: 400, dMsgs: 200, dBytes: 1000, dShed: 1}, // deltas
-		{uptime: 11.5, messages: 1300, bytes: 5500, shed: 8, window: 1, rate: 100, dMsgs: 100},                           // bytes went backwards: 0, not a wrap
-		{uptime: 0.2, messages: 3, bytes: 15, shed: 0},                                                                   // restarted: re-primes
-		{uptime: 1.2, messages: 53, bytes: 265, shed: 2, window: 1, rate: 50, dMsgs: 50, dBytes: 250, dShed: 2},          // deltas against the new life
-	} {
-		node.observe(step.uptime, step.messages, step.bytes, step.shed)
-		if err := sc.scrapeNode(n); err != nil {
-			t.Fatalf("uptime %v: %v", step.uptime, err)
+	tp := &tracePuller{traces: newTraceStore(nil)}
+	for i := 0; i < 5; i++ {
+		if err := tp.pull(n); err != nil {
+			t.Fatalf("pull %d: %v", i, err)
 		}
-		all := m.Slice(0, m.Len())
-		s := all[len(all)-1].Sample
-		if s.TMS != int64(step.uptime*1000) || s.WindowSec != step.window || s.MsgsPerSec != step.rate ||
-			s.Messages != step.dMsgs || s.BytesIn != step.dBytes || s.Shed != step.dShed || s.LatencyP99US != 900 {
-			t.Errorf("uptime %v: sample %+v, want window %v rate %v deltas %d/%d/%d",
-				step.uptime, s, step.window, step.rate, step.dMsgs, step.dBytes, step.dShed)
-		}
-	}
-	if m.Len() != 5 {
-		t.Fatalf("merger holds %d samples, want 5", m.Len())
-	}
-	if got := node.hit("/stats"); got != 5 {
-		t.Errorf("/stats read %d times, want once per scrape (5)", got)
-	}
-	if got := node.hit("/timeline"); got != 0 {
-		t.Errorf("/timeline probed %d times, want never: gateways are read on /stats alone", got)
 	}
 	if got := node.hit("/traces"); got != 1 {
 		t.Errorf("/traces asked %d times after a 404, want 1 (memoised)", got)
+	}
+	if got := node.hit("/stats"); got != 0 {
+		t.Errorf("/stats read %d times by the trace plane, want 0: samples are the recorder's", got)
 	}
 
 	broken := startFakeNode(t, 500)
 	bn := &Node{Role: roleGateway, ID: "gw1", Addr: broken.addr}
 	for i := 1; i <= 2; i++ {
-		err := sc.scrapeNode(bn)
+		err := tp.pull(bn)
 		if err == nil || !strings.Contains(err.Error(), "500") || !strings.Contains(err.Error(), "scripted") {
-			t.Fatalf("scrape %d of a node whose /traces is broken: err=%v, want the 500 and its body", i, err)
+			t.Fatalf("pull %d of a node whose /traces is broken: err=%v, want the 500 and its body", i, err)
 		}
 		if got := broken.hit("/traces"); got != i {
-			t.Errorf("/traces asked %d times after %d scrapes: a 500 must not be memoised", got, i)
+			t.Errorf("/traces asked %d times after %d pulls: a 500 must not be memoised", got, i)
 		}
+	}
+}
+
+// TestFleetReadsEachNodeOncePerTick: in a fleet campaign, the one
+// recorder reads every node's /stats once per tick and once per phase
+// boundary — the gateway's boundary reads being the campaign's own — so
+// beside its readiness probe (and, for the gateway, the campaign's
+// pre-flight) each read is one row, and the gateway has exactly as many
+// rows as the backend.
+func TestFleetReadsEachNodeOncePerTick(t *testing.T) {
+	gw := startFakeNode(t, 404)
+	be := startFakeNode(t, 404)
+	be.backend = true
+	cfg := &Config{
+		OutDir:           t.TempDir(),
+		ScrapeIntervalMS: 20,
+		Nodes: []NodeConfig{
+			{Role: roleBackend, ID: "b0", Addr: be.addr, Attach: true},
+			{Role: roleGateway, ID: "gw0", Addr: gw.addr, Attach: true},
+		},
+		Campaign: &campaign.Spec{Phases: []campaign.Phase{
+			{Name: "p1", DurationMS: 150, Conns: 1},
+			{Name: "p2", DurationMS: 150, Conns: 1},
+		}},
+	}
+	co, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co.Logf = t.Logf
+	if err := co.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer co.Shutdown()
+	if err := co.RunCampaign(); err != nil {
+		t.Fatal(err)
+	}
+	if err := co.Finish(); err != nil {
+		t.Fatal(err)
+	}
+
+	rows := map[string]int{}
+	for _, row := range sampleRows(t, filepath.Join(cfg.OutDir, "session.jsonl")) {
+		rows[row.Node]++
+	}
+	gwRows, beRows := rows["gateway/gw0"], rows["backend/b0"]
+	if beRows <= 4 {
+		t.Fatalf("backend has %d rows, want its 4 boundary reads and some ticks", beRows)
+	}
+	if gwRows != beRows {
+		t.Errorf("gateway has %d rows, backend %d: want one read of each per tick and boundary", gwRows, beRows)
+	}
+	if got := gw.hit("/stats"); got != 2+gwRows {
+		t.Errorf("gateway /stats read %d times, want %d: the probe, the pre-flight and one per row", got, 2+gwRows)
+	}
+	if got := be.hit("/stats"); got != 1+beRows {
+		t.Errorf("backend /stats read %d times, want %d: the probe and one per row", got, 1+beRows)
 	}
 }

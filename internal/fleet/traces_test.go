@@ -16,7 +16,7 @@ import (
 
 // TestFleetTracePlane is the cross-node assembly acceptance path: an
 // attach-mode fleet over an in-process tracing gateway and backend, the
-// campaign originating a trace on every request. The scrape loop must join
+// campaign originating a trace on every request. The trace pulls must join
 // the client, gateway, and backend spans by trace ID into assembled
 // cross-node traces, and the traces.jsonl artifact must round-trip
 // through the dtrace reader. Runs under -race in CI.
@@ -73,7 +73,7 @@ func TestFleetTracePlane(t *testing.T) {
 	if err := co.RunCampaign(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := co.Finish(); err != nil {
+	if err := co.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	if err := co.Shutdown(); err != nil {

@@ -12,8 +12,8 @@ import (
 	"repro/internal/session"
 )
 
-// This file is the one control-plane client: the campaign runner, the
-// fleet scraper and aontrace read /stats, /traces and /fault
+// This file is the one control-plane client: the campaign runner and
+// recorder, the fleet's trace pulls and aontrace read /stats, /traces and /fault
 // through GetJSON/PostJSON, over the load driver's Client and so under
 // the one framer's bounds (httpmsg.ReadResponseHead: 8 MiB bodies).
 
@@ -120,6 +120,7 @@ func (snap *Snapshot) Sample() session.Sample {
 	s.Counts = countsOf(c.Events)
 	s.Goroutines = c.Runtime.Goroutines
 	s.GCCPUPct = 100 * c.Runtime.GCCPUFraction
+	s.GCCPUSec, s.TotalCPUSec = c.Runtime.GCCPUSec, c.Runtime.TotalCPUSec
 	s.SchedLatP99US = c.Runtime.SchedLatP99US
 	s.CPUs = make([]session.CPUSample, len(c.CPUs))
 	for i, cc := range c.CPUs {

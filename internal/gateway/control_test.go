@@ -126,7 +126,7 @@ func TestTimelineEndpoint(t *testing.T) {
 
 			// The session CSV carries the same windows.
 			var sb strings.Builder
-			if err := session.WriteCSV(&sb, samples); err != nil {
+			if err := session.NewAppender(&sb, true).Append(samples); err != nil {
 				t.Fatal(err)
 			}
 			if !strings.HasPrefix(sb.String(), "t_ms,") {

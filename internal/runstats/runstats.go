@@ -40,6 +40,14 @@ type Snapshot struct {
 	HeapBytes     uint64  `json:"heap_bytes"`
 	GCCycles      uint64  `json:"gc_cycles"`
 	GCCPUFraction float64 `json:"gc_cpu_fraction"`
+	// GCCPUSec and TotalCPUSec are the cumulative CPU seconds spent in GC
+	// and available in total (GOMAXPROCS integrated over the run):
+	// GCCPUFraction's numerator and denominator, which a reader
+	// differences to get one window's GC share. The runtime refreshes
+	// both only at each GC's stop-the-world, so a window that saw no GC
+	// sees no change in either.
+	GCCPUSec      float64 `json:"gc_cpu_sec"`
+	TotalCPUSec   float64 `json:"total_cpu_sec"`
 	GCPauseP50US  float64 `json:"gc_pause_p50_us"`
 	GCPauseP99US  float64 `json:"gc_pause_p99_us"`
 	SchedLatP50US float64 `json:"sched_lat_p50_us"`
@@ -57,7 +65,6 @@ func Read() Snapshot {
 	metrics.Read(samples)
 
 	s := Snapshot{GOMAXPROCS: runtime.GOMAXPROCS(0)}
-	var gcCPU, totalCPU float64
 	for _, smp := range samples {
 		switch smp.Name {
 		case mGoroutines:
@@ -74,11 +81,11 @@ func Read() Snapshot {
 			}
 		case mGCCPU:
 			if smp.Value.Kind() == metrics.KindFloat64 {
-				gcCPU = smp.Value.Float64()
+				s.GCCPUSec = smp.Value.Float64()
 			}
 		case mTotalCPU:
 			if smp.Value.Kind() == metrics.KindFloat64 {
-				totalCPU = smp.Value.Float64()
+				s.TotalCPUSec = smp.Value.Float64()
 			}
 		case mSchedLat:
 			if smp.Value.Kind() == metrics.KindFloat64Histogram {
@@ -94,8 +101,8 @@ func Read() Snapshot {
 			}
 		}
 	}
-	if totalCPU > 0 {
-		s.GCCPUFraction = gcCPU / totalCPU
+	if s.TotalCPUSec > 0 {
+		s.GCCPUFraction = s.GCCPUSec / s.TotalCPUSec
 	}
 	return s
 }

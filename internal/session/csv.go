@@ -11,7 +11,7 @@ import (
 // csvHeader is the fixed dump schema. Per-CPU metrics are flattened to
 // the skew extremes (min/max CPI across CPUs) so the row width stays
 // constant regardless of CPU count; the full per-CPU detail lives in the
-// JSON forms (the campaign's and the fleet's session JSONL).
+// JSON form (the recorder's session JSONL).
 var csvHeader = []string{
 	"t_ms", "window_sec",
 	"messages", "msgs_per_sec", "bytes_in", "shed",
@@ -38,12 +38,6 @@ func csvRecord(s Sample) []string {
 	}
 }
 
-// WriteCSV dumps samples (chronological) in the fixed schema — the
-// fleet's per-node session artifacts.
-func WriteCSV(w io.Writer, samples []Sample) error {
-	return NewAppender(w, true).Append(samples)
-}
-
 func cpuCPIBounds(cs []CPUSample) (min, max float64) {
 	for i, c := range cs {
 		if i == 0 || c.CPI < min {
@@ -60,15 +54,14 @@ func cpuCPIBounds(cs []CPUSample) (min, max float64) {
 // out exactly once (suppressed when the writer was handed an already-
 // populated file), then each Append flushes its rows through to the
 // underlying writer before returning — the crash-safety contract the
-// campaign runner and the fleet coordinator rely on:
-// whatever Append has returned from is on disk, whatever comes later is
-// a clean appended row, never a torn rewrite.
+// campaign recorder relies on: whatever Append has returned from is on
+// disk, whatever comes later is a clean appended row, never a torn
+// rewrite.
 //
 // An appender made with leading column names writes them before the
-// schema's own, and each AppendRow brings their values: the campaign's
-// phase-tagged session and the fleet's node/role/rel_ms merged session
-// are this schema with a prefix, and ReadCSV, which locates columns by
-// name, reads all three.
+// schema's own, and each AppendRow brings their values: the recorder's
+// session.csv is this schema behind phase, node, role and rel_ms, and
+// ReadCSV, which locates columns by name, reads it like the plain one.
 type Appender struct {
 	cw        *csv.Writer
 	lead      []string

@@ -7,9 +7,9 @@ import (
 	"sync"
 )
 
-// JSONL is the one JSON-lines persister: the fleet's merged session and
-// trace artifacts and the campaign's event log are each a JSONL of their
-// own row type. Every Write is one marshalled row and its newline handed
+// JSONL is the one JSON-lines persister: the recorder's session (phase
+// events and sample rows) and the fleet's trace artifact are each a
+// JSONL of their own row type. Every Write is one marshalled row and its newline handed
 // to the OS in a single write before it returns — the crash-safety
 // contract: a run that dies keeps every row written so far, and never a
 // torn one. Safe for concurrent use.

@@ -8,10 +8,13 @@ import (
 )
 
 // CSVRow is one parsed line of a session artifact — the flattened schema
-// WriteCSV emits. Per-CPU detail stays flattened (the CSV never carried
+// Appender emits. Per-CPU detail stays flattened (the CSV never carried
 // it); the fields here are the ones replay consumers (aonsim -exp
 // capacity's predicted-vs-measured tables) need.
 type CSVRow struct {
+	// Role is the row's node role ("gateway", "backend") from the
+	// recorder's lead column; "" in a CSV without one.
+	Role         string
 	TMS          int64
 	WindowSec    float64
 	Messages     uint64
@@ -38,7 +41,7 @@ func (r CSVRow) OfferedPerSec() float64 {
 	return r.MsgsPerSec + float64(r.Shed)/r.WindowSec
 }
 
-// ReadCSV parses a session artifact written by WriteCSV. Columns are
+// ReadCSV parses a session artifact written by an Appender. Columns are
 // located by header name, so the reader tolerates schema growth (new
 // trailing columns) and survives column reordering.
 func ReadCSV(r io.Reader) ([]CSVRow, error) {
@@ -73,6 +76,7 @@ func ReadCSV(r io.Reader) ([]CSVRow, error) {
 		p := fieldParser{rec: rec, col: col}
 		tms := p.i64("t_ms")
 		row := CSVRow{
+			Role:         p.s("role"),
 			TMS:          tms,
 			WindowSec:    p.f("window_sec"),
 			Messages:     p.u("messages"),

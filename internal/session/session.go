@@ -3,7 +3,8 @@
 // message and byte counters, latency histograms and, with -counters,
 // scaled event counts since its counter groups opened — and every reader
 // cuts its own timeline from that one source with a Windower, at its own
-// interval: the campaign runner, the fleet scraper and aonsim -exp live.
+// interval: the campaign recorder (aoncamp's gateway, or every node of an
+// aonfleet topology) and aonsim -exp live.
 // Where one /stats read shows *that* CPI differs across use cases, the
 // timeline shows *when* — counter and latency values over time, per CPU —
 // the raw material for the paper's CPI-over-time figures.
@@ -76,10 +77,16 @@ type Sample struct {
 	// parallelism, and the server count a capacity model replays.
 	GOMAXPROCS int `json:"gomaxprocs"`
 
-	// Runtime gauges.
+	// Runtime gauges. GCCPUPct is the window's GC share of the CPU time
+	// available to the process.
 	Goroutines    int     `json:"goroutines"`
 	GCCPUPct      float64 `json:"gc_cpu_pct"`
 	SchedLatP99US float64 `json:"sched_lat_p99_us"`
+	// GCCPUSec and TotalCPUSec are the cumulative GC and available CPU
+	// seconds behind GCCPUPct, for Windower to difference; never
+	// serialized.
+	GCCPUSec    float64 `json:"-"`
+	TotalCPUSec float64 `json:"-"`
 
 	// UpstreamIdle is the upstream pools' idle-connection gauge (zero
 	// when the gateway answers in place).
@@ -89,7 +96,7 @@ type Sample struct {
 // Every calls fn once per interval from a goroutine of its own until the
 // returned stop is called. stop joins that goroutine — after it returns,
 // fn will never be called again — and is idempotent. It is the one
-// polling loop: the campaign's /stats sampler, the fleet's scrape loop
+// polling loop: the campaign recorder's ticks, the fleet's /traces pulls
 // and aonsim -exp live's in-process sampler.
 func Every(interval time.Duration, fn func()) (stop func()) {
 	quit, done := make(chan struct{}), make(chan struct{})
@@ -126,17 +133,19 @@ type Windower struct {
 // Window takes a sample whose Messages, BytesIn, Shed and Counts hold
 // key's cumulative counters and returns it with those differenced
 // against the previous observation of key: WindowSec and MsgsPerSec
-// come from the TMS step, and a hardware-sourced CPI, cache-MPI and
-// BrMPR (process and per CPU) are derived from the counts' delta. A
-// window that retired no instructions keeps the view derived from the
-// totals, so ratios never read zero just because the reader raced the
-// load; model-sourced views pass through unchanged.
+// come from the TMS step, a hardware-sourced CPI, cache-MPI and BrMPR
+// (process and per CPU) are derived from the counts' delta, and GCCPUPct
+// from the GC and total CPU seconds' deltas. A window that retired no
+// instructions keeps the view derived from the totals, so ratios never
+// read zero just because the reader raced the load, and so does one
+// with no CPU time for the GC share; model-sourced views pass through
+// unchanged.
 //
 // The first observation of a key lands as a zero-window sample that only
-// primes the state (and pins the node's epoch in a merged session); so
-// does one whose clock did not advance or whose hardware-sourced process
-// counts went backwards — a restarted node — which re-primes. A message
-// counter that went backwards yields 0, not a wrap.
+// primes the state; so does one whose clock did not advance or whose
+// hardware-sourced process counts went backwards — a restarted node —
+// which re-primes. A message counter that went backwards yields 0, not a
+// wrap.
 func (w *Windower) Window(key string, cum Sample) Sample {
 	w.mu.Lock()
 	if w.prev == nil {
@@ -157,6 +166,9 @@ func (w *Windower) Window(key string, cum Sample) Sample {
 	s.BytesIn = Delta(cum.BytesIn, p.BytesIn)
 	s.Shed = Delta(cum.Shed, p.Shed)
 	s.MsgsPerSec = float64(s.Messages) / s.WindowSec
+	if cpu := cum.TotalCPUSec - p.TotalCPUSec; cpu > 0 {
+		s.GCCPUPct = 100 * (cum.GCCPUSec - p.GCCPUSec) / cpu
+	}
 	if d, ok := windowOf(cum.DerivedSource, cum.Counts, p.DerivedSource, p.Counts); ok {
 		s.CPI, s.CacheMPI, s.BrMPR = d.CPI, d.CacheMPI, d.BrMPR
 	}

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// TestWriteCSV pins the dump shape: header plus one row per sample with
-// per-CPU CPI flattened to min/max.
+// TestWriteCSV pins the dump shape an Appender writes: header plus one
+// row per sample with per-CPU CPI flattened to min/max.
 func TestWriteCSV(t *testing.T) {
 	samples := []Sample{
 		{TMS: 1000, WindowSec: 0.1, Messages: 42, MsgsPerSec: 420, CPI: 1.5,
@@ -18,7 +18,7 @@ func TestWriteCSV(t *testing.T) {
 		{TMS: 1100, WindowSec: 0.1, DerivedSource: "model"},
 	}
 	var buf bytes.Buffer
-	if err := WriteCSV(&buf, samples); err != nil {
+	if err := NewAppender(&buf, true).Append(samples); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -48,7 +48,7 @@ func TestReadCSVRoundTrip(t *testing.T) {
 		{TMS: 1500, WindowSec: 0.5, Messages: 120, MsgsPerSec: 240, DerivedSource: "model"},
 	}
 	var buf bytes.Buffer
-	if err := WriteCSV(&buf, samples); err != nil {
+	if err := NewAppender(&buf, true).Append(samples); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := ReadCSV(&buf)
@@ -121,15 +121,15 @@ func TestReadCSVCorruption(t *testing.T) {
 	if rows[0].WindowSec != 0 || rows[0].CPI != 0 || rows[0].Messages != 5 {
 		t.Fatalf("row: %+v", rows[0])
 	}
-	// Extra leading columns (the fleet's merged CSV) are tolerated: the
-	// reader locates columns by name.
-	merged := "node,role,rel_ms," + header + "gw0,gateway,120,1000,0.1,5,50,1.5\n"
+	// Extra leading columns (the recorder's CSV) are tolerated: the
+	// reader locates columns by name, and keeps the node's role.
+	merged := "phase,node,role,rel_ms," + header + "p1,gateway/gw0,gateway,120,1000,0.1,5,50,1.5\n"
 	rows, err = ReadCSV(strings.NewReader(merged))
 	if err != nil {
-		t.Fatalf("merged fleet csv rejected: %v", err)
+		t.Fatalf("recorder csv rejected: %v", err)
 	}
-	if rows[0].TMS != 1000 || rows[0].CPI != 1.5 {
-		t.Fatalf("merged row: %+v", rows[0])
+	if rows[0].TMS != 1000 || rows[0].CPI != 1.5 || rows[0].Role != "gateway" {
+		t.Fatalf("recorder row: %+v", rows[0])
 	}
 }
 

@@ -215,3 +215,25 @@ func TestWindowTwoCadences(t *testing.T) {
 		}
 	}
 }
+
+// TestWindowGCShare: a window's GC share is the GC CPU seconds' growth
+// over the available CPU seconds' growth since the reader's previous
+// sample, not the share since the process started; a window with no CPU
+// time keeps the share of the totals.
+func TestWindowGCShare(t *testing.T) {
+	var w Windower
+	cum := func(tms int64, gc, total float64) Sample {
+		return Sample{TMS: tms, GCCPUSec: gc, TotalCPUSec: total, GCCPUPct: 100 * gc / total}
+	}
+	// Two seconds of start-up at 40 % GC, then a window at 5 %.
+	w.Window("gw", cum(1000, 0.8, 2))
+	s := w.Window("gw", cum(2000, 0.9, 4))
+	if d := s.GCCPUPct - 5; d > 1e-9 || d < -1e-9 {
+		t.Fatalf("window gc%% %v, want 5 (the totals read %v)", s.GCCPUPct, 100*0.9/4)
+	}
+	// No CPU time in the window: the totals' share stands.
+	s = w.Window("gw", cum(2100, 0.9, 4))
+	if s.GCCPUPct != 100*0.9/4 {
+		t.Fatalf("empty window gc%% %v, want the totals' %v", s.GCCPUPct, 100*0.9/4)
+	}
+}

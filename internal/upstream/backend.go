@@ -53,7 +53,7 @@ type BackendConfig struct {
 // end-to-end FR topology: it accepts keep-alive HTTP/1.1 POSTs and
 // answers 200 with a configurable-size JSON ack after a configurable
 // delay. GET /stats returns the live counter set as JSON — the same
-// self-reporting surface the gateway has, so a fleet scraper sees
+// self-reporting surface the gateway has, so the campaign recorder sees
 // backends too. cmd/aonback wraps it; tests and benchmarks embed it so a
 // single process can stand up the full gateway→backend loopback chain.
 type BackendServer struct {
@@ -308,9 +308,9 @@ func (s *BackendServer) recordServe(traceVal []byte, start time.Time, d time.Dur
 
 // BackendStats is the GET /stats JSON shape — the backend's
 // self-reported counter set, keyed the same way the gateway reports so a
-// cross-node scraper treats both uniformly. TMS is the backend's own
-// wall clock at snapshot time: cross-node merging aligns on each node's
-// monotonic timestamps, never on comparing clocks across machines.
+// cross-node recorder treats both uniformly. TMS is the backend's own
+// wall clock at snapshot time: cross-node alignment uses each node's
+// monotonic uptime, never a comparison of clocks across machines.
 type BackendStats struct {
 	Name      string  `json:"name"`
 	TMS       int64   `json:"t_ms"`
