@@ -12,6 +12,7 @@
 //
 // Usage:
 //
+//	aoncamp -spec examples/campaigns/constant.json -addr localhost:8080   # a single run
 //	aoncamp -spec campaign.json -addr localhost:8080
 //	aoncamp -spec campaign.json -selfgate -selfback 2 -out artifacts/
 //	aoncamp -spec campaign.json -selfgate -idle-timeout 150ms   # slow-loris demo

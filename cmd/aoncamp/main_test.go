@@ -3,14 +3,17 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/gateway"
 	"repro/internal/hwcount"
 	"repro/internal/session"
 )
@@ -196,5 +199,159 @@ func TestCountersNeedSelfgate(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "-selfgate") {
 		t.Fatalf("refusal does not name -selfgate: %q", stderr.String())
+	}
+}
+
+// stormSpec is a scripted day in four phases: a constant warmup, a DPI
+// ramp, an XJ flash crowd while the order backend errors half its
+// requests, and a slow-loris siege whose holds trickle slower than the
+// gateway's idle timeout beside two background senders.
+const stormSpec = `{
+	"name": "storm",
+	"seed": 7,
+	"sample_interval_ms": 100,
+	"phases": [
+		{"name": "warmup",   "shape": "constant",  "usecase": "FR",  "duration_ms": 1200, "conns": 2},
+		{"name": "ramp-dpi", "shape": "ramp",      "usecase": "DPI", "duration_ms": 1500, "conns": 1, "conns_to": 6},
+		{"name": "flash-xj", "shape": "flash",     "usecase": "XJ",  "duration_ms": 2000, "conns": 1,
+		 "burst_conns": 6, "burst_ms": 500, "decay_ms": 300,
+		 "faults": [
+			{"at_ms": 300,  "backend": 0, "fault": {"error_rate": 0.5}},
+			{"at_ms": 1200, "backend": 0, "fault": {"clear": true}}
+		 ]},
+		{"name": "siege", "shape": "slowloris", "usecase": "FR", "duration_ms": 1500,
+		 "conns": 4, "background_conns": 2, "trickle_interval_ms": 600}
+	]
+}`
+
+// TestCampaignStorm runs the storm in one aoncamp command against its
+// in-process gateway and two self-hosted backends, in the runtime-only
+// counters mode: every phase reports, DPI and XJ run through the
+// pipeline, both fault steps are acknowledged by the live backend, the
+// loris holds are reaped by the idle deadline while the background
+// senders keep completing, and the session CSV carries the gateway's
+// phase-tagged rows. AON_CAMPAIGN_OUT keeps the artifacts where CI
+// uploads them from.
+func TestCampaignStorm(t *testing.T) {
+	t.Setenv(gateway.ForceRuntimeOnlyEnv, "1")
+	dir := t.TempDir()
+	specPath := filepath.Join(dir, "storm.json")
+	if err := os.WriteFile(specPath, []byte(stormSpec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := os.Getenv("AON_CAMPAIGN_OUT")
+	if out == "" {
+		out = filepath.Join(dir, "out")
+	}
+	var stdout, stderr bytes.Buffer
+	args := []string{"-spec", specPath, "-selfgate", "-selfback", "2", "-idle-timeout", "200ms", "-out", out}
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d:\n%s", code, stderr.String())
+	}
+
+	// Per-phase report rows plus the fault log and the loris line.
+	report, err := os.ReadFile(filepath.Join(out, "campaign-report.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"warmup", "ramp-dpi", "flash-xj", "siege", "fault log", "loris"} {
+		if !bytes.Contains(report, []byte(want)) {
+			t.Errorf("report lacks %q:\n%s", want, report)
+		}
+	}
+
+	// The result file and stdout carry the same result.
+	resultJSON, err := os.ReadFile(filepath.Join(out, "campaign-result.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bytes.TrimSpace(resultJSON), bytes.TrimSpace(stdout.Bytes())) {
+		t.Errorf("stdout differs from campaign-result.json")
+	}
+	var res campaign.Result
+	if err := json.Unmarshal(resultJSON, &res); err != nil {
+		t.Fatal(err)
+	}
+	phases := map[string]campaign.PhaseReport{}
+	for _, p := range res.Phases {
+		phases[p.Name] = p
+	}
+	if len(phases) != 4 {
+		t.Fatalf("phases %v, want 4", phases)
+	}
+	if w := phases["warmup"]; w.OK == 0 || w.Forwarded == 0 {
+		t.Errorf("warmup: ok %d forwarded %d, want both > 0", w.OK, w.Forwarded)
+	}
+	if r := phases["ramp-dpi"]; r.UseCase != "DPI" || r.OK == 0 {
+		t.Errorf("ramp-dpi: usecase %q ok %d, want DPI and > 0", r.UseCase, r.OK)
+	}
+	// XJ really translated through the pipeline during the flash.
+	if f := phases["flash-xj"]; f.Translated == 0 || f.FaultSteps != 2 {
+		t.Errorf("flash-xj: translated %d fault steps %d, want > 0 and 2", f.Translated, f.FaultSteps)
+	}
+	// The fault storm was acknowledged by the live backend, then cleared.
+	if len(res.Faults) != 2 {
+		t.Fatalf("faults %+v, want 2", res.Faults)
+	}
+	if f := res.Faults[0]; f.Err != "" || f.State == nil || !f.State.Active {
+		t.Errorf("first fault step %+v, want acknowledged active", f)
+	}
+	if f := res.Faults[1]; f.State == nil || f.State.Active {
+		t.Errorf("clearing fault step %+v, want acknowledged inactive", f)
+	}
+	// Slow-loris holds were reaped by the idle deadline while the
+	// background senders kept completing.
+	if s := phases["siege"]; s.LorisHeld == 0 || s.GwIdleTimeouts == 0 || s.OK == 0 {
+		t.Errorf("siege: loris held %d, gateway idle reaps %d, background ok %d; want all > 0",
+			s.LorisHeld, s.GwIdleTimeouts, s.OK)
+	}
+	if res.Samples == 0 {
+		t.Error("no recorder samples")
+	}
+
+	// The phase-tagged session CSV parses as plain CSV with load, every
+	// row the gateway's.
+	f, err := os.Open(filepath.Join(out, "session.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	recs, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) < 5 {
+		t.Fatalf("session.csv has %d rows, want >= 4", len(recs)-1)
+	}
+	col := map[string]int{}
+	for i, name := range recs[0] {
+		col[name] = i
+	}
+	for _, name := range []string{"phase", "node", "role", "rel_ms", "t_ms", "messages", "msgs_per_sec"} {
+		if _, ok := col[name]; !ok {
+			t.Fatalf("session.csv header %v lacks %s", recs[0], name)
+		}
+	}
+	tags := map[string]bool{}
+	var loaded bool
+	for _, r := range recs[1:] {
+		if r[col["node"]] != "gateway/gw0" || r[col["role"]] != "gateway" {
+			t.Fatalf("row of another node: %v", r)
+		}
+		if rel, err := strconv.ParseInt(r[col["rel_ms"]], 10, 64); err != nil || rel < 0 {
+			t.Fatalf("rel_ms %q below the first read", r[col["rel_ms"]])
+		}
+		if n, err := strconv.ParseUint(r[col["messages"]], 10, 64); err != nil {
+			t.Fatal(err)
+		} else if n > 0 {
+			loaded = true
+		}
+		tags[r[col["phase"]]] = true
+	}
+	if !loaded {
+		t.Error("no CSV row carried load")
+	}
+	if !tags["warmup"] || !tags["siege"] {
+		t.Errorf("phase tags %v lack warmup or siege", tags)
 	}
 }

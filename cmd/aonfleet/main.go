@@ -53,7 +53,11 @@
 // campaign-result.json — per phase, the client view, the gateway's CPI,
 // and every node's window (throughput, p50/p99, CPI/cache-MPI where it
 // carries counters) cut from the phase's start and end reads, with the
-// fleet-total gateway throughput; and with "trace" on, traces.jsonl.
+// fleet-total gateway throughput; and with "trace" on (launched or
+// attached, with or without a campaign), traces.jsonl, every span pulled
+// from the nodes' GET /traces as it lands, and at the end trace-report.txt,
+// the critical-path report over every span joined into cross-node traces
+// by trace ID.
 //
 // Exit status: 0 only when the campaign completed and every launched
 // node exited cleanly; any node failure, readiness timeout, or campaign

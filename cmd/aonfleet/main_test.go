@@ -10,10 +10,16 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
+	"time"
+
+	"repro/internal/campaign"
+	"repro/internal/gateway"
 )
 
 // binDir holds aonback and aongate, built once for the whole package.
@@ -79,11 +85,12 @@ func writeConfig(t *testing.T, cfg map[string]any) string {
 }
 
 // TestFleetCampaignSmoke launches a 1-gateway/2-backend topology in
-// dependency order, runs the config's campaign (one constant FR phase
-// per connection count) against it, and checks the one recording: every
-// node in session.jsonl with rel_ms >= 0, session.csv with the node,
-// role and rel_ms columns ahead of the stock ones, the gateway's
-// messages in it, and the fleet total in the report.
+// dependency order with the trace plane on, runs the config's campaign
+// (one constant FR phase per connection count) against it, and checks
+// the one recording: every node in session.jsonl with rel_ms >= 0,
+// session.csv with the node, role and rel_ms columns ahead of the stock
+// ones, the gateway's messages in it, the fleet total in the report, and
+// the trace report over the pulled spans with a cross-node trace in it.
 func TestFleetCampaignSmoke(t *testing.T) {
 	bin := bins(t)
 	addrs := freePorts(t, 3)
@@ -96,10 +103,11 @@ func TestFleetCampaignSmoke(t *testing.T) {
 		"out_dir":            out,
 		"bin_dir":            bin,
 		"scrape_interval_ms": 100,
+		"trace":              true,
 		"nodes": []map[string]any{
 			{"role": "backend", "endpoint": "order", "addr": addrs[0]},
 			{"role": "backend", "endpoint": "error", "addr": addrs[1]},
-			{"role": "gateway", "addr": addrs[2]},
+			{"role": "gateway", "addr": addrs[2], "flags": []string{"-trace-keep-every", "1"}},
 		},
 		"campaign": map[string]any{"phases": []map[string]any{
 			{"name": "c1", "usecase": "FR", "duration_ms": 1000, "conns": 1},
@@ -112,8 +120,8 @@ func TestFleetCampaignSmoke(t *testing.T) {
 		t.Fatalf("exit %d:\n%s", code, stderr.String())
 	}
 
-	// The session and the report exist and are non-empty.
-	for _, name := range []string{"session.jsonl", "session.csv", "campaign-report.txt"} {
+	// The session, the reports and the spans exist and are non-empty.
+	for _, name := range []string{"session.jsonl", "session.csv", "campaign-report.txt", "traces.jsonl", "trace-report.txt"} {
 		if st, err := os.Stat(filepath.Join(out, name)); err != nil || st.Size() == 0 {
 			t.Fatalf("%s missing or empty (err=%v)", name, err)
 		}
@@ -124,6 +132,16 @@ func TestFleetCampaignSmoke(t *testing.T) {
 	}
 	if !bytes.Contains(report, []byte("fleet-total(gateways)")) || !strings.Contains(stdout.String(), "fleet-total(gateways)") {
 		t.Fatalf("report (file and stdout) lacks fleet-total(gateways):\n%s", report)
+	}
+	traceReport, err := os.ReadFile(filepath.Join(out, "trace-report.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(traceReport, []byte("assembled traces:")) {
+		t.Fatalf("trace report lacks its trace count:\n%s", traceReport)
+	}
+	if m := regexp.MustCompile(`cross-node traces: ([0-9]+)/`).FindSubmatch(traceReport); m == nil || string(m[1]) == "0" {
+		t.Fatalf("trace report names no cross-node trace:\n%s", traceReport)
 	}
 
 	f, err := os.Open(filepath.Join(out, "session.jsonl"))
@@ -218,5 +236,102 @@ func TestFleetNodeCannotStart(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "exited during startup") {
 		t.Fatalf("stderr does not name the startup exit:\n%s", stderr.String())
+	}
+}
+
+// startNode runs one fleet binary by hand, as an attached node is run,
+// and stops it with SIGTERM at cleanup. Its output goes to the test log
+// on failure.
+func startNode(t *testing.T, bin string, args ...string) {
+	t.Helper()
+	var log bytes.Buffer
+	cmd := exec.Command(bin, args...)
+	cmd.Stdout, cmd.Stderr = &log, &log
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		cmd.Process.Signal(syscall.SIGTERM)
+		if err := cmd.Wait(); err != nil {
+			t.Errorf("%s: %v\n%s", filepath.Base(bin), err, log.String())
+		}
+	})
+}
+
+// TestFleetForwardingUseCases attaches a fleet to a hand-started
+// forwarding topology — aongate with -order/-error over two aonback —
+// and runs one constant phase per use case, FR, CBR, SV, DPI and XJ,
+// through the gateway. Every phase is answered in full with no shed or
+// error, the phases' gateway deltas add up to the gateway's own message
+// count, XJ translates every message, and the gateway, read live after
+// the run, forwarded over pooled keep-alive connections without a
+// failure.
+func TestFleetForwardingUseCases(t *testing.T) {
+	bin := bins(t)
+	addrs := freePorts(t, 3)
+	startNode(t, filepath.Join(bin, "aonback"), "-addr", addrs[0], "-name", "order")
+	startNode(t, filepath.Join(bin, "aonback"), "-addr", addrs[1], "-name", "error")
+	startNode(t, filepath.Join(bin, "aongate"), "-addr", addrs[2], "-order", addrs[0], "-error", addrs[1])
+
+	var phases []map[string]any
+	for _, uc := range []string{"FR", "CBR", "SV", "DPI", "XJ"} {
+		phases = append(phases, map[string]any{"name": uc, "usecase": uc, "duration_ms": 400, "conns": 2})
+	}
+	out := filepath.Join(t.TempDir(), "fleet-out")
+	path := writeConfig(t, map[string]any{
+		"out_dir":            out,
+		"scrape_interval_ms": 100,
+		"nodes": []map[string]any{
+			{"role": "backend", "endpoint": "order", "addr": addrs[0], "attach": true},
+			{"role": "backend", "endpoint": "error", "addr": addrs[1], "attach": true},
+			{"role": "gateway", "addr": addrs[2], "attach": true},
+		},
+		"campaign": map[string]any{"phases": phases},
+	})
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-config", path}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d:\n%s", code, stderr.String())
+	}
+
+	b, err := os.ReadFile(filepath.Join(out, "campaign-result.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res campaign.Result
+	if err := json.Unmarshal(b, &res); err != nil {
+		t.Fatal(err)
+	}
+	var stats gateway.Snapshot // the attached gateway, still running
+	if err := gateway.GetJSON(addrs[2], "/stats", 5*time.Second, &stats); err != nil {
+		t.Fatal(err)
+	}
+
+	var gwMsgs uint64
+	for _, p := range res.Phases {
+		if p.Sent == 0 || p.OK != p.Sent || p.GwMessages != p.Sent {
+			t.Errorf("phase %s: sent %d, ok %d, gateway messages %d; want equal and > 0", p.Name, p.Sent, p.OK, p.GwMessages)
+		}
+		if p.Shed != 0 || p.HTTPErrors != 0 || p.NetErrors != 0 {
+			t.Errorf("phase %s: shed %d, http errors %d, net errors %d; want none", p.Name, p.Shed, p.HTTPErrors, p.NetErrors)
+		}
+		if n := stats.LatencyByUseCase[p.UseCase].Count; n < p.OK {
+			t.Errorf("phase %s: gateway latency_by_usecase count %d, want >= the phase's %d answers", p.Name, n, p.OK)
+		}
+		if p.UseCase == "XJ" && (p.Translated != p.OK || stats.Translated < p.OK) {
+			t.Errorf("XJ: %d translated of %d, gateway translated %d", p.Translated, p.OK, stats.Translated)
+		}
+		gwMsgs += p.GwMessages
+	}
+	if len(res.Phases) != 5 || gwMsgs != stats.Messages {
+		t.Errorf("%d phases, their gateway messages sum to %d, the gateway counts %d; want 5 phases and equal",
+			len(res.Phases), gwMsgs, stats.Messages)
+	}
+	order, okOrder := stats.Upstream["order"]
+	if _, okErr := stats.Upstream["error"]; !okOrder || !okErr {
+		t.Fatalf("/stats upstream section lacks order or error: %+v", stats.Upstream)
+	}
+	if order.Forwarded == 0 || order.Failures != 0 || order.PoolHits == 0 {
+		t.Errorf("order backend: forwarded %d, failures %d, pool hits %d; want > 0, 0, > 0",
+			order.Forwarded, order.Failures, order.PoolHits)
 	}
 }

@@ -34,8 +34,8 @@
 // With -trace, the gateway runs the tracing plane (internal/dtrace),
 // its one request clock: every request records real spans around
 // read/parse/process/forward/write, adopts the client's
-// X-AON-Trace ID when present (aonload -trace-client, aoncamp
-// trace_every), and propagates context on upstream forwards so aonback
+// X-AON-Trace ID when present (aoncamp trace_every, aonfleet
+// trace_client_every), and propagates context on upstream forwards so aonback
 // records a joined server-side span. Every finished request's span
 // durations are aggregated into per-use-case per-stage histograms, the
 // /stats "stages" section; completed traces are tail-sampled
@@ -43,8 +43,9 @@
 // slow requests always kept, 1-in—trace-keep-every otherwise. Tail
 // outcomes additionally emit a rate-limited structured slow-request
 // line (trace ID, use case, outcome, per-stage breakdown) on stderr.
-// cmd/aontrace assembles /traces output across nodes into critical-path
-// reports; cmd/aonfleet scrapes it into a fleet-wide traces.jsonl.
+// cmd/aonfleet with "trace" on pulls /traces from every node into a
+// fleet-wide traces.jsonl and renders the joined cross-node traces as a
+// critical-path report, trace-report.txt.
 //
 // -pprof serves net/http/pprof on a separate listener (off by default):
 // aongate -pprof localhost:6060, then `go tool pprof
@@ -57,6 +58,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -76,53 +78,76 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	ucName := flag.String("usecase", "FR", "default use case: FR, CBR, SV, DPI, AUTH")
-	maxBody := flag.Int("max-body", 1<<20, "max POST body bytes")
-	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown budget")
-	idle := flag.Duration("idle-timeout", 0, "client connection read deadline (0 = 60s default, negative disables)")
-	order := flag.String("order", "", "order backend address (enables upstream forwarding)")
-	errAddr := flag.String("error", "", "error backend address (enables upstream forwarding)")
-	upTimeout := flag.Duration("up-timeout", 0, "upstream round-trip deadline; past it the client gets 504 (0 = default 5s)")
-	upIdle := flag.Int("up-idle", 0, "max idle keep-alive conns per backend (0 = default 8)")
-	hwCounters := flag.Bool("counters", false, "enable the live measurement layer: cumulative perf_event_open counters on /stats (falls back to runtime metrics where perf is denied)")
-	maxInflight := flag.Int64("max-inflight", 0, "admission bound: shed with 503 past this many in-flight messages (0 = 5x GOMAXPROCS)")
-	trace := flag.Bool("trace", false, "run the tracing plane: per-request stage spans aggregated into the /stats stages section, X-AON-Trace adoption/propagation, tail-sampled ring on GET /traces, slow-request log on stderr")
-	traceNode := flag.String("trace-node", "", "node name stamped on this gateway's spans (default gateway; aonfleet passes role/id)")
-	traceSlowOver := flag.Duration("trace-slow-over", 0, "tail sampling: always keep traces slower than this (0 = default 50ms, negative disables the slow rule)")
-	traceKeepEvery := flag.Int("trace-keep-every", 0, "tail sampling: keep 1 in N ordinary traces (0 = default 64)")
-	traceCap := flag.Int("trace-cap", 0, "kept-trace ring capacity (0 = default 256)")
-	slowLogPerSec := flag.Int("slow-log-rate", 0, "slow-request log lines per second before suppression (0 = default 10)")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
-	flag.Parse()
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	stop := make(chan struct{})
+	go func() {
+		<-sig
+		close(stop)
+	}()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, stop))
+}
+
+// run is the command: it parses args, serves until stop closes, drains,
+// prints the final snapshot JSON on stdout and progress on stderr, and
+// returns the exit code.
+func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
+	fs := flag.NewFlagSet("aongate", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":8080", "listen address")
+	ucName := fs.String("usecase", "FR", "default use case: FR, CBR, SV, DPI, AUTH")
+	maxBody := fs.Int("max-body", 1<<20, "max POST body bytes")
+	drain := fs.Duration("drain", 10*time.Second, "graceful shutdown budget")
+	idle := fs.Duration("idle-timeout", 0, "client connection read deadline (0 = 60s default, negative disables)")
+	order := fs.String("order", "", "order backend address (enables upstream forwarding)")
+	errAddr := fs.String("error", "", "error backend address (enables upstream forwarding)")
+	upTimeout := fs.Duration("up-timeout", 0, "upstream round-trip deadline; past it the client gets 504 (0 = default 5s)")
+	upIdle := fs.Int("up-idle", 0, "max idle keep-alive conns per backend (0 = default 8)")
+	hwCounters := fs.Bool("counters", false, "enable the live measurement layer: cumulative perf_event_open counters on /stats (falls back to runtime metrics where perf is denied)")
+	maxInflight := fs.Int64("max-inflight", 0, "admission bound: shed with 503 past this many in-flight messages (0 = 5x GOMAXPROCS)")
+	trace := fs.Bool("trace", false, "run the tracing plane: per-request stage spans aggregated into the /stats stages section, X-AON-Trace adoption/propagation, tail-sampled ring on GET /traces, slow-request log on stderr")
+	traceNode := fs.String("trace-node", "", "node name stamped on this gateway's spans (default gateway; aonfleet passes role/id)")
+	traceSlowOver := fs.Duration("trace-slow-over", 0, "tail sampling: always keep traces slower than this (0 = default 50ms, negative disables the slow rule)")
+	traceKeepEvery := fs.Int("trace-keep-every", 0, "tail sampling: keep 1 in N ordinary traces (0 = default 64)")
+	traceCap := fs.Int("trace-cap", 0, "kept-trace ring capacity (0 = default 256)")
+	slowLogPerSec := fs.Int("slow-log-rate", 0, "slow-request log lines per second before suppression (0 = default 10)")
+	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "aongate:", err)
+		return code
+	}
 
 	uc, err := workload.ParseUseCase(*ucName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "aongate:", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 	if *hwCounters && !hwcount.Supported() {
-		fmt.Fprintln(os.Stderr, "aongate: -counters needs perf events, which this OS does not support")
-		os.Exit(2)
+		return fail(2, errors.New("-counters needs perf events, which this OS does not support"))
 	}
 
 	if *pprofAddr != "" {
 		ln, err := net.Listen("tcp", *pprofAddr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "aongate: -pprof:", err)
-			os.Exit(1)
+			return fail(1, fmt.Errorf("-pprof: %w", err))
 		}
-		fmt.Fprintf(os.Stderr, "aongate: pprof on http://%s/debug/pprof/\n", ln.Addr())
+		defer ln.Close()
+		fmt.Fprintf(stderr, "aongate: pprof on http://%s/debug/pprof/\n", ln.Addr())
 		go func() {
-			if err := http.Serve(ln, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "aongate: pprof:", err)
+			if err := http.Serve(ln, nil); err != nil && !errors.Is(err, net.ErrClosed) {
+				fmt.Fprintln(stderr, "aongate: pprof:", err)
 			}
 		}()
 	}
 
 	var slowLog io.Writer
 	if *trace {
-		slowLog = os.Stderr
+		slowLog = stderr
 	}
 	srv, err := gateway.New(gateway.Config{
 		UseCase:      uc,
@@ -145,41 +170,38 @@ func main() {
 		SlowLogPerSec:  *slowLogPerSec,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "aongate:", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 	if err := srv.Start(*addr); err != nil {
-		fmt.Fprintln(os.Stderr, "aongate:", err)
-		os.Exit(1)
+		return fail(1, err)
 	}
 	mode := "in-place"
 	if *order != "" || *errAddr != "" {
 		mode = fmt.Sprintf("forwarding (order=%s error=%s)", *order, *errAddr)
 	}
-	fmt.Fprintf(os.Stderr, "aongate: listening on %s (usecase=%s GOMAXPROCS=%d mode=%s)\n",
+	fmt.Fprintf(stderr, "aongate: listening on %s (usecase=%s GOMAXPROCS=%d mode=%s)\n",
 		srv.Addr(), uc, runtime.GOMAXPROCS(0), mode)
 	if cmode, notice := srv.CountersMode(); cmode != "off" {
-		fmt.Fprintf(os.Stderr, "aongate: counters mode=%s", cmode)
+		fmt.Fprintf(stderr, "aongate: counters mode=%s", cmode)
 		if notice != "" {
-			fmt.Fprintf(os.Stderr, " — %s", notice)
+			fmt.Fprintf(stderr, " — %s", notice)
 		}
-		fmt.Fprintln(os.Stderr)
+		fmt.Fprintln(stderr)
 	}
 
 	if *trace {
-		fmt.Fprintln(os.Stderr, "aongate: distributed tracing on (GET /traces, slow-request log on stderr)")
+		fmt.Fprintln(stderr, "aongate: distributed tracing on (GET /traces, slow-request log on stderr)")
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	fmt.Fprintln(os.Stderr, "aongate: draining...")
+	<-stop
+	fmt.Fprintln(stderr, "aongate: draining...")
 
 	ctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
-		fmt.Fprintln(os.Stderr, "aongate: drain incomplete:", err)
+		fmt.Fprintln(stderr, "aongate: drain incomplete:", err)
 	}
 	b, _ := json.MarshalIndent(srv.Snapshot(), "", "  ")
-	fmt.Println(string(b))
+	fmt.Fprintln(stdout, string(b))
+	return 0
 }

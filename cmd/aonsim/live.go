@@ -7,16 +7,17 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/gateway"
 	"repro/internal/harness"
+	"repro/internal/perf/counters"
 	"repro/internal/perf/machine"
-	"repro/internal/session"
 	"repro/internal/workload"
 )
 
 // The live side of -exp live: an in-process gateway on loopback, driven
-// closed-loop by liveConns connections, its cumulative /stats view
-// windowed every liveInterval.
+// by a one-phase constant campaign of liveConns senders whose recorder
+// reads the gateway's cumulative /stats every liveInterval.
 const (
 	liveConfig   = machine.TwoCPm // the 2-core analogue of a 2-CPU host
 	liveConns    = 8
@@ -25,14 +26,14 @@ const (
 
 // runLive is -exp live: for each of FR/CBR/SV it runs the simulated
 // liveConfig (sized and calibrated exactly as the matrix is) and one live
-// sampling session of length dur, prints the session's mean CPI and
-// cache-MPI against the prediction, and writes the live/sim ratios as a
-// calibration artifact to calOut when set. Sessions without perf events
+// campaign phase of length dur, prints the gateway's window over the
+// phase against the prediction, and writes the live/sim ratios as a
+// calibration artifact to calOut when set. Phases without perf events
 // (the runtime-only fallback) record identity scales: the model cannot
 // calibrate itself.
 func runLive(stdout, stderr io.Writer, opts harness.AONOpts, cal *harness.Calibration, dur time.Duration, calOut string) error {
 	out := &harness.Calibration{Config: string(liveConfig), Entries: map[string]harness.CalibrationEntry{}}
-	fmt.Fprintf(stdout, "simulated %s prediction vs live sampling session (%v interval, %v load)\n", liveConfig, liveInterval, dur)
+	fmt.Fprintf(stdout, "simulated %s prediction vs live campaign phase (%v reads, %v load)\n", liveConfig, liveInterval, dur)
 	fmt.Fprintf(stdout, "%-4s %8s | %8s %8s %8s %8s | %10s %9s | %s\n",
 		"uc", "samples", "sim-cpi", "live-cpi", "scale", "mpi-scl", "live-mps", "p50(us)", "live source")
 	for _, uc := range workload.AllUseCases {
@@ -58,14 +59,13 @@ func runLive(stdout, stderr io.Writer, opts harness.AONOpts, cal *harness.Calibr
 	return nil
 }
 
-// liveEntry simulates uc, runs its live sampling session and averages
-// the session into a calibration entry against the prediction.
+// liveEntry simulates uc, runs its live phase against a fresh in-process
+// gateway and returns the calibration entry.
 func liveEntry(uc workload.UseCase, opts harness.AONOpts, cal *harness.Calibration, dur time.Duration) (harness.CalibrationEntry, error) {
 	sim, err := harness.RunAON(liveConfig, uc, opts)
 	if err != nil {
 		return harness.CalibrationEntry{}, fmt.Errorf("simulate %s: %w", uc, err)
 	}
-
 	srv, err := gateway.New(gateway.Config{UseCase: uc, Counters: true})
 	if err != nil {
 		return harness.CalibrationEntry{}, err
@@ -73,56 +73,48 @@ func liveEntry(uc workload.UseCase, opts harness.AONOpts, cal *harness.Calibrati
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		return harness.CalibrationEntry{}, err
 	}
-	// The session: a priming read, one window per liveInterval under
-	// load, and a last window closing at the load's end. stop joins the
-	// ticker goroutine, so the three never run at once.
-	var win session.Windower
-	var samples []session.Sample
-	sample := func() {
-		snap := srv.Snapshot()
-		samples = append(samples, win.Window("live", snap.Sample()))
-	}
-	sample()
-	stop := session.Every(liveInterval, sample)
-	rep, loadErr := gateway.RunLoad(gateway.LoadConfig{
-		Addr: srv.Addr().String(), UseCase: uc, Conns: liveConns, Duration: dur,
-	})
-	stop()
-	sample()
+	res, runErr := livePhase(srv.Addr().String(), uc, dur)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	shutErr := srv.Shutdown(ctx)
 	cancel()
-	if err := errors.Join(loadErr, shutErr); err != nil {
+	if err := errors.Join(runErr, shutErr); err != nil {
 		return harness.CalibrationEntry{}, fmt.Errorf("live %s: %w", uc, err)
 	}
+	return calibrationEntry(cal.Apply(uc, sim.Metrics), res), nil
+}
 
-	// Average the session. Hardware-sourced samples win: if any exist,
-	// only they feed the mean (a transient fallback window should not
-	// dilute real measurements); otherwise the model-sourced samples
-	// stand in and the entry pins identity scales.
-	source := "model"
-	for _, s := range samples {
-		if s.DerivedSource == "hw" {
-			source = "hw"
-			break
+// livePhase runs uc's live session against the gateway at addr: one
+// constant phase of liveConns senders for dur, recorded every
+// liveInterval.
+func livePhase(addr string, uc workload.UseCase, dur time.Duration) (*campaign.Result, error) {
+	spec := &campaign.Spec{
+		Name:             "live-" + uc.String(),
+		SampleIntervalMS: int(liveInterval / time.Millisecond),
+		Phases: []campaign.Phase{{
+			Name: uc.String(), Shape: campaign.ShapeConstant, UseCase: uc.String(),
+			DurationMS: int(dur / time.Millisecond), Conns: liveConns,
+		}},
+	}
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	return campaign.Run(spec, campaign.Options{Addr: addr})
+}
+
+// calibrationEntry holds sim against the gateway's window over the live
+// phase: CPI, cache-MPI and BrMPR from the count deltas between the
+// phase's start and end reads, and the phase row's ok/s and p50. Samples
+// is the number of recorder rows behind that window.
+func calibrationEntry(sim counters.Metrics, res *campaign.Result) harness.CalibrationEntry {
+	p := &res.Phases[0]
+	var w campaign.NodeWindow
+	for _, n := range p.Nodes {
+		if n.Role == campaign.RoleGateway {
+			w = n
 		}
 	}
-	var n int
-	var cpi, mpi, brmpr float64
-	for _, s := range samples {
-		if s.WindowSec == 0 || s.DerivedSource != source || s.CPI <= 0 {
-			continue // the priming read closes no window
-		}
-		cpi += s.CPI
-		mpi += s.CacheMPI
-		brmpr += s.BrMPR
-		n++
-	}
-	if n > 0 {
-		cpi, mpi, brmpr = cpi/float64(n), mpi/float64(n), brmpr/float64(n)
-	}
-	e := harness.NewCalibrationEntry(cal.Apply(uc, sim.Metrics), cpi, mpi, brmpr, n, source)
-	e.LiveP50US = float64(rep.Latency.P50US)
-	e.LiveMsgsPerSec = rep.MsgsPerSec
-	return e, nil
+	e := harness.NewCalibrationEntry(sim, w.CPI, w.CacheMPI, w.BrMPR, res.Samples, w.DerivedSource)
+	e.LiveP50US = float64(p.LatencyP50US)
+	e.LiveMsgsPerSec = p.OKPerSec
+	return e
 }

@@ -2,7 +2,8 @@
 // and prints paper-vs-measured tables plus the qualitative shape checks
 // for every table and figure in the evaluation, beside the kernel
 // instruction mixes and per-CPU utilization that explain them, a live
-// sampling session that calibrates them, and the analytic capacity model.
+// campaign phase per use case that calibrates them, and the analytic
+// capacity model.
 //
 // Usage:
 //
@@ -13,7 +14,7 @@
 //	aonsim -exp ext                 # DPI/AUTH/XJ and the four-core extension
 //	aonsim -exp mix                 # per-kernel instruction mix over -msgs messages
 //	aonsim -exp util                # per-CPU utilization, every config x FR/CBR/SV
-//	aonsim -exp live -calibration-out cal.json   # simulated 2CPm vs live sessions
+//	aonsim -exp live -calibration-out cal.json   # simulated 2CPm vs live campaign phases
 //	aonsim -exp fig3 -calibration cal.json       # scale predictions by a live artifact
 //	aonsim -exp capacity -csv session.csv -widths 1,2,4 -target-p99 50ms
 //	aonsim -exp capacity -calibration cal.json -usecase CBR

@@ -1,15 +1,24 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"context"
+	"net"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/gateway"
 	"repro/internal/harness"
+	"repro/internal/httpmsg"
+	"repro/internal/hwcount"
+	"repro/internal/perf/counters"
 	"repro/internal/perf/machine"
 	"repro/internal/session"
 	"repro/internal/workload"
@@ -24,6 +33,9 @@ func TestUnknownExperimentRefused(t *testing.T) {
 	}
 	if out.Len() != 0 {
 		t.Fatalf("stdout not empty: %q", out.String())
+	}
+	if !strings.Contains(errb.String(), "unknown -exp") {
+		t.Errorf("refusal does not say unknown -exp: %q", errb.String())
 	}
 	for _, name := range experiments {
 		if !strings.Contains(errb.String(), name) {
@@ -273,10 +285,9 @@ func TestCapacityRefusals(t *testing.T) {
 
 // TestLiveWritesLoadableCalibration runs -exp live in whatever counters
 // mode the host grants and in the forced runtime-only fallback: the
-// artifact holds FR/CBR/SV entries, each averaged over >= 2 windows (the
-// zero-window priming read does not count) with a positive CPI scale,
-// and loads back into -exp fig3 -calibration. Model-sourced sessions
-// record identity scales.
+// artifact holds FR/CBR/SV entries, each a phase window over >= 2
+// recorder rows with a positive CPI scale, and loads back into -exp fig3
+// -calibration. Model-sourced sessions record identity scales.
 func TestLiveWritesLoadableCalibration(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -305,7 +316,7 @@ func TestLiveWritesLoadableCalibration(t *testing.T) {
 					t.Fatalf("no %s entry", uc)
 				}
 				if e.Samples < 2 || e.CPIScale <= 0 {
-					t.Errorf("%s: %d windows, cpi scale %v; want >= 2 and > 0", uc, e.Samples, e.CPIScale)
+					t.Errorf("%s: %d rows, cpi scale %v; want >= 2 and > 0", uc, e.Samples, e.CPIScale)
 				}
 				if e.SimCPI <= 0 || e.LiveMsgsPerSec <= 0 {
 					t.Errorf("%s: entry lacks a prediction or a live rate: %+v", uc, e)
@@ -327,4 +338,170 @@ func TestLiveWritesLoadableCalibration(t *testing.T) {
 			}
 		})
 	}
+}
+
+// gatewayWindow is the gateway node's window in a live phase's result.
+func gatewayWindow(t *testing.T, res *campaign.Result) campaign.NodeWindow {
+	t.Helper()
+	if len(res.Phases) != 1 {
+		t.Fatalf("%d phases, want 1", len(res.Phases))
+	}
+	for _, n := range res.Phases[0].Nodes {
+		if n.Node == "gateway/gw0" {
+			return n
+		}
+	}
+	t.Fatalf("no gateway/gw0 window in %+v", res.Phases[0].Nodes)
+	return campaign.NodeWindow{}
+}
+
+// checkEntryIsWindow fails unless e carries the phase's gateway window
+// and its row: CPI, cache-MPI, BrMPR and their source from the window,
+// the recorder's rows as its sample count, ok/s and p50 from the row.
+func checkEntryIsWindow(t *testing.T, uc string, e harness.CalibrationEntry, res *campaign.Result) {
+	t.Helper()
+	w, p := gatewayWindow(t, res), res.Phases[0]
+	if e.LiveCPI != w.CPI || e.LiveMPI != w.CacheMPI || e.LiveBrMPR != w.BrMPR || e.LiveSource != w.DerivedSource {
+		t.Errorf("%s: entry cpi %v mpi %v brmpr %v (%s), gateway window cpi %v mpi %v brmpr %v (%s)",
+			uc, e.LiveCPI, e.LiveMPI, e.LiveBrMPR, e.LiveSource, w.CPI, w.CacheMPI, w.BrMPR, w.DerivedSource)
+	}
+	if e.Samples != res.Samples || e.Samples < 2 {
+		t.Errorf("%s: entry samples %d, recorder rows %d; want equal and >= 2", uc, e.Samples, res.Samples)
+	}
+	if e.LiveMsgsPerSec != p.OKPerSec || e.LiveP50US != float64(p.LatencyP50US) || p.OK == 0 {
+		t.Errorf("%s: entry %v msgs/s p50 %vus, phase row %v ok/s p50 %dus (%d ok)",
+			uc, e.LiveMsgsPerSec, e.LiveP50US, p.OKPerSec, p.LatencyP50US, p.OK)
+	}
+}
+
+// TestLiveEntryIsPhaseWindow: each use case's calibration entry is the
+// gateway's window over its live phase in the same run — against the
+// in-process gateway in whatever counters mode the host grants, and
+// against a scripted gateway whose hardware counts grow unevenly between
+// reads, where the mean of the recorder's row windows differs from the
+// phase window, so an entry averaged over the rows fails.
+func TestLiveEntryIsPhaseWindow(t *testing.T) {
+	sim := counters.Metrics{CPI: 1, L2MPI: 1, BrMPR: 1}
+	for _, uc := range workload.AllUseCases {
+		srv, err := gateway.New(gateway.Config{UseCase: uc, Counters: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Start("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		res, err := livePhase(srv.Addr().String(), uc, 300*time.Millisecond)
+		srv.Shutdown(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkEntryIsWindow(t, uc.String(), calibrationEntry(sim, res), res)
+	}
+
+	fake := startScriptedGateway(t)
+	res, err := livePhase(fake.addr, workload.CBR, 350*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := calibrationEntry(sim, res)
+	checkEntryIsWindow(t, "scripted", e, res)
+	// The recorder read the gateway once per row after the pre-flight
+	// read; a row's window is the step from the read before it.
+	fake.mu.Lock()
+	served := fake.served
+	fake.mu.Unlock()
+	if len(served) < 1+res.Samples || res.Samples < 3 {
+		t.Fatalf("%d reads served for %d rows, want a pre-flight read and >= 3 rows", len(served), res.Samples)
+	}
+	rows := served[1 : 1+res.Samples]
+	var win session.Windower
+	var mean float64
+	for _, r := range rows {
+		mean += win.Window("gw", r.Sample()).CPI
+	}
+	mean = (mean - rows[0].Sample().CPI) / float64(len(rows)-1) // the first row primes: no window
+	if e.LiveSource != "hw" || mean == e.LiveCPI {
+		t.Fatalf("scripted: entry cpi %v (%s), mean of row windows %v; want hw and different", e.LiveCPI, e.LiveSource, mean)
+	}
+}
+
+// scriptedGateway answers any POST as a forwarding gateway would (200,
+// X-AON-Outcome: forwarded) on keep-alive connections, and each GET
+// /stats with the next snapshot of a hardware-sourced series whose
+// counts grow unevenly, keeping every snapshot it served.
+type scriptedGateway struct {
+	addr string
+
+	mu     sync.Mutex
+	counts hwcount.Counts
+	served []gateway.Snapshot
+}
+
+func startScriptedGateway(t *testing.T) *scriptedGateway {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	g := &scriptedGateway{addr: ln.Addr().String()}
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go g.serve(c)
+		}
+	}()
+	return g
+}
+
+func (g *scriptedGateway) serve(c net.Conn) {
+	defer c.Close()
+	br := bufio.NewReader(c)
+	ok := httpmsg.FormatResponse(&httpmsg.Response{
+		Status:  200,
+		Headers: []httpmsg.Header{{Name: "X-AON-Outcome", Value: "forwarded"}},
+	})
+	for {
+		raw, err := httpmsg.ReadRequest(br, 1<<20, nil)
+		if err != nil {
+			return
+		}
+		req, err := httpmsg.ParseRequest(raw)
+		if err != nil {
+			return
+		}
+		resp := ok
+		if req.Target == "/stats" {
+			resp = httpmsg.JSONResponse(200, g.next())
+		}
+		if _, err := c.Write(resp); err != nil {
+			return
+		}
+	}
+}
+
+// next scripts the k-th /stats read: cycles and cache misses grow by
+// amounts that cycle with k, so no two consecutive windows share a CPI.
+func (g *scriptedGateway) next() gateway.Snapshot {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	k := uint64(len(g.served))
+	g.counts[hwcount.Cycles] += 3000 + 2500*(k%3)
+	g.counts[hwcount.Instructions] += 2000 + 300*(k%2)
+	g.counts[hwcount.CacheRefs] += 50 + k
+	g.counts[hwcount.CacheMisses] += 5 + k%4
+	g.counts[hwcount.Branches] += 400
+	g.counts[hwcount.BranchMisses] += 3 + k%5
+	snap := gateway.Snapshot{
+		UptimeSec: 0.05 * float64(k+1),
+		Messages:  40 * k,
+		Workers:   1,
+		Counters: &gateway.CountersSnapshot{Mode: "hw", Events: g.counts.EventsMap(),
+			Derived: hwcount.Derive(g.counts), DerivedSource: "hw"},
+	}
+	g.served = append(g.served, snap)
+	return snap
 }

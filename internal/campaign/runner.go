@@ -158,8 +158,7 @@ func (r *runner) runPhase(p *Phase) (*PhaseReport, []dtrace.Span, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("campaign: phase %s: %v", p.Name, err)
 	}
-	// The one load driver, in redial mode: the envelope below sets its
-	// width tick by tick.
+	// The one load driver: the envelope below sets its width tick by tick.
 	sp := gateway.NewSenders(gateway.LoadConfig{
 		Addr:         r.addr,
 		UseCase:      uc,
@@ -168,7 +167,7 @@ func (r *runner) runPhase(p *Phase) (*PhaseReport, []dtrace.Span, error) {
 		Timeout:      r.timeout,
 		Seed:         r.spec.Seed,
 		TraceEvery:   r.spec.TraceEvery,
-	}, true)
+	})
 
 	var lp *lorisPool
 	if p.Shape == ShapeSlowloris {

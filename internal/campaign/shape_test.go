@@ -1,6 +1,8 @@
 package campaign
 
 import (
+	"io/fs"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -135,5 +137,32 @@ func TestSpecValidate(t *testing.T) {
 		if _, err := parseSpec([]byte(doc)); err == nil {
 			t.Fatalf("bad spec %d accepted: %s", i, doc)
 		}
+	}
+}
+
+// TestShippedSpecsValidate loads and validates every JSON document under
+// examples/, so the shipped campaigns (constant.json is the single run)
+// cannot rot.
+func TestShippedSpecsValidate(t *testing.T) {
+	var n int
+	err := filepath.WalkDir("../../examples", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || filepath.Ext(path) != ".json" {
+			return err
+		}
+		n++
+		s, err := LoadSpec(path)
+		if err == nil {
+			err = s.Validate()
+		}
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n == 0 {
+		t.Fatal("no spec under examples/")
 	}
 }

@@ -136,25 +136,18 @@ func quantile(sorted []int64, q float64) int64 {
 	return sorted[i]
 }
 
-// ReportOptions tunes FormatReport.
-type ReportOptions struct {
-	// TopTraces is how many slowest traces to render as trees (default 3).
-	TopTraces int
-	// RankSpans is how many slowest individual spans to list (default 10).
-	RankSpans int
-}
+// FormatReport's depth: the slowest spans it ranks and the slowest
+// traces it renders as trees.
+const (
+	reportRankSpans = 10
+	reportTopTraces = 3
+)
 
 // FormatReport renders the critical-path report: per (node, span-name)
 // self-time aggregates with p50/p99 and share of total self-time, a
 // slowest-span ranking, and span trees for the slowest traces (the p99
 // exemplars the whole tracing plane exists to surface).
-func FormatReport(w io.Writer, traces []*AssembledTrace, opt ReportOptions) {
-	if opt.TopTraces == 0 {
-		opt.TopTraces = 3
-	}
-	if opt.RankSpans == 0 {
-		opt.RankSpans = 10
-	}
+func FormatReport(w io.Writer, traces []*AssembledTrace) {
 	fmt.Fprintf(w, "assembled traces: %d\n", len(traces))
 	if len(traces) == 0 {
 		return
@@ -231,10 +224,7 @@ func FormatReport(w io.Writer, traces []*AssembledTrace, opt ReportOptions) {
 	sort.Slice(all, func(i, j int) bool {
 		return all[i].t.SelfUS[all[i].i] > all[j].t.SelfUS[all[j].i]
 	})
-	n := opt.RankSpans
-	if n > len(all) {
-		n = len(all)
-	}
+	n := min(reportRankSpans, len(all))
 	fmt.Fprintf(w, "slowest spans (by self-time):\n")
 	for _, r := range all[:n] {
 		sp := &r.t.Spans[r.i]
@@ -247,10 +237,7 @@ func FormatReport(w io.Writer, traces []*AssembledTrace, opt ReportOptions) {
 	byDur := make([]*AssembledTrace, len(traces))
 	copy(byDur, traces)
 	sort.Slice(byDur, func(i, j int) bool { return byDur[i].RootDurUS() > byDur[j].RootDurUS() })
-	n = opt.TopTraces
-	if n > len(byDur) {
-		n = len(byDur)
-	}
+	n = min(reportTopTraces, len(byDur))
 	fmt.Fprintf(w, "slowest traces:\n")
 	for _, t := range byDur[:n] {
 		m := t.rootMeta()

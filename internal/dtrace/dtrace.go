@@ -29,8 +29,8 @@ import (
 )
 
 // Header is the context-propagation header: "X-AON-Trace:
-// <traceID>-<parentSpanID>", both 16 lowercase hex digits. aonload and
-// aoncamp inject it to originate traces at the client; the gateway adopts
+// <traceID>-<parentSpanID>", both 16 lowercase hex digits. A campaign's
+// senders inject it to originate traces at the client; the gateway adopts
 // an inbound ID (or mints one) and re-injects it on upstream forwards so
 // aonback's server span joins the same trace.
 const Header = "X-AON-Trace"
@@ -191,7 +191,7 @@ type Trace struct {
 // blank lines.
 // InjectHeader copies the raw HTTP request into dst with an X-AON-Trace
 // header spliced in before the header block's terminating blank line —
-// how aonload and aoncamp originate traces at the client without
+// how a campaign's senders originate traces at the client without
 // re-rendering the pooled request bytes. A frame without CRLFCRLF comes
 // back unmodified (copied).
 func InjectHeader(dst, raw []byte, traceID, spanID ID) []byte {

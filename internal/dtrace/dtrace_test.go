@@ -275,7 +275,7 @@ func TestFormatReport(t *testing.T) {
 	}
 	traces := Assemble(spans)
 	var buf bytes.Buffer
-	FormatReport(&buf, traces, ReportOptions{TopTraces: 2, RankSpans: 5})
+	FormatReport(&buf, traces)
 	out := buf.String()
 	for _, want := range []string{
 		"assembled traces: 5",

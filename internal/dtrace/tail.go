@@ -159,8 +159,8 @@ func (t *Tail) Keep(traceID ID, spans []Span) {
 func (t *Tail) Last(n int) []Trace { return t.ring.Last(n) }
 
 // TracesResponse is the GET /traces JSON shape. aongate and aonback
-// serve it and the fleet's trace pull and aontrace decode it, so one type is
-// the whole contract.
+// serve it and the fleet's trace pull decodes it, so one type is the
+// whole contract.
 type TracesResponse struct {
 	Node   string    `json:"node"`
 	Tail   TailStats `json:"tail"`

@@ -64,7 +64,8 @@ type NodeConfig struct {
 type Config struct {
 	// OutDir receives every artifact: per-node logs, the recorder's
 	// session.jsonl and session.csv (every node, phase-tagged), the
-	// campaign's report and result, and with Trace traces.jsonl.
+	// campaign's report and result, and with Trace traces.jsonl and
+	// trace-report.txt.
 	// Default "fleet-out".
 	OutDir string `json:"out_dir,omitempty"`
 	// BinDir holds the aonback/aongate binaries. Empty means resolve
@@ -83,9 +84,10 @@ type Config struct {
 	// gateways get -trace (tail-based sampling + GET /traces), every
 	// launched node gets -trace-node <role/id> so spans carry fleet
 	// identities, the campaign originates a trace every
-	// TraceClientEvery requests, and the scrape loop joins every node's
-	// kept spans into <out_dir>/traces.jsonl for cmd/aontrace. Off by
-	// default — the trace plane is opt-in per campaign.
+	// TraceClientEvery requests, and the trace pulls join every node's
+	// kept spans into <out_dir>/traces.jsonl, rendered at Finish as the
+	// critical-path report <out_dir>/trace-report.txt. Off by default —
+	// the trace plane is opt-in per fleet.
 	Trace bool `json:"trace,omitempty"`
 	// TraceClientEvery originates a client-side trace every Nth request
 	// per connection (default 16 when Trace is set; ignored otherwise).

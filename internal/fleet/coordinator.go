@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -215,7 +216,8 @@ func (c *Coordinator) pullTraces() {
 func (c *Coordinator) Traces() *TraceStore { return c.traces }
 
 // Finish stops the recording and the trace pulls, takes the final trace
-// pull, and reports the first artifact write failure.
+// pull, writes the trace report, and reports the first artifact write
+// failure.
 func (c *Coordinator) Finish() error {
 	if err := c.stop(); err != nil {
 		return err
@@ -225,15 +227,13 @@ func (c *Coordinator) Finish() error {
 		if err := c.traces.SinkErr(); err != nil {
 			return err
 		}
-		asm := c.traces.Assemble()
-		cross := 0
-		for _, t := range asm {
-			if len(t.Nodes) > 1 {
-				cross++
-			}
+		var report bytes.Buffer
+		dtrace.FormatReport(&report, c.traces.Assemble())
+		path := filepath.Join(c.cfg.OutDir, traceReportName)
+		if err := os.WriteFile(path, report.Bytes(), 0o644); err != nil {
+			return fmt.Errorf("fleet: trace report: %w", err)
 		}
-		c.Logf("traces: %d spans, %d assembled traces (%d cross-node) → %s",
-			c.traces.Len(), len(asm), cross, filepath.Join(c.cfg.OutDir, tracesJSONLName))
+		c.Logf("traces: %d spans → %s, %s", c.traces.Len(), filepath.Join(c.cfg.OutDir, tracesJSONLName), path)
 	}
 	c.Logf("artifacts in %s: session.jsonl, session.csv and logs", c.cfg.OutDir)
 	return nil

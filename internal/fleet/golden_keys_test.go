@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
-	"repro/internal/gateway"
 	"repro/internal/session"
 )
 
@@ -88,11 +87,11 @@ func jsonKeys(t *testing.T, ptr any) string {
 }
 
 // TestReportKeySetsGolden pins the JSON key sets of the report shapes
-// the CI smokes and offline tooling read, and of the session sample
+// the campaign tests and offline tooling read, and of the session sample
 // every timeline artifact carries, and of the recorder's session.jsonl
 // sample row around it. The report goldens were recorded on
-// the commit before Counts was factored out of Report and PhaseReport;
-// embedding must keep both shapes flat and key-for-key identical. The
+// the commit before Counts was factored out of PhaseReport; embedding
+// must keep the shape flat and key-for-key identical. The
 // sample's was recorded before the gateway's own sampling session was
 // deleted: the cumulative counts the Windower differences stay out of
 // JSON.
@@ -102,7 +101,6 @@ func TestReportKeySetsGolden(t *testing.T) {
 		ptr  any
 		want string
 	}{
-		{"gateway.Report", &gateway.Report{}, goldenReportKeys},
 		{"campaign.PhaseReport", &campaign.PhaseReport{}, goldenPhaseReportKeys},
 		{"campaign.Result", &campaign.Result{}, goldenResultKeys},
 		{"session.Sample", &session.Sample{}, goldenSampleKeys},
@@ -115,7 +113,6 @@ func TestReportKeySetsGolden(t *testing.T) {
 }
 
 // Recorded on the parent commit (1db7a2d) with the helpers above.
-const goldenReportKeys = "bytes_in bytes_out client_spans client_spans.dur_us client_spans.name client_spans.node client_spans.outcome client_spans.parent_id client_spans.span_id client_spans.start_us client_spans.status client_spans.trace_id client_spans.usecase conns duration_sec forwarded http_errors latency latency.count latency.max_us latency.mean_us latency.p50_us latency.p90_us latency.p99_us mbps msgs_per_sec net_errors ok_200 parse_errors routed_error routed_match sent shed_503 size_bytes translated usecase validation_ok"
 const goldenPhaseReportKeys = "duration_sec fault_steps forwarded gw_idle_timeouts gw_messages gw_shed gw_upstream_errors http_errors latency_p50_us latency_p99_us loris_completed loris_held loris_reaped model model.admissible_per_sec model.demand_us model.p99_err_pct model.predicted_p99_us model.predicted_per_sec model.throughput_err_pct model.workers name net_errors offered_per_sec ok_200 ok_per_sec parse_errors peak_conns routed_error routed_match sent shape shed_503 stages stages.k stages.k.count stages.k.mean_us translated usecase validation_ok"
 const goldenResultKeys = "addr artifacts duration_sec faults faults.at_ms faults.backend faults.err faults.fault faults.fault.clear faults.fault.down_ms faults.fault.error_rate faults.fault.extra_delay_ms faults.fault.fail_next faults.phase faults.state faults.state.active faults.state.down_remaining_ms faults.state.dropped faults.state.error_rate faults.state.errored faults.state.extra_delay_ms faults.state.fail_next name phases phases.duration_sec phases.fault_steps phases.forwarded phases.gw_idle_timeouts phases.gw_messages phases.gw_shed phases.gw_upstream_errors phases.http_errors phases.latency_p50_us phases.latency_p99_us phases.loris_completed phases.loris_held phases.loris_reaped phases.model phases.model.admissible_per_sec phases.model.demand_us phases.model.p99_err_pct phases.model.predicted_p99_us phases.model.predicted_per_sec phases.model.throughput_err_pct phases.model.workers phases.name phases.net_errors phases.offered_per_sec phases.ok_200 phases.ok_per_sec phases.parse_errors phases.peak_conns phases.routed_error phases.routed_match phases.sent phases.shape phases.shed_503 phases.stages phases.stages.k phases.stages.k.count phases.stages.k.mean_us phases.translated phases.usecase phases.validation_ok samples seed"
 

@@ -6,11 +6,15 @@ import (
 	"repro/internal/dtrace"
 )
 
-// tracesJSONLName is the per-span trace artifact inside Config.OutDir:
+// The trace plane's artifacts inside Config.OutDir: traces.jsonl holds
 // one dtrace.Span JSON object per line, every node's spans interleaved
-// in scrape order. cmd/aontrace reads it back (-in) and joins spans into
-// cross-node traces purely by trace ID.
-const tracesJSONLName = "traces.jsonl"
+// in pull order (dtrace.ReadSpansJSONL reads it back); trace-report.txt
+// is dtrace.FormatReport over every span collected, joined into
+// cross-node traces purely by trace ID, written at Finish.
+const (
+	tracesJSONLName = "traces.jsonl"
+	traceReportName = "trace-report.txt"
+)
 
 // TraceStore is the fleet's cross-node span collector: every scrape of a
 // node's GET /traces lands here, deduplicated by (trace ID, span ID) —

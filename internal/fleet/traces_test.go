@@ -2,10 +2,13 @@ package fleet
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/dtrace"
@@ -16,16 +19,31 @@ import (
 
 // TestFleetTracePlane is the cross-node assembly acceptance path: an
 // attach-mode fleet over an in-process tracing gateway and backend, the
-// campaign originating a trace on every request. The trace pulls must join
-// the client, gateway, and backend spans by trace ID into assembled
-// cross-node traces, and the traces.jsonl artifact must round-trip
-// through the dtrace reader. Runs under -race in CI.
+// campaign originating a trace on every request, in whatever counters
+// mode the host grants and in the forced runtime-only mode. The trace
+// pulls must join the client, gateway, and backend spans by trace ID
+// into assembled cross-node traces with intact parent links, the
+// traces.jsonl artifact must round-trip through the dtrace reader, and
+// Finish must write the critical-path report. Runs under -race in CI.
 func TestFleetTracePlane(t *testing.T) {
-	t.Setenv(gateway.ForceRuntimeOnlyEnv, "1")
+	for _, force := range []bool{false, true} {
+		name := "host-mode"
+		if force {
+			name = "forced-runtime-only"
+		}
+		t.Run(name, func(t *testing.T) {
+			if force {
+				t.Setenv(gateway.ForceRuntimeOnlyEnv, "1")
+			}
+			testFleetTracePlane(t)
+		})
+	}
+}
 
+func testFleetTracePlane(t *testing.T) {
 	order, err := upstream.StartBackend("127.0.0.1:0", upstream.BackendConfig{
 		Name:      "order",
-		TraceNode: "backend/b-order",
+		TraceNode: "backend/b0",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -34,6 +52,7 @@ func TestFleetTracePlane(t *testing.T) {
 
 	srv, err := gateway.New(gateway.Config{
 		UseCase:        workload.FR,
+		Counters:       true,
 		Trace:          true,
 		TraceNode:      "gateway/gw0",
 		TraceKeepEvery: 1, // keep every trace: assembly assertions are deterministic
@@ -55,7 +74,7 @@ func TestFleetTracePlane(t *testing.T) {
 		Trace:            true,
 		TraceClientEvery: 1,
 		Nodes: []NodeConfig{
-			{Role: roleBackend, ID: "b-order", Addr: order.Addr().String(), Endpoint: "order", Attach: true},
+			{Role: roleBackend, ID: "b0", Addr: order.Addr().String(), Endpoint: "order", Attach: true},
 			{Role: roleGateway, ID: "gw0", Addr: srv.Addr().String(), Attach: true},
 		},
 		Campaign: &campaign.Spec{Phases: []campaign.Phase{{DurationMS: 100, Conns: 2}}},
@@ -80,6 +99,17 @@ func TestFleetTracePlane(t *testing.T) {
 		t.Fatalf("shutdown: %v", err)
 	}
 
+	// Each node serves /traces under its fleet name.
+	for addr, want := range map[string]string{srv.Addr().String(): "gateway/gw0", order.Addr().String(): "backend/b0"} {
+		var tr dtrace.TracesResponse
+		if err := gateway.GetJSON(addr, "/traces", 5*time.Second, &tr); err != nil {
+			t.Fatal(err)
+		}
+		if tr.Node != want {
+			t.Fatalf("/traces at %s: node %q, want %q", addr, tr.Node, want)
+		}
+	}
+
 	store := co.Traces()
 	if store == nil || store.Len() == 0 {
 		t.Fatal("trace store empty")
@@ -89,18 +119,47 @@ func TestFleetTracePlane(t *testing.T) {
 		t.Fatal("no assembled traces")
 	}
 	// Every request was traced end to end: at least one trace must span
-	// all three fleet vantage points, joined purely by trace ID.
-	want := "backend/b-order,gateway/gw0,load/client"
+	// all three fleet vantage points, joined purely by trace ID, with the
+	// client span as its one root parenting the gateway root, and the
+	// gateway's stage and forward spans and the backend's serve span.
+	want := "backend/b0,gateway/gw0,load/client"
 	full := 0
 	for _, at := range asm {
-		if strings.Join(at.Nodes, ",") == want {
-			full++
-			if len(at.Roots) != 1 {
-				t.Fatalf("trace %v: %d roots, want 1 (the client span)", at.TraceID, len(at.Roots))
+		if strings.Join(at.Nodes, ",") != want {
+			continue
+		}
+		full++
+		if len(at.Roots) != 1 {
+			t.Fatalf("trace %v: %d roots, want 1 (the client span)", at.TraceID, len(at.Roots))
+		}
+		root := at.Spans[at.Roots[0]]
+		if root.Node != "load/client" {
+			t.Fatalf("trace %v root on %q, want load/client", at.TraceID, root.Node)
+		}
+		names := map[string]bool{}
+		byID := map[dtrace.ID]dtrace.Span{}
+		for _, sp := range at.Spans {
+			names[sp.Name] = true
+			byID[sp.SpanID] = sp
+		}
+		for _, name := range []string{"request", "gateway", "forward", "serve", "read", "parse", "process", "write"} {
+			if !names[name] {
+				t.Fatalf("trace %v lacks a %q span: %v", at.TraceID, name, names)
 			}
-			root := at.Spans[at.Roots[0]]
-			if root.Node != "load/client" {
-				t.Fatalf("trace %v root on %q, want load/client", at.TraceID, root.Node)
+		}
+		for _, sp := range at.Spans {
+			switch sp.Name {
+			case "serve":
+				if byID[sp.ParentID].Name != "forward" {
+					t.Fatalf("trace %v: serve under %q, want forward", at.TraceID, byID[sp.ParentID].Name)
+				}
+			case "gateway":
+				if byID[sp.ParentID].Name != "request" {
+					t.Fatalf("trace %v: gateway root under %q, want the client's request", at.TraceID, byID[sp.ParentID].Name)
+				}
+				if sp.UseCase != "FR" || sp.Status != 200 {
+					t.Fatalf("trace %v: gateway root usecase %q status %d, want FR 200", at.TraceID, sp.UseCase, sp.Status)
+				}
 			}
 		}
 	}
@@ -129,6 +188,19 @@ func TestFleetTracePlane(t *testing.T) {
 	back := dtrace.Assemble(spans)
 	if len(back) != len(asm) {
 		t.Fatalf("jsonl assembles to %d traces, store to %d", len(back), len(asm))
+	}
+
+	// Finish rendered the critical-path report beside it, over every
+	// trace the store assembled.
+	report, err := os.ReadFile(filepath.Join(outDir, traceReportName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(report), fmt.Sprintf("assembled traces: %d\n", len(asm))) {
+		t.Fatalf("trace report does not assemble the store's %d traces:\n%s", len(asm), report)
+	}
+	if m := regexp.MustCompile(`cross-node traces: ([0-9]+)/`).FindStringSubmatch(string(report)); m == nil || m[1] == "0" {
+		t.Fatalf("trace report names no cross-node trace:\n%s", report)
 	}
 }
 

@@ -71,8 +71,8 @@ func TestTimelineEndpoint(t *testing.T) {
 				return w.Window(addr, snap.Sample())
 			}
 			read() // primes the reader
-			if _, err := RunLoad(LoadConfig{Addr: addr, UseCase: workload.CBR, Conns: 2, Messages: 60}); err != nil {
-				t.Fatal(err)
+			if rep := drive(LoadConfig{Addr: addr, UseCase: workload.CBR}, 2, 60); rep.OK != 60 {
+				t.Fatalf("ok=%d of 60 (%+v)", rep.OK, rep)
 			}
 			var samples []session.Sample
 			for i := 0; i < 3; i++ {

@@ -72,8 +72,8 @@ func TestModelDerivedPinned(t *testing.T) {
 func TestStatsCountersSection(t *testing.T) {
 	srv := startServer(t, Config{UseCase: workload.CBR, Counters: true})
 	addr := srv.Addr().String()
-	if _, err := RunLoad(LoadConfig{Addr: addr, UseCase: workload.CBR, Conns: 2, Messages: 60}); err != nil {
-		t.Fatal(err)
+	if rep := drive(LoadConfig{Addr: addr, UseCase: workload.CBR}, 2, 60); rep.OK != 60 {
+		t.Fatalf("ok=%d of 60 (%+v)", rep.OK, rep)
 	}
 
 	cl, err := Dial(addr)
@@ -201,8 +201,8 @@ func TestWorkerGroupLifecycle(t *testing.T) {
 	}
 	t.Logf("opened %d of %d per-CPU groups", opened, len(cpus))
 
-	if _, err := RunLoad(LoadConfig{Addr: srv.Addr().String(), UseCase: workload.CBR, Conns: 2, Messages: 30}); err != nil {
-		t.Fatal(err)
+	if rep := drive(LoadConfig{Addr: srv.Addr().String(), UseCase: workload.CBR}, 2, 30); rep.OK != 30 {
+		t.Fatalf("ok=%d of 30 (%+v)", rep.OK, rep)
 	}
 	if c := srv.Snapshot().Counters; len(c.CPUs) != len(cpus) {
 		t.Fatalf("snapshot lists %d CPUs, want %d", len(c.CPUs), len(cpus))
@@ -231,7 +231,7 @@ func TestConcurrentStatsReaders(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		RunLoad(LoadConfig{Addr: srv.Addr().String(), UseCase: workload.CBR, Conns: 2, Messages: 200})
+		drive(LoadConfig{Addr: srv.Addr().String(), UseCase: workload.CBR}, 2, 200)
 	}()
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {

@@ -39,8 +39,8 @@ func TestTracesLastParam(t *testing.T) {
 		TraceKeepEvery: 1,
 		Upstream:       upstream.Config{Order: order.Addr().String()},
 	})
-	if _, err := RunLoad(LoadConfig{Addr: srv.Addr().String(), UseCase: workload.FR, Messages: 5, TraceEvery: 1}); err != nil {
-		t.Fatal(err)
+	if rep := drive(LoadConfig{Addr: srv.Addr().String(), UseCase: workload.FR}, 1, 5); rep.OK != 5 {
+		t.Fatalf("ok=%d of 5 (%+v)", rep.OK, rep)
 	}
 	waitTraced(t, srv, 5)
 	waitBackendKept(t, order.Addr().String(), 5)
@@ -104,34 +104,31 @@ func waitBackendKept(t *testing.T, addr string, n uint64) dtrace.TracesResponse 
 	}
 }
 
-// TestDTraceForwardedEndToEnd is the tracing acceptance path: a traced
-// client drives FR through a tracing gateway that forwards to a real
-// order backend, and the three nodes' span sets must assemble into one
-// trace — client request span, adopted gateway stage spans, backend
-// serve span — joined purely by trace ID with intact parent links.
+// TestDTraceForwardedEndToEnd is the tracing acceptance path: a sender
+// set originating a trace on every request drives FR through a tracing
+// gateway that forwards to a real order backend, and the three nodes'
+// span sets must assemble into one trace per request — client request
+// span, adopted gateway stage spans, backend serve span — joined purely
+// by trace ID with intact parent links.
 func TestDTraceForwardedEndToEnd(t *testing.T) {
-	order := startBackend(t, upstream.BackendConfig{Name: "order"})
+	order := startBackend(t, upstream.BackendConfig{Name: "order", TraceCapacity: 4096})
 	srv := startServer(t, Config{
 		Trace:          true,
-		TraceKeepEvery: 1, // keep every trace: the assertions are deterministic
+		TraceKeepEvery: 1,    // keep every trace: the assertions are deterministic
+		TraceCapacity:  4096, // and every kept trace stays in the ring
 		Upstream:       upstream.Config{Order: order.Addr().String()},
 	})
 
-	rep, err := RunLoad(LoadConfig{
-		Addr:       srv.Addr().String(),
-		UseCase:    workload.FR,
-		Conns:      2,
-		Messages:   40,
-		TraceEvery: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
+	s := NewSenders(LoadConfig{Addr: srv.Addr().String(), UseCase: workload.FR, TraceEvery: 1})
+	s.Resize(2)
+	waitFor(t, "40 answered requests", func() bool { return srv.Metrics.Messages.Load() >= 40 })
+	rep := s.Stop()
+	n := rep.Sent
+	if n < 40 || rep.OK != n || rep.Forwarded != n {
+		t.Fatalf("FR: sent=%d ok=%d forwarded=%d, want >= 40 and all forwarded", n, rep.OK, rep.Forwarded)
 	}
-	if rep.OK != 40 || rep.Forwarded != 40 {
-		t.Fatalf("FR: ok=%d forwarded=%d, want 40/40", rep.OK, rep.Forwarded)
-	}
-	if len(rep.ClientSpans) != 40 {
-		t.Fatalf("client spans: got %d, want 40", len(rep.ClientSpans))
+	if uint64(len(rep.ClientSpans)) != n {
+		t.Fatalf("client spans: got %d, want one per request (%d)", len(rep.ClientSpans), n)
 	}
 	for _, sp := range rep.ClientSpans {
 		if sp.Node != "client" || sp.Name != "request" || sp.TraceID.IsZero() || sp.SpanID.IsZero() {
@@ -140,21 +137,21 @@ func TestDTraceForwardedEndToEnd(t *testing.T) {
 	}
 
 	// Gateway side: every request was traced and kept.
-	waitTraced(t, srv, 40)
-	gw := getTraces(t, srv.Addr().String(), "")
+	waitTraced(t, srv, n)
+	gw := getTraces(t, srv.Addr().String(), fmt.Sprintf("last=%d", n))
 	if gw.Node != "gateway" {
 		t.Fatalf("gateway node=%q", gw.Node)
 	}
-	if gw.Tail.Seen != 40 || gw.Tail.Kept != 40 {
-		t.Fatalf("gateway tail seen=%d kept=%d, want 40/40", gw.Tail.Seen, gw.Tail.Kept)
+	if gw.Tail.Seen != n || gw.Tail.Kept != n {
+		t.Fatalf("gateway tail seen=%d kept=%d, want %d/%d", gw.Tail.Seen, gw.Tail.Kept, n, n)
 	}
 	// Backend side: every forwarded request carried the propagated header.
-	be := waitBackendKept(t, order.Addr().String(), 40)
+	be := waitBackendKept(t, order.Addr().String(), n)
 	if be.Node != "order" {
 		t.Fatalf("backend node=%q", be.Node)
 	}
-	if be.Tail.Kept != 40 {
-		t.Fatalf("backend tail kept=%d, want 40", be.Tail.Kept)
+	if be.Tail.Kept != n {
+		t.Fatalf("backend tail kept=%d, want %d", be.Tail.Kept, n)
 	}
 
 	// Pool every span from all three vantage points and assemble.
@@ -167,8 +164,8 @@ func TestDTraceForwardedEndToEnd(t *testing.T) {
 		spans = append(spans, tr.Spans...)
 	}
 	asm := dtrace.Assemble(spans)
-	if len(asm) != 40 {
-		t.Fatalf("assembled %d traces, want 40", len(asm))
+	if uint64(len(asm)) != n {
+		t.Fatalf("assembled %d traces, want %d", len(asm), n)
 	}
 
 	wantStages := []string{"read", "parse", "process", "forward", "write"}
@@ -227,9 +224,9 @@ func TestDTraceForwardedEndToEnd(t *testing.T) {
 
 	// The assembled report renders without error and names all nodes.
 	var buf bytes.Buffer
-	dtrace.FormatReport(&buf, asm, dtrace.ReportOptions{})
+	dtrace.FormatReport(&buf, asm)
 	out := buf.String()
-	for _, want := range []string{"assembled traces: 40", "cross-node traces: 40/40", "order", "forward"} {
+	for _, want := range []string{fmt.Sprintf("assembled traces: %d", n), fmt.Sprintf("cross-node traces: %d/%d", n, n), "order", "forward"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)
 		}
@@ -237,7 +234,7 @@ func TestDTraceForwardedEndToEnd(t *testing.T) {
 
 	// /stats carries the tail summary.
 	snap := srv.Snapshot()
-	if snap.Traces == nil || snap.Traces.Tail.Kept != 40 {
+	if snap.Traces == nil || snap.Traces.Tail.Kept != n {
 		t.Fatalf("stats traces section %+v", snap.Traces)
 	}
 }
@@ -251,11 +248,7 @@ func TestDTraceTailSampling(t *testing.T) {
 		TraceKeepEvery: 8,
 		TraceSlowOver:  -1, // disable the slow rule: loopback jitter must not flip keeps
 	})
-	rep, err := RunLoad(LoadConfig{Addr: srv.Addr().String(), UseCase: workload.FR, Conns: 2, Messages: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.OK != 64 {
+	if rep := drive(LoadConfig{Addr: srv.Addr().String(), UseCase: workload.FR}, 2, 64); rep.OK != 64 {
 		t.Fatalf("ok=%d, want 64", rep.OK)
 	}
 	waitTraced(t, srv, 64)

@@ -20,10 +20,7 @@ func TestExtendedUseCasesLive(t *testing.T) {
 
 	// DPI: the pool has 64 distinct messages, DirtyEvery=5 of which are
 	// dirty, so both verdicts must appear and sum to OK.
-	rep, err := RunLoad(LoadConfig{Addr: addr, UseCase: workload.DPI, Conns: 3, Messages: 120})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := drive(LoadConfig{Addr: addr, UseCase: workload.DPI}, 3, 120)
 	if rep.OK != 120 {
 		t.Fatalf("DPI: ok=%d, want 120 (%+v)", rep.OK, rep)
 	}
@@ -36,10 +33,7 @@ func TestExtendedUseCasesLive(t *testing.T) {
 
 	// XJ: every message translates; the response body is the translated
 	// JSON document, not the routing-verdict stub.
-	rep, err = RunLoad(LoadConfig{Addr: addr, UseCase: workload.XJ, Conns: 2, Messages: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep = drive(LoadConfig{Addr: addr, UseCase: workload.XJ}, 2, 60)
 	if rep.OK != 60 || rep.Translated != 60 {
 		t.Fatalf("XJ: ok=%d translated=%d, want 60/60 (%+v)", rep.OK, rep.Translated, rep)
 	}

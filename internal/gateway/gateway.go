@@ -492,7 +492,7 @@ func (s *Server) process(raw []byte, start time.Time, rec *dtrace.Recorder, sc *
 		return response{head: formatError(400, err.Error(), true), close: true}
 	}
 	if rec != nil {
-		// Adopt an inbound trace context (aonload/aoncamp originate
+		// Adopt an inbound trace context (a campaign's senders originate
 		// traces by injecting the header); the zero-copy Get hands out a
 		// view, parsed without allocating.
 		if v, ok := req.Get(dtrace.Header); ok {

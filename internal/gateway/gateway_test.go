@@ -41,30 +41,21 @@ func startServer(t testing.TB, cfg Config) *Server {
 }
 
 // TestEndToEndUseCases is the acceptance path: one live gateway, driven by
-// the cmd/aonload client code (RunLoad) for all three paper use cases,
-// asserting routing outcomes and non-zero throughput.
+// the load client (Client.Do, classified by Counts.record) for all three
+// paper use cases, asserting routing outcomes and latencies.
 func TestEndToEndUseCases(t *testing.T) {
 	srv := startServer(t, Config{})
 	addr := srv.Addr().String()
 
 	// FR: every message forwards to the order endpoint.
-	rep, err := RunLoad(LoadConfig{Addr: addr, UseCase: workload.FR, Conns: 4, Messages: 120})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := drive(LoadConfig{Addr: addr, UseCase: workload.FR}, 4, 120)
 	if rep.OK != 120 || rep.Forwarded != 120 {
 		t.Fatalf("FR: ok=%d forwarded=%d, want 120/120 (%+v)", rep.OK, rep.Forwarded, rep)
-	}
-	if rep.MsgsPerSec <= 0 {
-		t.Fatalf("FR: non-positive throughput %v", rep.MsgsPerSec)
 	}
 
 	// CBR: workload.SOAPMessage gives quantity==1 for even indices, so
 	// both routing outcomes must appear, matches ~half.
-	rep, err = RunLoad(LoadConfig{Addr: addr, UseCase: workload.CBR, Conns: 3, Messages: 120})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep = drive(LoadConfig{Addr: addr, UseCase: workload.CBR}, 3, 120)
 	if rep.OK != 120 {
 		t.Fatalf("CBR: ok=%d, want 120 (%+v)", rep.OK, rep)
 	}
@@ -76,10 +67,7 @@ func TestEndToEndUseCases(t *testing.T) {
 	}
 
 	// SV: every third message is schema-invalid; both verdicts must appear.
-	rep, err = RunLoad(LoadConfig{Addr: addr, UseCase: workload.SV, Conns: 3, Messages: 90, InvalidEvery: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep = drive(LoadConfig{Addr: addr, UseCase: workload.SV, InvalidEvery: 3}, 3, 90)
 	if rep.OK != 90 {
 		t.Fatalf("SV: ok=%d, want 90 (%+v)", rep.OK, rep)
 	}
@@ -383,8 +371,8 @@ func TestShedConservation(t *testing.T) {
 func TestStatsEndpoint(t *testing.T) {
 	srv := startServer(t, Config{})
 	addr := srv.Addr().String()
-	if _, err := RunLoad(LoadConfig{Addr: addr, UseCase: workload.CBR, Messages: 10}); err != nil {
-		t.Fatal(err)
+	if rep := drive(LoadConfig{Addr: addr, UseCase: workload.CBR}, 1, 10); rep.OK != 10 {
+		t.Fatalf("ok=%d of 10 (%+v)", rep.OK, rep)
 	}
 
 	cl, err := Dial(addr)
@@ -631,7 +619,7 @@ func startBackend(t *testing.T, cfg upstream.BackendConfig) *upstream.BackendSer
 
 // TestForwardingEndToEnd is the paper's end-to-end FR topology on
 // loopback: gateway → order/error backends over pooled keep-alive
-// connections, driven by the aonload client code, with the upstream
+// connections, driven by the load client, with the upstream
 // section visible in the stats snapshot. Run under -race in CI.
 func TestForwardingEndToEnd(t *testing.T) {
 	order := startBackend(t, upstream.BackendConfig{Name: "order"})
@@ -644,10 +632,7 @@ func TestForwardingEndToEnd(t *testing.T) {
 
 	// FR: every message forwards to the order backend; the client sees
 	// the backend's ack body relayed, not a synthesized verdict.
-	rep, err := RunLoad(LoadConfig{Addr: addr, UseCase: workload.FR, Conns: 4, Messages: 80})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := drive(LoadConfig{Addr: addr, UseCase: workload.FR}, 4, 80)
 	if rep.OK != 80 || rep.Forwarded != 80 {
 		t.Fatalf("FR: ok=%d forwarded=%d, want 80/80 (%+v)", rep.OK, rep.Forwarded, rep)
 	}
@@ -656,10 +641,7 @@ func TestForwardingEndToEnd(t *testing.T) {
 	}
 
 	// CBR: the two verdicts split across the two backends.
-	rep, err = RunLoad(LoadConfig{Addr: addr, UseCase: workload.CBR, Conns: 2, Messages: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep = drive(LoadConfig{Addr: addr, UseCase: workload.CBR}, 2, 60)
 	if rep.OK != 60 || rep.Match == 0 || rep.RoutedError == 0 {
 		t.Fatalf("CBR: ok=%d match=%d error=%d (%+v)", rep.OK, rep.Match, rep.RoutedError, rep)
 	}

@@ -102,18 +102,11 @@ func internToken(b []byte) string {
 	return string(b)
 }
 
-// LoadConfig parameterizes one load-generation run.
+// LoadConfig parameterizes a sender set's traffic; its width is set by
+// Resize.
 type LoadConfig struct {
 	Addr    string
 	UseCase workload.UseCase
-	// Conns is the number of concurrent keep-alive connections (default 1).
-	Conns int
-	// Messages caps the run at a total message count (0 = unlimited,
-	// Duration governs).
-	Messages int
-	// Duration caps the run at wall time (0 = unlimited, Messages
-	// governs; both 0 defaults to 1000 messages).
-	Duration time.Duration
 	// Size is the approximate POST body size (0 = the paper's 5 KB).
 	Size int
 	// InvalidEvery makes every Nth message schema-invalid (0 = never) so
@@ -130,7 +123,7 @@ type LoadConfig struct {
 	// reproducible traffic.
 	Seed uint64
 	// TraceEvery originates a distributed trace on every Nth request per
-	// connection (0 = never): an X-AON-Trace header is injected so the
+	// sender (0 = never): an X-AON-Trace header is injected so the
 	// gateway adopts the client's trace ID, and the client's own
 	// request span lands in Report.ClientSpans — the client leg of
 	// cross-node trace assembly.
@@ -142,7 +135,7 @@ type LoadConfig struct {
 
 // Counts is the load client's outcome accounting, classified by record —
 // the only outcome switch outside bench/. Report and campaign.PhaseReport
-// embed it, so aonload, campaign and fleet rows count the same things
+// embed it, so aoncamp and aonfleet phase rows count the same things
 // under the same JSON keys.
 //
 // Conservation against the gateway driven (TestCampaignEndToEnd checks it
@@ -207,24 +200,17 @@ func (c *Counts) add(o *Counts) {
 	c.ParseErrors += o.ParseErrors
 }
 
-// Report is the load generator's final accounting, emitted as JSON by
-// cmd/aonload so one command per side yields a complete run record.
+// Report is a sender set's accounting at Stop: the outcome counts, the
+// latency of the 200 answers, and the client spans a campaign phase row
+// and the fleet's trace plane read.
 type Report struct {
-	UseCase     string  `json:"usecase"`
-	Conns       int     `json:"conns"`
-	SizeBytes   int     `json:"size_bytes"`
-	DurationSec float64 `json:"duration_sec"`
 	Counts
-	BytesOut   uint64       `json:"bytes_out"`
-	BytesIn    uint64       `json:"bytes_in"`
-	MsgsPerSec float64      `json:"msgs_per_sec"`
-	Mbps       float64      `json:"mbps"` // request payload bits per second
-	Latency    HistSnapshot `json:"latency"`
+	Latency HistSnapshot
 	// ClientSpans holds the client-side request spans of originated
 	// traces (TraceEvery > 0), bounded so a long run can't grow the
-	// report without limit. aontrace and the fleet coordinator join them
-	// with gateway/backend spans by trace ID.
-	ClientSpans []dtrace.Span `json:"client_spans,omitempty"`
+	// report without limit. The fleet's trace plane joins them with
+	// gateway/backend spans by trace ID.
+	ClientSpans []dtrace.Span
 }
 
 // Client-span bounds: per sender and per merged report.
@@ -252,8 +238,8 @@ func requestPool(cfg LoadConfig) [][]byte {
 // LoopSet is a resizable set of goroutines that each run the same loop
 // until it returns or its own stop channel closes: Resize grows the set
 // by starting members and shrinks it by closing the newest members'
-// channels; Wait joins every member; Stop shrinks the set to zero and
-// joins. Resize, Wait and Stop belong to one controlling goroutine.
+// channels; Stop shrinks the set to zero and joins every member. Resize
+// and Stop belong to one controlling goroutine.
 type LoopSet struct {
 	loop  func(stop <-chan struct{})
 	stops []chan struct{} // one per live member
@@ -281,42 +267,34 @@ func (ls *LoopSet) Resize(n int) {
 	}
 }
 
-// Wait joins every member.
-func (ls *LoopSet) Wait() { ls.wg.Wait() }
-
 // Stop winds the set down to zero and joins every member.
 func (ls *LoopSet) Stop() {
 	ls.Resize(0)
-	ls.Wait()
+	ls.wg.Wait()
 }
 
 // Senders is the one load driver: a resizable set of closed-loop
 // senders, each owning one keep-alive connection on which it posts the
-// next pooled request as soon as the previous reply is in. RunLoad holds
-// the set at Conns until its budget or deadline runs out; the campaign's
-// envelope controller resizes it every tick and stops it at the phase
-// boundary. Resize, Wait and Stop belong to one controlling goroutine.
+// next pooled request as soon as the previous reply is in. A sender
+// whose connection dies dials again, so the set keeps its width through
+// fault storms. The campaign's envelope controller resizes it every tick
+// and stops it at the phase boundary. Resize and Stop belong to one
+// controlling goroutine.
 type Senders struct {
-	*LoopSet // Resize; Wait and Stop are shadowed to return the Report
+	*LoopSet // Resize; Stop is shadowed to return the Report
 	cfg      LoadConfig
-	redial   bool
 	pool     [][]byte
-	start    time.Time
 
-	next atomic.Int64 // requests claimed so far: the budget and the pool cursor
+	next atomic.Int64 // requests claimed so far: the pool cursor
 	hist Hist
 
 	mu    sync.Mutex
 	total Report // senders merge their local accounting in as they exit
 }
 
-// NewSenders prepares a sender set for cfg (Conns is not read: Resize
-// sets the width). With cfg.Messages and cfg.Duration both zero the set
-// sends until Stop. A sender whose connection dies retires — RunLoad's
-// fixed-width contract, where a dead connection is a finding — unless
-// redial is set, in which case it dials again, as a campaign's envelope
-// must keep its width through fault storms.
-func NewSenders(cfg LoadConfig, redial bool) *Senders {
+// NewSenders prepares an empty sender set for cfg; it sends from the
+// first Resize until Stop.
+func NewSenders(cfg LoadConfig) *Senders {
 	if cfg.Size <= 0 {
 		cfg.Size = workload.MessageBytes
 	}
@@ -329,7 +307,7 @@ func NewSenders(cfg LoadConfig, redial bool) *Senders {
 	if cfg.TraceNode == "" {
 		cfg.TraceNode = "client"
 	}
-	s := &Senders{cfg: cfg, redial: redial, pool: requestPool(cfg), start: time.Now()}
+	s := &Senders{cfg: cfg, pool: requestPool(cfg)}
 	s.LoopSet = NewLoopSet(s.run)
 	return s
 }
@@ -337,28 +315,14 @@ func NewSenders(cfg LoadConfig, redial bool) *Senders {
 // Stop winds the set down to zero, joins every sender and returns the
 // merged accounting.
 func (s *Senders) Stop() Report {
-	s.Resize(0)
-	return s.Wait()
-}
-
-// Wait joins every sender — they leave on their own once the message
-// budget or the deadline is spent — and returns the merged accounting.
-func (s *Senders) Wait() Report {
-	s.LoopSet.Wait()
+	s.LoopSet.Stop()
 	rep := s.total
-	rep.UseCase = s.cfg.UseCase.String()
-	rep.SizeBytes = s.cfg.Size
-	rep.DurationSec = time.Since(s.start).Seconds()
-	if rep.DurationSec > 0 {
-		rep.MsgsPerSec = float64(rep.OK) / rep.DurationSec
-		rep.Mbps = float64(rep.BytesOut) * 8 / 1e6 / rep.DurationSec
-	}
 	rep.Latency = s.hist.Snapshot()
 	return rep
 }
 
 // run is one sender: dial, claim the next pooled request, exchange,
-// account; on a dead connection redial or retire.
+// account; on a dead connection dial again.
 func (s *Senders) run(stop <-chan struct{}) {
 	var (
 		local Report
@@ -379,16 +343,10 @@ func (s *Senders) run(stop <-chan struct{}) {
 			return
 		default:
 		}
-		if s.cfg.Duration > 0 && time.Since(s.start) >= s.cfg.Duration {
-			return
-		}
 		if cl == nil {
 			c, err := Dial(s.cfg.Addr)
 			if err != nil {
 				local.NetErrors++
-				if !s.redial {
-					return
-				}
 				select {
 				case <-stop:
 					return
@@ -398,11 +356,7 @@ func (s *Senders) run(stop <-chan struct{}) {
 			}
 			cl = c
 		}
-		i := s.next.Add(1) - 1
-		if s.cfg.Messages > 0 && i >= int64(s.cfg.Messages) {
-			return
-		}
-		raw := s.pool[i%int64(len(s.pool))]
+		raw := s.pool[(s.next.Add(1)-1)%int64(len(s.pool))]
 		// Every TraceEvery-th request originates a trace: inject the
 		// context header (into a reused scratch copy — the shared pool
 		// entry is never mutated) so the gateway adopts this ID, and keep
@@ -436,13 +390,8 @@ func (s *Senders) run(stop <-chan struct{}) {
 			local.NetErrors++
 			cl.Close()
 			cl = nil
-			if !s.redial {
-				return
-			}
 			continue
 		}
-		local.BytesOut += uint64(len(raw))
-		local.BytesIn += uint64(resp.Bytes)
 		local.record(resp)
 		if resp.Status == 200 {
 			s.hist.Observe(time.Since(t0))
@@ -453,32 +402,9 @@ func (s *Senders) run(stop <-chan struct{}) {
 // merge folds one sender's accounting into the set's.
 func (dst *Report) merge(src *Report) {
 	dst.Counts.add(&src.Counts)
-	dst.BytesOut += src.BytesOut
-	dst.BytesIn += src.BytesIn
 	if room := maxReportClientSpans - len(dst.ClientSpans); room > 0 {
 		dst.ClientSpans = append(dst.ClientSpans, src.ClientSpans[:min(room, len(src.ClientSpans))]...)
 	}
-}
-
-// RunLoad drives a gateway with Conns concurrent keep-alive connections
-// posting AONBench order documents, closed-loop — each connection sends
-// its next request when the previous reply is in — and reports
-// throughput, latency percentiles, and outcome counts.
-func RunLoad(cfg LoadConfig) (Report, error) {
-	if cfg.Conns <= 0 {
-		cfg.Conns = 1
-	}
-	if cfg.Messages <= 0 && cfg.Duration <= 0 {
-		cfg.Messages = 1000
-	}
-	s := NewSenders(cfg, false)
-	s.Resize(cfg.Conns)
-	rep := s.Wait()
-	rep.Conns = cfg.Conns
-	if rep.Sent == 0 && rep.NetErrors > 0 {
-		return rep, fmt.Errorf("gateway: no messages delivered to %s", cfg.Addr)
-	}
-	return rep, nil
 }
 
 // RawPost wraps an arbitrary body in the standard AON POST — the same

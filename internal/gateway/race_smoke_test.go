@@ -224,12 +224,7 @@ func TestPooledReuseRaceSmoke(t *testing.T) {
 		wg.Add(1)
 		go func(uc workload.UseCase) {
 			defer wg.Done()
-			rep, err := RunLoad(LoadConfig{Addr: addr, UseCase: uc, Conns: 3, Messages: 150})
-			if err != nil {
-				fail("%s load: %v", uc, err)
-				return
-			}
-			if rep.OK != 150 {
+			if rep := drive(LoadConfig{Addr: addr, UseCase: uc}, 3, 150); rep.OK != 150 {
 				fail("%s load: ok=%d of 150 (%+v)", uc, rep.OK, rep)
 			}
 		}(uc)

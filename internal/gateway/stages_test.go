@@ -32,11 +32,11 @@ func TestStageDemands(t *testing.T) {
 func TestStageTracing(t *testing.T) {
 	srv := startServer(t, Config{UseCase: workload.CBR, Trace: true})
 	addr := srv.Addr().String()
-	if _, err := RunLoad(LoadConfig{Addr: addr, UseCase: workload.CBR, Conns: 2, Messages: 40}); err != nil {
-		t.Fatal(err)
+	if rep := drive(LoadConfig{Addr: addr, UseCase: workload.CBR}, 2, 40); rep.OK != 40 {
+		t.Fatalf("CBR: ok=%d of 40 (%+v)", rep.OK, rep)
 	}
-	if _, err := RunLoad(LoadConfig{Addr: addr, UseCase: workload.SV, Conns: 2, Messages: 30}); err != nil {
-		t.Fatal(err)
+	if rep := drive(LoadConfig{Addr: addr, UseCase: workload.SV}, 2, 30); rep.OK != 30 {
+		t.Fatalf("SV: ok=%d of 30 (%+v)", rep.OK, rep)
 	}
 
 	waitTraced(t, srv, 70)
@@ -72,8 +72,8 @@ func TestStageTracing(t *testing.T) {
 // without Trace there is no stages section.
 func TestTracingOffByDefault(t *testing.T) {
 	srv := startServer(t, Config{})
-	if _, err := RunLoad(LoadConfig{Addr: srv.Addr().String(), UseCase: workload.CBR, Conns: 1, Messages: 10}); err != nil {
-		t.Fatal(err)
+	if rep := drive(LoadConfig{Addr: srv.Addr().String(), UseCase: workload.CBR}, 1, 10); rep.OK != 10 {
+		t.Fatalf("ok=%d of 10 (%+v)", rep.OK, rep)
 	}
 	if snap := srv.Snapshot(); snap.Stages != nil {
 		t.Fatalf("stages section present without Trace: %+v", snap.Stages)

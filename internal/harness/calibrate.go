@@ -1,11 +1,10 @@
 package harness
 
 // This file closes the loop between the reproduction's two halves: a
-// live sampling session (internal/session driven by the gateway's
-// perf-counter measurement layer) is replayed against the simulated
-// machine's model, and the per-use-case deltas are written as a
-// calibration artifact the simulator side can ingest — live CPI feeding
-// back into the model.
+// live campaign phase's window over the gateway's perf-counter
+// measurement layer is replayed against the simulated machine's model,
+// and the per-use-case deltas are written as a calibration artifact the
+// simulator side can ingest — live CPI feeding back into the model.
 
 import (
 	"encoding/json"
@@ -22,7 +21,7 @@ import (
 // is "model" and every scale is pinned to 1 — a session cannot calibrate
 // the model against itself.
 type CalibrationEntry struct {
-	Samples    int     `json:"samples"`     // timeline samples averaged
+	Samples    int     `json:"samples"`     // recorder rows behind the live phase window
 	LiveSource string  `json:"live_source"` // "hw" or "model"
 	SimCPI     float64 `json:"sim_cpi"`
 	LiveCPI    float64 `json:"live_cpi"`
@@ -49,7 +48,7 @@ type Calibration struct {
 	Entries map[string]CalibrationEntry `json:"entries"`
 }
 
-// NewCalibrationEntry builds one delta from a session's mean live
+// NewCalibrationEntry builds one delta from a live phase window's
 // metrics and the simulator's predicted ones. Ratios with a zero sim
 // denominator, a zero live reading, or a model-sourced live side stay 1.
 func NewCalibrationEntry(sim counters.Metrics, liveCPI, liveMPI, liveBrMPR float64, samples int, liveSource string) CalibrationEntry {

@@ -3,8 +3,8 @@
 // message and byte counters, latency histograms and, with -counters,
 // scaled event counts since its counter groups opened — and every reader
 // cuts its own timeline from that one source with a Windower, at its own
-// interval: the campaign recorder (aoncamp's gateway, or every node of an
-// aonfleet topology) and aonsim -exp live.
+// interval: the campaign recorder (aoncamp's gateway, aonsim -exp live's,
+// or every node of an aonfleet topology).
 // Where one /stats read shows *that* CPI differs across use cases, the
 // timeline shows *when* — counter and latency values over time, per CPU —
 // the raw material for the paper's CPI-over-time figures.
@@ -96,8 +96,8 @@ type Sample struct {
 // Every calls fn once per interval from a goroutine of its own until the
 // returned stop is called. stop joins that goroutine — after it returns,
 // fn will never be called again — and is idempotent. It is the one
-// polling loop: the campaign recorder's ticks, the fleet's /traces pulls
-// and aonsim -exp live's in-process sampler.
+// polling loop: the campaign recorder's ticks and the fleet's /traces
+// pulls.
 func Every(interval time.Duration, fn func()) (stop func()) {
 	quit, done := make(chan struct{}), make(chan struct{})
 	go func() {
