@@ -1,9 +1,8 @@
 // Command aonsim runs the paper's experiments on the simulated machines
 // and prints paper-vs-measured tables plus the qualitative shape checks
 // for every table and figure in the evaluation, beside the kernel
-// instruction mixes and per-CPU utilization that explain them, a live
-// campaign phase per use case that calibrates them, and the analytic
-// capacity model.
+// instruction mixes and per-CPU utilization that explain them, and a
+// live campaign phase per use case that calibrates them.
 //
 // Usage:
 //
@@ -16,9 +15,6 @@
 //	aonsim -exp util                # per-CPU utilization, every config x FR/CBR/SV
 //	aonsim -exp live -calibration-out cal.json   # simulated 2CPm vs live campaign phases
 //	aonsim -exp fig3 -calibration cal.json       # scale predictions by a live artifact
-//	aonsim -exp capacity -csv session.csv -widths 1,2,4 -target-p99 50ms
-//	aonsim -exp capacity -calibration cal.json -usecase CBR
-//	aonsim -exp capacity -usecase XJ -widths 1,2,4   # built-in use-case seed
 //	aonsim -msgs 1200 -warmup 200   # measurement sizing
 //
 // Any experiment that prints shape checks exits 1 when one of them fails
@@ -43,8 +39,8 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // experiments are the -exp values. "all" is every paper table and figure
-// plus ext; mix, util, live and capacity run only when named.
-var experiments = []string{"specs", "fig2", "table3", "fig3", "table4", "fig4", "fig5", "table5", "table6", "ext", "mix", "util", "live", "capacity", "all"}
+// plus ext; mix, util and live run only when named.
+var experiments = []string{"specs", "fig2", "table3", "fig3", "table4", "fig4", "fig5", "table5", "table6", "ext", "mix", "util", "live", "all"}
 
 // run is the command: it parses args, writes results to stdout and
 // diagnostics to stderr, and returns the exit code.
@@ -56,15 +52,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	warm := fs.Int("warmup", 120, "warmup messages per AON run")
 	measureMs := fs.Float64("netperf-ms", 8, "netperf measurement window (simulated ms)")
 	checks := fs.Bool("checks", true, "run the qualitative shape checks")
-	calIn := fs.String("calibration", "", "apply a live calibration artifact (written by -exp live) to the simulated counter predictions (-exp capacity: seed the demand from its live p50)")
+	calIn := fs.String("calibration", "", "apply a live calibration artifact (written by -exp live) to the simulated counter predictions")
 	calOut := fs.String("calibration-out", "", "-exp live: write the calibration artifact to this file")
 	liveDur := fs.Duration("live-duration", 2*time.Second, "-exp live: live load length per use case")
-	var capArgs capacityArgs
-	fs.StringVar(&capArgs.csv, "csv", "", "-exp capacity: session artifact (CSV written by aongate) to replay against the model")
-	fs.StringVar(&capArgs.usecase, "usecase", "CBR", "-exp capacity: use case whose calibration entry or built-in seed sets the demand")
-	fs.Float64Var(&capArgs.demandUS, "demand-us", 0, "-exp capacity: override the per-message worker demand in microseconds")
-	fs.StringVar(&capArgs.widths, "widths", "", "-exp capacity: comma-separated GOMAXPROCS widths for the predicted scaling table (e.g. 1,2,4,8)")
-	fs.DurationVar(&capArgs.targetP99, "target-p99", 100*time.Millisecond, "-exp capacity: latency bound for the admissible-load column")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -110,12 +100,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "live":
 		if err := runLive(stdout, stderr, aonOpts, cal, *liveDur, *calOut); err != nil {
 			return fail(err)
-		}
-		return 0
-	case "capacity":
-		if err := runCapacity(stdout, capArgs, cal); err != nil {
-			fmt.Fprintln(stderr, "aonsim:", err)
-			return 2
 		}
 		return 0
 	}

@@ -5,9 +5,7 @@ import (
 	"bytes"
 	"context"
 	"net"
-	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -25,21 +23,24 @@ import (
 )
 
 // TestUnknownExperimentRefused: an unknown -exp exits 2, prints nothing
-// on stdout and names every valid experiment.
+// on stdout and names every valid experiment. capacity, the deleted
+// queueing-model experiment, is refused like any other unknown name.
 func TestUnknownExperimentRefused(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-exp", "bogus"}, &out, &errb); code != 2 {
-		t.Fatalf("exit %d, want 2", code)
-	}
-	if out.Len() != 0 {
-		t.Fatalf("stdout not empty: %q", out.String())
-	}
-	if !strings.Contains(errb.String(), "unknown -exp") {
-		t.Errorf("refusal does not say unknown -exp: %q", errb.String())
-	}
-	for _, name := range experiments {
-		if !strings.Contains(errb.String(), name) {
-			t.Errorf("refusal does not name %q: %q", name, errb.String())
+	for _, exp := range []string{"bogus", "capacity"} {
+		var out, errb bytes.Buffer
+		if code := run([]string{"-exp", exp}, &out, &errb); code != 2 {
+			t.Fatalf("-exp %s: exit %d, want 2", exp, code)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("-exp %s: stdout not empty: %q", exp, out.String())
+		}
+		if !strings.Contains(errb.String(), "unknown -exp") {
+			t.Errorf("-exp %s: refusal does not say unknown -exp: %q", exp, errb.String())
+		}
+		for _, name := range experiments {
+			if !strings.Contains(errb.String(), name) {
+				t.Errorf("-exp %s: refusal does not name %q: %q", exp, name, errb.String())
+			}
 		}
 	}
 }
@@ -127,159 +128,6 @@ func TestUtilTable(t *testing.T) {
 	}
 	if strings.Contains(s, "cpu2") {
 		t.Errorf("util table has a third CPU row on two-CPU configurations:\n%s", s)
-	}
-}
-
-// capacityGolden is what the standalone capacity-model command printed
-// for the same inputs before -exp capacity replaced it (banner renamed).
-var capacityGolden = map[string]string{
-	"demand": `aonsim: worker demand 900us (-demand-us override), target p99 50ms
-
-predicted scaling (p99 target 50ms, 1 backend replica(s))
- width   capacity/s   admissible/s    p99@adm  scaling
-     1         1111           1019      50000     1.00
-     2         2222           2128      50000     2.00
-     4         4444           4349      50000     4.00
-`,
-	"seed": `aonsim: worker demand 65us (built-in XJ use-case seed), target p99 100ms
-
-predicted scaling (p99 target 100ms, 1 backend replica(s))
- width   capacity/s   admissible/s    p99@adm  scaling
-     1        15385          15339     100000     1.00
-     2        30769          30723     100000     2.00
-     4        61538          61492     100000     4.00
-`,
-	"replay": `aonsim: worker demand 140us (session min p50), target p99 100ms
-
-replay: model at width 2 vs 4 session samples
-   t(ms)  offered/s     meas/s     pred/s    err%   meas-p99   pred-p99    err%
-    1100       1200       1200       1200     0.0        900        649    27.9
-    1200       8000       8000       8000     0.0       2400        939    60.9
-    1300      14600      14000      14286     2.0       9000     322523  3483.6
-mean abs error over 3 samples: throughput 0.7%, p99 1190.8%
-
-predicted scaling (p99 target 100ms, 1 backend replica(s))
- width   capacity/s   admissible/s    p99@adm  scaling
-     1         7143           7097     100000     1.00
-     2        14286          14240     100000     2.00
-`,
-	"calibration": `aonsim: worker demand 75us (calibration SV), target p99 100ms
-
-predicted scaling (p99 target 100ms, 1 backend replica(s))
- width   capacity/s   admissible/s    p99@adm  scaling
-     1        13333          13287     100000     1.00
-     2        26667          26621     100000     2.00
-     4        53333          53287     100000     4.00
-     8       106667         106621     100000     8.00
-`,
-}
-
-// capacityArtifacts writes a four-sample session CSV (one idle sample,
-// one with shed messages, GOMAXPROCS 2) and a calibration artifact with
-// an SV live p50 of 75 µs, and returns their paths.
-func capacityArtifacts(t *testing.T) (csvPath, calPath string) {
-	dir := t.TempDir()
-	csvPath, calPath = filepath.Join(dir, "session.csv"), filepath.Join(dir, "cal.json")
-	samples := []session.Sample{
-		{TMS: 1000, WindowSec: 0.1, GOMAXPROCS: 2, DerivedSource: "model"},
-		{TMS: 1100, WindowSec: 0.1, Messages: 120, MsgsPerSec: 1200, LatencyP50US: 180, LatencyP99US: 900, GOMAXPROCS: 2, DerivedSource: "model"},
-		{TMS: 1200, WindowSec: 0.1, Messages: 800, MsgsPerSec: 8000, LatencyP50US: 150, LatencyP99US: 2400, GOMAXPROCS: 2, DerivedSource: "model"},
-		{TMS: 1300, WindowSec: 0.1, Messages: 1400, MsgsPerSec: 14000, Shed: 60, LatencyP50US: 140, LatencyP99US: 9000, GOMAXPROCS: 2, DerivedSource: "model"},
-	}
-	var buf bytes.Buffer
-	if err := session.NewAppender(&buf, true).Append(samples); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(csvPath, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cal := &harness.Calibration{Config: "2CPm", Entries: map[string]harness.CalibrationEntry{
-		"SV": {Samples: 3, LiveSource: "model", CPIScale: 1, MPIScale: 1, BrMPRScale: 1, LiveP50US: 75},
-	}}
-	if err := cal.WriteFile(calPath); err != nil {
-		t.Fatal(err)
-	}
-	return csvPath, calPath
-}
-
-// TestCapacityGolden pins -exp capacity's tables for each demand seed.
-func TestCapacityGolden(t *testing.T) {
-	csvPath, calPath := capacityArtifacts(t)
-	for name, args := range map[string][]string{
-		"demand":      {"-demand-us", "900", "-widths", "1,2,4", "-target-p99", "50ms"},
-		"seed":        {"-usecase", "XJ", "-widths", "1,2,4"},
-		"replay":      {"-csv", csvPath, "-widths", "1,2"},
-		"calibration": {"-calibration", calPath, "-usecase", "SV"},
-	} {
-		var out, errb bytes.Buffer
-		if code := run(append([]string{"-exp", "capacity"}, args...), &out, &errb); code != 0 {
-			t.Fatalf("%s: exit %d: %s", name, code, errb.String())
-		}
-		if out.String() != capacityGolden[name] {
-			t.Errorf("%s: output moved:\n got:\n%s\nwant:\n%s", name, out.String(), capacityGolden[name])
-		}
-	}
-}
-
-// TestCapacityReplaysGatewayRowsOnly: a recorder's session.csv carries
-// every node's rows behind a role column; the replay models the gateway,
-// so a backend row — here the one with the lowest p50 — neither seeds
-// the demand nor becomes a replay row, and the tables are the gateway-only
-// session's.
-func TestCapacityReplaysGatewayRowsOnly(t *testing.T) {
-	samples := []session.Sample{
-		{TMS: 1000, WindowSec: 0.1, GOMAXPROCS: 2, DerivedSource: "model"},
-		{TMS: 1100, WindowSec: 0.1, Messages: 120, MsgsPerSec: 1200, LatencyP50US: 180, LatencyP99US: 900, GOMAXPROCS: 2, DerivedSource: "model"},
-		{TMS: 1200, WindowSec: 0.1, Messages: 800, MsgsPerSec: 8000, LatencyP50US: 150, LatencyP99US: 2400, GOMAXPROCS: 2, DerivedSource: "model"},
-		{TMS: 1300, WindowSec: 0.1, Messages: 1400, MsgsPerSec: 14000, Shed: 60, LatencyP50US: 140, LatencyP99US: 9000, GOMAXPROCS: 2, DerivedSource: "model"},
-	}
-	var buf bytes.Buffer
-	app := session.NewAppender(&buf, true, "phase", "node", "role", "rel_ms")
-	for i, s := range samples {
-		if err := app.AppendRow(s, "p1", "gateway/gw0", "gateway", strconv.Itoa(100*i)); err != nil {
-			t.Fatal(err)
-		}
-		backend := session.Sample{TMS: 5000 + s.TMS, WindowSec: 0.1, Messages: 500, MsgsPerSec: 5000, LatencyP50US: 20, LatencyP99US: 60}
-		if err := app.AppendRow(backend, "p1", "backend/b0", "backend", strconv.Itoa(100*i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	path := filepath.Join(t.TempDir(), "session.csv")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out, errb bytes.Buffer
-	if code := run([]string{"-exp", "capacity", "-csv", path, "-widths", "1,2"}, &out, &errb); code != 0 {
-		t.Fatalf("exit %d: %s", code, errb.String())
-	}
-	if out.String() != capacityGolden["replay"] {
-		t.Errorf("fleet session replay differs from the gateway-only one:\n got:\n%s\nwant:\n%s", out.String(), capacityGolden["replay"])
-	}
-}
-
-// TestCapacityRefusals: bad widths, a non-positive p99 target and a
-// missing demand seed exit 2 with nothing on stdout.
-func TestCapacityRefusals(t *testing.T) {
-	_, calPath := capacityArtifacts(t)
-	for name, args := range map[string][]string{
-		"widths entry":     {"-widths", "1,x"},
-		"zero width":       {"-widths", "0,2"},
-		"zero target":      {"-target-p99", "0s"},
-		"negative target":  {"-target-p99", "-1ms"},
-		"no seed":          {"-usecase", "NOPE"},
-		"no calibrated uc": {"-calibration", calPath, "-usecase", "CBR"},
-		"missing csv":      {"-csv", filepath.Join(t.TempDir(), "absent.csv")},
-	} {
-		var out, errb bytes.Buffer
-		if code := run(append([]string{"-exp", "capacity"}, args...), &out, &errb); code != 2 {
-			t.Errorf("%s: exit %d, want 2", name, code)
-		}
-		if out.Len() != 0 {
-			t.Errorf("%s: stdout not empty: %q", name, out.String())
-		}
-		if !strings.HasPrefix(errb.String(), "aonsim:") {
-			t.Errorf("%s: stderr %q", name, errb.String())
-		}
 	}
 }
 

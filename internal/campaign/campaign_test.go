@@ -6,7 +6,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -163,9 +162,6 @@ func TestCampaignEndToEnd(t *testing.T) {
 	}
 	if len(warmup.Stages) == 0 || warmup.Stages["process"].Count == 0 {
 		t.Fatalf("warmup stage window missing: %+v", warmup.Stages)
-	}
-	if warmup.Model == nil || warmup.Model.DemandUS <= 0 || warmup.Model.Workers != runtime.GOMAXPROCS(0) {
-		t.Fatalf("warmup model row missing: %+v", warmup.Model)
 	}
 
 	if surge.Translated == 0 || surge.PeakConns != 4 || surge.FaultSteps != 2 {

@@ -217,7 +217,7 @@ func (r *runner) runPhase(p *Phase) (*PhaseReport, []dtrace.Span, error) {
 		return nil, nil, fmt.Errorf("campaign: phase %s: %w", p.Name, err)
 	}
 
-	rep := buildPhaseReport(p, activeDur, client, lp, snapStart, snapEnd, r.spec)
+	rep := buildPhaseReport(p, activeDur, client, lp, snapStart, snapEnd)
 	rep.Nodes = r.rec.windows(starts, ends)
 	rep.Counters = counterWindow(snapStart, snapEnd)
 	r.rec.event(map[string]any{"type": "phase-end", "phase": p.Name, "report": rep})

@@ -2,8 +2,11 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -139,34 +142,39 @@ func TestPhaseGOMAXPROCSRefusedElsewhere(t *testing.T) {
 	}
 }
 
-// TestModelErrorClosedForm seeds the model from a synthetic stage window
-// with a known demand and checks the prediction against the closed-form
-// M/M/1 answer, then the report's model table, where a phase without a
-// stage window gets a marker row instead of a bogus model.
-func TestModelErrorClosedForm(t *testing.T) {
-	// 1000us of process demand per message at width 1: capacity is 1000
-	// msgs/s, so offered 500/s is rho=0.5 and the model completes all of it.
-	rep := &PhaseReport{Name: "steady", UseCase: "CBR", OfferedPerSec: 500, OKPerSec: 480, LatencyP99US: 5000,
-		Stages: map[string]StageWindow{"process": {Count: 100, MeanUS: 1000}}}
-	m := modelError(rep, 1, &Spec{TargetP99MS: 100})
-	if m == nil || m.Workers != 1 || m.DemandUS != 1000 {
-		t.Fatalf("model = %+v, want 1 worker at 1000us", m)
+// TestWriteArtifacts: the one artifact writer puts the formatted report
+// and the result JSON beside each other, returns what it wrote, writes
+// nothing for an empty directory, and fails on an unmarshalable result
+// and on an unwritable directory instead of dropping either error.
+func TestWriteArtifacts(t *testing.T) {
+	res := &Result{Name: "art", Phases: []PhaseReport{{Name: "p0", UseCase: "CBR", OKPerSec: 480}}}
+	dir := t.TempDir()
+	report, resultJSON, err := WriteArtifacts(dir, res)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if m.PredictedPerSec < 499.5 || m.PredictedPerSec > 500.5 {
-		t.Fatalf("predicted %v/s, want 500", m.PredictedPerSec)
+	if report != FormatReport(res) {
+		t.Fatalf("returned report differs from FormatReport:\n%s", report)
 	}
-	rep.Model = m
-	idle := PhaseReport{Name: "idle", UseCase: "CBR"}
-	if modelError(&idle, 1, &Spec{TargetP99MS: 100}) != nil {
-		t.Fatal("a phase without a stage window got a model")
-	}
-	if text := FormatReport(&Result{Phases: []PhaseReport{idle}}); strings.Contains(text, "capacity model") {
-		t.Fatalf("model table without any model:\n%s", text)
-	}
-	text := FormatReport(&Result{Phases: []PhaseReport{*rep, idle}})
-	for _, want := range []string{"pred/s", "admissible/s", "      500 ", "\nidle                   -\n"} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("report missing %q:\n%s", want, text)
+	for name, want := range map[string]string{ReportFile: report, ResultFile: string(resultJSON) + "\n"} {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil || string(got) != want {
+			t.Fatalf("%s: err %v, content differs from the returned one:\n%s", name, err, got)
 		}
+	}
+	var back Result
+	if err := json.Unmarshal(resultJSON, &back); err != nil || back.Phases[0].OKPerSec != 480 {
+		t.Fatalf("result JSON does not round-trip: %v %+v", err, back)
+	}
+
+	if _, _, err := WriteArtifacts("", res); err != nil {
+		t.Fatalf("empty dir: %v", err)
+	}
+	bad := &Result{Phases: []PhaseReport{{OKPerSec: math.NaN()}}}
+	if _, _, err := WriteArtifacts(t.TempDir(), bad); err == nil {
+		t.Fatal("a NaN in the result was written without an error")
+	}
+	if _, _, err := WriteArtifacts(filepath.Join(dir, ReportFile), res); err == nil {
+		t.Fatal("writing under a file instead of a directory succeeded")
 	}
 }

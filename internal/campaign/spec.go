@@ -6,8 +6,8 @@
 // phases with closed-loop senders whose number the shape's envelope
 // sets, samples its /stats surface into a phase-tagged
 // session timeline (crash-safe JSONL + CSV the stock readers parse), and
-// emits per-phase Figure-5/6-style report rows with stage-latency and
-// capacity model-error columns.
+// emits per-phase Figure-5/6-style report rows with stage-latency
+// columns and every recorded node's window.
 //
 // A campaign is the one run engine: the paper's scaling question ("how
 // does throughput move from one processing unit to two") is a spec of
@@ -74,9 +74,6 @@ type Spec struct {
 	SampleIntervalMS int `json:"sample_interval_ms,omitempty"`
 	// TimeoutMS bounds each request round trip (default 10s).
 	TimeoutMS int `json:"timeout_ms,omitempty"`
-	// TargetP99MS is the latency bound used for capacity model-error
-	// reporting (default 100ms).
-	TargetP99MS int `json:"target_p99_ms,omitempty"`
 	// TraceEvery originates a distributed trace on every Nth request per
 	// sender (0 = never): an X-AON-Trace header is spliced into the
 	// pooled request bytes so the gateway adopts the client's trace ID
@@ -161,12 +158,6 @@ func (s *Spec) Validate() error {
 	}
 	if s.TimeoutMS < 0 {
 		return fmt.Errorf("campaign: timeout_ms must be positive, got %d", s.TimeoutMS)
-	}
-	if s.TargetP99MS == 0 {
-		s.TargetP99MS = 100
-	}
-	if s.TargetP99MS < 0 {
-		return fmt.Errorf("campaign: target_p99_ms must be positive, got %d", s.TargetP99MS)
 	}
 	if s.TraceEvery < 0 {
 		return fmt.Errorf("campaign: trace_every must be >= 0, got %d", s.TraceEvery)

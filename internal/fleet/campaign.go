@@ -1,19 +1,10 @@
 package fleet
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 
 	"repro/internal/campaign"
-)
-
-// Campaign artifact names under cfg.OutDir, beside the recorder's
-// session.jsonl and session.csv.
-const (
-	campaignReportName = "campaign-report.txt"
-	campaignResultName = "campaign-result.json"
 )
 
 // RunCampaign drives the config's campaign against the fleet's first
@@ -62,20 +53,12 @@ func (c *Coordinator) RunCampaign() error {
 		c.traces.AddSpans(spans)
 	}
 
-	report := campaign.FormatReport(res)
-	if err := os.WriteFile(filepath.Join(c.cfg.OutDir, campaignReportName), []byte(report), 0o644); err != nil {
-		return fmt.Errorf("fleet: campaign report: %w", err)
-	}
-	resJSON, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return fmt.Errorf("fleet: campaign result: %w", err)
-	}
-	if err := os.WriteFile(filepath.Join(c.cfg.OutDir, campaignResultName), append(resJSON, '\n'), 0o644); err != nil {
-		return fmt.Errorf("fleet: campaign result: %w", err)
+	if _, _, err := campaign.WriteArtifacts(c.cfg.OutDir, res); err != nil {
+		return fmt.Errorf("fleet: %w", err)
 	}
 	c.Logf("campaign %s done: %d phases, %d fault steps, %d samples → %s",
 		res.Name, len(res.Phases), len(res.Faults), res.Samples,
-		filepath.Join(c.cfg.OutDir, campaignReportName))
+		filepath.Join(c.cfg.OutDir, campaign.ReportFile))
 	return nil
 }
 

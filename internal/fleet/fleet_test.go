@@ -277,7 +277,7 @@ func TestFleetAttachCampaign(t *testing.T) {
 
 	// The campaign report carries both phases' per-node windows and the
 	// fleet total; gateway throughput reached the client.
-	report, err := os.ReadFile(filepath.Join(outDir, campaignReportName))
+	report, err := os.ReadFile(filepath.Join(outDir, campaign.ReportFile))
 	if err != nil || len(report) == 0 {
 		t.Fatalf("report file missing or empty (err=%v)", err)
 	}
@@ -382,7 +382,7 @@ func TestFleetScenarioCampaign(t *testing.T) {
 	}
 
 	// Artifacts: campaign report + result beside the fleet's one session.
-	for _, name := range []string{campaignReportName, campaignResultName, "session.csv", "session.jsonl"} {
+	for _, name := range []string{campaign.ReportFile, campaign.ResultFile, "session.csv", "session.jsonl"} {
 		p := filepath.Join(outDir, name)
 		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
 			t.Fatalf("campaign artifact %s missing or empty (err=%v)", p, err)

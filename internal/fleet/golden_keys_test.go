@@ -112,9 +112,10 @@ func TestReportKeySetsGolden(t *testing.T) {
 	}
 }
 
-// Recorded on the parent commit (1db7a2d) with the helpers above.
-const goldenPhaseReportKeys = "duration_sec fault_steps forwarded gw_idle_timeouts gw_messages gw_shed gw_upstream_errors http_errors latency_p50_us latency_p99_us loris_completed loris_held loris_reaped model model.admissible_per_sec model.demand_us model.p99_err_pct model.predicted_p99_us model.predicted_per_sec model.throughput_err_pct model.workers name net_errors offered_per_sec ok_200 ok_per_sec parse_errors peak_conns routed_error routed_match sent shape shed_503 stages stages.k stages.k.count stages.k.mean_us translated usecase validation_ok"
-const goldenResultKeys = "addr artifacts duration_sec faults faults.at_ms faults.backend faults.err faults.fault faults.fault.clear faults.fault.down_ms faults.fault.error_rate faults.fault.extra_delay_ms faults.fault.fail_next faults.phase faults.state faults.state.active faults.state.down_remaining_ms faults.state.dropped faults.state.error_rate faults.state.errored faults.state.extra_delay_ms faults.state.fail_next name phases phases.duration_sec phases.fault_steps phases.forwarded phases.gw_idle_timeouts phases.gw_messages phases.gw_shed phases.gw_upstream_errors phases.http_errors phases.latency_p50_us phases.latency_p99_us phases.loris_completed phases.loris_held phases.loris_reaped phases.model phases.model.admissible_per_sec phases.model.demand_us phases.model.p99_err_pct phases.model.predicted_p99_us phases.model.predicted_per_sec phases.model.throughput_err_pct phases.model.workers phases.name phases.net_errors phases.offered_per_sec phases.ok_200 phases.ok_per_sec phases.parse_errors phases.peak_conns phases.routed_error phases.routed_match phases.sent phases.shape phases.shed_503 phases.stages phases.stages.k phases.stages.k.count phases.stages.k.mean_us phases.translated phases.usecase phases.validation_ok samples seed"
+// Recorded on the parent commit (1db7a2d) with the helpers above; the
+// model.* keys left with the capacity model.
+const goldenPhaseReportKeys = "duration_sec fault_steps forwarded gw_idle_timeouts gw_messages gw_shed gw_upstream_errors http_errors latency_p50_us latency_p99_us loris_completed loris_held loris_reaped name net_errors offered_per_sec ok_200 ok_per_sec parse_errors peak_conns routed_error routed_match sent shape shed_503 stages stages.k stages.k.count stages.k.mean_us translated usecase validation_ok"
+const goldenResultKeys = "addr artifacts duration_sec faults faults.at_ms faults.backend faults.err faults.fault faults.fault.clear faults.fault.down_ms faults.fault.error_rate faults.fault.extra_delay_ms faults.fault.fail_next faults.phase faults.state faults.state.active faults.state.down_remaining_ms faults.state.dropped faults.state.error_rate faults.state.errored faults.state.extra_delay_ms faults.state.fail_next name phases phases.duration_sec phases.fault_steps phases.forwarded phases.gw_idle_timeouts phases.gw_messages phases.gw_shed phases.gw_upstream_errors phases.http_errors phases.latency_p50_us phases.latency_p99_us phases.loris_completed phases.loris_held phases.loris_reaped phases.name phases.net_errors phases.offered_per_sec phases.ok_200 phases.ok_per_sec phases.parse_errors phases.peak_conns phases.routed_error phases.routed_match phases.sent phases.shape phases.shed_503 phases.stages phases.stages.k phases.stages.k.count phases.stages.k.mean_us phases.translated phases.usecase phases.validation_ok samples seed"
 
 // Recorded on the parent commit (77f70c7) with the helpers above.
 const goldenSampleKeys = "br_mpr_pct bytes_in cache_mpi_pct cpi cpus cpus.br_mpr_pct cpus.cache_mpi_pct cpus.cpi cpus.cpu cpus.derived_source derived_source gc_cpu_pct gomaxprocs goroutines latency_p50_us latency_p99_us messages msgs_per_sec sched_lat_p99_us shed t_ms upstream_idle_conns window_sec"

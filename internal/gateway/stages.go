@@ -1,7 +1,6 @@
 package gateway
 
 import (
-	"repro/internal/capacity"
 	"repro/internal/dtrace"
 	"repro/internal/lhist"
 	"repro/internal/workload"
@@ -60,31 +59,4 @@ func (h *stageHists) snapshot() StageSnapshot {
 		}
 	}
 	return out
-}
-
-// Demands rebuilds the capacity model's per-stage service demands from
-// the snapshot: per-stage means aggregated across the use-case rows
-// (the control-plane GET row excluded — GETs bypass admission),
-// weighted by trace count.
-func (s StageSnapshot) Demands() capacity.StageDemands {
-	mean := func(st dtrace.Stage) float64 {
-		var n uint64
-		var sum float64
-		for slot := 0; slot < numTraceUseCases; slot++ {
-			h := s[traceSlotName(slot)][st.String()] // zero when the row or stage is absent
-			sum += h.MeanUS * float64(h.Count)
-			n += h.Count
-		}
-		if n == 0 {
-			return 0
-		}
-		return sum / float64(n) / 1e6
-	}
-	return capacity.StageDemands{
-		Read:    mean(dtrace.StageRead),
-		Parse:   mean(dtrace.StageParse),
-		Process: mean(dtrace.StageProcess),
-		Forward: mean(dtrace.StageForward),
-		Write:   mean(dtrace.StageWrite),
-	}
 }

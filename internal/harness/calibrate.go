@@ -32,12 +32,9 @@ type CalibrationEntry struct {
 	SimBrMPR   float64 `json:"sim_br_mpr_pct"`
 	LiveBrMPR  float64 `json:"live_br_mpr_pct"`
 	BrMPRScale float64 `json:"br_mpr_scale"`
-	// LiveP50US is the live session's median end-to-end latency — the
-	// no-contention service-demand seed the capacity model can start
-	// from before stage traces land.
+	// LiveP50US is the live phase's median end-to-end latency.
 	LiveP50US float64 `json:"live_p50_us,omitempty"`
-	// LiveMsgsPerSec is the session's measured throughput, the measured
-	// side of a predicted-vs-measured capacity table.
+	// LiveMsgsPerSec is the live phase's measured throughput.
 	LiveMsgsPerSec float64 `json:"live_msgs_per_sec,omitempty"`
 }
 

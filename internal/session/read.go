@@ -9,8 +9,8 @@ import (
 
 // CSVRow is one parsed line of a session artifact — the flattened schema
 // Appender emits. Per-CPU detail stays flattened (the CSV never carried
-// it); the fields here are the ones replay consumers (aonsim -exp
-// capacity's predicted-vs-measured tables) need.
+// it); the fields here are the ones a reader of a recorded session
+// checks.
 type CSVRow struct {
 	// Role is the row's node role ("gateway", "backend") from the
 	// recorder's lead column; "" in a CSV without one.
@@ -31,14 +31,6 @@ type CSVRow struct {
 	GOMAXPROCS   int
 	Goroutines   int
 	GCCPUPct     float64
-}
-
-// OfferedPerSec is the row's arrival rate including shed messages.
-func (r CSVRow) OfferedPerSec() float64 {
-	if r.WindowSec <= 0 {
-		return r.MsgsPerSec
-	}
-	return r.MsgsPerSec + float64(r.Shed)/r.WindowSec
 }
 
 // ReadCSV parses a session artifact written by an Appender. Columns are

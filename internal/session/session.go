@@ -74,7 +74,7 @@ type Sample struct {
 	// ...and the per-CPU skew.
 	CPUs []CPUSample `json:"cpus,omitempty"`
 	// GOMAXPROCS is the scheduler width the gateway ran at — its
-	// parallelism, and the server count a capacity model replays.
+	// parallelism, apart from the CPUs the process may run on.
 	GOMAXPROCS int `json:"gomaxprocs"`
 
 	// Runtime gauges. GCCPUPct is the window's GC share of the CPU time
