@@ -48,8 +48,8 @@
 // Artifacts land in out_dir: per-node logs; session.jsonl, the phase
 // events and one row per node read, written as read (crash-safe);
 // session.csv, the same rows in the stock session schema behind phase,
-// node, role and rel_ms (readable by the stock session tooling and
-// aonsim -exp capacity); with a campaign, campaign-report.txt and
+// node, role and rel_ms (readable by session.ReadCSV); with a
+// campaign, campaign-report.txt and
 // campaign-result.json — per phase, the client view, the gateway's CPI,
 // and every node's window (throughput, p50/p99, CPI/cache-MPI where it
 // carries counters) cut from the phase's start and end reads, with the

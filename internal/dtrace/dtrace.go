@@ -5,7 +5,7 @@
 // the backend — so a p99 exemplar can be followed across process
 // boundaries and attributed to parse, queue, or backend time. The
 // gateway folds every finished request's stage spans into its /stats
-// stage histograms (the capacity model's demands), so the aggregate and
+// stage histograms (a campaign phase's stage window), so the aggregate and
 // the per-request view are the same measurements. Completed traces land
 // in a bounded ring behind tail-based sampling: slow, shed, errored, and
 // idle-reaped requests are always kept, the ordinary fast majority

@@ -5,8 +5,8 @@ import "slices"
 // Stage names one segment of a request's path through the gateway — the
 // live analogue of the paper's per-phase VTune breakdown. The five stages
 // are defined here once: Recorder.Add/Child take a Stage, its String is
-// the span name, and the gateway indexes its per-stage histograms (and
-// through them the capacity model's demands) by it.
+// the span name, and the gateway indexes its per-stage histograms by
+// it.
 type Stage uint8
 
 const (

@@ -475,8 +475,7 @@ type wscratch struct {
 func (s *Server) process(raw []byte, start time.Time, rec *dtrace.Recorder, sc *wscratch) response {
 	// Traced requests read the clock once per stage boundary; the
 	// ProcessDelay fault-injection spin runs inside the process stage, so
-	// an emulated slower device shows up as process demand — which is
-	// what the capacity model must see.
+	// an emulated slower device shows up in the process stage's time.
 	t := start // start of the stage being timed (traced requests only)
 	req := &sc.req
 	err := httpmsg.ParseRequestInto(raw, req)

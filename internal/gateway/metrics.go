@@ -129,8 +129,8 @@ type Snapshot struct {
 	LastSecMsgs  uint64  `json:"last_sec_msgs"` // most recent full second
 	MbpsIn       float64 `json:"mbps_in"`       // lifetime average
 	// Workers is GOMAXPROCS — how many messages the gateway processes at
-	// once (filled by Server.Snapshot). Campaign and fleet scrapers seed
-	// the capacity model's station width from it.
+	// once (filled by Server.Snapshot). A campaign reads it as each
+	// phase's width.
 	Workers int          `json:"workers"`
 	Latency HistSnapshot `json:"latency"`
 	// LatencyByUseCase carries one latency histogram per use case that
