@@ -25,8 +25,11 @@
 // deterministic error-rate draw. GET /stats serves the live counters as
 // JSON — request/drop/byte totals, the fault-injection state, and the
 // service latency histogram — which is how cmd/aonfleet records backends
-// in the fleet's one cross-node session. SIGINT/SIGTERM prints the same
-// snapshot on stdout.
+// in the fleet's one cross-node session. A request that arrives with
+// X-AON-Trace — aongate -trace forwards the header only for a request
+// the client sampled — gets a serve span named by -trace-node, and every
+// one is kept in a ring served on GET /traces, so each sampled trace has
+// its backend leg. SIGINT/SIGTERM prints the same snapshot on stdout.
 package main
 
 import (
@@ -69,7 +72,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 	failFirst := fs.Int("fail-first", 0, "drop the first N requests without responding (fault injection)")
 	seed := fs.Uint64("seed", 0, "seed for the deterministic error-rate fault draw")
 	traceNode := fs.String("trace-node", "", "node name stamped on this backend's trace spans (default -name; aonfleet passes role/id)")
-	traceCap := fs.Int("trace-cap", 0, "kept-trace ring capacity (0 = default 1024)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6061; empty = off)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -93,13 +95,12 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 		go http.Serve(ln, nil) // returns when the deferred Close shuts the listener
 	}
 	srv, err := upstream.StartBackend(*addr, upstream.BackendConfig{
-		Name:          *name,
-		RespBytes:     *respSize,
-		Delay:         *delay,
-		FailFirst:     *failFirst,
-		Seed:          *seed,
-		TraceNode:     *traceNode,
-		TraceCapacity: *traceCap,
+		Name:      *name,
+		RespBytes: *respSize,
+		Delay:     *delay,
+		FailFirst: *failFirst,
+		Seed:      *seed,
+		TraceNode: *traceNode,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, "aonback:", err)

@@ -107,7 +107,7 @@ func TestFleetCampaignSmoke(t *testing.T) {
 		"nodes": []map[string]any{
 			{"role": "backend", "endpoint": "order", "addr": addrs[0]},
 			{"role": "backend", "endpoint": "error", "addr": addrs[1]},
-			{"role": "gateway", "addr": addrs[2], "flags": []string{"-trace-keep-every", "1"}},
+			{"role": "gateway", "addr": addrs[2]},
 		},
 		"campaign": map[string]any{"phases": []map[string]any{
 			{"name": "c1", "usecase": "FR", "duration_ms": 1000, "conns": 1},

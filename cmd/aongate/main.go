@@ -33,16 +33,16 @@
 //
 // With -trace, the gateway runs the tracing plane (internal/dtrace),
 // its one request clock: every request records real spans around
-// read/parse/process/forward/write, adopts the client's
-// X-AON-Trace ID when present (aoncamp trace_every, aonfleet
-// trace_client_every), and propagates context on upstream forwards so aonback
-// records a joined server-side span. Every finished request's span
+// read/parse/process/forward/write, and every finished request's span
 // durations are aggregated into per-use-case per-stage histograms, the
-// /stats "stages" section; completed traces are tail-sampled
-// into a ring served on GET /traces?last=N — shed/idle-reaped/5xx and
-// slow requests always kept, 1-in—trace-keep-every otherwise. Tail
-// outcomes additionally emit a rate-limited structured slow-request
-// line (trace ID, use case, outcome, per-stage breakdown) on stderr.
+// /stats "stages" section. The client makes the one sampling decision:
+// a request carrying X-AON-Trace (aoncamp trace_every, aonfleet
+// trace_client_every) is adopted into the client's trace, kept in the
+// ring served on GET /traces?last=N, and its context propagates on the
+// upstream forward so aonback records a joined server-side span. An
+// unsampled request is kept only if it was shed, refused while draining,
+// reaped idle, answered 5xx, or took 50 ms or more, and is never
+// propagated.
 // cmd/aonfleet with "trace" on pulls /traces from every node into a
 // fleet-wide traces.jsonl and renders the joined cross-node traces as a
 // critical-path report, trace-report.txt.
@@ -96,21 +96,15 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8080", "listen address")
 	ucName := fs.String("usecase", "FR", "default use case: FR, CBR, SV, DPI, AUTH")
-	maxBody := fs.Int("max-body", 1<<20, "max POST body bytes")
 	drain := fs.Duration("drain", 10*time.Second, "graceful shutdown budget")
 	idle := fs.Duration("idle-timeout", 0, "client connection read deadline (0 = 60s default, negative disables)")
 	order := fs.String("order", "", "order backend address (enables upstream forwarding)")
 	errAddr := fs.String("error", "", "error backend address (enables upstream forwarding)")
 	upTimeout := fs.Duration("up-timeout", 0, "upstream round-trip deadline; past it the client gets 504 (0 = default 5s)")
-	upIdle := fs.Int("up-idle", 0, "max idle keep-alive conns per backend (0 = default 8)")
 	hwCounters := fs.Bool("counters", false, "enable the live measurement layer: cumulative perf_event_open counters on /stats (falls back to runtime metrics where perf is denied)")
 	maxInflight := fs.Int64("max-inflight", 0, "admission bound: shed with 503 past this many in-flight messages (0 = 5x GOMAXPROCS)")
-	trace := fs.Bool("trace", false, "run the tracing plane: per-request stage spans aggregated into the /stats stages section, X-AON-Trace adoption/propagation, tail-sampled ring on GET /traces, slow-request log on stderr")
+	trace := fs.Bool("trace", false, "run the tracing plane: per-request stage spans aggregated into the /stats stages section; client-sampled (X-AON-Trace), failed and slow traces kept on GET /traces, sampled ones propagated to the backend")
 	traceNode := fs.String("trace-node", "", "node name stamped on this gateway's spans (default gateway; aonfleet passes role/id)")
-	traceSlowOver := fs.Duration("trace-slow-over", 0, "tail sampling: always keep traces slower than this (0 = default 50ms, negative disables the slow rule)")
-	traceKeepEvery := fs.Int("trace-keep-every", 0, "tail sampling: keep 1 in N ordinary traces (0 = default 64)")
-	traceCap := fs.Int("trace-cap", 0, "kept-trace ring capacity (0 = default 256)")
-	slowLogPerSec := fs.Int("slow-log-rate", 0, "slow-request log lines per second before suppression (0 = default 10)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -145,29 +139,18 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 		}()
 	}
 
-	var slowLog io.Writer
-	if *trace {
-		slowLog = stderr
-	}
 	srv, err := gateway.New(gateway.Config{
-		UseCase:      uc,
-		MaxBodyBytes: *maxBody,
-		IdleTimeout:  *idle,
+		UseCase:     uc,
+		IdleTimeout: *idle,
 		Upstream: upstream.Config{
-			Order:             *order,
-			Error:             *errAddr,
-			TryTimeout:        *upTimeout,
-			MaxIdlePerBackend: *upIdle,
+			Order:      *order,
+			Error:      *errAddr,
+			TryTimeout: *upTimeout,
 		},
-		Counters:       *hwCounters,
-		MaxInflight:    *maxInflight,
-		Trace:          *trace,
-		TraceNode:      *traceNode,
-		TraceSlowOver:  *traceSlowOver,
-		TraceKeepEvery: *traceKeepEvery,
-		TraceCapacity:  *traceCap,
-		SlowLog:        slowLog,
-		SlowLogPerSec:  *slowLogPerSec,
+		Counters:    *hwCounters,
+		MaxInflight: *maxInflight,
+		Trace:       *trace,
+		TraceNode:   *traceNode,
 	})
 	if err != nil {
 		return fail(2, err)
@@ -190,7 +173,7 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 	}
 
 	if *trace {
-		fmt.Fprintln(stderr, "aongate: distributed tracing on (GET /traces, slow-request log on stderr)")
+		fmt.Fprintln(stderr, "aongate: distributed tracing on (GET /traces)")
 	}
 
 	<-stop

@@ -1,16 +1,19 @@
 // Package dtrace is the gateway's per-request tracing plane and its one
 // request clock: a trace ID minted at admission (or adopted from the
 // client's X-AON-Trace header), one span per pipeline Stage, context
-// propagated on upstream forwards, and a server-side span recorded in
-// the backend — so a p99 exemplar can be followed across process
-// boundaries and attributed to parse, queue, or backend time. The
-// gateway folds every finished request's stage spans into its /stats
-// stage histograms (a campaign phase's stage window), so the aggregate and
-// the per-request view are the same measurements. Completed traces land
-// in a bounded ring behind tail-based sampling: slow, shed, errored, and
-// idle-reaped requests are always kept, the ordinary fast majority
-// probabilistically, so the ring holds exactly the requests worth
-// drilling into.
+// propagated on a sampled request's upstream forward, and a server-side
+// span recorded in the backend — so a p99 exemplar can be followed
+// across process boundaries and attributed to parse, queue, or backend
+// time. The gateway folds every finished request's stage spans into its
+// /stats stage histograms (a campaign phase's stage window), so the
+// aggregate and the per-request view are the same measurements. Sampling
+// is one decision, the client's: a request it sampled carries
+// X-AON-Trace, the gateway keeps its trace and propagates the context
+// upstream, and the backend keeps the serve span — so every sampled
+// trace assembles whole, and nothing else reaches the backend's ring.
+// The gateway's bounded ring also keeps, after the fact, every shed,
+// draining, idle-reaped, 5xx or 50 ms-slow request, sampled or not: the
+// requests worth drilling into.
 //
 // The paper's multi-level methodology stops at aggregate CPI and
 // cache-miss attribution; RZBENCH-style evaluation (PAPERS.md) needs the
@@ -134,7 +137,9 @@ func AppendHeaderValue(dst []byte, traceID, spanID ID) []byte {
 // server holds it in: the gateway's zero-copy parse hands header values
 // out as strings aliasing the frame, the backend's framed head as bytes.
 // A missing or malformed value returns ok=false; a trace ID of zero is
-// rejected (it would collide every orphan span into one trace).
+// rejected (it would collide every orphan span into one trace), and so
+// is a zero parent: the header marks a client-sampled request, whose
+// root must name the span it parents under.
 func ParseHeaderValue[T string | []byte](v T) (traceID, parentID ID, ok bool) {
 	if len(v) != 33 || v[16] != '-' {
 		return 0, 0, false
@@ -144,7 +149,7 @@ func ParseHeaderValue[T string | []byte](v T) (traceID, parentID ID, ok bool) {
 		return 0, 0, false
 	}
 	parentID, ok = parseHex(v[17:])
-	if !ok {
+	if !ok || parentID.IsZero() {
 		return 0, 0, false
 	}
 	return traceID, parentID, true

@@ -32,6 +32,7 @@ func TestParseHeaderValueRejectsMalformed(t *testing.T) {
 		"",
 		"deadbeef",
 		"0000000000000000-1111111111111111", // zero trace ID
+		"1111111111111111-0000000000000000", // zero parent span ID
 		"111111111111111g-2222222222222222", // bad hex
 		"11111111111111112222222222222222",  // missing dash
 		"1111111111111111-22222222222222221",
@@ -144,33 +145,65 @@ func TestPutRecorderPoisonsSpans(t *testing.T) {
 	}
 }
 
+// TestTailKeepRules walks the keep rule over every (err, sampled, slow)
+// combination: first rule wins — a tail outcome, then a client-sampled
+// trace, then a slow one — and exactly one counter moves per keep.
 func TestTailKeepRules(t *testing.T) {
-	tail := NewTail(TailConfig{Capacity: 16, SlowOverUS: 1000, KeepEvery: 4})
-	offer := func(durUS int64, isErr bool) bool {
+	for _, tc := range []struct {
+		err, sampled, slow bool
+		kept               string // the counter that moves; "" means dropped
+	}{
+		{false, false, false, ""},
+		{false, false, true, "kept_slow"},
+		{false, true, false, "kept_sampled"},
+		{false, true, true, "kept_sampled"},
+		{true, false, false, "kept_err"},
+		{true, false, true, "kept_err"},
+		{true, true, false, "kept_err"},
+		{true, true, true, "kept_err"},
+	} {
+		tail := NewTail()
 		r := GetRecorder("gw")
-		defer PutRecorder(r)
 		r.Begin("gateway", time.Now())
-		r.spans[0].DurUS = durUS
-		return tail.Offer(r, isErr)
-	}
-	if !offer(10, true) {
-		t.Fatal("errored trace dropped")
-	}
-	if !offer(5000, false) {
-		t.Fatal("slow trace dropped")
-	}
-	kept := 0
-	for i := 0; i < 40; i++ {
-		if offer(10, false) {
-			kept++
+		if tc.sampled {
+			r.Adopt(NewID(), NewID())
+		}
+		status := 200
+		if tc.err {
+			status = 502
+		}
+		r.Annotate("FR", "forwarded", status)
+		if tc.slow {
+			r.spans[0].DurUS = slowOverUS
+		} else {
+			r.spans[0].DurUS = slowOverUS - 1
+		}
+		got := tail.Offer(r)
+		PutRecorder(r)
+		want := TailStats{Seen: 1}
+		switch tc.kept {
+		case "kept_err":
+			want.KeptErr = 1
+		case "kept_sampled":
+			want.KeptSampled = 1
+		case "kept_slow":
+			want.KeptSlow = 1
+		}
+		want.Kept = want.KeptErr + want.KeptSampled + want.KeptSlow
+		if st := tail.Stats(); got != (want.Kept == 1) || st != want {
+			t.Errorf("err=%v sampled=%v slow=%v: kept=%v %+v, want %q", tc.err, tc.sampled, tc.slow, got, st, tc.kept)
 		}
 	}
-	if kept != 10 {
-		t.Fatalf("probabilistic keep = %d/40, want 10 (1-in-4)", kept)
-	}
-	st := tail.Stats()
-	if st.KeptErr != 1 || st.KeptSlow != 1 || st.KeptProb != 10 || st.Seen != 42 {
-		t.Fatalf("stats = %+v", st)
+	// Every tail outcome counts as err, whatever the status.
+	for _, outcome := range []string{"shed", "draining", "idle-timeout"} {
+		tail := NewTail()
+		r := GetRecorder("gw")
+		r.Begin("gateway", time.Now())
+		r.Annotate("", outcome, 0)
+		if !tail.Offer(r) || tail.Stats().KeptErr != 1 {
+			t.Errorf("outcome %q not kept as err: %+v", outcome, tail.Stats())
+		}
+		PutRecorder(r)
 	}
 }
 
@@ -193,7 +226,7 @@ func TestRingEvictionAndOrder(t *testing.T) {
 }
 
 func TestTailConcurrent(t *testing.T) {
-	tail := NewTail(TailConfig{Capacity: 64, SlowOverUS: -1, KeepEvery: 2})
+	tail := NewTail()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -202,14 +235,21 @@ func TestTailConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				r := GetRecorder("gw")
 				r.Begin("gateway", time.Now())
-				tail.Offer(r, i%7 == 0)
+				if i%2 == 0 {
+					r.Adopt(NewID(), NewID())
+				}
+				if i%7 == 0 {
+					r.Annotate("FR", "shed", 503)
+				}
+				tail.Offer(r)
 				PutRecorder(r)
 			}
 		}()
 	}
 	wg.Wait()
 	st := tail.Stats()
-	if st.Seen != 1600 || st.Kept != st.KeptErr+st.KeptSlow+st.KeptProb {
+	// Per goroutine, 29 of 200 are shed (i%7 == 0) and 85 more sampled.
+	if st.Seen != 1600 || st.KeptErr != 8*29 || st.KeptSampled != 8*85 || st.Kept != st.KeptErr+st.KeptSampled+st.KeptSlow {
 		t.Fatalf("stats = %+v", st)
 	}
 }

@@ -91,6 +91,11 @@ func (r *Recorder) Adopt(traceID, parentID ID) {
 	}
 }
 
+// Sampled reports whether the client sampled this request: its root
+// parents under an adopted X-AON-Trace context. Only sampled requests
+// propagate the context upstream.
+func (r *Recorder) Sampled() bool { return r.n > 0 && !r.spans[0].ParentID.IsZero() }
+
 // Add records a completed stage span under the root. Over-capacity adds
 // are dropped (bounded by construction, not by the caller).
 func (r *Recorder) Add(st Stage, start time.Time, d time.Duration) {

@@ -17,11 +17,8 @@ type traceRing struct {
 	total uint64
 }
 
-// newRing makes a ring keeping the last capacity traces (min 1).
+// newRing makes a ring keeping the last capacity traces.
 func newRing(capacity int) *traceRing {
-	if capacity < 1 {
-		capacity = 1
-	}
 	return &traceRing{buf: make([]Trace, 0, capacity)}
 }
 
@@ -65,91 +62,84 @@ func (r *traceRing) Kept() uint64 {
 	return r.total
 }
 
-// TailConfig tunes tail-based sampling.
-type TailConfig struct {
-	// Capacity bounds the kept-trace ring (default 256).
-	Capacity int
-	// SlowOverUS always keeps traces whose root duration is at least
-	// this many microseconds (default 50ms). 0 uses the default; a
-	// negative value disables the slow rule.
-	SlowOverUS int64
-	// KeepEvery probabilistically keeps 1-in-N ordinary traces
-	// (default 64). 0 uses the default; negative keeps none.
-	KeepEvery int
-}
+// ringCapacity is how many kept traces a node's ring holds, gateway and
+// backend alike. At the fleet's default 200 ms trace pulls it covers
+// about 5 000 kept traces a second — about four times the ≈ 1 300/s a
+// saturated 4-connection FR fleet run samples on a 2-vCPU host at the
+// default trace_client_every — before a pull can miss one to eviction.
+const ringCapacity = 1024
 
-func (c TailConfig) withDefaults() TailConfig {
-	if c.Capacity == 0 {
-		c.Capacity = 256
-	}
-	if c.SlowOverUS == 0 {
-		c.SlowOverUS = 50_000
-	}
-	if c.KeepEvery == 0 {
-		c.KeepEvery = 64
-	}
-	return c
-}
+// slowOverUS is the root duration from which an unsampled trace is kept
+// anyway: a request this slow is worth a look whoever sampled it.
+const slowOverUS = 50_000
 
-// TailStats summarizes the tail sampler's keep decisions.
+// TailStats summarizes the tail sampler's keep decisions. KeptErr,
+// KeptSampled and KeptSlow partition Kept.
 type TailStats struct {
-	Seen     uint64 `json:"seen"`
-	Kept     uint64 `json:"kept"`
-	KeptErr  uint64 `json:"kept_err"`
-	KeptSlow uint64 `json:"kept_slow"`
-	KeptProb uint64 `json:"kept_prob"`
+	Seen        uint64 `json:"seen"`
+	Kept        uint64 `json:"kept"`
+	KeptErr     uint64 `json:"kept_err"`
+	KeptSampled uint64 `json:"kept_sampled"`
+	KeptSlow    uint64 `json:"kept_slow"`
 }
 
 // Tail decides, once a request has *finished*, whether its trace is
-// worth keeping — the defining property of tail-based sampling: the
-// decision sees the outcome, so every shed/errored/idle-reaped/slow
-// request survives while the boring fast majority is thinned to a
-// 1-in-N trickle.
+// worth keeping. The client makes the one sampling decision — a request
+// it sampled arrives carrying an X-AON-Trace header — and the tail adds
+// only what the client could not know in advance: every failed request
+// and every slow one survives too, so the ring holds exactly the sampled
+// traces plus the requests worth a post-mortem.
 type Tail struct {
-	cfg      TailConfig
-	seq      atomic.Uint64
-	seen     atomic.Uint64
-	keptErr  atomic.Uint64
-	keptSlow atomic.Uint64
-	keptProb atomic.Uint64
-	ring     *traceRing
+	seen        atomic.Uint64
+	keptErr     atomic.Uint64
+	keptSampled atomic.Uint64
+	keptSlow    atomic.Uint64
+	ring        *traceRing
 }
 
-// NewTail builds a tail sampler (zero-value cfg fields take defaults).
-func NewTail(cfg TailConfig) *Tail {
-	cfg = cfg.withDefaults()
-	return &Tail{cfg: cfg, ring: newRing(cfg.Capacity)}
+// NewTail builds a tail sampler over a ringCapacity-trace ring.
+func NewTail() *Tail {
+	return &Tail{ring: newRing(ringCapacity)}
 }
 
-// Offer decides r's fate. isErr marks shed/errored/idle-reaped
-// requests (always kept); rootDurUS is the root span duration for the
-// slow rule. Keeping copies the spans out of the pooled recorder — the
+// tailOutcome reports whether a finished root span ended the way every
+// trace is kept for: shed at the admission bound, refused while
+// draining, reaped idle mid-request, or answered 5xx.
+func tailOutcome(root *Span) bool {
+	switch root.Outcome {
+	case "shed", "draining", "idle-timeout":
+		return true
+	}
+	return root.Status >= 500
+}
+
+// Offer decides r's fate from its annotated, finished root span, first
+// rule wins: a tail outcome is kept (KeptErr); so is a trace the client
+// sampled, whose root parents under the adopted client span
+// (KeptSampled); so is any other whose root took slowOverUS or more
+// (KeptSlow). Keeping copies the spans out of the pooled recorder — the
 // only per-trace allocation, and only for keepers — so the caller may
 // PutRecorder immediately after. Returns whether the trace was kept.
-func (t *Tail) Offer(r *Recorder, isErr bool) bool {
+func (t *Tail) Offer(r *Recorder) bool {
 	t.seen.Add(1)
-	keep := false
+	root := &r.spans[0] // every offered recorder was begun
 	switch {
-	case isErr:
+	case tailOutcome(root):
 		t.keptErr.Add(1)
-		keep = true
-	case t.cfg.SlowOverUS >= 0 && r.n > 0 && r.spans[0].DurUS >= t.cfg.SlowOverUS:
+	case r.Sampled():
+		t.keptSampled.Add(1)
+	case root.DurUS >= slowOverUS:
 		t.keptSlow.Add(1)
-		keep = true
-	case t.cfg.KeepEvery > 0 && t.seq.Add(1)%uint64(t.cfg.KeepEvery) == 0:
-		t.keptProb.Add(1)
-		keep = true
-	}
-	if !keep {
+	default:
 		return false
 	}
 	t.ring.Add(Trace{TraceID: r.traceID, Spans: slices.Clone(r.Spans())})
 	return true
 }
 
-// Keep stores pre-built spans unconditionally (backend serve spans:
-// losing one would break cross-node assembly of a gateway-kept trace,
-// so the backend keeps everything and lets ring eviction bound memory).
+// Keep stores pre-built spans unconditionally. The backend keeps every
+// serve span it records: the gateway propagates X-AON-Trace only on
+// client-sampled requests, so each one completes a sampled trace.
 func (t *Tail) Keep(traceID ID, spans []Span) {
 	t.seen.Add(1)
 	t.ring.Add(Trace{TraceID: traceID, Spans: slices.Clone(spans)})
@@ -175,10 +165,10 @@ func (t *Tail) Response(node string, last int) *TracesResponse {
 // Stats snapshots the keep counters.
 func (t *Tail) Stats() TailStats {
 	return TailStats{
-		Seen:     t.seen.Load(),
-		Kept:     t.ring.Kept(),
-		KeptErr:  t.keptErr.Load(),
-		KeptSlow: t.keptSlow.Load(),
-		KeptProb: t.keptProb.Load(),
+		Seen:        t.seen.Load(),
+		Kept:        t.ring.Kept(),
+		KeptErr:     t.keptErr.Load(),
+		KeptSampled: t.keptSampled.Load(),
+		KeptSlow:    t.keptSlow.Load(),
 	}
 }

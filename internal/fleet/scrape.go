@@ -7,7 +7,7 @@ import (
 	"repro/internal/gateway"
 )
 
-// tracePuller pulls each node's tail-sampled spans over the one
+// tracePuller pulls each node's kept spans over the one
 // control-plane client (gateway.GetJSON) into the fleet's cross-node
 // span store. Samples are the campaign recorder's job; this is the trace
 // plane's.

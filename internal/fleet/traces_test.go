@@ -20,27 +20,33 @@ import (
 // TestFleetTracePlane is the cross-node assembly acceptance path: an
 // attach-mode fleet over an in-process tracing gateway and backend, the
 // campaign originating a trace on every request, in whatever counters
-// mode the host grants and in the forced runtime-only mode. The trace
-// pulls must join the client, gateway, and backend spans by trace ID
-// into assembled cross-node traces with intact parent links, the
-// traces.jsonl artifact must round-trip through the dtrace reader, and
-// Finish must write the critical-path report. Runs under -race in CI.
+// mode the host grants and in the forced runtime-only mode, and on every
+// 4th request with the gateway's defaults. The trace pulls must join the
+// client, gateway, and backend spans by trace ID into assembled
+// cross-node traces with intact parent links — every client-sampled
+// request whole, and no backend span outside them — the traces.jsonl
+// artifact must round-trip through the dtrace reader, and Finish must
+// write the critical-path report. Runs under -race in CI.
 func TestFleetTracePlane(t *testing.T) {
-	for _, force := range []bool{false, true} {
-		name := "host-mode"
-		if force {
-			name = "forced-runtime-only"
-		}
-		t.Run(name, func(t *testing.T) {
-			if force {
+	for _, tc := range []struct {
+		name  string
+		force bool // counters forced to runtime-only
+		every int  // the fleet's trace_client_every
+	}{
+		{"host-mode", false, 1},
+		{"forced-runtime-only", true, 1},
+		{"client-every-4", false, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.force {
 				t.Setenv(gateway.ForceRuntimeOnlyEnv, "1")
 			}
-			testFleetTracePlane(t)
+			testFleetTracePlane(t, tc.every)
 		})
 	}
 }
 
-func testFleetTracePlane(t *testing.T) {
+func testFleetTracePlane(t *testing.T, every int) {
 	order, err := upstream.StartBackend("127.0.0.1:0", upstream.BackendConfig{
 		Name:      "order",
 		TraceNode: "backend/b0",
@@ -51,12 +57,11 @@ func testFleetTracePlane(t *testing.T) {
 	defer order.Close()
 
 	srv, err := gateway.New(gateway.Config{
-		UseCase:        workload.FR,
-		Counters:       true,
-		Trace:          true,
-		TraceNode:      "gateway/gw0",
-		TraceKeepEvery: 1, // keep every trace: assembly assertions are deterministic
-		Upstream:       upstream.Config{Order: order.Addr().String()},
+		UseCase:   workload.FR,
+		Counters:  true,
+		Trace:     true,
+		TraceNode: "gateway/gw0",
+		Upstream:  upstream.Config{Order: order.Addr().String()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +77,7 @@ func testFleetTracePlane(t *testing.T) {
 		ScrapeIntervalMS: 20,
 		ReadyTimeoutMS:   5000,
 		Trace:            true,
-		TraceClientEvery: 1,
+		TraceClientEvery: every,
 		Nodes: []NodeConfig{
 			{Role: roleBackend, ID: "b0", Addr: order.Addr().String(), Endpoint: "order", Attach: true},
 			{Role: roleGateway, ID: "gw0", Addr: srv.Addr().String(), Attach: true},
@@ -100,6 +105,7 @@ func testFleetTracePlane(t *testing.T) {
 	}
 
 	// Each node serves /traces under its fleet name.
+	var backendKept uint64
 	for addr, want := range map[string]string{srv.Addr().String(): "gateway/gw0", order.Addr().String(): "backend/b0"} {
 		var tr dtrace.TracesResponse
 		if err := gateway.GetJSON(addr, "/traces", 5*time.Second, &tr); err != nil {
@@ -107,6 +113,9 @@ func testFleetTracePlane(t *testing.T) {
 		}
 		if tr.Node != want {
 			t.Fatalf("/traces at %s: node %q, want %q", addr, tr.Node, want)
+		}
+		if want == "backend/b0" {
+			backendKept = tr.Tail.Kept
 		}
 	}
 
@@ -201,6 +210,42 @@ func testFleetTracePlane(t *testing.T) {
 	}
 	if m := regexp.MustCompile(`cross-node traces: ([0-9]+)/`).FindStringSubmatch(string(report)); m == nil || m[1] == "0" {
 		t.Fatalf("trace report names no cross-node trace:\n%s", report)
+	}
+
+	// The client's decision is the only one: every sampled request that
+	// succeeded assembled whole, no trace is the backend's alone, and the
+	// backend kept exactly the sampled requests. Checked where 1 in 4 is
+	// sampled: sampling every request at this rate outruns the 1024-trace
+	// rings between pulls and each sender's cap on its client spans.
+	if every == 1 {
+		return
+	}
+	var sampled uint64
+	for _, at := range asm {
+		var client *dtrace.Span
+		var gw, serve bool
+		for i, sp := range at.Spans {
+			switch {
+			case sp.Node == "load/client":
+				client = &at.Spans[i]
+			case sp.Node == "gateway/gw0":
+				gw = true
+			case sp.Node == "backend/b0" && sp.Name == "serve":
+				serve = true
+			}
+		}
+		if client != nil {
+			sampled++
+		}
+		if client == nil && !gw {
+			t.Fatalf("trace %v is backend-only: %v", at.TraceID, at.Nodes)
+		}
+		if client != nil && client.Status == 200 && (!gw || !serve) {
+			t.Fatalf("sampled trace %v (status 200) lacks its gateway or serve span: %v", at.TraceID, at.Nodes)
+		}
+	}
+	if backendKept != sampled {
+		t.Fatalf("backend kept %d traces, the client sampled %d", backendKept, sampled)
 	}
 }
 

@@ -35,11 +35,10 @@ func getTraces(t *testing.T, addr, query string) dtrace.TracesResponse {
 func TestTracesLastParam(t *testing.T) {
 	order := startBackend(t, upstream.BackendConfig{Name: "order"})
 	srv := startServer(t, Config{
-		Trace:          true,
-		TraceKeepEvery: 1,
-		Upstream:       upstream.Config{Order: order.Addr().String()},
+		Trace:    true,
+		Upstream: upstream.Config{Order: order.Addr().String()},
 	})
-	if rep := drive(LoadConfig{Addr: srv.Addr().String(), UseCase: workload.FR}, 1, 5); rep.OK != 5 {
+	if rep := drive(LoadConfig{Addr: srv.Addr().String(), UseCase: workload.FR, TraceEvery: 1}, 1, 5); rep.OK != 5 {
 		t.Fatalf("ok=%d of 5 (%+v)", rep.OK, rep)
 	}
 	waitTraced(t, srv, 5)
@@ -111,12 +110,10 @@ func waitBackendKept(t *testing.T, addr string, n uint64) dtrace.TracesResponse 
 // span, adopted gateway stage spans, backend serve span — joined purely
 // by trace ID with intact parent links.
 func TestDTraceForwardedEndToEnd(t *testing.T) {
-	order := startBackend(t, upstream.BackendConfig{Name: "order", TraceCapacity: 4096})
+	order := startBackend(t, upstream.BackendConfig{Name: "order"})
 	srv := startServer(t, Config{
-		Trace:          true,
-		TraceKeepEvery: 1,    // keep every trace: the assertions are deterministic
-		TraceCapacity:  4096, // and every kept trace stays in the ring
-		Upstream:       upstream.Config{Order: order.Addr().String()},
+		Trace:    true,
+		Upstream: upstream.Config{Order: order.Addr().String()},
 	})
 
 	s := NewSenders(LoadConfig{Addr: srv.Addr().String(), UseCase: workload.FR, TraceEvery: 1})
@@ -136,7 +133,8 @@ func TestDTraceForwardedEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Gateway side: every request was traced and kept.
+	// Gateway side: every request was client-sampled, so every trace was
+	// kept.
 	waitTraced(t, srv, n)
 	gw := getTraces(t, srv.Addr().String(), fmt.Sprintf("last=%d", n))
 	if gw.Node != "gateway" {
@@ -239,16 +237,64 @@ func TestDTraceForwardedEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDTraceTailSampling exercises the probabilistic keep rule end to
-// end: with KeepEvery=8 and fast non-error requests, roughly 1-in-8
-// survive the tail decision.
-func TestDTraceTailSampling(t *testing.T) {
+// TestForwardPropagatesOnlySampled pins the propagation half of the one
+// sampling decision: a forwarded request the client did not sample
+// reaches the backend without X-AON-Trace, so the backend records
+// nothing for it, and a sampled one carries the header, so the backend's
+// serve span joins the client's trace under the gateway's forward span.
+func TestForwardPropagatesOnlySampled(t *testing.T) {
+	order := startBackend(t, upstream.BackendConfig{Name: "order"})
 	srv := startServer(t, Config{
-		Trace:          true,
-		TraceKeepEvery: 8,
-		TraceSlowOver:  -1, // disable the slow rule: loopback jitter must not flip keeps
+		Trace:    true,
+		Upstream: upstream.Config{Order: order.Addr().String()},
 	})
-	if rep := drive(LoadConfig{Addr: srv.Addr().String(), UseCase: workload.FR}, 2, 64); rep.OK != 64 {
+	cl, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	tid := dtrace.NewID()
+	// Unsampled first, then sampled, over one client connection: the
+	// gateway reuses its one idle upstream connection, and the backend
+	// serves a connection in order, so once the sampled request's serve
+	// span is kept the unsampled one has been fully served.
+	for _, raw := range [][]byte{
+		workload.HTTPRequest(0, workload.FR),
+		dtrace.InjectHeader(nil, workload.HTTPRequest(1, workload.FR), tid, dtrace.NewID()),
+	} {
+		if resp, err := cl.Do(raw, 5*time.Second); err != nil || resp.Status != 200 {
+			t.Fatalf("resp=%+v err=%v", resp, err)
+		}
+	}
+	be := waitBackendKept(t, order.Addr().String(), 1)
+	if order.Requests.Load() != 2 || be.Tail.Seen != 1 || be.Tail.Kept != 1 {
+		t.Fatalf("backend served %d, tail %+v, want 2 served and only the sampled one kept", order.Requests.Load(), be.Tail)
+	}
+	serve := be.Traces[0].Spans[0]
+	if serve.TraceID != tid {
+		t.Fatalf("backend kept trace %v, want the sampled %v", serve.TraceID, tid)
+	}
+	waitTraced(t, srv, 2)
+	var fwd *dtrace.Span
+	for _, tr := range getTraces(t, srv.Addr().String(), "").Traces {
+		for i := range tr.Spans {
+			if sp := &tr.Spans[i]; sp.TraceID == tid && sp.Name == "forward" {
+				fwd = sp
+			}
+		}
+	}
+	if fwd == nil || serve.ParentID != fwd.SpanID {
+		t.Fatalf("serve span %+v does not parent under the gateway's forward span %+v", serve, fwd)
+	}
+}
+
+// TestDTraceTailSampling exercises the keep rule end to end: of 64 fast
+// requests, the 8 the client sampled (every 8th carries X-AON-Trace)
+// survive the tail decision, and of the rest only one slower than the
+// 50 ms bound could.
+func TestDTraceTailSampling(t *testing.T) {
+	srv := startServer(t, Config{Trace: true})
+	if rep := drive(LoadConfig{Addr: srv.Addr().String(), UseCase: workload.FR, TraceEvery: 8}, 2, 64); rep.OK != 64 {
 		t.Fatalf("ok=%d, want 64", rep.OK)
 	}
 	waitTraced(t, srv, 64)
@@ -256,8 +302,19 @@ func TestDTraceTailSampling(t *testing.T) {
 	if tr.Tail.Seen != 64 {
 		t.Fatalf("tail seen=%d, want 64", tr.Tail.Seen)
 	}
-	if tr.Tail.Kept != 8 || tr.Tail.KeptProb != 8 {
-		t.Fatalf("tail kept=%d kept_prob=%d, want 8/8 (%+v)", tr.Tail.Kept, tr.Tail.KeptProb, tr.Tail)
+	if tr.Tail.KeptSampled != 8 || tr.Tail.KeptErr != 0 || tr.Tail.Kept != tr.Tail.KeptSampled+tr.Tail.KeptSlow {
+		t.Fatalf("tail %+v, want kept_sampled 8 and nothing else but slow traces", tr.Tail)
+	}
+	sampled := 0
+	for _, kept := range tr.Traces {
+		if root := kept.Spans[0]; !root.ParentID.IsZero() {
+			sampled++
+		} else if root.DurUS < 50_000 {
+			t.Fatalf("unsampled fast trace kept: %+v", root)
+		}
+	}
+	if sampled != 8 {
+		t.Fatalf("%d kept traces parent under a client span, want 8", sampled)
 	}
 	// last=N slicing.
 	if got := getTraces(t, srv.Addr().String(), "last=3"); len(got.Traces) != 3 {
@@ -265,18 +322,15 @@ func TestDTraceTailSampling(t *testing.T) {
 	}
 }
 
-// TestDTraceShedKeptAndSlowLogged drives the shed path with tracing on: shed requests must always survive tail sampling (they are
-// exactly the requests worth a post-mortem) and must emit structured
-// slow-request log lines.
-func TestDTraceShedKeptAndSlowLogged(t *testing.T) {
-	var slow syncBuffer
+// TestDTraceShedKept drives the shed path with tracing on and no request
+// sampled: shed requests must always survive tail sampling (they are
+// exactly the requests worth a post-mortem), and the only other keeps are
+// requests past the slow bound.
+func TestDTraceShedKept(t *testing.T) {
 	srv := startServer(t, Config{
-		MaxInflight:    2,
-		ProcessDelay:   20 * time.Millisecond,
-		Trace:          true,
-		TraceKeepEvery: 1 << 30, // effectively kill the probabilistic rule: only tail outcomes survive
-		TraceSlowOver:  -1,      // and the slow rule too
-		SlowLog:        &slow,
+		MaxInflight:  2,
+		ProcessDelay: 20 * time.Millisecond,
+		Trace:        true,
 	})
 
 	const conns = 8
@@ -305,37 +359,31 @@ func TestDTraceShedKeptAndSlowLogged(t *testing.T) {
 	if shed == 0 {
 		t.Fatal("no sheds under saturation — test premise broken")
 	}
+	waitTraced(t, srv, conns*10)
 	tr := getTraces(t, srv.Addr().String(), "")
-	if tr.Tail.KeptErr != shed || tr.Tail.Kept != shed {
-		t.Fatalf("tail kept=%d kept_err=%d, want both == shed count %d", tr.Tail.Kept, tr.Tail.KeptErr, shed)
+	if tr.Tail.KeptErr != shed || tr.Tail.KeptSampled != 0 || tr.Tail.Kept != tr.Tail.KeptErr+tr.Tail.KeptSlow {
+		t.Fatalf("tail %+v, want kept_err == shed count %d and kept == kept_err + kept_slow", tr.Tail, shed)
 	}
-	var found bool
+	var keptShed uint64
 	for _, kept := range tr.Traces {
-		root := kept.Spans[0]
-		if root.Outcome != "shed" || root.Status != 503 {
-			t.Fatalf("kept trace root %+v, want outcome=shed status=503", root)
+		switch root := kept.Spans[0]; {
+		case root.Outcome == "shed" && root.Status == 503:
+			keptShed++
+		case root.DurUS < 50_000:
+			t.Fatalf("kept trace root %+v is neither shed nor slow", root)
 		}
-		found = true
 	}
-	if !found {
-		t.Fatal("no kept shed traces")
-	}
-	log := slow.String()
-	if !strings.Contains(log, "slow-request trace=") || !strings.Contains(log, "outcome=shed") || !strings.Contains(log, "status=503") {
-		t.Fatalf("slow log missing shed line:\n%s", log)
+	if keptShed != shed {
+		t.Fatalf("%d kept shed traces, want %d", keptShed, shed)
 	}
 }
 
 // TestDTraceIdleTimeoutKept reaps a mid-request stall and asserts the
-// synthetic idle-timeout trace lands in the ring and the slow log.
+// synthetic idle-timeout trace lands in the ring.
 func TestDTraceIdleTimeoutKept(t *testing.T) {
-	var slow syncBuffer
 	srv := startServer(t, Config{
-		IdleTimeout:    100 * time.Millisecond,
-		Trace:          true,
-		TraceKeepEvery: 1 << 30,
-		TraceSlowOver:  -1,
-		SlowLog:        &slow,
+		IdleTimeout: 100 * time.Millisecond,
+		Trace:       true,
 	})
 	c, err := net.Dial("tcp", srv.Addr().String())
 	if err != nil {
@@ -358,9 +406,6 @@ func TestDTraceIdleTimeoutKept(t *testing.T) {
 	root := tr.Traces[0].Spans[0]
 	if root.Outcome != "idle-timeout" || root.Node != "gateway" {
 		t.Fatalf("kept root %+v, want outcome=idle-timeout", root)
-	}
-	if !strings.Contains(slow.String(), "outcome=idle-timeout") {
-		t.Fatalf("slow log missing idle-timeout line:\n%s", slow.String())
 	}
 }
 
@@ -385,57 +430,12 @@ func TestDTraceDisabled404(t *testing.T) {
 	}
 }
 
-// TestDTraceConfigValidation rejects the nonsense knob values.
-func TestDTraceConfigValidation(t *testing.T) {
-	for _, cfg := range []Config{
-		{Trace: true, TraceCapacity: -1},
-		{SlowLogPerSec: -1},
-	} {
-		if _, err := New(cfg); err == nil {
-			t.Fatalf("New(%+v) accepted invalid config", cfg)
-		}
-	}
-}
-
-// TestSlowLogRateLimit exercises the per-second budget and the
-// suppressed-count line directly.
-func TestSlowLogRateLimit(t *testing.T) {
-	var buf bytes.Buffer
-	l := &slowLogger{w: &buf, perSec: 2}
-	spans := []dtrace.Span{{TraceID: 1, SpanID: 2, Node: "gateway", Name: "gateway", DurUS: 1000, Outcome: "shed", Status: 503}}
-
-	// Pin the window to "now" and exhaust the budget.
-	l.sec = time.Now().Unix()
-	l.n = l.perSec
-	for i := 0; i < 3; i++ {
-		l.log(spans)
-	}
-	if got := buf.String(); got != "" {
-		t.Fatalf("over-budget lines emitted:\n%s", got)
-	}
-	if l.dropped != 3 {
-		t.Fatalf("dropped=%d, want 3", l.dropped)
-	}
-	// Roll the window: the suppression summary and the new line appear.
-	l.sec = 0
-	l.log(spans)
-	out := buf.String()
-	if !strings.Contains(out, "suppressed=3") {
-		t.Fatalf("missing suppression summary:\n%s", out)
-	}
-	if !strings.Contains(out, "slow-request trace=0000000000000001 uc=- outcome=shed status=503 total=1ms") {
-		t.Fatalf("missing rolled-window line:\n%s", out)
-	}
-}
-
 // TestDTraceParseErrorAnnotated asserts a malformed XML body is traced
-// with the parse-error outcome and a 400 status (not a tail keep —
-// 4xx is the client's fault — unless probabilistically sampled).
+// with the parse-error outcome and a 400 status. A 4xx is the client's
+// fault, not a tail outcome, so the trace is kept because the client
+// sampled it.
 func TestDTraceParseErrorAnnotated(t *testing.T) {
-	srv := startServer(t, Config{
-		Trace:          true,
-		TraceKeepEvery: 1,
-	})
+	srv := startServer(t, Config{Trace: true})
 	cl, err := Dial(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -443,7 +443,7 @@ func TestDTraceParseErrorAnnotated(t *testing.T) {
 	defer cl.Close()
 	body := "<orde" // truncated XML
 	req := fmt.Sprintf("POST /service/CBR HTTP/1.1\r\nContent-Type: text/xml\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
-	resp, err := cl.Do([]byte(req), 5*time.Second)
+	resp, err := cl.Do(dtrace.InjectHeader(nil, []byte(req), dtrace.NewID(), dtrace.NewID()), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,8 +452,8 @@ func TestDTraceParseErrorAnnotated(t *testing.T) {
 	}
 	waitTraced(t, srv, 1)
 	tr := getTraces(t, srv.Addr().String(), "")
-	if len(tr.Traces) != 1 {
-		t.Fatalf("kept %d traces, want 1", len(tr.Traces))
+	if len(tr.Traces) != 1 || tr.Tail.KeptSampled != 1 {
+		t.Fatalf("kept %d traces (%+v), want the 1 sampled", len(tr.Traces), tr.Tail)
 	}
 	root := tr.Traces[0].Spans[0]
 	if root.Outcome != "parse-error" || root.Status != 400 {
@@ -463,7 +463,8 @@ func TestDTraceParseErrorAnnotated(t *testing.T) {
 
 // TestStagesAgreeWithTracesAndCounters is the cross-instrument check the
 // single request clock makes exact: the stage histograms are folded from
-// the same spans the tail ring keeps, so after N pipelined requests the
+// the same spans the tail ring keeps, so after N pipelined requests — all
+// client-sampled, so all kept — the
 // per-use-case stage counts equal the per-use-case message counters,
 // Tail.Seen equals N (control-plane GETs are timed but never offered),
 // and in every kept trace the stage spans fit inside their root. What
@@ -474,7 +475,7 @@ func TestStagesAgreeWithTracesAndCounters(t *testing.T) {
 	const perUC = 2 * batches * depth / 2
 	for _, mode := range []string{"in-place", "forwarded"} {
 		t.Run(mode, func(t *testing.T) {
-			cfg := Config{Trace: true, TraceKeepEvery: 1, TraceCapacity: 1024}
+			cfg := Config{Trace: true}
 			if mode == "forwarded" {
 				cfg.Upstream = upstream.Config{
 					Order: startBackend(t, upstream.BackendConfig{Name: "order"}).Addr().String(),
@@ -498,7 +499,7 @@ func TestStagesAgreeWithTracesAndCounters(t *testing.T) {
 						var batch []byte
 						for i := 0; i < depth; i++ {
 							uc := []workload.UseCase{workload.FR, workload.CBR}[i%2]
-							batch = append(batch, workload.HTTPRequest(b*depth+i, uc)...)
+							batch = dtrace.InjectHeader(batch, workload.HTTPRequest(b*depth+i, uc), dtrace.NewID(), dtrace.NewID())
 						}
 						if _, err := cl.c.Write(batch); err != nil {
 							t.Error(err)
@@ -579,10 +580,9 @@ func TestStagesAgreeWithTracesAndCounters(t *testing.T) {
 // use case's row when it ended before a use case was selected.
 func TestStagesOnlyWhereReached(t *testing.T) {
 	srv := startServer(t, Config{
-		UseCase:        workload.SV,
-		IdleTimeout:    100 * time.Millisecond,
-		Trace:          true,
-		TraceKeepEvery: 1,
+		UseCase:     workload.SV,
+		IdleTimeout: 100 * time.Millisecond,
+		Trace:       true,
 	})
 	counts := func() map[string]uint64 {
 		out := map[string]uint64{}
@@ -650,23 +650,4 @@ func TestStagesOnlyWhereReached(t *testing.T) {
 		"SV/read": 2, "SV/parse": 1, "SV/write": 1,
 		"CBR/read": 1, "CBR/parse": 1, "CBR/process": 1, "CBR/write": 1,
 	})
-}
-
-// syncBuffer is a mutex-guarded bytes.Buffer: the flush goroutine writes
-// while the test reads progress.
-type syncBuffer struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (b *syncBuffer) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.Write(p)
-}
-
-func (b *syncBuffer) String() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.String()
 }

@@ -24,7 +24,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -47,8 +46,6 @@ type Config struct {
 	// UseCase is the default pipeline when the request path doesn't name
 	// one (/service/FR, /service/CBR, ... select per-request).
 	UseCase workload.UseCase
-	// MaxBodyBytes rejects larger POSTs with 400; 0 means 1 MiB.
-	MaxBodyBytes int
 	// ProcessDelay adds a fixed per-message busy-wait to the process
 	// stage — a fault-injection knob for emulating a slower device and for
 	// testing the admission control deterministically. It spins rather
@@ -76,41 +73,27 @@ type Config struct {
 	// Trace enables per-request tracing (internal/dtrace), the gateway's
 	// one request clock: every request records real spans around the
 	// read→parse→process→forward→write stage points into a pooled
-	// recorder, adopts an inbound X-AON-Trace context (or mints one), and
-	// propagates context on upstream forwards. Each finished request's
-	// span durations are aggregated into per-use-case per-stage
-	// histograms on /stats ("stages"), and the trace is offered to a
-	// tail-based sampler — shed/idle-reaped/5xx and slow requests are
-	// always kept, the fast majority 1-in-TraceKeepEvery — served on GET
-	// /traces.
+	// recorder and adopts an inbound X-AON-Trace context (or mints one).
+	// Each finished request's span durations are aggregated into
+	// per-use-case per-stage histograms on /stats ("stages"). The client's
+	// header is the one sampling decision: a sampled request's trace is
+	// kept on GET /traces and its context propagates on the upstream
+	// forward; any other is kept only if it was shed, reaped, answered
+	// 5xx or took 50 ms (dtrace.Tail.Offer).
 	Trace bool
 	// TraceNode names this process in recorded spans (default
 	// "gateway"); fleet mode passes the topology node key so assembled
 	// traces attribute time to the right process.
 	TraceNode string
-	// TraceSlowOver is the tail sampler's always-keep latency bound
-	// (default 50ms; negative disables the slow rule).
-	TraceSlowOver time.Duration
-	// TraceKeepEvery probabilistically keeps 1-in-N ordinary traces
-	// (default 64). Negative is rejected by New.
-	TraceKeepEvery int
-	// TraceCapacity bounds the kept-trace ring (default 256). Negative
-	// is rejected by New.
-	TraceCapacity int
-	// SlowLog, when set with Trace, receives one structured line per
-	// shed/idle-timeout/5xx request (trace ID, use case, stage
-	// breakdown), rate-limited to SlowLogPerSec lines per second
-	// (default 10) so overload can't amplify itself through logging.
-	SlowLog io.Writer
-	// SlowLogPerSec caps slow-request log lines per wall-clock second
-	// (default 10). Negative is rejected by New.
-	SlowLogPerSec int
 	// MaxInflight is the admission bound: a POST that would make more
 	// than this many messages in flight (admitted, not yet answered) is
 	// shed with 503. 0 means 5x GOMAXPROCS, re-read at every Snapshot
 	// so the bound follows a width changed at run time.
 	MaxInflight int64
 }
+
+// maxBodyBytes bounds a request body: a larger POST is answered 400.
+const maxBodyBytes = 1 << 20
 
 // response is a formatted answer on its way to the client. head holds
 // the header block (plus any inlined small body); body, when non-nil, is
@@ -179,20 +162,8 @@ type Server struct {
 
 // New builds a server; Start or Serve brings it live.
 func New(cfg Config) (*Server, error) {
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 1 << 20
-	}
 	if cfg.IdleTimeout == 0 {
 		cfg.IdleTimeout = 60 * time.Second
-	}
-	if cfg.TraceKeepEvery < 0 {
-		return nil, fmt.Errorf("gateway: trace keep ratio must be positive, got %d", cfg.TraceKeepEvery)
-	}
-	if cfg.TraceCapacity < 0 {
-		return nil, fmt.Errorf("gateway: trace capacity must be positive, got %d", cfg.TraceCapacity)
-	}
-	if cfg.SlowLogPerSec < 0 {
-		return nil, fmt.Errorf("gateway: slow-log rate must be positive, got %d", cfg.SlowLogPerSec)
 	}
 	if cfg.MaxInflight < 0 {
 		return nil, fmt.Errorf("gateway: max inflight must be positive, got %d", cfg.MaxInflight)
@@ -319,7 +290,7 @@ func (s *Server) handleConn(c net.Conn) {
 			rec = dtrace.GetRecorder(s.dtr.node)
 			rec.Begin("gateway", t)
 		}
-		raw, err := httpmsg.ReadRequest(br, s.cfg.MaxBodyBytes, *fp)
+		raw, err := httpmsg.ReadRequest(br, maxBodyBytes, *fp)
 		*fp = raw
 		if err != nil {
 			var ne net.Error
@@ -585,10 +556,12 @@ func appendVerdict(dst []byte, uc, out, route string) []byte {
 // dial and round-trip deadlines, so the client never hangs on a dead
 // backend. The upstream
 // request header is built in the connection's scratch and written vectored
-// with the body view, so forwarding copies no payload bytes. With rec
-// set, the trace context propagates on an X-AON-Trace header whose
-// parent span ID is minted *before* the round trip — the backend's
-// serve span parents under the forward span it rode in on. The backend's
+// with the body view, so forwarding copies no payload bytes. A traced
+// request always records its forward span; a client-sampled one also
+// propagates its context on an X-AON-Trace header whose parent span ID
+// is minted *before* the round trip — the backend's serve span parents
+// under the forward span it rode in on. An unsampled request carries no
+// header, so the backend records nothing for it. The backend's
 // body is read into a respBufPool buffer that becomes the response's own
 // (writeResp recycles it after the write), so relaying copies and
 // allocates nothing per message. Returns (that buffer, nil) on success
@@ -612,12 +585,14 @@ func (s *Server) forward(resp *httpmsg.Response, route string, uc workload.UseCa
 	var tFwd time.Time
 	if rec != nil {
 		fwdID = dtrace.NewID()
-		sc.trval = dtrace.AppendHeaderValue(sc.trval[:0], rec.TraceID(), fwdID)
-		// The zc view over the connection's scratch is safe: the serializer
-		// below copies header values into upHead before the scratch is
-		// touched again.
-		up.Headers = append(up.Headers,
-			httpmsg.Header{Name: dtrace.Header, Value: zc.String(sc.trval)})
+		if rec.Sampled() {
+			sc.trval = dtrace.AppendHeaderValue(sc.trval[:0], rec.TraceID(), fwdID)
+			// The zc view over the connection's scratch is safe: the
+			// serializer below copies header values into upHead before the
+			// scratch is touched again.
+			up.Headers = append(up.Headers,
+				httpmsg.Header{Name: dtrace.Header, Value: zc.String(sc.trval)})
+		}
 		tFwd = time.Now()
 	}
 	sc.upHead = httpmsg.AppendRequestHeader(sc.upHead[:0], up, len(req.Body))

@@ -593,19 +593,6 @@ func TestServerShutdownLeavesNoGoroutineOrFD(t *testing.T) {
 	}
 }
 
-// TestObservabilityConfigValidation rejects nonsensical observability
-// knobs with errors instead of silently running a broken plane.
-func TestObservabilityConfigValidation(t *testing.T) {
-	bad := []Config{
-		{TraceKeepEvery: -2},
-	}
-	for _, cfg := range bad {
-		if _, err := New(cfg); err == nil {
-			t.Fatalf("New(%+v) accepted invalid config", cfg)
-		}
-	}
-}
-
 // startBackend brings up one order/error endpoint with teardown.
 func startBackend(t *testing.T, cfg upstream.BackendConfig) *upstream.BackendServer {
 	t.Helper()

@@ -10,15 +10,19 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dtrace"
 	"repro/internal/httpmsg"
 	"repro/internal/workload"
 )
 
 // drive posts exactly n of cfg's pooled requests over conns keep-alive
 // connections, closed loop, and returns their accounting: the outcome
-// counts and the latency of the 200 answers. A connection that dies is
-// retired after one net error, so a dead connection shows as a
-// shortfall, not as a redial. Safe to call from any goroutine.
+// counts and the latency of the 200 answers. As the sender set does,
+// cfg.TraceEvery > 0 samples every TraceEvery-th request — counted
+// across connections, so exactly ceil(n/TraceEvery) of them — by
+// injecting an X-AON-Trace header. A connection that dies is retired
+// after one net error, so a dead connection shows as a shortfall, not as
+// a redial. Safe to call from any goroutine.
 func drive(cfg LoadConfig, conns, n int) Report {
 	set := NewSenders(cfg) // never resized: only its defaults and pool are used
 	var (
@@ -44,9 +48,15 @@ func drive(cfg LoadConfig, conns, n int) Report {
 				return
 			}
 			defer cl.Close()
+			var trbuf []byte
 			for i := next.Add(1) - 1; i < int64(n); i = next.Add(1) - 1 {
+				raw := set.pool[i%int64(len(set.pool))]
+				if cfg.TraceEvery > 0 && i%int64(cfg.TraceEvery) == 0 {
+					trbuf = dtrace.InjectHeader(trbuf[:0], raw, dtrace.NewID(), dtrace.NewID())
+					raw = trbuf
+				}
 				t0 := time.Now()
-				resp, err := cl.Do(set.pool[i%int64(len(set.pool))], set.cfg.Timeout)
+				resp, err := cl.Do(raw, set.cfg.Timeout)
 				if err != nil {
 					local.NetErrors++
 					return

@@ -23,7 +23,7 @@ import (
 // and close. (Only the refusal's wording may differ: the backend discards
 // bodies unbounded, so an over-limit body is "truncated" to it.)
 func TestFrameTableEveryServer(t *testing.T) {
-	gw, err := gateway.New(gateway.Config{MaxBodyBytes: httpmsg.FrameMaxBody})
+	gw, err := gateway.New(gateway.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,9 +11,9 @@ import (
 	"testing"
 )
 
-// FrameMaxBody is the body bound the framing table is written against
-// (the gateway's default).
-const FrameMaxBody = 1 << 20
+// frameMaxBody is the body bound the framing table is written against
+// (the gateway's).
+const frameMaxBody = 1 << 20
 
 // FrameCase is one row of the request-framing table: the bytes a client
 // sends, how many requests are framed off them, and how the stream ends.
@@ -81,11 +81,11 @@ func frameAll(t testing.TB, r io.Reader, window int) (frames [][]byte, end error
 	buf := make([]byte, 0, 16)
 	for {
 		was := cap(buf)
-		out, err := ReadRequest(br, FrameMaxBody, buf)
+		out, err := ReadRequest(br, frameMaxBody, buf)
 		if cap(out) < was {
 			t.Fatalf("returned buffer lost capacity: %d -> %d (err=%v)", was, cap(out), err)
 		}
-		if len(out) > maxHead+window+FrameMaxBody {
+		if len(out) > maxHead+window+frameMaxBody {
 			t.Fatalf("framer holds %d bytes", len(out))
 		}
 		buf = out
@@ -153,7 +153,7 @@ func (e *endless) Read(p []byte) (int, error) {
 func TestNewlinelessLineIsBounded(t *testing.T) {
 	const window = 4 << 10
 	src := &endless{b: 'A'}
-	buf, err := ReadRequest(bufio.NewReaderSize(src, window), FrameMaxBody, nil)
+	buf, err := ReadRequest(bufio.NewReaderSize(src, window), frameMaxBody, nil)
 	var fe *FrameError
 	if !errors.As(err, &fe) || fe.Status != 400 || fe.Msg != "header block too large" {
 		t.Fatalf("err=%v, want 400 header block too large", err)
@@ -177,7 +177,7 @@ func TestFramerAllocs(t *testing.T) {
 		src.Reset(wire)
 		br.Reset(src)
 		var err error
-		if buf, err = ReadRequest(br, FrameMaxBody, buf); err != nil || len(buf) != len(wire) {
+		if buf, err = ReadRequest(br, frameMaxBody, buf); err != nil || len(buf) != len(wire) {
 			t.Fatalf("len=%d err=%v", len(buf), err)
 		}
 	}); n != 0 {

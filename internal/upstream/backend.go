@@ -38,15 +38,12 @@ type BackendConfig struct {
 	// campaign rerun with the same seed errors the same requests.
 	Seed uint64
 	// TraceNode names this process in recorded serve spans (default the
-	// backend Name); fleet mode passes the topology node key.
+	// backend Name); fleet mode passes the topology node key. The backend
+	// records a serve span for every request that arrives with an
+	// X-AON-Trace header — the gateway propagates one only when the
+	// client sampled the request — and keeps them all in a ring served
+	// on GET /traces, so every sampled trace gets its backend leg.
 	TraceNode string
-	// TraceCapacity bounds the serve-span ring served on GET /traces
-	// (default 1024). Unlike the gateway, the backend keeps *every*
-	// request that arrives with an X-AON-Trace header — the gateway's
-	// tail sampler already decided those traces matter, and dropping a
-	// serve span here would break cross-node assembly — and lets ring
-	// eviction bound memory.
-	TraceCapacity int
 }
 
 // BackendServer is the minimal order/error endpoint of the paper's
@@ -102,15 +99,12 @@ func StartBackend(addr string, cfg BackendConfig) (*BackendServer, error) {
 	if cfg.TraceNode == "" {
 		cfg.TraceNode = cfg.Name
 	}
-	if cfg.TraceCapacity <= 0 {
-		cfg.TraceCapacity = 1024
-	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	s := &BackendServer{cfg: cfg, ln: ln, start: time.Now(), conns: map[net.Conn]struct{}{}}
-	s.traces = dtrace.NewTail(dtrace.TailConfig{Capacity: cfg.TraceCapacity})
+	s.traces = dtrace.NewTail()
 	s.failNext.Store(int64(cfg.FailFirst))
 	s.wg.Add(1)
 	go s.acceptLoop()

@@ -26,7 +26,6 @@ type pconn struct {
 // window, warm path).
 type pool struct {
 	addr        string
-	maxIdle     int
 	dialTimeout time.Duration
 
 	mu     sync.Mutex
@@ -36,8 +35,11 @@ type pool struct {
 	open atomic.Int64 // dialed minus closed, the open-socket gauge
 }
 
-func newPool(addr string, maxIdle int, dialTimeout time.Duration) *pool {
-	return &pool{addr: addr, maxIdle: maxIdle, dialTimeout: dialTimeout}
+// maxIdle bounds each backend's keep-alive idle set.
+const maxIdle = 8
+
+func newPool(addr string, dialTimeout time.Duration) *pool {
+	return &pool{addr: addr, dialTimeout: dialTimeout}
 }
 
 // get pops an idle connection (pooled=true) or dials a new one
@@ -67,7 +69,7 @@ func (p *pool) get() (pc *pconn, pooled bool, err error) {
 func (p *pool) put(pc *pconn) {
 	pc.reused = true
 	p.mu.Lock()
-	if !p.closed && len(p.idle) < p.maxIdle {
+	if !p.closed && len(p.idle) < maxIdle {
 		p.idle = append(p.idle, pc)
 		p.mu.Unlock()
 		return

@@ -42,9 +42,6 @@ type Config struct {
 	// no backend is answered in place by the gateway.
 	Order string
 	Error string
-	// MaxIdlePerBackend bounds each backend's keep-alive idle set
-	// (default 8).
-	MaxIdlePerBackend int
 	// DialTimeout bounds connection establishment (default 1s).
 	DialTimeout time.Duration
 	// TryTimeout is the round trip's write+read deadline (default 5s).
@@ -55,9 +52,6 @@ type Config struct {
 func (c Config) Enabled() bool { return c.Order != "" || c.Error != "" }
 
 func (c Config) withDefaults() Config {
-	if c.MaxIdlePerBackend <= 0 {
-		c.MaxIdlePerBackend = 8
-	}
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = time.Second
 	}
@@ -125,7 +119,7 @@ func New(cfg Config) (*Forwarder, error) {
 			name:    name,
 			addr:    addr,
 			timeout: cfg.TryTimeout,
-			pool:    newPool(addr, cfg.MaxIdlePerBackend, cfg.DialTimeout),
+			pool:    newPool(addr, cfg.DialTimeout),
 		}
 	}
 	return f, nil
