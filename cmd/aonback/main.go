@@ -23,9 +23,10 @@
 // fail-next-N, error-rate, latency-inflation, down-for-duration — which
 // is how cmd/aoncamp drives scripted fault campaigns; -seed keys the
 // deterministic error-rate draw. GET /stats serves the live counters as
-// JSON — request/drop/byte totals, the fault-injection state, and the
-// service latency histogram — which is how cmd/aonfleet records backends
-// in the fleet's one cross-node session. A request that arrives with
+// JSON — uptime_sec, messages, bytes_in and latency under the gateway's
+// keys, the drop and injected-error totals inside the fault section —
+// which is how cmd/aonfleet records backends in the fleet's one
+// cross-node session, decoded the same way as its gateways. A request that arrives with
 // X-AON-Trace — aongate -trace forwards the header only for a request
 // the client sampled — gets a serve span named by -trace-node, and every
 // one is kept in a ring served on GET /traces, so each sampled trace has

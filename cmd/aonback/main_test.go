@@ -81,7 +81,7 @@ func TestBackServesStatsFaultsAndDrains(t *testing.T) {
 			t.Fatalf("aonback never answered /stats:\n%s", stderr.String())
 		}
 	}
-	if st.Name != "error" || st.FaultActive {
+	if st.Name != "error" || st.Fault.Active {
 		t.Fatalf("/stats = %+v, want name error and no fault", st)
 	}
 

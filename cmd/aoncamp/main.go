@@ -6,8 +6,8 @@
 // boundary into a phase-tagged session timeline. The output is a
 // per-phase Figure-5/6-style report — offered vs delivered load, latency
 // percentiles, scaling against the first phase, the gateway's window cut
-// from the phase's start and end reads, stage windows — plus crash-safe
-// JSONL/CSV artifacts the stock session readers parse.
+// from the phase's start and end reads, stage windows — plus one
+// crash-safe session file, session.jsonl.
 //
 // Usage:
 //
@@ -33,11 +33,11 @@
 // completes: the derived values are then model predictions, marked * in
 // the report, and the notice prints on stderr.
 //
-// Artifacts land in -out: session.jsonl + session.csv (written by the
-// recorder, flushed per row; the gateway is node gateway/gw0, the schema
-// aonfleet writes for a whole topology), campaign-report.txt (the
-// formatted report), campaign-result.json (the full machine-readable
-// result).
+// Artifacts land in -out: session.jsonl (written by the recorder, one
+// write per row: the phase events and every sample row, per-CPU detail
+// included; the gateway is node gateway/gw0, the schema aonfleet writes
+// for a whole topology), campaign-report.txt (the formatted report),
+// campaign-result.json (the full machine-readable result).
 package main
 
 import (
@@ -65,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	specPath := fs.String("spec", "", "campaign spec JSON file (required)")
 	addr := fs.String("addr", "", "gateway address (overrides the spec's addr)")
-	out := fs.String("out", "aon-campaign", "artifact directory (session JSONL/CSV, report, result JSON)")
+	out := fs.String("out", "aon-campaign", "artifact directory (session JSONL, report, result JSON)")
 	seed := fs.Uint64("seed", 0, "override the spec's generator seed (0 = keep the spec's)")
 	selfgate := fs.Bool("selfgate", false, "self-host an in-process gateway on loopback")
 	idle := fs.Duration("idle-timeout", 2*time.Second, "selfgate: client idle timeout (slow-loris phases shed when their trickle interval exceeds this)")

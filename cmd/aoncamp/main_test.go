@@ -3,19 +3,16 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"encoding/csv"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/campaign"
 	"repro/internal/gateway"
 	"repro/internal/hwcount"
-	"repro/internal/session"
 )
 
 // scalingSpec is the paper's one-unit→two-unit question as a campaign:
@@ -33,9 +30,9 @@ const scalingSpec = `{
 // two-width spec in-process and checks the run in whichever counters
 // mode the host grants (CI runs it plain and with AON_NO_PERF=1): two
 // phases at their widths, every timeline sample tagged with its phase's
-// width and carrying the per-CPU view, CPI per phase, throughput in the
-// timeline, the session CSV, and the report's scaling and counter
-// columns.
+// width and carrying the per-CPU view, one row per gateway read in
+// clock order, CPI per phase, throughput in the timeline, and the
+// report's scaling and counter columns.
 func TestSelfgateCountersScaling(t *testing.T) {
 	if !hwcount.Supported() {
 		t.Skip("aoncamp -counters is refused where the OS has no perf events")
@@ -85,88 +82,45 @@ func TestSelfgateCountersScaling(t *testing.T) {
 	t.Logf("counters mode: %s", mode)
 
 	// Every timeline sample carries its phase's width, a counter view and
-	// the per-CPU view; each phase's mean CPI is positive, and some
-	// window saw the load.
+	// the per-CPU view, and is later than the one before: the rows are one
+	// gateway's reads (the first, the phase-start read, can land in the
+	// in-process gateway's first millisecond, t_ms 0). Each phase's mean
+	// CPI is positive, and some window saw the load.
 	want := map[string]int{"p1": 1, "p2": 2}
 	cpi, n := map[string]float64{}, map[string]int{}
-	var samples int
+	rows := sampleRows(t, filepath.Join(out, "session.jsonl"))
 	var sawMsgs bool
-	f, err := os.Open(filepath.Join(out, "session.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		var ev struct {
-			Type   string         `json:"type"`
-			Phase  string         `json:"phase"`
-			Sample session.Sample `json:"sample"`
+	for i, row := range rows {
+		s := row.Sample
+		if s.TMS < 0 || (i > 0 && s.TMS <= rows[i-1].Sample.TMS) {
+			t.Errorf("row %d: t_ms %d after %d", i, s.TMS, rows[max(i-1, 0)].Sample.TMS)
 		}
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatal(err)
-		}
-		if ev.Type != "sample" {
-			continue
-		}
-		s := ev.Sample
-		if s.GOMAXPROCS != want[ev.Phase] {
-			t.Errorf("phase %s sample at gomaxprocs %d, want %d", ev.Phase, s.GOMAXPROCS, want[ev.Phase])
+		if s.GOMAXPROCS != want[row.Phase] {
+			t.Errorf("phase %s sample at gomaxprocs %d, want %d", row.Phase, s.GOMAXPROCS, want[row.Phase])
 		}
 		if s.DerivedSource != "hw" && s.DerivedSource != "model" {
-			t.Errorf("phase %s sample without a counter view: %+v", ev.Phase, s)
+			t.Errorf("phase %s sample without a counter view: %+v", row.Phase, s)
 		}
 		if mode == "runtime-only" && s.DerivedSource != "model" {
 			t.Errorf("runtime-only sample with derived_source %q", s.DerivedSource)
 		}
 		if len(s.CPUs) == 0 {
-			t.Errorf("phase %s sample without per-CPU entries: %+v", ev.Phase, s)
+			t.Errorf("phase %s sample without per-CPU entries: %+v", row.Phase, s)
 		}
 		for _, c := range s.CPUs {
 			if c.CPI <= 0 || (c.DerivedSource != "hw" && c.DerivedSource != "model") {
-				t.Errorf("phase %s CPU entry without a counter view: %+v", ev.Phase, c)
+				t.Errorf("phase %s CPU entry without a counter view: %+v", row.Phase, c)
 			}
 			if mode == "runtime-only" && c.DerivedSource != "model" {
 				t.Errorf("runtime-only CPU entry with derived_source %q", c.DerivedSource)
 			}
 		}
-		cpi[ev.Phase] += s.CPI
-		n[ev.Phase]++
-		samples++
+		cpi[row.Phase] += s.CPI
+		n[row.Phase]++
 		sawMsgs = sawMsgs || s.Messages > 0
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if samples < 2 || !sawMsgs {
-		t.Errorf("%d timeline samples (want >= 2), throughput seen: %v", samples, sawMsgs)
-	}
-
-	// The session CSV: a row per sample, each with its time (ReadCSV
-	// refuses an empty t_ms; the rows are one gateway's reads, so each is
-	// later than the one before — the first, the phase-start read, can
-	// land in the in-process gateway's first millisecond, t_ms 0) and the
-	// gateway's width.
-	cf, err := os.Open(filepath.Join(out, "session.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cf.Close()
-	rows, err := session.ReadCSV(cf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) < 2 {
-		t.Errorf("session.csv has %d rows, want >= 2", len(rows))
-	}
-	if len(rows) != samples {
-		t.Errorf("session.csv has %d rows, session.jsonl %d samples", len(rows), samples)
-	}
-	for i, r := range rows {
-		if r.TMS < 0 || (i > 0 && r.TMS <= rows[i-1].TMS) || r.GOMAXPROCS < 1 {
-			t.Errorf("session.csv row %d: t_ms %d, gomaxprocs %d", i, r.TMS, r.GOMAXPROCS)
-		}
+	if len(rows) < 2 || !sawMsgs {
+		t.Errorf("%d timeline samples (want >= 2), throughput seen: %v", len(rows), sawMsgs)
 	}
 	for phase := range want {
 		if n[phase] == 0 || cpi[phase] <= 0 {
@@ -229,7 +183,7 @@ const stormSpec = `{
 // counters mode: every phase reports, DPI and XJ run through the
 // pipeline, both fault steps are acknowledged by the live backend, the
 // loris holds are reaped by the idle deadline while the background
-// senders keep completing, and the session CSV carries the gateway's
+// senders keep completing, and session.jsonl carries the gateway's
 // phase-tagged rows. AON_CAMPAIGN_OUT keeps the artifacts where CI
 // uploads them from.
 func TestCampaignStorm(t *testing.T) {
@@ -309,49 +263,54 @@ func TestCampaignStorm(t *testing.T) {
 		t.Error("no recorder samples")
 	}
 
-	// The phase-tagged session CSV parses as plain CSV with load, every
-	// row the gateway's.
-	f, err := os.Open(filepath.Join(out, "session.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	recs, err := csv.NewReader(f).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) < 5 {
-		t.Fatalf("session.csv has %d rows, want >= 4", len(recs)-1)
-	}
-	col := map[string]int{}
-	for i, name := range recs[0] {
-		col[name] = i
-	}
-	for _, name := range []string{"phase", "node", "role", "rel_ms", "t_ms", "messages", "msgs_per_sec"} {
-		if _, ok := col[name]; !ok {
-			t.Fatalf("session.csv header %v lacks %s", recs[0], name)
-		}
+	// The phase-tagged session rows carry load, every row the gateway's.
+	rows := sampleRows(t, filepath.Join(out, "session.jsonl"))
+	if len(rows) < 4 {
+		t.Fatalf("session.jsonl has %d sample rows, want >= 4", len(rows))
 	}
 	tags := map[string]bool{}
 	var loaded bool
-	for _, r := range recs[1:] {
-		if r[col["node"]] != "gateway/gw0" || r[col["role"]] != "gateway" {
-			t.Fatalf("row of another node: %v", r)
+	for _, r := range rows {
+		if r.Node != "gateway/gw0" || r.Role != "gateway" {
+			t.Fatalf("row of another node: %+v", r)
 		}
-		if rel, err := strconv.ParseInt(r[col["rel_ms"]], 10, 64); err != nil || rel < 0 {
-			t.Fatalf("rel_ms %q below the first read", r[col["rel_ms"]])
+		if r.RelMS < 0 {
+			t.Fatalf("rel_ms %d below the first read", r.RelMS)
 		}
-		if n, err := strconv.ParseUint(r[col["messages"]], 10, 64); err != nil {
-			t.Fatal(err)
-		} else if n > 0 {
-			loaded = true
-		}
-		tags[r[col["phase"]]] = true
+		loaded = loaded || r.Sample.Messages > 0
+		tags[r.Phase] = true
 	}
 	if !loaded {
-		t.Error("no CSV row carried load")
+		t.Error("no session row carried load")
 	}
 	if !tags["warmup"] || !tags["siege"] {
 		t.Errorf("phase tags %v lack warmup or siege", tags)
 	}
+}
+
+// sampleRows loads the sample rows of a session.jsonl, skipping the
+// phase events.
+func sampleRows(t *testing.T, path string) []campaign.Row {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var rows []campaign.Row
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		var row campaign.Row
+		if err := json.Unmarshal(sc.Bytes(), &row); err != nil {
+			t.Fatal(err)
+		}
+		if row.Type == "sample" {
+			rows = append(rows, row)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return rows
 }

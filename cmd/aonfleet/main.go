@@ -5,8 +5,9 @@
 // starts — or attaches to already-running instances by address (no SSH,
 // no agent: any node reachable over HTTP can join), records every node
 // with the campaign's one recorder — each node's cumulative /stats read
-// once per scrape_interval_ms and windowed (launched gateways run with
-// -counters, so each window carries its CPI) — and runs the config's
+// once per scrape_interval_ms, decoded the same way for a gateway and a
+// backend, and windowed (launched gateways run with -counters, so each
+// gateway window carries its CPI) — and runs the config's
 // campaign against the first gateway with that recorder. Without a
 // campaign the recording is passive: one attached gateway makes a
 // timeline of that gateway, until ^C.
@@ -45,11 +46,9 @@
 // monotonic clock (rel_ms = t_ms - the node's first t_ms), never by
 // comparing wall clocks across machines.
 //
-// Artifacts land in out_dir: per-node logs; session.jsonl, the phase
-// events and one row per node read, written as read (crash-safe);
-// session.csv, the same rows in the stock session schema behind phase,
-// node, role and rel_ms (readable by session.ReadCSV); with a
-// campaign, campaign-report.txt and
+// Artifacts land in out_dir: per-node logs; session.jsonl, the one
+// session file — the phase events and one row per node read, written as
+// read (crash-safe); with a campaign, campaign-report.txt and
 // campaign-result.json — per phase, the client view, the gateway's CPI,
 // and every node's window (throughput, p50/p99, CPI/cache-MPI where it
 // carries counters) cut from the phase's start and end reads, with the

@@ -3,7 +3,6 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -11,7 +10,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
-	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -87,10 +85,10 @@ func writeConfig(t *testing.T, cfg map[string]any) string {
 // TestFleetCampaignSmoke launches a 1-gateway/2-backend topology in
 // dependency order with the trace plane on, runs the config's campaign
 // (one constant FR phase per connection count) against it, and checks
-// the one recording: every node in session.jsonl with rel_ms >= 0,
-// session.csv with the node, role and rel_ms columns ahead of the stock
-// ones, the gateway's messages in it, the fleet total in the report, and
-// the trace report over the pulled spans with a cross-node trace in it.
+// the one recording: session.jsonl the only session file, every node in
+// it with rel_ms >= 0, the gateway's messages in it, every backend row
+// with shed 0, the fleet total in the report, and the trace report over
+// the pulled spans with a cross-node trace in it.
 func TestFleetCampaignSmoke(t *testing.T) {
 	bin := bins(t)
 	addrs := freePorts(t, 3)
@@ -121,10 +119,13 @@ func TestFleetCampaignSmoke(t *testing.T) {
 	}
 
 	// The session, the reports and the spans exist and are non-empty.
-	for _, name := range []string{"session.jsonl", "session.csv", "campaign-report.txt", "traces.jsonl", "trace-report.txt"} {
+	for _, name := range []string{"session.jsonl", "campaign-report.txt", "traces.jsonl", "trace-report.txt"} {
 		if st, err := os.Stat(filepath.Join(out, name)); err != nil || st.Size() == 0 {
 			t.Fatalf("%s missing or empty (err=%v)", name, err)
 		}
+	}
+	if csvs, _ := filepath.Glob(filepath.Join(out, "*.csv")); len(csvs) > 0 {
+		t.Fatalf("CSV artifacts beside session.jsonl: %v", csvs)
 	}
 	report, err := os.ReadFile(filepath.Join(out, "campaign-report.txt"))
 	if err != nil {
@@ -150,67 +151,47 @@ func TestFleetCampaignSmoke(t *testing.T) {
 	}
 	defer f.Close()
 	nodes := map[string]bool{}
+	var rows int
+	var gwMsgs uint64
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), 8<<20)
 	for sc.Scan() {
-		var row struct {
-			Type  string `json:"type"`
-			Node  string `json:"node"`
-			RelMS int64  `json:"rel_ms"`
-		}
+		var row campaign.Row
 		if err := json.Unmarshal(sc.Bytes(), &row); err != nil {
 			t.Fatal(err)
 		}
 		if row.Type != "sample" {
 			continue
 		}
+		rows++
 		nodes[row.Node] = true
 		if row.RelMS < 0 {
 			t.Fatalf("row %s", sc.Text())
 		}
+		switch row.Role {
+		case "gateway":
+			gwMsgs += row.Sample.Messages
+		case "backend":
+			if row.Sample.Shed != 0 {
+				t.Fatalf("backend row with shed: %s", sc.Text())
+			}
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
 	}
 	for _, want := range []string{"gateway/gateway2", "backend/backend0", "backend/backend1"} {
 		if !nodes[want] {
 			t.Fatalf("session missing node %s: %v", want, nodes)
 		}
 	}
-
-	cf, err := os.Open(filepath.Join(out, "session.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cf.Close()
-	recs, err := csv.NewReader(cf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) < 4 {
-		t.Fatalf("session.csv has %d rows, want >= 3", len(recs)-1)
-	}
-	col := map[string]int{}
-	for i, name := range recs[0] {
-		col[name] = i
-	}
-	for _, name := range []string{"node", "role", "rel_ms", "t_ms", "messages"} {
-		if _, ok := col[name]; !ok {
-			t.Fatalf("session.csv header %v lacks %s", recs[0], name)
-		}
-	}
-	var gwMsgs uint64
-	for _, r := range recs[1:] {
-		if r[col["role"]] != "gateway" {
-			continue
-		}
-		n, err := strconv.ParseUint(r[col["messages"]], 10, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gwMsgs += n
+	if rows < 3 {
+		t.Fatalf("session.jsonl has %d sample rows, want >= 3", rows)
 	}
 	if gwMsgs == 0 {
 		t.Fatal("the gateway forwarded nothing into the session")
 	}
-	t.Logf("session: %d rows, %d nodes, gateway msgs %d", len(recs)-1, len(nodes), gwMsgs)
+	t.Logf("session: %d rows, %d nodes, gateway msgs %d", rows, len(nodes), gwMsgs)
 }
 
 // TestFleetNodeCannotStart: a node that cannot start (an unknown flag)

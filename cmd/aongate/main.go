@@ -36,8 +36,8 @@
 // read/parse/process/forward/write, and every finished request's span
 // durations are aggregated into per-use-case per-stage histograms, the
 // /stats "stages" section. The client makes the one sampling decision:
-// a request carrying X-AON-Trace (aoncamp trace_every, aonfleet
-// trace_client_every) is adopted into the client's trace, kept in the
+// a request carrying X-AON-Trace (a campaign's trace_every, under
+// aoncamp or aonfleet) is adopted into the client's trace, kept in the
 // ring served on GET /traces?last=N, and its context propagates on the
 // upstream forward so aonback records a joined server-side span. An
 // unsampled request is kept only if it was shed, refused while draining,

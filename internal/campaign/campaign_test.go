@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/gateway"
-	"repro/internal/session"
 	"repro/internal/upstream"
 )
 
@@ -205,29 +204,23 @@ func TestCampaignEndToEnd(t *testing.T) {
 		t.Fatal("campaign recorded no timeline samples")
 	}
 
-	// Artifacts: the CSV parses through the stock session reader despite
-	// the leading phase, node, role and rel_ms columns, and the JSONL
-	// carries every boundary.
-	cf, err := os.Open(filepath.Join(outDir, "session.csv"))
-	if err != nil {
-		t.Fatal(err)
+	// Artifacts: session.jsonl is the one session file; its rows carry
+	// load, and it carries every phase boundary.
+	if names := artifactNames(t, outDir); names != "session.jsonl" {
+		t.Fatalf("recorder wrote %s, want session.jsonl alone", names)
 	}
-	rows, err := session.ReadCSV(cf)
-	cf.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := readRows(t, filepath.Join(outDir, "session.jsonl"))
 	if len(rows) == 0 {
-		t.Fatal("session.csv has no rows")
+		t.Fatal("session.jsonl has no sample rows")
 	}
 	var sawLoad bool
 	for _, row := range rows {
-		if row.Messages > 0 {
+		if row.Sample.Messages > 0 {
 			sawLoad = true
 		}
 	}
 	if !sawLoad {
-		t.Fatalf("no CSV sample recorded load: %d rows", len(rows))
+		t.Fatalf("no sample recorded load: %d rows", len(rows))
 	}
 
 	jf, err := os.Open(filepath.Join(outDir, "session.jsonl"))

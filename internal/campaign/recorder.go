@@ -6,18 +6,17 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/gateway"
 	"repro/internal/session"
-	"repro/internal/upstream"
 )
 
-// Node roles a Recorder reads: a gateway publishes gateway.Snapshot on
-// /stats, a backend upstream.BackendStats.
+// Node roles a Recorder reads. Both publish gateway.Snapshot's keys on
+// /stats for what they both count; the role orders and labels rows.
 const (
 	RoleGateway = "gateway"
 	RoleBackend = "backend"
@@ -54,10 +53,9 @@ type Row struct {
 // Recorder is the one recorder of a run's nodes. It reads each node's
 // cumulative /stats once per tick and once at every phase boundary,
 // windows each node with one session.Windower, tags each row with the
-// current phase, and writes session.jsonl (the phase events and every
-// row) and session.csv (the stock schema behind phase, node, role and
-// rel_ms). A read whose clock did not move since the node's previous
-// row lands no row.
+// current phase, and writes one file, session.jsonl: the phase events
+// and every row. A read whose clock did not move since the node's
+// previous row lands no row.
 //
 // aoncamp records its gateway with it and aonfleet its whole topology;
 // campaign.Run takes the phase boundary reads, and cuts each phase's
@@ -66,8 +64,6 @@ type Recorder struct {
 	nodes     []RecordNode // gateways first, then by key
 	logf      func(string, ...any)
 	jsonl     *session.JSONL // nil: no artifacts
-	csvFile   *os.File
-	csv       *session.Appender
 	artifacts []string
 	stopTicks func() // nil until Start
 
@@ -85,7 +81,7 @@ type Recorder struct {
 }
 
 // NewRecorder builds a recorder over nodes. With dir set it creates
-// dir/session.jsonl and dir/session.csv; with dir empty it records no
+// dir/session.jsonl; with dir empty it records no
 // artifacts and only serves the phase windows. logf receives read
 // failures (nil = silent). Nothing is read until Start or a phase.
 func NewRecorder(dir string, nodes []RecordNode, logf func(string, ...any)) (*Recorder, error) {
@@ -110,22 +106,12 @@ func NewRecorder(dir string, nodes []RecordNode, logf func(string, ...any)) (*Re
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("campaign: recorder: %w", err)
 	}
-	r.artifacts = []string{filepath.Join(dir, "session.jsonl"), filepath.Join(dir, "session.csv")}
+	r.artifacts = []string{filepath.Join(dir, "session.jsonl")}
 	jf, err := session.CreateJSONL(r.artifacts[0])
 	if err != nil {
 		return nil, fmt.Errorf("campaign: recorder: %w", err)
 	}
-	cf, err := os.Create(r.artifacts[1])
-	if err != nil {
-		jf.Close()
-		return nil, fmt.Errorf("campaign: recorder: %w", err)
-	}
-	r.jsonl, r.csvFile = jf, cf
-	r.csv = session.NewAppender(cf, true, "phase", "node", "role", "rel_ms")
-	if err := r.csv.Append(nil); err != nil { // the header, even for an empty session
-		r.Close()
-		return nil, fmt.Errorf("campaign: recorder: %w", err)
-	}
+	r.jsonl = jf
 	return r, nil
 }
 
@@ -147,7 +133,7 @@ func (r *Recorder) Close() error {
 	if r.jsonl == nil {
 		return r.err
 	}
-	return errors.Join(r.err, r.jsonl.Close(), r.csvFile.Close())
+	return errors.Join(r.err, r.jsonl.Close())
 }
 
 // tick reads every node once.
@@ -161,25 +147,13 @@ func (r *Recorder) tick() {
 	}
 }
 
-// read takes one cumulative reading of n's /stats. A node that fails to
-// answer is logged, not fatal: it may be mid-start or mid-stop, and the
-// campaign's own reads and the fleet's exit checks own liveness.
+// read takes one cumulative reading of n's /stats. Gateways and
+// backends publish what they both count under the same keys, so every
+// node decodes into a gateway.Snapshot; what a backend does not publish
+// (shed, counters, workers) reads zero. A node that fails to answer is
+// logged, not fatal: it may be mid-start or mid-stop, and the campaign's
+// own reads and the fleet's exit checks own liveness.
 func (r *Recorder) read(n RecordNode) (session.Sample, error) {
-	if n.Role == RoleBackend {
-		var bs upstream.BackendStats
-		if err := gateway.GetJSON(n.Addr, "/stats", scrapeTimeout, &bs); err != nil {
-			r.logf("record: %s: %v", n.Key, err)
-			return session.Sample{}, err
-		}
-		return session.Sample{
-			TMS:          int64(bs.UptimeSec * 1000),
-			Messages:     bs.Requests,
-			BytesIn:      bs.BytesIn,
-			Shed:         bs.Dropped,
-			LatencyP50US: bs.Latency.P50US,
-			LatencyP99US: bs.Latency.P99US,
-		}, nil
-	}
 	snap, err := gateway.FetchStats(n.Addr, scrapeTimeout)
 	if err != nil {
 		r.logf("record: %s: %v", n.Key, err)
@@ -206,7 +180,6 @@ func (r *Recorder) land(n RecordNode, cum session.Sample) {
 		return
 	}
 	r.keep(r.jsonl.Write(row))
-	r.keep(r.csv.AppendRow(row.Sample, row.Phase, row.Node, row.Role, strconv.FormatInt(row.RelMS, 10)))
 }
 
 // event appends one phase event to the session JSONL.
@@ -266,15 +239,22 @@ func (r *Recorder) rowCount() int {
 	return r.rows
 }
 
-// windows cuts each node's phase window from its start and end reads,
-// gateways first; a node missing either read has none.
-func (r *Recorder) windows(start, end map[string]session.Sample) []NodeWindow {
+// windows cuts each node's phase window from its start and end reads:
+// the campaign's gateway at addr first, then the other nodes in
+// recording order (gateways first). A node missing either read has none.
+func (r *Recorder) windows(addr string, start, end map[string]session.Sample) []NodeWindow {
 	var out []NodeWindow
 	for _, n := range r.nodes {
 		s, ok := start[n.Key]
 		e, ok2 := end[n.Key]
-		if ok && ok2 {
-			out = append(out, NodeWindow{Node: n.Key, Role: n.Role, Sample: span(s, e)})
+		if !ok || !ok2 {
+			continue
+		}
+		w := NodeWindow{Node: n.Key, Role: n.Role, Sample: span(s, e)}
+		if n.Addr == addr {
+			out = slices.Insert(out, 0, w)
+		} else {
+			out = append(out, w)
 		}
 	}
 	return out

@@ -18,6 +18,8 @@ import (
 	"repro/internal/hwcount"
 	"repro/internal/runstats"
 	"repro/internal/session"
+	"repro/internal/upstream"
+	"repro/internal/workload"
 )
 
 // fakePlane is a control plane the test scripts: GET /stats answers
@@ -149,11 +151,20 @@ func TestRecorderSkewedClocks(t *testing.T) {
 		t.Fatalf("%d rows, want 10", len(rows))
 	}
 	// Aligned: rows interleave by rel_ms, not cluster by absolute clock.
+	var msgs uint64
+	roles := map[string]int{}
 	for i, row := range rows {
 		wantRel := int64(i/2) * 100
 		if row.RelMS != wantRel {
 			t.Fatalf("row %d: rel_ms %d, want %d (skew leaked into alignment)", i, row.RelMS, wantRel)
 		}
+		msgs += row.Sample.Messages
+		roles[row.Role]++
+	}
+	// Each node's windows add up to its growth: a priming row, then four
+	// windows of 10 messages each.
+	if msgs != 80 || roles[RoleGateway] != 5 || roles[RoleBackend] != 5 {
+		t.Fatalf("messages sum %d, roles %v; want 80, and 5 gateway and 5 backend rows", msgs, roles)
 	}
 	if e := rec.epoch["gateway/gw0"]; e != gwEpoch {
 		t.Errorf("gateway epoch %d, want %d", e, gwEpoch)
@@ -273,45 +284,6 @@ func TestRecorderJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-// session.csv prefixes phase/node/role/rel_ms columns but stays readable
-// by the stock session.ReadCSV parser (header-name column resolution).
-func TestRecorderCSVReadableBySessionReader(t *testing.T) {
-	rec, path := newTestRecorder(t, "gateway/gw0", "backend/b0")
-	// Seven cumulative reads of each node: a priming row and six windows
-	// of 5 messages.
-	for i := int64(0); i < 7; i++ {
-		landAt(rec, "gateway/gw0", 1000+i*100, 5*uint64(i))
-		landAt(rec, "backend/b0", 8_000_000+i*100, 5*uint64(i))
-	}
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(filepath.Join(filepath.Dir(path), "session.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	rows, err := session.ReadCSV(f)
-	if err != nil {
-		t.Fatalf("session.ReadCSV on the recorder's CSV: %v", err)
-	}
-	if len(rows) != 14 {
-		t.Fatalf("parsed %d rows, want 14", len(rows))
-	}
-	var msgs uint64
-	roles := map[string]int{}
-	for _, r := range rows {
-		msgs += r.Messages
-		roles[r.Role]++
-	}
-	if msgs != 60 {
-		t.Fatalf("messages sum %d, want 60", msgs)
-	}
-	if roles[RoleGateway] != 7 || roles[RoleBackend] != 7 {
-		t.Fatalf("roles %v, want 7 gateway and 7 backend rows", roles)
-	}
-}
-
 // gatewayStats is a scripted gateway /stats view.
 type gatewayStats struct {
 	mu   sync.Mutex
@@ -378,8 +350,9 @@ func TestRecorderAgainstFakeControlPlane(t *testing.T) {
 // scripted cumulative counts, a phase's gateway CPI is hwcount.Derive of
 // the counts' growth between the phase's start and end reads, its msgs/s
 // is Δmessages/Δt over the same reads, its GC share is the GC seconds'
-// growth over the CPU seconds', the backend's window is cut the same way,
-// and the campaign row and the gateway's per-node row agree exactly.
+// growth over the CPU seconds', the backend's window is cut the same way
+// from reads decoded the same way, and the gateway's per-node row — the
+// window the campaign row's counter columns read — comes first.
 func TestPhaseWindowsFromBoundaryReads(t *testing.T) {
 	var (
 		mu     sync.Mutex
@@ -412,7 +385,7 @@ func TestPhaseWindowsFromBoundaryReads(t *testing.T) {
 		mu.Lock()
 		defer mu.Unlock()
 		k := len(back)
-		stats := map[string]any{"uptime_seconds": 50 + 0.125*float64(k), "requests": 20 * k * k}
+		stats := map[string]any{"uptime_sec": 50 + 0.125*float64(k), "messages": 20 * k * k}
 		back = append(back, stats)
 		return stats
 	})
@@ -457,29 +430,155 @@ func TestPhaseWindowsFromBoundaryReads(t *testing.T) {
 		rate := float64(end.Messages-start.Messages) / sec
 		gc := 100 * (end.Counters.Runtime.GCCPUSec - start.Counters.Runtime.GCCPUSec) /
 			(end.Counters.Runtime.TotalCPUSec - start.Counters.Runtime.TotalCPUSec)
-		if p.Counters == nil || p.Counters.CPI != want.CPI || p.Counters.BrMPR != want.BrMPR ||
-			p.Counters.GCCPUPct != gc || p.Counters.Source != "hw" {
-			t.Errorf("phase %s: counters %+v, want CPI %v BrMPR %v gc%% %v from hw", p.Name, p.Counters, want.CPI, want.BrMPR, gc)
-		}
 		if len(p.Nodes) != 2 || p.Nodes[0].Node != "gateway/gw0" || p.Nodes[1].Node != "backend/b0" {
 			t.Fatalf("phase %s: node windows %+v, want the gateway then the backend", p.Name, p.Nodes)
 		}
-		g := p.Nodes[0]
-		if g.CPI != want.CPI || g.CacheMPI != want.CacheMPI || g.MsgsPerSec != rate || g.Messages != end.Messages-start.Messages {
-			t.Errorf("phase %s: gateway window %+v, want CPI %v MPI %v, %v msgs/s", p.Name, g.Sample, want.CPI, want.CacheMPI, rate)
-		}
-		// The campaign row and the gateway's node row are one window.
-		if g.CPI != p.Counters.CPI || g.BrMPR != p.Counters.BrMPR || g.GCCPUPct != p.Counters.GCCPUPct {
-			t.Errorf("phase %s: campaign row %+v and gateway row %+v disagree", p.Name, p.Counters, g.Sample)
+		// The gateway's node row is the window the campaign row reads.
+		g := p.gateway()
+		if g.Node != "gateway/gw0" || g.CPI != want.CPI || g.CacheMPI != want.CacheMPI || g.BrMPR != want.BrMPR ||
+			g.GCCPUPct != gc || g.DerivedSource != "hw" || g.MsgsPerSec != rate || g.Messages != end.Messages-start.Messages {
+			t.Errorf("phase %s: gateway window %+v, want CPI %v MPI %v BrMPR %v gc%% %v from hw, %v msgs/s",
+				p.Name, g.Sample, want.CPI, want.CacheMPI, want.BrMPR, gc, rate)
 		}
 		bs, bt := back[2*i], back[1+2*i]
-		bsec := bt["uptime_seconds"].(float64) - bs["uptime_seconds"].(float64)
-		bmsgs := uint64(bt["requests"].(int) - bs["requests"].(int))
+		bsec := bt["uptime_sec"].(float64) - bs["uptime_sec"].(float64)
+		bmsgs := uint64(bt["messages"].(int) - bs["messages"].(int))
 		if b := p.Nodes[1]; b.Messages != bmsgs || b.MsgsPerSec != float64(bmsgs)/(float64(int64(bsec*1000))/1000) || b.DerivedSource != "" {
 			t.Errorf("phase %s: backend window %+v, want %d msgs over %vs", p.Name, b.Sample, bmsgs, bsec)
 		}
 	}
 	if text := FormatReport(res); !strings.Contains(text, "fleet-total(gateways)") || !strings.Contains(text, "backend/b0") {
 		t.Errorf("report lacks the per-node windows:\n%s", text)
+	}
+}
+
+// artifactNames lists dir's entries, comma-joined in name order.
+func artifactNames(t *testing.T, dir string) string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return strings.Join(names, ",")
+}
+
+// post sends n FR messages to addr, each on a connection of its own (a
+// dropped request takes its connection with it), and returns how many
+// were answered 200.
+func post(t *testing.T, addr string, n int) (ok int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		cl, err := gateway.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := cl.Do(workload.HTTPRequestSeeded(i, workload.FR, 256, 1), 5*time.Second)
+		cl.Close()
+		if err == nil && resp.Status == 200 {
+			ok++
+		}
+	}
+	return ok
+}
+
+// A backend that drops requests under a fail_next fault sheds nothing:
+// its drops stay in its fault section, every row it lands has shed 0,
+// and its cumulative messages are the requests it answered.
+func TestRecorderBackendDropsAreNotShed(t *testing.T) {
+	be := startBackend(t)
+	dir := t.TempDir()
+	node := RecordNode{Key: "backend/b0", Role: RoleBackend, Addr: be.Addr().String()}
+	rec, err := NewRecorder(dir, []RecordNode{node}, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	failNext := int64(3)
+	if _, err := postFault(be.Addr().String(), upstream.FaultSpec{FailNext: &failNext}, 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	// Each tick lands a row: the backend's uptime clock moves between
+	// them (a read in the same millisecond as the last lands none).
+	tick := func() {
+		time.Sleep(2 * time.Millisecond)
+		rec.tick()
+	}
+	tick() // primes the window before any message
+	answered := post(t, be.Addr().String(), 5)
+	tick()
+	answered += post(t, be.Addr().String(), 3)
+	tick()
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := be.FaultState(); st.Dropped != 3 || answered != 5 {
+		t.Fatalf("backend dropped %d and answered %d, want 3 and 5", st.Dropped, answered)
+	}
+
+	rows := readRows(t, filepath.Join(dir, "session.jsonl"))
+	if len(rows) != 3 {
+		t.Fatalf("%d rows, want 3", len(rows))
+	}
+	var msgs uint64
+	for i, row := range rows {
+		if row.Sample.Shed != 0 {
+			t.Errorf("row %d: shed %d, want 0: a backend's drops are not shed", i, row.Sample.Shed)
+		}
+		msgs += row.Sample.Messages
+	}
+	last, err := rec.read(node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msgs != uint64(answered) || last.Messages != uint64(answered) || last.Shed != 0 {
+		t.Fatalf("windows sum to %d messages, last cumulative read %d messages %d shed; want %d answered and 0 shed",
+			msgs, last.Messages, last.Shed, answered)
+	}
+}
+
+// One decode for every node: a real gateway forwarding to a real
+// backend, both read by the same Recorder.read into the same sample
+// fields — each node's uptime clock, its answered messages, its bytes
+// and its latency.
+func TestRecorderReadsGatewayAndBackendOneWay(t *testing.T) {
+	be := startBackend(t)
+	gw := startGateway(t, gateway.Config{UseCase: workload.FR, Upstream: upstream.Config{Order: be.Addr().String()}})
+	rec, err := NewRecorder("", []RecordNode{
+		{Key: "gateway/gw0", Role: RoleGateway, Addr: gw},
+		{Key: "backend/b0", Role: RoleBackend, Addr: be.Addr().String()},
+	}, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	const n = 6
+	if ok := post(t, gw, n); ok != n {
+		t.Fatalf("%d of %d answered", ok, n)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		snap, err := gateway.FetchStats(gw, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Messages == n {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("gateway counted %d messages, want %d", snap.Messages, n)
+		}
+	}
+	for _, node := range rec.nodes {
+		s, err := rec.read(node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.TMS <= 0 || s.Messages != n || s.Shed != 0 || s.BytesIn == 0 || s.LatencyP50US == 0 || s.LatencyP99US < s.LatencyP50US {
+			t.Errorf("%s: cumulative read %+v, want a clock, %d messages, no shed, bytes and latency", node.Key, s, n)
+		}
 	}
 }

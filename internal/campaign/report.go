@@ -71,15 +71,12 @@ type PhaseReport struct {
 	// FaultSteps counts the scripted fault posts that fired this phase.
 	FaultSteps int `json:"fault_steps,omitempty"`
 
-	// Procs is the gateway's width (/stats workers) at phase start,
-	// Counters the gateway's counter view over the phase (nil without a
-	// counters section), and Nodes every recorded node's phase window.
-	// Each window is cut from the phase's start and end reads, so the
-	// gateway's row in Nodes and Counters agree. They feed FormatReport
-	// only; the rows themselves are in the session artifacts.
-	Procs    int            `json:"-"`
-	Counters *CounterWindow `json:"-"`
-	Nodes    []NodeWindow   `json:"-"`
+	// Nodes is every recorded node's phase window, each cut from the
+	// phase's start and end reads: the campaign's gateway first, then the
+	// other gateways, then the backends. The gateway's row gives the
+	// report its procs, cpi, brmpr% and gc% columns. They feed
+	// FormatReport only; the rows themselves are in session.jsonl.
+	Nodes []NodeWindow `json:"-"`
 }
 
 // NodeWindow is one node's window over a phase: messages, msgs/s, CPI
@@ -91,28 +88,13 @@ type NodeWindow struct {
 	session.Sample
 }
 
-// CounterWindow is the gateway's counter view over one phase: the
-// paper's CPI and BrMPR (Tables 4/6) and the GC CPU share.
-type CounterWindow struct {
-	CPI      float64
-	BrMPR    float64
-	GCCPUPct float64
-	// Source is "hw" or "model" (CPI and BrMPR are then the pinned
-	// model's predictions).
-	Source string
-	// Notice is the gateway's explanation of a model fallback.
-	Notice string
-}
-
-// counterWindow cuts the gateway's counter view from a phase's start
-// and end reads (nil when the gateway publishes no counters section).
-func counterWindow(start, end *gateway.Snapshot) *CounterWindow {
-	if end.Counters == nil {
-		return nil
+// gateway is the campaign gateway's window over the phase, the first
+// of Nodes; zero when the phase has none.
+func (p *PhaseReport) gateway() NodeWindow {
+	if len(p.Nodes) == 0 || p.Nodes[0].Role != RoleGateway {
+		return NodeWindow{}
 	}
-	w := span(start.Sample(), end.Sample())
-	return &CounterWindow{CPI: w.CPI, BrMPR: w.BrMPR, GCCPUPct: w.GCCPUPct,
-		Source: w.DerivedSource, Notice: end.Counters.Notice}
+	return p.Nodes[0]
 }
 
 // StageWindow is one pipeline stage's share of the phase: how many
@@ -135,7 +117,6 @@ func buildPhaseReport(p *Phase, dur time.Duration, client gateway.Report, lp *lo
 		PeakConns:   p.PeakWidth(),
 		Counts:      client.Counts,
 		FaultSteps:  len(p.Faults),
-		Procs:       snapStart.Workers,
 	}
 	if rep.DurationSec > 0 {
 		rep.OfferedPerSec = float64(rep.Sent) / rep.DurationSec
@@ -184,7 +165,7 @@ func stageWindow(start, end map[string]gateway.HistSnapshot) map[string]StageWin
 }
 
 // Artifact names under a campaign's output directory, beside the
-// recorder's session.jsonl and session.csv.
+// recorder's session.jsonl.
 const (
 	ReportFile = "campaign-report.txt"
 	ResultFile = "campaign-result.json"
@@ -226,7 +207,7 @@ func FormatReport(res *Result) string {
 	}
 	b.WriteString("\n\n")
 
-	counters := slices.ContainsFunc(res.Phases, func(p PhaseReport) bool { return p.Counters != nil })
+	counters := slices.ContainsFunc(res.Phases, func(p PhaseReport) bool { return p.gateway().DerivedSource != "" })
 	fmt.Fprintf(&b, "%-14s %-9s %-5s %5s %6s %6s %10s %8s %6s %8s %8s %6s %6s %6s",
 		"phase", "shape", "uc", "procs", "dur(s)", "peak", "offered/s", "ok/s", "scale",
 		"p50us", "p99us", "shed", "idle", "flt")
@@ -234,35 +215,33 @@ func FormatReport(res *Result) string {
 		fmt.Fprintf(&b, " %8s %8s %6s", "cpi", "brmpr%", "gc%")
 	}
 	b.WriteByte('\n')
-	marked, notice := false, ""
+	marked := false
 	for i := range res.Phases {
 		p := &res.Phases[i]
+		g := p.gateway()
 		scale := 0.0
 		if base := res.Phases[0].OKPerSec; base > 0 {
 			scale = p.OKPerSec / base
 		}
 		fmt.Fprintf(&b, "%-14s %-9s %-5s %5d %6.1f %6d %10.0f %8.0f %6.2f %8d %8d %6d %6d %6d",
-			p.Name, p.Shape, p.UseCase, p.Procs, p.DurationSec, p.PeakConns,
+			p.Name, p.Shape, p.UseCase, g.GOMAXPROCS, p.DurationSec, p.PeakConns,
 			p.OfferedPerSec, p.OKPerSec, scale, p.LatencyP50US, p.LatencyP99US,
 			max(p.Shed, p.GwShed), // client and gateway shed views can differ under overlap
 			p.GwIdleTimeouts, p.FaultSteps)
-		if c := p.Counters; c != nil {
+		if g.DerivedSource != "" {
 			mark := ""
-			if c.Source == "model" {
+			if g.DerivedSource == "model" {
 				mark, marked = "*", true
-				if notice == "" {
-					notice = c.Notice
-				}
 			}
 			fmt.Fprintf(&b, " %8s %8s %6.1f",
-				fmt.Sprintf("%.2f%s", c.CPI, mark), fmt.Sprintf("%.2f%s", c.BrMPR, mark), c.GCCPUPct)
+				fmt.Sprintf("%.2f%s", g.CPI, mark), fmt.Sprintf("%.2f%s", g.BrMPR, mark), g.GCCPUPct)
 		} else if counters {
 			fmt.Fprintf(&b, " %8s %8s %6s", "-", "-", "-")
 		}
 		b.WriteByte('\n')
 	}
 	if marked {
-		fmt.Fprintf(&b, "* model prediction — %s\n", notice)
+		b.WriteString("* model prediction — the gateway's counters ran runtime-only (its /stats counters.notice says why)\n")
 	}
 	formatNodes(&b, res.Phases)
 

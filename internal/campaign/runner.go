@@ -218,8 +218,7 @@ func (r *runner) runPhase(p *Phase) (*PhaseReport, []dtrace.Span, error) {
 	}
 
 	rep := buildPhaseReport(p, activeDur, client, lp, snapStart, snapEnd)
-	rep.Nodes = r.rec.windows(starts, ends)
-	rep.Counters = counterWindow(snapStart, snapEnd)
+	rep.Nodes = r.rec.windows(r.addr, starts, ends)
 	r.rec.event(map[string]any{"type": "phase-end", "phase": p.Name, "report": rep})
 	r.logf("campaign: phase %s done: offered %.0f/s ok %.0f/s p99 %dus shed %d",
 		p.Name, rep.OfferedPerSec, rep.OKPerSec, rep.LatencyP99US, rep.Shed)

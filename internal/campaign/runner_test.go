@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/gateway"
+	"repro/internal/session"
 )
 
 // startGateway brings up an in-process gateway on loopback.
@@ -79,8 +80,8 @@ func TestPhaseGOMAXPROCS(t *testing.T) {
 	if fmt.Sprint(seen) != "[1 2]" {
 		t.Fatalf("phase widths %v, want [1 2]", seen)
 	}
-	if res.Phases[0].Procs != 1 || res.Phases[1].Procs != 2 {
-		t.Fatalf("report procs %d, %d, want 1, 2", res.Phases[0].Procs, res.Phases[1].Procs)
+	if p0, p1 := res.Phases[0].gateway(), res.Phases[1].gateway(); p0.GOMAXPROCS != 1 || p1.GOMAXPROCS != 2 {
+		t.Fatalf("report procs %d, %d, want 1, 2", p0.GOMAXPROCS, p1.GOMAXPROCS)
 	}
 	for _, p := range res.Phases {
 		if p.OK == 0 {
@@ -139,6 +140,51 @@ func TestPhaseGOMAXPROCSRefusedElsewhere(t *testing.T) {
 	}
 	if got := runtime.GOMAXPROCS(0); got != before {
 		t.Fatalf("GOMAXPROCS %d after a failed Run, want %d restored", got, before)
+	}
+}
+
+// TestFormatReportGatewayColumns: the report's procs, cpi, brmpr% and
+// gc% cells are the gateway's phase window, the campaign's gateway being
+// the first of Nodes; a model-sourced window marks its cells * and adds
+// the notice line, a window without counters drops the columns, and a
+// phase without a counter view beside one with it reads "-".
+func TestFormatReportGatewayColumns(t *testing.T) {
+	gw := func(src string) []NodeWindow {
+		return []NodeWindow{
+			{Node: "gateway/gw0", Role: RoleGateway, Sample: session.Sample{GOMAXPROCS: 3, CPI: 1.5, BrMPR: 3.25, GCCPUPct: 4.5, DerivedSource: src}},
+			{Node: "backend/b0", Role: RoleBackend, Sample: session.Sample{CPI: 9, BrMPR: 9}},
+		}
+	}
+	const notice = "* model prediction"
+	for _, tc := range []struct {
+		name   string
+		phases []PhaseReport
+		want   []string
+		absent []string
+	}{
+		{"hw", []PhaseReport{{Name: "p", Nodes: gw("hw")}},
+			[]string{"cpi", "brmpr%", "gc%", "    3 ", "    1.50     3.25    4.5\n"}, []string{"*", notice}},
+		{"model", []PhaseReport{{Name: "p", Nodes: gw("model")}},
+			[]string{"    3 ", "   1.50*    3.25*    4.5\n", notice}, nil},
+		{"no-counters", []PhaseReport{{Name: "p", Nodes: gw("")}},
+			[]string{"    3 "}, []string{"cpi", "brmpr%", notice}},
+		{"mixed", []PhaseReport{{Name: "p", Nodes: gw("hw")}, {Name: "q"}},
+			[]string{"cpi", "        -        -      -\n"}, []string{notice}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			text := FormatReport(&Result{Name: "r", Phases: tc.phases})
+			for _, w := range tc.want {
+				if !strings.Contains(text, w) {
+					t.Errorf("report lacks %q:\n%s", w, text)
+				}
+			}
+			table, _, _ := strings.Cut(text, "per-node phase windows")
+			for _, a := range tc.absent {
+				if strings.Contains(table, a) {
+					t.Errorf("report table has %q:\n%s", a, text)
+				}
+			}
+		})
 	}
 }
 

@@ -5,7 +5,7 @@
 // offsets within the phase. The runner drives a live gateway through the
 // phases with closed-loop senders whose number the shape's envelope
 // sets, samples its /stats surface into a phase-tagged
-// session timeline (crash-safe JSONL + CSV the stock readers parse), and
+// session timeline (one crash-safe file, session.jsonl), and
 // emits per-phase Figure-5/6-style report rows with stage-latency
 // columns and every recorded node's window.
 //

@@ -66,7 +66,7 @@ func (r *traceRing) Kept() uint64 {
 // backend alike. At the fleet's default 200 ms trace pulls it covers
 // about 5 000 kept traces a second — about four times the ≈ 1 300/s a
 // saturated 4-connection FR fleet run samples on a 2-vCPU host at the
-// default trace_client_every — before a pull can miss one to eviction.
+// fleet's default trace_every — before a pull can miss one to eviction.
 const ringCapacity = 1024
 
 // slowOverUS is the root duration from which an unsampled trace is kept

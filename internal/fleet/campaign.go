@@ -27,11 +27,6 @@ func (c *Coordinator) RunCampaign() error {
 			spec.Backends = append(spec.Backends, dialable(b.Addr))
 		}
 	}
-	if c.cfg.Trace && spec.TraceEvery == 0 {
-		// The fleet's trace plane is on: make the campaign originate
-		// client trace IDs at the fleet's configured cadence.
-		spec.TraceEvery = c.cfg.TraceClientEvery
-	}
 	if err := spec.Validate(); err != nil {
 		return err
 	}

@@ -63,7 +63,7 @@ type NodeConfig struct {
 // Config is the declarative fleet topology, loaded from JSON.
 type Config struct {
 	// OutDir receives every artifact: per-node logs, the recorder's
-	// session.jsonl and session.csv (every node, phase-tagged), the
+	// session.jsonl (every node, phase-tagged), the
 	// campaign's report and result, and with Trace traces.jsonl and
 	// trace-report.txt.
 	// Default "fleet-out".
@@ -83,15 +83,12 @@ type Config struct {
 	// Trace turns on the fleet's distributed-trace plane: launched
 	// gateways get -trace (tail-based sampling + GET /traces), every
 	// launched node gets -trace-node <role/id> so spans carry fleet
-	// identities, the campaign originates a trace every
-	// TraceClientEvery requests, and the trace pulls join every node's
-	// kept spans into <out_dir>/traces.jsonl, rendered at Finish as the
-	// critical-path report <out_dir>/trace-report.txt. Off by default —
-	// the trace plane is opt-in per fleet.
+	// identities, the campaign originates a trace every trace_every
+	// requests per connection (default 16), and the trace pulls join
+	// every node's kept spans into <out_dir>/traces.jsonl, rendered at
+	// Finish as the critical-path report <out_dir>/trace-report.txt. Off
+	// by default — the trace plane is opt-in per fleet.
 	Trace bool `json:"trace,omitempty"`
-	// TraceClientEvery originates a client-side trace every Nth request
-	// per connection (default 16 when Trace is set; ignored otherwise).
-	TraceClientEvery int `json:"trace_client_every,omitempty"`
 
 	Nodes []NodeConfig `json:"nodes"`
 	// Campaign embeds a campaign spec (internal/campaign): the fleet
@@ -146,12 +143,6 @@ func (c *Config) Validate() error {
 	if c.GraceMS <= 0 {
 		c.GraceMS = 10000
 	}
-	if c.TraceClientEvery < 0 {
-		return fmt.Errorf("fleet: trace_client_every %d, want >= 0", c.TraceClientEvery)
-	}
-	if c.Trace && c.TraceClientEvery == 0 {
-		c.TraceClientEvery = 16
-	}
 	if len(c.Nodes) == 0 {
 		return fmt.Errorf("fleet: config has no nodes")
 	}
@@ -194,6 +185,11 @@ func (c *Config) Validate() error {
 	if c.Campaign != nil && c.Campaign.SampleIntervalMS != 0 {
 		return fmt.Errorf("fleet: campaign sample_interval_ms %d: a fleet records every node at scrape_interval_ms; set that instead",
 			c.Campaign.SampleIntervalMS)
+	}
+	// The trace plane is on: the campaign originates client traces, one
+	// per 16 requests per connection unless it says otherwise.
+	if c.Trace && c.Campaign != nil && c.Campaign.TraceEvery == 0 {
+		c.Campaign.TraceEvery = 16
 	}
 	// The campaign spec itself is validated in RunCampaign, after the
 	// coordinator has injected the topology's gateway and backend

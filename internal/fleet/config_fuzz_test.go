@@ -29,6 +29,7 @@ func TestParseConfigIsStrict(t *testing.T) {
 	for _, doc := range []string{
 		`{` + nodes + `, "bogus": 1}`,
 		`{` + nodes + `, "sweep": {"conns": [1]}}`,
+		`{` + nodes + `, "trace": true, "trace_client_every": 4}`,
 		`{"nodes": [{"role": "gateway", "addr": "x:1"}, {"role": "load"}]}`,
 		`{` + nodes + `, "campaign": {"phases": [{"duration_ms": 1, "conns": 1, "bogus": 1}]}}`,
 		`{` + nodes + `, "campaign": {"phases": [{"faults": [{"fault": {"bogus": 1}}]}]}}`,
@@ -45,7 +46,9 @@ func TestParseConfigIsStrict(t *testing.T) {
 // reads back the same — re-encoded, it parses to the same config — and it
 // refuses the same document with a second one after it. It never panics.
 func FuzzParseConfig(f *testing.F) {
-	for _, seed := range []string{goodConfig, `{"nodes":[{"role":"gateway","addr":"x:1"}]}`, `{}`, `{} junk`} {
+	for _, seed := range []string{goodConfig, `{"nodes":[{"role":"gateway","addr":"x:1"}]}`, `{}`, `{} junk`,
+		`{"trace":true,"nodes":[{"role":"gateway","addr":"x:1"}],"campaign":{"trace_every":4,"phases":[{"duration_ms":1,"conns":1}]}}`,
+		`{"trace":true,"nodes":[{"role":"gateway","addr":"x:1"}],"campaign":{"phases":[{"duration_ms":1,"conns":1}]}}`} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -96,7 +96,7 @@ func dialable(addr string) string {
 // Start brings the fleet up in dependency order — backends, then
 // gateways — with a readiness probe against each node's /stats before
 // the next tier launches, and starts recording every node into
-// out_dir/session.{jsonl,csv} at the scrape interval.
+// out_dir/session.jsonl at the scrape interval.
 func (c *Coordinator) Start() error {
 	if err := os.MkdirAll(c.cfg.OutDir, 0o755); err != nil {
 		return fmt.Errorf("fleet: out dir: %w", err)
@@ -235,7 +235,7 @@ func (c *Coordinator) Finish() error {
 		}
 		c.Logf("traces: %d spans → %s, %s", c.traces.Len(), filepath.Join(c.cfg.OutDir, tracesJSONLName), path)
 	}
-	c.Logf("artifacts in %s: session.jsonl, session.csv and logs", c.cfg.OutDir)
+	c.Logf("artifacts in %s: session.jsonl and logs", c.cfg.OutDir)
 	return nil
 }
 

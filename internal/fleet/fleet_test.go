@@ -3,18 +3,15 @@ package fleet
 import (
 	"bufio"
 	"context"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/campaign"
 	"repro/internal/gateway"
-	"repro/internal/session"
 	"repro/internal/upstream"
 	"repro/internal/workload"
 )
@@ -104,30 +101,6 @@ func sampleRows(t *testing.T, path string) []campaign.Row {
 		}
 	}
 	return rows
-}
-
-// csvNodes reads a session.csv and returns its row count and the node
-// column's values.
-func csvNodes(t *testing.T, path string) (int, map[string]bool) {
-	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	recs, err := csv.NewReader(f).ReadAll()
-	if err != nil || len(recs) == 0 {
-		t.Fatalf("%s: %d records, err %v", path, len(recs), err)
-	}
-	col := slices.Index(recs[0], "node")
-	if col < 0 {
-		t.Fatalf("%s: no node column in %v", path, recs[0])
-	}
-	nodes := map[string]bool{}
-	for _, r := range recs[1:] {
-		nodes[r[col]] = true
-	}
-	return len(recs) - 1, nodes
 }
 
 func TestConfigExpandReplicas(t *testing.T) {
@@ -223,9 +196,8 @@ func TestFleetAttachCampaign(t *testing.T) {
 		t.Fatalf("shutdown: %v", err)
 	}
 
-	// One recording: out_dir holds one session.jsonl and one session.csv
-	// beside the campaign's report and result (attached nodes leave no
-	// logs).
+	// One recording: out_dir holds one session.jsonl beside the
+	// campaign's report and result (attached nodes leave no logs).
 	entries, err := os.ReadDir(outDir)
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +206,7 @@ func TestFleetAttachCampaign(t *testing.T) {
 	for _, e := range entries {
 		names = append(names, e.Name())
 	}
-	if got, want := strings.Join(names, ","), "campaign-report.txt,campaign-result.json,session.csv,session.jsonl"; got != want {
+	if got, want := strings.Join(names, ","), "campaign-report.txt,campaign-result.json,session.jsonl"; got != want {
 		t.Fatalf("out_dir holds %s, want %s", got, want)
 	}
 
@@ -249,30 +221,6 @@ func TestFleetAttachCampaign(t *testing.T) {
 		if !seen[n] {
 			t.Fatalf("jsonl missing node %s", n)
 		}
-	}
-
-	// The CSV carries the same rows, for all three nodes, and parses with
-	// the stock session reader.
-	csvRows, csvSeen := csvNodes(t, filepath.Join(outDir, "session.csv"))
-	if csvRows != len(rows) {
-		t.Fatalf("csv has %d rows, jsonl %d", csvRows, len(rows))
-	}
-	for _, n := range wantNodes {
-		if !csvSeen[n] {
-			t.Fatalf("csv missing node %s", n)
-		}
-	}
-	f, err := os.Open(filepath.Join(outDir, "session.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := session.ReadCSV(f)
-	f.Close()
-	if err != nil {
-		t.Fatalf("session csv: %v", err)
-	}
-	if len(parsed) == 0 {
-		t.Fatal("session csv is empty")
 	}
 
 	// The campaign report carries both phases' per-node windows and the
@@ -382,7 +330,7 @@ func TestFleetScenarioCampaign(t *testing.T) {
 	}
 
 	// Artifacts: campaign report + result beside the fleet's one session.
-	for _, name := range []string{campaign.ReportFile, campaign.ResultFile, "session.csv", "session.jsonl"} {
+	for _, name := range []string{campaign.ReportFile, campaign.ResultFile, "session.jsonl"} {
 		p := filepath.Join(outDir, name)
 		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
 			t.Fatalf("campaign artifact %s missing or empty (err=%v)", p, err)

@@ -65,7 +65,7 @@ func (f *fakeNode) serve(c net.Conn) {
 	case "/stats":
 		f.snap.UptimeSec += 1.0 / 128
 		if f.backend {
-			c.Write(httpmsg.JSONResponse(200, map[string]any{"uptime_seconds": f.snap.UptimeSec, "requests": f.snap.Messages}))
+			c.Write(httpmsg.JSONResponse(200, map[string]any{"uptime_sec": f.snap.UptimeSec, "messages": f.snap.Messages}))
 		} else {
 			c.Write(httpmsg.JSONResponse(200, f.snap))
 		}

@@ -31,7 +31,7 @@ func TestFleetTracePlane(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		force bool // counters forced to runtime-only
-		every int  // the fleet's trace_client_every
+		every int  // the campaign's trace_every
 	}{
 		{"host-mode", false, 1},
 		{"forced-runtime-only", true, 1},
@@ -77,12 +77,11 @@ func testFleetTracePlane(t *testing.T, every int) {
 		ScrapeIntervalMS: 20,
 		ReadyTimeoutMS:   5000,
 		Trace:            true,
-		TraceClientEvery: every,
 		Nodes: []NodeConfig{
 			{Role: roleBackend, ID: "b0", Addr: order.Addr().String(), Endpoint: "order", Attach: true},
 			{Role: roleGateway, ID: "gw0", Addr: srv.Addr().String(), Attach: true},
 		},
-		Campaign: &campaign.Spec{Phases: []campaign.Phase{{DurationMS: 100, Conns: 2}}},
+		Campaign: &campaign.Spec{TraceEvery: every, Phases: []campaign.Phase{{DurationMS: 100, Conns: 2}}},
 	}
 	co, err := New(cfg)
 	if err != nil {
@@ -276,24 +275,35 @@ func TestTraceStoreDedup(t *testing.T) {
 	}
 }
 
-// TestFleetTraceConfigDefaults checks the trace plane's knob defaults.
+// TestFleetTraceConfigDefaults checks the trace plane's knob defaults:
+// with the plane on, a campaign that names no trace_every originates one
+// trace per 16 requests, one that names it keeps it, and the plane is off
+// by default. The cadence is the campaign's alone (TestParseConfigIsStrict
+// refuses a fleet-level trace_client_every), and the campaign spec
+// refuses a negative trace_every.
 func TestFleetTraceConfigDefaults(t *testing.T) {
-	cfg := Config{Trace: true, Nodes: []NodeConfig{{Role: "gateway", Addr: "x:1"}}}
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
+	gw := []NodeConfig{{Role: "gateway", Addr: "x:1"}}
+	for _, tc := range []struct {
+		trace       bool
+		every, want int
+	}{{true, 0, 16}, {true, 4, 4}, {false, 0, 0}} {
+		cfg := Config{Trace: tc.trace, Nodes: gw, Campaign: &campaign.Spec{TraceEvery: tc.every}}
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if got := cfg.Campaign.TraceEvery; got != tc.want {
+			t.Errorf("trace %v, trace_every %d: campaign trace_every %d, want %d", tc.trace, tc.every, got, tc.want)
+		}
 	}
-	if cfg.TraceClientEvery != 16 {
-		t.Fatalf("TraceClientEvery=%d, want default 16", cfg.TraceClientEvery)
-	}
-	off := Config{Nodes: []NodeConfig{{Role: "gateway", Addr: "x:1"}}}
+	off := Config{Nodes: gw}
 	if err := off.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if off.Trace || off.TraceClientEvery != 0 {
+	if off.Trace {
 		t.Fatalf("trace plane on by default: %+v", off)
 	}
-	bad := Config{TraceClientEvery: -1, Nodes: []NodeConfig{{Role: "gateway", Addr: "x:1"}}}
+	bad := campaign.Spec{TraceEvery: -1, Phases: []campaign.Phase{{DurationMS: 1, Conns: 1}}}
 	if err := bad.Validate(); err == nil {
-		t.Fatal("negative trace_client_every validated")
+		t.Fatal("negative trace_every validated")
 	}
 }

@@ -18,38 +18,6 @@ type Hist = lhist.Hist
 // HistSnapshot is a point-in-time percentile read.
 type HistSnapshot = lhist.Snapshot
 
-// rateRing tracks per-second message completions without locks: slot
-// sec%len holds the count for wall-clock second sec, lazily reset when the
-// ring wraps onto a stale second.
-type rateRing struct {
-	slots [8]struct {
-		sec atomic.Int64
-		n   atomic.Uint64
-	}
-}
-
-func (r *rateRing) tick(now time.Time) {
-	sec := now.Unix()
-	s := &r.slots[sec%int64(len(r.slots))]
-	if s.sec.Load() != sec {
-		if s.sec.Swap(sec) != sec {
-			s.n.Store(0)
-		}
-	}
-	s.n.Add(1)
-}
-
-// lastSecond returns the completed count for the most recent *finished*
-// wall-clock second (the current second is still filling).
-func (r *rateRing) lastSecond(now time.Time) uint64 {
-	want := now.Unix() - 1
-	s := &r.slots[want%int64(len(r.slots))]
-	if s.sec.Load() != want {
-		return 0
-	}
-	return s.n.Load()
-}
-
 // Metrics is the gateway's live counter set — the socket-world mirror of
 // the simulator's aon.Stats, plus the shedding counters that only exist
 // when load is real.
@@ -77,7 +45,6 @@ type Metrics struct {
 	// comparable per workload — and lines up with the per-use-case stage
 	// traces.
 	LatencyByUC [numTraceUseCases]Hist
-	rate        rateRing
 }
 
 // newMetrics starts the clock.
@@ -91,7 +58,6 @@ func (m *Metrics) Done(outcome verdict.Outcome, uc workload.UseCase, d time.Dura
 	if uc >= 0 && int(uc) < len(m.LatencyByUC) {
 		m.LatencyByUC[uc].Observe(d)
 	}
-	m.rate.tick(time.Now())
 	switch outcome {
 	case verdict.OutForwarded:
 		m.Forwarded.Add(1)
@@ -109,6 +75,9 @@ func (m *Metrics) Done(outcome verdict.Outcome, uc workload.UseCase, d time.Dura
 }
 
 // Snapshot is the JSON shape served on /stats and printed at shutdown.
+// A backend's /stats publishes what it also counts under the same keys
+// (uptime_sec, messages, bytes_in, latency), so the campaign recorder
+// decodes every node into a Snapshot.
 type Snapshot struct {
 	UptimeSec    float64 `json:"uptime_sec"`
 	Conns        uint64  `json:"conns"`
@@ -125,9 +94,6 @@ type Snapshot struct {
 	Shed         uint64  `json:"shed_503"`
 	UpstreamErrs uint64  `json:"upstream_errors"`
 	IdleTimeouts uint64  `json:"idle_timeouts"`
-	MsgsPerSec   float64 `json:"msgs_per_sec"`  // lifetime average
-	LastSecMsgs  uint64  `json:"last_sec_msgs"` // most recent full second
-	MbpsIn       float64 `json:"mbps_in"`       // lifetime average
 	// Workers is GOMAXPROCS — how many messages the gateway processes at
 	// once (filled by Server.Snapshot). A campaign reads it as each
 	// phase's width.
@@ -155,13 +121,6 @@ type Snapshot struct {
 
 // Snapshot reads every counter.
 func (m *Metrics) Snapshot() Snapshot {
-	now := time.Now()
-	up := now.Sub(m.start).Seconds()
-	if up <= 0 {
-		up = 1e-9
-	}
-	msgs := m.Messages.Load()
-	in := m.BytesIn.Load()
 	var byUC map[string]HistSnapshot
 	for i := range m.LatencyByUC {
 		s := m.LatencyByUC[i].Snapshot()
@@ -174,11 +133,11 @@ func (m *Metrics) Snapshot() Snapshot {
 		byUC[workload.UseCase(i).String()] = s
 	}
 	return Snapshot{
-		UptimeSec:        up,
+		UptimeSec:        time.Since(m.start).Seconds(),
 		Conns:            m.Conns.Load(),
 		ActiveConns:      m.ActiveConns.Load(),
-		Messages:         msgs,
-		BytesIn:          in,
+		Messages:         m.Messages.Load(),
+		BytesIn:          m.BytesIn.Load(),
 		BytesOut:         m.BytesOut.Load(),
 		RoutedMatch:      m.RoutedMatch.Load(),
 		RoutedError:      m.RoutedError.Load(),
@@ -189,9 +148,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		Shed:             m.Shed.Load(),
 		UpstreamErrs:     m.UpstreamErrs.Load(),
 		IdleTimeouts:     m.IdleTimeouts.Load(),
-		MsgsPerSec:       float64(msgs) / up,
-		LastSecMsgs:      m.rate.lastSecond(now),
-		MbpsIn:           float64(in) * 8 / 1e6 / up,
 		Latency:          m.Latency.Snapshot(),
 		LatencyByUseCase: byUC,
 	}

@@ -16,7 +16,6 @@ import (
 type JSONL struct {
 	mu     sync.Mutex
 	f      *os.File
-	rows   int
 	closed bool
 }
 
@@ -40,15 +39,7 @@ func (j *JSONL) Write(v any) error {
 	if _, err := j.f.Write(append(b, '\n')); err != nil { // the *PathError names the file
 		return fmt.Errorf("session: jsonl: %w", err)
 	}
-	j.rows++
 	return nil
-}
-
-// Rows is the number of rows written so far.
-func (j *JSONL) Rows() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.rows
 }
 
 // Close closes the file. Idempotent; a Write after it is an error.

@@ -10,9 +10,11 @@
 // the raw material for the paper's CPI-over-time figures.
 //
 // The package owns the sample schema, the one polling loop (Every), the
-// windowing rule (Windower) and the artifacts (CSV, JSONL); the caller
-// flattens whatever it observes into a cumulative Sample, which keeps
-// session free of any dependency on the gateway.
+// windowing rule (Windower) and the one persister (JSONL): a recording
+// is one session.jsonl whose rows carry every Sample field, per-CPU
+// detail included. The caller flattens whatever it observes into a
+// cumulative Sample, which keeps session free of any dependency on the
+// gateway.
 package session
 
 import (

@@ -301,20 +301,18 @@ func (s *BackendServer) recordServe(traceVal []byte, start time.Time, d time.Dur
 }
 
 // BackendStats is the GET /stats JSON shape — the backend's
-// self-reported counter set, keyed the same way the gateway reports so a
-// cross-node recorder treats both uniformly. TMS is the backend's own
-// wall clock at snapshot time: cross-node alignment uses each node's
-// monotonic uptime, never a comparison of clocks across machines.
+// self-reported counter set. What a backend and a gateway both count
+// carries the gateway's key (uptime_sec, messages, bytes_in, latency),
+// so a cross-node recorder decodes either into gateway.Snapshot; the
+// time axis is the backend's own monotonic uptime, never a comparison
+// of clocks across machines. Drops and injected errors are in Fault.
 type BackendStats struct {
 	Name      string  `json:"name"`
-	TMS       int64   `json:"t_ms"`
-	UptimeSec float64 `json:"uptime_seconds"`
+	UptimeSec float64 `json:"uptime_sec"`
 	// Goroutines is the live goroutine count — the quickest leak/stall
 	// tell a campaign post-mortem has from the backend side.
 	Goroutines    int     `json:"goroutines"`
-	Requests      uint64  `json:"requests"`
-	Dropped       uint64  `json:"dropped"`
-	Errored       uint64  `json:"errored"`
+	Messages      uint64  `json:"messages"` // messages answered
 	StatsRequests uint64  `json:"stats_requests"`
 	FaultPosts    uint64  `json:"fault_posts"`
 	BytesIn       uint64  `json:"bytes_in"`
@@ -322,7 +320,6 @@ type BackendStats struct {
 	RespBytes     int     `json:"resp_bytes"`
 	DelayMS       float64 `json:"delay_ms"`
 	FailFirst     int     `json:"fail_first"`
-	FaultActive   bool    `json:"fault_active"`
 	// LastFaultMS is the backend's wall clock (UnixMilli) when the most
 	// recent /fault step was applied; 0 when none ever was. Campaign
 	// post-mortems line it up with the fault script's acknowledgment log
@@ -334,16 +331,12 @@ type BackendStats struct {
 
 // Stats snapshots the live counters.
 func (s *BackendServer) Stats() BackendStats {
-	fault := s.FaultState()
 	return BackendStats{
 		Name:          s.cfg.Name,
-		TMS:           time.Now().UnixMilli(),
 		UptimeSec:     time.Since(s.start).Seconds(),
 		Goroutines:    runtime.NumGoroutine(),
 		LastFaultMS:   s.lastFaultMS.Load(),
-		Requests:      s.Requests.Load(),
-		Dropped:       s.Failed.Load(),
-		Errored:       s.Errored.Load(),
+		Messages:      s.Requests.Load(),
 		StatsRequests: s.StatsRequests.Load(),
 		FaultPosts:    s.FaultPosts.Load(),
 		BytesIn:       s.BytesIn.Load(),
@@ -351,8 +344,7 @@ func (s *BackendServer) Stats() BackendStats {
 		RespBytes:     s.cfg.RespBytes,
 		DelayMS:       float64(s.cfg.Delay) / float64(time.Millisecond),
 		FailFirst:     s.cfg.FailFirst,
-		FaultActive:   fault.Active,
-		Fault:         fault,
+		Fault:         s.FaultState(),
 		Latency:       s.Latency.Snapshot(),
 	}
 }

@@ -149,8 +149,8 @@ func TestFaultEndpoint(t *testing.T) {
 
 	// /stats carries the fault section and injected-error counters.
 	stats := be.Stats()
-	if stats.Errored != 1 || stats.Dropped != 2 || stats.FaultPosts < 4 {
-		t.Fatalf("stats: errored=%d dropped=%d fault_posts=%d", stats.Errored, stats.Dropped, stats.FaultPosts)
+	if stats.Fault.Errored != 1 || stats.Fault.Dropped != 2 || stats.FaultPosts < 4 {
+		t.Fatalf("stats: errored=%d dropped=%d fault_posts=%d", stats.Fault.Errored, stats.Fault.Dropped, stats.FaultPosts)
 	}
 }
 

@@ -16,6 +16,10 @@
 // backend faults and deleted (EXPERIMENTS.md, "Upstream resilience on
 // trial"). Per-backend counters and latency histograms fold into the
 // gateway's /stats.
+//
+// BackendServer is the far end of that hop (cmd/aonback). Its own /stats
+// publishes what it shares with a gateway under the gateway's keys
+// (uptime_sec, messages, bytes_in, latency), so one decode reads both.
 package upstream
 
 import (

@@ -2,6 +2,7 @@ package upstream
 
 import (
 	"bufio"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -324,9 +325,10 @@ func TestBackendKeepAlive(t *testing.T) {
 }
 
 // TestBackendStats pins the backend's /stats control plane: GET /stats
-// answers the live counter JSON (request counts, fault-injection state,
-// latency histogram) on the same keep-alive socket the data plane uses,
-// without counting itself as a message or tripping fault injection.
+// answers the live counter JSON (message counts under the gateway's
+// keys, fault-injection state, latency histogram) on the same keep-alive
+// socket the data plane uses, without counting itself as a message or
+// tripping fault injection.
 func TestBackendStats(t *testing.T) {
 	be, err := StartBackend("127.0.0.1:0", BackendConfig{
 		Name: "order", Delay: 2 * time.Millisecond, FailFirst: 1,
@@ -360,9 +362,20 @@ func TestBackendStats(t *testing.T) {
 	if status != 200 {
 		t.Fatalf("/stats status=%d body=%s", status, body)
 	}
-	for _, want := range []string{`"name": "order"`, `"requests": 0`, `"fail_first": 1`, `"fault_active": true`, `"t_ms"`, `"latency"`} {
+	for _, want := range []string{`"name": "order"`, `"messages": 0`, `"fail_first": 1`, `"active": true`, `"uptime_sec"`, `"latency"`} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/stats missing %s:\n%s", want, body)
+		}
+	}
+	// What the gateway also counts carries the gateway's key, and what
+	// the fault section carries is not published twice.
+	var top map[string]any
+	if err := json.Unmarshal([]byte(body), &top); err != nil {
+		t.Fatal(err)
+	}
+	for _, gone := range []string{"uptime_seconds", "requests", "t_ms", "dropped", "errored", "fault_active"} {
+		if _, ok := top[gone]; ok {
+			t.Fatalf("/stats publishes %q:\n%s", gone, body)
 		}
 	}
 
@@ -391,7 +404,7 @@ func TestBackendStats(t *testing.T) {
 	if status != 200 {
 		t.Fatalf("/stats status=%d", status)
 	}
-	for _, want := range []string{`"requests": 1`, `"dropped": 1`, `"fault_active": false`, `"delay_ms": 2`} {
+	for _, want := range []string{`"messages": 1`, `"dropped": 1`, `"active": false`, `"delay_ms": 2`} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/stats missing %s:\n%s", want, body)
 		}
