@@ -11,18 +11,18 @@
 //	aonback -addr :9081 -name order                 # order endpoint
 //	aonback -addr :9082 -name error                 # error endpoint
 //	aonback -addr :9081 -resp-size 2048 -delay 2ms  # heavier reverse path
-//	aonback -addr :9081 -fail-first 50              # fault injection
 //	curl http://localhost:9081/stats                # live counters JSON
 //	curl http://localhost:9081/fault                # live fault state
 //	curl -d '{"error_rate":0.2}' http://localhost:9081/fault  # script a fault
 //
 // -resp-size pads the JSON ack (reverse-path wire cost); -delay emulates
-// backend service time; -fail-first N drops the first N requests without
-// responding (connection closed — exercises the gateway's 502 path).
-// POST /fault scripts runtime fault storms —
-// fail-next-N, error-rate, latency-inflation, down-for-duration — which
-// is how cmd/aoncamp drives scripted fault campaigns; -seed keys the
-// deterministic error-rate draw. GET /stats serves the live counters as
+// backend service time. POST /fault scripts runtime fault storms —
+// fail-next-N (drop the next N requests without responding: the
+// connection closes, which exercises the gateway's 502 path), error-rate,
+// latency-inflation, down-for-duration — which is how cmd/aoncamp drives
+// scripted fault campaigns; -seed keys the deterministic error-rate
+// draw. A request the one HTTP parser refuses gets 400 and Connection:
+// close, as at the gateway. GET /stats serves the live counters as
 // JSON — uptime_sec, messages, bytes_in and latency under the gateway's
 // keys, the drop and injected-error totals inside the fault section —
 // which is how cmd/aonfleet records backends in the fleet's one
@@ -70,7 +70,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 	name := fs.String("name", "order", "endpoint role tag: order or error")
 	respSize := fs.Int("resp-size", 128, "approximate response body bytes")
 	delay := fs.Duration("delay", 0, "per-request service delay")
-	failFirst := fs.Int("fail-first", 0, "drop the first N requests without responding (fault injection)")
 	seed := fs.Uint64("seed", 0, "seed for the deterministic error-rate fault draw")
 	traceNode := fs.String("trace-node", "", "node name stamped on this backend's trace spans (default -name; aonfleet passes role/id)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6061; empty = off)")
@@ -81,10 +80,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 		return 2
 	}
 
-	if *failFirst < 0 {
-		fmt.Fprintf(stderr, "aonback: -fail-first must be >= 0, got %d\n", *failFirst)
-		return 2
-	}
 	if *pprofAddr != "" {
 		ln, err := net.Listen("tcp", *pprofAddr)
 		if err != nil {
@@ -99,7 +94,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 		Name:      *name,
 		RespBytes: *respSize,
 		Delay:     *delay,
-		FailFirst: *failFirst,
 		Seed:      *seed,
 		TraceNode: *traceNode,
 	})
@@ -107,8 +101,8 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 		fmt.Fprintln(stderr, "aonback:", err)
 		return 1
 	}
-	fmt.Fprintf(stderr, "aonback: %s endpoint listening on %s (resp-size=%d delay=%s fail-first=%d seed=%d), stats on GET /stats, fault control on POST /fault\n",
-		*name, srv.Addr(), *respSize, *delay, *failFirst, *seed)
+	fmt.Fprintf(stderr, "aonback: %s endpoint listening on %s (resp-size=%d delay=%s seed=%d), stats on GET /stats, fault control on POST /fault\n",
+		*name, srv.Addr(), *respSize, *delay, *seed)
 
 	<-stop
 	srv.Close()

@@ -32,11 +32,12 @@ func (l *lockedBuffer) String() string {
 	return l.b.String()
 }
 
-// TestNegativeFailFirstRefused: -fail-first below zero exits 2 before
-// anything listens, and says which flag is wrong.
-func TestNegativeFailFirstRefused(t *testing.T) {
+// TestFailFirstFlagGone: the fail-first knob is POST /fault's fail_next
+// now, so -fail-first is an unknown flag — exit 2 before anything
+// listens, naming it.
+func TestFailFirstFlagGone(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-addr", "127.0.0.1:0", "-fail-first", "-1"}, &stdout, &stderr, nil); code != 2 {
+	if code := run([]string{"-addr", "127.0.0.1:0", "-fail-first", "1"}, &stdout, &stderr, nil); code != 2 {
 		t.Fatalf("exit %d, want 2", code)
 	}
 	if stdout.Len() != 0 || !strings.Contains(stderr.String(), "-fail-first") {

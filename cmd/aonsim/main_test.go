@@ -317,8 +317,8 @@ func (g *scriptedGateway) serve(c net.Conn) {
 		if err != nil {
 			return
 		}
-		req, err := httpmsg.ParseRequest(raw)
-		if err != nil {
+		var req httpmsg.Request
+		if httpmsg.ParseRequestInto(raw, &req) != nil {
 			return
 		}
 		resp := ok

@@ -31,8 +31,8 @@ func main() {
 		// A client HTTP POST carrying a 5 KB AONBench SOAP message.
 		raw := workload.HTTPRequest(i, workload.CBR)
 
-		req, err := httpmsg.ParseRequest(raw)
-		if err != nil {
+		var req httpmsg.Request
+		if err := httpmsg.ParseRequestInto(raw, &req); err != nil {
 			log.Fatalf("message %d: %v", i, err)
 		}
 		doc, err := xmldom.Parse(req.Body)
@@ -80,8 +80,8 @@ func main() {
 }
 
 func mustBody(raw []byte) []byte {
-	req, err := httpmsg.ParseRequest(raw)
-	if err != nil {
+	var req httpmsg.Request
+	if err := httpmsg.ParseRequestInto(raw, &req); err != nil {
 		log.Fatal(err)
 	}
 	return req.Body

@@ -58,8 +58,8 @@ func (f *fakePlane) serve(c net.Conn) {
 	if err != nil {
 		return
 	}
-	req, err := httpmsg.ParseRequest(raw)
-	if err != nil {
+	var req httpmsg.Request
+	if httpmsg.ParseRequestInto(raw, &req) != nil {
 		return
 	}
 	f.mu.Lock()

@@ -132,6 +132,9 @@ type worker struct {
 	buf     *trace.Buffer
 	// meter charges the verdict to buf, the body's address and domArena.
 	meter verdict.Meter
+	// req is the parsed request, reused across messages: its strings and
+	// body are views into the message being processed.
+	req httpmsg.Request
 	// xj holds the XJ translation, reused across messages.
 	xj []byte
 	// placedDPI records that this worker has placed the DPI table.
@@ -170,9 +173,10 @@ func (w *worker) step(ctx *sched.Ctx) sched.Status {
 	netsim.EmitCopy(em, userAddr, msg.Addr, msg.Bytes)
 	ctx.ExecBuffer(em)
 
-	// 2. HTTP parsing (real + instrumented).
+	// 2. HTTP parsing: the live parser, metered.
 	em.Reset()
-	req, err := httpmsg.ParseRequestInstrumented(msg.Data, em, userAddr)
+	req := &w.req
+	err := httpmsg.ParseRequestMetered(msg.Data, req, em, userAddr)
 	ctx.ExecBuffer(em)
 	if err != nil {
 		s.Stats.ParseErrors++

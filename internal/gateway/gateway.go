@@ -321,7 +321,7 @@ func (s *Server) handleConn(c net.Conn) {
 		// GET requests (the /stats endpoint) bypass admission so
 		// observability survives overload — the whole point of /stats.
 		if bytes.HasPrefix(raw, []byte("GET ")) {
-			resp := s.handleGet(raw)
+			resp := s.handleGet(raw, &sc.req)
 			if rec != nil {
 				t = lap(rec, dtrace.StageProcess, start)
 			}
@@ -641,10 +641,9 @@ func contentTypeOf(req *httpmsg.Request) string {
 
 // handleGet serves the observability surface: GET /stats returns the
 // metrics snapshot, GET /traces?last=N the kept traces; anything else is
-// 404.
-func (s *Server) handleGet(raw []byte) []byte {
-	req, err := httpmsg.ParseRequest(raw)
-	if err != nil {
+// 404. req is the connection's parse scratch.
+func (s *Server) handleGet(raw []byte, req *httpmsg.Request) []byte {
+	if err := httpmsg.ParseRequestInto(raw, req); err != nil {
 		return formatError(400, err.Error(), false)
 	}
 	path, query, _ := strings.Cut(req.Target, "?")

@@ -305,8 +305,8 @@ func startEchoBackend(t *testing.T) string {
 					if err != nil {
 						return
 					}
-					req, err := httpmsg.ParseRequest(raw)
-					if err != nil {
+					var req httpmsg.Request
+					if httpmsg.ParseRequestInto(raw, &req) != nil {
 						return
 					}
 					if _, err := c.Write(httpmsg.FormatResponse(&httpmsg.Response{Status: 200,

@@ -4,8 +4,9 @@
 // (FR) is plain HTTP proxying; CBR and SV additionally process the POST
 // body through the XML stack.
 //
-// Like the rest of the workload code, parsing is dual-use: plain or
-// instrumented via a trace.Emitter.
+// There is one request parser, ParseRequestInto: the gateway and the
+// backend run it as it is, the simulator metered into a trace.Emitter
+// (ParseRequestMetered), so both decide alike on the same bytes.
 package httpmsg
 
 import (
@@ -64,115 +65,6 @@ type parseError struct {
 
 func (e *parseError) Error() string {
 	return fmt.Sprintf("httpmsg: offset %d: %s", e.Offset, e.Msg)
-}
-
-var (
-	httpCode     = trace.NewCodeRegion(2048)
-	pcLineScan   = httpCode.Site()
-	pcHdrEnd     = httpCode.Site()
-	pcHdrColon   = httpCode.Site()
-	pcMethodOK   = httpCode.Site()
-	pcClenFound  = httpCode.Site()
-	pcHdrCaseCmp = httpCode.Site()
-)
-
-// parser carries instrumentation state through a parse.
-type parser struct {
-	src  []byte
-	pos  int
-	em   trace.Emitter
-	base uint64
-}
-
-// ParseRequest parses an HTTP/1.1 request without instrumentation.
-func ParseRequest(src []byte) (*Request, error) {
-	return ParseRequestInstrumented(src, trace.Nop{}, 0)
-}
-
-// ParseRequestInstrumented parses while emitting the equivalent micro-op
-// stream; base is the synthetic address of src.
-func ParseRequestInstrumented(src []byte, em trace.Emitter, base uint64) (*Request, error) {
-	p := &parser{src: src, em: em, base: base}
-	req := &Request{}
-
-	line, err := p.readLine()
-	if err != nil {
-		return nil, err
-	}
-	parts := strings.SplitN(line, " ", 3)
-	p.em.ALU(len(line))
-	if len(parts) != 3 {
-		return nil, &parseError{Offset: p.pos, Msg: "malformed request line"}
-	}
-	req.Method, req.Target, req.Proto = parts[0], parts[1], parts[2]
-	okMethod := req.Method == "POST" || req.Method == "GET" || req.Method == "PUT" ||
-		req.Method == "HEAD" || req.Method == "DELETE" || req.Method == "OPTIONS"
-	p.em.Branch(pcMethodOK, okMethod)
-	if !okMethod {
-		return nil, &parseError{Offset: 0, Msg: "unknown method " + req.Method}
-	}
-	if !strings.HasPrefix(req.Proto, "HTTP/1.") {
-		return nil, &parseError{Offset: 0, Msg: "unsupported protocol " + req.Proto}
-	}
-
-	for {
-		line, err := p.readLine()
-		if err != nil {
-			return nil, err
-		}
-		end := line == ""
-		p.em.Branch(pcHdrEnd, end)
-		if end {
-			break
-		}
-		colon := strings.IndexByte(line, ':')
-		p.em.ALU(colon + 2)
-		p.em.Branch(pcHdrColon, colon > 0)
-		if colon <= 0 {
-			return nil, &parseError{Offset: p.pos, Msg: "malformed header line"}
-		}
-		name := strings.TrimSpace(line[:colon])
-		if name == "" {
-			return nil, &parseError{Offset: p.pos, Msg: "malformed header line"}
-		}
-		value := strings.TrimSpace(line[colon+1:])
-		req.Headers = append(req.Headers, Header{Name: name, Value: value})
-		isClen := strings.EqualFold(name, "Content-Length")
-		p.em.ALU(len(name))
-		p.em.Branch(pcClenFound, isClen)
-	}
-
-	if clen := req.ContentLength(); clen >= 0 {
-		if p.pos+clen > len(src) {
-			return nil, &parseError{Offset: p.pos, Msg: "truncated body"}
-		}
-		req.Body = src[p.pos : p.pos+clen]
-		// Body bytes are touched by the copy kernels, not re-scanned
-		// here; charge only the slice arithmetic.
-		p.em.ALU(6)
-		p.pos += clen
-	}
-	return req, nil
-}
-
-// readLine scans to CRLF (or LF), emitting the word-at-a-time search.
-func (p *parser) readLine() (string, error) {
-	start := p.pos
-	for p.pos < len(p.src) {
-		if p.src[p.pos] == '\n' {
-			line := string(p.src[start:p.pos])
-			words := (p.pos - start + trace.WordBytes) / trace.WordBytes
-			for w := 0; w < words; w++ {
-				p.em.Load(p.base+uint64(start+w*trace.WordBytes), 1)
-				p.em.ALU(2)
-				p.em.Branch(pcLineScan, w+1 < words)
-			}
-			p.pos++
-			return strings.TrimSuffix(line, "\r"), nil
-		}
-		p.pos++
-	}
-	return "", &parseError{Offset: start, Msg: "unterminated line"}
 }
 
 // FormatRequest serializes a request into a fresh buffer. Hot paths use

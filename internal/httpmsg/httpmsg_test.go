@@ -16,8 +16,8 @@ const sampleReq = "POST /service/CBR HTTP/1.1\r\n" +
 	"<order/>abc"
 
 func TestParseRequest(t *testing.T) {
-	req, err := ParseRequest([]byte(sampleReq))
-	if err != nil {
+	req := &Request{}
+	if err := ParseRequestInto([]byte(sampleReq), req); err != nil {
 		t.Fatal(err)
 	}
 	if req.Method != "POST" || req.Target != "/service/CBR" || req.Proto != "HTTP/1.1" {
@@ -35,8 +35,8 @@ func TestParseRequest(t *testing.T) {
 }
 
 func TestParseLFOnly(t *testing.T) {
-	req, err := ParseRequest([]byte("GET /x HTTP/1.0\nHost: h\n\n"))
-	if err != nil {
+	req := &Request{}
+	if err := ParseRequestInto([]byte("GET /x HTTP/1.0\nHost: h\n\n"), req); err != nil {
 		t.Fatal(err)
 	}
 	if req.Method != "GET" || req.ContentLength() != -1 {
@@ -54,12 +54,13 @@ func TestParseErrors(t *testing.T) {
 		"POST / HTTP/1.1\r\nContent-Length: 100\r\n\r\nshort",
 		"POST / HTTP/1.1\r\nHost: h",
 	}
+	var req Request
 	for _, src := range bad {
-		if _, err := ParseRequest([]byte(src)); err == nil {
-			t.Errorf("ParseRequest(%q) succeeded", src)
+		if err := ParseRequestInto([]byte(src), &req); err == nil {
+			t.Errorf("ParseRequestInto(%q) succeeded", src)
 		}
 	}
-	_, err := ParseRequest([]byte("POST\r\n\r\n"))
+	err := ParseRequestInto([]byte("POST\r\n\r\n"), &req)
 	if _, ok := err.(*parseError); !ok {
 		t.Fatalf("error type %T", err)
 	}
@@ -80,8 +81,8 @@ func TestFormatRoundTrip(t *testing.T) {
 		Body: []byte("hello body"),
 	}
 	raw := FormatRequest(req)
-	back, err := ParseRequest(raw)
-	if err != nil {
+	back := &Request{}
+	if err := ParseRequestInto(raw, back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Method != req.Method || back.Target != req.Target {
@@ -137,23 +138,9 @@ func TestRewriteTarget(t *testing.T) {
 	}
 }
 
-func TestInstrumentedParseEmits(t *testing.T) {
-	var c trace.Counting
-	req, err := ParseRequestInstrumented([]byte(sampleReq), &c, 0x9000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if req.Method != "POST" {
-		t.Fatal("wrong parse under instrumentation")
-	}
-	if c.Instr == 0 || c.Loads == 0 || c.Branches == 0 {
-		t.Fatalf("no ops: %+v", c)
-	}
-}
-
 func TestBadContentLength(t *testing.T) {
-	req, err := ParseRequest([]byte("POST / HTTP/1.1\r\nContent-Length: xyz\r\n\r\n"))
-	if err != nil {
+	req := &Request{}
+	if err := ParseRequestInto([]byte("POST / HTTP/1.1\r\nContent-Length: xyz\r\n\r\n"), req); err != nil {
 		t.Fatal(err)
 	}
 	if req.ContentLength() != -1 {

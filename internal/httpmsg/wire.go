@@ -15,7 +15,8 @@ import (
 // client all frame through it, so a proxy and the endpoint behind it
 // cannot disagree on where a message ends. Framing only finds the
 // boundary (and refuses what would make the boundary ambiguous); the full
-// parse of a framed request is ParseRequestInto's job.
+// parse of a framed request is ParseRequestInto's job, and of a head
+// framed alone ParseHeadInto's — the same parser.
 
 // maxHead bounds a request's header block, request line included.
 const maxHead = 64 << 10
@@ -171,21 +172,6 @@ func TruncatedBody(err error) error {
 		return &FrameError{400, "truncated body"}
 	}
 	return err
-}
-
-// HeadField returns the value of the first header field called name
-// (case-insensitive) in a head framed by ReadHead, as a view into head —
-// alive exactly as long as head is — or nil when there is none.
-func HeadField(head []byte, name string) []byte {
-	_, rest, _ := bytes.Cut(head, []byte("\n")) // skip the request line
-	for len(rest) > 0 {
-		var line []byte
-		line, rest, _ = bytes.Cut(rest, []byte("\n"))
-		if i := bytes.IndexByte(line, ':'); i > 0 && bytes.EqualFold(line[:i], []byte(name)) {
-			return bytes.TrimSpace(line[i+1:])
-		}
-	}
-	return nil
 }
 
 // maxResponseBody bounds the Content-Length ReadResponseHead accepts:

@@ -23,23 +23,7 @@ import (
 // and close. (Only the refusal's wording may differ: the backend discards
 // bodies unbounded, so an over-limit body is "truncated" to it.)
 func TestFrameTableEveryServer(t *testing.T) {
-	gw, err := gateway.New(gateway.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gw.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		gw.Shutdown(ctx)
-	}()
-	be, err := upstream.StartBackend("127.0.0.1:0", upstream.BackendConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer be.Close()
+	gw, be := startServers(t)
 
 	refused := uint64(0)
 	for _, tc := range httpmsg.FrameCases {
@@ -70,6 +54,60 @@ func TestFrameTableEveryServer(t *testing.T) {
 	if got := gw.Metrics.ParseErrors.Load(); got != refused {
 		t.Errorf("gateway parse errors = %d, want %d", got, refused)
 	}
+}
+
+// TestParseRefusalsEveryServer: a request that frames cleanly but that
+// the one parser refuses — an unknown method, a request line with no
+// protocol, a header line with no colon, a protocol other than HTTP/1.x —
+// gets 400 and Connection: close from both servers: a gateway parse
+// error, never a message the backend served.
+func TestParseRefusalsEveryServer(t *testing.T) {
+	gw, be := startServers(t)
+
+	refusals := []string{
+		"BREW /x HTTP/1.1\r\nHost: aon\r\nContent-Length: 2\r\n\r\nab",
+		"POST /x\r\nHost: aon\r\nContent-Length: 2\r\n\r\nab",
+		"POST /x HTTP/1.1\r\nHost: aon\r\nno-colon-here\r\nContent-Length: 2\r\n\r\nab",
+		"POST /x SPDY/3\r\nHost: aon\r\nContent-Length: 2\r\n\r\nab",
+	}
+	for _, wire := range refusals {
+		for server, addr := range map[string]string{"gateway": gw.Addr().String(), "backend": be.Addr().String()} {
+			statuses, closed := exchange(t, addr, wire)
+			if !slices.Equal(statuses, []int{400}) || !closed {
+				t.Errorf("%s: %q answered %v (close %v), want one 400 and Connection: close", server, wire, statuses, closed)
+			}
+		}
+	}
+	if n := be.Requests.Load(); n != 0 {
+		t.Errorf("backend served %d messages, want 0", n)
+	}
+	if n := gw.Metrics.ParseErrors.Load(); n != uint64(len(refusals)) {
+		t.Errorf("gateway parse errors = %d, want %d", n, len(refusals))
+	}
+}
+
+// startServers starts the two servers that frame requests, a gateway and
+// a backend, each stopped when the test ends.
+func startServers(t *testing.T) (*gateway.Server, *upstream.BackendServer) {
+	t.Helper()
+	gw, err := gateway.New(gateway.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gw.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		gw.Shutdown(ctx)
+	})
+	be, err := upstream.StartBackend("127.0.0.1:0", upstream.BackendConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(be.Close)
+	return gw, be
 }
 
 // exchange sends wire, half-closes, and reads responses until the server

@@ -9,6 +9,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/dtrace"
 )
 
 // frameMaxBody is the body bound the framing table is written against
@@ -183,6 +185,7 @@ func TestFramerAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("ReadRequest: %v allocs/op, want 0", n)
 	}
+	var req Request
 	if n := testing.AllocsPerRun(200, func() {
 		src.Reset(wire)
 		br.Reset(src)
@@ -191,24 +194,53 @@ func TestFramerAllocs(t *testing.T) {
 		if buf, clen, err = ReadHead(br, buf); err != nil || clen != 1024 {
 			t.Fatalf("clen=%d err=%v", clen, err)
 		}
-		if v := HeadField(buf, "x-aon-trace"); len(v) != 33 {
-			t.Fatalf("HeadField = %q", v)
+		if err := ParseHeadInto(buf, &req); err != nil {
+			t.Fatal(err)
+		}
+		if v, _ := req.Get(dtrace.Header); len(v) != 33 {
+			t.Fatalf("trace header = %q", v)
 		}
 	}); n != 0 {
-		t.Errorf("ReadHead+HeadField: %v allocs/op, want 0", n)
+		t.Errorf("ReadHead+ParseHeadInto+Get: %v allocs/op, want 0", n)
 	}
 }
 
-func TestHeadField(t *testing.T) {
-	head := []byte("POST /x: HTTP/1.1\r\nHost: a\r\nX-Aon-Trace:  t1 \r\nx-aon-trace: t2\r\n\r\n")
-	if v := HeadField(head, "X-AON-Trace"); string(v) != "t1" {
-		t.Errorf("HeadField = %q, want the first match, trimmed", v)
+// TestParseHeadInto: a framed head parses by ParseRequestInto's rules —
+// the first of a repeated header wins, values are trimmed, the request
+// line is not a header — and leaves the body, whatever Content-Length
+// says, to the framer; a head the gateway's parser refuses is refused.
+func TestParseHeadInto(t *testing.T) {
+	const head = "POST /x: HTTP/1.1\r\nHost: a\r\nX-Aon-Trace:  t1 \r\nx-aon-trace: t2\r\nContent-Length: 5\r\n\r\n"
+	var req Request
+	if err := ParseHeadInto([]byte(head), &req); err != nil {
+		t.Fatal(err)
 	}
-	if v := HeadField(head, "POST /x"); v != nil {
-		t.Errorf("HeadField matched the request line: %q", v)
+	for _, tc := range []struct {
+		name, want string
+		ok         bool
+	}{
+		{"X-AON-Trace", "t1", true},
+		{"host", "a", true},
+		{"POST /x", "", false},
+		{"Absent", "", false},
+	} {
+		if v, ok := req.Get(tc.name); v != tc.want || ok != tc.ok {
+			t.Errorf("Get(%q) = %q, %v; want %q, %v", tc.name, v, ok, tc.want, tc.ok)
+		}
 	}
-	if v := HeadField(head, "Absent"); v != nil {
-		t.Errorf("HeadField(absent) = %q", v)
+	if req.Method != "POST" || req.Target != "/x:" || req.Body != nil || req.ContentLength() != 5 {
+		t.Errorf("request %q %q, body %q, Content-Length %d", req.Method, req.Target, req.Body, req.ContentLength())
+	}
+	for _, bad := range []string{
+		"BREW /x HTTP/1.1\r\nHost: a\r\n\r\n",
+		"POST /x\r\nHost: a\r\n\r\n",
+		"POST /x HTTP/1.1\r\nno-colon\r\n\r\n",
+		"POST /x SPDY/3\r\nHost: a\r\n\r\n",
+		"POST /x HTTP/1.1\r\nHost: a\r\n", // no blank line: not a framed head
+	} {
+		if err := ParseHeadInto([]byte(bad), &req); err == nil {
+			t.Errorf("ParseHeadInto(%q) accepted", bad)
+		}
 	}
 }
 

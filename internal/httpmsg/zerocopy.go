@@ -10,11 +10,11 @@ import (
 
 // This file is the allocation-light half of the package: append-to-dst
 // serializers (callers bring a pooled buffer; nothing is materialized in
-// a throwaway strings.Builder) and a zero-copy request parser whose
+// a throwaway strings.Builder) and the one request parser, zero-copy: its
 // strings are views into the source frame. The classic FormatRequest and
 // FormatResponse entry points delegate here, so the wire format has a
-// single definition; ParseRequest keeps its own copying implementation
-// because the instrumented parse mirrors it micro-op for micro-op.
+// single definition, and so does the parse: the live path runs it
+// unmetered, the simulator metered (meter.go).
 
 // AppendRequestHeader appends the request line and headers (terminated
 // by the blank line) to dst and returns the extended slice. A
@@ -89,26 +89,37 @@ func formatResponseTo(dst []byte, r *Response) []byte {
 // CR strip shrink the view, never copy), Body is a subslice, and
 // req.Headers reuses its previous backing array. The parsed request is
 // valid only while src is alive and unmodified — the same lifetime
-// contract as the gateway's pooled frames. Accept/reject decisions match
-// ParseRequest exactly.
+// contract as the gateway's pooled frames.
 func ParseRequestInto(src []byte, req *Request) error {
-	hdrs := req.Headers[:0]
-	*req = Request{Headers: hdrs}
-	pos := 0
+	return parse(src, req, true, nil)
+}
 
-	line, n, err := viewLine(src, pos)
+// ParseHeadInto parses a request head — the request line and header block
+// through the blank line, as ReadHead frames it — into req, by
+// ParseRequestInto's rules and with its views. The body is not in head:
+// req.Body stays nil and a declared Content-Length is the framer's to
+// read.
+func ParseHeadInto(head []byte, req *Request) error {
+	return parse(head, req, false, nil)
+}
+
+// parse is the one request parser. With body false, src ends at the head
+// and nothing after it is looked for. Each charge to a non-nil m sits
+// where the parse makes the choice it charges for; a nil m costs the live
+// parse one comparison per charge point.
+func parse(src []byte, req *Request, body bool, m *meter) error {
+	*req = Request{Headers: req.Headers[:0]}
+	line, pos, err := viewLine(src, 0)
 	if err != nil {
 		return err
 	}
-	pos = n
-	sp1 := bytes.IndexByte(line, ' ')
-	sp2 := -1
-	if sp1 >= 0 {
-		if i := bytes.IndexByte(line[sp1+1:], ' '); i >= 0 {
-			sp2 = sp1 + 1 + i
-		}
+	if m != nil {
+		m.line(0, pos)
+		m.em.ALU(len(line))
 	}
-	if sp1 < 0 || sp2 < 0 {
+	sp1 := bytes.IndexByte(line, ' ')
+	sp2 := sp1 + 1 + bytes.IndexByte(line[sp1+1:], ' ') // sp1 when there is no second space
+	if sp1 < 0 || sp2 == sp1 {
 		return &parseError{Offset: pos, Msg: "malformed request line"}
 	}
 	req.Method = zc.String(line[:sp1])
@@ -116,6 +127,9 @@ func ParseRequestInto(src []byte, req *Request) error {
 	req.Proto = zc.String(line[sp2+1:])
 	okMethod := req.Method == "POST" || req.Method == "GET" || req.Method == "PUT" ||
 		req.Method == "HEAD" || req.Method == "DELETE" || req.Method == "OPTIONS"
+	if m != nil {
+		m.em.Branch(pcMethodOK, okMethod)
+	}
 	if !okMethod {
 		return &parseError{Offset: 0, Msg: "unknown method " + req.Method}
 	}
@@ -124,15 +138,23 @@ func ParseRequestInto(src []byte, req *Request) error {
 	}
 
 	for {
-		line, n, err = viewLine(src, pos)
+		start := pos
+		line, pos, err = viewLine(src, pos)
 		if err != nil {
 			return err
 		}
-		pos = n
+		if m != nil {
+			m.line(start, pos)
+			m.em.Branch(pcHdrEnd, len(line) == 0)
+		}
 		if len(line) == 0 {
 			break
 		}
 		colon := bytes.IndexByte(line, ':')
+		if m != nil {
+			m.em.ALU(colon + 2)
+			m.em.Branch(pcHdrColon, colon > 0)
+		}
 		var name []byte
 		if colon > 0 {
 			name = bytes.TrimSpace(line[:colon])
@@ -142,13 +164,25 @@ func ParseRequestInto(src []byte, req *Request) error {
 		}
 		value := zc.String(bytes.TrimSpace(line[colon+1:]))
 		req.Headers = append(req.Headers, Header{Name: zc.String(name), Value: value})
+		if m != nil {
+			m.em.ALU(len(name))
+			m.em.Branch(pcClenFound, bytes.EqualFold(name, clenName))
+		}
 	}
 
+	if !body {
+		return nil
+	}
 	if clen := req.ContentLength(); clen >= 0 {
 		if pos+clen > len(src) {
 			return &parseError{Offset: pos, Msg: "truncated body"}
 		}
 		req.Body = src[pos : pos+clen]
+		if m != nil {
+			// Body bytes are touched by the copy kernels, not re-scanned
+			// here; charge only the slice arithmetic.
+			m.em.ALU(6)
+		}
 	}
 	return nil
 }

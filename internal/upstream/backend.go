@@ -2,12 +2,12 @@ package upstream
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"io"
 	"net"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,11 +29,6 @@ type BackendConfig struct {
 	// Delay stalls each response — emulates backend service time so the
 	// FR extreme shows real upstream latency (and tests can force 504s).
 	Delay time.Duration
-	// FailFirst makes the server close the connection without responding
-	// for the first N requests — a fault-injection knob for the
-	// forwarder's failure path. It seeds the runtime fail-next budget,
-	// which POST /fault can replenish later.
-	FailFirst int
 	// Seed keys the deterministic error-rate draw (see FaultSpec), so a
 	// campaign rerun with the same seed errors the same requests.
 	Seed uint64
@@ -105,7 +100,6 @@ func StartBackend(addr string, cfg BackendConfig) (*BackendServer, error) {
 	}
 	s := &BackendServer{cfg: cfg, ln: ln, start: time.Now(), conns: map[net.Conn]struct{}{}}
 	s.traces = dtrace.NewTail()
-	s.failNext.Store(int64(cfg.FailFirst))
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -158,12 +152,13 @@ func (s *BackendServer) handle(c net.Conn) {
 	}()
 	br := bufio.NewReaderSize(c, 32<<10)
 	// Per-connection scratch, reused across the keep-alive stream: the
-	// buffer the request head is framed into (the request line and the
-	// trace-header value are views into it, dead at the next ReadHead),
+	// buffer the request head is framed into, the request parsed out of it
+	// (its strings are views into the buffer, dead at the next ReadHead),
 	// the write buffer the ack is serialized into, the ack body, and the
 	// Response header scratch.
 	var (
 		hbuf, wbuf, bbuf []byte
+		req              httpmsg.Request
 		ackRes           = httpmsg.Response{Status: 200, Headers: jsonCT}
 	)
 	for {
@@ -173,17 +168,20 @@ func (s *BackendServer) handle(c net.Conn) {
 			s.refuse(c, err)
 			return
 		}
-		reqLine, _, _ := bytes.Cut(head, []byte("\n"))
-		method, target, _ := bytes.Cut(reqLine, []byte(" "))
-		rawPath, _, _ := bytes.Cut(target, []byte(" "))
-		path, query, _ := bytes.Cut(bytes.TrimSpace(rawPath), []byte("?"))
-		path = bytes.TrimSuffix(path, []byte("/"))
+		if err := httpmsg.ParseHeadInto(head, &req); err != nil {
+			// A head the parser refuses gets the gateway's answer: 400,
+			// then close.
+			s.refuse(c, &httpmsg.FrameError{Status: 400, Msg: err.Error()})
+			return
+		}
+		path, query, _ := strings.Cut(req.Target, "?")
+		path = strings.TrimSuffix(path, "/")
 		// The body is normally thrown away, in place in the reader's
 		// window — the backend's job is to terminate the hop, not to
 		// re-process XML the gateway already handled — except for the
 		// POST /fault control spec, which is small by construction.
 		var body []byte
-		control := string(method) == "POST" && clen <= 8<<10 && bytes.HasSuffix(path, []byte("fault"))
+		control := req.Method == "POST" && clen <= 8<<10 && strings.HasSuffix(path, "fault")
 		if control {
 			body = make([]byte, clen)
 			_, err = io.ReadFull(br, body)
@@ -195,7 +193,7 @@ func (s *BackendServer) handle(c net.Conn) {
 			return
 		}
 		s.BytesIn.Add(uint64(len(head) + clen))
-		if string(method) == "GET" || control {
+		if req.Method == "GET" || control {
 			// Control plane: /stats, /fault, and /traces bypass fault
 			// injection, delay, and the message counters, so observability
 			// and fault scripting survive a fault storm — mirroring the
@@ -205,13 +203,13 @@ func (s *BackendServer) handle(c net.Conn) {
 			case control:
 				s.FaultPosts.Add(1)
 				resp = s.handleFault(body)
-			case bytes.HasSuffix(path, []byte("stats")):
+			case strings.HasSuffix(path, "stats"):
 				s.StatsRequests.Add(1)
 				resp = httpmsg.JSONResponse(200, s.Stats())
-			case bytes.HasSuffix(path, []byte("fault")):
+			case strings.HasSuffix(path, "fault"):
 				resp = httpmsg.JSONResponse(200, s.FaultState())
-			case bytes.HasSuffix(path, []byte("traces")):
-				if n, err := httpmsg.LastParam(string(query)); err != nil {
+			case strings.HasSuffix(path, "traces"):
+				if n, err := httpmsg.LastParam(query); err != nil {
 					resp = httpmsg.JSONResponse(404, map[string]string{"error": err.Error()})
 				} else {
 					resp = httpmsg.JSONResponse(200, s.traces.Response(s.cfg.TraceNode, n))
@@ -226,7 +224,7 @@ func (s *BackendServer) handle(c net.Conn) {
 			}
 			continue
 		}
-		traceVal := httpmsg.HeadField(head, dtrace.Header)
+		traceVal, _ := req.Get(dtrace.Header)
 		t0 := time.Now()
 		seq := s.seq.Add(1)
 		if s.faultDrop(seq) {
@@ -279,7 +277,7 @@ func (s *BackendServer) refuse(c net.Conn, err error) {
 // recordServe keeps one server-side span for a data-path request that
 // carried an X-AON-Trace header, parented under the gateway's forward
 // span (the header's span ID). No header, no work.
-func (s *BackendServer) recordServe(traceVal []byte, start time.Time, d time.Duration, status int, outcome string) {
+func (s *BackendServer) recordServe(traceVal string, start time.Time, d time.Duration, status int, outcome string) {
 	if len(traceVal) == 0 {
 		return
 	}
@@ -319,7 +317,6 @@ type BackendStats struct {
 	BytesOut      uint64  `json:"bytes_out"`
 	RespBytes     int     `json:"resp_bytes"`
 	DelayMS       float64 `json:"delay_ms"`
-	FailFirst     int     `json:"fail_first"`
 	// LastFaultMS is the backend's wall clock (UnixMilli) when the most
 	// recent /fault step was applied; 0 when none ever was. Campaign
 	// post-mortems line it up with the fault script's acknowledgment log
@@ -343,7 +340,6 @@ func (s *BackendServer) Stats() BackendStats {
 		BytesOut:      s.BytesOut.Load(),
 		RespBytes:     s.cfg.RespBytes,
 		DelayMS:       float64(s.cfg.Delay) / float64(time.Millisecond),
-		FailFirst:     s.cfg.FailFirst,
 		Fault:         s.FaultState(),
 		Latency:       s.Latency.Snapshot(),
 	}

@@ -14,7 +14,7 @@ import (
 // storms by POSTing a sequence of these at phase boundaries.
 type FaultSpec struct {
 	// FailNext drops the connection (no response) for the next N message
-	// requests — the same fault -fail-first injects at process start.
+	// requests.
 	FailNext *int64 `json:"fail_next,omitempty"`
 	// ErrorRate answers the given fraction [0,1] of message requests
 	// with an injected 500. Selection is deterministic: it hashes the

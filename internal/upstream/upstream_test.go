@@ -23,6 +23,12 @@ func testRequest(n int) []byte {
 		len(body), body))
 }
 
+// failNext arms be to drop the connection of its next n messages, as
+// POST /fault's fail_next does.
+func failNext(be *BackendServer, n int64) {
+	be.ApplyFault(FaultSpec{FailNext: &n})
+}
+
 // fastCfg keeps the deadlines test-sized.
 func fastCfg(order string) Config {
 	return Config{
@@ -79,11 +85,12 @@ func TestPoolReuse(t *testing.T) {
 // second try — and its socket never returns to the pool, so the next
 // round trip dials anew and succeeds.
 func TestDroppedExchangeAnswersOnce(t *testing.T) {
-	be, err := StartBackend("127.0.0.1:0", BackendConfig{Name: "order", FailFirst: 1})
+	be, err := StartBackend("127.0.0.1:0", BackendConfig{Name: "order"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer be.Close()
+	failNext(be, 1)
 	f, err := New(fastCfg(be.Addr().String()))
 	if err != nil {
 		t.Fatal(err)
@@ -331,12 +338,13 @@ func TestBackendKeepAlive(t *testing.T) {
 // tripping fault injection.
 func TestBackendStats(t *testing.T) {
 	be, err := StartBackend("127.0.0.1:0", BackendConfig{
-		Name: "order", Delay: 2 * time.Millisecond, FailFirst: 1,
+		Name: "order", Delay: 2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer be.Close()
+	failNext(be, 1)
 
 	get := func(c net.Conn, br *bufio.Reader, path string) (int, string) {
 		t.Helper()
@@ -362,7 +370,7 @@ func TestBackendStats(t *testing.T) {
 	if status != 200 {
 		t.Fatalf("/stats status=%d body=%s", status, body)
 	}
-	for _, want := range []string{`"name": "order"`, `"messages": 0`, `"fail_first": 1`, `"active": true`, `"uptime_sec"`, `"latency"`} {
+	for _, want := range []string{`"name": "order"`, `"messages": 0`, `"fail_next": 1`, `"active": true`, `"uptime_sec"`, `"latency"`} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/stats missing %s:\n%s", want, body)
 		}
@@ -373,7 +381,7 @@ func TestBackendStats(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &top); err != nil {
 		t.Fatal(err)
 	}
-	for _, gone := range []string{"uptime_seconds", "requests", "t_ms", "dropped", "errored", "fault_active"} {
+	for _, gone := range []string{"uptime_seconds", "requests", "t_ms", "dropped", "errored", "fault_active", "fail_first"} {
 		if _, ok := top[gone]; ok {
 			t.Fatalf("/stats publishes %q:\n%s", gone, body)
 		}
@@ -448,10 +456,11 @@ func openFDs(t *testing.T) int {
 func TestForwarderCloseLeavesNoGoroutineOrFD(t *testing.T) {
 	goroutines, fds := runtime.NumGoroutine(), openFDs(t)
 
-	be, err := StartBackend("127.0.0.1:0", BackendConfig{Name: "order", FailFirst: 1})
+	be, err := StartBackend("127.0.0.1:0", BackendConfig{Name: "order"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	failNext(be, 1)
 	f, err := New(fastCfg(be.Addr().String()))
 	if err != nil {
 		t.Fatal(err)

@@ -92,8 +92,8 @@ func post(uc workload.UseCase, body []byte, mac string) *httpmsg.Request {
 
 func parse(t testing.TB, raw []byte) *httpmsg.Request {
 	t.Helper()
-	req, err := httpmsg.ParseRequest(raw)
-	if err != nil {
+	req := &httpmsg.Request{}
+	if err := httpmsg.ParseRequestInto(raw, req); err != nil {
 		t.Fatal(err)
 	}
 	return req

@@ -73,8 +73,8 @@ func TestInvalidSOAPMessageFailsValidation(t *testing.T) {
 func TestHTTPRequestParses(t *testing.T) {
 	for _, uc := range AllUseCases {
 		raw := HTTPRequest(5, uc)
-		req, err := httpmsg.ParseRequest(raw)
-		if err != nil {
+		var req httpmsg.Request
+		if err := httpmsg.ParseRequestInto(raw, &req); err != nil {
 			t.Fatalf("%v: %v", uc, err)
 		}
 		if req.Method != "POST" {
@@ -158,8 +158,8 @@ func TestDPIDirtyRequestEmbedsSignature(t *testing.T) {
 	// clean ones carry none.
 	dirtyIdx := DirtyEvery - 1
 	raw := HTTPRequest(dirtyIdx, DPI)
-	req, err := httpmsg.ParseRequest(raw)
-	if err != nil {
+	var req, clean httpmsg.Request
+	if err := httpmsg.ParseRequestInto(raw, &req); err != nil {
 		t.Fatal(err)
 	}
 	sig := dirtySignature(dirtyIdx, dpi.DefaultSignatures)
@@ -169,8 +169,7 @@ func TestDPIDirtyRequestEmbedsSignature(t *testing.T) {
 	if req.ContentLength() != len(req.Body) {
 		t.Fatal("dirty DPI request content length mismatch")
 	}
-	clean, err := httpmsg.ParseRequest(HTTPRequest(0, DPI))
-	if err != nil {
+	if err := httpmsg.ParseRequestInto(HTTPRequest(0, DPI), &clean); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range dpi.DefaultSignatures {
