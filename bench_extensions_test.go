@@ -19,26 +19,20 @@ func BenchmarkExtensionUseCases(b *testing.B) {
 			continue
 		}
 		fmt.Println("Extension: future-work use cases (DPI, AUTH, XJ) on the Figure 3 grid")
+		mx, err := harness.RunAONMatrix(workload.ExtendedUseCases, machine.AllConfigs, benchAONOpts)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, uc := range workload.ExtendedUseCases {
-			results := map[machine.ConfigID]harness.AONResult{}
-			for _, id := range machine.AllConfigs {
-				r, err := harness.RunAON(id, uc, benchAONOpts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				results[id] = r
-			}
 			fmt.Printf("%s throughput (Mbps):", uc)
 			for _, id := range machine.AllConfigs {
-				fmt.Printf("  %s=%.0f", id, results[id].Mbps)
+				fmt.Printf("  %s=%.0f", id, mx[uc][id].Mbps)
 			}
 			fmt.Println()
 			for _, p := range harness.ScalingPairs {
-				from, to := results[p.From].Mbps, results[p.To].Mbps
-				fmt.Printf("  scaling %-12s %.2f\n", p.Name, to/from)
+				fmt.Printf("  scaling %-12s %.2f\n", p.Name, mx.Scaling(p, uc))
 			}
-			r := results[machine.OneCPm]
-			fmt.Printf("  1CPm metrics: %s\n", r.Metrics)
+			fmt.Printf("  1CPm metrics: %s\n", mx[uc][machine.OneCPm].Metrics)
 		}
 	}
 }
@@ -52,17 +46,15 @@ func BenchmarkExtensionMulticore(b *testing.B) {
 			continue
 		}
 		fmt.Println("Extension: multicore scaling (SV on 1, 2, 4 Pentium M cores)")
-		var base float64
-		for _, id := range []machine.ConfigID{machine.OneCPm, machine.TwoCPm, machine.FourCPm} {
-			r, err := harness.RunAON(id, workload.SV, benchAONOpts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if base == 0 {
-				base = r.Mbps
-			}
-			fmt.Printf("  %-5s %8.0f Mbps  scaling %.2f  CPI=%.2f BTPI=%.2f%%\n",
-				id, r.Mbps, r.Mbps/base, r.Metrics.CPI, r.Metrics.BTPI)
+		configs := []machine.ConfigID{machine.OneCPm, machine.TwoCPm, machine.FourCPm}
+		mx, err := harness.RunAONMatrix([]workload.UseCase{workload.SV}, configs, benchAONOpts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, id := range configs {
+			r := mx[workload.SV][id]
+			fmt.Printf("  %-5s %8.0f Mbps  scaling %.2f  CPI=%.2f BTPI=%.2f%%\n", id, r.Mbps,
+				mx.Scaling(harness.ScalingPair{From: machine.OneCPm, To: id}, workload.SV), r.Metrics.CPI, r.Metrics.BTPI)
 		}
 		fmt.Println("  (the softirq serialized on CPU0 and the gigabit ingress bound the curve)")
 	}

@@ -41,7 +41,7 @@ func netperfMatrix() harness.NetperfMatrix {
 }
 
 func aonMatrix(b *testing.B) harness.AONMatrix {
-	aonOnce.Do(func() { aonMx, aonErr = harness.RunAONMatrix(benchAONOpts) })
+	aonOnce.Do(func() { aonMx, aonErr = harness.RunAONMatrix(workload.AllUseCases, machine.AllConfigs, benchAONOpts) })
 	if aonErr != nil {
 		b.Fatal(aonErr)
 	}

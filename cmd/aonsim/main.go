@@ -128,7 +128,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if needAON {
 		fmt.Fprintln(stderr, "running XML server application matrix...")
 		var err error
-		amx, err = harness.RunAONMatrix(aonOpts)
+		amx, err = harness.RunAONMatrix(workload.AllUseCases, machine.AllConfigs, aonOpts)
 		if err != nil {
 			return fail(err)
 		}
@@ -202,34 +202,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 // paper's future-work operations, and XJ) and the multicore extension
 // across the dual-processing transitions.
 func runExtensions(w io.Writer, opts harness.AONOpts) error {
+	mx, err := harness.RunAONMatrix(workload.ExtendedUseCases, machine.AllConfigs, opts)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintln(w, "Extensions (paper future work, Section 6)")
 	for _, uc := range workload.ExtendedUseCases {
 		fmt.Fprintf(w, "  %s:", uc)
-		base := map[machine.ConfigID]float64{}
 		for _, id := range machine.AllConfigs {
-			r, err := harness.RunAON(id, uc, opts)
-			if err != nil {
-				return err
-			}
-			base[id] = r.Mbps
-			fmt.Fprintf(w, "  %s=%.0fMbps", id, r.Mbps)
+			fmt.Fprintf(w, "  %s=%.0fMbps", id, mx[uc][id].Mbps)
 		}
 		fmt.Fprintln(w)
 		for _, p := range harness.ScalingPairs {
-			fmt.Fprintf(w, "    scaling %-12s %.2f\n", p.Name, base[p.To]/base[p.From])
+			fmt.Fprintf(w, "    scaling %-12s %.2f\n", p.Name, mx.Scaling(p, uc))
 		}
 	}
+	cores := []machine.ConfigID{machine.OneCPm, machine.TwoCPm, machine.FourCPm}
+	mc, err := harness.RunAONMatrix([]workload.UseCase{workload.SV}, cores, opts)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintln(w, "  multicore (SV):")
-	var first float64
-	for _, id := range []machine.ConfigID{machine.OneCPm, machine.TwoCPm, machine.FourCPm} {
-		r, err := harness.RunAON(id, workload.SV, opts)
-		if err != nil {
-			return err
-		}
-		if first == 0 {
-			first = r.Mbps
-		}
-		fmt.Fprintf(w, "    %-5s %8.0f Mbps  scaling %.2f\n", id, r.Mbps, r.Mbps/first)
+	for _, id := range cores {
+		fmt.Fprintf(w, "    %-5s %8.0f Mbps  scaling %.2f\n", id, mc[workload.SV][id].Mbps,
+			mc.Scaling(harness.ScalingPair{From: machine.OneCPm, To: id}, workload.SV))
 	}
 	return nil
 }

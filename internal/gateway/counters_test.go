@@ -3,8 +3,6 @@ package gateway
 import (
 	"context"
 	"encoding/json"
-	"os"
-	"os/exec"
 	"runtime"
 	"strings"
 	"sync"
@@ -20,26 +18,8 @@ import (
 // TestModelDerivedPinned recomputes the runtime-only fallback's constants
 // from the harness: CPI, branch frequency and BrMPR from the paper's 2CPm
 // tables, and cache-MPI from a short 2CPm model run (20 warm-up and 60
-// measured messages, a window of 32) of the use case. netsim's
-// process-wide segment counter makes a run's counts depend on every
-// simulation the process ran before, so each use case's run is the first
-// one in a fresh copy of the test binary (AON_GOLDEN_CHILD names it, the
-// variable internal/core's golden test uses for its child).
+// measured messages, a window of 32) of the use case.
 func TestModelDerivedPinned(t *testing.T) {
-	if name := os.Getenv("AON_GOLDEN_CHILD"); name != "" {
-		uc, err := workload.ParseUseCase(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := harness.RunAON(machine.TwoCPm, uc, harness.AONOpts{WarmupMsgs: 20, MeasureMsgs: 60, Window: 32})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := modelDerived(uc).CacheMPI, r.Metrics.L2MPI; got != want {
-			t.Fatalf("%v: pinned cache-MPI %v, model predicts %v", uc, got, want)
-		}
-		return
-	}
 	for _, uc := range []workload.UseCase{workload.FR, workload.CBR, workload.SV} {
 		want := hwcount.Derived{
 			CPI:        harness.PaperCPI[uc][machine.TwoCPm],
@@ -50,10 +30,12 @@ func TestModelDerivedPinned(t *testing.T) {
 		if got := modelDerived(uc); got != want {
 			t.Errorf("%v: pinned %+v, paper tables give %+v", uc, got, want)
 		}
-		cmd := exec.Command(os.Args[0], "-test.run=^TestModelDerivedPinned$", "-test.count=1")
-		cmd.Env = append(os.Environ(), "AON_GOLDEN_CHILD="+uc.String())
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Errorf("%v: %v\n%s", uc, err, out)
+		r, err := harness.RunAON(machine.TwoCPm, uc, harness.AONOpts{WarmupMsgs: 20, MeasureMsgs: 60, Window: 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := modelDerived(uc).CacheMPI, r.Metrics.L2MPI; got != want {
+			t.Errorf("%v: pinned cache-MPI %v, model predicts %v", uc, got, want)
 		}
 	}
 	for _, uc := range []workload.UseCase{workload.DPI, workload.AUTH, workload.XJ} {

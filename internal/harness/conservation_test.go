@@ -62,12 +62,12 @@ func TestCounterConservationNetperf(t *testing.T) {
 func TestCounterConservationAON(t *testing.T) {
 	configs := append([]machine.ConfigID{}, machine.AllConfigs...)
 	configs = append(configs, machine.ExtendedConfigs...)
-	for _, id := range configs {
-		for _, uc := range []workload.UseCase{workload.FR, workload.SV, workload.AUTH} {
-			r, err := RunAON(id, uc, AONOpts{WarmupMsgs: 15, MeasureMsgs: 60, Window: 24})
-			if err != nil {
-				t.Fatalf("%s/%v: %v", id, uc, err)
-			}
+	mx, err := RunAONMatrix([]workload.UseCase{workload.FR, workload.SV, workload.AUTH}, configs, AONOpts{WarmupMsgs: 15, MeasureMsgs: 60, Window: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for uc, byConfig := range mx {
+		for id, r := range byConfig {
 			checkConservation(t, r.Raw, string(id)+"/"+uc.String())
 			// Every measured message was forwarded byte-for-byte.
 			if r.Stats.BytesOut != r.Stats.BytesIn {

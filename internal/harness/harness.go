@@ -2,6 +2,8 @@ package harness
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	aon "repro/internal/core"
 	"repro/internal/netperf"
@@ -148,23 +150,29 @@ func RunAON(id machine.ConfigID, uc workload.UseCase, o AONOpts) (AONResult, err
 	}, nil
 }
 
-// AONMatrix runs every use case on every configuration and returns the
-// results indexed [useCase][config]. Most table/figure experiments consume
-// this matrix; RunAONMatrix lets them share one set of simulations.
+// AONMatrix holds AON results indexed [useCase][config]. Most table/figure
+// experiments consume this matrix; RunAONMatrix lets them share one set of
+// simulations.
 type AONMatrix map[workload.UseCase]map[machine.ConfigID]AONResult
 
-// RunAONMatrix measures the full evaluation grid.
-func RunAONMatrix(o AONOpts) (AONMatrix, error) {
+// RunAONMatrix measures every use case on every configuration. Each run
+// is a pure function of its cell and o, so the cells run in parallel and
+// the matrix reads the same at any GOMAXPROCS.
+func RunAONMatrix(useCases []workload.UseCase, configs []machine.ConfigID, o AONOpts) (AONMatrix, error) {
+	n := len(configs)
+	res := make([]AONResult, len(useCases)*n)
+	errs := make([]error, len(res))
+	runCells(len(res), func(i int) { res[i], errs[i] = RunAON(configs[i%n], useCases[i/n], o) })
 	out := AONMatrix{}
-	for _, uc := range workload.AllUseCases {
-		out[uc] = map[machine.ConfigID]AONResult{}
-		for _, id := range machine.AllConfigs {
-			r, err := RunAON(id, uc, o)
-			if err != nil {
-				return nil, fmt.Errorf("%v on %v: %w", uc, id, err)
-			}
-			out[uc][id] = r
+	for i, r := range res {
+		uc, id := useCases[i/n], configs[i%n]
+		if errs[i] != nil {
+			return nil, fmt.Errorf("%v on %v: %w", uc, id, errs[i])
 		}
+		if i%n == 0 {
+			out[uc] = map[machine.ConfigID]AONResult{}
+		}
+		out[uc][id] = r
 	}
 	return out, nil
 }
@@ -182,14 +190,41 @@ func (mx AONMatrix) Scaling(p ScalingPair, uc workload.UseCase) float64 {
 // NetperfMatrix holds both modes across all configurations.
 type NetperfMatrix map[netperf.Mode]map[machine.ConfigID]NetperfResult
 
-// RunNetperfMatrix measures the full baseline grid.
+// RunNetperfMatrix measures the full baseline grid, its cells in parallel
+// like RunAONMatrix's.
 func RunNetperfMatrix(o NetperfOpts) NetperfMatrix {
+	modes := []netperf.Mode{netperf.Loopback, netperf.EndToEnd}
+	n := len(machine.AllConfigs)
+	res := make([]NetperfResult, len(modes)*n)
+	runCells(len(res), func(i int) { res[i] = RunNetperf(machine.AllConfigs[i%n], modes[i/n], o) })
 	out := NetperfMatrix{}
-	for _, mode := range []netperf.Mode{netperf.Loopback, netperf.EndToEnd} {
-		out[mode] = map[machine.ConfigID]NetperfResult{}
-		for _, id := range machine.AllConfigs {
-			out[mode][id] = RunNetperf(id, mode, o)
+	for i, r := range res {
+		if i%n == 0 {
+			out[r.Mode] = map[machine.ConfigID]NetperfResult{}
 		}
+		out[r.Mode][r.Config] = r
 	}
 	return out
+}
+
+// runCells calls cell(i) for every i in [0, n), on at most GOMAXPROCS
+// goroutines at a time, and returns when all have returned. Cells share
+// no simulator state: each builds its own machine and engine.
+func runCells(n int, cell func(i int)) {
+	cells := make(chan int, n) // every cell is queued before any worker starts
+	for i := 0; i < n; i++ {
+		cells <- i
+	}
+	close(cells)
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range cells {
+				cell(i)
+			}
+		}()
+	}
+	wg.Wait()
 }

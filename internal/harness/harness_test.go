@@ -95,7 +95,7 @@ func TestAONShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full grid in short mode")
 	}
-	mx, err := RunAONMatrix(testAONOpts)
+	mx, err := RunAONMatrix(workload.AllUseCases, machine.AllConfigs, testAONOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,10 +127,10 @@ func TestAONShapes(t *testing.T) {
 
 func TestPaperDataComplete(t *testing.T) {
 	for _, id := range machine.AllConfigs {
-		if PaperNetperfLoopback.ThroughputMbps[id] == 0 {
+		if paperNetperfLoopback.ThroughputMbps[id] == 0 {
 			t.Errorf("missing loopback throughput for %s", id)
 		}
-		if PaperNetperfEndToEnd.CPI[id] == 0 {
+		if paperNetperfEndToEnd.CPI[id] == 0 {
 			t.Errorf("missing end-to-end CPI for %s", id)
 		}
 		for _, uc := range workload.AllUseCases {

@@ -8,9 +8,9 @@ import (
 	"repro/internal/workload"
 )
 
-// PaperNetperf holds the published Figure 2 / Table 3 values, indexed by
+// paperNetperf holds the published Figure 2 / Table 3 values, indexed by
 // configuration in the paper's order 1CPm, 2CPm, 1LPx, 2LPx, 2PPx.
-type PaperNetperf struct {
+type paperNetperf struct {
 	ThroughputMbps map[machine.ConfigID]float64
 	CPI            map[machine.ConfigID]float64
 	L2MPI          map[machine.ConfigID]float64
@@ -26,9 +26,9 @@ func cfgMap(v1CPm, v2CPm, v1LPx, v2LPx, v2PPx float64) map[machine.ConfigID]floa
 	}
 }
 
-// PaperNetperfLoopback is the published loopback-mode data (Figure 2 bars
+// paperNetperfLoopback is the published loopback-mode data (Figure 2 bars
 // and the Table 3 upper block).
-var PaperNetperfLoopback = PaperNetperf{
+var paperNetperfLoopback = paperNetperf{
 	ThroughputMbps: cfgMap(9550, 6252, 8897, 8496, 2823),
 	CPI:            cfgMap(3.03, 6.05, 6.38, 7.70, 22.13),
 	L2MPI:          cfgMap(0.00, 0.35, 0.00, 23.32, 24.64),
@@ -37,10 +37,10 @@ var PaperNetperfLoopback = PaperNetperf{
 	BrMPR:          cfgMap(0.96, 0.70, 3.23, 3.04, 2.30),
 }
 
-// PaperNetperfEndToEnd is the published end-to-end-mode data (Figure 2
+// paperNetperfEndToEnd is the published end-to-end-mode data (Figure 2
 // bars and the Table 3 lower block). Throughput saturates the gigabit
 // wire on every configuration.
-var PaperNetperfEndToEnd = PaperNetperf{
+var paperNetperfEndToEnd = paperNetperf{
 	ThroughputMbps: cfgMap(940, 920, 936, 940, 936),
 	CPI:            cfgMap(3.46, 6.27, 8.10, 18.52, 11.53),
 	L2MPI:          cfgMap(0.05, 0.08, 0.33, 2.89, 2.71),

@@ -103,9 +103,9 @@ func FormatChecks(checks []ShapeCheck) string {
 func Figure2Table(mx NetperfMatrix) Table {
 	t := Table{Title: "Figure 2: Netperf throughput (Mbps)"}
 	for _, mode := range []netperf.Mode{netperf.Loopback, netperf.EndToEnd} {
-		paper := PaperNetperfLoopback
+		paper := paperNetperfLoopback
 		if mode == netperf.EndToEnd {
-			paper = PaperNetperfEndToEnd
+			paper = paperNetperfEndToEnd
 		}
 		t.Rows = append(t.Rows, TableRow{Label: mode.String() + " (paper)", Values: paper.ThroughputMbps})
 		meas := map[machine.ConfigID]float64{}
@@ -142,9 +142,9 @@ func Figure2Checks(mx NetperfMatrix) []ShapeCheck {
 func Table3Tables(mx NetperfMatrix) []Table {
 	var out []Table
 	for _, mode := range []netperf.Mode{netperf.Loopback, netperf.EndToEnd} {
-		paper := PaperNetperfLoopback
+		paper := paperNetperfLoopback
 		if mode == netperf.EndToEnd {
-			paper = PaperNetperfEndToEnd
+			paper = paperNetperfEndToEnd
 		}
 		t := Table{Title: fmt.Sprintf("Table 3 (%s): netperf performance metrics", mode)}
 		add := func(metric tableMetric, paperVals map[machine.ConfigID]float64) {

@@ -118,7 +118,7 @@ func (b *Bench) senderLoopback() sched.Proc {
 			if off == 0 {
 				first = kaddr
 			}
-			netsim.EmitTxHeader(buf, kaddr, off/netsim.MSS)
+			netsim.EmitTxHeader(buf, b.E.M.NextSegment(), kaddr, off/netsim.MSS)
 			netsim.EmitCopy(buf, kaddr, userBuf+uint64(off), seg)
 			off += seg
 		}
@@ -146,7 +146,7 @@ func (b *Bench) receiverLoopback() sched.Proc {
 		netsim.EmitSyscall(buf, metaArena.Base(), recvSyscallCost)
 		off := 0
 		for i, seg := range netsim.Segments(chunk.Bytes) {
-			netsim.EmitRxHeader(buf, chunk.Addr+uint64(off), i)
+			netsim.EmitRxHeader(buf, b.E.M.NextSegment(), chunk.Addr+uint64(off), i)
 			netsim.EmitCopy(buf, userBuf+uint64(off), chunk.Addr+uint64(off), seg)
 			off += seg
 		}
@@ -181,7 +181,7 @@ func (b *Bench) senderWire() sched.Proc {
 		off := 0
 		for i, seg := range netsim.Segments(sendSize) {
 			kaddr := sockArena.Alloc(uint64(seg))
-			netsim.EmitTxHeader(buf, kaddr, i)
+			netsim.EmitTxHeader(buf, m.NextSegment(), kaddr, i)
 			netsim.EmitCopy(buf, kaddr, userBuf+uint64(off), seg)
 			off += seg
 		}

@@ -1,10 +1,6 @@
 package netsim
 
-import (
-	"sync/atomic"
-
-	"repro/internal/perf/trace"
-)
+import "repro/internal/perf/trace"
 
 // Instrumented network-stack kernels. Each Emit* function produces the
 // micro-op stream of one operation of the simulated kernel's TCP/IP stack.
@@ -80,23 +76,16 @@ func emitChecksum(em trace.Emitter, addr uint64, n int, data []byte) {
 	em.Branch(csumOKPC, ok)
 }
 
-// segSeq is the global TCP segment sequence the periodic control branches
-// key off. Real stacks branch on conditions with medium-period regularity
-// (delayed-ACK every other segment, window updates every few segments,
-// timer work on a coarser period). Predictors with long global histories
-// learn the longer periods; short-history predictors cannot — one of the
-// structural reasons the Pentium M's misprediction ratios sit well below
-// Netburst's in Table 3/Table 6. The counter is shared across all
-// simulated machines in the process and atomic, so simulator runs may
-// proceed concurrently (e.g. the harness's background model warming next
-// to a foreground run); interleaving only dephases the medium-period
-// patterns, which is noise the predictors already see.
-var segSeq atomic.Uint64
-
 // EmitRxHeader emits the per-segment receive-side header processing: IP
-// validation, TCP state lookup, sequence/ack handling.
-func EmitRxHeader(em trace.Emitter, hdrAddr uint64, segIndex int) {
-	seq := segSeq.Add(1)
+// validation, TCP state lookup, sequence/ack handling. seq is the run's
+// TCP segment sequence (machine.NextSegment), which the periodic control
+// branches key off. Real stacks branch on conditions with medium-period
+// regularity (delayed-ACK every other segment, window updates every few
+// segments, timer work on a coarser period). Predictors with long global
+// histories learn the longer periods; short-history predictors cannot —
+// one of the structural reasons the Pentium M's misprediction ratios sit
+// well below Netburst's in Table 3/Table 6.
+func EmitRxHeader(em trace.Emitter, seq, hdrAddr uint64, segIndex int) {
 	em.Load(hdrAddr, 6) // header words
 	em.ALU(22)          // field extraction, validation arithmetic
 	em.Branch(hdrValidPC, true)
@@ -113,8 +102,8 @@ func EmitRxHeader(em trace.Emitter, hdrAddr uint64, segIndex int) {
 
 // EmitTxHeader emits the per-segment transmit-side header construction:
 // TCB read, header build, checksum of the header, queueing to the device.
-func EmitTxHeader(em trace.Emitter, hdrAddr uint64, segIndex int) {
-	seq := segSeq.Add(1)
+// seq is as for EmitRxHeader.
+func EmitTxHeader(em trace.Emitter, seq, hdrAddr uint64, segIndex int) {
 	em.Load(hdrAddr, 8) // TCB
 	em.ALU(28)          // header assembly, seq arithmetic
 	em.Store(hdrAddr+64, 8)

@@ -82,7 +82,7 @@ func (n *NIC) SoftirqProc() sched.Proc {
 		fl := seg.Meta.(*inflight)
 
 		buf.Reset()
-		EmitRxHeader(buf, seg.Addr, fl.remaining)
+		EmitRxHeader(buf, n.M.NextSegment(), seg.Addr, fl.remaining)
 		emitChecksum(buf, seg.Addr, seg.Bytes, fl.msg.Data)
 		sockAddr := n.SockArena.Alloc(uint64(seg.Bytes))
 		EmitCopy(buf, sockAddr, seg.Addr, seg.Bytes)
@@ -136,7 +136,7 @@ func (n *NIC) Transmit(ctx *sched.Ctx, buf *trace.Buffer, txArena *trace.Arena, 
 	for i, sz := range segs {
 		buf.Reset()
 		kaddr := txArena.Alloc(uint64(sz))
-		EmitTxHeader(buf, kaddr, i)
+		EmitTxHeader(buf, n.M.NextSegment(), kaddr, i)
 		EmitCopy(buf, kaddr, userAddr+off, sz)
 		ctx.ExecBuffer(buf)
 		n.M.DMARead(ctx.Now(), kaddr, sz)

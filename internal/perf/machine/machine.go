@@ -54,6 +54,8 @@ type Machine struct {
 
 	windowStart []float64 // per-LCPU clock at last ResetWindow
 	busyStart   []float64
+
+	segSeq uint64 // TCP segments the run's network stack has handled
 }
 
 // Package is one processor package (socket): an L2 shared by its cores.
@@ -227,6 +229,14 @@ func (m *Machine) DMARead(now float64, addr uint64, n int) {
 	for i := uint64(0); i < count; i++ {
 		m.Bus.Transact(uint64(now), busMemRead)
 	}
+}
+
+// NextSegment advances the run's TCP segment sequence and returns it, 1
+// for the first segment. The network stack's header kernels take it from
+// here, so their periodic branches depend on this run's segments alone.
+func (m *Machine) NextSegment() uint64 {
+	m.segSeq++
+	return m.segSeq
 }
 
 // Seconds converts cycles to wall-clock seconds on this machine.

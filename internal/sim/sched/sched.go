@@ -184,7 +184,9 @@ type cpuSlot struct {
 }
 
 // Engine drives the whole simulation: one machine, its threads, and the
-// timed-event queue. It is strictly single-goroutine.
+// timed-event queue. It is strictly single-goroutine: one run is one
+// goroutine driving its own engine and machine, and runs share nothing,
+// so separate runs may proceed on separate goroutines at once.
 type Engine struct {
 	M     *machine.Machine
 	Space *trace.AddressSpace
