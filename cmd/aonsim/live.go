@@ -62,7 +62,7 @@ func runLive(stdout, stderr io.Writer, opts harness.AONOpts, cal *harness.Calibr
 // liveEntry simulates uc, runs its live phase against a fresh in-process
 // gateway and returns the calibration entry.
 func liveEntry(uc workload.UseCase, opts harness.AONOpts, cal *harness.Calibration, dur time.Duration) (harness.CalibrationEntry, error) {
-	sim, err := harness.RunAON(liveConfig, uc, opts)
+	sim, err := harness.RunAON(harness.Cell{Config: liveConfig, UseCase: uc}, opts)
 	if err != nil {
 		return harness.CalibrationEntry{}, fmt.Errorf("simulate %s: %w", uc, err)
 	}

@@ -6,6 +6,7 @@ import (
 	"context"
 	"net"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -70,6 +71,55 @@ func TestFailedShapeChecksExitOne(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run(append([]string{"-exp", "fig2", "-checks=false"}, small...), &out, &errb); code != 0 {
 		t.Fatalf("-checks=false: exit %d, want 0", code)
+	}
+}
+
+// TestAllPlanIsUnionOfBlocks: -exp all runs the union of its blocks'
+// cells, each once: the paper's grid, the extensions and the ablations
+// come to 10 netperf, 31 XML-server and 4 ablated cells.
+func TestAllPlanIsUnionOfBlocks(t *testing.T) {
+	union := map[harness.Cell]bool{}
+	for _, b := range blocks {
+		for _, c := range plan(b) {
+			union[c] = true
+		}
+	}
+	kinds := map[string]int{}
+	for _, c := range plan("all") {
+		if !union[c] {
+			t.Errorf("all lists %+v twice, or no block does", c)
+		}
+		delete(union, c)
+		switch {
+		case c.Machine != (machine.Options{}):
+			kinds["ablated"]++
+		case c.Netperf:
+			kinds["netperf"]++
+		default:
+			kinds["XML-server"]++
+		}
+	}
+	if len(union) > 0 {
+		t.Errorf("all lacks %d of its blocks' cells: %+v", len(union), union)
+	}
+	if want := map[string]int{"netperf": 10, "XML-server": 31, "ablated": 4}; !reflect.DeepEqual(kinds, want) {
+		t.Errorf("all runs %v cells, want %v", kinds, want)
+	}
+}
+
+// TestEveryBlockIsInAll: each single experiment's stdout is one
+// contiguous block of -exp all's, byte for byte, at the same sizing.
+func TestEveryBlockIsInAll(t *testing.T) {
+	small := []string{"-msgs", "20", "-warmup", "5", "-netperf-ms", "0.5"}
+	var all, errb bytes.Buffer
+	run(append([]string{"-exp", "all"}, small...), &all, &errb)
+	for _, b := range blocks {
+		var out bytes.Buffer
+		errb.Reset()
+		run(append([]string{"-exp", b}, small...), &out, &errb)
+		if out.Len() == 0 || !strings.Contains(all.String(), out.String()) {
+			t.Errorf("-exp %s stdout is not a block of -exp all's:\n%s", b, out.String())
+		}
 	}
 }
 

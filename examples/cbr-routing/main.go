@@ -6,7 +6,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/httpmsg"
 	"repro/internal/verdict"
@@ -16,6 +18,13 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run walks ten messages through the pipeline, printing to w.
+func run(w io.Writer) error {
 	// The paper's routing rule: forward to the order endpoint when
 	// //quantity/text() equals "1", else to the error handler.
 	route := xpath.MustCompile(verdict.RouteExprSource)
@@ -26,6 +35,7 @@ func main() {
 		false: "http://errors.internal/reject",
 	}
 	counts := map[string]int{}
+	var doc3 *xmldom.Node // message 3, for the richer expression below
 
 	for i := 0; i < 10; i++ {
 		// A client HTTP POST carrying a 5 KB AONBench SOAP message.
@@ -33,16 +43,19 @@ func main() {
 
 		var req httpmsg.Request
 		if err := httpmsg.ParseRequestInto(raw, &req); err != nil {
-			log.Fatalf("message %d: %v", i, err)
+			return fmt.Errorf("message %d: %w", i, err)
 		}
 		doc, err := xmldom.Parse(req.Body)
 		if err != nil {
-			log.Fatalf("message %d: %v", i, err)
+			return fmt.Errorf("message %d: %w", i, err)
+		}
+		if i == 3 {
+			doc3 = doc
 		}
 
 		val, err := ev.EvalString(route, doc)
 		if err != nil {
-			log.Fatalf("message %d: %v", i, err)
+			return fmt.Errorf("message %d: %w", i, err)
 		}
 		matched := val == verdict.RouteMatchValue
 		dest := endpoints[matched]
@@ -59,30 +72,22 @@ func main() {
 			Body: req.Body,
 		}
 		out := httpmsg.FormatRequest(fwd)
-		fmt.Printf("message %2d: quantity=%q -> %-34s (%d bytes forwarded)\n",
+		fmt.Fprintf(w, "message %2d: quantity=%q -> %-34s (%d bytes forwarded)\n",
 			i, val, dest, len(out))
 	}
 
-	fmt.Println()
+	fmt.Fprintln(w)
 	for dest, n := range counts {
-		fmt.Printf("%-34s %d messages\n", dest, n)
+		fmt.Fprintf(w, "%-34s %d messages\n", dest, n)
 	}
 
 	// Demonstrate a richer expression on the same documents: orders with
 	// any line item worth more than 400.
 	expensive := xpath.MustCompile(`count(//item[price > 400])`)
-	doc, _ := xmldom.Parse(mustBody(workload.HTTPRequest(3, workload.CBR)))
-	n, err := ev.EvalString(expensive, doc)
+	n, err := ev.EvalString(expensive, doc3)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nmessage 3 has %s line items priced above 400\n", n)
-}
-
-func mustBody(raw []byte) []byte {
-	var req httpmsg.Request
-	if err := httpmsg.ParseRequestInto(raw, &req); err != nil {
-		log.Fatal(err)
-	}
-	return req.Body
+	fmt.Fprintf(w, "\nmessage 3 has %s line items priced above 400\n", n)
+	return nil
 }

@@ -6,7 +6,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	aon "repro/internal/core"
 	"repro/internal/dpi"
@@ -18,9 +20,16 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the demonstration, printing to w.
+func run(w io.Writer) error {
 	// 1. Library-level DPI: build a matcher, scan payloads.
 	m := dpi.MustNewMatcher([]string{"<!ENTITY", "javascript:", "DROP TABLE"})
-	fmt.Printf("signature automaton: %d states, %d simulated KB\n",
+	fmt.Fprintf(w, "signature automaton: %d states, %d simulated KB\n",
 		m.States(), m.SimBytes()>>10)
 
 	payloads := map[string][]byte{
@@ -34,14 +43,14 @@ func main() {
 		if len(matches) > 0 {
 			verdict = fmt.Sprintf("BLOCK (%d signature hits)", len(matches))
 		}
-		fmt.Printf("  %-15s %s\n", name, verdict)
+		fmt.Fprintf(w, "  %-15s %s\n", name, verdict)
 	}
 
 	// 2. Library-level message authentication.
 	body := workload.SOAPMessage(9)
 	mac := wcrypto.HMAC(workload.AuthKey, body, nil, 0)
-	fmt.Printf("\nHMAC-SHA1 of message 9: %x...\n", mac[:8])
-	fmt.Printf("SHA-1 self-check: %s\n", wcrypto.HexSum1([]byte("abc")))
+	fmt.Fprintf(w, "\nHMAC-SHA1 of message 9: %x...\n", mac[:8])
+	fmt.Fprintf(w, "SHA-1 self-check: %s\n", wcrypto.HexSum1([]byte("abc")))
 
 	// 3. The same operations as AON use cases under full simulation.
 	for _, uc := range workload.ExtendedUseCases {
@@ -51,19 +60,23 @@ func main() {
 			netsim.NewLink(mach, 1e9), netsim.NewLink(mach, 1e9))
 		server, err := aon.New(e, nic, aon.Config{UseCase: uc})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		server.SpawnThreads()
 		aon.NewClient(server, uc, 16).Start()
 		end := e.Run(func(*sched.Engine) bool { return server.Stats.Messages >= 120 })
 		secs := mach.Seconds(end)
-		fmt.Printf("\n%s on 2CPm: %.0f msg/s (%.0f Mbps)\n",
+		fmt.Fprintf(w, "\n%s on 2CPm: %.0f msg/s (%.0f Mbps)\n",
 			uc, float64(server.Stats.Messages)/secs,
 			float64(server.Stats.BytesIn)*8/secs/1e6)
-		if uc == workload.DPI {
-			fmt.Printf("  clean=%d quarantined=%d\n", server.Stats.CleanDPI, server.Stats.RoutedError)
-		} else {
-			fmt.Printf("  authenticated=%d rejected=%d\n", server.Stats.AuthOK, server.Stats.RoutedError)
+		switch st := server.Stats; uc {
+		case workload.DPI:
+			fmt.Fprintf(w, "  clean=%d quarantined=%d\n", st.CleanDPI, st.RoutedError)
+		case workload.AUTH:
+			fmt.Fprintf(w, "  authenticated=%d rejected=%d\n", st.AuthOK, st.RoutedError)
+		default:
+			fmt.Fprintf(w, "  translated=%d unprocessable=%d\n", st.Messages-st.RoutedError, st.RoutedError)
 		}
 	}
+	return nil
 }

@@ -5,7 +5,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	aon "repro/internal/core"
 	"repro/internal/netsim"
@@ -16,10 +18,17 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the tour, printing to w.
+func run(w io.Writer) error {
 	// 1. Pick a system under test from the paper's Table 2. Here: the
 	// dual-core Pentium M.
 	m := machine.New(machine.TwoCPm, machine.Options{})
-	fmt.Println("machine:", m)
+	fmt.Fprintln(w, "machine:", m)
 
 	// 2. Wrap it in the OS/scheduler layer and wire a NIC with gigabit
 	// links, like the paper's testbed.
@@ -33,7 +42,7 @@ func main() {
 	// destination endpoint.
 	server, err := aon.New(e, nic, aon.Config{UseCase: workload.CBR})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	server.SpawnThreads()
 
@@ -50,14 +59,15 @@ func main() {
 	// 6. Read the results: application stats and the system-wide counters
 	// the paper's VTune methodology reports.
 	secs := m.Seconds(end)
-	fmt.Printf("processed %d messages in %.2f simulated ms (%.0f Mbps)\n",
+	fmt.Fprintf(w, "processed %d messages in %.2f simulated ms (%.0f Mbps)\n",
 		server.Stats.Messages, secs*1e3,
 		float64(server.Stats.BytesIn)*8/secs/1e6)
-	fmt.Printf("routing: %d matched //quantity/text()=1, %d to the error endpoint\n",
+	fmt.Fprintf(w, "routing: %d matched //quantity/text()=1, %d to the error endpoint\n",
 		server.Stats.RoutedMatch, server.Stats.RoutedError)
 
 	sys := m.SystemCounters()
-	fmt.Println("\nsystem-wide performance counters:")
-	fmt.Print(sys.Format())
-	fmt.Println("derived metrics:", counters.Derive(sys))
+	fmt.Fprintln(w, "\nsystem-wide performance counters:")
+	fmt.Fprint(w, sys.Format())
+	fmt.Fprintln(w, "derived metrics:", counters.Derive(sys))
+	return nil
 }

@@ -7,7 +7,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/workload"
 	"repro/internal/xmldom"
@@ -44,9 +46,16 @@ const inventorySchema = `<?xml version="1.0"?>
 </xs:schema>`
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run validates the documents below and an AONBench pair, printing to w.
+func run(w io.Writer) error {
 	schema, err := xsd.ParseSchema([]byte(inventorySchema))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	docs := map[string]string{
@@ -73,23 +82,24 @@ func main() {
 	for name, src := range docs {
 		doc, err := xmldom.Parse([]byte(src))
 		if err != nil {
-			log.Fatalf("%s: %v", name, err)
+			return fmt.Errorf("%s: %w", name, err)
 		}
 		errs := xsd.Validate(schema, doc)
 		if len(errs) == 0 {
-			fmt.Printf("%-28s VALID\n", name)
+			fmt.Fprintf(w, "%-28s VALID\n", name)
 			continue
 		}
-		fmt.Printf("%-28s INVALID: %v\n", name, errs[0])
+		fmt.Fprintf(w, "%-28s INVALID: %v\n", name, errs[0])
 	}
 
 	// The AONBench flow: validate a generated purchase order, then the
 	// deliberately corrupted variant the paper uses as a self-check.
-	fmt.Println()
+	fmt.Fprintln(w)
 	orders := workload.OrderSchema()
 	good, _ := xmldom.Parse(workload.SOAPMessage(1))
 	bad, _ := xmldom.Parse(workload.InvalidSOAPMessage(1))
-	fmt.Printf("AONBench message:          valid=%v\n", len(xsd.Validate(orders, good)) == 0)
+	fmt.Fprintf(w, "AONBench message:          valid=%v\n", len(xsd.Validate(orders, good)) == 0)
 	badErrs := xsd.Validate(orders, bad)
-	fmt.Printf("modified AONBench message: valid=%v (%v)\n", len(badErrs) == 0, badErrs[0])
+	fmt.Fprintf(w, "modified AONBench message: valid=%v (%v)\n", len(badErrs) == 0, badErrs[0])
+	return nil
 }

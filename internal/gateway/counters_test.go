@@ -30,7 +30,7 @@ func TestModelDerivedPinned(t *testing.T) {
 		if got := modelDerived(uc); got != want {
 			t.Errorf("%v: pinned %+v, paper tables give %+v", uc, got, want)
 		}
-		r, err := harness.RunAON(machine.TwoCPm, uc, harness.AONOpts{WarmupMsgs: 20, MeasureMsgs: 60, Window: 32})
+		r, err := harness.RunAON(harness.Cell{Config: machine.TwoCPm, UseCase: uc}, harness.AONOpts{WarmupMsgs: 20, MeasureMsgs: 60, Window: 32})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -53,7 +53,7 @@ func checkConservation(t *testing.T, raw counters.Set, label string) {
 func TestCounterConservationNetperf(t *testing.T) {
 	for _, id := range machine.AllConfigs {
 		for _, mode := range []netperf.Mode{netperf.Loopback, netperf.EndToEnd} {
-			r := RunNetperf(id, mode, NetperfOpts{WarmupMs: 1, MeasureMs: 2})
+			r := runNetperf(Cell{Config: id, Netperf: true, Mode: mode}, NetperfOpts{WarmupMs: 1, MeasureMs: 2})
 			checkConservation(t, r.Raw, string(id)+"/"+mode.String())
 		}
 	}
@@ -62,11 +62,11 @@ func TestCounterConservationNetperf(t *testing.T) {
 func TestCounterConservationAON(t *testing.T) {
 	configs := append([]machine.ConfigID{}, machine.AllConfigs...)
 	configs = append(configs, machine.ExtendedConfigs...)
-	mx, err := RunAONMatrix([]workload.UseCase{workload.FR, workload.SV, workload.AUTH}, configs, AONOpts{WarmupMsgs: 15, MeasureMsgs: 60, Window: 24})
+	g, err := RunGrid(AONCells([]workload.UseCase{workload.FR, workload.SV, workload.AUTH}, configs), AONOpts{WarmupMsgs: 15, MeasureMsgs: 60, Window: 24}, NetperfOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for uc, byConfig := range mx {
+	for uc, byConfig := range g.AONMatrix() {
 		for id, r := range byConfig {
 			checkConservation(t, r.Raw, string(id)+"/"+uc.String())
 			// Every measured message was forwarded byte-for-byte.

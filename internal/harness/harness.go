@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	aon "repro/internal/core"
@@ -18,16 +19,22 @@ import (
 // gigabitBps is the testbed link speed.
 const gigabitBps = 1e9
 
+// Cell is one simulated run: Config running the XML server on UseCase,
+// or netperf in Mode when Netperf is set, on a machine built with
+// Machine (the zero Options are the faithful machine).
+type Cell struct {
+	Config  machine.ConfigID
+	Netperf bool
+	UseCase workload.UseCase
+	Mode    netperf.Mode
+	Machine machine.Options
+}
+
 // NetperfOpts sizes a netperf run.
 type NetperfOpts struct {
 	WarmupMs  float64 // simulated warmup before the counter window opens
 	MeasureMs float64 // simulated measurement window
-	Machine   machine.Options
 }
-
-// DefaultNetperfOpts is long enough for caches and predictors to reach
-// steady state while keeping host runtime modest.
-var DefaultNetperfOpts = NetperfOpts{WarmupMs: 2, MeasureMs: 10}
 
 // NetperfResult is one netperf measurement.
 type NetperfResult struct {
@@ -38,15 +45,15 @@ type NetperfResult struct {
 	Raw     counters.Set
 }
 
-// RunNetperf measures one configuration in one mode.
-func RunNetperf(id machine.ConfigID, mode netperf.Mode, o NetperfOpts) NetperfResult {
-	m := machine.New(id, o.Machine)
+// runNetperf measures netperf cell c.
+func runNetperf(c Cell, o NetperfOpts) NetperfResult {
+	m := machine.New(c.Config, c.Machine)
 	e := sched.NewEngine(m)
 	var tx *netsim.Link
-	if mode == netperf.EndToEnd {
+	if c.Mode == netperf.EndToEnd {
 		tx = netsim.NewLink(m, gigabitBps)
 	}
-	b := netperf.New(e, mode, tx)
+	b := netperf.New(e, c.Mode, tx)
 	b.Spawn()
 
 	warmEnd := m.Cycles(o.WarmupMs * 1e-3)
@@ -63,8 +70,8 @@ func RunNetperf(id machine.ConfigID, mode netperf.Mode, o NetperfOpts) NetperfRe
 	seconds := m.Seconds(end - warmEnd)
 	raw := m.SystemCounters()
 	return NetperfResult{
-		Config:  id,
-		Mode:    mode,
+		Config:  c.Config,
+		Mode:    c.Mode,
 		Mbps:    float64(bytes) * 8 / seconds / 1e6,
 		Metrics: counters.Derive(raw),
 		Raw:     raw,
@@ -76,11 +83,16 @@ type AONOpts struct {
 	WarmupMsgs  int
 	MeasureMsgs int
 	Window      int // client closed-loop window
-	Machine     machine.Options
 }
 
-// DefaultAONOpts balances steady state against host runtime.
-var DefaultAONOpts = AONOpts{WarmupMsgs: 60, MeasureMsgs: 240, Window: 32}
+// The one sizing of the paper's evaluation: long enough for caches and
+// predictors to reach steady state while keeping host runtime modest.
+// aonsim's flag defaults read it, and EXPERIMENTS.md's tables are
+// printed at it.
+var (
+	DefaultNetperfOpts = NetperfOpts{WarmupMs: 2, MeasureMs: 8}
+	DefaultAONOpts     = AONOpts{WarmupMsgs: 120, MeasureMsgs: 600, Window: 32}
+)
 
 // AONResult is one XML-server measurement.
 type AONResult struct {
@@ -99,20 +111,20 @@ type AONResult struct {
 // utilIntervalSec is the simulated sampling period of RunAON's profiler.
 const utilIntervalSec = 100e-6
 
-// RunAON measures one use case on one configuration.
-func RunAON(id machine.ConfigID, uc workload.UseCase, o AONOpts) (AONResult, error) {
-	m := machine.New(id, o.Machine)
+// RunAON measures XML-server cell c.
+func RunAON(c Cell, o AONOpts) (AONResult, error) {
+	m := machine.New(c.Config, c.Machine)
 	e := sched.NewEngine(m)
 	rx := netsim.NewLink(m, gigabitBps)
 	tx := netsim.NewLink(m, gigabitBps)
 	kern := e.Space.NewProcess()
 	nic := netsim.NewNIC(e, kern, rx, tx)
-	s, err := aon.New(e, nic, aon.Config{UseCase: uc})
+	s, err := aon.New(e, nic, aon.Config{UseCase: c.UseCase})
 	if err != nil {
 		return AONResult{}, err
 	}
 	s.SpawnThreads()
-	client := aon.NewClient(s, uc, o.Window)
+	client := aon.NewClient(s, c.UseCase, o.Window)
 	client.Start()
 
 	warmTarget := uint64(o.WarmupMsgs)
@@ -139,8 +151,8 @@ func RunAON(id machine.ConfigID, uc workload.UseCase, o AONOpts) (AONResult, err
 	bytes := float64(s.Stats.BytesIn - bytes0)
 	raw := m.SystemCounters()
 	return AONResult{
-		Config:      id,
-		UseCase:     uc,
+		Config:      c.Config,
+		UseCase:     c.UseCase,
 		Mbps:        bytes * 8 / seconds / 1e6,
 		MsgPerSec:   msgs / seconds,
 		Metrics:     counters.Derive(raw),
@@ -150,32 +162,9 @@ func RunAON(id machine.ConfigID, uc workload.UseCase, o AONOpts) (AONResult, err
 	}, nil
 }
 
-// AONMatrix holds AON results indexed [useCase][config]. Most table/figure
-// experiments consume this matrix; RunAONMatrix lets them share one set of
-// simulations.
+// AONMatrix holds AON results indexed [useCase][config]: the view of a
+// grid the table and figure renderers read.
 type AONMatrix map[workload.UseCase]map[machine.ConfigID]AONResult
-
-// RunAONMatrix measures every use case on every configuration. Each run
-// is a pure function of its cell and o, so the cells run in parallel and
-// the matrix reads the same at any GOMAXPROCS.
-func RunAONMatrix(useCases []workload.UseCase, configs []machine.ConfigID, o AONOpts) (AONMatrix, error) {
-	n := len(configs)
-	res := make([]AONResult, len(useCases)*n)
-	errs := make([]error, len(res))
-	runCells(len(res), func(i int) { res[i], errs[i] = RunAON(configs[i%n], useCases[i/n], o) })
-	out := AONMatrix{}
-	for i, r := range res {
-		uc, id := useCases[i/n], configs[i%n]
-		if errs[i] != nil {
-			return nil, fmt.Errorf("%v on %v: %w", uc, id, errs[i])
-		}
-		if i%n == 0 {
-			out[uc] = map[machine.ConfigID]AONResult{}
-		}
-		out[uc][id] = r
-	}
-	return out, nil
-}
 
 // Scaling computes Figure 3's ratio for one transition and use case.
 func (mx AONMatrix) Scaling(p ScalingPair, uc workload.UseCase) float64 {
@@ -187,24 +176,98 @@ func (mx AONMatrix) Scaling(p ScalingPair, uc workload.UseCase) float64 {
 	return to / from
 }
 
-// NetperfMatrix holds both modes across all configurations.
+// NetperfMatrix holds netperf results indexed [mode][config].
 type NetperfMatrix map[netperf.Mode]map[machine.ConfigID]NetperfResult
 
-// RunNetperfMatrix measures the full baseline grid, its cells in parallel
-// like RunAONMatrix's.
-func RunNetperfMatrix(o NetperfOpts) NetperfMatrix {
-	modes := []netperf.Mode{netperf.Loopback, netperf.EndToEnd}
-	n := len(machine.AllConfigs)
-	res := make([]NetperfResult, len(modes)*n)
-	runCells(len(res), func(i int) { res[i] = RunNetperf(machine.AllConfigs[i%n], modes[i/n], o) })
-	out := NetperfMatrix{}
-	for i, r := range res {
-		if i%n == 0 {
-			out[r.Mode] = map[machine.ConfigID]NetperfResult{}
+// AONCells lists every use case on every configuration, faithfully.
+func AONCells(useCases []workload.UseCase, configs []machine.ConfigID) []Cell {
+	var out []Cell
+	for _, uc := range useCases {
+		for _, id := range configs {
+			out = append(out, Cell{Config: id, UseCase: uc})
 		}
-		out[r.Mode][r.Config] = r
 	}
 	return out
+}
+
+// NetperfCells lists both netperf modes on every configuration, faithfully.
+func NetperfCells(configs []machine.ConfigID) []Cell {
+	var out []Cell
+	for _, mode := range []netperf.Mode{netperf.Loopback, netperf.EndToEnd} {
+		for _, id := range configs {
+			out = append(out, Cell{Config: id, Netperf: true, Mode: mode})
+		}
+	}
+	return out
+}
+
+// Result is one cell's measurement: Netperf for a netperf cell, AON for
+// the others.
+type Result struct {
+	AON     AONResult
+	Netperf NetperfResult
+}
+
+// Grid holds a set of runs' results keyed by cell.
+type Grid map[Cell]Result
+
+// RunGrid runs every distinct cell of cells once, an XML-server cell
+// sized by aon and a netperf cell by np. Each run is a pure function of
+// its cell and sizing, so the cells run in one pool, at most GOMAXPROCS
+// at a time, and a cell reads the same in any grid and at any GOMAXPROCS.
+func RunGrid(cells []Cell, aon AONOpts, np NetperfOpts) (Grid, error) {
+	var distinct []Cell
+	for _, c := range cells {
+		if !slices.Contains(distinct, c) {
+			distinct = append(distinct, c)
+		}
+	}
+	res := make([]Result, len(distinct))
+	errs := make([]error, len(distinct))
+	runCells(len(distinct), func(i int) {
+		if c := distinct[i]; c.Netperf {
+			res[i].Netperf = runNetperf(c, np)
+		} else {
+			res[i].AON, errs[i] = RunAON(c, aon)
+		}
+	})
+	g := Grid{}
+	for i, c := range distinct {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("%v on %v: %w", c.UseCase, c.Config, errs[i])
+		}
+		g[c] = res[i]
+	}
+	return g, nil
+}
+
+// AONMatrix is the view of g's XML-server cells on the faithful machine.
+// It is g's own copy: calibrating it leaves g as measured.
+func (g Grid) AONMatrix() AONMatrix {
+	mx := AONMatrix{}
+	for c, r := range g {
+		if !c.Netperf && c.Machine == (machine.Options{}) {
+			if mx[c.UseCase] == nil {
+				mx[c.UseCase] = map[machine.ConfigID]AONResult{}
+			}
+			mx[c.UseCase][c.Config] = r.AON
+		}
+	}
+	return mx
+}
+
+// NetperfMatrix is the view of g's netperf cells on the faithful machine.
+func (g Grid) NetperfMatrix() NetperfMatrix {
+	mx := NetperfMatrix{}
+	for c, r := range g {
+		if c.Netperf && c.Machine == (machine.Options{}) {
+			if mx[c.Mode] == nil {
+				mx[c.Mode] = map[machine.ConfigID]NetperfResult{}
+			}
+			mx[c.Mode][c.Config] = r.Netperf
+		}
+	}
+	return mx
 }
 
 // runCells calls cell(i) for every i in [0, n), on at most GOMAXPROCS

@@ -9,13 +9,13 @@ import (
 	"repro/internal/workload"
 )
 
-// Small experiment sizes keep the integration tests quick; the full-size
-// runs live in the root benchmarks.
+// Small experiment sizes keep the integration tests quick; aonsim runs
+// the full-size grid at DefaultAONOpts and DefaultNetperfOpts.
 var testNetperfOpts = NetperfOpts{WarmupMs: 1, MeasureMs: 4}
 var testAONOpts = AONOpts{WarmupMsgs: 60, MeasureMsgs: 260, Window: 32}
 
 func TestRunNetperfBasic(t *testing.T) {
-	r := RunNetperf(machine.OneCPm, netperf.Loopback, testNetperfOpts)
+	r := runNetperf(Cell{Config: machine.OneCPm, Netperf: true, Mode: netperf.Loopback}, testNetperfOpts)
 	if r.Mbps <= 0 {
 		t.Fatal("no throughput")
 	}
@@ -28,7 +28,7 @@ func TestRunNetperfBasic(t *testing.T) {
 }
 
 func TestRunAONBasic(t *testing.T) {
-	r, err := RunAON(machine.TwoCPm, workload.CBR, AONOpts{WarmupMsgs: 20, MeasureMsgs: 60, Window: 16})
+	r, err := RunAON(Cell{Config: machine.TwoCPm, UseCase: workload.CBR}, AONOpts{WarmupMsgs: 20, MeasureMsgs: 60, Window: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestRunAONBasic(t *testing.T) {
 func TestRunAONUtilization(t *testing.T) {
 	for _, id := range []machine.ConfigID{machine.OneCPm, machine.TwoLPx} {
 		for _, uc := range []workload.UseCase{workload.FR, workload.SV} {
-			r, err := RunAON(id, uc, AONOpts{WarmupMsgs: 20, MeasureMsgs: 60, Window: 16})
+			r, err := RunAON(Cell{Config: id, UseCase: uc}, AONOpts{WarmupMsgs: 20, MeasureMsgs: 60, Window: 16})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +68,11 @@ func TestNetperfShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full grid in short mode")
 	}
-	mx := RunNetperfMatrix(testNetperfOpts)
+	g, err := RunGrid(NetperfCells(machine.AllConfigs), AONOpts{}, testNetperfOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mx := g.NetperfMatrix()
 	checks := append(Figure2Checks(mx), Table3Checks(mx)...)
 	for _, c := range checks {
 		if !c.OK {
@@ -95,10 +99,11 @@ func TestAONShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full grid in short mode")
 	}
-	mx, err := RunAONMatrix(workload.AllUseCases, machine.AllConfigs, testAONOpts)
+	g, err := RunGrid(AONCells(workload.AllUseCases, machine.AllConfigs), testAONOpts, NetperfOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	mx := g.AONMatrix()
 	groups := map[string][]ShapeCheck{
 		"figure3": Figure3Checks(mx),
 		"table4":  Table4Checks(mx),

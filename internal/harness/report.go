@@ -63,9 +63,9 @@ func (t Table) Render() string {
 	return b.String()
 }
 
-// ShapeCheck is one qualitative relation the paper's prose asserts; the
-// benchmark harness and the integration tests verify each against the
-// measured data.
+// ShapeCheck is one qualitative relation the paper's prose asserts;
+// aonsim and the integration tests verify each against the measured
+// data.
 type ShapeCheck struct {
 	Name string
 	OK   bool
@@ -370,20 +370,6 @@ func Table6Checks(mx AONMatrix) []ShapeCheck {
 	return checks
 }
 
-// AllChecks runs every shape check against measured matrices.
-func AllChecks(nmx NetperfMatrix, amx AONMatrix) []ShapeCheck {
-	var out []ShapeCheck
-	out = append(out, Figure2Checks(nmx)...)
-	out = append(out, Table3Checks(nmx)...)
-	out = append(out, Figure3Checks(amx)...)
-	out = append(out, Table4Checks(amx)...)
-	out = append(out, Figure4Checks(amx)...)
-	out = append(out, Figure5Checks(amx)...)
-	out = append(out, Table5Checks(amx)...)
-	out = append(out, Table6Checks(amx)...)
-	return out
-}
-
 // FailedChecks filters to the failing subset, sorted by name.
 func FailedChecks(checks []ShapeCheck) []ShapeCheck {
 	var out []ShapeCheck
@@ -418,8 +404,8 @@ func UtilizationTable(mx AONMatrix) Table {
 	for _, uc := range workload.AllUseCases {
 		for cpu := 0; ; cpu++ {
 			meas := map[machine.ConfigID]float64{}
-			for id, r := range mx[uc] {
-				if cpu < len(r.Utilization) {
+			for _, id := range machine.AllConfigs {
+				if r := mx[uc][id]; cpu < len(r.Utilization) {
 					meas[id] = 100 * r.Utilization[cpu]
 				}
 			}
@@ -430,4 +416,74 @@ func UtilizationTable(mx AONMatrix) Table {
 		}
 	}
 	return t
+}
+
+// ---- Ablations (DESIGN.md section 5) ----
+
+// The single-unit cells two ablation rows are read against.
+var (
+	loopback1LPx = Cell{Config: machine.OneLPx, Netperf: true, Mode: netperf.Loopback}
+	sv1LPx       = Cell{Config: machine.OneLPx, UseCase: workload.SV}
+)
+
+// ablations are the ablation report's rows. Each switches one machine
+// mechanism off in a cell the paper's grid runs faithfully; show renders
+// one run of that cell, reading g for its reference.
+var ablations = []struct {
+	label string
+	cell  Cell
+	show  func(g Grid, r Result) string
+}{
+	{"free coherence, 2PPx loopback:", Cell{Config: machine.TwoPPx, Netperf: true, Mode: netperf.Loopback,
+		Machine: machine.Options{FreeCoherence: true}}, func(g Grid, r Result) string {
+		return fmt.Sprintf("%.0f Mbps (%.2fx of 1LPx)", r.Netperf.Mbps, r.Netperf.Mbps/g[loopback1LPx].Netperf.Mbps)
+	}},
+	{"private L2 halves, 2CPm loopback:", Cell{Config: machine.TwoCPm, Netperf: true, Mode: netperf.Loopback,
+		Machine: machine.Options{PrivateL2: true}}, func(_ Grid, r Result) string {
+		return fmt.Sprintf("%.0f Mbps, CPI %.2f", r.Netperf.Mbps, r.Netperf.Metrics.CPI)
+	}},
+	{"private predictors, SV on 2LPx:", Cell{Config: machine.TwoLPx, UseCase: workload.SV,
+		Machine: machine.Options{PrivatePredictors: true}}, func(g Grid, r Result) string {
+		return fmt.Sprintf("BrMPR %.2f%% (1LPx %.2f%%)", r.AON.Metrics.BrMPR, g[sv1LPx].AON.Metrics.BrMPR)
+	}},
+	{"no prefetch, FR on 1CPm:", Cell{Config: machine.OneCPm, UseCase: workload.FR,
+		Machine: machine.Options{NoPrefetch: true}}, func(_ Grid, r Result) string {
+		return fmt.Sprintf("BTPI %.2f%%, %.0f Mbps", r.AON.Metrics.BTPI, r.AON.Mbps)
+	}},
+}
+
+// faithful is c on the faithful machine.
+func faithful(c Cell) Cell {
+	c.Machine = machine.Options{}
+	return c
+}
+
+// AblationCells lists the cells the ablation report reads: the two
+// single-unit references, and each ablated cell with its faithful twin.
+// Only the four ablated cells are not in the paper's grid.
+func AblationCells() []Cell {
+	out := []Cell{loopback1LPx, sv1LPx}
+	for _, a := range ablations {
+		out = append(out, a.cell, faithful(a.cell))
+	}
+	return out
+}
+
+// AblationReport renders each ablated cell beside its faithful twin from
+// a grid that ran AblationCells. It reads the model's runs as measured:
+// a calibration scales the paper's tables, not these.
+func AblationReport(g Grid) string {
+	var b strings.Builder
+	b.WriteString("Ablations (DESIGN.md section 5): one machine mechanism switched off\n")
+	for _, a := range ablations {
+		fmt.Fprintf(&b, "  %-34s faithful %-26s ablated %s\n", a.label, a.show(g, g[faithful(a.cell)]), a.show(g, g[a.cell]))
+	}
+	return b.String()
+}
+
+// AblationChecks holds the one ablation effect the model carries: free
+// coherence transfers lift the collapsed 2PPx loopback above 1LPx's.
+func AblationChecks(g Grid) []ShapeCheck {
+	return []ShapeCheck{checkGreater("free coherence lifts 2PPx loopback above 1LPx",
+		g[ablations[0].cell].Netperf.Mbps, g[loopback1LPx].Netperf.Mbps)}
 }

@@ -18,21 +18,23 @@ const (
 	busMemWrite = bus.MemWrite
 )
 
-// Options toggles model mechanisms for the ablation benchmarks called out
-// in DESIGN.md. The zero value is the faithful model.
+// Options toggles model mechanisms for the ablations aonsim -exp ablate
+// runs (DESIGN.md section 5). The zero value is the faithful model.
 type Options struct {
 	// PrivateL2 splits the dual-core Pentium M's shared L2 into two
-	// private halves (ablation: erases the 2CPm shared-cache conflicts).
+	// private halves (ablation; 2CPm loopback moves by about 1 %).
 	PrivateL2 bool
 	// PrivatePredictors gives each SMT thread its own branch predictor
-	// (ablation: erases the 2LPx misprediction inflation).
+	// (ablation; SV BrMPR on 2LPx moves by about 0.01 points: the
+	// shared predictor adds no inflation to remove).
 	PrivatePredictors bool
 	// FreeCoherence makes cross-package and cross-core dirty transfers
-	// latency-free and bus-free (ablation: erases the 2PPx loopback
-	// collapse).
+	// latency-free and bus-free (ablation: lifts the collapsed 2PPx
+	// loopback above 1LPx's).
 	FreeCoherence bool
-	// NoPrefetch disables the Pentium M stream prefetchers (ablation:
-	// erases the elevated Pentium M bus-transaction rates).
+	// NoPrefetch disables the Pentium M stream prefetchers (ablation;
+	// FR on 1CPm loses 8 % of its throughput, its BTPI about 0.01
+	// points).
 	NoPrefetch bool
 }
 
