@@ -25,62 +25,48 @@ const (
 )
 
 // runLive is -exp live: for each of FR/CBR/SV it runs the simulated
-// liveConfig (sized and calibrated exactly as the matrix is) and one live
-// campaign phase of length dur, prints the gateway's window over the
-// phase against the prediction, and writes the live/sim ratios as a
-// calibration artifact to calOut when set. Phases without perf events
-// (the runtime-only fallback) record identity scales: the model cannot
-// calibrate itself.
-func runLive(stdout, stderr io.Writer, opts harness.AONOpts, cal *harness.Calibration, dur time.Duration, calOut string) error {
-	out := &harness.Calibration{Config: string(liveConfig), Entries: map[string]harness.CalibrationEntry{}}
+// liveConfig (sized exactly as the matrix is) and one live campaign phase
+// of length dur, and prints the gateway's window over the phase beside
+// the prediction. The simulator's tables are not rescaled by it; to
+// compare, divide a live column by its sim column.
+func runLive(stdout io.Writer, opts harness.AONOpts, dur time.Duration) error {
 	fmt.Fprintf(stdout, "simulated %s prediction vs live campaign phase (%v reads, %v load)\n", liveConfig, liveInterval, dur)
-	fmt.Fprintf(stdout, "%-4s %8s | %8s %8s %8s %8s | %10s %9s | %s\n",
-		"uc", "samples", "sim-cpi", "live-cpi", "scale", "mpi-scl", "live-mps", "p50(us)", "live source")
+	fmt.Fprintf(stdout, "%-4s %8s | %8s %8s | %9s %9s | %9s %10s | %10s %9s | %s\n",
+		"uc", "samples", "sim-cpi", "live-cpi", "sim-l2mpi", "live-mpi", "sim-brmpr", "live-brmpr", "live-mps", "p50(us)", "live source")
 	for _, uc := range workload.AllUseCases {
-		e, err := liveEntry(uc, opts, cal, dur)
+		r, err := liveEntry(uc, opts, dur)
 		if err != nil {
 			return err
 		}
-		out.Entries[uc.String()] = e
-		fmt.Fprintf(stdout, "%-4s %8d | %8.2f %8.2f %8.2f %8.2f | %10.0f %9.0f | %s\n",
-			uc, e.Samples, e.SimCPI, e.LiveCPI, e.CPIScale, e.MPIScale, e.LiveMsgsPerSec, e.LiveP50US, e.LiveSource)
+		fmt.Fprintf(stdout, "%-4s %8d | %8.2f %8.2f | %9.3f %9.3f | %9.2f %10.2f | %10.0f %9.0f | %s\n",
+			uc, r.samples, r.sim.CPI, r.liveCPI, r.sim.L2MPI, r.liveMPI, r.sim.BrMPR, r.liveBrMPR, r.okPerSec, r.p50US, r.liveSource)
 	}
-	fmt.Fprintln(stdout, "scale = live/sim ratio the artifact stores; 1.00 on model-sourced sessions.")
-	if out.Identity() {
-		fmt.Fprintln(stderr, "aonsim: sessions ran without live perf events; every scale is identity")
-	}
-	if calOut == "" {
-		return nil
-	}
-	if err := out.WriteFile(calOut); err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "aonsim: wrote calibration artifact to %s\n", calOut)
+	fmt.Fprintln(stdout, "l2mpi/mpi: simulated L2 and live cache misses per instruction, %; brmpr: mispredictions per branch, %.")
 	return nil
 }
 
 // liveEntry simulates uc, runs its live phase against a fresh in-process
-// gateway and returns the calibration entry.
-func liveEntry(uc workload.UseCase, opts harness.AONOpts, cal *harness.Calibration, dur time.Duration) (harness.CalibrationEntry, error) {
+// gateway and returns the row.
+func liveEntry(uc workload.UseCase, opts harness.AONOpts, dur time.Duration) (liveRow, error) {
 	sim, err := harness.RunAON(harness.Cell{Config: liveConfig, UseCase: uc}, opts)
 	if err != nil {
-		return harness.CalibrationEntry{}, fmt.Errorf("simulate %s: %w", uc, err)
+		return liveRow{}, fmt.Errorf("simulate %s: %w", uc, err)
 	}
 	srv, err := gateway.New(gateway.Config{UseCase: uc, Counters: true})
 	if err != nil {
-		return harness.CalibrationEntry{}, err
+		return liveRow{}, err
 	}
 	if err := srv.Start("127.0.0.1:0"); err != nil {
-		return harness.CalibrationEntry{}, err
+		return liveRow{}, err
 	}
 	res, runErr := livePhase(srv.Addr().String(), uc, dur)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	shutErr := srv.Shutdown(ctx)
 	cancel()
 	if err := errors.Join(runErr, shutErr); err != nil {
-		return harness.CalibrationEntry{}, fmt.Errorf("live %s: %w", uc, err)
+		return liveRow{}, fmt.Errorf("live %s: %w", uc, err)
 	}
-	return calibrationEntry(cal.Apply(uc, sim.Metrics), res), nil
+	return newLiveRow(sim.Metrics, res), nil
 }
 
 // livePhase runs uc's live session against the gateway at addr: one
@@ -101,11 +87,20 @@ func livePhase(addr string, uc workload.UseCase, dur time.Duration) (*campaign.R
 	return campaign.Run(spec, campaign.Options{Addr: addr})
 }
 
-// calibrationEntry holds sim against the gateway's window over the live
+// liveRow is one use case's line of -exp live: the simulated
+// liveConfig's counters beside the gateway's window over the live phase.
+type liveRow struct {
+	sim                         counters.Metrics
+	liveCPI, liveMPI, liveBrMPR float64 // CPI, cache-MPI %, BrMPR %
+	liveSource                  string  // "hw" or "model"
+	samples                     int     // recorder rows behind the window
+	okPerSec, p50US             float64 // the phase row's
+}
+
+// newLiveRow holds sim against the gateway's window over the live
 // phase: CPI, cache-MPI and BrMPR from the count deltas between the
-// phase's start and end reads, and the phase row's ok/s and p50. Samples
-// is the number of recorder rows behind that window.
-func calibrationEntry(sim counters.Metrics, res *campaign.Result) harness.CalibrationEntry {
+// phase's start and end reads, and the phase row's ok/s and p50.
+func newLiveRow(sim counters.Metrics, res *campaign.Result) liveRow {
 	p := &res.Phases[0]
 	var w campaign.NodeWindow
 	for _, n := range p.Nodes {
@@ -113,8 +108,8 @@ func calibrationEntry(sim counters.Metrics, res *campaign.Result) harness.Calibr
 			w = n
 		}
 	}
-	e := harness.NewCalibrationEntry(sim, w.CPI, w.CacheMPI, w.BrMPR, res.Samples, w.DerivedSource)
-	e.LiveP50US = float64(p.LatencyP50US)
-	e.LiveMsgsPerSec = p.OKPerSec
-	return e
+	return liveRow{
+		sim: sim, liveCPI: w.CPI, liveMPI: w.CacheMPI, liveBrMPR: w.BrMPR, liveSource: w.DerivedSource,
+		samples: res.Samples, okPerSec: p.OKPerSec, p50US: float64(p.LatencyP50US),
+	}
 }

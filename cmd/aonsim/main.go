@@ -2,7 +2,7 @@
 // and prints paper-vs-measured tables plus the qualitative shape checks
 // for every table and figure in the evaluation, beside the kernel
 // instruction mixes and per-CPU utilization that explain them, and a
-// live campaign phase per use case that calibrates them.
+// live campaign phase per use case beside the simulated prediction.
 //
 // Usage:
 //
@@ -14,14 +14,12 @@
 //	aonsim -exp ablate              # one machine mechanism switched off per row
 //	aonsim -exp mix                 # per-kernel instruction mix over -msgs messages
 //	aonsim -exp util                # per-CPU utilization, every config x FR/CBR/SV
-//	aonsim -exp live -calibration-out cal.json   # simulated 2CPm vs live campaign phases
-//	aonsim -exp fig3 -calibration cal.json       # scale predictions by a live artifact
+//	aonsim -exp live                # simulated 2CPm vs one live campaign phase per use case
 //	aonsim -msgs 1200 -warmup 200   # measurement sizing
 //
 // Every experiment's runs are cells of one grid (harness.RunGrid), run
 // once each at the one default sizing unless the flags resize them. Any
-// experiment that prints shape checks exits 1 when one of them fails
-// (-checks=false prints none and exits 0).
+// experiment that prints shape checks exits 1 when one of them fails.
 package main
 
 import (
@@ -87,9 +85,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	msgs := fs.Int("msgs", harness.DefaultAONOpts.MeasureMsgs, "measured messages per AON run (-exp mix: messages to process)")
 	warm := fs.Int("warmup", harness.DefaultAONOpts.WarmupMsgs, "warmup messages per AON run")
 	measureMs := fs.Float64("netperf-ms", harness.DefaultNetperfOpts.MeasureMs, "netperf measurement window (simulated ms)")
-	checks := fs.Bool("checks", true, "run the qualitative shape checks")
-	calIn := fs.String("calibration", "", "apply a live calibration artifact (written by -exp live) to the simulated counter predictions")
-	calOut := fs.String("calibration-out", "", "-exp live: write the calibration artifact to this file")
 	liveDur := fs.Duration("live-duration", 2*time.Second, "-exp live: live load length per use case")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -110,20 +105,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	var cal *harness.Calibration
-	if *calIn != "" {
-		var err error
-		cal, err = harness.LoadCalibration(*calIn)
-		if err != nil {
-			fmt.Fprintln(stderr, "aonsim:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "aonsim: applying calibration %s (recorded against %s)\n", *calIn, cal.Config)
-		if cal.Identity() {
-			fmt.Fprintln(stderr, "aonsim: calibration carries identity scales (recorded without live perf events); predictions unchanged")
-		}
-	}
-
 	aonOpts := harness.DefaultAONOpts
 	aonOpts.MeasureMsgs = *msgs
 	aonOpts.WarmupMsgs = *warm
@@ -134,7 +115,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	case "live":
-		if err := runLive(stdout, stderr, aonOpts, cal, *liveDur, *calOut); err != nil {
+		if err := runLive(stdout, aonOpts, *liveDur); err != nil {
 			return fail(err)
 		}
 		return 0
@@ -151,15 +132,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	nmx, amx := grid.NetperfMatrix(), grid.AONMatrix()
-	cal.ApplyMatrix(amx)
 
 	// printed holds every shape check printed, which -exp all counts.
 	var printed []harness.ShapeCheck
 	printChecks := func(cs []harness.ShapeCheck) {
-		if *checks {
-			fmt.Fprintln(stdout, harness.FormatChecks(cs))
-			printed = append(printed, cs...)
-		}
+		fmt.Fprintln(stdout, harness.FormatChecks(cs))
+		printed = append(printed, cs...)
 	}
 	block := func(name string) bool { return *exp == "all" || *exp == name }
 	show := func(name string, t harness.Table, cs []harness.ShapeCheck) {
@@ -207,7 +185,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	failed := harness.FailedChecks(printed)
-	if *checks && *exp == "all" {
+	if *exp == "all" {
 		fmt.Fprintf(stdout, "shape checks failed: %d\n", len(failed))
 		if len(failed) > 0 {
 			fmt.Fprintln(stdout, harness.FormatChecks(failed))

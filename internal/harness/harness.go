@@ -242,7 +242,6 @@ func RunGrid(cells []Cell, aon AONOpts, np NetperfOpts) (Grid, error) {
 }
 
 // AONMatrix is the view of g's XML-server cells on the faithful machine.
-// It is g's own copy: calibrating it leaves g as measured.
 func (g Grid) AONMatrix() AONMatrix {
 	mx := AONMatrix{}
 	for c, r := range g {

@@ -470,8 +470,7 @@ func AblationCells() []Cell {
 }
 
 // AblationReport renders each ablated cell beside its faithful twin from
-// a grid that ran AblationCells. It reads the model's runs as measured:
-// a calibration scales the paper's tables, not these.
+// a grid that ran AblationCells.
 func AblationReport(g Grid) string {
 	var b strings.Builder
 	b.WriteString("Ablations (DESIGN.md section 5): one machine mechanism switched off\n")

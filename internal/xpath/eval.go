@@ -68,6 +68,10 @@ func (ev *Evaluator) Eval(e *Expr, ctx *xmldom.Node) (Value, error) {
 // attribute node allocates nothing: the result is that node's Data, which
 // lives as long as the tree does (see the package comment). Unmetered, a
 // predicate-free forward path stops at its first match (firstWalk).
+// Metered, every path builds its full node-set through run: the simulator
+// charges the node-set algorithm on purpose, as the paper-era library's
+// cost. Metering the walk instead moved the CBR cells of Tables 4-6
+// further from the paper (EXPERIMENTS.md, "The first-match walk, metered").
 func (ev *Evaluator) EvalString(e *Expr, ctx *xmldom.Node) (string, error) {
 	if e.forward != nil && !ev.metered {
 		f := ev.firstMatch(e.forward, ctx, false)
