@@ -153,10 +153,11 @@ func TestMixSmall(t *testing.T) {
 }
 
 // TestUtilTable: one row per use case and logical CPU, a column per
-// configuration, and "-" where a configuration has no such CPU.
+// configuration, and "-" where a configuration has no such CPU. The
+// labels do not depend on sizing, so the grid runs at the smallest one.
 func TestUtilTable(t *testing.T) {
 	var out, errb bytes.Buffer
-	if code := run([]string{"-exp", "util", "-msgs", "40", "-warmup", "10"}, &out, &errb); code != 0 {
+	if code := run([]string{"-exp", "util", "-msgs", "4", "-warmup", "1", "-netperf-ms", "0.2"}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d: %s", code, errb.String())
 	}
 	s := out.String()

@@ -328,9 +328,9 @@ func TestDTraceTailSampling(t *testing.T) {
 // requests past the slow bound.
 func TestDTraceShedKept(t *testing.T) {
 	srv := startServer(t, Config{
-		MaxInflight:  2,
-		ProcessDelay: 20 * time.Millisecond,
-		Trace:        true,
+		MaxInflight: 2,
+		Upstream:    slowUpstream(t, 20*time.Millisecond),
+		Trace:       true,
 	})
 
 	const conns = 8

@@ -46,12 +46,6 @@ type Config struct {
 	// UseCase is the default pipeline when the request path doesn't name
 	// one (/service/FR, /service/CBR, ... select per-request).
 	UseCase workload.UseCase
-	// ProcessDelay adds a fixed per-message busy-wait to the process
-	// stage — a fault-injection knob for emulating a slower device and for
-	// testing the admission control deterministically. It spins rather
-	// than sleeps, so the stalled message holds its P the way slower
-	// processing would.
-	ProcessDelay time.Duration
 	// IdleTimeout is the per-read deadline on client connections: a
 	// connection that goes quiet (between requests or stalled mid-request)
 	// is reaped after this long, so dead clients can't pin connection
@@ -109,6 +103,8 @@ type response struct {
 	buf     *[]byte
 	bodyBuf *[]byte
 	close   bool // respond then close the connection
+	held    bool // the message holds an in-flight slot until the write is done
+	control bool // a control-plane GET: its trace is timed into the control row only
 }
 
 // Hot-path pools. Frames and bufio readers are owned by one connection
@@ -130,7 +126,8 @@ var (
 )
 
 // Prebuilt shed/drain responses: under overload these are the most
-// frequent writes, so they must not cost a format each.
+// frequent writes, so they must not cost a format each (nor, with no
+// pooled buf, be recycled by writeResp).
 var (
 	respShed     = formatError(503, "admission bound", false)
 	respDraining = formatError(503, "draining", true)
@@ -292,6 +289,10 @@ func (s *Server) handleConn(c net.Conn) {
 		}
 		raw, err := httpmsg.ReadRequest(br, maxBodyBytes, *fp)
 		*fp = raw
+		// Pick the one answer; what differs after the write is data on it.
+		// A trace that ends at the decision (shed, draining, a malformed
+		// frame's dropped one) leaves rec nil; the others lap the write.
+		var r response
 		if err != nil {
 			var ne net.Error
 			var fe *httpmsg.FrameError
@@ -306,70 +307,69 @@ func (s *Server) handleConn(c net.Conn) {
 				}
 			case errors.As(err, &fe):
 				s.Metrics.ParseErrors.Add(1)
-				s.write(c, fe.Response())
+				r = response{head: fe.Response(), close: true}
 			}
 			dtrace.PutRecorder(rec)
-			return
+			rec = nil
+			if r.head == nil {
+				return // the client left or went quiet: no one to answer
+			}
+		} else {
+			s.Metrics.BytesIn.Add(uint64(len(raw)))
 		}
-		s.Metrics.BytesIn.Add(uint64(len(raw)))
 		// Admission time: the read stage ends and service latency starts.
 		start := time.Now()
 		if rec != nil {
 			rec.Add(dtrace.StageRead, t, start.Sub(t))
 		}
-
-		// GET requests (the /stats endpoint) bypass admission so
-		// observability survives overload — the whole point of /stats.
-		if bytes.HasPrefix(raw, []byte("GET ")) {
-			resp := s.handleGet(raw, &sc.req)
+		switch {
+		case err != nil: // the framing refusal picked above
+		case bytes.HasPrefix(raw, []byte("GET ")):
+			// GET requests (the /stats endpoint) bypass admission so
+			// observability survives overload — the whole point of /stats.
+			r = response{head: s.handleGet(raw, &sc.req), control: true}
 			if rec != nil {
 				t = lap(rec, dtrace.StageProcess, start)
 			}
-			ok := s.write(c, resp)
-			if rec != nil {
-				lap(rec, dtrace.StageWrite, t)
-				// Timed into the "GET" row, never offered to the tail: a
-				// scrape is not worth a post-mortem, and Tail.Seen stays the
-				// count of data-plane requests.
-				s.dtr.stages.observe(traceSlotControl, rec)
-				dtrace.PutRecorder(rec)
-			}
-			if !ok {
-				return
-			}
-			continue
-		}
-
-		if s.stopping.Load() {
+		case s.stopping.Load():
 			s.dtr.finish(rec, "", "draining", 503)
-			s.write(c, respDraining)
-			return
-		}
-		// The one shed path: claim a slot, give it back if that overshot
-		// the bound.
-		if s.inflight.Add(1) > s.maxInflight.Load() {
+			rec = nil
+			r = response{head: respDraining, close: true}
+		case s.inflight.Add(1) > s.maxInflight.Load():
+			// The one shed path: the slot just claimed overshot the bound,
+			// so it goes straight back.
 			s.inflight.Add(-1)
 			s.Metrics.Shed.Add(1)
 			s.dtr.finish(rec, "", "shed", 503)
-			if !s.write(c, respShed) {
-				return
+			rec = nil
+			r = response{head: respShed}
+		default:
+			r = s.process(raw, start, rec, &sc)
+			r.held = true
+			if rec != nil {
+				t = time.Now()
 			}
-			continue
 		}
-		r := s.process(raw, start, rec, &sc)
-		if rec != nil {
-			t = time.Now()
-		}
+
 		ok := s.writeResp(c, &r, &vec)
 		// The message's views die here: the next ReadRequest refills the
 		// frame, and an in-place XJ body was written from the scratch.
 		poison.Bytes(*fp)
 		poison.Bytes(sc.xj)
-		if rec != nil {
+		if rec != nil && r.control {
+			lap(rec, dtrace.StageWrite, t)
+			// Timed into the "GET" row, never offered to the tail: a
+			// scrape is not worth a post-mortem, and Tail.Seen stays the
+			// count of data-plane requests.
+			s.dtr.stages.observe(traceSlotControl, rec)
+			dtrace.PutRecorder(rec)
+		} else if rec != nil {
 			rec.Finish(lap(rec, dtrace.StageWrite, t))
 			s.dtr.offer(rec)
 		}
-		s.inflight.Add(-1)
+		if r.held {
+			s.inflight.Add(-1)
+		}
 		if !ok || r.close {
 			return
 		}
@@ -385,17 +385,9 @@ func lap(rec *dtrace.Recorder, st dtrace.Stage, from time.Time) time.Time {
 	return now
 }
 
-// write sends a response and accounts the bytes; false means the
-// connection is dead.
-func (s *Server) write(c net.Conn, b []byte) bool {
-	n, err := c.Write(b)
-	s.Metrics.BytesOut.Add(uint64(n))
-	return err == nil
-}
-
-// writeResp sends a processed response through the connection's
-// writev vector — vectored when a separately-owned body rides along —
-// and recycles the pooled head and body buffers once the write is done.
+// writeResp sends every answer through the connection's writev vector —
+// vectored when a separately-owned body rides along — counts BytesOut, and
+// recycles the pooled head and body buffers; false means the conn is dead.
 func (s *Server) writeResp(c net.Conn, r *response, vec *httpmsg.Writev) bool {
 	n, err := vec.Write(c, r.head, r.body)
 	s.Metrics.BytesOut.Add(uint64(n))
@@ -444,9 +436,7 @@ type wscratch struct {
 // reads its next message into the frame only after this response is
 // written.
 func (s *Server) process(raw []byte, start time.Time, rec *dtrace.Recorder, sc *wscratch) response {
-	// Traced requests read the clock once per stage boundary; the
-	// ProcessDelay fault-injection spin runs inside the process stage, so
-	// an emulated slower device shows up in the process stage's time.
+	// Traced requests read the clock once per stage boundary.
 	t := start // start of the stage being timed (traced requests only)
 	req := &sc.req
 	err := httpmsg.ParseRequestInto(raw, req)
@@ -472,10 +462,6 @@ func (s *Server) process(raw []byte, start time.Time, rec *dtrace.Recorder, sc *
 		}
 	}
 	uc := s.pipe.SelectUseCase(req.Target)
-	if d := s.cfg.ProcessDelay; d > 0 {
-		for until := time.Now().Add(d); time.Now().Before(until); {
-		}
-	}
 	out := s.pipe.process(uc, req, &sc.xj)
 	if rec != nil {
 		lap(rec, dtrace.StageProcess, t)

@@ -92,12 +92,13 @@ func TestEndToEndUseCases(t *testing.T) {
 }
 
 // TestAdmissionControlSheds shows the shed path: with every message
-// stalled and at most two in flight, concurrent clients must see 503s
-// while accepted work still completes — shedding, not collapse.
+// stalled on its backend and at most two in flight, concurrent clients
+// must see 503s while accepted work still completes — shedding, not
+// collapse.
 func TestAdmissionControlSheds(t *testing.T) {
 	srv := startServer(t, Config{
-		MaxInflight:  2,
-		ProcessDelay: 20 * time.Millisecond,
+		MaxInflight: 2,
+		Upstream:    slowUpstream(t, 20*time.Millisecond),
 	})
 
 	const conns = 8
@@ -288,9 +289,13 @@ func TestShedConservation(t *testing.T) {
 		t.Cleanup(func() { runtime.GOMAXPROCS(procs) })
 	}
 	failNext, down, rate := int64(8), 60_000.0, 0.2
-	// The slow-backend row parks admitted messages on the upstream hop:
-	// a goroutine waiting on its round trip holds an admission slot but no
-	// P, which is the overload the static bound exists to stop.
+	// Every forwarded row parks admitted messages on the upstream hop —
+	// both backends stall each answer at least 1 ms, the slow-backend
+	// row's order backend 8 ms: a goroutine waiting on its round trip
+	// holds an admission slot but no P, which is the overload the static
+	// bound exists to stop. The in-place row holds its slots only while
+	// it processes and writes, which at 16 connections still overruns a
+	// bound of 2.
 	for _, tc := range []struct {
 		name      string
 		forward   bool
@@ -305,13 +310,13 @@ func TestShedConservation(t *testing.T) {
 		{"forwarded-errors", true, 0, &upstream.FaultSpec{ErrorRate: &rate}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{MaxInflight: 2, ProcessDelay: time.Millisecond}
+			cfg := Config{MaxInflight: 2}
 			var order *upstream.BackendServer
 			if tc.forward {
-				order = startBackend(t, upstream.BackendConfig{Name: "order", Delay: tc.backDelay})
+				order = startBackend(t, upstream.BackendConfig{Name: "order", Delay: max(tc.backDelay, time.Millisecond)})
 				cfg.Upstream = upstream.Config{
 					Order: order.Addr().String(),
-					Error: startBackend(t, upstream.BackendConfig{Name: "error"}).Addr().String(),
+					Error: startBackend(t, upstream.BackendConfig{Name: "error", Delay: time.Millisecond}).Addr().String(),
 				}
 			}
 			if tc.fault != nil {
@@ -455,6 +460,66 @@ func TestMalformedRequest(t *testing.T) {
 	}
 }
 
+// TestEveryAnswerKindOneWriter drives one connection through a processed
+// answer, a GET /stats, a shed 503 and a frame-error 400 in turn. Every
+// byte the client reads is counted once in BytesOut, each refusal moves
+// its own counter by one, and each kind's trace lands where it always
+// has: the processed and shed ones in the tail, the GET in the control
+// row only, the malformed frame's nowhere.
+func TestEveryAnswerKindOneWriter(t *testing.T) {
+	srv := startServer(t, Config{MaxInflight: 1, Trace: true})
+	cl, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	before := srv.Metrics.Snapshot()
+	read := 0
+	for _, step := range []struct {
+		name   string
+		raw    string
+		pin    bool // the test holds the one admission slot: the POST is shed
+		status int
+	}{
+		{"processed", string(workload.HTTPRequest(0, workload.FR)), false, 200},
+		{"stats", "GET /stats HTTP/1.1\r\nHost: x\r\n\r\n", false, 200},
+		{"shed", string(workload.HTTPRequest(1, workload.FR)), true, 503},
+		{"frame-error", "POST /service/FR HTTP/1.1\r\nContent-Length: nope\r\n\r\n", false, 400},
+	} {
+		if step.pin {
+			srv.inflight.Add(1)
+		}
+		resp, err := cl.Do([]byte(step.raw), 5*time.Second)
+		if step.pin {
+			srv.inflight.Add(-1)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if resp.Status != step.status {
+			t.Fatalf("%s: status %d, want %d", step.name, resp.Status, step.status)
+		}
+		read += resp.Bytes
+	}
+	// The 400 closes the connection: nothing follows it on the wire.
+	if n, err := cl.br.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+		t.Fatalf("after the 400: read %d bytes, err %v; want EOF", n, err)
+	}
+	snap := srv.Snapshot()
+	if got := snap.BytesOut - before.BytesOut; got != uint64(read) {
+		t.Fatalf("bytes out moved %d, client read %d", got, read)
+	}
+	if d := [3]uint64{snap.Messages - before.Messages, snap.Shed - before.Shed, snap.ParseErrors - before.ParseErrors}; d != [3]uint64{1, 1, 1} {
+		t.Fatalf("messages, shed, parse errors moved %v, want one each", d)
+	}
+	if tail := snap.Traces.Tail; tail.Seen != 2 || tail.KeptErr != 1 {
+		t.Fatalf("tail %+v, want the processed and shed requests seen and the shed kept", tail)
+	}
+	if n := snap.Stages["GET"]["write"].Count; n != 1 {
+		t.Fatalf("control row write count %d, want 1", n)
+	}
+}
+
 // TestPathDispatch confirms one gateway serves the whole grid via the
 // request path, with the configured use case as fallback.
 func TestPathDispatch(t *testing.T) {
@@ -480,10 +545,10 @@ func TestPathDispatch(t *testing.T) {
 	}
 }
 
-// TestGracefulShutdown: in-flight work completes, then new connections
-// are refused.
+// TestGracefulShutdown: in-flight work (a forward waiting on its slow
+// backend) completes, then new connections are refused.
 func TestGracefulShutdown(t *testing.T) {
-	srv, err := New(Config{ProcessDelay: 30 * time.Millisecond})
+	srv, err := New(Config{Upstream: slowUpstream(t, 30*time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,14 +607,15 @@ func countFDs() (int, bool) {
 func TestServerShutdownLeavesNoGoroutineOrFD(t *testing.T) {
 	_, haveFDs := countFDs()
 	cycle := func() (shed uint64) {
-		order := startBackend(t, upstream.BackendConfig{Name: "order"})
-		errBE := startBackend(t, upstream.BackendConfig{Name: "error"})
+		// Each backend stalls every answer 1 ms, so forwards hold their
+		// admission slots.
+		order := startBackend(t, upstream.BackendConfig{Name: "order", Delay: time.Millisecond})
+		errBE := startBackend(t, upstream.BackendConfig{Name: "error", Delay: time.Millisecond})
 		srv, err := New(Config{
-			Counters:     true,
-			Trace:        true,
-			MaxInflight:  int64(runtime.GOMAXPROCS(0)) + 1,
-			ProcessDelay: time.Millisecond,
-			Upstream:     upstream.Config{Order: order.Addr().String(), Error: errBE.Addr().String()},
+			Counters:    true,
+			Trace:       true,
+			MaxInflight: int64(runtime.GOMAXPROCS(0)) + 1,
+			Upstream:    upstream.Config{Order: order.Addr().String(), Error: errBE.Addr().String()},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -602,6 +668,16 @@ func startBackend(t *testing.T, cfg upstream.BackendConfig) *upstream.BackendSer
 	}
 	t.Cleanup(be.Close)
 	return be
+}
+
+// slowUpstream starts an order and an error backend that each stall
+// every answer by delay, so a forwarded message holds its admission slot
+// at least that long.
+func slowUpstream(t *testing.T, delay time.Duration) upstream.Config {
+	return upstream.Config{
+		Order: startBackend(t, upstream.BackendConfig{Name: "order", Delay: delay}).Addr().String(),
+		Error: startBackend(t, upstream.BackendConfig{Name: "error", Delay: delay}).Addr().String(),
+	}
 }
 
 // TestForwardingEndToEnd is the paper's end-to-end FR topology on
@@ -855,7 +931,8 @@ func TestClientRecvAllocs(t *testing.T) {
 // TestWriteRespVectoredAllocs pins the response write at zero
 // allocations when a pooled body rides as its own writev segment — the
 // relayed-upstream shape: the connection's vector is reused and both
-// pooled buffers go back to respBufPool.
+// pooled buffers go back to respBufPool — and when a prebuilt head rides
+// alone, the shed shape.
 func TestWriteRespVectoredAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("sync.Pool drops Puts under -race; allocation counts are not meaningful")
@@ -899,6 +976,18 @@ func TestWriteRespVectoredAllocs(t *testing.T) {
 	}
 	if want := uint64(201 * (len(head) + len(body))); s.Metrics.BytesOut.Load() != want {
 		t.Fatalf("bytes out %d, want %d", s.Metrics.BytesOut.Load(), want)
+	}
+	s.Metrics.BytesOut.Store(0)
+	if n := testing.AllocsPerRun(200, func() {
+		r := response{head: respShed}
+		if !s.writeResp(c, &r, &vec) {
+			t.Fatal("write failed")
+		}
+	}); n != 0 {
+		t.Errorf("head-only writeResp: %v allocs/op, want 0", n)
+	}
+	if want := uint64(201 * len(respShed)); s.Metrics.BytesOut.Load() != want {
+		t.Fatalf("head-only bytes out %d, want %d", s.Metrics.BytesOut.Load(), want)
 	}
 }
 

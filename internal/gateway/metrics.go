@@ -39,11 +39,11 @@ type Metrics struct {
 	UpstreamErrs atomic.Uint64 // forwarding failures answered 502/504
 	IdleTimeouts atomic.Uint64 // client connections reaped by the read deadline
 
-	Latency Hist
-	// LatencyByUC splits the service-time histogram per use case
-	// (FR/CBR/SV plus the DPI/AUTH extensions), so end-to-end latency is
-	// comparable per workload — and lines up with the per-use-case stage
-	// traces.
+	// LatencyByUC is the service-time histogram, one per use case
+	// (FR/CBR/SV plus the DPI/AUTH/XJ extensions), so end-to-end latency
+	// is comparable per workload — and lines up with the per-use-case
+	// stage traces. Each message is observed once, here; the all-message
+	// latency is their merge.
 	LatencyByUC [numTraceUseCases]Hist
 }
 
@@ -54,10 +54,7 @@ func newMetrics() *Metrics { return &Metrics{start: time.Now()} }
 // attributed to the use case that processed it.
 func (m *Metrics) Done(outcome verdict.Outcome, uc workload.UseCase, d time.Duration) {
 	m.Messages.Add(1)
-	m.Latency.Observe(d)
-	if uc >= 0 && int(uc) < len(m.LatencyByUC) {
-		m.LatencyByUC[uc].Observe(d)
-	}
+	m.LatencyByUC[uc].Observe(d)
 	switch outcome {
 	case verdict.OutForwarded:
 		m.Forwarded.Add(1)
@@ -119,10 +116,12 @@ type Snapshot struct {
 	Traces *TraceInfo `json:"traces,omitempty"`
 }
 
-// Snapshot reads every counter.
+// Snapshot reads every counter; latency merges the per-use-case histograms.
 func (m *Metrics) Snapshot() Snapshot {
+	var all Hist
 	var byUC map[string]HistSnapshot
 	for i := range m.LatencyByUC {
+		all.Merge(&m.LatencyByUC[i])
 		s := m.LatencyByUC[i].Snapshot()
 		if s.Count == 0 {
 			continue
@@ -148,7 +147,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		Shed:             m.Shed.Load(),
 		UpstreamErrs:     m.UpstreamErrs.Load(),
 		IdleTimeouts:     m.IdleTimeouts.Load(),
-		Latency:          m.Latency.Snapshot(),
+		Latency:          all.Snapshot(),
 		LatencyByUseCase: byUC,
 	}
 }

@@ -24,6 +24,7 @@ type TLB struct {
 	valid []bool
 	lru   []uint64
 	clock uint64
+	last  int // slot of the last hit or fill, checked before the scan
 	stats Stats
 }
 
@@ -45,12 +46,20 @@ func (t *TLB) Config() Config { return t.cfg }
 func (t *TLB) Access(addr uint64) (penalty int, miss bool) {
 	t.stats.Accesses++
 	page := addr >> t.cfg.PageBits
+	// A page sits in at most one valid slot, so a match in the last slot
+	// used is the hit the scan would find; Flush clears it through valid.
+	if i := t.last; t.valid[i] && t.pages[i] == page {
+		t.clock++
+		t.lru[i] = t.clock
+		return 0, false
+	}
 	victim := 0
 	var victimLRU uint64 = ^uint64(0)
 	for i, p := range t.pages {
 		if t.valid[i] && p == page {
 			t.clock++
 			t.lru[i] = t.clock
+			t.last = i
 			return 0, false
 		}
 		if t.lru[i] < victimLRU {
@@ -63,6 +72,7 @@ func (t *TLB) Access(addr uint64) (penalty int, miss bool) {
 	t.pages[victim] = page
 	t.valid[victim] = true
 	t.lru[victim] = t.clock
+	t.last = victim
 	return t.cfg.WalkCost, true
 }
 

@@ -87,3 +87,66 @@ func TestResetStats(t *testing.T) {
 		t.Fatal("ResetStats dropped translations")
 	}
 }
+
+// oracleAccess is Access before the last-slot memo: the plain linear
+// scan over every slot, kept as the reference TestMemoMatchesScan holds
+// Access to. It leaves t.last alone.
+func oracleAccess(t *TLB, addr uint64) (penalty int, miss bool) {
+	t.stats.Accesses++
+	page := addr >> t.cfg.PageBits
+	victim := 0
+	var victimLRU uint64 = ^uint64(0)
+	for i, p := range t.pages {
+		if t.valid[i] && p == page {
+			t.clock++
+			t.lru[i] = t.clock
+			return 0, false
+		}
+		if t.lru[i] < victimLRU {
+			victimLRU = t.lru[i]
+			victim = i
+		}
+	}
+	t.stats.Misses++
+	t.clock++
+	t.pages[victim] = page
+	t.valid[victim] = true
+	t.lru[victim] = t.clock
+	return t.cfg.WalkCost, true
+}
+
+// Property: over a random address stream with interleaved Flushes, the
+// memoized Access and the scan oracle agree on every hit and miss, the
+// stats, and every slot's page, validity and LRU stamp.
+func TestMemoMatchesScan(t *testing.T) {
+	check := func(entries uint8, ops []uint16) bool {
+		memo, scan := testTLB(int(entries%8)+1), testTLB(int(entries%8)+1)
+		for _, op := range ops {
+			if op%17 == 0 {
+				memo.Flush()
+				scan.Flush()
+				continue
+			}
+			// A dozen pages over at most eight slots: hits, misses and
+			// evictions all happen.
+			addr := uint64(op%12)<<12 | uint64(op>>4)
+			mp, mm := memo.Access(addr)
+			sp, sm := oracleAccess(scan, addr)
+			if mp != sp || mm != sm {
+				return false
+			}
+		}
+		if memo.Stats() != scan.Stats() || memo.clock != scan.clock {
+			return false
+		}
+		for i := range memo.pages {
+			if memo.pages[i] != scan.pages[i] || memo.valid[i] != scan.valid[i] || memo.lru[i] != scan.lru[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
