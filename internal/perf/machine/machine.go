@@ -8,7 +8,6 @@ import (
 	"repro/internal/perf/cache"
 	"repro/internal/perf/counters"
 	"repro/internal/perf/cpu"
-	"repro/internal/perf/tlb"
 )
 
 // bus transaction kinds re-exported for DMA use without importing bus in
@@ -127,7 +126,7 @@ func New(id ConfigID, opts Options) *Machine {
 				lc.Mem = &memPath{
 					m:    m,
 					cu:   cu,
-					dtlb: tlb.New(spec.DTLB),
+					dtlb: cache.New(spec.DTLB),
 				}
 				if opts.PrivatePredictors && topo.ThreadsPerCore > 1 && t > 0 {
 					// Ablation: the second SMT thread predicts through

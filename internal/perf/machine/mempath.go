@@ -4,7 +4,6 @@ import (
 	"repro/internal/perf/bus"
 	"repro/internal/perf/cache"
 	"repro/internal/perf/counters"
-	"repro/internal/perf/tlb"
 )
 
 // memPath implements cpu.Memory for one logical CPU: it walks the TLB, the
@@ -23,7 +22,7 @@ import (
 type memPath struct {
 	m    *Machine
 	cu   *CoreUnit
-	dtlb *tlb.TLB
+	dtlb *cache.Cache
 }
 
 // Access performs one data-word access. It returns the visible stall in
@@ -38,9 +37,10 @@ func (p *memPath) Access(now uint64, addr uint64, write bool, cs *counters.Set) 
 	ov := float64(0)  // overlappable latency
 	ser := float64(0) // serializing latency
 
-	if pen, miss := p.dtlb.Access(addr); miss {
+	if st, _ := p.dtlb.Lookup(addr, false); st == cache.Invalid {
+		p.dtlb.Fill(addr, cache.Shared)
 		cs.Add(counters.TLBMisses, 1)
-		ov += float64(pen)
+		ov += float64(m.Spec.DTLBWalkCycles)
 	}
 
 	// L1 lookup.

@@ -11,7 +11,6 @@ import (
 	"repro/internal/perf/cache"
 	"repro/internal/perf/codegen"
 	"repro/internal/perf/cpu"
-	"repro/internal/perf/tlb"
 )
 
 // PlatformSpec captures one platform row of the paper's Table 1 plus the
@@ -24,9 +23,14 @@ type PlatformSpec struct {
 	FSBHz    float64
 	DRAMSize uint64 // informational (Table 1)
 
-	L1D  cache.Config
-	L2   cache.Config
-	DTLB tlb.Config
+	L1D cache.Config
+	L2  cache.Config
+	// DTLB is the data TLB as one fully associative set: a 4 KiB line per
+	// page, Assoc = entries. Its LRU clock is 32 bits; Flush clears it at
+	// every context switch to a new address space.
+	DTLB cache.Config
+	// DTLBWalkCycles is the page-walk latency of a DTLB miss, in cycles.
+	DTLBWalkCycles int
 
 	Core      cpu.Config
 	Predictor branch.Config
@@ -76,7 +80,10 @@ func pentiumM() PlatformSpec {
 		L2: cache.Config{
 			Name: "L2", Size: 2 << 20, LineSize: 64, Assoc: 8, Latency: 14,
 		},
-		DTLB: tlb.Config{Entries: 128, PageBits: 12, WalkCost: 25},
+		DTLB: cache.Config{
+			Name: "DTLB", Size: 128 << 12, LineSize: 1 << 12, Assoc: 128,
+		},
+		DTLBWalkCycles: 25,
 		Core: cpu.Config{
 			Name:    "pentium-m-core",
 			ClockHz: 1.83e9,
@@ -119,7 +126,10 @@ func xeon() PlatformSpec {
 		L2: cache.Config{
 			Name: "L2", Size: 1 << 20, LineSize: 64, Assoc: 8, Latency: 22,
 		},
-		DTLB: tlb.Config{Entries: 64, PageBits: 12, WalkCost: 30},
+		DTLB: cache.Config{
+			Name: "DTLB", Size: 64 << 12, LineSize: 1 << 12, Assoc: 64,
+		},
+		DTLBWalkCycles: 30,
 		Core: cpu.Config{
 			Name:    "netburst-core",
 			ClockHz: 3.16e9,
