@@ -160,6 +160,24 @@ func TestFillExistingRaisesState(t *testing.T) {
 	}
 }
 
+// A fill must find its line in any way before it takes a free one:
+// taking the invalidated way would leave B in two ways, and invalidating
+// one copy would leave the other to hit stale.
+func TestFillNeverDuplicatesLine(t *testing.T) {
+	c := testCache(2*64, 64, 2) // one set, two ways
+	c.Fill(0x0, Exclusive)
+	c.Fill(0x40, Exclusive)
+	c.Invalidate(0x0) // way 0 is free, B sits in way 1
+	c.Fill(0x40, Shared)
+	if n := c.Occupancy(); n != 1 {
+		t.Fatalf("occupancy = %d, want 1", n)
+	}
+	c.Invalidate(0x40)
+	if st, _ := c.Lookup(0x40, false); st != Invalid {
+		t.Fatalf("invalidated line hit %v", st)
+	}
+}
+
 // Property: the cache never holds more lines than its capacity, and a
 // line just filled is always present.
 func TestCapacityInvariant(t *testing.T) {
