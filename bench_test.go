@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/perf/counters"
 	"repro/internal/perf/machine"
 	"repro/internal/perf/trace"
 	"repro/internal/workload"
@@ -41,14 +42,26 @@ func parseForBench(msg []byte) error {
 }
 
 // BenchmarkSimulatedMessage measures host time per fully simulated CBR
-// message on the dual-core machine (simulator efficiency).
+// message (simulator efficiency) on the dual-core Pentium M and on the
+// Hyperthreaded Xeon, whose two logical CPUs share the caches and the
+// predictor. It also reports simulated instructions per host second: the
+// measured window's instructions per message, over every message the run
+// simulates, warmup included.
 func BenchmarkSimulatedMessage(b *testing.B) {
-	opts := harness.AONOpts{WarmupMsgs: 20, MeasureMsgs: b.N, Window: 32}
-	if opts.MeasureMsgs < 50 {
-		opts.MeasureMsgs = 50
-	}
-	b.ResetTimer()
-	if _, err := harness.RunAON(harness.Cell{Config: machine.TwoCPm, UseCase: workload.CBR}, opts); err != nil {
-		b.Fatal(err)
+	for _, id := range []machine.ConfigID{machine.TwoCPm, machine.TwoLPx} {
+		b.Run(string(id), func(b *testing.B) {
+			opts := harness.AONOpts{WarmupMsgs: 20, MeasureMsgs: b.N, Window: 32}
+			if opts.MeasureMsgs < 50 {
+				opts.MeasureMsgs = 50
+			}
+			b.ResetTimer()
+			res, err := harness.RunAON(harness.Cell{Config: id, UseCase: workload.CBR}, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			perMsg := float64(res.Raw.Get(counters.InstrRetired)) / float64(opts.MeasureMsgs)
+			msgs := float64(opts.WarmupMsgs + opts.MeasureMsgs)
+			b.ReportMetric(perMsg*msgs/b.Elapsed().Seconds(), "sim-instr/s")
+		})
 	}
 }
