@@ -12,7 +12,7 @@ import (
 
 // simulatorOnly reports whether a module package belongs to the modelled
 // machine: the harness, the simulated server and network stack, the
-// VTune-style profiler, the scheduler and every perf/ model package. The
+// scheduler and every perf/ model package. The
 // one perf/ package the live path may use is perf/trace, the micro-op
 // sink interface the tree builder's meter writes to.
 func simulatorOnly(pkg string) bool {
@@ -21,7 +21,7 @@ func simulatorOnly(pkg string) bool {
 		return false
 	}
 	switch rel {
-	case "harness", "core", "netsim", "netperf", "vtune":
+	case "harness", "core", "netsim", "netperf":
 		return true
 	}
 	if strings.HasPrefix(rel, "sim/") {

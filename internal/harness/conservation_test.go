@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/netperf"
@@ -50,6 +51,23 @@ func checkConservation(t *testing.T, raw counters.Set, label string) {
 	}
 }
 
+// checkCPUs holds every logical CPU of an XML-server run to the same
+// laws, and the per-CPU sets to summing to the system-wide one.
+func checkCPUs(t *testing.T, r AONResult, label string) {
+	t.Helper()
+	if want := len(machine.New(r.Config, machine.Options{}).LCPUs); len(r.CPUs) != want {
+		t.Errorf("%s: %d per-CPU sets, want %d", label, len(r.CPUs), want)
+	}
+	var merged counters.Set
+	for i, cs := range r.CPUs {
+		checkConservation(t, cs, fmt.Sprintf("%s cpu%d", label, i))
+		merged.Merge(cs)
+	}
+	if merged != r.Raw {
+		t.Errorf("%s: per-CPU sets merge to\n%swant Raw\n%s", label, merged.Format(), r.Raw.Format())
+	}
+}
+
 func TestCounterConservationNetperf(t *testing.T) {
 	for _, id := range machine.AllConfigs {
 		for _, mode := range []netperf.Mode{netperf.Loopback, netperf.EndToEnd} {
@@ -69,6 +87,7 @@ func TestCounterConservationAON(t *testing.T) {
 	for uc, byConfig := range g.AONMatrix() {
 		for id, r := range byConfig {
 			checkConservation(t, r.Raw, string(id)+"/"+uc.String())
+			checkCPUs(t, r, string(id)+"/"+uc.String())
 			// Every measured message was forwarded byte-for-byte.
 			if r.Stats.BytesOut != r.Stats.BytesIn {
 				t.Errorf("%s/%v: proxy lost bytes: in=%d out=%d", id, uc, r.Stats.BytesIn, r.Stats.BytesOut)

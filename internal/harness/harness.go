@@ -12,7 +12,6 @@ import (
 	"repro/internal/perf/counters"
 	"repro/internal/perf/machine"
 	"repro/internal/sim/sched"
-	"repro/internal/vtune"
 	"repro/internal/workload"
 )
 
@@ -103,13 +102,10 @@ type AONResult struct {
 	Metrics   counters.Metrics
 	Raw       counters.Set
 	Stats     aon.Stats
-	// Utilization is each logical CPU's mean busy fraction over the
-	// measurement window, from vtune sampling (the paper's Section 3.3).
-	Utilization []float64
+	// CPUs is each logical CPU's counters over the measurement window;
+	// they merge to Raw.
+	CPUs []counters.Set
 }
-
-// utilIntervalSec is the simulated sampling period of RunAON's profiler.
-const utilIntervalSec = 100e-6
 
 // RunAON measures XML-server cell c.
 func RunAON(c Cell, o AONOpts) (AONResult, error) {
@@ -132,14 +128,9 @@ func RunAON(c Cell, o AONOpts) (AONResult, error) {
 
 	m.ResetWindow()
 	t0 := m.MaxNow()
-	// The profiler only reads counters, so its events leave the run as
-	// it would be without them.
-	prof := vtune.New(e, m.Cycles(utilIntervalSec))
-	prof.Start(t0)
 	msgs0, bytes0 := s.Stats.Messages, s.Stats.BytesIn
 	target := msgs0 + uint64(o.MeasureMsgs)
 	e.Run(func(*sched.Engine) bool { return s.Stats.Messages >= target })
-	prof.Stop()
 	t1 := m.MaxNow()
 	m.CloseWindow(t1)
 
@@ -150,15 +141,19 @@ func RunAON(c Cell, o AONOpts) (AONResult, error) {
 	msgs := float64(s.Stats.Messages - msgs0)
 	bytes := float64(s.Stats.BytesIn - bytes0)
 	raw := m.SystemCounters()
+	cpus := make([]counters.Set, len(m.LCPUs))
+	for i, lc := range m.LCPUs {
+		cpus[i] = lc.Counters
+	}
 	return AONResult{
-		Config:      c.Config,
-		UseCase:     c.UseCase,
-		Mbps:        bytes * 8 / seconds / 1e6,
-		MsgPerSec:   msgs / seconds,
-		Metrics:     counters.Derive(raw),
-		Raw:         raw,
-		Stats:       s.Stats,
-		Utilization: prof.Utilization(),
+		Config:    c.Config,
+		UseCase:   c.UseCase,
+		Mbps:      bytes * 8 / seconds / 1e6,
+		MsgPerSec: msgs / seconds,
+		Metrics:   counters.Derive(raw),
+		Raw:       raw,
+		Stats:     s.Stats,
+		CPUs:      cpus,
 	}, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/netperf"
+	"repro/internal/perf/counters"
 	"repro/internal/perf/machine"
 	"repro/internal/workload"
 )
@@ -40,9 +41,9 @@ func TestRunAONBasic(t *testing.T) {
 	}
 }
 
-// TestRunAONUtilization checks the profiler RunAON runs over its
-// measurement window: one busy fraction per logical CPU, each in (0, 1],
-// on a one-CPU and a two-logical-CPU configuration.
+// TestRunAONUtilization checks the per-CPU window counters RunAON
+// returns: one set per logical CPU, each busy for a share of its
+// clockticks in (0, 1], on a one-CPU and a two-logical-CPU configuration.
 func TestRunAONUtilization(t *testing.T) {
 	for _, id := range []machine.ConfigID{machine.OneCPm, machine.TwoLPx} {
 		for _, uc := range []workload.UseCase{workload.FR, workload.SV} {
@@ -50,11 +51,11 @@ func TestRunAONUtilization(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := len(machine.New(id, machine.Options{}).LCPUs); len(r.Utilization) != want {
-				t.Fatalf("%s %s: %d utilization entries, want %d", id, uc, len(r.Utilization), want)
+			if want := len(machine.New(id, machine.Options{}).LCPUs); len(r.CPUs) != want {
+				t.Fatalf("%s %s: %d per-CPU sets, want %d", id, uc, len(r.CPUs), want)
 			}
-			for cpu, u := range r.Utilization {
-				if u <= 0 || u > 1 {
+			for cpu, cs := range r.CPUs {
+				if u := float64(cs.Get(counters.BusyCycles)) / float64(cs.Get(counters.Clockticks)); u <= 0 || u > 1 {
 					t.Errorf("%s %s cpu%d utilization %v, want (0, 1]", id, uc, cpu, u)
 				}
 			}

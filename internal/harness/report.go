@@ -397,16 +397,17 @@ func ThroughputTable(mx AONMatrix) Table {
 }
 
 // UtilizationTable renders each logical CPU's busy share over the
-// measurement window (vtune sampling), one row per use case and CPU; a
-// configuration without that CPU shows "-".
+// measurement window, its busy cycles over its clockticks, one row per
+// use case and CPU; a configuration without that CPU shows "-".
 func UtilizationTable(mx AONMatrix) Table {
-	t := Table{Title: "Per-CPU utilization (% busy over the measurement window, vtune sampling)"}
+	t := Table{Title: "Per-CPU utilization (% busy cycles over clockticks in the measurement window)"}
 	for _, uc := range workload.AllUseCases {
 		for cpu := 0; ; cpu++ {
 			meas := map[machine.ConfigID]float64{}
 			for _, id := range machine.AllConfigs {
-				if r := mx[uc][id]; cpu < len(r.Utilization) {
-					meas[id] = 100 * r.Utilization[cpu]
+				if r := mx[uc][id]; cpu < len(r.CPUs) {
+					cs := r.CPUs[cpu]
+					meas[id] = 100 * float64(cs.Get(counters.BusyCycles)) / float64(cs.Get(counters.Clockticks))
 				}
 			}
 			if len(meas) == 0 {

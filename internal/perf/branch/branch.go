@@ -23,12 +23,6 @@ type Config struct {
 	Chooser     bool // hybrid bimodal/gshare with a chooser table
 }
 
-// Stats counts predictor events.
-type Stats struct {
-	Lookups    uint64
-	Mispredict uint64
-}
-
 // Predictor is a hybrid gshare/bimodal branch direction predictor with
 // two-bit saturating counters.
 type Predictor struct {
@@ -39,7 +33,6 @@ type Predictor struct {
 	mask     uint64
 	history  uint64
 	histMask uint64
-	stats    Stats
 }
 
 // New builds a predictor. Counters start weakly taken, matching hardware
@@ -80,7 +73,6 @@ func (p *Predictor) bimodalIdx(pc uint64) uint64 {
 // Predict runs one branch through the predictor, updates all tables with
 // the actual outcome, and reports whether the prediction was wrong.
 func (p *Predictor) Predict(pc uint64, taken bool) (mispredicted bool) {
-	p.stats.Lookups++
 	gi := p.gshareIdx(pc)
 	gPred := p.gshare[gi] >= 2
 
@@ -108,11 +100,7 @@ func (p *Predictor) Predict(pc uint64, taken bool) (mispredicted bool) {
 	p.gshare[gi] = train(p.gshare[gi], taken)
 	p.history = (p.history << 1) | b2u(taken)
 
-	if pred != taken {
-		p.stats.Mispredict++
-		return true
-	}
-	return false
+	return pred != taken
 }
 
 func train(c uint8, taken bool) uint8 {
@@ -131,34 +119,4 @@ func b2u(b bool) uint64 {
 		return 1
 	}
 	return 0
-}
-
-// Stats returns a snapshot of the counters.
-func (p *Predictor) Stats() Stats { return p.stats }
-
-// ResetStats zeroes the counters, preserving learned state (measurement
-// windows on hardware do not clear predictor arrays).
-func (p *Predictor) ResetStats() { p.stats = Stats{} }
-
-// Reset clears both counters and learned state, for cold-start tests.
-func (p *Predictor) Reset() {
-	for i := range p.gshare {
-		p.gshare[i] = 2
-	}
-	for i := range p.bimodal {
-		p.bimodal[i] = 2
-	}
-	for i := range p.chooser {
-		p.chooser[i] = 2
-	}
-	p.history = 0
-	p.stats = Stats{}
-}
-
-// MispredictRatio returns mispredictions per lookup, the paper's BrMPR.
-func (s Stats) MispredictRatio() float64 {
-	if s.Lookups == 0 {
-		return 0
-	}
-	return float64(s.Mispredict) / float64(s.Lookups)
 }

@@ -7,8 +7,9 @@
 // which mean larger number of stall cycles" (Section 4).
 package bus
 
-// TxnKind classifies bus transactions for the statistics the paper reports
-// (bus transactions per retired instruction, Figure 5 / Table 3).
+// TxnKind classifies bus transactions: an address-only Invalidate occupies
+// the bus for less time than a transaction with a data phase. The paper's
+// BTPI (Figure 5 / Table 3) is counted per logical CPU by the machine.
 type TxnKind uint8
 
 const (
@@ -20,7 +21,6 @@ const (
 	CacheToCache
 	// Invalidate is an ownership-upgrade broadcast (no data phase).
 	Invalidate
-	numKinds
 )
 
 func (k TxnKind) String() string {
@@ -49,14 +49,6 @@ type Config struct {
 	AddrTxnCycles uint64
 }
 
-// Stats counts transactions and contention.
-type Stats struct {
-	Txns        [numKinds]uint64
-	TotalTxns   uint64
-	BusyCycles  uint64 // cycles the bus spent occupied
-	StallCycles uint64 // cycles requesters spent queued behind others
-}
-
 // utilWindow is the utilization-sampling window in cycles: long enough to
 // smooth bursts, short enough to track load changes.
 const utilWindow = 100_000
@@ -75,8 +67,7 @@ const maxRho = 0.95
 // bus saturates — the stall behaviour the paper attributes to dual-unit
 // configurations (Section 4, point 3).
 type Bus struct {
-	cfg   Config
-	stats Stats
+	cfg Config
 
 	winStart uint64  // window anchor, in the most-advanced requester clock
 	winBusy  uint64  // occupancy accumulated in the current window
@@ -114,38 +105,8 @@ func (b *Bus) Transact(now uint64, kind TxnKind) (latency uint64) {
 
 	// M/D/1 mean wait: rho/(2(1-rho)) service times.
 	wait := uint64(float64(b.cfg.DataTxnCycles) * b.rho / (2 * (1 - b.rho)))
-
-	b.stats.Txns[kind]++
-	b.stats.TotalTxns++
-	b.stats.BusyCycles += occupancy
-	b.stats.StallCycles += wait
 	return wait + occupancy
 }
 
 // Rho returns the utilization estimate from the previous window.
 func (b *Bus) Rho() float64 { return b.rho }
-
-// Peek returns the queueing delay a requester at cycle now would incur,
-// without reserving the bus.
-func (b *Bus) Peek(now uint64) uint64 {
-	return uint64(float64(b.cfg.DataTxnCycles) * b.rho / (2 * (1 - b.rho)))
-}
-
-// Stats returns a snapshot of the counters.
-func (b *Bus) Stats() Stats { return b.stats }
-
-// ResetStats zeroes the counters without releasing the bus reservation.
-func (b *Bus) ResetStats() { b.stats = Stats{} }
-
-// Utilization returns busy cycles / elapsed cycles over [0, now]; used by
-// reports and tests.
-func (b *Bus) Utilization(now uint64) float64 {
-	if now == 0 {
-		return 0
-	}
-	u := float64(b.stats.BusyCycles) / float64(now)
-	if u > 1 {
-		u = 1
-	}
-	return u
-}

@@ -14,13 +14,6 @@ func TestOccupancyByKind(t *testing.T) {
 	if lat := b.Transact(0, Invalidate); lat != 5 {
 		t.Fatalf("cold Invalidate latency = %d", lat)
 	}
-	s := b.Stats()
-	if s.TotalTxns != 2 || s.Txns[MemRead] != 1 || s.Txns[Invalidate] != 1 {
-		t.Fatalf("stats = %+v", s)
-	}
-	if s.BusyCycles != 25 {
-		t.Fatalf("busy = %d", s.BusyCycles)
-	}
 }
 
 func TestUtilizationDrivesQueueing(t *testing.T) {
@@ -77,29 +70,6 @@ func TestRhoCap(t *testing.T) {
 	b.Transact(utilWindow+1, MemRead)
 	if b.Rho() > maxRho {
 		t.Fatalf("rho %.3f above cap", b.Rho())
-	}
-}
-
-func TestResetStats(t *testing.T) {
-	b := testBus()
-	b.Transact(0, CacheToCache)
-	b.ResetStats()
-	if b.Stats().TotalTxns != 0 {
-		t.Fatal("stats survive reset")
-	}
-}
-
-func TestUtilizationReport(t *testing.T) {
-	b := testBus()
-	b.Transact(0, MemRead)
-	if u := b.Utilization(40); u != 0.5 {
-		t.Fatalf("utilization = %v", u)
-	}
-	if u := b.Utilization(0); u != 0 {
-		t.Fatalf("zero-time utilization = %v", u)
-	}
-	if u := b.Utilization(10); u != 1 {
-		t.Fatalf("clamped utilization = %v", u)
 	}
 }
 

@@ -72,23 +72,12 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Stats counts cache events. All counts are in line-granularity accesses.
-type Stats struct {
-	Accesses    uint64 // lookups
-	Misses      uint64 // lookups that did not find the line
-	Evictions   uint64 // lines displaced by fills
-	WriteBacks  uint64 // displaced lines that were Modified
-	Invalidates uint64 // lines killed by coherence probes
-	Downgrades  uint64 // M->S transitions from coherence probes
-}
-
 // Cache is one cache array.
 type Cache struct {
 	cfg       Config
 	sets      []set
 	setMask   uint64
 	lineShift uint
-	stats     Stats
 }
 
 type line struct {
@@ -127,13 +116,6 @@ func New(cfg Config) *Cache {
 // Config returns the cache configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// Stats returns a snapshot of the event counters.
-func (c *Cache) Stats() Stats { return c.stats }
-
-// ResetStats zeroes the event counters without touching cache contents,
-// mirroring how performance-counter measurement windows work on hardware.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
 // LineSize returns the configured line size in bytes.
 func (c *Cache) LineSize() int { return c.cfg.LineSize }
 
@@ -152,7 +134,6 @@ func (c *Cache) locate(addr uint64) (*set, uint64) {
 // a bus invalidate; E->M is silent), and returns the pre-upgrade state.
 // On a miss it returns Invalid. Lookup never allocates; use Fill for that.
 func (c *Cache) Lookup(addr uint64, write bool) (st State, upgrade bool) {
-	c.stats.Accesses++
 	s, tag := c.locate(addr)
 	// A line sits in at most one way, so a match in the last way hit or
 	// filled is the hit the scan would find; invalidation shows through
@@ -167,7 +148,6 @@ func (c *Cache) Lookup(addr uint64, write bool) (st State, upgrade bool) {
 			return s.hit(ln, write)
 		}
 	}
-	c.stats.Misses++
 	return Invalid, false
 }
 
@@ -234,10 +214,6 @@ func (c *Cache) Fill(addr uint64, st State) Victim {
 			WriteBack: v.state == Modified,
 			Valid:     true,
 		}
-		c.stats.Evictions++
-		if victim.WriteBack {
-			c.stats.WriteBacks++
-		}
 	}
 	s.clock++
 	s.lines[victimIdx] = line{tag: tag, state: st, lru: s.clock}
@@ -267,7 +243,6 @@ func (c *Cache) Invalidate(addr uint64) State {
 		if ln.state != Invalid && ln.tag == tag {
 			st := ln.state
 			ln.state = Invalid
-			c.stats.Invalidates++
 			return st
 		}
 	}
@@ -284,9 +259,6 @@ func (c *Cache) Downgrade(addr uint64) bool {
 		if ln.tag == tag && (ln.state == Modified || ln.state == Exclusive) {
 			dirty := ln.state == Modified
 			ln.state = Shared
-			if dirty {
-				c.stats.Downgrades++
-			}
 			return dirty
 		}
 	}

@@ -41,10 +41,6 @@ func TestMissThenHit(t *testing.T) {
 	if st, _ := c.Lookup(0x108, false); st == Invalid {
 		t.Fatal("same-line word missed")
 	}
-	s := c.Stats()
-	if s.Accesses != 3 || s.Misses != 1 {
-		t.Fatalf("stats = %+v", s)
-	}
 }
 
 func TestWriteUpgrades(t *testing.T) {
@@ -89,11 +85,8 @@ func TestDirtyVictimWriteBack(t *testing.T) {
 	c.Lookup(0x40000, false)
 	c.Lookup(0x40000, false) // 0x0 is LRU and dirty
 	v := c.Fill(0x80000, Exclusive)
-	if !v.WriteBack || v.Addr != 0x0 {
+	if !v.WriteBack || !v.Valid || v.Addr != 0x0 {
 		t.Fatalf("dirty victim = %+v", v)
-	}
-	if c.Stats().WriteBacks != 1 {
-		t.Fatalf("writebacks = %d", c.Stats().WriteBacks)
 	}
 }
 

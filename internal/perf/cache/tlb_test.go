@@ -29,10 +29,6 @@ func TestHitAfterMiss(t *testing.T) {
 	if translate(tl, 0x5abc) { // same page
 		t.Fatal("same-page access missed")
 	}
-	s := tl.Stats()
-	if s.Accesses != 2 || s.Misses != 1 {
-		t.Fatalf("stats = %+v", s)
-	}
 }
 
 func TestLRUReplacement(t *testing.T) {
@@ -76,26 +72,17 @@ func TestCapacityProperty(t *testing.T) {
 	check := func(seed uint8) bool {
 		tl := testTLB(16)
 		// Touch 16 distinct pages twice; second round must all hit.
+		misses := 0
 		for round := 0; round < 2; round++ {
 			for p := 0; p < 16; p++ {
-				translate(tl, uint64(seed)<<20+uint64(p)<<12)
+				if translate(tl, uint64(seed)<<20+uint64(p)<<12) {
+					misses++
+				}
 			}
 		}
-		return tl.Stats().Misses == 16
+		return misses == 16
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestResetStats(t *testing.T) {
-	tl := testTLB(4)
-	translate(tl, 0x1000)
-	tl.ResetStats()
-	if tl.Stats().Accesses != 0 {
-		t.Fatal("stats survive reset")
-	}
-	if translate(tl, 0x1000) {
-		t.Fatal("ResetStats dropped translations")
 	}
 }

@@ -80,18 +80,6 @@ func (s *Set) Get(e Event) uint64 { return s.counts[e] }
 // Reset zeroes all counters.
 func (s *Set) Reset() { s.counts = [NumEvents]uint64{} }
 
-// Snapshot returns a copy of the counter bank.
-func (s *Set) Snapshot() Set { return *s }
-
-// Sub returns s - old, the event deltas over a measurement window.
-func (s Set) Sub(old Set) Set {
-	var d Set
-	for i := range s.counts {
-		d.counts[i] = s.counts[i] - old.counts[i]
-	}
-	return d
-}
-
 // Merge accumulates other into s; used to aggregate logical CPUs into the
 // system-wide totals VTune sampling reports.
 func (s *Set) Merge(other Set) {
@@ -107,8 +95,6 @@ type Metrics struct {
 	BTPI       float64 // bus transactions per retired instruction, as %
 	BranchFreq float64 // branch instructions per retired instruction, as %
 	BrMPR      float64 // branch mispredictions per retired branch, as %
-	TLBMPI     float64 // TLB misses per retired instruction, as %
-	L1MPI      float64 // L1 misses per retired instruction, as %
 }
 
 // Derive computes the paper's metrics from a counter bank (typically the
@@ -123,8 +109,6 @@ func Derive(s Set) Metrics {
 	m.L2MPI = 100 * float64(s.Get(L2Misses)) / instr
 	m.BTPI = 100 * float64(s.Get(BusTxns)) / instr
 	m.BranchFreq = 100 * float64(s.Get(BranchRetired)) / instr
-	m.L1MPI = 100 * float64(s.Get(L1Misses)) / instr
-	m.TLBMPI = 100 * float64(s.Get(TLBMisses)) / instr
 	if br := float64(s.Get(BranchRetired)); br > 0 {
 		m.BrMPR = 100 * float64(s.Get(BranchMispredict)) / br
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/perf/branch"
-	"repro/internal/perf/codegen"
 	"repro/internal/perf/counters"
 	"repro/internal/perf/trace"
 )
@@ -22,13 +21,16 @@ func (f *flatMemory) Access(_ uint64, _ uint64, _ bool, _ *counters.Set) float64
 }
 func (f *flatMemory) ContextSwitch() { f.flushes++ }
 
-func testCore(width float64, smt int, profile codegen.Profile) (*Core, *flatMemory) {
+// testCore builds a core whose branches retire branchEvents counted
+// branch instructions each: 2 as on the Pentium M, 1 as on Netburst.
+func testCore(width float64, smt, branchEvents int) (*Core, *flatMemory) {
 	cfg := Config{
 		Name: "test", ClockHz: 1e9, IssueWidth: width,
 		MispredictPenalty: 10, MemOverlap: 0.5, SMTOverhead: 1.0,
+		BranchEvents: branchEvents,
 	}
 	pred := branch.New(branch.Config{PatternBits: 10, HistoryBits: 4})
-	core := NewCore(cfg, pred, profile, smt)
+	core := NewCore(cfg, pred, smt)
 	mem := &flatMemory{}
 	for _, lc := range core.LCPUs {
 		lc.Mem = mem
@@ -37,7 +39,7 @@ func testCore(width float64, smt int, profile codegen.Profile) (*Core, *flatMemo
 }
 
 func TestALURetirement(t *testing.T) {
-	core, _ := testCore(1.0, 1, codegen.PentiumM)
+	core, _ := testCore(1.0, 1, 2)
 	lc := core.LCPUs[0]
 	lc.SetRunning(true)
 	lc.Execute([]trace.Op{{Kind: trace.ALU, N: 100}})
@@ -50,7 +52,7 @@ func TestALURetirement(t *testing.T) {
 }
 
 func TestMemoryAccessAccounting(t *testing.T) {
-	core, mem := testCore(1.0, 1, codegen.PentiumM)
+	core, mem := testCore(1.0, 1, 2)
 	mem.stall = 7
 	lc := core.LCPUs[0]
 	lc.SetRunning(true)
@@ -68,28 +70,22 @@ func TestMemoryAccessAccounting(t *testing.T) {
 }
 
 func TestBranchEventsPerProfile(t *testing.T) {
-	for _, tc := range []struct {
-		profile codegen.Profile
-		events  uint64
-	}{
-		{codegen.PentiumM, 2},
-		{codegen.Netburst, 1},
-	} {
-		core, _ := testCore(1.0, 1, tc.profile)
+	for _, events := range []int{2, 1} { // Pentium M, Netburst
+		core, _ := testCore(1.0, 1, events)
 		lc := core.LCPUs[0]
 		lc.SetRunning(true)
 		lc.Execute([]trace.Op{{Kind: trace.Branch, Addr: 0x40, N: 1, Taken: true}})
-		if got := lc.Counters.Get(counters.BranchRetired); got != tc.events {
-			t.Errorf("%s: branch events = %d, want %d", tc.profile.Name, got, tc.events)
+		if got := lc.Counters.Get(counters.BranchRetired); got != uint64(events) {
+			t.Errorf("BranchEvents %d: branch events = %d", events, got)
 		}
-		if got := lc.Counters.Get(counters.InstrRetired); got != tc.events {
-			t.Errorf("%s: instr = %d, want %d", tc.profile.Name, got, tc.events)
+		if got := lc.Counters.Get(counters.InstrRetired); got != uint64(events) {
+			t.Errorf("BranchEvents %d: instr = %d", events, got)
 		}
 	}
 }
 
 func TestMispredictPenalty(t *testing.T) {
-	core, _ := testCore(1.0, 1, codegen.Netburst)
+	core, _ := testCore(1.0, 1, 1)
 	lc := core.LCPUs[0]
 	lc.SetRunning(true)
 	// Train an always-taken branch, then flip the outcome.
@@ -111,7 +107,7 @@ func TestMispredictPenalty(t *testing.T) {
 }
 
 func TestSMTIssueSharing(t *testing.T) {
-	core, _ := testCore(1.0, 2, codegen.Netburst)
+	core, _ := testCore(1.0, 2, 1)
 	a, b := core.LCPUs[0], core.LCPUs[1]
 	a.SetRunning(true)
 	a.Execute([]trace.Op{{Kind: trace.ALU, N: 100}})
@@ -128,7 +124,7 @@ func TestSMTIssueSharing(t *testing.T) {
 func TestSMTStaticPartition(t *testing.T) {
 	cfg := Config{Name: "s", ClockHz: 1e9, IssueWidth: 1.0, MispredictPenalty: 10, MemOverlap: 0.5, SMTOverhead: 1.0, SMTStatic: 1.5}
 	pred := branch.New(branch.Config{PatternBits: 10, HistoryBits: 4})
-	core := NewCore(cfg, pred, codegen.Netburst, 2)
+	core := NewCore(cfg, pred, 2)
 	mem := &flatMemory{}
 	core.LCPUs[0].Mem = mem
 	lc := core.LCPUs[0]
@@ -139,22 +135,32 @@ func TestSMTStaticPartition(t *testing.T) {
 	}
 }
 
+// A cold predictor guesses taken, so a never-taken branch mispredicts
+// once and is then learned. Only the predictor that took the lookups
+// has learned it.
 func TestPredOverride(t *testing.T) {
-	core, _ := testCore(1.0, 2, codegen.Netburst)
+	core, _ := testCore(1.0, 2, 1)
 	lc := core.LCPUs[1]
 	lc.PredOverride = branch.New(branch.Config{PatternBits: 10, HistoryBits: 4})
 	lc.SetRunning(true)
-	lc.Execute([]trace.Op{{Kind: trace.Branch, Addr: 0x99, N: 1, Taken: true}})
-	if core.Pred.Stats().Lookups != 0 {
+	ops := make([]trace.Op, 4)
+	for i := range ops {
+		ops[i] = trace.Op{Kind: trace.Branch, Addr: 0x99, N: 1, Taken: false}
+	}
+	lc.Execute(ops)
+	if got := lc.Counters.Get(counters.BranchMispredict); got != 1 {
+		t.Fatalf("mispredicts = %d, want 1 (the cold guess)", got)
+	}
+	if !core.Pred.Predict(0x99, false) {
 		t.Fatal("shared predictor consulted despite override")
 	}
-	if lc.PredOverride.Stats().Lookups != 1 {
+	if lc.PredOverride.Predict(0x99, false) {
 		t.Fatal("override predictor not consulted")
 	}
 }
 
 func TestContextSwitch(t *testing.T) {
-	core, mem := testCore(1.0, 1, codegen.PentiumM)
+	core, mem := testCore(1.0, 1, 2)
 	lc := core.LCPUs[0]
 	before := lc.NowF()
 	lc.ContextSwitch(true)
@@ -171,7 +177,7 @@ func TestContextSwitch(t *testing.T) {
 }
 
 func TestSyncToAndBusy(t *testing.T) {
-	core, _ := testCore(1.0, 1, codegen.PentiumM)
+	core, _ := testCore(1.0, 1, 2)
 	lc := core.LCPUs[0]
 	lc.SetRunning(true)
 	lc.Execute([]trace.Op{{Kind: trace.ALU, N: 50}})
@@ -190,7 +196,7 @@ func TestSyncToAndBusy(t *testing.T) {
 }
 
 func TestRunningToggle(t *testing.T) {
-	core, _ := testCore(1.0, 2, codegen.Netburst)
+	core, _ := testCore(1.0, 2, 1)
 	a, b := core.LCPUs[0], core.LCPUs[1]
 	a.SetRunning(true)
 	a.SetRunning(true) // idempotent
@@ -214,7 +220,7 @@ func TestRunningToggle(t *testing.T) {
 func TestFractionalRetirementExact(t *testing.T) {
 	// Width 3: per-instruction cost 1/3 cycle; 300 instructions must land
 	// on exactly 100 cycles (no drift from fractional accumulation).
-	core, _ := testCore(3.0, 1, codegen.PentiumM)
+	core, _ := testCore(3.0, 1, 2)
 	lc := core.LCPUs[0]
 	lc.SetRunning(true)
 	for i := 0; i < 300; i++ {

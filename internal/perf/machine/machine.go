@@ -54,7 +54,7 @@ type Machine struct {
 	interventionLat float64
 
 	windowStart []float64 // per-LCPU clock at last ResetWindow
-	busyStart   []float64
+	idleStart   []float64
 
 	segSeq uint64 // TCP segments the run's network stack has handled
 }
@@ -113,7 +113,7 @@ func New(id ConfigID, opts Options) *Machine {
 		}
 		for c := 0; c < topo.CoresPerPkg; c++ {
 			pred := branch.New(spec.Predictor)
-			core := cpu.NewCore(spec.Core, pred, spec.Profile, topo.ThreadsPerCore)
+			core := cpu.NewCore(spec.Core, pred, topo.ThreadsPerCore)
 			cu := &CoreUnit{Core: core, L1: cache.New(spec.L1D), Pkg: pkg}
 			if pkg.L2 != nil {
 				cu.L2 = pkg.L2
@@ -140,7 +140,7 @@ func New(id ConfigID, opts Options) *Machine {
 		m.Packages = append(m.Packages, pkg)
 	}
 	m.windowStart = make([]float64, len(m.LCPUs))
-	m.busyStart = make([]float64, len(m.LCPUs))
+	m.idleStart = make([]float64, len(m.LCPUs))
 	return m
 }
 
@@ -158,25 +158,21 @@ func (m *Machine) ResetWindow() {
 	for i, lc := range m.LCPUs {
 		lc.Counters.Reset()
 		m.windowStart[i] = lc.NowF()
-		m.busyStart[i] = lc.Busy()
-	}
-	m.Bus.ResetStats()
-	for _, pkg := range m.Packages {
-		for _, cu := range pkg.Cores {
-			cu.L1.ResetStats()
-			cu.L2.ResetStats() // idempotent when shared between cores
-		}
+		m.idleStart[i] = lc.Idle()
 	}
 }
 
 // CloseWindow ends a measurement window at global cycle end: every logical
 // CPU is synced to that time (idle cycles tick like VTune's system-wide
 // clocktick sampling) and the Clockticks / BusyCycles counters are set.
+// Busy cycles are the window's clockticks less its idle ones, so they
+// never exceed the clockticks.
 func (m *Machine) CloseWindow(end float64) {
 	for i, lc := range m.LCPUs {
 		lc.SyncTo(end)
-		lc.Counters.Add(counters.Clockticks, uint64(lc.NowF()-m.windowStart[i]))
-		lc.Counters.Add(counters.BusyCycles, uint64(lc.Busy()-m.busyStart[i]))
+		ticks := lc.NowF() - m.windowStart[i]
+		lc.Counters.Add(counters.Clockticks, uint64(ticks))
+		lc.Counters.Add(counters.BusyCycles, uint64(ticks-(lc.Idle()-m.idleStart[i])))
 	}
 }
 

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -65,6 +66,24 @@ func TestSharedStructures(t *testing.T) {
 	p0, p1 := m.Packages[0].Cores[0], m.Packages[1].Cores[0]
 	if p0.L2 == p1.L2 || p0.L1 == p1.L1 {
 		t.Error("2PPx packages share caches")
+	}
+}
+
+// Every Pentium M core counts two retired branch instructions per
+// branch and every Netburst core one (Table 5's ~2x branch frequency).
+func TestBranchEventsPerPlatform(t *testing.T) {
+	for _, id := range slices.Concat(AllConfigs, ExtendedConfigs) {
+		want := 1
+		if id.Platform().Name == pentiumM().Name {
+			want = 2
+		}
+		for _, pkg := range New(id, Options{}).Packages {
+			for _, cu := range pkg.Cores {
+				if got := cu.Core.Cfg.BranchEvents; got != want {
+					t.Errorf("%s: BranchEvents = %d, want %d", id, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -243,6 +262,10 @@ func TestWindowAccounting(t *testing.T) {
 	}
 	if c1.Get(counters.InstrRetired) != 0 {
 		t.Fatal("idle CPU retired instructions")
+	}
+	if c1.Get(counters.BusyCycles) != 0 || c0.Get(counters.BusyCycles) != c0.Get(counters.Clockticks) {
+		t.Fatalf("busy cycles %d/%d, want 0 idle and all %d on the busy CPU",
+			c1.Get(counters.BusyCycles), c0.Get(counters.BusyCycles), c0.Get(counters.Clockticks))
 	}
 	sys := m.SystemCounters()
 	if sys.Get(counters.InstrRetired) != c0.Get(counters.InstrRetired) {

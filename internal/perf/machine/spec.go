@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/perf/branch"
 	"repro/internal/perf/cache"
-	"repro/internal/perf/codegen"
 	"repro/internal/perf/cpu"
 )
 
@@ -34,7 +33,6 @@ type PlatformSpec struct {
 
 	Core      cpu.Config
 	Predictor branch.Config
-	Profile   codegen.Profile
 
 	// DRAMLatencyNs is the memory access latency beyond L2 (row access +
 	// FSB address phase), excluding bus queueing which the bus model adds.
@@ -94,11 +92,11 @@ func pentiumM() PlatformSpec {
 			MispredictPenalty: 12,
 			MemOverlap:        0.70,
 			SMTOverhead:       1.0, // no Hyperthreading on this platform
+			BranchEvents:      2,   // wide speculative fetch doubles retired branches (Table 5)
 		},
 		Predictor: branch.Config{
 			Name: "pm-hybrid", PatternBits: 15, HistoryBits: 14, Chooser: true,
 		},
-		Profile:                 codegen.PentiumM,
 		DRAMLatencyNs:           110,
 		C2CLatencyNs:            110,
 		InterventionNs:          28,
@@ -141,11 +139,11 @@ func xeon() PlatformSpec {
 			MemOverlap:        0.40,
 			SMTOverhead:       1.15,
 			SMTStatic:         1.13,
+			BranchEvents:      1, // retired branches count 1:1
 		},
 		Predictor: branch.Config{
 			Name: "netburst-gshare", PatternBits: 11, HistoryBits: 6, Chooser: false,
 		},
-		Profile:                 codegen.Netburst,
 		DRAMLatencyNs:           105,
 		C2CLatencyNs:            110,
 		InterventionNs:          30,

@@ -8,7 +8,7 @@ import (
 
 // Instrumentation densities: how many micro-ops a compiled scanner retires
 // per byte of input for each scanning mode. These constants, together with
-// the codegen profiles, determine the AON workloads' instruction mix; they
+// each core's BranchEvents, determine the AON workloads' instruction mix; they
 // are calibrated so the branch frequencies land on the paper's Table 5
 // (27-28% of retired instructions on Pentium M for the XML-heavy use
 // cases).
