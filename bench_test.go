@@ -7,6 +7,7 @@
 package repro
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/harness"
@@ -48,7 +49,11 @@ func parseForBench(msg []byte) error {
 // simulated message over every message the run simulates (ns/sim-msg, in
 // place of ns/op, which would divide by b.N alone), and simulated
 // instructions per host second: the measured window's instructions per
-// message, over the same messages.
+// message, over the same messages. Its B/sim-msg and allocs/sim-msg are
+// the host heap bytes and allocations of the run, from runtime.ReadMemStats
+// deltas around it, over the same messages (-benchmem's B/op and
+// allocs/op divide the run by b.N alone). All three per-message figures
+// include building the simulated machine, so they fall as the run grows.
 func BenchmarkSimulatedMessage(b *testing.B) {
 	for _, id := range []machine.ConfigID{machine.TwoCPm, machine.TwoLPx} {
 		b.Run(string(id), func(b *testing.B) {
@@ -56,8 +61,12 @@ func BenchmarkSimulatedMessage(b *testing.B) {
 			if opts.MeasureMsgs < 50 {
 				opts.MeasureMsgs = 50
 			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			res, err := harness.RunAON(harness.Cell{Config: id, UseCase: workload.CBR}, opts)
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -66,6 +75,8 @@ func BenchmarkSimulatedMessage(b *testing.B) {
 			b.ReportMetric(0, "ns/op")
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/msgs, "ns/sim-msg")
 			b.ReportMetric(perMsg*msgs/b.Elapsed().Seconds(), "sim-instr/s")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/msgs, "B/sim-msg")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/msgs, "allocs/sim-msg")
 		})
 	}
 }

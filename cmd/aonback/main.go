@@ -25,7 +25,7 @@
 // close, as at the gateway. GET /stats serves the live counters as
 // JSON — uptime_sec, messages, bytes_in and latency under the gateway's
 // keys, the drop and injected-error totals inside the fault section —
-// which is how cmd/aonfleet records backends in the fleet's one
+// which is how cmd/aoncamp records backend nodes in a campaign's one
 // cross-node session, decoded the same way as its gateways. A request that arrives with
 // X-AON-Trace — aongate -trace forwards the header only for a request
 // the client sampled — gets a serve span named by -trace-node, and every
@@ -71,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 	respSize := fs.Int("resp-size", 128, "approximate response body bytes")
 	delay := fs.Duration("delay", 0, "per-request service delay")
 	seed := fs.Uint64("seed", 0, "seed for the deterministic error-rate fault draw")
-	traceNode := fs.String("trace-node", "", "node name stamped on this backend's trace spans (default -name; aonfleet passes role/id)")
+	traceNode := fs.String("trace-node", "", "node name stamped on this backend's trace spans (default -name; aoncamp passes role/id)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6061; empty = off)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {

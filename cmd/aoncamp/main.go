@@ -1,43 +1,76 @@
-// Command aoncamp runs a scenario campaign against a live AON gateway:
-// a JSON spec describing time-phased traffic shapes (constant, ramp,
+// Command aoncamp runs a scenario campaign against live AON nodes: a
+// JSON spec describing time-phased traffic shapes (constant, ramp,
 // diurnal, flash crowd, slow-loris) and scripted backend fault storms,
-// executed phase by phase while the campaign's recorder reads the
-// gateway's cumulative /stats every sample_interval_ms and at every phase
-// boundary into a phase-tagged session timeline. The output is a
-// per-phase Figure-5/6-style report — offered vs delivered load, latency
-// percentiles, scaling against the first phase, the gateway's window cut
-// from the phase's start and end reads, stage windows — plus one
-// crash-safe session file, session.jsonl.
+// and optionally the topology to run them on. The campaign brings the
+// topology up, records every node's cumulative /stats every
+// sample_interval_ms and at every phase boundary into a phase-tagged
+// session timeline, and drives the phases against the first gateway.
+// The output is a per-phase Figure-5/6-style report — offered vs
+// delivered load, latency percentiles, scaling against the first phase,
+// each node's window cut from the phase's start and end reads, stage
+// windows — plus one crash-safe session file, session.jsonl.
 //
 // Usage:
 //
 //	aoncamp -spec examples/campaigns/constant.json -addr localhost:8080   # a single run
 //	aoncamp -spec campaign.json -addr localhost:8080
-//	aoncamp -spec campaign.json -selfgate -selfback 2 -out artifacts/
-//	aoncamp -spec campaign.json -selfgate -idle-timeout 150ms   # slow-loris demo
-//	aoncamp -spec scaling.json -selfgate -counters              # 1→2 scaling with CPI
+//	aoncamp -spec examples/campaigns/fleet.json -out artifacts/          # a topology of its own
 //
-// -selfgate stands the gateway up in-process on loopback, so one command
-// runs a whole campaign; with -selfback N it also self-hosts N
-// fault-injectable backends, rewiring the spec's backends list to them
-// (first = order route, second = error route). Fault steps in the spec
-// then land on live POST /fault endpoints.
+// A spec without "nodes" runs against -addr, recorded as the one
+// attached node gateway/gw0. A spec with "nodes" names its own
+// topology, and -addr is refused. Each node has a "kind":
+//
+//   - "launch" (the default) starts a child aongate or aonback, found on
+//     PATH, at its "addr", its output in -out/<role>-<id>.log;
+//   - "attach" joins a node already running at "addr", on this machine
+//     or another (no SSH, no agent: anything reachable over HTTP joins);
+//   - "inproc" starts a gateway.Server or a backend in this process.
+//
+// Backends start first, then gateways, each gateway forwarding to the
+// first "order" and the first "error" backend; every node is
+// readiness-probed on /stats before the next starts. Every gateway the
+// campaign starts runs with tracing and counters on ("idle_timeout_ms"
+// sets its read deadline, for slow-loris phases); backends run with
+// aonback's defaults. Fault steps index the backend nodes in spec order
+// and land on their live POST /fault endpoints. Cross-node alignment is
+// by each node's own monotonic clock (rel_ms = t_ms - the node's first
+// t_ms), never by comparing wall clocks across machines. For example:
+//
+//	{
+//	  "nodes": [
+//	    {"kind": "inproc", "role": "backend", "endpoint": "order"},
+//	    {"kind": "inproc", "role": "backend", "endpoint": "error"},
+//	    {"kind": "inproc", "role": "gateway", "idle_timeout_ms": 200}
+//	  ],
+//	  "phases": [{"name": "c1", "usecase": "FR", "duration_ms": 2000, "conns": 1}]
+//	}
 //
 // The paper's scaling question is a spec of constant phases that differ
 // in "gomaxprocs" (EXPERIMENTS.md "Live gateway scaling sweep"). The
-// runner sets that width in this process, so such phases need -selfgate:
-// against any other gateway they fail. -counters turns on the
-// self-hosted gateway's measurement layer, and the report gains per-phase
-// CPI and BrMPR (the paper's Tables 4/6 beside its Figures 5/6) and the
-// GC CPU share. Where perf events are denied the campaign still
-// completes: the derived values are then model predictions, marked * in
-// the report, and the notice prints on stderr.
+// runner sets that width in this process, so such phases need an inproc
+// gateway: against any other gateway they fail. The gateway's counters
+// give each phase CPI and BrMPR (the paper's Tables 4/6 beside its
+// Figures 5/6) and the GC CPU share. Where perf events are denied the
+// campaign still completes: the derived values are then model
+// predictions, marked * in the report, and the notice prints on stderr.
 //
-// Artifacts land in -out: session.jsonl (written by the recorder, one
-// write per row: the phase events and every sample row, per-CPU detail
-// included; the gateway is node gateway/gw0, the schema aonfleet writes
-// for a whole topology), campaign-report.txt (the formatted report),
-// campaign-result.json (the full machine-readable result).
+// A spec with "nodes" and no "phases" records until SIGINT/SIGTERM: a
+// passive timeline of running nodes. With "trace_every" set the
+// campaign originates a trace every that many requests per connection,
+// and pulls every node's GET /traces at the sampling pace into
+// traces.jsonl, joined at the end by trace ID into the critical-path
+// report trace-report.txt.
+//
+// Artifacts land in -out: session.jsonl (the phase events and every
+// node's sample rows, per-CPU detail included, one write per row),
+// campaign-report.txt (the formatted report), campaign-result.json (the
+// full machine-readable result, also printed on stdout), the launched
+// nodes' logs, and the trace plane's two files.
+//
+// Exit status: 2 for a bad spec or flag, before any node starts; 1 when
+// a node fails to start or its readiness probe times out, the campaign
+// fails, a started node stops uncleanly, or SIGINT/SIGTERM abandons the
+// phases (the started nodes are still stopped); 0 otherwise.
 package main
 
 import (
@@ -47,32 +80,29 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"time"
+	"os/signal"
+	"syscall"
 
 	"repro/internal/campaign"
-	"repro/internal/gateway"
-	"repro/internal/hwcount"
-	"repro/internal/upstream"
 )
 
-func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
 
-// run is the command: it parses args, prints the result JSON on stdout
-// and progress and the report on stderr, and returns the exit code.
-func run(args []string, stdout, stderr io.Writer) int {
+// run is the command: it parses args, runs the spec until it completes
+// or ctx is done, prints the result JSON on stdout and progress and the
+// report on stderr, and returns the exit code.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("aoncamp", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	specPath := fs.String("spec", "", "campaign spec JSON file (required)")
-	addr := fs.String("addr", "", "gateway address (overrides the spec's addr)")
-	out := fs.String("out", "aon-campaign", "artifact directory (session JSONL, report, result JSON)")
+	addr := fs.String("addr", "", "gateway address of a spec without nodes")
+	out := fs.String("out", "aon-campaign", "artifact directory (session JSONL, report, result JSON, node logs, traces)")
 	seed := fs.Uint64("seed", 0, "override the spec's generator seed (0 = keep the spec's)")
-	selfgate := fs.Bool("selfgate", false, "self-host an in-process gateway on loopback")
-	idle := fs.Duration("idle-timeout", 2*time.Second, "selfgate: client idle timeout (slow-loris phases shed when their trickle interval exceeds this)")
-	hwCounters := fs.Bool("counters", false, "selfgate: per-phase CPI/BrMPR/GC columns from perf_event_open (model-predicted where perf events are denied)")
-	selfback := fs.Int("selfback", 0, "self-host N loopback backends and point the spec's backends list at them")
-	respSize := fs.Int("resp-size", 128, "self-hosted backend response body bytes")
-	backDelay := fs.Duration("back-delay", 0, "self-hosted backend service delay per message")
 	printReport := fs.Bool("print-report", true, "print the formatted report to stderr")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -88,113 +118,36 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *specPath == "" {
 		return fail(2, errors.New("-spec is required"))
 	}
-	if *hwCounters && !*selfgate {
-		return fail(2, errors.New("-counters configures the -selfgate gateway; start an external one with aongate -counters"))
-	}
-	if *hwCounters && !hwcount.Supported() {
-		return fail(2, errors.New("-counters needs perf events, which this OS does not support"))
-	}
 	spec, err := campaign.LoadSpec(*specPath)
 	if err != nil {
 		return fail(2, err)
+	}
+	switch {
+	case len(spec.Nodes) == 0 && *addr == "":
+		return fail(2, errors.New("a spec without nodes needs -addr"))
+	case len(spec.Nodes) > 0 && *addr != "":
+		return fail(2, errors.New("-addr is for a spec without nodes; this one names its own"))
 	}
 	if *seed != 0 {
 		spec.Seed = *seed
 	}
 
-	// Self-hosted backends: replace the spec's backend list so fault
-	// steps hit live /fault endpoints, and (with -selfgate) wire them as
-	// the gateway's order/error routes.
-	if *selfback > 0 {
-		var addrs []string
-		for i := 0; i < *selfback; i++ {
-			name := "order"
-			if i == 1 {
-				name = "error"
-			} else if i > 1 {
-				name = fmt.Sprintf("back-%d", i)
-			}
-			b, err := upstream.StartBackend("127.0.0.1:0", upstream.BackendConfig{
-				Name: name, RespBytes: *respSize, Delay: *backDelay, Seed: spec.Seed + uint64(i),
-			})
-			if err != nil {
-				return fail(1, fmt.Errorf("backend: %w", err))
-			}
-			defer b.Close()
-			addrs = append(addrs, b.Addr().String())
-			fmt.Fprintf(stderr, "aoncamp: backend %s on %s (POST /fault live)\n", name, b.Addr())
-		}
-		spec.Backends = addrs
-	}
-	// Validation runs after the -selfback rewiring so fault steps are
-	// checked against the backends that will actually serve them.
-	if err := spec.Validate(); err != nil {
-		return fail(2, err)
-	}
-
-	target := *addr
-	if *selfgate {
-		up := upstream.Config{}
-		if len(spec.Backends) > 0 {
-			up.Order = spec.Backends[0]
-		}
-		if len(spec.Backends) > 1 {
-			up.Error = spec.Backends[1]
-		}
-		srv, err := gateway.New(gateway.Config{
-			Trace:       true, // the report's stage windows read the traced stage histograms
-			IdleTimeout: *idle,
-			Upstream:    up,
-			Counters:    *hwCounters,
-		})
-		if err != nil {
-			return fail(1, fmt.Errorf("gateway: %w", err))
-		}
-		if err := srv.Start("127.0.0.1:0"); err != nil {
-			return fail(1, fmt.Errorf("gateway: %w", err))
-		}
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			srv.Shutdown(ctx)
-		}()
-		target = srv.Addr().String()
-		mode := "in-place"
-		if up.Enabled() {
-			mode = fmt.Sprintf("forwarding (order=%s error=%s)", up.Order, up.Error)
-		}
-		fmt.Fprintf(stderr, "aoncamp: gateway on %s, GOMAXPROCS %d, idle timeout %v, %s\n",
-			target, runtime.GOMAXPROCS(0), *idle, mode)
-		if *hwCounters {
-			if m, notice := srv.CountersMode(); m == "runtime-only" {
-				fmt.Fprintf(stderr, "aoncamp: counters: runtime-only mode: %s\n", notice)
-			} else {
-				fmt.Fprintf(stderr, "aoncamp: counters: %s mode (perf_event_open)\n", m)
-			}
-		}
-	}
-
 	logf := func(format string, args ...any) {
-		fmt.Fprintf(stderr, format+"\n", args...)
+		fmt.Fprintf(stderr, "aoncamp: "+format+"\n", args...)
 	}
-	rec, err := campaign.NewRecorder(*out, []campaign.RecordNode{
-		{Key: campaign.RoleGateway + "/gw0", Role: campaign.RoleGateway, Addr: target},
-	}, logf)
+	res, err := campaign.Run(ctx, spec, campaign.Options{Addr: *addr, Out: *out, Logf: logf})
+	if res != nil {
+		report, resultJSON, werr := campaign.WriteArtifacts(*out, res)
+		if werr == nil && *printReport {
+			fmt.Fprint(stderr, report)
+		}
+		if werr == nil {
+			fmt.Fprintln(stdout, string(resultJSON))
+		}
+		err = errors.Join(err, werr)
+	}
 	if err != nil {
 		return fail(1, err)
 	}
-	res, err := campaign.Run(spec, campaign.Options{Addr: target, Recorder: rec, Logf: logf})
-	if err := errors.Join(err, rec.Close()); err != nil {
-		return fail(1, err)
-	}
-
-	report, resultJSON, err := campaign.WriteArtifacts(*out, res)
-	if err != nil {
-		return fail(1, err)
-	}
-	if *printReport {
-		fmt.Fprint(stderr, report)
-	}
-	fmt.Fprintln(stdout, string(resultJSON))
 	return 0
 }

@@ -27,25 +27,26 @@
 // event group per logical CPU), degrading to runtime-metrics-only with a
 // startup notice where perf events are denied. /stats is a pure read:
 // a sampling session is cut by its reader from successive reads — the
-// campaign recorder reads it every aoncamp sample_interval_ms or aonfleet
-// scrape_interval_ms and at every phase boundary (attach aonfleet to a
-// running gateway with no campaign for a passive recording).
+// campaign recorder reads it every aoncamp sample_interval_ms and at
+// every phase boundary (an aoncamp spec that attaches to a running
+// gateway and has no phases is a passive recording).
 //
 // With -trace, the gateway runs the tracing plane (internal/dtrace),
 // its one request clock: every request records real spans around
 // read/parse/process/forward/write, and every finished request's span
 // durations are aggregated into per-use-case per-stage histograms, the
 // /stats "stages" section. The client makes the one sampling decision:
-// a request carrying X-AON-Trace (a campaign's trace_every, under
-// aoncamp or aonfleet) is adopted into the client's trace, kept in the
+// a request carrying X-AON-Trace (an aoncamp campaign's trace_every) is
+// adopted into the client's trace, kept in the
 // ring served on GET /traces?last=N, and its context propagates on the
 // upstream forward so aonback records a joined server-side span. An
 // unsampled request is kept only if it was shed, refused while draining,
 // reaped idle, answered 5xx, or took 50 ms or more, and is never
 // propagated.
-// cmd/aonfleet with "trace" on pulls /traces from every node into a
-// fleet-wide traces.jsonl and renders the joined cross-node traces as a
-// critical-path report, trace-report.txt.
+// cmd/aoncamp with trace_every set pulls /traces from every node into
+// one traces.jsonl and renders the joined cross-node traces as a
+// critical-path report, trace-report.txt. Every aongate an aoncamp
+// topology launches runs with -trace and -counters.
 //
 // -pprof serves net/http/pprof on a separate listener (off by default):
 // aongate -pprof localhost:6060, then `go tool pprof
@@ -104,7 +105,7 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 	hwCounters := fs.Bool("counters", false, "enable the live measurement layer: cumulative perf_event_open counters on /stats (falls back to runtime metrics where perf is denied)")
 	maxInflight := fs.Int64("max-inflight", 0, "admission bound: shed with 503 past this many in-flight messages (0 = 5x GOMAXPROCS)")
 	trace := fs.Bool("trace", false, "run the tracing plane: per-request stage spans aggregated into the /stats stages section; client-sampled (X-AON-Trace), failed and slow traces kept on GET /traces, sampled ones propagated to the backend")
-	traceNode := fs.String("trace-node", "", "node name stamped on this gateway's spans (default gateway; aonfleet passes role/id)")
+	traceNode := fs.String("trace-node", "", "node name stamped on this gateway's spans (default gateway; aoncamp passes role/id)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {

@@ -84,7 +84,7 @@ func livePhase(addr string, uc workload.UseCase, dur time.Duration) (*campaign.R
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	return campaign.Run(spec, campaign.Options{Addr: addr})
+	return campaign.Run(context.Background(), spec, campaign.Options{Addr: addr})
 }
 
 // liveRow is one use case's line of -exp live: the simulated

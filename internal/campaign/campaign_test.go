@@ -3,7 +3,6 @@ package campaign
 import (
 	"bufio"
 	"context"
-	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -35,9 +34,9 @@ func TestFaultScript(t *testing.T) {
 	one := 1.0
 	zero := int64(3)
 	r := &runner{
-		spec:    &Spec{Backends: []string{addr}},
-		timeout: 2 * time.Second,
-		logf:    func(string, ...any) {},
+		backends: []string{addr},
+		timeout:  2 * time.Second,
+		logf:     func(string, ...any) {},
 	}
 	phase := &Phase{
 		Name:       "storm",
@@ -81,9 +80,9 @@ func TestFaultScript(t *testing.T) {
 // a dead backend is logged, not fatal.
 func TestFaultPostUnreachable(t *testing.T) {
 	r := &runner{
-		spec:    &Spec{Backends: []string{"127.0.0.1:1"}},
-		timeout: 200 * time.Millisecond,
-		logf:    func(string, ...any) {},
+		backends: []string{"127.0.0.1:1"},
+		timeout:  200 * time.Millisecond,
+		logf:     func(string, ...any) {},
 	}
 	phase := &Phase{
 		Name:       "dead",
@@ -100,7 +99,7 @@ func TestFaultPostUnreachable(t *testing.T) {
 
 // TestCampaignEndToEnd runs a three-phase campaign — constant warmup, a
 // flash crowd with a scripted fault storm, and a slow-loris siege —
-// against a live in-process gateway, then checks the per-phase report
+// against a live gateway and backend, both attached nodes, then checks the per-phase report
 // rows, the fault log, the slow-loris shed-without-starvation contract,
 // and the session artifacts.
 func TestCampaignEndToEnd(t *testing.T) {
@@ -123,8 +122,11 @@ func TestCampaignEndToEnd(t *testing.T) {
 
 	one := 1.0
 	spec := &Spec{
-		Name:             "e2e",
-		Backends:         []string{b.Addr().String()},
+		Name: "e2e",
+		Nodes: []NodeSpec{
+			{Kind: KindAttach, Role: RoleGateway, ID: "gw0", Addr: srv.Addr().String()},
+			{Kind: KindAttach, Role: roleBackend, ID: "b0", Addr: b.Addr().String()},
+		},
 		SampleIntervalMS: 50,
 		TimeoutMS:        3000,
 		Phases: []Phase{
@@ -143,12 +145,8 @@ func TestCampaignEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	outDir := t.TempDir()
-	rec, err := NewRecorder(outDir, []RecordNode{{Key: "gateway/gw0", Role: RoleGateway, Addr: srv.Addr().String()}}, t.Logf)
+	res, err := Run(context.Background(), spec, Options{Out: outDir, Logf: t.Logf})
 	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(spec, Options{Addr: srv.Addr().String(), Recorder: rec, Logf: t.Logf})
-	if err := errors.Join(err, rec.Close()); err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Phases) != 3 {
@@ -247,7 +245,7 @@ func TestCampaignEndToEnd(t *testing.T) {
 
 	// The formatted report renders a row per phase, the traced phases'
 	// stage windows, and the fault log.
-	text := FormatReport(res)
+	text := formatReport(res)
 	for _, want := range []string{"warmup", "surge", "siege", "fault log", "loris",
 		"phase warmup stage window", "\n  read ", "\n  process "} {
 		if !strings.Contains(text, want) {

@@ -63,7 +63,7 @@ func (r *runner) faultScript(phase *Phase, stop <-chan struct{}) {
 			case <-time.After(due):
 			}
 		}
-		addr := r.spec.Backends[step.Backend]
+		addr := r.backends[step.Backend]
 		ev := FaultEvent{Phase: phase.Name, AtMS: step.AtMS, Backend: addr, Fault: step.Fault}
 		st, err := postFault(addr, step.Fault, r.timeout)
 		if err != nil {

@@ -3,7 +3,6 @@ package campaign
 import (
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -15,15 +14,15 @@ import (
 	"repro/internal/session"
 )
 
-// Node roles a Recorder reads. Both publish gateway.Snapshot's keys on
+// Node roles a recorder reads. Both publish gateway.Snapshot's keys on
 // /stats for what they both count; the role orders and labels rows.
 const (
 	RoleGateway = "gateway"
-	RoleBackend = "backend"
+	roleBackend = "backend"
 )
 
-// RecordNode is one node a Recorder reads.
-type RecordNode struct {
+// recordNode is one node a recorder reads.
+type recordNode struct {
 	// Key names the node in rows and reports, "role/id" (e.g.
 	// "gateway/gw0").
 	Key  string
@@ -50,22 +49,21 @@ type Row struct {
 	Sample session.Sample `json:"sample"`
 }
 
-// Recorder is the one recorder of a run's nodes. It reads each node's
+// recorder is the one recorder of a run's nodes. It reads each node's
 // cumulative /stats once per tick and once at every phase boundary,
 // windows each node with one session.Windower, tags each row with the
 // current phase, and writes one file, session.jsonl: the phase events
 // and every row. A read whose clock did not move since the node's
 // previous row lands no row.
 //
-// aoncamp records its gateway with it and aonfleet its whole topology;
-// campaign.Run takes the phase boundary reads, and cuts each phase's
-// per-node windows from them.
-type Recorder struct {
-	nodes     []RecordNode // gateways first, then by key
+// Run records the whole topology with it, takes the phase boundary
+// reads, and cuts each phase's per-node windows from them.
+type recorder struct {
+	nodes     []recordNode // gateways first, then by key
 	logf      func(string, ...any)
 	jsonl     *session.JSONL // nil: no artifacts
 	artifacts []string
-	stopTicks func() // nil until Start
+	stopTicks func() // nil until start
 
 	win session.Windower
 
@@ -80,16 +78,16 @@ type Recorder struct {
 	err   error // first artifact write failure
 }
 
-// NewRecorder builds a recorder over nodes. With dir set it creates
-// dir/session.jsonl; with dir empty it records no
+// newRecorder builds a recorder over nodes. With dir set it creates
+// dir/session.jsonl (Run makes dir); with dir empty it records no
 // artifacts and only serves the phase windows. logf receives read
-// failures (nil = silent). Nothing is read until Start or a phase.
-func NewRecorder(dir string, nodes []RecordNode, logf func(string, ...any)) (*Recorder, error) {
+// failures (nil = silent). Nothing is read until start or a phase.
+func newRecorder(dir string, nodes []recordNode, logf func(string, ...any)) (*recorder, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	r := &Recorder{
-		nodes: append([]RecordNode(nil), nodes...),
+	r := &recorder{
+		nodes: append([]recordNode(nil), nodes...),
 		logf:  logf,
 		epoch: map[string]int64{},
 		last:  map[string]int64{},
@@ -103,9 +101,6 @@ func NewRecorder(dir string, nodes []RecordNode, logf func(string, ...any)) (*Re
 	if dir == "" {
 		return r, nil
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("campaign: recorder: %w", err)
-	}
 	r.artifacts = []string{filepath.Join(dir, "session.jsonl")}
 	jf, err := session.CreateJSONL(r.artifacts[0])
 	if err != nil {
@@ -115,16 +110,15 @@ func NewRecorder(dir string, nodes []RecordNode, logf func(string, ...any)) (*Re
 	return r, nil
 }
 
-// Start reads every node once per interval until Close. campaign.Run
-// starts a recorder it was handed unstarted at the spec's
-// sample_interval_ms, and stops it again when the campaign ends.
-func (r *Recorder) Start(interval time.Duration) {
+// start reads every node once per interval until close. Run starts it at
+// the spec's sample_interval_ms.
+func (r *recorder) start(interval time.Duration) {
 	r.stopTicks = session.Every(interval, r.tick)
 }
 
-// Close stops the ticks and closes the artifacts; it returns the first
-// write failure. A campaign abandoned after Close only fails its writes.
-func (r *Recorder) Close() error {
+// close stops the ticks and closes the artifacts; it returns the first
+// write failure.
+func (r *recorder) close() error {
 	if r.stopTicks != nil {
 		r.stopTicks()
 	}
@@ -137,7 +131,7 @@ func (r *Recorder) Close() error {
 }
 
 // tick reads every node once.
-func (r *Recorder) tick() {
+func (r *recorder) tick() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, n := range r.nodes {
@@ -152,8 +146,8 @@ func (r *Recorder) tick() {
 // node decodes into a gateway.Snapshot; what a backend does not publish
 // (shed, counters, workers) reads zero. A node that fails to answer is
 // logged, not fatal: it may be mid-start or mid-stop, and the campaign's
-// own reads and the fleet's exit checks own liveness.
-func (r *Recorder) read(n RecordNode) (session.Sample, error) {
+// own reads and the nodes' exit statuses own liveness.
+func (r *recorder) read(n recordNode) (session.Sample, error) {
 	snap, err := gateway.FetchStats(n.Addr, scrapeTimeout)
 	if err != nil {
 		r.logf("record: %s: %v", n.Key, err)
@@ -165,7 +159,7 @@ func (r *Recorder) read(n RecordNode) (session.Sample, error) {
 // land windows one cumulative reading of n and writes its row, unless
 // n's clock reads what it read at n's previous row. The first row of a
 // node pins its epoch. Callers hold mu.
-func (r *Recorder) land(n RecordNode, cum session.Sample) {
+func (r *recorder) land(n recordNode, cum session.Sample) {
 	if last, ok := r.last[n.Key]; ok && last == cum.TMS {
 		return
 	}
@@ -183,7 +177,7 @@ func (r *Recorder) land(n RecordNode, cum session.Sample) {
 }
 
 // event appends one phase event to the session JSONL.
-func (r *Recorder) event(ev map[string]any) {
+func (r *recorder) event(ev map[string]any) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.jsonl != nil {
@@ -193,14 +187,14 @@ func (r *Recorder) event(ev map[string]any) {
 
 // keep records the first write failure; a failed write loses that row,
 // not the run.
-func (r *Recorder) keep(err error) {
+func (r *recorder) keep(err error) {
 	if err != nil && r.err == nil {
 		r.err = err
 	}
 }
 
 // switchPhase sets the width and the rows' phase tag together.
-func (r *Recorder) switchPhase(phase string, procs int) {
+func (r *recorder) switchPhase(phase string, procs int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	runtime.GOMAXPROCS(procs)
@@ -211,7 +205,7 @@ func (r *Recorder) switchPhase(phase string, procs int) {
 // of its gateway at addr, and every other node is read here. Each lands
 // a row; boundary returns the cumulative readings by node key, and the
 // gateway's error if its read failed.
-func (r *Recorder) boundary(addr string, gw func() (session.Sample, error)) (map[string]session.Sample, error) {
+func (r *recorder) boundary(addr string, gw func() (session.Sample, error)) (map[string]session.Sample, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	g, err := gw()
@@ -233,7 +227,7 @@ func (r *Recorder) boundary(addr string, gw func() (session.Sample, error)) (map
 }
 
 // rowCount is the number of rows landed so far.
-func (r *Recorder) rowCount() int {
+func (r *recorder) rowCount() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.rows
@@ -242,7 +236,7 @@ func (r *Recorder) rowCount() int {
 // windows cuts each node's phase window from its start and end reads:
 // the campaign's gateway at addr first, then the other nodes in
 // recording order (gateways first). A node missing either read has none.
-func (r *Recorder) windows(addr string, start, end map[string]session.Sample) []NodeWindow {
+func (r *recorder) windows(addr string, start, end map[string]session.Sample) []NodeWindow {
 	var out []NodeWindow
 	for _, n := range r.nodes {
 		s, ok := start[n.Key]

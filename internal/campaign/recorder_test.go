@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -23,10 +24,12 @@ import (
 )
 
 // fakePlane is a control plane the test scripts: GET /stats answers
-// stats(), anything else a 404. Requests are counted per path.
+// stats(), GET /traces a scripted error with status traces when that is
+// set, anything else a 404. Requests are counted per path.
 type fakePlane struct {
-	addr  string
-	stats func() any
+	addr   string
+	stats  func() any
+	traces int
 
 	mu   sync.Mutex
 	hits map[string]int
@@ -65,8 +68,12 @@ func (f *fakePlane) serve(c net.Conn) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.hits[req.Target]++
-	if req.Target == "/stats" {
+	switch {
+	case req.Target == "/stats":
 		c.Write(httpmsg.JSONResponse(200, f.stats()))
+		return
+	case req.Target == "/traces" && f.traces != 0:
+		c.Write(httpmsg.JSONResponse(f.traces, map[string]string{"error": "scripted"}))
 		return
 	}
 	c.Write(httpmsg.JSONResponse(404, map[string]string{"error": "not found"}))
@@ -106,15 +113,15 @@ func readRows(t *testing.T, path string) []Row {
 }
 
 // newTestRecorder records nodes (keys "role/id") into a temp dir.
-func newTestRecorder(t *testing.T, keys ...string) (*Recorder, string) {
+func newTestRecorder(t *testing.T, keys ...string) (*recorder, string) {
 	t.Helper()
-	var nodes []RecordNode
+	var nodes []recordNode
 	for _, k := range keys {
 		role, _, _ := strings.Cut(k, "/")
-		nodes = append(nodes, RecordNode{Key: k, Role: role})
+		nodes = append(nodes, recordNode{Key: k, Role: role})
 	}
 	dir := t.TempDir()
-	rec, err := NewRecorder(dir, nodes, nil)
+	rec, err := newRecorder(dir, nodes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +130,7 @@ func newTestRecorder(t *testing.T, keys ...string) (*Recorder, string) {
 
 // landAt lands one cumulative reading of the node keyed key, as a tick
 // or a boundary read does.
-func landAt(rec *Recorder, key string, tms int64, msgs uint64) {
+func landAt(rec *recorder, key string, tms int64, msgs uint64) {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	for _, n := range rec.nodes {
@@ -143,7 +150,7 @@ func TestRecorderSkewedClocks(t *testing.T) {
 		landAt(rec, "gateway/gw0", gwEpoch+i*100, 10*uint64(i))
 		landAt(rec, "backend/b0", beEpoch+i*100, 10*uint64(i))
 	}
-	if err := rec.Close(); err != nil {
+	if err := rec.close(); err != nil {
 		t.Fatal(err)
 	}
 	rows := readRows(t, path)
@@ -163,7 +170,7 @@ func TestRecorderSkewedClocks(t *testing.T) {
 	}
 	// Each node's windows add up to its growth: a priming row, then four
 	// windows of 10 messages each.
-	if msgs != 80 || roles[RoleGateway] != 5 || roles[RoleBackend] != 5 {
+	if msgs != 80 || roles[RoleGateway] != 5 || roles[roleBackend] != 5 {
 		t.Fatalf("messages sum %d, roles %v; want 80, and 5 gateway and 5 backend rows", msgs, roles)
 	}
 	if e := rec.epoch["gateway/gw0"]; e != gwEpoch {
@@ -186,7 +193,7 @@ func TestRecorderLateJoinEarlyLeave(t *testing.T) {
 	for i := int64(0); i < 3; i++ {
 		landAt(rec, "backend/late", 90_000+i*100, uint64(i))
 	}
-	if err := rec.Close(); err != nil {
+	if err := rec.close(); err != nil {
 		t.Fatal(err)
 	}
 	per := map[string]int{}
@@ -224,7 +231,7 @@ func TestRecorderDuplicateSuppression(t *testing.T) {
 	}
 	// Same t_ms from a different node is a distinct row.
 	landAt(rec, "gateway/gw1", 1000, 7)
-	if err := rec.Close(); err != nil {
+	if err := rec.close(); err != nil {
 		t.Fatal(err)
 	}
 	if n, rows := rec.rowCount(), readRows(t, path); n != 2 || len(rows) != 2 {
@@ -255,7 +262,7 @@ func TestRecorderJSONLRoundTrip(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if err := rec.Close(); err != nil {
+	if err := rec.close(); err != nil {
 		t.Fatal(err)
 	}
 	back := readRows(t, path)
@@ -269,7 +276,7 @@ func TestRecorderJSONLRoundTrip(t *testing.T) {
 		var w session.Windower
 		for i := int64(0); i < perNode; i++ {
 			tms, msgs := int64(n)*1_000_000+i*100, uint64(n*100)+uint64(i*i)
-			want[key+"@"+fmt.Sprint(tms)] = Row{Type: "sample", Node: key, Role: RoleBackend, TMS: tms, RelMS: i * 100,
+			want[key+"@"+fmt.Sprint(tms)] = Row{Type: "sample", Node: key, Role: roleBackend, TMS: tms, RelMS: i * 100,
 				Sample: w.Window(key, session.Sample{TMS: tms, Messages: msgs})}
 		}
 	}
@@ -304,11 +311,11 @@ func TestRecorderAgainstFakeControlPlane(t *testing.T) {
 	gs := &gatewayStats{}
 	node := startFakePlane(t, gs.get)
 	dir := t.TempDir()
-	rec, err := NewRecorder(dir, []RecordNode{{Key: "gateway/gw0", Role: RoleGateway, Addr: node.addr}}, nil)
+	rec, err := newRecorder(dir, []recordNode{{Key: "gateway/gw0", Role: RoleGateway, Addr: node.addr}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rec.Close()
+	defer rec.close()
 
 	for i, step := range []struct {
 		uptime                float64
@@ -390,31 +397,29 @@ func TestPhaseWindowsFromBoundaryReads(t *testing.T) {
 		return stats
 	})
 
-	rec, err := NewRecorder(t.TempDir(), []RecordNode{
-		{Key: "gateway/gw0", Role: RoleGateway, Addr: gw.addr},
-		{Key: "backend/b0", Role: RoleBackend, Addr: be.addr},
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
+	spec := &Spec{
+		SampleIntervalMS: 3_600_000, // ticking, but never within the test: only boundary reads happen
+		Nodes: []NodeSpec{
+			{Kind: KindAttach, Role: RoleGateway, ID: "gw0", Addr: gw.addr},
+			{Kind: KindAttach, Role: roleBackend, ID: "b0", Addr: be.addr},
+		},
+		Phases: []Phase{
+			{Name: "a", UseCase: "FR", DurationMS: 60, Conns: 1},
+			{Name: "b", UseCase: "FR", DurationMS: 60, Conns: 1},
+		},
 	}
-	rec.Start(time.Hour) // ticking, but never within the test: only boundary reads happen
-	defer rec.Close()
-	spec := &Spec{Phases: []Phase{
-		{Name: "a", UseCase: "FR", DurationMS: 60, Conns: 1},
-		{Name: "b", UseCase: "FR", DurationMS: 60, Conns: 1},
-	}}
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(spec, Options{Addr: gw.addr, Recorder: rec})
+	res, err := Run(context.Background(), spec, Options{Out: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// The gateway's reads: pre-flight, then each phase's start and end,
-	// each taken once; the backend's: each phase's start and end.
-	if len(served) != 5 || len(back) != 4 {
-		t.Fatalf("gateway read %d times, backend %d; want 5 and 4", len(served), len(back))
+	// Each node's reads: its readiness probe, then each phase's start
+	// and end, each taken once.
+	if len(served) != 5 || len(back) != 5 {
+		t.Fatalf("gateway read %d times, backend %d; want 5 and 5", len(served), len(back))
 	}
 	countsOf := func(s gateway.Snapshot) hwcount.Counts {
 		var out hwcount.Counts
@@ -440,14 +445,14 @@ func TestPhaseWindowsFromBoundaryReads(t *testing.T) {
 			t.Errorf("phase %s: gateway window %+v, want CPI %v MPI %v BrMPR %v gc%% %v from hw, %v msgs/s",
 				p.Name, g.Sample, want.CPI, want.CacheMPI, want.BrMPR, gc, rate)
 		}
-		bs, bt := back[2*i], back[1+2*i]
+		bs, bt := back[1+2*i], back[2+2*i]
 		bsec := bt["uptime_sec"].(float64) - bs["uptime_sec"].(float64)
 		bmsgs := uint64(bt["messages"].(int) - bs["messages"].(int))
 		if b := p.Nodes[1]; b.Messages != bmsgs || b.MsgsPerSec != float64(bmsgs)/(float64(int64(bsec*1000))/1000) || b.DerivedSource != "" {
 			t.Errorf("phase %s: backend window %+v, want %d msgs over %vs", p.Name, b.Sample, bmsgs, bsec)
 		}
 	}
-	if text := FormatReport(res); !strings.Contains(text, "fleet-total(gateways)") || !strings.Contains(text, "backend/b0") {
+	if text := formatReport(res); !strings.Contains(text, "fleet-total(gateways)") || !strings.Contains(text, "backend/b0") {
 		t.Errorf("report lacks the per-node windows:\n%s", text)
 	}
 }
@@ -491,12 +496,12 @@ func post(t *testing.T, addr string, n int) (ok int) {
 func TestRecorderBackendDropsAreNotShed(t *testing.T) {
 	be := startBackend(t)
 	dir := t.TempDir()
-	node := RecordNode{Key: "backend/b0", Role: RoleBackend, Addr: be.Addr().String()}
-	rec, err := NewRecorder(dir, []RecordNode{node}, t.Logf)
+	node := recordNode{Key: "backend/b0", Role: roleBackend, Addr: be.Addr().String()}
+	rec, err := newRecorder(dir, []recordNode{node}, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rec.Close()
+	defer rec.close()
 	failNext := int64(3)
 	if _, err := postFault(be.Addr().String(), upstream.FaultSpec{FailNext: &failNext}, 2*time.Second); err != nil {
 		t.Fatal(err)
@@ -513,7 +518,7 @@ func TestRecorderBackendDropsAreNotShed(t *testing.T) {
 	tick()
 	answered += post(t, be.Addr().String(), 3)
 	tick()
-	if err := rec.Close(); err != nil {
+	if err := rec.close(); err != nil {
 		t.Fatal(err)
 	}
 	if st := be.FaultState(); st.Dropped != 3 || answered != 5 {
@@ -548,14 +553,14 @@ func TestRecorderBackendDropsAreNotShed(t *testing.T) {
 func TestRecorderReadsGatewayAndBackendOneWay(t *testing.T) {
 	be := startBackend(t)
 	gw := startGateway(t, gateway.Config{UseCase: workload.FR, Upstream: upstream.Config{Order: be.Addr().String()}})
-	rec, err := NewRecorder("", []RecordNode{
+	rec, err := newRecorder("", []recordNode{
 		{Key: "gateway/gw0", Role: RoleGateway, Addr: gw},
-		{Key: "backend/b0", Role: RoleBackend, Addr: be.Addr().String()},
+		{Key: "backend/b0", Role: roleBackend, Addr: be.Addr().String()},
 	}, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rec.Close()
+	defer rec.close()
 	const n = 6
 	if ok := post(t, gw, n); ok != n {
 		t.Fatalf("%d of %d answered", ok, n)

@@ -75,7 +75,7 @@ type PhaseReport struct {
 	// phase's start and end reads: the campaign's gateway first, then the
 	// other gateways, then the backends. The gateway's row gives the
 	// report its procs, cpi, brmpr% and gc% columns. They feed
-	// FormatReport only; the rows themselves are in session.jsonl.
+	// formatReport only; the rows themselves are in session.jsonl.
 	Nodes []NodeWindow `json:"-"`
 }
 
@@ -167,38 +167,38 @@ func stageWindow(start, end map[string]gateway.HistSnapshot) map[string]StageWin
 // Artifact names under a campaign's output directory, beside the
 // recorder's session.jsonl.
 const (
-	ReportFile = "campaign-report.txt"
-	ResultFile = "campaign-result.json"
+	reportFile = "campaign-report.txt"
+	resultFile = "campaign-result.json"
 )
 
 // WriteArtifacts renders res as the formatted report and the indented
-// result JSON, writes them into dir as ReportFile and ResultFile (dir ""
+// result JSON, writes them into dir as reportFile and resultFile (dir ""
 // writes nothing), and returns both.
 func WriteArtifacts(dir string, res *Result) (report string, resultJSON []byte, err error) {
-	report = FormatReport(res)
+	report = formatReport(res)
 	if resultJSON, err = json.MarshalIndent(res, "", "  "); err != nil {
 		return "", nil, fmt.Errorf("campaign: result: %w", err)
 	}
 	if dir == "" {
 		return report, resultJSON, nil
 	}
-	if err := os.WriteFile(filepath.Join(dir, ReportFile), []byte(report), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, reportFile), []byte(report), 0o644); err != nil {
 		return "", nil, fmt.Errorf("campaign: report: %w", err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, ResultFile), append(resultJSON, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, resultFile), append(resultJSON, '\n'), 0o644); err != nil {
 		return "", nil, fmt.Errorf("campaign: result: %w", err)
 	}
 	return report, resultJSON, nil
 }
 
-// FormatReport renders the human-readable campaign report: the per-phase
+// formatReport renders the human-readable campaign report: the per-phase
 // scaling table (scale is ok/s over the first phase's — the paper's
 // "performance scalability from one processing unit to two" when the
 // phases differ in gomaxprocs — with the counter columns when the
 // gateway publishes counters), the per-node phase windows with the
 // fleet-total gateway throughput, the per-phase stage tables, and the
 // fault log.
-func FormatReport(res *Result) string {
+func formatReport(res *Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "campaign %s against %s: %d phases, %.1fs, %d samples",
 		res.Name, res.Addr, len(res.Phases), res.DurationSec, res.Samples)

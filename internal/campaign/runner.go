@@ -1,8 +1,11 @@
 package campaign
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -16,14 +19,13 @@ import (
 
 // Options parameterizes one campaign run.
 type Options struct {
-	// Addr overrides Spec.Addr (aonfleet injects the launched gateway).
+	// Addr is the gateway of a spec without nodes: the run records it as
+	// the one attached node gateway/gw0.
 	Addr string
-	// Recorder records the run's nodes and writes the session artifacts;
-	// its node at Addr is the campaign's gateway. Nil records the gateway
-	// alone, with no artifacts. Run starts an unstarted recorder at the
-	// spec's sample_interval_ms and stops it at the end; one already
-	// ticking (aonfleet's) keeps its own interval and keeps running.
-	Recorder *Recorder
+	// Out receives the run's artifacts: session.jsonl, the launched
+	// nodes' logs and, with trace_every set, traces.jsonl and
+	// trace-report.txt. Empty writes none.
+	Out string
 	// Logf receives progress lines (nil = silent).
 	Logf func(format string, args ...any)
 }
@@ -33,11 +35,12 @@ const scrapeTimeout = 2 * time.Second
 
 // runner carries one campaign's live state.
 type runner struct {
-	spec    *Spec
-	addr    string
-	timeout time.Duration
-	logf    func(string, ...any)
-	rec     *Recorder
+	spec     *Spec
+	addr     string   // the campaign's gateway
+	backends []string // the backend nodes' addresses, fault step indices
+	timeout  time.Duration
+	logf     func(string, ...any)
+	rec      *recorder
 
 	// origProcs is GOMAXPROCS when Run began: the width of a phase that
 	// sets none, and the width Run restores.
@@ -47,59 +50,101 @@ type runner struct {
 	faultLog []FaultEvent
 }
 
-// Run executes the spec against a live gateway and returns the result.
-// The spec must already be validated (parseSpec/LoadSpec do this).
-func Run(spec *Spec, opts Options) (*Result, error) {
-	addr := opts.Addr
-	if addr == "" {
-		addr = spec.Addr
-	}
-	if addr == "" {
-		return nil, fmt.Errorf("campaign: no gateway address (spec addr or Options.Addr)")
-	}
+// Run brings up the spec's nodes, records every one of them at
+// sample_interval_ms, drives the phases against the first gateway — or,
+// with no phases, records until ctx is done — and tears the nodes down
+// in reverse start order. The spec must already be validated (LoadSpec
+// does this). Cancelling ctx abandons the phases; the started nodes are
+// still stopped. When the phases complete the result comes back, with
+// an error beside it if a node then stopped uncleanly or an artifact
+// failed to write.
+func Run(ctx context.Context, spec *Spec, opts Options) (res *Result, err error) {
 	logf := opts.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	rec := opts.Recorder
-	if rec == nil {
-		rec, _ = NewRecorder("", []RecordNode{{Key: RoleGateway + "/gw0", Role: RoleGateway, Addr: addr}}, nil)
+	specs := spec.Nodes
+	if len(specs) == 0 {
+		if opts.Addr == "" {
+			return nil, errors.New("campaign: a spec without nodes needs a gateway address")
+		}
+		specs = []NodeSpec{{Kind: KindAttach, Role: RoleGateway, ID: "gw0", Addr: opts.Addr}}
 	}
+	if opts.Out != "" {
+		if err := os.MkdirAll(opts.Out, 0o755); err != nil {
+			return nil, fmt.Errorf("campaign: %w", err)
+		}
+	}
+	nodes := expandNodes(specs)
+	started, err := startNodes(ctx, nodes, opts.Out, logf)
+	defer func() { err = errors.Join(err, stopNodes(started)) }()
+	if err != nil {
+		return nil, err
+	}
+
 	r := &runner{
 		spec:      spec,
-		addr:      addr,
 		timeout:   time.Duration(spec.TimeoutMS) * time.Millisecond,
 		logf:      logf,
-		rec:       rec,
 		origProcs: runtime.GOMAXPROCS(0),
 	}
-
-	// Pre-flight: the gateway must answer /stats before the first phase.
-	if _, err := gateway.FetchStats(addr, scrapeTimeout); err != nil {
-		return nil, fmt.Errorf("campaign: gateway %s not answering /stats: %w", addr, err)
+	var recorded []recordNode
+	for _, n := range nodes {
+		recorded = append(recorded, recordNode{Key: n.key, Role: n.Role, Addr: n.addr})
+		switch {
+		case n.Role == RoleGateway && r.addr == "":
+			r.addr = n.addr
+		case n.Role == roleBackend:
+			r.backends = append(r.backends, n.addr)
+		}
+	}
+	if r.rec, err = newRecorder(opts.Out, recorded, logf); err != nil {
+		return nil, err
+	}
+	interval := time.Duration(spec.SampleIntervalMS) * time.Millisecond
+	r.rec.start(interval)
+	var traces *tracePlane
+	if spec.TraceEvery > 0 {
+		if traces, err = startTraces(opts.Out, nodes, interval, logf); err != nil {
+			return nil, errors.Join(err, r.rec.close())
+		}
 	}
 
+	res, err = r.run(ctx)
+	err = errors.Join(err, r.rec.close())
+	if traces != nil {
+		var spans []dtrace.Span
+		if res != nil {
+			spans = res.ClientSpans
+		}
+		err = errors.Join(err, traces.finish(spans))
+	}
+	return res, err
+}
+
+// run drives the phases, or with none records until ctx is done.
+func (r *runner) run(ctx context.Context) (*Result, error) {
 	res := &Result{
-		Name:      spec.Name,
-		Addr:      addr,
-		Seed:      spec.Seed,
-		Artifacts: rec.artifacts,
+		Name:      r.spec.Name,
+		Addr:      r.addr,
+		Seed:      r.spec.Seed,
+		Artifacts: r.rec.artifacts,
 	}
 
 	// The recorder's ticks span the campaign, so the timeline is
 	// continuous across phase boundaries. Leaving, the width is restored
 	// and later rows carry no phase.
-	rows := rec.rowCount()
-	defer rec.switchPhase("", r.origProcs)
-	if rec.stopTicks == nil {
-		rec.Start(time.Duration(spec.SampleIntervalMS) * time.Millisecond)
-		defer rec.stopTicks()
-	}
+	rows := r.rec.rowCount()
+	defer r.rec.switchPhase("", r.origProcs)
 
 	start := time.Now()
-	for i := range spec.Phases {
-		p := &spec.Phases[i]
-		rep, spans, err := r.runPhase(p)
+	if len(r.spec.Phases) == 0 {
+		r.logf("campaign: recording every %dms until stopped", r.spec.SampleIntervalMS)
+		<-ctx.Done()
+	}
+	for i := range r.spec.Phases {
+		p := &r.spec.Phases[i]
+		rep, spans, err := r.runPhase(ctx, p)
 		if err != nil {
 			return nil, err
 		}
@@ -108,13 +153,13 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 	}
 
 	res.DurationSec = time.Since(start).Seconds()
-	res.Samples = rec.rowCount() - rows
+	res.Samples = r.rec.rowCount() - rows
 	res.Faults = r.faultLog // its writers are joined
 	return res, nil
 }
 
 // gatewayRead returns a boundary read of the campaign's gateway for
-// Recorder.boundary: one GET /stats, kept in *snap for the report row.
+// recorder.boundary: one GET /stats, kept in *snap for the report row.
 func (r *runner) gatewayRead(snap **gateway.Snapshot) func() (session.Sample, error) {
 	return func() (session.Sample, error) {
 		s, err := gateway.FetchStats(r.addr, scrapeTimeout)
@@ -130,7 +175,7 @@ func (r *runner) gatewayRead(snap **gateway.Snapshot) func() (session.Sample, er
 // holds for slowloris), the fault script, and the boundary reads of
 // every recorded node at its start and end, which become the report row
 // and its per-node windows. It also returns the senders' client spans.
-func (r *runner) runPhase(p *Phase) (*PhaseReport, []dtrace.Span, error) {
+func (r *runner) runPhase(ctx context.Context, p *Phase) (*PhaseReport, []dtrace.Span, error) {
 	procs := p.GOMAXPROCS
 	if procs == 0 {
 		procs = r.origProcs
@@ -151,7 +196,7 @@ func (r *runner) runPhase(p *Phase) (*PhaseReport, []dtrace.Span, error) {
 	}
 	if p.GOMAXPROCS > 0 && snapStart.Workers != p.GOMAXPROCS {
 		return nil, nil, fmt.Errorf("campaign: phase %s: gomaxprocs %d, but the gateway at %s reports %d workers "+
-			"(gomaxprocs sets this process's width, so it needs an in-process gateway: aoncamp -selfgate)",
+			"(gomaxprocs sets this process's width, so it needs an inproc gateway node)",
 			p.Name, p.GOMAXPROCS, r.addr, snapStart.Workers)
 	}
 	uc, err := workload.ParseUseCase(p.UseCase)
@@ -186,10 +231,11 @@ func (r *runner) runPhase(p *Phase) (*PhaseReport, []dtrace.Span, error) {
 	}
 
 	// The envelope controller: every tick, resize the pools to the
-	// shape's width at this offset.
+	// shape's width at this offset, until the phase ends or ctx abandons
+	// it.
 	start := time.Now()
 	tick := time.NewTicker(50 * time.Millisecond)
-	for {
+	for ctx.Err() == nil {
 		elapsed := time.Since(start)
 		if elapsed >= p.Duration() {
 			break
@@ -200,7 +246,10 @@ func (r *runner) runPhase(p *Phase) (*PhaseReport, []dtrace.Span, error) {
 		} else {
 			sp.Resize(p.WidthAt(elapsed))
 		}
-		<-tick.C
+		select {
+		case <-tick.C:
+		case <-ctx.Done():
+		}
 	}
 	tick.Stop()
 
@@ -211,6 +260,9 @@ func (r *runner) runPhase(p *Phase) (*PhaseReport, []dtrace.Span, error) {
 	}
 	faultWG.Wait()
 	activeDur := time.Since(start)
+	if err := ctx.Err(); err != nil {
+		return nil, nil, fmt.Errorf("campaign: phase %s abandoned: %w", p.Name, err)
+	}
 
 	ends, err := r.rec.boundary(r.addr, r.gatewayRead(&snapEnd))
 	if err != nil {

@@ -3,7 +3,6 @@ package campaign
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -45,10 +44,6 @@ func TestPhaseGOMAXPROCS(t *testing.T) {
 	addr := startGateway(t, gateway.Config{})
 
 	dir := t.TempDir()
-	rec, err := NewRecorder(dir, []RecordNode{{Key: "gateway/gw0", Role: RoleGateway, Addr: addr}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	spec := &Spec{
 		SampleIntervalMS: 40,
 		Phases: []Phase{
@@ -59,8 +54,8 @@ func TestPhaseGOMAXPROCS(t *testing.T) {
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(spec, Options{Addr: addr, Recorder: rec})
-	if err := errors.Join(err, rec.Close()); err != nil {
+	res, err := Run(context.Background(), spec, Options{Addr: addr, Out: dir})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got := runtime.GOMAXPROCS(0); got != 2 {
@@ -88,7 +83,7 @@ func TestPhaseGOMAXPROCS(t *testing.T) {
 			t.Fatalf("phase %s did no work: %+v", p.Name, p)
 		}
 	}
-	if text := FormatReport(res); !strings.Contains(text, "procs") || !strings.Contains(text, "scale") {
+	if text := formatReport(res); !strings.Contains(text, "procs") || !strings.Contains(text, "scale") {
 		t.Fatalf("report missing procs/scale columns:\n%s", text)
 	}
 }
@@ -107,7 +102,7 @@ func TestPhaseGOMAXPROCSAdmissionBound(t *testing.T) {
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(spec, Options{Addr: addr})
+	res, err := Run(context.Background(), spec, Options{Addr: addr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +129,7 @@ func TestPhaseGOMAXPROCSRefusedElsewhere(t *testing.T) {
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	_, err := Run(spec, Options{Addr: addr})
+	_, err := Run(context.Background(), spec, Options{Addr: addr})
 	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("reports %d workers", before+1)) {
 		t.Fatalf("err = %v, want a workers mismatch", err)
 	}
@@ -152,7 +147,7 @@ func TestFormatReportGatewayColumns(t *testing.T) {
 	gw := func(src string) []NodeWindow {
 		return []NodeWindow{
 			{Node: "gateway/gw0", Role: RoleGateway, Sample: session.Sample{GOMAXPROCS: 3, CPI: 1.5, BrMPR: 3.25, GCCPUPct: 4.5, DerivedSource: src}},
-			{Node: "backend/b0", Role: RoleBackend, Sample: session.Sample{CPI: 9, BrMPR: 9}},
+			{Node: "backend/b0", Role: roleBackend, Sample: session.Sample{CPI: 9, BrMPR: 9}},
 		}
 	}
 	const notice = "* model prediction"
@@ -172,7 +167,7 @@ func TestFormatReportGatewayColumns(t *testing.T) {
 			[]string{"cpi", "        -        -      -\n"}, []string{notice}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			text := FormatReport(&Result{Name: "r", Phases: tc.phases})
+			text := formatReport(&Result{Name: "r", Phases: tc.phases})
 			for _, w := range tc.want {
 				if !strings.Contains(text, w) {
 					t.Errorf("report lacks %q:\n%s", w, text)
@@ -199,10 +194,10 @@ func TestWriteArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report != FormatReport(res) {
-		t.Fatalf("returned report differs from FormatReport:\n%s", report)
+	if report != formatReport(res) {
+		t.Fatalf("returned report differs from formatReport:\n%s", report)
 	}
-	for name, want := range map[string]string{ReportFile: report, ResultFile: string(resultJSON) + "\n"} {
+	for name, want := range map[string]string{reportFile: report, resultFile: string(resultJSON) + "\n"} {
 		got, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil || string(got) != want {
 			t.Fatalf("%s: err %v, content differs from the returned one:\n%s", name, err, got)
@@ -220,7 +215,7 @@ func TestWriteArtifacts(t *testing.T) {
 	if _, _, err := WriteArtifacts(t.TempDir(), bad); err == nil {
 		t.Fatal("a NaN in the result was written without an error")
 	}
-	if _, _, err := WriteArtifacts(filepath.Join(dir, ReportFile), res); err == nil {
+	if _, _, err := WriteArtifacts(filepath.Join(dir, reportFile), res); err == nil {
 		t.Fatal("writing under a file instead of a directory succeeded")
 	}
 }

@@ -100,7 +100,8 @@ func TestWidthAtNeverZero(t *testing.T) {
 func TestSpecValidate(t *testing.T) {
 	good := `{
 		"name": "t",
-		"backends": ["127.0.0.1:1"],
+		"nodes": [{"kind": "attach", "role": "backend", "addr": "127.0.0.1:1"},
+			{"kind": "attach", "role": "gateway", "addr": "127.0.0.1:2"}],
 		"phases": [
 			{"name": "a", "shape": "ramp", "duration_ms": 100, "conns": 1, "conns_to": 4},
 			{"name": "b", "shape": "flash", "duration_ms": 100, "conns": 2, "burst_conns": 8,
@@ -129,9 +130,14 @@ func TestSpecValidate(t *testing.T) {
 		`{"phases": [{"duration_ms": 1, "conns": 1, "usecase": "NOPE"}]}`,                  // unknown use case
 		`{"phases": [{"duration_ms": 1, "conns": 1,
 			"faults": [{"at_ms": 0, "backend": 0, "fault": {}}]}]}`, // fault without backends
+		`{"nodes": [{"kind": "attach", "role": "backend", "addr": "x:1"}, {"kind": "attach", "role": "gateway", "addr": "x:2"}],
+			"phases": [{"duration_ms": 1, "conns": 1,
+			"faults": [{"at_ms": 0, "backend": 1, "fault": {}}]}]}`, // fault past the one backend node
 		`{"phases": [{"duration_ms": 100, "conns": 1}],
-			"backends": ["x"],
+			"seed": 1,
 			"typo_knob": true}`, // unknown field
+		`{"trace_every": -1, "phases": [{"duration_ms": 1, "conns": 1}]}`,   // negative trace cadence
+		`{"nodes": [{"role": "gateway", "addr": "x:1"}, {"role": "load"}]}`, // the campaign is the load
 	}
 	for i, doc := range bad {
 		if _, err := parseSpec([]byte(doc)); err == nil {

@@ -2,12 +2,15 @@
 // describes a sequence of time-phased traffic shapes — constant,
 // linear/diurnal ramps, flash crowds, slow-loris holds — each optionally
 // scripting backend fault storms (POST /fault against aonback) at
-// offsets within the phase. The runner drives a live gateway through the
-// phases with closed-loop senders whose number the shape's envelope
-// sets, samples its /stats surface into a phase-tagged
-// session timeline (one crash-safe file, session.jsonl), and
-// emits per-phase Figure-5/6-style report rows with stage-latency
-// columns and every recorded node's window.
+// offsets within the phase — and, optionally, the topology it runs on:
+// gateways and backends that the campaign launches as child processes,
+// starts in process, or attaches to by address. The runner brings the
+// topology up, drives its first gateway through the phases with
+// closed-loop senders whose number the shape's envelope sets, records
+// every node's /stats into a phase-tagged session timeline (one
+// crash-safe file, session.jsonl), and emits per-phase Figure-5/6-style
+// report rows with stage-latency columns and every recorded node's
+// window. A spec with nodes and no phases is a passive recording.
 //
 // A campaign is the one run engine: the paper's scaling question ("how
 // does throughput move from one processing unit to two") is a spec of
@@ -53,33 +56,36 @@ const (
 	ShapeSlowloris Shape = "slowloris"
 )
 
-// Spec is the campaign document: global knobs plus the ordered phases.
+// Spec is the campaign document: global knobs, the topology and the
+// ordered phases.
 type Spec struct {
 	// Name labels the campaign in reports and artifacts.
 	Name string `json:"name"`
-	// Addr is the target gateway (host:port). Runner options may
-	// override it (aonfleet injects the launched gateway's address).
-	Addr string `json:"addr,omitempty"`
-	// Backends are aonback control addresses (host:port) that fault
-	// steps reference by index.
-	Backends []string `json:"backends,omitempty"`
 	// Seed perturbs the deterministic message generators and is echoed
 	// into reports; same spec + same seed = same traffic.
 	Seed uint64 `json:"seed,omitempty"`
 	// SizeBytes is the approximate POST body size (default the paper's
 	// 5 KB).
 	SizeBytes int `json:"size_bytes,omitempty"`
-	// SampleIntervalMS is the /stats sampling period for the campaign
-	// timeline (default 250ms).
+	// SampleIntervalMS is the recording period: every node's /stats is
+	// read once per interval, and with TraceEvery > 0 every node's
+	// /traces too (default 250ms).
 	SampleIntervalMS int `json:"sample_interval_ms,omitempty"`
 	// TimeoutMS bounds each request round trip (default 10s).
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 	// TraceEvery originates a distributed trace on every Nth request per
 	// sender (0 = never): an X-AON-Trace header is spliced into the
 	// pooled request bytes so the gateway adopts the client's trace ID
-	// and the whole campaign exemplar is followable across the fleet.
+	// and the whole campaign exemplar is followable across the nodes.
+	// Set, it also runs the trace plane: traces.jsonl and
+	// trace-report.txt in the run's out directory.
 	TraceEvery int `json:"trace_every,omitempty"`
-	// Phases run in order; at least one is required.
+	// Nodes is the topology. Without it the campaign runs against one
+	// attached gateway whose address the caller names (aoncamp -addr).
+	Nodes []NodeSpec `json:"nodes,omitempty"`
+	// Phases run in order against the first gateway. Without nodes at
+	// least one is required; a spec with nodes and no phases records
+	// until it is stopped.
 	Phases []Phase `json:"phases"`
 }
 
@@ -113,10 +119,11 @@ type Phase struct {
 	// GOMAXPROCS runs the phase at this scheduler width — the paper's
 	// one-unit vs two-unit axis (0 = the width the process started the
 	// campaign with). The runner sets it in its own process, so it is
-	// meaningful only for an in-process gateway (aoncamp -selfgate): the
-	// phase is refused unless the gateway's /stats workers reads it.
+	// meaningful only for an inproc gateway node: the phase is refused
+	// unless the gateway's /stats workers reads it.
 	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
-	// Faults fire against Spec.Backends at offsets within the phase.
+	// Faults fire against the spec's backend nodes at offsets within the
+	// phase.
 	Faults []FaultStep `json:"faults,omitempty"`
 }
 
@@ -124,7 +131,8 @@ type Phase struct {
 type FaultStep struct {
 	// AtMS is the offset from phase start.
 	AtMS int `json:"at_ms"`
-	// Backend indexes Spec.Backends.
+	// Backend indexes the spec's backend nodes in spec order, replicas
+	// expanded.
 	Backend int `json:"backend"`
 	// Fault is forwarded verbatim as the POST /fault body.
 	Fault upstream.FaultSpec `json:"fault"`
@@ -136,7 +144,8 @@ var knownShapes = map[Shape]bool{
 	ShapeFlash: true, ShapeSlowloris: true,
 }
 
-// Validate checks the spec and fills defaults in place.
+// Validate checks the whole spec, topology included, and fills defaults
+// in place, so that a bad spec is refused before any node starts.
 func (s *Spec) Validate() error {
 	if s.Name == "" {
 		s.Name = "campaign"
@@ -162,11 +171,17 @@ func (s *Spec) Validate() error {
 	if s.TraceEvery < 0 {
 		return fmt.Errorf("campaign: trace_every must be >= 0, got %d", s.TraceEvery)
 	}
-	if len(s.Phases) == 0 {
+	backends := 0
+	if len(s.Nodes) > 0 {
+		var err error
+		if backends, err = validateNodes(s.Nodes); err != nil {
+			return err
+		}
+	} else if len(s.Phases) == 0 {
 		return fmt.Errorf("campaign: no phases")
 	}
 	for i := range s.Phases {
-		if err := s.Phases[i].validate(i, len(s.Backends)); err != nil {
+		if err := s.Phases[i].validate(i, backends); err != nil {
 			return err
 		}
 	}
@@ -244,7 +259,7 @@ func (p *Phase) validate(idx, numBackends int) error {
 			return fmt.Errorf("%s: fault %d at_ms %d outside phase duration %d", where, j, f.AtMS, p.DurationMS)
 		}
 		if f.Backend < 0 || f.Backend >= numBackends {
-			return fmt.Errorf("%s: fault %d references backend %d, spec has %d", where, j, f.Backend, numBackends)
+			return fmt.Errorf("%s: fault %d references backend %d, spec has %d backend nodes", where, j, f.Backend, numBackends)
 		}
 	}
 	return nil
@@ -255,31 +270,20 @@ func (p *Phase) Duration() time.Duration {
 	return time.Duration(p.DurationMS) * time.Millisecond
 }
 
-// DecodeStrict decodes data, which must hold exactly one JSON document,
-// into v. Unknown fields — at any depth — and anything but white space
-// after the document are refused: a typoed knob, or a second document
-// pasted after the first, should fail loudly, not silently run defaults.
-// Campaign specs and fleet configs (which embed one) both decode here.
-func DecodeStrict(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return errors.New("data after the JSON document")
-	}
-	return nil
-}
-
-// decodeSpec strictly decodes a campaign document (see DecodeStrict)
-// without validating it. Callers that rewrite the spec before running
-// (aoncamp's -selfback swaps in self-hosted backend addresses) decode
-// first, rewrite, then Validate.
+// decodeSpec strictly decodes a campaign document, which must hold
+// exactly one JSON document, without validating it. Unknown fields — at
+// any depth — and anything but white space after the document are
+// refused: a typoed knob, or a second document pasted after the first,
+// should fail loudly, not silently run defaults.
 func decodeSpec(data []byte) (*Spec, error) {
 	var s Spec
-	if err := DecodeStrict(data, &s); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("campaign: bad spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("campaign: bad spec: data after the JSON document")
 	}
 	return &s, nil
 }
@@ -296,12 +300,15 @@ func parseSpec(data []byte) (*Spec, error) {
 	return s, nil
 }
 
-// LoadSpec reads and decodes a campaign document from a file without
-// validating it — callers rewrite (or not) and then Validate.
+// LoadSpec reads, strictly decodes and validates a campaign document.
 func LoadSpec(path string) (*Spec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
-	return decodeSpec(data)
+	s, err := parseSpec(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return s, nil
 }

@@ -63,10 +63,10 @@ func (r *traceRing) Kept() uint64 {
 }
 
 // ringCapacity is how many kept traces a node's ring holds, gateway and
-// backend alike. At the fleet's default 200 ms trace pulls it covers
-// about 5 000 kept traces a second — about four times the ≈ 1 300/s a
-// saturated 4-connection FR fleet run samples on a 2-vCPU host at the
-// fleet's default trace_every — before a pull can miss one to eviction.
+// backend alike. At a campaign's default 250 ms trace pulls it covers
+// about 4 000 kept traces a second — about three times the ≈ 1 300/s a
+// saturated 4-connection FR run over launched nodes samples on a 2-vCPU
+// host at trace_every 16 — before a pull can miss one to eviction.
 const ringCapacity = 1024
 
 // slowOverUS is the root duration from which an unsampled trace is kept
@@ -149,7 +149,7 @@ func (t *Tail) Keep(traceID ID, spans []Span) {
 func (t *Tail) Last(n int) []Trace { return t.ring.Last(n) }
 
 // TracesResponse is the GET /traces JSON shape. aongate and aonback
-// serve it and the fleet's trace pull decodes it, so one type is the
+// serve it and the campaign's trace pull decodes it, so one type is the
 // whole contract.
 type TracesResponse struct {
 	Node   string    `json:"node"`

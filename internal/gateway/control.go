@@ -13,7 +13,7 @@ import (
 )
 
 // This file is the one control-plane client: the campaign runner and
-// recorder and the fleet's trace pulls read /stats, /traces and /fault
+// recorder and the campaign's trace pulls read /stats, /traces and /fault
 // through GetJSON/PostJSON, over the load driver's Client and so under
 // the one framer's bounds (httpmsg.ReadResponseHead: 8 MiB bodies).
 

@@ -76,7 +76,7 @@ type Config struct {
 	// 5xx or took 50 ms (dtrace.Tail.Offer).
 	Trace bool
 	// TraceNode names this process in recorded spans (default
-	// "gateway"); fleet mode passes the topology node key so assembled
+	// "gateway"); a campaign passes the topology node key so assembled
 	// traces attribute time to the right process.
 	TraceNode string
 	// MaxInflight is the admission bound: a POST that would make more

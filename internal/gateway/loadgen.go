@@ -135,7 +135,7 @@ type LoadConfig struct {
 
 // Counts is the load client's outcome accounting, classified by record —
 // the only outcome switch outside bench/. Report and campaign.PhaseReport
-// embed it, so aoncamp and aonfleet phase rows count the same things
+// embed it, so every aoncamp phase row counts the same things
 // under the same JSON keys.
 //
 // Conservation against the gateway driven (TestCampaignEndToEnd checks it
@@ -202,13 +202,13 @@ func (c *Counts) add(o *Counts) {
 
 // Report is a sender set's accounting at Stop: the outcome counts, the
 // latency of the 200 answers, and the client spans a campaign phase row
-// and the fleet's trace plane read.
+// and the campaign's trace plane read.
 type Report struct {
 	Counts
 	Latency HistSnapshot
 	// ClientSpans holds the client-side request spans of originated
 	// traces (TraceEvery > 0), bounded so a long run can't grow the
-	// report without limit. The fleet's trace plane joins them with
+	// report without limit. The campaign's trace plane joins them with
 	// gateway/backend spans by trace ID.
 	ClientSpans []dtrace.Span
 }

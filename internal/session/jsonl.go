@@ -8,7 +8,7 @@ import (
 )
 
 // JSONL is the one JSON-lines persister: the recorder's session (phase
-// events and sample rows) and the fleet's trace artifact are each a
+// events and sample rows) and the trace plane's artifact are each a
 // JSONL of their own row type. Every Write is one marshalled row and its newline handed
 // to the OS in a single write before it returns — the crash-safety
 // contract: a run that dies keeps every row written so far, and never a

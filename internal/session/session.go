@@ -3,8 +3,8 @@
 // message and byte counters, latency histograms and, with -counters,
 // scaled event counts since its counter groups opened — and every reader
 // cuts its own timeline from that one source with a Windower, at its own
-// interval: the campaign recorder (aoncamp's gateway, aonsim -exp live's,
-// or every node of an aonfleet topology).
+// interval: the campaign recorder (every node of an aoncamp topology, or
+// aonsim -exp live's gateway).
 // Where one /stats read shows *that* CPI differs across use cases, the
 // timeline shows *when* — counter and latency values over time, per CPU —
 // the raw material for the paper's CPI-over-time figures.
@@ -98,7 +98,7 @@ type Sample struct {
 // Every calls fn once per interval from a goroutine of its own until the
 // returned stop is called. stop joins that goroutine — after it returns,
 // fn will never be called again — and is idempotent. It is the one
-// polling loop: the campaign recorder's ticks and the fleet's /traces
+// polling loop: the campaign recorder's ticks and its trace plane's /traces
 // pulls.
 func Every(interval time.Duration, fn func()) (stop func()) {
 	quit, done := make(chan struct{}), make(chan struct{})

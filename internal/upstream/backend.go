@@ -33,7 +33,7 @@ type BackendConfig struct {
 	// campaign rerun with the same seed errors the same requests.
 	Seed uint64
 	// TraceNode names this process in recorded serve spans (default the
-	// backend Name); fleet mode passes the topology node key. The backend
+	// backend Name); a campaign passes the topology node key. The backend
 	// records a serve span for every request that arrives with an
 	// X-AON-Trace header — the gateway propagates one only when the
 	// client sampled the request — and keeps them all in a ring served
