@@ -997,12 +997,53 @@ func TestNewPipelineRejectsBadExpression(t *testing.T) {
 	}
 }
 
+// TestSelectUseCase: the last segment of the target's path names the use
+// case in any letter case, whatever the query or a trailing slash; a path
+// that names none gets the pipeline's default.
+func TestSelectUseCase(t *testing.T) {
+	pipe, err := NewPipeline(workload.FR, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		target string
+		want   workload.UseCase
+	}{
+		{"/service/CBR", workload.CBR},
+		{"/service/cbr", workload.CBR},
+		{"http://h/service/SV", workload.SV},
+		{"/service/CBR?x=1", workload.CBR},
+		{"/service/CBR/", workload.CBR},
+		{"/service/xj/?a=b/c", workload.XJ},
+		{"/service/Auth", workload.AUTH},
+		{"/service/DPI", workload.DPI},
+		{"/service/FR", workload.FR},
+		{"/", workload.FR},
+		{"", workload.FR},
+		{"CBR", workload.FR},
+		{"/service/CBRX", workload.FR},
+		{"/service/?CBR", workload.FR},
+		{"/service/CBR//", workload.FR},
+	} {
+		if got := pipe.SelectUseCase(c.target); got != c.want {
+			t.Errorf("SelectUseCase(%q) = %v, want %v", c.target, got, c.want)
+		}
+	}
+	sv, err := NewPipeline(workload.SV, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sv.SelectUseCase("/"); got != workload.SV {
+		t.Errorf("bare target on an SV pipeline: %v, want SV", got)
+	}
+}
+
 // TestConnPipelineAllocs pins the connection path's message plane at zero
 // allocations: from the frame to the verdict — and for XJ the translated
 // body and its headers — every use case runs in memory the connection
-// owns (its wscratch) or borrows from a pool. SelectUseCase is left out:
-// its use-case parse is the floor left under every message. Each verdict
-// must be the one the public Process gives on the same bytes.
+// owns (its wscratch) or borrows from a pool, its use case selected from
+// the target (or defaulted, for a bare one) in place. Each verdict must
+// be the one the public Process gives on the same bytes.
 func TestConnPipelineAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("sync.Pool drops Puts under -race; allocation counts are not meaningful")
@@ -1016,6 +1057,8 @@ func TestConnPipelineAllocs(t *testing.T) {
 		name string
 		raw  []byte
 	}{
+		{"FR", workload.HTTPRequest(0, workload.FR)},
+		{"FR bare target", retarget(t, workload.HTTPRequest(0, workload.FR), "/")},
 		{"CBR match", workload.HTTPRequest(0, workload.CBR)},
 		{"CBR no match", workload.HTTPRequest(1, workload.CBR)},
 		{"SV valid", workload.HTTPRequest(0, workload.SV)},
@@ -1039,6 +1082,9 @@ func TestConnPipelineAllocs(t *testing.T) {
 			if err := httpmsg.ParseRequestInto(c.raw, &sc.req); err != nil {
 				t.Fatal(err)
 			}
+			if got := pipe.SelectUseCase(sc.req.Target); got != uc {
+				t.Fatalf("%s: selects %v, then %v", c.name, uc, got)
+			}
 			if out := pipe.process(uc, &sc.req, &sc.xj); out != want {
 				t.Fatalf("%s: connection path %v, Process %v", c.name, out, want)
 			}
@@ -1054,26 +1100,63 @@ func TestConnPipelineAllocs(t *testing.T) {
 	}
 }
 
+// retarget is raw with its request target replaced by target.
+func retarget(t testing.TB, raw []byte, target string) []byte {
+	t.Helper()
+	var req httpmsg.Request
+	if err := httpmsg.ParseRequestInto(raw, &req); err != nil {
+		t.Fatal(err)
+	}
+	req.Target = target
+	return httpmsg.FormatRequest(&req)
+}
+
 // TestServeLoopAllocs pins the whole connection loop — read, frame,
-// process, write — over loopback at the SelectUseCase floor: at most 3
-// allocations per message for FR, CBR and SV (2 today). The client
-// writes prebuilt requests and skips each response body in the reader,
-// so every counted allocation is the server's. With Trace on, each
-// request also takes a pooled recorder, stamps its stages, folds them
-// into the histograms and meets the tail sampler at its default keep
-// ratio; that must stay within half an allocation of Trace off, which a
-// recorder allocated per request breaks.
+// process, write — over loopback at zero allocations per message: at
+// most 0.05 (a stray runtime or test-side allocation over the run) for
+// every use case, for a bare "/" target that runs the server's default,
+// and for CBR forwarded to in-process order and error backends, whose
+// allocations count too. The client writes prebuilt requests and skips
+// each response body in the reader. With Trace on, each request also
+// takes a pooled recorder, stamps its stages, folds them into the
+// histograms and meets the tail sampler at its default keep ratio; that
+// must stay within 0.05 allocations of Trace off, which a recorder
+// allocated per request breaks. Each row checks that every message ran
+// the use case it names.
 func TestServeLoopAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("sync.Pool drops Puts under -race; allocation counts are not meaningful")
 	}
-	const warm, n = 200, 2000
-	untraced := map[workload.UseCase]float64{}
+	const warm, n, budget = 200, 2000, 0.05
+	type row struct {
+		name   string
+		uc     workload.UseCase // the use case every message must run
+		target string           // request target; "" keeps /service/<uc>
+		fwd    bool             // forward to in-process order/error backends
+	}
+	var rows []row
+	for _, uc := range append(append([]workload.UseCase{}, workload.AllUseCases...), workload.ExtendedUseCases...) {
+		rows = append(rows, row{name: uc.String(), uc: uc})
+	}
+	rows = append(rows,
+		row{name: "bare", uc: workload.CBR, target: "/"},
+		row{name: "forwarded", uc: workload.CBR, fwd: true},
+	)
+	untraced := map[string]float64{}
 	for _, traced := range []bool{false, true} {
-		for _, uc := range []workload.UseCase{workload.FR, workload.CBR, workload.SV} {
-			name := uc.String() + "/trace=" + strconv.FormatBool(traced)
-			t.Run(name, func(t *testing.T) {
-				srv := startServer(t, Config{UseCase: uc, Trace: traced})
+		for _, r := range rows {
+			t.Run(r.name+"/trace="+strconv.FormatBool(traced), func(t *testing.T) {
+				cfg := Config{UseCase: workload.FR, Trace: traced}
+				if r.target != "" {
+					cfg.UseCase = r.uc // a bare target runs the default
+				}
+				if r.fwd {
+					cfg.Upstream = upstream.Config{
+						Order: startBackend(t, upstream.BackendConfig{Name: "order"}).Addr().String(),
+						Error: startBackend(t, upstream.BackendConfig{Name: "error"}).Addr().String(),
+					}
+				}
+				srv := startServer(t, cfg)
 				c, err := net.Dial("tcp", srv.Addr().String())
 				if err != nil {
 					t.Fatal(err)
@@ -1082,7 +1165,10 @@ func TestServeLoopAllocs(t *testing.T) {
 				br := bufio.NewReaderSize(c, 32<<10)
 				reqs := make([][]byte, 16)
 				for i := range reqs {
-					reqs[i] = workload.HTTPRequest(i, uc)
+					reqs[i] = workload.HTTPRequest(i, r.uc)
+					if r.target != "" {
+						reqs[i] = retarget(t, reqs[i], r.target)
+					}
 				}
 				roundTrip := func(i int) {
 					if _, err := c.Write(reqs[i%len(reqs)]); err != nil {
@@ -1105,15 +1191,18 @@ func TestServeLoopAllocs(t *testing.T) {
 					roundTrip(i)
 				}
 				runtime.ReadMemStats(&after)
+				if got := srv.Metrics.LatencyByUC[r.uc].Snapshot().Count; got != warm+n {
+					t.Fatalf("%d messages ran %v, want %d", got, r.uc, warm+n)
+				}
 				per := float64(after.Mallocs-before.Mallocs) / n
 				t.Logf("%.3f allocs/msg", per)
-				if per > 3 {
-					t.Errorf("%.3f allocs/msg, want <= 3", per)
+				if per > budget {
+					t.Errorf("%.3f allocs/msg, want <= %v", per, budget)
 				}
 				if !traced {
-					untraced[uc] = per
-				} else if base, ok := untraced[uc]; ok && per > base+0.5 {
-					t.Errorf("tracing adds %.3f allocs/msg (%.3f vs %.3f untraced), want < 0.5", per-base, per, base)
+					untraced[r.name] = per
+				} else if base, ok := untraced[r.name]; ok && per > base+budget {
+					t.Errorf("tracing adds %.3f allocs/msg (%.3f vs %.3f untraced), want <= %v", per-base, per, base, budget)
 				}
 			})
 		}

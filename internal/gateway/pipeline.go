@@ -50,12 +50,15 @@ func NewPipeline(def workload.UseCase, expr string, schema *xsd.Schema) (*Pipeli
 	return &Pipeline{rules: r, def: def}, nil
 }
 
-// SelectUseCase picks the use case for a request: the last path segment of
-// the target selects one by name (/service/CBR), otherwise the pipeline's
-// default applies. This lets a single gateway serve the whole grid.
+// SelectUseCase picks the use case for a request: the last segment of the
+// target's path selects one by name (/service/CBR, /service/CBR/,
+// /service/CBR?x=1), otherwise the pipeline's default applies. This lets
+// a single gateway serve the whole grid. It allocates nothing.
 func (p *Pipeline) SelectUseCase(target string) workload.UseCase {
-	if i := strings.LastIndexByte(target, '/'); i >= 0 {
-		if uc, err := workload.ParseUseCase(target[i+1:]); err == nil {
+	path, _, _ := strings.Cut(target, "?")
+	path = strings.TrimSuffix(path, "/")
+	if i := strings.LastIndexByte(path, '/'); i >= 0 {
+		if uc, ok := workload.LookupUseCase(path[i+1:]); ok {
 			return uc
 		}
 	}

@@ -68,12 +68,21 @@ func (u UseCase) String() string {
 	return "invalid"
 }
 
-// ParseUseCase maps a use-case name ("FR", "cbr", ...) to its UseCase.
-func ParseUseCase(s string) (UseCase, error) {
-	for _, uc := range append(append([]UseCase{}, AllUseCases...), ExtendedUseCases...) {
+// LookupUseCase finds the use case named s ("FR", "cbr", ...), in any
+// letter case. It allocates nothing, so the gateway calls it per message.
+func LookupUseCase(s string) (UseCase, bool) {
+	for uc := FR; uc <= XJ; uc++ {
 		if strings.EqualFold(s, uc.String()) {
-			return uc, nil
+			return uc, true
 		}
+	}
+	return FR, false
+}
+
+// ParseUseCase is LookupUseCase with an error naming an unknown s.
+func ParseUseCase(s string) (UseCase, error) {
+	if uc, ok := LookupUseCase(s); ok {
+		return uc, nil
 	}
 	return FR, fmt.Errorf("workload: unknown use case %q", s)
 }

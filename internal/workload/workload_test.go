@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/dpi"
@@ -98,6 +99,58 @@ func TestUseCaseStrings(t *testing.T) {
 	}
 	if len(AllUseCases) != 3 {
 		t.Fatal("use case list wrong")
+	}
+}
+
+// TestLookupUseCase holds the allocation-free lookup to the definition it
+// replaced — EqualFold against each use case's String — and to zero
+// allocations on hits and misses alike.
+func TestLookupUseCase(t *testing.T) {
+	six := append(append([]UseCase{}, AllUseCases...), ExtendedUseCases...)
+	if len(six) != 6 {
+		t.Fatalf("%d use cases, want 6", len(six))
+	}
+	for _, uc := range six {
+		name := uc.String()
+		for _, s := range []string{name, strings.ToLower(name), strings.ToLower(name[:1]) + name[1:]} {
+			if got, ok := LookupUseCase(s); !ok || got != uc {
+				t.Errorf("LookupUseCase(%q) = %v, %v; want %v", s, got, ok, uc)
+			}
+		}
+	}
+	for _, s := range []string{"", "F", "FRX", "service", "CBR ", "invalid"} {
+		if got, ok := LookupUseCase(s); ok {
+			t.Errorf("LookupUseCase(%q) = %v, want a miss", s, got)
+		}
+	}
+	// The old definition, over the same names and their near misses.
+	old := func(s string) (UseCase, bool) {
+		for _, uc := range six {
+			if strings.EqualFold(s, uc.String()) {
+				return uc, true
+			}
+		}
+		return FR, false
+	}
+	for _, uc := range six {
+		for _, s := range []string{uc.String(), strings.ToLower(uc.String()), uc.String() + "x", uc.String()[1:]} {
+			gu, gok := LookupUseCase(s)
+			wu, wok := old(s)
+			if gu != wu || gok != wok {
+				t.Errorf("LookupUseCase(%q) = %v, %v; old definition %v, %v", s, gu, gok, wu, wok)
+			}
+		}
+	}
+	for _, s := range []string{"cbr", "XJ", "bogus", ""} {
+		if n := testing.AllocsPerRun(100, func() { LookupUseCase(s) }); n != 0 {
+			t.Errorf("LookupUseCase(%q): %v allocs/op, want 0", s, n)
+		}
+	}
+	if uc, err := ParseUseCase("sv"); err != nil || uc != SV {
+		t.Errorf("ParseUseCase(sv) = %v, %v", uc, err)
+	}
+	if _, err := ParseUseCase("bogus"); err == nil || err.Error() != `workload: unknown use case "bogus"` {
+		t.Errorf("ParseUseCase(bogus) error %v", err)
 	}
 }
 
